@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-guard bench-profile
+.PHONY: all build test race lint bench bench-quick bench-smoke bench-guard bench-profile
 
 all: build test
 
@@ -24,23 +24,36 @@ lint:
 	$(GO) vet -copylocks -loopclosure ./...
 	$(GO) run ./cmd/detlint ./...
 
+# bench runs the performance ledger (bench/README.md): seven workloads,
+# end-to-end and per-layer metrics, correctness checks, ~3 min. It builds
+# into .bench_build/ and writes bench/out/; pass flags through run.sh
+# directly (`bash bench/run.sh --workload redeploy_churn --trace 0`).
+bench:
+	bash bench/run.sh
+
+# bench-quick is the ledger's own test suite: every workload at -quick
+# size held against the BENCHMARK.json manifest, and the driver's
+# one-workload contract line; a few seconds.
+bench-quick:
+	cd bench && $(GO) test ./...
+
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-guard reproduces the CI regression gate locally: the guarded
 # solver benchmarks and the carbon memo benchmark run, and their
-# combined output is compared against the BENCH_10.json baselines
+# combined output is compared against the BENCH_12.json baselines
 # (15% tolerance on machine-independent speedup ratios).
 bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkWarmSolveChurn|BenchmarkIncrementalPlacement' \
 		-benchtime 3x . | tee /tmp/bench-guard.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCarbonMixes' \
 		-benchtime 100x ./internal/carbon/ | tee -a /tmp/bench-guard.out
-	$(GO) run ./cmd/benchguard -baseline BENCH_10.json /tmp/bench-guard.out
+	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
 
-# bench-profile records CPU and allocation profiles of the two solver
+# bench-profile records CPU and allocation profiles of the three solver
 # hot-path benchmarks and prints the top-10 flat summaries. The
-# checked-in snapshot of those summaries lives in profiles/PROFILE_09.md;
+# checked-in snapshot of those summaries lives in profiles/PROFILE_12.md;
 # regenerate it with this target after solver changes. The benchmarks
 # run in separate invocations: profiling needs a single test binary
 # (so the repo root package, not ./...), and BenchmarkTimelineReplay's
@@ -51,10 +64,15 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
 		-benchtime 3x -cpuprofile profiles/solver-cpu.pprof \
 		-memprofile profiles/solver-mem.pprof -o profiles/bench.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkRedeployChurn' \
+		-benchtime 3x -cpuprofile profiles/churn-cpu.pprof \
+		-memprofile profiles/churn-mem.pprof -o profiles/bench.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkTimelineReplay$$' \
 		-benchtime 1x -cpuprofile profiles/replay-cpu.pprof \
 		-memprofile profiles/replay-mem.pprof -o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/churn-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/replay-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/replay-mem.pprof

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench ... . | tee bench.out
-//	go run ./cmd/benchguard -baseline BENCH_09.json bench.out
+//	go run ./cmd/benchguard -baseline BENCH_12.json bench.out
 //
 // With no file argument the bench output is read from stdin. Only the
 // metrics listed in the baseline's "guard" section are compared; the

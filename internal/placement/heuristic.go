@@ -22,7 +22,7 @@ const (
 	// SearchFlat forces the flattened search: policy costs are memoized
 	// into flat rows shared across identical app classes, after pass 0
 	// only apps whose candidate servers changed in a scan-visible way are
-	// re-scanned (server -> app reverse adjacency filtered by capacity
+	// re-scanned (server -> class reverse adjacency filtered by capacity
 	// threshold flips), and a converged solve carries over to the next one
 	// on the same workspace view, so a warm re-solve costs O(changed apps
 	// x candidates) instead of O(apps x candidates).
@@ -62,9 +62,12 @@ type HeuristicSolver struct {
 	st  state
 	ids map[string]bool
 	sid map[string]bool
-	// order/options are the greedy-construction ordering scratch.
-	order   []int
-	options []int
+	// order/options/classOpt/bucket are the greedy-construction ordering
+	// scratch.
+	order    []int
+	options  []int
+	classOpt []int
+	bucket   []int
 	// memo holds the flattened-search cost rows and reverse adjacency.
 	memo costMemo
 	// cont is the converged state of the last flattened solve; the next
@@ -75,25 +78,15 @@ type HeuristicSolver struct {
 // NewHeuristicSolver returns a solver with default search effort.
 func NewHeuristicSolver() *HeuristicSolver { return &HeuristicSolver{} }
 
-// grow resizes b to exactly n elements, reusing capacity when possible.
+// grow resizes b to exactly n elements, reusing capacity when possible
+// and allocating with headroom otherwise: a batch that creeps up solve
+// after solve (a filling redeploy) must not reallocate every time.
 // Contents are unspecified; callers overwrite every element.
 func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/4)
 	}
 	return b[:n]
-}
-
-// rowKey identifies an app class from the solver's point of view: two apps
-// with equal keys have identical candidate lists, demand, power, and
-// latency coefficients on every server (the Workspace memoizes all four by
-// exactly these attributes), so under a CoefficientPolicy they share one
-// memoized cost row.
-type rowKey struct {
-	source string
-	model  string
-	slo    float64
-	rate   float64
 }
 
 // maxDistinctDemands bounds the per-server list of distinct demand vectors
@@ -104,18 +97,22 @@ const maxDistinctDemands = 8
 
 // costMemo is the flattened view of one (problem, policy) pair: every
 // policy cost the local search can ask for, resolved once into flat
-// arrays, plus the server -> apps reverse adjacency the dirty-app queue
-// marks through and the per-server distinct-demand lists its capacity
-// filter tests against.
+// arrays laid out per app class, plus the server -> classes reverse
+// adjacency the dirty-app queue marks through and the per-server
+// distinct-demand lists its capacity filter tests against.
 //
-// For workspace views (Problem.costGen != 0) under a CoefficientPolicy,
-// the memo caches at two granularities: the structure (row layout, static
-// feasibility, adjacency, demand lists) survives as long as the batch and
-// fleet are unchanged, and the cost values survive as long as the
-// workspace's cost generation is unchanged — so a pure carbon-intensity
-// tick re-evaluates only one row per app class, and a pure batch-churn
-// round re-evaluates nothing but the structure. Dense problems (costGen
-// 0) and batch-dependent policies are conservatively rebuilt every solve.
+// The class is the unit of structure. On workspace views (Problem.costGen
+// != 0) under a CoefficientPolicy the classes are the view's own stamp
+// (Problem.classOf: apps of one class have identical candidate lists and
+// coefficients, hence identical cost rows); anywhere else every app is its
+// own class. For the former the memo caches at two granularities: the
+// structure (row layout, static feasibility, adjacency, demand lists)
+// survives as long as the batch and fleet are unchanged, and the cost
+// values survive as long as the workspace's cost generation is unchanged —
+// so a pure carbon-intensity tick re-evaluates only one row per app
+// class, and a pure batch-churn round re-evaluates nothing but the
+// structure. Dense problems (costGen 0) and batch-dependent policies are
+// conservatively rebuilt every solve.
 type costMemo struct {
 	p       *Problem
 	pol     Policy
@@ -127,15 +124,17 @@ type costMemo struct {
 
 	// apps is the batch the structure was built for (hasStruct only).
 	apps []App
-	// groups/rep implement row sharing: rep[i] is the lowest app index
-	// with app i's rowKey; off[i] aliases off[rep[i]]'s span.
-	groups map[rowKey]int32
-	rep    []int32
+	// cls[i] is app i's class and rep[c] the lowest app index in class c:
+	// the view's stamp when rows are shared, else both alias ident (the
+	// identity map).
+	cls   []int32
+	rep   []int32
+	ident []int32
 
-	// off[i] is app i's base slot in row/ok (one slot per candidate, in
-	// candidate order; spans are shared between apps of one class).
+	// off[c] is class c's base slot in row/ok (one slot per candidate, in
+	// candidate order).
 	off []int
-	// row[slot] is pol.PairCost for the slot's (app, server) pair.
+	// row[slot] is pol.PairCost for the slot's (class, server) pair.
 	row []float64
 	// ok[slot] is the static feasibility gate (compatibility + latency);
 	// only capacity remains to be checked during a scan.
@@ -143,11 +142,11 @@ type costMemo struct {
 	// act[j] is pol.ActivationCost(p, j).
 	act []float64
 
-	// revOff/revApp is the CSR reverse adjacency: revApp[revOff[j]:
-	// revOff[j+1]] lists the apps (ascending) whose candidate lists
-	// contain server j. The dirty-app queue marks through it.
+	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
+	// revOff[j+1]] lists the classes whose candidate lists contain server
+	// j. The dirty-app queue marks through it.
 	revOff []int
-	revApp []int
+	revCls []int32
 	cursor []int // CSR fill scratch
 
 	// dOff/dLen/dVal list the distinct demand vectors among each server's
@@ -193,6 +192,9 @@ func (mm *costMemo) prepare(p *Problem, pol Policy) {
 	shareable := coeff && p.costGen != 0 && p.Candidates != nil
 	if mm.hasStruct && shareable && mm.p == p && mm.m == len(p.Servers) &&
 		samePolicy(mm.pol, pol) && appsEqual(mm.apps, p.Apps) {
+		// Equal batches stamp equal classes; re-alias the view's buffers
+		// in case the workspace regrew them.
+		mm.cls, mm.rep = p.classOf, p.classRep
 		if mm.costGen == p.costGen {
 			return // full hit: same batch, same cost inputs
 		}
@@ -210,11 +212,8 @@ func (mm *costMemo) evalRows(p *Problem, pol Policy) {
 	for j := range p.Servers {
 		mm.act[j] = pol.ActivationCost(p, j)
 	}
-	for i := range p.Apps {
-		if int(mm.rep[i]) != i {
-			continue
-		}
-		base := mm.off[i]
+	for c, r := range mm.rep {
+		i, base := int(r), mm.off[c]
 		for k, j := range p.CandidatesOf(i) {
 			if mm.ok[base+k] {
 				mm.row[base+k] = pol.PairCost(p, i, j)
@@ -229,83 +228,50 @@ func (mm *costMemo) evalRows(p *Problem, pol Policy) {
 func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 	n, m := len(p.Apps), len(p.Servers)
 
-	// Row sharing: group apps by class. Without sharing every app is its
-	// own representative.
-	mm.rep = grow(mm.rep, n)
+	// Row sharing: the workspace already grouped the batch by class.
+	// Without sharing every app is its own class.
 	if shareable {
-		if mm.groups == nil {
-			mm.groups = make(map[rowKey]int32, 64)
-		} else {
-			clear(mm.groups)
-		}
-		for i := range p.Apps {
-			a := &p.Apps[i]
-			k := rowKey{a.Source, a.Model, a.SLOms, a.RatePerSec}
-			if r, dup := mm.groups[k]; dup {
-				mm.rep[i] = r
-			} else {
-				mm.groups[k] = int32(i)
-				mm.rep[i] = int32(i)
-			}
-		}
+		mm.cls, mm.rep = p.classOf, p.classRep
 	} else {
-		for i := range mm.rep {
-			mm.rep[i] = int32(i)
+		for i := len(mm.ident); i < n; i++ {
+			mm.ident = append(mm.ident, int32(i))
 		}
+		mm.cls, mm.rep = mm.ident[:n], mm.ident[:n]
 	}
+	nc := len(mm.rep)
 
-	mm.off = grow(mm.off, n)
+	// Static feasibility per slot, and the server -> classes adjacency
+	// counts.
+	mm.off = grow(mm.off, nc)
+	mm.revOff = grow(mm.revOff, m+1)
+	clear(mm.revOff)
 	total := 0
-	for i := range p.Apps {
-		if r := int(mm.rep[i]); r != i {
-			mm.off[i] = mm.off[r]
-			continue
-		}
-		mm.off[i] = total
-		total += len(p.CandidatesOf(i))
+	for c, r := range mm.rep {
+		mm.off[c] = total
+		total += len(p.CandidatesOf(int(r)))
 	}
 	mm.row = grow(mm.row, total)
 	mm.ok = grow(mm.ok, total)
-	for i := range p.Apps {
-		if int(mm.rep[i]) != i {
-			continue
-		}
-		base := mm.off[i]
+	for c, r := range mm.rep {
+		i, base := int(r), mm.off[c]
 		slo := p.Apps[i].SLOms
 		for k, j := range p.CandidatesOf(i) {
-			ok := p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
-			mm.ok[base+k] = ok
-			if ok {
-				mm.row[base+k] = pol.PairCost(p, i, j)
-			} else {
-				mm.row[base+k] = 0
-			}
-		}
-	}
-	mm.act = grow(mm.act, m)
-	for j := range p.Servers {
-		mm.act[j] = pol.ActivationCost(p, j)
-	}
-
-	// Reverse adjacency over every app (not just representatives).
-	mm.revOff = grow(mm.revOff, m+1)
-	for j := range mm.revOff {
-		mm.revOff[j] = 0
-	}
-	for i := range p.Apps {
-		for _, j := range p.CandidatesOf(i) {
+			mm.ok[base+k] = p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
 			mm.revOff[j+1]++
 		}
 	}
+	mm.act = grow(mm.act, m)
+	mm.evalRows(p, pol)
+
 	for j := 0; j < m; j++ {
 		mm.revOff[j+1] += mm.revOff[j]
 	}
-	mm.revApp = grow(mm.revApp, mm.revOff[m])
+	mm.revCls = grow(mm.revCls, mm.revOff[m])
 	mm.cursor = grow(mm.cursor, m)
 	copy(mm.cursor, mm.revOff[:m])
-	for i := range p.Apps {
-		for _, j := range p.CandidatesOf(i) {
-			mm.revApp[mm.cursor[j]] = i
+	for c, r := range mm.rep {
+		for _, j := range p.CandidatesOf(int(r)) {
+			mm.revCls[mm.cursor[j]] = int32(c)
 			mm.cursor[j]++
 		}
 	}
@@ -321,46 +287,25 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 }
 
 // buildDemandLists collects, per server, the distinct demand vectors among
-// its statically-feasible adjacent slots (one representative per app
-// class). fitsFlip uses them to decide whether a capacity change on a
-// server can alter any adjacent app's scan.
+// its statically-feasible adjacent slots (one per adjacent class, capped at
+// maxDistinctDemands). fitsFlip uses them to decide whether a capacity
+// change on a server can alter any adjacent app's scan.
 func (mm *costMemo) buildDemandLists(p *Problem) {
 	m := len(p.Servers)
 	mm.dOff = grow(mm.dOff, m+1)
 	mm.dLen = grow(mm.dLen, m)
 	mm.dBig = grow(mm.dBig, m)
-	// Count representative slots per server to lay out the value arena
-	// (capped at maxDistinctDemands per server).
-	cnt := mm.cursor // reuse CSR scratch; same length m
-	for j := range cnt {
-		cnt[j] = 0
-	}
-	for i := range p.Apps {
-		if int(mm.rep[i]) != i {
-			continue
-		}
-		for _, j := range p.CandidatesOf(i) {
-			cnt[j]++
-		}
-	}
 	total := 0
 	for j := 0; j < m; j++ {
 		mm.dOff[j] = total
-		w := cnt[j]
-		if w > maxDistinctDemands {
-			w = maxDistinctDemands
-		}
-		total += w
+		total += min(mm.revOff[j+1]-mm.revOff[j], maxDistinctDemands)
 		mm.dLen[j] = 0
 		mm.dBig[j] = false
 	}
 	mm.dOff[m] = total
 	mm.dVal = grow(mm.dVal, total)
-	for i := range p.Apps {
-		if int(mm.rep[i]) != i {
-			continue
-		}
-		base := mm.off[i]
+	for c, r := range mm.rep {
+		i, base := int(r), mm.off[c]
 		for k, j := range p.CandidatesOf(i) {
 			if !mm.ok[base+k] || mm.dBig[j] {
 				continue
@@ -459,12 +404,20 @@ type state struct {
 	assigned []int // app -> server or -1
 	loads    []int // number of apps per server
 
-	// mark[i] is the last pass app i must still be scanned in: the
-	// dirty-app work queue. An app is skipped in pass p when mark[i] < p,
-	// which is provably a no-op scan (no server in its candidate list
-	// changed in a way its scan can observe since its last scan).
-	mark []int32
+	// mark and stamp are the dirty-app work queue. mark[i] is the last
+	// pass app i must still be scanned in on its own account (seeded by
+	// initMarks, bumped by a retry placement); stamp[c] is the scan
+	// position (pass<<32 | app index + 1) of the latest touch on class c,
+	// which dirties every member at once. An app is skipped in pass p when
+	// neither makes it due (see dirty), which is provably a no-op scan: no
+	// server in its candidate list changed in a way its scan can observe
+	// since its last scan.
+	mark  []int32
+	stamp []int64
 }
+
+// noStamp is a class stamp that makes no member due in any pass.
+const noStamp = -1 << 32
 
 // init points the state at a problem, reusing the slices' capacity.
 func (st *state) init(p *Problem, pol Policy) {
@@ -532,17 +485,32 @@ func (st *state) unplace(i int) {
 
 // touch marks every app adjacent to server j dirty: later apps still in
 // this pass, earlier ones (and i itself) in the next. Pass i = -1 to mark
-// everything for the given pass.
+// everything for the given pass. It only stamps the adjacent classes with
+// the scan position; of two touches the later position makes every member
+// due no earlier than the other does, so keeping the maximum loses nothing.
 func (st *state) touch(mm *costMemo, j, i int, pass int32) {
-	for _, k := range mm.revApp[mm.revOff[j]:mm.revOff[j+1]] {
-		next := pass
-		if k <= i {
-			next = pass + 1
-		}
-		if st.mark[k] < next {
-			st.mark[k] = next
+	at := int64(pass)<<32 | int64(i+1)
+	for _, c := range mm.revCls[mm.revOff[j]:mm.revOff[j+1]] {
+		if st.stamp[c] < at {
+			st.stamp[c] = at
 		}
 	}
+}
+
+// dirty reports whether app i must be scanned in the given pass: on its
+// own mark, or because its class was touched — in an earlier pass from a
+// position at or past i (due the pass after), or from a position before i
+// (due that same pass).
+func (st *state) dirty(mm *costMemo, i int, pass int32) bool {
+	if st.mark[i] >= pass {
+		return true
+	}
+	at := st.stamp[mm.cls[i]]
+	due := int32(at >> 32)
+	if int64(i) < at&math.MaxUint32 {
+		due++
+	}
+	return due >= pass
 }
 
 // touchMoved is touch filtered by observability: after app i changed
@@ -659,6 +627,10 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Policy) {
 	n := len(p.Apps)
 	st.mark = grow(st.mark, n)
+	st.stamp = grow(st.stamp, len(mm.rep))
+	for c := range st.stamp {
+		st.stamp[c] = noStamp
+	}
 	c := &s.cont
 	if !(c.valid && mm.hasStruct && c.p == p && p.costGen != 0 &&
 		c.costGen == p.costGen && samePolicy(c.pol, pol) &&
@@ -691,10 +663,6 @@ func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Pol
 			st.touch(mm, j, -1, 0)
 		}
 	}
-	for i := range st.mark {
-		if st.mark[i] >= 0 {
-		}
-	}
 }
 
 // recordContinuation snapshots the converged state for the next solve.
@@ -715,6 +683,23 @@ func (s *HeuristicSolver) recordContinuation(st *state, mm *costMemo, p *Problem
 	c.loads = append(c.loads[:0], st.loads...)
 }
 
+// orderByCount fills order with the indices of counts sorted ascending by
+// count, ties in index order: a stable counting sort, so the permutation
+// is the one any stable sort produces. Counts lie in [0, len(bucket)-2].
+func orderByCount(order, counts, bucket []int) {
+	clear(bucket)
+	for _, k := range counts {
+		bucket[k+1]++
+	}
+	for k := 1; k < len(bucket); k++ {
+		bucket[k] += bucket[k-1]
+	}
+	for i, k := range counts {
+		order[bucket[k]] = i
+		bucket[k]++
+	}
+}
+
 // construct runs greedy construction: place the most constrained apps
 // first (fewest feasible servers), each on its cheapest feasible server.
 // This is the classic most-constrained-variable heuristic and avoids
@@ -724,28 +709,28 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
 	s.order = grow(s.order, len(p.Apps))
 	s.options = grow(s.options, len(p.Apps))
 	order, options := s.order, s.options
-	for i := range order {
-		order[i] = i
-		options[i] = p.countFeasible(i)
-	}
-	// Stable insertion sort by option count: stable sorts produce a
-	// unique permutation, so this matches the previous
-	// sort.SliceStable byte for byte without its closure allocation.
-	for a := 1; a < len(order); a++ {
-		v := order[a]
-		k := options[v]
-		b := a - 1
-		for b >= 0 && options[order[b]] > k {
-			order[b+1] = order[b]
-			b--
+	if p.classOf != nil {
+		// The option count reads only rows and shortlists the members of
+		// a class share: count once per class.
+		s.classOpt = grow(s.classOpt, len(p.classRep))
+		for c, r := range p.classRep {
+			s.classOpt[c] = p.countFeasible(int(r))
 		}
-		order[b+1] = v
+		for i, c := range p.classOf {
+			options[i] = s.classOpt[c]
+		}
+	} else {
+		for i := range options {
+			options[i] = p.countFeasible(i)
+		}
 	}
+	s.bucket = grow(s.bucket, len(p.Servers)+2)
+	orderByCount(order, options, s.bucket)
 
 	for _, i := range order {
 		best, bestCost := -1, math.Inf(1)
 		if flat {
-			base := mm.off[i]
+			base := mm.off[mm.cls[i]]
 			for k, j := range p.CandidatesOf(i) {
 				if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
 					continue
@@ -836,11 +821,11 @@ func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int
 		p32 := int32(pass)
 		improved := false
 		for i := 0; i < n; i++ {
-			if st.mark[i] < p32 {
+			if !st.dirty(mm, i, p32) {
 				continue
 			}
 			cand := p.CandidatesOf(i)
-			base := mm.off[i]
+			base := mm.off[mm.cls[i]]
 			cur := st.assigned[i]
 			if cur < 0 {
 				for k, j := range cand {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -240,5 +241,48 @@ func TestSolverSkipValidate(t *testing.T) {
 	te.SkipValidate = true
 	if _, err := te.Solve(p, CarbonAware{}); err != nil {
 		t.Fatalf("trusted exact solve rejected problem: %v", err)
+	}
+}
+
+// TestOrderByCountMatchesStableSort: construct's counting sort must
+// produce the permutation sort.SliceStable does (a stable sort's
+// permutation is unique), on the edge shapes and on random vectors.
+func TestOrderByCountMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	cases := [][]int{
+		{},              // empty batch
+		{3},             // single app
+		{0},             // single app with no option
+		{4, 4, 4, 4, 4}, // all equal: identity
+		{5, 4, 3, 2, 1, 0},
+		{0, 7, 0, 7, 1, 7, 0},
+	}
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(40)
+		counts := make([]int, rng.Intn(300))
+		for i := range counts {
+			counts[i] = rng.Intn(m + 1)
+		}
+		cases = append(cases, counts)
+	}
+	for n, counts := range cases {
+		m := 0
+		for _, k := range counts {
+			m = max(m, k)
+		}
+		want := make([]int, len(counts))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return counts[want[a]] < counts[want[b]] })
+		got := make([]int, len(counts))
+		bucket := make([]int, m+2)
+		for i := range bucket {
+			bucket[i] = -99 // scratch arrives dirty
+		}
+		orderByCount(got, counts, bucket)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: counts %v ordered %v, stable sort says %v", n, counts, got, want)
+		}
 	}
 }

@@ -91,6 +91,15 @@ type Problem struct {
 	// Candidates is nil.
 	allServers []int
 
+	// classOf/classRep, when non-nil, are the owning Workspace's class
+	// stamp: classOf[i] is app i's dense (source, SLO, model, rate) class
+	// index within this view, numbered by first appearance, and
+	// classRep[c] is the lowest app index in class c. Apps of one class
+	// share their Candidates row and all four matrix rows, so anything
+	// derived from those alone can be computed once per class.
+	classOf  []int32
+	classRep []int32
+
 	// gen distinguishes successive contents of a reused Problem value: a
 	// Workspace reassembles the same view in place every batch, so
 	// pointer identity alone cannot key policy-side caches (see
@@ -212,7 +221,8 @@ func (p *Problem) validateWith(ids, sids map[string]bool) error {
 // Feasible reports whether pair (i,j) satisfies the latency constraint
 // (Eq. 2), model compatibility, and single-server capacity (necessary
 // condition for Eq. 1). This is the FilterFeasibleServers step of
-// Algorithm 1.
+// Algorithm 1. It is exact on every cell of both builders' problems: a
+// workspace view's cells outside the candidate lists hold true values.
 func (p *Problem) Feasible(i, j int) bool {
 	if !p.Compatible[i][j] {
 		return false

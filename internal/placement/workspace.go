@@ -20,18 +20,22 @@ import (
 //     intensity), advanced incrementally via CommitAssignment,
 //     ReleaseApp, UpdateIntensity, SetServerState, and AddServers;
 //   - memoized (model, device) profile tables and per-(model, rate)
-//     demand/power cells, resolved once per class instead of once per
-//     (app, server) matrix cell;
+//     demand/power/compatibility rows over the server axis, resolved once
+//     per class instead of once per (app, server) matrix cell;
 //   - memoized per-source RTT rows against every server;
-//   - per-(source, SLO, model, rate) candidate shortlists: the server
-//     indices that can ever satisfy the app's latency bound and model
-//     compatibility. Solvers iterate these shortlists instead of the full
-//     server axis, which is what makes CDN-scale batches cheap.
+//   - per-(source, SLO, model, rate) app classes: the candidate shortlist
+//     (the server indices that can ever satisfy the app's latency bound
+//     and model compatibility) together with the class's rows. Solvers
+//     iterate the shortlists instead of the full server axis, which is
+//     what makes CDN-scale batches cheap.
 //
 // Problem assembles a solver-ready *Problem view against the current
-// state; the view carries the shortlists in Problem.Candidates and is
-// guaranteed to solve to the byte-identical assignment the dense Build
-// path produces (see TestWorkspaceIncrementalEquivalence).
+// state by pointing each app's matrix rows at its class's rows: apps of
+// one class share one read-only row per matrix, so a view costs O(batch)
+// slice headers, not O(batch x servers) cells. The view carries the
+// shortlists in Problem.Candidates and is guaranteed to solve to the
+// byte-identical assignment the dense Build path produces (see
+// TestWorkspaceIncrementalEquivalence).
 //
 // The lifecycle is build → solve → commit → update → re-solve:
 //
@@ -53,26 +57,25 @@ type Workspace struct {
 	rttRows map[string][]float64 // source city -> RTT per server
 	classes map[classKey]*appClass
 	latOK   map[latKey]*idxSpan
-	cands   map[candKey]*idxSpan
+	cands   map[candKey]*candClass
 
 	// committed tracks live apps by ID for ReleaseApp.
 	committed map[string]commitRec
 
-	// scratch is the reusable problem-matrix arena. A dense n x m batch
-	// problem is megabytes of zeroed memory; reusing the backing arrays
-	// and wiping only the cells the previous batch touched keeps problem
-	// assembly proportional to the batch, not the world.
-	scratch scratchArena
-	last    *Problem // previous Problem view; its cells get wiped lazily
-
-	// view, candBuf, and serversBuf are the reusable Problem shell:
-	// Problem returns &view with its Candidates rows and Servers snapshot
-	// backed by these buffers, so assembling a batch view allocates
-	// nothing in steady state. They are valid until the next Problem call
-	// (the contract Problem already documents for the matrices).
+	// view and the buffers below are the reusable Problem shell: Problem
+	// returns &view with its row headers, Candidates rows, class stamp,
+	// and Servers snapshot backed by these buffers, so assembling a batch
+	// view allocates nothing in steady state. They are valid until the
+	// next Problem call.
 	view       Problem
 	viewGen    uint64
+	rowsD      [][]cluster.Resources
+	rowsP      [][]float64
+	rowsL      [][]float64
+	rowsC      [][]bool
 	candBuf    [][]int
+	classBuf   []int32
+	repBuf     []int32
 	serversBuf []Server
 
 	// costGen advances whenever a server-side cost input changes:
@@ -83,19 +86,6 @@ type Workspace struct {
 	// (ReleaseApp) do not advance it — the solver re-derives capacity from
 	// the view every solve and detects those directly.
 	costGen uint64
-}
-
-// scratchArena holds the reusable matrix backing for Problem views.
-type scratchArena struct {
-	m      int // column width the backing is laid out for
-	demand []cluster.Resources
-	power  []float64
-	lat    []float64
-	compat []bool
-	rowsD  [][]cluster.Resources
-	rowsP  [][]float64
-	rowsL  [][]float64
-	rowsC  [][]bool
 }
 
 // classKey identifies an app equivalence class: demand, power, and
@@ -111,7 +101,8 @@ type latKey struct {
 	sloMs  float64
 }
 
-// candKey identifies a full candidate shortlist.
+// candKey identifies an app class: apps with equal keys have identical
+// candidate shortlists and identical rows in every matrix.
 type candKey struct {
 	source string
 	sloMs  float64
@@ -119,18 +110,21 @@ type candKey struct {
 	rate   float64
 }
 
-// cell is one app class's precomputed coefficients on one server.
+// cell is one (model, rate) class's coefficients on one device.
 type cell struct {
 	demand cluster.Resources
 	powerW float64
 	ok     bool
 }
 
-// appClass caches per-device profile resolution for one (model, rate)
-// class, expanded lazily over the server axis.
+// appClass holds the struct-of-arrays rows of one (model, rate) class
+// over the server axis, extended on demand. The rows are append-only and
+// never rewritten: Problem views alias them.
 type appClass struct {
 	byDevice map[string]cell
-	cells    []cell // indexed by server, extended on demand
+	demand   []cluster.Resources
+	power    []float64
+	ok       []bool
 }
 
 // idxSpan is a server-index shortlist that knows how far along the server
@@ -138,6 +132,22 @@ type appClass struct {
 type idxSpan struct {
 	upTo int
 	idx  []int
+}
+
+// candClass is one (source, SLO, model, rate) app class as a view sees
+// it: the candidate shortlist plus the four shared rows every member app
+// aliases, all covering servers [0, upTo).
+type candClass struct {
+	idxSpan
+	demand []cluster.Resources
+	power  []float64
+	ok     []bool
+	lat    []float64
+
+	// seen/id stamp the class's dense index within the view being
+	// assembled (seen == Workspace.viewGen).
+	seen uint64
+	id   int32
 }
 
 // commitRec remembers where a committed app lives and what it holds.
@@ -187,7 +197,7 @@ func NewWorkspace(servers []Server, rtt RTTFunc, profile func(model, device stri
 		rttRows:   map[string][]float64{},
 		classes:   map[classKey]*appClass{},
 		latOK:     map[latKey]*idxSpan{},
-		cands:     map[candKey]*idxSpan{},
+		cands:     map[candKey]*candClass{},
 		committed: map[string]commitRec{},
 		costGen:   1, // non-zero from birth: zero means "no workspace"
 	}, nil
@@ -311,7 +321,7 @@ func (ws *Workspace) rttRow(source string) []float64 {
 	return row
 }
 
-// class returns the memoized coefficient cells for a (model, rate) class,
+// class returns the memoized coefficient rows for a (model, rate) class,
 // extended to the current server count.
 func (ws *Workspace) class(model string, rate float64) *appClass {
 	key := classKey{model, rate}
@@ -322,14 +332,16 @@ func (ws *Workspace) class(model string, rate float64) *appClass {
 		c = &appClass{byDevice: map[string]cell{}}
 		ws.classes[key] = c
 	}
-	for j := len(c.cells); j < len(ws.servers); j++ {
+	for j := len(c.ok); j < len(ws.servers); j++ {
 		device := ws.servers[j].Device
 		dc, ok := c.byDevice[device]
 		if !ok {
 			dc = ws.resolveCell(model, device, rate)
 			c.byDevice[device] = dc
 		}
-		c.cells = append(c.cells, dc)
+		c.demand = append(c.demand, dc.demand)
+		c.power = append(c.power, dc.powerW)
+		c.ok = append(c.ok, dc.ok)
 	}
 	return c
 }
@@ -378,121 +390,93 @@ func (ws *Workspace) latFeasible(source string, sloMs float64) *idxSpan {
 	return sp
 }
 
-// candidates returns the full candidate shortlist for an app class:
-// servers that are both within the latency bound and model-compatible,
-// in ascending server order (so solver tie-breaks match the dense path).
-func (ws *Workspace) candidates(a App) []int {
+// candClassOf returns the app's class with its shortlist — servers that
+// are both within the latency bound and model-compatible, in ascending
+// server order (so solver tie-breaks match the dense path) — and its rows
+// extended to the current server count. This is the only memo lookup a
+// view pays per app.
+func (ws *Workspace) candClassOf(a *App) *candClass {
 	key := candKey{a.Source, a.SLOms, a.Model, a.RatePerSec}
-	sp := ws.cands[key]
-	if sp == nil {
+	c := ws.cands[key]
+	if c == nil {
 		ws.cands = memoRoom(ws.cands)
-		sp = &idxSpan{} //detlint:hotalloc memo-miss path: one span per distinct app shape, cached for the run
-		ws.cands[key] = sp
+		c = &candClass{} //detlint:hotalloc memo-miss path: one class per distinct app shape, cached for the run
+		ws.cands[key] = c
 	}
-	if sp.upTo < len(ws.servers) {
+	if m := len(ws.servers); c.upTo < m {
 		lat := ws.latFeasible(a.Source, a.SLOms)
 		cls := ws.class(a.Model, a.RatePerSec)
 		for _, j := range lat.idx {
-			if j >= sp.upTo && cls.cells[j].ok {
-				sp.idx = append(sp.idx, j)
+			if j >= c.upTo && cls.ok[j] {
+				c.idx = append(c.idx, j)
 			}
 		}
-		sp.upTo = len(ws.servers)
+		c.demand, c.power, c.ok = cls.demand[:m:m], cls.power[:m:m], cls.ok[:m:m]
+		c.lat = ws.rttRow(a.Source)[:m:m]
+		c.upTo = m
 	}
-	return sp.idx
+	return c
 }
 
 // Problem assembles a solver-ready view of one batch against the current
-// workspace state. Matrix cells are filled only for candidate pairs (all
-// other pairs are infeasible for the solvers either way), and
-// Problem.Candidates carries the shortlists so both backends skip the
-// dense server axis. The returned problem snapshots the server state: a
-// later CommitAssignment does not mutate it.
+// workspace state. Nothing is copied per cell: Demand[i], PowerW[i], and
+// Compatible[i] are app i's (model, rate) class rows, LatencyMs[i] is its
+// source's RTT row, and Problem.Candidates carries the shortlists so both
+// backends skip the dense server axis. Every cell holds its true value,
+// so Problem.Feasible is exact on and off the shortlists, and an app's
+// candidates are exactly its Compatible, within-SLO cells. The returned
+// problem snapshots the server state: a later CommitAssignment does not
+// mutate it.
 //
-// The whole view — the Problem struct, its matrices, its Candidates
-// rows, and its Servers snapshot — lives in reused workspace buffers:
-// everything is valid until the next Problem call on this workspace, and
-// numeric cells outside an app's candidate list are unspecified
-// (Compatible is false there, which is the gate every consumer checks).
-// Callers that retain a batch's problem across batches, or read
-// non-candidate cells, must copy what they need.
+// Rows are shared between the apps of a class and with the workspace's
+// memo tables: they are read-only — nothing may write through a view. The
+// view's shell (the Problem struct, its row headers, Candidates, and
+// Servers snapshot) lives in reused workspace buffers and is valid until
+// the next Problem call on this workspace; callers that retain a batch's
+// problem across batches must copy what they need. The rows themselves
+// are append-only, so a view stays intact across AddServers and memo
+// resets.
 func (ws *Workspace) Problem(apps []App) (*Problem, error) {
-	for _, a := range apps {
-		if a.RatePerSec < 0 {
-			return nil, fmt.Errorf("placement: app %s has negative rate", a.ID)
+	for i := range apps {
+		if apps[i].RatePerSec < 0 {
+			return nil, fmt.Errorf("placement: app %s has negative rate", apps[i].ID)
 		}
 	}
 	p := ws.scratchProblem(apps)
-	if cap(ws.candBuf) < len(apps) {
-		ws.candBuf = make([][]int, len(apps))
-	}
-	ws.candBuf = ws.candBuf[:len(apps)]
-	p.Candidates = ws.candBuf
-	for i, a := range apps {
-		cand := ws.candidates(a)
-		p.Candidates[i] = cand
-		row := ws.rttRow(a.Source)
-		cls := ws.class(a.Model, a.RatePerSec)
-		for _, j := range cand {
-			p.LatencyMs[i][j] = row[j]
-			p.Compatible[i][j] = true
-			p.Demand[i][j] = cls.cells[j].demand
-			p.PowerW[i][j] = cls.cells[j].powerW
+	reps := ws.repBuf[:0]
+	for i := range apps {
+		c := ws.candClassOf(&apps[i])
+		if c.seen != ws.viewGen {
+			c.seen, c.id = ws.viewGen, int32(len(reps))
+			reps = append(reps, int32(i))
 		}
+		p.classOf[i] = c.id
+		p.Candidates[i] = c.idx
+		p.Demand[i], p.PowerW[i], p.Compatible[i] = c.demand, c.power, c.ok
+		p.LatencyMs[i] = c.lat
 	}
-	ws.last = p
+	ws.repBuf, p.classRep = reps, reps
 	return p, nil
 }
 
-// scratchProblem returns a problem shell over the reusable arena: the
-// previous view's touched cells are wiped (O(previous batch), not
-// O(n x m)), the backing grows as needed, and row headers are resliced.
+// scratchProblem returns the reusable problem shell sized for the batch:
+// row headers only, every one of which Problem overwrites.
 func (ws *Workspace) scratchProblem(apps []App) *Problem {
-	n, m := len(apps), len(ws.servers)
-	sc := &ws.scratch
-	if sc.m != m || n*m > len(sc.demand) {
-		// Width changed (AddServers) or the batch outgrew the arena:
-		// lay the backing out fresh (zeroed by allocation).
-		size := n * m
-		if size < 2*len(sc.demand) {
-			size = 2 * len(sc.demand) // amortize growth
-		}
-		sc.m = m
-		sc.demand = make([]cluster.Resources, size)
-		sc.power = make([]float64, size)
-		sc.lat = make([]float64, size)
-		sc.compat = make([]bool, size)
-		sc.rowsD, sc.rowsP, sc.rowsL, sc.rowsC = nil, nil, nil, nil
-		ws.last = nil
-	} else if ws.last != nil {
-		// Wipe exactly the cells the previous view filled — and only the
-		// Compatible gate. Every consumer (Feasible, canPlace, Evaluate,
-		// the candidate lists themselves) reaches Demand/PowerW/LatencyMs
-		// only through that gate or a candidate entry, so stale numeric
-		// cells behind a false gate are unreachable.
-		for i, cand := range ws.last.Candidates {
-			for _, j := range cand {
-				ws.last.Compatible[i][j] = false
-			}
-		}
-		ws.last = nil
-	}
-	for i := len(sc.rowsD); i < n; i++ {
-		lo, hi := i*m, (i+1)*m
-		sc.rowsD = append(sc.rowsD, sc.demand[lo:hi:hi])
-		sc.rowsP = append(sc.rowsP, sc.power[lo:hi:hi])
-		sc.rowsL = append(sc.rowsL, sc.lat[lo:hi:hi])
-		sc.rowsC = append(sc.rowsC, sc.compat[lo:hi:hi])
-	}
+	n := len(apps)
+	ws.rowsD, ws.rowsP = grow(ws.rowsD, n), grow(ws.rowsP, n)
+	ws.rowsL, ws.rowsC = grow(ws.rowsL, n), grow(ws.rowsC, n)
+	ws.candBuf, ws.classBuf = grow(ws.candBuf, n), grow(ws.classBuf, n)
 	ws.serversBuf = append(ws.serversBuf[:0], ws.servers...)
 	ws.viewGen++
 	ws.view = Problem{
 		Apps:       apps,
 		Servers:    ws.serversBuf,
-		Demand:     sc.rowsD[:n],
-		PowerW:     sc.rowsP[:n],
-		LatencyMs:  sc.rowsL[:n],
-		Compatible: sc.rowsC[:n],
+		Demand:     ws.rowsD,
+		PowerW:     ws.rowsP,
+		LatencyMs:  ws.rowsL,
+		Compatible: ws.rowsC,
+		Candidates: ws.candBuf,
+		classOf:    ws.classBuf,
 		gen:        ws.viewGen,
 		costGen:    ws.costGen,
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -577,6 +578,20 @@ func TestWorkspaceMemoBounded(t *testing.T) {
 		if _, err := NewHeuristicSolver().Solve(p, CarbonAware{}); err != nil {
 			t.Fatal(err)
 		}
+		// The third batch crosses the cap mid-stream: the tables reset
+		// under a view that is still being assembled, and rows handed out
+		// before the reset must stay intact.
+		dense, err := Build(apps, ws.Servers(), fixtureRTT, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range apps {
+			if !reflect.DeepEqual(p.Demand[i], dense.Demand[i]) || !reflect.DeepEqual(p.PowerW[i], dense.PowerW[i]) ||
+				!reflect.DeepEqual(p.LatencyMs[i], dense.LatencyMs[i]) || !reflect.DeepEqual(p.Compatible[i], dense.Compatible[i]) {
+				t.Fatalf("batch %d app %d: view rows diverge from the dense build (memo sizes classes=%d cands=%d)",
+					k, i, len(ws.classes), len(ws.cands))
+			}
+		}
 	}
 	if len(ws.classes) > maxMemoEntries || len(ws.cands) > maxMemoEntries || len(ws.latOK) > maxMemoEntries {
 		t.Fatalf("memo tables exceed cap: classes=%d cands=%d latOK=%d (cap %d)",
@@ -641,5 +656,338 @@ func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 				prev = aFlat
 			}
 		})
+	}
+}
+
+// classedWSInstance is randomWSInstance with the apps drawn from a small
+// grid of (source, SLO, model, rate) values, so batches fall into a few
+// shared classes the way simulator and CDN batches do.
+func classedWSInstance(rng *rand.Rand, nApps, nServers int) wsInstance {
+	inst := randomWSInstance(rng, nApps, nServers)
+	slos := []float64{4, 8, 13}
+	rates := []float64{2, 5}
+	for i := range inst.apps {
+		inst.apps[i].SLOms = slos[rng.Intn(len(slos))]
+		inst.apps[i].RatePerSec = rates[rng.Intn(len(rates))]
+	}
+	return inst
+}
+
+// viewRows is a deep copy of a view's four matrices.
+type viewRows struct {
+	demand [][]cluster.Resources
+	power  [][]float64
+	lat    [][]float64
+	compat [][]bool
+}
+
+func copyRows(p *Problem) viewRows {
+	var v viewRows
+	for i := range p.Apps {
+		v.demand = append(v.demand, append([]cluster.Resources(nil), p.Demand[i]...))
+		v.power = append(v.power, append([]float64(nil), p.PowerW[i]...))
+		v.lat = append(v.lat, append([]float64(nil), p.LatencyMs[i]...))
+		v.compat = append(v.compat, append([]bool(nil), p.Compatible[i]...))
+	}
+	return v
+}
+
+// prefixOf checks that the view's rows, cut to each saved row's width,
+// are bit-identical to the saved copy (math.Float64bits, not ==, so a
+// NaN or a signed zero would not slip through).
+func (v viewRows) prefixOf(t *testing.T, when string, p *Problem) {
+	t.Helper()
+	for i := range v.demand {
+		for j := range v.demand[i] {
+			same := v.compat[i][j] == p.Compatible[i][j] &&
+				math.Float64bits(v.power[i][j]) == math.Float64bits(p.PowerW[i][j]) &&
+				math.Float64bits(v.lat[i][j]) == math.Float64bits(p.LatencyMs[i][j])
+			for _, k := range cluster.ResourceKinds() {
+				same = same && math.Float64bits(v.demand[i][j][k]) == math.Float64bits(p.Demand[i][j][k])
+			}
+			if !same {
+				t.Fatalf("%s: cell (%d,%d) changed under the view", when, i, j)
+			}
+		}
+	}
+}
+
+// TestWorkspaceViewSharesClassRows pins the view contract: rows are
+// aliased per class, not copied per app, and the class stamp numbers the
+// (source, SLO, model, rate) classes densely by first appearance.
+func TestWorkspaceViewSharesClassRows(t *testing.T) {
+	ws, err := NewWorkspace(fixtureServers(), fixtureRTT, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := func(id, model, source string, slo, rate float64) App {
+		return App{ID: id, Model: model, Source: source, SLOms: slo, RatePerSec: rate}
+	}
+	apps := []App{
+		app("a0", energy.ModelResNet50, "local", 20, 5),
+		app("a1", energy.ModelResNet50, "near", 20, 5),        // a0's (model, rate), other source
+		app("a2", energy.ModelEfficientNetB0, "local", 20, 5), // a0's source, other model
+		app("a3", energy.ModelResNet50, "local", 20, 7),       // a0's source and model, other rate
+		app("a4", energy.ModelResNet50, "local", 20, 5),       // a0's class exactly
+		app("a5", energy.ModelResNet50, "local", 10, 5),       // a0's rows, other SLO
+	}
+	p, err := ws.Problem(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCoeff := func(i, k int) bool {
+		return &p.Demand[i][0] == &p.Demand[k][0] && &p.PowerW[i][0] == &p.PowerW[k][0] &&
+			&p.Compatible[i][0] == &p.Compatible[k][0]
+	}
+	anyCoeff := func(i, k int) bool {
+		return &p.Demand[i][0] == &p.Demand[k][0] || &p.PowerW[i][0] == &p.PowerW[k][0] ||
+			&p.Compatible[i][0] == &p.Compatible[k][0]
+	}
+	sameLat := func(i, k int) bool { return &p.LatencyMs[i][0] == &p.LatencyMs[k][0] }
+	for _, k := range []int{1, 4, 5} {
+		if !sameCoeff(0, k) {
+			t.Fatalf("apps 0 and %d are one (model, rate) class but do not share Demand/PowerW/Compatible backing", k)
+		}
+	}
+	for _, k := range []int{2, 3} {
+		if anyCoeff(0, k) {
+			t.Fatalf("apps 0 and %d differ in (model, rate) but share coefficient backing", k)
+		}
+	}
+	for _, k := range []int{2, 3, 4, 5} {
+		if !sameLat(0, k) {
+			t.Fatalf("apps 0 and %d share a source but not LatencyMs backing", k)
+		}
+	}
+	if sameLat(0, 1) {
+		t.Fatal("apps 0 and 1 have different sources but share LatencyMs backing")
+	}
+	if got, want := p.classOf, []int32{0, 1, 2, 3, 0, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("class stamp %v, want %v", got, want)
+	}
+	if got, want := p.classRep, []int32{0, 1, 2, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("class representatives %v, want %v", got, want)
+	}
+	if &p.Candidates[0][0] != &p.Candidates[4][0] {
+		t.Fatal("apps of one class do not share their shortlist")
+	}
+}
+
+// TestWorkspaceViewRowsReadOnly runs the whole lifecycle — solve, commit,
+// release, next view — under both backends and checks nothing wrote
+// through a view: the shared class and RTT rows are bit-identical
+// afterwards.
+func TestWorkspaceViewRowsReadOnly(t *testing.T) {
+	for name, mk := range map[string]func() Solver{
+		"heuristic": func() Solver { return NewHeuristicSolver() },
+		"exact":     func() Solver { return NewExactSolver() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(57))
+			inst := classedWSInstance(rng, 8, 7)
+			ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solver := mk()
+			p, err := ws.Problem(inst.apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := copyRows(p)
+			for round := 0; round < 3; round++ {
+				a, err := solver.Solve(p, CarbonAware{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.prefixOf(t, "after solve", p)
+				if err := ws.CommitAssignment(p, a); err != nil {
+					t.Fatal(err)
+				}
+				want.prefixOf(t, "after commit", p)
+				for i, j := range a.ServerOf {
+					if j >= 0 && i%2 == round%2 {
+						if err := ws.ReleaseApp(p.Apps[i].ID); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for j := range inst.servers {
+					ws.UpdateIntensity(j, 10+rng.Float64()*800)
+				}
+				next := append([]App(nil), inst.apps...)
+				for i := range next {
+					next[i].ID = fmt.Sprintf("r%d-%s", round, next[i].ID)
+				}
+				if p, err = ws.Problem(next); err != nil {
+					t.Fatal(err)
+				}
+				want.prefixOf(t, "in the next view", p)
+			}
+		})
+	}
+}
+
+// TestWorkspaceViewFeasibleIffCandidate: with capacity out of the
+// picture, Feasible is true exactly on the shortlist cells — the cells
+// off the shortlists hold true values, not a wiped gate.
+func TestWorkspaceViewFeasibleIffCandidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 20; trial++ {
+		inst := randomWSInstance(rng, 1+rng.Intn(10), 2+rng.Intn(10))
+		for j := range inst.servers {
+			inst.servers[j].Free = cluster.NewResources(math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1))
+		}
+		ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ws.Problem(inst.apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := Build(inst.apps, inst.servers, inst.rtt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.Apps {
+			for j := range p.Servers {
+				if got, want := p.Feasible(i, j), slotOf(p.Candidates[i], j) >= 0; got != want {
+					t.Fatalf("trial %d: Feasible(%d,%d) = %v, candidate = %v", trial, i, j, got, want)
+				}
+				if p.Feasible(i, j) != dense.Feasible(i, j) {
+					t.Fatalf("trial %d: Feasible(%d,%d) disagrees with the dense build", trial, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkspaceViewSurvivesAddServers: class rows are append-only, so a
+// view taken before the fleet grows still solves to the same assignment,
+// and the next view's rows extend the old ones.
+func TestWorkspaceViewSurvivesAddServers(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	inst := classedWSInstance(rng, 12, 5)
+	ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ws.Problem(inst.apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := NewHeuristicSolver().Solve(p, CarbonAware{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := copyRows(p)
+	// Grow one server at a time so the rows' backing arrays are outgrown
+	// and reallocated along the way.
+	for k, s := range randomWSInstance(rng, 0, 20).servers {
+		s.ID = fmt.Sprintf("added-%d", k)
+		if err := ws.AddServers(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old.prefixOf(t, "after AddServers", p)
+	if len(p.Servers) != 5 || len(p.Demand[0]) != 5 {
+		t.Fatalf("old view resized: %d servers, %d columns", len(p.Servers), len(p.Demand[0]))
+	}
+	after, err := NewHeuristicSolver().Solve(p, CarbonAware{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("pre-growth view solves differently after AddServers:\nbefore: %+v\nafter:  %+v", before, after)
+	}
+	if p, err = ws.Problem(inst.apps); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Demand[0]) != 25 {
+		t.Fatalf("next view has %d columns, want 25", len(p.Demand[0]))
+	}
+	old.prefixOf(t, "in the widened view", p)
+}
+
+// allocBytes reports the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	f()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// TestWorkspaceProblemAllocations: a view is O(batch) headers over shared
+// rows, so a CDN-scale batch costs well under a megabyte cold (a dense
+// 2000 x 400 arena is ~39 MB) and nothing at all in steady state.
+func TestWorkspaceProblemAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	inst := classedWSInstance(rng, 2000, 400)
+	for i := range inst.apps {
+		inst.apps[i].SLOms = 4 // CDN shape: shortlists stay inside the app's own city
+	}
+	ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := allocBytes(func() {
+		if _, err := ws.Problem(inst.apps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cold > 1<<20 {
+		t.Fatalf("first Problem call allocated %d bytes, budget is 1 MB", cold)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := ws.Problem(inst.apps); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("steady-state Problem allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestWorkspaceAddServersAllocationBounded: fleet growth extends the
+// shared rows in place. Six scale-out rounds, each followed by a 500-app
+// view, must cost a bounded total that tracks the fleet — the n x m arena
+// this replaced was laid out afresh at twice the size on every width
+// change (2 GB at six rounds in the simulator, out of memory at twelve).
+func TestWorkspaceAddServersAllocationBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	inst := classedWSInstance(rng, 500, 400)
+	ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.Problem(inst.apps); err != nil {
+		t.Fatal(err)
+	}
+	var total, worst uint64
+	for round := 0; round < 6; round++ {
+		more := randomWSInstance(rng, 0, 8).servers
+		for j := range more {
+			more[j].ID = fmt.Sprintf("added-%d-%d", round, j)
+		}
+		got := allocBytes(func() {
+			if err := ws.AddServers(more...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ws.Problem(inst.apps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		total += got
+		if got > worst {
+			worst = got
+		}
+	}
+	// One dense 500 x 400 arena is 9.8 MB before any doubling. The shared
+	// rows are ~110 class rows of ~450 cells: growing all of them, with
+	// append's headroom, stays under a megabyte per round.
+	if worst > 1<<20 || total > 3<<20 {
+		t.Fatalf("six AddServers rounds allocated %d bytes (worst round %d), budget 3 MB / 1 MB", total, worst)
 	}
 }

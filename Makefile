@@ -52,13 +52,15 @@ bench-guard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
 
 # bench-profile records CPU and allocation profiles of the three solver
-# hot-path benchmarks and prints the top-10 flat summaries. The
-# checked-in snapshot of those summaries lives in profiles/PROFILE_12.md;
-# regenerate it with this target after solver changes. The benchmarks
-# run in separate invocations: profiling needs a single test binary
-# (so the repo root package, not ./...), and BenchmarkTimelineReplay's
-# overhead differencing is only meaningful without another benchmark's
-# GC pressure in the same process.
+# hot-path benchmarks, and a CPU profile of the request path
+# (BenchmarkTrafficReplay: generator, router, latency sketch), and prints
+# the top-10 flat summaries. The checked-in snapshots of those summaries
+# live in profiles/PROFILE_12.md (solver) and profiles/PROFILE_13.md
+# (traffic); regenerate them with this target after solver or request-path
+# changes. The benchmarks run in separate invocations: profiling needs a
+# single test binary (so the repo root package, not ./...), and
+# BenchmarkTimelineReplay's overhead differencing is only meaningful
+# without another benchmark's GC pressure in the same process.
 bench-profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
@@ -70,9 +72,13 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTimelineReplay$$' \
 		-benchtime 1x -cpuprofile profiles/replay-cpu.pprof \
 		-memprofile profiles/replay-mem.pprof -o profiles/bench.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkTrafficReplay$$' \
+		-benchtime 300x -cpuprofile profiles/traffic-cpu.pprof \
+		-o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/churn-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/replay-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/replay-mem.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof

@@ -12,7 +12,10 @@ import (
 // every reported quantile regardless of stream length. The request-level
 // traffic telemetry uses it for latency quantiles over billions of
 // requests, so observations carry integer weights (AddN) and two sketches
-// with the same resolution merge exactly.
+// with the same resolution merge exactly. A caller that records a small
+// set of recurring values resolves each value's bucket once (Bucket) and
+// folds a batch of pre-bucketed observations in under one lock (AddObs);
+// both forms share one accumulation step.
 //
 // The sketch is a pure function of the inserted multiset: insertion order,
 // interleaving, and merge order never change a reported quantile, which
@@ -63,23 +66,69 @@ func (s *QuantileSketch) AddN(v float64, n int64) {
 	if n <= 0 {
 		return
 	}
-	if math.IsNaN(v) || v < 0 {
-		v = 0
-	}
+	v = clampObs(v)
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.accumulate(v, n, s.indexOf(v))
+	s.mu.Unlock()
+}
+
+// Obs is one weighted observation with its bucket already resolved, for
+// callers that record the same value many times (the router logs one per
+// assignment and the value is a constant of the replica pair): Bucket
+// must be this sketch's Bucket(V).
+type Obs struct {
+	V      float64
+	N      int64
+	Bucket int32
+}
+
+// Bucket returns the index of the bucket AddN(v, ...) increments. It is a
+// pure function of v and the sketch's resolution, which never changes
+// after construction, so it takes no lock and its result may be cached
+// for the sketch's lifetime — but only for this sketch: an index resolved
+// against one resolution is meaningless in another.
+func (s *QuantileSketch) Bucket(v float64) int32 {
+	return int32(s.indexOf(clampObs(v)))
+}
+
+// AddObs records the observations in order under a single lock: it is
+// AddN(o.V, o.N) for each o, minus the per-call logarithm and lock round
+// trip, and leaves the sketch in the bit-identical state (the same float
+// additions in the same order). Entries with N <= 0 are skipped.
+func (s *QuantileSketch) AddObs(obs []Obs) {
+	s.mu.Lock()
+	for i := range obs {
+		if o := &obs[i]; o.N > 0 {
+			s.accumulate(clampObs(o.V), o.N, int(o.Bucket))
+		}
+	}
+	s.mu.Unlock()
+}
+
+// clampObs maps the values the sketch does not track (negative, NaN) to
+// zero, so they land in the lowest bucket.
+func clampObs(v float64) float64 {
+	if math.IsNaN(v) || v < 0 {
+		return 0
+	}
+	return v
+}
+
+// accumulate is the sketch's one accumulation step: n > 0 observations of
+// the clamped value v into bucket. The caller holds mu.
+func (s *QuantileSketch) accumulate(v float64, n int64, bucket int) {
 	if s.count == 0 {
 		s.min, s.max = v, v
 	} else {
 		s.min = math.Min(s.min, v)
 		s.max = math.Max(s.max, v)
 	}
-	s.buckets[s.indexOf(v)] += uint64(n)
+	s.buckets[bucket] += uint64(n)
 	s.count += uint64(n)
 	s.sum += v * float64(n)
 }
 
-// indexOf maps a value to its bucket, clamping at both ends.
+// indexOf maps a clamped value to its bucket, clamping at both ends.
 func (s *QuantileSketch) indexOf(v float64) int {
 	if v <= s.lowest {
 		return 0
@@ -265,11 +314,35 @@ func (s *QuantileSketch) State() SketchState {
 	}
 }
 
-// SketchFromState rebuilds a sketch from an exported state.
+// maxSketchBuckets bounds the resolution SketchFromState accepts. Every
+// sketch this program writes has defaultSketchBuckets (1100); the cap
+// only keeps a doctored count from sizing the allocation.
+const maxSketchBuckets = 1 << 16
+
+// SketchFromState rebuilds a sketch from an exported state. States come
+// from checkpoint and orchestrator state files, so the accumulator is
+// checked for the invariants every reachable sketch holds: a bounded
+// resolution, count equal to the bucket total, and finite ordered
+// non-negative extremes once anything was observed.
 func SketchFromState(st SketchState) (*QuantileSketch, error) {
-	if st.NumBkts <= 0 || len(st.Buckets) > st.NumBkts || st.Lowest <= 0 || st.Gamma <= 1 {
+	if st.NumBkts <= 0 || st.NumBkts > maxSketchBuckets || len(st.Buckets) > st.NumBkts ||
+		!(st.Lowest > 0) || !(st.Gamma > 1) || math.IsInf(st.Lowest, 0) || math.IsInf(st.Gamma, 0) {
 		return nil, fmt.Errorf("metrics: invalid sketch state (%d/%d buckets, lowest=%v, gamma=%v)",
 			len(st.Buckets), st.NumBkts, st.Lowest, st.Gamma)
+	}
+	var total uint64
+	for _, c := range st.Buckets {
+		if total+c < total {
+			return nil, fmt.Errorf("metrics: invalid sketch state (bucket total overflows)")
+		}
+		total += c
+	}
+	if total != st.Count {
+		return nil, fmt.Errorf("metrics: invalid sketch state (count %d, buckets hold %d)", st.Count, total)
+	}
+	if st.Count > 0 && !(st.Min >= 0 && st.Min <= st.Max && !math.IsInf(st.Max, 0)) {
+		return nil, fmt.Errorf("metrics: invalid sketch state (min=%v, max=%v over %d observations)",
+			st.Min, st.Max, st.Count)
 	}
 	s := &QuantileSketch{
 		buckets:  make([]uint64, st.NumBkts),

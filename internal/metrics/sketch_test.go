@@ -382,3 +382,132 @@ func TestSummaryAndCounterStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// sameSketchState compares two exported states bit for bit (the float
+// fields by their bits, so -0 and +0 differ and no NaN slips through ==).
+func sameSketchState(a, b SketchState) bool {
+	if len(a.Buckets) != len(b.Buckets) || a.NumBkts != b.NumBkts || a.Count != b.Count {
+		return false
+	}
+	for i := range a.Buckets {
+		if a.Buckets[i] != b.Buckets[i] {
+			return false
+		}
+	}
+	bits := math.Float64bits
+	return bits(a.Sum) == bits(b.Sum) && bits(a.Min) == bits(b.Min) && bits(a.Max) == bits(b.Max) &&
+		bits(a.Lowest) == bits(b.Lowest) && bits(a.Gamma) == bits(b.Gamma)
+}
+
+// TestSketchAddObsMatchesAddN is the contract AddObs is used under: a
+// batch of pre-bucketed observations leaves the sketch in the state the
+// same sequence of AddN calls does — every bucket, and the float sum and
+// extremes bit for bit — including the values the sketch clamps and the
+// weights it ignores.
+func TestSketchAddObsMatchesAddN(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	type entry struct {
+		v float64
+		n int64
+	}
+	entries := []entry{
+		{math.NaN(), 3}, {-4.5, 2}, {0, 1}, {math.Copysign(0, -1), 1},
+		{12.5, 0}, {12.5, -7}, {defaultSketchLowest, 4}, {1e12, 5},
+	}
+	for i := 0; i < 4000; i++ {
+		entries = append(entries, entry{math.Exp(rng.NormFloat64()*3 + 2), int64(rng.Intn(2000)) - 100})
+	}
+	one, batch := NewQuantileSketch(), NewQuantileSketch()
+	var obs []Obs
+	for k, e := range entries {
+		one.AddN(e.v, e.n)
+		obs = append(obs, Obs{V: e.v, N: e.n, Bucket: batch.Bucket(e.v)})
+		// Fold in uneven batches, so batch boundaries are exercised too.
+		if k%37 == 0 || k == len(entries)-1 {
+			batch.AddObs(obs)
+			obs = obs[:0]
+		}
+	}
+	if !sameSketchState(one.State(), batch.State()) {
+		t.Fatalf("AddObs diverged from AddN:\n addn: %+v\n obs:  %+v", one.State(), batch.State())
+	}
+	batch.AddObs(nil)
+	if !sameSketchState(one.State(), batch.State()) {
+		t.Error("empty AddObs changed the sketch")
+	}
+}
+
+// TestSketchBucketMatchesAddN pins Bucket(v) to the bucket AddN(v, 1)
+// increments, at the places the index arithmetic can be off by one: the
+// lowest boundary, exact powers of gamma, and past the top bucket.
+func TestSketchBucketMatchesAddN(t *testing.T) {
+	values := []float64{
+		math.NaN(), -1, 0, defaultSketchLowest / 2, defaultSketchLowest,
+		math.Nextafter(defaultSketchLowest, 1), 1, 20, 1e7, 1e300,
+	}
+	for _, k := range []float64{1, 2, 3, 10, 500, defaultSketchBuckets - 2, defaultSketchBuckets - 1, defaultSketchBuckets} {
+		p := defaultSketchLowest * math.Pow(defaultSketchGamma, k)
+		values = append(values, math.Nextafter(p, 0), p, math.Nextafter(p, math.Inf(1)))
+	}
+	for _, v := range values {
+		s := NewQuantileSketch()
+		b := s.Bucket(v)
+		s.AddN(v, 1)
+		st := s.State()
+		if got := len(st.Buckets) - 1; got != int(b) || st.Buckets[got] != 1 {
+			t.Errorf("Bucket(%v) = %d, AddN incremented bucket %d", v, b, got)
+		}
+	}
+}
+
+// TestSketchFromStateRejectsHostileStates feeds SketchFromState the
+// accumulators no sketch can reach — the shapes a doctored checkpoint or
+// orchestrator state file can carry. Each must come back as an error:
+// before, an oversized num_buckets panicked in make and the rest restored
+// into sketches whose Quantile answers from outside the data.
+func TestSketchFromStateRejectsHostileStates(t *testing.T) {
+	good := func() SketchState {
+		s := NewQuantileSketch()
+		s.AddN(5, 10)
+		s.AddN(40, 2)
+		return s.State()
+	}
+	if _, err := SketchFromState(good()); err != nil {
+		t.Fatalf("baseline state rejected: %v", err)
+	}
+	empty := NewQuantileSketch().State()
+	if _, err := SketchFromState(empty); err != nil {
+		t.Fatalf("empty state rejected: %v", err)
+	}
+	cases := map[string]func(*SketchState){
+		"num_buckets 1<<62":       func(st *SketchState) { st.NumBkts = 1 << 62 },
+		"num_buckets above cap":   func(st *SketchState) { st.NumBkts = maxSketchBuckets + 1 },
+		"num_buckets negative":    func(st *SketchState) { st.NumBkts = -1 },
+		"more buckets than count": func(st *SketchState) { st.NumBkts = len(st.Buckets) - 1 },
+		"count above buckets":     func(st *SketchState) { st.Count++ },
+		"count below buckets":     func(st *SketchState) { st.Count-- },
+		"count without buckets":   func(st *SketchState) { st.Buckets = nil },
+		"bucket total overflows": func(st *SketchState) {
+			st.Buckets[0], st.Buckets[1] = math.MaxUint64, st.Count+1
+		},
+		"min above max":     func(st *SketchState) { st.Min, st.Max = st.Max, st.Min },
+		"min NaN":           func(st *SketchState) { st.Min = math.NaN() },
+		"max NaN":           func(st *SketchState) { st.Max = math.NaN() },
+		"max +Inf":          func(st *SketchState) { st.Max = math.Inf(1) },
+		"min -Inf":          func(st *SketchState) { st.Min = math.Inf(-1) },
+		"min negative":      func(st *SketchState) { st.Min = -1 },
+		"lowest zero":       func(st *SketchState) { st.Lowest = 0 },
+		"lowest NaN":        func(st *SketchState) { st.Lowest = math.NaN() },
+		"gamma one":         func(st *SketchState) { st.Gamma = 1 },
+		"gamma NaN":         func(st *SketchState) { st.Gamma = math.NaN() },
+		"gamma +Inf":        func(st *SketchState) { st.Gamma = math.Inf(1) },
+		"empty with bucket": func(st *SketchState) { *st = empty; st.Buckets = []uint64{1} },
+	}
+	for name, doctor := range cases {
+		st := good()
+		doctor(&st)
+		if sk, err := SketchFromState(st); err == nil {
+			t.Errorf("%s: accepted (p50=%v)", name, sk.Quantile(0.5))
+		}
+	}
+}

@@ -568,7 +568,7 @@ func (o *Orchestrator) routeTraffic(dt time.Duration) (map[string]float64, int64
 		return appW, 0, nil
 	}
 	intensity := func(zone string) float64 { return ciCache[zone] }
-	sl := rt.NewSlice(replicas, dt.Seconds())
+	sl := rt.ReuseSlice(replicas, dt.Seconds())
 	// Route every hourly slice the tick window overlaps. Each slice's
 	// count is split by the telescoping difference of rounded cumulative
 	// fractions, so consecutive ticks of any length partition the hour's

@@ -14,6 +14,16 @@
 // Routing is fully deterministic: it uses no randomness and visits
 // replicas in their given order, so serial and parallel sweep runs stay
 // bit-identical.
+//
+// What is constant for a run is computed once. The end-to-end latency of
+// a (source location, replica) pair depends only on the source index and
+// the replica's (Loc, ServiceMs) class, so the router memoizes it — and
+// the latency-sketch bucket it lands in — per class and source, for its
+// whole lifetime; the index-keyed path (RouteAt) then only reads rows and
+// runs the waterfill. Latency observations are not added to the sketches
+// one assignment at a time: a slice logs them and Close folds the log in,
+// in assignment order under one lock, so the sketches hold exactly what
+// per-assignment adds would have produced — once the slice is closed.
 package router
 
 import (
@@ -56,8 +66,9 @@ type Config struct {
 	RTT func(src, dst string) float64
 	// RTTAt, when set, is the index-keyed RTT oracle used by
 	// Slice.RouteAt: round-trip latency between a source location index
-	// and Replica.Loc. Index lookups avoid the per-request string-map
-	// hashing that dominates hot routing loops.
+	// and Replica.Loc. It must be a pure function of its arguments for the
+	// router's lifetime: each (src, dst) pair is evaluated once and the
+	// result memoized.
 	RTTAt func(src, dst int) float64
 	// PerReplica enables per-replica latency sketches and carbon
 	// aggregates (the orchestrator's live stats); when false only the
@@ -130,6 +141,39 @@ type Router struct {
 	// buffers persist across slices so steady-state routing is
 	// allocation-free.
 	reuse *Slice
+	// memo holds one row per replica class seen by RouteAt, for the
+	// router's lifetime (RestoreStats empties it: buckets are resolved
+	// against stats.Latency).
+	memo map[pairClass]*pairRow
+}
+
+// pairClass is what a replica contributes to a pair's end-to-end latency:
+// replicas that share it share a memo row.
+type pairClass struct {
+	loc     int
+	svcBits uint64 // math.Float64bits(ServiceMs): a NaN must still equal itself
+}
+
+// pairCell is the memoized outcome for one (source location, class) pair.
+type pairCell struct {
+	lat    float64 // RTTAt(src, loc) + ServiceMs; NaN = not evaluated yet
+	bucket int32   // stats.Latency.Bucket(lat)
+}
+
+// pairRow is one class's cells, indexed by source location and grown on
+// demand to the highest source index routed so far.
+type pairRow struct{ cells []pairCell }
+
+// eval grows the row to cover src and evaluates the pair's cell. An
+// oracle that answers NaN is simply asked again next time.
+func (row *pairRow) eval(r *Router, src int, rep *Replica) pairCell {
+	for len(row.cells) <= src {
+		row.cells = append(row.cells, pairCell{lat: math.NaN()})
+	}
+	c := &row.cells[src]
+	c.lat = r.cfg.RTTAt(src, rep.Loc) + rep.ServiceMs
+	c.bucket = r.stats.Latency.Bucket(c.lat)
+	return *c
 }
 
 // New builds a router.
@@ -140,7 +184,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.RTT == nil {
 		return nil, fmt.Errorf("router: RTT oracle is required")
 	}
-	r := &Router{cfg: cfg}
+	r := &Router{cfg: cfg, memo: map[pairClass]*pairRow{}}
 	r.stats.Latency = metrics.NewQuantileSketch()
 	r.stats.ByReplica = metrics.NewCounter()
 	if cfg.PerReplica {
@@ -169,11 +213,24 @@ type Slice struct {
 	served  []int64
 	dropped int64
 	closed  bool
-	// lat, feasible, and infeasible are per-Route partition scratch,
-	// reused across Route calls.
+	// lat, bucket, feasible, and infeasible are per-Route partition
+	// scratch, reused across Route calls: each replica's end-to-end
+	// latency from the current source, the sketch bucket it lands in
+	// (-1 = not resolved, the string-keyed Route path), and the split by
+	// SLO feasibility.
 	lat        []float64
+	bucket     []int32
 	feasible   []int
 	infeasible []int
+	// rows is each replica's memo row, resolved on the slice's first
+	// RouteAt (rowsOK) and valid until the next reset.
+	rows   []*pairRow
+	rowsOK bool
+	// log is the slice's latency observations in assignment order, folded
+	// into Stats.Latency by Close; logRep holds each entry's per-replica
+	// aggregate, kept only when per-replica sketches are on.
+	log    []metrics.Obs
+	logRep []*ReplicaStats
 	// zi memoizes each replica's zone carbon intensity for the slice;
 	// ziOK marks which entries are populated.
 	zi   []float64
@@ -196,6 +253,11 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.free = reslice(s.free, n)
 	s.served = reslice(s.served, n)
 	s.lat = reslice(s.lat, n)
+	s.bucket = reslice(s.bucket, n)
+	s.rows = reslice(s.rows, n)
+	s.rowsOK = false
+	s.log = s.log[:0]
+	s.logRep = s.logRep[:0]
 	s.zi = reslice(s.zi, n)
 	s.ziOK = reslice(s.ziOK, n)
 	s.feasible = s.feasible[:0]
@@ -209,22 +271,12 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	}
 }
 
-// NewSlice opens a routing window of the given duration over a replica
-// set. The replica order is the deterministic tie-break order. Each call
-// returns an independent slice, so concurrently opened slices (over
-// distinct routers) never share scratch; hot loops over a single router
-// should prefer ReuseSlice.
-func (r *Router) NewSlice(replicas []Replica, seconds float64) *Slice {
-	s := &Slice{r: r}
-	s.reset(replicas, seconds)
-	return s
-}
-
-// ReuseSlice opens a routing window over the router-owned reusable
-// slice: after the first call, opening and routing a slice performs no
-// steady-state allocations. At most one reused slice may be live per
-// router at a time — the caller must Close it before the next
-// ReuseSlice call. Routing behavior is identical to NewSlice.
+// ReuseSlice opens a routing window of the given duration over a replica
+// set, on the router-owned slice: its buffers persist, so after the first
+// call opening and routing a slice performs no steady-state allocations.
+// The replica order is the deterministic tie-break order. At most one
+// slice may be live per router at a time — the caller must Close it
+// before the next ReuseSlice call.
 func (r *Router) ReuseSlice(replicas []Replica, seconds float64) *Slice {
 	s := r.reuse
 	if s == nil {
@@ -251,6 +303,7 @@ func (s *Slice) Route(src string, count int64, intensity func(zoneID string) flo
 	for i := range s.replicas {
 		rep := &s.replicas[i]
 		s.lat[i] = s.r.cfg.RTT(src, rep.City) + rep.ServiceMs
+		s.bucket[i] = -1
 		if s.lat[i] <= s.r.cfg.SLOms {
 			s.feasible = append(s.feasible, i)
 		} else {
@@ -260,31 +313,57 @@ func (s *Slice) Route(src string, count int64, intensity func(zoneID string) flo
 	s.fill(count, intensity)
 }
 
-// RouteAt is Route with an index-keyed source location, using
-// Config.RTTAt against each Replica.Loc. It avoids the per-source
-// string-map RTT lookups of Route; behavior is otherwise identical.
+// RouteAt is Route with an index-keyed source location (srcLoc >= 0),
+// using Config.RTTAt against each Replica.Loc. Latencies and sketch
+// buckets come from the router's pair memo, so a pair costs one oracle
+// call and one logarithm per run instead of per slice; behavior is
+// otherwise identical to Route.
 func (s *Slice) RouteAt(srcLoc int, count int64, intensity func(zoneID string) float64) {
 	if count <= 0 || s.closed {
 		return
 	}
-	rttAt := s.r.cfg.RTTAt
-	if rttAt == nil {
+	if s.r.cfg.RTTAt == nil {
 		panic("router: RouteAt requires Config.RTTAt")
 	}
 	s.r.stats.Requests += count
+	if !s.rowsOK {
+		s.resolveRows()
+	}
 
 	s.feasible = s.feasible[:0]
 	s.infeasible = s.infeasible[:0]
-	for i := range s.replicas {
-		rep := &s.replicas[i]
-		s.lat[i] = rttAt(srcLoc, rep.Loc) + rep.ServiceMs
-		if s.lat[i] <= s.r.cfg.SLOms {
+	for i, row := range s.rows {
+		c := pairCell{lat: math.NaN()}
+		if srcLoc < len(row.cells) {
+			c = row.cells[srcLoc]
+		}
+		if c.lat != c.lat {
+			c = row.eval(s.r, srcLoc, &s.replicas[i])
+		}
+		s.lat[i], s.bucket[i] = c.lat, c.bucket
+		if c.lat <= s.r.cfg.SLOms {
 			s.feasible = append(s.feasible, i)
 		} else {
 			s.infeasible = append(s.infeasible, i)
 		}
 	}
 	s.fill(count, intensity)
+}
+
+// resolveRows points each replica at its class's memo row, creating rows
+// for classes this router has not routed to before.
+func (s *Slice) resolveRows() {
+	for i := range s.replicas {
+		rep := &s.replicas[i]
+		k := pairClass{loc: rep.Loc, svcBits: math.Float64bits(rep.ServiceMs)}
+		row := s.r.memo[k]
+		if row == nil {
+			row = &pairRow{} //detlint:hotalloc amortized: allocates once per newly seen replica class
+			s.r.memo[k] = row
+		}
+		s.rows[i] = row
+	}
+	s.rowsOK = true
 }
 
 // fill runs the two-phase waterfill over the partition built by
@@ -361,8 +440,8 @@ func (s *Slice) zoneIntensity(i int, intensity func(string) float64) float64 {
 }
 
 // assign commits n requests to replica i and records their telemetry.
-// Per-replica request counts accumulate in served and flow into
-// Stats.ByReplica when the slice closes.
+// Per-replica request counts accumulate in served, and the latency
+// observation in log; both flow into Stats when the slice closes.
 func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func(string) float64) {
 	rep := &s.replicas[i]
 	st := &s.r.stats
@@ -375,7 +454,11 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 	if spill {
 		st.Spilled += n
 	}
-	st.Latency.AddN(latMs, n)
+	b := s.bucket[i]
+	if b < 0 {
+		b = st.Latency.Bucket(latMs)
+	}
+	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: b})
 
 	kwh := float64(n) * rep.EnergyPerReqJ / 3.6e6
 	grams := kwh * s.zoneIntensity(i, intensity)
@@ -395,7 +478,7 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 		if spill {
 			rs.Spilled += n
 		}
-		rs.Latency.AddN(latMs, n)
+		s.logRep = append(s.logRep, rs)
 		rs.EnergyKWh += kwh
 		rs.CarbonG += grams
 	}
@@ -409,7 +492,8 @@ func (s *Slice) Served() []int64 { return s.served }
 // Dropped returns the requests dropped so far this slice.
 func (s *Slice) Dropped() int64 { return s.dropped }
 
-// Close finalizes the slice: per-replica served counts flush into
+// Close finalizes the slice: the logged latency observations fold into
+// the sketches in assignment order, per-replica served counts flush into
 // Stats.ByReplica (one Inc per replica instead of one per waterfill
 // assignment) and a slice that dropped requests marks one overload
 // interval. Stats readers must wait for Close. Closing twice is a no-op.
@@ -418,6 +502,13 @@ func (s *Slice) Close() {
 		return
 	}
 	s.closed = true
+	st := &s.r.stats
+	st.Latency.AddObs(s.log)
+	// Per-replica sketches take the value, not the bucket: a restored one
+	// need not share stats.Latency's resolution.
+	for k, rs := range s.logRep {
+		rs.Latency.AddN(s.log[k].V, s.log[k].N)
+	}
 	for i, n := range s.served {
 		if n > 0 {
 			s.r.stats.ByReplica.Inc(s.replicas[i].ID, n)
@@ -576,6 +667,8 @@ func (s *Stats) State() StatsState {
 // RestoreStats replaces the router's accumulator with an exported state
 // (a fresh router about to resume a checkpointed run). The per-replica
 // map is rebuilt only when the state carries one, mirroring PerReplica.
+// The pair memo is emptied: its buckets were resolved against the
+// replaced latency sketch, and a restored one may differ in resolution.
 func (r *Router) RestoreStats(st StatsState) error {
 	lat, err := metrics.SketchFromState(st.Latency)
 	if err != nil {
@@ -611,5 +704,6 @@ func (r *Router) RestoreStats(st StatsState) error {
 		}
 	}
 	r.stats = stats
+	clear(r.memo)
 	return nil
 }

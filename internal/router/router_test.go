@@ -1,7 +1,10 @@
 package router
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -55,7 +58,7 @@ func TestRouterValidation(t *testing.T) {
 
 func TestRouteWithinCapacityMeetsSLO(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 100) // 1000-request budget per replica
+	sl := r.ReuseSlice(testReplicas(), 100) // 1000-request budget per replica
 	sl.Route("Miami", 900, flatCI)
 	sl.Close()
 
@@ -86,7 +89,7 @@ func TestRouteProportionalToFreeCapacity(t *testing.T) {
 		{ID: "small", City: "Orlando", ZoneID: "Z", CapacityRPS: 25, ServiceMs: 5, EnergyPerReqJ: 1},
 	}
 	r := mustRouter(t, Config{SLOms: 30, RTT: testRTT})
-	sl := r.NewSlice(reps, 100) // budgets 7500 / 2500
+	sl := r.ReuseSlice(reps, 100) // budgets 7500 / 2500
 	sl.Route("Miami", 4000, flatCI)
 	sl.Close()
 	served := sl.Served()
@@ -102,7 +105,7 @@ func TestSpillOverOnSaturation(t *testing.T) {
 		{ID: "far", City: "Far", ZoneID: "Z", CapacityRPS: 100, ServiceMs: 8, EnergyPerReqJ: 1},
 	}
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(reps, 10) // near fits 10 requests, far 1000
+	sl := r.ReuseSlice(reps, 10) // near fits 10 requests, far 1000
 	sl.Route("Miami", 200, flatCI)
 	sl.Close()
 
@@ -125,7 +128,7 @@ func TestSpillOverOnSaturation(t *testing.T) {
 
 func TestDropWhenAllSaturated(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 1) // 10-request budget per replica
+	sl := r.ReuseSlice(testReplicas(), 1) // 10-request budget per replica
 	sl.Route("Miami", 100, flatCI)
 	if sl.Dropped() != 70 {
 		t.Errorf("dropped=%d, want 70", sl.Dropped())
@@ -149,7 +152,7 @@ func TestRoutingDeterministic(t *testing.T) {
 	run := func() Snapshot {
 		r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
 		for slice := 0; slice < 5; slice++ {
-			sl := r.NewSlice(testReplicas(), 60)
+			sl := r.ReuseSlice(testReplicas(), 60)
 			sl.Route("Miami", 700, flatCI)
 			sl.Route("Orlando", 500, flatCI)
 			sl.Route("Far", 300, flatCI)
@@ -165,7 +168,7 @@ func TestRoutingDeterministic(t *testing.T) {
 
 func TestPerReplicaSnapshot(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Tampa", 600, flatCI)
 	sl.Close()
 	snap := r.Stats().Snapshot()
@@ -192,7 +195,7 @@ func TestPerReplicaSnapshot(t *testing.T) {
 
 func TestZeroAndClosedSliceRouting(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Miami", 0, flatCI)
 	sl.Route("Miami", -5, flatCI)
 	sl.Close()
@@ -212,7 +215,7 @@ func TestFullyDrainedPool(t *testing.T) {
 	for i := range replicas {
 		replicas[i].CapacityRPS = 0
 	}
-	sl := r.NewSlice(replicas, 100)
+	sl := r.ReuseSlice(replicas, 100)
 	sl.Route("Miami", 500, flatCI)
 	sl.Route("Orlando", 250, flatCI)
 	sl.Close()
@@ -264,9 +267,9 @@ func TestFullyDrainedPool(t *testing.T) {
 // the served share.
 func TestPoolDrainsMidSlice(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
-	sl := r.NewSlice(testReplicas(), 10) // 100-request budget per replica
-	sl.Route("Miami", 250, flatCI)       // fills Miami + Orlando + Tampa (300 cap)
-	sl.Route("Miami", 200, flatCI)       // only 50 left; 150 must drop
+	sl := r.ReuseSlice(testReplicas(), 10) // 100-request budget per replica
+	sl.Route("Miami", 250, flatCI)         // fills Miami + Orlando + Tampa (300 cap)
+	sl.Route("Miami", 200, flatCI)         // only 50 left; 150 must drop
 	sl.Close()
 
 	st := r.Stats()
@@ -301,15 +304,25 @@ func TestReuseRouteAtZeroAlloc(t *testing.T) {
 	for i := range reps {
 		reps[i].Loc = i
 	}
+	sources := []int{0, 1}
 	cycle := func() {
 		sl := r.ReuseSlice(reps, 100)
-		sl.RouteAt(0, 500, flatCI)
-		sl.RouteAt(1, 400, flatCI)
+		for _, src := range sources {
+			sl.RouteAt(src, 450, flatCI)
+		}
 		sl.Close()
 	}
-	cycle() // warm: grows scratch buffers and telemetry keys once
+	cycle() // warm: grows scratch buffers, memo rows, the observation log and telemetry keys once
 	if got := testing.AllocsPerRun(200, cycle); got != 0 {
 		t.Errorf("reused routing cycle allocates %.2f/op, want 0", got)
+	}
+	// A source index first seen after warm-up grows the memo rows (and the
+	// log, by one more source's assignments) once; after that the cycle is
+	// allocation-free again with the new source in play.
+	sources = append(sources, 7)
+	cycle()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Errorf("routing cycle with a late source allocates %.2f/op, want 0", got)
 	}
 }
 
@@ -319,11 +332,187 @@ func TestReuseRouteAtZeroAlloc(t *testing.T) {
 // per scrape-history.
 func TestStatsSnapshotAllocsBounded(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
-	sl := r.NewSlice(testReplicas(), 100)
+	sl := r.ReuseSlice(testReplicas(), 100)
 	sl.Route("Miami", 900, flatCI)
 	sl.Close()
 	st := r.Stats()
 	if got := testing.AllocsPerRun(100, func() { _ = st.Snapshot() }); got > 6 {
 		t.Errorf("stats scrape allocates %.1f/op, want a small constant", got)
+	}
+}
+
+// memoWorld is the differential tests' location universe: nLoc named
+// locations with a fixed pseudo-random symmetric RTT table, readable by
+// index (RTTAt, counting its calls) and by name (RTT).
+type memoWorld struct {
+	names  []string
+	byName map[string]int
+	rtt    [][]float64
+	calls  int
+}
+
+func newMemoWorld(rng *rand.Rand, nLoc int) *memoWorld {
+	w := &memoWorld{byName: map[string]int{}, rtt: make([][]float64, nLoc)}
+	for i := 0; i < nLoc; i++ {
+		w.names = append(w.names, fmt.Sprintf("L%02d", i))
+		w.byName[w.names[i]] = i
+		w.rtt[i] = make([]float64, nLoc)
+	}
+	for i := 0; i < nLoc; i++ {
+		for j := i + 1; j < nLoc; j++ {
+			w.rtt[i][j] = 1 + 30*rng.Float64()
+			w.rtt[j][i] = w.rtt[i][j]
+		}
+	}
+	return w
+}
+
+func (w *memoWorld) at(src, dst int) float64 { w.calls++; return w.rtt[src][dst] }
+func (w *memoWorld) named(src, dst string) float64 {
+	return w.rtt[w.byName[src]][w.byName[dst]]
+}
+
+// memoSlice is one routing window of a differential scenario.
+type memoSlice struct {
+	replicas []Replica
+	sources  []int
+	counts   []int64
+}
+
+// memoScenario draws a slice sequence that leans on everything the pair
+// memo keys or caches: replicas join and leave between slices, two
+// replicas can share a Loc with different ServiceMs (distinct classes)
+// or share both (one class, one row), capacities are tight enough that
+// slices spill and drop, and the source range widens over time so later
+// slices route from indices no earlier slice used (row growth).
+func memoScenario(rng *rand.Rand, w *memoWorld, nSlices int) []memoSlice {
+	nLoc := len(w.names)
+	var catalog []Replica
+	for loc := 0; loc < nLoc; loc++ {
+		for k, svc := range []float64{4, 9, 4} {
+			catalog = append(catalog, Replica{
+				ID: fmt.Sprintf("%s/%d", w.names[loc], k%2), City: w.names[loc], Loc: loc,
+				ZoneID: fmt.Sprintf("Z%d", loc%3), ServiceMs: svc, EnergyPerReqJ: 0.25 + float64(k),
+			})
+		}
+	}
+	out := make([]memoSlice, nSlices)
+	for k := range out {
+		sl := &out[k]
+		for _, rep := range catalog {
+			if rng.Intn(3) == 0 {
+				rep.CapacityRPS = float64(rng.Intn(40)) // 0 = present but drained
+				sl.replicas = append(sl.replicas, rep)
+			}
+		}
+		rng.Shuffle(len(sl.replicas), func(i, j int) {
+			sl.replicas[i], sl.replicas[j] = sl.replicas[j], sl.replicas[i]
+		})
+		reach := min(nLoc, 2+k/2)
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			sl.sources = append(sl.sources, rng.Intn(reach))
+			sl.counts = append(sl.counts, int64(rng.Intn(900)))
+		}
+	}
+	return out
+}
+
+func zoneCI(zone string) float64 { return 100 + 50*float64(zone[1]-'0') }
+
+func stateJSON(t *testing.T, r *Router) string {
+	t.Helper()
+	b, err := json.Marshal(r.Stats().State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRouteAtMemoDifferential holds RouteAt on a long-lived router — warm
+// memo rows, logged observations — against three routers that cannot
+// benefit from the memo: the string-keyed Route path (no memo at all), a
+// fresh router per slice chained through State/RestoreStats (cold memo
+// every slice), and a long-lived router whose stats are exported and
+// restored in place mid-run (memo dropped while warm). All four must end
+// every slice with JSON-identical exported stats.
+func TestRouteAtMemoDifferential(t *testing.T) {
+	for _, perReplica := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			w := newMemoWorld(rng, 9)
+			slices := memoScenario(rng, w, 40)
+			cfg := Config{SLOms: 22, RTT: w.named, RTTAt: w.at, PerReplica: perReplica}
+
+			long, byName, chained, interrupted := mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg)
+			var spilled, dropped bool
+			for k, ms := range slices {
+				if k == len(slices)/2 {
+					if err := interrupted.RestoreStats(interrupted.Stats().State()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next := mustRouter(t, cfg)
+				if err := next.RestoreStats(chained.Stats().State()); err != nil {
+					t.Fatal(err)
+				}
+				chained = next
+
+				for _, r := range []*Router{long, chained, interrupted} {
+					sl := r.ReuseSlice(ms.replicas, 10)
+					for i, src := range ms.sources {
+						sl.RouteAt(src, ms.counts[i], zoneCI)
+					}
+					sl.Close()
+				}
+				sl := byName.ReuseSlice(ms.replicas, 10)
+				for i, src := range ms.sources {
+					sl.Route(w.names[src], ms.counts[i], zoneCI)
+				}
+				sl.Close()
+
+				want := stateJSON(t, long)
+				for name, r := range map[string]*Router{"Route by name": byName, "fresh router per slice": chained, "restored mid-run": interrupted} {
+					if got := stateJSON(t, r); got != want {
+						t.Fatalf("seed %d per-replica=%t slice %d: %s diverged from the long-lived RouteAt router\n got: %s\nwant: %s",
+							seed, perReplica, k, name, got, want)
+					}
+				}
+				spilled = spilled || long.Stats().Spilled > 0
+				dropped = dropped || long.Stats().Dropped > 0
+			}
+			if !spilled || !dropped || long.Stats().SLOMet == 0 {
+				t.Errorf("seed %d: scenario too easy to tell paths apart: %+v", seed, long.Stats().Snapshot())
+			}
+		}
+	}
+}
+
+// TestRouteAtEvaluatesEachPairOnce checks the memo is doing its job, not
+// just agreeing: over a long scenario the RTTAt oracle is consulted once
+// per distinct (source, replica class) pair, however many slices see it.
+func TestRouteAtEvaluatesEachPairOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	w := newMemoWorld(rng, 9)
+	slices := memoScenario(rng, w, 60)
+	r := mustRouter(t, Config{SLOms: 22, RTT: w.named, RTTAt: w.at})
+	type pair struct {
+		src, loc int
+		svc      float64
+	}
+	seen := map[pair]bool{}
+	for _, ms := range slices {
+		sl := r.ReuseSlice(ms.replicas, 10)
+		for i, src := range ms.sources {
+			sl.RouteAt(src, ms.counts[i], zoneCI)
+			if ms.counts[i] > 0 {
+				for _, rep := range ms.replicas {
+					seen[pair{src, rep.Loc, rep.ServiceMs}] = true
+				}
+			}
+		}
+		sl.Close()
+	}
+	if w.calls != len(seen) {
+		t.Errorf("RTTAt called %d times for %d distinct (source, class) pairs", w.calls, len(seen))
 	}
 }

@@ -154,13 +154,14 @@ type Engine struct {
 	tgen    *traffic.Generator
 	trouter *router.Router
 	//detlint:ephemeral configuration, derived from cfg at construction
-	sloMs float64 // end-to-end routing SLO
-	// profiles caches energy profiles per (model, device); struct keys
-	// avoid re-rendering "model/device" strings in the hot path.
-	profiles map[profKey]energy.Profile //detlint:ephemeral pure cache over the static profile table
-	sliceBuf []int64                    //detlint:ephemeral per-slice scratch, wiped before every use
-	replBuf  []router.Replica           //detlint:ephemeral per-slice scratch, wiped before every use
-	replIdx  map[replKey]int            //detlint:ephemeral per-slice scratch, wiped before every use
+	sloMs    float64 // end-to-end routing SLO
+	sliceBuf []int64 //detlint:ephemeral per-slice scratch, wiped before every use
+	// pool aggregates e.live into the router's replica set. Derived
+	// state, not snapshotted: its class tables are rebuilt from cfg and
+	// the server list (constructor, scale-out, and NewEngineFrom — which
+	// is why detlint counts it restored and wants no ephemeral tag), its
+	// replicas rewritten every epoch.
+	pool replicaPool
 	// intensityFn is the pre-bound zone-intensity oracle handed to the
 	// router (reads the slot memo prefilled by stepTraffic).
 	intensityFn func(string) float64 //detlint:ephemeral pre-bound closure over the slot memo, rebuilt at construction
@@ -175,14 +176,64 @@ type Engine struct {
 	observers []Observer //detlint:ephemeral callback hooks, re-registered by the embedding process
 }
 
-// profKey keys the energy-profile cache by (model, device).
-type profKey struct{ model, device string }
+// replicaPool turns the live applications into the router's replica set
+// by array lookup. Applications sharing a (site, model, device) triple are
+// one replica; the triple is addressed as cells[model][pair], with models
+// and (site, device) pairs interned to dense indices when they enter the
+// engine, so the per-epoch walk over e.live hashes nothing.
+type replicaPool struct {
+	modelIdx map[string]int
+	// pairs lists the distinct (site, device) pairs; siteServer.pair
+	// indexes it. A pair is not a server: a scale-out adds servers to an
+	// existing pair, and their applications must keep pooling with it.
+	pairs []poolPair
+	cells [][]poolCell // [model][pair]
+	// gen stamps the cells that have a replica in this epoch's buf.
+	gen int
+	buf []router.Replica
+}
 
-// replKey aggregates the traffic replica pool: all live apps sharing a
-// (site, model, device) triple present one replica with summed capacity.
-type replKey struct {
-	site          int
-	model, device string
+// poolPair is one (site, device) hosting class.
+type poolPair struct {
+	site   int
+	device string
+}
+
+// poolCell is one (model, pair) replica class: its capacity-free
+// prototype, built on first use, and its position in the current pool.
+type poolCell struct {
+	proto router.Replica
+	gen   int // 0: never used, proto not built; slot is valid when gen == replicaPool.gen
+	slot  int
+}
+
+// model returns the dense index of a model name, interning a new one.
+// Every model of the config is interned at construction, so the append
+// runs again only for a model a coordinator injects from outside it.
+func (p *replicaPool) model(name string) int {
+	mi, ok := p.modelIdx[name]
+	if !ok {
+		mi = len(p.cells)
+		p.modelIdx[name] = mi
+		p.cells = append(p.cells, make([]poolCell, len(p.pairs)))
+	}
+	return mi
+}
+
+// pair returns the dense index of a (site, device) pair, interning a new
+// one. It runs once per server created (constructor, scale-out, restore).
+func (p *replicaPool) pair(site int, device string) int {
+	k := poolPair{site: site, device: device}
+	for i, have := range p.pairs {
+		if have == k {
+			return i
+		}
+	}
+	p.pairs = append(p.pairs, k)
+	for mi := range p.cells {
+		p.cells[mi] = append(p.cells[mi], poolCell{})
+	}
+	return len(p.pairs) - 1
 }
 
 // NewEngine validates the config and builds the simulation state against
@@ -224,6 +275,11 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		rngSrc: src,
 		rng:    rng.New(src),
 		sites:  sites,
+		pool:   replicaPool{modelIdx: map[string]int{}},
+	}
+	e.pool.model(cfg.Model)
+	for _, m := range cfg.Models {
+		e.pool.model(m)
 	}
 
 	// Latency model per region.
@@ -304,6 +360,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 				float64(dev.MemMB)*scale*4, float64(dev.MemMB)*scale, 1e9)
 			e.servers = append(e.servers, siteServer{
 				site:    i,
+				pair:    e.pool.pair(i, dev.Name),
 				device:  dev,
 				baseCap: capVec,
 				cap:     capVec,
@@ -438,8 +495,6 @@ func (e *Engine) initTraffic() error {
 		return err
 	}
 	e.tgen, e.trouter = gen, r
-	e.profiles = map[profKey]energy.Profile{}
-	e.replIdx = map[replKey]int{}
 	e.intensityFn = e.zoneCIOracle
 	e.res.Traffic = r.Stats()
 	return nil
@@ -941,6 +996,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, now time.Time, epoch, month i
 			srv:     j,
 			site:    srv.site,
 			model:   apps[i].Model,
+			mi:      e.pool.model(apps[i].Model),
 			device:  srv.device.Name,
 			powerW:  prob.PowerW[i][j],
 			rttMs:   rtt,
@@ -969,22 +1025,29 @@ func (e *Engine) stepTraffic(now time.Time, epoch, month int) error {
 	if e.tgen == nil {
 		return nil
 	}
-	// Prefill the epoch's zone-intensity memo over the live pool (the
-	// router's intensity oracle reads it). Load-CI sampling (Figure 11c)
-	// keeps its classic per-app-hour semantics in traffic mode: one
-	// sample per live replica per epoch.
-	for i := range e.live {
-		v, err := e.zoneCISite(e.live[i].site, now)
-		if err != nil {
-			return err
-		}
-		if e.cfg.CollectLoadCI {
-			e.res.LoadCI = append(e.res.LoadCI, v)
-		}
-	}
 	replicas, err := e.trafficReplicas()
 	if err != nil {
 		return err
+	}
+	// Prefill the epoch's zone-intensity memo (the router's intensity
+	// oracle reads it): one lookup per replica. Load-CI sampling (Figure
+	// 11c) keeps its classic per-app-hour semantics in traffic mode — one
+	// sample per live application per epoch — and its walk over the live
+	// set covers every replica's zone too.
+	if e.cfg.CollectLoadCI {
+		for i := range e.live {
+			v, err := e.zoneCISite(e.live[i].site, now)
+			if err != nil {
+				return err
+			}
+			e.res.LoadCI = append(e.res.LoadCI, v)
+		}
+	} else {
+		for i := range replicas {
+			if _, err := e.zoneCISite(replicas[i].Loc, now); err != nil {
+				return err
+			}
+		}
 	}
 	st := e.res.Traffic
 	kwh0, grams0 := st.EnergyKWh, st.CarbonG
@@ -1029,43 +1092,43 @@ func (e *Engine) stepTraffic(now time.Time, epoch, month int) error {
 // pool. Apps sharing a (site, model, device) triple are interchangeable
 // to the router — same location, latency, service time, and per-request
 // energy — so they aggregate into one replica with their capacities
-// summed (first-occurrence order, which snapshots preserve). Telemetry
-// stays keyed by hosting city, as before, so per-replica aggregates stay
-// bounded over year runs. The replica slice and aggregation index are
-// engine-owned scratch, rewritten every epoch.
+// summed, in first-occurrence order over e.live (the router's tie-break
+// order, which snapshots preserve). Telemetry stays keyed by hosting
+// city, so per-replica aggregates stay bounded over year runs.
+//
+// The triple is looked up, not hashed: the app carries its model's dense
+// index and its server the dense index of its (site, device) pair. The
+// pair, not the server index, is the key — a scale-out puts several
+// servers on one pair, and keying by server would split their replica.
 func (e *Engine) trafficReplicas() ([]router.Replica, error) {
-	e.replBuf = e.replBuf[:0]
-	clear(e.replIdx)
+	p := &e.pool
+	p.buf = p.buf[:0]
+	p.gen++
 	for i := range e.live {
 		a := &e.live[i]
-		k := replKey{site: a.site, model: a.model, device: a.device}
-		idx, ok := e.replIdx[k]
-		if !ok {
-			pk := profKey{model: a.model, device: a.device}
-			prof, ok := e.profiles[pk]
-			if !ok {
-				var err error
-				prof, err = energy.ProfileFor(a.model, a.device)
+		c := &p.cells[a.mi][e.servers[a.srv].pair]
+		if c.gen != p.gen {
+			if c.gen == 0 {
+				prof, err := energy.ProfileFor(a.model, a.device)
 				if err != nil {
 					return nil, err
 				}
-				e.profiles[pk] = prof
+				site := e.sites[a.site]
+				c.proto = router.Replica{
+					ID:            site.City,
+					City:          site.City,
+					Loc:           a.site,
+					ZoneID:        site.ZoneID,
+					ServiceMs:     prof.InferenceMs,
+					EnergyPerReqJ: prof.EnergyPerRequestJ(),
+				}
 			}
-			city := e.sites[a.site].City
-			idx = len(e.replBuf)
-			e.replBuf = append(e.replBuf, router.Replica{
-				ID:            city,
-				City:          city,
-				Loc:           a.site,
-				ZoneID:        e.sites[a.site].ZoneID,
-				ServiceMs:     prof.InferenceMs,
-				EnergyPerReqJ: prof.EnergyPerRequestJ(),
-			})
-			e.replIdx[k] = idx
+			c.gen, c.slot = p.gen, len(p.buf)
+			p.buf = append(p.buf, c.proto)
 		}
-		e.replBuf[idx].CapacityRPS += e.cfg.RatePerSec
+		p.buf[c.slot].CapacityRPS += e.cfg.RatePerSec
 	}
-	return e.replBuf, nil
+	return p.buf, nil
 }
 
 // stepAccrual charges every live app's dynamic energy — plus woken

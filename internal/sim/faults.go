@@ -252,6 +252,7 @@ func (e *Engine) scaleOut(f events.Fault) error {
 		j := len(e.servers)
 		e.servers = append(e.servers, siteServer{
 			site:    site,
+			pair:    e.pool.pair(site, dev.Name),
 			device:  dev,
 			baseCap: capVec,
 			cap:     capVec,

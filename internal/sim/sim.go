@@ -101,6 +101,7 @@ type liveApp struct {
 	srv     int // index into servers (the hosting aggregate server)
 	site    int // index into sites
 	model   string
+	mi      int // model's dense index in the engine's replicaPool
 	device  string
 	powerW  float64
 	rttMs   float64
@@ -110,7 +111,11 @@ type liveApp struct {
 
 // siteServer is the aggregate per-device server at one site.
 type siteServer struct {
-	site   int
+	site int
+	// pair is the dense index of the server's (site, device) pair in the
+	// engine's replicaPool; servers a scale-out adds share their
+	// siblings' pair.
+	pair   int
 	device energy.Device
 	// baseCap is the undegraded capacity; cap is the effective capacity
 	// after any capacity-degradation fault (equal to baseCap otherwise).

@@ -351,6 +351,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 		e.servers = append(e.servers, siteServer{
 			site:    ss.Site,
+			pair:    e.pool.pair(ss.Site, dev.Name),
 			device:  dev,
 			baseCap: ss.BaseCap,
 			cap:     ss.Cap,
@@ -375,8 +376,12 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		if ls.Srv < 0 || ls.Srv >= len(e.servers) {
 			return nil, fmt.Errorf("sim: snapshot live app %d references server %d of %d", i, ls.Srv, len(e.servers))
 		}
+		if srv := &e.servers[ls.Srv]; ls.Site != srv.site || ls.Device != srv.device.Name {
+			return nil, fmt.Errorf("sim: snapshot live app %d is on %s@site%d, its server %d is %s@site%d",
+				i, ls.Device, ls.Site, ls.Srv, srv.device.Name, srv.site)
+		}
 		e.live[i] = liveApp{
-			srv: ls.Srv, site: ls.Site, model: ls.Model, device: ls.Device,
+			srv: ls.Srv, site: ls.Site, model: ls.Model, mi: e.pool.model(ls.Model), device: ls.Device,
 			powerW: ls.PowerW, rttMs: ls.RTTMs, expires: ls.Expires, srcSite: ls.SrcSite,
 		}
 	}

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/carbon"
+	"repro/internal/checkpoint"
 	"repro/internal/events"
+	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/traffic"
 )
@@ -175,6 +177,62 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 	bad.Epoch = cfg.Hours + 1
 	if _, err := NewEngineFrom(cfg, w, &bad); err == nil {
 		t.Error("snapshot with out-of-span epoch accepted")
+	}
+}
+
+// TestRestoreRejectsDoctoredTrafficSketch takes the road a hostile
+// checkpoint travels: an engine envelope is decoded, its traffic latency
+// sketch doctored, the envelope re-sealed (so the digest is good) and
+// decoded again into NewEngineFrom. Every doctored accumulator must come
+// back as an error — an oversized num_buckets used to panic in make, and
+// the router's pair memo hands bucket indices to that sketch unchecked.
+func TestRestoreRejectsDoctoredTrafficSketch(t *testing.T) {
+	w := testWorld(t)
+	cfg := trafficConfig(carbon.RegionEurope, traffic.Steady, 300)
+	cfg.Hours = 24
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sealed bytes.Buffer
+	if err := checkpoint.Encode(&sealed, "engine", e.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	restore := func(doctor func(*metrics.SketchState)) error {
+		var snap Snapshot
+		if err := checkpoint.Decode(bytes.NewReader(sealed.Bytes()), "engine", &snap); err != nil {
+			t.Fatal(err)
+		}
+		doctor(&snap.Result.Traffic.Latency)
+		var resealed bytes.Buffer
+		if err := checkpoint.Encode(&resealed, "engine", &snap); err != nil {
+			t.Fatal(err)
+		}
+		var hostile Snapshot
+		if err := checkpoint.Decode(&resealed, "engine", &hostile); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewEngineFrom(cfg, w, &hostile)
+		return err
+	}
+	if err := restore(func(*metrics.SketchState) {}); err != nil {
+		t.Fatalf("untouched envelope rejected: %v", err)
+	}
+	for name, doctor := range map[string]func(*metrics.SketchState){
+		"num_buckets 1<<62":  func(st *metrics.SketchState) { st.NumBkts = 1 << 62 },
+		"count above total":  func(st *metrics.SketchState) { st.Count += 1000 },
+		"bucket added":       func(st *metrics.SketchState) { st.Buckets[0] += 7 },
+		"min above max":      func(st *metrics.SketchState) { st.Min = st.Max + 1 },
+		"coarser resolution": func(st *metrics.SketchState) { st.NumBkts = len(st.Buckets) - 1 },
+	} {
+		if err := restore(doctor); err == nil {
+			t.Errorf("%s: doctored traffic sketch restored", name)
+		}
 	}
 }
 

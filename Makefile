@@ -10,8 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs the packages with concurrency suites under the race detector;
+# the CI "race (concurrent packages)" step calls it.
 race:
-	$(GO) test -race ./internal/placement/ ./internal/sim/ ./internal/shard/
+	$(GO) test -race ./internal/placement/ ./internal/sim/ ./internal/sweep/ \
+		./internal/experiments/ ./internal/metrics/ ./internal/traffic/ \
+		./internal/router/ ./internal/events/ ./internal/orchestrator/ \
+		./internal/checkpoint/ ./internal/rng/ ./internal/obs/ \
+		./internal/shard/ ./internal/geo/
 
 # lint runs the full static gate: formatting, the stdlib vet suite
 # (with the two determinism-adjacent passes named explicitly so they
@@ -52,15 +58,17 @@ bench-guard:
 	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
 
 # bench-profile records CPU and allocation profiles of the three solver
-# hot-path benchmarks, and a CPU profile of the request path
-# (BenchmarkTrafficReplay: generator, router, latency sketch), and prints
-# the top-10 flat summaries. The checked-in snapshots of those summaries
-# live in profiles/PROFILE_12.md (solver) and profiles/PROFILE_13.md
-# (traffic); regenerate them with this target after solver or request-path
-# changes. The benchmarks run in separate invocations: profiling needs a
-# single test binary (so the repo root package, not ./...), and
-# BenchmarkTimelineReplay's overhead differencing is only meaningful
-# without another benchmark's GC pressure in the same process.
+# hot-path benchmarks, a CPU profile of the request path
+# (BenchmarkTrafficReplay: generator, router, latency sketch) and one of
+# the live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
+# scrapes), and prints the top-10 flat summaries. The checked-in snapshots
+# of those summaries live in profiles/PROFILE_12.md (solver),
+# profiles/PROFILE_13.md (traffic) and profiles/PROFILE_14.md (live);
+# regenerate them with this target after solver, request-path or
+# orchestrator changes. The benchmarks run in separate invocations:
+# profiling needs a single test binary (so the repo root package, not
+# ./...), and BenchmarkTimelineReplay's overhead differencing is only
+# meaningful without another benchmark's GC pressure in the same process.
 bench-profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
@@ -75,6 +83,9 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrafficReplay$$' \
 		-benchtime 300x -cpuprofile profiles/traffic-cpu.pprof \
 		-o profiles/bench.test .
+	$(GO) test -run '^$$' -bench 'BenchmarkOrchestratorLive$$' \
+		-benchtime 12x -cpuprofile profiles/live-cpu.pprof \
+		-o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
@@ -82,3 +93,4 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/replay-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/replay-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/live-cpu.pprof

@@ -12,10 +12,14 @@ package repro
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +31,7 @@ import (
 	"repro/internal/placement"
 	"repro/internal/shard"
 	"repro/internal/sim"
+	"repro/internal/testbed"
 	"repro/internal/traffic"
 )
 
@@ -797,6 +802,78 @@ func BenchmarkRedeployChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(2*cfg.Hours*b.N)/b.Elapsed().Seconds(), "epochs_per_sec")
+}
+
+// BenchmarkOrchestratorLive is the ledger's orchestrator_live workload as
+// a go-test benchmark, so `make bench-profile` can put a CPU profile on
+// the live control plane: the Florida testbed behind a real HTTP server
+// with Diurnal 15 RPS attached, and 300 rounds of deploy x5, place, 24
+// hourly ticks, three scrapes (/api/v1/metrics, /metrics,
+// /api/v1/traffic) and a delete of the five deployed three rounds
+// earlier, so 15-20 deployments are live while 1 500 names pass through.
+// bench/ measures it; this only exposes it to pprof.
+func BenchmarkOrchestratorLive(b *testing.B) {
+	b.ReportAllocs()
+	s := benchSuite(b)
+	region := testbed.Florida()
+	const rounds = 300
+	call := func(c *http.Client, method, url, body string, want int) {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp, err := c.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != want {
+			b.Fatalf("%s %s: status %d (want %d), err %v", method, url, resp.StatusCode, want, err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb, err := testbed.New(testbed.Config{
+			Region: region, Zones: s.World.Zones, Traces: s.World.Traces, Cities: s.World.Cities,
+			Policy: placement.CarbonAware{},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tb.AttachTraffic(traffic.Config{Seed: 42, Scenario: traffic.Diurnal, RPS: 15}, 40); err != nil {
+			b.Fatal(err)
+		}
+		srv := httptest.NewServer(tb.Orch.API())
+		c, api := srv.Client(), srv.URL+"/api/v1/"
+		name := func(round int, city string) string { return fmt.Sprintf("app-%04d-%s", round, city) }
+		for r := 0; r < rounds; r++ {
+			for _, dc := range region.DCs {
+				call(c, "POST", api+"deployments", fmt.Sprintf(
+					`{"name":%q,"model":"ResNet50","source":%q,"slo_ms":20,"rate_per_sec":2}`, name(r, dc.City), dc.City),
+					http.StatusAccepted)
+			}
+			call(c, "POST", api+"place", "", http.StatusOK)
+			for k := 0; k < 24; k++ {
+				if err := tb.Orch.Tick(time.Hour); err != nil {
+					b.Fatal(err)
+				}
+			}
+			call(c, "GET", api+"metrics", "", http.StatusOK)
+			call(c, "GET", srv.URL+"/metrics", "", http.StatusOK)
+			call(c, "GET", api+"traffic", "", http.StatusOK)
+			if r >= 3 {
+				for _, dc := range region.DCs {
+					call(c, "DELETE", api+"deployments/"+name(r-3, dc.City), "", http.StatusNoContent)
+				}
+			}
+		}
+		srv.Close()
+		if n := len(tb.Orch.Deployments()); n != 3*len(region.DCs) {
+			b.Fatalf("%d deployments live at the end, want %d", n, 3*len(region.DCs))
+		}
+	}
+	b.ReportMetric(float64(24*rounds*b.N)/b.Elapsed().Seconds(), "epochs_per_sec")
 }
 
 func BenchmarkExtRedeploy(b *testing.B) {

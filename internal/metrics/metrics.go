@@ -162,6 +162,16 @@ func (c *Counter) Inc(label string, delta int64) {
 	c.counts[label] += delta
 }
 
+// Delete drops a label and its count: the owner's way to retire a label
+// whose subject is gone, so a long-lived counter set tracks the labels in
+// use rather than every label ever seen. Deleting an absent label is a
+// no-op.
+func (c *Counter) Delete(label string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.counts, label)
+}
+
 // Get returns a label's count.
 func (c *Counter) Get(label string) int64 {
 	c.mu.Lock()

@@ -94,6 +94,17 @@ func TestCounter(t *testing.T) {
 	if len(labels) != 2 || labels[0] != "a" {
 		t.Errorf("labels = %v", labels)
 	}
+	// A deleted label is gone from every view, and counts from zero if it
+	// comes back.
+	c.Delete("a")
+	c.Delete("never-seen")
+	if _, ok := c.State()["a"]; ok || c.Get("a") != 0 || len(c.Labels()) != 1 || c.Get("b") != 1 {
+		t.Errorf("after Delete(a): state %v, labels %v", c.State(), c.Labels())
+	}
+	c.Inc("a", 4)
+	if c.Get("a") != 4 {
+		t.Errorf("re-added label counts %d, want 4", c.Get("a"))
+	}
 }
 
 func TestCounterConcurrent(t *testing.T) {

@@ -91,6 +91,15 @@ func (s *QuantileSketch) Bucket(v float64) int32 {
 	return int32(s.indexOf(clampObs(v)))
 }
 
+// SameResolution reports whether o has s's bucket geometry (lowest
+// boundary, growth factor, bucket count), i.e. whether a Bucket index
+// resolved against one is valid in the other. Sketches from
+// NewQuantileSketch always agree; one restored from a foreign state may
+// not. Resolution never changes after construction, so no lock is taken.
+func (s *QuantileSketch) SameResolution(o *QuantileSketch) bool {
+	return s.lowest == o.lowest && s.gamma == o.gamma && len(s.buckets) == len(o.buckets)
+}
+
 // AddObs records the observations in order under a single lock: it is
 // AddN(o.V, o.N) for each o, minus the per-call logarithm and lock round
 // trip, and leaves the sketch in the bit-identical state (the same float
@@ -246,12 +255,11 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) error {
 	other.mu.Lock()
 	counts := append([]uint64(nil), other.buckets...)
 	oCount, oSum, oMin, oMax := other.count, other.sum, other.min, other.max
-	oLowest, oGamma := other.lowest, other.gamma
 	other.mu.Unlock()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(counts) != len(s.buckets) || oLowest != s.lowest || oGamma != s.gamma {
+	if !s.SameResolution(other) {
 		return fmt.Errorf("metrics: merging sketches with different resolutions")
 	}
 	if oCount == 0 {

@@ -511,3 +511,31 @@ func TestSketchFromStateRejectsHostileStates(t *testing.T) {
 		}
 	}
 }
+
+// TestSketchSameResolution: bucket indices travel between sketches exactly
+// when all three geometry parameters agree, and Merge refuses the rest.
+func TestSketchSameResolution(t *testing.T) {
+	a, b := NewQuantileSketch(), NewQuantileSketch()
+	b.Add(3)
+	if !a.SameResolution(b) || !b.SameResolution(a) {
+		t.Error("two default sketches disagree on resolution")
+	}
+	for name, mutate := range map[string]func(*SketchState){
+		"gamma":   func(st *SketchState) { st.Gamma = 1.05 },
+		"lowest":  func(st *SketchState) { st.Lowest = 1e-2 },
+		"buckets": func(st *SketchState) { st.NumBkts = 900 },
+	} {
+		st := NewQuantileSketch().State()
+		mutate(&st)
+		other, err := SketchFromState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.SameResolution(other) || other.SameResolution(a) {
+			t.Errorf("%s differs but SameResolution holds", name)
+		}
+		if err := a.Merge(other); err == nil {
+			t.Errorf("%s differs but Merge accepted it", name)
+		}
+	}
+}

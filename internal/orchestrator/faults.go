@@ -252,27 +252,14 @@ func (o *Orchestrator) firstMatch(f events.Fault) []*cluster.Server {
 	return srvs
 }
 
-// evictServer (locked) releases every deployment on a crashing server and
-// re-submits its recipe to the pending queue, forcing it back through the
-// placement path.
+// evictServer (locked) evicts every deployment on a crashing server.
 func (o *Orchestrator) evictServer(srv *cluster.Server) error {
 	names := srv.Apps()
 	sort.Strings(names) // map-ordered; sort for deterministic re-submission
 	for _, name := range names {
-		dep := o.deployments[name]
-		if dep == nil {
-			return fmt.Errorf("orchestrator: crashed server %s hosts unknown app %q", srv.ID, name)
-		}
-		if err := srv.Release(name); err != nil {
+		if err := o.evict(srv, name); err != nil {
 			return err
 		}
-		delete(o.deployments, name)
-		if o.ws != nil {
-			_ = o.ws.ReleaseApp(name)
-		}
-		o.pending = append(o.pending, dep.Recipe)
-		o.faultEvictions++
-		o.evictedNow = append(o.evictedNow, name)
 	}
 	return nil
 }
@@ -287,22 +274,28 @@ func (o *Orchestrator) evictOverflow(srv *cluster.Server, factor float64) error 
 	names := srv.Apps()
 	sort.Strings(names)
 	for i := len(names) - 1; i >= 0 && !srv.Used().Fits(scaled); i-- {
-		name := names[i]
-		dep := o.deployments[name]
-		if dep == nil {
-			return fmt.Errorf("orchestrator: degraded server %s hosts unknown app %q", srv.ID, name)
-		}
-		if err := srv.Release(name); err != nil {
+		if err := o.evict(srv, names[i]); err != nil {
 			return err
 		}
-		delete(o.deployments, name)
-		if o.ws != nil {
-			_ = o.ws.ReleaseApp(name)
-		}
-		o.pending = append(o.pending, dep.Recipe)
-		o.faultEvictions++
-		o.evictedNow = append(o.evictedNow, name)
 	}
+	return nil
+}
+
+// evict (locked) releases one deployment from a faulted server and
+// re-submits its recipe to the pending queue, forcing it back through the
+// placement path. The name stays known, so its request stats stay too;
+// they go only if the re-placement rejects it (PlaceBatch).
+func (o *Orchestrator) evict(srv *cluster.Server, name string) error {
+	dep := o.deployments[name]
+	if dep == nil {
+		return fmt.Errorf("orchestrator: faulted server %s hosts unknown app %q", srv.ID, name)
+	}
+	if err := o.release(name, srv); err != nil {
+		return err
+	}
+	o.pending = append(o.pending, dep.Recipe)
+	o.faultEvictions++
+	o.evictedNow = append(o.evictedNow, name)
 	return nil
 }
 

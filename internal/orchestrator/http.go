@@ -23,7 +23,7 @@ import (
 //	GET    /api/v1/deployments/{name} one deployment
 //	DELETE /api/v1/deployments/{name} undeploy
 //	GET    /api/v1/metrics            carbon/energy counters
-//	GET    /api/v1/traffic            live per-deployment SLO/latency stats
+//	GET    /api/v1/traffic            request-level stats: lifetime totals + one row per live deployment
 //	GET    /api/v1/placement          live solver stats from the workspace
 //	POST   /api/v1/faults             inject a fault scenario (script or single fault)
 //	GET    /api/v1/faults             live fault-injection status
@@ -154,22 +154,28 @@ func (o *Orchestrator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, r, "GET")
 		return
 	}
+	// One locked read: the counters describe one instant, and counting the
+	// deployments costs nothing per deployment.
+	o.mu.Lock()
 	body := metricsBody{
-		CarbonTotalG:  o.CarbonTotalG(),
-		EnergyKWh:     o.EnergyKWh(),
-		Deployments:   len(o.Deployments()),
-		DeployBatches: o.DeployLatency.N(),
+		CarbonTotalG:    o.carbonTotal,
+		Deployments:     len(o.deployments),
+		DeployBatches:   o.DeployLatency.N(),
+		OrchestratorNow: o.now.String(),
 	}
-	if o.DeployLatency.N() > 0 {
+	if body.DeployBatches > 0 {
 		body.MeanDeployMs = o.DeployLatency.Mean()
 	}
-	body.OrchestratorNow = o.Now().String()
+	o.mu.Unlock()
+	body.EnergyKWh = o.EnergyKWh()
 	writeJSON(w, http.StatusOK, body)
 }
 
 // trafficBody is the /traffic payload: cluster-wide request-level totals
-// plus per-deployment SLO attainment, latency quantiles, and carbon
-// attribution.
+// over the service's lifetime, plus per-deployment SLO attainment, latency
+// quantiles, and carbon attribution for the deployments that exist now
+// (deployed, or evicted and awaiting re-placement) and have been routed a
+// request. An undeployed name's row is gone; the totals keep its share.
 type trafficBody struct {
 	Now           string                   `json:"now"`
 	OverloadTicks int64                    `json:"overload_ticks"`

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,6 +51,15 @@ type Orchestrator struct {
 	now         time.Time
 	pending     []Recipe
 	deployments map[string]*Deployment
+	// replicas is the live set as the traffic router sees it: one row per
+	// deployment, sorted by name (the router's tie-break order), kept in
+	// step with deployments by the commit in PlaceBatch, release and
+	// LoadState instead of being rebuilt every tick. appW, aligned with
+	// it, is each deployment's dynamic draw for the telemetry loop: the
+	// provisioned draw until traffic is attached, then what routeTraffic
+	// derives from the requests the deployment served this tick.
+	replicas []router.Replica
+	appW     []float64
 
 	// Telemetry.
 	carbonByApp *metrics.Grouped
@@ -164,13 +174,21 @@ func (o *Orchestrator) Submit(rec Recipe) error {
 	if _, dup := o.deployments[rec.Name]; dup {
 		return fmt.Errorf("orchestrator: %s already deployed", rec.Name)
 	}
-	for _, p := range o.pending {
-		if p.Name == rec.Name {
-			return fmt.Errorf("orchestrator: %s already pending", rec.Name)
-		}
+	if o.isPending(rec.Name) {
+		return fmt.Errorf("orchestrator: %s already pending", rec.Name)
 	}
 	o.pending = append(o.pending, rec)
 	return nil
+}
+
+// isPending (locked) reports whether a recipe of that name is queued.
+func (o *Orchestrator) isPending(name string) bool {
+	for _, p := range o.pending {
+		if p.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // PlaceBatch runs the placement service over all pending recipes (steps
@@ -229,15 +247,15 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 	}
 	for i, j := range a.ServerOf {
 		if j < 0 {
+			// The name is in neither the live set nor the queue any more; if
+			// it was evicted into this batch, its request stats go with it.
 			rejected = append(rejected, batch[i].Name)
+			o.retire(batch[i].Name)
 			continue
 		}
 		srv, dc, err := o.cluster.FindServer(servers[j].ID)
 		if err != nil {
 			return nil, nil, err
-		}
-		if err := srv.Allocate(batch[i].Name, prob.Demand[i][j]); err != nil {
-			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
 		}
 		dep := &Deployment{
 			Recipe:   batch[i],
@@ -247,7 +265,14 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 			RTTMs:    prob.LatencyMs[i][j],
 			PowerW:   prob.PowerW[i][j],
 		}
-		o.deployments[batch[i].Name] = dep
+		rep, err := newReplica(dep, srv, dc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
+		}
+		if err := srv.Allocate(batch[i].Name, prob.Demand[i][j]); err != nil {
+			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
+		}
+		o.admit(dep, rep)
 		placed = append(placed, dep)
 	}
 	if err := o.ws.CommitAssignment(prob, result.Assignment); err != nil {
@@ -333,7 +358,10 @@ func (o *Orchestrator) PlacementStats() (stats placement.SolveStats, batches int
 	return o.lastSolve, o.batches, o.batches > 0
 }
 
-// Undeploy removes a deployment and frees its resources.
+// Undeploy removes a deployment and frees its resources. Its per-deployment
+// request stats (the /api/v1/traffic row) leave with it — the traffic
+// totals keep what it served — so reusing the name later starts a fresh
+// row rather than inheriting the dead deployment's latency sketch.
 func (o *Orchestrator) Undeploy(name string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -345,10 +373,58 @@ func (o *Orchestrator) Undeploy(name string) error {
 	if err != nil {
 		return err
 	}
+	if err := o.release(name, srv); err != nil {
+		return err
+	}
+	o.retire(name)
+	return nil
+}
+
+// newReplica is a deployment as the traffic router sees it.
+func newReplica(dep *Deployment, srv *cluster.Server, dc *cluster.DataCenter) (router.Replica, error) {
+	prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
+	if err != nil {
+		return router.Replica{}, err
+	}
+	return router.Replica{
+		ID:            dep.Recipe.Name,
+		City:          dc.City,
+		ZoneID:        dc.ZoneID,
+		CapacityRPS:   dep.Recipe.RatePerSec,
+		ServiceMs:     prof.InferenceMs,
+		EnergyPerReqJ: prof.EnergyPerRequestJ(),
+	}, nil
+}
+
+// replicaRow (locked) finds a live deployment's row in the replica table.
+func (o *Orchestrator) replicaRow(name string) (int, bool) {
+	i := sort.Search(len(o.replicas), func(i int) bool { return o.replicas[i].ID >= name })
+	return i, i < len(o.replicas) && o.replicas[i].ID == name
+}
+
+// admit (locked) is the one place the live set grows: the deployment
+// enters the map and its row enters the replica table at its sorted
+// position, drawing its provisioned power until a tick routes traffic.
+func (o *Orchestrator) admit(dep *Deployment, rep router.Replica) {
+	o.deployments[rep.ID] = dep
+	i, _ := o.replicaRow(rep.ID)
+	o.replicas = slices.Insert(o.replicas, i, rep)
+	o.appW = slices.Insert(o.appW, i, dep.PowerW)
+}
+
+// release (locked) is the one place the live set shrinks: the allocation
+// on srv, the map entry, the replica-table row and the workspace's view
+// of the app go together. Whether the name is gone for good (retire) or
+// comes back through the queue (an eviction) is the caller's.
+func (o *Orchestrator) release(name string, srv *cluster.Server) error {
 	if err := srv.Release(name); err != nil {
 		return err
 	}
 	delete(o.deployments, name)
+	if i, ok := o.replicaRow(name); ok {
+		o.replicas = slices.Delete(o.replicas, i, i+1)
+		o.appW = slices.Delete(o.appW, i, i+1)
+	}
 	if o.ws != nil {
 		// Return the app's capacity to the workspace view; the next batch
 		// re-syncs from the cluster regardless, so a miss (e.g. the app
@@ -356,6 +432,15 @@ func (o *Orchestrator) Undeploy(name string) error {
 		_ = o.ws.ReleaseApp(name)
 	}
 	return nil
+}
+
+// retire (locked) drops the request stats of a name that has left both
+// the live set and the queue for good. Always between slices: routeTraffic
+// opens and closes its slice under the same lock.
+func (o *Orchestrator) retire(name string) {
+	if o.traffic != nil {
+		o.traffic.router.Retire(name)
+	}
 }
 
 // Deployment returns a deployment by name, or nil.
@@ -369,11 +454,10 @@ func (o *Orchestrator) Deployment(name string) *Deployment {
 func (o *Orchestrator) Deployments() []*Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]*Deployment, 0, len(o.deployments))
-	for _, d := range o.deployments {
-		out = append(out, d)
+	out := make([]*Deployment, len(o.replicas))
+	for i := range o.replicas {
+		out[i] = o.deployments[o.replicas[i].ID]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Recipe.Name < out[j].Recipe.Name })
 	return out
 }
 
@@ -426,14 +510,10 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 		return err
 	}
 
-	// appW resolves each app's dynamic draw this tick: load-driven when
-	// traffic is attached, the static provisioned draw otherwise.
-	var appW map[string]float64
+	// With traffic attached, routing makes appW load-driven for this tick.
 	if o.traffic != nil {
-		var dropped int64
-		var err error
 		tp := o.trace.Begin(tickTrafficIdx)
-		appW, dropped, err = o.routeTraffic(dt)
+		dropped, err := o.routeTraffic(dt)
 		o.trace.End(tickTrafficIdx, tp)
 		if err != nil {
 			return err
@@ -447,13 +527,6 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 			}
 		}
 	}
-	watts := func(dep *Deployment) float64 {
-		if appW == nil {
-			return dep.PowerW
-		}
-		return appW[dep.Recipe.Name]
-	}
-
 	mp := o.trace.Begin(tickTelemetryIdx)
 	defer o.trace.End(tickTelemetryIdx, mp)
 	for _, dc := range o.cluster.DataCenters() {
@@ -466,21 +539,17 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 				continue
 			}
 			w := srv.Device.IdleW
-			// Dynamic power: sum of hosted apps' draws.
+			// Dynamic power: sum of hosted apps' draws, each attributed
+			// its own share of the zone's emissions.
 			for _, appID := range srv.Apps() {
-				if dep := o.deployments[appID]; dep != nil {
-					w += watts(dep)
+				if i, ok := o.replicaRow(appID); ok {
+					w += o.appW[i]
+					o.carbonByApp.Add(appID, o.appW[i]/1000*hours*ci)
 				}
 			}
 			srv.Meter().Record(w, dt)
 			o.energyMeter.Record(w, dt)
-			grams := w / 1000 * hours * ci
-			o.carbonTotal += grams
-			for _, appID := range srv.Apps() {
-				if dep := o.deployments[appID]; dep != nil {
-					o.carbonByApp.Add(appID, watts(dep)/1000*hours*ci)
-				}
-			}
+			o.carbonTotal += w / 1000 * hours * ci
 		}
 	}
 	o.now = o.now.Add(dt)
@@ -522,53 +591,29 @@ func (o *Orchestrator) SetOverloadHandler(fn func(now time.Time, dropped int64))
 	o.onOverload = fn
 }
 
-// routeTraffic (locked) routes one tick's demand window and returns each
-// deployment's load-driven dynamic power plus the dropped-request count.
-func (o *Orchestrator) routeTraffic(dt time.Duration) (map[string]float64, int64, error) {
+// routeTraffic (locked) routes one tick's demand window over the replica
+// table, sets every deployment's appW to the draw of the requests it
+// served, and returns the dropped-request count.
+func (o *Orchestrator) routeTraffic(dt time.Duration) (int64, error) {
 	gen, rt := o.traffic.gen, o.traffic.router
-
-	names := make([]string, 0, len(o.deployments))
-	for name := range o.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	appW := make(map[string]float64, len(names))
-	replicas := make([]router.Replica, 0, len(names))
-	ciCache := map[string]float64{}
-	for _, name := range names {
-		dep := o.deployments[name]
-		srv, dc, err := o.cluster.FindServer(dep.ServerID)
-		if err != nil {
-			return nil, 0, err
-		}
-		prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, ok := ciCache[dc.ZoneID]; !ok {
-			ci, err := o.carbon.Current(dc.ZoneID, o.now)
-			if err != nil {
-				return nil, 0, err
-			}
-			ciCache[dc.ZoneID] = ci
-		}
-		replicas = append(replicas, router.Replica{
-			ID:            name,
-			City:          dc.City,
-			ZoneID:        dc.ZoneID,
-			CapacityRPS:   dep.Recipe.RatePerSec,
-			ServiceMs:     prof.InferenceMs,
-			EnergyPerReqJ: prof.EnergyPerRequestJ(),
-		})
-		appW[name] = 0
-	}
-
+	clear(o.appW)
 	elapsed := o.now.Sub(gen.Start())
 	if elapsed < 0 {
-		return appW, 0, nil
+		return 0, nil
+	}
+	ciCache := map[string]float64{}
+	for i := range o.replicas {
+		zone := o.replicas[i].ZoneID
+		if _, ok := ciCache[zone]; !ok {
+			ci, err := o.carbon.Current(zone, o.now)
+			if err != nil {
+				return 0, err
+			}
+			ciCache[zone] = ci
+		}
 	}
 	intensity := func(zone string) float64 { return ciCache[zone] }
-	sl := rt.ReuseSlice(replicas, dt.Seconds())
+	sl := rt.ReuseSlice(o.replicas, dt.Seconds())
 	// Route every hourly slice the tick window overlaps. Each slice's
 	// count is split by the telescoping difference of rounded cumulative
 	// fractions, so consecutive ticks of any length partition the hour's
@@ -592,9 +637,9 @@ func (o *Orchestrator) routeTraffic(dt time.Duration) (map[string]float64, int64
 	}
 	sl.Close()
 	for i, n := range sl.Served() {
-		appW[replicas[i].ID] = float64(n) * replicas[i].EnergyPerReqJ / dt.Seconds()
+		o.appW[i] = float64(n) * o.replicas[i].EnergyPerReqJ / dt.Seconds()
 	}
-	return appW, sl.Dropped(), nil
+	return sl.Dropped(), nil
 }
 
 // TrafficTelemetry snapshots the attached traffic's request-level stats.

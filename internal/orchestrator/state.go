@@ -105,12 +105,8 @@ func (o *Orchestrator) SaveState() (State, error) {
 		LastSolve:      o.lastSolve,
 		Batches:        o.batches,
 	}
-	names := make([]string, 0, len(o.deployments))
-	for name := range o.deployments {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for i := range o.replicas { // name-sorted
+		name := o.replicas[i].ID
 		dep := o.deployments[name]
 		srv, _, err := o.cluster.FindServer(dep.ServerID)
 		if err != nil {
@@ -207,15 +203,19 @@ func (o *Orchestrator) LoadState(st State) error {
 	}
 	o.deployments = make(map[string]*Deployment, len(st.Deployments))
 	for _, ds := range st.Deployments {
-		srv, _, err := o.cluster.FindServer(ds.ServerID)
+		srv, dc, err := o.cluster.FindServer(ds.ServerID)
+		if err != nil {
+			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
+		}
+		dep := ds.Deployment
+		rep, err := newReplica(&dep, srv, dc)
 		if err != nil {
 			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
 		}
 		if err := srv.Allocate(ds.Recipe.Name, ds.Demand); err != nil {
 			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
 		}
-		dep := ds.Deployment
-		o.deployments[ds.Recipe.Name] = &dep
+		o.admit(&dep, rep)
 	}
 	for _, sp := range st.Servers {
 		if sp.PoweredOn {
@@ -268,8 +268,22 @@ func (o *Orchestrator) LoadState(st State) error {
 		}
 	}
 	if st.Traffic != nil {
-		if err := o.traffic.router.RestoreStats(*st.Traffic); err != nil {
+		rt := o.traffic.router
+		if err := rt.RestoreStats(*st.Traffic); err != nil {
 			return err
+		}
+		// A state written before per-deployment rows were retired with
+		// their deployment still carries every name ever routed; keep the
+		// rows of names that are deployed or queued.
+		ids := rt.Stats().ByReplica.Labels()
+		for id := range rt.Stats().Replicas {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			if _, live := o.deployments[id]; !live && !o.isPending(id) {
+				rt.Retire(id)
+			}
 		}
 	}
 
@@ -290,12 +304,13 @@ func (o *Orchestrator) LoadState(st State) error {
 func (o *Orchestrator) validateState(st *State) error {
 	type srvInfo struct {
 		capacity cluster.Resources
+		device   string
 		on       bool
 	}
 	servers := map[string]*srvInfo{}
 	for _, dc := range o.cluster.DataCenters() {
 		for _, srv := range dc.Servers() {
-			servers[srv.ID] = &srvInfo{capacity: srv.Capacity}
+			servers[srv.ID] = &srvInfo{capacity: srv.Capacity, device: srv.Device.Name}
 		}
 	}
 	for _, fs := range st.FlashServers {
@@ -308,7 +323,7 @@ func (o *Orchestrator) validateState(st *State) error {
 		if _, dup := servers[fs.ID]; dup {
 			return fmt.Errorf("orchestrator: flash server %s already exists in the cluster (state restored twice?)", fs.ID)
 		}
-		servers[fs.ID] = &srvInfo{capacity: fs.Capacity}
+		servers[fs.ID] = &srvInfo{capacity: fs.Capacity, device: fs.Device}
 	}
 	for _, sp := range st.Servers {
 		info := servers[sp.ID]
@@ -318,13 +333,22 @@ func (o *Orchestrator) validateState(st *State) error {
 		info.on = sp.PoweredOn
 	}
 	used := map[string]cluster.Resources{}
+	names := map[string]bool{}
 	for _, ds := range st.Deployments {
+		if names[ds.Recipe.Name] {
+			return fmt.Errorf("orchestrator: deployment %s appears twice", ds.Recipe.Name)
+		}
+		names[ds.Recipe.Name] = true
 		info := servers[ds.ServerID]
 		if info == nil {
 			return fmt.Errorf("orchestrator: deployment %s references unknown server %q", ds.Recipe.Name, ds.ServerID)
 		}
 		if !info.on {
 			return fmt.Errorf("orchestrator: deployment %s sits on powered-off server %s", ds.Recipe.Name, ds.ServerID)
+		}
+		// The replica table needs the pair's profile (newReplica).
+		if _, err := energy.ProfileFor(ds.Recipe.Model, info.device); err != nil {
+			return fmt.Errorf("orchestrator: deployment %s on %s: %w", ds.Recipe.Name, ds.ServerID, err)
 		}
 		total := used[ds.ServerID].Add(ds.Demand)
 		if !total.Fits(info.capacity) {

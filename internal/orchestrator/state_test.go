@@ -299,6 +299,17 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	if err := fresh.LoadState(bad); err == nil {
 		t.Fatal("unknown server accepted")
 	}
+	bad = mustState(t, orig)
+	bad.Deployments[0].Recipe.Model = "no-such-model"
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("deployment of an unprofiled model accepted")
+	}
+	bad = mustState(t, orig)
+	bad.Deployments = append(bad.Deployments, bad.Deployments[0])
+	bad.Deployments[1].Demand = bad.Deployments[1].Demand.Scale(0.01) // fits beside the first
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("a deployment name listed twice accepted")
+	}
 
 	// The failed attempts mutated nothing: the corrected state restores.
 	if err := fresh.LoadState(good); err != nil {

@@ -36,9 +36,11 @@ import (
 
 // Replica is one serving instance of a deployment.
 type Replica struct {
-	// ID labels the replica in telemetry. Callers choose the cardinality:
-	// the simulator keys by hosting city, the orchestrator by deployment
-	// name, keeping per-replica aggregates bounded.
+	// ID labels the replica in telemetry. Callers choose the cardinality
+	// and own its lifetime: the simulator keys by hosting city (a fixed
+	// set), the orchestrator by deployment name and retires the ID when the
+	// deployment is gone for good (Router.Retire), so per-replica aggregates
+	// stay bounded by the IDs in use.
 	ID string
 	// City is the hosting city (the latency-lookup endpoint).
 	City string
@@ -112,7 +114,12 @@ type Stats struct {
 	CarbonG   float64
 	// ByReplica counts served requests per replica ID.
 	ByReplica *metrics.Counter
-	// Replicas holds per-replica aggregates when Config.PerReplica is on.
+	// Replicas holds per-replica aggregates when Config.PerReplica is on:
+	// one row per ID that was routed at least one request and has not been
+	// retired since (Router.Retire). The totals above are accumulators of
+	// their own, never derived from the rows, so they are lifetime figures
+	// whatever is retired; a retired row's counters are the totals minus
+	// the remaining rows.
 	Replicas map[string]*ReplicaStats
 }
 
@@ -198,6 +205,17 @@ func New(cfg Config) (*Router, error) {
 // synchronization (the orchestrator holds its own lock).
 func (r *Router) Stats() *Stats { return &r.stats }
 
+// Retire drops replica id's per-replica state — its Stats.Replicas row
+// and its ByReplica label — for a caller whose replica is gone for good;
+// the totals keep everything the replica served. Routing to the same ID
+// again starts a fresh row. It is legal only between slices (after Close,
+// before the next ReuseSlice): an open slice has logged observations
+// against the row. Retiring an unknown ID is a no-op.
+func (r *Router) Retire(id string) {
+	delete(r.stats.Replicas, id)
+	r.stats.ByReplica.Delete(id)
+}
+
 // Slice is one routing window over a fixed replica set: replicas' free
 // capacity depletes as sources are routed, then the slice is closed.
 //
@@ -216,8 +234,8 @@ type Slice struct {
 	// lat, bucket, feasible, and infeasible are per-Route partition
 	// scratch, reused across Route calls: each replica's end-to-end
 	// latency from the current source, the sketch bucket it lands in
-	// (-1 = not resolved, the string-keyed Route path), and the split by
-	// SLO feasibility.
+	// (-1 = not resolved yet: the string-keyed Route path resolves it on
+	// the pair's first assignment), and the split by SLO feasibility.
 	lat        []float64
 	bucket     []int32
 	feasible   []int
@@ -457,6 +475,7 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 	b := s.bucket[i]
 	if b < 0 {
 		b = st.Latency.Bucket(latMs)
+		s.bucket[i] = b
 	}
 	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: b})
 
@@ -504,10 +523,14 @@ func (s *Slice) Close() {
 	s.closed = true
 	st := &s.r.stats
 	st.Latency.AddObs(s.log)
-	// Per-replica sketches take the value, not the bucket: a restored one
-	// need not share stats.Latency's resolution.
+	// A per-replica sketch takes the logged bucket only at stats.Latency's
+	// resolution; a restored one need not share it and takes the value.
 	for k, rs := range s.logRep {
-		rs.Latency.AddN(s.log[k].V, s.log[k].N)
+		if rs.Latency.SameResolution(st.Latency) {
+			rs.Latency.AddObs(s.log[k : k+1])
+		} else {
+			rs.Latency.AddN(s.log[k].V, s.log[k].N)
+		}
 	}
 	for i, n := range s.served {
 		if n > 0 {

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // testRTT is a small symmetric latency table.
@@ -514,5 +516,116 @@ func TestRouteAtEvaluatesEachPairOnce(t *testing.T) {
 	}
 	if w.calls != len(seen) {
 		t.Errorf("RTTAt called %d times for %d distinct (source, class) pairs", w.calls, len(seen))
+	}
+}
+
+// TestRetireDropsRowKeepsTotals: a retired ID loses its per-replica row
+// and ByReplica label, the totals and the other rows are untouched, and
+// routing to the ID again starts from zero.
+func TestRetireDropsRowKeepsTotals(t *testing.T) {
+	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	route := func() {
+		sl := r.ReuseSlice(testReplicas(), 100)
+		sl.Route("Tampa", 600, flatCI)
+		sl.Route("Far", 50, flatCI)
+		sl.Close()
+	}
+	route()
+	before := r.Stats().State()
+	if len(before.Replicas) != 3 || before.ByReplica["orl"] == 0 {
+		t.Fatalf("want three served replicas, have %+v", before.ByReplica)
+	}
+
+	r.Retire("orl")
+	r.Retire("never-routed")
+	after := r.Stats().State()
+	if _, ok := after.Replicas["orl"]; ok || len(after.Replicas) != 2 {
+		t.Errorf("retired row still present: %d rows", len(after.Replicas))
+	}
+	if _, ok := after.ByReplica["orl"]; ok || len(after.ByReplica) != 2 {
+		t.Errorf("retired label still present: %v", after.ByReplica)
+	}
+	for _, id := range []string{"mia", "tpa"} {
+		if !reflect.DeepEqual(after.Replicas[id], before.Replicas[id]) || after.ByReplica[id] != before.ByReplica[id] {
+			t.Errorf("retiring orl changed %s", id)
+		}
+	}
+	orlServed := before.ByReplica["orl"]
+	after.Replicas, after.ByReplica, before.Replicas, before.ByReplica = nil, nil, nil, nil
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("retiring a row moved the totals:\n before %+v\n after  %+v", before, after)
+	}
+
+	route()
+	if got := r.Stats().Replicas["orl"].Requests; got != orlServed {
+		t.Errorf("re-routed orl holds %d requests, want the %d one slice gives it", got, orlServed)
+	}
+	if got, want := r.Stats().ByReplica.Get("orl"), r.Stats().Replicas["orl"].Requests; got != want {
+		t.Errorf("re-routed orl: label counts %d, row %d", got, want)
+	}
+}
+
+// TestCloseFoldsPerReplicaByBucketOrValue: per-replica sketches end up
+// exactly as per-assignment AddN calls would leave them, both at the
+// total sketch's resolution (folded by the logged bucket) and at a
+// restored foreign one (folded by value) — on the string Route path, where
+// the bucket is resolved at a pair's first assignment and reused for the
+// waterfill's further rounds.
+func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
+	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	st := r.Stats().State()
+	coarse := metrics.NewQuantileSketch().State()
+	coarse.NumBkts, coarse.Gamma = 300, 1.1
+	st.Replicas = map[string]ReplicaStatsState{"orl": {Latency: coarse}}
+	if err := r.RestoreStats(st); err != nil {
+		t.Fatal(err)
+	}
+	ref := map[string]*metrics.QuantileSketch{}
+	for id, rs := range r.Stats().Replicas {
+		sk, err := metrics.SketchFromState(rs.Latency.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[id] = sk
+	}
+
+	// Uneven capacities and a count far above them force several waterfill
+	// rounds per (source, replica) pair, then spill-over.
+	replicas := testReplicas()
+	replicas[0].CapacityRPS, replicas[2].CapacityRPS = 3, 17
+	for round := 0; round < 4; round++ {
+		sl := r.ReuseSlice(replicas, 10)
+		for _, src := range []string{"Tampa", "Miami", "Far", "Tampa"} {
+			served := append([]int64(nil), sl.Served()...)
+			sl.Route(src, 97, flatCI)
+			for i, n := range sl.Served() {
+				if d := n - served[i]; d > 0 {
+					id := replicas[i].ID
+					if ref[id] == nil {
+						ref[id] = metrics.NewQuantileSketch()
+					}
+					// One AddN per pair equals the per-assignment adds: the
+					// pair's latency is one value.
+					ref[id].AddN(testRTT(src, replicas[i].City)+replicas[i].ServiceMs, d)
+				}
+			}
+		}
+		sl.Close()
+	}
+	if r.Stats().Replicas["orl"].Latency.SameResolution(r.Stats().Latency) {
+		t.Fatal("orl's restored sketch should keep its foreign resolution")
+	}
+	for id, want := range ref {
+		got := r.Stats().Replicas[id].Latency.State()
+		w := want.State()
+		// Sums are float accumulations in assignment order; the reference
+		// adds a pair's rounds in one step, so compare them to 1e-12.
+		if math.Abs(got.Sum-w.Sum) > 1e-12*w.Sum {
+			t.Errorf("%s: sum %v, want %v", id, got.Sum, w.Sum)
+		}
+		got.Sum, w.Sum = 0, 0
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("%s: sketch\n %+v\nwant\n %+v", id, got, w)
+		}
 	}
 }

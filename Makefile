@@ -17,7 +17,7 @@ race:
 		./internal/experiments/ ./internal/metrics/ ./internal/traffic/ \
 		./internal/router/ ./internal/events/ ./internal/orchestrator/ \
 		./internal/checkpoint/ ./internal/rng/ ./internal/obs/ \
-		./internal/shard/ ./internal/geo/
+		./internal/shard/ ./internal/geo/ ./internal/carbon/
 
 # lint runs the full static gate: formatting, the stdlib vet suite
 # (with the two determinism-adjacent passes named explicitly so they
@@ -59,13 +59,15 @@ bench-guard:
 
 # bench-profile records CPU and allocation profiles of the three solver
 # hot-path benchmarks, a CPU profile of the request path
-# (BenchmarkTrafficReplay: generator, router, latency sketch) and one of
-# the live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
-# scrapes), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_12.md (solver),
-# profiles/PROFILE_13.md (traffic) and profiles/PROFILE_14.md (live);
-# regenerate them with this target after solver, request-path or
-# orchestrator changes. The benchmarks run in separate invocations:
+# (BenchmarkTrafficReplay: generator, router, latency sketch), one of the
+# live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
+# scrapes) and one of the paper's CDN year (BenchmarkCDNYear: the
+# per-epoch floor of carbon reads, view assembly and no-move solves), and
+# prints the top-10 flat summaries. The checked-in snapshots of those
+# summaries live in profiles/PROFILE_12.md (solver),
+# profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md (live) and
+# profiles/PROFILE_17.md (CDN year); regenerate them with this target
+# after solver, request-path, orchestrator or engine changes. The benchmarks run in separate invocations:
 # profiling needs a single test binary (so the repo root package, not
 # ./...), and BenchmarkTimelineReplay's overhead differencing is only
 # meaningful without another benchmark's GC pressure in the same process.
@@ -86,6 +88,9 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkOrchestratorLive$$' \
 		-benchtime 12x -cpuprofile profiles/live-cpu.pprof \
 		-o profiles/bench.test .
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCDNYear$$' \
+		-benchtime 10x -cpuprofile profiles/cdn-cpu.pprof \
+		-o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
@@ -94,3 +99,4 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/replay-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/live-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/cdn-cpu.pprof

@@ -804,6 +804,31 @@ func BenchmarkRedeployChurn(b *testing.B) {
 	b.ReportMetric(float64(2*cfg.Hours*b.N)/b.Elapsed().Seconds(), "epochs_per_sec")
 }
 
+// BenchmarkCDNYear is the ledger's cdn_year workload as a go-test
+// benchmark, so `make bench-profile` can put a CPU profile on the paper's
+// CDN headline: US and Europe, each CarbonAware and LatencyAware over the
+// full 8760-hour year at the default 6 arrivals/h. Placement's per-epoch
+// fixed cost dominates it and local search never moves an app. bench/
+// measures it; this only exposes it to pprof.
+func BenchmarkCDNYear(b *testing.B) {
+	b.ReportAllocs()
+	s := benchSuite(b)
+	epochs := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, region := range []carbon.Region{carbon.RegionUS, carbon.RegionEurope} {
+			for _, pol := range []placement.Policy{placement.CarbonAware{}, placement.LatencyAware{}} {
+				cfg := sim.DefaultConfig(region, pol)
+				if _, err := sim.Run(cfg, s.World); err != nil {
+					b.Fatal(err)
+				}
+				epochs += cfg.Hours
+			}
+		}
+	}
+	b.ReportMetric(float64(epochs)/b.Elapsed().Seconds(), "epochs_per_sec")
+}
+
 // BenchmarkOrchestratorLive is the ledger's orchestrator_live workload as
 // a go-test benchmark, so `make bench-profile` can put a CPU profile on
 // the live control plane: the Florida testbed behind a real HTTP server

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -196,4 +197,158 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forecastMeanWalk is SeasonalNaive.ForecastMean as it was written before
+// the period-by-period sum: one index walk with a modulo per forecast
+// hour. It is kept here as the oracle the fast path is bit-compared to.
+func forecastMeanWalk(p int, history []float64, horizon int) float64 {
+	n := len(history)
+	if horizon == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for h := 0; h < horizon; h++ {
+		idx := n - p + h%p
+		for idx >= n {
+			idx -= p
+		}
+		if idx < 0 {
+			idx = n - 1
+		}
+		sum += history[idx]
+	}
+	return sum / float64(horizon)
+}
+
+func TestSeasonalNaiveForecastMeanMatchesIndexWalk(t *testing.T) {
+	ts, _ := smallTraceSet(t)
+	vals := ts.Trace("DE-MUC").Values
+	for _, p := range []int{1, 5, 24} {
+		f := SeasonalNaive{Period: p}
+		// Histories shorter than, equal to and longer than one period; the
+		// trace's values are irregular, so any reordering of the sum shows.
+		for _, n := range []int{1, p - 1, p, p + 1, 3*p + 2, 200} {
+			if n < 1 {
+				continue
+			}
+			hist := vals[len(vals)-n:]
+			for _, horizon := range []int{0, 1, p - 1, p, p + 1, 3*p + 5} {
+				if horizon < 0 {
+					continue
+				}
+				got, err := f.ForecastMean(hist, time.Time{}, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := forecastMeanWalk(p, hist, horizon)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("period %d, history %d, horizon %d: ForecastMean %v (%#x), index walk %v (%#x)",
+						p, n, horizon, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				fc, err := f.Forecast(timeseries.FromValues(time.Time{}, hist), time.Time{}, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := timeseries.Mean(fc); math.Float64bits(got) != math.Float64bits(m) {
+					t.Errorf("period %d, history %d, horizon %d: ForecastMean %v, mean of Forecast %v", p, n, horizon, got, m)
+				}
+			}
+		}
+	}
+}
+
+// TestZoneReaderByIndex holds the index-keyed reads against the trace and
+// the time-keyed Service calls, for every forecaster path: the
+// MeanForecaster fast path (SeasonalNaive), the Forecast fallback (EWMA)
+// and the zoned fallback (Oracle).
+func TestZoneReaderByIndex(t *testing.T) {
+	ts, _ := smallTraceSet(t)
+	tr := ts.Trace("IT-ROM")
+	for _, f := range []Forecaster{SeasonalNaive{Period: 24}, EWMA{Alpha: 0.3}, Oracle{}} {
+		svc := NewService(ts, f)
+		z := svc.Zone("IT-ROM")
+		if z.ID() != "IT-ROM" || z.Len() != tr.Len() {
+			t.Fatalf("%s: reader for %q with %d hours", f.Name(), z.ID(), z.Len())
+		}
+		for _, i := range []int{0, 1, 23, 24, 500, tr.Len() - 1} {
+			now := ts.Start.Add(time.Duration(i)*time.Hour + 17*time.Minute)
+			if got := z.Index(now); got != i {
+				t.Fatalf("Index(%v) = %d, want %d", now, got, i)
+			}
+			ci, err := z.At(i)
+			if err != nil || ci != tr.Values[i] {
+				t.Fatalf("At(%d) = %v, %v; trace has %v", i, ci, err, tr.Values[i])
+			}
+			got, err := z.MeanForecast(i, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := svc.MeanForecast("IT-ROM", now, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: MeanForecast(%d) = %v, Service says %v", f.Name(), i, got, want)
+			}
+		}
+		// Out of span on either side, and a zone without a trace, read as
+		// errors — the same ones Current reports.
+		for _, i := range []int{-1, tr.Len()} {
+			if _, err := z.At(i); err == nil {
+				t.Errorf("At(%d) outside the trace succeeded", i)
+			}
+			if _, err := z.MeanForecast(i, 24); err == nil {
+				t.Errorf("MeanForecast(%d) outside the trace succeeded", i)
+			}
+		}
+		if got := z.Index(ts.Start.Add(-time.Minute)); got != -1 {
+			t.Errorf("Index a minute before the trace = %d, want -1", got)
+		}
+		none := svc.Zone("nope")
+		if _, err := none.At(0); err == nil {
+			t.Error("reader of a zone without a trace read a value")
+		}
+		if _, err := none.MeanForecast(0, 24); err == nil {
+			t.Error("reader of a zone without a trace forecast a value")
+		}
+	}
+}
+
+// TestZoneReaderConcurrent shares one service's readers between
+// goroutines, as concurrent sweep engines over one world do; run under
+// -race by `make race`, every goroutine must see the serial answers.
+func TestZoneReaderConcurrent(t *testing.T) {
+	ts, _ := smallTraceSet(t)
+	svc := NewService(ts, nil)
+	zones := []ZoneReader{svc.Zone("DE-MUC"), svc.Zone("FR-LYO"), svc.Zone("CH-BRN")}
+	want := make([]float64, 0, 3*200)
+	for _, z := range zones {
+		for i := 0; i < 200; i++ {
+			v, err := z.MeanForecast(24+i, 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, v)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := 0
+			for _, z := range zones {
+				for i := 0; i < 200; i++ {
+					v, err := z.MeanForecast(24+i, 24)
+					if err != nil || v != want[k] {
+						t.Errorf("concurrent MeanForecast(%d) = %v, %v; serial %v", 24+i, v, err, want[k])
+						return
+					}
+					k++
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -18,15 +18,39 @@ const hostMemPerAppMB = 64
 // mbpsPerRequest is the network bandwidth charged per request/second.
 const mbpsPerRequest = 2.0
 
+// Coefficients derives an app's cells on one device from its (model,
+// device) profile and request rate: the demand vector R_ij and dynamic
+// power draw E_ij of the formulation, and whether the device can host it
+// at all. It is the one derivation of those cells — Build, the Workspace
+// and the simulator's release of a departing app all go through it, so
+// what is released is exactly what was committed.
+//
+// The compute dimension carries the device occupancy (busy-milliseconds
+// per second); memory goes to the GPU dimension for accelerator models and
+// to host memory for CPU models. An app whose occupancy exceeds 1000
+// saturates the device: no single server of that type can serve it (ok
+// false, zero cells).
+func Coefficients(prof energy.Profile, rate float64) (demand cluster.Resources, powerW float64, ok bool) {
+	occupancyMilli := rate * prof.InferenceMs
+	if occupancyMilli > 1000 {
+		return cluster.Resources{}, 0, false
+	}
+	if prof.Device != energy.XeonE5.Name {
+		demand = cluster.NewResources(occupancyMilli, hostMemPerAppMB, prof.MemMB, rate*mbpsPerRequest)
+	} else {
+		demand = cluster.NewResources(occupancyMilli, prof.MemMB, 0, rate*mbpsPerRequest)
+	}
+	return demand, rate * prof.EnergyPerRequestJ(), true
+}
+
 // Build assembles a Problem from apps, the placement view of servers, a
 // latency oracle, and the profiling service's (model, device) table. It
 // fills the R_ij, E_ij, and L_ij matrices of the formulation:
 //
-//   - Demand: compute occupancy (rate x service time, in milli-units of
-//     the device), host memory, device memory, and network bandwidth.
-//   - PowerW: rate x energy-per-request, the app's average dynamic draw.
+//   - Demand and PowerW: Coefficients of the (model, device) profile.
 //   - LatencyMs: from the RTT oracle.
-//   - Compatible: whether a profile exists for (model, device).
+//   - Compatible: whether a profile exists for (model, device) and the
+//     app does not saturate the device.
 func Build(apps []App, servers []Server, rtt RTTFunc, profile func(model, device string) (energy.Profile, error)) (*Problem, error) {
 	if rtt == nil {
 		return nil, fmt.Errorf("placement: nil RTT oracle")
@@ -65,26 +89,9 @@ func Build(apps []App, servers []Server, rtt RTTFunc, profile func(model, device
 				p.Compatible[i][j] = false
 				continue
 			}
-			p.Compatible[i][j] = true
-			occupancyMilli := a.RatePerSec * prof.InferenceMs
-			if occupancyMilli > 1000 {
-				// The app saturates this device; it cannot be served by
-				// a single server of this type.
-				p.Compatible[i][j] = false
-				continue
-			}
-			// The compute dimension carries the device occupancy
-			// (busy-milliseconds per second); memory goes to the GPU
-			// dimension for accelerator models and host memory for CPU
-			// models.
-			if prof.Device != energy.XeonE5.Name {
-				p.Demand[i][j] = cluster.NewResources(
-					occupancyMilli, hostMemPerAppMB, prof.MemMB, a.RatePerSec*mbpsPerRequest)
-			} else {
-				p.Demand[i][j] = cluster.NewResources(
-					occupancyMilli, prof.MemMB, 0, a.RatePerSec*mbpsPerRequest)
-			}
-			p.PowerW[i][j] = a.RatePerSec * prof.EnergyPerRequestJ()
+			d, w, ok := Coefficients(prof, a.RatePerSec)
+			p.Compatible[i][j] = ok
+			p.Demand[i][j], p.PowerW[i][j] = d, w
 		}
 	}
 	return p, nil

@@ -142,6 +142,13 @@ type costMemo struct {
 	// act[j] is pol.ActivationCost(p, j).
 	act []float64
 
+	// adj marks the reverse adjacency and demand lists below built for
+	// the current structure. They are only read when a solve moves an app
+	// or resumes a continuation, so ensureAdj builds them on first such
+	// use rather than with the structure: most solves of a no-move
+	// workload never pay for them.
+	adj bool
+
 	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
 	// revOff[j+1]] lists the classes whose candidate lists contain server
 	// j. The dirty-app queue marks through it.
@@ -240,11 +247,8 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 	}
 	nc := len(mm.rep)
 
-	// Static feasibility per slot, and the server -> classes adjacency
-	// counts.
+	// Static feasibility per slot.
 	mm.off = grow(mm.off, nc)
-	mm.revOff = grow(mm.revOff, m+1)
-	clear(mm.revOff)
 	total := 0
 	for c, r := range mm.rep {
 		mm.off[c] = total
@@ -257,12 +261,35 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 		slo := p.Apps[i].SLOms
 		for k, j := range p.CandidatesOf(i) {
 			mm.ok[base+k] = p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
-			mm.revOff[j+1]++
 		}
 	}
 	mm.act = grow(mm.act, m)
 	mm.evalRows(p, pol)
+	mm.adj = false
 
+	if shareable {
+		mm.apps = append(mm.apps[:0], p.Apps...)
+	}
+	mm.p, mm.pol, mm.m = p, pol, m
+	mm.costGen = p.costGen
+	mm.hasStruct = shareable
+}
+
+// ensureAdj builds the server -> classes reverse adjacency and the
+// per-server demand lists for the current structure, once: touch and
+// fitsFlip read them, so every path into those calls ensureAdj first.
+func (mm *costMemo) ensureAdj() {
+	if mm.adj {
+		return
+	}
+	p, m := mm.p, mm.m
+	mm.revOff = grow(mm.revOff, m+1)
+	clear(mm.revOff)
+	for _, r := range mm.rep {
+		for _, j := range p.CandidatesOf(int(r)) {
+			mm.revOff[j+1]++
+		}
+	}
 	for j := 0; j < m; j++ {
 		mm.revOff[j+1] += mm.revOff[j]
 	}
@@ -275,15 +302,8 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 			mm.cursor[j]++
 		}
 	}
-
 	mm.buildDemandLists(p)
-
-	if shareable {
-		mm.apps = append(mm.apps[:0], p.Apps...)
-	}
-	mm.p, mm.pol, mm.m = p, pol, m
-	mm.costGen = p.costGen
-	mm.hasStruct = shareable
+	mm.adj = true
 }
 
 // buildDemandLists collects, per server, the distinct demand vectors among
@@ -521,6 +541,7 @@ func (st *state) dirty(mm *costMemo, i int, pass int32) bool {
 // that were powered on before the batch stay on for the whole solve, so
 // pure capacity shifts that flip no fit threshold are invisible.
 func (st *state) touchMoved(mm *costMemo, j, i int, pass int32, before cluster.Resources) {
+	mm.ensureAdj()
 	if !st.p.Servers[j].PoweredOn || mm.fitsFlip(j, before, st.free[j]) {
 		st.touch(mm, j, i, pass)
 	}
@@ -640,6 +661,7 @@ func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Pol
 		}
 		return
 	}
+	mm.ensureAdj()
 	for i := range st.mark {
 		st.mark[i] = -1
 	}

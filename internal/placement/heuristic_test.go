@@ -286,3 +286,68 @@ func TestOrderByCountMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestAdjacencyBuiltOnlyWhenNeeded pins the lazy reverse adjacency: a
+// solve in which local search moves nothing — every app constructed onto
+// its cheapest server of an always-on fleet with room to spare, the
+// cdn_year shape — never builds it, and the next solve on the same view,
+// which resumes that converged state for a churned batch, builds it and
+// still agrees with the reference sweep.
+func TestAdjacencyBuiltOnlyWhenNeeded(t *testing.T) {
+	for _, pol := range []Policy{CarbonAware{}, LatencyAware{}, EnergyAware{}, IntensityAware{}} {
+		t.Run(pol.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			const nApps, nServers = 30, 10
+			inst := classedWSInstance(rng, nApps, nServers)
+			for j := range inst.servers {
+				inst.servers[j].PoweredOn = true
+				inst.servers[j].Free = inst.servers[j].Free.Scale(100)
+			}
+			ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat := &HeuristicSolver{Search: SearchFlat, SkipValidate: true}
+			sweep := &HeuristicSolver{Search: SearchSweep}
+			apps := append([]App(nil), inst.apps...)
+			p, err := ws.Problem(apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, err := flat.Solve(p, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if flat.memo.adj {
+				t.Fatal("a solve that moved nothing built the reverse adjacency")
+			}
+			if !flat.cont.valid {
+				t.Fatal("the no-move solve did not record a continuation")
+			}
+
+			for c := 0; c < 4; c++ {
+				fresh := classedWSInstance(rng, 1, 0).apps[0]
+				fresh.ID = fmt.Sprintf("churn-%d", c)
+				apps[rng.Intn(nApps)] = fresh
+			}
+			p, err = ws.Problem(apps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sweep.SolveWarm(p, pol, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := flat.SolveWarm(p, pol, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !flat.memo.adj {
+				t.Fatal("the continuation solve ran without the reverse adjacency")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("continuation solve diverged from the sweep:\nsweep: %+v\nflat:  %+v", want, got)
+			}
+		})
+	}
+}

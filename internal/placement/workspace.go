@@ -354,18 +354,8 @@ func (ws *Workspace) resolveCell(model, device string, rate float64) cell {
 	if err != nil {
 		return cell{}
 	}
-	occupancyMilli := rate * prof.InferenceMs
-	if occupancyMilli > 1000 {
-		// The class saturates this device; no single server can host it.
-		return cell{}
-	}
-	var demand cluster.Resources
-	if prof.Device != energy.XeonE5.Name {
-		demand = cluster.NewResources(occupancyMilli, hostMemPerAppMB, prof.MemMB, rate*mbpsPerRequest)
-	} else {
-		demand = cluster.NewResources(occupancyMilli, prof.MemMB, 0, rate*mbpsPerRequest)
-	}
-	return cell{demand: demand, powerW: rate * prof.EnergyPerRequestJ(), ok: true}
+	d, w, ok := Coefficients(prof, rate)
+	return cell{demand: d, powerW: w, ok: ok}
 }
 
 // latFeasible returns the shortlist of servers within the latency bound

@@ -1,0 +1,256 @@
+package sim
+
+import (
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/carbon"
+	"repro/internal/cluster"
+	"repro/internal/energy"
+	"repro/internal/events"
+	"repro/internal/placement"
+)
+
+// traceWorld returns a copy of w whose trace set holds every zone's trace
+// except the one named, which edit replaces (a nil result drops the zone).
+func traceWorld(w *World, zone string, edit func(full *carbon.TraceSet) *carbon.TraceSet) *World {
+	ts := &carbon.TraceSet{Start: w.Traces.Start, Hours: w.Traces.Hours}
+	for _, id := range w.Traces.ZoneIDs() {
+		if id != zone {
+			ts.Put(id, w.Traces.Trace(id))
+		}
+	}
+	if edited := edit(w.Traces); edited != nil {
+		ts.Put(zone, edited.Trace(zone))
+	}
+	cp := *w
+	cp.Traces = ts
+	return &cp
+}
+
+// shifted keeps a zone's trace from hour from onward: the zone's trace
+// then starts later than every other zone's.
+func shifted(zone string, from, to int) func(*carbon.TraceSet) *carbon.TraceSet {
+	return func(full *carbon.TraceSet) *carbon.TraceSet {
+		tr, err := full.Trace(zone).Slice(from, to)
+		if err != nil {
+			panic(err)
+		}
+		out := &carbon.TraceSet{}
+		out.Put(zone, tr)
+		return out
+	}
+}
+
+// lastZone is the zone of the region's last site: not the zone of site 0,
+// the only zone Step once checked the trace span of.
+func lastZone(t *testing.T, w *World, region carbon.Region) string {
+	t.Helper()
+	sites := w.Dep.InRegion(region)
+	z := sites[len(sites)-1].ZoneID
+	if z == sites[0].ZoneID {
+		t.Fatalf("region %v: first and last site share zone %s", region, z)
+	}
+	return z
+}
+
+// TestZoneSignalMatchesService is the differential oracle for the
+// engine's carbon read path: after every epoch, every zone slot's memoized
+// mean forecast and intensity are bit-identical to what carbon.Service
+// answers for the epoch's instant by zone ID — the path the engine used to
+// take on every read. The forecast-error fault's factor is derived from
+// the script, not read back from the engine.
+func TestZoneSignalMatchesService(t *testing.T) {
+	w := testWorld(t)
+	region := carbon.RegionEurope
+	late := lastZone(t, w, region)
+	skewed := w.Dep.InRegion(region)[0].ZoneID
+	const skewAt, skewFor, skew = 30, 40, 2.5
+
+	cases := map[string]struct {
+		cfg func(*Config)
+		w   *World
+	}{
+		"seasonal-naive": {cfg: func(c *Config) {}},
+		"start-hour":     {cfg: func(c *Config) { c.StartHour = 24*90 + 7 }},
+		"ewma":           {cfg: func(c *Config) { c.Forecaster = carbon.EWMA{Alpha: 0.3}; c.StartHour = 50 }},
+		"oracle":         {cfg: func(c *Config) { c.Forecaster = carbon.Oracle{}; c.StartHour = 11 }},
+		"forecast-error": {cfg: func(c *Config) {
+			c.Faults = &events.FaultScript{Faults: []events.Fault{
+				{At: skewAt * time.Hour, Kind: events.FaultForecastError, Zone: skewed, Factor: skew, For: skewFor * time.Hour},
+			}}
+		}},
+		// The late zone's trace starts 3 h after the others', so its trace
+		// index runs 3 behind every other slot's.
+		"late-trace": {
+			cfg: func(c *Config) { c.StartHour = 5 },
+			w:   traceWorld(w, late, shifted(late, 3, w.Traces.Hours)),
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			cw := w
+			if tc.w != nil {
+				cw = tc.w
+			}
+			cfg := shortConfig(region, placement.CarbonAware{})
+			cfg.Hours = 24 * 4
+			tc.cfg(&cfg)
+			fc := cfg.Forecaster
+			if fc == nil {
+				fc = carbon.SeasonalNaive{Period: 24}
+			}
+			svc := carbon.NewService(cw.Traces, fc)
+			e, err := NewEngine(cfg, cw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !e.Done() {
+				epoch := e.Epoch()
+				now := e.PeekNextTime()
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				for zone, slot := range e.zoneSlot {
+					wantCI, err := svc.Current(zone, now)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantFC, err := svc.MeanForecast(zone, now, e.horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cfg.Faults != nil && zone == skewed && epoch >= skewAt && epoch < skewAt+skewFor {
+						wantFC *= skew
+					}
+					gotFC, err := e.meanForecast(slot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := e.zoneCI(slot); math.Float64bits(got) != math.Float64bits(wantCI) {
+						t.Fatalf("epoch %d zone %s: intensity %v, service %v", epoch, zone, got, wantCI)
+					}
+					if math.Float64bits(gotFC) != math.Float64bits(wantFC) {
+						t.Fatalf("epoch %d zone %s: forecast %v, service %v", epoch, zone, gotFC, wantFC)
+					}
+				}
+			}
+			if name == "late-trace" {
+				if d := e.zones[e.zoneSlot[late]].off - e.zones[0].off; d != -3 {
+					t.Fatalf("late zone's trace offset differs by %d from slot 0's, want -3", d)
+				}
+			}
+		})
+	}
+}
+
+// TestStepRefusesEpochOutsideAnyTrace pins the span check to every zone
+// slot, not only site 0's: a run reaching past the end of one zone's
+// trace, or starting before it, or over a zone without a trace, fails at
+// exactly the first Step that would read outside it, with the span error.
+func TestStepRefusesEpochOutsideAnyTrace(t *testing.T) {
+	w := testWorld(t)
+	region := carbon.RegionEurope
+	zone := lastZone(t, w, region)
+	cases := map[string]struct {
+		w         *World
+		startHour int
+		failAt    int
+	}{
+		"ends-early":   {w: traceWorld(w, zone, shifted(zone, 0, 50)), failAt: 50},
+		"starts-late":  {w: traceWorld(w, zone, shifted(zone, 10, w.Traces.Hours)), startHour: 4, failAt: 0},
+		"late-in-span": {w: traceWorld(w, zone, shifted(zone, 10, 40)), startHour: 12, failAt: 28},
+		"no-trace":     {w: traceWorld(w, zone, func(*carbon.TraceSet) *carbon.TraceSet { return nil }), failAt: 0},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := shortConfig(region, placement.CarbonAware{})
+			cfg.Hours = 60
+			cfg.StartHour = tc.startHour
+			e, err := NewEngine(cfg, tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e.Epoch() < tc.failAt {
+				if err := e.Step(); err != nil {
+					t.Fatalf("epoch %d: %v", e.Epoch(), err)
+				}
+			}
+			err = e.Step()
+			if err == nil || !strings.Contains(err.Error(), "outside trace span") {
+				t.Fatalf("Step at epoch %d: got %v, want an outside-trace-span error", tc.failAt, err)
+			}
+		})
+	}
+}
+
+// TestServerUsageIsCommittedDemand checks the capacity books after every
+// epoch: each server's used vector equals the sum of its live apps'
+// placement cells (derived here from the profiles, not read back from the
+// apps) and has no negative component. Departures, six-hourly redeploys
+// and a crash that evicts a whole site all release what the placement
+// committed — on a CPU pool, where the cell puts the model's memory in
+// host memory rather than GPU memory, as well as on a GPU pool.
+func TestServerUsageIsCommittedDemand(t *testing.T) {
+	w := testWorld(t)
+	cases := map[string]func(*Config){
+		"gpu": func(c *Config) {},
+		"cpu": func(c *Config) {
+			c.Devices = []string{energy.XeonE5.Name}
+			c.Model = energy.ModelSci
+		},
+	}
+	for name, set := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+			cfg.Hours = 200
+			cfg.ArrivalsPerHour = 8
+			cfg.RedeployEveryHours = 6
+			set(&cfg)
+			city := hotCity(t, cfg, w)
+			cfg.Faults = &events.FaultScript{Faults: []events.Fault{
+				{At: 40 * time.Hour, Kind: events.FaultCrash, Site: city, For: 20 * time.Hour},
+			}}
+			e, err := NewEngine(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !e.Done() {
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]cluster.Resources, len(e.servers))
+				for i := range e.live {
+					a := &e.live[i]
+					prof, err := energy.ProfileFor(a.model, a.device)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, _, ok := placement.Coefficients(prof, cfg.RatePerSec)
+					if !ok {
+						t.Fatalf("live app %d on a device that cannot host it", i)
+					}
+					want[a.srv] = want[a.srv].Add(d)
+				}
+				for j := range e.servers {
+					used := e.servers[j].used
+					if used != want[j] {
+						t.Fatalf("epoch %d server %d: used %v, live apps committed %v", e.Epoch()-1, j, used, want[j])
+					}
+					for k, v := range used {
+						if v < 0 {
+							t.Fatalf("epoch %d server %d: used[%d] = %v < 0", e.Epoch()-1, j, k, v)
+						}
+					}
+				}
+			}
+			res := e.Finish()
+			if res.Faults.Evictions == 0 || res.Migrations == 0 || res.Placed <= len(e.live) {
+				t.Fatalf("run witnessed %d evictions, %d migrations, %d placed of which %d still live: want all three paths exercised",
+					res.Faults.Evictions, res.Migrations, res.Placed, len(e.live))
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -50,6 +51,12 @@ func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, 
 // phases. Config.FixedLoop selects the pre-timeline hard-coded loop, kept
 // as the reference the timeline is proven byte-identical against.
 //
+// The carbon signal is read by (zone slot, epoch index): NewEngine
+// resolves one carbon.ZoneReader per distinct zone of the region, the
+// carbon tick moves every slot to the epoch's trace index, and Step
+// refuses an epoch that falls outside any slot's trace before dispatching
+// it, so the phases read intensities and forecasts from arrays.
+//
 // An Engine is single-goroutine (not safe for concurrent Step calls), but
 // any number of engines may share one World: all world data is read-only.
 type Engine struct {
@@ -66,6 +73,7 @@ type Engine struct {
 	rtt           [][]float64 // pairwise RTT between site cities
 	siteIdxByCity map[string]int
 	demandW       []float64 //detlint:ephemeral derived from the scenario at construction
+	demandTotal   float64   // Σ demandW, summed once in index order
 	servers       []siteServer
 
 	// zoneSlot/zoneSlotOfSite index the region's distinct carbon zones,
@@ -73,9 +81,17 @@ type Engine struct {
 	zoneSlot       map[string]int //detlint:ephemeral derived zone index, rebuilt at construction
 	zoneSlotOfSite []int          //detlint:ephemeral derived zone index, rebuilt at construction
 
-	svc     *carbon.Service            //detlint:ephemeral derived: carbon service rebuilt from the world's traces
-	horizon int                        //detlint:ephemeral configuration, derived from cfg at construction
-	solver  *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
+	// zones[slot] is the slot's carbon signal: its trace reader and the
+	// epoch's forecast and intensity memos. Every slot's trace covers the
+	// epochs in [spanLo, spanHi); Step refuses any other epoch before
+	// dispatching it, so no read inside an epoch can fail. phaseCarbonTick
+	// sets tick, the epoch the memos read, and bumps zoneGen, their
+	// generation, invalidating every slot without clearing.
+	zones          []zoneTrace                //detlint:ephemeral trace readers and per-epoch memos, rebuilt at construction
+	spanLo, spanHi int                        //detlint:ephemeral derived from the world's traces at construction
+	tick, zoneGen  int                        //detlint:ephemeral carbon clock of the memos; every epoch's tick resets it before any read
+	horizon        int                        //detlint:ephemeral configuration, derived from cfg at construction
+	solver         *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
 
 	// ws is the persistent placement workspace: built once per run, it
 	// carries the memoized profile/RTT tables and per-app candidate
@@ -83,18 +99,6 @@ type Engine struct {
 	// is synced into it from the engine's aggregate site servers before
 	// each solve; intensities update on the carbon clock.
 	ws *placement.Workspace
-	// fcVal is the per-zone-slot mean-forecast memo; a slot is valid when
-	// fcGenS[slot] == fcGen, and bumping fcGen (new epoch instant)
-	// invalidates every slot without clearing.
-	fcVal  []float64 //detlint:ephemeral per-instant memo, invalidated by generation counter
-	fcGenS []int     //detlint:ephemeral per-instant memo, invalidated by generation counter
-	fcGen  int       //detlint:ephemeral memo generation counter; a stale value only forces a recompute
-	fcAt   time.Time //detlint:ephemeral memo instant tag; a stale value only forces a recompute
-	// ciVal is the per-zone-slot current-intensity memo, same scheme.
-	ciVal  []float64 //detlint:ephemeral per-instant memo, invalidated by generation counter
-	ciGenS []int     //detlint:ephemeral per-instant memo, invalidated by generation counter
-	ciGen  int       //detlint:ephemeral memo generation counter; a stale value only forces a recompute
-	ciAt   time.Time //detlint:ephemeral memo instant tag; a stale value only forces a recompute
 	// rebuild forces the legacy dense placement.Build path on every
 	// batch (test hook for the workspace-vs-rebuild equivalence suite).
 	rebuild bool //detlint:ephemeral test hook, set only by the equivalence suite
@@ -207,6 +211,18 @@ type poolCell struct {
 	slot  int
 }
 
+// zoneTrace is one distinct carbon zone of the region: its trace reader,
+// the index of the engine's start instant in that trace (epoch t reads
+// index off+t; a zone's trace may start later than the others'), and the
+// epoch's mean-forecast and intensity memos, each valid when its stamp
+// equals Engine.zoneGen.
+type zoneTrace struct {
+	carbon.ZoneReader
+	off          int
+	fc, ci       float64
+	fcGen, ciGen int
+}
+
 // model returns the dense index of a model name, interning a new one.
 // Every model of the config is interned at construction, so the append
 // runs again only for a model a coordinator injects from outside it.
@@ -306,23 +322,34 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		e.siteIdxByCity[s.City] = i
 	}
 
-	// Zone slot table: the per-epoch forecast/intensity memos are keyed by
-	// these dense slots instead of zone-ID strings.
+	// Zone slot table: the carbon signal is read through one trace reader
+	// per distinct zone, and the per-epoch forecast/intensity memos are
+	// keyed by these dense slots instead of zone-ID strings.
+	fc := cfg.Forecaster
+	if fc == nil {
+		fc = carbon.SeasonalNaive{Period: 24}
+	}
+	svc := carbon.NewService(w.Traces, fc)
+	e.horizon = cfg.ForecastHorizonHours
+	if e.horizon <= 0 {
+		e.horizon = 24
+	}
+	e.start = w.Traces.Start.Add(time.Duration(cfg.StartHour) * time.Hour)
 	e.zoneSlot = map[string]int{}
 	e.zoneSlotOfSite = make([]int, len(sites))
+	e.spanLo, e.spanHi = math.MinInt, math.MaxInt
 	for i, s := range sites {
 		slot, ok := e.zoneSlot[s.ZoneID]
 		if !ok {
-			slot = len(e.zoneSlot)
+			slot = len(e.zones)
 			e.zoneSlot[s.ZoneID] = slot
+			z := zoneTrace{ZoneReader: svc.Zone(s.ZoneID)}
+			z.off = z.Index(e.start)
+			e.spanLo, e.spanHi = max(e.spanLo, -z.off), min(e.spanHi, z.Len()-z.off)
+			e.zones = append(e.zones, z)
 		}
 		e.zoneSlotOfSite[i] = slot
 	}
-	nz := len(e.zoneSlot)
-	e.fcVal = make([]float64, nz)
-	e.fcGenS = make([]int, nz)
-	e.ciVal = make([]float64, nz)
-	e.ciGenS = make([]int, nz)
 
 	e.cityMonthKey = make([][12]string, len(sites))
 	for i, s := range sites {
@@ -333,6 +360,9 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 
 	// Demand and capacity weights.
 	e.demandW = weights(sites, cfg.Demand)
+	for _, v := range e.demandW {
+		e.demandTotal += v
+	}
 	// The gateway site is the exchange ingress: forwarded arrivals and
 	// spill-over traffic a shard coordinator injects originate at the
 	// highest-demand site (lowest index on ties).
@@ -369,17 +399,6 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		}
 	}
 
-	// Carbon service for forecasts.
-	fc := cfg.Forecaster
-	if fc == nil {
-		fc = carbon.SeasonalNaive{Period: 24}
-	}
-	e.svc = carbon.NewService(w.Traces, fc)
-	e.horizon = cfg.ForecastHorizonHours
-	if e.horizon <= 0 {
-		e.horizon = 24
-	}
-
 	e.solver = placement.NewHeuristicSolver()
 	if cfg.ReferenceSolver {
 		e.solver.Search = placement.SearchSweep
@@ -394,7 +413,6 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		PlacementsByCity:  metrics.NewCounter(),
 		MonthlyPlacements: metrics.NewCounter(),
 	}
-	e.start = w.Traces.Start.Add(time.Duration(cfg.StartHour) * time.Hour)
 
 	// Persistent placement workspace over the site servers. Intensity and
 	// free-capacity views are synced per batch; the expensive parts
@@ -544,8 +562,13 @@ func (e *Engine) Step() error {
 	}
 	epoch := e.epoch
 	now := e.start.Add(time.Duration(epoch) * time.Hour)
-	if _, err := e.w.Traces.Trace(e.sites[0].ZoneID).IndexOf(now); err != nil {
-		return fmt.Errorf("sim: epoch %d outside trace span: %w", epoch, err)
+	if epoch < e.spanLo || epoch >= e.spanHi {
+		for i := range e.zones {
+			z := &e.zones[i]
+			if err := z.Check(z.off + epoch); err != nil {
+				return fmt.Errorf("sim: epoch %d outside trace span: %w", epoch, err)
+			}
+		}
 	}
 
 	switch {
@@ -642,6 +665,7 @@ func (e *Engine) scheduleEpoch(epoch int) {
 // against (fault scripts are rejected in this mode).
 func (e *Engine) fixedStep(now time.Time, epoch int) error {
 	month := int(now.Month()) - 1
+	e.phaseCarbonTick(now)
 	e.stepDepartures(epoch)
 	if e.cfg.RedeployEveryHours > 0 && epoch > 0 && epoch%e.cfg.RedeployEveryHours == 0 && len(e.live) > 0 {
 		if err := e.redeploy(now); err != nil {
@@ -651,14 +675,15 @@ func (e *Engine) fixedStep(now time.Time, epoch int) error {
 	e.stepArrivals()
 	batch := e.drainBatch(epoch)
 	if len(batch) > 0 {
-		if err := e.stepPlacement(batch, now, epoch, month); err != nil {
+		if err := e.stepPlacement(batch, epoch, month); err != nil {
 			return err
 		}
 	}
-	if err := e.stepTraffic(now, epoch, month); err != nil {
+	if err := e.stepTraffic(epoch, month); err != nil {
 		return err
 	}
-	return e.stepAccrual(now, month)
+	e.stepAccrual(month)
+	return nil
 }
 
 // phaseFaults drains the scripted world-dynamics events due this epoch.
@@ -686,12 +711,12 @@ func (e *Engine) phaseFaults(now time.Time) error {
 	return nil
 }
 
-// phaseCarbonTick starts the epoch's carbon clock: the per-zone forecast
-// memo is invalidated (generation bump) so this epoch's solves see fresh
-// forecasts.
-func (e *Engine) phaseCarbonTick(now time.Time) error {
-	e.fcGen++
-	e.fcAt = now
+// phaseCarbonTick starts the epoch's carbon clock: the zone reads move to
+// this epoch's trace index (zoneTrace.off + tick) and the per-zone
+// forecast and intensity memos are invalidated (generation bump).
+func (e *Engine) phaseCarbonTick(time.Time) error {
+	e.tick = e.epoch
+	e.zoneGen++
 	return nil
 }
 
@@ -728,12 +753,12 @@ func (e *Engine) phasePlacement(now time.Time) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	return e.stepPlacement(batch, now, epoch, int(now.Month())-1)
+	return e.stepPlacement(batch, epoch, int(now.Month())-1)
 }
 
 // phaseTraffic routes the epoch's request slice (traffic mode only).
 func (e *Engine) phaseTraffic(now time.Time) error {
-	return e.stepTraffic(now, e.epoch, int(now.Month())-1)
+	return e.stepTraffic(e.epoch, int(now.Month())-1)
 }
 
 // phaseAccrual integrates the epoch's energy and emissions.
@@ -741,25 +766,31 @@ func (e *Engine) phaseAccrual(now time.Time) error {
 	if fs := e.res.Faults; fs != nil && e.downCount > 0 {
 		fs.OutageEpochs++
 	}
-	return e.stepAccrual(now, int(now.Month())-1)
+	e.stepAccrual(int(now.Month()) - 1)
+	return nil
 }
 
-// stepDepartures releases apps whose lifetime ended before this epoch.
+// stepDepartures releases apps whose lifetime ended before this epoch,
+// compacting the survivors in place: each moves at most once, and only
+// once an earlier app has departed.
 func (e *Engine) stepDepartures(epoch int) {
-	keep := e.live[:0]
+	n := 0
 	for i := range e.live {
-		a := e.live[i]
+		a := &e.live[i]
 		if a.expires > epoch {
-			keep = append(keep, a)
+			if n != i {
+				e.live[n] = *a
+			}
+			n++
 			continue
 		}
 		srv := &e.servers[a.srv]
-		srv.used = srv.used.Sub(a.demand(e.cfg))
+		srv.used = srv.used.Sub(a.demand)
 		if srv.used.Dominant(srv.cap) <= 0 && !e.cfg.ServersAlwaysOn {
 			srv.on = false
 		}
 	}
-	e.live = keep
+	e.live = e.live[:n]
 }
 
 // pendingApp is one backlog entry awaiting placement: a fresh arrival
@@ -793,7 +824,7 @@ func (e *Engine) queueID(pos int) string {
 func (e *Engine) stepArrivals() {
 	n := poisson(e.rng, e.cfg.ArrivalsPerHour)
 	for k := 0; k < n; k++ {
-		src := sampleWeighted(e.rng, e.demandW)
+		src := sampleWeighted(e.rng, e.demandW, e.demandTotal)
 		model := e.cfg.Model
 		if len(e.cfg.Models) > 0 {
 			model = e.cfg.Models[e.rng.Intn(len(e.cfg.Models))]
@@ -846,71 +877,60 @@ func (e *Engine) drainBatch(epoch int) []pendingApp {
 	return batch
 }
 
-// meanForecastSite memoizes the per-zone mean forecast within one epoch:
+// meanForecast memoizes a zone slot's mean forecast within one epoch:
 // the forecaster is deterministic, and an epoch can need the same zone
 // several times (multi-device sites, redeploy plus placement in one
-// epoch). The memo is slot-keyed and invalidated by generation bump, so
-// steady-state epochs never allocate for it.
-func (e *Engine) meanForecastSite(site int, now time.Time) (float64, error) {
-	if !now.Equal(e.fcAt) {
-		e.fcGen++
-		e.fcAt = now
+// epoch). The memo is invalidated by the carbon tick's generation bump,
+// so steady-state epochs never allocate for it.
+func (e *Engine) meanForecast(slot int) (float64, error) {
+	z := &e.zones[slot]
+	if z.fcGen == e.zoneGen {
+		return z.fc, nil
 	}
-	slot := e.zoneSlotOfSite[site]
-	if e.fcGenS[slot] == e.fcGen {
-		return e.fcVal[slot], nil
-	}
-	zone := e.sites[site].ZoneID
-	v, err := e.svc.MeanForecast(zone, now, e.horizon)
+	v, err := z.MeanForecast(z.off+e.tick, e.horizon)
 	if err != nil {
 		return 0, err
 	}
 	// An active forecast-error fault skews the forecast placement sees;
 	// accrual still charges the true hourly intensity.
-	if f, ok := e.fcErr[zone]; ok {
+	if f, ok := e.fcErr[z.ID()]; ok {
 		v *= f
 	}
-	e.fcVal[slot] = v
-	e.fcGenS[slot] = e.fcGen
+	z.fc, z.fcGen = v, e.zoneGen
 	return v, nil
 }
 
-// zoneCISite memoizes the current (actual, hourly) carbon intensity of a
-// site's zone within one epoch instant, same slot/generation scheme as
-// the forecast memo. The trace lookup is deterministic, so memoization is
-// byte-identical to repeated svc.Current calls.
-func (e *Engine) zoneCISite(site int, now time.Time) (float64, error) {
-	if !now.Equal(e.ciAt) {
-		e.ciGen++
-		e.ciAt = now
-	}
-	slot := e.zoneSlotOfSite[site]
-	if e.ciGenS[slot] == e.ciGen {
-		return e.ciVal[slot], nil
-	}
-	v, err := e.svc.Current(e.sites[site].ZoneID, now)
-	if err != nil {
-		return 0, err
-	}
-	e.ciVal[slot] = v
-	e.ciGenS[slot] = e.ciGen
-	return v, nil
+// zoneCISite returns the current (actual, hourly) carbon intensity of a
+// site's zone this epoch, memoized per slot like the forecast. Step has
+// checked the epoch against every slot's trace span, so the read cannot
+// fail.
+func (e *Engine) zoneCISite(site int) float64 {
+	return e.zoneCI(e.zoneSlotOfSite[site])
 }
 
-// zoneCIOracle resolves a zone's current intensity from the slot memo.
-// Only the traffic router calls it, and stepTraffic prefills every zone
-// hosting a live replica before routing, so the memo always hits.
+// zoneCI is zoneCISite by zone slot.
+func (e *Engine) zoneCI(slot int) float64 {
+	z := &e.zones[slot]
+	if z.ciGen != e.zoneGen {
+		z.ci, _ = z.At(z.off + e.tick) // in span: checked by Step
+		z.ciGen = e.zoneGen
+	}
+	return z.ci
+}
+
+// zoneCIOracle resolves a zone's current intensity for the traffic
+// router, which names zones by ID.
 func (e *Engine) zoneCIOracle(zone string) float64 {
-	return e.ciVal[e.zoneSlot[zone]]
+	return e.zoneCI(e.zoneSlot[zone])
 }
 
 // buildProblem assembles the batch's placement problem against the
 // current server state: through the persistent workspace (intensity and
 // capacity synced, shortlist-backed matrices), or through the legacy
 // dense placement.Build when the rebuild test hook is set.
-func (e *Engine) buildProblem(apps []placement.App, now time.Time) (*placement.Problem, error) {
+func (e *Engine) buildProblem(apps []placement.App) (*placement.Problem, error) {
 	if e.rebuild {
-		pservers, err := e.serverViews(now)
+		pservers, err := e.serverViews()
 		if err != nil {
 			return nil, err
 		}
@@ -918,7 +938,7 @@ func (e *Engine) buildProblem(apps []placement.App, now time.Time) (*placement.P
 	}
 	for j := range e.servers {
 		srv := &e.servers[j]
-		mean, err := e.meanForecastSite(srv.site, now)
+		mean, err := e.meanForecast(e.zoneSlotOfSite[srv.site])
 		if err != nil {
 			return nil, err
 		}
@@ -936,8 +956,8 @@ func (e *Engine) buildProblem(apps []placement.App, now time.Time) (*placement.P
 // solveBatch runs one Algorithm 1 invocation — problem assembly, solve,
 // telemetry — for both the arrival and redeploy paths. A non-nil warm
 // assignment seeds the solver from a previous solution.
-func (e *Engine) solveBatch(apps []placement.App, now time.Time, warm *placement.Assignment) (*placement.Problem, *placement.Assignment, error) {
-	prob, err := e.buildProblem(apps, now)
+func (e *Engine) solveBatch(apps []placement.App, warm *placement.Assignment) (*placement.Problem, *placement.Assignment, error) {
+	prob, err := e.buildProblem(apps)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -953,13 +973,13 @@ func (e *Engine) solveBatch(apps []placement.App, now time.Time, warm *placement
 // stepPlacement solves Algorithm 1 on one batch and commits the
 // placements. Fresh arrivals with no feasible server are dropped
 // (Unplaced); evicted apps go back to the backlog and retry next batch.
-func (e *Engine) stepPlacement(batch []pendingApp, now time.Time, epoch, month int) error {
+func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 	e.appsBuf = e.appsBuf[:0]
 	for i := range batch {
 		e.appsBuf = append(e.appsBuf, batch[i].app)
 	}
 	apps := e.appsBuf
-	prob, asg, err := e.solveBatch(apps, now, nil)
+	prob, asg, err := e.solveBatch(apps, nil)
 	if err != nil {
 		return err
 	}
@@ -998,6 +1018,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, now time.Time, epoch, month i
 			model:   apps[i].Model,
 			mi:      e.pool.model(apps[i].Model),
 			device:  srv.device.Name,
+			demand:  prob.Demand[i][j],
 			powerW:  prob.PowerW[i][j],
 			rttMs:   rtt,
 			expires: expires,
@@ -1021,7 +1042,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, now time.Time, epoch, month i
 // applications (the replica pool), and folds the routed requests' energy
 // and per-request carbon attribution into the run totals. A no-op in the
 // classic epoch mode.
-func (e *Engine) stepTraffic(now time.Time, epoch, month int) error {
+func (e *Engine) stepTraffic(epoch, month int) error {
 	if e.tgen == nil {
 		return nil
 	}
@@ -1029,24 +1050,12 @@ func (e *Engine) stepTraffic(now time.Time, epoch, month int) error {
 	if err != nil {
 		return err
 	}
-	// Prefill the epoch's zone-intensity memo (the router's intensity
-	// oracle reads it): one lookup per replica. Load-CI sampling (Figure
-	// 11c) keeps its classic per-app-hour semantics in traffic mode — one
-	// sample per live application per epoch — and its walk over the live
-	// set covers every replica's zone too.
+	// Load-CI sampling (Figure 11c) keeps its classic per-app-hour
+	// semantics in traffic mode: one sample per live application per
+	// epoch.
 	if e.cfg.CollectLoadCI {
 		for i := range e.live {
-			v, err := e.zoneCISite(e.live[i].site, now)
-			if err != nil {
-				return err
-			}
-			e.res.LoadCI = append(e.res.LoadCI, v)
-		}
-	} else {
-		for i := range replicas {
-			if _, err := e.zoneCISite(replicas[i].Loc, now); err != nil {
-				return err
-			}
+			e.res.LoadCI = append(e.res.LoadCI, e.zoneCISite(e.live[i].site))
 		}
 	}
 	st := e.res.Traffic
@@ -1136,14 +1145,11 @@ func (e *Engine) trafficReplicas() ([]router.Replica, error) {
 // actual hourly carbon intensity. In the traffic-driven mode the dynamic
 // term is load-driven and already accrued by stepTraffic, so only the
 // base-power term applies here.
-func (e *Engine) stepAccrual(now time.Time, month int) error {
+func (e *Engine) stepAccrual(month int) {
 	if e.tgen == nil {
 		for i := range e.live {
 			a := &e.live[i]
-			ci, err := e.zoneCISite(a.site, now)
-			if err != nil {
-				return err
-			}
+			ci := e.zoneCISite(a.site)
 			kwh := a.powerW / 1000
 			e.res.CarbonG += kwh * ci
 			e.res.EnergyKWh += kwh
@@ -1157,10 +1163,7 @@ func (e *Engine) stepAccrual(now time.Time, month int) error {
 		for j := range e.servers {
 			srv := &e.servers[j]
 			if srv.on {
-				ci, err := e.zoneCISite(srv.site, now)
-				if err != nil {
-					return err
-				}
+				ci := e.zoneCISite(srv.site)
 				kwh := srv.device.IdleW / 1000
 				e.res.CarbonG += kwh * ci
 				e.res.EnergyKWh += kwh
@@ -1168,17 +1171,16 @@ func (e *Engine) stepAccrual(now time.Time, month int) error {
 			}
 		}
 	}
-	return nil
 }
 
-// serverViews builds the dense placement view of every site server at the
-// given instant (forecast intensity, free capacity, power state) — the
+// serverViews builds the dense placement view of every site server this
+// epoch (forecast intensity, free capacity, power state) — the
 // legacy rebuild path, kept for the workspace equivalence tests.
-func (e *Engine) serverViews(now time.Time) ([]placement.Server, error) {
+func (e *Engine) serverViews() ([]placement.Server, error) {
 	pservers := make([]placement.Server, len(e.servers))
 	for j := range e.servers {
 		srv := &e.servers[j]
-		mean, err := e.meanForecastSite(srv.site, now)
+		mean, err := e.meanForecast(e.zoneSlotOfSite[srv.site])
 		if err != nil {
 			return nil, err
 		}
@@ -1214,7 +1216,7 @@ func (e *Engine) redeploy(now time.Time) error {
 		a := &e.live[i]
 		e.prevsBuf = append(e.prevsBuf, a.srv)
 		srv := &e.servers[a.srv]
-		srv.used = srv.used.Sub(a.demand(e.cfg))
+		srv.used = srv.used.Sub(a.demand)
 		if srv.used.Dominant(srv.cap) <= 0 && !e.cfg.ServersAlwaysOn {
 			srv.on = false
 		}
@@ -1245,7 +1247,7 @@ func (e *Engine) redeploy(now time.Time) error {
 		e.warmBuf.Unplaced = nil
 		warm = &e.warmBuf
 	}
-	prob, asg, err := e.solveBatch(apps, now, warm)
+	prob, asg, err := e.solveBatch(apps, warm)
 	if err != nil {
 		return err
 	}
@@ -1257,7 +1259,7 @@ func (e *Engine) redeploy(now time.Time) error {
 			a.srv = prevs[i]
 			srv := &e.servers[a.srv]
 			a.site, a.device = srv.site, srv.device.Name
-			srv.used = srv.used.Add(a.demand(e.cfg))
+			srv.used = srv.used.Add(a.demand)
 			srv.on = true
 			continue
 		}
@@ -1266,18 +1268,16 @@ func (e *Engine) redeploy(now time.Time) error {
 		moved := j != prevs[i]
 		a.srv = j
 		a.site, a.device = srv.site, srv.device.Name
+		a.demand = prob.Demand[i][j]
 		a.powerW = prob.PowerW[i][j]
 		a.rttMs = prob.LatencyMs[i][j]
-		srv.used = srv.used.Add(prob.Demand[i][j])
+		srv.used = srv.used.Add(a.demand)
 		srv.on = true
 		if moved {
 			e.res.Migrations++
 			joules := e.cfg.MigrationDataMB * e.cfg.MigrationJPerMB
 			if joules > 0 {
-				ci, err := e.svc.Current(e.sites[srv.site].ZoneID, now)
-				if err != nil {
-					return err
-				}
+				ci := e.zoneCISite(srv.site)
 				kwh := joules / 3.6e6
 				e.res.MigrationKWh += kwh
 				e.res.MigrationCarbonG += kwh * ci

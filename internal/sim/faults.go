@@ -175,7 +175,7 @@ func (e *Engine) evictServer(j, epoch int) {
 			keep = append(keep, a)
 			continue
 		}
-		srv.used = srv.used.Sub(a.demand(e.cfg))
+		srv.used = srv.used.Sub(a.demand)
 		e.queueEvicted(&a, epoch)
 	}
 	e.live = keep
@@ -194,7 +194,7 @@ func (e *Engine) evictOverflow(j, epoch int) {
 		if a.srv != j {
 			continue
 		}
-		srv.used = srv.used.Sub(a.demand(e.cfg))
+		srv.used = srv.used.Sub(a.demand)
 		e.queueEvicted(&a, epoch)
 		e.live = append(e.live[:i], e.live[i+1:]...)
 	}

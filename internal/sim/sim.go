@@ -98,11 +98,14 @@ func (r *Result) MeanRTTMs() float64 { return r.Latency.Mean() }
 
 // liveApp is a committed application.
 type liveApp struct {
-	srv     int // index into servers (the hosting aggregate server)
-	site    int // index into sites
-	model   string
-	mi      int // model's dense index in the engine's replicaPool
-	device  string
+	srv    int // index into servers (the hosting aggregate server)
+	site   int // index into sites
+	model  string
+	mi     int // model's dense index in the engine's replicaPool
+	device string
+	// demand is what the app's placement committed on its server (the
+	// placement cell), released as is when it departs or is evicted.
+	demand  cluster.Resources
 	powerW  float64
 	rttMs   float64
 	expires int // epoch index at which it departs
@@ -143,16 +146,6 @@ func Run(cfg Config, w *World) (*Result, error) {
 	return e.Finish(), nil
 }
 
-// demand reconstructs the app's resource demand on its device.
-func (a *liveApp) demand(cfg Config) cluster.Resources {
-	prof, err := energy.ProfileFor(a.model, a.device)
-	if err != nil {
-		panic("sim: profile vanished: " + err.Error())
-	}
-	occupancy := cfg.RatePerSec * prof.InferenceMs
-	return cluster.NewResources(occupancy, 64, prof.MemMB, cfg.RatePerSec*2)
-}
-
 // ScenarioWeights exposes the per-site demand/capacity weighting engines
 // use, so the shard planner can split region-level arrival and traffic
 // rates proportionally to each shard's demand share.
@@ -176,12 +169,9 @@ func weights(sites []*deploy.Site, s Scenario) []float64 {
 	return out
 }
 
-// sampleWeighted draws an index proportional to weights.
-func sampleWeighted(rng *rng.Rand, w []float64) int {
-	var total float64
-	for _, v := range w {
-		total += v
-	}
+// sampleWeighted draws an index proportional to weights; total is their
+// sum, accumulated in index order.
+func sampleWeighted(rng *rng.Rand, w []float64, total float64) int {
 	r := rng.Float64() * total
 	for i, v := range w {
 		r -= v

@@ -380,9 +380,20 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 			return nil, fmt.Errorf("sim: snapshot live app %d is on %s@site%d, its server %d is %s@site%d",
 				i, ls.Device, ls.Site, ls.Srv, srv.device.Name, srv.site)
 		}
+		// The committed demand is the placement cell of (model, device) at
+		// the config's rate — re-derived, not stored, so checkpoints keep
+		// their layout.
+		prof, err := energy.ProfileFor(ls.Model, ls.Device)
+		if err != nil {
+			return nil, fmt.Errorf("sim: snapshot live app %d: %w", i, err)
+		}
+		demand, _, ok := placement.Coefficients(prof, cfg.RatePerSec)
+		if !ok {
+			return nil, fmt.Errorf("sim: snapshot live app %d: %s cannot host %s at %g req/s", i, ls.Device, ls.Model, cfg.RatePerSec)
+		}
 		e.live[i] = liveApp{
 			srv: ls.Srv, site: ls.Site, model: ls.Model, mi: e.pool.model(ls.Model), device: ls.Device,
-			powerW: ls.PowerW, rttMs: ls.RTTMs, expires: ls.Expires, srcSite: ls.SrcSite,
+			demand: demand, powerW: ls.PowerW, rttMs: ls.RTTMs, expires: ls.Expires, srcSite: ls.SrcSite,
 		}
 	}
 	e.pending = nil

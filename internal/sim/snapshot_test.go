@@ -178,6 +178,17 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 	if _, err := NewEngineFrom(cfg, w, &bad); err == nil {
 		t.Error("snapshot with out-of-span epoch accepted")
 	}
+	// A live app's committed demand is re-derived from its profile on
+	// restore: one its device has no profile for cannot have been placed.
+	if len(snap.Live) == 0 {
+		t.Fatal("no live app to doctor after 5 epochs")
+	}
+	bad = *snap
+	bad.Live = append([]LiveAppSnap(nil), snap.Live...)
+	bad.Live[0].Model = "no-such-model"
+	if _, err := NewEngineFrom(cfg, w, &bad); err == nil {
+		t.Error("snapshot with a live app of an unprofiled model accepted")
+	}
 }
 
 // TestRestoreRejectsDoctoredTrafficSketch takes the road a hostile

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint bench bench-quick bench-smoke bench-guard bench-profile
+.PHONY: all build test race lint fuzz bench bench-quick bench-smoke bench-guard bench-profile
 
 all: build test
 
@@ -29,6 +29,20 @@ lint:
 	$(GO) vet ./...
 	$(GO) vet -copylocks -loopclosure ./...
 	$(GO) run ./cmd/detlint ./...
+
+# fuzz runs each native fuzz target for FUZZTIME past its checked-in
+# corpus (testdata/fuzz/<target>/, which plain `go test` replays as
+# ordinary cases); the CI "fuzz smoke" step calls it. A new crasher is
+# written into that directory: fix it and check the file in. The inputs
+# are kilobytes of JSON, and Go minimizes every new interesting input by
+# default for up to a minute, so minimization is capped or the fuzzer
+# spends its whole budget there.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz '^FuzzNewEngineFrom$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/sim/
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds
@@ -61,13 +75,16 @@ bench-guard:
 # hot-path benchmarks, a CPU profile of the request path
 # (BenchmarkTrafficReplay: generator, router, latency sketch), one of the
 # live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
-# scrapes) and one of the paper's CDN year (BenchmarkCDNYear: the
-# per-epoch floor of carbon reads, view assembly and no-move solves), and
-# prints the top-10 flat summaries. The checked-in snapshots of those
-# summaries live in profiles/PROFILE_12.md (solver),
-# profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md (live) and
-# profiles/PROFILE_17.md (CDN year); regenerate them with this target
-# after solver, request-path, orchestrator or engine changes. The benchmarks run in separate invocations:
+# scrapes), one of the paper's CDN year (BenchmarkCDNYear: the per-epoch
+# floor of carbon reads, view assembly and no-move solves) and one of the
+# checkpoint write path (BenchmarkCheckpointResume: Snapshot and
+# checkpoint.Encode after every Step), and prints the top-10 flat
+# summaries. The checked-in snapshots of those summaries live in
+# profiles/PROFILE_12.md (solver), profiles/PROFILE_13.md (traffic),
+# profiles/PROFILE_14.md (live), profiles/PROFILE_17.md (CDN year) and
+# profiles/PROFILE_18.md (checkpoint); regenerate them with this target
+# after solver, request-path, orchestrator, engine or codec changes. The
+# benchmarks run in separate invocations:
 # profiling needs a single test binary (so the repo root package, not
 # ./...), and BenchmarkTimelineReplay's overhead differencing is only
 # meaningful without another benchmark's GC pressure in the same process.
@@ -91,6 +108,9 @@ bench-profile:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCDNYear$$' \
 		-benchtime 10x -cpuprofile profiles/cdn-cpu.pprof \
 		-o profiles/bench.test .
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCheckpointResume$$' \
+		-benchtime 4x -cpuprofile profiles/ckpt-cpu.pprof \
+		-o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
@@ -100,3 +120,4 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/live-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/cdn-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/ckpt-cpu.pprof

@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/carbon"
+	"repro/internal/checkpoint"
 	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -825,6 +827,70 @@ func BenchmarkCDNYear(b *testing.B) {
 				epochs += cfg.Hours
 			}
 		}
+	}
+	b.ReportMetric(float64(epochs)/b.Elapsed().Seconds(), "epochs_per_sec")
+}
+
+// BenchmarkCheckpointResume is the ledger's checkpoint_resume workload as
+// a go-test benchmark, so `make bench-profile` can put a CPU profile on
+// the checkpoint write path: Europe over 4392 hourly epochs with a
+// redeploy every 24 h, Snapshot + checkpoint.Encode into one reused
+// buffer after every Step, then the mid-run envelope decoded, restored
+// and driven to the end, and the resumed result compared with the
+// uninterrupted one. bench/ measures it; this only exposes it to pprof.
+func BenchmarkCheckpointResume(b *testing.B) {
+	b.ReportAllocs()
+	s := benchSuite(b)
+	cfg := sim.DefaultConfig(carbon.RegionEurope, placement.CarbonAware{})
+	cfg.Hours = 4392
+	cfg.RedeployEveryHours = 24
+	cfg.MigrationDataMB, cfg.MigrationJPerMB = 500, 0.2
+	drive := func(e *sim.Engine, after func() error) *sim.Result {
+		for !e.Done() {
+			if err := e.Step(); err != nil {
+				b.Fatal(err)
+			}
+			if after != nil {
+				if err := after(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		return e.Finish()
+	}
+	epochs := 0
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := sim.NewEngine(cfg, s.World)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var mid []byte
+		full := drive(e, func() error {
+			buf.Reset()
+			if err := checkpoint.Encode(&buf, "engine", e.Snapshot()); err != nil {
+				return err
+			}
+			if e.Epoch() == cfg.Hours/2 {
+				mid = append(mid[:0], buf.Bytes()...)
+			}
+			return nil
+		})
+		var snap sim.Snapshot
+		if err := checkpoint.Decode(bytes.NewReader(mid), "engine", &snap); err != nil {
+			b.Fatal(err)
+		}
+		r, err := sim.NewEngineFrom(cfg, s.World, &snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resumed := drive(r, nil)
+		full.SolveTime, resumed.SolveTime = 0, 0
+		if !reflect.DeepEqual(full.State(), resumed.State()) {
+			b.Fatal("run resumed from the mid-run checkpoint diverged from the uninterrupted one")
+		}
+		epochs += cfg.Hours + cfg.Hours - snap.Epoch
 	}
 	b.ReportMetric(float64(epochs)/b.Elapsed().Seconds(), "epochs_per_sec")
 }

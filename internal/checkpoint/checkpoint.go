@@ -2,18 +2,33 @@
 // simulator, sweep runner, and orchestrator persist their state through.
 // Every artifact is a JSON envelope carrying the format name, a format
 // version, a kind tag, and a SHA-256 digest of the payload, so a reader
-// can reject foreign files, future versions, mis-routed kinds, and
-// corrupted payloads before decoding a byte of state. Payload encoding
-// is plain encoding/json: Go's float and integer renderings round-trip
-// exactly and maps encode with sorted keys, so two equal states produce
-// identical bytes — the property the resume-equivalence tests compare.
+// can reject foreign files, versions it does not understand, mis-routed
+// kinds, and corrupted payloads before decoding a byte of state. Payload
+// encoding is plain encoding/json: Go's float and integer renderings
+// round-trip exactly and maps encode with sorted keys, so two equal
+// states produce identical bytes — the property the resume-equivalence
+// tests compare.
 //
-// Files are written atomically (temp file + rename in the target
-// directory), so a crash mid-checkpoint leaves the previous checkpoint
-// intact rather than a truncated one. The append-only Journal (see
-// journal.go) complements full snapshots for incremental workloads:
-// completed work units are appended one envelope per line, and a
-// restart replays the journal to skip what is already done.
+// The write path encodes the payload once and frames the envelope
+// around those bytes: a fixed prefix (format, version, kind, optional
+// key, a digest slot), the payload verbatim, then "}" and a newline —
+// one buffer, one Write. This is byte-identical to json-encoding the
+// Envelope that Seal returns: encoding/json emits the struct's fields in
+// declaration order, encodes Kind and Key with the same encoder (HTML
+// escaping on, invalid UTF-8 replaced), and re-compacts a RawMessage
+// payload, which is the identity on bytes encoding/json has just
+// produced — they are already compact and already escaped. So the
+// envelope is never re-scanned; only a payload this package has itself
+// just encoded takes the verbatim path. An Envelope read from disk (the
+// shard coordinator embeds sealed member envelopes in its payload) is
+// still ordinary data to encoding/json.
+//
+// Files are written atomically (temp file + fsync + rename + fsync of
+// the directory), so a crash mid-checkpoint leaves the previous
+// checkpoint intact rather than a truncated one. The append-only Journal
+// (see journal.go) complements full snapshots for incremental workloads:
+// completed work units are appended one envelope per line, and a restart
+// replays the journal to skip what is already done.
 package checkpoint
 
 import (
@@ -25,6 +40,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 )
 
 const (
@@ -32,7 +49,8 @@ const (
 	Format = "carbonedge-checkpoint"
 	// Version is the envelope format version. Readers reject envelopes
 	// with a newer version (state written by a future build) rather than
-	// guessing at their layout.
+	// guessing at their layout, and versions below 1, which no build has
+	// written.
 	Version = 1
 )
 
@@ -82,6 +100,9 @@ func (e *Envelope) Open(kind string) (json.RawMessage, error) {
 	if e.Version > Version {
 		return nil, fmt.Errorf("checkpoint: version %d is newer than this build understands (%d)", e.Version, Version)
 	}
+	if e.Version < 1 {
+		return nil, fmt.Errorf("checkpoint: version %d is not a valid envelope version", e.Version)
+	}
 	if kind != "" && e.Kind != kind {
 		return nil, fmt.Errorf("checkpoint: kind %q, want %q", e.Kind, kind)
 	}
@@ -92,14 +113,81 @@ func (e *Envelope) Open(kind string) (json.RawMessage, error) {
 	return e.Payload, nil
 }
 
-// Encode writes one enveloped payload to w.
-func Encode(w io.Writer, kind string, payload any) error {
-	env, err := Seal(kind, "", payload)
-	if err != nil {
+// envelopeHead is every envelope's constant prefix, up to the kind's
+// value.
+var envelopeHead = `{"format":"` + Format + `","version":` + strconv.Itoa(Version) + `,"kind":`
+
+// digestSlot reserves the hex digest's place in the prefix; frame.seal
+// fills it in once the payload is encoded.
+var digestSlot [2 * sha256.Size]byte
+
+// frame is a reusable envelope buffer with an encoder writing into it.
+type frame struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var frames = sync.Pool{New: func() any {
+	f := new(frame)
+	f.enc = json.NewEncoder(&f.buf)
+	return f
+}}
+
+func getFrame() *frame {
+	f := frames.Get().(*frame)
+	f.buf.Reset()
+	return f
+}
+
+// encode appends v's JSON encoding, without the encoder's trailing
+// newline. The encoder escapes HTML as json.Marshal does, and writes
+// nothing when v fails to encode.
+func (f *frame) encode(v any) error {
+	if err := f.enc.Encode(v); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(env)
+	f.buf.Truncate(f.buf.Len() - 1)
+	return nil
+}
+
+// seal fills the buffer with one envelope line: the prefix with a
+// reserved digest slot, the payload encoded once, the payload's digest
+// written into the slot, then the closing brace and a newline. The bytes
+// equal json.NewEncoder(w).Encode of the Envelope Seal(kind, key,
+// payload) returns (see the package comment).
+func (f *frame) seal(kind, key string, payload any) error {
+	b := &f.buf
+	b.WriteString(envelopeHead)
+	_ = f.encode(kind) // a string always encodes
+	if key != "" {
+		b.WriteString(`,"key":`)
+		_ = f.encode(key)
+	}
+	b.WriteString(`,"sha256":"`)
+	slot := b.Len()
+	b.Write(digestSlot[:])
+	b.WriteString(`","payload":`)
+	at := b.Len()
+	if err := f.encode(payload); err != nil {
+		return fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
+	}
+	sum := sha256.Sum256(b.Bytes()[at:])
+	hex.Encode(b.Bytes()[slot:slot+len(digestSlot)], sum[:])
+	b.WriteString("}\n")
+	return nil
+}
+
+// Encode writes one enveloped payload to w, newline-terminated. The
+// envelope is assembled in full before a single w.Write, so a payload
+// that fails to encode leaves w untouched.
+func Encode(w io.Writer, kind string, payload any) error {
+	f := getFrame()
+	defer frames.Put(f)
+	if err := f.seal(kind, "", payload); err != nil {
+		return err
+	}
+	_, err := w.Write(f.buf.Bytes())
+	return err
 }
 
 // Decode reads one enveloped payload from r, validates the envelope
@@ -119,21 +207,23 @@ func Decode(r io.Reader, kind string, out any) error {
 	return nil
 }
 
-// Save atomically writes one enveloped payload to path: the envelope is
-// staged to a temp file in the same directory and renamed into place, so
-// a crash mid-write never leaves a truncated checkpoint where a good one
-// stood.
+// Save atomically writes one enveloped payload to path (see SaveBytes).
 func Save(path, kind string, payload any) error {
-	var buf bytes.Buffer
-	if err := Encode(&buf, kind, payload); err != nil {
+	f := getFrame()
+	defer frames.Put(f)
+	if err := f.seal(kind, "", payload); err != nil {
 		return err
 	}
-	return SaveBytes(path, buf.Bytes())
+	return SaveBytes(path, f.buf.Bytes())
 }
 
 // SaveBytes atomically writes an already-encoded envelope (the output of
 // Encode) to path — for callers that also need the encoded bytes and
-// should not pay for sealing the payload twice.
+// should not pay for sealing the payload twice. The bytes are staged to
+// a temp file in the same directory, fsynced, and renamed into place, and
+// the directory is fsynced so the rename itself survives a crash: a
+// crash mid-write never leaves a truncated checkpoint where a good one
+// stood, nor loses one that SaveBytes reported written.
 func SaveBytes(path string, encoded []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -155,7 +245,23 @@ func SaveBytes(path string, encoded []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads an enveloped payload from path (see Decode).

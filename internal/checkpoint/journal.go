@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,14 +19,26 @@ import (
 // last — is dropped and truncated away so the journal stays appendable.
 // Any newline-terminated line that fails validation is an error,
 // wherever it sits: that is durable data that rotted, not an
-// interrupted write.
+// interrupted write. An append that fails without a crash (a short
+// write, a failed fsync) is truncated back to the last complete entry
+// before Append returns, so between appends the file holds complete
+// entries only.
 //
 // Append is safe for concurrent use (the sweep runner appends from its
 // worker pool).
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    journalFile
+	off  int64 // end of the last complete entry
 	path string
+}
+
+// journalFile is the part of *os.File a Journal writes through.
+type journalFile interface {
+	WriteAt(b []byte, off int64) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // OpenJournal opens (creating if needed) the journal at path and replays
@@ -77,37 +90,43 @@ func OpenJournal(path string) (*Journal, []Envelope, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	if _, err := f.Seek(int64(valid), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &Journal{f: f, path: path}, entries, nil
+	return &Journal{f: f, off: int64(valid), path: path}, entries, nil
 }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
 // Append seals payload into an envelope and appends it as one line,
-// fsyncing before returning so a completed unit survives a crash.
+// fsyncing before returning so a completed unit survives a crash. A
+// failed write or fsync truncates the file back to where the entry
+// began; if that fails too, the journal is closed, since it no longer
+// knows what the file holds past its last complete entry.
 func (j *Journal) Append(kind, key string, payload any) error {
-	env, err := Seal(kind, key, payload)
-	if err != nil {
+	f := getFrame()
+	defer frames.Put(f)
+	if err := f.seal(kind, key, payload); err != nil {
 		return err
 	}
-	line, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
+	line := f.buf.Bytes()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("checkpoint: journal %s is closed", j.path)
 	}
-	if _, err := j.f.Write(line); err != nil {
+	_, err := j.f.WriteAt(line, j.off)
+	if err == nil {
+		err = j.f.Sync()
+	}
+	if err != nil {
+		if terr := j.f.Truncate(j.off); terr != nil {
+			j.f.Close()
+			j.f = nil
+			return errors.Join(err, fmt.Errorf("checkpoint: journal %s closed: rolling back a failed append: %w", j.path, terr))
+		}
 		return err
 	}
-	return j.f.Sync()
+	j.off += int64(len(line))
+	return nil
 }
 
 // Close releases the journal's file handle.

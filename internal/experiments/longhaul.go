@@ -67,14 +67,17 @@ func (s *Suite) Longhaul() (*LonghaulResult, error) {
 		return nil, err
 	}
 
-	var midRaw []byte
+	var (
+		buf    bytes.Buffer // one envelope buffer, reused every epoch
+		midRaw []byte
+	)
 	midEpoch := cfg.Hours / 2
 	for !e.Done() {
 		if err := e.Step(); err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		var buf bytes.Buffer
+		buf.Reset()
 		if err := checkpoint.Encode(&buf, "engine", e.Snapshot()); err != nil {
 			return nil, err
 		}
@@ -89,7 +92,7 @@ func (s *Suite) Longhaul() (*LonghaulResult, error) {
 		}
 		res.CheckpointTime += time.Since(t0)
 		if e.Epoch() == midEpoch {
-			midRaw = buf.Bytes()
+			midRaw = append([]byte(nil), buf.Bytes()...)
 		}
 	}
 	final := e.Finish()

@@ -258,6 +258,56 @@ func TestStateHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateEnvelopeMatchesSealOracle: the orchestrator checkpoint —
+// deployments whose names need escaping, routed traffic, a fault still
+// pending — encodes to the old write path's bytes (Seal, then the
+// Envelope through json.Encoder), through checkpoint.Encode and through
+// GET /api/v1/state alike.
+func TestStateEnvelopeMatchesSealOracle(t *testing.T) {
+	o := trafficFixture(t, placement.CarbonAware{}, 30)
+	deployOne(t, o, "app<a>&b", "CityA")
+	deployOne(t, o, "app \"b\"", "CityB")
+	for i := 0; i < 5; i++ {
+		if err := o.Tick(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.InjectFault(events.Fault{
+		At: 2 * time.Hour, Kind: events.FaultCrash, Site: "CityA", For: 3 * time.Hour,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := mustState(t, o)
+	env, err := checkpoint.Seal(stateKind, "", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(env); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.Encode(&got, stateKind, st); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("checkpoint.Encode of the orchestrator state differs from the oracle")
+	}
+	srv := httptest.NewServer(o.API())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/api/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	if _, err := body.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body.Bytes(), want.Bytes()) {
+		t.Fatalf("GET /api/v1/state = %d, body differs from the oracle", resp.StatusCode)
+	}
+}
+
 func TestStateJSONDeterministic(t *testing.T) {
 	// Two saves of the same state must encode identically (sorted maps,
 	// stable slices) — checkpoint diffing relies on it.

@@ -1,0 +1,104 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/carbon"
+	"repro/internal/checkpoint"
+	"repro/internal/events"
+	"repro/internal/placement"
+	"repro/internal/traffic"
+)
+
+// checkpointModes are 48 h Europe runs in each mode a snapshot has to
+// carry: the classic epoch loop, 24 h redeploys with migration costs (the
+// checkpoint_resume shape), traffic-driven routing, and a fault script
+// that degrades, crashes, skews a forecast and scales out.
+func checkpointModes(t testing.TB, w *World) []Config {
+	t.Helper()
+	mk := func(mutate func(*Config)) Config {
+		cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+		cfg.Hours = 48
+		mutate(&cfg)
+		return cfg
+	}
+	classic := mk(func(*Config) {})
+	city := hotCity(t, classic, w)
+	return []Config{
+		classic,
+		mk(func(cfg *Config) {
+			cfg.RedeployEveryHours = 24
+			cfg.MigrationDataMB, cfg.MigrationJPerMB = 500, 0.2
+		}),
+		mk(func(cfg *Config) {
+			cfg.Traffic = &traffic.Config{Scenario: traffic.FlashCrowd, RPS: 900}
+			cfg.CollectLoadCI = true
+		}),
+		mk(func(cfg *Config) {
+			cfg.Faults = &events.FaultScript{Faults: []events.Fault{
+				{At: 12 * time.Hour, Kind: events.FaultDegrade, Site: city, Factor: 0.3, For: 6 * time.Hour},
+				{At: 10 * time.Hour, Kind: events.FaultForecastError, Zone: w.Dep.InRegion(cfg.Region)[0].ZoneID, Factor: 3, For: 20 * time.Hour},
+				{At: 30 * time.Hour, Kind: events.FaultCrash, Site: city, For: 10 * time.Hour},
+				{At: 36 * time.Hour, Kind: events.FaultScaleOut, Site: city, CapacityMilli: 2000, Count: 2},
+			}}
+		}),
+	}
+}
+
+// FuzzNewEngineFrom is the restore path under a hostile checkpoint: the
+// fuzzer mutates a snapshot payload, the payload is re-sealed (so the
+// digest is good) and decoded the way a restore reads a file, and the
+// snapshot is restored into the config of the mode byte's run. Every
+// input must either be rejected with an error or give an engine that
+// steps to the end without panicking. Seeds are snapshots of every mode
+// at epochs 0, 20 and 40.
+func FuzzNewEngineFrom(f *testing.F) {
+	w := testWorld(f)
+	modes := checkpointModes(f, w)
+	for m, cfg := range modes {
+		e, err := NewEngine(cfg, w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for !e.Done() {
+			if e.Epoch()%20 == 0 {
+				snap := e.Snapshot()
+				if _, err := NewEngineFrom(cfg, w, snap); err != nil {
+					f.Fatalf("mode %d epoch %d: seed does not restore: %v", m, e.Epoch(), err)
+				}
+				raw, err := json.Marshal(snap)
+				if err != nil {
+					f.Fatal(err)
+				}
+				f.Add(uint8(m), raw)
+			}
+			if err := e.Step(); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, mode uint8, payload []byte) {
+		cfg := modes[int(mode)%len(modes)]
+		var sealed bytes.Buffer
+		if err := checkpoint.Encode(&sealed, "engine", json.RawMessage(payload)); err != nil {
+			return // not JSON
+		}
+		var snap Snapshot
+		if err := checkpoint.Decode(&sealed, "engine", &snap); err != nil {
+			return
+		}
+		e, err := NewEngineFrom(cfg, w, &snap)
+		if err != nil {
+			return
+		}
+		for !e.Done() {
+			if err := e.Step(); err != nil {
+				return
+			}
+		}
+		e.Finish()
+	})
+}

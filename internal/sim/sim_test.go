@@ -15,7 +15,7 @@ var (
 	worldErr  error
 )
 
-func testWorld(t *testing.T) *World {
+func testWorld(t testing.TB) *World {
 	t.Helper()
 	worldOnce.Do(func() { world, worldErr = NewWorld(42) })
 	if worldErr != nil {

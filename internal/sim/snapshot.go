@@ -380,6 +380,11 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 			return nil, fmt.Errorf("sim: snapshot live app %d is on %s@site%d, its server %d is %s@site%d",
 				i, ls.Device, ls.Site, ls.Srv, srv.device.Name, srv.site)
 		}
+		// The source site is read back when the app is redeployed or
+		// evicted.
+		if ls.SrcSite < 0 || ls.SrcSite >= len(e.sites) {
+			return nil, fmt.Errorf("sim: snapshot live app %d references source site %d of %d", i, ls.SrcSite, len(e.sites))
+		}
 		// The committed demand is the placement cell of (model, device) at
 		// the config's rate — re-derived, not stored, so checkpoints keep
 		// their layout.
@@ -397,7 +402,18 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 	}
 	e.pending = nil
-	for _, ps := range snap.Pending {
+	for i, ps := range snap.Pending {
+		// A pending app becomes a live app with this source site when
+		// placed; every backlog entry is sourced at its site's city.
+		if ps.Src < 0 || ps.Src >= len(e.sites) {
+			return nil, fmt.Errorf("sim: snapshot pending app %d references source site %d of %d", i, ps.Src, len(e.sites))
+		}
+		if city := e.sites[ps.Src].City; ps.App.Source != city {
+			return nil, fmt.Errorf("sim: snapshot pending app %d is sourced at %q, its source site %d is %q", i, ps.App.Source, ps.Src, city)
+		}
+		if ps.EvictedAt >= 0 && cfg.Faults == nil {
+			return nil, fmt.Errorf("sim: snapshot pending app %d was evicted at epoch %d, but the config has no fault script", i, ps.EvictedAt)
+		}
 		e.pending = append(e.pending, pendingApp{app: ps.App, src: ps.Src, expires: ps.Expires, evictedAt: ps.EvictedAt, injected: ps.Injected})
 	}
 	e.outbox = append([]ForwardedApp(nil), snap.Outbox...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -188,6 +189,112 @@ func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 	bad.Live[0].Model = "no-such-model"
 	if _, err := NewEngineFrom(cfg, w, &bad); err == nil {
 		t.Error("snapshot with a live app of an unprofiled model accepted")
+	}
+}
+
+// TestSnapshotRejectsBadSourceSite: a live app's source site is read
+// back when it is redeployed or evicted, and a pending app's becomes the
+// live app's when it is placed. Out of range, the restore used to
+// succeed and the engine panicked later (a redeploying Europe run
+// snapshotted at epoch 30 with every source site 999 died at epoch 48 in
+// Engine.redeploy). A pending entry sourced away from its site's city,
+// or evicted in a run with no fault script (whose placement then charged
+// fault stats that do not exist), is rejected alongside.
+func TestSnapshotRejectsBadSourceSite(t *testing.T) {
+	w := testWorld(t)
+	snapAt := func(cfg Config, epoch int) *Snapshot {
+		e, err := NewEngine(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e.Epoch() < epoch {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Snapshot()
+	}
+	redeploy := checkpointModes(t, w)[1]
+	batched := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+	batched.Hours, batched.BatchHours = 48, 6
+	live, pending := snapAt(redeploy, 20), snapAt(batched, 3)
+	if len(live.Live) == 0 || len(pending.Pending) == 0 {
+		t.Fatalf("fixture has %d live and %d pending apps", len(live.Live), len(pending.Pending))
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		base *Snapshot
+		bad  func(*Snapshot)
+	}{
+		{"live src_site 999", redeploy, live, func(s *Snapshot) {
+			for i := range s.Live {
+				s.Live[i].SrcSite = 999
+			}
+		}},
+		{"live src_site -1", redeploy, live, func(s *Snapshot) { s.Live[len(s.Live)-1].SrcSite = -1 }},
+		{"pending src 999", batched, pending, func(s *Snapshot) { s.Pending[0].Src = 999 }},
+		{"pending src -1", batched, pending, func(s *Snapshot) { s.Pending[0].Src = -1 }},
+		{"pending sourced elsewhere", batched, pending, func(s *Snapshot) { s.Pending[0].Src = (s.Pending[0].Src + 1) % len(w.Dep.InRegion(batched.Region)) }},
+		{"pending evicted without faults", batched, pending, func(s *Snapshot) { s.Pending[0].EvictedAt = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := json.Marshal(tc.base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap Snapshot
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewEngineFrom(tc.cfg, w, &snap); err != nil {
+				t.Fatalf("untouched snapshot rejected: %v", err)
+			}
+			tc.bad(&snap)
+			if _, err := NewEngineFrom(tc.cfg, w, &snap); err == nil ||
+				!strings.Contains(err.Error(), "pending app") && !strings.Contains(err.Error(), "source site") {
+				t.Errorf("doctored snapshot restored (err=%v)", err)
+			}
+		})
+	}
+}
+
+// TestCheckpointEncodeMatchesSealOracle: the engine envelope of every
+// epoch of the classic, redeploy, traffic and faults runs is
+// byte-identical to the old write path's — Seal, then the Envelope
+// through json.Encoder, which re-compacted the payload.
+func TestCheckpointEncodeMatchesSealOracle(t *testing.T) {
+	w := testWorld(t)
+	var got, want bytes.Buffer
+	for m, cfg := range checkpointModes(t, w) {
+		e, err := NewEngine(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			snap := e.Snapshot()
+			got.Reset()
+			if err := checkpoint.Encode(&got, "engine", snap); err != nil {
+				t.Fatal(err)
+			}
+			env, err := checkpoint.Seal("engine", "", snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Reset()
+			if err := json.NewEncoder(&want).Encode(env); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("mode %d epoch %d: envelope differs from the oracle", m, e.Epoch())
+			}
+			if e.Done() {
+				break
+			}
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestTimelineMatchesFixedLoop(t *testing.T) {
 
 // hotCity finds the city hosting the most placements in a fault-free
 // reference run — the deterministic target for crash scenarios.
-func hotCity(t *testing.T, cfg Config, w *World) string {
+func hotCity(t testing.TB, cfg Config, w *World) string {
 	t.Helper()
 	ref, err := Run(cfg, w)
 	if err != nil {

@@ -33,8 +33,8 @@ lint:
 # fuzz runs each native fuzz target for FUZZTIME past its checked-in
 # corpus (testdata/fuzz/<target>/, which plain `go test` replays as
 # ordinary cases); the CI "fuzz smoke" step calls it. A new crasher is
-# written into that directory: fix it and check the file in. The inputs
-# are kilobytes of JSON, and Go minimizes every new interesting input by
+# written into that directory: fix it and check the file in. The decoder
+# and restore inputs are kilobytes of JSON, and Go minimizes every new interesting input by
 # default for up to a minute, so minimization is capped or the fuzzer
 # spends its whole budget there.
 FUZZTIME ?= 10s
@@ -43,6 +43,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewEngineFrom$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultScript$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/events/
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds
@@ -81,8 +83,9 @@ bench-guard:
 # checkpoint.Encode after every Step), and prints the top-10 flat
 # summaries. The checked-in snapshots of those summaries live in
 # profiles/PROFILE_12.md (solver), profiles/PROFILE_13.md (traffic),
-# profiles/PROFILE_14.md (live), profiles/PROFILE_17.md (CDN year) and
-# profiles/PROFILE_18.md (checkpoint); regenerate them with this target
+# profiles/PROFILE_14.md (live), profiles/PROFILE_17.md (CDN year),
+# profiles/PROFILE_18.md (checkpoint) and profiles/PROFILE_19.md (redeploy
+# churn, the solver-bound workload); regenerate them with this target
 # after solver, request-path, orchestrator, engine or codec changes. The
 # benchmarks run in separate invocations:
 # profiling needs a single test binary (so the repo root package, not
@@ -93,7 +96,7 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
 		-benchtime 3x -cpuprofile profiles/solver-cpu.pprof \
 		-memprofile profiles/solver-mem.pprof -o profiles/bench.test .
-	$(GO) test -run '^$$' -bench 'BenchmarkRedeployChurn' \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkRedeployChurn' \
 		-benchtime 3x -cpuprofile profiles/churn-cpu.pprof \
 		-memprofile profiles/churn-mem.pprof -o profiles/bench.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkTimelineReplay$$' \

@@ -781,9 +781,11 @@ func BenchmarkWarmSolveChurn(b *testing.B) {
 // BenchmarkRedeployChurn is the ledger's redeploy_churn workload as a
 // go-test benchmark, so `make bench-profile` can put a CPU profile on
 // the solver-bound shape: US region, 240 h at 120 arrivals/h with 72 h
-// lifetimes over three device types, every live app (~6 900 in 57
-// classes over 171 servers at steady state) re-placed every 6 h, run
-// cold then warm-seeded. bench/ measures it; this only exposes it to
+// lifetimes over three device types, every live app re-placed every 6 h,
+// run cold then warm-seeded. Each run makes 279 solves over 171 servers:
+// one per hourly arrival batch and 39 redeploys, which grow from 719 apps
+// at hour 6 to 6 589–6 956 from hour 60 on, in 57 classes (54 at hour 6),
+// about 120 apps per class. bench/ measures it; this only exposes it to
 // pprof.
 func BenchmarkRedeployChurn(b *testing.B) {
 	b.ReportAllocs()

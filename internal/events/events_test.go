@@ -2,6 +2,7 @@ package events
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -273,6 +274,89 @@ func TestFaultScriptExpandReverts(t *testing.T) {
 	for i := 1; i < len(ex); i++ {
 		if ex[i].At < ex[i-1].At {
 			t.Fatalf("expanded list not sorted by offset: %v", ex)
+		}
+	}
+}
+
+// TestFaultRejectsNonFiniteAndMalformedNumbers: a NaN or infinite factor
+// or capacity fails no "<= 0" test and cannot be checkpointed, and a
+// number with trailing junk used to parse as its numeric prefix. Both the
+// script parser and Validate on a programmatic fault must refuse them.
+func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		script string
+		fault  *Fault // the same fault built in code, when expressible
+	}{
+		{`at 2h degrade site="New York" factor=NaN`, &Fault{At: 2 * time.Hour, Kind: FaultDegrade, Site: "New York", Factor: nan}},
+		{`at 2h degrade site="New York" factor=+Inf`, &Fault{At: 2 * time.Hour, Kind: FaultDegrade, Site: "New York", Factor: inf}},
+		{`at 2h forecast-error zone=US-FLA factor=Inf`, &Fault{At: 2 * time.Hour, Kind: FaultForecastError, Zone: "US-FLA", Factor: inf}},
+		{`at 1h crash site=Miami factor=NaN`, &Fault{At: time.Hour, Kind: FaultCrash, Site: "Miami", Factor: nan}},
+		{`at 1h scale-out site=Miami capacity=NaN`, &Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: nan}},
+		{`at 1h scale-out site=Miami capacity=+Inf`, &Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: inf}},
+		{`at 1h crash site=Miami capacity=-Inf`, &Fault{At: time.Hour, Kind: FaultCrash, Site: "Miami", CapacityMilli: math.Inf(-1)}},
+		{`at 1h degrade site=Miami factor=1e400`, nil}, // out of range: +Inf
+		{`at 1h degrade site=Miami factor=2abc`, nil},
+		{`at 1h degrade site=Miami factor=0.5.5`, nil},
+		{`at 1h scale-out site=Miami capacity=4000mc`, nil},
+		{`at 1h scale-out site=Miami capacity=4000 count=3x`, nil},
+		{`at 1h scale-out site=Miami capacity=4000 count=2.5`, nil},
+		{`at 1h scale-out site=Miami capacity=4000 count=`, nil},
+	} {
+		if s, err := ParseFaultScript(tc.script); err == nil {
+			t.Errorf("ParseFaultScript accepted %q as %+v", tc.script, s.Faults)
+		}
+		if tc.fault != nil {
+			if err := tc.fault.Validate(); err == nil {
+				t.Errorf("Validate accepted %+v", *tc.fault)
+			}
+		}
+	}
+	// Values the script syntax cannot spell are refused up front.
+	for _, f := range []Fault{
+		{Kind: FaultCrash, Site: `Pier "39"`},
+		{Kind: FaultCrash, Zone: "US\nFLA"},
+		{Kind: FaultDegrade, Site: "Miami", Device: `A"2`, Factor: 0.5},
+	} {
+		if err := f.Validate(); err == nil {
+			t.Errorf("Validate accepted unrenderable value in %+v", f)
+		}
+	}
+	// The fixed parser still reads well-formed numbers exactly.
+	s, err := ParseFaultScript("at 1h scale-out site=Miami capacity=2.5e3 count=3\nat 2h degrade site=Miami factor=0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := s.Faults[0]; f.CapacityMilli != 2500 || f.Count != 3 {
+		t.Errorf("scale-out parsed as %+v", f)
+	}
+	if f := s.Faults[1]; f.Factor != 0.25 {
+		t.Errorf("degrade parsed as %+v", f)
+	}
+}
+
+// TestFaultStringRoundTripsEdgeValues pins the renderings the fuzzer
+// found breaking Parse(s.String()) == s: a '#' inside a value rendered
+// unquoted (re-parsed as a comment), whitespace other than space and tab
+// at a line's end (trimmed away), and count=1 (omitted, re-parsed as 0).
+func TestFaultStringRoundTripsEdgeValues(t *testing.T) {
+	for _, text := range []string{
+		`at 1h crash site="a#b"`,
+		"at 1h crash site=\"Miami\r\"",
+		"at 1h crash zone=\"US-FLA \"",
+		`at 1h scale-out site=Miami capacity=1 count=1`,
+		`at 1h crash site=Miami count=-2`,
+	} {
+		s, err := ParseFaultScript(text)
+		if err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+		again, err := ParseFaultScript(s.String())
+		if err != nil {
+			t.Fatalf("%q rendered as %q: %v", text, s.String(), err)
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Errorf("%q rendered as %q re-parsed to %+v, want %+v", text, s.String(), again.Faults, s.Faults)
 		}
 	}
 }

@@ -2,9 +2,12 @@ package events
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
+	"unicode"
 )
 
 // FaultKind names a world-dynamics mutation. The interpretation of the
@@ -71,6 +74,21 @@ func (f Fault) Validate() error {
 	if f.At < 0 {
 		return fmt.Errorf("events: fault %s at negative offset %v", f.Kind, f.At)
 	}
+	// A NaN fails no "<= 0" test below, and a non-finite value cannot be
+	// checkpointed (JSON has no spelling for it): reject both outright.
+	if math.IsNaN(f.Factor) || math.IsInf(f.Factor, 0) {
+		return fmt.Errorf("events: fault %s needs a finite factor, got %g", f.Kind, f.Factor)
+	}
+	if math.IsNaN(f.CapacityMilli) || math.IsInf(f.CapacityMilli, 0) {
+		return fmt.Errorf("events: fault %s needs a finite capacity, got %g", f.Kind, f.CapacityMilli)
+	}
+	// The script syntax has no escape for a quote or a line break, so a
+	// value holding one could not be rendered back (see String).
+	for _, v := range []string{f.Site, f.Device, f.Zone} {
+		if strings.ContainsAny(v, "\"\n") {
+			return fmt.Errorf("events: fault %s value %q contains a quote or line break", f.Kind, v)
+		}
+	}
 	switch f.Kind {
 	case FaultCrash, FaultRecover:
 		if f.Site == "" && f.Zone == "" {
@@ -134,10 +152,11 @@ func (f Fault) revert() (Fault, bool) {
 	return r, true
 }
 
-// quoteVal wraps a script value in quotes when it contains spaces
-// (multi-word city names round-trip through the parser).
+// quoteVal wraps a script value in quotes when it contains whitespace or
+// a '#', so it re-parses as one token (multi-word city names), is not cut
+// as a comment, and keeps whitespace at its ends when it ends a line.
 func quoteVal(v string) string {
-	if strings.ContainsAny(v, " \t") {
+	if strings.ContainsRune(v, '#') || strings.ContainsFunc(v, unicode.IsSpace) {
 		return `"` + v + `"`
 	}
 	return v
@@ -165,7 +184,7 @@ func (f Fault) String() string {
 	if f.CapacityMilli != 0 {
 		fmt.Fprintf(&b, " capacity=%g", f.CapacityMilli)
 	}
-	if f.Count > 1 {
+	if f.Count != 0 {
 		fmt.Fprintf(&b, " count=%d", f.Count)
 	}
 	return b.String()
@@ -319,7 +338,7 @@ func parseFaultLine(line string) (Fault, error) {
 		case "zone":
 			f.Zone = val
 		case "factor":
-			if _, err := fmt.Sscanf(val, "%g", &f.Factor); err != nil {
+			if f.Factor, err = strconv.ParseFloat(val, 64); err != nil {
 				return Fault{}, fmt.Errorf("bad factor %q", val)
 			}
 		case "for":
@@ -329,11 +348,11 @@ func parseFaultLine(line string) (Fault, error) {
 			}
 			f.For = d
 		case "capacity":
-			if _, err := fmt.Sscanf(val, "%g", &f.CapacityMilli); err != nil {
+			if f.CapacityMilli, err = strconv.ParseFloat(val, 64); err != nil {
 				return Fault{}, fmt.Errorf("bad capacity %q", val)
 			}
 		case "count":
-			if _, err := fmt.Sscanf(val, "%d", &f.Count); err != nil {
+			if f.Count, err = strconv.Atoi(val); err != nil {
 				return Fault{}, fmt.Errorf("bad count %q", val)
 			}
 		default:

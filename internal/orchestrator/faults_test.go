@@ -211,3 +211,50 @@ func TestFaultsHTTP(t *testing.T) {
 		t.Errorf("GET status %+v, want 2 applied / 1 eviction", st)
 	}
 }
+
+// TestFaultsHTTPRejectsNonFinite: a script with a NaN or infinite factor
+// or capacity, or a number with trailing junk, is refused with 400 before
+// anything is scheduled — it used to be accepted, after which the state
+// could never be encoded again (JSON has no NaN) and GET /api/v1/state
+// failed for good.
+func TestFaultsHTTPRejectsNonFinite(t *testing.T) {
+	o := fixture(t, placement.LatencyAware{})
+	srv := httptest.NewServer(o.API())
+	defer srv.Close()
+	deployOne(t, o, "app1", "CityA")
+	for _, script := range []string{
+		"at 2h degrade site=CityA factor=NaN",
+		"at 2h degrade site=CityA factor=+Inf",
+		"at 0s forecast-error zone=Z-GREEN factor=Inf",
+		"at 1h scale-out site=CityA device=A2 capacity=NaN",
+		"at 1h scale-out site=CityA device=A2 capacity=+Inf",
+		"at 2h degrade site=CityA factor=2abc",
+		"at 1h scale-out site=CityA device=A2 capacity=4000 count=3x",
+	} {
+		body, _ := json.Marshal(map[string]string{"script": script})
+		resp, err := http.Post(srv.URL+"/api/v1/faults", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %q: status %d, want 400", script, resp.StatusCode)
+		}
+	}
+	if st := o.FaultStatus(); st.Pending != 0 {
+		t.Fatalf("rejected scripts left %d faults pending", st.Pending)
+	}
+	for tick := 0; tick < 3; tick++ {
+		if err := o.Tick(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(srv.URL + "/api/v1/state")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /api/v1/state after tick %d: status %d", tick, resp.StatusCode)
+		}
+	}
+}

@@ -25,7 +25,9 @@ const (
 	// re-scanned (server -> class reverse adjacency filtered by capacity
 	// threshold flips), and a converged solve carries over to the next one
 	// on the same workspace view, so a warm re-solve costs O(changed apps
-	// x candidates) instead of O(apps x candidates).
+	// x candidates) instead of O(apps x candidates). Within a solve,
+	// construct and local search scan each (class, server) state once, not
+	// once per app of the class (classMemo).
 	SearchFlat
 	// SearchSweep forces the pre-flattening reference loop: every pass
 	// re-scans every app and re-derives every pair cost through the
@@ -42,9 +44,9 @@ const (
 //
 // The solver owns reusable search scratch (capacity vectors, assignment
 // arrays, validation sets, memoized cost rows, the converged-state
-// continuation), so repeated solves allocate nothing in steady state. A
-// mutex serializes solves; concurrent callers should prefer one solver per
-// goroutine.
+// continuation, the per-class scan memos), so repeated solves allocate
+// nothing in steady state. A mutex serializes solves; concurrent callers
+// should prefer one solver per goroutine.
 type HeuristicSolver struct {
 	// MaxPasses caps local-search sweeps (0 = 8).
 	MaxPasses int
@@ -73,6 +75,11 @@ type HeuristicSolver struct {
 	// cont is the converged state of the last flattened solve; the next
 	// solve on the same workspace view scans only what changed since.
 	cont continuation
+	// cm lets a flattened solve scan each (class, server) state once
+	// rather than once per app.
+	cm classMemo
+	// scans counts full candidate-list scans, for tests.
+	scans struct{ construct, search int }
 }
 
 // NewHeuristicSolver returns a solver with default search effort.
@@ -415,6 +422,69 @@ type continuation struct {
 	loads    []int
 }
 
+// classMemo lets a flattened solve skip scans that a same-class app has
+// just made. Apps of one class read the same candidate list, gates, cost
+// row and demand row, so a scan's result depends only on the class, the
+// app's current server, and the capacity and power state of the class's
+// candidates. Two memos key on that, and each skips only a scan that
+// provably returns what the recorded scan returned:
+//
+//   - construct's pick: pick[c] is class c's last scan result (a server,
+//     or -1 when nothing fit). During construct free capacity only shrinks
+//     (placed demands are non-negative; workspace demands always are) and
+//     costs are constant but for the activation term of a server that
+//     powers on. So until a power-on the fit set only shrinks, and the
+//     first cheapest server of a shrunk set that still contains the pick
+//     is the pick: one Fits call on the pick replaces the scan, and
+//     "nothing fit" stays true. A power-on (only servers that start off
+//     have one) or a demand that is not non-negative (see shrinks) retires
+//     every pick.
+//   - local search's no-move verdict: still[k] records a scan that moved
+//     nothing, keyed by the class and the slot of the app's current server
+//     in the class's candidate list (slot -1 for an unplaced app's retry),
+//     as the class's touch stamp at the time. A dirty app whose key holds
+//     the current stamp is skipped. Every scan-visible change on the
+//     class's candidates — a fit threshold flipping, any change on a server
+//     that starts off — touches the class and so advances its stamp past
+//     any recorded one (stamps are scan positions and only grow within a
+//     solve); this is the argument the dirty queue and the continuation
+//     above already rest on. The skipped scan would read exactly the
+//     inputs the recorded one read, and so move nothing.
+//
+// Entries carry the generation they were made in: SolveInto advances gen
+// every flattened solve and construct on every retiring placement, so no
+// solve clears anything — a 6-app solve pays for its classes, not for the
+// last large batch.
+type classMemo struct {
+	gen   uint64
+	pick  []stamped // per class: v is the picked server or -1
+	still []stamped // per (class, slot+1): v is the class stamp
+}
+
+// stamped is one generation-stamped memo entry.
+type stamped struct {
+	gen uint64
+	v   int64
+}
+
+// reset starts a new generation sized for mm's classes and slots.
+func (cm *classMemo) reset(mm *costMemo) {
+	cm.gen++
+	cm.pick = grow(cm.pick, len(mm.rep))
+	cm.still = grow(cm.still, len(mm.row)+len(mm.rep))
+}
+
+// shrinks reports whether subtracting d can only shrink a capacity vector:
+// every component is non-negative (NaN is not).
+func shrinks(d cluster.Resources) bool {
+	for _, v := range d {
+		if !(v >= 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // state tracks remaining capacity and power decisions during the search.
 type state struct {
 	p        *Problem
@@ -600,6 +670,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	mm := &s.memo
 	if flat {
 		mm.prepare(p, pol)
+		s.cm.reset(mm)
 	}
 	st := &s.st
 	st.init(p, pol)
@@ -752,19 +823,7 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
 	for _, i := range order {
 		best, bestCost := -1, math.Inf(1)
 		if flat {
-			base := mm.off[mm.cls[i]]
-			for k, j := range p.CandidatesOf(i) {
-				if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
-					continue
-				}
-				c := mm.row[base+k]
-				if !st.on[j] {
-					c += mm.act[j]
-				}
-				if c < bestCost {
-					best, bestCost = j, c
-				}
-			}
+			best = s.pickFlat(st, mm, i)
 		} else {
 			for _, j := range p.CandidatesOf(i) {
 				if !st.canPlace(i, j) {
@@ -776,9 +835,42 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
 			}
 		}
 		if best >= 0 {
+			if !st.on[best] || !shrinks(p.Demand[i][best]) {
+				s.cm.gen++ // retire every cached pick (see classMemo)
+			}
 			st.place(i, best)
 		}
 	}
+}
+
+// pickFlat is construct's flattened scan: app i's first cheapest candidate
+// that fits, or -1. The class's cached pick answers while it still fits
+// (see classMemo).
+func (s *HeuristicSolver) pickFlat(st *state, mm *costMemo, i int) int {
+	p, cm := st.p, &s.cm
+	c := mm.cls[i]
+	if e := cm.pick[c]; e.gen == cm.gen {
+		if j := int(e.v); j < 0 || p.Demand[i][j].Fits(st.free[j]) {
+			return j
+		}
+	}
+	s.scans.construct++
+	best, bestCost := -1, math.Inf(1)
+	base := mm.off[c]
+	for k, j := range p.CandidatesOf(i) {
+		if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+			continue
+		}
+		cost := mm.row[base+k]
+		if !st.on[j] {
+			cost += mm.act[j]
+		}
+		if cost < bestCost {
+			best, bestCost = j, cost
+		}
+	}
+	cm.pick[c] = stamped{cm.gen, int64(best)}
+	return best
 }
 
 // localSearchSweep is the reference steepest-descent loop: every pass
@@ -833,22 +925,38 @@ func (s *HeuristicSolver) localSearchSweep(st *state, maxPasses int) {
 // its last scan. The move sequence is identical to localSearchSweep's: a
 // skipped scan is one whose inputs — the fit thresholds, activation
 // states, and cost rows over the app's candidate list, and the app's own
-// placement — are unchanged since a scan that moved nothing. Returns
-// whether the search converged (a full pass moved nothing) rather than
-// exhausting its pass budget.
+// placement — are unchanged since a scan that moved nothing, whether that
+// scan was the app's own or a same-class app's from the same server (the
+// no-move memo; see classMemo). Returns whether the search converged (a
+// full pass moved nothing) rather than exhausting its pass budget.
 func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int) bool {
-	p := st.p
+	p, cm := st.p, &s.cm
 	n := len(p.Apps)
 	for pass := 0; pass < maxPasses; pass++ {
 		p32 := int32(pass)
 		improved := false
+	apps:
 		for i := 0; i < n; i++ {
 			if !st.dirty(mm, i, p32) {
 				continue
 			}
+			c := mm.cls[i]
 			cand := p.CandidatesOf(i)
-			base := mm.off[mm.cls[i]]
+			base := mm.off[c]
 			cur := st.assigned[i]
+			slot := -1
+			if cur >= 0 {
+				slot = slotOf(cand, cur)
+			}
+			// Key by the class and the current server's slot; a cur
+			// outside the candidate list (hand-built warm seeds only) is
+			// not memoized.
+			key := base + int(c) + slot + 1
+			still := stamped{cm.gen, st.stamp[c]}
+			if (cur < 0 || slot >= 0) && cm.still[key] == still {
+				continue
+			}
+			s.scans.search++
 			if cur < 0 {
 				for k, j := range cand {
 					if mm.ok[base+k] && p.Demand[i][j].Fits(st.free[j]) {
@@ -861,13 +969,14 @@ func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int
 						}
 						st.touchMoved(mm, j, i, p32, before)
 						improved = true
-						break
+						continue apps
 					}
 				}
+				cm.still[key] = still
 				continue
 			}
 			var curCost float64
-			if slot := slotOf(cand, cur); slot >= 0 {
+			if slot >= 0 {
 				curCost = mm.row[base+slot]
 			} else {
 				// cur outside the candidate list (possible only for
@@ -882,12 +991,12 @@ func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int
 				if j == cur || !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
 					continue
 				}
-				c := mm.row[base+k]
+				cost := mm.row[base+k]
 				if !st.on[j] {
-					c += mm.act[j]
+					cost += mm.act[j]
 				}
-				if c < bestCost-1e-12 {
-					best, bestCost = j, c
+				if cost < bestCost-1e-12 {
+					best, bestCost = j, cost
 				}
 			}
 			if best != cur {
@@ -897,6 +1006,8 @@ func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int
 				st.touchMoved(mm, cur, i, p32, beforeCur)
 				st.touchMoved(mm, best, i, p32, beforeBest)
 				improved = true
+			} else if slot >= 0 {
+				cm.still[key] = still
 			}
 		}
 		if !improved {

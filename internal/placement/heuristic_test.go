@@ -2,10 +2,14 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/energy"
 )
 
 // TestSolverSearchModesEquivalent is the core flattening property on
@@ -349,5 +353,259 @@ func TestAdjacencyBuiltOnlyWhenNeeded(t *testing.T) {
 				t.Fatalf("continuation solve diverged from the sweep:\nsweep: %+v\nflat:  %+v", want, got)
 			}
 		})
+	}
+}
+
+// gridApps returns n apps drawn from the classes of a (source, SLO, model)
+// grid at one rate, so a workspace view groups them into at most
+// len(sources) x len(slos) x len(models) classes.
+func gridApps(rng *rand.Rand, n int, sources []string, slos []float64, models []string) []App {
+	apps := make([]App, n)
+	for i := range apps {
+		apps[i] = App{
+			ID:         fmt.Sprintf("g%04d", i),
+			Model:      models[rng.Intn(len(models))],
+			Source:     sources[rng.Intn(len(sources))],
+			SLOms:      slos[rng.Intn(len(slos))],
+			RatePerSec: 2,
+		}
+	}
+	return apps
+}
+
+// memoInstance is a workspace fleet that drives both class memos through
+// their edge cases: a third of the servers start powered off (power-ons
+// mid-construct), capacity is tight enough that a class's pick fills up
+// and is re-scanned mid-construct, and intensities come in tied pairs,
+// pairs 5e-13 apart (inside local search's 1e-12 tie band) and as -0 next
+// to +0.
+func memoInstance(rng *rand.Rand, nServers int) wsInstance {
+	inst := randomWSInstance(rng, 0, nServers)
+	for j := range inst.servers {
+		s := &inst.servers[j]
+		s.PoweredOn = j%3 != 0
+		s.Free = s.Free.Scale(0.25 + 0.5*rng.Float64())
+		switch j % 5 {
+		case 1: // the previous server's device and intensity: exact cost ties
+			s.Intensity = inst.servers[j-1].Intensity
+			s.Device, s.BasePowerW = inst.servers[j-1].Device, inst.servers[j-1].BasePowerW
+		case 2:
+			s.Intensity = inst.servers[j-2].Intensity + 5e-13
+		case 3:
+			s.Intensity = math.Copysign(0, -1)
+		case 4:
+			s.Intensity = 0
+		}
+	}
+	return inst
+}
+
+// TestClassMemoMatchesSweep is the differential test for construct's
+// class pick and local search's no-move memo: on workspace views, where
+// tens of apps share each class, the flattened solver must reproduce the
+// reference sweep's ServerOf and PowerOn exactly — cold, warm from a
+// rotated seed, and through churned continuation rounds on one view. The
+// scan counters show the memos were actually exercised: fewer scans than
+// apps, and construct re-scanning classes whose pick filled or was retired
+// by a power-on. (Under the batch-normalized blend every app is its own
+// class; it runs for the equivalence alone.)
+func TestClassMemoMatchesSweep(t *testing.T) {
+	sources := []string{"c0", "c1", "c3"}
+	slos := []float64{8, 13}
+	models := []string{energy.ModelEfficientNetB0, energy.ModelResNet50, energy.ModelYOLOv4}
+	same := func(t *testing.T, when string, want, got *Assignment) {
+		t.Helper()
+		if !reflect.DeepEqual(want.ServerOf, got.ServerOf) || !reflect.DeepEqual(want.PowerOn, got.PowerOn) {
+			t.Fatalf("%s: flat diverged from sweep:\nsweep: %+v\nflat:  %+v", when, want, got)
+		}
+	}
+	for _, pol := range allPolicies() {
+		t.Run(pol.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			var cold, coldScans, refills int
+			for trial := 0; trial < 6; trial++ {
+				inst := memoInstance(rng, 12+rng.Intn(8))
+				ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				apps := gridApps(rng, 150+rng.Intn(150), sources, slos, models)
+				p, err := ws.Problem(apps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sweep := &HeuristicSolver{Search: SearchSweep}
+				flat := &HeuristicSolver{SkipValidate: true}
+
+				want, err := sweep.Solve(p, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := flat.Solve(p, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("trial %d cold", trial), want, got)
+				cold += len(apps)
+				coldScans += flat.scans.construct
+				refills += flat.scans.construct - len(p.classRep)
+
+				seed := &Assignment{ServerOf: append([]int(nil), want.ServerOf...)}
+				for i, j := range seed.ServerOf {
+					if j >= 0 {
+						seed.ServerOf[i] = (j + 1) % len(p.Servers)
+					}
+				}
+				if want, err = sweep.SolveWarm(p, pol, seed); err != nil {
+					t.Fatal(err)
+				}
+				if got, err = flat.SolveWarm(p, pol, seed); err != nil {
+					t.Fatal(err)
+				}
+				same(t, fmt.Sprintf("trial %d warm", trial), want, got)
+
+				// Continuation rounds: churn a few apps per round, with an
+				// intensity tick or a power toggle now and then.
+				prev := got
+				for round := 0; round < 8; round++ {
+					for c := 0; c < 5; c++ {
+						fresh := gridApps(rng, 1, sources, slos, models)[0]
+						fresh.ID = fmt.Sprintf("t%d-r%d-%d", trial, round, c)
+						apps[rng.Intn(len(apps))] = fresh
+					}
+					switch round % 4 {
+					case 1:
+						j := rng.Intn(len(inst.servers))
+						ws.UpdateIntensity(j, ws.Server(j).Intensity+5e-13)
+					case 3:
+						j := rng.Intn(len(inst.servers))
+						srv := ws.Server(j)
+						ws.SetServerState(j, srv.Free, !srv.PoweredOn)
+					}
+					if p, err = ws.Problem(apps); err != nil {
+						t.Fatal(err)
+					}
+					if want, err = sweep.SolveWarm(p, pol, prev); err != nil {
+						t.Fatal(err)
+					}
+					if got, err = flat.SolveWarm(p, pol, prev); err != nil {
+						t.Fatal(err)
+					}
+					same(t, fmt.Sprintf("trial %d round %d", trial, round), want, got)
+					prev = got
+				}
+			}
+			t.Logf("cold: %d apps, %d construct scans (%d past one per class)", cold, coldScans, refills)
+			if _, shared := pol.(CoefficientPolicy); !shared {
+				return // every app is its own class: nothing to share
+			}
+			if coldScans >= cold {
+				t.Errorf("construct scanned every app (%d scans for %d apps): the pick memo never hit", coldScans, cold)
+			}
+			if refills == 0 {
+				t.Error("no class was scanned twice in construct: the fixture never fills a pick or powers a server on")
+			}
+		})
+	}
+}
+
+// TestClassMemoScanCount pins the saving as a count: a cold solve of 2 000
+// apps in 8 classes on an always-on fleet with room to spare scans once
+// per class in construct and once per (class, hosting server) in local
+// search — not once per app in each, as before the class memos.
+func TestClassMemoScanCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst := randomWSInstance(rng, 0, 40)
+	for j := range inst.servers {
+		inst.servers[j].PoweredOn = true
+		inst.servers[j].Free = inst.servers[j].Free.Scale(1000)
+	}
+	ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := gridApps(rng, 2000, []string{"c0", "c3"}, []float64{13, 30},
+		[]string{energy.ModelEfficientNetB0, energy.ModelResNet50})
+	p, err := ws.Problem(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.classRep) != 8 {
+		t.Fatalf("fixture has %d classes, want 8", len(p.classRep))
+	}
+	for _, pol := range []Policy{CarbonAware{}, LatencyAware{}, EnergyAware{}, IntensityAware{}} {
+		flat := &HeuristicSolver{SkipValidate: true}
+		a, err := flat.Solve(p, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&HeuristicSolver{Search: SearchSweep}).Solve(p, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("%s: flat diverged from sweep", pol.Name())
+		}
+		hosts := map[[2]int]bool{}
+		servers := map[int]bool{}
+		for i, j := range a.ServerOf {
+			hosts[[2]int{int(p.classOf[i]), j}] = true
+			servers[j] = true
+		}
+		if got := flat.scans.construct; got > 8 {
+			t.Errorf("%s: %d construct scans, want at most one per class (8)", pol.Name(), got)
+		}
+		if got := flat.scans.search; got > len(hosts) || got > 8*len(servers) {
+			t.Errorf("%s: %d local-search scans, want at most one per (class, hosting server) = %d (<= 8 x %d servers used)",
+				pol.Name(), got, len(hosts), len(servers))
+		}
+	}
+}
+
+// TestClassPickRetiredByGrowingDemand pins construct's guard for a demand
+// that grows capacity (a profile with a negative footprint): placing it
+// can make a cheaper server fit a class whose cached pick still fits
+// elsewhere, so it must retire every pick like a power-on does.
+func TestClassPickRetiredByGrowingDemand(t *testing.T) {
+	profile := func(model, device string) (energy.Profile, error) {
+		mem := 300.0 // "fill" needs 300 MB of accelerator memory
+		if model == "grow" {
+			mem = -300
+		}
+		return energy.Profile{Model: model, Device: device, InferenceMs: 1, DynamicW: 10, MemMB: mem}, nil
+	}
+	servers := []Server{
+		{ID: "cheap", DC: "c0", Device: "A2", Intensity: 10, PoweredOn: true, Free: cluster.NewResources(1000, 8192, 200, 1e6)},
+		{ID: "dear", DC: "c3", Device: "A2", Intensity: 500, PoweredOn: true, Free: cluster.NewResources(1000, 8192, 1e4, 1e6)},
+	}
+	rtt := randomWSInstance(rand.New(rand.NewSource(1)), 0, 0).rtt
+	ws, err := NewWorkspace(servers, rtt, profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One option each, so construct takes them in index order: fill lands
+	// on "dear", grow on "cheap" (the only server within its SLO) and frees
+	// room there, and the second fill must see it.
+	p, err := ws.Problem([]App{
+		{ID: "f0", Model: "fill", Source: "c0", SLOms: 30, RatePerSec: 1},
+		{ID: "g", Model: "grow", Source: "c0", SLOms: 3, RatePerSec: 1},
+		{ID: "f1", Model: "fill", Source: "c0", SLOms: 30, RatePerSec: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&HeuristicSolver{Search: SearchSweep}).Solve(p, CarbonAware{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewHeuristicSolver().Solve(p, CarbonAware{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("flat diverged from sweep:\nsweep: %+v\nflat:  %+v", want, got)
+	}
+	if want.ServerOf[2] != 0 {
+		t.Fatalf("fixture no longer exercises the guard: second fill on server %d, want 0", want.ServerOf[2])
 	}
 }

@@ -63,18 +63,19 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # bench-guard reproduces the CI regression gate locally: the guarded
-# solver benchmarks and the carbon memo benchmark run, and their
+# workspace benchmark and the carbon memo benchmark run, and their
 # combined output is compared against the BENCH_12.json baselines
 # (15% tolerance on machine-independent speedup ratios).
 bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkWarmSolveChurn|BenchmarkIncrementalPlacement' \
+	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
 		-benchtime 3x . | tee /tmp/bench-guard.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCarbonMixes' \
 		-benchtime 100x ./internal/carbon/ | tee -a /tmp/bench-guard.out
 	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
 
-# bench-profile records CPU and allocation profiles of the three solver
-# hot-path benchmarks, a CPU profile of the request path
+# bench-profile records CPU and allocation profiles of the two solver
+# hot-path benchmarks (BenchmarkIncrementalPlacement, BenchmarkRedeployChurn),
+# a CPU profile of the request path
 # (BenchmarkTrafficReplay: generator, router, latency sketch), one of the
 # live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
 # scrapes), one of the paper's CDN year (BenchmarkCDNYear: the per-epoch
@@ -87,10 +88,8 @@ bench-guard:
 # profiles/PROFILE_18.md (checkpoint) and profiles/PROFILE_19.md (redeploy
 # churn, the solver-bound workload); regenerate them with this target
 # after solver, request-path, orchestrator, engine or codec changes. The
-# benchmarks run in separate invocations:
-# profiling needs a single test binary (so the repo root package, not
-# ./...), and BenchmarkTimelineReplay's overhead differencing is only
-# meaningful without another benchmark's GC pressure in the same process.
+# benchmarks run in separate invocations: profiling needs a single test
+# binary (so the repo root package, not ./...).
 bench-profile:
 	mkdir -p profiles
 	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
@@ -99,9 +98,6 @@ bench-profile:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkRedeployChurn' \
 		-benchtime 3x -cpuprofile profiles/churn-cpu.pprof \
 		-memprofile profiles/churn-mem.pprof -o profiles/bench.test .
-	$(GO) test -run '^$$' -bench 'BenchmarkTimelineReplay$$' \
-		-benchtime 1x -cpuprofile profiles/replay-cpu.pprof \
-		-memprofile profiles/replay-mem.pprof -o profiles/bench.test .
 	$(GO) test -run '^$$' -bench 'BenchmarkTrafficReplay$$' \
 		-benchtime 300x -cpuprofile profiles/traffic-cpu.pprof \
 		-o profiles/bench.test .
@@ -118,8 +114,6 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/churn-mem.pprof
-	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/replay-cpu.pprof
-	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/replay-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/live-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/cdn-cpu.pprof

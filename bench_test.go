@@ -15,11 +15,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -457,61 +455,10 @@ func BenchmarkTrafficReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkTimelineReplay guards the event-timeline refactor: a two-week
-// epoch simulation (periodic redeploy enabled, so every phase kind is
-// exercised) is replayed through the timeline dispatcher and through the
-// pre-refactor fixed loop (sim.Config.FixedLoop). Both must produce the
-// identical result, and the timeline's dispatch overhead — scheduling and
-// popping ~7 events per epoch — must stay within 10% of the fixed loop
-// (the acceptance ceiling, enforced here; measured overhead is ~3%).
-// Timings are best-of-5 alternating runs to shrug off scheduler noise.
-func BenchmarkTimelineReplay(b *testing.B) {
-	b.ReportAllocs()
-	s := benchSuite(b)
-	cfg := sim.DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
-	cfg.Hours = 24 * 14
-	cfg.RedeployEveryHours = 24
-	fixed := cfg
-	fixed.FixedLoop = true
-	run := func(c sim.Config) (*sim.Result, time.Duration) {
-		t0 := time.Now()
-		res, err := sim.Run(c, s.World)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(t0)
-	}
-	// Untimed warm-up, plus the byte-identity check the refactor promises.
-	resF, _ := run(fixed)
-	resT, _ := run(cfg)
-	resF.SolveTime, resT.SolveTime = 0, 0
-	if !reflect.DeepEqual(resF, resT) {
-		b.Fatal("timeline replay diverged from the fixed loop")
-	}
-	for i := 0; i < b.N; i++ {
-		bestFixed, bestTimeline := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
-		for r := 0; r < 5; r++ {
-			if _, d := run(fixed); d < bestFixed {
-				bestFixed = d
-			}
-			if _, d := run(cfg); d < bestTimeline {
-				bestTimeline = d
-			}
-		}
-		overhead := (bestTimeline.Seconds() - bestFixed.Seconds()) / bestFixed.Seconds() * 100
-		if overhead > 10 {
-			b.Fatalf("timeline dispatch overhead %.1f%% vs the fixed loop, acceptance ceiling is 10%% (fixed %v, timeline %v)",
-				overhead, bestFixed, bestTimeline)
-		}
-		b.ReportMetric(overhead, "timeline_overhead_pct")
-		b.ReportMetric(float64(bestTimeline.Microseconds())/1000, "timeline_ms/run")
-	}
-}
-
 // BenchmarkTimelineReplayObs guards the observability subsystem's cost:
-// the BenchmarkTimelineReplay workload is replayed with full tracing on
-// (phase tracer, alloc probes, flight recorder — sim.Config.Obs) and
-// with it off. Tracing must not change the result, and its overhead
+// a two-week US epoch simulation with a redeploy every 24 h (so every
+// phase kind runs) is replayed with full tracing on (phase tracer, alloc
+// probes, flight recorder — sim.Config.Obs) and with it off. Tracing must not change the result, and its overhead
 // must stay within 12% of the untraced timeline (the acceptance
 // ceiling, enforced here). Timings are best-of-5 alternating runs.
 func BenchmarkTimelineReplayObs(b *testing.B) {
@@ -643,139 +590,6 @@ func BenchmarkIncrementalPlacement(b *testing.B) {
 		b.ReportMetric(float64(rebuildT.Microseconds())/batches/1000, "rebuild_ms/batch")
 		b.ReportMetric(float64(wsT.Microseconds())/batches/1000, "workspace_ms/batch")
 	}
-}
-
-// BenchmarkWarmSolveChurn is the solver-flattening headline gate: warm
-// CDN-scale re-solves (960 standing apps, 400 servers over 40 cities, a
-// 3 ms SLO keeping each app's candidates inside its own city) where 5% of
-// the apps churn every round and the carbon clock
-// ticks every fourth round (batch churn arrives on minute cadence, the
-// hourly intensity forecast much more rarely) — the orchestrator's steady
-// re-solve shape, where warm starts leave little genuine work per solve.
-// Each round solves the identical workspace view twice from the same warm
-// assignment: once with the pre-flattening reference solver (full
-// per-solve validation, dense per-app sweeps, live policy costs) and once
-// with the flattened fast path (validation skipped, class-shared memoized
-// cost rows, dirty-app work queue, converged-state continuation).
-// Assignments must match byte for byte, and the fast path must be at
-// least 3x faster (the acceptance floor; CI runs this in bench smoke).
-// Both sides solve the same class-shared view, so the ratio isolates the
-// search engines, not view assembly: ~0.7 ms/solve for the sweep against
-// ~0.18 ms/solve flat (BENCH_12.json, which also holds the guard
-// baseline).
-func BenchmarkWarmSolveChurn(b *testing.B) {
-	b.ReportAllocs()
-	const (
-		nServers = 400
-		nCities  = 40
-		nApps    = 960
-		sloMs    = 3
-		churn    = nApps / 20 // 5%
-	)
-	inst := experiments.NewSyntheticInstance(nApps, nServers, nCities, sloMs, 13)
-	for i := range inst.Apps {
-		// ~14% occupancy per app: a CDN edge fleet runs with capacity
-		// headroom, so placement is driven by carbon cost, not bin
-		// packing.
-		inst.Apps[i].RatePerSec = 4
-	}
-	cities := make([]string, nCities)
-	for c := range cities {
-		cities[c] = fmt.Sprintf("city-%02d", c)
-	}
-	rng := rand.New(rand.NewSource(13))
-	pol := placement.CarbonAware{}
-	ws, err := placement.NewWorkspace(inst.Servers, inst.RTT, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ref := &placement.HeuristicSolver{Search: placement.SearchSweep}
-	fast := &placement.HeuristicSolver{Search: placement.SearchFlat, SkipValidate: true}
-
-	sparse, err := ws.Problem(inst.Apps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev, err := fast.Solve(sparse, pol)
-	if err != nil {
-		b.Fatal(err)
-	}
-	serial := 0
-	roundNo := 0
-	round := func(refT, fastT *time.Duration) {
-		// 5% churn: departed apps replaced in-place by fresh arrivals, so
-		// the warm assignment's entries at those positions go stale.
-		for c := 0; c < churn; c++ {
-			pos := rng.Intn(nApps)
-			serial++
-			inst.Apps[pos] = placement.App{
-				ID:         fmt.Sprintf("churn-%06d", serial),
-				Model:      energy.ModelResNet50,
-				Source:     cities[rng.Intn(nCities)],
-				SLOms:      sloMs,
-				RatePerSec: 4,
-			}
-		}
-		// Carbon clock tick every fourth round: every server's intensity
-		// moves, so all memoized cost rows must be re-evaluated and the
-		// converged-state continuation is invalidated.
-		if roundNo%4 == 0 {
-			for j := range inst.Servers {
-				ws.UpdateIntensity(j, 20+rng.Float64()*700)
-			}
-		}
-		roundNo++
-		sparse, err := ws.Problem(inst.Apps)
-		if err != nil {
-			b.Fatal(err)
-		}
-
-		t0 := time.Now()
-		aRef, err := ref.SolveWarm(sparse, pol, prev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		*refT += time.Since(t0)
-
-		t0 = time.Now()
-		aFast, err := fast.SolveWarm(sparse, pol, prev)
-		if err != nil {
-			b.Fatal(err)
-		}
-		*fastT += time.Since(t0)
-
-		if !reflect.DeepEqual(aRef, aFast) {
-			b.Fatal("flattened solver diverged from the reference sweep")
-		}
-		prev = aFast
-	}
-	var warmRef, warmFast time.Duration
-	for r := 0; r < 4; r++ {
-		round(&warmRef, &warmFast) // untimed warm-up: settle scratch capacity
-	}
-	// The gate compares cumulative time over all timed rounds, not one
-	// short window: a single flat solve is a few hundred microseconds,
-	// so a narrow ratio is one GC pause away from a false failure —
-	// flush garbage left by whatever ran earlier in this process (the
-	// bench smoke runs every benchmark in one binary) and time enough
-	// rounds to average pauses out.
-	runtime.GC()
-	var refT, fastT time.Duration
-	rounds := 0
-	for n := 0; n < b.N; n++ {
-		for r := 0; r < 24; r++ {
-			round(&refT, &fastT)
-			rounds++
-		}
-	}
-	speedup := refT.Seconds() / fastT.Seconds()
-	if speedup < 3 {
-		b.Fatalf("flattened warm solve speedup %.2fx over the reference sweep, acceptance floor is 3x (ref %v, flat %v over %d rounds)",
-			speedup, refT, fastT, rounds)
-	}
-	b.ReportMetric(speedup, "warm_churn_speedup_x")
-	b.ReportMetric(float64(refT.Microseconds())/float64(rounds)/1000, "sweep_ms/solve")
-	b.ReportMetric(float64(fastT.Microseconds())/float64(rounds)/1000, "flat_ms/solve")
 }
 
 // BenchmarkRedeployChurn is the ledger's redeploy_churn workload as a

@@ -66,7 +66,6 @@ func Build(apps []App, servers []Server, rtt RTTFunc, profile func(model, device
 		ok   bool
 	}
 	memo := make(map[string]profMemo)
-	//detlint:hotalloc one closure per legacy dense Build call, not per matrix cell; the workspace path never runs this
 	lookup := func(model, device string) (energy.Profile, bool) {
 		key := model + "\x00" + device
 		m, hit := memo[key]

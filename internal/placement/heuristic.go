@@ -8,39 +8,23 @@ import (
 	"repro/internal/cluster"
 )
 
-// SearchMode selects the local-search engine inside HeuristicSolver. All
-// modes produce byte-identical assignments (the flattened path provably
-// skips only scans that cannot move anything; see
-// TestWorkspaceIncrementalEquivalence and TestSolverSearchModesEquivalent);
-// they differ only in how much work a pass costs.
-type SearchMode int
-
-const (
-	// SearchAuto picks the flattened search (memoized cost rows plus the
-	// dirty-app work queue). It is the default.
-	SearchAuto SearchMode = iota
-	// SearchFlat forces the flattened search: policy costs are memoized
-	// into flat rows shared across identical app classes, after pass 0
-	// only apps whose candidate servers changed in a scan-visible way are
-	// re-scanned (server -> class reverse adjacency filtered by capacity
-	// threshold flips), and a converged solve carries over to the next one
-	// on the same workspace view, so a warm re-solve costs O(changed apps
-	// x candidates) instead of O(apps x candidates). Within a solve,
-	// construct and local search scan each (class, server) state once, not
-	// once per app of the class (classMemo).
-	SearchFlat
-	// SearchSweep forces the pre-flattening reference loop: every pass
-	// re-scans every app and re-derives every pair cost through the
-	// Policy interface. It exists as the proven baseline for equivalence
-	// tests and the BenchmarkWarmSolveChurn speedup gate.
-	SearchSweep
-)
-
 // HeuristicSolver is the scalable backend: cost-greedy construction
 // followed by steepest-descent local search (single-app moves). It handles
 // CDN-scale instances (hundreds of servers, hundreds of apps per batch) in
 // milliseconds and typically lands within a few percent of the exact
 // optimum (see BenchmarkAblationSolver).
+//
+// The search is flattened: policy costs are memoized into flat rows shared
+// across identical app classes, after pass 0 only apps whose candidate
+// servers changed in a scan-visible way are re-scanned (server -> class
+// reverse adjacency filtered by capacity threshold flips), and a converged
+// solve carries over to the next one on the same workspace view, so a warm
+// re-solve costs O(changed apps x candidates) instead of O(apps x
+// candidates). Within a solve, construct and local search scan each
+// (class, server) state once, not once per app of the class (classMemo).
+// Every skip is provably a no-op scan: assignments are byte-identical to a
+// plain per-app sweep that re-derives every cost through the Policy (the
+// test oracle in oracle_test.go).
 //
 // The solver owns reusable search scratch (capacity vectors, assignment
 // arrays, validation sets, memoized cost rows, the converged-state
@@ -50,8 +34,6 @@ const (
 type HeuristicSolver struct {
 	// MaxPasses caps local-search sweeps (0 = 8).
 	MaxPasses int
-	// Search selects the local-search engine (default SearchAuto).
-	Search SearchMode
 	// SkipValidate skips the per-solve structural validation of the
 	// problem (unique IDs, matrix shapes, ascending candidate lists).
 	// Owners of trusted problem sources — the sim engine solving
@@ -70,13 +52,13 @@ type HeuristicSolver struct {
 	options  []int
 	classOpt []int
 	bucket   []int
-	// memo holds the flattened-search cost rows and reverse adjacency.
+	// memo holds the memoized cost rows and reverse adjacency.
 	memo costMemo
-	// cont is the converged state of the last flattened solve; the next
-	// solve on the same workspace view scans only what changed since.
+	// cont is the converged state of the last solve; the next solve on
+	// the same workspace view scans only what changed since.
 	cont continuation
-	// cm lets a flattened solve scan each (class, server) state once
-	// rather than once per app.
+	// cm lets a solve scan each (class, server) state once rather than
+	// once per app.
 	cm classMemo
 	// scans counts full candidate-list scans, for tests.
 	scans struct{ construct, search int }
@@ -393,7 +375,7 @@ func slotOf(cand []int, j int) int {
 	return -1
 }
 
-// continuation is the converged end state of the last flattened solve on a
+// continuation is the converged end state of the last solve on a
 // workspace view. When the next solve arrives on the same view under the
 // same cost generation and policy, every app whose scan inputs are
 // unchanged since that convergence is provably a no-op and starts clean —
@@ -422,10 +404,10 @@ type continuation struct {
 	loads    []int
 }
 
-// classMemo lets a flattened solve skip scans that a same-class app has
-// just made. Apps of one class read the same candidate list, gates, cost
-// row and demand row, so a scan's result depends only on the class, the
-// app's current server, and the capacity and power state of the class's
+// classMemo lets a solve skip scans that a same-class app has just made.
+// Apps of one class read the same candidate list, gates, cost row and
+// demand row, so a scan's result depends only on the class, the app's
+// current server, and the capacity and power state of the class's
 // candidates. Two memos key on that, and each skips only a scan that
 // provably returns what the recorded scan returned:
 //
@@ -452,9 +434,9 @@ type continuation struct {
 //     inputs the recorded one read, and so move nothing.
 //
 // Entries carry the generation they were made in: SolveInto advances gen
-// every flattened solve and construct on every retiring placement, so no
-// solve clears anything — a 6-app solve pays for its classes, not for the
-// last large batch.
+// every solve and construct on every retiring placement, so no solve
+// clears anything — a 6-app solve pays for its classes, not for the last
+// large batch.
 type classMemo struct {
 	gen   uint64
 	pick  []stamped // per class: v is the picked server or -1
@@ -526,16 +508,6 @@ func (st *state) init(p *Problem, pol Policy) {
 	for i := range st.assigned {
 		st.assigned[i] = -1
 	}
-}
-
-// placeCost returns the marginal policy cost of placing app i on server j
-// in the current state, including activation if j is currently off.
-func (st *state) placeCost(i, j int) float64 {
-	c := st.pol.PairCost(st.p, i, j)
-	if !st.on[j] {
-		c += st.pol.ActivationCost(st.p, j)
-	}
-	return c
 }
 
 // canPlace reports whether app i fits on server j right now.
@@ -630,26 +602,15 @@ func (s *HeuristicSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
 	return a, nil
 }
 
-// SolveWarm seeds the search with a previous assignment instead of greedy
-// construction: every still-feasible (app, server) pair of warm is
-// re-placed, then the same local search runs to convergence. Cost is a
-// local optimum either way, but converging from a near-solution is much
-// cheaper than constructing from scratch when little has changed between
-// epochs. Only warm.ServerOf is read; power states are re-derived. Stale
-// warm entries — indices past the current fleet, or servers the app can no
-// longer run on — are skipped, not errors.
-func (s *HeuristicSolver) SolveWarm(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
-	a := &Assignment{}
-	if err := s.SolveInto(a, p, pol, warm); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// SolveInto is Solve/SolveWarm writing the result into dst, reusing
-// dst's slice capacity — the allocation-free form for per-epoch solver
-// loops. A nil warm runs greedy construction; otherwise warm seeds the
-// search as in SolveWarm. On error dst is left unspecified.
+// SolveInto is Solve writing the result into dst, reusing dst's slice
+// capacity — the allocation-free form for per-epoch solver loops. A nil
+// warm runs greedy construction. Otherwise warm seeds the search instead:
+// every still-feasible (app, server) pair of warm is re-placed, then the
+// same local search runs to convergence, which is much cheaper than
+// constructing from scratch when little has changed between epochs. Only
+// warm.ServerOf is read; power states are re-derived. Stale warm entries —
+// indices past the current fleet, or servers the app can no longer run
+// on — are skipped, not errors. On error dst is left unspecified.
 func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, warm *Assignment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -666,12 +627,9 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 			return err
 		}
 	}
-	flat := s.Search != SearchSweep
 	mm := &s.memo
-	if flat {
-		mm.prepare(p, pol)
-		s.cm.reset(mm)
-	}
+	mm.prepare(p, pol)
+	s.cm.reset(mm)
 	st := &s.st
 	st.init(p, pol)
 
@@ -684,20 +642,16 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 			}
 		}
 	} else {
-		s.construct(st, mm, flat)
+		s.construct(st, mm)
 	}
 
 	maxPasses := s.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = 8
 	}
-	if flat {
-		s.initMarks(st, mm, p, pol)
-		converged := s.localSearchFlat(st, mm, maxPasses)
-		s.recordContinuation(st, mm, p, pol, converged)
-	} else {
-		s.localSearchSweep(st, maxPasses)
-	}
+	s.initMarks(st, mm, p, pol)
+	converged := s.localSearch(st, mm, maxPasses)
+	s.recordContinuation(st, mm, p, pol, converged)
 
 	dst.ServerOf = append(dst.ServerOf[:0], st.assigned...)
 	dst.PowerOn = append(dst.PowerOn[:0], st.on...)
@@ -713,9 +667,9 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	return nil
 }
 
-// initMarks seeds the dirty-app queue for a flattened solve: everything
-// dirty by default, or — when the last converged solve on this view still
-// applies — only what changed since that fixpoint.
+// initMarks seeds the dirty-app queue for a solve: everything dirty by
+// default, or — when the last converged solve on this view still applies —
+// only what changed since that fixpoint.
 func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Policy) {
 	n := len(p.Apps)
 	st.mark = grow(st.mark, n)
@@ -759,9 +713,9 @@ func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Pol
 }
 
 // recordContinuation snapshots the converged state for the next solve.
-// Only cleanly-converged flattened solves on workspace views qualify: a
-// pass-capped exit is not a fixpoint, and dense problems can mutate
-// without any generation moving.
+// Only cleanly-converged solves on workspace views qualify: a pass-capped
+// exit is not a fixpoint, and dense problems can mutate without any
+// generation moving.
 func (s *HeuristicSolver) recordContinuation(st *state, mm *costMemo, p *Problem, pol Policy, converged bool) {
 	c := &s.cont
 	c.valid = converged && mm.hasStruct && p.costGen != 0
@@ -797,7 +751,7 @@ func orderByCount(order, counts, bucket []int) {
 // first (fewest feasible servers), each on its cheapest feasible server.
 // This is the classic most-constrained-variable heuristic and avoids
 // painting flexible apps into constrained servers.
-func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
+func (s *HeuristicSolver) construct(st *state, mm *costMemo) {
 	p := st.p
 	s.order = grow(s.order, len(p.Apps))
 	s.options = grow(s.options, len(p.Apps))
@@ -821,20 +775,7 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
 	orderByCount(order, options, s.bucket)
 
 	for _, i := range order {
-		best, bestCost := -1, math.Inf(1)
-		if flat {
-			best = s.pickFlat(st, mm, i)
-		} else {
-			for _, j := range p.CandidatesOf(i) {
-				if !st.canPlace(i, j) {
-					continue
-				}
-				if c := st.placeCost(i, j); c < bestCost {
-					best, bestCost = j, c
-				}
-			}
-		}
-		if best >= 0 {
+		if best := s.pickCheapest(st, mm, i); best >= 0 {
 			if !st.on[best] || !shrinks(p.Demand[i][best]) {
 				s.cm.gen++ // retire every cached pick (see classMemo)
 			}
@@ -843,10 +784,10 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo, flat bool) {
 	}
 }
 
-// pickFlat is construct's flattened scan: app i's first cheapest candidate
-// that fits, or -1. The class's cached pick answers while it still fits
-// (see classMemo).
-func (s *HeuristicSolver) pickFlat(st *state, mm *costMemo, i int) int {
+// pickCheapest is construct's scan: app i's first cheapest candidate that
+// fits, or -1. The class's cached pick answers while it still fits (see
+// classMemo).
+func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	p, cm := st.p, &s.cm
 	c := mm.cls[i]
 	if e := cm.pick[c]; e.gen == cm.gen {
@@ -873,63 +814,18 @@ func (s *HeuristicSolver) pickFlat(st *state, mm *costMemo, i int) int {
 	return best
 }
 
-// localSearchSweep is the reference steepest-descent loop: every pass
-// re-scans every app and derives pair costs through the Policy interface.
-func (s *HeuristicSolver) localSearchSweep(st *state, maxPasses int) {
-	p := st.p
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		for i := range p.Apps {
-			cur := st.assigned[i]
-			if cur < 0 {
-				// Retry unplaced apps: capacity may have shifted.
-				for _, j := range p.CandidatesOf(i) {
-					if st.canPlace(i, j) {
-						st.place(i, j)
-						improved = true
-						break
-					}
-				}
-				continue
-			}
-			// Scan without unplacing: the candidate loop excludes cur, so
-			// no candidate's feasibility or cost depends on i's own slot,
-			// and a no-move scan leaves the capacity vectors bit-exact
-			// (an unplace/place round trip would not: (a+d)-d need not
-			// equal a in floating point).
-			curCost := st.moveAwareCost(i, cur)
-			best, bestCost := cur, curCost
-			for _, j := range p.CandidatesOf(i) {
-				if j == cur || !st.canPlace(i, j) {
-					continue
-				}
-				if c := st.placeCost(i, j); c < bestCost-1e-12 {
-					best, bestCost = j, c
-				}
-			}
-			if best != cur {
-				st.unplace(i)
-				st.place(i, best)
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-}
-
-// localSearchFlat is the flattened steepest-descent loop: pair costs come
-// from the memoized rows, and the dirty-app work queue skips every app
-// whose candidate servers are untouched (in any scan-visible way) since
-// its last scan. The move sequence is identical to localSearchSweep's: a
-// skipped scan is one whose inputs — the fit thresholds, activation
-// states, and cost rows over the app's candidate list, and the app's own
-// placement — are unchanged since a scan that moved nothing, whether that
-// scan was the app's own or a same-class app's from the same server (the
-// no-move memo; see classMemo). Returns whether the search converged (a
-// full pass moved nothing) rather than exhausting its pass budget.
-func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int) bool {
+// localSearch is the steepest-descent loop: pair costs come from the
+// memoized rows, and the dirty-app work queue skips every app whose
+// candidate servers are untouched (in any scan-visible way) since its last
+// scan. The move sequence is identical to a sweep that re-scans every app
+// every pass (the test oracle): a skipped scan is one whose inputs — the
+// fit thresholds, activation states, and cost rows over the app's
+// candidate list, and the app's own placement — are unchanged since a scan
+// that moved nothing, whether that scan was the app's own or a same-class
+// app's from the same server (the no-move memo; see classMemo). Returns
+// whether the search converged (a full pass moved nothing) rather than
+// exhausting its pass budget.
+func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bool {
 	p, cm := st.p, &s.cm
 	n := len(p.Apps)
 	for pass := 0; pass < maxPasses; pass++ {
@@ -1015,15 +911,4 @@ func (s *HeuristicSolver) localSearchFlat(st *state, mm *costMemo, maxPasses int
 		}
 	}
 	return false
-}
-
-// moveAwareCost is app i's current cost on server j, crediting the
-// activation cost when i is the only tenant of a server that was off
-// before the batch (moving it away would let the server power down).
-func (st *state) moveAwareCost(i, j int) float64 {
-	c := st.pol.PairCost(st.p, i, j)
-	if !st.p.Servers[j].PoweredOn && st.loads[j] == 1 {
-		c += st.pol.ActivationCost(st.p, j)
-	}
-	return c
 }

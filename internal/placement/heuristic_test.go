@@ -26,11 +26,9 @@ func TestSolverSearchModesEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pol := range allPolicies() {
-			sweep := &HeuristicSolver{Search: SearchSweep}
-			flat := &HeuristicSolver{Search: SearchFlat}
-			auto := NewHeuristicSolver()
+			flat := NewHeuristicSolver()
 
-			aSweep, err := sweep.Solve(p, pol)
+			aSweep, err := sweepSolve(p, pol, nil)
 			if err != nil {
 				t.Fatalf("trial %d %s sweep: %v", trial, pol.Name(), err)
 			}
@@ -38,13 +36,9 @@ func TestSolverSearchModesEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s flat: %v", trial, pol.Name(), err)
 			}
-			aAuto, err := auto.Solve(p, pol)
-			if err != nil {
-				t.Fatalf("trial %d %s auto: %v", trial, pol.Name(), err)
-			}
-			if !reflect.DeepEqual(aSweep, aFlat) || !reflect.DeepEqual(aSweep, aAuto) {
-				t.Fatalf("trial %d %s: cold assignments diverged across search modes:\nsweep: %+v\nflat:  %+v\nauto:  %+v",
-					trial, pol.Name(), aSweep, aFlat, aAuto)
+			if !reflect.DeepEqual(aSweep, aFlat) {
+				t.Fatalf("trial %d %s: cold assignments diverged across search modes:\nsweep: %+v\nflat:  %+v",
+					trial, pol.Name(), aSweep, aFlat)
 			}
 			if err := p.CheckFeasible(aFlat); err != nil {
 				t.Fatalf("trial %d %s: flat assignment infeasible: %v", trial, pol.Name(), err)
@@ -57,11 +51,11 @@ func TestSolverSearchModesEquivalent(t *testing.T) {
 					seed.ServerOf[i] = (j + 1) % len(p.Servers)
 				}
 			}
-			wSweep, err := sweep.SolveWarm(p, pol, seed)
+			wSweep, err := sweepSolve(p, pol, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wFlat, err := flat.SolveWarm(p, pol, seed)
+			wFlat, err := solveWarm(flat, p, pol, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,9 +67,24 @@ func TestSolverSearchModesEquivalent(t *testing.T) {
 	}
 }
 
+// warmBoth solves p warm from warm under CarbonAware with the sweep oracle
+// and with the solver, in that order.
+func warmBoth(t *testing.T, p *Problem, warm *Assignment) []*Assignment {
+	t.Helper()
+	sweep, err := sweepSolve(p, CarbonAware{}, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := solveWarm(NewHeuristicSolver(), p, CarbonAware{}, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Assignment{sweep, flat}
+}
+
 // TestSolveWarmStaleAssignments: warm.ServerOf entries pointing at
 // out-of-range or now-incompatible servers must be skipped, not panic —
-// over shrunk and grown fleets, for both backends and both search modes.
+// over shrunk and grown fleets, for both backends and the sweep oracle.
 func TestSolveWarmStaleAssignments(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	base := randomWSInstance(rng, 6, 8)
@@ -129,19 +138,11 @@ func TestSolveWarmStaleAssignments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got []*Assignment
-			for _, s := range []WarmSolver{
-				&HeuristicSolver{Search: SearchSweep},
-				&HeuristicSolver{Search: SearchFlat},
-			} {
-				a, err := s.SolveWarm(p, CarbonAware{}, tc.warm)
-				if err != nil {
-					t.Fatal(err)
-				}
+			got := warmBoth(t, p, tc.warm)
+			for _, a := range got {
 				if err := p.CheckFeasible(a); err != nil {
 					t.Fatalf("stale warm produced infeasible assignment: %v", err)
 				}
-				got = append(got, a)
 			}
 			if !reflect.DeepEqual(got[0], got[1]) {
 				t.Fatalf("stale warm diverged across search modes:\nsweep: %+v\nflat:  %+v", got[0], got[1])
@@ -171,14 +172,7 @@ func TestSolveWarmStaleAssignments(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []WarmSolver{
-			&HeuristicSolver{Search: SearchSweep},
-			&HeuristicSolver{Search: SearchFlat},
-		} {
-			a, err := s.SolveWarm(p, CarbonAware{}, prev)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, a := range warmBoth(t, p, prev) {
 			if len(a.Unplaced) != len(apps) {
 				t.Fatalf("expected every app unplaced on incompatible fleet, got %d unplaced", len(a.Unplaced))
 			}
@@ -311,8 +305,7 @@ func TestAdjacencyBuiltOnlyWhenNeeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat := &HeuristicSolver{Search: SearchFlat, SkipValidate: true}
-			sweep := &HeuristicSolver{Search: SearchSweep}
+			flat := &HeuristicSolver{SkipValidate: true}
 			apps := append([]App(nil), inst.apps...)
 			p, err := ws.Problem(apps)
 			if err != nil {
@@ -338,11 +331,11 @@ func TestAdjacencyBuiltOnlyWhenNeeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := sweep.SolveWarm(p, pol, first)
+			want, err := sweepSolve(p, pol, first)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := flat.SolveWarm(p, pol, first)
+			got, err := solveWarm(flat, p, pol, first)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,10 +427,9 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sweep := &HeuristicSolver{Search: SearchSweep}
 				flat := &HeuristicSolver{SkipValidate: true}
 
-				want, err := sweep.Solve(p, pol)
+				want, err := sweepSolve(p, pol, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -456,10 +448,10 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 						seed.ServerOf[i] = (j + 1) % len(p.Servers)
 					}
 				}
-				if want, err = sweep.SolveWarm(p, pol, seed); err != nil {
+				if want, err = sweepSolve(p, pol, seed); err != nil {
 					t.Fatal(err)
 				}
-				if got, err = flat.SolveWarm(p, pol, seed); err != nil {
+				if got, err = solveWarm(flat, p, pol, seed); err != nil {
 					t.Fatal(err)
 				}
 				same(t, fmt.Sprintf("trial %d warm", trial), want, got)
@@ -485,10 +477,10 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 					if p, err = ws.Problem(apps); err != nil {
 						t.Fatal(err)
 					}
-					if want, err = sweep.SolveWarm(p, pol, prev); err != nil {
+					if want, err = sweepSolve(p, pol, prev); err != nil {
 						t.Fatal(err)
 					}
-					if got, err = flat.SolveWarm(p, pol, prev); err != nil {
+					if got, err = solveWarm(flat, p, pol, prev); err != nil {
 						t.Fatal(err)
 					}
 					same(t, fmt.Sprintf("trial %d round %d", trial, round), want, got)
@@ -539,7 +531,7 @@ func TestClassMemoScanCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := (&HeuristicSolver{Search: SearchSweep}).Solve(p, pol)
+		want, err := sweepSolve(p, pol, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -594,7 +586,7 @@ func TestClassPickRetiredByGrowingDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (&HeuristicSolver{Search: SearchSweep}).Solve(p, CarbonAware{})
+	want, err := sweepSolve(p, CarbonAware{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,6 @@ type Solver interface {
 	Solve(p *Problem, pol Policy) (*Assignment, error)
 }
 
-// WarmSolver is a backend that can reuse a previous assignment to start
-// the search near a solution. Both built-in backends implement it: the
-// heuristic seeds local search from the assignment; the exact backend
-// turns it into the branch-and-bound's initial incumbent.
-type WarmSolver interface {
-	Solver
-	SolveWarm(p *Problem, pol Policy, warm *Assignment) (*Assignment, error)
-}
-
 // Placer implements Algorithm 1's incremental placement: it receives
 // batches of newly arriving applications, filters feasible servers, solves
 // the optimization with the configured policy, and returns the placement
@@ -63,17 +54,6 @@ type Result struct {
 
 // Place solves one batch (Algorithm 1 lines 1-10).
 func (pl *Placer) Place(p *Problem) (*Result, error) {
-	return pl.place(p, nil)
-}
-
-// PlaceWarm solves one batch warm-started from a previous assignment
-// (e.g. the last epoch's solution when re-placing the same apps).
-// Backends that cannot warm-start fall back to a cold solve.
-func (pl *Placer) PlaceWarm(p *Problem, warm *Assignment) (*Result, error) {
-	return pl.place(p, warm)
-}
-
-func (pl *Placer) place(p *Problem, warm *Assignment) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -113,15 +93,8 @@ func (pl *Placer) place(p *Problem, warm *Assignment) (*Result, error) {
 		}
 	}
 
-	run := func(s Solver) (*Assignment, error) {
-		if ws, ok := s.(WarmSolver); ok && warm != nil {
-			return ws.SolveWarm(p, pol, warm)
-		}
-		return s.Solve(p, pol)
-	}
-
 	start := time.Now() //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
-	a, err := run(solver)
+	a, err := solver.Solve(p, pol)
 	solveTime := time.Since(start) //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
 	if err != nil && backend == "exact" {
 		// The exact backend can reject edge cases (e.g. time limit with
@@ -134,7 +107,7 @@ func (pl *Placer) place(p *Problem, warm *Assignment) (*Result, error) {
 			h = &HeuristicSolver{SkipValidate: true}
 		}
 		t1 := time.Now() //detlint:wallclock telemetry: fallback solve timed on its own for Assignment.SolveTime
-		a, err = run(h)
+		a, err = h.Solve(p, pol)
 		solveTime = time.Since(t1) //detlint:wallclock telemetry: fallback solve timed on its own for Assignment.SolveTime
 	}
 	totalTime := time.Since(start) //detlint:wallclock telemetry: Assignment.TotalTime reports end-to-end wall time

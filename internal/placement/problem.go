@@ -144,7 +144,6 @@ func identityIndices(m int) []int {
 // megabytes per batch, and row-at-a-time allocation would hand the GC
 // hundreds of objects to track per solver invocation.
 func NewProblem(apps []App, servers []Server) *Problem {
-	//detlint:hotalloc one problem shell per solve batch, amortized over the whole epoch
 	p := &Problem{Apps: apps, Servers: servers}
 	n, m := len(apps), len(servers)
 	p.Demand = make([][]cluster.Resources, n)

@@ -155,13 +155,20 @@ func TestWorkspaceIncrementalEquivalence(t *testing.T) {
 			type variant struct {
 				name   string
 				sparse bool
-				solver *HeuristicSolver
+				solve  func(p *Problem, pol Policy, warm *Assignment) (*Assignment, error)
 			}
-			ref := variant{"dense/sweep", false, &HeuristicSolver{Search: SearchSweep}}
+			// Each flat variant keeps one solver across epochs.
+			flat := func() func(*Problem, Policy, *Assignment) (*Assignment, error) {
+				s := NewHeuristicSolver()
+				return func(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
+					return solveWarm(s, p, pol, warm)
+				}
+			}
+			ref := variant{"dense/sweep", false, sweepSolve}
 			variants := []variant{
-				{"dense/flat", false, &HeuristicSolver{Search: SearchFlat}},
-				{"ws/sweep", true, &HeuristicSolver{Search: SearchSweep}},
-				{"ws/flat", true, &HeuristicSolver{Search: SearchFlat}},
+				{"dense/flat", false, flat()},
+				{"ws/sweep", true, sweepSolve},
+				{"ws/flat", true, flat()},
 			}
 			const epochs = 6
 			for epoch := 0; epoch < epochs; epoch++ {
@@ -191,12 +198,12 @@ func TestWorkspaceIncrementalEquivalence(t *testing.T) {
 					return dense
 				}
 
-				aRef, err := ref.solver.Solve(problemOf(ref), pol)
+				aRef, err := ref.solve(problemOf(ref), pol, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, v := range variants {
-					got, err := v.solver.Solve(problemOf(v), pol)
+					got, err := v.solve(problemOf(v), pol, nil)
 					if err != nil {
 						t.Fatalf("epoch %d %s cold: %v", epoch, v.name, err)
 					}
@@ -220,12 +227,12 @@ func TestWorkspaceIncrementalEquivalence(t *testing.T) {
 						seed.ServerOf[i] = (j + 1) % len(servers)
 					}
 				}
-				wRef, err := ref.solver.SolveWarm(problemOf(ref), pol, seed)
+				wRef, err := ref.solve(problemOf(ref), pol, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, v := range variants {
-					got, err := v.solver.SolveWarm(problemOf(v), pol, seed)
+					got, err := v.solve(problemOf(v), pol, seed)
 					if err != nil {
 						t.Fatalf("epoch %d %s warm: %v", epoch, v.name, err)
 					}
@@ -474,7 +481,7 @@ func TestHeuristicWarmStartIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := solver.SolveWarm(p, CarbonAware{}, cold)
+		warm, err := solveWarm(solver, p, CarbonAware{}, cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,8 +624,7 @@ func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sweep := &HeuristicSolver{Search: SearchSweep}
-			flat := &HeuristicSolver{Search: SearchFlat, SkipValidate: true}
+			flat := &HeuristicSolver{SkipValidate: true}
 			apps := append([]App(nil), inst.apps...)
 			var prev *Assignment
 			for round := 0; round < 25; round++ {
@@ -641,11 +647,11 @@ func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				aSweep, err := sweep.SolveWarm(sparse, pol, prev)
+				aSweep, err := sweepSolve(sparse, pol, prev)
 				if err != nil {
 					t.Fatalf("round %d sweep: %v", round, err)
 				}
-				aFlat, err := flat.SolveWarm(sparse, pol, prev)
+				aFlat, err := solveWarm(flat, sparse, pol, prev)
 				if err != nil {
 					t.Fatalf("round %d flat: %v", round, err)
 				}

@@ -42,8 +42,7 @@ import (
 // Config parameterizes a sharded run.
 type Config struct {
 	// Base is the region-level simulation the shards jointly execute.
-	// Base.Sites must be empty (the planner owns the partition) and
-	// Base.FixedLoop unset (sharding drives the event timeline).
+	// Base.Sites must be empty (the planner owns the partition).
 	Base sim.Config
 	// Shards is the partition width (<= 1 runs Base unsharded).
 	Shards int
@@ -102,9 +101,6 @@ func Plan(cfg Config, w *sim.World) ([]sim.Config, error) {
 	n := cfg.shards()
 	if n == 1 {
 		return []sim.Config{cfg.Base}, nil
-	}
-	if cfg.Base.FixedLoop {
-		return nil, fmt.Errorf("shard: FixedLoop runs cannot shard (the coordinator drives the event timeline)")
 	}
 	sites := w.Dep.InRegion(cfg.Base.Region)
 	if len(sites) == 0 {

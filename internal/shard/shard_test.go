@@ -195,11 +195,6 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := Plan(bad, w); err == nil {
 		t.Error("accepted pre-set Base.ForwardUnplaced")
 	}
-	bad = Config{Base: base, Shards: 2}
-	bad.Base.FixedLoop = true
-	if _, err := Plan(bad, w); err == nil {
-		t.Error("accepted FixedLoop")
-	}
 	sites := w.Dep.InRegion(base.Region)
 	if _, err := Plan(Config{Base: base, Shards: len(sites) + 1}, w); err == nil {
 		t.Error("accepted more shards than sites")

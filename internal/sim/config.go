@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/carbon"
 	"repro/internal/energy"
@@ -144,32 +145,13 @@ type Config struct {
 	// When nil (the default) results are byte-identical to a fault-free
 	// run.
 	Faults *events.FaultScript
-	// FixedLoop runs the pre-timeline hard-coded epoch sequence
-	// (departures, redeploy, arrivals, placement, traffic, accrual)
-	// instead of dispatching the same phases from the event timeline. It
-	// is the reference implementation the timeline is proven against
-	// (TestTimelineMatchesFixedLoop, BenchmarkTimelineReplay) and does not
-	// support fault scripts.
-	FixedLoop bool
-	// ReferenceSolver routes every placement solve through the
-	// pre-flattening reference path: full structural validation on each
-	// solve and the dense per-app sweep local search, instead of the
-	// trusted fast path (validation skipped for engine-assembled
-	// problems, memoized cost rows, dirty-app work queue). Assignments
-	// are byte-identical either way — the flattened search skips only
-	// provably no-op scans (TestEngineReferenceSolverByteIdentical) — so
-	// like Obs this knob never changes the simulated trajectory and is
-	// excluded from ConfigSig. It exists for equivalence testing and as
-	// the baseline side of BenchmarkWarmSolveChurn.
-	ReferenceSolver bool
 	// Obs, when non-nil, enables observability for the run: the engine
 	// traces every timeline phase (per-phase wall time, call counts,
 	// sampled allocation deltas — Engine.Tracer) and keeps a flight
 	// recorder of recent dispatched events (Engine.FlightRecorder),
 	// snapshotted into checkpoints. Tracing never changes the simulated
 	// trajectory — with Obs nil (the default) outputs are byte-identical
-	// and the hot path carries no tracing code at all. Requires the
-	// event timeline (FixedLoop runs its phases directly, untraced).
+	// and the hot path carries no tracing code at all.
 	Obs *obs.Config
 }
 
@@ -203,8 +185,8 @@ func (c *Config) Validate() error {
 	if c.RTTLimitMs <= 0 {
 		return fmt.Errorf("sim: RTTLimitMs must be positive")
 	}
-	if c.ArrivalsPerHour < 0 {
-		return fmt.Errorf("sim: negative arrival rate")
+	if !(c.ArrivalsPerHour >= 0) || math.IsInf(c.ArrivalsPerHour, 1) {
+		return fmt.Errorf("sim: arrival rate %g is not a finite non-negative number", c.ArrivalsPerHour)
 	}
 	if c.AppLifetimeHours <= 0 {
 		return fmt.Errorf("sim: AppLifetimeHours must be positive")
@@ -224,15 +206,9 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.Faults != nil {
-		if c.FixedLoop {
-			return fmt.Errorf("sim: fault scripts need the event timeline (FixedLoop is the pre-timeline reference loop)")
-		}
 		if err := c.Faults.Validate(); err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-	}
-	if c.Obs != nil && c.FixedLoop {
-		return fmt.Errorf("sim: observability traces the event timeline (FixedLoop dispatches its phases directly)")
 	}
 	return nil
 }

@@ -48,8 +48,8 @@ func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, 
 // emission accrual — is dispatched from an events.Timeline in stable
 // (time, seq) order rather than a hard-coded sequence, so world-dynamics
 // events (Config.Faults) interleave deterministically with the epoch
-// phases. Config.FixedLoop selects the pre-timeline hard-coded loop, kept
-// as the reference the timeline is proven byte-identical against.
+// phases. The golden trajectory digests (golden_test.go) pin what this
+// loop produces.
 //
 // The carbon signal is read by (zone slot, epoch index): NewEngine
 // resolves one carbon.ZoneReader per distinct zone of the region, the
@@ -99,12 +99,9 @@ type Engine struct {
 	// is synced into it from the engine's aggregate site servers before
 	// each solve; intensities update on the carbon clock.
 	ws *placement.Workspace
-	// rebuild forces the legacy dense placement.Build path on every
-	// batch (test hook for the workspace-vs-rebuild equivalence suite).
-	rebuild bool //detlint:ephemeral test hook, set only by the equivalence suite
 
 	// tl is the epoch timeline: every phase of every epoch is a scheduled
-	// event, dispatched in (time, seq) order. Nil in FixedLoop mode.
+	// event, dispatched in (time, seq) order.
 	tl *events.Timeline
 	// faultq holds the scripted world-dynamics events, drained by the
 	// faults phase at the top of each epoch. Nil without a fault script.
@@ -399,16 +396,11 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		}
 	}
 
-	e.solver = placement.NewHeuristicSolver()
-	if cfg.ReferenceSolver {
-		e.solver.Search = placement.SearchSweep
-	} else {
-		// Engine-assembled problems are trusted: app IDs are generated
-		// unique per batch and the workspace (or Build) guarantees the
-		// matrix shapes and ascending candidate lists, so the per-epoch
-		// hot loop skips the solver's structural re-validation.
-		e.solver.SkipValidate = true
-	}
+	// Engine-assembled problems are trusted: app IDs are generated unique
+	// per batch and the workspace guarantees the matrix shapes and
+	// ascending candidate lists, so the per-epoch hot loop skips the
+	// solver's structural re-validation.
+	e.solver = &placement.HeuristicSolver{SkipValidate: true}
 	e.res = &Result{
 		PlacementsByCity:  metrics.NewCounter(),
 		MonthlyPlacements: metrics.NewCounter(),
@@ -457,10 +449,8 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if !cfg.FixedLoop {
-		e.tl = events.NewTimeline()
-		e.scheduleEpoch(0)
-	}
+	e.tl = events.NewTimeline()
+	e.scheduleEpoch(0)
 	return e, nil
 }
 
@@ -571,12 +561,7 @@ func (e *Engine) Step() error {
 		}
 	}
 
-	switch {
-	case e.cfg.FixedLoop:
-		if err := e.fixedStep(now, epoch); err != nil {
-			return err
-		}
-	case e.recorder != nil:
+	if e.recorder != nil {
 		// Recording loop: identical dispatch, plus one timed ring write
 		// per event. Kept as a separate loop so the default path stays
 		// branch-free per event.
@@ -589,7 +574,7 @@ func (e *Engine) Step() error {
 				return fmt.Errorf("sim: epoch %d %s event: %w", epoch, ev.Kind, err)
 			}
 		}
-	default:
+	} else {
 		for {
 			ev, ok, err := e.tl.ProcessNext(now)
 			if !ok {
@@ -602,11 +587,10 @@ func (e *Engine) Step() error {
 	}
 
 	e.epoch++
-	if e.tl != nil && !e.Done() {
-		e.scheduleEpoch(e.epoch)
-	}
 	if e.Done() {
 		e.closeFaultAccounting()
+	} else {
+		e.scheduleEpoch(e.epoch)
 	}
 	for _, o := range e.observers {
 		o.OnEpoch(epoch, now, e.res)
@@ -639,9 +623,9 @@ func (e *Engine) closeFaultAccounting() {
 
 // scheduleEpoch enqueues one epoch's phase events in canonical order.
 // Because the timeline dispatches in (time, seq) order and each epoch's
-// phases are scheduled together, the phases replay the fixed loop's
-// sequence exactly; fault events (scheduled at build time, so with lower
-// sequence numbers) fire ahead of the phases of their epoch.
+// phases are scheduled together, they run in exactly this order; fault
+// events (scheduled at build time, so with lower sequence numbers) fire
+// ahead of the phases of their epoch.
 func (e *Engine) scheduleEpoch(epoch int) {
 	at := e.start.Add(time.Duration(epoch) * time.Hour)
 	if e.faultq != nil {
@@ -658,32 +642,6 @@ func (e *Engine) scheduleEpoch(epoch int) {
 		e.tl.Schedule(at, "traffic", e.phTraffic)
 	}
 	e.tl.Schedule(at, "accrual", e.phAccrue)
-}
-
-// fixedStep is the pre-timeline hard-coded epoch sequence, kept as the
-// reference implementation the timeline mode is proven byte-identical
-// against (fault scripts are rejected in this mode).
-func (e *Engine) fixedStep(now time.Time, epoch int) error {
-	month := int(now.Month()) - 1
-	e.phaseCarbonTick(now)
-	e.stepDepartures(epoch)
-	if e.cfg.RedeployEveryHours > 0 && epoch > 0 && epoch%e.cfg.RedeployEveryHours == 0 && len(e.live) > 0 {
-		if err := e.redeploy(now); err != nil {
-			return err
-		}
-	}
-	e.stepArrivals()
-	batch := e.drainBatch(epoch)
-	if len(batch) > 0 {
-		if err := e.stepPlacement(batch, epoch, month); err != nil {
-			return err
-		}
-	}
-	if err := e.stepTraffic(epoch, month); err != nil {
-		return err
-	}
-	e.stepAccrual(month)
-	return nil
 }
 
 // phaseFaults drains the scripted world-dynamics events due this epoch.
@@ -925,17 +883,9 @@ func (e *Engine) zoneCIOracle(zone string) float64 {
 }
 
 // buildProblem assembles the batch's placement problem against the
-// current server state: through the persistent workspace (intensity and
-// capacity synced, shortlist-backed matrices), or through the legacy
-// dense placement.Build when the rebuild test hook is set.
+// current server state through the persistent workspace: intensity and
+// capacity are synced, and the matrices are shortlist-backed views.
 func (e *Engine) buildProblem(apps []placement.App) (*placement.Problem, error) {
-	if e.rebuild {
-		pservers, err := e.serverViews()
-		if err != nil {
-			return nil, err
-		}
-		return placement.Build(apps, pservers, e.rttOracle, nil)
-	}
 	for j := range e.servers {
 		srv := &e.servers[j]
 		mean, err := e.meanForecast(e.zoneSlotOfSite[srv.site])
@@ -1171,33 +1121,6 @@ func (e *Engine) stepAccrual(month int) {
 			}
 		}
 	}
-}
-
-// serverViews builds the dense placement view of every site server this
-// epoch (forecast intensity, free capacity, power state) — the
-// legacy rebuild path, kept for the workspace equivalence tests.
-func (e *Engine) serverViews() ([]placement.Server, error) {
-	pservers := make([]placement.Server, len(e.servers))
-	for j := range e.servers {
-		srv := &e.servers[j]
-		mean, err := e.meanForecast(e.zoneSlotOfSite[srv.site])
-		if err != nil {
-			return nil, err
-		}
-		pservers[j] = placement.Server{
-			ID:         "srv-" + strconv.Itoa(j),
-			DC:         e.sites[srv.site].City,
-			Device:     srv.device.Name,
-			Intensity:  mean,
-			BasePowerW: srv.device.IdleW,
-			PoweredOn:  srv.on && !srv.down,
-			Free:       srv.cap.Sub(srv.used),
-		}
-		if srv.down {
-			pservers[j].Free = cluster.Resources{}
-		}
-	}
-	return pservers, nil
 }
 
 // rttOracle resolves the pairwise RTT between two site cities.

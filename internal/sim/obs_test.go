@@ -214,16 +214,6 @@ func TestObsRestoreWithoutObs(t *testing.T) {
 	}
 }
 
-// TestObsRejectsFixedLoop: the fixed reference loop dispatches phases
-// directly, so observability cannot trace it.
-func TestObsRejectsFixedLoop(t *testing.T) {
-	cfg := obsOn(allocModes(50)["classic"])
-	cfg.FixedLoop = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted Obs with FixedLoop")
-	}
-}
-
 // BenchmarkEpochAllocsObs is BenchmarkEpochAllocs with full
 // observability on — the per-epoch tracing overhead behind
 // BENCH_07.json.

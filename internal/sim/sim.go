@@ -182,9 +182,27 @@ func sampleWeighted(rng *rng.Rand, w []float64, total float64) int {
 	return len(w) - 1
 }
 
-// poisson draws from a Poisson distribution (Knuth's method; fine for the
-// small rates used here).
+// poissonChunk is the largest rate one Knuth draw takes. Knuth's method
+// stops when a running product of uniforms falls to exp(-λ), which
+// underflows to 0 past λ ≈ 745; then the loop runs until the product
+// underflows too, and every draw lands near 745.
+const poissonChunk = 500
+
+// poisson draws from a Poisson distribution: Knuth's method in chunks of
+// at most poissonChunk, summed (a sum of independent Poisson draws is
+// Poisson with the summed rate). A rate of at most poissonChunk is one
+// Knuth draw.
 func poisson(rng *rng.Rand, lambda float64) int {
+	k := 0
+	for ; lambda > poissonChunk; lambda -= poissonChunk {
+		k += knuthPoisson(rng, poissonChunk)
+	}
+	return k + knuthPoisson(rng, lambda)
+}
+
+// knuthPoisson is Knuth's product method, exact for rates small enough
+// that exp(-λ) does not underflow.
+func knuthPoisson(rng *rng.Rand, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}

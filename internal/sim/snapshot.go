@@ -218,9 +218,6 @@ func (st ResultState) Restore() (*Result, error) {
 // tracing never changes the trajectory, so a checkpoint taken with
 // observability on restores cleanly into a run with it off (and vice
 // versa), and sweep journals stay valid across obs toggles.
-// ReferenceSolver is excluded for the same reason: both solver paths
-// produce byte-identical assignments, so the knob cannot change a
-// trajectory.
 func ConfigSig(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d region=%v sites=%v forward=%t policy=%T%+v rtt=%g hours=%d start=%d arrivals=%g life=%d",
@@ -229,9 +226,9 @@ func ConfigSig(cfg Config) string {
 	fmt.Fprintf(&b, " model=%s models=%v rate=%g devices=%v cap=%g demand=%v capacity=%v alwayson=%t",
 		cfg.Model, cfg.Models, cfg.RatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
 		cfg.Demand, cfg.Capacity, cfg.ServersAlwaysOn)
-	fmt.Fprintf(&b, " horizon=%d forecaster=%T%+v batch=%d loadci=%t redeploy=%d migmb=%g migj=%g warm=%t fixed=%t",
+	fmt.Fprintf(&b, " horizon=%d forecaster=%T%+v batch=%d loadci=%t redeploy=%d migmb=%g migj=%g warm=%t",
 		cfg.ForecastHorizonHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
-		cfg.RedeployEveryHours, cfg.MigrationDataMB, cfg.MigrationJPerMB, cfg.WarmRedeploy, cfg.FixedLoop)
+		cfg.RedeployEveryHours, cfg.MigrationDataMB, cfg.MigrationJPerMB, cfg.WarmRedeploy)
 	if cfg.Traffic != nil {
 		fmt.Fprintf(&b, " traffic=%+v", *cfg.Traffic)
 	}
@@ -476,11 +473,9 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 			})
 		}
 	}
-	if e.tl != nil {
-		e.tl = events.NewTimeline()
-		if !e.Done() {
-			e.scheduleEpoch(e.epoch)
-		}
+	e.tl = events.NewTimeline()
+	if !e.Done() {
+		e.scheduleEpoch(e.epoch)
 	}
 	// Flight recorder: reload the snapshotted ring when the restoring
 	// config also enables the recorder (cfg.Obs drives e.recorder's

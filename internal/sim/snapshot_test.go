@@ -106,7 +106,6 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				{At: 30 * time.Hour, Kind: events.FaultForecastError, Zone: w.Dep.InRegion(cfg.Region)[0].ZoneID, Factor: 3, For: 100 * time.Hour},
 			}}
 		}),
-		"fixed-loop": mk(func(cfg *Config) { cfg.FixedLoop = true }),
 	}
 	// Snapshot points: the edges, inside the crash window (55), and after
 	// the scale-out with the recover still ahead (100).

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,61 +10,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/traffic"
 )
-
-// TestTimelineMatchesFixedLoop proves the tentpole equivalence: with no
-// fault events scheduled, the event-timeline dispatch replays the
-// pre-refactor hard-coded epoch loop byte for byte — in the classic epoch
-// mode, with periodic redeployment, and in the traffic-driven mode. Each
-// pair runs on concurrent goroutines over the shared world, so under
-// -race this doubles as the dispatcher's data-race check.
-func TestTimelineMatchesFixedLoop(t *testing.T) {
-	w := testWorld(t)
-	mk := func(mutate func(*Config)) Config {
-		cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
-		cfg.Hours = 24 * 10
-		mutate(&cfg)
-		return cfg
-	}
-	configs := map[string]Config{
-		"classic":  mk(func(cfg *Config) {}),
-		"us":       mk(func(cfg *Config) { cfg.Region = carbon.RegionUS; cfg.Seed = 7 }),
-		"latency":  mk(func(cfg *Config) { cfg.Policy = placement.LatencyAware{} }),
-		"redeploy": mk(func(cfg *Config) { cfg.RedeployEveryHours = 24 }),
-		"batched":  mk(func(cfg *Config) { cfg.BatchHours = 6 }),
-		"powered":  mk(func(cfg *Config) { cfg.ServersAlwaysOn = false }),
-		"traffic": mk(func(cfg *Config) {
-			cfg.Traffic = &traffic.Config{Scenario: traffic.FlashCrowd, RPS: 900}
-		}),
-	}
-	for name, cfg := range configs {
-		name, cfg := name, cfg
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			var timeline, fixed *Result
-			var terr, ferr error
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				timeline, terr = Run(cfg, w)
-			}()
-			go func() {
-				defer wg.Done()
-				fcfg := cfg
-				fcfg.FixedLoop = true
-				fixed, ferr = Run(fcfg, w)
-			}()
-			wg.Wait()
-			if terr != nil || ferr != nil {
-				t.Fatalf("timeline err %v, fixed-loop err %v", terr, ferr)
-			}
-			if !reflect.DeepEqual(stripClock(timeline), stripClock(fixed)) {
-				t.Errorf("timeline result diverged from the fixed loop:\ntimeline: %+v\nfixed:    %+v",
-					stripClock(timeline), stripClock(fixed))
-			}
-		})
-	}
-}
 
 // hotCity finds the city hosting the most placements in a fault-free
 // reference run — the deterministic target for crash scenarios.
@@ -289,14 +233,5 @@ func TestFaultConfigValidation(t *testing.T) {
 	cfg.Faults.Faults[0].Zone = "ZZ-NOPE"
 	if _, err := NewEngine(cfg, w); err == nil {
 		t.Error("fault targeting an unknown zone accepted")
-	}
-
-	cfg = shortConfig(carbon.RegionEurope, placement.CarbonAware{})
-	cfg.FixedLoop = true
-	cfg.Faults = &events.FaultScript{Faults: []events.Fault{
-		{At: time.Hour, Kind: events.FaultCrash, Zone: "DE"},
-	}}
-	if err := cfg.Validate(); err == nil {
-		t.Error("fault script on the fixed loop accepted")
 	}
 }

@@ -1,113 +1,25 @@
 package sim
 
 import (
-	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/carbon"
-	"repro/internal/energy"
 	"repro/internal/placement"
 )
 
-// runEngine executes a config to completion on a fresh engine, optionally
-// forcing the legacy dense-rebuild placement path.
-func runEngine(t *testing.T, cfg Config, w *World, rebuild bool) *Result {
+// runEngine executes a config to completion on a fresh engine.
+func runEngine(t *testing.T, cfg Config, w *World) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.rebuild = rebuild
 	for !e.Done() {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return e.Finish()
-}
-
-// TestEngineWorkspaceMatchesRebuild is the issue's equivalence property
-// at full-simulation scope: for every policy, N epochs of
-// workspace-incremental placement produce a Result byte-identical to the
-// from-scratch dense-rebuild path. The two engines of each pair run
-// concurrently over the shared World, so the -race matrix also exercises
-// workspace construction against concurrent world readers.
-func TestEngineWorkspaceMatchesRebuild(t *testing.T) {
-	w := testWorld(t)
-	policies := []placement.Policy{
-		placement.CarbonAware{},
-		placement.LatencyAware{},
-		placement.EnergyAware{},
-		placement.IntensityAware{},
-	}
-	for _, pol := range policies {
-		pol := pol
-		t.Run(pol.Name(), func(t *testing.T) {
-			t.Parallel()
-			cfg := shortConfig(carbon.RegionEurope, pol)
-			cfg.Hours = 24 * 7
-			var wg sync.WaitGroup
-			results := make([]*Result, 2)
-			for k, rebuild := range []bool{false, true} {
-				wg.Add(1)
-				go func(k int, rebuild bool) {
-					defer wg.Done()
-					results[k] = runEngine(t, cfg, w, rebuild)
-				}(k, rebuild)
-			}
-			wg.Wait()
-			if !reflect.DeepEqual(stripClock(results[0]), stripClock(results[1])) {
-				t.Errorf("workspace result diverged from rebuild:\nws:      %+v\nrebuild: %+v",
-					results[0], results[1])
-			}
-			if results[0].Placed == 0 {
-				t.Error("no apps placed; equivalence vacuous")
-			}
-		})
-	}
-}
-
-// TestEngineWorkspaceMatchesRebuildStressShapes covers the engine
-// configurations that stress different workspace code paths: power
-// management (activation term, departures powering servers off),
-// heterogeneous device pools (per-device class cells), batching, and the
-// periodic-redeploy path that re-places every live app.
-func TestEngineWorkspaceMatchesRebuildStressShapes(t *testing.T) {
-	w := testWorld(t)
-	shapes := map[string]func(*Config){
-		"power-managed": func(cfg *Config) {
-			cfg.ServersAlwaysOn = false
-			cfg.ArrivalsPerHour = 2
-		},
-		"hetero-devices": func(cfg *Config) {
-			cfg.Devices = []string{energy.OrinNano.Name, energy.A2.Name, energy.GTX1080.Name}
-			cfg.Models = []string{energy.ModelEfficientNetB0, energy.ModelResNet50, energy.ModelYOLOv4}
-		},
-		"batched-3h": func(cfg *Config) {
-			cfg.BatchHours = 3
-		},
-		"redeploy-12h": func(cfg *Config) {
-			cfg.AppLifetimeHours = 24 * 7
-			cfg.RedeployEveryHours = 12
-			cfg.MigrationDataMB = 500
-			cfg.MigrationJPerMB = 0.2
-		},
-	}
-	for name, shape := range shapes {
-		shape := shape
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
-			cfg.Hours = 24 * 5
-			shape(&cfg)
-			ws := runEngine(t, cfg, w, false)
-			rb := runEngine(t, cfg, w, true)
-			if !reflect.DeepEqual(stripClock(ws), stripClock(rb)) {
-				t.Errorf("workspace result diverged from rebuild:\nws:      %+v\nrebuild: %+v", ws, rb)
-			}
-		})
-	}
 }
 
 // TestEngineWarmRedeploy exercises the opt-in warm-started redeploy: the
@@ -119,9 +31,9 @@ func TestEngineWarmRedeploy(t *testing.T) {
 	cfg.Hours = 24 * 5
 	cfg.AppLifetimeHours = 24 * 7
 	cfg.RedeployEveryHours = 12
-	cold := runEngine(t, cfg, w, false)
+	cold := runEngine(t, cfg, w)
 	cfg.WarmRedeploy = true
-	warm := runEngine(t, cfg, w, false)
+	warm := runEngine(t, cfg, w)
 	if warm.Placed != cold.Placed || warm.Unplaced != cold.Unplaced {
 		t.Errorf("warm redeploy placed %d/%d, cold %d/%d",
 			warm.Placed, warm.Unplaced, cold.Placed, cold.Unplaced)

@@ -140,7 +140,7 @@ func (g *Grid) Add(key string, cfg sim.Config) {
 // runPoint executes one grid point to completion.
 func (g *Grid) runPoint(i int) (*sim.Result, error) {
 	p := g.Points[i]
-	if g.Trace != nil && p.Config.Obs == nil && !p.Config.FixedLoop {
+	if g.Trace != nil && p.Config.Obs == nil {
 		// Trace this point for the grid aggregate: timings only, no
 		// per-point flight recorder.
 		p.Config.Obs = &obs.Config{FlightRecorderEvents: -1}

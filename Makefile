@@ -45,6 +45,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultScript$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/events/
+	$(GO) test -run '^$$' -fuzz '^FuzzCertifiedMatchesMILP$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/placement/
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds
@@ -84,7 +86,8 @@ bench-guard:
 # checkpoint.Encode after every Step), and prints the top-10 flat
 # summaries. The checked-in snapshots of those summaries live in
 # profiles/PROFILE_12.md (solver), profiles/PROFILE_13.md (traffic),
-# profiles/PROFILE_14.md (live), profiles/PROFILE_17.md (CDN year),
+# profiles/PROFILE_14.md and profiles/PROFILE_21.md (live, the latter
+# under GOMAXPROCS=1 as the ledger runs it), profiles/PROFILE_17.md (CDN year),
 # profiles/PROFILE_18.md (checkpoint) and profiles/PROFILE_19.md (redeploy
 # churn, the solver-bound workload); regenerate them with this target
 # after solver, request-path, orchestrator, engine or codec changes. The
@@ -101,7 +104,7 @@ bench-profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrafficReplay$$' \
 		-benchtime 300x -cpuprofile profiles/traffic-cpu.pprof \
 		-o profiles/bench.test .
-	$(GO) test -run '^$$' -bench 'BenchmarkOrchestratorLive$$' \
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkOrchestratorLive$$' \
 		-benchtime 12x -cpuprofile profiles/live-cpu.pprof \
 		-o profiles/bench.test .
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCDNYear$$' \

@@ -407,6 +407,11 @@ func BenchmarkHeuristicSolve100x400(b *testing.B) {
 	}
 }
 
+// BenchmarkExactSolve8x8 times the exact backend's public Solve on an
+// 8×8 synthetic instance. Every app's cheapest server there is well
+// clear of its runner-up and fits, so ExactSolver's certificate closes
+// the instance and this now mostly times the certificate; the MILP path
+// alone on the same instance is placement's BenchmarkExactMILP8x8.
 func BenchmarkExactSolve8x8(b *testing.B) {
 	b.ReportAllocs()
 	prob, err := experiments.SyntheticProblem(8, 8, 7)

@@ -41,7 +41,10 @@ type Config struct {
 
 // DefaultConfig is the repository policy: the engine, its phases'
 // transitive dependencies, and every layer the replay equivalence
-// tests cover are deterministic; internal/rng is the randomness home.
+// tests cover are deterministic — including the simplex and
+// branch-and-bound packages under the exact placement backend, which
+// the orchestrator's placements flow through; internal/rng is the
+// randomness home.
 func DefaultConfig() Config {
 	return Config{
 		DeterministicPaths: []string{
@@ -49,6 +52,8 @@ func DefaultConfig() Config {
 			"internal/shard",
 			"internal/events",
 			"internal/placement",
+			"internal/mip",
+			"internal/lp",
 			"internal/router",
 			"internal/traffic",
 			"internal/checkpoint",

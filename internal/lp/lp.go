@@ -82,10 +82,8 @@ func (p *Problem) SetObjective(i int, c float64) error {
 // AddConstraint appends a constraint row. Coefficients with out-of-range
 // indices are rejected.
 func (p *Problem) AddConstraint(coeffs map[int]float64, op Op, rhs float64) error {
-	for i := range coeffs {
-		if i < 0 || i >= p.numVars {
-			return fmt.Errorf("lp: constraint index %d out of range [0,%d)", i, p.numVars)
-		}
+	if err := checkIndices(coeffs, p.numVars); err != nil {
+		return err
 	}
 	cp := make(map[int]float64, len(coeffs))
 	for i, v := range coeffs {
@@ -105,12 +103,26 @@ func (p *Problem) AddConstraint(coeffs map[int]float64, op Op, rhs float64) erro
 // Unlike AddConstraint, explicit zero coefficients are kept; they are
 // harmless to the solve.
 func (p *Problem) AddConstraintShared(coeffs map[int]float64, op Op, rhs float64) error {
-	for i := range coeffs {
-		if i < 0 || i >= p.numVars {
-			return fmt.Errorf("lp: constraint index %d out of range [0,%d)", i, p.numVars)
-		}
+	if err := checkIndices(coeffs, p.numVars); err != nil {
+		return err
 	}
 	p.rows = append(p.rows, Constraint{Coeffs: coeffs, Op: op, RHS: rhs})
+	return nil
+}
+
+// checkIndices rejects a row naming any variable outside [0,n). It counts
+// the bad indices rather than returning at the first one, so the error
+// does not depend on map iteration order.
+func checkIndices(coeffs map[int]float64, n int) error {
+	bad := 0
+	for i := range coeffs {
+		if i < 0 || i >= n {
+			bad++
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("lp: %d constraint indices out of range [0,%d)", bad, n)
+	}
 	return nil
 }
 
@@ -220,8 +232,8 @@ func (p *Problem) Solve(maxIter int) (*Solution, error) {
 		// inequality by a positive scalar preserves the feasible set.
 		scale := math.Abs(r.RHS)
 		for _, v := range r.Coeffs {
-			if a := math.Abs(v); a > scale {
-				scale = a
+			if math.Abs(v) > scale {
+				scale = math.Abs(v)
 			}
 		}
 		if scale < 1 {

@@ -14,6 +14,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/lp"
@@ -66,10 +67,14 @@ func (p *Problem) SetObjective(i int, c float64) error {
 
 // AddConstraint appends a linear constraint.
 func (p *Problem) AddConstraint(coeffs map[int]float64, op lp.Op, rhs float64) error {
+	bad := 0 // counted, not returned at the first hit: map order must not pick the error
 	for i := range coeffs {
 		if i < 0 || i >= p.n {
-			return fmt.Errorf("mip: constraint index %d out of range", i)
+			bad++
 		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("mip: %d constraint indices out of range [0,%d)", bad, p.n)
 	}
 	cp := make(map[int]float64, len(coeffs))
 	for i, v := range coeffs {
@@ -218,6 +223,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	}
 	deadline := time.Time{}
 	if opt.TimeLimit > 0 {
+		//detlint:wallclock TimeLimit is a wall-time budget by contract; a solve that finishes inside it returns the same answer at any clock
 		deadline = time.Now().Add(opt.TimeLimit)
 	}
 
@@ -252,6 +258,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	sawLimit := false
 
 	for queue.Len() > 0 {
+		//detlint:wallclock the TimeLimit deadline check; only a solve that overruns its wall-time budget sees the clock
 		if nodes >= opt.MaxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
 			sawLimit = true
 			break
@@ -469,10 +476,19 @@ func (p *Problem) validIncumbent(x []float64, intTol float64) ([]float64, float6
 		}
 	}
 	out := roundIntegers(x, p.integer)
+	// Each row sums in ascending variable order: a float sum taken in map
+	// iteration order could land on either side of the tolerance from run
+	// to run.
+	var keys []int
 	for _, r := range p.rows {
+		keys = keys[:0]
+		for i := range r.coeffs {
+			keys = append(keys, i)
+		}
+		sort.Ints(keys)
 		var lhs float64
-		for i, c := range r.coeffs {
-			lhs += c * out[i]
+		for _, i := range keys {
+			lhs += r.coeffs[i] * out[i]
 		}
 		switch r.op {
 		case lp.LE:

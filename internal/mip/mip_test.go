@@ -444,3 +444,25 @@ func TestIncumbentPrunesSearch(t *testing.T) {
 		t.Errorf("warm start explored %d nodes, cold %d", warm.Nodes, cold.Nodes)
 	}
 }
+
+// TestIncumbentRowSumOrdered: validIncumbent sums each row in ascending
+// variable order, so a point on a row whose float sum depends on the
+// order is judged the same way on every call.
+func TestIncumbentRowSumOrdered(t *testing.T) {
+	p := NewProblem(3)
+	for i := 0; i < 3; i++ {
+		if err := p.SetBinary(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// In ascending order 1e17 + 1 rounds back to 1e17 and the row sums
+	// to 0; taken as 1e17 - 1e17 + 1 it sums to 1 and fails the EQ row.
+	if err := p.AddConstraint(map[int]float64{0: 1e17, 1: 1, 2: -1e17}, lp.EQ, 0); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 100; k++ {
+		if _, _, ok := p.validIncumbent([]float64{1, 1, 1}, 1e-5); !ok {
+			t.Fatalf("call %d rejected the point: the row was not summed in ascending order", k)
+		}
+	}
+}

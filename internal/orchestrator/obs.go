@@ -79,6 +79,14 @@ func (o *Orchestrator) initObs() {
 			defer o.mu.Unlock()
 			return float64(o.lastSolve.Apps)
 		})
+	r.Register("carbonedge_placement_exact_batches_total",
+		"exact-backend batches by what closed them: the argmin certificate or branch and bound",
+		"counter", func(emit obs.EmitFunc) {
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			emit("", obs.Labels("closed_by", "bound"), float64(o.boundBatches))
+			emit("", obs.Labels("closed_by", "branch_and_bound"), float64(o.bnbBatches))
+		})
 	r.GaugeFunc("carbonedge_placement_candidates_mean",
 		"mean candidate-shortlist size across the last batch's apps", func() float64 {
 			o.mu.Lock()

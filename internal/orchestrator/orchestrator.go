@@ -47,6 +47,10 @@ type Orchestrator struct {
 	fcAt      time.Time
 	lastSolve placement.SolveStats
 	batches   int
+	// boundBatches and bnbBatches split the exact-backend batches by what
+	// closed them: the exact solver's certificate, or branch and bound.
+	boundBatches int
+	bnbBatches   int
 
 	now         time.Time
 	pending     []Recipe
@@ -227,6 +231,13 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 	}
 	o.lastSolve = result.Stats(prob)
 	o.batches++
+	if result.Backend == "exact" {
+		if result.BnBNodes == 0 {
+			o.boundBatches++
+		} else {
+			o.bnbBatches++
+		}
+	}
 	servers := prob.Servers
 
 	// Commit: power transitions first (Eq. 5), then allocations.

@@ -54,6 +54,10 @@ type State struct {
 
 	LastSolve placement.SolveStats `json:"last_solve"`
 	Batches   int                  `json:"batches"`
+	// BoundBatches and BnBBatches are absent from states written before
+	// the exact solver's certificate existed; they load as zero.
+	BoundBatches int `json:"bound_batches,omitempty"`
+	BnBBatches   int `json:"bnb_batches,omitempty"`
 }
 
 // DeploymentState is one deployment plus the exact resource vector it
@@ -104,6 +108,8 @@ func (o *Orchestrator) SaveState() (State, error) {
 		FlashServers:   append([]FlashServerState(nil), o.flashServers...),
 		LastSolve:      o.lastSolve,
 		Batches:        o.batches,
+		BoundBatches:   o.boundBatches,
+		BnBBatches:     o.bnbBatches,
 	}
 	for i := range o.replicas { // name-sorted
 		name := o.replicas[i].ID
@@ -245,6 +251,7 @@ func (o *Orchestrator) LoadState(st State) error {
 	o.flashSeq = st.FlashSeq
 	o.flashServers = append([]FlashServerState(nil), st.FlashServers...)
 	o.lastSolve, o.batches = st.LastSolve, st.Batches
+	o.boundBatches, o.bnbBatches = st.BoundBatches, st.BnBBatches
 
 	o.downServers = nil
 	if len(st.DownServers) > 0 {

@@ -369,3 +369,52 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 		t.Errorf("restored %d deployments, want 1", len(fresh.Deployments()))
 	}
 }
+
+// TestStateCarriesExactBatchCounters: the split of exact-backend batches
+// into certificate-closed and branch-and-bound-closed survives a
+// checkpoint, and a state written before the split existed (no
+// bound_batches, bnb_batches or last_solve.bnb_nodes) still loads, with
+// both counters at zero.
+func TestStateCarriesExactBatchCounters(t *testing.T) {
+	orig := fixture(t, placement.CarbonAware{})
+	deployOne(t, orig, "app-a", "CityA")
+	deployOne(t, orig, "app-b", "CityB")
+	if orig.boundBatches+orig.bnbBatches != 2 {
+		t.Fatalf("%d certificate + %d branch-and-bound batches, want 2 exact batches", orig.boundBatches, orig.bnbBatches)
+	}
+	st := mustState(t, orig)
+
+	restored := fixture(t, placement.CarbonAware{})
+	if err := restored.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	if restored.boundBatches != orig.boundBatches || restored.bnbBatches != orig.bnbBatches {
+		t.Errorf("restored counters %d/%d, want %d/%d", restored.boundBatches, restored.bnbBatches, orig.boundBatches, orig.bnbBatches)
+	}
+
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	delete(old, "bound_batches")
+	delete(old, "bnb_batches")
+	delete(old["last_solve"].(map[string]any), "bnb_nodes")
+	if raw, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	var oldSt State
+	if err := json.Unmarshal(raw, &oldSt); err != nil {
+		t.Fatal(err)
+	}
+	fromOld := fixture(t, placement.CarbonAware{})
+	if err := fromOld.LoadState(oldSt); err != nil {
+		t.Fatalf("a state without the counters no longer loads: %v", err)
+	}
+	if _, batches, _ := fromOld.PlacementStats(); batches != 2 || fromOld.boundBatches != 0 || fromOld.bnbBatches != 0 {
+		t.Errorf("loaded %d batches with counters %d/%d, want 2 with 0/0", batches, fromOld.boundBatches, fromOld.bnbBatches)
+	}
+}

@@ -14,6 +14,15 @@ import (
 // branch-and-bound solver, mirroring the paper's OR-Tools backend. It is
 // intended for instances up to a few thousand (app, server) pairs; the
 // placement service routes larger batches to the heuristic backend.
+//
+// Before building the MILP it tries a certificate (see certify): every
+// app on its cheapest feasible server, returned only when that argmin
+// assignment is provably the MILP's unique optimum. The LP relaxation's
+// optimum is then unique and integral, so the root dive lands on it and
+// branch and bound proves it: the MILP would return exactly this
+// assignment — ServerOf, PowerOn and Unplaced — at any Gap. A batch the
+// bound settles never reaches package mip; every other batch is solved
+// as before.
 type ExactSolver struct {
 	// Options tune the underlying MILP search.
 	Options mip.Options
@@ -30,9 +39,10 @@ func NewExactSolver() *ExactSolver {
 	return &ExactSolver{Options: mip.Options{TimeLimit: 30 * time.Second, Gap: 0.001}}
 }
 
-// Solve builds and solves the MILP for the problem under the policy.
+// Solve returns the MILP's optimum for the problem under the policy.
 func (s *ExactSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
-	return s.solve(p, pol, nil)
+	a, _, err := s.solve(p, pol, nil)
+	return a, err
 }
 
 // SolveWarm solves the same MILP with a warm start: the previous epoch's
@@ -43,15 +53,105 @@ func (s *ExactSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
 // under the current problem is validated away and the solve proceeds
 // cold. Only warm.ServerOf is read; power states are re-derived.
 func (s *ExactSolver) SolveWarm(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
-	return s.solve(p, pol, warm)
+	a, _, err := s.solve(p, pol, warm)
+	return a, err
 }
 
-func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
+// solve is Solve and SolveWarm, also returning the branch-and-bound nodes
+// explored: 0 when the certificate closed the batch. A warm start cannot
+// change a certified answer: under the certificate's conditions every
+// other integer point costs more, so a warm incumbent is either this
+// assignment or beaten by the root relaxation.
+func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
 	if !s.SkipValidate {
 		if err := p.Validate(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
+	if a := certify(p, pol); a != nil {
+		return a, 0, nil
+	}
+	return s.solveMILP(p, pol, warm)
+}
+
+// certify returns the argmin assignment — each app on its cheapest
+// feasible server, apps with none dropped as Eq. 3 drops them — when it
+// is provably the MILP's unique optimum, and nil otherwise. It is when:
+//
+//   - every placed app's cheapest server beats its runner-up by
+//     1e-6·max(1,|best|), far wider than the simplex's 1e-9 reduced-cost
+//     test, so the LP cannot stop on the other vertex;
+//   - per server and dimension, the summed positive demand fits Free
+//     exactly, with no tolerance: the MILP's capacity rows skip entries
+//     ≤ 0, and every hosting server is already on, so the row's bound is
+//     Free itself;
+//   - no app's cheapest server is off, and every off server has
+//     ActivationCost > 0, so y_j = 0 is forced for each of them.
+//
+// The LP bound Σ_i min_j PairCost(i,j) is then attained by this point
+// alone. A non-finite cost declines (the MILP's objective would carry
+// it), and so does a problem with no servers: the MILP then has no
+// variables and errors.
+func certify(p *Problem, pol Policy) *Assignment {
+	n, m := len(p.Apps), len(p.Servers)
+	if m == 0 {
+		return nil
+	}
+	for j := range p.Servers {
+		if !p.Servers[j].PoweredOn && !(pol.ActivationCost(p, j) > 0) {
+			return nil
+		}
+	}
+	a := &Assignment{ServerOf: make([]int, n), PowerOn: make([]bool, m)}
+	used := make([]cluster.Resources, m)
+	for i := 0; i < n; i++ {
+		best, bestCost, runnerUp := -1, math.Inf(1), math.Inf(1)
+		for _, j := range p.CandidatesOf(i) {
+			if !p.Feasible(i, j) {
+				continue
+			}
+			c := pol.PairCost(p, i, j)
+			switch {
+			case math.IsNaN(c) || math.IsInf(c, 0):
+				return nil
+			case c < bestCost:
+				best, bestCost, runnerUp = j, c, bestCost
+			case c < runnerUp:
+				runnerUp = c
+			}
+		}
+		a.ServerOf[i] = best
+		if best < 0 {
+			a.Unplaced = append(a.Unplaced, i)
+			continue
+		}
+		if !p.Servers[best].PoweredOn || !(runnerUp-bestCost > 1e-6*math.Max(1, math.Abs(bestCost))) {
+			return nil
+		}
+		for k, d := range p.Demand[i][best] {
+			if d > 0 {
+				used[best][k] += d
+			}
+		}
+	}
+	for j := range p.Servers {
+		if !p.Servers[j].PoweredOn {
+			continue
+		}
+		for k, u := range used[j] {
+			if !(u <= p.Servers[j].Free[k]) {
+				return nil
+			}
+		}
+		a.PowerOn[j] = true
+	}
+	return a
+}
+
+// solveMILP builds and solves the MILP, returning the assignment and the
+// branch-and-bound nodes explored. The certificate's tests reach it
+// directly as their oracle.
+func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
 	n, m := len(p.Apps), len(p.Servers)
 
 	// Variable layout: feasible x_ij pairs first, then y_j.
@@ -75,10 +175,10 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 	// forced for them anyway).
 	for k, pr := range pairs {
 		if err := prob.SetObjective(k, pol.PairCost(p, pr.i, pr.j)); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := prob.SetBinary(k); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	for j := 0; j < m; j++ {
@@ -87,10 +187,10 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 			cost = pol.ActivationCost(p, j)
 		}
 		if err := prob.SetObjective(yBase+j, cost); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if err := prob.SetBinary(yBase + j); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
@@ -109,7 +209,7 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 			row[pairIdx[pair{i, j}]] = 1
 		}
 		if err := prob.AddConstraint(row, lp.EQ, 1); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 
@@ -129,7 +229,7 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 			}
 			row[yBase+j] = -p.Servers[j].Free[k]
 			if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		// Tie x to y even when demand rows were all-zero in tracked
@@ -137,7 +237,7 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 		for i := 0; i < n; i++ {
 			if idx, ok := pairIdx[pair{i, j}]; ok {
 				if err := prob.AddConstraint(map[int]float64{idx: 1, yBase + j: -1}, lp.LE, 0); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
 		}
@@ -147,7 +247,7 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 	for j := 0; j < m; j++ {
 		if p.Servers[j].PoweredOn {
 			if err := prob.AddConstraint(map[int]float64{yBase + j: 1}, lp.GE, 1); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 	}
@@ -174,14 +274,14 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 	}
 	sol, err := prob.Solve(opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch sol.Status {
 	case mip.Optimal, mip.Feasible:
 	case mip.Infeasible:
-		return nil, fmt.Errorf("placement: exact solver found instance infeasible")
+		return nil, 0, fmt.Errorf("placement: exact solver found instance infeasible")
 	default:
-		return nil, fmt.Errorf("placement: exact solver hit limit without incumbent (%v)", sol.Status)
+		return nil, 0, fmt.Errorf("placement: exact solver hit limit without incumbent (%v)", sol.Status)
 	}
 
 	a := &Assignment{
@@ -200,5 +300,5 @@ func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignme
 	for j := 0; j < m; j++ {
 		a.PowerOn[j] = math.Round(sol.X[yBase+j]) == 1 || p.Servers[j].PoweredOn
 	}
-	return a, nil
+	return a, sol.Nodes, nil
 }

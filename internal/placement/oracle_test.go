@@ -237,67 +237,94 @@ func hosts(serverOf []int, j int) bool {
 // for it, the exact solver at zero gap returns a feasible assignment whose
 // objective is the enumerated minimum to 1e-9 relative, or reports the
 // instance infeasible exactly when no assignment of the kept apps fits.
+// Both legs run every instance: the public Solve, which the certificate
+// closes where it can, and the MILP path alone, so the enumeration keeps
+// checking the Eq. 3–5 translation on the instances the certificate
+// takes.
 func TestExactMatchesBruteForce(t *testing.T) {
 	const instances = 260
+	solver := &ExactSolver{Options: mip.Options{}}
+	legs := []struct {
+		name  string
+		solve func(*Problem, Policy) (*Assignment, error)
+	}{
+		{"Solve", solver.Solve},
+		{"MILP", func(p *Problem, pol Policy) (*Assignment, error) {
+			a, _, err := solver.solveMILP(p, pol, nil)
+			return a, err
+		}},
+	}
 	for k, pol := range []Policy{CarbonAware{}, LatencyAware{}, EnergyAware{}, IntensityAware{}} {
 		t.Run(pol.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(101 + k)))
-			solver := &ExactSolver{Options: mip.Options{}}
-			var solved, infeasible, droppedApps, offUsed int
-			for trial := 0; trial < instances; trial++ {
-				inst := randomWSInstance(rng, 1+rng.Intn(6), 1+rng.Intn(4))
-				for j := range inst.servers {
-					s := &inst.servers[j]
-					if rng.Intn(2) == 0 {
-						// Tight: room for about one or two apps.
-						s.Free = s.Free.Scale(0.02 + 0.2*rng.Float64())
-					}
-				}
-				p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, dropped, ok := bruteForce(p, pol)
-				a, err := solver.Solve(p, pol)
-				if !ok {
-					if err == nil {
-						t.Fatalf("trial %d: no assignment of the kept apps fits, but the exact solver returned %+v", trial, a)
-					}
-					infeasible++
-					continue
-				}
-				if err != nil {
-					t.Fatalf("trial %d: exact solver failed on a feasible instance: %v", trial, err)
-				}
-				if err := p.CheckFeasible(a); err != nil {
-					t.Fatalf("trial %d: exact assignment infeasible: %v", trial, err)
-				}
-				if !reflect.DeepEqual(a.Unplaced, dropped) {
-					t.Fatalf("trial %d: exact solver left %v unplaced, want the apps with no feasible server %v", trial, a.Unplaced, dropped)
-				}
-				if a.Placed() != len(p.Apps)-len(dropped) {
-					t.Fatalf("trial %d: exact solver placed %d of %d kept apps", trial, a.Placed(), len(p.Apps)-len(dropped))
-				}
-				got := objective(p, pol, a.ServerOf, a.PowerOn)
-				if math.Abs(got-want) > 1e-9*math.Abs(want) {
-					t.Fatalf("trial %d: exact objective %.12g, enumerated minimum %.12g", trial, got, want)
-				}
-				solved++
-				droppedApps += len(dropped)
-				for j, s := range p.Servers {
-					if !s.PoweredOn && hosts(a.ServerOf, j) {
-						offUsed++
-					}
-				}
-			}
-			t.Logf("%d solved, %d infeasible, %d apps dropped, %d powered-off servers switched on", solved, infeasible, droppedApps, offUsed)
-			if solved < 200 {
-				t.Errorf("only %d of %d instances were feasible; need at least 200", solved, instances)
-			}
-			if infeasible == 0 || droppedApps == 0 || offUsed == 0 {
-				t.Errorf("fixture misses a case: %d infeasible instances, %d dropped apps, %d servers switched on",
-					infeasible, droppedApps, offUsed)
+			for _, leg := range legs {
+				t.Run(leg.name, func(t *testing.T) {
+					exactMatchesBruteForce(t, rand.New(rand.NewSource(int64(101+k))), pol, leg.solve, instances)
+				})
 			}
 		})
+	}
+}
+
+// exactMatchesBruteForce is one leg of TestExactMatchesBruteForce: the
+// seeded instances, each solved by solve and held to the enumeration.
+func exactMatchesBruteForce(t *testing.T, rng *rand.Rand, pol Policy, solve func(*Problem, Policy) (*Assignment, error), instances int) {
+	var solved, infeasible, droppedApps, offUsed, certified int
+	for trial := 0; trial < instances; trial++ {
+		inst := randomWSInstance(rng, 1+rng.Intn(6), 1+rng.Intn(4))
+		for j := range inst.servers {
+			s := &inst.servers[j]
+			if rng.Intn(2) == 0 {
+				// Tight: room for about one or two apps.
+				s.Free = s.Free.Scale(0.02 + 0.2*rng.Float64())
+			}
+		}
+		p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if certify(p, pol) != nil {
+			certified++
+		}
+		want, dropped, ok := bruteForce(p, pol)
+		a, err := solve(p, pol)
+		if !ok {
+			if err == nil {
+				t.Fatalf("trial %d: no assignment of the kept apps fits, but the exact solver returned %+v", trial, a)
+			}
+			infeasible++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: exact solver failed on a feasible instance: %v", trial, err)
+		}
+		if err := p.CheckFeasible(a); err != nil {
+			t.Fatalf("trial %d: exact assignment infeasible: %v", trial, err)
+		}
+		if !reflect.DeepEqual(a.Unplaced, dropped) {
+			t.Fatalf("trial %d: exact solver left %v unplaced, want the apps with no feasible server %v", trial, a.Unplaced, dropped)
+		}
+		if a.Placed() != len(p.Apps)-len(dropped) {
+			t.Fatalf("trial %d: exact solver placed %d of %d kept apps", trial, a.Placed(), len(p.Apps)-len(dropped))
+		}
+		got := objective(p, pol, a.ServerOf, a.PowerOn)
+		if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Fatalf("trial %d: exact objective %.12g, enumerated minimum %.12g", trial, got, want)
+		}
+		solved++
+		droppedApps += len(dropped)
+		for j, s := range p.Servers {
+			if !s.PoweredOn && hosts(a.ServerOf, j) {
+				offUsed++
+			}
+		}
+	}
+	t.Logf("%d solved, %d infeasible, %d apps dropped, %d powered-off servers switched on; the certificate closes %d of the %d instances",
+		solved, infeasible, droppedApps, offUsed, certified, instances)
+	if solved < 200 {
+		t.Errorf("only %d of %d instances were feasible; need at least 200", solved, instances)
+	}
+	if infeasible == 0 || droppedApps == 0 || offUsed == 0 {
+		t.Errorf("fixture misses a case: %d infeasible instances, %d dropped apps, %d servers switched on",
+			infeasible, droppedApps, offUsed)
 	}
 }

@@ -15,12 +15,19 @@ type Solver interface {
 // the optimization with the configured policy, and returns the placement
 // and power decisions. Committing the decisions to the cluster is the
 // orchestrator's job.
+//
+// The default exact backend first tries ExactSolver's certificate: when
+// every app's cheapest feasible server provably is the MILP's unique
+// optimum, that assignment is returned without building the MILP — it is
+// the answer branch and bound would return — and Result.BnBNodes is 0.
+// Either way the assignment goes through the same CheckFeasible and
+// Evaluate as any backend's.
 type Placer struct {
 	// Policy is the optimization objective (default CarbonAware).
 	Policy Policy
 	// ExactPairLimit routes instances with at most this many feasible
 	// (app, server) pairs to the exact MILP backend; larger instances
-	// use the heuristic (0 = 220, which keeps exact solves under ~100ms).
+	// use the heuristic (0 = 220).
 	ExactPairLimit int
 	// Exact and Heuristic override the default backends (for ablations).
 	Exact     Solver
@@ -50,6 +57,9 @@ type Result struct {
 	// TotalSolveTime is the end-to-end optimization time including any
 	// failed exact attempt; equal to SolveTime when no fallback occurred.
 	TotalSolveTime time.Duration
+	// BnBNodes counts the branch-and-bound nodes an *ExactSolver explored:
+	// 0 when its certificate closed the batch, and for every other backend.
+	BnBNodes int
 }
 
 // Place solves one batch (Algorithm 1 lines 1-10).
@@ -94,7 +104,14 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 	}
 
 	start := time.Now() //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
-	a, err := solver.Solve(p, pol)
+	var a *Assignment
+	var err error
+	nodes := 0
+	if e, ok := solver.(*ExactSolver); ok {
+		a, nodes, err = e.solve(p, pol, nil)
+	} else {
+		a, err = solver.Solve(p, pol)
+	}
 	solveTime := time.Since(start) //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
 	if err != nil && backend == "exact" {
 		// The exact backend can reject edge cases (e.g. time limit with
@@ -123,5 +140,6 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 		Backend:        backend,
 		SolveTime:      solveTime,
 		TotalSolveTime: totalTime,
+		BnBNodes:       nodes,
 	}, nil
 }

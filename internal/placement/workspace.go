@@ -493,6 +493,9 @@ type SolveStats struct {
 	CandidatesMin  int     `json:"candidates_min"`
 	CandidatesMean float64 `json:"candidates_mean"`
 	CandidatesMax  int     `json:"candidates_max"`
+	// BnBNodes mirrors Result.BnBNodes: 0 when the exact backend's
+	// certificate closed the batch without branch and bound.
+	BnBNodes int `json:"bnb_nodes"`
 }
 
 // Stats summarizes a placement result against the problem it solved.
@@ -505,6 +508,7 @@ func (r *Result) Stats(p *Problem) SolveStats {
 		Servers:      len(p.Servers),
 		Placed:       r.Metrics.Placed,
 		Unplaced:     r.Metrics.Unplaced,
+		BnBNodes:     r.BnBNodes,
 	}
 	st.CandidatesMin, st.CandidatesMean, st.CandidatesMax = p.CandidateStats()
 	return st

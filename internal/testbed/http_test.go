@@ -130,6 +130,7 @@ func TestAPIDeployPlaceMetricsTrafficRoundTrip(t *testing.T) {
 		CandidatesMin  int     `json:"candidates_min"`
 		CandidatesMean float64 `json:"candidates_mean"`
 		CandidatesMax  int     `json:"candidates_max"`
+		BnBNodes       *int    `json:"bnb_nodes"`
 	}
 	resp = get(t, srv.URL+"/api/v1/placement")
 	if resp.StatusCode != http.StatusOK {
@@ -138,6 +139,11 @@ func TestAPIDeployPlaceMetricsTrafficRoundTrip(t *testing.T) {
 	decode(t, resp, &pstats)
 	if pstats.Backend == "" || pstats.Batches != 1 || pstats.Apps != 2 || pstats.Placed != 2 {
 		t.Errorf("placement stats incomplete: %+v", pstats)
+	}
+	// Two apps on distinct cheapest servers: the exact backend's
+	// certificate closes the batch without branch and bound.
+	if pstats.BnBNodes == nil || *pstats.BnBNodes != 0 {
+		t.Errorf("bnb_nodes = %v, want 0 (certificate-closed batch)", pstats.BnBNodes)
 	}
 	if pstats.CandidatesMin <= 0 || pstats.CandidatesMax > pstats.Servers ||
 		pstats.CandidatesMean < float64(pstats.CandidatesMin) {

@@ -109,6 +109,14 @@ func TestObsEndpoints(t *testing.T) {
 	if v := metricValue(t, text, "carbonedge_placement_apps"); v != 1 {
 		t.Errorf("placement apps = %g, want 1", v)
 	}
+	bound := metricValue(t, text, `carbonedge_placement_exact_batches_total{closed_by="bound"}`)
+	bnb := metricValue(t, text, `carbonedge_placement_exact_batches_total{closed_by="branch_and_bound"}`)
+	// The first batch is the certificate's. The crash left Miami's servers
+	// powered off, so the re-place weighs switching one back on, which
+	// only branch and bound settles.
+	if bound != 1 || bnb != 1 {
+		t.Errorf("exact batches closed by the bound %g, by branch and bound %g; want 1 and 1", bound, bnb)
+	}
 	// The crash applied at +1h and its recovery at +4h.
 	if v := metricValue(t, text, "carbonedge_faults_applied_total"); v != 2 {
 		t.Errorf("faults applied = %g, want 2", v)

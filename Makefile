@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench bench-quick bench-smoke bench-guard bench-profile
+.PHONY: all build test race lint fuzz bench bench-quick bench-smoke bench-profile
 
 all: build test
 
@@ -64,20 +64,8 @@ bench-quick:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
-# bench-guard reproduces the CI regression gate locally: the guarded
-# workspace benchmark and the carbon memo benchmark run, and their
-# combined output is compared against the BENCH_12.json baselines
-# (15% tolerance on machine-independent speedup ratios).
-bench-guard:
-	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
-		-benchtime 3x . | tee /tmp/bench-guard.out
-	$(GO) test -run '^$$' -bench 'BenchmarkCarbonMixes' \
-		-benchtime 100x ./internal/carbon/ | tee -a /tmp/bench-guard.out
-	$(GO) run ./cmd/benchguard -baseline BENCH_12.json /tmp/bench-guard.out
-
-# bench-profile records CPU and allocation profiles of the two solver
-# hot-path benchmarks (BenchmarkIncrementalPlacement, BenchmarkRedeployChurn),
-# a CPU profile of the request path
+# bench-profile records CPU and allocation profiles of the solver-bound
+# workload (BenchmarkRedeployChurn), a CPU profile of the request path
 # (BenchmarkTrafficReplay: generator, router, latency sketch), one of the
 # live control plane (BenchmarkOrchestratorLive: HTTP API, ticks,
 # scrapes), one of the paper's CDN year (BenchmarkCDNYear: the per-epoch
@@ -85,19 +73,16 @@ bench-guard:
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode after every Step), and prints the top-10 flat
 # summaries. The checked-in snapshots of those summaries live in
-# profiles/PROFILE_12.md (solver), profiles/PROFILE_13.md (traffic),
-# profiles/PROFILE_14.md and profiles/PROFILE_21.md (live, the latter
-# under GOMAXPROCS=1 as the ledger runs it), profiles/PROFILE_17.md (CDN year),
-# profiles/PROFILE_18.md (checkpoint) and profiles/PROFILE_19.md (redeploy
-# churn, the solver-bound workload); regenerate them with this target
-# after solver, request-path, orchestrator, engine or codec changes. The
-# benchmarks run in separate invocations: profiling needs a single test
-# binary (so the repo root package, not ./...).
+# profiles/PROFILE_19.md (redeploy churn), profiles/PROFILE_13.md
+# (traffic), profiles/PROFILE_14.md and profiles/PROFILE_21.md (live, the
+# latter under GOMAXPROCS=1 as the ledger runs it), profiles/PROFILE_17.md
+# (CDN year) and profiles/PROFILE_18.md (checkpoint); profiles/PROFILE_12.md
+# is the retired workspace benchmark's, kept as history. Regenerate them
+# with this target after solver, request-path, orchestrator, engine or
+# codec changes. The benchmarks run in separate invocations: profiling
+# needs a single test binary (so the repo root package, not ./...).
 bench-profile:
 	mkdir -p profiles
-	$(GO) test -run '^$$' -bench 'BenchmarkIncrementalPlacement' \
-		-benchtime 3x -cpuprofile profiles/solver-cpu.pprof \
-		-memprofile profiles/solver-mem.pprof -o profiles/bench.test .
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkRedeployChurn' \
 		-benchtime 3x -cpuprofile profiles/churn-cpu.pprof \
 		-memprofile profiles/churn-mem.pprof -o profiles/bench.test .
@@ -113,8 +98,6 @@ bench-profile:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCheckpointResume$$' \
 		-benchtime 4x -cpuprofile profiles/ckpt-cpu.pprof \
 		-o profiles/bench.test .
-	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/solver-cpu.pprof
-	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/solver-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/churn-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof

@@ -509,94 +509,6 @@ func BenchmarkTimelineReplayObs(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalPlacement measures the placement workspace against
-// the per-batch rebuild path at CDN scale: 8 batches of 120 apps arrive
-// against 400 servers across 40 cities under a tight SLO (the fig12/CDN
-// shape: shortlists cover ~12% of the server axis). Both paths solve the
-// identical incremental instances — the rebuild path reassembles the
-// dense problem from scratch every batch, the workspace path reuses its
-// memoized tables and candidate shortlists — and must produce
-// byte-identical assignments. The workspace must deliver at least a 5x
-// per-batch speedup (the subsystem's acceptance floor, enforced here;
-// ~21x since views alias per-class rows instead of filling an arena,
-// BENCH_12.json).
-func BenchmarkIncrementalPlacement(b *testing.B) {
-	b.ReportAllocs()
-	const (
-		nServers = 400
-		nCities  = 40
-		batchSz  = 120
-		batches  = 8
-		sloMs    = 8
-	)
-	inst := experiments.NewSyntheticInstance(batchSz*batches, nServers, nCities, sloMs, 11)
-	for i := range inst.Apps {
-		inst.Apps[i].RatePerSec = 10 // CDN shape: one provisioned rate per app
-	}
-	pol := placement.CarbonAware{}
-	// round plays all batches down both paths from fresh state and
-	// returns the per-path totals.
-	round := func() (rebuildT, wsT time.Duration) {
-		ws, err := placement.NewWorkspace(inst.Servers, inst.RTT, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		servers := append([]placement.Server(nil), inst.Servers...)
-		solver := placement.NewHeuristicSolver()
-		for k := 0; k < batches; k++ {
-			batch := inst.Apps[k*batchSz : (k+1)*batchSz]
-
-			t0 := time.Now()
-			dense, err := placement.Build(batch, servers, inst.RTT, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			aDense, err := solver.Solve(dense, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rebuildT += time.Since(t0)
-
-			t0 = time.Now()
-			sparse, err := ws.Problem(batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			aWS, err := solver.Solve(sparse, pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wsT += time.Since(t0)
-
-			if !reflect.DeepEqual(aDense, aWS) {
-				b.Fatalf("batch %d: workspace assignment diverged from rebuild", k)
-			}
-			if err := ws.CommitAssignment(sparse, aWS); err != nil {
-				b.Fatal(err)
-			}
-			for i, j := range aDense.ServerOf {
-				if j >= 0 {
-					servers[j].Free = servers[j].Free.Sub(dense.Demand[i][j])
-					servers[j].PoweredOn = true
-				}
-			}
-		}
-		return rebuildT, wsT
-	}
-	round() // untimed warm-up: stabilize allocator and cache state
-	for n := 0; n < b.N; n++ {
-		rebuildT, wsT := round()
-		speedup := rebuildT.Seconds() / wsT.Seconds()
-		if speedup < 5 {
-			b.Fatalf("workspace speedup %.1fx over per-batch rebuild, acceptance floor is 5x (rebuild %v, workspace %v)",
-				speedup, rebuildT, wsT)
-		}
-		b.ReportMetric(speedup, "incremental_speedup_x")
-		b.ReportMetric(float64(rebuildT.Microseconds())/batches/1000, "rebuild_ms/batch")
-		b.ReportMetric(float64(wsT.Microseconds())/batches/1000, "workspace_ms/batch")
-	}
-}
-
 // BenchmarkRedeployChurn is the ledger's redeploy_churn workload as a
 // go-test benchmark, so `make bench-profile` can put a CPU profile on
 // the solver-bound shape: US region, 240 h at 120 arrivals/h with 72 h

@@ -74,12 +74,17 @@ func main() {
 		return model.RTTMs(ca.Location, cb.Location)
 	}
 
-	prob, err := placement.Build(apps, servers, rtt, nil)
+	// 5. A workspace over the servers assembles the batch's problem view.
+	ws, err := placement.NewWorkspace(servers, rtt, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prob, err := ws.Problem(apps)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 5. Solve under each policy and compare.
+	// 6. Solve under each policy and compare.
 	fmt.Println("policy           carbon g/h   energy W   mean RTT ms")
 	for _, pol := range []placement.Policy{
 		placement.LatencyAware{},

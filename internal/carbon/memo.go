@@ -27,6 +27,19 @@ type mixKey struct {
 	capacity Mix
 }
 
+// mixKeyOf is the memo key of (g, z).
+func mixKeyOf(g *Generator, z *Zone) mixKey {
+	return mixKey{
+		seed:     g.Seed,
+		year:     g.Year,
+		zoneID:   z.ID,
+		region:   z.Region,
+		lat:      z.Location.Lat,
+		lon:      z.Location.Lon,
+		capacity: z.Capacity,
+	}
+}
+
 // mixCacheCap bounds the memo. A full-year trace is 8760 mixes (~550 KB);
 // a run touches the zones of one registry, so the cap is sized to hold
 // several registries' worth. At the cap the whole map is dropped:
@@ -45,15 +58,7 @@ var mixCache = struct {
 // the same cold key both compute (identical, idempotent) traces and one
 // write wins.
 func cachedMixes(g *Generator, z *Zone) []Mix {
-	key := mixKey{
-		seed:     g.Seed,
-		year:     g.Year,
-		zoneID:   z.ID,
-		region:   z.Region,
-		lat:      z.Location.Lat,
-		lon:      z.Location.Lon,
-		capacity: z.Capacity,
-	}
+	key := mixKeyOf(g, z)
 	mixCache.Lock()
 	trace, ok := mixCache.m[key]
 	mixCache.Unlock()

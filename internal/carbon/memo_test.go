@@ -46,6 +46,29 @@ func TestMixesMemoEquivalence(t *testing.T) {
 	}
 }
 
+// TestMixesMemoHit pins the hit path without timing it: after a cold
+// Mixes the test overwrites the cached entry, and the next Mixes must
+// return the overwritten trace — served from the memo, not regenerated.
+func TestMixesMemoHit(t *testing.T) {
+	resetMixCache()
+	g := NewGenerator(42)
+	z := memoTestZone()
+	cold := g.Mixes(z)
+	marked := append([]Mix(nil), cold...)
+	marked[0][Solar] = -1
+	key := mixKeyOf(g, z)
+	mixCache.Lock()
+	_, cached := mixCache.m[key]
+	mixCache.m[key] = marked
+	mixCache.Unlock()
+	if !cached {
+		t.Fatal("a cold Mixes cached nothing under its key")
+	}
+	if got := g.Mixes(z); !mixesEqual(got, marked) {
+		t.Fatal("the warm Mixes regenerated the trace instead of returning the cached entry")
+	}
+}
+
 // TestMixesMemoDefensiveCopy verifies callers get private slices: a
 // caller mutating its result must not poison later hits.
 func TestMixesMemoDefensiveCopy(t *testing.T) {
@@ -145,8 +168,8 @@ func mixesEqual(a, b []Mix) bool {
 }
 
 // BenchmarkCarbonMixes measures the memoized path against the direct
-// simulation and reports their ratio, a machine-independent speedup the
-// bench guard gates on (BENCH_10.json).
+// simulation and reports their ratio. TestMixesMemoHit checks that warm
+// calls hit, without timing.
 func BenchmarkCarbonMixes(b *testing.B) {
 	g := NewGenerator(42)
 	z := memoTestZone()

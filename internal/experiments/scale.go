@@ -27,9 +27,9 @@ type Fig17Result struct {
 	ByApps    []Fig17Point // 400 servers, apps swept
 }
 
-// SyntheticInstance is a random placement instance before matrix
-// assembly: the raw apps, servers, and latency oracle, consumable by
-// either builder (dense placement.Build or the incremental Workspace).
+// SyntheticInstance is a random placement instance before assembly: the
+// raw apps, servers, and latency oracle a placement.Workspace is built
+// from.
 type SyntheticInstance struct {
 	Apps    []placement.App
 	Servers []placement.Server
@@ -80,17 +80,21 @@ func NewSyntheticInstance(nApps, nServers, nCities int, sloMs float64, seed int6
 	return SyntheticInstance{Apps: apps, Servers: servers, RTT: rtt}
 }
 
-// SyntheticProblem builds a random dense placement instance of the given
-// size through the legacy Build path (8 cities, 30 ms SLO — everything
-// latency-feasible, the historical shape of the fig17/ablation inputs).
+// SyntheticProblem is one view of a random instance of the given size (8
+// cities, 30 ms SLO — everything latency-feasible, the shape of the
+// fig17/ablation inputs), assembled by a workspace of its own, so the view
+// stays valid for the caller.
 func SyntheticProblem(nApps, nServers int, seed int64) (*placement.Problem, error) {
-	inst := NewSyntheticInstance(nApps, nServers, 8, 30, seed)
-	return placement.Build(inst.Apps, inst.Servers, inst.RTT, nil)
+	ws, apps, err := SyntheticWorkspace(nApps, nServers, seed)
+	if err != nil {
+		return nil, err
+	}
+	return ws.Problem(apps)
 }
 
-// SyntheticWorkspace builds the same random instance workspace-backed:
-// the returned workspace owns the servers, and the apps are solved via
-// ws.Problem. Assignments are byte-identical to SyntheticProblem's.
+// SyntheticWorkspace builds the same random instance as a workspace that
+// owns the servers, for callers that assemble many views (ws.Problem) of
+// the apps against it.
 func SyntheticWorkspace(nApps, nServers int, seed int64) (*placement.Workspace, []placement.App, error) {
 	inst := NewSyntheticInstance(nApps, nServers, 8, 30, seed)
 	ws, err := placement.NewWorkspace(inst.Servers, inst.RTT, nil)

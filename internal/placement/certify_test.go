@@ -237,7 +237,10 @@ func checkCertified(t *testing.T, p *Problem, pol Policy, got *Assignment) {
 			}
 		}
 	}
-	a, nodes, err := NewExactSolver().solve(p, pol, nil)
+	nodes := -1
+	public := NewExactSolver()
+	public.nodes = &nodes
+	a, err := public.Solve(p, pol)
 	if err != nil || nodes != 0 || !reflect.DeepEqual(a, got) {
 		t.Fatalf("public solve returned %+v after %d nodes (err %v), want the certified %+v after 0", a, nodes, err, got)
 	}

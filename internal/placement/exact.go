@@ -23,6 +23,8 @@ import (
 // assignment — ServerOf, PowerOn and Unplaced — at any Gap. A batch the
 // bound settles never reaches package mip; every other batch is solved
 // as before.
+//
+// An ExactSolver is safe for concurrent use.
 type ExactSolver struct {
 	// Options tune the underlying MILP search.
 	Options mip.Options
@@ -30,6 +32,12 @@ type ExactSolver struct {
 	// problem; set it only for trusted problem sources that already
 	// validated at their boundary (Placer does).
 	SkipValidate bool
+
+	// nodes, when non-nil, receives the branch-and-bound nodes each
+	// successful solve explored: 0 when the certificate closed the batch.
+	// Only the Placer sets it, on a solver of its own for one batch, and
+	// reports it as Result.BnBNodes; a solver without it writes nothing.
+	nodes *int
 }
 
 // NewExactSolver returns an exact solver with a 30s default time limit and
@@ -41,37 +49,38 @@ func NewExactSolver() *ExactSolver {
 
 // Solve returns the MILP's optimum for the problem under the policy.
 func (s *ExactSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
-	a, _, err := s.solve(p, pol, nil)
-	return a, err
+	return solveNew(s, p, pol, nil)
 }
 
-// SolveWarm solves the same MILP with a warm start: the previous epoch's
-// assignment is translated into an integer point and handed to the
-// branch-and-bound as its initial incumbent, so bound pruning starts
-// immediately instead of after the root dive. The optimum is unchanged;
-// only the search gets cheaper. An incumbent that is no longer feasible
-// under the current problem is validated away and the solve proceeds
-// cold. Only warm.ServerOf is read; power states are re-derived.
-func (s *ExactSolver) SolveWarm(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
-	a, _, err := s.solve(p, pol, warm)
-	return a, err
-}
-
-// solve is Solve and SolveWarm, also returning the branch-and-bound nodes
-// explored: 0 when the certificate closed the batch. A warm start cannot
-// change a certified answer: under the certificate's conditions every
-// other integer point costs more, so a warm incumbent is either this
-// assignment or beaten by the root relaxation.
-func (s *ExactSolver) solve(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
+// SolveInto writes the MILP's optimum for the problem under the policy
+// into dst. A non-nil warm is a warm start: the previous assignment is
+// translated into an integer point and handed to branch and bound as its
+// initial incumbent, so bound pruning starts immediately instead of after
+// the root dive. The optimum is unchanged; only the search gets cheaper.
+// An incumbent that is no longer feasible under the current problem is
+// validated away and the solve proceeds cold. Only warm.ServerOf is read;
+// power states are re-derived. A warm start cannot change a certified
+// answer either: under the certificate's conditions every other integer
+// point costs more, so a warm incumbent is either this assignment or
+// beaten by the root relaxation. On error dst is left unchanged.
+func (s *ExactSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, warm *Assignment) error {
 	if !s.SkipValidate {
 		if err := p.Validate(); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
-	if a := certify(p, pol); a != nil {
-		return a, 0, nil
+	a, nodes := certify(p, pol), 0
+	if a == nil {
+		var err error
+		if a, nodes, err = s.solveMILP(p, pol, warm); err != nil {
+			return err
+		}
 	}
-	return s.solveMILP(p, pol, warm)
+	if s.nodes != nil {
+		*s.nodes = nodes
+	}
+	*dst = *a
+	return nil
 }
 
 // certify returns the argmin assignment — each app on its cheapest
@@ -149,8 +158,8 @@ func certify(p *Problem, pol Policy) *Assignment {
 }
 
 // solveMILP builds and solves the MILP, returning the assignment and the
-// branch-and-bound nodes explored. The certificate's tests reach it
-// directly as their oracle.
+// branch-and-bound nodes explored; a non-nil warm seeds the incumbent (see
+// SolveInto). The certificate's tests reach it directly as their oracle.
 func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
 	n, m := len(p.Apps), len(p.Servers)
 

@@ -11,8 +11,8 @@ import (
 // HeuristicSolver is the scalable backend: cost-greedy construction
 // followed by steepest-descent local search (single-app moves). It handles
 // CDN-scale instances (hundreds of servers, hundreds of apps per batch) in
-// milliseconds and typically lands within a few percent of the exact
-// optimum (see BenchmarkAblationSolver).
+// milliseconds; its gap to the exact optimum is stated and pinned per
+// policy by TestExactMatchesBruteForce's heuristic leg.
 //
 // The search is flattened: policy costs are memoized into flat rows shared
 // across identical app classes, after pass 0 only apps whose candidate
@@ -595,11 +595,7 @@ func (st *state) touchMoved(mm *costMemo, j, i int, pass int32, before cluster.R
 // every skipped server is infeasible. The returned assignment owns its
 // slices (it never aliases solver scratch).
 func (s *HeuristicSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
-	a := &Assignment{}
-	if err := s.SolveInto(a, p, pol, nil); err != nil {
-		return nil, err
-	}
-	return a, nil
+	return solveNew(s, p, pol, nil)
 }
 
 // SolveInto is Solve writing the result into dst, reusing dst's slice

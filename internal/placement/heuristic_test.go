@@ -55,7 +55,7 @@ func TestSolverSearchModesEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wFlat, err := solveWarm(flat, p, pol, seed)
+			wFlat, err := solveNew(flat, p, pol, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func warmBoth(t *testing.T, p *Problem, warm *Assignment) []*Assignment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := solveWarm(NewHeuristicSolver(), p, CarbonAware{}, warm)
+	flat, err := solveNew(NewHeuristicSolver(), p, CarbonAware{}, warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSolveWarmStaleAssignments(t *testing.T) {
 			}
 			// The exact backend screens the same stale point as a
 			// candidate incumbent; it must survive and stay optimal.
-			ea, err := NewExactSolver().SolveWarm(p, CarbonAware{}, tc.warm)
+			ea, err := solveNew(NewExactSolver(), p, CarbonAware{}, tc.warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +335,7 @@ func TestAdjacencyBuiltOnlyWhenNeeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := solveWarm(flat, p, pol, first)
+			got, err := solveNew(flat, p, pol, first)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -451,7 +451,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 				if want, err = sweepSolve(p, pol, seed); err != nil {
 					t.Fatal(err)
 				}
-				if got, err = solveWarm(flat, p, pol, seed); err != nil {
+				if got, err = solveNew(flat, p, pol, seed); err != nil {
 					t.Fatal(err)
 				}
 				same(t, fmt.Sprintf("trial %d warm", trial), want, got)
@@ -480,7 +480,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 					if want, err = sweepSolve(p, pol, prev); err != nil {
 						t.Fatal(err)
 					}
-					if got, err = solveWarm(flat, p, pol, prev); err != nil {
+					if got, err = solveNew(flat, p, pol, prev); err != nil {
 						t.Fatal(err)
 					}
 					same(t, fmt.Sprintf("trial %d round %d", trial, round), want, got)

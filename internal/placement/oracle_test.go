@@ -17,7 +17,7 @@ import (
 // cost is re-derived through the Policy. HeuristicSolver skips only scans
 // that provably move nothing, so its assignments must equal these byte
 // for byte, cold and warm. warm seeds the search exactly as SolveInto's
-// does.
+// does. (Warm solvers under test run through solveNew, placer.go.)
 func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -141,15 +141,6 @@ func (st *state) moveAwareCost(i, j int) float64 {
 	return c
 }
 
-// solveWarm runs one warm-seeded solve into a fresh assignment.
-func solveWarm(s *HeuristicSolver, p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
-	a := &Assignment{}
-	if err := s.SolveInto(a, p, pol, warm); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // objective is the placement MILP's objective (Eq. 7) at an assignment:
 // the policy's pair costs plus the activation cost of every server that
 // is on but was off before the batch.
@@ -240,7 +231,8 @@ func hosts(serverOf []int, j int) bool {
 // Both legs run every instance: the public Solve, which the certificate
 // closes where it can, and the MILP path alone, so the enumeration keeps
 // checking the Eq. 3–5 translation on the instances the certificate
-// takes.
+// takes. A third leg states the heuristic's gap to the same optimum
+// (heuristicGap).
 func TestExactMatchesBruteForce(t *testing.T) {
 	const instances = 260
 	solver := &ExactSolver{Options: mip.Options{}}
@@ -261,8 +253,100 @@ func TestExactMatchesBruteForce(t *testing.T) {
 					exactMatchesBruteForce(t, rand.New(rand.NewSource(int64(101+k))), pol, leg.solve, instances)
 				})
 			}
+			t.Run("Heuristic", func(t *testing.T) {
+				heuristicGap(t, rand.New(rand.NewSource(int64(101+k))), pol, instances, heuristicGapBounds[pol.Name()])
+			})
 		})
 	}
+}
+
+// gapBound is the heuristic's stated gap to the optimum under one policy:
+// the instances where it places fewer apps than the optimum, and the max
+// and p99 relative objective gap over the instances where it places as
+// many.
+type gapBound struct {
+	short    int
+	max, p99 float64
+}
+
+// heuristicGapBounds pins the measured gap per policy, rounded up. The
+// README's "Solver inner loop" states the same numbers.
+var heuristicGapBounds = map[string]gapBound{
+	"CarbonEdge":      {short: 0, max: 0.28, p99: 0.20},
+	"Latency-aware":   {short: 0, max: 0.19, p99: 0},
+	"Energy-aware":    {short: 1, max: 0.45, p99: 0.21},
+	"Intensity-aware": {short: 1, max: 0.34, p99: 0.29},
+}
+
+// heuristicGap is TestExactMatchesBruteForce's heuristic leg: the same
+// seeded instances, each solved by HeuristicSolver and held to the
+// enumerated optimum. The heuristic must return a feasible assignment that
+// never beats the optimum, and its gap must stay within bound. Instances
+// the enumeration finds infeasible have no optimum to compare to and are
+// only counted.
+func heuristicGap(t *testing.T, rng *rand.Rand, pol Policy, instances int, bound gapBound) {
+	solver := NewHeuristicSolver()
+	var short, infeasible int
+	var gaps []float64
+	for trial := 0; trial < instances; trial++ {
+		p := bruteForceInstance(t, rng)
+		want, dropped, ok := bruteForce(p, pol)
+		a, err := solver.Solve(p, pol)
+		if err != nil {
+			t.Fatalf("trial %d: heuristic failed: %v", trial, err)
+		}
+		if err := p.CheckFeasible(a); err != nil {
+			t.Fatalf("trial %d: heuristic assignment infeasible: %v", trial, err)
+		}
+		if !ok {
+			infeasible++
+			continue
+		}
+		if a.Placed() < len(p.Apps)-len(dropped) {
+			short++
+			continue
+		}
+		got := objective(p, pol, a.ServerOf, a.PowerOn)
+		gap := 0.0
+		if got != want {
+			gap = (got - want) / math.Abs(want)
+		}
+		if gap < -1e-9 {
+			t.Fatalf("trial %d: heuristic objective %.12g beats the enumerated minimum %.12g", trial, got, want)
+		}
+		gaps = append(gaps, max(gap, 0))
+	}
+	sort.Float64s(gaps)
+	var worst, p99 float64
+	n := len(gaps)
+	if n > 0 {
+		worst, p99 = gaps[n-1], gaps[(99*n+99)/100-1]
+	}
+	optimal := sort.SearchFloat64s(gaps, math.SmallestNonzeroFloat64)
+	t.Logf("%d instances with an optimum: the heuristic places fewer apps on %d; over the other %d it is optimal on %d, max gap %.4g, p99 %.4g (%d infeasible instances skipped)",
+		instances-infeasible, short, n, optimal, worst, p99, infeasible)
+	if short > bound.short || worst > bound.max || p99 > bound.p99 {
+		t.Errorf("heuristic gap (%d short, max %.4g, p99 %.4g) exceeds the stated bound %+v", short, worst, p99, bound)
+	}
+}
+
+// bruteForceInstance draws one of TestExactMatchesBruteForce's seeded
+// instances: at most 6 apps on at most 4 servers, about half of the
+// servers tight enough that apps compete for them.
+func bruteForceInstance(t *testing.T, rng *rand.Rand) *Problem {
+	inst := randomWSInstance(rng, 1+rng.Intn(6), 1+rng.Intn(4))
+	for j := range inst.servers {
+		s := &inst.servers[j]
+		if rng.Intn(2) == 0 {
+			// Tight: room for about one or two apps.
+			s.Free = s.Free.Scale(0.02 + 0.2*rng.Float64())
+		}
+	}
+	p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // exactMatchesBruteForce is one leg of TestExactMatchesBruteForce: the
@@ -270,18 +354,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 func exactMatchesBruteForce(t *testing.T, rng *rand.Rand, pol Policy, solve func(*Problem, Policy) (*Assignment, error), instances int) {
 	var solved, infeasible, droppedApps, offUsed, certified int
 	for trial := 0; trial < instances; trial++ {
-		inst := randomWSInstance(rng, 1+rng.Intn(6), 1+rng.Intn(4))
-		for j := range inst.servers {
-			s := &inst.servers[j]
-			if rng.Intn(2) == 0 {
-				// Tight: room for about one or two apps.
-				s.Free = s.Free.Scale(0.02 + 0.2*rng.Float64())
-			}
-		}
-		p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := bruteForceInstance(t, rng)
 		if certify(p, pol) != nil {
 			certified++
 		}

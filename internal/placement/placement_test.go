@@ -142,7 +142,7 @@ func TestCarbonAwareChoosesGreenFeasibleServer(t *testing.T) {
 	// (50 g/kWh) beats the dirty local one (600 g/kWh).
 	p := buildFixture(t, 3, 10)
 	for _, solver := range []Solver{NewExactSolver(), NewHeuristicSolver()} {
-		a, err := solver.Solve(p, CarbonAware{})
+		a, err := solveNew(solver, p, CarbonAware{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestCapacityForcesSpill(t *testing.T) {
 	// SLO-infeasible).
 	p := buildFixture(t, 15, 10)
 	for name, solver := range map[string]Solver{"exact": NewExactSolver(), "heuristic": NewHeuristicSolver()} {
-		a, err := solver.Solve(p, CarbonAware{})
+		a, err := solveNew(solver, p, CarbonAware{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -245,7 +245,7 @@ func TestActivationCostAvoidsWakingServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, solver := range map[string]Solver{"exact": NewExactSolver(), "heuristic": NewHeuristicSolver()} {
-		a, err := solver.Solve(p, CarbonAware{})
+		a, err := solveNew(solver, p, CarbonAware{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -424,7 +424,7 @@ func TestUnplacedReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, solver := range map[string]Solver{"exact": NewExactSolver(), "heuristic": NewHeuristicSolver()} {
-		a, err := solver.Solve(p, CarbonAware{})
+		a, err := solveNew(solver, p, CarbonAware{}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -514,6 +514,47 @@ func TestPlacerBackendRouting(t *testing.T) {
 	if res.SolveTime <= 0 {
 		t.Error("solve time not recorded")
 	}
+
+	// The threshold is inclusive. Apps with a 10 ms SLO reach two servers
+	// and apps with 20 ms all three; at 1 req/s every app fits on one
+	// server, so neither batch can fall back.
+	edge := func(n10, n20 int) *Problem {
+		apps := fixtureApps(n10+n20, 10)
+		for i := range apps {
+			apps[i].RatePerSec = 1
+			if i >= n10 {
+				apps[i].SLOms = 20
+			}
+		}
+		p, err := Build(apps, fixtureServers(), fixtureRTT, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		p     *Problem
+		pairs int
+		want  string
+	}{
+		{edge(110, 0), ExactPairLimit, "exact"},
+		{edge(109, 1), ExactPairLimit + 1, "heuristic"},
+	} {
+		pairs := 0
+		for i := range tc.p.Apps {
+			pairs += len(tc.p.FeasibleServers(i))
+		}
+		if pairs != tc.pairs {
+			t.Fatalf("fixture has %d feasible pairs, want %d", pairs, tc.pairs)
+		}
+		res, err := pl.Place(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Backend != tc.want {
+			t.Errorf("%d feasible pairs routed to %s, want %s", pairs, res.Backend, tc.want)
+		}
+	}
 }
 
 func TestPlacerValidation(t *testing.T) {
@@ -566,9 +607,9 @@ func TestPolicyNames(t *testing.T) {
 // heuristic fallback.
 type failingSolver struct{ delay time.Duration }
 
-func (s failingSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
+func (s failingSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, warm *Assignment) error {
 	time.Sleep(s.delay)
-	return nil, fmt.Errorf("stub: no incumbent")
+	return fmt.Errorf("stub: no incumbent")
 }
 
 func TestPlacerFallbackTiming(t *testing.T) {
@@ -578,7 +619,7 @@ func TestPlacerFallbackTiming(t *testing.T) {
 	p := buildFixture(t, 2, 20)
 	delay := 50 * time.Millisecond
 	pl := NewPlacer(CarbonAware{})
-	pl.Exact = failingSolver{delay: delay}
+	pl.exact = failingSolver{delay: delay}
 	res, err := pl.Place(p)
 	if err != nil {
 		t.Fatal(err)

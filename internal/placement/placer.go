@@ -5,10 +5,29 @@ import (
 	"time"
 )
 
-// Solver is a placement optimization backend.
+// Solver is a placement optimization backend: the one contract both the
+// exact and the heuristic backend implement.
 type Solver interface {
-	Solve(p *Problem, pol Policy) (*Assignment, error)
+	// SolveInto writes the assignment of p under pol into dst. A non-nil
+	// warm seeds the search with a previous assignment; only
+	// warm.ServerOf is read, and entries no longer feasible are skipped.
+	SolveInto(dst *Assignment, p *Problem, pol Policy, warm *Assignment) error
 }
+
+// solveNew is SolveInto into a fresh assignment: the allocating form
+// behind both backends' Solve.
+func solveNew(s Solver, p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
+	a := &Assignment{}
+	if err := s.SolveInto(a, p, pol, warm); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// ExactPairLimit routes a batch with at most this many feasible (app,
+// server) pairs to the exact MILP backend; larger batches use the
+// heuristic.
+const ExactPairLimit = 220
 
 // Placer implements Algorithm 1's incremental placement: it receives
 // batches of newly arriving applications, filters feasible servers, solves
@@ -16,22 +35,19 @@ type Solver interface {
 // and power decisions. Committing the decisions to the cluster is the
 // orchestrator's job.
 //
-// The default exact backend first tries ExactSolver's certificate: when
-// every app's cheapest feasible server provably is the MILP's unique
-// optimum, that assignment is returned without building the MILP — it is
-// the answer branch and bound would return — and Result.BnBNodes is 0.
-// Either way the assignment goes through the same CheckFeasible and
-// Evaluate as any backend's.
+// The exact backend first tries ExactSolver's certificate: when every
+// app's cheapest feasible server provably is the MILP's unique optimum,
+// that assignment is returned without building the MILP — it is the
+// answer branch and bound would return — and Result.BnBNodes is 0. Either
+// way the assignment goes through the same CheckFeasible and Evaluate as
+// the heuristic's.
 type Placer struct {
 	// Policy is the optimization objective (default CarbonAware).
 	Policy Policy
-	// ExactPairLimit routes instances with at most this many feasible
-	// (app, server) pairs to the exact MILP backend; larger instances
-	// use the heuristic (0 = 220).
-	ExactPairLimit int
-	// Exact and Heuristic override the default backends (for ablations).
-	Exact     Solver
-	Heuristic Solver
+
+	// exact replaces the default exact backend; tests set it to force the
+	// heuristic fallback.
+	exact Solver
 }
 
 // NewPlacer returns a placer with the CarbonEdge policy and default
@@ -57,8 +73,9 @@ type Result struct {
 	// TotalSolveTime is the end-to-end optimization time including any
 	// failed exact attempt; equal to SolveTime when no fallback occurred.
 	TotalSolveTime time.Duration
-	// BnBNodes counts the branch-and-bound nodes an *ExactSolver explored:
-	// 0 when its certificate closed the batch, and for every other backend.
+	// BnBNodes counts the branch-and-bound nodes the exact backend
+	// explored: 0 when its certificate closed the batch, and for the
+	// heuristic.
 	BnBNodes int
 }
 
@@ -77,41 +94,23 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 	for i := range p.Apps {
 		pairs += len(p.FeasibleServers(i))
 	}
-	limit := pl.ExactPairLimit
-	if limit <= 0 {
-		limit = 220
-	}
 
 	// The problem was validated above, once, at this entry point: the
-	// default backends are told to trust it instead of re-deriving the
-	// ID/shape maps per solve. Caller-supplied backends keep whatever
-	// validation posture they were configured with.
-	var solver Solver
-	backend := "heuristic"
-	if pairs <= limit {
-		backend = "exact"
-		solver = pl.Exact
-		if solver == nil {
-			e := NewExactSolver()
-			e.SkipValidate = true
-			solver = e
-		}
-	} else {
-		solver = pl.Heuristic
-		if solver == nil {
-			solver = &HeuristicSolver{SkipValidate: true}
-		}
+	// backends are told to trust it instead of re-deriving the ID/shape
+	// maps per solve.
+	nodes := 0
+	backend, solver := "exact", pl.exact
+	if pairs > ExactPairLimit {
+		backend, solver = "heuristic", &HeuristicSolver{SkipValidate: true}
+	} else if solver == nil {
+		e := NewExactSolver()
+		e.SkipValidate, e.nodes = true, &nodes
+		solver = e
 	}
 
+	a := &Assignment{}
 	start := time.Now() //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
-	var a *Assignment
-	var err error
-	nodes := 0
-	if e, ok := solver.(*ExactSolver); ok {
-		a, nodes, err = e.solve(p, pol, nil)
-	} else {
-		a, err = solver.Solve(p, pol)
-	}
+	err := solver.SolveInto(a, p, pol, nil)
 	solveTime := time.Since(start) //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
 	if err != nil && backend == "exact" {
 		// The exact backend can reject edge cases (e.g. time limit with
@@ -119,12 +118,8 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 		// fallback solve on its own so SolveTime reflects the backend
 		// that actually produced the assignment.
 		backend = "heuristic-fallback"
-		var h Solver = pl.Heuristic
-		if h == nil {
-			h = &HeuristicSolver{SkipValidate: true}
-		}
 		t1 := time.Now() //detlint:wallclock telemetry: fallback solve timed on its own for Assignment.SolveTime
-		a, err = h.Solve(p, pol)
+		err = (&HeuristicSolver{SkipValidate: true}).SolveInto(a, p, pol, nil)
 		solveTime = time.Since(t1) //detlint:wallclock telemetry: fallback solve timed on its own for Assignment.SolveTime
 	}
 	totalTime := time.Since(start) //detlint:wallclock telemetry: Assignment.TotalTime reports end-to-end wall time

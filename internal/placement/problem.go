@@ -9,15 +9,13 @@
 // within its envelope, and a greedy + local-search heuristic that scales
 // to CDN-sized instances. Both minimize the same policy-defined cost.
 //
-// Problem instances come from two builders. Build assembles a dense
-// one-shot instance from scratch — the compatibility wrapper for callers
-// that place a single batch. Workspace is the incremental form: built
-// once per world, it persists server state, memoized profile and RTT
-// tables, and per-app candidate shortlists across batches, and its
-// lifecycle is build → solve → commit → update → re-solve (see the
-// Workspace doc). Both builders feed the same solvers and produce
-// byte-identical assignments; the workspace just gets there in time
-// proportional to the batch instead of the world.
+// Problem instances come from one builder, Workspace: built once per
+// world, it persists server state, memoized profile and RTT tables, and
+// per-app candidate shortlists across batches, so a batch's view costs
+// time proportional to the batch instead of the world. Its lifecycle is
+// build → solve → commit → update → re-solve (see the Workspace doc). Both
+// backends implement one contract, Solver.SolveInto, and the Placer
+// routes each batch to one of them.
 package placement
 
 import (
@@ -84,11 +82,12 @@ type Problem struct {
 	// compatibility-feasible shortlist a Workspace precomputes. Solvers
 	// restrict their scans to these indices; every server outside an
 	// app's shortlist must be infeasible for it. Nil means every server
-	// is a candidate for every app (the dense Build path).
+	// is a candidate for every app (a hand-built dense problem).
 	Candidates [][]int
 
-	// allServers is the lazily-built identity shortlist used when
-	// Candidates is nil.
+	// allServers, when sized to Servers, is the identity shortlist
+	// CandidatesOf returns when Candidates is nil; the dense test builder
+	// (NewProblem) sets it so scans of its problems allocate nothing.
 	allServers []int
 
 	// classOf/classRep, when non-nil, are the owning Workspace's class
@@ -110,9 +109,9 @@ type Problem struct {
 	// time: it advances only when a server-side cost input changes
 	// (intensity, power state, fleet size), not on every reassembly like
 	// gen. The flattened solver keys its memoized cost rows and its
-	// cross-solve continuation on it. Zero (the dense Build path, or any
-	// hand-built problem) disables both reuses — dense contents can change
-	// without any counter moving.
+	// cross-solve continuation on it. Zero (any hand-built problem)
+	// disables both reuses — its contents can change without any counter
+	// moving.
 	costGen uint64
 }
 
@@ -127,7 +126,7 @@ func (p *Problem) CandidatesOf(i int) []int {
 	if len(p.allServers) == len(p.Servers) {
 		return p.allServers
 	}
-	return identityIndices(len(p.Servers)) // hand-built shell without NewProblem
+	return identityIndices(len(p.Servers))
 }
 
 func identityIndices(m int) []int {
@@ -136,33 +135,6 @@ func identityIndices(m int) []int {
 		idx[j] = j
 	}
 	return idx
-}
-
-// NewProblem allocates a problem shell with all pairwise matrices sized
-// |apps| x |servers|. Callers fill the matrices. Each matrix is one
-// contiguous allocation sliced into rows: at CDN scale the matrices are
-// megabytes per batch, and row-at-a-time allocation would hand the GC
-// hundreds of objects to track per solver invocation.
-func NewProblem(apps []App, servers []Server) *Problem {
-	p := &Problem{Apps: apps, Servers: servers}
-	n, m := len(apps), len(servers)
-	p.Demand = make([][]cluster.Resources, n)
-	p.PowerW = make([][]float64, n)
-	p.LatencyMs = make([][]float64, n)
-	p.Compatible = make([][]bool, n)
-	demand := make([]cluster.Resources, n*m)
-	power := make([]float64, n*m)
-	lat := make([]float64, n*m)
-	compat := make([]bool, n*m)
-	for i := 0; i < n; i++ {
-		lo, hi := i*m, (i+1)*m
-		p.Demand[i] = demand[lo:hi:hi]
-		p.PowerW[i] = power[lo:hi:hi]
-		p.LatencyMs[i] = lat[lo:hi:hi]
-		p.Compatible[i] = compat[lo:hi:hi]
-	}
-	p.allServers = identityIndices(m)
-	return p
 }
 
 // Validate checks structural consistency.
@@ -220,8 +192,8 @@ func (p *Problem) validateWith(ids, sids map[string]bool) error {
 // Feasible reports whether pair (i,j) satisfies the latency constraint
 // (Eq. 2), model compatibility, and single-server capacity (necessary
 // condition for Eq. 1). This is the FilterFeasibleServers step of
-// Algorithm 1. It is exact on every cell of both builders' problems: a
-// workspace view's cells outside the candidate lists hold true values.
+// Algorithm 1. It is exact on every cell of a workspace view: cells
+// outside the candidate lists hold true values.
 func (p *Problem) Feasible(i, j int) bool {
 	if !p.Compatible[i][j] {
 		return false

@@ -13,8 +13,7 @@ import (
 // once per world and reused across batches and epochs, so the per-batch
 // cost of Algorithm 1 is proportional to the batch, not the world.
 //
-// Where Build re-derives every pairwise input from scratch, the workspace
-// owns:
+// It is the only production builder of a Problem, and it owns:
 //
 //   - the live server state (free capacity, power state, per-epoch carbon
 //     intensity), advanced incrementally via CommitAssignment,
@@ -33,8 +32,10 @@ import (
 // state by pointing each app's matrix rows at its class's rows: apps of
 // one class share one read-only row per matrix, so a view costs O(batch)
 // slice headers, not O(batch x servers) cells. The view carries the
-// shortlists in Problem.Candidates and is guaranteed to solve to the
-// byte-identical assignment the dense Build path produces (see
+// shortlists in Problem.Candidates and solves to the byte-identical
+// assignment of the dense problem over the same inputs, which the tests'
+// dense builder (Build) fills cell by cell as the view's oracle (see
+// TestWorkspaceProblemMatchesBuild and
 // TestWorkspaceIncrementalEquivalence).
 //
 // The lifecycle is build → solve → commit → update → re-solve:
@@ -346,9 +347,8 @@ func (ws *Workspace) class(model string, rate float64) *appClass {
 	return c
 }
 
-// resolveCell computes one class's demand/power/compatibility on a device:
-// the same derivation Build performs per matrix cell, done once per
-// (model, device, rate).
+// resolveCell computes one class's demand/power/compatibility on a device
+// through Coefficients, once per (model, device, rate).
 func (ws *Workspace) resolveCell(model, device string, rate float64) cell {
 	prof, err := ws.profile(model, device)
 	if err != nil {

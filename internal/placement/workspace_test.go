@@ -110,11 +110,11 @@ func TestWorkspaceProblemMatchesBuild(t *testing.T) {
 				"heuristic": func() Solver { return NewHeuristicSolver() },
 				"exact":     func() Solver { return NewExactSolver() },
 			} {
-				aDense, err := mk().Solve(dense, pol)
+				aDense, err := solveNew(mk(), dense, pol, nil)
 				if err != nil {
 					t.Fatalf("trial %d %s/%s dense: %v", trial, pol.Name(), name, err)
 				}
-				aWS, err := mk().Solve(sparse, pol)
+				aWS, err := solveNew(mk(), sparse, pol, nil)
 				if err != nil {
 					t.Fatalf("trial %d %s/%s ws: %v", trial, pol.Name(), name, err)
 				}
@@ -161,7 +161,7 @@ func TestWorkspaceIncrementalEquivalence(t *testing.T) {
 			flat := func() func(*Problem, Policy, *Assignment) (*Assignment, error) {
 				s := NewHeuristicSolver()
 				return func(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
-					return solveWarm(s, p, pol, warm)
+					return solveNew(s, p, pol, warm)
 				}
 			}
 			ref := variant{"dense/sweep", false, sweepSolve}
@@ -481,7 +481,7 @@ func TestHeuristicWarmStartIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := solveWarm(solver, p, CarbonAware{}, cold)
+		warm, err := solveNew(solver, p, CarbonAware{}, cold)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestExactWarmStartMatchesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := NewExactSolver().SolveWarm(p, CarbonAware{}, heur)
+		warm, err := solveNew(NewExactSolver(), p, CarbonAware{}, heur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,7 +651,7 @@ func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d sweep: %v", round, err)
 				}
-				aFlat, err := solveWarm(flat, sparse, pol, prev)
+				aFlat, err := solveNew(flat, sparse, pol, prev)
 				if err != nil {
 					t.Fatalf("round %d flat: %v", round, err)
 				}
@@ -802,7 +802,7 @@ func TestWorkspaceViewRowsReadOnly(t *testing.T) {
 			}
 			want := copyRows(p)
 			for round := 0; round < 3; round++ {
-				a, err := solver.Solve(p, CarbonAware{})
+				a, err := solveNew(solver, p, CarbonAware{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -93,7 +93,7 @@ func TestEpochAllocBudget(t *testing.T) {
 }
 
 // BenchmarkEpochAllocs reports per-epoch wall time and allocations for
-// each mode — the numbers behind BENCH_06.json.
+// each mode (README "Performance" quotes them).
 func BenchmarkEpochAllocs(b *testing.B) {
 	for name, cfg := range allocModes(300) {
 		b.Run(name, func(b *testing.B) {

@@ -215,8 +215,7 @@ func TestObsRestoreWithoutObs(t *testing.T) {
 }
 
 // BenchmarkEpochAllocsObs is BenchmarkEpochAllocs with full
-// observability on — the per-epoch tracing overhead behind
-// BENCH_07.json.
+// observability on — the per-epoch tracing overhead.
 func BenchmarkEpochAllocsObs(b *testing.B) {
 	for name, cfg := range allocModes(300) {
 		b.Run(name, func(b *testing.B) {

@@ -61,12 +61,16 @@ var (
 	XeonE5   = Device{Name: "Xeon E5-2660v3", Kind: KindCPU, CUDACores: 0, MemMB: 262144, IdleW: 95, MaxW: 210}
 )
 
-// Devices returns the full catalogue.
-func Devices() []Device { return []Device{OrinNano, A2, GTX1080, XeonE5} }
+// catalogue is the device list in Devices' order.
+var catalogue = [...]Device{OrinNano, A2, GTX1080, XeonE5}
 
-// DeviceByName looks up a catalogue device.
+// Devices returns the full catalogue.
+func Devices() []Device { return append([]Device(nil), catalogue[:]...) }
+
+// DeviceByName looks up a catalogue device. It allocates nothing on a
+// hit, so the simulator's fault phase may call it.
 func DeviceByName(name string) (Device, error) {
-	for _, d := range Devices() {
+	for _, d := range catalogue {
 		if d.Name == name {
 			return d, nil
 		}

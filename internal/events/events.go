@@ -1,19 +1,21 @@
-// Package events provides the deterministic event timeline the simulator
-// and orchestrator schedule their world dynamics on: carbon ticks, traffic
-// slices, arrival batches, redeploy triggers, and scripted fault scenarios
-// all become Events on a Timeline instead of arms of a hard-coded loop.
+// Package events holds the world-dynamics vocabulary both drivers share:
+// declarative fault scripts (Fault, FaultScript) and the FaultQueue that
+// the simulator's faults phase and the orchestrator's tick drain in
+// (due instant, insertion order). Neither driver schedules closures: the
+// simulator runs a fixed phase list per epoch, and the orchestrator a
+// fixed tick sequence.
+//
+// Timeline is a general (At, Seq)-ordered scheduler of closures. No
+// driver uses it; the performance ledger probes its dispatch cost.
 //
 // # Determinism contract
 //
-// The timeline is a pure function of its Schedule calls. Events are
-// dispatched in ascending (At, Seq) order, where Seq is the monotonically
-// increasing schedule sequence number — two events at the same instant
-// fire in the order they were scheduled, never in heap or map order. The
-// package reads no wall clock and uses no randomness: given the same
-// sequence of Schedule calls and the same simulated clock, every replay
-// dispatches the identical event sequence, which is what lets the
-// simulator's timeline mode reproduce the fixed epoch loop byte for byte
-// and lets serial and parallel sweeps stay bit-identical.
+// Both queues are pure functions of their insertion calls. A Timeline
+// dispatches in ascending (At, Seq) order, where Seq is the schedule
+// sequence number, and a FaultQueue pops in (At, insertion order): two
+// entries due at the same instant come out in the order they went in,
+// never in heap or map order. The package reads no wall clock and uses no
+// randomness.
 package events
 
 import (
@@ -40,14 +42,11 @@ type Event struct {
 
 // Timeline is a deterministic priority-queue scheduler ordered by
 // (At, Seq). The zero value is ready to use. A Timeline is not safe for
-// concurrent use; owners that share one across goroutines (the
-// orchestrator) must hold their own lock.
+// concurrent use.
 //
 // The heap is hand-rolled rather than container/heap: the stdlib
 // interface boxes every Event through interface{} on Push and Pop, which
-// is two heap allocations per scheduled event — the simulator schedules
-// several events per epoch, so the boxing alone broke the zero-alloc
-// epoch budget.
+// is two heap allocations per scheduled event.
 type Timeline struct {
 	h   eventHeap
 	seq uint64
@@ -76,17 +75,6 @@ func (t *Timeline) NextAt() (at time.Time, ok bool) {
 	}
 	return t.h[0].At, true
 }
-
-// HasPending reports whether any event is still scheduled. It is the
-// shared-clock form of Len() > 0: a coordinator driving several timelines
-// polls HasPending/PeekNextTime to decide which instance advances next.
-func (t *Timeline) HasPending() bool { return len(t.h) > 0 }
-
-// PeekNextTime returns the due instant of the earliest pending event
-// without removing it; ok is false when the timeline is empty. It is
-// NextAt under the shared-clock coordinator's name: a caller comparing
-// several timelines peeks each and steps the earliest.
-func (t *Timeline) PeekNextTime() (at time.Time, ok bool) { return t.NextAt() }
 
 // ProcessNext pops and applies the earliest event due at or before now.
 // ok reports whether an event was processed; the event is returned either

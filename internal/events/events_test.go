@@ -111,9 +111,9 @@ func TestTimelineDeterministicReplay(t *testing.T) {
 }
 
 func TestTimelineStepPrimitives(t *testing.T) {
-	// HasPending/PeekNextTime/ProcessNext are the shared-clock step
-	// primitives: ProcessNext pops-and-applies in the same stable
-	// (At, Seq) order PopDue dispatches.
+	// Len/NextAt/ProcessNext are the step primitives: ProcessNext
+	// pops-and-applies in the same stable (At, Seq) order PopDue
+	// dispatches.
 	tl := NewTimeline()
 	var order []string
 	mark := func(kind string) Apply {
@@ -127,11 +127,11 @@ func TestTimelineStepPrimitives(t *testing.T) {
 	tl.Schedule(t0, "a2", mark("a2"))
 	tl.Schedule(t0.Add(time.Hour), "b2", mark("b2"))
 
-	if !tl.HasPending() {
-		t.Fatal("HasPending false with 4 scheduled events")
+	if tl.Len() != 4 {
+		t.Fatalf("Len = %d with 4 scheduled events", tl.Len())
 	}
-	if at, ok := tl.PeekNextTime(); !ok || !at.Equal(t0) {
-		t.Fatalf("PeekNextTime = %v/%v, want %v/true", at, ok, t0)
+	if at, ok := tl.NextAt(); !ok || !at.Equal(t0) {
+		t.Fatalf("NextAt = %v/%v, want %v/true", at, ok, t0)
 	}
 
 	// Nothing due before the earliest instant: ok=false, no error, and
@@ -163,11 +163,11 @@ func TestTimelineStepPrimitives(t *testing.T) {
 	}
 
 	// Empty-timeline behavior.
-	if tl.HasPending() {
-		t.Error("HasPending true on a drained timeline")
+	if tl.Len() != 0 {
+		t.Errorf("Len = %d on a drained timeline", tl.Len())
 	}
-	if _, ok := tl.PeekNextTime(); ok {
-		t.Error("PeekNextTime on empty timeline reported an event")
+	if _, ok := tl.NextAt(); ok {
+		t.Error("NextAt on empty timeline reported an event")
 	}
 	if ev, ok, err := tl.ProcessNext(t0.Add(100 * time.Hour)); ok || err != nil {
 		t.Errorf("ProcessNext on empty timeline = %v/%v/%v", ev, ok, err)
@@ -184,8 +184,47 @@ func TestTimelineProcessNextError(t *testing.T) {
 	if !ok || ev.Kind != "explode" || err != boom {
 		t.Fatalf("ProcessNext = %v/%v/%v, want explode/true/boom", ev, ok, err)
 	}
-	if tl.HasPending() {
+	if tl.Len() != 0 {
 		t.Error("failed event left on the timeline")
+	}
+}
+
+// TestFaultQueueOrder: faults pop in (due instant, insertion order) with
+// their pop ordinal, nothing pops before it is due, and Pending lists the
+// rest in pop order.
+func TestFaultQueueOrder(t *testing.T) {
+	var q FaultQueue
+	mk := func(site string) Fault { return Fault{Kind: FaultCrash, Site: site} }
+	q.Push(t0.Add(2*time.Hour), mk("c"))
+	q.Push(t0.Add(time.Hour), mk("a1"))
+	q.Push(t0.Add(time.Hour), mk("a2"))
+	q.Push(t0, mk("z"))
+	q.Push(t0.Add(time.Hour), mk("a3"))
+	if q.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", q.Len())
+	}
+	if _, _, ok := q.PopDue(t0.Add(-time.Minute)); ok {
+		t.Fatal("popped a fault before it was due")
+	}
+	var got []string
+	var seqs []int
+	for sf, seq, ok := q.PopDue(t0.Add(time.Hour)); ok; sf, seq, ok = q.PopDue(t0.Add(time.Hour)) {
+		got = append(got, sf.Fault.Site)
+		seqs = append(seqs, seq)
+	}
+	if want := []string{"z", "a1", "a2", "a3"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pop order %v, want %v", got, want)
+	}
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(seqs, want) {
+		t.Errorf("pop ordinals %v, want %v", seqs, want)
+	}
+	q.Push(t0.Add(2*time.Hour), mk("d"))
+	rest := q.Pending()
+	if len(rest) != 2 || rest[0].Fault.Site != "c" || rest[1].Fault.Site != "d" || !rest[1].At.Equal(t0.Add(2*time.Hour)) {
+		t.Fatalf("Pending = %+v, want c then d at +2h", rest)
+	}
+	if _, seq, ok := q.PopDue(t0.Add(2 * time.Hour)); !ok || seq != 4 {
+		t.Errorf("next pop ordinal %d/%v, want 4/true", seq, ok)
 	}
 }
 

@@ -3,6 +3,7 @@ package events
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,7 +212,7 @@ func (s *FaultScript) Validate() error {
 // Expand returns the script's faults with every automatic revert
 // (crash for=, degrade for=, forecast-error for=) materialized as its own
 // fault, sorted by offset (stable: same-offset faults keep script order).
-// This is the list consumers schedule on a Timeline.
+// This is the list consumers push onto a FaultQueue.
 func (s *FaultScript) Expand() []Fault {
 	out := make([]Fault, 0, len(s.Faults))
 	for _, f := range s.Faults {
@@ -222,6 +223,54 @@ func (s *FaultScript) Expand() []Fault {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
+}
+
+// ScheduledFault is one fault due at an absolute instant: plain data, so
+// a pending queue serializes into a checkpoint as is.
+type ScheduledFault struct {
+	// At is the instant the fault is due.
+	At time.Time `json:"at"`
+	// Fault is the declarative event to apply.
+	Fault Fault `json:"fault"`
+}
+
+// FaultQueue holds pending faults in (due instant, insertion order): a
+// fault pushed after another due at the same instant pops after it. Both
+// drivers drain it the same way, popping every fault due at or before
+// their clock. The zero value is an empty queue; it is not safe for
+// concurrent use.
+type FaultQueue struct {
+	due []ScheduledFault
+	// popped counts the faults popped so far: the ordinal of the next pop.
+	popped int
+}
+
+// Push inserts f due at at, after every pending fault due at or before at.
+// Pushing in due order (FaultScript.Expand's order) appends.
+func (q *FaultQueue) Push(at time.Time, f Fault) {
+	i := sort.Search(len(q.due), func(i int) bool { return q.due[i].At.After(at) })
+	q.due = slices.Insert(q.due, i, ScheduledFault{At: at, Fault: f})
+}
+
+// PopDue removes and returns the first pending fault due at or before
+// now, with its pop ordinal (0 for the queue's first pop, counting every
+// pop since the queue was created); ok is false when none is due.
+func (q *FaultQueue) PopDue(now time.Time) (sf ScheduledFault, seq int, ok bool) {
+	if len(q.due) == 0 || q.due[0].At.After(now) {
+		return ScheduledFault{}, 0, false
+	}
+	sf, seq = q.due[0], q.popped
+	q.due = q.due[1:]
+	q.popped++
+	return sf, seq, true
+}
+
+// Len returns the number of pending faults.
+func (q *FaultQueue) Len() int { return len(q.due) }
+
+// Pending returns a copy of the pending faults in pop order.
+func (q *FaultQueue) Pending() []ScheduledFault {
+	return append([]ScheduledFault(nil), q.due...)
 }
 
 // String renders the script in the parseable line syntax.

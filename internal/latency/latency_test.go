@@ -217,7 +217,18 @@ func TestMatrixMismatchedInput(t *testing.T) {
 
 func TestShaperDelays(t *testing.T) {
 	s := NewShaper()
+	g0 := s.Gen()
 	s.SetDelay("a", "b", 5*time.Millisecond)
+	g1 := s.Gen()
+	if g1 == g0 {
+		t.Error("SetDelay did not advance the generation")
+	}
+	s.SetScale(0)
+	s.SetJitter(0.1)
+	s.OneWay("a", "b")
+	if s.Gen() != g1 {
+		t.Error("scale, jitter or a read advanced the generation; the delay table did not change")
+	}
 	if got := s.OneWay("a", "b"); got != 5*time.Millisecond {
 		t.Errorf("OneWay = %v", got)
 	}
@@ -288,7 +299,11 @@ func TestShaperFromMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewShaper()
+	g0 := s.Gen()
 	s.ConfigureFromMatrix(mx)
+	if s.Gen() == g0 {
+		t.Error("ConfigureFromMatrix did not advance the generation")
+	}
 	want := time.Duration(mx.OneWayMs(0, 1) * float64(time.Millisecond))
 	if got := s.OneWay("Bern", "Munich"); got != want {
 		t.Errorf("shaper delay = %v, want %v", got, want)

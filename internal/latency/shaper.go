@@ -24,6 +24,9 @@ type Shaper struct {
 	scale float64
 	rng   *rng.Rand
 	jit   float64
+	// gen advances on every change to the delay table, so a caller that
+	// memoizes latencies can tell when to drop them (Gen).
+	gen uint64
 }
 
 // NewShaper returns an empty shaper that sleeps the full configured delay.
@@ -55,18 +58,29 @@ func (s *Shaper) SetDelay(a, b string, d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.delay[key(a, b)] = d
+	s.gen++
 }
 
 // ConfigureFromMatrix loads all pairwise delays from a latency matrix.
 func (s *Shaper) ConfigureFromMatrix(mx *Matrix) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	names := mx.Names()
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
 			s.delay[key(names[i], names[j])] = time.Duration(mx.OneWayMs(i, j) * float64(time.Millisecond))
 		}
 	}
+}
+
+// Gen returns the delay table's generation: it advances with every
+// SetDelay and ConfigureFromMatrix, and nothing else moves it, so a
+// latency read through OneWay stays valid while Gen is unchanged.
+func (s *Shaper) Gen() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
 }
 
 // OneWay returns the configured one-way delay between endpoints, zero when

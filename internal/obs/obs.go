@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer: a phase-level tracer
-// for the simulator's timeline dispatch and the orchestrator's tick
-// sections, a metrics registry with Prometheus-style text exposition,
-// and a flight recorder — a fixed-size ring of recent timeline events
-// for post-mortem of fault storms.
+// for the simulator's epoch phases and the orchestrator's tick sections,
+// a metrics registry with Prometheus-style text exposition, and a flight
+// recorder — a fixed-size ring of recent phases and faults for
+// post-mortem of fault storms.
 //
 // The package follows the same discipline the epoch hot loop does:
 // enabled tracing must not allocate in steady state. The tracer keeps
@@ -50,8 +50,8 @@ const (
 // enables everything at the defaults; negative values disable the
 // corresponding piece.
 type Config struct {
-	// FlightRecorderEvents sizes the ring buffer of recent timeline
-	// events (0 = DefaultFlightRecorderEvents, < 0 disables the
+	// FlightRecorderEvents sizes the ring buffer of recent phases and
+	// faults (0 = DefaultFlightRecorderEvents, < 0 disables the
 	// recorder).
 	FlightRecorderEvents int
 	// AllocProbeEvery samples a heap-allocation delta on every Nth call
@@ -67,7 +67,7 @@ const heapAllocsMetric = "/gc/heap/allocs:bytes"
 
 // PhaseStat is one phase's accumulated telemetry.
 type PhaseStat struct {
-	// Name is the phase's timeline kind ("faults", "placement", ...).
+	// Name is the phase's kind ("faults", "placement", ...).
 	Name string `json:"name"`
 	// Calls is how many times the phase ran.
 	Calls int64 `json:"calls"`
@@ -174,7 +174,9 @@ func (t *Tracer) Begin(phase int) Probe {
 
 // End finishes the call Begin started, folding its wall time (and, on
 // sampled calls, its heap-allocation delta) into the phase accumulators.
-func (t *Tracer) End(phase int, p Probe) {
+// It returns the call's wall time in nanoseconds, for a caller that also
+// logs the call (a flight recorder) without reading the clock again.
+func (t *Tracer) End(phase int, p Probe) int64 {
 	if p.sampled {
 		rtm.Read(t.sample[:])
 		atomic.AddInt64(&t.allocB[phase], int64(t.sample[0].Value.Uint64()-p.heap0))
@@ -185,7 +187,7 @@ func (t *Tracer) End(phase int, p Probe) {
 	for {
 		max := atomic.LoadInt64(&t.maxNs[phase])
 		if d <= max || atomic.CompareAndSwapInt64(&t.maxNs[phase], max, d) {
-			return
+			return d
 		}
 	}
 }

@@ -5,21 +5,24 @@ import (
 	"time"
 )
 
-// RecordedEvent is one dispatched timeline event as the flight recorder
-// keeps it: what fired, when (simulated time), in what order, and how
-// long it took.
+// RecordedEvent is one event — an epoch phase or an applied fault — as
+// the flight recorder keeps it: what ran, when (simulated time), in what
+// order, and how long it took.
 type RecordedEvent struct {
-	// Kind is the event's timeline kind ("faults", "crash", ...).
+	// Kind is the phase or fault kind ("faults", "crash", ...).
 	Kind string `json:"kind"`
 	// At is the simulated instant the event was due.
 	At time.Time `json:"at"`
-	// Seq is the event's schedule sequence number.
+	// Seq is the owner's sequence number for the event: the simulator
+	// numbers phase k of epoch N as N*phases+k and a fault by its index
+	// in FaultScript.Expand; the orchestrator numbers faults from 1 in the
+	// order it applies them.
 	Seq uint64 `json:"seq"`
-	// DurationNs is the event's Apply wall time.
+	// DurationNs is the event's wall time.
 	DurationNs int64 `json:"duration_ns"`
 }
 
-// FlightRecorder keeps the most recent timeline events in a fixed-size
+// FlightRecorder keeps the most recent events in a fixed-size
 // ring buffer for post-mortem inspection: when a fault storm or an
 // anomalous epoch shows up in the aggregates, the recorder answers
 // "what exactly just happened". Record writes a plain struct into the

@@ -28,20 +28,11 @@ type FaultStatus struct {
 	LastFaultKind string `json:"last_fault_kind,omitempty"`
 }
 
-// ScheduledFault is one pending fault event on the orchestrator's
-// clock: plain data (no closure), so the pending queue serializes into
-// SaveState and a restored orchestrator re-registers it by kind.
-type ScheduledFault struct {
-	// At is the absolute clock instant the fault fires.
-	At time.Time `json:"at"`
-	// Fault is the declarative event to apply.
-	Fault events.Fault `json:"fault"`
-}
-
 // InjectScript schedules a fault scenario against the orchestrator's
 // clock: each fault's offset is relative to the current clock value, and
 // timed reverts (crash for=, degrade for=, ...) are expanded
-// automatically. Due events are consumed by Tick.
+// automatically. Due events are consumed by Tick, in (due instant,
+// injection order).
 func (o *Orchestrator) InjectScript(s *events.FaultScript) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -54,9 +45,8 @@ func (o *Orchestrator) InjectScript(s *events.FaultScript) error {
 			return err
 		}
 	}
-	base := o.now
 	for _, f := range expanded {
-		o.faultQueue = append(o.faultQueue, ScheduledFault{At: base.Add(f.At), Fault: f})
+		o.faultq.Push(o.now.Add(f.At), f)
 	}
 	return nil
 }
@@ -82,11 +72,11 @@ func (o *Orchestrator) FaultStatus() FaultStatus {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	st := FaultStatus{
+		Pending:       o.faultq.Len(),
 		Applied:       o.faultsApplied,
 		Evictions:     o.faultEvictions,
 		LastFaultKind: o.lastFaultKind,
 	}
-	st.Pending = len(o.faultQueue)
 	if !o.lastFault.IsZero() {
 		st.LastFault = o.lastFault.String()
 	}
@@ -98,35 +88,17 @@ func (o *Orchestrator) FaultStatus() FaultStatus {
 }
 
 // consumeFaults (locked) applies every fault event due at or before the
-// current clock — ordered by (due instant, schedule order), matching the
-// previous timeline semantics — and returns the names of deployments
-// evicted by them.
+// current clock, in (due instant, injection order), and returns the
+// names of deployments evicted by them. The flight recorder numbers them
+// from 1 in the order they are applied.
 func (o *Orchestrator) consumeFaults() ([]string, error) {
-	if len(o.faultQueue) == 0 {
-		return nil, nil
-	}
 	var evicted []string
 	o.evictedNow = o.evictedNow[:0]
-	for {
-		best := -1
-		for i, sf := range o.faultQueue {
-			if sf.At.After(o.now) {
-				continue
-			}
-			if best < 0 || sf.At.Before(o.faultQueue[best].At) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return evicted, nil
-		}
-		sf := o.faultQueue[best]
-		o.faultQueue = append(o.faultQueue[:best], o.faultQueue[best+1:]...)
+	for sf, seq, ok := o.faultq.PopDue(o.now); ok; sf, seq, ok = o.faultq.PopDue(o.now) {
 		t0 := time.Now() //detlint:wallclock telemetry: fault apply latency feeds the flight recorder, never simulation state
 		err := o.applyFault(sf.Fault, o.now)
-		o.faultSeq++
 		//detlint:wallclock telemetry: fault apply latency feeds the flight recorder, never simulation state
-		o.recorder.Record(string(sf.Fault.Kind), sf.At, o.faultSeq, int64(time.Since(t0)))
+		o.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq)+1, int64(time.Since(t0)))
 		if err != nil {
 			return evicted, err
 		}
@@ -135,6 +107,7 @@ func (o *Orchestrator) consumeFaults() ([]string, error) {
 		evicted = append(evicted, o.evictedNow...)
 		o.evictedNow = o.evictedNow[:0]
 	}
+	return evicted, nil
 }
 
 // checkFaultTarget (locked) rejects faults no cluster entity can match.

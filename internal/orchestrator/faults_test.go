@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -142,6 +143,108 @@ func TestFaultDegradeEvictsOvercommitted(t *testing.T) {
 	}
 	if placed[0].ServerID == dep.ServerID {
 		t.Errorf("app re-placed on the degraded server %s", dep.ServerID)
+	}
+}
+
+// orderScripts are two scenarios injected back to back, each with one
+// fault due at +1h and one at +2h, so the two faults due at each instant
+// come from different calls: the 1h pair must fire degrade (first call)
+// then forecast-error (second call), the 2h pair the other way round.
+var orderScripts = []*events.FaultScript{
+	{Faults: []events.Fault{
+		{At: 2 * time.Hour, Kind: events.FaultForecastError, Zone: "Z-GREEN", Factor: 2},
+		{At: time.Hour, Kind: events.FaultDegrade, Site: "CityB", Factor: 0.9},
+	}},
+	{Faults: []events.Fault{
+		{At: time.Hour, Kind: events.FaultForecastError, Zone: "Z-DIRTY", Factor: 3},
+		{At: 2 * time.Hour, Kind: events.FaultDegrade, Site: "CityA", Factor: 0.8},
+	}},
+}
+
+// wantFired is what orderScripts fire on each of three one-hour ticks
+// after their injection.
+var wantFired = [][]string{nil, {"degrade", "forecast-error"}, {"forecast-error", "degrade"}}
+
+// tickFired ticks o n times by an hour and returns the fault kinds each
+// tick applied, in order.
+func tickFired(t *testing.T, o *Orchestrator, n int) [][]string {
+	t.Helper()
+	out := make([][]string, n)
+	for k := range out {
+		before := len(o.RecentEvents())
+		if err := o.Tick(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range o.RecentEvents()[before:] {
+			out[k] = append(out[k], ev.Kind)
+		}
+	}
+	return out
+}
+
+// TestFaultQueueOrderAndState: faults from separate InjectScript calls
+// fire in (due instant, injection order); a state whose fault_queue is in
+// injection order, not sorted by due instant (what older builds saved),
+// loads and fires in that same order; and SaveState -> LoadState ->
+// SaveState is byte-identical.
+func TestFaultQueueOrderAndState(t *testing.T) {
+	o := fixture(t, placement.LatencyAware{})
+	t0 := o.Now()
+	for _, s := range orderScripts {
+		if err := o.InjectScript(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tickFired(t, o, 3); !reflect.DeepEqual(got, wantFired) {
+		t.Errorf("fired %v, want %v", got, wantFired)
+	}
+
+	// An unsorted queue, as an older build saved it: one script's 2h
+	// fault ahead of both 1h faults.
+	old := fixture(t, placement.LatencyAware{})
+	st := mustState(t, old)
+	a, b := orderScripts[0].Faults, orderScripts[1].Faults
+	for _, f := range []events.Fault{a[0], a[1], b[0], b[1]} {
+		st.FaultQueue = append(st.FaultQueue, events.ScheduledFault{At: t0.Add(f.At), Fault: f})
+	}
+	restored := fixture(t, placement.LatencyAware{})
+	if err := restored.LoadState(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := tickFired(t, restored, 3); !reflect.DeepEqual(got, wantFired) {
+		t.Errorf("state in injection order fired %v, want %v", got, wantFired)
+	}
+
+	// Round trip with faults still pending.
+	live := fixture(t, placement.LatencyAware{})
+	deployOne(t, live, "app1", "CityA")
+	for _, s := range orderScripts {
+		if err := live.InjectScript(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tickFired(t, live, 2)
+	first, err := json.Marshal(mustState(t, live))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st2 State
+	if err := json.Unmarshal(first, &st2); err != nil {
+		t.Fatal(err)
+	}
+	again := fixture(t, placement.LatencyAware{})
+	if err := again.LoadState(st2); err != nil {
+		t.Fatal(err)
+	}
+	second, err := json.Marshal(mustState(t, again))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("SaveState -> LoadState -> SaveState changed the state:\n%s\n%s", first, second)
+	}
+	if len(st2.FaultQueue) != 2 {
+		t.Errorf("round-tripped state holds %d pending faults, want 2", len(st2.FaultQueue))
 	}
 }
 

@@ -478,7 +478,7 @@ func oracleReplicas(t *testing.T, o *Orchestrator) []router.Replica {
 			t.Fatal(err)
 		}
 		out = append(out, router.Replica{
-			ID: name, City: dc.City, ZoneID: dc.ZoneID, CapacityRPS: dep.Recipe.RatePerSec,
+			ID: name, Loc: o.cities.byName[dc.City], ZoneID: dc.ZoneID, CapacityRPS: dep.Recipe.RatePerSec,
 			ServiceMs: prof.InferenceMs, EnergyPerReqJ: prof.EnergyPerRequestJ(),
 		})
 	}

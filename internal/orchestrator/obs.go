@@ -152,7 +152,7 @@ func (o *Orchestrator) initObs() {
 		"scheduled fault events not yet due", func() float64 {
 			o.mu.Lock()
 			defer o.mu.Unlock()
-			return float64(len(o.faultQueue))
+			return float64(o.faultq.Len())
 		})
 	r.GaugeFunc("carbonedge_servers_down",
 		"currently crashed servers", func() float64 {

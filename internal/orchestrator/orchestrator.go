@@ -11,6 +11,7 @@ import (
 	"repro/internal/carbon"
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/events"
 	"repro/internal/latency"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -38,10 +39,10 @@ type Orchestrator struct {
 
 	// ws is the long-lived placement workspace: built from the cluster
 	// on the first batch, it keeps profile cells, RTT rows, and candidate
-	// shortlists across batches. Deploys commit into it, teardowns
-	// release from it, and the carbon clock refreshes its intensities;
-	// free capacity and power state are re-synced from the cluster (the
-	// allocation ground truth) before every solve.
+	// shortlists across batches. Before every solve the carbon clock
+	// refreshes its intensities and free capacity and power state are
+	// re-synced from the cluster (the allocation ground truth); a change
+	// to the shaper's delays rebuilds it (syncRTT).
 	ws        *placement.Workspace
 	fcCache   map[string]float64 // zone -> mean forecast, valid at fcAt
 	fcAt      time.Time
@@ -64,6 +65,10 @@ type Orchestrator struct {
 	// derives from the requests the deployment served this tick.
 	replicas []router.Replica
 	appW     []float64
+	// cities numbers the cities the router routes between (Replica.Loc,
+	// traffic sources) and remembers the shaper generation its latencies
+	// were memoized at.
+	cities cityIndex
 
 	// Telemetry.
 	carbonByApp *metrics.Grouped
@@ -79,12 +84,11 @@ type Orchestrator struct {
 
 	// Live fault injection (InjectFault / POST /api/v1/faults): scheduled
 	// world-dynamics events consumed by Tick. The queue holds the fault
-	// data itself (not closures), in schedule order, so SaveState can
-	// serialize the not-yet-due events and LoadState re-register them by
-	// kind. Crashed servers and degradation factors overlay the placement
-	// view in syncWorkspace; forecast skews multiply the per-zone
-	// forecast.
-	faultQueue     []ScheduledFault
+	// data itself (not closures), so SaveState serializes the not-yet-due
+	// events as they are. Crashed servers and degradation factors overlay
+	// the placement view in syncWorkspace; forecast skews multiply the
+	// per-zone forecast.
+	faultq         events.FaultQueue
 	downServers    map[string]bool
 	degraded       map[string]float64 // server ID -> capacity factor
 	fcSkew         map[string]float64 // zone -> forecast factor
@@ -102,18 +106,37 @@ type Orchestrator struct {
 
 	// Observability (always on, built by initObs): the tick-phase
 	// tracer, the Prometheus-style registry served at /metrics, and a
-	// flight recorder of applied fault events. faultSeq numbers recorded
-	// faults for the recorder's event stream.
+	// flight recorder of applied fault events.
 	trace    *obs.Tracer         //detlint:ephemeral telemetry: phase tracer, not simulation state
 	recorder *obs.FlightRecorder //detlint:ephemeral telemetry: flight recorder, not simulation state
 	registry *obs.Registry       //detlint:ephemeral telemetry: metrics registry, not simulation state
-	faultSeq uint64              //detlint:ephemeral telemetry: flight-recorder sequence number
 }
 
 // trafficState bundles the attached workload generator and its router.
+// srcLoc[i] is the city index of the generator's source i.
 type trafficState struct {
 	gen    *traffic.Generator
 	router *router.Router
+	srcLoc []int
+}
+
+// cityIndex numbers city names for the router's index-keyed latency
+// memo. gen is the shaper generation the memoized latencies were read at.
+type cityIndex struct {
+	names  []string
+	byName map[string]int
+	gen    uint64
+}
+
+// add returns a city's index, numbering it if it is new.
+func (c *cityIndex) add(name string) int {
+	i, ok := c.byName[name]
+	if !ok {
+		i = len(c.names)
+		c.byName[name] = i
+		c.names = append(c.names, name)
+	}
+	return i
 }
 
 // Config assembles an orchestrator.
@@ -148,6 +171,10 @@ func New(cfg Config) (*Orchestrator, error) {
 		now:         cfg.Start,
 		deployments: make(map[string]*Deployment),
 		carbonByApp: metrics.NewGrouped(),
+		cities:      cityIndex{byName: map[string]int{}, gen: cfg.Shaper.Gen()},
+	}
+	for _, dc := range cfg.Cluster.DataCenters() {
+		o.cities.add(dc.City)
 	}
 	o.initObs()
 	return o, nil
@@ -158,6 +185,26 @@ func New(cfg Config) (*Orchestrator, error) {
 // and traffic routing share.
 func (o *Orchestrator) rttMs(src, dst string) float64 {
 	return 2 * float64(o.shaper.OneWay(src, dst)) / float64(time.Millisecond)
+}
+
+// rttAt is rttMs by city index: the router's oracle.
+func (o *Orchestrator) rttAt(src, dst int) float64 {
+	return o.rttMs(o.cities.names[src], o.cities.names[dst])
+}
+
+// syncRTT (locked) drops every memoized latency once the shaper's delays
+// have changed since they were read: the router's pair memo, and the
+// workspace's RTT rows and shortlists, rebuilt on the next batch.
+func (o *Orchestrator) syncRTT() {
+	g := o.shaper.Gen()
+	if g == o.cities.gen {
+		return
+	}
+	o.cities.gen = g
+	o.ws = nil
+	if o.traffic != nil {
+		o.traffic.router.InvalidateRTT()
+	}
 }
 
 // Now returns the orchestrator clock.
@@ -276,7 +323,7 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 			RTTMs:    prob.LatencyMs[i][j],
 			PowerW:   prob.PowerW[i][j],
 		}
-		rep, err := newReplica(dep, srv, dc)
+		rep, err := o.newReplica(dep, srv, dc)
 		if err != nil {
 			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
 		}
@@ -286,20 +333,20 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 		o.admit(dep, rep)
 		placed = append(placed, dep)
 	}
-	if err := o.ws.CommitAssignment(prob, result.Assignment); err != nil {
-		return nil, nil, fmt.Errorf("orchestrator: workspace commit: %w", err)
-	}
 	//detlint:wallclock telemetry: DeployLatency is an operator-facing wall-time metric
 	o.DeployLatency.Add(float64(time.Since(start)) / float64(time.Millisecond))
 	return placed, rejected, nil
 }
 
 // syncWorkspace (locked) brings the long-lived workspace up to date with
-// the cluster and the carbon clock: lazily built on first use, then each
-// batch re-syncs free capacity and power state from the cluster snapshot
-// (the allocation ground truth) and refreshes forecast intensities, with
-// the per-zone forecast memoized for the current clock value.
+// the cluster, the network and the carbon clock: lazily built on first
+// use and rebuilt when the server count or the shaper's delays change,
+// then each batch re-syncs free capacity and power state from the
+// cluster snapshot (the allocation ground truth) and refreshes forecast
+// intensities, with the per-zone forecast memoized for the current clock
+// value.
 func (o *Orchestrator) syncWorkspace() error {
+	o.syncRTT()
 	snap := o.cluster.Snapshot()
 	if o.ws == nil || o.ws.NumServers() != len(snap.Servers) {
 		servers := make([]placement.Server, len(snap.Servers))
@@ -391,15 +438,15 @@ func (o *Orchestrator) Undeploy(name string) error {
 	return nil
 }
 
-// newReplica is a deployment as the traffic router sees it.
-func newReplica(dep *Deployment, srv *cluster.Server, dc *cluster.DataCenter) (router.Replica, error) {
+// newReplica (locked) is a deployment as the traffic router sees it.
+func (o *Orchestrator) newReplica(dep *Deployment, srv *cluster.Server, dc *cluster.DataCenter) (router.Replica, error) {
 	prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
 	if err != nil {
 		return router.Replica{}, err
 	}
 	return router.Replica{
 		ID:            dep.Recipe.Name,
-		City:          dc.City,
+		Loc:           o.cities.add(dc.City),
 		ZoneID:        dc.ZoneID,
 		CapacityRPS:   dep.Recipe.RatePerSec,
 		ServiceMs:     prof.InferenceMs,
@@ -424,9 +471,10 @@ func (o *Orchestrator) admit(dep *Deployment, rep router.Replica) {
 }
 
 // release (locked) is the one place the live set shrinks: the allocation
-// on srv, the map entry, the replica-table row and the workspace's view
-// of the app go together. Whether the name is gone for good (retire) or
-// comes back through the queue (an eviction) is the caller's.
+// on srv, the map entry and the replica-table row go together (the
+// workspace reads free capacity from the cluster before every solve).
+// Whether the name is gone for good (retire) or comes back through the
+// queue (an eviction) is the caller's.
 func (o *Orchestrator) release(name string, srv *cluster.Server) error {
 	if err := srv.Release(name); err != nil {
 		return err
@@ -435,12 +483,6 @@ func (o *Orchestrator) release(name string, srv *cluster.Server) error {
 	if i, ok := o.replicaRow(name); ok {
 		o.replicas = slices.Delete(o.replicas, i, i+1)
 		o.appW = slices.Delete(o.appW, i, i+1)
-	}
-	if o.ws != nil {
-		// Return the app's capacity to the workspace view; the next batch
-		// re-syncs from the cluster regardless, so a miss (e.g. the app
-		// predates the workspace) is harmless.
-		_ = o.ws.ReleaseApp(name)
 	}
 	return nil
 }
@@ -576,11 +618,7 @@ func (o *Orchestrator) AttachTraffic(gen *traffic.Generator, sloMs float64) erro
 	if gen == nil {
 		return fmt.Errorf("orchestrator: nil traffic generator")
 	}
-	r, err := router.New(router.Config{
-		SLOms:      sloMs,
-		RTT:        o.rttMs,
-		PerReplica: true,
-	})
+	r, err := router.New(router.Config{SLOms: sloMs, RTTAt: o.rttAt, PerReplica: true})
 	if err != nil {
 		return err
 	}
@@ -589,7 +627,11 @@ func (o *Orchestrator) AttachTraffic(gen *traffic.Generator, sloMs float64) erro
 	if o.traffic != nil {
 		return fmt.Errorf("orchestrator: traffic already attached")
 	}
-	o.traffic = &trafficState{gen: gen, router: r}
+	srcLoc := make([]int, len(gen.Sources()))
+	for i, src := range gen.Sources() {
+		srcLoc[i] = o.cities.add(src.City)
+	}
+	o.traffic = &trafficState{gen: gen, router: r, srcLoc: srcLoc}
 	return nil
 }
 
@@ -624,6 +666,7 @@ func (o *Orchestrator) routeTraffic(dt time.Duration) (int64, error) {
 		}
 	}
 	intensity := func(zone string) float64 { return ciCache[zone] }
+	o.syncRTT()
 	sl := rt.ReuseSlice(o.replicas, dt.Seconds())
 	// Route every hourly slice the tick window overlaps. Each slice's
 	// count is split by the telescoping difference of rounded cumulative
@@ -638,11 +681,11 @@ func (o *Orchestrator) routeTraffic(dt time.Duration) (int64, error) {
 			continue
 		}
 		counts := gen.Slice(h)
-		for i, src := range gen.Sources() {
+		for i, loc := range o.traffic.srcLoc {
 			c := float64(counts[i])
 			n := int64(c*hi+0.5) - int64(c*lo+0.5)
 			if n > 0 {
-				sl.Route(src.City, n, intensity)
+				sl.RouteAt(loc, n, intensity)
 			}
 		}
 	}

@@ -466,6 +466,57 @@ func TestWorkspaceLifecycleAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestDelayChangeReachesPlacementAndRouting: a shaper delay change after
+// the first batch and the first routed tick must reach both memos that
+// hold latencies — the router's pair memo (CityA's requests to a replica
+// behind the slowed link become spill-over) and the placement workspace
+// (the next app stays off that link).
+func TestDelayChangeReachesPlacementAndRouting(t *testing.T) {
+	o := trafficFixture(t, placement.CarbonAware{}, 8)
+	if err := o.Submit(testRecipe("app1")); err != nil {
+		t.Fatal(err)
+	}
+	placed, _, err := o.PlaceBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placed) != 1 || placed[0].DCID != "dc-B" {
+		t.Fatalf("app1 placed %+v, want the green dc-B 12 ms away", placed)
+	}
+	if err := o.Tick(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, _, _ := o.TrafficTelemetry()
+	if snap.Spilled != 0 {
+		t.Fatalf("%d requests spilled over the 12 ms link", snap.Spilled)
+	}
+
+	// 50 ms round trip: past the 20 ms placement SLO, and with 8 ms of
+	// service past the 40 ms routing SLO.
+	o.shaper.SetDelay("CityA", "CityB", 25*time.Millisecond)
+	if err := o.Tick(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	snap, _, _, _ = o.TrafficTelemetry()
+	if snap.Spilled == 0 {
+		t.Error("routing did not see the slowed link: CityA's requests to dc-B still count as within the SLO")
+	}
+
+	if err := o.Submit(testRecipe("app2")); err != nil {
+		t.Fatal(err)
+	}
+	placed, _, err = o.PlaceBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placed) != 1 {
+		t.Fatalf("app2: %d placed", len(placed))
+	}
+	if placed[0].DCID != "dc-A" {
+		t.Errorf("app2 placed at %s (%v ms), want local dc-A: dc-B is 50 ms away, past its 20 ms SLO", placed[0].DCID, placed[0].RTTMs)
+	}
+}
+
 // TestHTTPMethodNotAllowedUniform checks every endpoint rejects
 // unsupported methods the same way: 405, an Allow header naming the
 // supported set, and a JSON error body.

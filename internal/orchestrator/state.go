@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/router"
@@ -42,15 +43,18 @@ type State struct {
 	LastOverload  time.Time          `json:"last_overload,omitempty"`
 	Traffic       *router.StatsState `json:"traffic,omitempty"`
 
-	FaultQueue     []ScheduledFault   `json:"fault_queue,omitempty"`
-	DownServers    []string           `json:"down_servers,omitempty"`
-	Degraded       map[string]float64 `json:"degraded,omitempty"`
-	FcSkew         map[string]float64 `json:"fc_skew,omitempty"`
-	FaultsApplied  int                `json:"faults_applied,omitempty"`
-	FaultEvictions int                `json:"fault_evictions,omitempty"`
-	LastFault      time.Time          `json:"last_fault,omitempty"`
-	LastFaultKind  string             `json:"last_fault_kind,omitempty"`
-	FlashSeq       int                `json:"flash_seq,omitempty"`
+	// FaultQueue lists the pending faults in firing order. A state
+	// written in injection order instead loads to the same firing order:
+	// (due instant, position in the list).
+	FaultQueue     []events.ScheduledFault `json:"fault_queue,omitempty"`
+	DownServers    []string                `json:"down_servers,omitempty"`
+	Degraded       map[string]float64      `json:"degraded,omitempty"`
+	FcSkew         map[string]float64      `json:"fc_skew,omitempty"`
+	FaultsApplied  int                     `json:"faults_applied,omitempty"`
+	FaultEvictions int                     `json:"fault_evictions,omitempty"`
+	LastFault      time.Time               `json:"last_fault,omitempty"`
+	LastFaultKind  string                  `json:"last_fault_kind,omitempty"`
+	FlashSeq       int                     `json:"flash_seq,omitempty"`
 
 	LastSolve placement.SolveStats `json:"last_solve"`
 	Batches   int                  `json:"batches"`
@@ -99,7 +103,7 @@ func (o *Orchestrator) SaveState() (State, error) {
 		DeployLatency:  o.DeployLatency.State(),
 		OverloadTicks:  o.overloadTicks,
 		LastOverload:   o.lastOverload,
-		FaultQueue:     append([]ScheduledFault(nil), o.faultQueue...),
+		FaultQueue:     o.faultq.Pending(),
 		FaultsApplied:  o.faultsApplied,
 		FaultEvictions: o.faultEvictions,
 		LastFault:      o.lastFault,
@@ -214,7 +218,7 @@ func (o *Orchestrator) LoadState(st State) error {
 			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
 		}
 		dep := ds.Deployment
-		rep, err := newReplica(&dep, srv, dc)
+		rep, err := o.newReplica(&dep, srv, dc)
 		if err != nil {
 			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
 		}
@@ -244,7 +248,10 @@ func (o *Orchestrator) LoadState(st State) error {
 	o.DeployLatency = metrics.SummaryFromState(st.DeployLatency)
 	o.overloadTicks = st.OverloadTicks
 	o.lastOverload = st.LastOverload
-	o.faultQueue = append([]ScheduledFault(nil), st.FaultQueue...)
+	o.faultq = events.FaultQueue{}
+	for _, sf := range st.FaultQueue {
+		o.faultq.Push(sf.At, sf.Fault)
+	}
 	o.faultsApplied = st.FaultsApplied
 	o.faultEvictions = st.FaultEvictions
 	o.lastFault, o.lastFaultKind = st.LastFault, st.LastFaultKind

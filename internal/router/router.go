@@ -15,12 +15,14 @@
 // replicas in their given order, so serial and parallel sweep runs stay
 // bit-identical.
 //
-// What is constant for a run is computed once. The end-to-end latency of
-// a (source location, replica) pair depends only on the source index and
-// the replica's (Loc, ServiceMs) class, so the router memoizes it — and
-// the latency-sketch bucket it lands in — per class and source, for its
-// whole lifetime; the index-keyed path (RouteAt) then only reads rows and
-// runs the waterfill. Latency observations are not added to the sketches
+// Sources and replicas are named by location index, and RouteAt is the one
+// routing call. What is constant between network changes is computed
+// once. The end-to-end latency of a (source location, replica) pair
+// depends only on the source index and the replica's (Loc, ServiceMs)
+// class, so the router memoizes it — and the latency-sketch bucket it
+// lands in — per class and source until the caller invalidates the memo
+// (InvalidateRTT); RouteAt then only reads rows and runs the waterfill.
+// Latency observations are not added to the sketches
 // one assignment at a time: a slice logs them and Close folds the log in,
 // in assignment order under one lock, so the sketches hold exactly what
 // per-assignment adds would have produced — once the slice is closed.
@@ -42,11 +44,13 @@ type Replica struct {
 	// deployment is gone for good (Router.Retire), so per-replica aggregates
 	// stay bounded by the IDs in use.
 	ID string
-	// City is the hosting city (the latency-lookup endpoint).
+	// City is the hosting city's name.
+	//
+	// Deprecated: unread; routing goes by Loc. It is kept only because
+	// bench/probes.go sets it.
 	City string
 	// Loc is the hosting city's index in the caller's location universe,
-	// used by the index-keyed RouteAt/Config.RTTAt fast path. Callers that
-	// route only by name (Route + Config.RTT) may leave it zero.
+	// the destination RouteAt hands Config.RTTAt.
 	Loc int
 	// ZoneID is the hosting carbon zone, used for attribution.
 	ZoneID string
@@ -63,14 +67,16 @@ type Config struct {
 	// SLOms is the end-to-end response-time objective (network round trip
 	// plus service time).
 	SLOms float64
-	// RTT returns the round-trip network latency in milliseconds between
-	// a source city and a hosting city.
+	// RTT is a name-keyed RTT oracle.
+	//
+	// Deprecated: unread; the router routes by location index through
+	// RTTAt. It is kept only because bench/probes.go sets it.
 	RTT func(src, dst string) float64
-	// RTTAt, when set, is the index-keyed RTT oracle used by
-	// Slice.RouteAt: round-trip latency between a source location index
-	// and Replica.Loc. It must be a pure function of its arguments for the
-	// router's lifetime: each (src, dst) pair is evaluated once and the
-	// result memoized.
+	// RTTAt is the RTT oracle (required): round-trip network latency in
+	// milliseconds between a source location index and Replica.Loc. It
+	// must be pure until invalidated: each (src, dst) pair is evaluated
+	// once and the result memoized until Router.InvalidateRTT, which a
+	// caller whose network can change must call when it does.
 	RTTAt func(src, dst int) float64
 	// PerReplica enables per-replica latency sketches and carbon
 	// aggregates (the orchestrator's live stats); when false only the
@@ -147,9 +153,9 @@ type Router struct {
 	// reuse is the router-owned slice handed out by ReuseSlice; its
 	// buffers persist across slices so steady-state routing is
 	// allocation-free.
-	reuse *Slice
-	// memo holds one row per replica class seen by RouteAt, for the
-	// router's lifetime (RestoreStats empties it: buckets are resolved
+	reuse Slice
+	// memo holds one row per replica class seen by RouteAt, until
+	// InvalidateRTT (RestoreStats empties it too: buckets are resolved
 	// against stats.Latency).
 	memo map[pairClass]*pairRow
 }
@@ -188,8 +194,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.SLOms <= 0 {
 		return nil, fmt.Errorf("router: SLOms must be positive")
 	}
-	if cfg.RTT == nil {
-		return nil, fmt.Errorf("router: RTT oracle is required")
+	if cfg.RTTAt == nil {
+		return nil, fmt.Errorf("router: RTTAt oracle is required")
 	}
 	r := &Router{cfg: cfg, memo: map[pairClass]*pairRow{}}
 	r.stats.Latency = metrics.NewQuantileSketch()
@@ -216,6 +222,12 @@ func (r *Router) Retire(id string) {
 	r.stats.ByReplica.Delete(id)
 }
 
+// InvalidateRTT drops every memoized pair latency, so the next RouteAt
+// asks Config.RTTAt again: a caller whose network changed calls it before
+// routing over the new delays. Like Retire, it is legal only between
+// slices.
+func (r *Router) InvalidateRTT() { clear(r.memo) }
+
 // Slice is one routing window over a fixed replica set: replicas' free
 // capacity depletes as sources are routed, then the slice is closed.
 //
@@ -231,11 +243,10 @@ type Slice struct {
 	served  []int64
 	dropped int64
 	closed  bool
-	// lat, bucket, feasible, and infeasible are per-Route partition
-	// scratch, reused across Route calls: each replica's end-to-end
-	// latency from the current source, the sketch bucket it lands in
-	// (-1 = not resolved yet: the string-keyed Route path resolves it on
-	// the pair's first assignment), and the split by SLO feasibility.
+	// lat, bucket, feasible, and infeasible are per-RouteAt partition
+	// scratch, reused across calls: each replica's end-to-end latency from
+	// the current source, the sketch bucket it lands in, and the split by
+	// SLO feasibility.
 	lat        []float64
 	bucket     []int32
 	feasible   []int
@@ -296,52 +307,22 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 // slice may be live per router at a time — the caller must Close it
 // before the next ReuseSlice call.
 func (r *Router) ReuseSlice(replicas []Replica, seconds float64) *Slice {
-	s := r.reuse
-	if s == nil {
-		s = &Slice{r: r} //detlint:hotalloc pool-miss path: allocates once per router, then reused forever
-		r.reuse = s
-	}
+	s := &r.reuse
+	s.r = r
 	s.reset(replicas, seconds)
 	return s
 }
 
-// Route balances count requests originating at src across the slice's
-// replicas. intensity returns the hosting zone's current carbon intensity
-// (gCO2eq/kWh) for attribution.
-func (s *Slice) Route(src string, count int64, intensity func(zoneID string) float64) {
-	if count <= 0 || s.closed {
-		return
-	}
-	s.r.stats.Requests += count
-
-	// Partition replicas by SLO feasibility for this source, preserving
-	// replica order.
-	s.feasible = s.feasible[:0]
-	s.infeasible = s.infeasible[:0]
-	for i := range s.replicas {
-		rep := &s.replicas[i]
-		s.lat[i] = s.r.cfg.RTT(src, rep.City) + rep.ServiceMs
-		s.bucket[i] = -1
-		if s.lat[i] <= s.r.cfg.SLOms {
-			s.feasible = append(s.feasible, i)
-		} else {
-			s.infeasible = append(s.infeasible, i)
-		}
-	}
-	s.fill(count, intensity)
-}
-
-// RouteAt is Route with an index-keyed source location (srcLoc >= 0),
-// using Config.RTTAt against each Replica.Loc. Latencies and sketch
-// buckets come from the router's pair memo, so a pair costs one oracle
-// call and one logarithm per run instead of per slice; behavior is
-// otherwise identical to Route.
+// RouteAt balances count requests originating at source location srcLoc
+// (>= 0) across the slice's replicas: the SLO-feasible ones first, in
+// proportion to their free capacity, then the rest as spill-over.
+// intensity returns the hosting zone's current carbon intensity
+// (gCO2eq/kWh) for attribution. Latencies and sketch buckets come from
+// the router's pair memo, so a pair costs one Config.RTTAt call and one
+// logarithm until the memo is invalidated, not one per slice.
 func (s *Slice) RouteAt(srcLoc int, count int64, intensity func(zoneID string) float64) {
 	if count <= 0 || s.closed {
 		return
-	}
-	if s.r.cfg.RTTAt == nil {
-		panic("router: RouteAt requires Config.RTTAt")
 	}
 	s.r.stats.Requests += count
 	if !s.rowsOK {
@@ -384,8 +365,8 @@ func (s *Slice) resolveRows() {
 	s.rowsOK = true
 }
 
-// fill runs the two-phase waterfill over the partition built by
-// Route/RouteAt and records any unplaceable remainder as dropped.
+// fill runs the two-phase waterfill over the partition built by RouteAt
+// and records any unplaceable remainder as dropped.
 func (s *Slice) fill(count int64, intensity func(string) float64) {
 	left := s.waterfill(count, s.feasible, false, intensity)
 	if left > 0 {
@@ -472,12 +453,7 @@ func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func
 	if spill {
 		st.Spilled += n
 	}
-	b := s.bucket[i]
-	if b < 0 {
-		b = st.Latency.Bucket(latMs)
-		s.bucket[i] = b
-	}
-	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: b})
+	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: s.bucket[i]})
 
 	kwh := float64(n) * rep.EnergyPerReqJ / 3.6e6
 	grams := kwh * s.zoneIntensity(i, intensity)

@@ -11,30 +11,30 @@ import (
 	"repro/internal/metrics"
 )
 
-// testRTT is a small symmetric latency table.
-func testRTT(src, dst string) float64 {
-	if src == dst {
-		return 0
-	}
-	key := src + "/" + dst
-	if src > dst {
-		key = dst + "/" + src
-	}
-	return map[string]float64{
-		"Miami/Orlando": 6,
-		"Miami/Tampa":   8,
-		"Orlando/Tampa": 3,
-		"Far/Miami":     40,
-		"Far/Orlando":   42,
-		"Far/Tampa":     44,
-	}[key]
+// The test locations: the three hosting cities of testReplicas and a
+// distant source.
+const (
+	miami = iota
+	orlando
+	tampa
+	far
+)
+
+// testRTTms is a small symmetric latency table over the test locations.
+var testRTTms = [4][4]float64{
+	miami:   {0, 6, 8, 40},
+	orlando: {6, 0, 3, 42},
+	tampa:   {8, 3, 0, 44},
+	far:     {40, 42, 44, 0},
 }
+
+func testRTT(src, dst int) float64 { return testRTTms[src][dst] }
 
 func testReplicas() []Replica {
 	return []Replica{
-		{ID: "mia", City: "Miami", ZoneID: "Z-MIA", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
-		{ID: "orl", City: "Orlando", ZoneID: "Z-ORL", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
-		{ID: "tpa", City: "Tampa", ZoneID: "Z-TPA", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
+		{ID: "mia", Loc: miami, ZoneID: "Z-MIA", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
+		{ID: "orl", Loc: orlando, ZoneID: "Z-ORL", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
+		{ID: "tpa", Loc: tampa, ZoneID: "Z-TPA", CapacityRPS: 10, ServiceMs: 8, EnergyPerReqJ: 0.5},
 	}
 }
 
@@ -50,18 +50,18 @@ func mustRouter(t *testing.T, cfg Config) *Router {
 }
 
 func TestRouterValidation(t *testing.T) {
-	if _, err := New(Config{SLOms: 0, RTT: testRTT}); err == nil {
+	if _, err := New(Config{SLOms: 0, RTTAt: testRTT}); err == nil {
 		t.Error("zero SLO accepted")
 	}
 	if _, err := New(Config{SLOms: 20}); err == nil {
-		t.Error("nil RTT oracle accepted")
+		t.Error("nil RTTAt oracle accepted")
 	}
 }
 
 func TestRouteWithinCapacityMeetsSLO(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT})
 	sl := r.ReuseSlice(testReplicas(), 100) // 1000-request budget per replica
-	sl.Route("Miami", 900, flatCI)
+	sl.RouteAt(miami, 900, flatCI)
 	sl.Close()
 
 	st := r.Stats()
@@ -87,12 +87,12 @@ func TestRouteWithinCapacityMeetsSLO(t *testing.T) {
 
 func TestRouteProportionalToFreeCapacity(t *testing.T) {
 	reps := []Replica{
-		{ID: "big", City: "Miami", ZoneID: "Z", CapacityRPS: 75, ServiceMs: 5, EnergyPerReqJ: 1},
-		{ID: "small", City: "Orlando", ZoneID: "Z", CapacityRPS: 25, ServiceMs: 5, EnergyPerReqJ: 1},
+		{ID: "big", Loc: miami, ZoneID: "Z", CapacityRPS: 75, ServiceMs: 5, EnergyPerReqJ: 1},
+		{ID: "small", Loc: orlando, ZoneID: "Z", CapacityRPS: 25, ServiceMs: 5, EnergyPerReqJ: 1},
 	}
-	r := mustRouter(t, Config{SLOms: 30, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 30, RTTAt: testRTT})
 	sl := r.ReuseSlice(reps, 100) // budgets 7500 / 2500
-	sl.Route("Miami", 4000, flatCI)
+	sl.RouteAt(miami, 4000, flatCI)
 	sl.Close()
 	served := sl.Served()
 	ratio := float64(served[0]) / float64(served[1])
@@ -103,12 +103,12 @@ func TestRouteProportionalToFreeCapacity(t *testing.T) {
 
 func TestSpillOverOnSaturation(t *testing.T) {
 	reps := []Replica{
-		{ID: "near", City: "Miami", ZoneID: "Z", CapacityRPS: 1, ServiceMs: 8, EnergyPerReqJ: 1},
-		{ID: "far", City: "Far", ZoneID: "Z", CapacityRPS: 100, ServiceMs: 8, EnergyPerReqJ: 1},
+		{ID: "near", Loc: miami, ZoneID: "Z", CapacityRPS: 1, ServiceMs: 8, EnergyPerReqJ: 1},
+		{ID: "far", Loc: far, ZoneID: "Z", CapacityRPS: 100, ServiceMs: 8, EnergyPerReqJ: 1},
 	}
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT})
 	sl := r.ReuseSlice(reps, 10) // near fits 10 requests, far 1000
-	sl.Route("Miami", 200, flatCI)
+	sl.RouteAt(miami, 200, flatCI)
 	sl.Close()
 
 	st := r.Stats()
@@ -129,9 +129,9 @@ func TestSpillOverOnSaturation(t *testing.T) {
 }
 
 func TestDropWhenAllSaturated(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT})
 	sl := r.ReuseSlice(testReplicas(), 1) // 10-request budget per replica
-	sl.Route("Miami", 100, flatCI)
+	sl.RouteAt(miami, 100, flatCI)
 	if sl.Dropped() != 70 {
 		t.Errorf("dropped=%d, want 70", sl.Dropped())
 	}
@@ -152,12 +152,12 @@ func TestDropWhenAllSaturated(t *testing.T) {
 
 func TestRoutingDeterministic(t *testing.T) {
 	run := func() Snapshot {
-		r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+		r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 		for slice := 0; slice < 5; slice++ {
 			sl := r.ReuseSlice(testReplicas(), 60)
-			sl.Route("Miami", 700, flatCI)
-			sl.Route("Orlando", 500, flatCI)
-			sl.Route("Far", 300, flatCI)
+			sl.RouteAt(miami, 700, flatCI)
+			sl.RouteAt(orlando, 500, flatCI)
+			sl.RouteAt(far, 300, flatCI)
 			sl.Close()
 		}
 		return r.Stats().Snapshot()
@@ -169,9 +169,9 @@ func TestRoutingDeterministic(t *testing.T) {
 }
 
 func TestPerReplicaSnapshot(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	sl := r.ReuseSlice(testReplicas(), 100)
-	sl.Route("Tampa", 600, flatCI)
+	sl.RouteAt(tampa, 600, flatCI)
 	sl.Close()
 	snap := r.Stats().Snapshot()
 	if len(snap.Replicas) == 0 {
@@ -196,12 +196,12 @@ func TestPerReplicaSnapshot(t *testing.T) {
 }
 
 func TestZeroAndClosedSliceRouting(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT})
 	sl := r.ReuseSlice(testReplicas(), 100)
-	sl.Route("Miami", 0, flatCI)
-	sl.Route("Miami", -5, flatCI)
+	sl.RouteAt(miami, 0, flatCI)
+	sl.RouteAt(miami, -5, flatCI)
 	sl.Close()
-	sl.Route("Miami", 50, flatCI) // closed: ignored
+	sl.RouteAt(miami, 50, flatCI) // closed: ignored
 	if st := r.Stats(); st.Requests != 0 {
 		t.Errorf("requests=%d, want 0", st.Requests)
 	}
@@ -212,14 +212,14 @@ func TestZeroAndClosedSliceRouting(t *testing.T) {
 // attribution — no divide-by-zero in the waterfill shares and no silent
 // loss in the counters.
 func TestFullyDrainedPool(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	replicas := testReplicas()
 	for i := range replicas {
 		replicas[i].CapacityRPS = 0
 	}
 	sl := r.ReuseSlice(replicas, 100)
-	sl.Route("Miami", 500, flatCI)
-	sl.Route("Orlando", 250, flatCI)
+	sl.RouteAt(miami, 500, flatCI)
+	sl.RouteAt(orlando, 250, flatCI)
 	sl.Close()
 
 	st := r.Stats()
@@ -268,10 +268,10 @@ func TestFullyDrainedPool(t *testing.T) {
 // that fit are served, the remainder drops, and attribution covers only
 // the served share.
 func TestPoolDrainsMidSlice(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT})
 	sl := r.ReuseSlice(testReplicas(), 10) // 100-request budget per replica
-	sl.Route("Miami", 250, flatCI)         // fills Miami + Orlando + Tampa (300 cap)
-	sl.Route("Miami", 200, flatCI)         // only 50 left; 150 must drop
+	sl.RouteAt(miami, 250, flatCI)         // fills Miami + Orlando + Tampa (300 cap)
+	sl.RouteAt(miami, 200, flatCI)         // only 50 left; 150 must drop
 	sl.Close()
 
 	st := r.Stats()
@@ -301,7 +301,7 @@ func TestReuseRouteAtZeroAlloc(t *testing.T) {
 		}
 		return 5
 	}
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, RTTAt: rttAt})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: rttAt})
 	reps := testReplicas()
 	for i := range reps {
 		reps[i].Loc = i
@@ -333,9 +333,9 @@ func TestReuseRouteAtZeroAlloc(t *testing.T) {
 // (pre-sized row slice plus sort scaffolding), not one per replica or
 // per scrape-history.
 func TestStatsSnapshotAllocsBounded(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	sl := r.ReuseSlice(testReplicas(), 100)
-	sl.Route("Miami", 900, flatCI)
+	sl.RouteAt(miami, 900, flatCI)
 	sl.Close()
 	st := r.Stats()
 	if got := testing.AllocsPerRun(100, func() { _ = st.Snapshot() }); got > 6 {
@@ -343,21 +343,17 @@ func TestStatsSnapshotAllocsBounded(t *testing.T) {
 	}
 }
 
-// memoWorld is the differential tests' location universe: nLoc named
-// locations with a fixed pseudo-random symmetric RTT table, readable by
-// index (RTTAt, counting its calls) and by name (RTT).
+// memoWorld is the differential tests' location universe: nLoc
+// locations with a fixed pseudo-random symmetric RTT table, read through
+// an RTTAt oracle that counts its calls.
 type memoWorld struct {
-	names  []string
-	byName map[string]int
-	rtt    [][]float64
-	calls  int
+	rtt   [][]float64
+	calls int
 }
 
 func newMemoWorld(rng *rand.Rand, nLoc int) *memoWorld {
-	w := &memoWorld{byName: map[string]int{}, rtt: make([][]float64, nLoc)}
+	w := &memoWorld{rtt: make([][]float64, nLoc)}
 	for i := 0; i < nLoc; i++ {
-		w.names = append(w.names, fmt.Sprintf("L%02d", i))
-		w.byName[w.names[i]] = i
 		w.rtt[i] = make([]float64, nLoc)
 	}
 	for i := 0; i < nLoc; i++ {
@@ -370,9 +366,6 @@ func newMemoWorld(rng *rand.Rand, nLoc int) *memoWorld {
 }
 
 func (w *memoWorld) at(src, dst int) float64 { w.calls++; return w.rtt[src][dst] }
-func (w *memoWorld) named(src, dst string) float64 {
-	return w.rtt[w.byName[src]][w.byName[dst]]
-}
 
 // memoSlice is one routing window of a differential scenario.
 type memoSlice struct {
@@ -388,12 +381,12 @@ type memoSlice struct {
 // slices spill and drop, and the source range widens over time so later
 // slices route from indices no earlier slice used (row growth).
 func memoScenario(rng *rand.Rand, w *memoWorld, nSlices int) []memoSlice {
-	nLoc := len(w.names)
+	nLoc := len(w.rtt)
 	var catalog []Replica
 	for loc := 0; loc < nLoc; loc++ {
 		for k, svc := range []float64{4, 9, 4} {
 			catalog = append(catalog, Replica{
-				ID: fmt.Sprintf("%s/%d", w.names[loc], k%2), City: w.names[loc], Loc: loc,
+				ID: fmt.Sprintf("L%02d/%d", loc, k%2), Loc: loc,
 				ZoneID: fmt.Sprintf("Z%d", loc%3), ServiceMs: svc, EnergyPerReqJ: 0.25 + float64(k),
 			})
 		}
@@ -432,20 +425,21 @@ func stateJSON(t *testing.T, r *Router) string {
 
 // TestRouteAtMemoDifferential holds RouteAt on a long-lived router — warm
 // memo rows, logged observations — against three routers that cannot
-// benefit from the memo: the string-keyed Route path (no memo at all), a
-// fresh router per slice chained through State/RestoreStats (cold memo
-// every slice), and a long-lived router whose stats are exported and
-// restored in place mid-run (memo dropped while warm). All four must end
-// every slice with JSON-identical exported stats.
+// benefit from the memo across slices: one whose memo is invalidated
+// before every slice (InvalidateRTT), a fresh router per slice chained
+// through State/RestoreStats (cold memo every slice), and a long-lived
+// router whose stats are exported and restored in place mid-run (memo
+// dropped while warm). All four must end every slice with JSON-identical
+// exported stats.
 func TestRouteAtMemoDifferential(t *testing.T) {
 	for _, perReplica := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			w := newMemoWorld(rng, 9)
 			slices := memoScenario(rng, w, 40)
-			cfg := Config{SLOms: 22, RTT: w.named, RTTAt: w.at, PerReplica: perReplica}
+			cfg := Config{SLOms: 22, RTTAt: w.at, PerReplica: perReplica}
 
-			long, byName, chained, interrupted := mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg)
+			long, cold, chained, interrupted := mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg), mustRouter(t, cfg)
 			var spilled, dropped bool
 			for k, ms := range slices {
 				if k == len(slices)/2 {
@@ -459,21 +453,17 @@ func TestRouteAtMemoDifferential(t *testing.T) {
 				}
 				chained = next
 
-				for _, r := range []*Router{long, chained, interrupted} {
+				cold.InvalidateRTT()
+				for _, r := range []*Router{long, cold, chained, interrupted} {
 					sl := r.ReuseSlice(ms.replicas, 10)
 					for i, src := range ms.sources {
 						sl.RouteAt(src, ms.counts[i], zoneCI)
 					}
 					sl.Close()
 				}
-				sl := byName.ReuseSlice(ms.replicas, 10)
-				for i, src := range ms.sources {
-					sl.Route(w.names[src], ms.counts[i], zoneCI)
-				}
-				sl.Close()
 
 				want := stateJSON(t, long)
-				for name, r := range map[string]*Router{"Route by name": byName, "fresh router per slice": chained, "restored mid-run": interrupted} {
+				for name, r := range map[string]*Router{"invalidated every slice": cold, "fresh router per slice": chained, "restored mid-run": interrupted} {
 					if got := stateJSON(t, r); got != want {
 						t.Fatalf("seed %d per-replica=%t slice %d: %s diverged from the long-lived RouteAt router\n got: %s\nwant: %s",
 							seed, perReplica, k, name, got, want)
@@ -496,7 +486,7 @@ func TestRouteAtEvaluatesEachPairOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := newMemoWorld(rng, 9)
 	slices := memoScenario(rng, w, 60)
-	r := mustRouter(t, Config{SLOms: 22, RTT: w.named, RTTAt: w.at})
+	r := mustRouter(t, Config{SLOms: 22, RTTAt: w.at})
 	type pair struct {
 		src, loc int
 		svc      float64
@@ -519,15 +509,41 @@ func TestRouteAtEvaluatesEachPairOnce(t *testing.T) {
 	}
 }
 
+// TestInvalidateRTTSeesNewDelays: a pair's latency is memoized until
+// InvalidateRTT; after it, RouteAt reads the oracle again, and a link
+// pushed past the SLO takes no more feasible traffic.
+func TestInvalidateRTTSeesNewDelays(t *testing.T) {
+	rtt := testRTTms
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: func(src, dst int) float64 { return rtt[src][dst] }})
+	route := func() []int64 {
+		sl := r.ReuseSlice(testReplicas(), 100)
+		sl.RouteAt(miami, 900, flatCI)
+		sl.Close()
+		return append([]int64(nil), sl.Served()...)
+	}
+	route()
+	rtt[miami][orlando], rtt[orlando][miami] = 30, 30 // 30 + 8 ms > SLO
+	if served := route(); served[1] == 0 {
+		t.Fatal("the memo should hold the old Miami-Orlando latency until invalidated")
+	}
+	r.InvalidateRTT()
+	if served := route(); served[1] != 0 || served[0]+served[2] != 900 {
+		t.Errorf("after InvalidateRTT served %v, want nothing on orl and all 900 on mia+tpa", served)
+	}
+	if st := r.Stats(); st.SLOMet != 2700 || st.Spilled != 0 {
+		t.Errorf("slo_met=%d spilled=%d, want 2700/0", st.SLOMet, st.Spilled)
+	}
+}
+
 // TestRetireDropsRowKeepsTotals: a retired ID loses its per-replica row
 // and ByReplica label, the totals and the other rows are untouched, and
 // routing to the ID again starts from zero.
 func TestRetireDropsRowKeepsTotals(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	route := func() {
 		sl := r.ReuseSlice(testReplicas(), 100)
-		sl.Route("Tampa", 600, flatCI)
-		sl.Route("Far", 50, flatCI)
+		sl.RouteAt(tampa, 600, flatCI)
+		sl.RouteAt(far, 50, flatCI)
 		sl.Close()
 	}
 	route()
@@ -568,11 +584,10 @@ func TestRetireDropsRowKeepsTotals(t *testing.T) {
 // TestCloseFoldsPerReplicaByBucketOrValue: per-replica sketches end up
 // exactly as per-assignment AddN calls would leave them, both at the
 // total sketch's resolution (folded by the logged bucket) and at a
-// restored foreign one (folded by value) — on the string Route path, where
-// the bucket is resolved at a pair's first assignment and reused for the
-// waterfill's further rounds.
+// restored foreign one (folded by value) — with a pair's bucket read from
+// the memo once and reused for the waterfill's further rounds.
 func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
-	r := mustRouter(t, Config{SLOms: 20, RTT: testRTT, PerReplica: true})
+	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	st := r.Stats().State()
 	coarse := metrics.NewQuantileSketch().State()
 	coarse.NumBkts, coarse.Gamma = 300, 1.1
@@ -595,9 +610,9 @@ func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
 	replicas[0].CapacityRPS, replicas[2].CapacityRPS = 3, 17
 	for round := 0; round < 4; round++ {
 		sl := r.ReuseSlice(replicas, 10)
-		for _, src := range []string{"Tampa", "Miami", "Far", "Tampa"} {
+		for _, src := range []int{tampa, miami, far, tampa} {
 			served := append([]int64(nil), sl.Served()...)
-			sl.Route(src, 97, flatCI)
+			sl.RouteAt(src, 97, flatCI)
 			for i, n := range sl.Served() {
 				if d := n - served[i]; d > 0 {
 					id := replicas[i].ID
@@ -606,7 +621,7 @@ func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
 					}
 					// One AddN per pair equals the per-assignment adds: the
 					// pair's latency is one value.
-					ref[id].AddN(testRTT(src, replicas[i].City)+replicas[i].ServiceMs, d)
+					ref[id].AddN(testRTT(src, replicas[i].Loc)+replicas[i].ServiceMs, d)
 				}
 			}
 		}

@@ -136,19 +136,19 @@ type Config struct {
 	// Traffic.Seed inherits Seed. When nil (the default) the classic
 	// epoch mode runs unchanged.
 	Traffic *traffic.Config
-	// Faults, when non-nil, scripts world dynamics on the event timeline:
-	// server crashes and recoveries, zone outages, capacity degradation,
-	// carbon-forecast error spikes, and flash fleet scale-outs, applied at
-	// their scheduled instants ahead of that epoch's phases. Applications
+	// Faults, when non-nil, scripts world dynamics: server crashes and
+	// recoveries, zone outages, capacity degradation, carbon-forecast
+	// error spikes, and flash fleet scale-outs, applied by the faults
+	// phase of the first epoch at or after their instants. Applications
 	// on crashed or shrunk servers are evicted and forced back through
 	// the placement/redeploy path; Result.Faults records the telemetry.
 	// When nil (the default) results are byte-identical to a fault-free
 	// run.
 	Faults *events.FaultScript
 	// Obs, when non-nil, enables observability for the run: the engine
-	// traces every timeline phase (per-phase wall time, call counts,
+	// traces every epoch phase (per-phase wall time, call counts,
 	// sampled allocation deltas — Engine.Tracer) and keeps a flight
-	// recorder of recent dispatched events (Engine.FlightRecorder),
+	// recorder of recent phases and faults (Engine.FlightRecorder),
 	// snapshotted into checkpoints. Tracing never changes the simulated
 	// trajectory — with Obs nil (the default) outputs are byte-identical
 	// and the hot path carries no tracing code at all.

@@ -43,13 +43,13 @@ func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, 
 // orchestration layers that need to observe or interleave simulations
 // mid-flight drive Step directly.
 //
-// Each epoch's work — scripted faults, the carbon tick, departures,
-// redeploy triggers, arrival batches, placement, traffic slices, and
-// emission accrual — is dispatched from an events.Timeline in stable
-// (time, seq) order rather than a hard-coded sequence, so world-dynamics
-// events (Config.Faults) interleave deterministically with the epoch
-// phases. The golden trajectory digests (golden_test.go) pin what this
-// loop produces.
+// Each epoch runs one phase list — scripted faults, the carbon tick,
+// departures, redeploy triggers, arrival batches, placement, traffic
+// slices, and emission accrual — that NewEngine lays out once from the
+// config, leaving out the phases the config cannot use. Scripted faults
+// (Config.Faults) wait on an events.FaultQueue in due order, and the
+// faults phase applies those due at the top of each epoch. The golden
+// trajectory digests (golden_test.go) pin what this loop produces.
 //
 // The carbon signal is read by (zone slot, epoch index): NewEngine
 // resolves one carbon.ZoneReader per distinct zone of the region, the
@@ -70,10 +70,10 @@ type Engine struct {
 
 	sites []*deploy.Site
 	//detlint:ephemeral derived from site geometry at construction
-	rtt           [][]float64 // pairwise RTT between site cities
-	siteIdxByCity map[string]int
-	demandW       []float64 //detlint:ephemeral derived from the scenario at construction
-	demandTotal   float64   // Σ demandW, summed once in index order
+	rtt           [][]float64    // pairwise RTT between site cities
+	siteIdxByCity map[string]int //detlint:ephemeral derived from the site list at construction
+	demandW       []float64      //detlint:ephemeral derived from the scenario at construction
+	demandTotal   float64        // Σ demandW, summed once in index order
 	servers       []siteServer
 
 	// zoneSlot/zoneSlotOfSite index the region's distinct carbon zones,
@@ -100,12 +100,13 @@ type Engine struct {
 	// each solve; intensities update on the carbon clock.
 	ws *placement.Workspace
 
-	// tl is the epoch timeline: every phase of every epoch is a scheduled
-	// event, dispatched in (time, seq) order.
-	tl *events.Timeline
-	// faultq holds the scripted world-dynamics events, drained by the
-	// faults phase at the top of each epoch. Nil without a fault script.
-	faultq *events.Timeline
+	// phases is the epoch's phase list in canonical order, built by
+	// NewEngine from the config; Step runs it.
+	phases []phase //detlint:ephemeral derived from cfg at construction
+	// faultq holds the script's faults (reverts included) not yet
+	// applied, drained by the faults phase at the top of each epoch.
+	// Empty without a fault script.
+	faultq events.FaultQueue
 	// fcErr is the active per-zone forecast error factor (forecast-error
 	// faults); nil reads return no factor.
 	fcErr map[string]float64
@@ -137,13 +138,8 @@ type Engine struct {
 	start        time.Time
 	epoch        int
 
-	// Pre-bound phase closures: method values are bound once at build
-	// time so scheduleEpoch stays allocation-free on the hot path.
-	phFaults, phCarbon, phDepart, phRedeploy events.Apply
-	phArrive, phPlace, phTraffic, phAccrue   events.Apply
-
 	// Hot-loop scratch, reused every epoch (wiped in place, never freed).
-	idPool   []string             // positional backlog IDs ("q-0", "q-1", ...)
+	idPool   []string             //detlint:ephemeral interned positional backlog IDs ("q-0", "q-1", ...), re-rendered on demand
 	appsBuf  []placement.App      //detlint:ephemeral per-batch scratch, wiped before every solve
 	prevsBuf []int                //detlint:ephemeral per-batch scratch, wiped before every solve
 	asgBuf   placement.Assignment //detlint:ephemeral per-batch scratch, wiped before every solve
@@ -152,7 +148,7 @@ type Engine struct {
 	cityMonthKey [][12]string //detlint:ephemeral pre-rendered key strings, derived at construction
 
 	// Traffic-driven mode (cfg.Traffic != nil).
-	tgen    *traffic.Generator
+	tgen    *traffic.Generator //detlint:ephemeral stateless: slices are drawn by (seed, hour), rebuilt from cfg at construction
 	trouter *router.Router
 	//detlint:ephemeral configuration, derived from cfg at construction
 	sloMs    float64 // end-to-end routing SLO
@@ -168,13 +164,19 @@ type Engine struct {
 	intensityFn func(string) float64 //detlint:ephemeral pre-bound closure over the slot memo, rebuilt at construction
 
 	// Observability (cfg.Obs != nil): tracer accumulates per-phase
-	// timings through the wrapped phase closures; recorder keeps the
-	// most recent dispatched events. Both nil by default — the dispatch
-	// loop branches on recorder exactly once per Step.
+	// timings, one probe per phase run by Step; recorder keeps the most
+	// recent phases and faults run. Both nil by default.
 	tracer   *obs.Tracer //detlint:ephemeral telemetry: phase tracer, not simulation state
 	recorder *obs.FlightRecorder
 
 	observers []Observer //detlint:ephemeral callback hooks, re-registered by the embedding process
+}
+
+// phase is one step of the epoch: its tracer index (phaseNames[idx] is
+// the kind it is recorded under) and its action.
+type phase struct {
+	idx int
+	run func(now time.Time) error
 }
 
 // replicaPool turns the live applications into the router's replica set
@@ -427,18 +429,9 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	}
 	e.ws = ws
 
-	e.phFaults = e.phaseFaults
-	e.phCarbon = e.phaseCarbonTick
-	e.phDepart = e.phaseDepartures
-	e.phRedeploy = e.phaseRedeploy
-	e.phArrive = e.phaseArrivals
-	e.phPlace = e.phasePlacement
-	e.phTraffic = e.phaseTraffic
-	e.phAccrue = e.phaseAccrual
 	if cfg.Obs != nil {
 		e.initObs()
 	}
-
 	if cfg.Traffic != nil {
 		if err := e.initTraffic(); err != nil {
 			return nil, err
@@ -449,9 +442,33 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e.tl = events.NewTimeline()
-	e.scheduleEpoch(0)
+	e.buildPhases()
 	return e, nil
+}
+
+// buildPhases lays out the epoch's phase list in canonical order. A phase
+// the config cannot use is left out: faults without a script, redeploy
+// without a cadence or a script (an eviction forces a pass), traffic
+// outside the traffic mode.
+func (e *Engine) buildPhases() {
+	add := func(idx int, run func(time.Time) error) {
+		e.phases = append(e.phases, phase{idx: idx, run: run})
+	}
+	faults := e.cfg.Faults != nil
+	if faults {
+		add(phaseFaultsIdx, e.phaseFaults)
+	}
+	add(phaseCarbonIdx, e.phaseCarbonTick)
+	add(phaseDepartIdx, e.phaseDepartures)
+	if e.cfg.RedeployEveryHours > 0 || faults {
+		add(phaseRedeployIdx, e.phaseRedeploy)
+	}
+	add(phaseArriveIdx, e.phaseArrivals)
+	add(phasePlaceIdx, e.phasePlacement)
+	if e.tgen != nil {
+		add(phaseTrafficIdx, e.phaseTraffic)
+	}
+	add(phaseAccrueIdx, e.phaseAccrual)
 }
 
 // initTraffic builds the traffic-driven mode: the open-loop generator over
@@ -494,11 +511,7 @@ func (e *Engine) initTraffic() error {
 		return fmt.Errorf("sim: no profiled (model, device) pairing for traffic mode")
 	}
 	e.sloMs = e.cfg.RTTLimitMs + maxSvcMs
-	r, err := router.New(router.Config{
-		SLOms: e.sloMs,
-		RTT:   e.rttOracle,
-		RTTAt: e.rttAt,
-	})
+	r, err := router.New(router.Config{SLOms: e.sloMs, RTTAt: e.rttAt})
 	if err != nil {
 		return err
 	}
@@ -542,10 +555,12 @@ func (e *Engine) ProcessNext() error { return e.Step() }
 // inspect partial state; the engine keeps owning the pointer until Done.
 func (e *Engine) Finish() *Result { return e.res }
 
-// Step advances the simulation by one hourly epoch: every event due at
-// the epoch's instant — scripted faults first, then the epoch phases —
-// is dispatched from the timeline in stable (time, seq) order. Calling
-// Step after Done reports true is an error.
+// Step advances the simulation by one hourly epoch: it runs the phase
+// list in order at the epoch's instant, scripted faults first. With
+// Config.Obs set, one tracer probe times each phase, and the flight
+// recorder files phase k of epoch N with that time under sequence number
+// N*len(phases)+k, so a restored run records what an uninterrupted one
+// does. Calling Step after Done reports true is an error.
 func (e *Engine) Step() error {
 	if e.Done() {
 		return fmt.Errorf("sim: Step past end of %d-hour span", e.cfg.Hours)
@@ -561,36 +576,27 @@ func (e *Engine) Step() error {
 		}
 	}
 
-	if e.recorder != nil {
-		// Recording loop: identical dispatch, plus one timed ring write
-		// per event. Kept as a separate loop so the default path stays
-		// branch-free per event.
-		for ev, ok := e.tl.PopDue(now); ok; ev, ok = e.tl.PopDue(now) {
-			t0 := time.Now() //detlint:wallclock telemetry: event latency feeds the flight recorder, never simulation state
-			err := ev.Apply(now)
-			//detlint:wallclock telemetry: event latency feeds the flight recorder, never simulation state
-			e.recorder.Record(ev.Kind, ev.At, ev.Seq, int64(time.Since(t0)))
-			if err != nil {
-				return fmt.Errorf("sim: epoch %d %s event: %w", epoch, ev.Kind, err)
+	for k := range e.phases {
+		ph := &e.phases[k]
+		var p obs.Probe
+		if e.tracer != nil {
+			p = e.tracer.Begin(ph.idx)
+		}
+		err := ph.run(now)
+		if e.tracer != nil {
+			d := e.tracer.End(ph.idx, p)
+			if e.recorder != nil {
+				e.recorder.Record(phaseNames[ph.idx], now, uint64(epoch*len(e.phases)+k), d)
 			}
 		}
-	} else {
-		for {
-			ev, ok, err := e.tl.ProcessNext(now)
-			if !ok {
-				break
-			}
-			if err != nil {
-				return fmt.Errorf("sim: epoch %d %s event: %w", epoch, ev.Kind, err)
-			}
+		if err != nil {
+			return fmt.Errorf("sim: epoch %d %s phase: %w", epoch, phaseNames[ph.idx], err)
 		}
 	}
 
 	e.epoch++
 	if e.Done() {
 		e.closeFaultAccounting()
-	} else {
-		e.scheduleEpoch(e.epoch)
 	}
 	for _, o := range e.observers {
 		o.OnEpoch(epoch, now, e.res)
@@ -621,48 +627,24 @@ func (e *Engine) closeFaultAccounting() {
 	e.pending = nil
 }
 
-// scheduleEpoch enqueues one epoch's phase events in canonical order.
-// Because the timeline dispatches in (time, seq) order and each epoch's
-// phases are scheduled together, they run in exactly this order; fault
-// events (scheduled at build time, so with lower sequence numbers) fire
-// ahead of the phases of their epoch.
-func (e *Engine) scheduleEpoch(epoch int) {
-	at := e.start.Add(time.Duration(epoch) * time.Hour)
-	if e.faultq != nil {
-		e.tl.Schedule(at, "faults", e.phFaults)
-	}
-	e.tl.Schedule(at, "carbon-tick", e.phCarbon)
-	e.tl.Schedule(at, "departures", e.phDepart)
-	if e.cfg.RedeployEveryHours > 0 || e.faultq != nil {
-		e.tl.Schedule(at, "redeploy", e.phRedeploy)
-	}
-	e.tl.Schedule(at, "arrivals", e.phArrive)
-	e.tl.Schedule(at, "placement", e.phPlace)
-	if e.tgen != nil {
-		e.tl.Schedule(at, "traffic", e.phTraffic)
-	}
-	e.tl.Schedule(at, "accrual", e.phAccrue)
-}
-
-// phaseFaults drains the scripted world-dynamics events due this epoch.
-// With the flight recorder on, each drained fault is recorded under its
-// own kind (crash, zone-outage, ...) — the events a post-mortem is
-// usually after.
+// phaseFaults applies the scripted faults due this epoch, in the queue's
+// (due instant, script order). With the flight recorder on, each is
+// recorded under its own kind (crash, recover, ...) — the events a
+// post-mortem is usually after — with its index in FaultScript.Expand as
+// sequence number.
 func (e *Engine) phaseFaults(now time.Time) error {
-	if e.recorder != nil {
-		for ev, ok := e.faultq.PopDue(now); ok; ev, ok = e.faultq.PopDue(now) {
-			t0 := time.Now() //detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-			err := ev.Apply(now)
-			//detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-			e.recorder.Record(ev.Kind, ev.At, ev.Seq, int64(time.Since(t0)))
-			if err != nil {
+	for sf, seq, ok := e.faultq.PopDue(now); ok; sf, seq, ok = e.faultq.PopDue(now) {
+		if e.recorder == nil {
+			if err := e.applyFault(sf.Fault, now); err != nil {
 				return err
 			}
+			continue
 		}
-		return nil
-	}
-	for ev, ok := e.faultq.PopDue(now); ok; ev, ok = e.faultq.PopDue(now) {
-		if err := ev.Apply(now); err != nil {
+		t0 := time.Now() //detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
+		err := e.applyFault(sf.Fault, now)
+		//detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
+		e.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq), int64(time.Since(t0)))
+		if err != nil {
 			return err
 		}
 	}
@@ -1075,7 +1057,6 @@ func (e *Engine) trafficReplicas() ([]router.Replica, error) {
 				site := e.sites[a.site]
 				c.proto = router.Replica{
 					ID:            site.City,
-					City:          site.City,
 					Loc:           a.site,
 					ZoneID:        site.ZoneID,
 					ServiceMs:     prof.InferenceMs,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -40,20 +41,16 @@ type FaultStats struct {
 }
 
 // initFaults validates the script's targets against this run's region and
-// schedules the expanded fault events (reverts included) on the fault
-// timeline, which the faults phase drains at the top of each epoch.
+// queues the expanded faults (reverts included), which the faults phase
+// drains at the top of each epoch.
 func (e *Engine) initFaults() error {
-	e.faultq = events.NewTimeline()
 	e.fcErr = map[string]float64{}
 	e.res.Faults = &FaultStats{}
 	for _, f := range e.cfg.Faults.Expand() {
 		if err := e.checkFaultTarget(f); err != nil {
 			return err
 		}
-		f := f
-		e.faultq.Schedule(e.start.Add(f.At), string(f.Kind), func(now time.Time) error {
-			return e.applyFault(f, now)
-		})
+		e.faultq.Push(e.start.Add(f.At), f)
 	}
 	return nil
 }
@@ -94,7 +91,7 @@ func (e *Engine) checkFaultTarget(f events.Fault) error {
 // matchServers returns the indices of the servers a fault targets, in
 // ascending (deterministic) order.
 func (e *Engine) matchServers(f events.Fault) []int {
-	var idx []int
+	idx := make([]int, 0, len(e.servers))
 	for j := range e.servers {
 		srv := &e.servers[j]
 		site := e.sites[srv.site]
@@ -259,7 +256,7 @@ func (e *Engine) scaleOut(f events.Fault) error {
 			on:      e.cfg.ServersAlwaysOn,
 		})
 		if err := e.ws.AddServers(placement.Server{
-			ID:         fmt.Sprintf("srv-%d", j),
+			ID:         "srv-" + strconv.Itoa(j),
 			DC:         f.Site,
 			Device:     dev.Name,
 			BasePowerW: dev.IdleW,

@@ -1,14 +1,9 @@
 package sim
 
-import (
-	"time"
-
-	"repro/internal/events"
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Phase indices of the engine tracer, in canonical dispatch order
-// (scheduleEpoch's order). Exported through PhaseNames so aggregating
+// (buildPhases' order). Exported through PhaseNames so aggregating
 // layers (sweep grids, experiment suites) build merge-compatible
 // tracers.
 const (
@@ -23,13 +18,13 @@ const (
 	numPhases
 )
 
-// phaseNames are the timeline kinds in phase-index order.
+// phaseNames are the phase kinds in phase-index order.
 var phaseNames = [numPhases]string{
 	"faults", "carbon-tick", "departures", "redeploy",
 	"arrivals", "placement", "traffic", "accrual",
 }
 
-// PhaseNames returns the engine's timeline phase names in canonical
+// PhaseNames returns the engine's phase names in canonical
 // dispatch order — the axis every engine tracer is built over. Use it
 // to construct an obs.Tracer that per-run tracers merge into.
 func PhaseNames() []string {
@@ -43,32 +38,13 @@ func NewPhaseTracer() *obs.Tracer {
 	return obs.NewTracer(phaseNames[:], -1)
 }
 
-// initObs builds the run's tracer and flight recorder and wraps the
-// pre-bound phase closures with timing probes. The wrapping happens
-// once at construction: the dispatch loop stays untouched, and with
-// Config.Obs nil none of this code exists on the hot path.
+// initObs builds the run's tracer and flight recorder. Step wraps each
+// phase in one tracer probe whose wall time the recorder reuses, so with
+// Config.Obs nil the hot path only tests a nil tracer.
 func (e *Engine) initObs() {
 	e.tracer = obs.NewTracer(phaseNames[:], e.cfg.Obs.AllocProbeEvery)
 	if e.cfg.Obs.FlightRecorderEvents >= 0 {
 		e.recorder = obs.NewFlightRecorder(e.cfg.Obs.FlightRecorderEvents)
-	}
-	e.phFaults = traced(e.tracer, phaseFaultsIdx, e.phFaults)
-	e.phCarbon = traced(e.tracer, phaseCarbonIdx, e.phCarbon)
-	e.phDepart = traced(e.tracer, phaseDepartIdx, e.phDepart)
-	e.phRedeploy = traced(e.tracer, phaseRedeployIdx, e.phRedeploy)
-	e.phArrive = traced(e.tracer, phaseArriveIdx, e.phArrive)
-	e.phPlace = traced(e.tracer, phasePlaceIdx, e.phPlace)
-	e.phTraffic = traced(e.tracer, phaseTrafficIdx, e.phTraffic)
-	e.phAccrue = traced(e.tracer, phaseAccrueIdx, e.phAccrue)
-}
-
-// traced wraps one phase closure with a tracer probe.
-func traced(tr *obs.Tracer, phase int, fn events.Apply) events.Apply {
-	return func(at time.Time) error {
-		p := tr.Begin(phase)
-		err := fn(at)
-		tr.End(phase, p)
-		return err
 	}
 }
 
@@ -76,6 +52,6 @@ func traced(tr *obs.Tracer, phase int, fn events.Apply) events.Apply {
 // set. Reading it (obs.Tracer.Report) is safe while the engine steps.
 func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
-// FlightRecorder returns the engine's flight recorder of recent
-// dispatched events, nil unless Config.Obs enables it.
+// FlightRecorder returns the engine's flight recorder of recent phases
+// and faults, nil unless Config.Obs enables it.
 func (e *Engine) FlightRecorder() *obs.FlightRecorder { return e.recorder }

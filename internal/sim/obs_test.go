@@ -89,20 +89,24 @@ func TestObsTracerReport(t *testing.T) {
 }
 
 // TestObsRecorderCheckpointRoundTrip proves the flight recorder survives
-// a checkpoint: snapshot a traced faults run mid-flight, push the
-// snapshot through JSON (the checkpoint envelope), restore, and compare
-// the recorded windows — then confirm the restored ring keeps rolling.
+// a checkpoint: snapshot a traced faults run mid-flight — between the
+// crash and its recover — push the snapshot through JSON (the checkpoint
+// envelope), restore, and compare the recorded windows; then run both
+// to the end and require the restored run to have recorded exactly the
+// donor's (Kind, At, Seq) sequence, phases and faults alike. The ring
+// holds the whole run, so every event after the restore is compared.
 func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 	w := allocWorld(t)
 	cfg := obsOn(allocModes(50)["faults"])
 	cfg.Hours = 24 * 4
-	cfg.Obs.FlightRecorderEvents = 64
+	cfg.Obs.FlightRecorderEvents = 1024
+	const cut = 30 // between the crash (24 h) and its recover (36 h)
 
 	e, err := NewEngine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e.Epoch() < cfg.Hours/2 {
+	for e.Epoch() < cut {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -163,6 +167,24 @@ func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 	gotState.SolveTimeNs = 0
 	if !reflect.DeepEqual(gotState, wantState) {
 		t.Fatal("restored traced run diverged from donor")
+	}
+	untimed := func(evs []obs.RecordedEvent) []obs.RecordedEvent {
+		for i := range evs {
+			evs[i].DurationNs = 0
+		}
+		return evs
+	}
+	got, want := untimed(rec.Events()), untimed(e.FlightRecorder().Events())
+	if len(want) != cfg.Hours*8+2 {
+		t.Fatalf("donor recorded %d events, want %d phases and 2 faults", len(want), cfg.Hours*8)
+	}
+	if !reflect.DeepEqual(got, want) {
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("restored run's recorder diverges from the donor's at event %d: %+v, want %+v", i, got[min(i, len(got)-1)], want[i])
+			}
+		}
+		t.Fatalf("restored run recorded %d events, donor %d", len(got), len(want))
 	}
 }
 

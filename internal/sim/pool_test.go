@@ -43,7 +43,6 @@ func oraclePool(t *testing.T, e *Engine) ([]router.Replica, []poolKey) {
 			keys = append(keys, k)
 			pool = append(pool, router.Replica{
 				ID:            e.sites[a.site].City,
-				City:          e.sites[a.site].City,
 				Loc:           a.site,
 				ZoneID:        e.sites[a.site].ZoneID,
 				ServiceMs:     prof.InferenceMs,

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -17,10 +16,9 @@ import (
 // Snapshot is the full dynamic state of an Engine at an epoch boundary:
 // everything Step mutates, and nothing derivable from (Config, World).
 // It is plain data — JSON-serializable, no closures — so a checkpoint
-// file survives process restarts. Timeline events are not serialized;
-// they are re-registered by kind on restore (the epoch phases from the
-// schedule, the fault queue from the config's script minus the events
-// already drained).
+// file survives process restarts. Neither the phase list nor the fault
+// queue is serialized: restore rebuilds both from the config, and drops
+// the faults the snapshotted run had already applied.
 //
 // The proof obligation (TestSnapshotRestoreEquivalence): for any epoch
 // N, run-to-N + Snapshot + NewEngineFrom + run-to-end produces a Result
@@ -239,8 +237,8 @@ func ConfigSig(cfg Config) string {
 }
 
 // Snapshot captures the engine's full dynamic state. It must be called
-// between Steps (an epoch boundary) — the only instants at which the
-// timeline holds no partially-dispatched epoch. The returned snapshot
+// between Steps (an epoch boundary) — the only instants at which no
+// epoch is partly run. The returned snapshot
 // shares no mutable state with the engine.
 func (e *Engine) Snapshot() *Snapshot {
 	snap := &Snapshot{
@@ -302,11 +300,11 @@ func (e *Engine) Snapshot() *Snapshot {
 
 // NewEngineFrom rebuilds an engine from a snapshot taken under the same
 // (Config, World): static state is reconstructed from the config exactly
-// as NewEngine does, dynamic state is loaded from the snapshot, and the
-// timeline's events are re-registered by kind — the epoch phases for the
-// snapshot's epoch, the fault queue from the config's script minus the
-// events the snapshotted run had already drained. Stepping the restored
-// engine to completion is byte-identical to never having stopped.
+// as NewEngine does (the phase list and the fault queue included),
+// dynamic state is loaded from the snapshot, and the faults the
+// snapshotted run had already applied leave the queue. Stepping the
+// restored engine to completion is byte-identical to never having
+// stopped.
 func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("sim: nil snapshot")
@@ -454,28 +452,17 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		e.res.Faults = &FaultStats{}
 	}
 
-	// Re-register timeline events by kind. The fault queue replays the
-	// config's script minus everything drained before the snapshot: the
-	// last completed epoch popped every event due at or before its
-	// instant.
+	// NewEngine queued the whole script. The last completed epoch applied
+	// every fault due at or before its instant: pop those unapplied, so
+	// the rest keep their FaultScript.Expand index as pop ordinal.
 	e.epoch = snap.Epoch
-	if e.faultq != nil {
-		e.faultq = events.NewTimeline()
-		drainedThrough := e.start.Add(time.Duration(snap.Epoch-1) * time.Hour)
-		for _, f := range e.cfg.Faults.Expand() {
-			at := e.start.Add(f.At)
-			if snap.Epoch > 0 && !at.After(drainedThrough) {
-				continue
+	if snap.Epoch > 0 {
+		applied := e.start.Add(time.Duration(snap.Epoch-1) * time.Hour)
+		for {
+			if _, _, ok := e.faultq.PopDue(applied); !ok {
+				break
 			}
-			f := f
-			e.faultq.Schedule(at, string(f.Kind), func(now time.Time) error {
-				return e.applyFault(f, now)
-			})
 		}
-	}
-	e.tl = events.NewTimeline()
-	if !e.Done() {
-		e.scheduleEpoch(e.epoch)
 	}
 	// Flight recorder: reload the snapshotted ring when the restoring
 	// config also enables the recorder (cfg.Obs drives e.recorder's

@@ -17,7 +17,8 @@ race:
 		./internal/experiments/ ./internal/metrics/ ./internal/traffic/ \
 		./internal/router/ ./internal/events/ ./internal/orchestrator/ \
 		./internal/checkpoint/ ./internal/rng/ ./internal/obs/ \
-		./internal/shard/ ./internal/geo/ ./internal/carbon/
+		./internal/shard/ ./internal/geo/ ./internal/carbon/ \
+		./internal/testbed/
 
 # lint runs the full static gate: formatting, the stdlib vet suite
 # (with the two determinism-adjacent passes named explicitly so they

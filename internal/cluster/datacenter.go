@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geo"
 )
@@ -61,29 +60,11 @@ func (dc *DataCenter) TotalCapacity() Resources {
 	return total
 }
 
-// TotalUsed sums allocations over all servers.
-func (dc *DataCenter) TotalUsed() Resources {
-	var total Resources
-	for _, s := range dc.servers {
-		total = total.Add(s.Used())
-	}
-	return total
-}
-
-// PowerW sums the current power draw over all servers.
-func (dc *DataCenter) PowerW() float64 {
-	var total float64
-	for _, s := range dc.servers {
-		total += s.PowerW()
-	}
-	return total
-}
-
 // Cluster is the set of edge data centers managed by one CarbonEdge
 // instance — the "mesoscale edge data centers" of Figure 6.
 type Cluster struct {
 	dcs  []*DataCenter
-	byID map[string]*DataCenter //detlint:ephemeral derived: index over dcs, rebuilt by NewCluster
+	byID map[string]*DataCenter
 }
 
 // NewCluster builds a cluster from data centers. IDs must be unique.
@@ -123,48 +104,4 @@ func (c *Cluster) FindServer(id string) (*Server, *DataCenter, error) {
 		}
 	}
 	return nil, nil, fmt.Errorf("cluster: no server %q", id)
-}
-
-// Snapshot captures a consistent view of per-server state for the
-// placement service (Algorithm 1's GetServerStates step).
-type Snapshot struct {
-	Servers []ServerState
-}
-
-// ServerState is one server's state at snapshot time.
-type ServerState struct {
-	ServerID string
-	DCID     string
-	ZoneID   string
-	City     string
-	Device   string
-	State    PowerState
-	Free     Resources
-	Capacity Resources
-	IdleW    float64
-}
-
-// Snapshot captures all server states, ordered deterministically by server
-// ID for reproducible optimization input.
-func (c *Cluster) Snapshot() Snapshot {
-	var snap Snapshot
-	for _, dc := range c.dcs {
-		for _, s := range dc.servers {
-			snap.Servers = append(snap.Servers, ServerState{
-				ServerID: s.ID,
-				DCID:     dc.ID,
-				ZoneID:   dc.ZoneID,
-				City:     dc.City,
-				Device:   s.Device.Name,
-				State:    s.State(),
-				Free:     s.Free(),
-				Capacity: s.Capacity,
-				IdleW:    s.Device.IdleW,
-			})
-		}
-	}
-	sort.Slice(snap.Servers, func(i, j int) bool {
-		return snap.Servers[i].ServerID < snap.Servers[j].ServerID
-	})
-	return snap
 }

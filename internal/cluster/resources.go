@@ -1,9 +1,11 @@
-// Package cluster models the edge infrastructure CarbonEdge places
+// Package cluster describes the edge infrastructure CarbonEdge places
 // workloads onto: multi-dimensional server resources, heterogeneous
-// servers with power states, and edge data centers grouped into a managed
-// cluster. It provides the capacity accounting behind the formulation's
-// resource constraints (Eq. 1) and the power-state consistency rules
-// (Eq. 4-5).
+// servers, and edge data centers grouped into a managed cluster. It is a
+// static description — what exists, where, and how big. The dynamic
+// state (allocations against the formulation's resource constraints,
+// Eq. 1; power states and their consistency rules, Eq. 4-5; energy
+// meters) is owned by the orchestrator's server table, which copies the
+// cluster once at construction.
 package cluster
 
 import (

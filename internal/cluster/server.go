@@ -1,34 +1,11 @@
 package cluster
 
-import (
-	"fmt"
-	"sync"
+import "repro/internal/energy"
 
-	"repro/internal/energy"
-)
-
-// PowerState is a server's power status; the y_j decision variable of the
-// formulation operates on this.
-type PowerState int
-
-// Power states.
-const (
-	PoweredOff PowerState = iota
-	PoweredOn
-)
-
-// String implements fmt.Stringer.
-func (s PowerState) String() string {
-	if s == PoweredOn {
-		return "on"
-	}
-	return "off"
-}
-
-// Server is one edge server: a host device (and optional accelerator) with
-// a multi-dimensional capacity, a power state, and an energy meter.
-//
-// A Server is safe for concurrent use.
+// Server is one edge server's static description: a host device (and
+// optional accelerator) with a multi-dimensional capacity. Its power
+// state, allocations and energy meter belong to whoever runs it (the
+// orchestrator's server table).
 type Server struct {
 	ID string
 	// DC is the ID of the data center hosting this server.
@@ -38,150 +15,9 @@ type Server struct {
 	Device energy.Device
 	// Capacity is the total allocatable resource vector.
 	Capacity Resources
-
-	mu       sync.Mutex
-	used     Resources
-	state    PowerState
-	apps     map[string]Resources
-	meter    energy.Meter
-	statedAt int // bookkeeping for tests; number of state changes
 }
 
-// NewServer creates a powered-off server.
+// NewServer describes a server.
 func NewServer(id, dc string, dev energy.Device, capacity Resources) *Server {
-	return &Server{
-		ID: id, DC: dc, Device: dev, Capacity: capacity,
-		apps: make(map[string]Resources),
-	}
-}
-
-// State returns the current power state.
-func (s *Server) State() PowerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
-
-// SetState transitions the power state. Powering off a server with
-// allocations is rejected (Eq. 4's no-disruption rule).
-func (s *Server) SetState(st PowerState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st == PoweredOff && len(s.apps) > 0 {
-		return fmt.Errorf("cluster: server %s has %d allocations; cannot power off", s.ID, len(s.apps))
-	}
-	if s.state != st {
-		s.statedAt++
-	}
-	s.state = st
-	return nil
-}
-
-// Allocate reserves resources for an application. The server must be
-// powered on (Eq. 5) and the demand must fit the remaining capacity
-// (Eq. 1). Duplicate app IDs are rejected.
-func (s *Server) Allocate(appID string, demand Resources) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != PoweredOn {
-		return fmt.Errorf("cluster: server %s is powered off", s.ID)
-	}
-	if _, dup := s.apps[appID]; dup {
-		return fmt.Errorf("cluster: app %s already allocated on %s", appID, s.ID)
-	}
-	if !s.used.Add(demand).Fits(s.Capacity) {
-		return fmt.Errorf("cluster: app %s demand %v exceeds free capacity on %s (used %v of %v)",
-			appID, demand, s.ID, s.used, s.Capacity)
-	}
-	s.apps[appID] = demand
-	s.used = s.used.Add(demand)
-	return nil
-}
-
-// Release frees an application's resources.
-func (s *Server) Release(appID string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	demand, ok := s.apps[appID]
-	if !ok {
-		return fmt.Errorf("cluster: app %s not allocated on %s", appID, s.ID)
-	}
-	delete(s.apps, appID)
-	s.used = s.used.Sub(demand)
-	return nil
-}
-
-// Used returns the currently allocated resource vector.
-func (s *Server) Used() Resources {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.used
-}
-
-// Free returns the remaining capacity vector.
-func (s *Server) Free() Resources {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Capacity.Sub(s.used)
-}
-
-// Apps returns the IDs of allocated applications (unordered).
-func (s *Server) Apps() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.apps))
-	for id := range s.apps {
-		out = append(out, id)
-	}
-	return out
-}
-
-// NumApps returns the number of allocated applications.
-func (s *Server) NumApps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.apps)
-}
-
-// Utilization returns the dominant-share utilization in [0,1].
-func (s *Server) Utilization() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u := s.used.Dominant(s.Capacity)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// PowerW returns the current power draw: zero when off, otherwise the
-// device's linear base+proportional model at the current utilization.
-func (s *Server) PowerW() float64 {
-	s.mu.Lock()
-	st := s.state
-	s.mu.Unlock()
-	if st != PoweredOn {
-		return 0
-	}
-	return s.Device.PowerAt(s.Utilization())
-}
-
-// Meter returns the server's energy meter.
-func (s *Server) Meter() *energy.Meter { return &s.meter }
-
-// StateChanges returns how many power-state transitions occurred.
-func (s *Server) StateChanges() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.statedAt
-}
-
-// Allocation returns the resource vector allocated to an app on this
-// server; ok is false when the app is not hosted here. Checkpoint/
-// restore uses it to re-create allocations exactly.
-func (s *Server) Allocation(appID string) (Resources, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.apps[appID]
-	return r, ok
+	return &Server{ID: id, DC: dc, Device: dev, Capacity: capacity}
 }

@@ -43,8 +43,9 @@ type Config struct {
 // transitive dependencies, and every layer the replay equivalence
 // tests cover are deterministic — including the simplex and
 // branch-and-bound packages under the exact placement backend, which
-// the orchestrator's placements flow through; internal/rng is the
-// randomness home.
+// the orchestrator's placements flow through, and the cluster
+// description and testbed the orchestrator is built and driven from;
+// internal/rng is the randomness home.
 func DefaultConfig() Config {
 	return Config{
 		DeterministicPaths: []string{
@@ -58,6 +59,8 @@ func DefaultConfig() Config {
 			"internal/traffic",
 			"internal/checkpoint",
 			"internal/orchestrator",
+			"internal/cluster",
+			"internal/testbed",
 		},
 		RNGPackage: "repro/internal/rng",
 	}

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -80,11 +81,20 @@ func (o *Orchestrator) FaultStatus() FaultStatus {
 	if !o.lastFault.IsZero() {
 		st.LastFault = o.lastFault.String()
 	}
-	for id := range o.downServers {
-		st.DownServers = append(st.DownServers, id)
-	}
-	sort.Strings(st.DownServers)
+	st.DownServers = o.downIDs()
 	return st
+}
+
+// downIDs (locked) lists the crashed servers' IDs, sorted.
+func (o *Orchestrator) downIDs() []string {
+	var ids []string
+	for _, srv := range o.servers {
+		if srv.down {
+			ids = append(ids, srv.spec.ID)
+		}
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // consumeFaults (locked) applies every fault event due at or before the
@@ -113,7 +123,7 @@ func (o *Orchestrator) consumeFaults() ([]string, error) {
 // checkFaultTarget (locked) rejects faults no cluster entity can match.
 func (o *Orchestrator) checkFaultTarget(f events.Fault) error {
 	siteOK, zoneOK := f.Site == "", f.Zone == ""
-	for _, dc := range o.cluster.DataCenters() {
+	for _, dc := range o.dcs {
 		if dc.City == f.Site {
 			siteOK = true
 		}
@@ -138,66 +148,53 @@ func (o *Orchestrator) checkFaultTarget(f events.Fault) error {
 	return nil
 }
 
-// matchServers (locked) returns the targeted servers with their DCs.
-func (o *Orchestrator) matchServers(f events.Fault) (srvs []*cluster.Server, dcs []*cluster.DataCenter) {
-	for _, dc := range o.cluster.DataCenters() {
-		if f.Site != "" && dc.City != f.Site {
-			continue
-		}
-		if f.Zone != "" && dc.ZoneID != f.Zone {
-			continue
-		}
-		for _, srv := range dc.Servers() {
-			if f.Device != "" && srv.Device.Name != f.Device {
-				continue
-			}
-			srvs = append(srvs, srv)
-			dcs = append(dcs, dc)
+// matchServers (locked) returns the targeted server rows, in table
+// order.
+func (o *Orchestrator) matchServers(f events.Fault) []*server {
+	var out []*server
+	for _, srv := range o.servers {
+		if (f.Site == "" || srv.dc.City == f.Site) &&
+			(f.Zone == "" || srv.dc.ZoneID == f.Zone) &&
+			(f.Device == "" || srv.spec.Device.Name == f.Device) {
+			out = append(out, srv)
 		}
 	}
-	return srvs, dcs
+	return out
 }
 
-// applyFault (locked) mutates the cluster for one due fault event.
-// Deployments on crashed servers are released and re-submitted to the
-// placement queue (their names accumulate in evictedNow for the eviction
-// handler); capacity and forecast skews are applied as placement-view
-// overlays in syncWorkspace.
+// applyFault (locked) applies one due fault event to the server table.
+// Deployments on crashed servers, and those a degraded server no longer
+// fits, are released and re-submitted to the placement queue (their
+// names accumulate in evictedNow for the eviction handler); forecast
+// skews multiply the per-zone forecast in syncWorkspace.
 func (o *Orchestrator) applyFault(f events.Fault, now time.Time) error {
 	switch f.Kind {
 	case events.FaultCrash:
-		for _, srv := range o.firstMatch(f) {
-			if o.downServers[srv.ID] {
+		for _, srv := range o.matchServers(f) {
+			if srv.down {
 				continue
 			}
-			if err := o.evictServer(srv); err != nil {
-				return err
+			for _, d := range o.hostedOn(srv) {
+				o.evict(d)
 			}
-			if o.downServers == nil {
-				o.downServers = map[string]bool{}
+			// Eq. 4's no-disruption rule: nothing hosted is powered off.
+			if srv.apps > 0 {
+				return fmt.Errorf("orchestrator: server %s has %d deployments; cannot power off", srv.spec.ID, srv.apps)
 			}
-			o.downServers[srv.ID] = true
-			if err := srv.SetState(cluster.PoweredOff); err != nil {
-				return err
-			}
+			srv.down, srv.on = true, false
 		}
 	case events.FaultRecover:
-		for _, srv := range o.firstMatch(f) {
-			delete(o.downServers, srv.ID)
+		for _, srv := range o.matchServers(f) {
+			srv.down = false
 		}
 	case events.FaultDegrade:
-		for _, srv := range o.firstMatch(f) {
-			if o.degraded == nil {
-				o.degraded = map[string]float64{}
-			}
+		for _, srv := range o.matchServers(f) {
 			if f.Factor == 1 {
-				delete(o.degraded, srv.ID)
+				srv.factor = 0
 				continue
 			}
-			o.degraded[srv.ID] = f.Factor
-			if err := o.evictOverflow(srv, f.Factor); err != nil {
-				return err
-			}
+			srv.factor = f.Factor
+			o.evictOverflow(srv)
 		}
 	case events.FaultForecastError:
 		if o.fcSkew == nil {
@@ -219,22 +216,16 @@ func (o *Orchestrator) applyFault(f events.Fault, now time.Time) error {
 	return nil
 }
 
-// firstMatch is matchServers without the DC column.
-func (o *Orchestrator) firstMatch(f events.Fault) []*cluster.Server {
-	srvs, _ := o.matchServers(f)
-	return srvs
-}
-
-// evictServer (locked) evicts every deployment on a crashing server.
-func (o *Orchestrator) evictServer(srv *cluster.Server) error {
-	names := srv.Apps()
-	sort.Strings(names) // map-ordered; sort for deterministic re-submission
-	for _, name := range names {
-		if err := o.evict(srv, name); err != nil {
-			return err
+// hostedOn (locked) lists the deployments on a server row in name order
+// (the replica table's).
+func (o *Orchestrator) hostedOn(srv *server) []*deployment {
+	var out []*deployment
+	for _, d := range o.live {
+		if d.srv == srv {
+			out = append(out, d)
 		}
 	}
-	return nil
+	return out
 }
 
 // evictOverflow (locked) evicts deployments from a degraded server until
@@ -242,34 +233,23 @@ func (o *Orchestrator) evictServer(srv *cluster.Server) error {
 // (events.FaultDegrade: "applications that no longer fit are evicted").
 // Names are released in descending order so the deterministic survivors
 // are the lexicographically-first deployments.
-func (o *Orchestrator) evictOverflow(srv *cluster.Server, factor float64) error {
-	scaled := srv.Capacity.Scale(factor)
-	names := srv.Apps()
-	sort.Strings(names)
-	for i := len(names) - 1; i >= 0 && !srv.Used().Fits(scaled); i-- {
-		if err := o.evict(srv, names[i]); err != nil {
-			return err
-		}
+func (o *Orchestrator) evictOverflow(srv *server) {
+	scaled := srv.spec.Capacity.Scale(srv.factor)
+	hosted := o.hostedOn(srv)
+	for i := len(hosted) - 1; i >= 0 && !srv.used.Fits(scaled); i-- {
+		o.evict(hosted[i])
 	}
-	return nil
 }
 
 // evict (locked) releases one deployment from a faulted server and
 // re-submits its recipe to the pending queue, forcing it back through the
 // placement path. The name stays known, so its request stats stay too;
 // they go only if the re-placement rejects it (PlaceBatch).
-func (o *Orchestrator) evict(srv *cluster.Server, name string) error {
-	dep := o.deployments[name]
-	if dep == nil {
-		return fmt.Errorf("orchestrator: faulted server %s hosts unknown app %q", srv.ID, name)
-	}
-	if err := o.release(name, srv); err != nil {
-		return err
-	}
-	o.pending = append(o.pending, dep.Recipe)
+func (o *Orchestrator) evict(d *deployment) {
+	o.release(d)
+	o.pending = append(o.pending, d.Recipe)
 	o.faultEvictions++
-	o.evictedNow = append(o.evictedNow, name)
-	return nil
+	o.evictedNow = append(o.evictedNow, d.Recipe.Name)
 }
 
 // scaleOut (locked) adds Count powered-off servers of the fault's device
@@ -277,7 +257,7 @@ func (o *Orchestrator) evict(srv *cluster.Server, name string) error {
 // workspace is rebuilt on its next sync (server count changed).
 func (o *Orchestrator) scaleOut(f events.Fault) error {
 	var target *cluster.DataCenter
-	for _, dc := range o.cluster.DataCenters() {
+	for _, dc := range o.dcs {
 		if dc.City == f.Site {
 			target = dc
 			break
@@ -298,14 +278,31 @@ func (o *Orchestrator) scaleOut(f events.Fault) error {
 		id := fmt.Sprintf("srv-%s-flash-%d", target.City, o.flashSeq)
 		o.flashSeq++
 		capVec := cluster.NewResources(f.CapacityMilli, 65536, float64(dev.MemMB), 1000)
-		srv := cluster.NewServer(id, target.ID, dev, capVec)
-		if err := target.AddServer(srv); err != nil {
+		if err := o.addServer(cluster.NewServer(id, target.ID, dev, capVec), target, o.flashSeq); err != nil {
 			return err
 		}
-		// Recorded so SaveState can re-create runtime-added servers.
-		o.flashServers = append(o.flashServers, FlashServerState{
-			ID: id, DCID: target.ID, Device: dev.Name, Capacity: capVec,
-		})
 	}
+	return nil
+}
+
+// addServer (locked) inserts a powered-off scale-out server's row after
+// its DC's rows, where the cluster's DC-then-registration walk would put
+// it. Server IDs are unique across the table.
+func (o *Orchestrator) addServer(spec *cluster.Server, dc *cluster.DataCenter, flash int) error {
+	end := 0
+	for _, d := range o.dcs {
+		for end < len(o.servers) && o.servers[end].dc == d {
+			end++
+		}
+		if d == dc {
+			break
+		}
+	}
+	for _, srv := range o.servers {
+		if srv.spec.ID == spec.ID {
+			return fmt.Errorf("orchestrator: duplicate server %s", spec.ID)
+		}
+	}
+	o.servers = slices.Insert(o.servers, end, &server{spec: spec, dc: dc, flash: flash})
 	return nil
 }

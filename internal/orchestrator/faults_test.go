@@ -34,7 +34,7 @@ func deployOne(t *testing.T, o *Orchestrator, name, source string) *Deployment {
 func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
 	dep := deployOne(t, o, "app1", "CityA")
-	city := o.cluster.DataCenter(dep.DCID).City
+	city := o.dcByID(dep.DCID).City
 
 	var handled []string
 	o.SetEvictionHandler(func(now time.Time, evicted []string) {
@@ -92,7 +92,7 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 
 func TestFaultScaleOutAndDegrade(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
-	before := len(o.cluster.Servers())
+	before := len(o.servers)
 	if err := o.InjectScript(&events.FaultScript{Faults: []events.Fault{
 		{Kind: events.FaultScaleOut, Site: "CityA", Device: "A2", CapacityMilli: 2000, Count: 2},
 		{Kind: events.FaultDegrade, Site: "CityB", Factor: 0.5},
@@ -103,7 +103,7 @@ func TestFaultScaleOutAndDegrade(t *testing.T) {
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(o.cluster.Servers()) - before; got != 2 {
+	if got := len(o.servers) - before; got != 2 {
 		t.Errorf("scale-out added %d servers, want 2", got)
 	}
 	// The next batch must place against the grown, degraded, skewed view
@@ -120,7 +120,7 @@ func TestFaultDegradeEvictsOvercommitted(t *testing.T) {
 	// simulator), not just shrink the placement view.
 	o := fixture(t, placement.LatencyAware{})
 	dep := deployOne(t, o, "app1", "CityA")
-	city := o.cluster.DataCenter(dep.DCID).City
+	city := o.dcByID(dep.DCID).City
 	var evicted []string
 	o.SetEvictionHandler(func(_ time.Time, names []string) { evicted = append(evicted, names...) })
 	if err := o.InjectFault(events.Fault{Kind: events.FaultDegrade, Site: city, Factor: 0.001}); err != nil {

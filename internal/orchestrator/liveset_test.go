@@ -329,7 +329,7 @@ func TestEvictedRowFollowsReplacement(t *testing.T) {
 
 	// Crash the host: app1 is evicted into the queue. It is still a known
 	// name, so its row waits for the re-placement.
-	host := o.cluster.DataCenter(dep.DCID).City
+	host := o.dcByID(dep.DCID).City
 	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: host}); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestLoadStatePrunesDeadRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := orig.InjectFault(events.Fault{Kind: events.FaultCrash, Site: orig.cluster.DataCenter(dep.DCID).City}); err != nil {
+	if err := orig.InjectFault(events.Fault{Kind: events.FaultCrash, Site: orig.dcByID(dep.DCID).City}); err != nil {
 		t.Fatal(err)
 	}
 	if err := orig.Tick(time.Hour); err != nil {
@@ -469,10 +469,7 @@ func oracleReplicas(t *testing.T, o *Orchestrator) []router.Replica {
 	out := make([]router.Replica, 0, len(names))
 	for _, name := range names {
 		dep := o.deployments[name]
-		srv, dc, err := o.cluster.FindServer(dep.ServerID)
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv, dc := dep.srv.spec, dep.srv.dc
 		prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
 		if err != nil {
 			t.Fatal(err)

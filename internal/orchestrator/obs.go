@@ -158,7 +158,7 @@ func (o *Orchestrator) initObs() {
 		"currently crashed servers", func() float64 {
 			o.mu.Lock()
 			defer o.mu.Unlock()
-			return float64(len(o.downServers))
+			return float64(len(o.downIDs()))
 		})
 
 	// Tick-phase breakdown from the tracer.

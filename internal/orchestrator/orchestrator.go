@@ -21,28 +21,36 @@ import (
 )
 
 // Orchestrator is the CarbonEdge control plane (Figure 6): it owns the
-// emulated edge cluster, batches deployment requests, invokes the
-// placement service, commits decisions (resource allocation + power
-// transitions), and runs the telemetry loop that integrates energy and
-// carbon.
+// emulated edge cluster's dynamic state, batches deployment requests,
+// invokes the placement service, commits decisions (resource allocation +
+// power transitions), and runs the telemetry loop that integrates energy
+// and carbon.
 //
 // Time is explicit: the orchestrator advances via Tick(now, dt) so tests
 // and the emulated testbed can replay a day in milliseconds.
 type Orchestrator struct {
 	mu sync.Mutex
 
-	cluster *cluster.Cluster
 	carbon  *carbon.Service   //detlint:ephemeral injected dependency, re-supplied on construction
 	shaper  *latency.Shaper   //detlint:ephemeral injected dependency, re-supplied on construction
 	placer  *placement.Placer //detlint:ephemeral injected dependency, re-supplied on construction
 	horizon int               //detlint:ephemeral configuration, re-supplied on construction
 
-	// ws is the long-lived placement workspace: built from the cluster
-	// on the first batch, it keeps profile cells, RTT rows, and candidate
-	// shortlists across batches. Before every solve the carbon clock
-	// refreshes its intensities and free capacity and power state are
-	// re-synced from the cluster (the allocation ground truth); a change
-	// to the shaper's delays rebuilds it (syncRTT).
+	// servers is the server table, the one copy of the live world's
+	// servers: a row per server in the cluster's DC-then-registration
+	// order, each scale-out server after its own DC's rows. The
+	// workspace, fault matching and telemetry all walk it in this order.
+	// dcs are the cluster's data centers in registration order. New
+	// copies both; the orchestrator never reads the cluster again.
+	servers []*server
+	dcs     []*cluster.DataCenter
+
+	// ws is the long-lived placement workspace: built over the server
+	// table on the first batch (server j is row j), it keeps profile
+	// cells, RTT rows, and candidate shortlists across batches. Before
+	// every solve the carbon clock refreshes its intensities and free
+	// capacity and power state are re-synced from the rows; a change to
+	// the shaper's delays rebuilds it (syncRTT).
 	ws        *placement.Workspace
 	fcCache   map[string]float64 // zone -> mean forecast, valid at fcAt
 	fcAt      time.Time
@@ -55,15 +63,17 @@ type Orchestrator struct {
 
 	now         time.Time
 	pending     []Recipe
-	deployments map[string]*Deployment
+	deployments map[string]*deployment
 	// replicas is the live set as the traffic router sees it: one row per
 	// deployment, sorted by name (the router's tie-break order), kept in
-	// step with deployments by the commit in PlaceBatch, release and
-	// LoadState instead of being rebuilt every tick. appW, aligned with
-	// it, is each deployment's dynamic draw for the telemetry loop: the
-	// provisioned draw until traffic is attached, then what routeTraffic
-	// derives from the requests the deployment served this tick.
+	// step with deployments by admit and release instead of being rebuilt
+	// every tick. live and appW are aligned with it: live[i] is the
+	// deployment (and through it, its server row), appW[i] its dynamic
+	// draw for the telemetry loop — the provisioned draw until traffic is
+	// attached, then what routeTraffic derives from the requests the
+	// deployment served this tick.
 	replicas []router.Replica
+	live     []*deployment
 	appW     []float64
 	// cities numbers the cities the router routes between (Replica.Loc,
 	// traffic sources) and remembers the shaper generation its latencies
@@ -85,12 +95,10 @@ type Orchestrator struct {
 	// Live fault injection (InjectFault / POST /api/v1/faults): scheduled
 	// world-dynamics events consumed by Tick. The queue holds the fault
 	// data itself (not closures), so SaveState serializes the not-yet-due
-	// events as they are. Crashed servers and degradation factors overlay
-	// the placement view in syncWorkspace; forecast skews multiply the
+	// events as they are. Crashes, recoveries, degradations and
+	// scale-outs write the server table; forecast skews multiply the
 	// per-zone forecast.
 	faultq         events.FaultQueue
-	downServers    map[string]bool
-	degraded       map[string]float64 // server ID -> capacity factor
 	fcSkew         map[string]float64 // zone -> forecast factor
 	faultsApplied  int
 	faultEvictions int
@@ -98,7 +106,6 @@ type Orchestrator struct {
 	lastFaultKind  string
 	evictedNow     []string //detlint:ephemeral per-tick scratch, cleared before every use
 	flashSeq       int
-	flashServers   []FlashServerState
 	onEviction     func(now time.Time, evicted []string) //detlint:ephemeral callback hook, re-registered by the embedding process
 
 	// DeployLatency measures time from batch start to commit.
@@ -110,6 +117,50 @@ type Orchestrator struct {
 	trace    *obs.Tracer         //detlint:ephemeral telemetry: phase tracer, not simulation state
 	recorder *obs.FlightRecorder //detlint:ephemeral telemetry: flight recorder, not simulation state
 	registry *obs.Registry       //detlint:ephemeral telemetry: metrics registry, not simulation state
+}
+
+// server is one row of the server table: the cluster's static
+// description of a server and its DC, and the dynamic state only the
+// orchestrator writes, under its lock.
+type server struct {
+	spec *cluster.Server
+	dc   *cluster.DataCenter
+	used cluster.Resources
+	apps int // deployments hosted
+	on   bool
+	// down marks a crashed server: it offers no capacity and cannot be
+	// woken. A recover fault clears it; the server stays off.
+	down bool
+	// factor is a degrade fault's capacity multiplier, 0 at full capacity.
+	factor float64
+	// flash numbers scale-out servers from 1 in creation order; 0 for a
+	// server registered with the cluster.
+	flash int
+	meter energy.Meter
+	// ci and w are telemetry scratch, set every tick: the zone's current
+	// intensity and the server's draw.
+	ci, w float64
+}
+
+// free is the capacity placement may still allocate on the server: none
+// on a crashed one, and on a degraded one what remains of the scaled
+// capacity, never below zero.
+func (s *server) free() cluster.Resources {
+	switch {
+	case s.down:
+		return cluster.Resources{}
+	case s.factor != 0:
+		return s.spec.Capacity.Scale(s.factor).Sub(s.used).ClampNonNegative()
+	}
+	return s.spec.Capacity.Sub(s.used)
+}
+
+// deployment is a live deployment with the server row it holds its demand
+// on.
+type deployment struct {
+	Deployment
+	srv    *server
+	demand cluster.Resources
 }
 
 // trafficState bundles the attached workload generator and its router.
@@ -163,18 +214,22 @@ func New(cfg Config) (*Orchestrator, error) {
 		horizon = 24
 	}
 	o := &Orchestrator{
-		cluster:     cfg.Cluster,
 		carbon:      cfg.Carbon,
 		shaper:      cfg.Shaper,
 		placer:      placement.NewPlacer(cfg.Policy),
 		horizon:     horizon,
 		now:         cfg.Start,
-		deployments: make(map[string]*Deployment),
+		deployments: make(map[string]*deployment),
 		carbonByApp: metrics.NewGrouped(),
 		cities:      cityIndex{byName: map[string]int{}, gen: cfg.Shaper.Gen()},
 	}
+	// Every registered server starts powered on.
 	for _, dc := range cfg.Cluster.DataCenters() {
+		o.dcs = append(o.dcs, dc)
 		o.cities.add(dc.City)
+		for _, spec := range dc.Servers() {
+			o.servers = append(o.servers, &server{spec: spec, dc: dc, on: true})
+		}
 	}
 	o.initObs()
 	return o, nil
@@ -285,22 +340,12 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 			o.bnbBatches++
 		}
 	}
-	servers := prob.Servers
-
-	// Commit: power transitions first (Eq. 5), then allocations.
+	// Commit: power transitions first (Eq. 5), then allocations. The
+	// workspace's server j is row j.
 	a := result.Assignment
 	for j, on := range a.PowerOn {
-		if !on {
-			continue
-		}
-		srv, _, err := o.cluster.FindServer(servers[j].ID)
-		if err != nil {
-			return nil, nil, err
-		}
-		if srv.State() != cluster.PoweredOn {
-			if err := srv.SetState(cluster.PoweredOn); err != nil {
-				return nil, nil, err
-			}
+		if on {
+			o.servers[j].on = true
 		}
 	}
 	for i, j := range a.ServerOf {
@@ -311,27 +356,23 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 			o.retire(batch[i].Name)
 			continue
 		}
-		srv, dc, err := o.cluster.FindServer(servers[j].ID)
-		if err != nil {
-			return nil, nil, err
+		srv := o.servers[j]
+		d := &deployment{
+			Deployment: Deployment{
+				Recipe:   batch[i],
+				ServerID: srv.spec.ID,
+				DCID:     srv.dc.ID,
+				ZoneID:   srv.dc.ZoneID,
+				RTTMs:    prob.LatencyMs[i][j],
+				PowerW:   prob.PowerW[i][j],
+			},
+			srv:    srv,
+			demand: prob.Demand[i][j],
 		}
-		dep := &Deployment{
-			Recipe:   batch[i],
-			ServerID: srv.ID,
-			DCID:     dc.ID,
-			ZoneID:   dc.ZoneID,
-			RTTMs:    prob.LatencyMs[i][j],
-			PowerW:   prob.PowerW[i][j],
-		}
-		rep, err := o.newReplica(dep, srv, dc)
-		if err != nil {
+		if err := o.admit(d); err != nil {
 			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
 		}
-		if err := srv.Allocate(batch[i].Name, prob.Demand[i][j]); err != nil {
-			return nil, nil, fmt.Errorf("orchestrator: committing %s: %w", batch[i].Name, err)
-		}
-		o.admit(dep, rep)
-		placed = append(placed, dep)
+		placed = append(placed, &d.Deployment)
 	}
 	//detlint:wallclock telemetry: DeployLatency is an operator-facing wall-time metric
 	o.DeployLatency.Add(float64(time.Since(start)) / float64(time.Millisecond))
@@ -339,23 +380,21 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 }
 
 // syncWorkspace (locked) brings the long-lived workspace up to date with
-// the cluster, the network and the carbon clock: lazily built on first
-// use and rebuilt when the server count or the shaper's delays change,
-// then each batch re-syncs free capacity and power state from the
-// cluster snapshot (the allocation ground truth) and refreshes forecast
-// intensities, with the per-zone forecast memoized for the current clock
-// value.
+// the server table, the network and the carbon clock: lazily built on
+// first use and rebuilt when the server count or the shaper's delays
+// change, then each batch re-syncs every row's free capacity and power
+// state and refreshes forecast intensities, with the per-zone forecast
+// memoized for the current clock value.
 func (o *Orchestrator) syncWorkspace() error {
 	o.syncRTT()
-	snap := o.cluster.Snapshot()
-	if o.ws == nil || o.ws.NumServers() != len(snap.Servers) {
-		servers := make([]placement.Server, len(snap.Servers))
-		for j, st := range snap.Servers {
+	if o.ws == nil || o.ws.NumServers() != len(o.servers) {
+		servers := make([]placement.Server, len(o.servers))
+		for j, s := range o.servers {
 			servers[j] = placement.Server{
-				ID:         st.ServerID,
-				DC:         st.City,
-				Device:     st.Device,
-				BasePowerW: st.IdleW,
+				ID:         s.spec.ID,
+				DC:         s.dc.City,
+				Device:     s.spec.Device.Name,
+				BasePowerW: s.spec.Device.IdleW,
 			}
 		}
 		ws, err := placement.NewWorkspace(servers, o.rttMs, nil)
@@ -372,36 +411,24 @@ func (o *Orchestrator) syncWorkspace() error {
 		o.fcCache = map[string]float64{}
 		o.fcAt = o.now
 	}
-	for j, st := range snap.Servers {
-		mean, ok := o.fcCache[st.ZoneID]
+	for j, s := range o.servers {
+		zone := s.dc.ZoneID
+		mean, ok := o.fcCache[zone]
 		if !ok {
 			var err error
-			mean, err = o.carbon.MeanForecast(st.ZoneID, o.now, o.horizon)
+			mean, err = o.carbon.MeanForecast(zone, o.now, o.horizon)
 			if err != nil {
-				return fmt.Errorf("orchestrator: forecasting zone %s: %w", st.ZoneID, err)
+				return fmt.Errorf("orchestrator: forecasting zone %s: %w", zone, err)
 			}
 			// An active forecast-error fault skews the forecast placement
 			// sees; telemetry still charges the true hourly intensity.
-			if f, skewed := o.fcSkew[st.ZoneID]; skewed {
+			if f, skewed := o.fcSkew[zone]; skewed {
 				mean *= f
 			}
-			o.fcCache[st.ZoneID] = mean
+			o.fcCache[zone] = mean
 		}
 		o.ws.UpdateIntensity(j, mean)
-		free, on := st.Free, st.State == cluster.PoweredOn
-		switch {
-		case o.downServers[st.ServerID]:
-			// A crashed server offers no capacity and cannot be woken.
-			free, on = cluster.Resources{}, false
-		default:
-			if f, deg := o.degraded[st.ServerID]; deg {
-				// Placement sees capacity*factor - used (what actually
-				// remains on the shrunk server), never below zero.
-				used := st.Capacity.Sub(st.Free)
-				free = st.Capacity.Scale(f).Sub(used).ClampNonNegative()
-			}
-		}
-		o.ws.SetServerState(j, free, on)
+		o.ws.SetServerState(j, s.free(), s.on)
 	}
 	return nil
 }
@@ -423,32 +450,26 @@ func (o *Orchestrator) PlacementStats() (stats placement.SolveStats, batches int
 func (o *Orchestrator) Undeploy(name string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	dep, ok := o.deployments[name]
+	d, ok := o.deployments[name]
 	if !ok {
 		return fmt.Errorf("orchestrator: no deployment %q", name)
 	}
-	srv, _, err := o.cluster.FindServer(dep.ServerID)
-	if err != nil {
-		return err
-	}
-	if err := o.release(name, srv); err != nil {
-		return err
-	}
+	o.release(d)
 	o.retire(name)
 	return nil
 }
 
 // newReplica (locked) is a deployment as the traffic router sees it.
-func (o *Orchestrator) newReplica(dep *Deployment, srv *cluster.Server, dc *cluster.DataCenter) (router.Replica, error) {
-	prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
+func (o *Orchestrator) newReplica(d *deployment) (router.Replica, error) {
+	prof, err := energy.ProfileFor(d.Recipe.Model, d.srv.spec.Device.Name)
 	if err != nil {
 		return router.Replica{}, err
 	}
 	return router.Replica{
-		ID:            dep.Recipe.Name,
-		Loc:           o.cities.add(dc.City),
-		ZoneID:        dc.ZoneID,
-		CapacityRPS:   dep.Recipe.RatePerSec,
+		ID:            d.Recipe.Name,
+		Loc:           o.cities.add(d.srv.dc.City),
+		ZoneID:        d.srv.dc.ZoneID,
+		CapacityRPS:   d.Recipe.RatePerSec,
 		ServiceMs:     prof.InferenceMs,
 		EnergyPerReqJ: prof.EnergyPerRequestJ(),
 	}, nil
@@ -460,31 +481,52 @@ func (o *Orchestrator) replicaRow(name string) (int, bool) {
 	return i, i < len(o.replicas) && o.replicas[i].ID == name
 }
 
-// admit (locked) is the one place the live set grows: the deployment
-// enters the map and its row enters the replica table at its sorted
-// position, drawing its provisioned power until a tick routes traffic.
-func (o *Orchestrator) admit(dep *Deployment, rep router.Replica) {
-	o.deployments[rep.ID] = dep
-	i, _ := o.replicaRow(rep.ID)
-	o.replicas = slices.Insert(o.replicas, i, rep)
-	o.appW = slices.Insert(o.appW, i, dep.PowerW)
-}
-
-// release (locked) is the one place the live set shrinks: the allocation
-// on srv, the map entry and the replica-table row go together (the
-// workspace reads free capacity from the cluster before every solve).
-// Whether the name is gone for good (retire) or comes back through the
-// queue (an eviction) is the caller's.
-func (o *Orchestrator) release(name string, srv *cluster.Server) error {
-	if err := srv.Release(name); err != nil {
+// admit (locked) is the one place the live set grows: the deployment's
+// demand lands on its server row, it enters the map, and its row enters
+// the replica table at its sorted position, drawing its provisioned power
+// until a tick routes traffic. A name already live, a server that is off
+// (Eq. 5) or one the demand does not fit (Eq. 1) is an
+// internal-consistency error, and nothing changes.
+func (o *Orchestrator) admit(d *deployment) error {
+	name, srv := d.Recipe.Name, d.srv
+	if _, dup := o.deployments[name]; dup {
+		return fmt.Errorf("orchestrator: %s already deployed", name)
+	}
+	if !srv.on {
+		return fmt.Errorf("orchestrator: server %s is powered off", srv.spec.ID)
+	}
+	if !srv.used.Add(d.demand).Fits(srv.spec.Capacity) {
+		return fmt.Errorf("orchestrator: %s demand %v exceeds free capacity on %s (used %v of %v)",
+			name, d.demand, srv.spec.ID, srv.used, srv.spec.Capacity)
+	}
+	rep, err := o.newReplica(d)
+	if err != nil {
 		return err
 	}
+	srv.used = srv.used.Add(d.demand)
+	srv.apps++
+	o.deployments[name] = d
+	i, _ := o.replicaRow(name)
+	o.replicas = slices.Insert(o.replicas, i, rep)
+	o.live = slices.Insert(o.live, i, d)
+	o.appW = slices.Insert(o.appW, i, d.PowerW)
+	return nil
+}
+
+// release (locked) is the one place the live set shrinks: the demand on
+// the server row, the map entry and the replica-table row go together.
+// Whether the name is gone for good (retire) or comes back through the
+// queue (an eviction) is the caller's.
+func (o *Orchestrator) release(d *deployment) {
+	name := d.Recipe.Name
+	d.srv.used = d.srv.used.Sub(d.demand)
+	d.srv.apps--
 	delete(o.deployments, name)
 	if i, ok := o.replicaRow(name); ok {
 		o.replicas = slices.Delete(o.replicas, i, i+1)
+		o.live = slices.Delete(o.live, i, i+1)
 		o.appW = slices.Delete(o.appW, i, i+1)
 	}
-	return nil
 }
 
 // retire (locked) drops the request stats of a name that has left both
@@ -500,16 +542,19 @@ func (o *Orchestrator) retire(name string) {
 func (o *Orchestrator) Deployment(name string) *Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.deployments[name]
+	if d := o.deployments[name]; d != nil {
+		return &d.Deployment
+	}
+	return nil
 }
 
 // Deployments lists current deployments sorted by name.
 func (o *Orchestrator) Deployments() []*Deployment {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]*Deployment, len(o.replicas))
-	for i := range o.replicas {
-		out[i] = o.deployments[o.replicas[i].ID]
+	out := make([]*Deployment, len(o.live))
+	for i, d := range o.live {
+		out[i] = &d.Deployment
 	}
 	return out
 }
@@ -582,28 +627,31 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 	}
 	mp := o.trace.Begin(tickTelemetryIdx)
 	defer o.trace.End(tickTelemetryIdx, mp)
-	for _, dc := range o.cluster.DataCenters() {
-		ci, err := o.carbon.Current(dc.ZoneID, o.now)
-		if err != nil {
-			return fmt.Errorf("orchestrator: telemetry for DC %s: %w", dc.ID, err)
-		}
-		for _, srv := range dc.Servers() {
-			if srv.State() != cluster.PoweredOn {
-				continue
+	var dc *cluster.DataCenter
+	var ci float64
+	for _, srv := range o.servers {
+		if srv.dc != dc {
+			dc = srv.dc
+			var err error
+			if ci, err = o.carbon.Current(dc.ZoneID, o.now); err != nil {
+				return fmt.Errorf("orchestrator: telemetry for DC %s: %w", dc.ID, err)
 			}
-			w := srv.Device.IdleW
-			// Dynamic power: sum of hosted apps' draws, each attributed
-			// its own share of the zone's emissions.
-			for _, appID := range srv.Apps() {
-				if i, ok := o.replicaRow(appID); ok {
-					w += o.appW[i]
-					o.carbonByApp.Add(appID, o.appW[i]/1000*hours*ci)
-				}
-			}
-			srv.Meter().Record(w, dt)
-			o.energyMeter.Record(w, dt)
-			o.carbonTotal += w / 1000 * hours * ci
 		}
+		srv.ci, srv.w = ci, srv.spec.Device.IdleW
+	}
+	// Dynamic power: each deployment's draw adds to its server's, in name
+	// order, and is attributed its own share of the zone's emissions.
+	for i, d := range o.live {
+		d.srv.w += o.appW[i]
+		o.carbonByApp.Add(d.Recipe.Name, o.appW[i]/1000*hours*d.srv.ci)
+	}
+	for _, srv := range o.servers {
+		if !srv.on {
+			continue
+		}
+		srv.meter.Record(srv.w, dt)
+		o.energyMeter.Record(srv.w, dt)
+		o.carbonTotal += srv.w / 1000 * hours * srv.ci
 	}
 	o.now = o.now.Add(dt)
 	return nil

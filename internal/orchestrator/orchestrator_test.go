@@ -12,6 +12,7 @@ import (
 	"repro/internal/carbon"
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/events"
 	"repro/internal/geo"
 	"repro/internal/latency"
 	"repro/internal/placement"
@@ -39,9 +40,6 @@ func fixture(t *testing.T, pol placement.Policy) *Orchestrator {
 		dc := cluster.NewDataCenter(dcID, city, geo.Point{Lat: 28, Lon: -82}, zone, city)
 		srv := cluster.NewServer("srv-"+city, dcID, energy.A2,
 			cluster.NewResources(1000, 65536, 16384, 1000))
-		if err := srv.SetState(cluster.PoweredOn); err != nil {
-			t.Fatal(err)
-		}
 		if err := dc.AddServer(srv); err != nil {
 			t.Fatal(err)
 		}
@@ -163,22 +161,66 @@ func TestUndeployFreesCapacity(t *testing.T) {
 	if _, _, err := o.PlaceBatch(); err != nil {
 		t.Fatal(err)
 	}
-	dep := o.Deployment("app1")
-	srv, _, err := o.cluster.FindServer(dep.ServerID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.NumApps() != 1 {
-		t.Fatalf("server hosts %d apps", srv.NumApps())
+	srv := o.deployments["app1"].srv
+	if srv.apps != 1 {
+		t.Fatalf("server hosts %d apps", srv.apps)
 	}
 	if err := o.Undeploy("app1"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.NumApps() != 0 {
+	if srv.apps != 0 {
 		t.Error("capacity not freed")
 	}
 	if err := o.Undeploy("app1"); err == nil {
 		t.Error("double undeploy accepted")
+	}
+}
+
+// TestServerTableConsistencyErrors: the server table keeps the checks the
+// cluster's servers made. admit refuses a live name, a demand over the
+// server's capacity (Eq. 1) and a powered-off server (Eq. 5), and a
+// refused admit changes nothing; a crash never powers off a server that
+// still hosts deployments (Eq. 4).
+func TestServerTableConsistencyErrors(t *testing.T) {
+	o := fixture(t, placement.LatencyAware{})
+	deployOne(t, o, "a", "CityA")
+	srv := o.deployments["a"].srv
+	used := srv.used
+	admit := func(name string, demand cluster.Resources) error {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		return o.admit(&deployment{Deployment: Deployment{Recipe: testRecipe(name)}, srv: srv, demand: demand})
+	}
+	if err := admit("a", cluster.Resources{}); err == nil {
+		t.Error("a live name admitted twice")
+	}
+	if err := admit("b", srv.spec.Capacity); err == nil || !strings.Contains(err.Error(), "exceeds free capacity") {
+		t.Errorf("over-capacity admit: %v", err)
+	}
+	srv.on = false
+	if err := admit("b", cluster.Resources{}); err == nil || !strings.Contains(err.Error(), "powered off") {
+		t.Errorf("admit onto a powered-off server: %v", err)
+	}
+	srv.on = true
+	if srv.used != used || srv.apps != 1 || len(o.replicas) != 1 || len(o.deployments) != 1 {
+		t.Fatalf("refused admits changed the table: used %v (was %v), %d apps, %d replicas", srv.used, used, srv.apps, len(o.replicas))
+	}
+	if err := admit("b", cluster.NewResources(1, 1, 1, 1)); err != nil {
+		t.Fatalf("admit that fits: %v", err)
+	}
+
+	// A row whose count says it hosts a deployment the live set does not
+	// hold cannot be evicted empty, so the crash refuses to power it off.
+	other := o.servers[1]
+	other.apps = 1
+	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: other.dc.City}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Tick(time.Hour); err == nil || !strings.Contains(err.Error(), "cannot power off") {
+		t.Errorf("crash of a hosting server: %v", err)
+	}
+	if !other.on {
+		t.Error("the crash powered off a server that still hosts a deployment")
 	}
 }
 
@@ -211,6 +253,66 @@ func TestTickAccruesCarbonAndEnergy(t *testing.T) {
 	// App emissions must be below total (total includes base power).
 	if o.AppCarbonG("app1") >= o.CarbonTotalG() {
 		t.Error("app carbon should be below total (base power missing)")
+	}
+}
+
+// TestTelemetrySumsDrawsInNameOrder: a server's draw is its idle power
+// plus its deployments' draws added in name order. Float addition is not
+// associative: on one A2 these three draws sum to a different value in
+// each rotation of the names, so an order that varies from run to run (a
+// map's) shows in the carbon total and the energy meters of some of 32
+// fresh orchestrators.
+func TestTelemetrySumsDrawsInNameOrder(t *testing.T) {
+	draws := []float64{2.788652, 4.430856, 2.212362} // a, b, c
+	idle := energy.A2.IdleW
+	nameOrder := ((idle + draws[0]) + draws[1]) + draws[2]
+	if nameOrder == ((idle+draws[1])+draws[2])+draws[0] || nameOrder == ((idle+draws[2])+draws[0])+draws[1] {
+		t.Fatal("the draws sum alike in name order and rotated; the test witnesses nothing")
+	}
+	for run := 0; run < 32; run++ {
+		o := fixture(t, placement.LatencyAware{})
+		for _, name := range []string{"c", "a", "b"} {
+			rec := testRecipe(name)
+			rec.RatePerSec = 1
+			if err := o.Submit(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		placed, _, err := o.PlaceBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := o.deployments["a"].srv
+		if len(placed) != 3 || host.apps != 3 {
+			t.Fatalf("want all three deployments on one server, placed %d, %d on %s", len(placed), host.apps, host.spec.ID)
+		}
+		copy(o.appW, draws) // the replica table is name-sorted
+
+		var wantCarbon float64
+		var wantEnergy, wantHost energy.Meter
+		for _, srv := range o.servers {
+			ci, err := o.carbon.Current(srv.dc.ZoneID, o.now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := idle
+			if srv == host {
+				w = nameOrder
+				wantHost.Record(w, time.Hour)
+			}
+			wantEnergy.Record(w, time.Hour)
+			wantCarbon += w / 1000 * ci
+		}
+		if err := o.Tick(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if o.carbonTotal != wantCarbon {
+			t.Fatalf("run %d: carbon total %v, name-order sum %v", run, o.carbonTotal, wantCarbon)
+		}
+		if o.energyMeter.State() != wantEnergy.State() || host.meter.State() != wantHost.State() {
+			t.Fatalf("run %d: energy %+v / host %+v, name-order sums %+v / %+v",
+				run, o.energyMeter.State(), host.meter.State(), wantEnergy.State(), wantHost.State())
+		}
 	}
 }
 

@@ -2,7 +2,10 @@ package orchestrator
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -15,7 +18,7 @@ import (
 
 // State is the orchestrator's full serializable dynamic state: the
 // clock, deployments with their exact resource allocations, the pending
-// queue, telemetry accumulators, the live fault overlays with the
+// queue, telemetry accumulators, the server table's fault fields with the
 // not-yet-due fault events, and flash servers added by scale-out faults.
 // It is plain data, written through the internal/checkpoint envelope by
 // the /api/v1/state endpoints; LoadState rebuilds an equivalent
@@ -87,10 +90,10 @@ type ServerPowerState struct {
 }
 
 // SaveState captures the orchestrator's dynamic state. It is safe to
-// call while the service runs (it takes the orchestrator lock). A
-// deployment whose server or allocation cannot be resolved is an
-// internal-consistency failure and errors out rather than encoding a
-// silently-wrong (zero) allocation into the checkpoint.
+// call while the service runs (it takes the orchestrator lock). The
+// server table is written as its JSON views: flash servers in creation
+// order, power states and meters, crashed servers and degrade factors,
+// each keyed by server ID.
 func (o *Orchestrator) SaveState() (State, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -109,45 +112,32 @@ func (o *Orchestrator) SaveState() (State, error) {
 		LastFault:      o.lastFault,
 		LastFaultKind:  o.lastFaultKind,
 		FlashSeq:       o.flashSeq,
-		FlashServers:   append([]FlashServerState(nil), o.flashServers...),
+		DownServers:    o.downIDs(),
 		LastSolve:      o.lastSolve,
 		Batches:        o.batches,
 		BoundBatches:   o.boundBatches,
 		BnBBatches:     o.bnbBatches,
 	}
-	for i := range o.replicas { // name-sorted
-		name := o.replicas[i].ID
-		dep := o.deployments[name]
-		srv, _, err := o.cluster.FindServer(dep.ServerID)
-		if err != nil {
-			return State{}, fmt.Errorf("orchestrator: saving state: deployment %s: %w", name, err)
-		}
-		demand, ok := srv.Allocation(name)
-		if !ok {
-			return State{}, fmt.Errorf("orchestrator: saving state: deployment %s has no allocation on %s", name, dep.ServerID)
-		}
-		st.Deployments = append(st.Deployments, DeploymentState{Deployment: *dep, Demand: demand})
+	for _, d := range o.live { // name-sorted
+		st.Deployments = append(st.Deployments, DeploymentState{Deployment: d.Deployment, Demand: d.demand})
 	}
-	for _, srvState := range o.cluster.Snapshot().Servers {
-		srv, _, err := o.cluster.FindServer(srvState.ServerID)
-		if err != nil {
-			return State{}, fmt.Errorf("orchestrator: saving state: %w", err)
+	byID := slices.Clone(o.servers)
+	slices.SortFunc(byID, func(a, b *server) int { return strings.Compare(a.spec.ID, b.spec.ID) })
+	for _, srv := range byID {
+		st.Servers = append(st.Servers, ServerPowerState{ID: srv.spec.ID, PoweredOn: srv.on, Meter: srv.meter.State()})
+		if srv.factor != 0 {
+			if st.Degraded == nil {
+				st.Degraded = map[string]float64{}
+			}
+			st.Degraded[srv.spec.ID] = srv.factor
 		}
-		st.Servers = append(st.Servers, ServerPowerState{
-			ID:        srvState.ServerID,
-			PoweredOn: srvState.State == cluster.PoweredOn,
-			Meter:     srv.Meter().State(),
+	}
+	flash := slices.DeleteFunc(byID, func(srv *server) bool { return srv.flash == 0 })
+	slices.SortFunc(flash, func(a, b *server) int { return a.flash - b.flash })
+	for _, srv := range flash {
+		st.FlashServers = append(st.FlashServers, FlashServerState{
+			ID: srv.spec.ID, DCID: srv.dc.ID, Device: srv.spec.Device.Name, Capacity: srv.spec.Capacity,
 		})
-	}
-	for id := range o.downServers {
-		st.DownServers = append(st.DownServers, id)
-	}
-	sort.Strings(st.DownServers)
-	if len(o.degraded) > 0 {
-		st.Degraded = make(map[string]float64, len(o.degraded))
-		for k, v := range o.degraded {
-			st.Degraded[k] = v
-		}
 	}
 	if len(o.fcSkew) > 0 {
 		st.FcSkew = make(map[string]float64, len(o.fcSkew))
@@ -164,11 +154,12 @@ func (o *Orchestrator) SaveState() (State, error) {
 
 // LoadState restores a saved state into this orchestrator. The receiver
 // must be freshly constructed over an equivalently-built cluster (same
-// region and datasets): flash servers are re-created, power states and
-// meters restored, and every deployment re-allocated with its exact
-// resource vector. The forecast memo and the placement workspace are
-// invalidated — a restored orchestrator must never serve a stale
-// pre-snapshot forecast view — and are rebuilt lazily on the next batch.
+// region and datasets): flash servers are re-created, the server rows'
+// power states, meters and fault fields assigned, and every deployment
+// re-admitted with its exact resource vector. The forecast memo and the
+// placement workspace are invalidated — a restored orchestrator must
+// never serve a stale pre-snapshot forecast view — and are rebuilt
+// lazily on the next batch.
 func (o *Orchestrator) LoadState(st State) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -185,58 +176,32 @@ func (o *Orchestrator) LoadState(st State) error {
 
 	// Flash servers first, so power states and allocations can land on
 	// them.
-	for _, fs := range st.FlashServers {
-		dc := o.cluster.DataCenter(fs.DCID)
+	for k, fs := range st.FlashServers {
+		dc := o.dcByID(fs.DCID)
 		dev, err := energy.DeviceByName(fs.Device)
 		if err != nil {
 			return fmt.Errorf("orchestrator: flash server %s: %w", fs.ID, err)
 		}
-		if err := dc.AddServer(cluster.NewServer(fs.ID, dc.ID, dev, fs.Capacity)); err != nil {
+		if err := o.addServer(cluster.NewServer(fs.ID, dc.ID, dev, fs.Capacity), dc, k+1); err != nil {
 			return err
 		}
 	}
-
-	// Power on everything recorded on, then replay allocations, then
-	// power the rest down (an off server never hosts allocations, so the
-	// ordering satisfies the cluster's no-disruption rule).
-	for _, sp := range st.Servers {
-		srv, _, err := o.cluster.FindServer(sp.ID)
-		if err != nil {
-			return fmt.Errorf("orchestrator: restoring power states: %w", err)
-		}
-		if sp.PoweredOn {
-			if err := srv.SetState(cluster.PoweredOn); err != nil {
-				return err
-			}
-		}
-		srv.Meter().Restore(sp.Meter)
+	byID := make(map[string]*server, len(o.servers))
+	for _, srv := range o.servers {
+		byID[srv.spec.ID] = srv
+		srv.factor = st.Degraded[srv.spec.ID]
 	}
-	o.deployments = make(map[string]*Deployment, len(st.Deployments))
+	for _, sp := range st.Servers {
+		byID[sp.ID].on = sp.PoweredOn
+		byID[sp.ID].meter.Restore(sp.Meter)
+	}
+	for _, id := range st.DownServers {
+		byID[id].down = true
+	}
 	for _, ds := range st.Deployments {
-		srv, dc, err := o.cluster.FindServer(ds.ServerID)
-		if err != nil {
+		d := &deployment{Deployment: ds.Deployment, srv: byID[ds.ServerID], demand: ds.Demand}
+		if err := o.admit(d); err != nil {
 			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
-		}
-		dep := ds.Deployment
-		rep, err := o.newReplica(&dep, srv, dc)
-		if err != nil {
-			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
-		}
-		if err := srv.Allocate(ds.Recipe.Name, ds.Demand); err != nil {
-			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
-		}
-		o.admit(&dep, rep)
-	}
-	for _, sp := range st.Servers {
-		if sp.PoweredOn {
-			continue
-		}
-		srv, _, err := o.cluster.FindServer(sp.ID)
-		if err != nil {
-			return err
-		}
-		if err := srv.SetState(cluster.PoweredOff); err != nil {
-			return fmt.Errorf("orchestrator: powering down %s: %w", sp.ID, err)
 		}
 	}
 
@@ -256,24 +221,9 @@ func (o *Orchestrator) LoadState(st State) error {
 	o.faultEvictions = st.FaultEvictions
 	o.lastFault, o.lastFaultKind = st.LastFault, st.LastFaultKind
 	o.flashSeq = st.FlashSeq
-	o.flashServers = append([]FlashServerState(nil), st.FlashServers...)
 	o.lastSolve, o.batches = st.LastSolve, st.Batches
 	o.boundBatches, o.bnbBatches = st.BoundBatches, st.BnBBatches
 
-	o.downServers = nil
-	if len(st.DownServers) > 0 {
-		o.downServers = make(map[string]bool, len(st.DownServers))
-		for _, id := range st.DownServers {
-			o.downServers[id] = true
-		}
-	}
-	o.degraded = nil
-	if len(st.Degraded) > 0 {
-		o.degraded = make(map[string]float64, len(st.Degraded))
-		for k, v := range st.Degraded {
-			o.degraded[k] = v
-		}
-	}
 	o.fcSkew = nil
 	if len(st.FcSkew) > 0 {
 		o.fcSkew = make(map[string]float64, len(st.FcSkew))
@@ -303,18 +253,19 @@ func (o *Orchestrator) LoadState(st State) error {
 
 	// A restored orchestrator must not serve any pre-snapshot view: drop
 	// the forecast memo and force the workspace to rebuild on the next
-	// batch so the restored overlays (fcSkew, degraded, downServers) are
-	// what placement sees.
+	// batch so the restored rows and forecast skews are what placement
+	// sees.
 	o.invalidateForecasts()
 	o.ws = nil
 	return nil
 }
 
 // validateState (locked) checks a state against this orchestrator's
-// cluster before anything is mutated, so LoadState is all-or-nothing on
-// the failures a foreign or mismatched checkpoint can cause: a state
-// rejected here leaves the orchestrator exactly as it was, and a retry
-// with a corrected checkpoint still sees a fresh orchestrator.
+// server table before anything is mutated, so LoadState is
+// all-or-nothing on the failures a foreign or mismatched checkpoint can
+// cause: a state rejected here leaves the orchestrator exactly as it was,
+// and a retry with a corrected checkpoint still sees a fresh
+// orchestrator.
 func (o *Orchestrator) validateState(st *State) error {
 	type srvInfo struct {
 		capacity cluster.Resources
@@ -322,13 +273,11 @@ func (o *Orchestrator) validateState(st *State) error {
 		on       bool
 	}
 	servers := map[string]*srvInfo{}
-	for _, dc := range o.cluster.DataCenters() {
-		for _, srv := range dc.Servers() {
-			servers[srv.ID] = &srvInfo{capacity: srv.Capacity, device: srv.Device.Name}
-		}
+	for _, srv := range o.servers {
+		servers[srv.spec.ID] = &srvInfo{capacity: srv.spec.Capacity, device: srv.spec.Device.Name}
 	}
 	for _, fs := range st.FlashServers {
-		if o.cluster.DataCenter(fs.DCID) == nil {
+		if o.dcByID(fs.DCID) == nil {
 			return fmt.Errorf("orchestrator: flash server %s references unknown DC %q", fs.ID, fs.DCID)
 		}
 		if _, err := energy.DeviceByName(fs.Device); err != nil {
@@ -345,6 +294,11 @@ func (o *Orchestrator) validateState(st *State) error {
 			return fmt.Errorf("orchestrator: state references unknown server %q", sp.ID)
 		}
 		info.on = sp.PoweredOn
+	}
+	for _, id := range append(slices.Sorted(maps.Keys(st.Degraded)), st.DownServers...) {
+		if servers[id] == nil {
+			return fmt.Errorf("orchestrator: state's faults reference unknown server %q", id)
+		}
 	}
 	used := map[string]cluster.Resources{}
 	names := map[string]bool{}
@@ -374,8 +328,18 @@ func (o *Orchestrator) validateState(st *State) error {
 	return nil
 }
 
+// dcByID returns a data center by ID, or nil.
+func (o *Orchestrator) dcByID(id string) *cluster.DataCenter {
+	for _, dc := range o.dcs {
+		if dc.ID == id {
+			return dc
+		}
+	}
+	return nil
+}
+
 // invalidateForecasts (locked) drops the per-clock forecast memo so the
-// next solve recomputes every zone against the current overlays.
+// next solve recomputes every zone against the current forecast skews.
 func (o *Orchestrator) invalidateForecasts() {
 	o.fcCache = nil
 	o.fcAt = time.Time{}

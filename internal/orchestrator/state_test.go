@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,8 +177,8 @@ func TestStateRestoresFlashServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range st.FlashServers {
-		if _, _, err := restored.cluster.FindServer(fs.ID); err != nil {
-			t.Errorf("flash server %s missing after restore: %v", fs.ID, err)
+		if !slices.ContainsFunc(restored.servers, func(srv *server) bool { return srv.spec.ID == fs.ID }) {
+			t.Errorf("flash server %s missing after restore", fs.ID)
 		}
 	}
 }
@@ -359,6 +360,25 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	bad.Deployments[1].Demand = bad.Deployments[1].Demand.Scale(0.01) // fits beside the first
 	if err := fresh.LoadState(bad); err == nil {
 		t.Fatal("a deployment name listed twice accepted")
+	}
+	bad = mustState(t, orig)
+	for i := range bad.Servers {
+		if bad.Servers[i].ID == bad.Deployments[0].ServerID {
+			bad.Servers[i].PoweredOn = false
+		}
+	}
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("deployment on a powered-off server accepted")
+	}
+	bad = mustState(t, orig)
+	bad.DownServers = []string{"srv-nowhere"}
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("unknown crashed server accepted")
+	}
+	bad = mustState(t, orig)
+	bad.Degraded = map[string]float64{"srv-nowhere": 0.5}
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("unknown degraded server accepted")
 	}
 
 	// The failed attempts mutated nothing: the corrected state restores.

@@ -114,17 +114,12 @@ func New(cfg Config) (*Testbed, error) {
 		}
 		dc := cluster.NewDataCenter("dc-"+spec.City, spec.City, city.Location, spec.ZoneID, spec.City)
 		// Each DC hosts one GPU server and one CPU host, mirroring the
-		// R630 + A2 testbed machines.
+		// R630 + A2 testbed machines; the orchestrator starts both powered
+		// on.
 		gpu := cluster.NewServer("srv-"+spec.City+"-gpu", dc.ID, dev,
 			cluster.NewResources(1000, 65536, float64(dev.MemMB), 1000))
 		cpu := cluster.NewServer("srv-"+spec.City+"-cpu", dc.ID, energy.XeonE5,
 			cluster.NewResources(40000, 262144, 0, 1000))
-		if err := gpu.SetState(cluster.PoweredOn); err != nil {
-			return nil, err
-		}
-		if err := cpu.SetState(cluster.PoweredOn); err != nil {
-			return nil, err
-		}
 		if err := dc.AddServer(gpu); err != nil {
 			return nil, err
 		}
@@ -242,7 +237,6 @@ func (tb *Testbed) RunDay(model string, ratePerSec, sloMs float64) (*DayResult, 
 		return nil, fmt.Errorf("testbed: %d apps rejected: %v", len(rejected), rejected)
 	}
 
-	prof := map[string]float64{} // app -> inference ms
 	for _, dep := range placed {
 		srv, _, err := tb.Cluster.FindServer(dep.ServerID)
 		if err != nil {
@@ -252,7 +246,6 @@ func (tb *Testbed) RunDay(model string, ratePerSec, sloMs float64) (*DayResult, 
 		if err != nil {
 			return nil, err
 		}
-		prof[dep.Recipe.Name] = p.InferenceMs
 		res.HostCity[dep.Recipe.Name] = dep.DCID[len("dc-"):]
 		res.ResponseMsByApp[dep.Recipe.Name] = dep.RTTMs + p.InferenceMs
 	}
@@ -276,9 +269,11 @@ func (tb *Testbed) RunDay(model string, ratePerSec, sloMs float64) (*DayResult, 
 			prevCarbon[dep.Recipe.Name] = total
 		}
 	}
+	// Sum in the region's DC order: float addition is not associative.
 	var respSum float64
-	for app, total := range prevCarbon {
-		res.TotalCarbonG += total
+	for _, city := range res.CityOrder {
+		app := "app-" + city
+		res.TotalCarbonG += prevCarbon[app]
 		respSum += res.ResponseMsByApp[app]
 	}
 	if len(placed) > 0 {

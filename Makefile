@@ -48,6 +48,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzCertifiedMatchesMILP$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/placement/
+	$(GO) test -run '^$$' -fuzz '^FuzzHeuristicMatchesSweep$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/placement/
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds
@@ -74,7 +76,8 @@ bench-smoke:
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode after every Step), and prints the top-10 flat
 # summaries. The checked-in snapshots of those summaries live in
-# profiles/PROFILE_19.md (redeploy churn), profiles/PROFILE_13.md
+# profiles/PROFILE_25.md (redeploy churn after the class floor;
+# profiles/PROFILE_19.md after the class memos), profiles/PROFILE_13.md
 # (traffic), profiles/PROFILE_14.md and profiles/PROFILE_21.md (live, the
 # latter under GOMAXPROCS=1 as the ledger runs it), profiles/PROFILE_17.md
 # (CDN year) and profiles/PROFILE_18.md (checkpoint); profiles/PROFILE_12.md

@@ -20,8 +20,8 @@ import (
 // reverse adjacency filtered by capacity threshold flips), and a converged
 // solve carries over to the next one on the same workspace view, so a warm
 // re-solve costs O(changed apps x candidates) instead of O(apps x
-// candidates). Within a solve, construct and local search scan each
-// (class, server) state once, not once per app of the class (classMemo).
+// candidates). Within a solve, construct and local search scan each class
+// state once, not once per app of the class (classMemo).
 // Every skip is provably a no-op scan: assignments are byte-identical to a
 // plain per-app sweep that re-derives every cost through the Policy (the
 // test oracle in oracle_test.go).
@@ -57,11 +57,11 @@ type HeuristicSolver struct {
 	// cont is the converged state of the last solve; the next solve on
 	// the same workspace view scans only what changed since.
 	cont continuation
-	// cm lets a solve scan each (class, server) state once rather than
-	// once per app.
+	// cm lets a solve scan each class state once rather than once per
+	// app.
 	cm classMemo
-	// scans counts full candidate-list scans, for tests.
-	scans struct{ construct, search int }
+	// scans counts candidate-list scans and local-search verdicts, for tests.
+	scans struct{ construct, search, fallback, stay, move, retry, stuck int }
 }
 
 // NewHeuristicSolver returns a solver with default search effort.
@@ -421,17 +421,17 @@ type continuation struct {
 //     "nothing fit" stays true. A power-on (only servers that start off
 //     have one) or a demand that is not non-negative (see shrinks) retires
 //     every pick.
-//   - local search's no-move verdict: still[k] records a scan that moved
-//     nothing, keyed by the class and the slot of the app's current server
-//     in the class's candidate list (slot -1 for an unplaced app's retry),
-//     as the class's touch stamp at the time. A dirty app whose key holds
-//     the current stamp is skipped. Every scan-visible change on the
-//     class's candidates — a fit threshold flipping, any change on a server
-//     that starts off — touches the class and so advances its stamp past
-//     any recorded one (stamps are scan positions and only grow within a
-//     solve); this is the argument the dirty queue and the continuation
-//     above already rest on. The skipped scan would read exactly the
-//     inputs the recorded one read, and so move nothing.
+//   - local search's floor: floor[c] is one index-order pass over class
+//     c's candidates (see floor), stamped with the class's touch stamp at
+//     the time. Every scan-visible change on the class's candidates — a
+//     fit threshold flipping, any change on a server that starts off —
+//     touches the class and so advances its stamp past any recorded one
+//     (stamps are scan positions and only grow within a solve); this is
+//     the argument the dirty queue and the continuation above already
+//     rest on. So while the stamp holds, the fit set and its costs are the
+//     ones the floor recorded, and every member's verdict — whatever
+//     server it sits on — is read off it (floor.move) instead of a scan of
+//     its own.
 //
 // Entries carry the generation they were made in: SolveInto advances gen
 // every solve and construct on every retiring placement, so no solve
@@ -440,7 +440,79 @@ type continuation struct {
 type classMemo struct {
 	gen   uint64
 	pick  []stamped // per class: v is the picked server or -1
-	still []stamped // per (class, slot+1): v is the class stamp
+	floor []floor   // per class
+}
+
+// floor summarizes one class's candidates at one class stamp: the first
+// slot that passes the static gates and fits, and the three cheapest such
+// slots by (cost, slot), a server that is off costing its activation too.
+// Only a strictly lower cost displaces an entry (equal costs keep slot
+// order), and a NaN cost, which no scan ever prefers, never enters.
+type floor struct {
+	at    stamped // (generation, class stamp) of the pass
+	first int     // first fitting slot, or -1
+	n     int     // entries in slot and cost
+	slot  [3]int
+	cost  [3]float64
+}
+
+// scan refills f at stamp at from member i's rows (a class shares them).
+func (f *floor) scan(st *state, mm *costMemo, i int, at stamped) {
+	p, base := st.p, mm.off[mm.cls[i]]
+	f.at, f.first, f.n = at, -1, 0
+	for k, j := range p.CandidatesOf(i) {
+		if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+			continue
+		}
+		if f.first < 0 {
+			f.first = k
+		}
+		cost := mm.row[base+k]
+		if !st.on[j] {
+			cost += mm.act[j]
+		}
+		e := f.n
+		for e > 0 && cost < f.cost[e-1] {
+			e--
+		}
+		if e == len(f.slot) || math.IsNaN(cost) {
+			continue
+		}
+		f.n = min(f.n+1, len(f.slot))
+		copy(f.slot[e+1:f.n], f.slot[e:])
+		copy(f.cost[e+1:f.n], f.cost[e:])
+		f.slot[e], f.cost[e] = k, cost
+	}
+}
+
+// stay and nearTie are floor.move's verdicts besides a slot to move to.
+const stay, nearTie = -1, -2
+
+// move returns the slot local search's index-order scan moves an app on
+// slot cur at cost curCost to, stay when it moves nothing, or nearTie when
+// two candidates within the tie band leave it to the scan. With m and r
+// the two cheapest slots other than cur, the scan moves exactly when
+// c_m < curCost-1e-12, and it ends on m when no other slot passes that
+// test (r does not; nothing else is cheaper than r) or m beats every
+// other slot by more than the band: rounding is monotone, so c_x >= c_r
+// gives fl(c_x-1e-12) >= fl(c_r-1e-12) > c_m.
+func (f *floor) move(cur int, curCost float64) int {
+	m := 0
+	if m < f.n && f.slot[m] == cur {
+		m++
+	}
+	r := m + 1
+	if r < f.n && f.slot[r] == cur {
+		r++
+	}
+	thr := curCost - 1e-12
+	switch {
+	case m >= f.n || !(f.cost[m] < thr):
+		return stay
+	case r >= f.n || !(f.cost[r] < thr) || f.cost[m] < f.cost[r]-1e-12:
+		return f.slot[m]
+	}
+	return nearTie
 }
 
 // stamped is one generation-stamped memo entry.
@@ -449,11 +521,11 @@ type stamped struct {
 	v   int64
 }
 
-// reset starts a new generation sized for mm's classes and slots.
+// reset starts a new generation sized for mm's classes.
 func (cm *classMemo) reset(mm *costMemo) {
 	cm.gen++
 	cm.pick = grow(cm.pick, len(mm.rep))
-	cm.still = grow(cm.still, len(mm.row)+len(mm.rep))
+	cm.floor = grow(cm.floor, len(mm.rep))
 }
 
 // shrinks reports whether subtracting d can only shrink a capacity vector:
@@ -817,17 +889,16 @@ func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 // every pass (the test oracle): a skipped scan is one whose inputs — the
 // fit thresholds, activation states, and cost rows over the app's
 // candidate list, and the app's own placement — are unchanged since a scan
-// that moved nothing, whether that scan was the app's own or a same-class
-// app's from the same server (the no-move memo; see classMemo). Returns
-// whether the search converged (a full pass moved nothing) rather than
-// exhausting its pass budget.
+// that moved nothing, and a due app's verdict is read off its class's
+// floor, scanning only on a near tie (see classMemo). Returns whether the
+// search converged (a full pass moved nothing) rather than exhausting its
+// pass budget.
 func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bool {
 	p, cm := st.p, &s.cm
 	n := len(p.Apps)
 	for pass := 0; pass < maxPasses; pass++ {
 		p32 := int32(pass)
 		improved := false
-	apps:
 		for i := 0; i < n; i++ {
 			if !st.dirty(mm, i, p32) {
 				continue
@@ -840,31 +911,29 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bo
 			if cur >= 0 {
 				slot = slotOf(cand, cur)
 			}
-			// Key by the class and the current server's slot; a cur
-			// outside the candidate list (hand-built warm seeds only) is
-			// not memoized.
-			key := base + int(c) + slot + 1
-			still := stamped{cm.gen, st.stamp[c]}
-			if (cur < 0 || slot >= 0) && cm.still[key] == still {
-				continue
+			// A cur outside the candidate list (hand-built warm seeds
+			// only) has no floor verdict: it is scanned below.
+			f := &cm.floor[c]
+			if at := (stamped{cm.gen, st.stamp[c]}); (cur < 0 || slot >= 0) && f.at != at {
+				s.scans.search++
+				f.scan(st, mm, i, at)
 			}
-			s.scans.search++
 			if cur < 0 {
-				for k, j := range cand {
-					if mm.ok[base+k] && p.Demand[i][j].Fits(st.free[j]) {
-						before := st.free[j]
-						st.place(i, j)
-						// The retry took the first feasible server, not
-						// the cheapest: the next pass must re-scan i.
-						if st.mark[i] <= p32 {
-							st.mark[i] = p32 + 1
-						}
-						st.touchMoved(mm, j, i, p32, before)
-						improved = true
-						continue apps
-					}
+				if f.first < 0 {
+					s.scans.stuck++
+					continue
 				}
-				cm.still[key] = still
+				s.scans.retry++
+				j := cand[f.first]
+				before := st.free[j]
+				st.place(i, j)
+				// The retry took the first feasible server, not the
+				// cheapest: the next pass must re-scan i.
+				if st.mark[i] <= p32 {
+					st.mark[i] = p32 + 1
+				}
+				st.touchMoved(mm, j, i, p32, before)
+				improved = true
 				continue
 			}
 			var curCost float64
@@ -878,18 +947,31 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bo
 			if !p.Servers[cur].PoweredOn && st.loads[cur] == 1 {
 				curCost += mm.act[cur]
 			}
-			best, bestCost := cur, curCost
-			for k, j := range cand {
-				if j == cur || !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
-					continue
+			best, k := cur, nearTie
+			if slot >= 0 {
+				k = f.move(slot, curCost)
+			}
+			switch k {
+			case stay:
+				s.scans.stay++
+			case nearTie:
+				s.scans.fallback++
+				bestCost := curCost
+				for k, j := range cand {
+					if j == cur || !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+						continue
+					}
+					cost := mm.row[base+k]
+					if !st.on[j] {
+						cost += mm.act[j]
+					}
+					if cost < bestCost-1e-12 {
+						best, bestCost = j, cost
+					}
 				}
-				cost := mm.row[base+k]
-				if !st.on[j] {
-					cost += mm.act[j]
-				}
-				if cost < bestCost-1e-12 {
-					best, bestCost = j, cost
-				}
+			default:
+				s.scans.move++
+				best = cand[k]
 			}
 			if best != cur {
 				beforeCur, beforeBest := st.free[cur], st.free[best]
@@ -898,8 +980,6 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bo
 				st.touchMoved(mm, cur, i, p32, beforeCur)
 				st.touchMoved(mm, best, i, p32, beforeBest)
 				improved = true
-			} else if slot >= 0 {
-				cm.still[key] = still
 			}
 		}
 		if !improved {

@@ -394,13 +394,15 @@ func memoInstance(rng *rand.Rand, nServers int) wsInstance {
 }
 
 // TestClassMemoMatchesSweep is the differential test for construct's
-// class pick and local search's no-move memo: on workspace views, where
+// class pick and local search's class floor: on workspace views, where
 // tens of apps share each class, the flattened solver must reproduce the
 // reference sweep's ServerOf and PowerOn exactly — cold, warm from a
 // rotated seed, and through churned continuation rounds on one view. The
 // scan counters show the memos were actually exercised: fewer scans than
-// apps, and construct re-scanning classes whose pick filled or was retired
-// by a power-on. (Under the batch-normalized blend every app is its own
+// apps, construct re-scanning classes whose pick filled or was retired by
+// a power-on, and every floor verdict taken (no move, move to the
+// cheapest, near-tie fallback scan, retry on the first fit, retry with
+// nothing fitting). (Under the batch-normalized blend every app is its own
 // class; it runs for the equivalence alone.)
 func TestClassMemoMatchesSweep(t *testing.T) {
 	sources := []string{"c0", "c1", "c3"}
@@ -416,6 +418,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 		t.Run(pol.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(19))
 			var cold, coldScans, refills int
+			var verdicts [5]int
 			for trial := 0; trial < 6; trial++ {
 				inst := memoInstance(rng, 12+rng.Intn(8))
 				ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
@@ -486,8 +489,19 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 					same(t, fmt.Sprintf("trial %d round %d", trial, round), want, got)
 					prev = got
 				}
+				// The counters are the solver's lifetime totals.
+				for k, v := range []int{flat.scans.stay, flat.scans.move, flat.scans.fallback, flat.scans.retry, flat.scans.stuck} {
+					verdicts[k] += v
+				}
 			}
 			t.Logf("cold: %d apps, %d construct scans (%d past one per class)", cold, coldScans, refills)
+			t.Logf("verdicts: stay %d, move %d, fallback %d, retry %d, nothing fits %d",
+				verdicts[0], verdicts[1], verdicts[2], verdicts[3], verdicts[4])
+			for k, name := range []string{"no move", "move to the cheapest", "near-tie fallback", "retry on the first fit", "retry with nothing fitting"} {
+				if verdicts[k] == 0 {
+					t.Errorf("the fixture never takes the %s verdict", name)
+				}
+			}
 			if _, shared := pol.(CoefficientPolicy); !shared {
 				return // every app is its own class: nothing to share
 			}
@@ -503,8 +517,11 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 
 // TestClassMemoScanCount pins the saving as a count: a cold solve of 2 000
 // apps in 8 classes on an always-on fleet with room to spare scans once
-// per class in construct and once per (class, hosting server) in local
-// search — not once per app in each, as before the class memos.
+// per class in construct and once per class in local search — not once
+// per app in each, as before the class memos. A warm solve from a seed
+// that spreads every class over the fleet moves most apps, and no move
+// flips a fit threshold here, so it too scans once per class — not once
+// per (class, hosting server) and moving app, as before the class floor.
 func TestClassMemoScanCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst := randomWSInstance(rng, 0, 40)
@@ -538,18 +555,95 @@ func TestClassMemoScanCount(t *testing.T) {
 		if !reflect.DeepEqual(a, want) {
 			t.Fatalf("%s: flat diverged from sweep", pol.Name())
 		}
-		hosts := map[[2]int]bool{}
-		servers := map[int]bool{}
-		for i, j := range a.ServerOf {
-			hosts[[2]int{int(p.classOf[i]), j}] = true
-			servers[j] = true
-		}
 		if got := flat.scans.construct; got > 8 {
 			t.Errorf("%s: %d construct scans, want at most one per class (8)", pol.Name(), got)
 		}
-		if got := flat.scans.search; got > len(hosts) || got > 8*len(servers) {
-			t.Errorf("%s: %d local-search scans, want at most one per (class, hosting server) = %d (<= 8 x %d servers used)",
-				pol.Name(), got, len(hosts), len(servers))
+		if got := flat.scans.search; got > 8 {
+			t.Errorf("%s: %d local-search floor scans, want at most one per class (8)", pol.Name(), got)
+		}
+
+		seed := &Assignment{ServerOf: make([]int, len(apps))}
+		for i := range seed.ServerOf {
+			seed.ServerOf[i] = i % len(inst.servers)
+		}
+		if want, err = sweepSolve(p, pol, seed); err != nil {
+			t.Fatal(err)
+		}
+		before := flat.scans
+		if a, err = solveNew(flat, p, pol, seed); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, want) {
+			t.Fatalf("%s: warm flat diverged from sweep", pol.Name())
+		}
+		if got := flat.scans.search - before.search; got > 8 {
+			t.Errorf("%s: %d warm floor scans, want at most one per class (8)", pol.Name(), got)
+		}
+		moved := 0
+		for i, j := range a.ServerOf {
+			if j != seed.ServerOf[i] {
+				moved++
+			}
+		}
+		if moved < len(apps)/2 {
+			t.Fatalf("%s: the warm solve moved %d of %d apps, want most", pol.Name(), moved, len(apps))
+		}
+		t.Logf("%s: %d construct, %d floor and %d fallback scans; warm: %d floor and %d fallback scans, %d of %d apps moved",
+			pol.Name(), before.construct, before.search, before.fallback,
+			flat.scans.search-before.search, flat.scans.fallback-before.fallback, moved, len(apps))
+	}
+}
+
+// TestFloorScanAndMove pins the class floor's two halves directly. The
+// scan keeps the three cheapest fitting slots by (cost, slot) — an equal
+// cost ranks after the earlier slot, a NaN cost never enters, a server
+// that is off costs its activation too — and the first fitting slot
+// whatever its cost. The verdict excludes the app's own slot, moves only
+// past the tie band, and leaves a near tie between the two cheapest to
+// the scan.
+func TestFloorScanAndMove(t *testing.T) {
+	intensity := []float64{math.NaN(), 300, 100, 200, 100, 10}
+	servers := make([]Server, len(intensity))
+	for j, v := range intensity {
+		servers[j] = Server{ID: fmt.Sprintf("s%d", j), Intensity: v, PoweredOn: j != 5, BasePowerW: 5000,
+			Free: cluster.NewResources(100, 100, 100, 100)}
+	}
+	p := NewProblem([]App{{ID: "a", SLOms: 20}}, servers)
+	for j := range servers {
+		p.Compatible[0][j], p.PowerW[0][j] = true, 10
+	}
+	st, mm := &state{}, &costMemo{}
+	st.init(p, CarbonAware{})
+	mm.prepare(p, CarbonAware{})
+	var f floor
+	f.scan(st, mm, 0, stamped{})
+	if f.first != 0 || f.n != 3 || f.slot != [3]int{2, 4, 3} || f.cost != [3]float64{1, 1, 2} {
+		t.Fatalf("floor = %+v, want first 0 and slots [2 4 3] at costs [1 1 2]", f)
+	}
+
+	apart := floor{n: 3, slot: [3]int{0, 1, 2}, cost: [3]float64{1, 2, 3}}
+	near := floor{n: 3, slot: [3]int{0, 1, 2}, cost: [3]float64{1, 1 + 5e-13, 3}}
+	one := floor{n: 1, slot: [3]int{4}, cost: [3]float64{1}}
+	for _, tc := range []struct {
+		name    string
+		f       floor
+		cur     int
+		curCost float64
+		want    int
+	}{
+		{"both cheaper, far apart", apart, 5, 10, 0},
+		{"own slot excluded", apart, 0, 10, 1},
+		{"runner-up not cheaper", apart, 5, 2, 0},
+		{"nothing cheaper", apart, 5, 1, stay},
+		{"inside the band", apart, 5, 1 + 5e-13, stay},
+		{"NaN current cost", apart, 5, math.NaN(), stay},
+		{"near tie", near, 5, 10, nearTie},
+		{"near tie on own slot", near, 0, 10, 1},
+		{"only entry", one, 9, 10, 4},
+		{"only entry is own", one, 4, 10, stay},
+	} {
+		if got := tc.f.move(tc.cur, tc.curCost); got != tc.want {
+			t.Errorf("%s: move(%d, %v) = %d, want %d", tc.name, tc.cur, tc.curCost, got, tc.want)
 		}
 	}
 }
@@ -600,4 +694,106 @@ func TestClassPickRetiredByGrowingDemand(t *testing.T) {
 	if want.ServerOf[2] != 0 {
 		t.Fatalf("fixture no longer exercises the guard: second fill on server %d, want 0", want.ServerOf[2])
 	}
+}
+
+// fuzzWorld decodes bytes into a workspace of at most 12 servers and a
+// batch of at most 40 apps drawn from a (source, SLO, model) grid, so
+// classes share rows, plus the policy. Intensities come from a palette of
+// exact ties, +5e-13 offsets (inside local search's tie band) and ±0,
+// about a third of the servers start off, and Free is tight. Missing
+// bytes read as zero.
+func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy) {
+	cities := []string{"c0", "c1", "c2", "c3"}
+	devices := []string{energy.OrinNano.Name, energy.A2.Name}
+	palette := []float64{100, 100 + 5e-13, 250, 250 + 5e-13, 0, math.Copysign(0, -1), 400}
+	servers := make([]Server, 1+next()%12)
+	for j := range servers {
+		b := next()
+		d, _ := energy.DeviceByName(devices[b%2])
+		servers[j] = Server{
+			ID:         fmt.Sprintf("s%02d", j),
+			DC:         cities[(b>>1)%len(cities)],
+			Device:     d.Name,
+			Intensity:  palette[next()%len(palette)],
+			BasePowerW: d.IdleW,
+			PoweredOn:  (b>>3)%3 != 0,
+			Free:       cluster.NewResources(150*float64(1+(b>>5)), 8192, float64(d.MemMB), 1e6).Scale(0.25),
+		}
+	}
+	ws, err := NewWorkspace(servers, randomWSInstance(rand.New(rand.NewSource(1)), 0, 0).rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := make([]App, 1+next()%40)
+	for i := range apps {
+		apps[i] = fuzzApp(next(), fmt.Sprintf("a%02d", i))
+	}
+	return ws, apps, allPolicies()[next()%len(allPolicies())]
+}
+
+// fuzzApp draws one of the 3 x 2 x 2 grid classes from b.
+func fuzzApp(b int, id string) App {
+	models := []string{energy.ModelEfficientNetB0, energy.ModelResNet50}
+	return App{ID: id, Source: []string{"c0", "c1", "c3"}[b%3], SLOms: []float64{8, 13}[(b/3)%2],
+		Model: models[(b/6)%2], RatePerSec: 2}
+}
+
+// FuzzHeuristicMatchesSweep holds the flattened solver to the reference
+// sweep on decoded instances (fuzzWorld): the cold solve, a warm solve
+// from a decoded seed, and one continuation round on the same view —
+// churned apps plus an intensity tick or a power toggle — must each give
+// the sweep's ServerOf and PowerOn.
+func FuzzHeuristicMatchesSweep(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 0x21, 0, 0x09, 1, 0x41, 2, 0x62, 5, 0x83, 3, 0x04, 6, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() int {
+			if pos >= len(data) {
+				return 0
+			}
+			pos++
+			return int(data[pos-1])
+		}
+		ws, apps, pol := fuzzWorld(t, next)
+		flat := &HeuristicSolver{SkipValidate: true}
+		check := func(when string, p *Problem, warm *Assignment) *Assignment {
+			want, err := sweepSolve(p, pol, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := solveNew(flat, p, pol, warm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.ServerOf, got.ServerOf) || !reflect.DeepEqual(want.PowerOn, got.PowerOn) {
+				t.Fatalf("%s under %s: flat diverged from sweep:\nsweep: %+v\nflat:  %+v", when, pol.Name(), want, got)
+			}
+			return got
+		}
+		p, err := ws.Problem(apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("cold", p, nil)
+		seed := &Assignment{ServerOf: make([]int, len(apps))}
+		for i := range seed.ServerOf {
+			seed.ServerOf[i] = next()%(ws.NumServers()+1) - 1
+		}
+		prev := check("warm", p, seed)
+
+		for c := next() % 6; c > 0; c-- {
+			apps[next()%len(apps)] = fuzzApp(next(), fmt.Sprintf("n%02d", c))
+		}
+		j := next() % ws.NumServers()
+		if srv := ws.Server(j); next()%2 == 0 {
+			ws.UpdateIntensity(j, srv.Intensity+5e-13)
+		} else {
+			ws.SetServerState(j, srv.Free, !srv.PoweredOn)
+		}
+		if p, err = ws.Problem(apps); err != nil {
+			t.Fatal(err)
+		}
+		check("continuation", p, prev)
+	})
 }

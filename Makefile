@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench bench-quick bench-smoke bench-profile
+.PHONY: all build test race lint fuzz size bench bench-quick bench-smoke bench-profile
 
 all: build test
 
@@ -50,6 +50,15 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz '^FuzzHeuristicMatchesSweep$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/placement/
+
+# size prints the size numbers ROADMAP.md quotes: the non-test line count
+# of each core package and the number of //detlint: markers outside
+# internal/lint. CI does not gate on it.
+size:
+	@for p in sim placement orchestrator; do \
+		printf '%-14s %s\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
+	done
+	@printf '%-14s %s\n' "detlint marks" "$$(grep -rn '//detlint:' --include=*.go . | grep -v '^./internal/lint' | wc -l)"
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds

@@ -110,14 +110,15 @@ func (p *Problem) SetUpper(i int, ub float64) error {
 	return nil
 }
 
+// intTol is the integrality tolerance.
+const intTol = 1e-5
+
 // Options bound the search.
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes (0 = 100000).
 	MaxNodes int
 	// TimeLimit caps wall-clock time (0 = no limit).
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance (0 = 1e-6).
-	IntTol float64
 	// Gap terminates early when (incumbent-bound)/|incumbent| falls
 	// below this relative gap (0 = prove optimality).
 	Gap float64
@@ -218,9 +219,6 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 100000
 	}
-	if opt.IntTol <= 0 {
-		opt.IntTol = 1e-5
-	}
 	deadline := time.Time{}
 	if opt.TimeLimit > 0 {
 		//detlint:wallclock TimeLimit is a wall-time budget by contract; a solve that finishes inside it returns the same answer at any clock
@@ -246,10 +244,10 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	// have them: several servers with identical cost).
 	// A caller-supplied warm incumbent replaces the dive: it provides the
 	// same thing (an initial upper bound) without the dive's LP solves.
-	if x, obj, ok := p.validIncumbent(opt.Incumbent, opt.IntTol); ok {
+	if x, obj, ok := p.validIncumbent(opt.Incumbent, intTol); ok {
 		incumbent = x
 		incumbentObj = obj
-	} else if x, obj, ok := p.dive(rc, opt.IntTol); ok {
+	} else if x, obj, ok := p.dive(rc, intTol); ok {
 		incumbent = x
 		incumbentObj = obj
 	}
@@ -297,7 +295,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 
 		// Find the most fractional integer variable.
 		branch := -1
-		worst := opt.IntTol
+		worst := intTol
 		for i, isInt := range p.integer {
 			if !isInt {
 				continue

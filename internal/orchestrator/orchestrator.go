@@ -31,10 +31,9 @@ import (
 type Orchestrator struct {
 	mu sync.Mutex
 
-	carbon  *carbon.Service   //detlint:ephemeral injected dependency, re-supplied on construction
-	shaper  *latency.Shaper   //detlint:ephemeral injected dependency, re-supplied on construction
-	placer  *placement.Placer //detlint:ephemeral injected dependency, re-supplied on construction
-	horizon int               //detlint:ephemeral configuration, re-supplied on construction
+	carbon *carbon.Service   //detlint:ephemeral injected dependency, re-supplied on construction
+	shaper *latency.Shaper   //detlint:ephemeral injected dependency, re-supplied on construction
+	placer *placement.Placer //detlint:ephemeral injected dependency, re-supplied on construction
 
 	// servers is the server table, the one copy of the live world's
 	// servers: a row per server in the cluster's DC-then-registration
@@ -200,24 +199,20 @@ type Config struct {
 	Policy placement.Policy
 	// Start is the initial clock value.
 	Start time.Time
-	// ForecastHorizonHours sets the I_j averaging window (default 24).
-	ForecastHorizonHours int
 }
+
+// forecastHorizonHours is the I_j averaging window.
+const forecastHorizonHours = 24
 
 // New builds an orchestrator.
 func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Cluster == nil || cfg.Carbon == nil || cfg.Shaper == nil {
 		return nil, fmt.Errorf("orchestrator: cluster, carbon service, and shaper are required")
 	}
-	horizon := cfg.ForecastHorizonHours
-	if horizon <= 0 {
-		horizon = 24
-	}
 	o := &Orchestrator{
 		carbon:      cfg.Carbon,
 		shaper:      cfg.Shaper,
 		placer:      placement.NewPlacer(cfg.Policy),
-		horizon:     horizon,
 		now:         cfg.Start,
 		deployments: make(map[string]*deployment),
 		carbonByApp: metrics.NewGrouped(),
@@ -416,7 +411,7 @@ func (o *Orchestrator) syncWorkspace() error {
 		mean, ok := o.fcCache[zone]
 		if !ok {
 			var err error
-			mean, err = o.carbon.MeanForecast(zone, o.now, o.horizon)
+			mean, err = o.carbon.MeanForecast(zone, o.now, forecastHorizonHours)
 			if err != nil {
 				return fmt.Errorf("orchestrator: forecasting zone %s: %w", zone, err)
 			}
@@ -772,6 +767,8 @@ func (o *Orchestrator) CarbonTotalG() float64 {
 
 // AppCarbonG returns the operational emissions attributed to one app.
 func (o *Orchestrator) AppCarbonG(name string) float64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	s := o.carbonByApp.Get(name)
 	if s == nil {
 		return 0

@@ -256,6 +256,48 @@ func TestTickAccruesCarbonAndEnergy(t *testing.T) {
 	}
 }
 
+// TestAppCarbonGWhileTicking reads per-app carbon while another goroutine
+// ticks: the read takes the orchestrator's lock, so the race detector
+// (make race) sees no conflict with the tick's accrual.
+func TestAppCarbonGWhileTicking(t *testing.T) {
+	o := fixture(t, placement.CarbonAware{})
+	if err := o.Submit(testRecipe("app1")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := o.PlaceBatch(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1) // one send: the ticker never blocks if the reader has failed
+	go func() {
+		for h := 0; h < 48; h++ {
+			if err := o.Tick(time.Hour); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	last := 0.0
+	for ticking := true; ticking; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			ticking = false
+		default:
+		}
+		g := o.AppCarbonG("app1")
+		if g < last {
+			t.Fatalf("per-app carbon fell from %v to %v", last, g)
+		}
+		last = g
+	}
+	if last <= 0 {
+		t.Error("no per-app carbon attributed")
+	}
+}
+
 // TestTelemetrySumsDrawsInNameOrder: a server's draw is its idle power
 // plus its deployments' draws added in name order. Float addition is not
 // associative: on one A2 these three draws sum to a different value in

@@ -325,6 +325,15 @@ func (o *Orchestrator) validateState(st *State) error {
 		}
 		used[ds.ServerID] = total
 	}
+	// The queue holds only what InjectScript accepted.
+	for _, sf := range st.FaultQueue {
+		if err := sf.Fault.Validate(); err != nil {
+			return fmt.Errorf("orchestrator: queued fault: %w", err)
+		}
+		if err := o.checkFaultTarget(sf.Fault); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -390,6 +390,44 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	}
 }
 
+// TestLoadStateRejectsInvalidQueuedFaults: a checkpoint's pending fault
+// queue is held to what InjectScript accepts, so a queued fault that
+// would zero a server's capacity, add a negative-capacity server, or fail
+// the next Tick is rejected at load, and the orchestrator is left fresh.
+func TestLoadStateRejectsInvalidQueuedFaults(t *testing.T) {
+	orig := fixture(t, placement.CarbonAware{})
+	deployOne(t, orig, "app-a", "CityA")
+	for _, tc := range []struct {
+		name  string
+		fault events.Fault
+	}{
+		{"degrade with a negative factor", events.Fault{Kind: events.FaultDegrade, Site: "CityA", Factor: -1}},
+		{"scale-out with a negative capacity", events.Fault{Kind: events.FaultScaleOut, Site: "CityA", Device: "A2", CapacityMilli: -5}},
+		{"scale-out at an unknown site", events.Fault{Kind: events.FaultScaleOut, Site: "Atlantis", Device: "A2", CapacityMilli: 500}},
+		{"unknown kind", events.Fault{Kind: "bogus", Site: "CityA"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := fixture(t, placement.CarbonAware{})
+			before, err := json.Marshal(mustState(t, fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := mustState(t, orig)
+			bad.FaultQueue = append(bad.FaultQueue, events.ScheduledFault{At: bad.Now.Add(time.Hour), Fault: tc.fault})
+			if err := fresh.LoadState(bad); err == nil {
+				t.Fatal("accepted")
+			}
+			after, err := json.Marshal(mustState(t, fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("the rejected load changed the orchestrator:\nbefore %s\nafter  %s", before, after)
+			}
+		})
+	}
+}
+
 // TestStateCarriesExactBatchCounters: the split of exact-backend batches
 // into certificate-closed and branch-and-bound-closed survives a
 // checkpoint, and a state written before the split existed (no

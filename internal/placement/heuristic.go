@@ -2,7 +2,6 @@ package placement
 
 import (
 	"math"
-	"reflect"
 	"sync"
 
 	"repro/internal/cluster"
@@ -14,26 +13,21 @@ import (
 // milliseconds; its gap to the exact optimum is stated and pinned per
 // policy by TestExactMatchesBruteForce's heuristic leg.
 //
-// The search is flattened: policy costs are memoized into flat rows shared
-// across identical app classes, after pass 0 only apps whose candidate
-// servers changed in a scan-visible way are re-scanned (server -> class
-// reverse adjacency filtered by capacity threshold flips), and a converged
-// solve carries over to the next one on the same workspace view, so a warm
-// re-solve costs O(changed apps x candidates) instead of O(apps x
-// candidates). Within a solve, construct and local search scan each class
-// state once, not once per app of the class (classMemo).
-// Every skip is provably a no-op scan: assignments are byte-identical to a
-// plain per-app sweep that re-derives every cost through the Policy (the
-// test oracle in oracle_test.go).
+// The search is flattened: each solve memoizes policy costs into flat rows
+// shared across identical app classes, after pass 0 only apps whose
+// candidate servers changed in a scan-visible way are re-scanned (server ->
+// class reverse adjacency filtered by capacity threshold flips), and
+// construct and local search scan each class state once, not once per app
+// of the class (classMemo). Every skip is provably a no-op scan:
+// assignments are byte-identical to a plain per-app sweep that re-derives
+// every cost through the Policy (the test oracle in oracle_test.go). Each
+// solve stands alone; nothing but buffer capacity carries over to the next.
 //
 // The solver owns reusable search scratch (capacity vectors, assignment
-// arrays, validation sets, memoized cost rows, the converged-state
-// continuation, the per-class scan memos), so repeated solves allocate
-// nothing in steady state. A mutex serializes solves; concurrent callers
-// should prefer one solver per goroutine.
+// arrays, validation sets, memoized cost rows, the per-class scan memos),
+// so repeated solves allocate nothing in steady state. A mutex serializes
+// solves; concurrent callers should prefer one solver per goroutine.
 type HeuristicSolver struct {
-	// MaxPasses caps local-search sweeps (0 = 8).
-	MaxPasses int
 	// SkipValidate skips the per-solve structural validation of the
 	// problem (unique IDs, matrix shapes, ascending candidate lists).
 	// Owners of trusted problem sources — the sim engine solving
@@ -54,9 +48,6 @@ type HeuristicSolver struct {
 	bucket   []int
 	// memo holds the memoized cost rows and reverse adjacency.
 	memo costMemo
-	// cont is the converged state of the last solve; the next solve on
-	// the same workspace view scans only what changed since.
-	cont continuation
 	// cm lets a solve scan each class state once rather than once per
 	// app.
 	cm classMemo
@@ -64,8 +55,11 @@ type HeuristicSolver struct {
 	scans struct{ construct, search, fallback, stay, move, retry, stuck int }
 }
 
-// NewHeuristicSolver returns a solver with default search effort.
+// NewHeuristicSolver returns a solver with full input validation.
 func NewHeuristicSolver() *HeuristicSolver { return &HeuristicSolver{} }
+
+// maxPasses caps local-search sweeps.
+const maxPasses = 8
 
 // grow resizes b to exactly n elements, reusing capacity when possible
 // and allocating with headroom otherwise: a batch that creeps up solve
@@ -85,34 +79,20 @@ func grow[T any](b []T, n int) []T {
 const maxDistinctDemands = 8
 
 // costMemo is the flattened view of one (problem, policy) pair: every
-// policy cost the local search can ask for, resolved once into flat
-// arrays laid out per app class, plus the server -> classes reverse
+// policy cost the local search can ask for, resolved once per solve into
+// flat arrays laid out per app class, plus the server -> classes reverse
 // adjacency the dirty-app queue marks through and the per-server
 // distinct-demand lists its capacity filter tests against.
 //
-// The class is the unit of structure. On workspace views (Problem.costGen
-// != 0) under a CoefficientPolicy the classes are the view's own stamp
-// (Problem.classOf: apps of one class have identical candidate lists and
-// coefficients, hence identical cost rows); anywhere else every app is its
-// own class. For the former the memo caches at two granularities: the
-// structure (row layout, static feasibility, adjacency, demand lists)
-// survives as long as the batch and fleet are unchanged, and the cost
-// values survive as long as the workspace's cost generation is unchanged —
-// so a pure carbon-intensity tick re-evaluates only one row per app
-// class, and a pure batch-churn round re-evaluates nothing but the
-// structure. Dense problems (costGen 0) and batch-dependent policies are
-// conservatively rebuilt every solve.
+// The class is the unit of structure. On workspace views (Problem.classOf
+// != nil) under a CoefficientPolicy the classes are the view's own stamp
+// (apps of one class have identical candidate lists and coefficients,
+// hence identical cost rows), so a solve evaluates one row per class;
+// anywhere else every app is its own class.
 type costMemo struct {
-	p       *Problem
-	pol     Policy
-	m       int    // server count the structure is laid out for
-	costGen uint64 // cost generation the rows were evaluated at
-	// hasStruct marks the structural cache (and row sharing) valid: a
-	// workspace view solved under a CoefficientPolicy.
-	hasStruct bool
+	p *Problem
+	m int // server count the structure is laid out for
 
-	// apps is the batch the structure was built for (hasStruct only).
-	apps []App
 	// cls[i] is app i's class and rep[c] the lowest app index in class c:
 	// the view's stamp when rows are shared, else both alias ident (the
 	// identity map).
@@ -132,10 +112,10 @@ type costMemo struct {
 	act []float64
 
 	// adj marks the reverse adjacency and demand lists below built for
-	// the current structure. They are only read when a solve moves an app
-	// or resumes a continuation, so ensureAdj builds them on first such
-	// use rather than with the structure: most solves of a no-move
-	// workload never pay for them.
+	// the current structure. They are only read when a solve moves an
+	// app, so ensureAdj builds them on first such use rather than with
+	// the structure: most solves of a no-move workload never pay for
+	// them.
 	adj bool
 
 	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
@@ -154,79 +134,13 @@ type costMemo struct {
 	dBig []bool
 }
 
-// samePolicy reports whether two policies are the same comparable value.
-// Policies with non-comparable dynamic types never match (the memo is
-// rebuilt, which is always safe).
-func samePolicy(a, b Policy) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	ta := reflect.TypeOf(a)
-	if ta != reflect.TypeOf(b) || !ta.Comparable() {
-		return false
-	}
-	return a == b
-}
-
-// appsEqual reports element-wise equality (App is comparable).
-func appsEqual(a, b []App) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// prepare makes the memo current for (p, pol), reusing whatever layers of
-// the cache remain valid.
-func (mm *costMemo) prepare(p *Problem, pol Policy) {
-	_, coeff := pol.(CoefficientPolicy)
-	shareable := coeff && p.costGen != 0 && p.Candidates != nil
-	if mm.hasStruct && shareable && mm.p == p && mm.m == len(p.Servers) &&
-		samePolicy(mm.pol, pol) && appsEqual(mm.apps, p.Apps) {
-		// Equal batches stamp equal classes; re-alias the view's buffers
-		// in case the workspace regrew them.
-		mm.cls, mm.rep = p.classOf, p.classRep
-		if mm.costGen == p.costGen {
-			return // full hit: same batch, same cost inputs
-		}
-		// Same batch, new cost inputs (intensity tick, power-state
-		// change): re-evaluate the rows, keep the structure.
-		mm.evalRows(p, pol)
-		mm.costGen = p.costGen
-		return
-	}
-	mm.build(p, pol, shareable)
-}
-
-// evalRows (re)computes the policy costs over the existing structure.
-func (mm *costMemo) evalRows(p *Problem, pol Policy) {
-	for j := range p.Servers {
-		mm.act[j] = pol.ActivationCost(p, j)
-	}
-	for c, r := range mm.rep {
-		i, base := int(r), mm.off[c]
-		for k, j := range p.CandidatesOf(i) {
-			if mm.ok[base+k] {
-				mm.row[base+k] = pol.PairCost(p, i, j)
-			} else {
-				mm.row[base+k] = 0
-			}
-		}
-	}
-}
-
-// build lays the memo out from scratch for (p, pol).
-func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
+// build lays the memo out for (p, pol), reusing the buffers' capacity.
+func (mm *costMemo) build(p *Problem, pol Policy) {
 	n, m := len(p.Apps), len(p.Servers)
 
 	// Row sharing: the workspace already grouped the batch by class.
 	// Without sharing every app is its own class.
-	if shareable {
+	if _, coeff := pol.(CoefficientPolicy); coeff && p.classOf != nil {
 		mm.cls, mm.rep = p.classOf, p.classRep
 	} else {
 		for i := len(mm.ident); i < n; i++ {
@@ -236,7 +150,7 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 	}
 	nc := len(mm.rep)
 
-	// Static feasibility per slot.
+	// Static feasibility and cost per slot.
 	mm.off = grow(mm.off, nc)
 	total := 0
 	for c, r := range mm.rep {
@@ -245,23 +159,22 @@ func (mm *costMemo) build(p *Problem, pol Policy, shareable bool) {
 	}
 	mm.row = grow(mm.row, total)
 	mm.ok = grow(mm.ok, total)
+	mm.act = grow(mm.act, m)
+	for j := range p.Servers {
+		mm.act[j] = pol.ActivationCost(p, j)
+	}
 	for c, r := range mm.rep {
 		i, base := int(r), mm.off[c]
 		slo := p.Apps[i].SLOms
 		for k, j := range p.CandidatesOf(i) {
-			mm.ok[base+k] = p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
+			ok := p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
+			mm.ok[base+k], mm.row[base+k] = ok, 0
+			if ok {
+				mm.row[base+k] = pol.PairCost(p, i, j)
+			}
 		}
 	}
-	mm.act = grow(mm.act, m)
-	mm.evalRows(p, pol)
-	mm.adj = false
-
-	if shareable {
-		mm.apps = append(mm.apps[:0], p.Apps...)
-	}
-	mm.p, mm.pol, mm.m = p, pol, m
-	mm.costGen = p.costGen
-	mm.hasStruct = shareable
+	mm.p, mm.m, mm.adj = p, m, false
 }
 
 // ensureAdj builds the server -> classes reverse adjacency and the
@@ -375,35 +288,6 @@ func slotOf(cand []int, j int) int {
 	return -1
 }
 
-// continuation is the converged end state of the last solve on a
-// workspace view. When the next solve arrives on the same view under the
-// same cost generation and policy, every app whose scan inputs are
-// unchanged since that convergence is provably a no-op and starts clean —
-// the solve's cost becomes proportional to what actually changed between
-// batches (churned apps, moved capacity, flipped power states), not to the
-// batch size.
-//
-// Soundness: the previous solve terminated because a scan of every
-// then-dirty app moved nothing, and every then-clean app's inputs were
-// unchanged since its own no-move scan — so the recorded state is a
-// fixpoint: a scan of ANY app against it is a no-op. An app starts clean
-// now only if its identity, its seeded placement, and every scan-visible
-// input on its candidate servers (capacity thresholds via fitsFlip, power
-// states, cost rows via costGen) are unchanged from that fixpoint; its
-// first scan would therefore replay a no-op. Apps whose inputs change
-// mid-solve are marked through the same reverse adjacency as always.
-type continuation struct {
-	valid    bool
-	p        *Problem
-	costGen  uint64
-	pol      Policy
-	apps     []App
-	assigned []int
-	free     []cluster.Resources
-	on       []bool
-	loads    []int
-}
-
 // classMemo lets a solve skip scans that a same-class app has just made.
 // Apps of one class read the same candidate list, gates, cost row and
 // demand row, so a scan's result depends only on the class, the app's
@@ -427,11 +311,10 @@ type continuation struct {
 //     fit threshold flipping, any change on a server that starts off —
 //     touches the class and so advances its stamp past any recorded one
 //     (stamps are scan positions and only grow within a solve); this is
-//     the argument the dirty queue and the continuation above already
-//     rest on. So while the stamp holds, the fit set and its costs are the
-//     ones the floor recorded, and every member's verdict — whatever
-//     server it sits on — is read off it (floor.move) instead of a scan of
-//     its own.
+//     the argument the dirty queue already rests on. So while the stamp
+//     holds, the fit set and its costs are the ones the floor recorded,
+//     and every member's verdict — whatever server it sits on — is read
+//     off it (floor.move) instead of a scan of its own.
 //
 // Entries carry the generation they were made in: SolveInto advances gen
 // every solve and construct on every retiring placement, so no solve
@@ -549,10 +432,10 @@ type state struct {
 	loads    []int // number of apps per server
 
 	// mark and stamp are the dirty-app work queue. mark[i] is the last
-	// pass app i must still be scanned in on its own account (seeded by
-	// initMarks, bumped by a retry placement); stamp[c] is the scan
-	// position (pass<<32 | app index + 1) of the latest touch on class c,
-	// which dirties every member at once. An app is skipped in pass p when
+	// pass app i must still be scanned in on its own account (0 at init,
+	// so pass 0 scans every app; bumped by a retry placement); stamp[c]
+	// is the scan position (pass<<32 | app index + 1) of the latest touch
+	// on class c, which dirties every member at once. An app is skipped in pass p when
 	// neither makes it due (see dirty), which is provably a no-op scan: no
 	// server in its candidate list changed in a way its scan can observe
 	// since its last scan.
@@ -563,8 +446,9 @@ type state struct {
 // noStamp is a class stamp that makes no member due in any pass.
 const noStamp = -1 << 32
 
-// init points the state at a problem, reusing the slices' capacity.
-func (st *state) init(p *Problem, pol Policy) {
+// init points the state at a problem with nc app classes, reusing the
+// slices' capacity: nothing placed and every app due in pass 0.
+func (st *state) init(p *Problem, pol Policy, nc int) {
 	st.p = p
 	st.pol = pol
 	n, m := len(p.Apps), len(p.Servers)
@@ -572,6 +456,8 @@ func (st *state) init(p *Problem, pol Policy) {
 	st.on = grow(st.on, m)
 	st.loads = grow(st.loads, m)
 	st.assigned = grow(st.assigned, n)
+	st.mark = grow(st.mark, n)
+	st.stamp = grow(st.stamp, nc)
 	for j := range p.Servers {
 		st.free[j] = p.Servers[j].Free
 		st.on[j] = p.Servers[j].PoweredOn
@@ -579,6 +465,10 @@ func (st *state) init(p *Problem, pol Policy) {
 	}
 	for i := range st.assigned {
 		st.assigned[i] = -1
+		st.mark[i] = 0
+	}
+	for c := range st.stamp {
+		st.stamp[c] = noStamp
 	}
 }
 
@@ -696,10 +586,10 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 		}
 	}
 	mm := &s.memo
-	mm.prepare(p, pol)
+	mm.build(p, pol)
 	s.cm.reset(mm)
 	st := &s.st
-	st.init(p, pol)
+	st.init(p, pol, len(mm.rep))
 
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		// Warm start: re-commit the previous epoch's placements that are
@@ -713,13 +603,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 		s.construct(st, mm)
 	}
 
-	maxPasses := s.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = 8
-	}
-	s.initMarks(st, mm, p, pol)
-	converged := s.localSearch(st, mm, maxPasses)
-	s.recordContinuation(st, mm, p, pol, converged)
+	s.localSearch(st, mm)
 
 	dst.ServerOf = append(dst.ServerOf[:0], st.assigned...)
 	dst.PowerOn = append(dst.PowerOn[:0], st.on...)
@@ -733,69 +617,6 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 		dst.Unplaced = nil
 	}
 	return nil
-}
-
-// initMarks seeds the dirty-app queue for a solve: everything dirty by
-// default, or — when the last converged solve on this view still applies —
-// only what changed since that fixpoint.
-func (s *HeuristicSolver) initMarks(st *state, mm *costMemo, p *Problem, pol Policy) {
-	n := len(p.Apps)
-	st.mark = grow(st.mark, n)
-	st.stamp = grow(st.stamp, len(mm.rep))
-	for c := range st.stamp {
-		st.stamp[c] = noStamp
-	}
-	c := &s.cont
-	if !(c.valid && mm.hasStruct && c.p == p && p.costGen != 0 &&
-		c.costGen == p.costGen && samePolicy(c.pol, pol) &&
-		len(c.apps) == n && len(c.free) == len(p.Servers)) {
-		for i := range st.mark {
-			st.mark[i] = 0
-		}
-		return
-	}
-	mm.ensureAdj()
-	for i := range st.mark {
-		st.mark[i] = -1
-	}
-	// An app restarts dirty if it is not the app that converged at this
-	// position, or it no longer sits where the fixpoint left it.
-	for i := range p.Apps {
-		if p.Apps[i] != c.apps[i] || st.assigned[i] != c.assigned[i] {
-			st.mark[i] = 0
-		}
-	}
-	// A server re-dirties its adjacent apps only if it changed in a
-	// scan-visible way since the fixpoint: a capacity-fit threshold
-	// flipped, or it participates in activation cost/credit terms
-	// (servers starting powered off) and anything about it moved. Cost
-	// changes are excluded by costGen equality above.
-	for j := range p.Servers {
-		if st.free[j] == c.free[j] && st.on[j] == c.on[j] && st.loads[j] == c.loads[j] {
-			continue
-		}
-		if !p.Servers[j].PoweredOn || mm.fitsFlip(j, c.free[j], st.free[j]) {
-			st.touch(mm, j, -1, 0)
-		}
-	}
-}
-
-// recordContinuation snapshots the converged state for the next solve.
-// Only cleanly-converged solves on workspace views qualify: a pass-capped
-// exit is not a fixpoint, and dense problems can mutate without any
-// generation moving.
-func (s *HeuristicSolver) recordContinuation(st *state, mm *costMemo, p *Problem, pol Policy, converged bool) {
-	c := &s.cont
-	c.valid = converged && mm.hasStruct && p.costGen != 0
-	if !c.valid {
-		return
-	}
-	c.p, c.costGen, c.pol = p, p.costGen, pol
-	c.apps = append(c.apps[:0], p.Apps...)
-	c.assigned = append(c.assigned[:0], st.assigned...)
-	c.free = append(c.free[:0], st.free...)
-	c.on = append(c.on[:0], st.on...)
-	c.loads = append(c.loads[:0], st.loads...)
 }
 
 // orderByCount fills order with the indices of counts sorted ascending by
@@ -890,10 +711,9 @@ func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 // fit thresholds, activation states, and cost rows over the app's
 // candidate list, and the app's own placement — are unchanged since a scan
 // that moved nothing, and a due app's verdict is read off its class's
-// floor, scanning only on a near tie (see classMemo). Returns whether the
-// search converged (a full pass moved nothing) rather than exhausting its
-// pass budget.
-func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bool {
+// floor, scanning only on a near tie (see classMemo). It stops when a full
+// pass moves nothing or after maxPasses passes.
+func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 	p, cm := st.p, &s.cm
 	n := len(p.Apps)
 	for pass := 0; pass < maxPasses; pass++ {
@@ -983,8 +803,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo, maxPasses int) bo
 			}
 		}
 		if !improved {
-			return true
+			return
 		}
 	}
-	return false
 }

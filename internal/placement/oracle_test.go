@@ -23,7 +23,7 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 		return nil, err
 	}
 	st := &state{}
-	st.init(p, pol)
+	st.init(p, pol, 0)
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		for i, j := range warm.ServerOf {
 			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {

@@ -23,10 +23,8 @@ type Policy interface {
 // ActivationCost(p, j) only Servers[j]. In particular the cost of a pair
 // must not depend on the app's identity or on the rest of the batch.
 //
-// The flattened solver uses the marker twice: memoized cost rows are
-// shared across apps of the same (source, SLO, model, rate) class, and a
-// converged solve can carry over to the next one on the same workspace
-// view when the workspace's cost inputs are unchanged (Workspace.costGen).
+// The flattened solver uses the marker to share memoized cost rows across
+// the apps of one (source, SLO, model, rate) class of a workspace view.
 // CarbonEnergyBlend deliberately does not implement it — its min-max
 // normalization makes every pair cost depend on the whole batch.
 type CoefficientPolicy interface {

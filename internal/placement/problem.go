@@ -104,15 +104,6 @@ type Problem struct {
 	// pointer identity alone cannot key policy-side caches (see
 	// CarbonEnergyBlend.prepare).
 	gen uint64
-
-	// costGen is the owning Workspace's cost-input generation at assembly
-	// time: it advances only when a server-side cost input changes
-	// (intensity, power state, fleet size), not on every reassembly like
-	// gen. The flattened solver keys its memoized cost rows and its
-	// cross-solve continuation on it. Zero (any hand-built problem)
-	// disables both reuses — its contents can change without any counter
-	// moving.
-	costGen uint64
 }
 
 // CandidatesOf returns app i's candidate server indices in ascending

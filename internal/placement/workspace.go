@@ -78,15 +78,6 @@ type Workspace struct {
 	classBuf   []int32
 	repBuf     []int32
 	serversBuf []Server
-
-	// costGen advances whenever a server-side cost input changes:
-	// intensity ticks, power-state overrides, commits (power-on), fleet
-	// growth. Problem views are stamped with it so the solver can tell
-	// "same world, new batch" (cost rows and converged state still apply)
-	// from "the world's costs moved" (rebuild). Free-capacity-only changes
-	// (ReleaseApp) do not advance it — the solver re-derives capacity from
-	// the view every solve and detects those directly.
-	costGen uint64
 }
 
 // classKey identifies an app equivalence class: demand, power, and
@@ -200,7 +191,6 @@ func NewWorkspace(servers []Server, rtt RTTFunc, profile func(model, device stri
 		latOK:     map[latKey]*idxSpan{},
 		cands:     map[candKey]*candClass{},
 		committed: map[string]commitRec{},
-		costGen:   1, // non-zero from birth: zero means "no workspace"
 	}, nil
 }
 
@@ -226,7 +216,6 @@ func (ws *Workspace) AddServers(servers ...Server) error {
 			}
 		}
 		ws.servers = append(ws.servers, s)
-		ws.costGen++
 	}
 	return nil
 }
@@ -235,20 +224,17 @@ func (ws *Workspace) AddServers(servers ...Server) error {
 // carbon-clock tick). Shortlists are intensity-independent, so this is
 // O(1).
 func (ws *Workspace) UpdateIntensity(j int, intensity float64) {
-	if ws.servers[j].Intensity != intensity {
-		ws.servers[j].Intensity = intensity
-		ws.costGen++
-	}
+	ws.servers[j].Intensity = intensity
 }
 
 // SetServerState overwrites server j's free capacity and power state.
 // Layers that keep their own capacity accounting (the simulator's
-// aggregate site servers, the orchestrator's cluster) use this to sync
-// the workspace before a solve instead of CommitAssignment/ReleaseApp.
+// aggregate site servers, the orchestrator's server table) use this to
+// sync the workspace before a solve instead of CommitAssignment/ReleaseApp.
+// It is O(1): the next Problem view snapshots the servers.
 func (ws *Workspace) SetServerState(j int, free cluster.Resources, poweredOn bool) {
 	ws.servers[j].Free = free
 	ws.servers[j].PoweredOn = poweredOn
-	ws.costGen++
 }
 
 // CommitAssignment applies a solved batch to the workspace: hosting
@@ -289,9 +275,6 @@ func (ws *Workspace) CommitAssignment(p *Problem, a *Assignment) error {
 			ws.servers[j].PoweredOn = true
 		}
 	}
-	// Power states may have flipped (a cost input the solver reads
-	// directly); capacity changes alone would not need a bump.
-	ws.costGen++
 	return nil
 }
 
@@ -468,7 +451,6 @@ func (ws *Workspace) scratchProblem(apps []App) *Problem {
 		Candidates: ws.candBuf,
 		classOf:    ws.classBuf,
 		gen:        ws.viewGen,
-		costGen:    ws.costGen,
 	}
 	return &ws.view
 }

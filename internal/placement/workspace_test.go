@@ -610,9 +610,9 @@ func TestWorkspaceMemoBounded(t *testing.T) {
 // and one sweep solver through many warm re-solve rounds on a shared
 // workspace — app churn every round, intensity ticks and power toggles
 // now and then — and requires byte-identical assignments throughout.
-// This is the steady-state regime where the flat solver's memoized rows
-// and converged-state continuation actually engage, so it pins down the
-// cross-solve carry-over logic, not just single-solve equivalence.
+// This is the engine's steady-state regime: one solver reused across
+// batches, warm-seeded from the previous result, so it pins down that
+// nothing a solve leaves in the solver's scratch leaks into the next.
 func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 	for _, pol := range allPolicies() {
 		pol := pol

@@ -118,7 +118,7 @@ func TestZoneSignalMatchesService(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantFC, err := svc.MeanForecast(zone, now, e.horizon)
+					wantFC, err := svc.MeanForecast(zone, now, forecastHorizonHours)
 					if err != nil {
 						t.Fatal(err)
 					}

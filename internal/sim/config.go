@@ -96,8 +96,6 @@ type Config struct {
 	// ServersAlwaysOn models a CDN whose servers never power down; when
 	// false, servers start off and the activation term applies.
 	ServersAlwaysOn bool
-	// ForecastHorizonHours sets the mean-forecast window for I_j.
-	ForecastHorizonHours int
 	// Forecaster overrides the default seasonal-naive forecaster (the
 	// forecast ablation swaps in EWMA or the oracle).
 	Forecaster carbon.Forecaster
@@ -155,6 +153,11 @@ type Config struct {
 	Obs *obs.Config
 }
 
+// forecastHorizonHours is the mean-forecast window for I_j. ConfigSig
+// still renders it (horizon=24), so signatures recorded while it was a
+// Config field stay valid.
+const forecastHorizonHours = 24
+
 // DefaultConfig returns the paper's CDN baseline: year-long, 20 ms RTT
 // limit, ResNet50 serving on A2-class pools, always-on servers.
 func DefaultConfig(region carbon.Region, pol placement.Policy) Config {
@@ -173,7 +176,6 @@ func DefaultConfig(region carbon.Region, pol placement.Policy) Config {
 		Demand:               BySiteWeight,
 		Capacity:             BySiteWeight,
 		ServersAlwaysOn:      true,
-		ForecastHorizonHours: 24,
 	}
 }
 

@@ -90,7 +90,6 @@ type Engine struct {
 	zones          []zoneTrace                //detlint:ephemeral trace readers and per-epoch memos, rebuilt at construction
 	spanLo, spanHi int                        //detlint:ephemeral derived from the world's traces at construction
 	tick, zoneGen  int                        //detlint:ephemeral carbon clock of the memos; every epoch's tick resets it before any read
-	horizon        int                        //detlint:ephemeral configuration, derived from cfg at construction
 	solver         *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
 
 	// ws is the persistent placement workspace: built once per run, it
@@ -329,10 +328,6 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		fc = carbon.SeasonalNaive{Period: 24}
 	}
 	svc := carbon.NewService(w.Traces, fc)
-	e.horizon = cfg.ForecastHorizonHours
-	if e.horizon <= 0 {
-		e.horizon = 24
-	}
 	e.start = w.Traces.Start.Add(time.Duration(cfg.StartHour) * time.Hour)
 	e.zoneSlot = map[string]int{}
 	e.zoneSlotOfSite = make([]int, len(sites))
@@ -827,7 +822,7 @@ func (e *Engine) meanForecast(slot int) (float64, error) {
 	if z.fcGen == e.zoneGen {
 		return z.fc, nil
 	}
-	v, err := z.MeanForecast(z.off+e.tick, e.horizon)
+	v, err := z.MeanForecast(z.off+e.tick, forecastHorizonHours)
 	if err != nil {
 		return 0, err
 	}
@@ -1139,33 +1134,32 @@ func (e *Engine) redeploy(now time.Time) error {
 		})
 	}
 	apps := e.appsBuf
-	// Optional warm start (§7 extension knob): seed the solver with the
-	// identity placement — each live app on its current server — so local
-	// search only pays for what actually moved. Off by default: the
-	// warm-seeded local optimum can differ from the cold one, and the
-	// paper's redeploy figures are produced cold.
+	// The identity placement — each live app on its current server — is
+	// feasible by construction. Optional warm start (§7 extension knob):
+	// seed the solver with it so local search only pays for what actually
+	// moved. Off by default: the warm-seeded local optimum can differ from
+	// the cold one, and the paper's redeploy figures are produced cold.
+	e.warmBuf.ServerOf = append(e.warmBuf.ServerOf[:0], prevs...)
+	e.warmBuf.PowerOn = e.warmBuf.PowerOn[:0]
+	e.warmBuf.Unplaced = nil
 	var warm *placement.Assignment
 	if e.cfg.WarmRedeploy {
-		e.warmBuf.ServerOf = append(e.warmBuf.ServerOf[:0], prevs...)
-		e.warmBuf.PowerOn = e.warmBuf.PowerOn[:0]
-		e.warmBuf.Unplaced = nil
 		warm = &e.warmBuf
 	}
 	prob, asg, err := e.solveBatch(apps, warm)
+	if err == nil && warm == nil && len(asg.Unplaced) > 0 {
+		// The cold greedy left a running app unplaced: redeploy from the
+		// identity seed instead, which local search only improves by
+		// fitting moves, so no app is lost and no server over-committed.
+		prob, asg, err = e.solveBatch(apps, &e.warmBuf)
+	}
 	if err != nil {
 		return err
 	}
 
 	for i, j := range asg.ServerOf {
 		if j < 0 {
-			// Infeasible this pass: the app stays where it was.
-			a := &e.live[i]
-			a.srv = prevs[i]
-			srv := &e.servers[a.srv]
-			a.site, a.device = srv.site, srv.device.Name
-			srv.used = srv.used.Add(a.demand)
-			srv.on = true
-			continue
+			return fmt.Errorf("sim: redeploy left live app %s (%s, on server %d) unplaced", apps[i].ID, apps[i].Model, prevs[i])
 		}
 		srv := &e.servers[j]
 		a := &e.live[i]

@@ -1,0 +1,116 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+	"time"
+
+	"repro/internal/carbon"
+	"repro/internal/cluster"
+	"repro/internal/energy"
+	"repro/internal/placement"
+)
+
+// checkPhysical returns the first way e's state is not physical, or nil:
+// every server's used equals the sum of its live apps' demands (1e-9 per
+// dimension) and fits its effective capacity, no live app sits on a down
+// server, and every live app runs a profiled (model, device) pairing
+// within the SLO (under the solver's own 1e-9 latency gate).
+func checkPhysical(e *Engine) error {
+	sums := make([]cluster.Resources, len(e.servers))
+	for i := range e.live {
+		a := &e.live[i]
+		srv := &e.servers[a.srv]
+		if srv.down {
+			return fmt.Errorf("live app %d (%s) on down server %d", i, a.model, a.srv)
+		}
+		if _, err := energy.ProfileFor(a.model, a.device); err != nil {
+			return fmt.Errorf("live app %d: %v", i, err)
+		}
+		if a.device != srv.device.Name {
+			return fmt.Errorf("live app %d runs on device %s, its server %d is %s", i, a.device, a.srv, srv.device.Name)
+		}
+		if !(a.rttMs <= e.cfg.RTTLimitMs+1e-9) {
+			return fmt.Errorf("live app %d at %.6f ms RTT, limit %g ms", i, a.rttMs, e.cfg.RTTLimitMs)
+		}
+		sums[a.srv] = sums[a.srv].Add(a.demand)
+	}
+	for j := range e.servers {
+		srv := &e.servers[j]
+		for k := range srv.used {
+			if !(math.Abs(srv.used[k]-sums[j][k]) <= 1e-9) {
+				return fmt.Errorf("server %d used %v, its live apps sum to %v", j, srv.used, sums[j])
+			}
+		}
+		if !srv.used.Fits(srv.cap) {
+			return fmt.Errorf("server %d over-committed: used %v, capacity %v", j, srv.used, srv.cap)
+		}
+	}
+	return nil
+}
+
+// runChecked runs cfg to completion with checkPhysical as an epoch
+// observer and fails at the first epoch that breaks it.
+func runChecked(t *testing.T, cfg Config, w *World) *Result {
+	t.Helper()
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad error
+	peak := 0
+	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, _ *Result) {
+		peak = max(peak, len(e.live))
+		if err := checkPhysical(e); err != nil && bad == nil {
+			bad = fmt.Errorf("epoch %d: %w", epoch, err)
+		}
+	}))
+	for !e.Done() && bad == nil {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if peak == 0 {
+		t.Fatal("no epoch had a live app: the check is vacuous")
+	}
+	return e.Finish()
+}
+
+// TestEpochsPhysicalGolden holds every golden configuration to the
+// epoch invariants.
+func TestEpochsPhysicalGolden(t *testing.T) {
+	w := testWorld(t)
+	cases := goldenCases()
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) { runChecked(t, cases[name], w) })
+	}
+}
+
+// TestEpochsPhysicalRedeployChurn holds the solver-bound churn shape — a
+// redeploy every 6 h over a fleet the cold greedy cannot always repack —
+// to the epoch invariants, cold and warm.
+func TestEpochsPhysicalRedeployChurn(t *testing.T) {
+	w := testWorld(t)
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
+			cfg := DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
+			cfg.Hours = 240
+			cfg.ArrivalsPerHour = 120
+			cfg.AppLifetimeHours = 72
+			cfg.RedeployEveryHours = 6
+			cfg.Devices = []string{energy.A2.Name, energy.GTX1080.Name, energy.OrinNano.Name}
+			cfg.WarmRedeploy = warm
+			runChecked(t, cfg, w)
+		})
+	}
+}

@@ -225,7 +225,7 @@ func ConfigSig(cfg Config) string {
 		cfg.Model, cfg.Models, cfg.RatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
 		cfg.Demand, cfg.Capacity, cfg.ServersAlwaysOn)
 	fmt.Fprintf(&b, " horizon=%d forecaster=%T%+v batch=%d loadci=%t redeploy=%d migmb=%g migj=%g warm=%t",
-		cfg.ForecastHorizonHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
+		forecastHorizonHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
 		cfg.RedeployEveryHours, cfg.MigrationDataMB, cfg.MigrationJPerMB, cfg.WarmRedeploy)
 	if cfg.Traffic != nil {
 		fmt.Fprintf(&b, " traffic=%+v", *cfg.Traffic)

@@ -50,6 +50,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz '^FuzzHeuristicMatchesSweep$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/placement/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/orchestrator/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package and the number of //detlint: markers outside
@@ -83,14 +85,17 @@ bench-smoke:
 # scrapes), one of the paper's CDN year (BenchmarkCDNYear: the per-epoch
 # floor of carbon reads, view assembly and no-move solves) and one of the
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
-# checkpoint.Encode after every Step), and prints the top-10 flat
-# summaries. The checked-in snapshots of those summaries live in
-# profiles/PROFILE_25.md (redeploy churn after the class floor;
-# profiles/PROFILE_19.md after the class memos), profiles/PROFILE_13.md
-# (traffic), profiles/PROFILE_14.md and profiles/PROFILE_21.md (live, the
-# latter under GOMAXPROCS=1 as the ledger runs it), profiles/PROFILE_17.md
-# (CDN year) and profiles/PROFILE_18.md (checkpoint); profiles/PROFILE_12.md
-# is the retired workspace benchmark's, kept as history. Regenerate them
+# checkpoint.Encode, that is Snapshot.AppendJSON and SHA-256, after every
+# Step), and prints the top-10 flat summaries. The checked-in snapshots
+# of those summaries live in profiles/PROFILE_25.md (redeploy churn after
+# the class floor; profiles/PROFILE_19.md after the class memos),
+# profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md and
+# profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
+# ledger runs it), profiles/PROFILE_17.md (CDN year) and
+# profiles/PROFILE_27.md (checkpoint after the reflection-free snapshot
+# encoder; profiles/PROFILE_18.md after the single-encode framing);
+# profiles/PROFILE_12.md is the retired workspace benchmark's, kept as
+# history. Regenerate them
 # with this target after solver, request-path, orchestrator, engine or
 # codec changes. The benchmarks run in separate invocations: profiling
 # needs a single test binary (so the repo root package, not ./...).

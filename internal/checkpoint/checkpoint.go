@@ -3,11 +3,15 @@
 // Every artifact is a JSON envelope carrying the format name, a format
 // version, a kind tag, and a SHA-256 digest of the payload, so a reader
 // can reject foreign files, versions it does not understand, mis-routed
-// kinds, and corrupted payloads before decoding a byte of state. Payload
-// encoding is plain encoding/json: Go's float and integer renderings
-// round-trip exactly and maps encode with sorted keys, so two equal
-// states produce identical bytes — the property the resume-equivalence
-// tests compare.
+// kinds, and corrupted payloads before decoding a byte of state. A
+// payload is encoded as encoding/json encodes it: Go's float and integer
+// renderings round-trip exactly and maps encode with sorted keys, so two
+// equal states produce identical bytes — the property the
+// resume-equivalence tests compare. A payload with an AppendJSON method
+// (*sim.Snapshot, the engine checkpoint) writes those bytes itself,
+// without reflection; every other payload goes through a json.Encoder.
+// encoding/json is the only decoder, and a reader accepts nothing but
+// whitespace after the envelope.
 //
 // The write path encodes the payload once and frames the envelope
 // around those bytes: a fixed prefix (format, version, kind, optional
@@ -16,12 +20,12 @@
 // Envelope that Seal returns: encoding/json emits the struct's fields in
 // declaration order, encodes Kind and Key with the same encoder (HTML
 // escaping on, invalid UTF-8 replaced), and re-compacts a RawMessage
-// payload, which is the identity on bytes encoding/json has just
-// produced — they are already compact and already escaped. So the
-// envelope is never re-scanned; only a payload this package has itself
-// just encoded takes the verbatim path. An Envelope read from disk (the
-// shard coordinator embeds sealed member envelopes in its payload) is
-// still ordinary data to encoding/json.
+// payload, which is the identity on bytes encoding/json produces — they
+// are already compact and already escaped, and AppendJSON is held to
+// the same bytes. So the envelope is never re-scanned; only a payload
+// this package has itself just encoded takes the verbatim path. An
+// Envelope read from disk (the shard coordinator embeds sealed member
+// envelopes in its payload) is still ordinary data to encoding/json.
 //
 // Files are written atomically (temp file + fsync + rename + fsync of
 // the directory), so a crash mid-checkpoint leaves the previous
@@ -74,10 +78,12 @@ type Envelope struct {
 // Composite checkpoints — the shard coordinator's world snapshot —
 // embed per-member envelopes sealed here inside their own payload.
 func Seal(kind, key string, payload any) (*Envelope, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
+	f := getFrame()
+	defer frames.Put(f)
+	if err := f.encode(payload); err != nil {
 		return nil, fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
 	}
+	raw := bytes.Clone(f.buf.Bytes())
 	sum := sha256.Sum256(raw)
 	return &Envelope{
 		Format:  Format,
@@ -139,10 +145,26 @@ func getFrame() *frame {
 	return f
 }
 
-// encode appends v's JSON encoding, without the encoder's trailing
-// newline. The encoder escapes HTML as json.Marshal does, and writes
-// nothing when v fails to encode.
+// appender is a payload that encodes itself without reflection:
+// AppendJSON appends exactly the bytes json.Marshal would produce, or
+// returns json.Marshal's error (*sim.Snapshot is one).
+type appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// encode appends v's JSON encoding: through v's AppendJSON when it has
+// one, straight into the buffer's spare capacity, and otherwise through
+// the pooled encoder without its trailing newline. Both escape HTML as
+// json.Marshal does, and write nothing when v fails to encode.
 func (f *frame) encode(v any) error {
+	if a, ok := v.(appender); ok {
+		b, err := a.AppendJSON(f.buf.AvailableBuffer())
+		if err != nil {
+			return err
+		}
+		f.buf.Write(b)
+		return nil
+	}
 	if err := f.enc.Encode(v); err != nil {
 		return err
 	}
@@ -191,11 +213,19 @@ func Encode(w io.Writer, kind string, payload any) error {
 }
 
 // Decode reads one enveloped payload from r, validates the envelope
-// against kind, and unmarshals the payload into out.
+// against kind, and unmarshals the payload into out. The envelope must
+// be all r holds: only whitespace may follow it.
 func Decode(r io.Reader, kind string, out any) error {
 	var env Envelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&env); err != nil {
 		return fmt.Errorf("checkpoint: reading envelope: %w", err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return fmt.Errorf("checkpoint: data after the envelope: %w", err)
 	}
 	raw, err := env.Open(kind)
 	if err != nil {

@@ -70,6 +70,17 @@ func TestDecodeRejections(t *testing.T) {
 		!strings.Contains(err.Error(), "digest") {
 		t.Errorf("tampered payload accepted (err=%v)", err)
 	}
+
+	// Only whitespace may follow the envelope.
+	for _, tail := range []string{`{"format":"junk"} trailing garbage`, "garbage", "}", "\n" + string(good), "0"} {
+		if err := Decode(strings.NewReader(string(good)+tail), "test-kind", &out); err == nil ||
+			!strings.Contains(err.Error(), "after the envelope") {
+			t.Errorf("envelope followed by %q accepted (err=%v)", tail, err)
+		}
+	}
+	if err := Decode(strings.NewReader(string(good)+" \t\r\n\n"), "test-kind", &out); err != nil {
+		t.Errorf("envelope followed by whitespace rejected: %v", err)
+	}
 }
 
 func TestEncodingDeterministic(t *testing.T) {

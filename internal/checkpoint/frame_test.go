@@ -2,8 +2,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -12,16 +15,21 @@ import (
 	"testing"
 )
 
-// encodeOracle is the envelope writer frame.seal replaced: Seal the
-// payload, then hand the whole Envelope to a json.Encoder, which
-// re-validates and re-compacts the RawMessage payload. Encode, Save and
-// Journal.Append must produce its bytes exactly.
+// encodeOracle is the reflection path every envelope writer is held to:
+// json.Marshal the payload, digest it, and hand the whole Envelope to a
+// json.Encoder, which re-validates and re-compacts the RawMessage
+// payload. Encode, Save, Seal and Journal.Append must produce its bytes
+// (and its error) exactly.
 func encodeOracle(w io.Writer, kind, key string, payload any) error {
-	env, err := Seal(kind, key, payload)
+	raw, err := json.Marshal(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
 	}
-	return json.NewEncoder(w).Encode(env)
+	sum := sha256.Sum256(raw)
+	return json.NewEncoder(w).Encode(&Envelope{
+		Format: Format, Version: Version, Kind: kind, Key: key,
+		SHA256: hex.EncodeToString(sum[:]), Payload: raw,
+	})
 }
 
 // sealed is frame.seal's output as a fresh slice.
@@ -82,6 +90,7 @@ func oraclePayloads() map[string]any {
 		"bytes":     []byte("<binary>\x00\xff"),
 		"composite": point{Name: "outer", Inner: member},
 		"big":       big,
+		"appender":  &appending{V: 1e-7, S: "<appender>", calls: new(int)},
 	}
 }
 
@@ -153,6 +162,7 @@ func TestEncodeMarshalErrorMatchesOracle(t *testing.T) {
 		"inf in map": map[string]float64{"x": math.Inf(1)},
 		"marshaler":  []any{1, failingMarshaler{}},
 		"func field": struct{ F func() }{F: func() {}},
+		"appender":   &appending{V: math.Inf(-1), calls: new(int)},
 	} {
 		want := encodeOracle(io.Discard, "engine", "", v)
 		if want == nil {
@@ -179,6 +189,57 @@ func TestEncodeMarshalErrorMatchesOracle(t *testing.T) {
 	}
 	if raw, err := os.ReadFile(j.Path()); err != nil || len(raw) != 0 {
 		t.Errorf("journal holds %d bytes after failed appends (err %v)", len(raw), err)
+	}
+}
+
+// appending is a payload that encodes itself through AppendJSON the way
+// its contract asks (json.Marshal's bytes, or its error), counting calls.
+type appending struct {
+	V     float64 `json:"v"`
+	S     string  `json:"s"`
+	calls *int
+}
+
+func (p *appending) AppendJSON(dst []byte) ([]byte, error) {
+	*p.calls++
+	b, err := json.Marshal(p)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, b...), nil
+}
+
+// TestSealMatchesMarshal: Seal's payload is json.Marshal's bytes, and a
+// payload with AppendJSON is encoded through it, once per envelope, by
+// Seal, Encode, Save and Journal.Append alike.
+func TestSealMatchesMarshal(t *testing.T) {
+	for name, v := range oraclePayloads() {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := Seal("k", "", v)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(env.Payload, want) {
+			t.Errorf("%s: Seal payload %.200s, want %.200s", name, env.Payload, want)
+		}
+	}
+	dir := t.TempDir()
+	j, _, err := OpenJournal(filepath.Join(dir, "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	calls := 0
+	p := &appending{V: 0.1, calls: &calls}
+	_, serr := Seal("k", "", p)
+	eerr := Encode(io.Discard, "k", p)
+	verr := Save(filepath.Join(dir, "state.ckpt"), "k", p)
+	aerr := j.Append("k", "", p)
+	if serr != nil || eerr != nil || verr != nil || aerr != nil || calls != 4 {
+		t.Errorf("AppendJSON called %d times for four envelopes (errors %v %v %v %v)", calls, serr, eerr, verr, aerr)
 	}
 }
 

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -496,6 +497,37 @@ func TestHTTPRejectsBadInput(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /place status = %d", resp.StatusCode)
+	}
+
+	// A state envelope followed by anything but whitespace is refused.
+	resp, err = http.Get(srv.URL + "/api/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /state: %d, %v", resp.StatusCode, err)
+	}
+	for _, tc := range []struct {
+		tail string
+		want int
+	}{
+		{`{"format":"junk"} trailing garbage`, http.StatusBadRequest},
+		{"\n\n", http.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/api/v1/state", strings.NewReader(string(state)+tc.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("PUT /state with tail %q: status %d, want %d", tc.tail, resp.StatusCode, tc.want)
+		}
 	}
 }
 

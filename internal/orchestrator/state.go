@@ -303,6 +303,9 @@ func (o *Orchestrator) validateState(st *State) error {
 	used := map[string]cluster.Resources{}
 	names := map[string]bool{}
 	for _, ds := range st.Deployments {
+		if err := ds.Recipe.Validate(); err != nil {
+			return err
+		}
 		if names[ds.Recipe.Name] {
 			return fmt.Errorf("orchestrator: deployment %s appears twice", ds.Recipe.Name)
 		}
@@ -314,9 +317,18 @@ func (o *Orchestrator) validateState(st *State) error {
 		if !info.on {
 			return fmt.Errorf("orchestrator: deployment %s sits on powered-off server %s", ds.Recipe.Name, ds.ServerID)
 		}
-		// The replica table needs the pair's profile (newReplica).
-		if _, err := energy.ProfileFor(ds.Recipe.Model, info.device); err != nil {
+		// The replica table needs the pair's profile (newReplica), and its
+		// capacity is the recipe's rate: one no server of the type can
+		// serve was never placed (routing it allocated without bound).
+		prof, err := energy.ProfileFor(ds.Recipe.Model, info.device)
+		if err != nil {
 			return fmt.Errorf("orchestrator: deployment %s on %s: %w", ds.Recipe.Name, ds.ServerID, err)
+		}
+		if _, _, ok := placement.Coefficients(prof, ds.Recipe.RatePerSec); !ok {
+			return fmt.Errorf("orchestrator: deployment %s: %s cannot serve %g req/s of %s", ds.Recipe.Name, info.device, ds.Recipe.RatePerSec, ds.Recipe.Model)
+		}
+		if !ds.Demand.NonNegative() {
+			return fmt.Errorf("orchestrator: deployment %s holds a negative demand %v", ds.Recipe.Name, ds.Demand)
 		}
 		total := used[ds.ServerID].Add(ds.Demand)
 		if !total.Fits(info.capacity) {
@@ -324,6 +336,16 @@ func (o *Orchestrator) validateState(st *State) error {
 				ds.ServerID, total, info.capacity, ds.Recipe.Name)
 		}
 		used[ds.ServerID] = total
+	}
+	// The backlog holds only what Submit accepted.
+	for _, rec := range st.Pending {
+		if err := rec.Validate(); err != nil {
+			return err
+		}
+		if names[rec.Name] {
+			return fmt.Errorf("orchestrator: pending %s is already deployed or pending", rec.Name)
+		}
+		names[rec.Name] = true
 	}
 	// The queue holds only what InjectScript accepted.
 	for _, sf := range st.FaultQueue {

@@ -3,13 +3,16 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/placement"
 )
@@ -379,6 +382,40 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	bad.Degraded = map[string]float64{"srv-nowhere": 0.5}
 	if err := fresh.LoadState(bad); err == nil {
 		t.Fatal("unknown degraded server accepted")
+	}
+	// A negative held demand, or a rate no server of the type can serve
+	// (which a Tick used to route into an unbounded allocation), is
+	// refused.
+	bad = mustState(t, orig)
+	bad.Deployments[0].Demand[cluster.ResCPUMilli] = -1
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("deployment holding a negative demand accepted")
+	}
+	bad = mustState(t, orig)
+	bad.Deployments[0].Recipe.RatePerSec = 1e300
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("deployment at a rate beyond its device accepted")
+	}
+	// Copies under fresh names overflow the server's capacity.
+	bad = mustState(t, orig)
+	for i := 0; i < 100; i++ {
+		ds := bad.Deployments[0]
+		ds.Recipe.Name = fmt.Sprintf("copy-%d", i)
+		bad.Deployments = append(bad.Deployments, ds)
+	}
+	if err := fresh.LoadState(bad); err == nil || !strings.Contains(err.Error(), "exceed its capacity") {
+		t.Fatalf("deployments over a server's capacity accepted (err=%v)", err)
+	}
+	// The backlog holds only what Submit accepts.
+	bad = mustState(t, orig)
+	bad.Pending = []Recipe{bad.Deployments[0].Recipe}
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("pending recipe named like a deployment accepted")
+	}
+	bad = mustState(t, orig)
+	bad.Pending = []Recipe{{Name: "q", Model: "no-such-model", Source: "CityA", SLOms: 50, RatePerSec: 1}}
+	if err := fresh.LoadState(bad); err == nil {
+		t.Fatal("pending recipe of an unprofiled model accepted")
 	}
 
 	// The failed attempts mutated nothing: the corrected state restores.

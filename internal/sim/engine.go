@@ -60,8 +60,10 @@ func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, 
 // An Engine is single-goroutine (not safe for concurrent Step calls), but
 // any number of engines may share one World: all world data is read-only.
 type Engine struct {
-	cfg Config
+	cfg Config //detlint:ephemeral the run's configuration, re-supplied to NewEngineFrom
 	w   *World //detlint:ephemeral shared read-only world, re-supplied to NewEngineFrom
+	// sig is ConfigSig(cfg), rendered once: every Snapshot carries it.
+	sig string
 	// rngSrc is the exportable-state arrival stream; rng wraps it. All
 	// randomness flows through rngSrc so Snapshot can capture the stream
 	// position and a restored engine resumes it bit-identically.
@@ -286,6 +288,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	e := &Engine{
 		cfg:    cfg,
 		w:      w,
+		sig:    ConfigSig(cfg),
 		rngSrc: src,
 		rng:    rng.New(src),
 		sites:  sites,

@@ -52,9 +52,12 @@ func checkpointModes(t testing.TB, w *World) []Config {
 // fuzzer mutates a snapshot payload, the payload is re-sealed (so the
 // digest is good) and decoded the way a restore reads a file, and the
 // snapshot is restored into the config of the mode byte's run. Every
-// input must either be rejected with an error or give an engine that
-// steps to the end without panicking. Seeds are snapshots of every mode
-// at epochs 0, 20 and 40.
+// snapshot that decodes must encode through AppendJSON to json.Marshal's
+// bytes, or fail with its error: the fuzzer reaches hostile strings, -0,
+// tiny and huge floats, and null against empty lists and maps. Every
+// input must then either be rejected with an error or give an engine
+// that steps to the end without panicking. Seeds are snapshots of every
+// mode at epochs 0, 20 and 40.
 func FuzzNewEngineFrom(f *testing.F) {
 	w := testWorld(f)
 	modes := checkpointModes(f, w)
@@ -89,6 +92,11 @@ func FuzzNewEngineFrom(f *testing.F) {
 		var snap Snapshot
 		if err := checkpoint.Decode(&sealed, "engine", &snap); err != nil {
 			return
+		}
+		want, werr := json.Marshal(&snap)
+		got, gerr := snap.AppendJSON(nil)
+		if (werr != nil) != (gerr != nil) || werr != nil && gerr.Error() != werr.Error() || !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON = %.300q, %v; json.Marshal = %.300q, %v", got, gerr, want, werr)
 		}
 		e, err := NewEngineFrom(cfg, w, &snap)
 		if err != nil {

@@ -242,7 +242,7 @@ func ConfigSig(cfg Config) string {
 // shares no mutable state with the engine.
 func (e *Engine) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		ConfigSig:     ConfigSig(e.cfg),
+		ConfigSig:     e.sig,
 		Epoch:         e.epoch,
 		RNG:           e.rngSrc.State(),
 		AppSeq:        e.appSeq,

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -145,6 +147,58 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckpointRestoreEveryEpoch takes the road a restart takes at
+// every epoch boundary of the four checkpoint modes: the snapshot goes
+// through checkpoint.Encode and Decode into NewEngineFrom, and the
+// restored engine, run to the end, must reproduce the uninterrupted
+// run's Result byte for byte.
+func TestCheckpointRestoreEveryEpoch(t *testing.T) {
+	w := testWorld(t)
+	for m, cfg := range checkpointModes(t, w) {
+		m, cfg := m, cfg
+		t.Run([]string{"classic", "redeploy", "traffic", "faults"}[m], func(t *testing.T) {
+			t.Parallel()
+			e, err := NewEngine(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelopes [][]byte
+			for {
+				var buf bytes.Buffer
+				if err := checkpoint.Encode(&buf, "engine", e.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+				envelopes = append(envelopes, buf.Bytes())
+				if e.Done() {
+					break
+				}
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := encodeResult(t, e.Finish())
+			for at, env := range envelopes {
+				var snap Snapshot
+				if err := checkpoint.Decode(bytes.NewReader(env), "engine", &snap); err != nil {
+					t.Fatal(err)
+				}
+				r, err := NewEngineFrom(cfg, w, &snap)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", at, err)
+				}
+				for !r.Done() {
+					if err := r.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := encodeResult(t, r.Finish()); !bytes.Equal(got, want) {
+					t.Fatalf("restored at epoch %d, diverged from the uninterrupted run:\nresumed:       %s\nuninterrupted: %s", at, got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestSnapshotRejectsMismatchedConfig(t *testing.T) {
 	w := testWorld(t)
 	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
@@ -260,8 +314,9 @@ func TestSnapshotRejectsBadSourceSite(t *testing.T) {
 
 // TestCheckpointEncodeMatchesSealOracle: the engine envelope of every
 // epoch of the classic, redeploy, traffic and faults runs is
-// byte-identical to the old write path's — Seal, then the Envelope
-// through json.Encoder, which re-compacted the payload.
+// byte-identical to the reflection path's — the snapshot through
+// json.Marshal, digested, and the Envelope through json.Encoder, which
+// re-compacts the payload.
 func TestCheckpointEncodeMatchesSealOracle(t *testing.T) {
 	w := testWorld(t)
 	var got, want bytes.Buffer
@@ -276,16 +331,27 @@ func TestCheckpointEncodeMatchesSealOracle(t *testing.T) {
 			if err := checkpoint.Encode(&got, "engine", snap); err != nil {
 				t.Fatal(err)
 			}
-			env, err := checkpoint.Seal("engine", "", snap)
+			raw, err := json.Marshal(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sum := sha256.Sum256(raw)
 			want.Reset()
-			if err := json.NewEncoder(&want).Encode(env); err != nil {
+			if err := json.NewEncoder(&want).Encode(&checkpoint.Envelope{
+				Format: checkpoint.Format, Version: checkpoint.Version, Kind: "engine",
+				SHA256: hex.EncodeToString(sum[:]), Payload: raw,
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("mode %d epoch %d: envelope differs from the oracle", m, e.Epoch())
+			}
+			env, err := checkpoint.Seal("engine", "", snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(env.Payload, raw) {
+				t.Fatalf("mode %d epoch %d: sealed payload differs from json.Marshal", m, e.Epoch())
 			}
 			if e.Done() {
 				break

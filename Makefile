@@ -52,6 +52,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/placement/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/orchestrator/
+	$(GO) test -run '^$$' -fuzz '^FuzzLiveFaults$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/orchestrator/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package and the number of //detlint: markers outside

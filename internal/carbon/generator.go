@@ -63,16 +63,10 @@ func (g *Generator) Intensity(z *Zone) *timeseries.Series {
 	return s
 }
 
-// Mixes returns the zone's hourly generation mixes for the whole year.
-// Traces are memoized per (seed, year, zone fingerprint) — see memo.go —
-// so the merit-order simulation runs once per distinct zone and callers
-// get a private copy they may mutate freely.
+// Mixes returns the zone's hourly generation mixes for the whole year: it
+// runs the full-year merit-order simulation on every call, and the
+// caller owns the returned slice.
 func (g *Generator) Mixes(z *Zone) []Mix {
-	return cachedMixes(g, z)
-}
-
-// generate runs the full-year merit-order simulation for one zone.
-func (g *Generator) generate(z *Zone) []Mix {
 	n := g.HoursInYear()
 	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
 	out := make([]Mix, n)

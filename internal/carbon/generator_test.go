@@ -2,6 +2,8 @@ package carbon
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -230,4 +232,42 @@ func TestTraceSetRoundTrip(t *testing.T) {
 	if ts.Trace("nope") != nil {
 		t.Error("unknown zone should have nil trace")
 	}
+}
+
+// TestMixesDependOnInputs: the seed, a leap year and the capacity vector
+// each change the trace.
+func TestMixesDependOnInputs(t *testing.T) {
+	z := testZone(t, "DE-MUC")
+	base := NewGenerator(1).Mixes(z)
+	if slices.Equal(base, NewGenerator(2).Mixes(z)) {
+		t.Error("a different seed gave the same trace")
+	}
+	leap := &Generator{Seed: 1, Year: 2024}
+	if got := leap.Mixes(z); len(got) <= len(base) {
+		t.Errorf("leap year trace has %d hours, want more than %d", len(got), len(base))
+	}
+	zc := *z
+	zc.Capacity[Coal] = 5
+	if slices.Equal(base, NewGenerator(1).Mixes(&zc)) {
+		t.Error("a different capacity gave the same trace")
+	}
+}
+
+// TestMixesConcurrent runs one generator from many goroutines; under
+// -race it checks that Mixes shares no mutable state between calls.
+func TestMixesConcurrent(t *testing.T) {
+	g := NewGenerator(99)
+	z := testZone(t, "DE-MUC")
+	want := g.Mixes(z)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if !slices.Equal(g.Mixes(z), want) {
+				t.Error("concurrent Mixes diverged")
+			}
+		}()
+	}
+	wg.Wait()
 }

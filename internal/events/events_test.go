@@ -269,6 +269,7 @@ func TestParseFaultScriptErrors(t *testing.T) {
 		"at 1h crash site=Miami oops",              // non key=value argument
 		"at 1h degrade site=Miami",                 // degrade without factor
 		"at 1h degrade site=Miami factor=0",        // non-positive factor
+		"at 1h degrade site=Miami factor=3",        // factor above 1
 		"at 1h forecast-error factor=2",            // forecast-error without zone
 		"at 1h scale-out site=Miami",               // scale-out without capacity
 		"at -1h crash site=Miami",                  // negative offset

@@ -28,7 +28,7 @@ const (
 	// FaultRecover returns crashed servers to service (same targeting).
 	FaultRecover FaultKind = "recover"
 	// FaultDegrade scales the targeted servers' capacity by Factor
-	// (0 < Factor): capacity flaps, thermal throttling, partial failures.
+	// (0 < Factor ≤ 1): capacity flaps, thermal throttling, partial failures.
 	// Applications that no longer fit are evicted. Factor 1 restores full
 	// capacity; with For set the restore is scheduled automatically.
 	FaultDegrade FaultKind = "degrade"
@@ -99,8 +99,8 @@ func (f Fault) Validate() error {
 		if f.Site == "" && f.Zone == "" {
 			return fmt.Errorf("events: degrade fault needs site= or zone=")
 		}
-		if f.Factor <= 0 {
-			return fmt.Errorf("events: degrade fault needs factor > 0, got %g", f.Factor)
+		if f.Factor <= 0 || f.Factor > 1 {
+			return fmt.Errorf("events: degrade fault needs 0 < factor <= 1, got %g", f.Factor)
 		}
 	case FaultForecastError:
 		if f.Zone == "" {

@@ -205,9 +205,6 @@ func (o *Orchestrator) applyFault(f events.Fault, now time.Time) error {
 		} else {
 			o.fcSkew[f.Zone] = f.Factor
 		}
-		// Invalidate the per-clock forecast memo so the skew is visible to
-		// a batch placed later this same tick.
-		o.fcAt = time.Time{}
 	case events.FaultScaleOut:
 		return o.scaleOut(f)
 	default:

@@ -3,12 +3,14 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/placement"
 )
@@ -25,10 +27,75 @@ func deployOne(t *testing.T, o *Orchestrator, name, source string) *Deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	if len(rejected) > 0 || len(placed) != 1 {
 		t.Fatalf("placed %d, rejected %v", len(placed), rejected)
 	}
 	return placed[0]
+}
+
+// checkServerTable checks that the server table and the live set agree,
+// as they must after every Tick and PlaceBatch: each row holds exactly
+// the demand and the count of the deployments on it, within the capacity
+// placement offers it (the spec's, scaled when degraded); no deployment
+// sits on a crashed or powered-off row; and the replica table, live and
+// appW are aligned, sorted by name, and hold exactly the deployments map,
+// each draw finite and non-negative.
+func checkServerTable(t testing.TB, o *Orchestrator) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	used := map[*server]cluster.Resources{}
+	apps := map[*server]int{}
+	for name, d := range o.deployments {
+		if d.Recipe.Name != name {
+			t.Errorf("deployment %s is keyed %s", d.Recipe.Name, name)
+		}
+		if d.srv.down || !d.srv.on {
+			t.Errorf("deployment %s sits on server %s (down %v, on %v)", name, d.srv.spec.ID, d.srv.down, d.srv.on)
+		}
+		used[d.srv] = used[d.srv].Add(d.demand)
+		apps[d.srv]++
+	}
+	hosted := 0
+	for _, s := range o.servers {
+		for k := range s.used {
+			if math.Abs(s.used[k]-used[s][k]) > 1e-9 {
+				t.Errorf("server %s uses %v, its deployments hold %v", s.spec.ID, s.used, used[s])
+				break
+			}
+		}
+		if s.apps != apps[s] {
+			t.Errorf("server %s counts %d deployments, hosts %d", s.spec.ID, s.apps, apps[s])
+		}
+		hosted += apps[s]
+		offered := s.spec.Capacity
+		if s.factor != 0 {
+			offered = offered.Scale(s.factor)
+		}
+		if !s.used.Fits(offered) {
+			t.Errorf("server %s uses %v beyond the %v placement offers", s.spec.ID, s.used, offered)
+		}
+	}
+	if hosted != len(o.deployments) {
+		t.Errorf("%d deployments, %d of them on table rows", len(o.deployments), hosted)
+	}
+	n := len(o.deployments)
+	if len(o.replicas) != n || len(o.live) != n || len(o.appW) != n {
+		t.Fatalf("%d deployments, %d replicas, %d live, %d draws", n, len(o.replicas), len(o.live), len(o.appW))
+	}
+	for i, d := range o.live {
+		name := o.replicas[i].ID
+		if i > 0 && o.replicas[i-1].ID >= name {
+			t.Errorf("replica %d (%s) is not after %s", i, name, o.replicas[i-1].ID)
+		}
+		if d.Recipe.Name != name || o.deployments[name] != d {
+			t.Errorf("live row %d holds %s, replica row holds %s", i, d.Recipe.Name, name)
+		}
+		if w := o.appW[i]; !(w >= 0) || math.IsInf(w, 0) {
+			t.Errorf("deployment %s draws %v W", name, w)
+		}
+	}
 }
 
 func TestFaultCrashEvictsAndResubmits(t *testing.T) {
@@ -43,6 +110,7 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 		if _, _, err := o.PlaceBatch(); err != nil {
 			t.Errorf("re-place after eviction: %v", err)
 		}
+		checkServerTable(t, o)
 	})
 	// Crash the hosting DC now; recover in 2 emulated hours.
 	if err := o.InjectFault(events.Fault{
@@ -53,6 +121,7 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 
 	if len(handled) != 1 || handled[0] != "app1" {
 		t.Fatalf("eviction handler saw %v, want [app1]", handled)
@@ -77,9 +146,11 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 	if err := o.Tick(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	st = o.FaultStatus()
 	if st.Applied != 2 || st.Pending != 0 || len(st.DownServers) != 0 {
 		t.Errorf("post-recover status = %+v", st)
@@ -103,6 +174,7 @@ func TestFaultScaleOutAndDegrade(t *testing.T) {
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	if got := len(o.servers) - before; got != 2 {
 		t.Errorf("scale-out added %d servers, want 2", got)
 	}
@@ -129,6 +201,7 @@ func TestFaultDegradeEvictsOvercommitted(t *testing.T) {
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	if len(evicted) != 1 || evicted[0] != "app1" {
 		t.Fatalf("degrade below usage evicted %v, want [app1]", evicted)
 	}
@@ -138,6 +211,7 @@ func TestFaultDegradeEvictsOvercommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	if len(rejected) > 0 || len(placed) != 1 {
 		t.Fatalf("re-place: placed %d, rejected %v", len(placed), rejected)
 	}
@@ -175,6 +249,7 @@ func tickFired(t *testing.T, o *Orchestrator, n int) [][]string {
 		if err := o.Tick(time.Hour); err != nil {
 			t.Fatal(err)
 		}
+		checkServerTable(t, o)
 		for _, ev := range o.RecentEvents()[before:] {
 			out[k] = append(out[k], ev.Kind)
 		}
@@ -301,6 +376,7 @@ func TestFaultsHTTP(t *testing.T) {
 	if err := o.Tick(time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	checkServerTable(t, o)
 	resp, err = http.Get(srv.URL + "/api/v1/faults")
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +395,10 @@ func TestFaultsHTTP(t *testing.T) {
 // or capacity, or a number with trailing junk, is refused with 400 before
 // anything is scheduled — it used to be accepted, after which the state
 // could never be encoded again (JSON has no NaN) and GET /api/v1/state
-// failed for good.
+// failed for good. So is a degrade factor above 1: the degraded row used
+// to offer placement more than admit accepts, and a large enough batch
+// failed part-way, leaving its unplaced recipes neither placed nor
+// rejected.
 func TestFaultsHTTPRejectsNonFinite(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
 	srv := httptest.NewServer(o.API())
@@ -332,6 +411,7 @@ func TestFaultsHTTPRejectsNonFinite(t *testing.T) {
 		"at 1h scale-out site=CityA device=A2 capacity=NaN",
 		"at 1h scale-out site=CityA device=A2 capacity=+Inf",
 		"at 2h degrade site=CityA factor=2abc",
+		"at 2h degrade site=CityA factor=3",
 		"at 1h scale-out site=CityA device=A2 capacity=4000 count=3x",
 	} {
 		body, _ := json.Marshal(map[string]string{"script": script})
@@ -351,6 +431,7 @@ func TestFaultsHTTPRejectsNonFinite(t *testing.T) {
 		if err := o.Tick(time.Hour); err != nil {
 			t.Fatal(err)
 		}
+		checkServerTable(t, o)
 		resp, err := http.Get(srv.URL + "/api/v1/state")
 		if err != nil {
 			t.Fatal(err)
@@ -358,6 +439,51 @@ func TestFaultsHTTPRejectsNonFinite(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /api/v1/state after tick %d: status %d", tick, resp.StatusCode)
+		}
+	}
+}
+
+// TestTickRejectsNonPositive: a tick of zero or negative length is an
+// error and changes nothing: no fault is consumed and no handler fires.
+// With traffic attached, Tick(0) used to set every draw to 0/0, after
+// which the carbon totals stayed NaN and GET /api/v1/state and
+// /api/v1/metrics answered 500; Tick(-1h) moved the clock back an hour.
+func TestTickRejectsNonPositive(t *testing.T) {
+	o := trafficFixture(t, placement.LatencyAware{}, 6)
+	srv := httptest.NewServer(o.API())
+	defer srv.Close()
+	// One deployment the due crash would evict, one it would leave live.
+	a, b := deployOne(t, o, "app1", "CityA"), deployOne(t, o, "app2", "CityB")
+	if a.DCID == b.DCID {
+		t.Fatalf("both deployments on %s", a.DCID)
+	}
+	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: o.dcByID(a.DCID).City}); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	o.SetEvictionHandler(func(time.Time, []string) { fired++ })
+	o.SetOverloadHandler(func(time.Time, int64) { fired++ })
+	before := sealedState(t, o)
+	for _, dt := range []time.Duration{0, -time.Hour} {
+		if err := o.Tick(dt); err == nil {
+			t.Errorf("Tick(%v) accepted", dt)
+		}
+		if got := sealedState(t, o); !bytes.Equal(got, before) {
+			t.Errorf("Tick(%v) changed the state:\n%s\nwant\n%s", dt, got, before)
+		}
+	}
+	if fired != 0 {
+		t.Errorf("rejected ticks fired %d handlers", fired)
+	}
+	checkServerTable(t, o)
+	for _, path := range []string{"/api/v1/state", "/api/v1/metrics"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 	}
 }

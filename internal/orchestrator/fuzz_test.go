@@ -3,11 +3,13 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/events"
 	"repro/internal/placement"
 )
 
@@ -67,5 +69,74 @@ func FuzzLoadState(f *testing.F) {
 		}
 		_ = o.Tick(time.Hour)
 		_, _, _ = o.PlaceBatch()
+	})
+}
+
+// liveFaultsRecipes caps the recipes one FuzzLiveFaults input submits.
+// The exact placement backend's branch and bound is exponential in the
+// number of interchangeable apps competing for a server's last slots
+// (on the fixture, one batch of 13 such apps takes 60 ms, 16 take 6.6 s
+// and 18 run into its 30 s time limit), so without a cap the fuzzer
+// reports slow solves as hangs instead of searching the fault path.
+const liveFaultsRecipes = 8
+
+// FuzzLiveFaults drives the live path under a random fault script: the
+// script is injected into a carbon-aware orchestrator with traffic
+// attached, and each round submits up to deploys recipes (at most
+// liveFaultsRecipes in all), places the queue and ticks an hour. A
+// script ParseFaultScript or InjectScript rejects is skipped; otherwise
+// no PlaceBatch or Tick may fail or panic, and the server table must
+// check out after each. Seeds cover every fault kind, a zone outage, a
+// near-total degrade, a scale-out whose site then crashes, and a degrade
+// by 3 of a small scale-out server (the validator now refuses it; it used
+// to make placement offer more than admit accepts).
+func FuzzLiveFaults(f *testing.F) {
+	for _, seed := range []struct {
+		script          string
+		deploys, rounds uint8
+	}{
+		{"at 1h crash site=CityA for=2h", 4, 4},
+		{"at 0s crash site=CityB\nat 2h recover site=CityB", 3, 4},
+		{"at 0s degrade site=CityA factor=0.5 for=2h", 4, 3},
+		{"at 1h forecast-error zone=Z-GREEN factor=20 for=1h", 3, 3},
+		{"at 0s scale-out site=CityB device=A2 capacity=100 count=2", 4, 3},
+		{"at 1h crash zone=Z-GREEN for=1h", 4, 4},
+		{"at 1h degrade zone=Z-DIRTY factor=0.001", 4, 3},
+		{"at 0s scale-out site=CityA device=A2 capacity=1000\nat 2h crash site=CityA", 3, 4},
+		{"at 0s crash site=CityB\nat 0s crash site=CityA\n" +
+			"at 0s scale-out site=CityA device=A2 capacity=300\nat 0s degrade site=CityA factor=3", 4, 2},
+	} {
+		f.Add(seed.script, seed.deploys, seed.rounds)
+	}
+	f.Fuzz(func(t *testing.T, script string, deploys, rounds uint8) {
+		s, err := events.ParseFaultScript(script)
+		if err != nil {
+			return
+		}
+		o := trafficFixture(t, placement.CarbonAware{}, 6)
+		if err := o.InjectScript(s); err != nil {
+			return
+		}
+		submitted := 0
+		for r := 0; r < int(rounds%8); r++ {
+			for k := 0; k < int(deploys%8) && submitted < liveFaultsRecipes; k++ {
+				rec := testRecipe(fmt.Sprintf("app%d", submitted))
+				if k%2 == 1 {
+					rec.Source = "CityB"
+				}
+				if err := o.Submit(rec); err != nil {
+					t.Fatal(err)
+				}
+				submitted++
+			}
+			if _, _, err := o.PlaceBatch(); err != nil {
+				t.Fatalf("round %d: PlaceBatch: %v", r, err)
+			}
+			checkServerTable(t, o)
+			if err := o.Tick(time.Hour); err != nil {
+				t.Fatalf("round %d: Tick: %v", r, err)
+			}
+			checkServerTable(t, o)
+		}
 	})
 }

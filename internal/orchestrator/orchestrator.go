@@ -51,8 +51,6 @@ type Orchestrator struct {
 	// capacity and power state are re-synced from the rows; a change to
 	// the shaper's delays rebuilds it (syncRTT).
 	ws        *placement.Workspace
-	fcCache   map[string]float64 // zone -> mean forecast, valid at fcAt
-	fcAt      time.Time
 	lastSolve placement.SolveStats
 	batches   int
 	// boundBatches and bnbBatches split the exact-backend batches by what
@@ -378,8 +376,8 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 // the server table, the network and the carbon clock: lazily built on
 // first use and rebuilt when the server count or the shaper's delays
 // change, then each batch re-syncs every row's free capacity and power
-// state and refreshes forecast intensities, with the per-zone forecast
-// memoized for the current clock value.
+// state and refreshes forecast intensities, read once per DC the way
+// tick reads the current intensity.
 func (o *Orchestrator) syncWorkspace() error {
 	o.syncRTT()
 	if o.ws == nil || o.ws.NumServers() != len(o.servers) {
@@ -397,30 +395,21 @@ func (o *Orchestrator) syncWorkspace() error {
 			return err
 		}
 		o.ws = ws
-		// Any workspace rebuild (first batch, scale-out growth, a restored
-		// orchestrator) drops the forecast memo with it: the rebuilt view
-		// must never inherit pre-rebuild forecasts.
-		o.invalidateForecasts()
 	}
-	if o.fcCache == nil || !o.now.Equal(o.fcAt) {
-		o.fcCache = map[string]float64{}
-		o.fcAt = o.now
-	}
+	var dc *cluster.DataCenter
+	var mean float64
 	for j, s := range o.servers {
-		zone := s.dc.ZoneID
-		mean, ok := o.fcCache[zone]
-		if !ok {
+		if s.dc != dc {
+			dc = s.dc
 			var err error
-			mean, err = o.carbon.MeanForecast(zone, o.now, forecastHorizonHours)
-			if err != nil {
-				return fmt.Errorf("orchestrator: forecasting zone %s: %w", zone, err)
+			if mean, err = o.carbon.MeanForecast(dc.ZoneID, o.now, forecastHorizonHours); err != nil {
+				return fmt.Errorf("orchestrator: forecasting zone %s: %w", dc.ZoneID, err)
 			}
 			// An active forecast-error fault skews the forecast placement
 			// sees; telemetry still charges the true hourly intensity.
-			if f, skewed := o.fcSkew[zone]; skewed {
+			if f, skewed := o.fcSkew[dc.ZoneID]; skewed {
 				mean *= f
 			}
-			o.fcCache[zone] = mean
 		}
 		o.ws.UpdateIntensity(j, mean)
 		o.ws.SetServerState(j, s.free(), s.on)
@@ -570,7 +559,13 @@ func (o *Orchestrator) Deployments() []*Deployment {
 // forecasts skew, flash fleets appear. Deployments evicted by a crash are
 // re-submitted to the placement queue and the eviction handler fires
 // (see SetEvictionHandler).
+//
+// dt must be positive: a non-positive one is an error and changes
+// nothing (no fault is consumed, no handler fires).
 func (o *Orchestrator) Tick(dt time.Duration) error {
+	if dt <= 0 {
+		return fmt.Errorf("orchestrator: tick needs a positive duration, got %v", dt)
+	}
 	var fire []func()
 	err := o.tick(dt, &fire)
 	// The overload and eviction handlers run outside the lock so they may

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,19 +24,10 @@ import (
 // remote one 6ms away (one-way).
 func fixture(t *testing.T, pol placement.Policy) *Orchestrator {
 	t.Helper()
-	zones := []*carbon.Zone{
-		{ID: "Z-DIRTY", Name: "dirty", Region: carbon.RegionUS,
-			Location: geo.Point{Lat: 30, Lon: -84},
-			Capacity: carbonCap(0.1, 0, 0, 0, 0, 0.6, 0.05, 0.6)},
-		{ID: "Z-GREEN", Name: "green", Region: carbon.RegionUS,
-			Location: geo.Point{Lat: 26, Lon: -80},
-			Capacity: carbonCap(0.1, 0.05, 0.9, 0.4, 0, 0.1, 0, 0)},
-	}
-	reg, err := carbon.NewRegistry(zones)
+	traces, err := fixtureTraces()
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces := carbon.NewGenerator(5).GenerateTraces(reg)
 
 	mk := func(dcID, city, zone string) *cluster.DataCenter {
 		dc := cluster.NewDataCenter(dcID, city, geo.Point{Lat: 28, Lon: -82}, zone, city)
@@ -69,6 +61,23 @@ func fixture(t *testing.T, pol placement.Policy) *Orchestrator {
 	}
 	return orch
 }
+
+// fixtureTraces generates the fixture's two zone-years once per test
+// binary; every fixture reads the same (read-only) trace set.
+var fixtureTraces = sync.OnceValues(func() (*carbon.TraceSet, error) {
+	reg, err := carbon.NewRegistry([]*carbon.Zone{
+		{ID: "Z-DIRTY", Name: "dirty", Region: carbon.RegionUS,
+			Location: geo.Point{Lat: 30, Lon: -84},
+			Capacity: carbonCap(0.1, 0, 0, 0, 0, 0.6, 0.05, 0.6)},
+		{ID: "Z-GREEN", Name: "green", Region: carbon.RegionUS,
+			Location: geo.Point{Lat: 26, Lon: -80},
+			Capacity: carbonCap(0.1, 0.05, 0.9, 0.4, 0, 0.1, 0, 0)},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return carbon.NewGenerator(5).GenerateTraces(reg), nil
+})
 
 func carbonCap(solar, wind, hydro, nuclear, biomass, gas, oil, coal float64) carbon.Mix {
 	var m carbon.Mix

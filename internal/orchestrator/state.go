@@ -156,10 +156,9 @@ func (o *Orchestrator) SaveState() (State, error) {
 // must be freshly constructed over an equivalently-built cluster (same
 // region and datasets): flash servers are re-created, the server rows'
 // power states, meters and fault fields assigned, and every deployment
-// re-admitted with its exact resource vector. The forecast memo and the
-// placement workspace are invalidated — a restored orchestrator must
-// never serve a stale pre-snapshot forecast view — and are rebuilt
-// lazily on the next batch.
+// re-admitted with its exact resource vector. The placement workspace is
+// dropped and rebuilt on the next batch, which reads every forecast
+// afresh under the restored skews.
 func (o *Orchestrator) LoadState(st State) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -251,11 +250,8 @@ func (o *Orchestrator) LoadState(st State) error {
 		}
 	}
 
-	// A restored orchestrator must not serve any pre-snapshot view: drop
-	// the forecast memo and force the workspace to rebuild on the next
-	// batch so the restored rows and forecast skews are what placement
-	// sees.
-	o.invalidateForecasts()
+	// A restored orchestrator must not serve any pre-snapshot view: the
+	// workspace rebuilds on the next batch from the restored rows.
 	o.ws = nil
 	return nil
 }
@@ -367,11 +363,4 @@ func (o *Orchestrator) dcByID(id string) *cluster.DataCenter {
 		}
 	}
 	return nil
-}
-
-// invalidateForecasts (locked) drops the per-clock forecast memo so the
-// next solve recomputes every zone against the current forecast skews.
-func (o *Orchestrator) invalidateForecasts() {
-	o.fcCache = nil
-	o.fcAt = time.Time{}
 }

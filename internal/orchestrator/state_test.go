@@ -97,10 +97,11 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 }
 
 // TestLoadStateInvalidatesForecastMemo is the fault-skew-then-restore
-// regression: a forecast-error fault active at snapshot time must drive
-// the restored orchestrator's first placement, not a stale pre-snapshot
-// memo (and symmetrically, a restore must not keep serving the donor's
-// cached view).
+// regression: a forecast-error fault active at snapshot time must reach
+// the restored orchestrator's first placement batch, and a restore must
+// not keep serving the workspace the orchestrator built before it. (The
+// name is historical: forecasts are read per batch, with no memo left to
+// invalidate.)
 func TestLoadStateInvalidatesForecastMemo(t *testing.T) {
 	// Reference: with a big forecast spike on the green zone, carbon-aware
 	// placement flips to the dirty-but-believed-cleaner DC.
@@ -116,8 +117,8 @@ func TestLoadStateInvalidatesForecastMemo(t *testing.T) {
 	want := deployOne(t, skewed, "probe", "CityA").DCID
 
 	// Same skewed orchestrator, but checkpointed after the fault applied
-	// and restored into a fresh one that has already warmed its own
-	// forecast memo with the unskewed view at the same clock.
+	// and restored into a fresh one that has already placed a batch with
+	// the unskewed view at the same clock.
 	donor := fixture(t, placement.CarbonAware{})
 	if err := donor.InjectFault(events.Fault{
 		Kind: events.FaultForecastError, Zone: "Z-GREEN", Factor: 100,
@@ -131,9 +132,9 @@ func TestLoadStateInvalidatesForecastMemo(t *testing.T) {
 
 	restored := fixture(t, placement.CarbonAware{})
 	if err := restored.Tick(time.Hour); err != nil {
-		t.Fatal(err) // align the clock with the snapshot's, so the memo's
-	} // time key alone cannot save us
-	deployOne(t, restored, "warmup", "CityA") // warms fcCache without skew
+		t.Fatal(err) // align the clock with the snapshot's
+	}
+	deployOne(t, restored, "warmup", "CityA") // builds a workspace without skew
 	if err := restored.Undeploy("warmup"); err != nil {
 		t.Fatal(err)
 	}

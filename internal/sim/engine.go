@@ -116,7 +116,6 @@ type Engine struct {
 	forceRedeploy bool
 	// downCount tracks how many servers are currently crashed.
 	downCount int
-	evictSeq  int
 
 	// Cross-shard exchange state (see exchange.go): gateway is the
 	// shard's ingress site; outbox collects unplaced fresh arrivals when
@@ -135,7 +134,6 @@ type Engine struct {
 	// reallocating every drain.
 	pending      []pendingApp
 	pendingSpare []pendingApp //detlint:ephemeral double-buffer spare; contents are dead between drains
-	appSeq       int
 	start        time.Time
 	epoch        int
 
@@ -779,7 +777,6 @@ func (e *Engine) stepArrivals() {
 			expires:   -1,
 			evictedAt: -1,
 		})
-		e.appSeq++
 	}
 	e.consumeInboxApps()
 }

@@ -118,7 +118,6 @@ func (e *Engine) consumeInboxApps() {
 			evictedAt: -1,
 			injected:  true,
 		})
-		e.appSeq++
 	}
 	e.inApps = keep
 }

@@ -218,7 +218,6 @@ func (e *Engine) queueEvicted(a *liveApp, epoch int) {
 		expires:   a.expires,
 		evictedAt: epoch,
 	})
-	e.evictSeq++
 }
 
 // scaleOut adds a flash fleet at the fault's site: Count new servers of

@@ -33,10 +33,7 @@ type Snapshot struct {
 	// RNG is the arrival stream position (rng.Source state).
 	RNG uint64 `json:"rng"`
 
-	AppSeq        int                `json:"app_seq"`
-	EvictSeq      int                `json:"evict_seq"`
 	ForceRedeploy bool               `json:"force_redeploy,omitempty"`
-	DownCount     int                `json:"down_count,omitempty"`
 	FcErr         map[string]float64 `json:"fc_err,omitempty"`
 
 	Servers []ServerSnap  `json:"servers"`
@@ -245,10 +242,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		ConfigSig:     e.sig,
 		Epoch:         e.epoch,
 		RNG:           e.rngSrc.State(),
-		AppSeq:        e.appSeq,
-		EvictSeq:      e.evictSeq,
 		ForceRedeploy: e.forceRedeploy,
-		DownCount:     e.downCount,
 		Result:        e.res.State(),
 	}
 	if len(e.fcErr) > 0 {
@@ -325,10 +319,14 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 
 	// Servers: the initial fleet is overlaid in place; servers past it
 	// were added by scale-out faults and are re-created (and re-registered
-	// with the placement workspace, keeping index alignment).
+	// with the placement workspace, keeping index alignment). The crashed
+	// count is the restored servers' down flags, counted here.
 	for j, ss := range snap.Servers {
 		if ss.Site < 0 || ss.Site >= len(e.sites) {
 			return nil, fmt.Errorf("sim: snapshot server %d references site %d of %d", j, ss.Site, len(e.sites))
+		}
+		if ss.Down {
+			e.downCount++
 		}
 		if j < len(e.servers) {
 			srv := &e.servers[j]
@@ -421,8 +419,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	}
 
 	e.rngSrc.Restore(snap.RNG)
-	e.appSeq, e.evictSeq = snap.AppSeq, snap.EvictSeq
-	e.forceRedeploy, e.downCount = snap.ForceRedeploy, snap.DownCount
+	e.forceRedeploy = snap.ForceRedeploy
 	e.fcErr = nil
 	if cfg.Faults != nil || len(snap.FcErr) > 0 {
 		e.fcErr = map[string]float64{}

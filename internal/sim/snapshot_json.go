@@ -33,16 +33,8 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 	w.int(int64(s.Epoch))
 	w.raw(`,"rng":`)
 	w.b = strconv.AppendUint(w.b, s.RNG, 10)
-	w.raw(`,"app_seq":`)
-	w.int(int64(s.AppSeq))
-	w.raw(`,"evict_seq":`)
-	w.int(int64(s.EvictSeq))
 	if s.ForceRedeploy {
 		w.raw(`,"force_redeploy":true`)
-	}
-	if s.DownCount != 0 {
-		w.raw(`,"down_count":`)
-		w.int(int64(s.DownCount))
 	}
 	if len(s.FcErr) > 0 {
 		w.raw(`,"fc_err":`)

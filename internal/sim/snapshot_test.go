@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -196,6 +198,94 @@ func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// runFrom restores snap into cfg, runs the engine to the end, and
+// returns the encoded result.
+func runFrom(t *testing.T, cfg Config, w *World, snap *Snapshot) []byte {
+	t.Helper()
+	r, err := NewEngineFrom(cfg, w, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !r.Done() {
+		if err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return encodeResult(t, r.Finish())
+}
+
+// TestRestoreCountsDownServers: the crashed-server count is derived from
+// the restored servers' down flags, so a snapshot cannot claim an outage
+// its servers do not show. A faults-mode snapshot at epoch 5, with no
+// server down, doctored to carry "down_count":1 (a key checkpoints once
+// held and the restore trusted, charging 43 outage epochs instead of 10)
+// must still run to the uninterrupted Result.
+func TestRestoreCountsDownServers(t *testing.T) {
+	w := testWorld(t)
+	cfg := checkpointModes(t, w)[3]
+	want, err := Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 5 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"down":true`)) {
+		t.Fatal("fixture has a crashed server at epoch 5")
+	}
+	raw = bytes.Replace(raw, []byte(`{"config_sig":`), []byte(`{"down_count":1,"config_sig":`), 1)
+	var snap Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := runFrom(t, cfg, w, &snap); !bytes.Equal(got, encodeResult(t, want)) {
+		t.Fatalf("restore trusted a stale down count:\nresumed:       %s\nuninterrupted: %s", got, encodeResult(t, want))
+	}
+}
+
+// TestRestoresOlderCheckpoint: testdata/faults_epoch35.ckpt is the
+// faults-mode envelope at epoch 35, one server down, written before
+// snapshots dropped the app_seq, evict_seq and down_count keys it
+// carries. It must still decode, restore and run to the uninterrupted
+// Result.
+func TestRestoresOlderCheckpoint(t *testing.T) {
+	w := testWorld(t)
+	cfg := checkpointModes(t, w)[3]
+	want, err := Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := os.ReadFile(filepath.Join("testdata", "faults_epoch35.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"app_seq":`, `"evict_seq":`, `"down_count":`} {
+		if !bytes.Contains(env, []byte(key)) {
+			t.Fatalf("fixture lacks %s", key)
+		}
+	}
+	var snap Snapshot
+	if err := checkpoint.Decode(bytes.NewReader(env), "engine", &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Epoch != 35 {
+		t.Fatalf("fixture at epoch %d, want 35", snap.Epoch)
+	}
+	if got := runFrom(t, cfg, w, &snap); !bytes.Equal(got, encodeResult(t, want)) {
+		t.Fatalf("older checkpoint diverged:\nresumed:       %s\nuninterrupted: %s", got, encodeResult(t, want))
 	}
 }
 

@@ -234,4 +234,16 @@ func TestFaultConfigValidation(t *testing.T) {
 	if _, err := NewEngine(cfg, w); err == nil {
 		t.Error("fault targeting an unknown zone accepted")
 	}
+
+	// A degrade scales capacity down: factor 1 restores it, and a factor
+	// above 1 is refused before any engine is built.
+	site := w.Dep.InRegion(cfg.Region)[0].City
+	cfg.Faults.Faults[0] = events.Fault{At: time.Hour, Kind: events.FaultDegrade, Site: site, Factor: 1}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("degrade factor 1 rejected: %v", err)
+	}
+	cfg.Faults.Faults[0].Factor = 3
+	if err := cfg.Validate(); err == nil {
+		t.Error("degrade factor 3 accepted")
+	}
 }

@@ -89,8 +89,9 @@ bench-smoke:
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode, that is Snapshot.AppendJSON and SHA-256, after every
 # Step), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_25.md (redeploy churn after
-# the class floor; profiles/PROFILE_19.md after the class memos),
+# of those summaries live in profiles/PROFILE_29.md (redeploy churn after
+# the class hints and carried slots; profiles/PROFILE_25.md after the
+# class floor, profiles/PROFILE_19.md after the class memos),
 # profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md and
 # profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
 # ledger runs it), profiles/PROFILE_17.md (CDN year) and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -375,6 +376,13 @@ func TestRecipeValidation(t *testing.T) {
 		{Name: "x", Model: "NoSuchModel", SLOms: 10, RatePerSec: 1},
 		{Name: "x", Model: energy.ModelResNet50, SLOms: 0, RatePerSec: 1},
 		{Name: "x", Model: energy.ModelResNet50, SLOms: 10, RatePerSec: 0},
+		// Non-finite values passed the "<= 0" tests: one NaN-rate recipe
+		// made its server's used capacity NaN, and later batches
+		// over-committed that server.
+		{Name: "x", Model: energy.ModelResNet50, SLOms: math.NaN(), RatePerSec: 1},
+		{Name: "x", Model: energy.ModelResNet50, SLOms: math.Inf(1), RatePerSec: 1},
+		{Name: "x", Model: energy.ModelResNet50, SLOms: 10, RatePerSec: math.NaN()},
+		{Name: "x", Model: energy.ModelResNet50, SLOms: 10, RatePerSec: math.Inf(1)},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {

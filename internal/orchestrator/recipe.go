@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/energy"
 )
@@ -47,11 +48,12 @@ func (r *Recipe) Validate() error {
 	if !found {
 		return fmt.Errorf("orchestrator: recipe %s references unprofiled model %q", r.Name, r.Model)
 	}
-	if r.SLOms <= 0 {
-		return fmt.Errorf("orchestrator: recipe %s needs a positive SLO", r.Name)
+	// NaN fails every comparison, so these test for the good range.
+	if !(r.SLOms > 0) || math.IsInf(r.SLOms, 1) {
+		return fmt.Errorf("orchestrator: recipe %s needs a finite positive SLO", r.Name)
 	}
-	if r.RatePerSec <= 0 {
-		return fmt.Errorf("orchestrator: recipe %s needs a positive rate", r.Name)
+	if !(r.RatePerSec > 0) || math.IsInf(r.RatePerSec, 1) {
+		return fmt.Errorf("orchestrator: recipe %s needs a finite positive rate", r.Name)
 	}
 	return nil
 }

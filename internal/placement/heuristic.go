@@ -40,12 +40,10 @@ type HeuristicSolver struct {
 	st  state
 	ids map[string]bool
 	sid map[string]bool
-	// order/options/classOpt/bucket are the greedy-construction ordering
-	// scratch.
-	order    []int
-	options  []int
-	classOpt []int
-	bucket   []int
+	// order/options/bucket are the greedy-construction ordering scratch.
+	order   []int
+	options []int
+	bucket  []int
 	// memo holds the memoized cost rows and reverse adjacency.
 	memo costMemo
 	// cm lets a solve scan each class state once rather than once per
@@ -108,6 +106,9 @@ type costMemo struct {
 	// ok[slot] is the static feasibility gate (compatibility + latency);
 	// only capacity remains to be checked during a scan.
 	ok []bool
+	// opts[c] counts class c's gated slots that fit their server's free
+	// capacity at the start of the solve: construct's option count.
+	opts []int
 	// act[j] is pol.ActivationCost(p, j).
 	act []float64
 
@@ -159,6 +160,7 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	}
 	mm.row = grow(mm.row, total)
 	mm.ok = grow(mm.ok, total)
+	mm.opts = grow(mm.opts, nc)
 	mm.act = grow(mm.act, m)
 	for j := range p.Servers {
 		mm.act[j] = pol.ActivationCost(p, j)
@@ -166,11 +168,15 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	for c, r := range mm.rep {
 		i, base := int(r), mm.off[c]
 		slo := p.Apps[i].SLOms
+		mm.opts[c] = 0
 		for k, j := range p.CandidatesOf(i) {
 			ok := p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
 			mm.ok[base+k], mm.row[base+k] = ok, 0
 			if ok {
 				mm.row[base+k] = pol.PairCost(p, i, j)
+				if p.Demand[i][j].Fits(p.Servers[j].Free) {
+					mm.opts[c]++
+				}
 			}
 		}
 	}
@@ -295,7 +301,7 @@ func slotOf(cand []int, j int) int {
 // candidates. Two memos key on that, and each skips only a scan that
 // provably returns what the recorded scan returned:
 //
-//   - construct's pick: pick[c] is class c's last scan result (a server,
+//   - construct's pick: pick[c] is class c's last scan result (a slot,
 //     or -1 when nothing fit). During construct free capacity only shrinks
 //     (placed demands are non-negative; workspace demands always are) and
 //     costs are constant but for the activation term of a server that
@@ -322,7 +328,7 @@ func slotOf(cand []int, j int) int {
 // large batch.
 type classMemo struct {
 	gen   uint64
-	pick  []stamped // per class: v is the picked server or -1
+	pick  []stamped // per class: v is the picked slot or -1
 	floor []floor   // per class
 }
 
@@ -429,6 +435,7 @@ type state struct {
 	free     []cluster.Resources
 	on       []bool
 	assigned []int // app -> server or -1
+	slot     []int // app -> its server's index in its candidate list, or -1
 	loads    []int // number of apps per server
 
 	// mark and stamp are the dirty-app work queue. mark[i] is the last
@@ -456,6 +463,7 @@ func (st *state) init(p *Problem, pol Policy, nc int) {
 	st.on = grow(st.on, m)
 	st.loads = grow(st.loads, m)
 	st.assigned = grow(st.assigned, n)
+	st.slot = grow(st.slot, n)
 	st.mark = grow(st.mark, n)
 	st.stamp = grow(st.stamp, nc)
 	for j := range p.Servers {
@@ -464,7 +472,7 @@ func (st *state) init(p *Problem, pol Policy, nc int) {
 		st.loads[j] = 0
 	}
 	for i := range st.assigned {
-		st.assigned[i] = -1
+		st.assigned[i], st.slot[i] = -1, -1
 		st.mark[i] = 0
 	}
 	for c := range st.stamp {
@@ -483,9 +491,10 @@ func (st *state) canPlace(i, j int) bool {
 	return st.p.Demand[i][j].Fits(st.free[j])
 }
 
-// place commits app i to server j.
-func (st *state) place(i, j int) {
-	st.assigned[i] = j
+// place commits app i to server j, candidate slot k (-1 for a server
+// outside the app's candidate list).
+func (st *state) place(i, j, k int) {
+	st.assigned[i], st.slot[i] = j, k
 	st.free[j] = st.free[j].Sub(st.p.Demand[i][j])
 	st.loads[j]++
 	st.on[j] = true
@@ -499,7 +508,7 @@ func (st *state) unplace(i int) {
 	}
 	st.free[j] = st.free[j].Add(st.p.Demand[i][j])
 	st.loads[j]--
-	st.assigned[i] = -1
+	st.assigned[i], st.slot[i] = -1, -1
 	// A server that was off before the batch and is now empty returns
 	// to "not yet activated".
 	if st.loads[j] == 0 && !st.p.Servers[j].PoweredOn {
@@ -596,7 +605,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 		// still feasible; local search below repairs the rest.
 		for i, j := range warm.ServerOf {
 			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {
-				st.place(i, j)
+				st.place(i, j, slotOf(p.CandidatesOf(i), j))
 			}
 		}
 	} else {
@@ -645,49 +654,39 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo) {
 	s.order = grow(s.order, len(p.Apps))
 	s.options = grow(s.options, len(p.Apps))
 	order, options := s.order, s.options
-	if p.classOf != nil {
-		// The option count reads only rows and shortlists the members of
-		// a class share: count once per class.
-		s.classOpt = grow(s.classOpt, len(p.classRep))
-		for c, r := range p.classRep {
-			s.classOpt[c] = p.countFeasible(int(r))
-		}
-		for i, c := range p.classOf {
-			options[i] = s.classOpt[c]
-		}
-	} else {
-		for i := range options {
-			options[i] = p.countFeasible(i)
-		}
+	for i := range options {
+		options[i] = mm.opts[mm.cls[i]]
 	}
 	s.bucket = grow(s.bucket, len(p.Servers)+2)
 	orderByCount(order, options, s.bucket)
 
 	for _, i := range order {
-		if best := s.pickCheapest(st, mm, i); best >= 0 {
-			if !st.on[best] || !shrinks(p.Demand[i][best]) {
+		if k := s.pickCheapest(st, mm, i); k >= 0 {
+			j := p.CandidatesOf(i)[k]
+			if !st.on[j] || !shrinks(p.Demand[i][j]) {
 				s.cm.gen++ // retire every cached pick (see classMemo)
 			}
-			st.place(i, best)
+			st.place(i, j, k)
 		}
 	}
 }
 
-// pickCheapest is construct's scan: app i's first cheapest candidate that
-// fits, or -1. The class's cached pick answers while it still fits (see
-// classMemo).
+// pickCheapest is construct's scan: the slot of app i's first cheapest
+// candidate that fits, or -1. The class's cached pick answers while it
+// still fits (see classMemo).
 func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	p, cm := st.p, &s.cm
 	c := mm.cls[i]
+	cand := p.CandidatesOf(i)
 	if e := cm.pick[c]; e.gen == cm.gen {
-		if j := int(e.v); j < 0 || p.Demand[i][j].Fits(st.free[j]) {
-			return j
+		if k := int(e.v); k < 0 || p.Demand[i][cand[k]].Fits(st.free[cand[k]]) {
+			return k
 		}
 	}
 	s.scans.construct++
 	best, bestCost := -1, math.Inf(1)
 	base := mm.off[c]
-	for k, j := range p.CandidatesOf(i) {
+	for k, j := range cand {
 		if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
 			continue
 		}
@@ -696,7 +695,7 @@ func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 			cost += mm.act[j]
 		}
 		if cost < bestCost {
-			best, bestCost = j, cost
+			best, bestCost = k, cost
 		}
 	}
 	cm.pick[c] = stamped{cm.gen, int64(best)}
@@ -726,11 +725,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 			c := mm.cls[i]
 			cand := p.CandidatesOf(i)
 			base := mm.off[c]
-			cur := st.assigned[i]
-			slot := -1
-			if cur >= 0 {
-				slot = slotOf(cand, cur)
-			}
+			cur, slot := st.assigned[i], st.slot[i]
 			// A cur outside the candidate list (hand-built warm seeds
 			// only) has no floor verdict: it is scanned below.
 			f := &cm.floor[c]
@@ -746,7 +741,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				s.scans.retry++
 				j := cand[f.first]
 				before := st.free[j]
-				st.place(i, j)
+				st.place(i, j, f.first)
 				// The retry took the first feasible server, not the
 				// cheapest: the next pass must re-scan i.
 				if st.mark[i] <= p32 {
@@ -767,7 +762,8 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 			if !p.Servers[cur].PoweredOn && st.loads[cur] == 1 {
 				curCost += mm.act[cur]
 			}
-			best, k := cur, nearTie
+			// best is a slot, like slot; the move is to cand[best].
+			best, k := slot, nearTie
 			if slot >= 0 {
 				k = f.move(slot, curCost)
 			}
@@ -786,19 +782,20 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 						cost += mm.act[j]
 					}
 					if cost < bestCost-1e-12 {
-						best, bestCost = j, cost
+						best, bestCost = k, cost
 					}
 				}
 			default:
 				s.scans.move++
-				best = cand[k]
+				best = k
 			}
-			if best != cur {
-				beforeCur, beforeBest := st.free[cur], st.free[best]
+			if best != slot {
+				j := cand[best]
+				beforeCur, beforeBest := st.free[cur], st.free[j]
 				st.unplace(i)
-				st.place(i, best)
+				st.place(i, j, best)
 				st.touchMoved(mm, cur, i, p32, beforeCur)
-				st.touchMoved(mm, best, i, p32, beforeBest)
+				st.touchMoved(mm, j, i, p32, beforeBest)
 				improved = true
 			}
 		}

@@ -739,6 +739,11 @@ func fuzzApp(b int, id string) App {
 func FuzzHeuristicMatchesSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0x21, 0, 0x09, 1, 0x41, 2, 0x62, 5, 0x83, 3, 0x04, 6, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	// Warm servers off the shortlist: three c0 apps with an 8 ms SLO over
+	// a c0 and a c2 server, seeded onto s01 (12 ms away), s00 and s01. On
+	// a workspace view an off-list server is never feasible, so the seed
+	// drops those two and keeps only the slot it can name.
+	f.Add([]byte{1, 233, 2, 237, 0, 2, 0, 0, 0, 0, 2, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {

@@ -17,7 +17,8 @@ import (
 // cost is re-derived through the Policy. HeuristicSolver skips only scans
 // that provably move nothing, so its assignments must equal these byte
 // for byte, cold and warm. warm seeds the search exactly as SolveInto's
-// does. (Warm solvers under test run through solveNew, placer.go.)
+// does. (Warm solvers under test run through solveNew, placer.go.) It
+// never reads the state's candidate slots, so it places with slot -1.
 func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -27,7 +28,7 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		for i, j := range warm.ServerOf {
 			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {
-				st.place(i, j)
+				st.place(i, j, -1)
 			}
 		}
 	} else {
@@ -70,7 +71,7 @@ func sweepConstruct(st *state) {
 			}
 		}
 		if best >= 0 {
-			st.place(i, best)
+			st.place(i, best, -1)
 		}
 	}
 }
@@ -87,7 +88,7 @@ func sweepLocalSearch(st *state, maxPasses int) {
 				// Retry unplaced apps: capacity may have shifted.
 				for _, j := range p.CandidatesOf(i) {
 					if st.canPlace(i, j) {
-						st.place(i, j)
+						st.place(i, j, -1)
 						improved = true
 						break
 					}
@@ -110,7 +111,7 @@ func sweepLocalSearch(st *state, maxPasses int) {
 			}
 			if best != cur {
 				st.unplace(i)
-				st.place(i, best)
+				st.place(i, best, -1)
 				improved = true
 			}
 		}

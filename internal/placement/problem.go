@@ -38,6 +38,9 @@ type App struct {
 	SLOms float64
 	// RatePerSec is the request arrival rate driving energy use.
 	RatePerSec float64
+
+	// class is the hint Workspace.Bind records; nil for an unbound app.
+	class *candClass
 }
 
 // Server is the placement view of one edge server: the Table 2 inputs.
@@ -206,18 +209,6 @@ func (p *Problem) FeasibleServers(i int) []int {
 		}
 	}
 	return out
-}
-
-// countFeasible is len(FeasibleServers(i)) without materializing the
-// index slice.
-func (p *Problem) countFeasible(i int) int {
-	n := 0
-	for _, j := range p.CandidatesOf(i) {
-		if p.Feasible(i, j) {
-			n++
-		}
-	}
-	return n
 }
 
 // Assignment is a solved placement: x and y of the formulation.

@@ -59,6 +59,7 @@ type Workspace struct {
 	classes map[classKey]*appClass
 	latOK   map[latKey]*idxSpan
 	cands   map[candKey]*candClass
+	candEra int // counts resets of cands
 
 	// committed tracks live apps by ID for ReleaseApp.
 	committed map[string]commitRec
@@ -128,9 +129,15 @@ type idxSpan struct {
 
 // candClass is one (source, SLO, model, rate) app class as a view sees
 // it: the candidate shortlist plus the four shared rows every member app
-// aliases, all covering servers [0, upTo).
+// aliases, all covering servers [0, upTo). An App bound to it (Bind)
+// carries it as its class hint, which a view trusts only while owner is
+// the viewing workspace, era its current memo era (no reset has dropped
+// the class), and key equals the app's fields.
 type candClass struct {
 	idxSpan
+	owner  *Workspace
+	era    int
+	key    candKey
 	demand []cluster.Resources
 	power  []float64
 	ok     []bool
@@ -366,14 +373,21 @@ func (ws *Workspace) latFeasible(source string, sloMs float64) *idxSpan {
 // candClassOf returns the app's class with its shortlist — servers that
 // are both within the latency bound and model-compatible, in ascending
 // server order (so solver tie-breaks match the dense path) — and its rows
-// extended to the current server count. This is the only memo lookup a
-// view pays per app.
+// extended to the current server count. An app whose class hint is still
+// trusted (see candClass) skips the memo lookup; for any other app it is
+// the only lookup a view pays.
 func (ws *Workspace) candClassOf(a *App) *candClass {
 	key := candKey{a.Source, a.SLOms, a.Model, a.RatePerSec}
-	c := ws.cands[key]
+	c := a.class
+	if c == nil || c.owner != ws || c.era != ws.candEra || c.key != key {
+		c = ws.cands[key]
+	}
 	if c == nil {
+		if len(ws.cands) >= maxMemoEntries {
+			ws.candEra++ // disowns every hint to the dropped classes
+		}
 		ws.cands = memoRoom(ws.cands)
-		c = &candClass{} //detlint:hotalloc memo-miss path: one class per distinct app shape, cached for the run
+		c = &candClass{owner: ws, era: ws.candEra, key: key} //detlint:hotalloc memo-miss path: one class per distinct app shape, cached for the run
 		ws.cands[key] = c
 	}
 	if m := len(ws.servers); c.upTo < m {
@@ -390,6 +404,13 @@ func (ws *Workspace) candClassOf(a *App) *candClass {
 	}
 	return c
 }
+
+// Bind resolves a's class now and records it on a as its class hint, so
+// that views of a, and of copies of it, skip the memo lookup for as long
+// as the hint is trusted (see candClass); a view never trusts it wrongly.
+// Callers that view the same app shapes every batch bind one template per
+// shape and copy it.
+func (ws *Workspace) Bind(a *App) { a.class = ws.candClassOf(a) }
 
 // Problem assembles a solver-ready view of one batch against the current
 // workspace state. Nothing is copied per cell: Demand[i], PowerW[i], and

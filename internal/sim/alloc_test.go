@@ -26,7 +26,8 @@ func allocWorld(tb testing.TB) *World {
 // budget. The fault script fires (and recovers) during warmup: fault
 // events themselves may allocate — they are world changes, not steady
 // state — but the epochs after recovery must be as quiet as a fault-free
-// run's.
+// run's. The two redeploy modes re-place every live app every 6 h, cold
+// and warm-seeded.
 func allocModes(rps float64) map[string]Config {
 	classic := DefaultConfig(carbon.RegionEurope, placement.CarbonAware{})
 	classic.Hours = 24 * 14
@@ -40,7 +41,13 @@ func allocModes(rps float64) map[string]Config {
 		{At: 24 * time.Hour, Kind: events.FaultCrash, Site: "London", For: 12 * time.Hour},
 	}}
 
-	return map[string]Config{"classic": classic, "traffic": trafficCfg, "faults": faults}
+	redeploy := classic
+	redeploy.RedeployEveryHours = 6
+	redeployWarm := redeploy
+	redeployWarm.WarmRedeploy = true
+
+	return map[string]Config{"classic": classic, "traffic": trafficCfg, "faults": faults,
+		"redeploy": redeploy, "redeploy-warm": redeployWarm}
 }
 
 // finalState runs an engine to completion and exports its result with

@@ -184,8 +184,8 @@ func (c *Config) Validate() error {
 	if c.Hours <= 0 {
 		return fmt.Errorf("sim: Hours must be positive")
 	}
-	if c.RTTLimitMs <= 0 {
-		return fmt.Errorf("sim: RTTLimitMs must be positive")
+	if !(c.RTTLimitMs > 0) || math.IsInf(c.RTTLimitMs, 1) {
+		return fmt.Errorf("sim: RTTLimitMs %g is not a finite positive number", c.RTTLimitMs)
 	}
 	if !(c.ArrivalsPerHour >= 0) || math.IsInf(c.ArrivalsPerHour, 1) {
 		return fmt.Errorf("sim: arrival rate %g is not a finite non-negative number", c.ArrivalsPerHour)
@@ -199,8 +199,11 @@ func (c *Config) Validate() error {
 	if len(c.Devices) == 0 {
 		return fmt.Errorf("sim: no devices configured")
 	}
-	if c.RatePerSec <= 0 {
-		return fmt.Errorf("sim: RatePerSec must be positive")
+	if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 1) {
+		return fmt.Errorf("sim: RatePerSec %g is not a finite positive number", c.RatePerSec)
+	}
+	if !(c.CapacityMilliPerSite > 0) || math.IsInf(c.CapacityMilliPerSite, 1) {
+		return fmt.Errorf("sim: CapacityMilliPerSite %g is not a finite positive number", c.CapacityMilliPerSite)
 	}
 	if c.Traffic != nil {
 		if err := c.Traffic.Validate(); err != nil {

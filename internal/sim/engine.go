@@ -190,6 +190,8 @@ type replicaPool struct {
 	// existing pair, and their applications must keep pooling with it.
 	pairs []poolPair
 	cells [][]poolCell // [model][pair]
+	// apps holds the redeploy's app templates (see Engine.liveTemplate).
+	apps []placement.App
 	// gen stamps the cells that have a replica in this epoch's buf.
 	gen int
 	buf []router.Replica
@@ -722,7 +724,7 @@ func (e *Engine) stepDepartures(epoch int) {
 		}
 		srv := &e.servers[a.srv]
 		srv.used = srv.used.Sub(a.demand)
-		if srv.used.Dominant(srv.cap) <= 0 && !e.cfg.ServersAlwaysOn {
+		if !e.cfg.ServersAlwaysOn && srv.used.Dominant(srv.cap) <= 0 {
 			srv.on = false
 		}
 	}
@@ -1104,6 +1106,23 @@ func (e *Engine) rttOracle(source, dc string) float64 {
 	return e.rtt[e.siteIdxByCity[source]][e.siteIdxByCity[dc]]
 }
 
+// liveTemplate returns live app a's placement.App but for the ID. There
+// is one template per (model, source site), at pool.apps[model index x
+// site count + source site], built and bound to the workspace the first
+// time a redeploy views that shape, so no later view looks its class up.
+func (e *Engine) liveTemplate(a *liveApp) placement.App {
+	k := a.mi*len(e.sites) + a.srcSite
+	for len(e.pool.apps) <= k {
+		e.pool.apps = append(e.pool.apps, placement.App{})
+	}
+	t := &e.pool.apps[k]
+	if t.Source == "" {
+		*t = placement.App{Model: a.model, Source: e.sites[a.srcSite].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: e.cfg.RatePerSec}
+		e.ws.Bind(t)
+	}
+	return *t
+}
+
 // redeploy re-places all live applications (the §7 extension). Apps keep
 // their previous placement when the solver cannot improve on feasibility;
 // relocated apps pay the configured data-movement energy at the
@@ -1116,7 +1135,7 @@ func (e *Engine) redeploy(now time.Time) error {
 		e.prevsBuf = append(e.prevsBuf, a.srv)
 		srv := &e.servers[a.srv]
 		srv.used = srv.used.Sub(a.demand)
-		if srv.used.Dominant(srv.cap) <= 0 && !e.cfg.ServersAlwaysOn {
+		if !e.cfg.ServersAlwaysOn && srv.used.Dominant(srv.cap) <= 0 {
 			srv.on = false
 		}
 	}
@@ -1124,14 +1143,9 @@ func (e *Engine) redeploy(now time.Time) error {
 
 	e.appsBuf = e.appsBuf[:0]
 	for i := range e.live {
-		a := &e.live[i]
-		e.appsBuf = append(e.appsBuf, placement.App{
-			ID:         e.queueID(i),
-			Model:      a.model,
-			Source:     e.sites[a.srcSite].City,
-			SLOms:      e.cfg.RTTLimitMs,
-			RatePerSec: e.cfg.RatePerSec,
-		})
+		app := e.liveTemplate(&e.live[i])
+		app.ID = e.queueID(i)
+		e.appsBuf = append(e.appsBuf, app)
 	}
 	apps := e.appsBuf
 	// The identity placement — each live app on its current server — is

@@ -195,7 +195,7 @@ func (e *Engine) evictOverflow(j, epoch int) {
 		e.queueEvicted(&a, epoch)
 		e.live = append(e.live[:i], e.live[i+1:]...)
 	}
-	if srv.used.Dominant(srv.cap) <= 0 && !e.cfg.ServersAlwaysOn {
+	if !e.cfg.ServersAlwaysOn && srv.used.Dominant(srv.cap) <= 0 {
 		srv.on = false
 	}
 }
@@ -238,10 +238,7 @@ func (e *Engine) scaleOut(f events.Fault) error {
 	if count <= 0 {
 		count = 1
 	}
-	ratio := 1.0
-	if e.cfg.CapacityMilliPerSite > 0 {
-		ratio = f.CapacityMilli / e.cfg.CapacityMilliPerSite
-	}
+	ratio := f.CapacityMilli / e.cfg.CapacityMilliPerSite
 	capVec := cluster.NewResources(f.CapacityMilli,
 		float64(dev.MemMB)*ratio*4, float64(dev.MemMB)*ratio, 1e9)
 	for k := 0; k < count; k++ {

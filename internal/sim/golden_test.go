@@ -17,8 +17,8 @@ import (
 // digests pin: the seven timeline shapes (classic, US, latency-aware,
 // redeploy, batched, power-managed, traffic), every policy, four
 // workspace stress shapes (power management, heterogeneous devices,
-// batching, redeploy with migration costs), and the three allocation-gate
-// modes (classic, traffic, faults).
+// batching, redeploy with migration costs), and the five allocation-gate
+// modes (classic, traffic, faults, redeploy, redeploy-warm).
 func goldenCases() map[string]Config {
 	mk := func(pol placement.Policy, hours int, mutate func(*Config)) Config {
 		cfg := shortConfig(carbon.RegionEurope, pol)
@@ -70,10 +70,15 @@ func goldenCases() map[string]Config {
 // carried its reference twins — the pre-timeline fixed epoch loop, the
 // dense per-app sweep local search and the dense per-batch problem
 // rebuild — and every case produced the same digest with each twin that
-// applied to it switched on. A changed digest is a changed trajectory.
+// applied to it switched on. The two alloc/redeploy digests came later,
+// recorded before the redeploy reused bound app templates and carried
+// solver slots, and unchanged by it. A changed digest is a changed
+// trajectory.
 var goldenDigests = map[string]string{
 	"alloc/classic":          "bbda6688cbe21f5f2e4e2f77a4d8f1d7c07b5aba809852c3b1ded5f2480629bd",
 	"alloc/faults":           "8a91c6a25d4a996702dbd8227ca049b42b3bbdc4d783e8f39af1293516e00424",
+	"alloc/redeploy":         "b9e103b9d391530d42083c3ddb486cdfb1163fdb56260495d77341e321ff1302",
+	"alloc/redeploy-warm":    "6b96b686983523fae5fa9c96a240cb03934cc81902c7533bc3a72256bcc8ce07",
 	"alloc/traffic":          "b06b508bd41f6246341c60fb07934aa9df234f5e8d342df2c5f72a303b945eb1",
 	"policy/CarbonEdge":      "c7db70f4f295c80f8549aa971cd547d7d85af73fbb87e0e9096b08fd8772e8b6",
 	"policy/Energy-aware":    "225bfd8072e21bda6ac5c48ab2767fc9ff29c3010df4b48a7c583a99733c489c",
@@ -101,7 +106,7 @@ func TestGoldenPolicies(t *testing.T) { runGolden(t, "policy") }
 // TestGoldenStressShapes pins the four workspace stress shapes.
 func TestGoldenStressShapes(t *testing.T) { runGolden(t, "shape") }
 
-// TestGoldenAllocModes pins the three allocation-gate modes.
+// TestGoldenAllocModes pins the five allocation-gate modes.
 func TestGoldenAllocModes(t *testing.T) { runGolden(t, "alloc") }
 
 // runGolden pins the full Result of every golden case in group to its

@@ -56,10 +56,10 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/orchestrator/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
-# of each core package and the number of //detlint: markers outside
-# internal/lint. CI does not gate on it.
+# of each core package and of shard and checkpoint, and the number of
+# //detlint: markers outside internal/lint. CI does not gate on it.
 size:
-	@for p in sim placement orchestrator; do \
+	@for p in sim placement orchestrator shard checkpoint; do \
 		printf '%-14s %s\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@printf '%-14s %s\n' "detlint marks" "$$(grep -rn '//detlint:' --include=*.go . | grep -v '^./internal/lint' | wc -l)"

@@ -23,9 +23,7 @@
 // payload, which is the identity on bytes encoding/json produces — they
 // are already compact and already escaped, and AppendJSON is held to
 // the same bytes. So the envelope is never re-scanned; only a payload
-// this package has itself just encoded takes the verbatim path. An
-// Envelope read from disk (the shard coordinator embeds sealed member
-// envelopes in its payload) is still ordinary data to encoding/json.
+// this package has itself just encoded takes the verbatim path.
 //
 // Files are written atomically (temp file + fsync + rename + fsync of
 // the directory), so a crash mid-checkpoint leaves the previous
@@ -74,9 +72,9 @@ type Envelope struct {
 }
 
 // Seal wraps a payload in an envelope: the payload is JSON-encoded,
-// digested, and framed under the given kind (and optional key).
-// Composite checkpoints — the shard coordinator's world snapshot —
-// embed per-member envelopes sealed here inside their own payload.
+// digested, and framed under the given kind (and optional key). Encoding
+// the returned Envelope yields the bytes Encode writes (see the package
+// comment).
 func Seal(kind, key string, payload any) (*Envelope, error) {
 	f := getFrame()
 	defer frames.Put(f)
@@ -237,23 +235,12 @@ func Decode(r io.Reader, kind string, out any) error {
 	return nil
 }
 
-// Save atomically writes one enveloped payload to path (see SaveBytes).
-func Save(path, kind string, payload any) error {
-	f := getFrame()
-	defer frames.Put(f)
-	if err := f.seal(kind, "", payload); err != nil {
-		return err
-	}
-	return SaveBytes(path, f.buf.Bytes())
-}
-
 // SaveBytes atomically writes an already-encoded envelope (the output of
-// Encode) to path — for callers that also need the encoded bytes and
-// should not pay for sealing the payload twice. The bytes are staged to
-// a temp file in the same directory, fsynced, and renamed into place, and
-// the directory is fsynced so the rename itself survives a crash: a
-// crash mid-write never leaves a truncated checkpoint where a good one
-// stood, nor loses one that SaveBytes reported written.
+// Encode) to path. The bytes are staged to a temp file in the same
+// directory, fsynced, and renamed into place, and the directory is
+// fsynced so the rename itself survives a crash: a crash mid-write never
+// leaves a truncated checkpoint where a good one stood, nor loses one
+// that SaveBytes reported written.
 func SaveBytes(path string, encoded []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -292,14 +279,4 @@ func syncDir(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// Load reads an enveloped payload from path (see Decode).
-func Load(path, kind string, out any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return Decode(f, kind, out)
 }

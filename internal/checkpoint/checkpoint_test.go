@@ -99,23 +99,33 @@ func TestEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestSaveLoadAtomic: an envelope Encode wrote and SaveBytes put in
+// place over an older one decodes to the newer payload.
 func TestSaveLoadAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "nested", "state.ckpt")
-	if err := Save(path, "test-kind", payload{Name: "v1"}); err != nil {
+	for _, name := range []string{"v1", "v2"} {
+		var buf bytes.Buffer
+		if err := Encode(&buf, "test-kind", payload{Name: name}); err != nil {
+			t.Fatal(err)
+		}
+		if err := SaveBytes(path, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, "test-kind", payload{Name: "v2"}); err != nil {
-		t.Fatal(err)
-	}
+	defer f.Close()
 	var out payload
-	if err := Load(path, "test-kind", &out); err != nil {
+	if err := Decode(f, "test-kind", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "v2" {
 		t.Fatalf("loaded %q, want v2", out.Name)
 	}
-	// No temp-file litter once Save returns.
+	// No temp-file litter once SaveBytes returns.
 	ents, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
@@ -289,14 +299,14 @@ func TestJournalTerminatedCorruptFinalLineIsError(t *testing.T) {
 }
 
 func TestSealOpenRoundTrip(t *testing.T) {
-	// Seal is the composite-checkpoint building block: member envelopes
-	// seal individually and embed in an outer payload.
+	// A sealed envelope opens under its own kind only, and only while its
+	// payload matches its digest.
 	type member struct{ V int }
-	env, err := Seal("engine", "shard-1", member{V: 7})
+	env, err := Seal("engine", "point-1", member{V: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Kind != "engine" || env.Key != "shard-1" {
+	if env.Kind != "engine" || env.Key != "point-1" {
 		t.Errorf("sealed kind/key = %q/%q", env.Kind, env.Key)
 	}
 	raw, err := env.Open("engine")

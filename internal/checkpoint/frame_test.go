@@ -18,7 +18,7 @@ import (
 // encodeOracle is the reflection path every envelope writer is held to:
 // json.Marshal the payload, digest it, and hand the whole Envelope to a
 // json.Encoder, which re-validates and re-compacts the RawMessage
-// payload. Encode, Save, Seal and Journal.Append must produce its bytes
+// payload. Encode, Seal and Journal.Append must produce its bytes
 // (and its error) exactly.
 func encodeOracle(w io.Writer, kind, key string, payload any) error {
 	raw, err := json.Marshal(payload)
@@ -147,8 +147,8 @@ func TestEncodeReusesFrameAcrossSizes(t *testing.T) {
 }
 
 // TestEncodeMarshalErrorMatchesOracle: a payload encoding/json refuses
-// fails with the old error text, and leaves the writer, the save path
-// and the journal untouched.
+// fails with the old error text, and leaves the writer and the journal
+// untouched.
 func TestEncodeMarshalErrorMatchesOracle(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := OpenJournal(filepath.Join(dir, "run.journal"))
@@ -175,13 +175,6 @@ func TestEncodeMarshalErrorMatchesOracle(t *testing.T) {
 		}
 		if w.Len() != 0 {
 			t.Errorf("%s: Encode wrote %d bytes of a failed envelope", name, w.Len())
-		}
-		path := filepath.Join(dir, "state.ckpt")
-		if err := Save(path, "engine", v); err == nil || err.Error() != want.Error() {
-			t.Errorf("%s: Save error %v, want %v", name, err, want)
-		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("%s: failed Save left a file (stat err %v)", name, err)
 		}
 		if err := j.Append("engine", "", v); err == nil || err.Error() != want.Error() {
 			t.Errorf("%s: Append error %v, want %v", name, err, want)
@@ -211,7 +204,7 @@ func (p *appending) AppendJSON(dst []byte) ([]byte, error) {
 
 // TestSealMatchesMarshal: Seal's payload is json.Marshal's bytes, and a
 // payload with AppendJSON is encoded through it, once per envelope, by
-// Seal, Encode, Save and Journal.Append alike.
+// Seal, Encode and Journal.Append alike.
 func TestSealMatchesMarshal(t *testing.T) {
 	for name, v := range oraclePayloads() {
 		want, err := json.Marshal(v)
@@ -236,10 +229,9 @@ func TestSealMatchesMarshal(t *testing.T) {
 	p := &appending{V: 0.1, calls: &calls}
 	_, serr := Seal("k", "", p)
 	eerr := Encode(io.Discard, "k", p)
-	verr := Save(filepath.Join(dir, "state.ckpt"), "k", p)
 	aerr := j.Append("k", "", p)
-	if serr != nil || eerr != nil || verr != nil || aerr != nil || calls != 4 {
-		t.Errorf("AppendJSON called %d times for four envelopes (errors %v %v %v %v)", calls, serr, eerr, verr, aerr)
+	if serr != nil || eerr != nil || aerr != nil || calls != 3 {
+		t.Errorf("AppendJSON called %d times for three envelopes (errors %v %v %v)", calls, serr, eerr, aerr)
 	}
 }
 

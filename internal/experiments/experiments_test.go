@@ -712,8 +712,13 @@ func TestLonghaulCheckpointVerifies(t *testing.T) {
 	if r.CheckpointFile == "" {
 		t.Fatal("no on-disk checkpoint path with CheckpointDir set")
 	}
+	f, err := os.Open(r.CheckpointFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	var snap sim.Snapshot
-	if err := checkpoint.Load(r.CheckpointFile, "engine", &snap); err != nil {
+	if err := checkpoint.Decode(f, "engine", &snap); err != nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
 	}
 	if snap.Epoch != r.Hours {

@@ -2,40 +2,19 @@ package shard
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
-// Msg is one cross-shard interaction, exchanged at a window barrier and
-// delivered in stable (Epoch, From, Seq) order.
-type Msg struct {
-	// Epoch is the delivery epoch: the first epoch of the window after
-	// the barrier that produced the message.
-	Epoch int `json:"epoch"`
-	// From and To are shard indices (To is From's ring neighbor).
-	From int `json:"from"`
-	To   int `json:"to"`
-	// Seq is the coordinator's message sequence number, the total-order
-	// tie-break within one (Epoch, From).
-	Seq int `json:"seq"`
-	// Kind is "redeploy" (a forwarded arrival) or "spill" (request
-	// volume); Model and N carry the respective payloads.
-	Kind  string `json:"kind"`
-	Model string `json:"model,omitempty"`
-	N     int64  `json:"n,omitempty"`
-}
-
 // ExchangeStats aggregates the coordinator's cross-shard traffic.
 type ExchangeStats struct {
-	// Messages counts delivered messages.
+	// Messages counts deliveries: one per forwarded app and one per
+	// barrier at which a shard spilled request volume.
 	Messages int `json:"messages"`
 	// AppsForwarded counts arrivals shards exported; AppsUndelivered is
-	// the subset dropped because the run ended before the next window
+	// the subset dropped because the run ended before the next round
 	// (they count as neither Placed nor Unplaced).
 	AppsForwarded   int `json:"apps_forwarded"`
 	AppsUndelivered int `json:"apps_undelivered"`
@@ -44,26 +23,22 @@ type ExchangeStats struct {
 	SpillRequests int64 `json:"spill_requests"`
 }
 
-// Coordinator drives one engine per shard in lock-step windows. All
-// coordination — stepping rounds, draining outboxes, delivering
-// messages — happens on the caller's goroutine; worker goroutines only
-// ever step disjoint engines inside a round, so the zero-exchange state
-// an engine observes is independent of scheduling.
+// Coordinator drives one engine per shard in lock-step rounds of one
+// epoch. All coordination — stepping rounds, draining outboxes,
+// delivering to neighbors — happens on the caller's goroutine; worker
+// goroutines only ever step disjoint engines inside a round, so the
+// state an engine observes is independent of scheduling.
 type Coordinator struct {
 	cfg     Config
 	specs   []sim.Config
 	engines []*sim.Engine
-	start   time.Time
 	round   int
-	rounds  int
 
-	msgSeq int
-	// drops[s] is shard s's cumulative router drop count at the last
-	// barrier; the per-window delta becomes spill-over volume.
+	// drops[s] is shard s's cumulative drop count at the last barrier;
+	// the per-round delta becomes spill-over volume.
 	drops  []int64
 	stats  ExchangeStats
-	fwdBuf []sim.ForwardedApp //detlint:ephemeral per-epoch exchange scratch, cleared before every use
-	msgBuf []Msg              //detlint:ephemeral per-epoch exchange scratch, cleared before every use
+	fwdBuf []sim.ForwardedApp // per-barrier scratch, cleared before every use
 }
 
 // New plans the partition and builds one engine per shard.
@@ -80,49 +55,35 @@ func New(cfg Config, w *sim.World) (*Coordinator, error) {
 		}
 		engines[i] = e
 	}
-	c := &Coordinator{
+	return &Coordinator{
 		cfg:     cfg,
 		specs:   specs,
 		engines: engines,
-		start:   engines[0].PeekNextTime(),
 		drops:   make([]int64, len(engines)),
-	}
-	wh := cfg.windowHours()
-	c.rounds = (cfg.Base.Hours + wh - 1) / wh
-	return c, nil
+	}, nil
 }
-
-// Shards is the partition width.
-func (c *Coordinator) Shards() int { return len(c.engines) }
 
 // Specs returns the per-shard configs the plan produced. The slice is
 // shared; do not mutate it.
 func (c *Coordinator) Specs() []sim.Config { return c.specs }
 
-// Round is the index of the next lock-step round.
-func (c *Coordinator) Round() int { return c.round }
-
-// Done reports whether every window has run.
-func (c *Coordinator) Done() bool { return c.round >= c.rounds }
+// Done reports whether every round has run.
+func (c *Coordinator) Done() bool { return c.round >= c.cfg.Base.Hours }
 
 // Stats returns the exchange telemetry accumulated so far.
 func (c *Coordinator) Stats() ExchangeStats { return c.stats }
 
-// RunRound advances every shard through the current window and applies
-// the barrier: outboxes drain in shard-index order, messages sort by
-// (Epoch, From, Seq), and delivery happens while all engines are
-// quiescent — so results are independent of worker scheduling.
+// RunRound advances every shard by one epoch and applies the barrier:
+// outboxes drain in shard-index order, and delivery happens while all
+// engines are quiescent — so results are independent of worker
+// scheduling.
 func (c *Coordinator) RunRound() error {
 	if c.Done() {
-		return fmt.Errorf("shard: RunRound past round %d of %d", c.round, c.rounds)
+		return fmt.Errorf("shard: RunRound past round %d of %d", c.round, c.cfg.Base.Hours)
 	}
-	until := c.start.Add(time.Duration((c.round+1)*c.cfg.windowHours()) * time.Hour)
 	step := func(i int) (struct{}, error) {
-		e := c.engines[i]
-		for e.HasPending() && e.PeekNextTime().Before(until) {
-			if err := e.ProcessNext(); err != nil {
-				return struct{}{}, fmt.Errorf("shard %d: %w", i, err)
-			}
+		if err := c.engines[i].ProcessNext(); err != nil {
+			return struct{}{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 		return struct{}{}, nil
 	}
@@ -139,68 +100,41 @@ func (c *Coordinator) RunRound() error {
 	return c.exchange()
 }
 
-// exchange is the barrier body: collect every shard's exported work and
-// deliver it to ring neighbors at the first epoch of the next window.
+// exchange is the barrier body: shard by shard, in index order, it
+// drains the shard's forwarded apps and its new drops and delivers them
+// to the ring neighbor at the next epoch. Delivering only fills the
+// neighbor's inboxes; it never changes the outbox or drop count the loop
+// reads when it reaches that neighbor.
 func (c *Coordinator) exchange() error {
 	n := len(c.engines)
 	if !c.cfg.Exchange || n == 1 {
 		return nil
 	}
-	epoch := c.round * c.cfg.windowHours()
-	deliverable := epoch < c.cfg.Base.Hours
-	c.msgBuf = c.msgBuf[:0]
-	for s := 0; s < n; s++ {
-		c.fwdBuf = c.engines[s].TakeForwarded(c.fwdBuf[:0])
-		for _, app := range c.fwdBuf {
-			c.stats.AppsForwarded++
-			if !deliverable {
-				c.stats.AppsUndelivered++
-				continue
-			}
-			c.msgBuf = append(c.msgBuf, Msg{
-				Epoch: epoch, From: s, To: (s + 1) % n, Seq: c.msgSeq,
-				Kind: "redeploy", Model: app.Model,
-			})
-			c.msgSeq++
+	epoch := c.round
+	for s, e := range c.engines {
+		c.fwdBuf = e.TakeForwarded(c.fwdBuf[:0])
+		c.stats.AppsForwarded += len(c.fwdBuf)
+		if epoch >= c.cfg.Base.Hours {
+			// The run is over: there is no next epoch to deliver at.
+			c.stats.AppsUndelivered += len(c.fwdBuf)
+			continue
 		}
-		d := c.engines[s].TrafficDropped()
-		if delta := d - c.drops[s]; delta > 0 && deliverable {
-			c.msgBuf = append(c.msgBuf, Msg{
-				Epoch: epoch, From: s, To: (s + 1) % n, Seq: c.msgSeq,
-				Kind: "spill", N: delta,
-			})
-			c.msgSeq++
+		to := (s + 1) % n
+		for _, app := range c.fwdBuf {
+			if err := c.engines[to].InjectApp(epoch, app.Model); err != nil {
+				return fmt.Errorf("shard: forwarding an app %d->%d: %w", s, to, err)
+			}
+			c.stats.Messages++
+		}
+		d := e.TrafficDropped()
+		if delta := d - c.drops[s]; delta > 0 {
+			if err := c.engines[to].InjectRequests(epoch, delta); err != nil {
+				return fmt.Errorf("shard: spilling %d->%d: %w", s, to, err)
+			}
+			c.stats.Messages++
 			c.stats.SpillRequests += delta
 		}
 		c.drops[s] = d
-	}
-	// The collection loop already runs in shard-index order with one
-	// epoch per barrier; the sort enforces the (Epoch, From, Seq)
-	// delivery contract independent of how messages were gathered.
-	sort.SliceStable(c.msgBuf, func(a, b int) bool {
-		ma, mb := c.msgBuf[a], c.msgBuf[b]
-		if ma.Epoch != mb.Epoch {
-			return ma.Epoch < mb.Epoch
-		}
-		if ma.From != mb.From {
-			return ma.From < mb.From
-		}
-		return ma.Seq < mb.Seq
-	})
-	for _, m := range c.msgBuf {
-		var err error
-		switch m.Kind {
-		case "redeploy":
-			err = c.engines[m.To].InjectApp(m.Epoch, m.Model)
-		case "spill":
-			err = c.engines[m.To].InjectRequests(m.Epoch, m.N)
-		default:
-			err = fmt.Errorf("unknown message kind %q", m.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("shard: delivering %s %d->%d: %w", m.Kind, m.From, m.To, err)
-		}
-		c.stats.Messages++
 	}
 	return nil
 }
@@ -255,37 +189,4 @@ func (c *Coordinator) MergedPhases() ([]obs.PhaseStat, error) {
 		return nil, nil
 	}
 	return agg.Report(), nil
-}
-
-// RegisterMetrics exposes the coordinator on a metrics registry under
-// the given prefix ("shard" when empty): the shard count, the current
-// round, and per-shard progress/total series. Collectors iterate shards
-// in index order on every scrape, so the exposition text is identical
-// regardless of which order shards finished their windows in. Scrape
-// between rounds or after Run — engines are not read-safe mid-step.
-func (c *Coordinator) RegisterMetrics(reg *obs.Registry, prefix string) {
-	if prefix == "" {
-		prefix = "shard"
-	}
-	reg.GaugeFunc(prefix+"_count", "Number of shards in the partition.", func() float64 {
-		return float64(len(c.engines))
-	})
-	reg.GaugeFunc(prefix+"_round", "Completed lock-step rounds.", func() float64 {
-		return float64(c.round)
-	})
-	reg.Register(prefix+"_epochs", "Epochs completed, per shard.", "gauge", func(emit obs.EmitFunc) {
-		for i, e := range c.engines {
-			emit("", obs.Labels("shard", strconv.Itoa(i)), float64(e.Epoch()))
-		}
-	})
-	reg.Register(prefix+"_placed", "Applications placed, per shard.", "gauge", func(emit obs.EmitFunc) {
-		for i, e := range c.engines {
-			emit("", obs.Labels("shard", strconv.Itoa(i)), float64(e.Finish().Placed))
-		}
-	})
-	reg.Register(prefix+"_carbon_g", "Accrued emissions (gCO2eq), per shard.", "gauge", func(emit obs.EmitFunc) {
-		for i, e := range c.engines {
-			emit("", obs.Labels("shard", strconv.Itoa(i)), e.Finish().CarbonG)
-		}
-	})
 }

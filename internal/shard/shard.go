@@ -2,16 +2,15 @@
 // deterministic shared-clock coordinator partitions a region's sites
 // into weight-balanced longitude bands, hands each band to its own
 // engine as an ordinary site-filtered sim.Config, and advances all
-// engines in lock-step windows — every engine whose next pending epoch
-// falls inside the current window steps concurrently, and the
-// coordinator barriers at window edges.
+// engines in lock-step rounds of one epoch — every engine steps its
+// epoch concurrently, and the coordinator barriers after each round.
 //
 //	             ┌─────────┐ ProcessNext ┌──────────────┐
-//	Plan ───────▶│ shard 0 │────────────▶│              │
-//	(lon bands,  ├─────────┤             │  barrier:    │  Msgs sorted
-//	 split rates,│ shard 1 │────────────▶│  drain       │  (epoch, shard,
-//	 split fault ├─────────┤             │  outboxes,   │   seq), injected
-//	 scripts)    │   ...   │────────────▶│  deliver     │  into inboxes
+//	Plan ───────▶│ shard 0 │────────────▶│  barrier,    │  shard s's
+//	(lon bands,  ├─────────┤             │  shard by    │  forwarded apps
+//	 split rates,│ shard 1 │────────────▶│  shard:      │  and spill go to
+//	 split fault ├─────────┤             │  drain the   │  shard (s+1)%n's
+//	 scripts)    │   ...   │────────────▶│  outbox      │  inboxes
 //	             └─────────┘             └──────────────┘
 //
 // # Determinism contract
@@ -20,13 +19,13 @@
 // sorts by (Lon, Lat, index), shard seeds derive from the base seed by
 // index, and region-level arrival/traffic rates split by demand share.
 // Cross-shard interactions — forwarded arrivals a shard could not place
-// and spill-over request volume — are exchanged only at window barriers
-// as messages keyed (epoch, from-shard, seq), delivered in that sorted
-// order while every engine is quiescent. Worker count therefore never
-// changes results: Workers=1 and Workers=N produce byte-identical
-// per-shard and merged states, the same guarantee the sweep runner makes
-// for grid points. With Exchange off, each shard is byte-identical to a
-// standalone serial run of its spec.
+// and spill-over request volume — are exchanged only at round barriers,
+// while every engine is quiescent: shard by shard in index order, each
+// shard's work goes to its ring neighbor for the next epoch. Worker
+// count therefore never changes results: Workers=1 and Workers=N produce
+// byte-identical per-shard and merged states, the same guarantee the
+// sweep runner makes for grid points. With Exchange off, each shard is
+// byte-identical to a standalone serial run of its spec.
 package shard
 
 import (
@@ -46,11 +45,6 @@ type Config struct {
 	Base sim.Config
 	// Shards is the partition width (<= 1 runs Base unsharded).
 	Shards int
-	// WindowHours is the lock-step window: engines run this many epochs
-	// between barriers (0 = 1). Larger windows barrier less often but
-	// delay cross-shard exchange by the same amount; exchanged work is
-	// always delivered at the first epoch of the following window.
-	WindowHours int
 	// Exchange turns on cross-shard interaction: each shard forwards
 	// unplaced fresh arrivals and spill-over traffic volume to its ring
 	// neighbor at every barrier. Off, shards are fully independent (and
@@ -67,13 +61,6 @@ func (c *Config) shards() int {
 		return 1
 	}
 	return c.Shards
-}
-
-func (c *Config) windowHours() int {
-	if c.WindowHours <= 0 {
-		return 1
-	}
-	return c.WindowHours
 }
 
 func (c *Config) workers() int {

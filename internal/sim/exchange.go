@@ -7,7 +7,7 @@ import (
 )
 
 // Cross-shard exchange: when a World is partitioned across several
-// engines, the shard coordinator moves work between them at window
+// engines, the shard coordinator moves work between them at round
 // barriers — fresh arrivals no shard-local server could host
 // (Config.ForwardUnplaced fills the outbox) and spill-over request
 // volume. Each engine only exposes mailboxes; the coordinator owns
@@ -38,9 +38,6 @@ type inboxReq struct {
 	epoch int
 	n     int64
 }
-
-// GatewayCity names the engine's exchange ingress site.
-func (e *Engine) GatewayCity() string { return e.sites[e.gateway].City }
 
 // InjectApp schedules one cross-shard arrival: at the given epoch it
 // joins the backlog as a fresh arrival sourced at the gateway site.
@@ -74,7 +71,7 @@ func (e *Engine) InjectRequests(epoch int, n int64) error {
 
 // TakeForwarded appends the outbox — every arrival ForwardUnplaced
 // exported since the last call — to buf and clears it. The coordinator
-// drains outboxes in shard-index order at each window barrier.
+// drains outboxes in shard-index order at each round barrier.
 func (e *Engine) TakeForwarded(buf []ForwardedApp) []ForwardedApp {
 	buf = append(buf, e.outbox...)
 	e.outbox = e.outbox[:0]
@@ -82,7 +79,7 @@ func (e *Engine) TakeForwarded(buf []ForwardedApp) []ForwardedApp {
 }
 
 // TrafficDropped is the cumulative count of requests the router dropped
-// (0 outside traffic mode). The coordinator diffs it across window
+// (0 outside traffic mode). The coordinator diffs it across round
 // barriers to derive spill-over volume.
 func (e *Engine) TrafficDropped() int64 {
 	if e.res.Traffic == nil {

@@ -120,11 +120,13 @@ type Engine struct {
 	// Cross-shard exchange state (see exchange.go): gateway is the
 	// shard's ingress site; outbox collects unplaced fresh arrivals when
 	// cfg.ForwardUnplaced; inApps/inReqs hold coordinator-injected
-	// arrivals and request volume, consumed at their target epoch.
-	gateway int //detlint:ephemeral derived from cfg at construction
-	outbox  []ForwardedApp
-	inApps  []inboxApp
-	inReqs  []inboxReq
+	// arrivals and request volume, consumed at their target epoch;
+	// inDropped counts the injected requests the router dropped.
+	gateway   int //detlint:ephemeral derived from cfg at construction
+	outbox    []ForwardedApp
+	inApps    []inboxApp
+	inReqs    []inboxReq
+	inDropped int64
 
 	res  *Result
 	live []liveApp
@@ -1003,6 +1005,7 @@ func (e *Engine) stepTraffic(epoch, month int) error {
 	// Cross-shard spill-over volume due this epoch routes from the
 	// gateway after the epoch's own sources, in injection order.
 	if len(e.inReqs) > 0 {
+		own := sl.Dropped()
 		keep := e.inReqs[:0]
 		for _, p := range e.inReqs {
 			if p.epoch > epoch {
@@ -1012,6 +1015,7 @@ func (e *Engine) stepTraffic(epoch, month int) error {
 			sl.RouteAt(e.gateway, p.n, e.intensityFn)
 		}
 		e.inReqs = keep
+		e.inDropped += sl.Dropped() - own
 	}
 	sl.Close()
 	e.res.EnergyKWh += st.EnergyKWh - kwh0

@@ -79,13 +79,15 @@ func (e *Engine) TakeForwarded(buf []ForwardedApp) []ForwardedApp {
 }
 
 // TrafficDropped is the cumulative count of requests the router dropped
-// (0 outside traffic mode). The coordinator diffs it across round
-// barriers to derive spill-over volume.
+// from the engine's own sources (0 outside traffic mode): injected
+// volume it dropped is left out, so spill-over moves one hop. The
+// coordinator diffs it across round barriers to derive spill-over
+// volume.
 func (e *Engine) TrafficDropped() int64 {
 	if e.res.Traffic == nil {
 		return 0
 	}
-	return e.res.Traffic.Dropped
+	return e.res.Traffic.Dropped - e.inDropped
 }
 
 // consumeInboxApps moves due injected arrivals into the backlog, in

@@ -41,11 +41,12 @@ type Snapshot struct {
 	Pending []PendingSnap `json:"pending,omitempty"`
 
 	// Cross-shard exchange mailboxes (empty outside coordinator runs):
-	// the outbox of forwarded-but-undrained arrivals and the inboxes of
-	// injected work not yet due.
-	Outbox []ForwardedApp `json:"outbox,omitempty"`
-	InApps []InboxAppSnap `json:"inbox_apps,omitempty"`
-	InReqs []InboxReqSnap `json:"inbox_reqs,omitempty"`
+	// the outbox of forwarded-but-undrained arrivals, the inboxes of
+	// injected work not yet due, and the injected requests dropped.
+	Outbox    []ForwardedApp `json:"outbox,omitempty"`
+	InApps    []InboxAppSnap `json:"inbox_apps,omitempty"`
+	InReqs    []InboxReqSnap `json:"inbox_reqs,omitempty"`
+	InDropped int64          `json:"inbox_dropped,omitempty"`
 
 	Result ResultState `json:"result"`
 
@@ -285,6 +286,7 @@ func (e *Engine) Snapshot() *Snapshot {
 	for _, p := range e.inReqs {
 		snap.InReqs = append(snap.InReqs, InboxReqSnap{Epoch: p.epoch, N: p.n})
 	}
+	snap.InDropped = e.inDropped
 	if e.recorder != nil {
 		st := e.recorder.State()
 		snap.Recorder = &st
@@ -445,6 +447,10 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 		e.res.Traffic = e.trouter.Stats()
 	}
+	if d := snap.InDropped; d != 0 && (d < 0 || e.res.Traffic == nil || d > e.res.Traffic.Dropped) {
+		return nil, fmt.Errorf("sim: snapshot counts %d dropped injected requests, outside what the router dropped", d)
+	}
+	e.inDropped = snap.InDropped
 	if cfg.Faults != nil && e.res.Faults == nil {
 		e.res.Faults = &FaultStats{}
 	}

@@ -111,6 +111,10 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		w.raw(`,"inbox_reqs":`)
 		w.marshal(s.InReqs)
 	}
+	if s.InDropped != 0 {
+		w.raw(`,"inbox_dropped":`)
+		w.int(s.InDropped)
+	}
 	w.raw(`,"result":`)
 	w.result(&s.Result)
 	if s.Recorder != nil {

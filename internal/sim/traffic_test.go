@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,5 +181,64 @@ func TestTrafficReplayDeterministicParallel(t *testing.T) {
 		if !reflect.DeepEqual(stripClock(serial[i]), stripClock(parallel[i])) {
 			t.Errorf("config %d: parallel traffic replay diverged from serial", i)
 		}
+	}
+}
+
+// TestInjectedDropsAreNotRespilled: requests injected from a neighbor
+// shard that the engine cannot absorb are dropped, but TrafficDropped —
+// the count the shard coordinator turns into spill — leaves them out, so
+// spilled volume moves one hop. A restore keeps the split, and an engine
+// that was never fed encodes no count.
+func TestInjectedDropsAreNotRespilled(t *testing.T) {
+	w := testWorld(t)
+	cfg := trafficConfig(carbon.RegionEurope, traffic.Steady, 300)
+	cfg.Hours = 12
+	plain, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flood = 1 << 40
+	for epoch := 0; epoch < cfg.Hours; epoch++ {
+		if epoch%3 == 1 {
+			if err := fed.InjectRequests(epoch, flood); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := plain.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fed.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fed.TrafficDropped(), plain.TrafficDropped(); got != want {
+			t.Fatalf("epoch %d: TrafficDropped %d with injected volume, %d without", epoch, got, want)
+		}
+	}
+	if extra := fed.Finish().Traffic.Dropped - plain.Finish().Traffic.Dropped; extra < flood {
+		t.Fatalf("the engine dropped only %d more requests when flooded: the test is vacuous", extra)
+	}
+
+	snap := fed.Snapshot()
+	restored, err := NewEngineFrom(cfg, w, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restored.TrafficDropped(), fed.TrafficDropped(); got != want {
+		t.Errorf("restored TrafficDropped %d, want %d", got, want)
+	}
+	snap.InDropped = -1
+	if _, err := NewEngineFrom(cfg, w, snap); err == nil {
+		t.Error("restored a negative count of dropped injected requests")
+	}
+	b, err := plain.Snapshot().AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "inbox_dropped") {
+		t.Error("a snapshot of an engine never fed carries an inbox_dropped key")
 	}
 }

@@ -375,6 +375,26 @@ func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
 	}
 }
 
+// TestScaleOutCountBounded: a scale-out adds at most MaxScaleOutCount
+// servers, whether the fault is parsed from a script or built in code.
+func TestScaleOutCountBounded(t *testing.T) {
+	ok := Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: 4000, Count: MaxScaleOutCount}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate refused count %d: %v", ok.Count, err)
+	}
+	for _, n := range []int{MaxScaleOutCount + 1, math.MaxInt32} {
+		f := ok
+		f.Count = n
+		if err := f.Validate(); err == nil {
+			t.Errorf("Validate accepted count %d", n)
+		}
+		script := fmt.Sprintf("at 1h scale-out site=Miami capacity=4000 count=%d", n)
+		if s, err := ParseFaultScript(script); err == nil {
+			t.Errorf("ParseFaultScript accepted %q as %+v", script, s.Faults)
+		}
+	}
+}
+
 // TestFaultStringRoundTripsEdgeValues pins the renderings the fuzzer
 // found breaking Parse(s.String()) == s: a '#' inside a value rendered
 // unquoted (re-parsed as a comment), whitespace other than space and tab

@@ -42,6 +42,12 @@ const (
 	FaultScaleOut FaultKind = "scale-out"
 )
 
+// MaxScaleOutCount bounds the servers one scale-out fault adds. Adding a
+// server costs time linear in the servers already present, so an
+// unbounded count could stall the simulator or the live orchestrator's
+// next tick.
+const MaxScaleOutCount = 1024
+
 // Fault is one declarative world-dynamics event. Faults are data: they
 // carry no behaviour, so the same script drives both the simulator and
 // the live orchestrator.
@@ -116,8 +122,8 @@ func (f Fault) Validate() error {
 		if f.CapacityMilli <= 0 {
 			return fmt.Errorf("events: scale-out fault needs capacity > 0, got %g", f.CapacityMilli)
 		}
-		if f.Count < 0 {
-			return fmt.Errorf("events: scale-out fault has negative count %d", f.Count)
+		if f.Count < 0 || f.Count > MaxScaleOutCount {
+			return fmt.Errorf("events: scale-out fault count %d outside [0, %d]", f.Count, MaxScaleOutCount)
 		}
 	default:
 		return fmt.Errorf("events: unknown fault kind %q", f.Kind)

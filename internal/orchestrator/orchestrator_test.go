@@ -779,6 +779,7 @@ func TestHTTPMalformedJSONRejected(t *testing.T) {
 		{"/api/v1/faults", http.MethodPost, "{"},
 		{"/api/v1/faults", http.MethodPost, `{"at":"not-a-duration","kind":"crash","site":"CityA"}`},
 		{"/api/v1/faults", http.MethodPost, `{"script":"at 1h explode site=CityA"}`},
+		{"/api/v1/faults", http.MethodPost, `{"kind":"scale-out","site":"CityA","device":"A2","capacity":2000,"count":2147483647}`},
 		{"/api/v1/state", http.MethodPut, "{"},
 		{"/api/v1/state", http.MethodPut, `{"format":"other","version":1,"kind":"orchestrator"}`},
 	}

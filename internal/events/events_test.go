@@ -319,9 +319,10 @@ func TestFaultScriptExpandReverts(t *testing.T) {
 }
 
 // TestFaultRejectsNonFiniteAndMalformedNumbers: a NaN or infinite factor
-// or capacity fails no "<= 0" test and cannot be checkpointed, and a
-// number with trailing junk used to parse as its numeric prefix. Both the
-// script parser and Validate on a programmatic fault must refuse them.
+// or capacity fails no "<= 0" test and cannot be checkpointed, a number
+// with trailing junk used to parse as its numeric prefix, and a scale-out
+// count past MaxScaleOutCount stalls the next step. Both the script
+// parser and Validate on a programmatic fault must refuse them.
 func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
@@ -342,6 +343,8 @@ func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
 		{`at 1h scale-out site=Miami capacity=4000 count=3x`, nil},
 		{`at 1h scale-out site=Miami capacity=4000 count=2.5`, nil},
 		{`at 1h scale-out site=Miami capacity=4000 count=`, nil},
+		{`at 1h scale-out site=Miami capacity=4000 count=1025`, &Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: 4000, Count: MaxScaleOutCount + 1}},
+		{`at 1h scale-out site=Miami capacity=4000 count=2147483647`, &Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: 4000, Count: math.MaxInt32}},
 	} {
 		if s, err := ParseFaultScript(tc.script); err == nil {
 			t.Errorf("ParseFaultScript accepted %q as %+v", tc.script, s.Faults)
@@ -372,26 +375,6 @@ func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
 	}
 	if f := s.Faults[1]; f.Factor != 0.25 {
 		t.Errorf("degrade parsed as %+v", f)
-	}
-}
-
-// TestScaleOutCountBounded: a scale-out adds at most MaxScaleOutCount
-// servers, whether the fault is parsed from a script or built in code.
-func TestScaleOutCountBounded(t *testing.T) {
-	ok := Fault{At: time.Hour, Kind: FaultScaleOut, Site: "Miami", CapacityMilli: 4000, Count: MaxScaleOutCount}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("Validate refused count %d: %v", ok.Count, err)
-	}
-	for _, n := range []int{MaxScaleOutCount + 1, math.MaxInt32} {
-		f := ok
-		f.Count = n
-		if err := f.Validate(); err == nil {
-			t.Errorf("Validate accepted count %d", n)
-		}
-		script := fmt.Sprintf("at 1h scale-out site=Miami capacity=4000 count=%d", n)
-		if s, err := ParseFaultScript(script); err == nil {
-			t.Errorf("ParseFaultScript accepted %q as %+v", script, s.Faults)
-		}
 	}
 }
 

@@ -34,8 +34,8 @@ type Coordinator struct {
 	engines []*sim.Engine
 	round   int
 
-	// drops[s] is shard s's cumulative drop count at the last barrier;
-	// the per-round delta becomes spill-over volume.
+	// drops[s] is shard s's TrafficDropped at the last barrier; the
+	// per-round delta becomes spill-over volume.
 	drops  []int64
 	stats  ExchangeStats
 	fwdBuf []sim.ForwardedApp // per-barrier scratch, cleared before every use

@@ -281,8 +281,7 @@ func exchangeConfig(t *testing.T, w *sim.World) Config {
 
 // exchangeMergedDigest is the first 8 bytes of the SHA-256 of
 // exchangeConfig's merged state JSON (SolveTimeNs zeroed), recorded on
-// linux/amd64. It was 468d8eac92ebfb91 while a shard re-spilled the
-// injected requests it dropped; spill now moves one hop.
+// linux/amd64.
 const exchangeMergedDigest = "6a55738fbd002889"
 
 // TestShardedExchangeDeterministic proves worker count never changes

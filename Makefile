@@ -44,6 +44,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzNewEngineFrom$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultScript$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzCertifiedMatchesMILP$$' -fuzztime $(FUZZTIME) \
@@ -53,6 +55,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadState$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/orchestrator/
 	$(GO) test -run '^$$' -fuzz '^FuzzLiveFaults$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/orchestrator/
+	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandlers$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/orchestrator/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
@@ -95,8 +99,10 @@ bench-smoke:
 # profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md and
 # profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
 # ledger runs it), profiles/PROFILE_17.md (CDN year) and
-# profiles/PROFILE_27.md (checkpoint after the reflection-free snapshot
-# encoder; profiles/PROFILE_18.md after the single-encode framing);
+# profiles/PROFILE_31.md (checkpoint after the live-table float memo and
+# the counters' sorted labels; profiles/PROFILE_27.md after the
+# reflection-free snapshot encoder, profiles/PROFILE_18.md after the
+# single-encode framing);
 # profiles/PROFILE_12.md is the retired workspace benchmark's, kept as
 # history. Regenerate them
 # with this target after solver, request-path, orchestrator, engine or

@@ -6,6 +6,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -147,6 +148,10 @@ func (g *Grouped) Keys() []string {
 type Counter struct {
 	mu     sync.Mutex
 	counts map[string]int64
+	// labels caches the labels in sorted order; nil once a label is added
+	// or deleted. SortedState lends it out, so a built slice is never
+	// written again: a rebuild allocates a new one.
+	labels []string
 }
 
 // NewCounter creates an empty counter set.
@@ -159,7 +164,11 @@ func (c *Counter) Inc(label string, delta int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := len(c.counts)
 	c.counts[label] += delta
+	if len(c.counts) != n {
+		c.labels = nil
+	}
 }
 
 // Delete drops a label and its count: the owner's way to retire a label
@@ -169,7 +178,11 @@ func (c *Counter) Inc(label string, delta int64) {
 func (c *Counter) Delete(label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := len(c.counts)
 	delete(c.counts, label)
+	if len(c.counts) != n {
+		c.labels = nil
+	}
 }
 
 // Get returns a label's count.
@@ -185,8 +198,12 @@ func (c *Counter) Merge(o *Counter) {
 	st := o.State()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	n := len(c.counts)
 	for k, v := range st {
 		c.counts[k] += v
+	}
+	if len(c.counts) != n {
+		c.labels = nil
 	}
 }
 
@@ -194,12 +211,21 @@ func (c *Counter) Merge(o *Counter) {
 func (c *Counter) Labels() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
+	return append(make([]string, 0, len(c.counts)), c.sortedLabels()...)
+}
+
+// sortedLabels returns the cached sorted labels, rebuilding them into a
+// new slice when a label was added or deleted since. c.mu must be held.
+func (c *Counter) sortedLabels() []string {
+	if c.labels == nil && len(c.counts) > 0 {
+		labels := make([]string, 0, len(c.counts))
+		for k := range c.counts {
+			labels = append(labels, k)
+		}
+		slices.Sort(labels)
+		c.labels = labels
 	}
-	sort.Strings(out)
-	return out
+	return c.labels
 }
 
 // SummaryState is the serializable form of a Summary, used by
@@ -227,6 +253,20 @@ func SummaryFromState(st SummaryState) Summary {
 func (c *Counter) State() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.copyCounts()
+}
+
+// SortedState is State plus its labels in sorted order (nil when there
+// are none). The label slice is shared with the counter, which never
+// writes it again; the caller must not write it either.
+func (c *Counter) SortedState() (map[string]int64, []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.copyCounts(), c.sortedLabels()
+}
+
+// copyCounts returns a copy of the counts. c.mu must be held.
+func (c *Counter) copyCounts() map[string]int64 {
 	out := make(map[string]int64, len(c.counts))
 	for k, v := range c.counts {
 		out[k] = v

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -104,6 +106,44 @@ func TestCounter(t *testing.T) {
 	c.Inc("a", 4)
 	if c.Get("a") != 4 {
 		t.Errorf("re-added label counts %d, want 4", c.Get("a"))
+	}
+}
+
+// TestCounterSortedState checks the cached label order after every kind
+// of label change, and that a lent label slice is never written again.
+func TestCounterSortedState(t *testing.T) {
+	c := NewCounter()
+	check := func(step string) []string {
+		t.Helper()
+		st, labels := c.SortedState()
+		want := slices.Sorted(maps.Keys(st))
+		if len(want) == 0 {
+			want = nil
+		}
+		if !slices.Equal(labels, want) || !slices.Equal(c.Labels(), want) {
+			t.Fatalf("%s: SortedState labels %v, Labels %v, want %v", step, labels, c.Labels(), want)
+		}
+		return labels
+	}
+	check("empty")
+	c.Inc("b", 1)
+	c.Inc("a", 1)
+	lent := check("inc")
+	kept := slices.Clone(lent)
+	c.Inc("a", 1) // an existing label keeps the cache
+	if again := check("inc existing"); &again[0] != &lent[0] {
+		t.Error("incrementing an existing label rebuilt the labels")
+	}
+	c.Delete("a")
+	check("delete")
+	o := NewCounter()
+	o.Inc("0", 1)
+	c.Merge(o)
+	check("merge")
+	c.Inc("c", 1)
+	check("inc after merge")
+	if !slices.Equal(lent, kept) {
+		t.Errorf("lent labels rewritten to %v, were %v", lent, kept)
 	}
 }
 

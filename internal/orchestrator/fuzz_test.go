@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +136,67 @@ func FuzzLiveFaults(f *testing.F) {
 				t.Fatalf("round %d: PlaceBatch: %v", r, err)
 			}
 			checkServerTable(t, o)
+			if err := o.Tick(time.Hour); err != nil {
+				t.Fatalf("round %d: Tick: %v", r, err)
+			}
+			checkServerTable(t, o)
+		}
+	})
+}
+
+// FuzzHTTPHandlers drives the write endpoints with hostile bodies through
+// the API handler. deploys and faults are newline-separated request
+// bodies. Each round POSTs every deploy body to /api/v1/deployments
+// (until liveFaultsRecipes have been accepted, for the reason given
+// there), the round's fault body to /api/v1/faults and place to
+// /api/v1/place, then ticks an hour. No request may panic or hang, every
+// response is a 2xx or a 4xx with a JSON error body, and the server
+// table must check out after every request and tick.
+func FuzzHTTPHandlers(f *testing.F) {
+	for _, seed := range []struct {
+		deploys, faults, place string
+		rounds                 uint8
+	}{
+		{`{"name":"a","model":"ResNet50","source":"CityA","slo_ms":20,"rate_per_sec":10}` + "\n" +
+			`{"name":"b","model":"ResNet50","source":"CityB","slo_ms":20,"rate_per_sec":10}`,
+			`{"script":"at 1h crash site=CityA for=2h"}` + "\n" + `{"kind":"degrade","site":"CityB","factor":0.5,"at":"0s"}`, "", 4},
+		{`{"name":"a","model":"ResNet50","source":"CityA","slo_ms":20,"rate_per_sec":10,"extra":1}` + "\n" +
+			`{"name":"","model":"ResNet50"}` + "\n" + `not json`,
+			`{"kind":"scale-out","site":"CityA","device":"A2","capacity":100,"count":2147483647}` + "\n" + `{"script":"at -1h crash"}`, "{}", 3},
+		{`{"name":"c","model":"YOLOv4","source":"CityB","slo_ms":1,"rate_per_sec":1e308}`,
+			`{"kind":"forecast-error","zone":"Z-GREEN","factor":20,"for":"1h"}`, "garbage", 2},
+	} {
+		f.Add(seed.deploys, seed.faults, seed.place, seed.rounds)
+	}
+	f.Fuzz(func(t *testing.T, deploys, faults, place string, rounds uint8) {
+		o := trafficFixture(t, placement.CarbonAware{}, 6)
+		api := o.API()
+		post := func(path, body string) int {
+			rec := httptest.NewRecorder()
+			api.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			if rec.Code >= 400 && rec.Code < 500 {
+				var eb errorBody
+				if rec.Header().Get("Content-Type") != "application/json" || json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Error == "" {
+					t.Fatalf("POST %s %q: %d with body %q, want a JSON error", path, body, rec.Code, rec.Body)
+				}
+			} else if rec.Code < 200 || rec.Code >= 300 {
+				t.Fatalf("POST %s %q: %d %s", path, body, rec.Code, rec.Body)
+			}
+			checkServerTable(t, o)
+			return rec.Code
+		}
+		faultBodies := strings.Split(faults, "\n")
+		submitted := 0
+		for r := 0; r < int(rounds%8); r++ {
+			for _, body := range strings.Split(deploys, "\n") {
+				if submitted < liveFaultsRecipes && post("/api/v1/deployments", body) == http.StatusAccepted {
+					submitted++
+				}
+			}
+			if r < len(faultBodies) {
+				post("/api/v1/faults", faultBodies[r])
+			}
+			post("/api/v1/place", place)
 			if err := o.Tick(time.Hour); err != nil {
 				t.Fatalf("round %d: Tick: %v", r, err)
 			}

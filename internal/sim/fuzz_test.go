@@ -2,7 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,5 +111,65 @@ func FuzzNewEngineFrom(f *testing.F) {
 			}
 		}
 		e.Finish()
+	})
+}
+
+// FuzzAppendJSON holds AppendJSON to json.Marshal where the float memo
+// and the counters' lent label order act. floats is read as 8-byte
+// words, the power and RTT values of a live table in which every word
+// recurs (so values repeat and share memo slots); labels is a
+// newline-separated list of counter operations, "-x" deleting label x
+// and anything else incrementing it. A snapshot is taken halfway
+// through the operations and one at the end: both must encode to
+// json.Marshal's bytes (or fail with its error), and the first to the
+// bytes it had before the second half ran.
+func FuzzAppendJSON(f *testing.F) {
+	words := func(fs ...float64) []byte {
+		var b []byte
+		for _, x := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(words(12.5, 75.25, math.Copysign(0, -1), 1e21, 150, 9.99e-7), "Paris\nRome\nParis\n-Rome\nOslo\n-Paris\nAmsterdam")
+	f.Add(words(0.1, math.NaN(), 3), "a\n-a\na\n<b>\n\xff")
+	f.Add([]byte(nil), "")
+	f.Fuzz(func(t *testing.T, floats []byte, labels string) {
+		var vals []float64
+		for i := 0; i+8 <= len(floats); i += 8 {
+			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(floats[i:])))
+		}
+		r := counterResult()
+		apply := func(ops []string) {
+			for _, op := range ops {
+				if l, ok := strings.CutPrefix(op, "-"); ok {
+					r.PlacementsByCity.Delete(l)
+					r.MonthlyPlacements.Delete(l + "/0")
+				} else {
+					r.PlacementsByCity.Inc(op, 1)
+					r.MonthlyPlacements.Inc(op+"/0", int64(len(op)))
+				}
+			}
+		}
+		snap := func() *Snapshot {
+			s := &Snapshot{ConfigSig: "fuzz", Result: r.State()}
+			if len(vals) > 0 {
+				s.Live = make([]LiveAppSnap, min(4*len(vals), 4096))
+				for i := range s.Live {
+					s.Live[i] = LiveAppSnap{Srv: i, PowerW: vals[i%len(vals)], RTTMs: vals[(3*i+1)%len(vals)]}
+				}
+			}
+			return s
+		}
+		ops := strings.Split(labels, "\n")
+		apply(ops[:len(ops)/2])
+		a := snap()
+		checkAppendJSON(t, "halfway", a)
+		before, err := a.AppendJSON(nil)
+		apply(ops[len(ops)/2:])
+		checkAppendJSON(t, "end", snap())
+		if after, _ := a.AppendJSON(nil); err == nil && !bytes.Equal(after, before) {
+			t.Fatalf("halfway snapshot re-encodes to\n%s\nafter the later operations, was\n%s", after, before)
+		}
 	})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -63,8 +64,40 @@ func checkPhysical(e *Engine) error {
 	return nil
 }
 
-// runChecked runs cfg to completion with checkPhysical as an epoch
-// observer and fails at the first epoch that breaks it.
+// clocks are the counters that never go back within one engine: its
+// epoch, and its workspace's view generation (a class memo row is
+// current when stamped with it) and candidate-memo era (a class hint is
+// valid when stamped with it). A counter that went back could make a
+// stale stamp current again. The workspace's are read by reflection, so
+// placement exports nothing for this test. No golden config fills the
+// candidate memo, so candEra stays 0 in them; placement's hint tests
+// advance it.
+type clocks struct {
+	epoch   int
+	viewGen uint64
+	candEra int64
+}
+
+func readClocks(e *Engine) clocks {
+	ws := reflect.ValueOf(e.ws).Elem()
+	return clocks{epoch: e.Epoch(), viewGen: ws.FieldByName("viewGen").Uint(), candEra: ws.FieldByName("candEra").Int()}
+}
+
+// checkClocks returns how cur went back from prev, or nil.
+func checkClocks(prev, cur clocks) error {
+	switch {
+	case cur.epoch < prev.epoch:
+		return fmt.Errorf("engine epoch went back from %d to %d", prev.epoch, cur.epoch)
+	case cur.viewGen < prev.viewGen:
+		return fmt.Errorf("workspace viewGen went back from %d to %d", prev.viewGen, cur.viewGen)
+	case cur.candEra < prev.candEra:
+		return fmt.Errorf("workspace candEra went back from %d to %d", prev.candEra, cur.candEra)
+	}
+	return nil
+}
+
+// runChecked runs cfg to completion with checkPhysical and checkClocks
+// as epoch observers and fails at the first epoch that breaks either.
 func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
@@ -73,11 +106,18 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	}
 	var bad error
 	peak := 0
+	start := readClocks(e)
+	prev := start
 	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, _ *Result) {
 		peak = max(peak, len(e.live))
+		cur := readClocks(e)
 		if err := checkPhysical(e); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
+		if err := checkClocks(prev, cur); err != nil && bad == nil {
+			bad = fmt.Errorf("epoch %d: %w", epoch, err)
+		}
+		prev = cur
 	}))
 	for !e.Done() && bad == nil {
 		if err := e.Step(); err != nil {
@@ -90,11 +130,15 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	if peak == 0 {
 		t.Fatal("no epoch had a live app: the check is vacuous")
 	}
+	if prev.epoch <= start.epoch || prev.viewGen <= start.viewGen {
+		t.Fatalf("clocks never advanced (%+v to %+v): the clock check is vacuous", start, prev)
+	}
 	return e.Finish()
 }
 
 // TestEpochsPhysicalGolden holds every golden configuration to the
-// epoch invariants.
+// epoch invariants, and each cold one that redeploys warm as well (warm
+// changes nothing without redeploys).
 func TestEpochsPhysicalGolden(t *testing.T) {
 	w := testWorld(t)
 	cases := goldenCases()
@@ -104,7 +148,12 @@ func TestEpochsPhysicalGolden(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		t.Run(name, func(t *testing.T) { runChecked(t, cases[name], w) })
+		cfg := cases[name]
+		t.Run(name, func(t *testing.T) { runChecked(t, cfg, w) })
+		if cfg.RedeployEveryHours > 0 && !cfg.WarmRedeploy {
+			cfg.WarmRedeploy = true
+			t.Run(name+"/warm", func(t *testing.T) { runChecked(t, cfg, w) })
+		}
 	}
 }
 

@@ -126,17 +126,28 @@ type ResultState struct {
 	Batches           int                      `json:"batches"`
 	Faults            *FaultStats              `json:"faults,omitempty"`
 	Traffic           *router.StatsState       `json:"traffic,omitempty"`
+
+	// cityKeys and monthKeys are PlacementsByCity's and
+	// MonthlyPlacements' keys in sorted order, lent by the counters
+	// (Counter.SortedState) so AppendJSON need not sort them. They are
+	// nil in a state built any other way, and AppendJSON checks them
+	// against the maps before trusting them.
+	cityKeys, monthKeys []string
 }
 
 // State exports the result's accumulator.
 func (r *Result) State() ResultState {
+	cities, cityKeys := r.PlacementsByCity.SortedState()
+	months, monthKeys := r.MonthlyPlacements.SortedState()
 	st := ResultState{
 		CarbonG:           r.CarbonG,
 		EnergyKWh:         r.EnergyKWh,
 		Latency:           r.Latency.State(),
 		MonthlyCarbonG:    r.MonthlyCarbonG,
-		PlacementsByCity:  r.PlacementsByCity.State(),
-		MonthlyPlacements: r.MonthlyPlacements.State(),
+		PlacementsByCity:  cities,
+		MonthlyPlacements: months,
+		cityKeys:          cityKeys,
+		monthKeys:         monthKeys,
 		LoadCI:            append([]float64(nil), r.LoadCI...),
 		Placed:            r.Placed,
 		Unplaced:          r.Unplaced,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -84,9 +85,9 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 			w.raw(`,"device":`)
 			w.str(a.Device)
 			w.raw(`,"power_w":`)
-			w.float(a.PowerW)
+			w.memoFloat(a.PowerW)
 			w.raw(`,"rtt_ms":`)
-			w.float(a.RTTMs)
+			w.memoFloat(a.RTTMs)
 			w.raw(`,"expires":`)
 			w.int(int64(a.Expires))
 			w.raw(`,"src_site":`)
@@ -130,10 +131,44 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 
 // jsonWriter appends JSON under encoding/json's rules. Its error is
 // sticky: the first failure is kept, later writes are wasted work, and
-// the caller checks once at the end.
+// the caller checks once at the end. Only the last write may take back
+// its own bytes (float's exponent, counts' fallback), so memo's offsets
+// stay valid.
 type jsonWriter struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	memo floatMemo
+}
+
+// floatMemo remembers where in the output a float64's rendering already
+// sits, keyed by its bits: the live table repeats a few power and RTT
+// values across hundreds of apps, and a repeat is copied instead of
+// rendered again. It is direct-mapped (a value evicts the slot's
+// previous one) and lives for one AppendJSON call.
+type floatMemo [1 << floatMemoBits]struct {
+	bits   uint64
+	off, n int // w.b[off:off+n]; n == 0 marks an empty slot
+}
+
+const floatMemoBits = 7
+
+// floatMemoSlot is the memo slot of a float64's bits (Fibonacci hashing).
+func floatMemoSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - floatMemoBits) }
+
+// memoFloat writes f as float does, copying its rendering from earlier
+// in the output when the memo holds it.
+func (w *jsonWriter) memoFloat(f float64) {
+	bits := math.Float64bits(f)
+	e := &w.memo[floatMemoSlot(bits)]
+	if e.n > 0 && e.bits == bits {
+		w.b = append(w.b, w.b[e.off:e.off+e.n]...)
+		return
+	}
+	off := len(w.b)
+	w.float(f)
+	if n := len(w.b) - off; n > 0 {
+		e.bits, e.off, e.n = bits, off, n
+	}
 }
 
 func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
@@ -226,25 +261,38 @@ func (w *jsonWriter) summary(s *metrics.SummaryState) {
 }
 
 // counts writes a label map with its keys in bytewise order, as
-// encoding/json sorts them.
-func (w *jsonWriter) counts(m map[string]int64) {
+// encoding/json sorts them. sorted, distinct keys (a counter's cached
+// labels) are used as the order when they are exactly m's keys: as many,
+// and each one in m. Otherwise the keys are sorted here.
+func (w *jsonWriter) counts(m map[string]int64, keys []string) {
 	if m == nil {
 		w.raw("null")
 		return
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	mark := len(w.b)
+	if len(keys) == len(m) && w.countsIn(m, keys) {
+		return
 	}
-	slices.Sort(keys)
+	w.b = w.b[:mark]
+	w.countsIn(m, slices.Sorted(maps.Keys(m)))
+}
+
+// countsIn writes m in the order of keys, or reports false on the first
+// key m lacks.
+func (w *jsonWriter) countsIn(m map[string]int64, keys []string) bool {
 	w.raw("{")
 	for i, k := range keys {
+		v, ok := m[k]
+		if !ok {
+			return false
+		}
 		w.comma(i)
 		w.str(k)
 		w.raw(":")
-		w.int(m[k])
+		w.int(v)
 	}
 	w.raw("}")
+	return true
 }
 
 func (w *jsonWriter) result(r *ResultState) {
@@ -263,9 +311,9 @@ func (w *jsonWriter) result(r *ResultState) {
 	}
 	w.raw("]")
 	w.raw(`,"placements_by_city":`)
-	w.counts(r.PlacementsByCity)
+	w.counts(r.PlacementsByCity, r.cityKeys)
 	w.raw(`,"monthly_placements":`)
-	w.counts(r.MonthlyPlacements)
+	w.counts(r.MonthlyPlacements, r.monthKeys)
 	if len(r.LoadCI) > 0 {
 		w.raw(`,"load_ci":`)
 		w.floats(r.LoadCI)

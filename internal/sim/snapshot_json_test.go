@@ -3,11 +3,16 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
+	"repro/internal/rng"
 )
 
 // filler sets a value and everything under it by reflection over its
@@ -145,4 +150,167 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	s = filled(t, filler{str: "a", f: 1})
 	s.Result.Traffic.CarbonG, s.Recorder = math.NaN(), nil
 	checkAppendJSON(t, "nested error", s)
+
+	// The live table goes through the float memo: large seeded tables
+	// whose power and RTT values repeat, collide in memo slots, and sit
+	// at the edges of the float rules.
+	pool := memoFloatPool(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		checkAppendJSON(t, "live table", liveTable(t, pool, 2000, seed))
+	}
+	s = liveTable(t, pool, 2000, 4)
+	s.Live[1000].RTTMs = math.NaN()
+	checkAppendJSON(t, "live table NaN", s)
+
+	// Keys lent beside the result maps are used only when they are the
+	// maps' keys: a state whose maps changed after Result.State (as
+	// shard.MergeResults changes its copy) is still sorted here.
+	r := counterResult()
+	for _, l := range []string{"b", "a", "c/1", "c/0"} {
+		r.PlacementsByCity.Inc(l, 1)
+		r.MonthlyPlacements.Inc(l, 2)
+	}
+	for name, mutate := range map[string]func(m map[string]int64){
+		"added":    func(m map[string]int64) { m["0"] = 1 },
+		"replaced": func(m map[string]int64) { delete(m, "a"); m["d"] = 1 },
+		"deleted":  func(m map[string]int64) { delete(m, "c/1") },
+		"renamed":  func(m map[string]int64) { delete(m, "c/0"); m["a0"] = 1 },
+	} {
+		st := r.State()
+		mutate(st.PlacementsByCity)
+		mutate(st.MonthlyPlacements)
+		checkAppendJSON(t, "stale keys "+name, &Snapshot{Result: st})
+	}
+}
+
+// memoFloatPool is the float pool of liveTable: several values sharing
+// each of two memo slots, zeros of both signs, integers, values at the
+// edges of encoding/json's 'e' rule, and 300 distinct fractions, more
+// than the memo has slots.
+func memoFloatPool(t *testing.T) []float64 {
+	t.Helper()
+	pool := []float64{0, math.Copysign(0, -1), 1, -7, 150, 1 << 53, 1e-7, -1e-7, 1e-6, 9.99e-7, 1e21, 1e20, 5e-324, 0.1 + 0.2}
+	for _, base := range []float64{12.345, 75} {
+		slot := floatMemoSlot(math.Float64bits(base))
+		colliding := []float64{base}
+		for x := base; len(colliding) < 4; {
+			x = math.Nextafter(x, math.Inf(1))
+			if floatMemoSlot(math.Float64bits(x)) == slot {
+				colliding = append(colliding, x)
+			}
+		}
+		pool = append(pool, colliding...)
+	}
+	src := rng.NewSource(99)
+	for range 300 {
+		pool = append(pool, float64(src.Uint64()%100000)/997)
+	}
+	return pool
+}
+
+// liveTable is a filled snapshot whose live table holds n apps with
+// power and RTT drawn from pool by a seeded source.
+func liveTable(t *testing.T, pool []float64, n int, seed int64) *Snapshot {
+	s := filled(t, filler{str: "a", f: 2.5})
+	src := rng.NewSource(seed)
+	pick := func() float64 { return pool[src.Uint64()%uint64(len(pool))] }
+	s.Live = make([]LiveAppSnap, n)
+	for i := range s.Live {
+		s.Live[i] = LiveAppSnap{Srv: i % 7, Site: i % 3, Model: "m", Device: "d", PowerW: pick(), RTTMs: pick(), Expires: i, SrcSite: i % 5}
+	}
+	return s
+}
+
+// counterResult is a Result with empty placement counters.
+func counterResult() *Result {
+	return &Result{PlacementsByCity: metrics.NewCounter(), MonthlyPlacements: metrics.NewCounter()}
+}
+
+// TestSnapshotKeepsLentLabels holds the counters' cached label order to
+// the snapshots it is lent to: a snapshot taken before new labels (a
+// month rollover among them) and a deletion still encodes to its own
+// json.Marshal bytes, the ones it had when taken, with its lent keys
+// unwritten; and a later snapshot restores to counters with the same
+// labels and counts.
+func TestSnapshotKeepsLentLabels(t *testing.T) {
+	r := counterResult()
+	inc := func(city string, month int) {
+		r.PlacementsByCity.Inc(city, 1)
+		r.MonthlyPlacements.Inc(city+"/"+strconv.Itoa(month), 1)
+	}
+	for _, c := range []string{"Paris", "Berlin", "Amsterdam", "Paris", "Rome"} {
+		inc(c, 0)
+	}
+	encode := func(s *Snapshot) []byte {
+		t.Helper()
+		checkAppendJSON(t, "snapshot", s)
+		b, err := s.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	type taken struct {
+		snap               *Snapshot
+		bytes              []byte
+		cityKeys, monthKey []string
+	}
+	take := func() taken {
+		t.Helper()
+		s := &Snapshot{Result: r.State()}
+		if want := slices.Sorted(maps.Keys(s.Result.PlacementsByCity)); !slices.Equal(s.Result.cityKeys, want) {
+			t.Fatalf("State lent city keys %v, want %v", s.Result.cityKeys, want)
+		}
+		if want := slices.Sorted(maps.Keys(s.Result.MonthlyPlacements)); !slices.Equal(s.Result.monthKeys, want) {
+			t.Fatalf("State lent month keys %v, want %v", s.Result.monthKeys, want)
+		}
+		return taken{s, encode(s), slices.Clone(s.Result.cityKeys), slices.Clone(s.Result.monthKeys)}
+	}
+	a := take()
+	inc("Paris", 1) // month rollover: a new label for a known city
+	inc("Oslo", 1)
+	inc("Rome", 0)
+	rollover := take()
+	r.PlacementsByCity.Delete("Berlin")
+	r.MonthlyPlacements.Delete("Amsterdam/0")
+	b := take()
+	// Deleting the first label rebuilds a shorter cache: written over the
+	// old one it would leave a lent slice holding a duplicate.
+	r.PlacementsByCity.Delete("Amsterdam")
+	r.MonthlyPlacements.Delete("Berlin/0")
+	c := take()
+	for name, s := range map[string]taken{"A": a, "rollover": rollover, "B": b, "C": c} {
+		if got := encode(s.snap); !bytes.Equal(got, s.bytes) {
+			t.Errorf("snapshot %s re-encodes to\n%s\nwant\n%s", name, got, s.bytes)
+		}
+		if !slices.Equal(s.snap.Result.cityKeys, s.cityKeys) || !slices.Equal(s.snap.Result.monthKeys, s.monthKey) {
+			t.Errorf("snapshot %s: lent keys were written: %v %v, taken as %v %v", name,
+				s.snap.Result.cityKeys, s.snap.Result.monthKeys, s.cityKeys, s.monthKey)
+		}
+	}
+	// B restores to counters equal to the ones it was taken from, C to
+	// the live ones.
+	checkRestore := func(name string, st ResultState, cities, months map[string]int64) {
+		t.Helper()
+		restored, err := st.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range []struct {
+			got  *metrics.Counter
+			want map[string]int64
+		}{{restored.PlacementsByCity, cities}, {restored.MonthlyPlacements, months}} {
+			labels := pair.got.Labels()
+			if want := slices.Sorted(maps.Keys(pair.want)); !slices.Equal(labels, want) {
+				t.Errorf("%s restores to labels %v, want %v", name, labels, want)
+			}
+			for _, l := range labels {
+				if pair.got.Get(l) != pair.want[l] {
+					t.Errorf("%s restores %s to %d, want %d", name, l, pair.got.Get(l), pair.want[l])
+				}
+			}
+		}
+	}
+	checkRestore("B", b.snap.Result, b.snap.Result.PlacementsByCity, b.snap.Result.MonthlyPlacements)
+	checkRestore("C", c.snap.Result, r.PlacementsByCity.State(), r.MonthlyPlacements.State())
 }

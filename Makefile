@@ -58,6 +58,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/orchestrator/
 	$(GO) test -run '^$$' -fuzz '^FuzzHTTPHandlers$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/orchestrator/
+	$(GO) test -run '^$$' -fuzz '^FuzzRouteSlice$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/router/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package and of shard and checkpoint, and the number of
@@ -96,7 +98,9 @@ bench-smoke:
 # of those summaries live in profiles/PROFILE_29.md (redeploy churn after
 # the class hints and carried slots; profiles/PROFILE_25.md after the
 # class floor, profiles/PROFILE_19.md after the class memos),
-# profiles/PROFILE_13.md (traffic), profiles/PROFILE_14.md and
+# profiles/PROFILE_32.md (traffic after the diurnal table, the exact
+# compare fold and the per-source pair rows; profiles/PROFILE_13.md
+# before them), profiles/PROFILE_14.md and
 # profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
 # ledger runs it), profiles/PROFILE_17.md (CDN year) and
 # profiles/PROFILE_31.md (checkpoint after the live-table float memo and

@@ -125,10 +125,23 @@ func clampObs(v float64) float64 {
 
 // accumulate is the sketch's one accumulation step: n > 0 observations of
 // the clamped value v into bucket. The caller holds mu.
+//
+// A finite positive v updates the extremes with plain compares, which
+// equal math.Min/math.Max here: min and max are never NaN (clampObs and
+// SketchFromState keep it out), and only the signed zeros and +Inf that
+// v can also be need their special cases.
 func (s *QuantileSketch) accumulate(v float64, n int64, bucket int) {
-	if s.count == 0 {
+	switch {
+	case s.count == 0:
 		s.min, s.max = v, v
-	} else {
+	case v > 0 && v <= math.MaxFloat64:
+		if v < s.min {
+			s.min = v
+		}
+		if v > s.max {
+			s.max = v
+		}
+	default:
 		s.min = math.Min(s.min, v)
 		s.max = math.Max(s.max, v)
 	}
@@ -137,16 +150,17 @@ func (s *QuantileSketch) accumulate(v float64, n int64, bucket int) {
 	s.sum += v * float64(n)
 }
 
-// indexOf maps a clamped value to its bucket, clamping at both ends.
+// indexOf maps a clamped value to its bucket, clamping at both ends. The
+// top clamp compares before converting: +Inf has no int.
 func (s *QuantileSketch) indexOf(v float64) int {
 	if v <= s.lowest {
 		return 0
 	}
-	i := int(math.Ceil(math.Log(v/s.lowest) / s.logGamma))
-	if i >= len(s.buckets) {
-		i = len(s.buckets) - 1
+	top := len(s.buckets) - 1
+	if x := math.Ceil(math.Log(v/s.lowest) / s.logGamma); x < float64(top) {
+		return int(x)
 	}
-	return i
+	return top
 }
 
 // Quantile reports the value at quantile q in [0, 1] within the sketch's

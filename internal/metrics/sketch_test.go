@@ -439,11 +439,12 @@ func TestSketchAddObsMatchesAddN(t *testing.T) {
 
 // TestSketchBucketMatchesAddN pins Bucket(v) to the bucket AddN(v, 1)
 // increments, at the places the index arithmetic can be off by one: the
-// lowest boundary, exact powers of gamma, and past the top bucket.
+// lowest boundary, exact powers of gamma, and past the top bucket (+Inf
+// included: its index once converted to a negative int and panicked).
 func TestSketchBucketMatchesAddN(t *testing.T) {
 	values := []float64{
 		math.NaN(), -1, 0, defaultSketchLowest / 2, defaultSketchLowest,
-		math.Nextafter(defaultSketchLowest, 1), 1, 20, 1e7, 1e300,
+		math.Nextafter(defaultSketchLowest, 1), 1, 20, 1e7, 1e300, math.Inf(1),
 	}
 	for _, k := range []float64{1, 2, 3, 10, 500, defaultSketchBuckets - 2, defaultSketchBuckets - 1, defaultSketchBuckets} {
 		p := defaultSketchLowest * math.Pow(defaultSketchGamma, k)
@@ -539,3 +540,128 @@ func TestSketchSameResolution(t *testing.T) {
 		}
 	}
 }
+
+// refSketch is a test-local accumulator that folds every observation's
+// extremes through math.Min/math.Max, the form accumulate's plain
+// compares must reproduce bit for bit.
+type refSketch struct{ st SketchState }
+
+func newRefSketch(st SketchState) *refSketch {
+	st.Buckets = append(make([]uint64, 0, st.NumBkts), st.Buckets...)
+	st.Buckets = st.Buckets[:st.NumBkts]
+	return &refSketch{st: st}
+}
+
+func (r *refSketch) accumulate(v float64, n int64, bucket int32) {
+	if v != v || v < 0 {
+		v = 0
+	}
+	if r.st.Count == 0 {
+		r.st.Min, r.st.Max = v, v
+	} else {
+		r.st.Min = math.Min(r.st.Min, v)
+		r.st.Max = math.Max(r.st.Max, v)
+	}
+	r.st.Buckets[bucket] += uint64(n)
+	r.st.Count += uint64(n)
+	r.st.Sum += v * float64(n)
+}
+
+// state trims trailing empty buckets the way QuantileSketch.State does.
+func (r *refSketch) state() SketchState {
+	st := r.st
+	last := len(st.Buckets)
+	for last > 0 && st.Buckets[last-1] == 0 {
+		last--
+	}
+	st.Buckets = append([]uint64(nil), st.Buckets[:last]...)
+	return st
+}
+
+// TestSketchFoldEdgeValues holds AddN, AddObs and Merge to refSketch over
+// the values where a plain compare could part from math.Min/math.Max:
+// the signed zeros, the smallest subnormal, +Inf, and the NaN and
+// negative values clampObs maps to +0. Each runs in several orders, from
+// a fresh sketch and from restored states.
+func TestSketchFoldEdgeValues(t *testing.T) {
+	edge := []float64{0, math.Copysign(0, -1), 5e-324, 1e-3, 1e300, math.Inf(1), math.NaN(), -1}
+	orders := [][]float64{edge, make([]float64, len(edge))}
+	for i, v := range edge {
+		orders[1][len(edge)-1-i] = v
+	}
+	rng := rand.New(rand.NewSource(32))
+	for k := 0; k < 30; k++ {
+		o := append([]float64(nil), edge...)
+		rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
+		orders = append(orders, o)
+	}
+	// Every ordered pair, so each value meets each other one as the first
+	// extreme and as the later observation.
+	for _, a := range edge {
+		for _, b := range edge {
+			orders = append(orders, []float64{a, b})
+		}
+	}
+
+	seen := NewQuantileSketch()
+	seen.AddN(2.5, 3)
+	seen.AddN(7, 1)
+	wide := NewQuantileSketch()
+	wide.AddN(0, 1)
+	wide.AddN(1e300, 2)
+	starts := []struct {
+		name string
+		st   *SketchState // nil = a fresh NewQuantileSketch
+	}{
+		{"fresh", nil},
+		{"restored-empty", ptr(NewQuantileSketch().State())},
+		{"restored", ptr(seen.State())},
+		{"restored-wide", ptr(wide.State())},
+	}
+	modes := map[string]func(s *QuantileSketch, vs []float64){
+		"AddN": func(s *QuantileSketch, vs []float64) {
+			for j, v := range vs {
+				s.AddN(v, int64(1+j))
+			}
+		},
+		"AddObs": func(s *QuantileSketch, vs []float64) {
+			obs := make([]Obs, len(vs))
+			for j, v := range vs {
+				obs[j] = Obs{V: v, N: int64(1 + j), Bucket: s.Bucket(v)}
+			}
+			s.AddObs(obs)
+		},
+		"Merge": func(s *QuantileSketch, vs []float64) {
+			for j, v := range vs {
+				o := NewQuantileSketch()
+				o.AddN(v, int64(1+j))
+				if err := s.Merge(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+	}
+	for _, start := range starts {
+		for mode, run := range modes {
+			for _, vs := range orders {
+				s := NewQuantileSketch()
+				if start.st != nil {
+					var err error
+					if s, err = SketchFromState(*start.st); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ref := newRefSketch(s.State())
+				for j, v := range vs {
+					ref.accumulate(v, int64(1+j), s.Bucket(v))
+				}
+				run(s, vs)
+				if got, want := s.State(), ref.state(); !sameSketchState(got, want) {
+					t.Errorf("%s %s %v:\n got  %+v\n want %+v", start.name, mode, vs, got, want)
+				}
+			}
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }

@@ -20,8 +20,11 @@
 // once. The end-to-end latency of a (source location, replica) pair
 // depends only on the source index and the replica's (Loc, ServiceMs)
 // class, so the router memoizes it — and the latency-sketch bucket it
-// lands in — per class and source until the caller invalidates the memo
-// (InvalidateRTT); RouteAt then only reads rows and runs the waterfill.
+// lands in — until the caller invalidates the memo (InvalidateRTT). Each
+// class seen gets a dense id, and each source location a row of cells
+// indexed by class id; a slice resolves its replicas' class ids once, and
+// RouteAt then reads one source row, gathers the cells by id and runs the
+// waterfill.
 // Latency observations are not added to the sketches
 // one assignment at a time: a slice logs them and Close folds the log in,
 // in assignment order under one lock, so the sketches hold exactly what
@@ -154,14 +157,16 @@ type Router struct {
 	// buffers persist across slices so steady-state routing is
 	// allocation-free.
 	reuse Slice
-	// memo holds one row per replica class seen by RouteAt, until
-	// InvalidateRTT (RestoreStats empties it too: buckets are resolved
-	// against stats.Latency).
-	memo map[pairClass]*pairRow
+	// classID numbers the replica classes seen by RouteAt densely, and
+	// bySrc[src][id] is the memoized cell of source location src and class
+	// id, rows grown on demand. Both are emptied by InvalidateRTT and by
+	// RestoreStats (buckets are resolved against stats.Latency).
+	classID map[pairClass]int32
+	bySrc   [][]pairCell
 }
 
 // pairClass is what a replica contributes to a pair's end-to-end latency:
-// replicas that share it share a memo row.
+// replicas that share it share memo cells.
 type pairClass struct {
 	loc     int
 	svcBits uint64 // math.Float64bits(ServiceMs): a NaN must still equal itself
@@ -173,22 +178,6 @@ type pairCell struct {
 	bucket int32   // stats.Latency.Bucket(lat)
 }
 
-// pairRow is one class's cells, indexed by source location and grown on
-// demand to the highest source index routed so far.
-type pairRow struct{ cells []pairCell }
-
-// eval grows the row to cover src and evaluates the pair's cell. An
-// oracle that answers NaN is simply asked again next time.
-func (row *pairRow) eval(r *Router, src int, rep *Replica) pairCell {
-	for len(row.cells) <= src {
-		row.cells = append(row.cells, pairCell{lat: math.NaN()})
-	}
-	c := &row.cells[src]
-	c.lat = r.cfg.RTTAt(src, rep.Loc) + rep.ServiceMs
-	c.bucket = r.stats.Latency.Bucket(c.lat)
-	return *c
-}
-
 // New builds a router.
 func New(cfg Config) (*Router, error) {
 	if cfg.SLOms <= 0 {
@@ -197,7 +186,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.RTTAt == nil {
 		return nil, fmt.Errorf("router: RTTAt oracle is required")
 	}
-	r := &Router{cfg: cfg, memo: map[pairClass]*pairRow{}}
+	r := &Router{cfg: cfg, classID: map[pairClass]int32{}}
 	r.stats.Latency = metrics.NewQuantileSketch()
 	r.stats.ByReplica = metrics.NewCounter()
 	if cfg.PerReplica {
@@ -226,7 +215,26 @@ func (r *Router) Retire(id string) {
 // asks Config.RTTAt again: a caller whose network changed calls it before
 // routing over the new delays. Like Retire, it is legal only between
 // slices.
-func (r *Router) InvalidateRTT() { clear(r.memo) }
+func (r *Router) InvalidateRTT() {
+	clear(r.classID)
+	for src := range r.bySrc {
+		r.bySrc[src] = r.bySrc[src][:0]
+	}
+}
+
+// srcRow returns source location src's memo row, first growing it to
+// cover every class id handed out so far; a new cell is NaN, not evaluated.
+func (r *Router) srcRow(src int) []pairCell {
+	for len(r.bySrc) <= src {
+		r.bySrc = append(r.bySrc, nil)
+	}
+	row := r.bySrc[src]
+	for len(row) < len(r.classID) {
+		row = append(row, pairCell{lat: math.NaN()})
+	}
+	r.bySrc[src] = row
+	return row
+}
 
 // Slice is one routing window over a fixed replica set: replicas' free
 // capacity depletes as sources are routed, then the slice is closed.
@@ -251,10 +259,10 @@ type Slice struct {
 	bucket     []int32
 	feasible   []int
 	infeasible []int
-	// rows is each replica's memo row, resolved on the slice's first
-	// RouteAt (rowsOK) and valid until the next reset.
-	rows   []*pairRow
-	rowsOK bool
+	// ids is each replica's class id, resolved on the slice's first
+	// RouteAt (idsOK) and valid until the next reset.
+	ids   []int32
+	idsOK bool
 	// log is the slice's latency observations in assignment order, folded
 	// into Stats.Latency by Close; logRep holds each entry's per-replica
 	// aggregate, kept only when per-replica sketches are on.
@@ -283,8 +291,8 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.served = reslice(s.served, n)
 	s.lat = reslice(s.lat, n)
 	s.bucket = reslice(s.bucket, n)
-	s.rows = reslice(s.rows, n)
-	s.rowsOK = false
+	s.ids = reslice(s.ids, n)
+	s.idsOK = false
 	s.log = s.log[:0]
 	s.logRep = s.logRep[:0]
 	s.zi = reslice(s.zi, n)
@@ -325,19 +333,21 @@ func (s *Slice) RouteAt(srcLoc int, count int64, intensity func(zoneID string) f
 		return
 	}
 	s.r.stats.Requests += count
-	if !s.rowsOK {
-		s.resolveRows()
+	if !s.idsOK {
+		s.resolveIDs()
 	}
 
 	s.feasible = s.feasible[:0]
 	s.infeasible = s.infeasible[:0]
-	for i, row := range s.rows {
-		c := pairCell{lat: math.NaN()}
-		if srcLoc < len(row.cells) {
-			c = row.cells[srcLoc]
-		}
+	row := s.r.srcRow(srcLoc)
+	for i, id := range s.ids {
+		c := row[id]
 		if c.lat != c.lat {
-			c = row.eval(s.r, srcLoc, &s.replicas[i])
+			// Not evaluated yet, or the oracle answered NaN: ask (again).
+			rep := &s.replicas[i]
+			c.lat = s.r.cfg.RTTAt(srcLoc, rep.Loc) + rep.ServiceMs
+			c.bucket = s.r.stats.Latency.Bucket(c.lat)
+			row[id] = c
 		}
 		s.lat[i], s.bucket[i] = c.lat, c.bucket
 		if c.lat <= s.r.cfg.SLOms {
@@ -349,20 +359,20 @@ func (s *Slice) RouteAt(srcLoc int, count int64, intensity func(zoneID string) f
 	s.fill(count, intensity)
 }
 
-// resolveRows points each replica at its class's memo row, creating rows
-// for classes this router has not routed to before.
-func (s *Slice) resolveRows() {
+// resolveIDs looks up each replica's class id, numbering classes this
+// router has not routed to before.
+func (s *Slice) resolveIDs() {
 	for i := range s.replicas {
 		rep := &s.replicas[i]
 		k := pairClass{loc: rep.Loc, svcBits: math.Float64bits(rep.ServiceMs)}
-		row := s.r.memo[k]
-		if row == nil {
-			row = &pairRow{} //detlint:hotalloc amortized: allocates once per newly seen replica class
-			s.r.memo[k] = row
+		id, ok := s.r.classID[k]
+		if !ok {
+			id = int32(len(s.r.classID))
+			s.r.classID[k] = id
 		}
-		s.rows[i] = row
+		s.ids[i] = id
 	}
-	s.rowsOK = true
+	s.idsOK = true
 }
 
 // fill runs the two-phase waterfill over the partition built by RouteAt
@@ -703,6 +713,6 @@ func (r *Router) RestoreStats(st StatsState) error {
 		}
 	}
 	r.stats = stats
-	clear(r.memo)
+	r.InvalidateRTT()
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/carbon"
 	"repro/internal/placement"
 	"repro/internal/rng"
+	"repro/internal/traffic"
 )
 
 // poissonOneDraw is poisson as one Knuth draw at any rate: exact while
@@ -79,6 +80,31 @@ func TestValidateRejectsNonFiniteArrivalRate(t *testing.T) {
 		cfg.ArrivalsPerHour = rate
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("arrival rate %g accepted", rate)
+		}
+	}
+}
+
+// TestValidateRejectsUnroutableTraffic: a traffic config whose rates have
+// no Poisson draw (NaN or infinite RPS or flash multiplier, or a peak
+// hourly mean past 2^53) ran and served zero requests with no error. The
+// engine's Validate must refuse it and still take an ordinary one.
+func TestValidateRejectsUnroutableTraffic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		tcfg traffic.Config
+		ok   bool
+	}{
+		{traffic.Config{RPS: nan}, false},
+		{traffic.Config{RPS: inf}, false},
+		{traffic.Config{RPS: 1e16}, false},
+		{traffic.Config{Scenario: traffic.FlashCrowd, RPS: 700, FlashMultiplier: nan}, false},
+		{traffic.Config{Scenario: traffic.FlashCrowd, RPS: 700, FlashMultiplier: inf}, false},
+		{traffic.Config{Scenario: traffic.FlashCrowd, RPS: 700}, true},
+	} {
+		cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+		cfg.Traffic = &tc.tcfg
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("traffic %+v: err = %v, want ok=%t", tc.tcfg, err, tc.ok)
 		}
 	}
 }

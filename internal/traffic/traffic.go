@@ -96,16 +96,41 @@ type Config struct {
 	FlashMultiplier float64
 }
 
+// defaultFlashMultiplier is the FlashMultiplier NewGenerator fills in
+// for zero.
+const defaultFlashMultiplier = 8
+
+// peakShape bounds the diurnal shape's factor from above (1 + 0.40 + 0.12).
+const peakShape = 1.52
+
+// maxHourlyMean bounds the peak expected requests per hour: RPS × 3600 ×
+// peakShape, times FlashMultiplier under FlashCrowd. Up to 2^53 a float64
+// holds every integer, so a slice's Poisson count converts to int64
+// exactly; far past it the conversion overflows and a source silently
+// routes nothing.
+const maxHourlyMean = 1 << 53
+
 // Validate reports configuration problems.
 func (c *Config) Validate() error {
-	if c.RPS <= 0 {
-		return fmt.Errorf("traffic: RPS must be positive")
+	if !(c.RPS > 0) || math.IsInf(c.RPS, 1) {
+		return fmt.Errorf("traffic: RPS %g is not a finite positive number", c.RPS)
 	}
 	if c.Scenario < Steady || c.Scenario > FlashCrowd {
 		return fmt.Errorf("traffic: unknown scenario %d", int(c.Scenario))
 	}
-	if c.FlashEveryHours < 0 || c.FlashDurationHours < 0 || c.FlashMultiplier < 0 {
-		return fmt.Errorf("traffic: flash parameters must be non-negative")
+	if c.FlashEveryHours < 0 || c.FlashDurationHours < 0 || !(c.FlashMultiplier >= 0) || math.IsInf(c.FlashMultiplier, 1) {
+		return fmt.Errorf("traffic: flash parameters must be finite and non-negative")
+	}
+	peak := c.RPS * 3600 * peakShape
+	if c.Scenario == FlashCrowd {
+		mult := c.FlashMultiplier
+		if mult == 0 {
+			mult = defaultFlashMultiplier
+		}
+		peak *= max(mult, 1)
+	}
+	if peak > maxHourlyMean {
+		return fmt.Errorf("traffic: peak hourly mean %g requests exceeds %g", peak, float64(maxHourlyMean))
 	}
 	return nil
 }
@@ -117,6 +142,11 @@ type Generator struct {
 	sources  []Source
 	totalW   float64
 	flashIdx int
+	// diurnal is the shape factor before any flash burst, one row of
+	// len(sources) per clock row (clockRow); nil under Steady. Built once
+	// by NewGenerator and never written again, so Slice stays safe for
+	// concurrent use.
+	diurnal []float64
 
 	// src/rnd back AppendSlice's allocation-free path. Because each hourly
 	// slice is drawn from a stream seeded purely by (Seed, hour), the
@@ -142,14 +172,14 @@ func NewGenerator(cfg Config, start time.Time, sources []Source) (*Generator, er
 		cfg.FlashDurationHours = 3
 	}
 	if cfg.FlashMultiplier == 0 {
-		cfg.FlashMultiplier = 8
+		cfg.FlashMultiplier = defaultFlashMultiplier
 	}
 	g := &Generator{cfg: cfg, start: start, sources: sources, flashIdx: -1}
 	g.src = rng.NewSource(0)
 	g.rnd = rng.New(g.src)
 	for i, s := range sources {
-		if s.Weight < 0 {
-			return nil, fmt.Errorf("traffic: source %s has negative weight", s.City)
+		if !(s.Weight >= 0) || math.IsInf(s.Weight, 1) {
+			return nil, fmt.Errorf("traffic: source %s has weight %g, want a finite non-negative number", s.City, s.Weight)
 		}
 		g.totalW += s.Weight
 		if cfg.FlashSource == s.City {
@@ -170,7 +200,50 @@ func NewGenerator(cfg Config, start time.Time, sources []Source) (*Generator, er
 			}
 		}
 	}
+	if cfg.Scenario != Steady {
+		n := len(sources)
+		g.diurnal = make([]float64, 48*n)
+		for r := 0; r < 48; r++ {
+			for i, s := range sources {
+				g.diurnal[r*n+i] = diurnalFactor(r%24, r >= 24, s.Lon)
+			}
+		}
+	}
 	return g, nil
+}
+
+// diurnalFactor is the demand shape at clock hour h (0-23) of a source at
+// longitude lon, before any flash burst.
+func diurnalFactor(h int, weekend bool, lon float64) float64 {
+	// Local solar time from longitude, as in carbon.Generator.
+	local := math.Mod(float64(h)+lon/15+48, 24)
+	// Double-peaked day: a daily sine cresting at 20:00 local plus a
+	// 12-hour harmonic; together they peak near 18:25 and bottom out
+	// near 09:35 local.
+	f := 1 + 0.40*math.Sin(2*math.Pi*(local-14)/24) + 0.12*math.Sin(4*math.Pi*(local-2)/24)
+	if weekend {
+		f *= 0.82
+	}
+	if f < 0.05 {
+		f = 0.05
+	}
+	return f
+}
+
+// clockRow returns hour h's row of the diurnal table: the row of its
+// clock hour in start's location, in the weekend half on Saturday and
+// Sunday. It is nil under Steady.
+func (g *Generator) clockRow(hour int) []float64 {
+	if g.diurnal == nil {
+		return nil
+	}
+	ts := g.start.Add(time.Duration(hour) * time.Hour)
+	r := ts.Hour()
+	if dow := ts.Weekday(); dow == time.Saturday || dow == time.Sunday {
+		r += 24
+	}
+	n := len(g.sources)
+	return g.diurnal[r*n : (r+1)*n]
 }
 
 // Start returns the instant of hour 0.
@@ -183,28 +256,22 @@ func (g *Generator) Sources() []Source { return g.sources }
 // hour h: the aggregate RPS split by weight and scaled by the scenario's
 // temporal shape at the source's local time.
 func (g *Generator) Rate(i, hour int) float64 {
-	s := g.sources[i]
-	base := g.cfg.RPS * s.Weight / g.totalW
-	return base * g.shape(i, hour)
+	return g.rate(g.clockRow(hour), i, hour)
 }
 
-// shape is the scenario's demand multiplier for source i at hour h.
-func (g *Generator) shape(i, hour int) float64 {
-	if g.cfg.Scenario == Steady {
+// rate is Rate with hour's clock row already looked up.
+func (g *Generator) rate(row []float64, i, hour int) float64 {
+	base := g.cfg.RPS * g.sources[i].Weight / g.totalW
+	return base * g.shape(row, i, hour)
+}
+
+// shape is the scenario's demand multiplier for source i at hour h, whose
+// clock row is row.
+func (g *Generator) shape(row []float64, i, hour int) float64 {
+	if row == nil {
 		return 1
 	}
-	ts := g.start.Add(time.Duration(hour) * time.Hour)
-	// Local solar time from longitude, as in carbon.Generator.
-	local := math.Mod(float64(ts.Hour())+g.sources[i].Lon/15+48, 24)
-	// Double-peaked day: midday shoulder and a dominant evening peak
-	// around 20:00 local, trough near 04:00.
-	f := 1 + 0.40*math.Sin(2*math.Pi*(local-14)/24) + 0.12*math.Sin(4*math.Pi*(local-2)/24)
-	if dow := ts.Weekday(); dow == time.Saturday || dow == time.Sunday {
-		f *= 0.82
-	}
-	if f < 0.05 {
-		f = 0.05
-	}
+	f := row[i]
 	if g.cfg.Scenario == FlashCrowd && i == g.flashIdx &&
 		hour%g.cfg.FlashEveryHours < g.cfg.FlashDurationHours {
 		f *= g.cfg.FlashMultiplier
@@ -219,8 +286,9 @@ func (g *Generator) shape(i, hour int) float64 {
 func (g *Generator) Slice(hour int) []int64 {
 	r := rng.New(rng.NewSource(hourSeed(g.cfg.Seed, hour)))
 	out := make([]int64, len(g.sources))
+	row := g.clockRow(hour)
 	for i := range g.sources {
-		out[i] = poissonCount(r, g.Rate(i, hour)*3600)
+		out[i] = poissonCount(r, g.rate(row, i, hour)*3600)
 	}
 	return out
 }
@@ -234,8 +302,9 @@ func (g *Generator) Slice(hour int) []int64 {
 // generator state.
 func (g *Generator) AppendSlice(dst []int64, hour int) []int64 {
 	g.src.Seed(hourSeed(g.cfg.Seed, hour))
+	row := g.clockRow(hour)
 	for i := range g.sources {
-		dst = append(dst, poissonCount(g.rnd, g.Rate(i, hour)*3600))
+		dst = append(dst, poissonCount(g.rnd, g.rate(row, i, hour)*3600))
 	}
 	return dst
 }

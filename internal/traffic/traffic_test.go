@@ -1,10 +1,12 @@
 package traffic
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+	_ "time/tzdata" // America/New_York without relying on the host's zoneinfo
 )
 
 var testStart = time.Date(2023, 1, 2, 0, 0, 0, 0, time.UTC) // a Monday
@@ -40,6 +42,14 @@ func TestGeneratorValidation(t *testing.T) {
 		[]Source{{City: "A", Weight: 0}}); err == nil {
 		t.Error("zero total weight accepted")
 	}
+	// A NaN or infinite weight made every share NaN: each source drew
+	// math.MinInt64 requests.
+	for _, w := range []float64{math.NaN(), math.Inf(1), -1} {
+		if _, err := NewGenerator(Config{Seed: 1, RPS: 10}, testStart,
+			[]Source{{City: "A", Weight: 1}, {City: "B", Weight: w}}); err == nil {
+			t.Errorf("weight %g accepted", w)
+		}
+	}
 	if _, err := ScenarioByName("tsunami"); err == nil {
 		t.Error("unknown scenario name accepted")
 	}
@@ -50,6 +60,113 @@ func TestGeneratorValidation(t *testing.T) {
 		}
 		if s.String() != name {
 			t.Errorf("round-trip %s -> %s", name, s)
+		}
+	}
+}
+
+// TestConfigRejectsUnroutableRates: a NaN or infinite RPS or flash
+// multiplier, or a peak hourly mean past 2^53, made every Poisson draw
+// convert to math.MinInt64, so the router skipped each source and a run
+// served nothing without an error. NewGenerator must refuse them; the
+// last rows are the largest configurations that still fit.
+func TestConfigRejectsUnroutableRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{RPS: nan}, false},
+		{Config{RPS: inf}, false},
+		{Config{RPS: -inf}, false},
+		{Config{RPS: 1e16}, false},
+		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: nan}, false},
+		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: inf}, false},
+		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: -1}, false},
+		{Config{RPS: 2.1e11, Scenario: FlashCrowd}, false},                     // × the default multiplier 8
+		{Config{RPS: 2e11, Scenario: FlashCrowd, FlashMultiplier: 2e3}, false}, // past 2^53 only with the multiplier
+		{Config{RPS: 1.6e12, Scenario: Diurnal}, true},
+		{Config{RPS: 2e11, Scenario: FlashCrowd}, true},
+		{Config{RPS: 1.6e12, Scenario: FlashCrowd, FlashMultiplier: 0.5}, true},
+	} {
+		tc.cfg.Seed = 1
+		g, err := NewGenerator(tc.cfg, testStart, testSources())
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: err = %v, want ok=%t", tc.cfg, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		for h := 0; h < 48; h++ {
+			for i, n := range g.Slice(h) {
+				if n <= 0 {
+					t.Fatalf("%+v: hour %d source %d drew %d requests", tc.cfg, h, i, n)
+				}
+			}
+		}
+	}
+}
+
+// refRate is Rate as the generator computed it before the diurnal table:
+// the clock hour and weekday of start + hour and both sines, per call.
+func refRate(g *Generator, i, hour int) float64 {
+	s := g.sources[i]
+	base := g.cfg.RPS * s.Weight / g.totalW
+	if g.cfg.Scenario == Steady {
+		return base * 1
+	}
+	ts := g.start.Add(time.Duration(hour) * time.Hour)
+	local := math.Mod(float64(ts.Hour())+s.Lon/15+48, 24)
+	f := 1 + 0.40*math.Sin(2*math.Pi*(local-14)/24) + 0.12*math.Sin(4*math.Pi*(local-2)/24)
+	if dow := ts.Weekday(); dow == time.Saturday || dow == time.Sunday {
+		f *= 0.82
+	}
+	if f < 0.05 {
+		f = 0.05
+	}
+	if g.cfg.Scenario == FlashCrowd && i == g.flashIdx &&
+		hour%g.cfg.FlashEveryHours < g.cfg.FlashDurationHours {
+		f *= g.cfg.FlashMultiplier
+	}
+	return base * f
+}
+
+// TestDiurnalTableMatchesFormula holds the diurnal table to refRate bit
+// for bit, for every hour of a leap year, every scenario and every source,
+// from a UTC start and from a New York one (two DST switches, so a clock
+// hour repeats and one is skipped). AppendSlice must draw what Slice does.
+func TestDiurnalTableMatchesFormula(t *testing.T) {
+	ny, err := time.LoadLocation("America/New_York")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := append(testSources(),
+		Source{City: "Tokyo", Weight: 1.5, Lon: 139.7},
+		Source{City: "Honolulu", Weight: 0.4, Lon: -157.9},
+		Source{City: "Greenwich", Weight: 1, Lon: 0},
+		Source{City: "Suva", Weight: 0.2, Lon: 178.4})
+	const hours = 366 * 24
+	for _, start := range []time.Time{
+		time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2024, 1, 1, 0, 0, 0, 0, ny),
+	} {
+		for _, scn := range []Scenario{Steady, Diurnal, FlashCrowd} {
+			g, err := NewGenerator(Config{Seed: 5, Scenario: scn, RPS: 900, FlashEveryHours: 50, FlashDurationHours: 7}, start, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []int64
+			for h := 0; h < hours; h++ {
+				for i := range sources {
+					if got, want := g.Rate(i, h), refRate(g, i, h); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s %s hour %d source %s: Rate %v, formula %v", start.Location(), scn, h, sources[i].City, got, want)
+					}
+				}
+				buf = g.AppendSlice(buf[:0], h)
+				if want := g.Slice(h); !reflect.DeepEqual(buf, want) {
+					t.Fatalf("%s %s hour %d: AppendSlice %v, Slice %v", start.Location(), scn, h, buf, want)
+				}
+			}
 		}
 	}
 }
@@ -138,38 +255,128 @@ func TestWeightsSplitDemand(t *testing.T) {
 	}
 }
 
+// weekdayCounts sums source i's drawn requests by UTC hour of day over
+// the weekdays of the given number of weeks from testStart (a Monday).
+func weekdayCounts(g *Generator, i, weeks int) [24]float64 {
+	var by [24]float64
+	for h := 0; h < weeks*7*24; h++ {
+		if day := h / 24 % 7; day < 5 {
+			by[h%24] += float64(g.Slice(h)[i])
+		}
+	}
+	return by
+}
+
+// TestDiurnalShape states where the diurnal shape peaks. The shape is
+// 1 + 0.40·sin(a) + 0.12·sin(2a) with a = 2π(local − 14)/24; the 12-hour
+// harmonic pulls the 20:00-local crest of the first term forward to the
+// root of 0.40·cos(a) + 0.24·cos(2a) = 0, at local solar time ≈ 18.4 h.
+// Local solar time is UTC + Lon/15, so in UTC each source's busiest hour
+// sits −Lon/15 hours from that instant. The drawn weekday counts must put
+// the busiest UTC hour within an hour of it: hours further out draw ≥ 3 %
+// less, and over four weeks the per-hour totals hold ~10^7 requests
+// (Poisson noise ~0.03 %).
 func TestDiurnalShape(t *testing.T) {
-	g := mustGen(t, Config{Seed: 9, Scenario: Diurnal, RPS: 1000})
-	// Compare the same local hours across the weekdays: evening peak vs
-	// pre-dawn trough for Miami (UTC-5ish by longitude).
-	peak, trough := 0.0, 0.0
-	for d := 0; d < 5; d++ {
-		// 01:00 UTC ~ 20:00 local; 09:00 UTC ~ 04:00 local.
-		peak += g.Rate(0, d*24+1)
-		trough += g.Rate(0, d*24+9)
+	c := (-0.40 + math.Sqrt(0.40*0.40+8*0.24*0.24)) / (4 * 0.24) // cos(a*) from 0.48c² + 0.40c − 0.24 = 0
+	peakLocal := 14 + 24*math.Acos(c)/(2*math.Pi)
+	if peakLocal < 18.3 || peakLocal > 18.5 {
+		t.Fatalf("analytic peak %.3f h local", peakLocal)
 	}
-	if peak <= trough*1.5 {
-		t.Errorf("diurnal peak %.1f not clearly above trough %.1f", peak, trough)
+	sources := []Source{
+		{City: "SanFrancisco", Weight: 1, Lon: -122.4},
+		{City: "Miami", Weight: 1, Lon: -80.2},
+		{City: "London", Weight: 1, Lon: -0.1},
+		{City: "Berlin", Weight: 1, Lon: 13.4},
+		{City: "Tokyo", Weight: 1, Lon: 139.7},
+		{City: "Sydney", Weight: 1, Lon: 151.2},
 	}
-	// Weekend dip: Monday vs Saturday at the same hour.
-	if sat := g.Rate(0, 5*24+1); sat >= g.Rate(0, 1) {
-		t.Errorf("Saturday rate %.1f >= Monday rate %.1f", sat, g.Rate(0, 1))
+	for _, seed := range []int64{9, 10, 11} {
+		g, err := NewGenerator(Config{Seed: seed, Scenario: Diurnal, RPS: 6000}, testStart, sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range sources {
+			by := weekdayCounts(g, i, 4)
+			best := 0
+			for h := range by {
+				if by[h] > by[best] {
+					best = h
+				}
+			}
+			want := math.Mod(peakLocal-s.Lon/15+48, 24)
+			if d := math.Abs(float64(best) - want); math.Min(d, 24-d) > 1 {
+				t.Errorf("seed %d %s (lon %.1f): busiest UTC hour %d, want within 1 h of %.2f", seed, s.City, s.Lon, best, want)
+			}
+		}
 	}
 }
 
-func TestFlashCrowdBurst(t *testing.T) {
-	cfg := Config{Seed: 3, Scenario: FlashCrowd, RPS: 1000,
-		FlashSource: "Tampa", FlashEveryHours: 48, FlashDurationHours: 2, FlashMultiplier: 10}
-	g := mustGen(t, cfg)
-	inBurst := g.Rate(2, 48)  // hour 48 starts a burst window
-	outBurst := g.Rate(2, 50) // two hours later the burst has passed
-	if inBurst < outBurst*4 {
-		t.Errorf("burst rate %.1f not clearly above off-burst %.1f", inBurst, outBurst)
+// TestWeekendFactor states the weekend dip: Saturday and Sunday draw 0.82
+// of what the same clock hours draw on weekdays. Over 26 weeks the
+// weekend sum holds ~10^9 requests, so the ratio's Poisson standard
+// error is ~5·10^-5; the check allows four of them.
+func TestWeekendFactor(t *testing.T) {
+	for _, seed := range []int64{9, 10, 11} {
+		g := mustGen(t, Config{Seed: seed, Scenario: Diurnal, RPS: 1000})
+		var weekend, weekdays float64 // weekdays: Tuesday and Wednesday, the same 48 clock hours
+		for h := 0; h < 26*7*24; h++ {
+			var n float64
+			for _, c := range g.Slice(h) {
+				n += float64(c)
+			}
+			switch h / 24 % 7 {
+			case 1, 2:
+				weekdays += n
+			case 5, 6:
+				weekend += n
+			}
+		}
+		ratio := weekend / weekdays
+		se := ratio * math.Sqrt(1/weekend+1/weekdays)
+		if math.Abs(ratio-0.82) > 4*se {
+			t.Errorf("seed %d: weekend/weekday %.6f, want 0.82 ± %.6f", seed, ratio, 4*se)
+		}
+		// The expected rates carry the factor exactly.
+		if got := g.Rate(0, 5*24+1) / g.Rate(0, 1); math.Abs(got-0.82) > 1e-12 {
+			t.Errorf("Saturday/Monday rate ratio %v, want 0.82", got)
+		}
 	}
-	// Non-flash sources are unaffected by the window.
-	base := mustGen(t, Config{Seed: 3, Scenario: Diurnal, RPS: 1000})
-	if g.Rate(0, 48) != base.Rate(0, 48) {
-		t.Error("flash burst leaked into a non-flash source")
+}
+
+// TestFlashCrowdBurst states a burst's mass: over the burst windows the
+// flash source draws (multiplier − 1) × its base mass more than its base
+// mass, where the base mass is the Diurnal rate summed over the window's
+// hours (duration × base rate, hour by hour). The tolerance is four
+// Poisson standard deviations of the boosted total, and outside the
+// windows the source draws its base mass to the same tolerance.
+func TestFlashCrowdBurst(t *testing.T) {
+	const mult, every, dur = 10, 48, 2
+	for _, seed := range []int64{3, 4, 5} {
+		cfg := Config{Seed: seed, Scenario: FlashCrowd, RPS: 1000,
+			FlashSource: "Tampa", FlashEveryHours: every, FlashDurationHours: dur, FlashMultiplier: mult}
+		g := mustGen(t, cfg)
+		base := mustGen(t, Config{Seed: seed, Scenario: Diurnal, RPS: 1000})
+		var inCount, inBase, outCount, outBase float64
+		for h := 0; h < 60*every; h++ {
+			n, m := float64(g.Slice(h)[2]), base.Rate(2, h)*3600
+			if h%every < dur {
+				inCount, inBase = inCount+n, inBase+m
+			} else {
+				outCount, outBase = outCount+n, outBase+m
+			}
+		}
+		if excess, want, tol := inCount-inBase, (mult-1)*inBase, 4*math.Sqrt(mult*inBase); math.Abs(excess-want) > tol {
+			t.Errorf("seed %d: burst excess %.0f, want %.0f ± %.0f", seed, excess, want, tol)
+		}
+		if tol := 4 * math.Sqrt(outBase); math.Abs(outCount-outBase) > tol {
+			t.Errorf("seed %d: off-burst mass %.0f, want %.0f ± %.0f", seed, outCount, outBase, tol)
+		}
+		// Non-flash sources are unaffected by the window.
+		for _, h := range []int{0, 1, 48, 50} {
+			if g.Rate(0, h) != base.Rate(0, h) || g.Rate(1, h) != base.Rate(1, h) {
+				t.Errorf("flash burst leaked into a non-flash source at hour %d", h)
+			}
+		}
 	}
 }
 

@@ -95,14 +95,17 @@ bench-smoke:
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode, that is Snapshot.AppendJSON and SHA-256, after every
 # Step), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_29.md (redeploy churn after
-# the class hints and carried slots; profiles/PROFILE_25.md after the
-# class floor, profiles/PROFILE_19.md after the class memos),
+# of those summaries live in profiles/PROFILE_33.md (CDN year and
+# redeploy churn after construct's seeded picks, its fixpoint
+# certificate and the bound arrival templates; profiles/PROFILE_17.md is
+# the CDN year before them, profiles/PROFILE_29.md the churn after the
+# class hints and carried slots, profiles/PROFILE_25.md after the class
+# floor, profiles/PROFILE_19.md after the class memos),
 # profiles/PROFILE_32.md (traffic after the diurnal table, the exact
 # compare fold and the per-source pair rows; profiles/PROFILE_13.md
 # before them), profiles/PROFILE_14.md and
 # profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
-# ledger runs it), profiles/PROFILE_17.md (CDN year) and
+# ledger runs it) and
 # profiles/PROFILE_31.md (checkpoint after the live-table float memo and
 # the counters' sorted labels; profiles/PROFILE_27.md after the
 # reflection-free snapshot encoder, profiles/PROFILE_18.md after the

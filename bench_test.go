@@ -1,9 +1,9 @@
 // Package repro's root benchmark harness regenerates every table and
 // figure of the CarbonEdge evaluation (see DESIGN.md's experiment index)
 // and reports each experiment's headline quantity as a custom benchmark
-// metric. The full-resolution tables are printed by cmd/cesim and
-// cmd/mesoscale; these benchmarks exist to (a) regenerate each result and
-// (b) track the cost of doing so.
+// metric. The full-resolution tables are printed by cmd/cesim; these
+// benchmarks exist to (a) regenerate each result and (b) track the cost
+// of doing so.
 //
 // CDN-scale simulations run over a 14-day window here (the shapes the
 // paper reports stabilize within days; cmd/cesim defaults to the full

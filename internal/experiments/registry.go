@@ -15,7 +15,7 @@ import (
 type Runner func(*Suite) (fmt.Stringer, error)
 
 // registry maps experiment IDs (figure/table numbers and ablations) to
-// runners. The cesim and mesoscale commands dispatch on these IDs.
+// runners. The cesim command dispatches on these IDs.
 var registry = map[string]Runner{
 	"fig1":                func(s *Suite) (fmt.Stringer, error) { return s.Fig1() },
 	"fig2":                func(s *Suite) (fmt.Stringer, error) { return s.Fig2() },

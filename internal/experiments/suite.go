@@ -2,8 +2,8 @@
 // evaluation (Figures 1-5, Table 1, Figures 7-17, and the §6.5 overhead
 // numbers), plus the ablations called out in DESIGN.md. Each experiment is
 // a function on Suite returning a structured result with a text rendering
-// that mirrors the paper's rows/series; the cesim and mesoscale commands
-// print them and the root bench harness reports their headline metrics.
+// that mirrors the paper's rows/series; the cesim command prints them and
+// the root bench harness reports their headline metrics.
 package experiments
 
 import (

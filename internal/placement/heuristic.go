@@ -18,7 +18,11 @@ import (
 // candidate servers changed in a scan-visible way are re-scanned (server ->
 // class reverse adjacency filtered by capacity threshold flips), and
 // construct and local search scan each class state once, not once per app
-// of the class (classMemo). Every skip is provably a no-op scan:
+// of the class (classMemo). The cost-row build also records each class's
+// pick at the start state (costMemo.seed), so construct scans a class only
+// when its pick stops fitting or is retired. A cold solve whose construct
+// retired no pick and placed every app is a local-search fixpoint (see
+// construct) and skips local search. Every skip is provably a no-op scan:
 // assignments are byte-identical to a plain per-app sweep that re-derives
 // every cost through the Policy (the test oracle in oracle_test.go). Each
 // solve stands alone; nothing but buffer capacity carries over to the next.
@@ -109,6 +113,9 @@ type costMemo struct {
 	// opts[c] counts class c's gated slots that fit their server's free
 	// capacity at the start of the solve: construct's option count.
 	opts []int
+	// seed[c] is the slot construct's scan of class c returns at the
+	// start of the solve (see HeuristicSolver.pickCheapest), or -1.
+	seed []int
 	// act[j] is pol.ActivationCost(p, j).
 	act []float64
 
@@ -161,6 +168,7 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	mm.row = grow(mm.row, total)
 	mm.ok = grow(mm.ok, total)
 	mm.opts = grow(mm.opts, nc)
+	mm.seed = grow(mm.seed, nc)
 	mm.act = grow(mm.act, m)
 	for j := range p.Servers {
 		mm.act[j] = pol.ActivationCost(p, j)
@@ -168,17 +176,27 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	for c, r := range mm.rep {
 		i, base := int(r), mm.off[c]
 		slo := p.Apps[i].SLOms
-		mm.opts[c] = 0
+		opts, best, bestCost := 0, -1, math.Inf(1)
 		for k, j := range p.CandidatesOf(i) {
 			ok := p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
 			mm.ok[base+k], mm.row[base+k] = ok, 0
-			if ok {
-				mm.row[base+k] = pol.PairCost(p, i, j)
-				if p.Demand[i][j].Fits(p.Servers[j].Free) {
-					mm.opts[c]++
-				}
+			if !ok {
+				continue
+			}
+			cost := pol.PairCost(p, i, j)
+			mm.row[base+k] = cost
+			if !p.Demand[i][j].Fits(p.Servers[j].Free) {
+				continue
+			}
+			opts++
+			if !p.Servers[j].PoweredOn {
+				cost += mm.act[j]
+			}
+			if cost < bestCost {
+				best, bestCost = k, cost
 			}
 		}
+		mm.opts[c], mm.seed[c] = opts, best
 	}
 	mm.p, mm.m, mm.adj = p, m, false
 }
@@ -302,15 +320,16 @@ func slotOf(cand []int, j int) int {
 // provably returns what the recorded scan returned:
 //
 //   - construct's pick: pick[c] is class c's last scan result (a slot,
-//     or -1 when nothing fit). During construct free capacity only shrinks
-//     (placed demands are non-negative; workspace demands always are) and
-//     costs are constant but for the activation term of a server that
-//     powers on. So until a power-on the fit set only shrinks, and the
-//     first cheapest server of a shrunk set that still contains the pick
-//     is the pick: one Fits call on the pick replaces the scan, and
-//     "nothing fit" stays true. A power-on (only servers that start off
-//     have one) or a demand that is not non-negative (see shrinks) retires
-//     every pick.
+//     or -1 when nothing fit), seeded with the scan of the solve's start
+//     state that the cost-row build already made (costMemo.seed). During
+//     construct free capacity only shrinks (placed demands are
+//     non-negative; workspace demands always are) and costs are constant
+//     but for the activation term of a server that powers on. So until a
+//     power-on the fit set only shrinks, and the first cheapest server of
+//     a shrunk set that still contains the pick is the pick: one Fits call
+//     on the pick replaces the scan, and "nothing fit" stays true. A
+//     power-on (only servers that start off have one) or a demand that is
+//     not non-negative (see shrinks) retires every pick, seeds included.
 //   - local search's floor: floor[c] is one index-order pass over class
 //     c's candidates (see floor), stamped with the class's touch stamp at
 //     the time. Every scan-visible change on the class's candidates — a
@@ -325,7 +344,8 @@ func slotOf(cand []int, j int) int {
 // Entries carry the generation they were made in: SolveInto advances gen
 // every solve and construct on every retiring placement, so no solve
 // clears anything — a 6-app solve pays for its classes, not for the last
-// large batch.
+// large batch. A construct that never retires is the certificate that
+// lets a cold solve skip local search (see construct).
 type classMemo struct {
 	gen   uint64
 	pick  []stamped // per class: v is the picked slot or -1
@@ -571,13 +591,15 @@ func (s *HeuristicSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
 
 // SolveInto is Solve writing the result into dst, reusing dst's slice
 // capacity — the allocation-free form for per-epoch solver loops. A nil
-// warm runs greedy construction. Otherwise warm seeds the search instead:
-// every still-feasible (app, server) pair of warm is re-placed, then the
-// same local search runs to convergence, which is much cheaper than
-// constructing from scratch when little has changed between epochs. Only
-// warm.ServerOf is read; power states are re-derived. Stale warm entries —
-// indices past the current fleet, or servers the app can no longer run
-// on — are skipped, not errors. On error dst is left unspecified.
+// warm runs greedy construction, then local search unless construct
+// certified its result a fixpoint of it (see construct). Otherwise warm
+// seeds the search instead: every still-feasible (app, server) pair of
+// warm is re-placed, then the same local search runs to convergence, which
+// is much cheaper than constructing from scratch when little has changed
+// between epochs. Only warm.ServerOf is read; power states are re-derived.
+// Stale warm entries — indices past the current fleet, or servers the app
+// can no longer run on — are skipped, not errors. On error dst is left
+// unspecified.
 func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, warm *Assignment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,6 +622,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	st := &s.st
 	st.init(p, pol, len(mm.rep))
 
+	fixpoint := false
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		// Warm start: re-commit the previous epoch's placements that are
 		// still feasible; local search below repairs the rest.
@@ -609,10 +632,11 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 			}
 		}
 	} else {
-		s.construct(st, mm)
+		fixpoint = s.construct(st, mm)
 	}
-
-	s.localSearch(st, mm)
+	if !fixpoint {
+		s.localSearch(st, mm)
+	}
 
 	dst.ServerOf = append(dst.ServerOf[:0], st.assigned...)
 	dst.PowerOn = append(dst.PowerOn[:0], st.on...)
@@ -649,8 +673,21 @@ func orderByCount(order, counts, bucket []int) {
 // first (fewest feasible servers), each on its cheapest feasible server.
 // This is the classic most-constrained-variable heuristic and avoids
 // painting flexible apps into constrained servers.
-func (s *HeuristicSolver) construct(st *state, mm *costMemo) {
+//
+// It reports whether its result is a fixpoint of local search: it is when
+// every app was placed and no pick was retired. Without a retirement free
+// capacity only shrank and no server powered on, so every slot that fits
+// an app now fitted when its pick was made, at the same cost, and the
+// pick was the first cheapest of them; the app's server was on from the
+// start, so its current cost is its pick's. Local search's pass 0 then
+// finds no slot cheaper by more than its tie band (a NaN cost never
+// enters a floor, a -Inf pick beats everything), has no unplaced app to
+// retry, and returns having moved nothing.
+func (s *HeuristicSolver) construct(st *state, mm *costMemo) bool {
 	p := st.p
+	for c, k := range mm.seed {
+		s.cm.pick[c] = stamped{s.cm.gen, int64(k)}
+	}
 	s.order = grow(s.order, len(p.Apps))
 	s.options = grow(s.options, len(p.Apps))
 	order, options := s.order, s.options
@@ -660,20 +697,27 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo) {
 	s.bucket = grow(s.bucket, len(p.Servers)+2)
 	orderByCount(order, options, s.bucket)
 
+	fixpoint := true
 	for _, i := range order {
-		if k := s.pickCheapest(st, mm, i); k >= 0 {
-			j := p.CandidatesOf(i)[k]
-			if !st.on[j] || !shrinks(p.Demand[i][j]) {
-				s.cm.gen++ // retire every cached pick (see classMemo)
-			}
-			st.place(i, j, k)
+		k := s.pickCheapest(st, mm, i)
+		if k < 0 {
+			fixpoint = false
+			continue
 		}
+		j := p.CandidatesOf(i)[k]
+		if !st.on[j] || !shrinks(p.Demand[i][j]) {
+			s.cm.gen++ // retire every cached pick (see classMemo)
+			fixpoint = false
+		}
+		st.place(i, j, k)
 	}
+	return fixpoint
 }
 
 // pickCheapest is construct's scan: the slot of app i's first cheapest
-// candidate that fits, or -1. The class's cached pick answers while it
-// still fits (see classMemo).
+// candidate that fits, a server that is off costing its activation too,
+// or -1. The class's cached pick — its seed until the first scan — answers
+// while it still fits (see classMemo).
 func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	p, cm := st.p, &s.cm
 	c := mm.cls[i]

@@ -392,8 +392,9 @@ func memoInstance(rng *rand.Rand, nServers int) wsInstance {
 // reference sweep's ServerOf and PowerOn exactly — cold, warm from a
 // rotated seed, and through churned warm rounds on one view. The
 // scan counters show the memos were actually exercised: fewer scans than
-// apps, construct re-scanning classes whose pick filled or was retired by
-// a power-on, and every floor verdict taken (no move, move to the
+// apps, construct re-scanning classes whose pick (seeded by the cost-row
+// build, so every construct scan is a refill) filled or was retired by a
+// power-on, and every floor verdict taken (no move, move to the
 // cheapest, near-tie fallback scan, retry on the first fit, retry with
 // nothing fitting). (Under the batch-normalized blend every app is its own
 // class; it runs for the equivalence alone.)
@@ -410,7 +411,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 	for _, pol := range allPolicies() {
 		t.Run(pol.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(19))
-			var cold, coldScans, refills int
+			var cold, coldScans int
 			var verdicts [5]int
 			for trial := 0; trial < 6; trial++ {
 				inst := memoInstance(rng, 12+rng.Intn(8))
@@ -435,8 +436,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 				}
 				same(t, fmt.Sprintf("trial %d cold", trial), want, got)
 				cold += len(apps)
-				coldScans += flat.scans.construct
-				refills += flat.scans.construct - len(p.classRep)
+				coldScans += flat.scans.construct // all refills: the build seeds every pick
 
 				seed := &Assignment{ServerOf: append([]int(nil), want.ServerOf...)}
 				for i, j := range seed.ServerOf {
@@ -487,7 +487,7 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 					verdicts[k] += v
 				}
 			}
-			t.Logf("cold: %d apps, %d construct scans (%d past one per class)", cold, coldScans, refills)
+			t.Logf("cold: %d apps, %d construct scans", cold, coldScans)
 			t.Logf("verdicts: stay %d, move %d, fallback %d, retry %d, nothing fits %d",
 				verdicts[0], verdicts[1], verdicts[2], verdicts[3], verdicts[4])
 			for k, name := range []string{"no move", "move to the cheapest", "near-tie fallback", "retry on the first fit", "retry with nothing fitting"} {
@@ -501,20 +501,21 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 			if coldScans >= cold {
 				t.Errorf("construct scanned every app (%d scans for %d apps): the pick memo never hit", coldScans, cold)
 			}
-			if refills == 0 {
-				t.Error("no class was scanned twice in construct: the fixture never fills a pick or powers a server on")
+			if coldScans == 0 {
+				t.Error("no class was re-scanned in construct: the fixture never fills a pick or powers a server on")
 			}
 		})
 	}
 }
 
 // TestClassMemoScanCount pins the saving as a count: a cold solve of 2 000
-// apps in 8 classes on an always-on fleet with room to spare scans once
-// per class in construct and once per class in local search — not once
-// per app in each, as before the class memos. A warm solve from a seed
-// that spreads every class over the fleet moves most apps, and no move
-// flips a fit threshold here, so it too scans once per class — not once
-// per (class, hosting server) and moving app, as before the class floor.
+// apps in 8 classes on an always-on fleet with room to spare makes no
+// scan at all — construct takes every pick from the cost-row build's
+// seeds and certifies its result a fixpoint, so local search never runs.
+// A warm solve from a seed that spreads every class over the fleet moves
+// most apps, and no move flips a fit threshold here, so it scans once per
+// class — not once per (class, hosting server) and moving app, as before
+// the class floor.
 func TestClassMemoScanCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	inst := randomWSInstance(rng, 0, 40)
@@ -548,11 +549,11 @@ func TestClassMemoScanCount(t *testing.T) {
 		if !reflect.DeepEqual(a, want) {
 			t.Fatalf("%s: flat diverged from sweep", pol.Name())
 		}
-		if got := flat.scans.construct; got > 8 {
-			t.Errorf("%s: %d construct scans, want at most one per class (8)", pol.Name(), got)
+		if got := flat.scans.construct; got != 0 {
+			t.Errorf("%s: %d construct scans, want 0 (every pick seeded)", pol.Name(), got)
 		}
-		if got := flat.scans.search; got > 8 {
-			t.Errorf("%s: %d local-search floor scans, want at most one per class (8)", pol.Name(), got)
+		if got := flat.scans.search; got != 0 {
+			t.Errorf("%s: %d local-search floor scans, want 0 (construct certified)", pol.Name(), got)
 		}
 
 		seed := &Assignment{ServerOf: make([]int, len(apps))}
@@ -637,6 +638,185 @@ func TestFloorScanAndMove(t *testing.T) {
 	} {
 		if got := tc.f.move(tc.cur, tc.curCost); got != tc.want {
 			t.Errorf("%s: move(%d, %v) = %d, want %d", tc.name, tc.cur, tc.curCost, got, tc.want)
+		}
+	}
+}
+
+// certProblem is a dense problem over servers in which every app may run
+// on every server, needs 100 of each resource, draws power[j] W on server
+// j and sits lat[j] ms from it, under a 20 ms SLO. Cases edit the cells.
+func certProblem(nApps int, servers []Server, power, lat []float64) *Problem {
+	apps := make([]App, nApps)
+	for i := range apps {
+		apps[i] = App{ID: fmt.Sprintf("a%d", i), SLOms: 20}
+	}
+	p := NewProblem(apps, servers)
+	for i := range apps {
+		for j := range servers {
+			p.Compatible[i][j] = true
+			p.Demand[i][j] = cluster.NewResources(100, 100, 100, 100)
+			p.PowerW[i][j], p.LatencyMs[i][j] = power[j], lat[j]
+		}
+	}
+	return p
+}
+
+// certServers returns servers s0, s1, ... at the given intensities, each
+// with 50 W base power and room for ten apps; on[j] is s_j's power state.
+func certServers(intensity []float64, on []bool) []Server {
+	servers := make([]Server, len(intensity))
+	for j := range servers {
+		servers[j] = Server{ID: fmt.Sprintf("s%d", j), Intensity: intensity[j], BasePowerW: 50, PoweredOn: on[j],
+			Free: cluster.NewResources(1000, 1000, 1000, 1000)}
+	}
+	return servers
+}
+
+// TestConstructCertificate pins when a cold solve skips local search:
+// construct certifies its result a fixpoint of local search when it placed
+// every app and retired no pick (no power-on, no demand that grows
+// capacity). Per case and policy the cold solve must equal the sweep's,
+// and the scan counters show whether the certificate fired — a certified
+// solve scans nothing, construct's picks all coming from the cost-row
+// build's seeds — or local search ran and did what the case needs of it.
+// Each case lists the policies its premise holds under: activation is free
+// under Latency-aware and Intensity-aware, so no power-on changes a cost
+// there, and only policies that read intensity see a NaN one.
+func TestConstructCertificate(t *testing.T) {
+	carbon, energyP, intensity := CarbonAware{}, EnergyAware{}, IntensityAware{}
+	blend := NewCarbonEnergyBlend(0.5)
+	type want struct {
+		fires               bool
+		moves, retry, stuck int // at least this many
+	}
+	for _, tc := range []struct {
+		name    string
+		problem func(rng *rand.Rand) *Problem
+		pols    []Policy
+		want    want
+	}{{
+		// A seeded workspace fleet, every server on with room to spare,
+		// its odd servers copies of their even neighbours: exact cost ties
+		// under every policy, which the seeds must break to the first slot.
+		name: "always-on fleet with room",
+		problem: func(rng *rand.Rand) *Problem {
+			inst := randomWSInstance(rng, 0, 10)
+			for j := range inst.servers {
+				s := &inst.servers[j]
+				if j%2 == 1 {
+					prev := inst.servers[j-1]
+					s.DC, s.Device, s.BasePowerW, s.Intensity = prev.DC, prev.Device, prev.BasePowerW, prev.Intensity
+				}
+				s.PoweredOn, s.Free = true, s.Free.Scale(100)
+			}
+			ws, err := NewWorkspace(inst.servers, inst.rtt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ws.Problem(gridApps(rng, 60, []string{"c0", "c2", "c4"}, []float64{8, 30},
+				[]string{energy.ModelEfficientNetB0, energy.ModelResNet50}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		pols: allPolicies(),
+		want: want{fires: true},
+	}, {
+		// s1 is cheapest by its cost row but dearest once its activation
+		// is added: the apps stay on s0 and nothing powers on.
+		name: "off server dear with its activation",
+		problem: func(*rand.Rand) *Problem {
+			return certProblem(3, certServers([]float64{200, 50}, []bool{true, false}), []float64{10, 5}, []float64{5, 5})
+		},
+		pols: []Policy{carbon, energyP},
+		want: want{fires: true},
+	}, {
+		// a0 (two options, first in order) takes s0 over the off s1; a1
+		// (two options) powers s1 on rather than take the dear s2, and
+		// then a0 moves to s1.
+		name: "later class powers a server on",
+		problem: func(*rand.Rand) *Problem {
+			p := certProblem(2, certServers([]float64{200, 50, 1000}, []bool{true, false, true}),
+				[]float64{10, 5, 200}, []float64{5, 5, 5})
+			p.Compatible[0][2], p.Compatible[1][0] = false, false
+			return p
+		},
+		pols: []Policy{carbon, energyP},
+		want: want{moves: 1},
+	}, {
+		// a0 frees memory wherever it lands: a demand that grows capacity
+		// retires every pick.
+		name: "negative demand component",
+		problem: func(*rand.Rand) *Problem {
+			p := certProblem(3, certServers([]float64{100, 200}, []bool{true, true}), []float64{10, 10}, []float64{5, 6})
+			for j := range p.Servers {
+				p.Demand[0][j] = cluster.NewResources(100, -50, 100, 100)
+			}
+			return p
+		},
+		pols: allPolicies(),
+	}, {
+		// a0 may only run on s0, whose intensity is NaN: no scan picks a
+		// NaN cost, so construct leaves it unplaced and local search
+		// retries it onto the first slot that fits.
+		name: "every fitting slot costs NaN",
+		problem: func(*rand.Rand) *Problem {
+			p := certProblem(2, certServers([]float64{math.NaN(), 100}, []bool{true, true}), []float64{10, 10}, []float64{5, 5})
+			p.Compatible[0][1] = false
+			return p
+		},
+		pols: []Policy{carbon, intensity, blend},
+		want: want{retry: 1},
+	}, {
+		// a0 may only run on s0, which has no room for it.
+		name: "nothing fits",
+		problem: func(*rand.Rand) *Problem {
+			p := certProblem(2, certServers([]float64{100, 200}, []bool{true, true}), []float64{10, 10}, []float64{5, 5})
+			p.Compatible[0][1] = false
+			p.Servers[0].Free = cluster.NewResources(50, 1000, 1000, 1000)
+			return p
+		},
+		pols: allPolicies(),
+		want: want{stuck: 1},
+	}} {
+		for _, pol := range tc.pols {
+			t.Run(tc.name+"/"+pol.Name(), func(t *testing.T) {
+				p := tc.problem(rand.New(rand.NewSource(7)))
+				want, err := sweepSolve(p, pol, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat := NewHeuristicSolver()
+				got, err := flat.Solve(p, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("flat diverged from sweep:\nsweep: %+v\nflat:  %+v", want, got)
+				}
+				sc := flat.scans
+				if fired := sc.search == 0; fired != tc.want.fires {
+					t.Fatalf("certificate fired = %v, want %v (scans %+v)", fired, tc.want.fires, sc)
+				}
+				if tc.want.fires && sc.construct != 0 {
+					t.Errorf("%d construct scans in a certified solve, want 0: every pick is a seed", sc.construct)
+				}
+				// Construct's own result, to count what local search moved.
+				st := &state{}
+				st.init(p, pol, 0)
+				sweepConstruct(st)
+				moved := 0
+				for i, j := range got.ServerOf {
+					if j >= 0 && st.assigned[i] >= 0 && j != st.assigned[i] {
+						moved++
+					}
+				}
+				if moved < tc.want.moves || sc.retry < tc.want.retry || sc.stuck < tc.want.stuck {
+					t.Errorf("local search moved %d, retried %d and left %d stuck, want at least %d, %d and %d",
+						moved, sc.retry, sc.stuck, tc.want.moves, tc.want.retry, tc.want.stuck)
+				}
+			})
 		}
 	}
 }

@@ -432,8 +432,10 @@ func (ws *Workspace) Bind(a *App) { a.class = ws.candClassOf(a) }
 // resets.
 func (ws *Workspace) Problem(apps []App) (*Problem, error) {
 	for i := range apps {
-		if apps[i].RatePerSec < 0 {
-			return nil, fmt.Errorf("placement: app %s has negative rate", apps[i].ID)
+		// NaN fails every comparison, so this tests for the good range: a
+		// NaN demand would fit everything it is subtracted from.
+		if r := apps[i].RatePerSec; !(r >= 0) || math.IsInf(r, 1) {
+			return nil, fmt.Errorf("placement: app %s has rate %g, want finite and non-negative", apps[i].ID, r)
 		}
 	}
 	p := ws.scratchProblem(apps)

@@ -458,10 +458,15 @@ func TestWorkspaceRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apps := fixtureApps(1, 20)
-	apps[0].RatePerSec = -1
-	if _, err := ws.Problem(apps); err == nil {
-		t.Fatal("negative rate accepted")
+	// A NaN rate gives NaN demands, and Fits passes every demand against
+	// a NaN free capacity: one committed NaN app would let a server take
+	// any load. +Inf is no rate either.
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
+		apps := fixtureApps(1, 20)
+		apps[0].RatePerSec = rate
+		if _, err := ws.Problem(apps); err == nil {
+			t.Errorf("rate %g accepted", rate)
+		}
 	}
 }
 

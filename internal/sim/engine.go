@@ -192,7 +192,8 @@ type replicaPool struct {
 	// existing pair, and their applications must keep pooling with it.
 	pairs []poolPair
 	cells [][]poolCell // [model][pair]
-	// apps holds the redeploy's app templates (see Engine.liveTemplate).
+	// apps holds the arrival and redeploy app templates (see
+	// Engine.appTemplate).
 	apps []placement.App
 	// gen stamps the cells that have a replica in this epoch's buf.
 	gen int
@@ -765,18 +766,15 @@ func (e *Engine) stepArrivals() {
 	n := poisson(e.rng, e.cfg.ArrivalsPerHour)
 	for k := 0; k < n; k++ {
 		src := sampleWeighted(e.rng, e.demandW, e.demandTotal)
-		model := e.cfg.Model
+		model, mi := e.cfg.Model, 0 // NewEngine interns cfg.Model first
 		if len(e.cfg.Models) > 0 {
 			model = e.cfg.Models[e.rng.Intn(len(e.cfg.Models))]
+			mi = e.pool.model(model)
 		}
+		app := e.appTemplate(model, mi, src)
+		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
-			app: placement.App{
-				ID:         e.queueID(len(e.pending)),
-				Model:      model,
-				Source:     e.sites[src].City,
-				SLOms:      e.cfg.RTTLimitMs,
-				RatePerSec: e.cfg.RatePerSec,
-			},
+			app:       app,
 			src:       src,
 			expires:   -1,
 			evictedAt: -1,
@@ -1110,18 +1108,19 @@ func (e *Engine) rttOracle(source, dc string) float64 {
 	return e.rtt[e.siteIdxByCity[source]][e.siteIdxByCity[dc]]
 }
 
-// liveTemplate returns live app a's placement.App but for the ID. There
-// is one template per (model, source site), at pool.apps[model index x
-// site count + source site], built and bound to the workspace the first
-// time a redeploy views that shape, so no later view looks its class up.
-func (e *Engine) liveTemplate(a *liveApp) placement.App {
-	k := a.mi*len(e.sites) + a.srcSite
+// appTemplate returns the placement.App of an app of model (interned as
+// mi) from source site src, but for the ID. There is one template per
+// (model, source site), at pool.apps[mi x site count + src], built and
+// bound to the workspace the first time an arrival or a redeploy needs
+// that shape, so no later view looks its class up.
+func (e *Engine) appTemplate(model string, mi, src int) placement.App {
+	k := mi*len(e.sites) + src
 	for len(e.pool.apps) <= k {
 		e.pool.apps = append(e.pool.apps, placement.App{})
 	}
 	t := &e.pool.apps[k]
 	if t.Source == "" {
-		*t = placement.App{Model: a.model, Source: e.sites[a.srcSite].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: e.cfg.RatePerSec}
+		*t = placement.App{Model: model, Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: e.cfg.RatePerSec}
 		e.ws.Bind(t)
 	}
 	return *t
@@ -1147,7 +1146,8 @@ func (e *Engine) redeploy(now time.Time) error {
 
 	e.appsBuf = e.appsBuf[:0]
 	for i := range e.live {
-		app := e.liveTemplate(&e.live[i])
+		a := &e.live[i]
+		app := e.appTemplate(a.model, a.mi, a.srcSite)
 		app.ID = e.queueID(i)
 		e.appsBuf = append(e.appsBuf, app)
 	}

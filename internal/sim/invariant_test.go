@@ -64,6 +64,49 @@ func checkPhysical(e *Engine) error {
 	return nil
 }
 
+// checkClassRows returns the first way a bound app template's class rows
+// are not its true cells, or nil, with the number of views it built. Each
+// template (Engine.appTemplate) is viewed alone through the workspace, so
+// the view aliases the class rows every arrival and redeploy of its shape
+// shares; over every server its Demand, PowerW and Compatible cells must
+// be exactly what Coefficients gives the server's device at the config's
+// rate, and its LatencyMs cell the RTT from the template's source site to
+// the server's site. A stray write into a shared row shows here even on a
+// server no live app sits on.
+func checkClassRows(e *Engine) (int, error) {
+	views := 0
+	for k, t := range e.pool.apps {
+		if t.Source == "" {
+			continue // no arrival or redeploy has needed this shape
+		}
+		src := k % len(e.sites)
+		t.ID = "row-check"
+		p, err := e.ws.Problem([]placement.App{t})
+		if err != nil {
+			return views, err
+		}
+		views++
+		if len(p.Demand[0]) != len(e.servers) {
+			return views, fmt.Errorf("template %s from site %d: rows cover %d servers, the engine has %d", t.Model, src, len(p.Demand[0]), len(e.servers))
+		}
+		for j := range e.servers {
+			srv := &e.servers[j]
+			var d cluster.Resources
+			var w float64
+			ok := false
+			if prof, err := energy.ProfileFor(t.Model, srv.device.Name); err == nil {
+				d, w, ok = placement.Coefficients(prof, e.cfg.RatePerSec)
+			}
+			rtt := e.rtt[src][srv.site]
+			if p.Demand[0][j] != d || p.PowerW[0][j] != w || p.Compatible[0][j] != ok || p.LatencyMs[0][j] != rtt {
+				return views, fmt.Errorf("template %s from site %d on server %d (%s): row cells %v, %g W, compatible %v, %g ms; want %v, %g W, %v, %g ms",
+					t.Model, src, j, srv.device.Name, p.Demand[0][j], p.PowerW[0][j], p.Compatible[0][j], p.LatencyMs[0][j], d, w, ok, rtt)
+			}
+		}
+	}
+	return views, nil
+}
+
 // clocks are the counters that never go back within one engine: its
 // epoch, and its workspace's view generation (a class memo row is
 // current when stamped with it) and candidate-memo era (a class hint is
@@ -96,8 +139,9 @@ func checkClocks(prev, cur clocks) error {
 	return nil
 }
 
-// runChecked runs cfg to completion with checkPhysical and checkClocks
-// as epoch observers and fails at the first epoch that breaks either.
+// runChecked runs cfg to completion with checkPhysical, checkClassRows
+// and checkClocks as epoch observers and fails at the first epoch that
+// breaks any of them.
 func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
@@ -105,15 +149,22 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 		t.Fatal(err)
 	}
 	var bad error
-	peak := 0
+	peak, views := 0, 0
 	start := readClocks(e)
 	prev := start
 	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, _ *Result) {
 		peak = max(peak, len(e.live))
-		cur := readClocks(e)
 		if err := checkPhysical(e); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
+		// Before readClocks: the check's own views advance viewGen, and
+		// the vacuity test below discounts them.
+		n, err := checkClassRows(e)
+		views += n
+		if err != nil && bad == nil {
+			bad = fmt.Errorf("epoch %d: %w", epoch, err)
+		}
+		cur := readClocks(e)
 		if err := checkClocks(prev, cur); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
@@ -130,8 +181,11 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	if peak == 0 {
 		t.Fatal("no epoch had a live app: the check is vacuous")
 	}
-	if prev.epoch <= start.epoch || prev.viewGen <= start.viewGen {
-		t.Fatalf("clocks never advanced (%+v to %+v): the clock check is vacuous", start, prev)
+	if views == 0 {
+		t.Fatal("no app template was ever bound: the class-row check is vacuous")
+	}
+	if prev.epoch <= start.epoch || prev.viewGen-uint64(views) <= start.viewGen {
+		t.Fatalf("clocks never advanced (%+v to %+v, %d views of the row check): the clock check is vacuous", start, prev, views)
 	}
 	return e.Finish()
 }

@@ -46,6 +46,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSimFaults$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultScript$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/events/
 	$(GO) test -run '^$$' -fuzz '^FuzzCertifiedMatchesMILP$$' -fuzztime $(FUZZTIME) \

@@ -79,6 +79,11 @@ func main() {
 }
 
 func run(addr, dbgAddr, region, policy, scenario, faultsFile string, seed int64, timeWarp time.Duration, rps, sloMs float64) error {
+	// The clock goroutine ticks every timeWarp: time.NewTicker panics on
+	// a non-positive interval.
+	if timeWarp <= 0 {
+		return fmt.Errorf("-tick %v: the interval per emulated hour must be positive", timeWarp)
+	}
 	var reg testbed.Region
 	switch strings.ToLower(region) {
 	case "florida":

@@ -27,7 +27,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	traces := carbon.NewGenerator(42).GenerateTraces(zones)
-	dep, err := deploy.Generate(deploy.DefaultOptions(), zones, cities)
+	dep, err := deploy.Generate(zones, cities)
 	if err != nil {
 		t.Fatal(err)
 	}

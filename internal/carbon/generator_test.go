@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 )
@@ -136,11 +137,17 @@ func TestSolarZoneDiurnalPattern(t *testing.T) {
 	// average (the Figure 4a pattern for Kingman).
 	g := NewGenerator(42)
 	s := g.Intensity(testZone(t, "US-SW-KNG"))
-	prof := s.HourlyProfile()
+	// Mean intensity per UTC hour of day.
+	var prof, n [24]float64
+	for i, v := range s.Values {
+		h := s.Start.Add(time.Duration(i) * time.Hour).Hour()
+		prof[h] += v
+		n[h]++
+	}
 	// Kingman is at longitude -114 (~UTC-7): local noon ~ 19:00 UTC,
 	// local midnight ~ 07:00 UTC.
-	noon := prof[19]
-	midnight := prof[7]
+	noon := prof[19] / n[19]
+	midnight := prof[7] / n[7]
 	if noon >= midnight {
 		t.Errorf("solar zone midday CI (%.0f) should be below midnight CI (%.0f)", noon, midnight)
 	}

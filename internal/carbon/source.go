@@ -129,18 +129,3 @@ func (m Mix) Shares() Mix {
 	}
 	return out
 }
-
-// FossilShare returns the fraction of generation from fossil sources.
-func (m Mix) FossilShare() float64 {
-	total := m.Total()
-	if total <= 0 {
-		return 0
-	}
-	var f float64
-	for s, v := range m {
-		if Source(s).Fossil() {
-			f += v
-		}
-	}
-	return f / total
-}

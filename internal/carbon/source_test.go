@@ -85,9 +85,6 @@ func TestMixIntensityZero(t *testing.T) {
 	if got := m.Intensity(); got != 0 {
 		t.Errorf("zero mix intensity = %v, want 0", got)
 	}
-	if got := m.FossilShare(); got != 0 {
-		t.Errorf("zero mix fossil share = %v, want 0", got)
-	}
 	if got := m.Shares(); got != (Mix{}) {
 		t.Errorf("zero mix shares = %v, want zeros", got)
 	}
@@ -138,13 +135,5 @@ func TestMixSharesSumToOne(t *testing.T) {
 	}
 	if math.Abs(sh[Gas]-0.5) > 1e-12 {
 		t.Errorf("gas share = %v, want 0.5", sh[Gas])
-	}
-}
-
-func TestFossilShare(t *testing.T) {
-	var m Mix
-	m[Coal], m[Hydro] = 1, 3
-	if got := m.FossilShare(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("fossil share = %v, want 0.25", got)
 	}
 }

@@ -51,15 +51,6 @@ func (dc *DataCenter) Servers() []*Server { return dc.servers }
 // Server returns a server by ID, or nil.
 func (dc *DataCenter) Server(id string) *Server { return dc.byID[id] }
 
-// TotalCapacity sums capacity over all servers.
-func (dc *DataCenter) TotalCapacity() Resources {
-	var total Resources
-	for _, s := range dc.servers {
-		total = total.Add(s.Capacity)
-	}
-	return total
-}
-
 // Cluster is the set of edge data centers managed by one CarbonEdge
 // instance — the "mesoscale edge data centers" of Figure 6.
 type Cluster struct {

@@ -47,7 +47,6 @@ func runCluster(t *testing.T) *orchestrator.Orchestrator {
 		t.Fatal(err)
 	}
 	shaper := latency.NewShaper()
-	shaper.SetScale(0)
 	shaper.SetDelay("Miami", "Tampa", 2*time.Millisecond)
 	o, err := orchestrator.New(orchestrator.Config{
 		Cluster: cl,

@@ -38,23 +38,18 @@ type Site struct {
 	PopulationM float64
 }
 
-// Options configure site generation.
-type Options struct {
-	// TotalSites is the pre-merge site count (paper: 496).
-	TotalSites int
-	// USFraction is the share of sites placed in the US (the remainder
-	// goes to Europe). Akamai's US footprint is larger.
-	USFraction float64
-	// Seed fixes placement randomness.
-	Seed int64
-	// ScatterKm jitters sites around their anchor city.
-	ScatterKm float64
-}
-
-// DefaultOptions matches the paper's dataset scale.
-func DefaultOptions() Options {
-	return Options{TotalSites: 496, USFraction: 0.55, Seed: 42, ScatterKm: 40}
-}
+// Site generation at the paper's dataset scale.
+const (
+	// totalSites is the pre-merge site count (paper: 496).
+	totalSites = 496
+	// usPercent is the share of sites placed in the US, 272 of 496 (the
+	// remainder goes to Europe). Akamai's US footprint is larger.
+	usPercent = 55
+	// seed fixes placement randomness.
+	seed = 42
+	// scatterKm jitters sites around their anchor city.
+	scatterKm = 40
+)
 
 // Deployment is the integrated site set.
 type Deployment struct {
@@ -66,19 +61,16 @@ type Deployment struct {
 // Generate builds the deployment: population-weighted multinomial
 // placement of sites over cities, then integration against the given zone
 // registry and city registry.
-func Generate(opt Options, zones *carbon.Registry, cities *latency.CityRegistry) (*Deployment, error) {
-	if opt.TotalSites <= 0 {
-		return nil, fmt.Errorf("deploy: TotalSites must be positive")
-	}
+func Generate(zones *carbon.Registry, cities *latency.CityRegistry) (*Deployment, error) {
 	if zones == nil || cities == nil {
 		return nil, fmt.Errorf("deploy: nil registry")
 	}
-	rng := rng.NewStd(opt.Seed)
+	rng := rng.NewStd(seed)
 
 	usCities := latency.USCities()
 	euCities := latency.EuropeCities()
-	nUS := int(float64(opt.TotalSites) * opt.USFraction)
-	nEU := opt.TotalSites - nUS
+	nUS := totalSites * usPercent / 100
+	nEU := totalSites - nUS
 
 	type rawSite struct {
 		loc  geo.Point
@@ -105,8 +97,8 @@ func Generate(opt Options, zones *carbon.Registry, cities *latency.CityRegistry)
 				city = cs[len(cs)-1]
 			}
 			// Scatter around the city (rough km-to-degree conversion).
-			dLat := (rng.Float64()*2 - 1) * opt.ScatterKm / 111
-			dLon := (rng.Float64()*2 - 1) * opt.ScatterKm / 85
+			dLat := (rng.Float64()*2 - 1) * scatterKm / 111
+			dLon := (rng.Float64()*2 - 1) * scatterKm / 85
 			raw = append(raw, rawSite{
 				loc:  geo.Point{Lat: city.Location.Lat + dLat, Lon: city.Location.Lon + dLon},
 				city: city,
@@ -160,23 +152,3 @@ func Generate(opt Options, zones *carbon.Registry, cities *latency.CityRegistry)
 
 // InRegion returns the sites in a region.
 func (d *Deployment) InRegion(r carbon.Region) []*Site { return d.byRegion[r] }
-
-// TotalWeight sums site weights (equals the pre-merge site count that
-// survived integration).
-func (d *Deployment) TotalWeight() float64 {
-	var w float64
-	for _, s := range d.Sites {
-		w += s.Weight
-	}
-	return w
-}
-
-// SiteByCity returns the site anchored at the city, or nil.
-func (d *Deployment) SiteByCity(city string) *Site {
-	for i := range d.Sites {
-		if d.Sites[i].City == city {
-			return &d.Sites[i]
-		}
-	}
-	return nil
-}

@@ -39,19 +39,6 @@ type Device struct {
 	MaxW float64
 }
 
-// PowerAt returns the device's power draw in watts at the given
-// utilization in [0,1], using the standard linear power-proportionality
-// model P(u) = idle + u*(max-idle).
-func (d Device) PowerAt(util float64) float64 {
-	if util < 0 {
-		util = 0
-	}
-	if util > 1 {
-		util = 1
-	}
-	return d.IdleW + util*(d.MaxW-d.IdleW)
-}
-
 // Catalogue devices: the three GPUs profiled in Figure 7 plus the testbed's
 // Xeon host (Dell PowerEdge R630, §6.1.2).
 var (

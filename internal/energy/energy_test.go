@@ -7,20 +7,6 @@ import (
 	"time"
 )
 
-func TestPowerAtLinearModel(t *testing.T) {
-	d := Device{Name: "x", IdleW: 10, MaxW: 110}
-	cases := []struct {
-		util, want float64
-	}{
-		{0, 10}, {0.5, 60}, {1, 110}, {-1, 10}, {2, 110},
-	}
-	for _, c := range cases {
-		if got := d.PowerAt(c.util); got != c.want {
-			t.Errorf("PowerAt(%v) = %v, want %v", c.util, got, c.want)
-		}
-	}
-}
-
 func TestCataloguePhysicallySane(t *testing.T) {
 	for _, d := range Devices() {
 		if d.IdleW <= 0 || d.MaxW <= d.IdleW {
@@ -124,24 +110,22 @@ func TestOrinServesLoadWithFarLessEnergy(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	p := Profile{InferenceMs: 10}
-	if got := p.ThroughputRPS(); got != 100 {
-		t.Errorf("ThroughputRPS = %v, want 100", got)
-	}
-	if got := (Profile{}).ThroughputRPS(); got != 0 {
-		t.Errorf("zero profile throughput = %v", got)
-	}
-}
-
 func TestModelsAndDevicesProfiled(t *testing.T) {
 	models := ModelsProfiled()
 	if len(models) != 4 {
 		t.Errorf("ModelsProfiled = %v, want 4 entries", models)
 	}
-	devs := DevicesProfiled()
-	if len(devs) != 4 {
-		t.Errorf("DevicesProfiled = %v, want 4 entries", devs)
+	// Every catalogue device is profiled for some model.
+	for _, d := range Devices() {
+		profiled := false
+		for _, m := range models {
+			if _, err := ProfileFor(m, d.Name); err == nil {
+				profiled = true
+			}
+		}
+		if !profiled {
+			t.Errorf("device %s has no profile", d.Name)
+		}
 	}
 }
 
@@ -157,9 +141,9 @@ func TestMeterIntegration(t *testing.T) {
 	if got := m.LastWatts(); got != 100 {
 		t.Errorf("LastWatts = %v", got)
 	}
-	m.RecordJoules(20000)
+	m.Record(20, 1000*time.Second)
 	if got := m.TotalJoules(); math.Abs(got-200000) > 1e-6 {
-		t.Errorf("after RecordJoules = %v, want 200000", got)
+		t.Errorf("after a second Record = %v, want 200000", got)
 	}
 	if m.Samples() != 2 {
 		t.Errorf("Samples = %d, want 2", m.Samples())
@@ -174,7 +158,6 @@ func TestMeterIgnoresInvalid(t *testing.T) {
 	var m Meter
 	m.Record(-5, time.Second)
 	m.Record(5, -time.Second)
-	m.RecordJoules(-1)
 	if m.TotalJoules() != 0 {
 		t.Errorf("invalid recordings counted: %v", m.TotalJoules())
 	}
@@ -188,22 +171,12 @@ func TestMeterConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				m.RecordJoules(1)
+				m.Record(1, time.Second)
 			}
 		}()
 	}
 	wg.Wait()
 	if got := m.TotalJoules(); got != 16000 {
 		t.Errorf("concurrent total = %v, want 16000", got)
-	}
-}
-
-func TestJoulesToGrams(t *testing.T) {
-	// 1 kWh at 500 g/kWh = 500 g.
-	if got := JoulesToGrams(3.6e6, 500); math.Abs(got-500) > 1e-9 {
-		t.Errorf("JoulesToGrams = %v, want 500", got)
-	}
-	if got := KWhToGrams(2, 100); got != 200 {
-		t.Errorf("KWhToGrams = %v, want 200", got)
 	}
 }

@@ -32,17 +32,6 @@ func (m *Meter) Record(p float64, d time.Duration) {
 	m.samples++
 }
 
-// RecordJoules adds a pre-computed energy amount.
-func (m *Meter) RecordJoules(j float64) {
-	if j <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joules += j
-	m.samples++
-}
-
 // TotalJoules returns the cumulative energy.
 func (m *Meter) TotalJoules() float64 {
 	m.mu.Lock()
@@ -78,18 +67,6 @@ func (m *Meter) Reset() {
 // String implements fmt.Stringer.
 func (m *Meter) String() string {
 	return fmt.Sprintf("Meter(%.1f J, last %.1f W)", m.TotalJoules(), m.LastWatts())
-}
-
-// JoulesToGrams converts energy (J) at a given carbon intensity
-// (g.CO2eq/kWh) to grams of CO2-equivalent — the core accounting identity
-// used everywhere in CarbonEdge: emissions = energy x intensity.
-func JoulesToGrams(joules, intensityGPerKWh float64) float64 {
-	return joules / 3.6e6 * intensityGPerKWh
-}
-
-// KWhToGrams converts kWh at a given carbon intensity to grams CO2eq.
-func KWhToGrams(kwh, intensityGPerKWh float64) float64 {
-	return kwh * intensityGPerKWh
 }
 
 // MeterState is the serializable form of a Meter, used by

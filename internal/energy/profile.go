@@ -28,15 +28,6 @@ func (p Profile) EnergyPerRequestJ() float64 {
 	return p.DynamicW * p.InferenceMs / 1000
 }
 
-// ThroughputRPS returns the device's saturation throughput for this model
-// in requests per second.
-func (p Profile) ThroughputRPS() float64 {
-	if p.InferenceMs <= 0 {
-		return 0
-	}
-	return 1000 / p.InferenceMs
-}
-
 // Workload model names used throughout the evaluation.
 const (
 	ModelEfficientNetB0 = "EfficientNetB0"
@@ -91,20 +82,6 @@ func ModelsProfiled() []string {
 		if !seen[p.Model] {
 			seen[p.Model] = true
 			out = append(out, p.Model)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DevicesProfiled returns the distinct device names, sorted.
-func DevicesProfiled() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range builtinProfiles {
-		if !seen[p.Device] {
-			seen[p.Device] = true
-			out = append(out, p.Device)
 		}
 	}
 	sort.Strings(out)

@@ -47,34 +47,6 @@ func (p Point) DistanceKm(q Point) float64 {
 	return 2 * EarthRadiusKm * math.Asin(math.Sqrt(h))
 }
 
-// Midpoint returns the spherical midpoint between p and q. It is used when
-// collapsing co-located data centers into a single site (§6.1.1 step 4).
-func (p Point) Midpoint(q Point) Point {
-	const degToRad = math.Pi / 180
-	const radToDeg = 180 / math.Pi
-	lat1 := p.Lat * degToRad
-	lon1 := p.Lon * degToRad
-	lat2 := q.Lat * degToRad
-	dLon := (q.Lon - p.Lon) * degToRad
-
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat * radToDeg, Lon: normalizeLon(lon * radToDeg)}
-}
-
-func normalizeLon(lon float64) float64 {
-	for lon > 180 {
-		lon -= 360
-	}
-	for lon < -180 {
-		lon += 360
-	}
-	return lon
-}
-
 // BBox is a latitude/longitude axis-aligned bounding box.
 type BBox struct {
 	MinLat, MinLon float64
@@ -115,9 +87,4 @@ func (b BBox) SpanKm() (widthKm, heightKm float64) {
 	w := Point{Lat: midLat, Lon: b.MinLon}.DistanceKm(Point{Lat: midLat, Lon: b.MaxLon})
 	h := Point{Lat: b.MinLat, Lon: b.MinLon}.DistanceKm(Point{Lat: b.MaxLat, Lon: b.MinLon})
 	return w, h
-}
-
-// Center returns the box's center point.
-func (b BBox) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 }

@@ -40,9 +40,10 @@ const (
 	// DefaultFlightRecorderEvents is the ring capacity when
 	// Config.FlightRecorderEvents is zero.
 	DefaultFlightRecorderEvents = 256
-	// DefaultAllocProbeEvery is the alloc-probe sampling period when
-	// Config.AllocProbeEvery is zero: one heap-allocation delta is
-	// measured per phase per this many calls.
+	// DefaultAllocProbeEvery is an engine tracer's alloc-probe sampling
+	// period: one heap-allocation delta is measured per phase per this
+	// many calls. Probing reads runtime/metrics' heap-allocation counter,
+	// which is cheap but not free; the period bounds its amortized cost.
 	DefaultAllocProbeEvery = 64
 )
 
@@ -54,11 +55,6 @@ type Config struct {
 	// faults (0 = DefaultFlightRecorderEvents, < 0 disables the
 	// recorder).
 	FlightRecorderEvents int
-	// AllocProbeEvery samples a heap-allocation delta on every Nth call
-	// per phase (0 = DefaultAllocProbeEvery, < 0 disables alloc
-	// probing). Probing reads runtime/metrics' heap-allocation counter,
-	// which is cheap but not free; the period bounds its amortized cost.
-	AllocProbeEvery int
 }
 
 // heapAllocsMetric is the cumulative heap-allocation byte counter the
@@ -125,8 +121,8 @@ type Tracer struct {
 	sample [1]rtm.Sample
 }
 
-// NewTracer builds a tracer over the given phase names.
-// allocProbeEvery follows Config.AllocProbeEvery semantics (0 =
+// NewTracer builds a tracer over the given phase names that samples a
+// heap-allocation delta on every allocProbeEvery-th call per phase (0 =
 // DefaultAllocProbeEvery, < 0 disables alloc probing).
 func NewTracer(names []string, allocProbeEvery int) *Tracer {
 	every := int64(allocProbeEvery)

@@ -47,7 +47,6 @@ func fixture(t *testing.T, pol placement.Policy) *Orchestrator {
 		t.Fatal(err)
 	}
 	shaper := latency.NewShaper()
-	shaper.SetScale(0)
 	shaper.SetDelay("CityA", "CityB", 6*time.Millisecond)
 
 	orch, err := New(Config{

@@ -35,9 +35,9 @@ func mix64(z uint64) uint64 {
 }
 
 // Source is a splitmix64 stream implementing rand.Source64. Its state is
-// a single uint64: State captures the stream position and Restore (or
-// NewSourceFromState) resumes it exactly. A Source is not safe for
-// concurrent use, matching rand.Source.
+// a single uint64: State captures the stream position and Restore
+// resumes it exactly. A Source is not safe for concurrent use, matching
+// rand.Source.
 type Source struct {
 	state uint64
 }
@@ -50,11 +50,6 @@ func NewSource(seed int64) *Source {
 	s := &Source{}
 	s.Seed(seed)
 	return s
-}
-
-// NewSourceFromState returns a source resuming at a captured State.
-func NewSourceFromState(state uint64) *Source {
-	return &Source{state: state}
 }
 
 // Seed resets the stream. The raw seed is run through the mixer once so
@@ -74,8 +69,8 @@ func (s *Source) Int63() int64 {
 	return int64(s.Uint64() >> 1)
 }
 
-// State returns the stream position. Restoring it with Restore (or
-// NewSourceFromState) resumes the stream exactly where it left off.
+// State returns the stream position. Restoring it with Restore resumes
+// the stream exactly where it left off.
 func (s *Source) State() uint64 { return s.state }
 
 // Restore repositions the stream to a captured State.

@@ -48,9 +48,10 @@ func TestStateCaptureResumesExactly(t *testing.T) {
 		}
 	}
 
-	fresh := NewSourceFromState(snap)
+	var fresh Source
+	fresh.Restore(snap)
 	if got := fresh.Uint64(); got != want[123] {
-		t.Fatalf("NewSourceFromState draw = %x, want %x", got, want[123])
+		t.Fatalf("fresh source restored: draw = %x, want %x", got, want[123])
 	}
 }
 
@@ -71,7 +72,9 @@ func TestStateCaptureSurvivesRandRand(t *testing.T) {
 		want = append(want, r.Float64(), r.NormFloat64())
 	}
 
-	r2 := rand.New(NewSourceFromState(snap))
+	src2 := NewSource(0)
+	src2.Restore(snap)
+	r2 := rand.New(src2)
 	for i := 0; i < 200; i++ {
 		if got := r2.Float64(); got != want[2*i] {
 			t.Fatalf("restored Float64 %d = %v, want %v", i, got, want[2*i])

@@ -30,7 +30,6 @@ type ExchangeStats struct {
 // state an engine observes is independent of scheduling.
 type Coordinator struct {
 	cfg     Config
-	specs   []sim.Config
 	engines []*sim.Engine
 	round   int
 
@@ -57,15 +56,10 @@ func New(cfg Config, w *sim.World) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		cfg:     cfg,
-		specs:   specs,
 		engines: engines,
 		drops:   make([]int64, len(engines)),
 	}, nil
 }
-
-// Specs returns the per-shard configs the plan produced. The slice is
-// shared; do not mutate it.
-func (c *Coordinator) Specs() []sim.Config { return c.specs }
 
 // Done reports whether every round has run.
 func (c *Coordinator) Done() bool { return c.round >= c.cfg.Base.Hours }

@@ -233,7 +233,11 @@ func TestShardedMatchesSerial(t *testing.T) {
 				t.Fatalf("%s/%d: %v", mode, shards, err)
 			}
 			results := c.Results()
-			for s, spec := range c.Specs() {
+			specs, err := Plan(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, spec := range specs {
 				serial, err := sim.Run(spec, w)
 				if err != nil {
 					t.Fatalf("%s/%d shard %d serial: %v", mode, shards, s, err)
@@ -355,7 +359,7 @@ func TestShardedObsDeterministic(t *testing.T) {
 	run := func(workers int) []obs.PhaseStat {
 		base := baseConfig(carbon.RegionEurope)
 		base.Hours = 24 * 5
-		base.Obs = &obs.Config{AllocProbeEvery: -1, FlightRecorderEvents: -1}
+		base.Obs = &obs.Config{FlightRecorderEvents: -1}
 		c, err := New(Config{Base: base, Shards: 4, Workers: workers}, w)
 		if err != nil {
 			t.Fatal(err)

@@ -30,6 +30,17 @@ func traceWorld(w *World, zone string, edit func(full *carbon.TraceSet) *carbon.
 	return &cp
 }
 
+// startedAt returns a copy of w whose trace set starts h hours later
+// while every zone keeps its own trace: a run over it begins h hours
+// into the trace year, so epoch 0 reads each zone's trace at index h.
+func startedAt(w *World, h int) *World {
+	ts := *w.Traces
+	ts.Start = ts.Start.Add(time.Duration(h) * time.Hour)
+	cp := *w
+	cp.Traces = &ts
+	return &cp
+}
+
 // shifted keeps a zone's trace from hour from onward: the zone's trace
 // then starts later than every other zone's.
 func shifted(zone string, from, to int) func(*carbon.TraceSet) *carbon.TraceSet {
@@ -74,9 +85,9 @@ func TestZoneSignalMatchesService(t *testing.T) {
 		w   *World
 	}{
 		"seasonal-naive": {cfg: func(c *Config) {}},
-		"start-hour":     {cfg: func(c *Config) { c.StartHour = 24*90 + 7 }},
-		"ewma":           {cfg: func(c *Config) { c.Forecaster = carbon.EWMA{Alpha: 0.3}; c.StartHour = 50 }},
-		"oracle":         {cfg: func(c *Config) { c.Forecaster = carbon.Oracle{}; c.StartHour = 11 }},
+		"start-hour":     {cfg: func(c *Config) {}, w: startedAt(w, 24*90+7)},
+		"ewma":           {cfg: func(c *Config) { c.Forecaster = carbon.EWMA{Alpha: 0.3} }, w: startedAt(w, 50)},
+		"oracle":         {cfg: func(c *Config) { c.Forecaster = carbon.Oracle{} }, w: startedAt(w, 11)},
 		"forecast-error": {cfg: func(c *Config) {
 			c.Faults = &events.FaultScript{Faults: []events.Fault{
 				{At: skewAt * time.Hour, Kind: events.FaultForecastError, Zone: skewed, Factor: skew, For: skewFor * time.Hour},
@@ -85,8 +96,8 @@ func TestZoneSignalMatchesService(t *testing.T) {
 		// The late zone's trace starts 3 h after the others', so its trace
 		// index runs 3 behind every other slot's.
 		"late-trace": {
-			cfg: func(c *Config) { c.StartHour = 5 },
-			w:   traceWorld(w, late, shifted(late, 3, w.Traces.Hours)),
+			cfg: func(c *Config) {},
+			w:   startedAt(traceWorld(w, late, shifted(late, 3, w.Traces.Hours)), 5),
 		},
 	}
 	for name, tc := range cases {
@@ -155,20 +166,18 @@ func TestStepRefusesEpochOutsideAnyTrace(t *testing.T) {
 	region := carbon.RegionEurope
 	zone := lastZone(t, w, region)
 	cases := map[string]struct {
-		w         *World
-		startHour int
-		failAt    int
+		w      *World
+		failAt int
 	}{
 		"ends-early":   {w: traceWorld(w, zone, shifted(zone, 0, 50)), failAt: 50},
-		"starts-late":  {w: traceWorld(w, zone, shifted(zone, 10, w.Traces.Hours)), startHour: 4, failAt: 0},
-		"late-in-span": {w: traceWorld(w, zone, shifted(zone, 10, 40)), startHour: 12, failAt: 28},
+		"starts-late":  {w: startedAt(traceWorld(w, zone, shifted(zone, 10, w.Traces.Hours)), 4), failAt: 0},
+		"late-in-span": {w: startedAt(traceWorld(w, zone, shifted(zone, 10, 40)), 12), failAt: 28},
 		"no-trace":     {w: traceWorld(w, zone, func(*carbon.TraceSet) *carbon.TraceSet { return nil }), failAt: 0},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg := shortConfig(region, placement.CarbonAware{})
 			cfg.Hours = 60
-			cfg.StartHour = tc.startHour
 			e, err := NewEngine(cfg, tc.w)
 			if err != nil {
 				t.Fatal(err)

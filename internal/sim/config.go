@@ -48,80 +48,96 @@ func (s Scenario) String() string {
 
 // Config parameterizes one simulation run.
 type Config struct {
-	// Seed fixes arrivals and workload sampling.
+	// Seed fixes arrivals and workload sampling. Set by the experiment
+	// suite (cesim -seed), by shard.Plan (one mixed seed per shard) and
+	// by the ledger.
 	Seed int64
 	// Region restricts the deployment (the paper evaluates US and
-	// Europe separately).
+	// Europe separately). Every caller passes it to DefaultConfig.
 	Region carbon.Region
 	// Sites, when non-empty, restricts the run to the named cities within
 	// Region (every name must exist there). The shard coordinator uses it
 	// to hand each engine a disjoint slice of the region; a run over a
 	// site subset is an ordinary, standalone simulation in every other
-	// respect.
+	// respect. Set only by shard.Plan.
 	Sites []string
 	// ForwardUnplaced exports fresh arrivals that found no feasible
 	// server to the engine's outbox (Engine.TakeForwarded) instead of
 	// counting them Unplaced, so a shard coordinator can retry them on a
 	// neighboring shard. Off (the default), unplaced arrivals are dropped
-	// exactly as before.
+	// exactly as before. Set only by shard.Plan, on multi-shard runs.
 	ForwardUnplaced bool
-	// Policy is the placement objective.
+	// Policy is the placement objective. Every caller passes it to
+	// DefaultConfig.
 	Policy placement.Policy
 	// RTTLimitMs is the apps' round-trip SLO (paper default: 20 ms).
+	// Figure 12's SLO sweep is its only other setter.
 	RTTLimitMs float64
-	// Hours is the simulated span (8760 = the paper's year).
+	// Hours is the simulated span (8760 = the paper's year). Set by the
+	// experiment suite (cesim -hours), the examples and the ledger.
 	Hours int
-	// StartHour offsets the start within the trace year.
-	StartHour int
 	// ArrivalsPerHour is the mean Poisson arrival rate over the whole
-	// region.
+	// region. Set by Figure 16's load levels, ablation-activation,
+	// shard.Plan (each shard's demand share) and the ledger.
 	ArrivalsPerHour float64
-	// AppLifetimeHours is how long each app runs before departing.
+	// AppLifetimeHours is how long each app runs before departing. Set
+	// by ext-redeploy and the ledger.
 	AppLifetimeHours int
-	// Model is the workload model arriving apps run.
+	// Model is the workload model arriving apps run. No run changes
+	// DefaultConfig's ResNet50; mixes go through Models.
 	Model string
 	// Models optionally overrides Model with a mix sampled uniformly
-	// per arrival (Figure 15's heterogeneous workloads).
+	// per arrival (Figures 15-16's heterogeneous workloads, set there and in
+	// examples/hetero).
 	Models []string
-	// RatePerSec is each app's request rate.
+	// RatePerSec is each app's request rate. No run changes
+	// DefaultConfig's 10 req/s.
 	RatePerSec float64
 	// Devices lists the device types present at every site (one
-	// aggregate server per device per site). Default: {A2}.
+	// aggregate server per device per site). Default: {A2}. Set by
+	// Figures 15-16, examples/hetero and the ledger.
 	Devices []string
 	// CapacityMilliPerSite is each site server's compute capacity in
-	// device milli-units before scenario weighting.
+	// device milli-units before scenario weighting. No run changes
+	// DefaultConfig's 4000; the fault experiment and the ledger read it
+	// to size scale-out servers.
 	CapacityMilliPerSite float64
-	// Demand and Capacity pick the Figure 14 scenario.
+	// Demand and Capacity pick the Figure 14 scenario, their only
+	// setter.
 	Demand, Capacity Scenario
 	// ServersAlwaysOn models a CDN whose servers never power down; when
-	// false, servers start off and the activation term applies.
+	// false, servers start off and the activation term applies. Cleared
+	// by Figures 15-16, ablation-activation and examples/hetero.
 	ServersAlwaysOn bool
 	// Forecaster overrides the default seasonal-naive forecaster (the
-	// forecast ablation swaps in EWMA or the oracle).
+	// forecast ablation, its only setter, swaps in EWMA or the oracle).
 	Forecaster carbon.Forecaster
 	// BatchHours buffers arrivals and places them every N hours
-	// (default 1; the batching ablation sweeps this).
+	// (default 1; the batching ablation, its only setter, sweeps this).
 	BatchHours int
 	// CollectLoadCI enables per-app-hour carbon-intensity sampling for
-	// Figure 11c's load-distribution CDF.
+	// Figure 11c's load-distribution CDF, its only setter.
 	CollectLoadCI bool
 	// RedeployEveryHours periodically re-places all live applications to
 	// track carbon-intensity drift (0 disables it — the paper's
 	// prototype behaviour; §7 names automatic redeployment as future
-	// work). Migrations pay the data-movement cost below.
+	// work). Migrations pay the data-movement cost below. Set by
+	// ext-redeploy, longhaul and the ledger.
 	RedeployEveryHours int
 	// MigrationDataMB is the state transferred when an app migrates.
+	// Set with RedeployEveryHours, by the same callers.
 	MigrationDataMB float64
 	// MigrationJPerMB is the network energy cost of moving one MB
 	// (~0.2 J/MB for wide-area transfer), charged at the destination
-	// zone's carbon intensity.
+	// zone's carbon intensity. Set with RedeployEveryHours, by the same
+	// callers.
 	MigrationJPerMB float64
 	// WarmRedeploy seeds each redeploy solve with the identity placement
 	// (every live app on its current server) instead of greedy
 	// construction from scratch, so local search pays only for what
 	// moved. Off by default: the warm-seeded local optimum can differ
 	// from the cold one, and the paper's redeploy results are produced
-	// cold.
+	// cold. Set only by the ledger's redeploy_churn.
 	WarmRedeploy bool
 	// Traffic, when non-nil, enables the request-level traffic-driven
 	// mode: an open-loop per-site request stream (Traffic.Scenario's
@@ -132,7 +148,8 @@ type Config struct {
 	// per-app power draw, and Result.Traffic records SLO attainment,
 	// latency quantiles, and per-request carbon attribution. A zero
 	// Traffic.Seed inherits Seed. When nil (the default) the classic
-	// epoch mode runs unchanged.
+	// epoch mode runs unchanged. Set by the traffic, faults and sharded
+	// experiments, shard.Plan (each shard's share) and the ledger.
 	Traffic *traffic.Config
 	// Faults, when non-nil, scripts world dynamics: server crashes and
 	// recoveries, zone outages, capacity degradation, carbon-forecast
@@ -141,7 +158,8 @@ type Config struct {
 	// on crashed or shrunk servers are evicted and forced back through
 	// the placement/redeploy path; Result.Faults records the telemetry.
 	// When nil (the default) results are byte-identical to a fault-free
-	// run.
+	// run. Set by the faults and sharded experiments, shard.Plan (each
+	// shard's part of the script) and the ledger.
 	Faults *events.FaultScript
 	// Obs, when non-nil, enables observability for the run: the engine
 	// traces every epoch phase (per-phase wall time, call counts,
@@ -149,7 +167,8 @@ type Config struct {
 	// recorder of recent phases and faults (Engine.FlightRecorder),
 	// snapshotted into checkpoints. Tracing never changes the simulated
 	// trajectory — with Obs nil (the default) outputs are byte-identical
-	// and the hot path carries no tracing code at all.
+	// and the hot path carries no tracing code at all. Set by cesim -obs
+	// (through the sweep) and the ledger.
 	Obs *obs.Config
 }
 

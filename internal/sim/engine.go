@@ -334,7 +334,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		fc = carbon.SeasonalNaive{Period: 24}
 	}
 	svc := carbon.NewService(w.Traces, fc)
-	e.start = w.Traces.Start.Add(time.Duration(cfg.StartHour) * time.Hour)
+	e.start = w.Traces.Start
 	e.zoneSlot = map[string]int{}
 	e.zoneSlotOfSite = make([]int, len(sites))
 	e.spanLo, e.spanHi = math.MinInt, math.MaxInt
@@ -414,15 +414,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	// (profile cells, RTT rows, candidate shortlists) live for the run.
 	pservers := make([]placement.Server, len(e.servers))
 	for j := range e.servers {
-		srv := &e.servers[j]
-		pservers[j] = placement.Server{
-			ID:         "srv-" + strconv.Itoa(j),
-			DC:         sites[srv.site].City,
-			Device:     srv.device.Name,
-			BasePowerW: srv.device.IdleW,
-			PoweredOn:  srv.on,
-			Free:       srv.cap,
-		}
+		pservers[j] = e.wsServer(j)
 	}
 	ws, err := placement.NewWorkspace(pservers, e.rttOracle, nil)
 	if err != nil {
@@ -445,6 +437,21 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	}
 	e.buildPhases()
 	return e, nil
+}
+
+// wsServer is server j's row in the placement workspace, the one way
+// NewEngine, a scale-out and a restore register a server: free capacity
+// is its effective capacity less what its live apps use.
+func (e *Engine) wsServer(j int) placement.Server {
+	srv := &e.servers[j]
+	return placement.Server{
+		ID:         "srv-" + strconv.Itoa(j),
+		DC:         e.sites[srv.site].City,
+		Device:     srv.device.Name,
+		BasePowerW: srv.device.IdleW,
+		PoweredOn:  srv.on,
+		Free:       srv.cap.Sub(srv.used),
+	}
 }
 
 // buildPhases lays out the epoch's phase list in canonical order. A phase

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -251,14 +250,7 @@ func (e *Engine) scaleOut(f events.Fault) error {
 			cap:     capVec,
 			on:      e.cfg.ServersAlwaysOn,
 		})
-		if err := e.ws.AddServers(placement.Server{
-			ID:         "srv-" + strconv.Itoa(j),
-			DC:         f.Site,
-			Device:     dev.Name,
-			BasePowerW: dev.IdleW,
-			PoweredOn:  e.cfg.ServersAlwaysOn,
-			Free:       capVec,
-		}); err != nil {
+		if err := e.ws.AddServers(e.wsServer(j)); err != nil {
 			return err
 		}
 		e.res.Faults.ScaleOuts++

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -59,8 +60,9 @@ func checkpointModes(t testing.TB, w *World) []Config {
 // bytes, or fail with its error: the fuzzer reaches hostile strings, -0,
 // tiny and huge floats, and null against empty lists and maps. Every
 // input must then either be rejected with an error or give an engine
-// that steps to the end without panicking. Seeds are snapshots of every
-// mode at epochs 0, 20 and 40.
+// that steps to the end without panicking, physical (checkPhysical)
+// after every epoch. Seeds are snapshots of every mode at epochs 0, 20
+// and 40.
 func FuzzNewEngineFrom(f *testing.F) {
 	w := testWorld(f)
 	modes := checkpointModes(f, w)
@@ -108,6 +110,56 @@ func FuzzNewEngineFrom(f *testing.F) {
 		for !e.Done() {
 			if err := e.Step(); err != nil {
 				return
+			}
+			if err := checkPhysical(e); err != nil {
+				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
+			}
+		}
+		e.Finish()
+	})
+}
+
+// FuzzSimFaults is the simulator's fault path under a hostile script:
+// the fuzzed text is parsed with events.ParseFaultScript and run as the
+// fault script of checkpointModes' fault run (48 h Europe). A script
+// that the parser, NewEngine or a Step refuses must be refused with an
+// error; an accepted one steps to the end, physical (checkPhysical)
+// after every epoch. Nothing may panic. Seeds are the fault run's own
+// script and one line of each kind at its city and zone.
+func FuzzSimFaults(f *testing.F) {
+	w := testWorld(f)
+	modes := checkpointModes(f, w)
+	cfg := modes[len(modes)-1]
+	city := strconv.Quote(cfg.Faults.Faults[0].Site)
+	zone := strconv.Quote(cfg.Faults.Faults[1].Zone)
+	f.Add(cfg.Faults.String())
+	for _, seed := range []string{
+		"at 2h crash zone=" + zone + " for=10h",
+		"at 5h degrade site=" + city + " factor=0.01 for=30h\nat 6h recover site=" + city,
+		"at 1h scale-out site=" + city + ` device="GTX 1080" capacity=1 count=3`,
+		"at 0s forecast-error zone=" + zone + " factor=1e300 for=1h",
+		"at 47h crash site=" + city + "\nat 47h scale-out site=" + city + " capacity=4000 count=1024",
+		"at 3h crash site=Atlantis",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		script, err := events.ParseFaultScript(text)
+		if err != nil {
+			return
+		}
+		c := cfg
+		c.Faults = script
+		e, err := NewEngine(c, w)
+		if err != nil {
+			return
+		}
+		for !e.Done() {
+			if err := e.Step(); err != nil {
+				return
+			}
+			if err := checkPhysical(e); err != nil {
+				t.Fatalf("script %q, epoch %d: %v", text, e.Epoch()-1, err)
 			}
 		}
 		e.Finish()

@@ -42,7 +42,7 @@ func NewPhaseTracer() *obs.Tracer {
 // phase in one tracer probe whose wall time the recorder reuses, so with
 // Config.Obs nil the hot path only tests a nil tracer.
 func (e *Engine) initObs() {
-	e.tracer = obs.NewTracer(phaseNames[:], e.cfg.Obs.AllocProbeEvery)
+	e.tracer = obs.NewTracer(phaseNames[:], obs.DefaultAllocProbeEvery)
 	if e.cfg.Obs.FlightRecorderEvents >= 0 {
 		e.recorder = obs.NewFlightRecorder(e.cfg.Obs.FlightRecorderEvents)
 	}

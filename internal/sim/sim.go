@@ -37,7 +37,7 @@ func NewWorld(seed int64) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep, err := deploy.Generate(deploy.DefaultOptions(), zones, cities)
+	dep, err := deploy.Generate(zones, cities)
 	if err != nil {
 		return nil, err
 	}

@@ -224,12 +224,14 @@ func (st ResultState) Restore() (*Result, error) {
 // signature is stable across processes. Obs is deliberately excluded:
 // tracing never changes the trajectory, so a checkpoint taken with
 // observability on restores cleanly into a run with it off (and vice
-// versa), and sweep journals stay valid across obs toggles.
+// versa), and sweep journals stay valid across obs toggles. start=0 and
+// horizon=24 render values that were once Config fields, so signatures
+// recorded while they were stay valid.
 func ConfigSig(cfg Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d region=%v sites=%v forward=%t policy=%T%+v rtt=%g hours=%d start=%d arrivals=%g life=%d",
+	fmt.Fprintf(&b, "seed=%d region=%v sites=%v forward=%t policy=%T%+v rtt=%g hours=%d start=0 arrivals=%g life=%d",
 		cfg.Seed, cfg.Region, cfg.Sites, cfg.ForwardUnplaced, cfg.Policy, cfg.Policy, cfg.RTTLimitMs,
-		cfg.Hours, cfg.StartHour, cfg.ArrivalsPerHour, cfg.AppLifetimeHours)
+		cfg.Hours, cfg.ArrivalsPerHour, cfg.AppLifetimeHours)
 	fmt.Fprintf(&b, " model=%s models=%v rate=%g devices=%v cap=%g demand=%v capacity=%v alwayson=%t",
 		cfg.Model, cfg.Models, cfg.RatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
 		cfg.Demand, cfg.Capacity, cfg.ServersAlwaysOn)
@@ -365,14 +367,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 			on:      ss.On,
 			down:    ss.Down,
 		})
-		if err := e.ws.AddServers(placement.Server{
-			ID:         fmt.Sprintf("srv-%d", j),
-			DC:         e.sites[ss.Site].City,
-			Device:     dev.Name,
-			BasePowerW: dev.IdleW,
-			PoweredOn:  ss.On,
-			Free:       ss.Cap.Sub(ss.Used),
-		}); err != nil {
+		if err := e.ws.AddServers(e.wsServer(j)); err != nil {
 			return nil, err
 		}
 	}
@@ -416,6 +411,12 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 		if city := e.sites[ps.Src].City; ps.App.Source != city {
 			return nil, fmt.Errorf("sim: snapshot pending app %d is sourced at %q, its source site %d is %q", i, ps.App.Source, ps.Src, city)
+		}
+		// Every backlog entry asks the config's SLO at the config's rate:
+		// placed, it holds exactly its class's cells.
+		if ps.App.SLOms != cfg.RTTLimitMs || ps.App.RatePerSec != cfg.RatePerSec {
+			return nil, fmt.Errorf("sim: snapshot pending app %d asks %g ms at %g req/s, the config's apps %g ms at %g req/s",
+				i, ps.App.SLOms, ps.App.RatePerSec, cfg.RTTLimitMs, cfg.RatePerSec)
 		}
 		if ps.EvictedAt >= 0 && cfg.Faults == nil {
 			return nil, fmt.Errorf("sim: snapshot pending app %d was evicted at epoch %d, but the config has no fault script", i, ps.EvictedAt)
@@ -483,6 +484,9 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	// existence; the snapshot only refills it).
 	if e.recorder != nil && snap.Recorder != nil {
 		e.recorder = obs.RecorderFromState(*snap.Recorder)
+	}
+	if err := checkPhysical(e); err != nil {
+		return nil, fmt.Errorf("sim: snapshot state is not physical: %w", err)
 	}
 	return e, nil
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/carbon"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/placement"
@@ -397,6 +398,63 @@ func TestSnapshotRejectsBadSourceSite(t *testing.T) {
 			if _, err := NewEngineFrom(tc.cfg, w, &snap); err == nil ||
 				!strings.Contains(err.Error(), "pending app") && !strings.Contains(err.Error(), "source site") {
 				t.Errorf("doctored snapshot restored (err=%v)", err)
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesUnphysicalSnapshot: a snapshot no run can produce
+// used to restore, and the resumed run reported what its fields said (a
+// live app drawing 1e300 W put 4.8e298 g of carbon on a 48 h Europe run's
+// books). Each mutation of that run's epoch-20 snapshot must be refused:
+// a live app's power or RTT off its class's cells, a hosting server whose
+// used no longer sums its apps, and a backlog entry asking another rate
+// than the config's.
+func TestRestoreRefusesUnphysicalSnapshot(t *testing.T) {
+	w := testWorld(t)
+	cfg := checkpointModes(t, w)[0]
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 20 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := json.Marshal(e.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		bad        func(*Snapshot)
+	}{
+		{"live power_w 1e300", "not physical", func(s *Snapshot) { s.Live[0].PowerW = 1e300 }},
+		{"hosting server used 0", "not physical", func(s *Snapshot) { s.Servers[s.Live[0].Srv].Used = cluster.Resources{} }},
+		{"live rtt_ms -5", "not physical", func(s *Snapshot) { s.Live[0].RTTMs = -5 }},
+		{"pending at 1000 req/s", "pending app", func(s *Snapshot) {
+			site := w.Dep.InRegion(cfg.Region)[0]
+			s.Pending = append(s.Pending, PendingSnap{
+				App:     placement.App{ID: "q-0", Model: cfg.Model, Source: site.City, SLOms: cfg.RTTLimitMs, RatePerSec: 1000},
+				Expires: 30, EvictedAt: -1,
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap Snapshot
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if len(snap.Live) == 0 {
+				t.Fatal("fixture has no live app")
+			}
+			if _, err := NewEngineFrom(cfg, w, &snap); err != nil {
+				t.Fatalf("untouched snapshot rejected: %v", err)
+			}
+			tc.bad(&snap)
+			if _, err := NewEngineFrom(cfg, w, &snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("doctored snapshot: err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}

@@ -71,11 +71,6 @@ type Config struct {
 	Traces *carbon.TraceSet
 	Cities *latency.CityRegistry
 	Policy placement.Policy
-	// Device equips every testbed server (paper: Dell R630 + NVIDIA A2;
-	// the CPU-based Sci app runs on the Xeon host instead).
-	Device energy.Device
-	// Start is the emulated wall-clock start within the trace year.
-	Start time.Time
 }
 
 // Testbed is an assembled regional deployment.
@@ -97,11 +92,6 @@ func New(cfg Config) (*Testbed, error) {
 	if cfg.Zones == nil || cfg.Traces == nil || cfg.Cities == nil {
 		return nil, fmt.Errorf("testbed: zones, traces, and cities are required")
 	}
-	dev := cfg.Device
-	if dev.Name == "" {
-		dev = energy.A2
-	}
-
 	var dcs []*cluster.DataCenter
 	names := make([]string, 0, len(cfg.Region.DCs))
 	for _, spec := range cfg.Region.DCs {
@@ -114,10 +104,11 @@ func New(cfg Config) (*Testbed, error) {
 		}
 		dc := cluster.NewDataCenter("dc-"+spec.City, spec.City, city.Location, spec.ZoneID, spec.City)
 		// Each DC hosts one GPU server and one CPU host, mirroring the
-		// R630 + A2 testbed machines; the orchestrator starts both powered
-		// on.
-		gpu := cluster.NewServer("srv-"+spec.City+"-gpu", dc.ID, dev,
-			cluster.NewResources(1000, 65536, float64(dev.MemMB), 1000))
+		// paper's Dell R630 + NVIDIA A2 testbed machines (the CPU-based
+		// Sci app runs on the Xeon host); the orchestrator starts both
+		// powered on.
+		gpu := cluster.NewServer("srv-"+spec.City+"-gpu", dc.ID, energy.A2,
+			cluster.NewResources(1000, 65536, float64(energy.A2.MemMB), 1000))
 		cpu := cluster.NewServer("srv-"+spec.City+"-cpu", dc.ID, energy.XeonE5,
 			cluster.NewResources(40000, 262144, 0, 1000))
 		if err := dc.AddServer(gpu); err != nil {
@@ -136,7 +127,6 @@ func New(cfg Config) (*Testbed, error) {
 
 	// Load pairwise latencies into the shaper (the tc step).
 	shaper := latency.NewShaper()
-	shaper.SetScale(0) // measurements use configured delays; no real sleeps
 	for i := 0; i < len(cfg.Region.DCs); i++ {
 		ci, _ := cfg.Cities.ByName(cfg.Region.DCs[i].City)
 		for j := i + 1; j < len(cfg.Region.DCs); j++ {
@@ -146,16 +136,12 @@ func New(cfg Config) (*Testbed, error) {
 		}
 	}
 
-	start := cfg.Start
-	if start.IsZero() {
-		start = cfg.Traces.Start
-	}
 	orch, err := orchestrator.New(orchestrator.Config{
 		Cluster: cl,
 		Carbon:  carbon.NewService(cfg.Traces, carbon.SeasonalNaive{Period: 24}),
 		Shaper:  shaper,
 		Policy:  cfg.Policy,
-		Start:   start,
+		Start:   cfg.Traces.Start,
 	})
 	if err != nil {
 		return nil, err

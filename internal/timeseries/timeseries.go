@@ -10,7 +10,6 @@
 package timeseries
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -150,40 +149,6 @@ type MonthStat struct {
 
 	sum float64
 	n   int
-}
-
-// HourlyProfile returns the 24-element mean value per hour-of-day (UTC),
-// used for diurnal plots like Figure 4a.
-func (s *Series) HourlyProfile() [24]float64 {
-	var sums, counts [24]float64
-	for i, v := range s.Values {
-		h := s.Start.Add(time.Duration(i) * Hour).Hour()
-		sums[h] += v
-		counts[h]++
-	}
-	var out [24]float64
-	for h := range out {
-		if counts[h] > 0 {
-			out[h] = sums[h] / counts[h]
-		}
-	}
-	return out
-}
-
-// ErrLengthMismatch is returned by element-wise operations on series of
-// different lengths.
-var ErrLengthMismatch = errors.New("timeseries: length mismatch")
-
-// AddSeries returns a new series with element-wise sum a+b.
-func AddSeries(a, b *Series) (*Series, error) {
-	if len(a.Values) != len(b.Values) {
-		return nil, ErrLengthMismatch
-	}
-	out := New(a.Start, len(a.Values))
-	for i := range a.Values {
-		out.Values[i] = a.Values[i] + b.Values[i]
-	}
-	return out, nil
 }
 
 // Scale returns a new series with every sample multiplied by k.

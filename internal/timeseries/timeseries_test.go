@@ -129,32 +129,8 @@ func TestMonthlyMeans(t *testing.T) {
 	}
 }
 
-func TestHourlyProfile(t *testing.T) {
-	s := New(t0, 24*10)
-	for i := range s.Values {
-		s.Values[i] = float64(i % 24)
-	}
-	p := s.HourlyProfile()
-	for h := 0; h < 24; h++ {
-		if p[h] != float64(h) {
-			t.Errorf("profile[%d] = %v, want %d", h, p[h], h)
-		}
-	}
-}
-
-func TestAddSeriesAndScale(t *testing.T) {
+func TestScale(t *testing.T) {
 	a := FromValues(t0, []float64{1, 2})
-	b := FromValues(t0, []float64{10, 20})
-	sum, err := AddSeries(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Values[0] != 11 || sum.Values[1] != 22 {
-		t.Errorf("sum = %v", sum.Values)
-	}
-	if _, err := AddSeries(a, FromValues(t0, []float64{1})); err != ErrLengthMismatch {
-		t.Errorf("mismatch error = %v, want ErrLengthMismatch", err)
-	}
 	sc := a.Scale(3)
 	if sc.Values[0] != 3 || sc.Values[1] != 6 {
 		t.Errorf("scale = %v", sc.Values)

@@ -33,7 +33,10 @@ const (
 	// time plus a weekend dip.
 	Diurnal
 	// FlashCrowd is Diurnal plus periodic bursts concentrated on one
-	// source city (a viral event hitting one metro).
+	// source city (a viral event hitting one metro): every
+	// flashEveryHours hours from hour 0, the heaviest source (the first
+	// on ties) draws flashMultiplier times its diurnal rate for
+	// flashDurationHours hours.
 	FlashCrowd
 )
 
@@ -84,27 +87,21 @@ type Config struct {
 	// RPS is the mean aggregate request rate (requests/second) across all
 	// sources at shape factor 1.0.
 	RPS float64
-	// FlashSource names the burst city for FlashCrowd (default: the
-	// heaviest source).
-	FlashSource string
-	// FlashEveryHours is the burst period (default 72).
-	FlashEveryHours int
-	// FlashDurationHours is the burst length (default 3).
-	FlashDurationHours int
-	// FlashMultiplier scales the burst source's rate during a burst
-	// (default 8).
-	FlashMultiplier float64
 }
 
-// defaultFlashMultiplier is the FlashMultiplier NewGenerator fills in
-// for zero.
-const defaultFlashMultiplier = 8
+// FlashCrowd's burst: its period, its length and the factor on the
+// burst source's rate while it lasts.
+const (
+	flashEveryHours    = 72
+	flashDurationHours = 3
+	flashMultiplier    = 8
+)
 
 // peakShape bounds the diurnal shape's factor from above (1 + 0.40 + 0.12).
 const peakShape = 1.52
 
 // maxHourlyMean bounds the peak expected requests per hour: RPS × 3600 ×
-// peakShape, times FlashMultiplier under FlashCrowd. Up to 2^53 a float64
+// peakShape, times flashMultiplier under FlashCrowd. Up to 2^53 a float64
 // holds every integer, so a slice's Poisson count converts to int64
 // exactly; far past it the conversion overflows and a source silently
 // routes nothing.
@@ -118,16 +115,9 @@ func (c *Config) Validate() error {
 	if c.Scenario < Steady || c.Scenario > FlashCrowd {
 		return fmt.Errorf("traffic: unknown scenario %d", int(c.Scenario))
 	}
-	if c.FlashEveryHours < 0 || c.FlashDurationHours < 0 || !(c.FlashMultiplier >= 0) || math.IsInf(c.FlashMultiplier, 1) {
-		return fmt.Errorf("traffic: flash parameters must be finite and non-negative")
-	}
 	peak := c.RPS * 3600 * peakShape
 	if c.Scenario == FlashCrowd {
-		mult := c.FlashMultiplier
-		if mult == 0 {
-			mult = defaultFlashMultiplier
-		}
-		peak *= max(mult, 1)
+		peak *= flashMultiplier
 	}
 	if peak > maxHourlyMean {
 		return fmt.Errorf("traffic: peak hourly mean %g requests exceeds %g", peak, float64(maxHourlyMean))
@@ -165,16 +155,7 @@ func NewGenerator(cfg Config, start time.Time, sources []Source) (*Generator, er
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("traffic: no sources")
 	}
-	if cfg.FlashEveryHours == 0 {
-		cfg.FlashEveryHours = 72
-	}
-	if cfg.FlashDurationHours == 0 {
-		cfg.FlashDurationHours = 3
-	}
-	if cfg.FlashMultiplier == 0 {
-		cfg.FlashMultiplier = defaultFlashMultiplier
-	}
-	g := &Generator{cfg: cfg, start: start, sources: sources, flashIdx: -1}
+	g := &Generator{cfg: cfg, start: start, sources: sources}
 	g.src = rng.NewSource(0)
 	g.rnd = rng.New(g.src)
 	for i, s := range sources {
@@ -182,23 +163,13 @@ func NewGenerator(cfg Config, start time.Time, sources []Source) (*Generator, er
 			return nil, fmt.Errorf("traffic: source %s has weight %g, want a finite non-negative number", s.City, s.Weight)
 		}
 		g.totalW += s.Weight
-		if cfg.FlashSource == s.City {
+		// The burst target is the heaviest source, the first on ties.
+		if s.Weight > sources[g.flashIdx].Weight {
 			g.flashIdx = i
 		}
 	}
 	if g.totalW <= 0 {
 		return nil, fmt.Errorf("traffic: source weights sum to zero")
-	}
-	if cfg.FlashSource != "" && g.flashIdx < 0 {
-		return nil, fmt.Errorf("traffic: flash source %q not among sources", cfg.FlashSource)
-	}
-	if g.flashIdx < 0 {
-		// Default burst target: the heaviest source (first on ties).
-		for i, s := range sources {
-			if g.flashIdx < 0 || s.Weight > sources[g.flashIdx].Weight {
-				g.flashIdx = i
-			}
-		}
 	}
 	if cfg.Scenario != Steady {
 		n := len(sources)
@@ -273,8 +244,8 @@ func (g *Generator) shape(row []float64, i, hour int) float64 {
 	}
 	f := row[i]
 	if g.cfg.Scenario == FlashCrowd && i == g.flashIdx &&
-		hour%g.cfg.FlashEveryHours < g.cfg.FlashDurationHours {
-		f *= g.cfg.FlashMultiplier
+		hour%flashEveryHours < flashDurationHours {
+		f *= flashMultiplier
 	}
 	return f
 }

@@ -35,9 +35,6 @@ func TestGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(Config{Seed: 1, RPS: 10}, testStart, nil); err == nil {
 		t.Error("no sources accepted")
 	}
-	if _, err := NewGenerator(Config{Seed: 1, RPS: 10, FlashSource: "Atlantis"}, testStart, testSources()); err == nil {
-		t.Error("unknown flash source accepted")
-	}
 	if _, err := NewGenerator(Config{Seed: 1, RPS: 10}, testStart,
 		[]Source{{City: "A", Weight: 0}}); err == nil {
 		t.Error("zero total weight accepted")
@@ -64,8 +61,8 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsUnroutableRates: a NaN or infinite RPS or flash
-// multiplier, or a peak hourly mean past 2^53, made every Poisson draw
+// TestConfigRejectsUnroutableRates: a NaN or infinite RPS, or a peak
+// hourly mean past 2^53, made every Poisson draw
 // convert to math.MinInt64, so the router skipped each source and a run
 // served nothing without an error. NewGenerator must refuse them; the
 // last rows are the largest configurations that still fit.
@@ -79,14 +76,10 @@ func TestConfigRejectsUnroutableRates(t *testing.T) {
 		{Config{RPS: inf}, false},
 		{Config{RPS: -inf}, false},
 		{Config{RPS: 1e16}, false},
-		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: nan}, false},
-		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: inf}, false},
-		{Config{RPS: 10, Scenario: FlashCrowd, FlashMultiplier: -1}, false},
-		{Config{RPS: 2.1e11, Scenario: FlashCrowd}, false},                     // × the default multiplier 8
-		{Config{RPS: 2e11, Scenario: FlashCrowd, FlashMultiplier: 2e3}, false}, // past 2^53 only with the multiplier
+		{Config{RPS: 2.1e11, Scenario: FlashCrowd}, false}, // × the multiplier 8
+		{Config{RPS: 1.6e12, Scenario: FlashCrowd}, false}, // past 2^53 only with the multiplier
 		{Config{RPS: 1.6e12, Scenario: Diurnal}, true},
 		{Config{RPS: 2e11, Scenario: FlashCrowd}, true},
-		{Config{RPS: 1.6e12, Scenario: FlashCrowd, FlashMultiplier: 0.5}, true},
 	} {
 		tc.cfg.Seed = 1
 		g, err := NewGenerator(tc.cfg, testStart, testSources())
@@ -125,8 +118,8 @@ func refRate(g *Generator, i, hour int) float64 {
 		f = 0.05
 	}
 	if g.cfg.Scenario == FlashCrowd && i == g.flashIdx &&
-		hour%g.cfg.FlashEveryHours < g.cfg.FlashDurationHours {
-		f *= g.cfg.FlashMultiplier
+		hour%flashEveryHours < flashDurationHours {
+		f *= flashMultiplier
 	}
 	return base * f
 }
@@ -151,7 +144,7 @@ func TestDiurnalTableMatchesFormula(t *testing.T) {
 		time.Date(2024, 1, 1, 0, 0, 0, 0, ny),
 	} {
 		for _, scn := range []Scenario{Steady, Diurnal, FlashCrowd} {
-			g, err := NewGenerator(Config{Seed: 5, Scenario: scn, RPS: 900, FlashEveryHours: 50, FlashDurationHours: 7}, start, sources)
+			g, err := NewGenerator(Config{Seed: 5, Scenario: scn, RPS: 900}, start, sources)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,21 +337,23 @@ func TestWeekendFactor(t *testing.T) {
 }
 
 // TestFlashCrowdBurst states a burst's mass: over the burst windows the
-// flash source draws (multiplier − 1) × its base mass more than its base
-// mass, where the base mass is the Diurnal rate summed over the window's
-// hours (duration × base rate, hour by hour). The tolerance is four
-// Poisson standard deviations of the boosted total, and outside the
-// windows the source draws its base mass to the same tolerance.
+// flash source (Miami, the heaviest) draws (multiplier − 1) × its base
+// mass more than its base mass, where the base mass is the Diurnal rate
+// summed over the window's hours (duration × base rate, hour by hour).
+// The tolerance is four Poisson standard deviations of the boosted total,
+// and outside the windows the source draws its base mass to the same
+// tolerance.
 func TestFlashCrowdBurst(t *testing.T) {
-	const mult, every, dur = 10, 48, 2
+	const mult, every, dur = flashMultiplier, flashEveryHours, flashDurationHours
 	for _, seed := range []int64{3, 4, 5} {
-		cfg := Config{Seed: seed, Scenario: FlashCrowd, RPS: 1000,
-			FlashSource: "Tampa", FlashEveryHours: every, FlashDurationHours: dur, FlashMultiplier: mult}
-		g := mustGen(t, cfg)
+		g := mustGen(t, Config{Seed: seed, Scenario: FlashCrowd, RPS: 1000})
+		if g.flashIdx != 0 {
+			t.Fatalf("burst source %s, want the heaviest, Miami", testSources()[g.flashIdx].City)
+		}
 		base := mustGen(t, Config{Seed: seed, Scenario: Diurnal, RPS: 1000})
 		var inCount, inBase, outCount, outBase float64
 		for h := 0; h < 60*every; h++ {
-			n, m := float64(g.Slice(h)[2]), base.Rate(2, h)*3600
+			n, m := float64(g.Slice(h)[0]), base.Rate(0, h)*3600
 			if h%every < dur {
 				inCount, inBase = inCount+n, inBase+m
 			} else {
@@ -372,8 +367,8 @@ func TestFlashCrowdBurst(t *testing.T) {
 			t.Errorf("seed %d: off-burst mass %.0f, want %.0f ± %.0f", seed, outCount, outBase, tol)
 		}
 		// Non-flash sources are unaffected by the window.
-		for _, h := range []int{0, 1, 48, 50} {
-			if g.Rate(0, h) != base.Rate(0, h) || g.Rate(1, h) != base.Rate(1, h) {
+		for _, h := range []int{0, 2, 72, 74} {
+			if g.Rate(1, h) != base.Rate(1, h) || g.Rate(2, h) != base.Rate(2, h) {
 				t.Errorf("flash burst leaked into a non-flash source at hour %d", h)
 			}
 		}

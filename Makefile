@@ -64,12 +64,15 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/router/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
-# of each core package and of shard and checkpoint, and the number of
-# //detlint: markers outside internal/lint. CI does not gate on it.
+# of each core package, of shard and checkpoint, and of the world core
+# (sim + orchestrator + fleet, the packages one world core replaces), and
+# the number of //detlint: markers outside internal/lint. CI does not gate
+# on it.
 size:
-	@for p in sim placement orchestrator shard checkpoint; do \
+	@for p in sim placement orchestrator fleet shard checkpoint; do \
 		printf '%-14s %s\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
+	@printf '%-14s %s\n' "world core" "$$(cat $$(ls internal/sim/*.go internal/orchestrator/*.go internal/fleet/*.go | grep -v _test.go) | wc -l)"
 	@printf '%-14s %s\n' "detlint marks" "$$(grep -rn '//detlint:' --include=*.go . | grep -v '^./internal/lint' | wc -l)"
 
 # bench runs the performance ledger (bench/README.md): seven workloads,

@@ -85,9 +85,6 @@ func (s Source) EmissionFactor() float64 {
 // zero marginal cost, weather dependent).
 func (s Source) Renewable() bool { return s == Solar || s == Wind }
 
-// Fossil reports whether the source is a dispatchable fossil generator.
-func (s Source) Fossil() bool { return s == Gas || s == Oil || s == Coal }
-
 // Mix is a generation snapshot: energy produced per source over one hour,
 // in arbitrary consistent units (we use "demand units", where 1.0 is the
 // zone's mean hourly demand).

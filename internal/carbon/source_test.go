@@ -50,22 +50,12 @@ func TestEmissionFactorOrdering(t *testing.T) {
 	}
 }
 
-func TestRenewableAndFossilClassification(t *testing.T) {
+func TestRenewableClassification(t *testing.T) {
 	if !Solar.Renewable() || !Wind.Renewable() {
 		t.Error("solar/wind must be renewable")
 	}
 	if Hydro.Renewable() || Nuclear.Renewable() {
 		t.Error("hydro/nuclear are firm, not VRE, in this model")
-	}
-	for _, s := range []Source{Gas, Oil, Coal} {
-		if !s.Fossil() {
-			t.Errorf("%v should be fossil", s)
-		}
-	}
-	for _, s := range []Source{Solar, Wind, Hydro, Nuclear, Biomass} {
-		if s.Fossil() {
-			t.Errorf("%v should not be fossil", s)
-		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 	"unicode"
 )
 
-// FaultKind names a world-dynamics mutation. The interpretation of the
-// target fields (site, device, zone) is the consuming layer's: the
-// simulator resolves sites against its regional deployment, the
-// orchestrator against its cluster's data centers.
+// FaultKind names a world-dynamics mutation. One applicator,
+// fleet.Applicator, interprets every kind for both the simulator and the
+// live orchestrator: site, device and zone match the city, device and
+// zone of the rows of the driver's server table.
 type FaultKind string
 
 // Fault kinds.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/fleet"
 )
 
 // FaultStatus is the orchestrator's live fault-injection telemetry
@@ -42,8 +43,8 @@ func (o *Orchestrator) InjectScript(s *events.FaultScript) error {
 	defer o.mu.Unlock()
 	expanded := s.Expand()
 	for _, f := range expanded {
-		if err := o.checkFaultTarget(f); err != nil {
-			return err
+		if err := o.faults.Check((*table)(o), f); err != nil {
+			return fmt.Errorf("orchestrator: %w", err)
 		}
 	}
 	for _, f := range expanded {
@@ -89,8 +90,8 @@ func (o *Orchestrator) FaultStatus() FaultStatus {
 func (o *Orchestrator) downIDs() []string {
 	var ids []string
 	for _, srv := range o.servers {
-		if srv.down {
-			ids = append(ids, srv.spec.ID)
+		if srv.Down {
+			ids = append(ids, srv.id)
 		}
 	}
 	sort.Strings(ids)
@@ -99,207 +100,93 @@ func (o *Orchestrator) downIDs() []string {
 
 // consumeFaults (locked) applies every fault event due at or before the
 // current clock, in (due instant, injection order), and returns the
-// names of deployments evicted by them. The flight recorder numbers them
-// from 1 in the order they are applied.
+// names of deployments evicted by them (scratch, valid until the next
+// call). The flight recorder numbers them from 1 in the order they are
+// applied.
 func (o *Orchestrator) consumeFaults() ([]string, error) {
-	var evicted []string
 	o.evictedNow = o.evictedNow[:0]
 	for sf, seq, ok := o.faultq.PopDue(o.now); ok; sf, seq, ok = o.faultq.PopDue(o.now) {
 		t0 := time.Now() //detlint:wallclock telemetry: fault apply latency feeds the flight recorder, never simulation state
-		err := o.applyFault(sf.Fault, o.now)
+		_, err := o.faults.Apply((*table)(o), sf.Fault)
 		//detlint:wallclock telemetry: fault apply latency feeds the flight recorder, never simulation state
 		o.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq)+1, int64(time.Since(t0)))
 		if err != nil {
-			return evicted, err
+			return o.evictedNow, fmt.Errorf("orchestrator: %w", err)
 		}
 		o.faultsApplied++
 		o.lastFault, o.lastFaultKind = o.now, string(sf.Fault.Kind)
-		evicted = append(evicted, o.evictedNow...)
-		o.evictedNow = o.evictedNow[:0]
 	}
-	return evicted, nil
+	return o.evictedNow, nil
 }
 
-// checkFaultTarget (locked) rejects faults no cluster entity can match.
-func (o *Orchestrator) checkFaultTarget(f events.Fault) error {
-	siteOK, zoneOK := f.Site == "", f.Zone == ""
-	for _, dc := range o.dcs {
-		if dc.City == f.Site {
-			siteOK = true
-		}
-		if dc.ZoneID == f.Zone {
-			zoneOK = true
-		}
+// table is the orchestrator as the fault applicator's driver: its
+// server table, and the name-sorted live set as the order deployments
+// leave a row in. Its methods run under the orchestrator lock.
+type table Orchestrator
+
+func (t *table) Rows() int            { return len(t.servers) }
+func (t *table) Row(j int) *fleet.Row { return &t.servers[j].Row }
+
+func (t *table) Live() int           { return len(t.live) }
+func (t *table) Hosts(j, i int) bool { return t.live[i].srv == t.servers[j] }
+
+// Evict releases each deployment and re-submits its recipe to the
+// pending queue, forcing it back through the placement path. The name
+// stays known, so its request stats stay too; they go only if the
+// re-placement rejects it (PlaceBatch). Each release shifts the live
+// positions after it down by one.
+func (t *table) Evict(j int, apps []int) {
+	o := (*Orchestrator)(t)
+	for k, i := range apps {
+		d := o.live[i-k]
+		o.release(d)
+		o.pending = append(o.pending, d.Recipe)
+		o.faultEvictions++
+		o.evictedNow = append(o.evictedNow, d.Recipe.Name)
 	}
-	if !siteOK {
-		return fmt.Errorf("orchestrator: fault %s targets unknown site %q", f.Kind, f.Site)
-	}
-	if !zoneOK {
-		return fmt.Errorf("orchestrator: fault %s targets unknown zone %q", f.Kind, f.Zone)
-	}
-	if f.Kind == events.FaultScaleOut {
-		if f.Device == "" {
-			return fmt.Errorf("orchestrator: scale-out fault needs device=")
-		}
-		if _, err := energy.DeviceByName(f.Device); err != nil {
-			return fmt.Errorf("orchestrator: scale-out fault: %w", err)
-		}
+}
+
+// Vacated refuses a crash of a row whose count still says it hosts a
+// deployment.
+func (t *table) Vacated(j int) error {
+	if srv := t.servers[j]; srv.apps > 0 {
+		return fmt.Errorf("server %s has %d deployments; cannot power off", srv.id, srv.apps)
 	}
 	return nil
 }
 
-// matchServers (locked) returns the targeted server rows, in table
-// order.
-func (o *Orchestrator) matchServers(f events.Fault) []*server {
-	var out []*server
-	for _, srv := range o.servers {
-		if (f.Site == "" || srv.dc.City == f.Site) &&
-			(f.Zone == "" || srv.dc.ZoneID == f.Zone) &&
-			(f.Device == "" || srv.spec.Device.Name == f.Device) {
-			out = append(out, srv)
-		}
-	}
-	return out
+// AddRow adds a flash server of dev at city's DC (Check has found one
+// there), numbered after the flash servers before it; the next placement
+// batch may power it on. The workspace is rebuilt on its next sync
+// (server count changed).
+func (t *table) AddRow(city string, dev energy.Device, capMilli float64, on bool) error {
+	o := (*Orchestrator)(t)
+	i := slices.IndexFunc(o.dcs, func(dc *cluster.DataCenter) bool { return dc.City == city })
+	srv := newServer(fmt.Sprintf("srv-%s-flash-%d", city, o.flashSeq), o.dcs[i], dev,
+		cluster.NewResources(capMilli, 65536, float64(dev.MemMB), 1000), on)
+	o.flashSeq++
+	return o.addServer(srv, o.flashSeq)
 }
 
-// applyFault (locked) applies one due fault event to the server table.
-// Deployments on crashed servers, and those a degraded server no longer
-// fits, are released and re-submitted to the placement queue (their
-// names accumulate in evictedNow for the eviction handler); forecast
-// skews multiply the per-zone forecast in syncWorkspace.
-func (o *Orchestrator) applyFault(f events.Fault, now time.Time) error {
-	switch f.Kind {
-	case events.FaultCrash:
-		for _, srv := range o.matchServers(f) {
-			if srv.down {
-				continue
-			}
-			for _, d := range o.hostedOn(srv) {
-				o.evict(d)
-			}
-			// Eq. 4's no-disruption rule: nothing hosted is powered off.
-			if srv.apps > 0 {
-				return fmt.Errorf("orchestrator: server %s has %d deployments; cannot power off", srv.spec.ID, srv.apps)
-			}
-			srv.down, srv.on = true, false
-		}
-	case events.FaultRecover:
-		for _, srv := range o.matchServers(f) {
-			srv.down = false
-		}
-	case events.FaultDegrade:
-		for _, srv := range o.matchServers(f) {
-			if f.Factor == 1 {
-				srv.factor = 0
-				continue
-			}
-			srv.factor = f.Factor
-			o.evictOverflow(srv)
-		}
-	case events.FaultForecastError:
-		if o.fcSkew == nil {
-			o.fcSkew = map[string]float64{}
-		}
-		if f.Factor == 1 {
-			delete(o.fcSkew, f.Zone)
-		} else {
-			o.fcSkew[f.Zone] = f.Factor
-		}
-	case events.FaultScaleOut:
-		return o.scaleOut(f)
-	default:
-		return fmt.Errorf("orchestrator: unknown fault kind %q", f.Kind)
-	}
-	return nil
-}
-
-// hostedOn (locked) lists the deployments on a server row in name order
-// (the replica table's).
-func (o *Orchestrator) hostedOn(srv *server) []*deployment {
-	var out []*deployment
-	for _, d := range o.live {
-		if d.srv == srv {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// evictOverflow (locked) evicts deployments from a degraded server until
-// its usage fits the scaled capacity, matching the simulator's semantics
-// (events.FaultDegrade: "applications that no longer fit are evicted").
-// Names are released in descending order so the deterministic survivors
-// are the lexicographically-first deployments.
-func (o *Orchestrator) evictOverflow(srv *server) {
-	scaled := srv.spec.Capacity.Scale(srv.factor)
-	hosted := o.hostedOn(srv)
-	for i := len(hosted) - 1; i >= 0 && !srv.used.Fits(scaled); i-- {
-		o.evict(hosted[i])
-	}
-}
-
-// evict (locked) releases one deployment from a faulted server and
-// re-submits its recipe to the pending queue, forcing it back through the
-// placement path. The name stays known, so its request stats stay too;
-// they go only if the re-placement rejects it (PlaceBatch).
-func (o *Orchestrator) evict(d *deployment) {
-	o.release(d)
-	o.pending = append(o.pending, d.Recipe)
-	o.faultEvictions++
-	o.evictedNow = append(o.evictedNow, d.Recipe.Name)
-}
-
-// scaleOut (locked) adds Count powered-off servers of the fault's device
-// at the targeted site; the next placement batch may power them on. The
-// workspace is rebuilt on its next sync (server count changed).
-func (o *Orchestrator) scaleOut(f events.Fault) error {
-	var target *cluster.DataCenter
-	for _, dc := range o.dcs {
-		if dc.City == f.Site {
-			target = dc
-			break
-		}
-	}
-	if target == nil {
-		return fmt.Errorf("orchestrator: scale-out targets unknown site %q", f.Site)
-	}
-	dev, err := energy.DeviceByName(f.Device)
-	if err != nil {
-		return err
-	}
-	count := f.Count
-	if count <= 0 {
-		count = 1
-	}
-	for k := 0; k < count; k++ {
-		id := fmt.Sprintf("srv-%s-flash-%d", target.City, o.flashSeq)
-		o.flashSeq++
-		capVec := cluster.NewResources(f.CapacityMilli, 65536, float64(dev.MemMB), 1000)
-		if err := o.addServer(cluster.NewServer(id, target.ID, dev, capVec), target, o.flashSeq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addServer (locked) inserts a powered-off scale-out server's row after
-// its DC's rows, where the cluster's DC-then-registration walk would put
-// it. Server IDs are unique across the table.
-func (o *Orchestrator) addServer(spec *cluster.Server, dc *cluster.DataCenter, flash int) error {
+// addServer (locked) inserts a scale-out server's row, numbered flash,
+// after its DC's rows, where the cluster's DC-then-registration walk would
+// put it. Server IDs are unique across the table.
+func (o *Orchestrator) addServer(srv *server, flash int) error {
 	end := 0
 	for _, d := range o.dcs {
 		for end < len(o.servers) && o.servers[end].dc == d {
 			end++
 		}
-		if d == dc {
+		if d == srv.dc {
 			break
 		}
 	}
-	for _, srv := range o.servers {
-		if srv.spec.ID == spec.ID {
-			return fmt.Errorf("orchestrator: duplicate server %s", spec.ID)
+	for _, s := range o.servers {
+		if s.id == srv.id {
+			return fmt.Errorf("orchestrator: duplicate server %s", srv.id)
 		}
 	}
-	o.servers = slices.Insert(o.servers, end, &server{spec: spec, dc: dc, flash: flash})
+	srv.flash = flash
+	o.servers = slices.Insert(o.servers, end, srv)
 	return nil
 }

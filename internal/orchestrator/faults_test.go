@@ -37,7 +37,7 @@ func deployOne(t *testing.T, o *Orchestrator, name, source string) *Deployment {
 // checkServerTable checks that the server table and the live set agree,
 // as they must after every Tick and PlaceBatch: each row holds exactly
 // the demand and the count of the deployments on it, within the capacity
-// placement offers it (the spec's, scaled when degraded); no deployment
+// placement offers it (the base, scaled when degraded); no deployment
 // sits on a crashed or powered-off row; and the replica table, live and
 // appW are aligned, sorted by name, and hold exactly the deployments map,
 // each draw finite and non-negative.
@@ -51,30 +51,30 @@ func checkServerTable(t testing.TB, o *Orchestrator) {
 		if d.Recipe.Name != name {
 			t.Errorf("deployment %s is keyed %s", d.Recipe.Name, name)
 		}
-		if d.srv.down || !d.srv.on {
-			t.Errorf("deployment %s sits on server %s (down %v, on %v)", name, d.srv.spec.ID, d.srv.down, d.srv.on)
+		if d.srv.Down || !d.srv.On {
+			t.Errorf("deployment %s sits on server %s (down %v, on %v)", name, d.srv.id, d.srv.Down, d.srv.On)
 		}
 		used[d.srv] = used[d.srv].Add(d.demand)
 		apps[d.srv]++
 	}
 	hosted := 0
 	for _, s := range o.servers {
-		for k := range s.used {
-			if math.Abs(s.used[k]-used[s][k]) > 1e-9 {
-				t.Errorf("server %s uses %v, its deployments hold %v", s.spec.ID, s.used, used[s])
+		for k := range s.Used {
+			if math.Abs(s.Used[k]-used[s][k]) > 1e-9 {
+				t.Errorf("server %s uses %v, its deployments hold %v", s.id, s.Used, used[s])
 				break
 			}
 		}
 		if s.apps != apps[s] {
-			t.Errorf("server %s counts %d deployments, hosts %d", s.spec.ID, s.apps, apps[s])
+			t.Errorf("server %s counts %d deployments, hosts %d", s.id, s.apps, apps[s])
 		}
 		hosted += apps[s]
-		offered := s.spec.Capacity
-		if s.factor != 0 {
-			offered = offered.Scale(s.factor)
+		offered := s.Base
+		if s.Factor != 0 {
+			offered = offered.Scale(s.Factor)
 		}
-		if !s.used.Fits(offered) {
-			t.Errorf("server %s uses %v beyond the %v placement offers", s.spec.ID, s.used, offered)
+		if !s.Used.Fits(offered) {
+			t.Errorf("server %s uses %v beyond the %v placement offers", s.id, s.Used, offered)
 		}
 	}
 	if hosted != len(o.deployments) {

@@ -469,7 +469,7 @@ func oracleReplicas(t *testing.T, o *Orchestrator) []router.Replica {
 	out := make([]router.Replica, 0, len(names))
 	for _, name := range names {
 		dep := o.deployments[name]
-		srv, dc := dep.srv.spec, dep.srv.dc
+		srv, dc := dep.srv, dep.srv.dc
 		prof, err := energy.ProfileFor(dep.Recipe.Model, srv.Device.Name)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/latency"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -92,11 +93,11 @@ type Orchestrator struct {
 	// Live fault injection (InjectFault / POST /api/v1/faults): scheduled
 	// world-dynamics events consumed by Tick. The queue holds the fault
 	// data itself (not closures), so SaveState serializes the not-yet-due
-	// events as they are. Crashes, recoveries, degradations and
-	// scale-outs write the server table; forecast skews multiply the
-	// per-zone forecast.
+	// events as they are. The applicator writes the server table on
+	// crashes, recoveries, degradations and scale-outs; its Skew
+	// multiplies the per-zone forecast.
 	faultq         events.FaultQueue
-	fcSkew         map[string]float64 // zone -> forecast factor
+	faults         fleet.Applicator
 	faultsApplied  int
 	faultEvictions int
 	lastFault      time.Time
@@ -116,20 +117,14 @@ type Orchestrator struct {
 	registry *obs.Registry       //detlint:ephemeral telemetry: metrics registry, not simulation state
 }
 
-// server is one row of the server table: the cluster's static
-// description of a server and its DC, and the dynamic state only the
-// orchestrator writes, under its lock.
+// server is one row of the server table: its fleet.Row (what the fault
+// applicator reads and writes), its ID and DC, and the dynamic state only
+// the orchestrator writes, under its lock.
 type server struct {
-	spec *cluster.Server
+	fleet.Row
+	id   string
 	dc   *cluster.DataCenter
-	used cluster.Resources
 	apps int // deployments hosted
-	on   bool
-	// down marks a crashed server: it offers no capacity and cannot be
-	// woken. A recover fault clears it; the server stays off.
-	down bool
-	// factor is a degrade fault's capacity multiplier, 0 at full capacity.
-	factor float64
 	// flash numbers scale-out servers from 1 in creation order; 0 for a
 	// server registered with the cluster.
 	flash int
@@ -139,17 +134,9 @@ type server struct {
 	ci, w float64
 }
 
-// free is the capacity placement may still allocate on the server: none
-// on a crashed one, and on a degraded one what remains of the scaled
-// capacity, never below zero.
-func (s *server) free() cluster.Resources {
-	switch {
-	case s.down:
-		return cluster.Resources{}
-	case s.factor != 0:
-		return s.spec.Capacity.Scale(s.factor).Sub(s.used).ClampNonNegative()
-	}
-	return s.spec.Capacity.Sub(s.used)
+// newServer builds the row of a server of dc.
+func newServer(id string, dc *cluster.DataCenter, dev energy.Device, capacity cluster.Resources, on bool) *server {
+	return &server{Row: fleet.Row{City: dc.City, Zone: dc.ZoneID, Device: dev, Base: capacity, On: on}, id: id, dc: dc}
 }
 
 // deployment is a live deployment with the server row it holds its demand
@@ -221,7 +208,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		o.dcs = append(o.dcs, dc)
 		o.cities.add(dc.City)
 		for _, spec := range dc.Servers() {
-			o.servers = append(o.servers, &server{spec: spec, dc: dc, on: true})
+			o.servers = append(o.servers, newServer(spec.ID, dc, spec.Device, spec.Capacity, true))
 		}
 	}
 	o.initObs()
@@ -338,7 +325,7 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 	a := result.Assignment
 	for j, on := range a.PowerOn {
 		if on {
-			o.servers[j].on = true
+			o.servers[j].On = true
 		}
 	}
 	for i, j := range a.ServerOf {
@@ -353,7 +340,7 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 		d := &deployment{
 			Deployment: Deployment{
 				Recipe:   batch[i],
-				ServerID: srv.spec.ID,
+				ServerID: srv.id,
 				DCID:     srv.dc.ID,
 				ZoneID:   srv.dc.ZoneID,
 				RTTMs:    prob.LatencyMs[i][j],
@@ -384,10 +371,10 @@ func (o *Orchestrator) syncWorkspace() error {
 		servers := make([]placement.Server, len(o.servers))
 		for j, s := range o.servers {
 			servers[j] = placement.Server{
-				ID:         s.spec.ID,
-				DC:         s.dc.City,
-				Device:     s.spec.Device.Name,
-				BasePowerW: s.spec.Device.IdleW,
+				ID:         s.id,
+				DC:         s.City,
+				Device:     s.Device.Name,
+				BasePowerW: s.Device.IdleW,
 			}
 		}
 		ws, err := placement.NewWorkspace(servers, o.rttMs, nil)
@@ -407,12 +394,12 @@ func (o *Orchestrator) syncWorkspace() error {
 			}
 			// An active forecast-error fault skews the forecast placement
 			// sees; telemetry still charges the true hourly intensity.
-			if f, skewed := o.fcSkew[dc.ZoneID]; skewed {
+			if f, skewed := o.faults.Skew[dc.ZoneID]; skewed {
 				mean *= f
 			}
 		}
 		o.ws.UpdateIntensity(j, mean)
-		o.ws.SetServerState(j, s.free(), s.on)
+		o.ws.SetServerState(j, s.Free(), s.On)
 	}
 	return nil
 }
@@ -445,7 +432,7 @@ func (o *Orchestrator) Undeploy(name string) error {
 
 // newReplica (locked) is a deployment as the traffic router sees it.
 func (o *Orchestrator) newReplica(d *deployment) (router.Replica, error) {
-	prof, err := energy.ProfileFor(d.Recipe.Model, d.srv.spec.Device.Name)
+	prof, err := energy.ProfileFor(d.Recipe.Model, d.srv.Device.Name)
 	if err != nil {
 		return router.Replica{}, err
 	}
@@ -476,18 +463,18 @@ func (o *Orchestrator) admit(d *deployment) error {
 	if _, dup := o.deployments[name]; dup {
 		return fmt.Errorf("orchestrator: %s already deployed", name)
 	}
-	if !srv.on {
-		return fmt.Errorf("orchestrator: server %s is powered off", srv.spec.ID)
+	if !srv.On {
+		return fmt.Errorf("orchestrator: server %s is powered off", srv.id)
 	}
-	if !srv.used.Add(d.demand).Fits(srv.spec.Capacity) {
+	if !srv.Used.Add(d.demand).Fits(srv.Cap()) {
 		return fmt.Errorf("orchestrator: %s demand %v exceeds free capacity on %s (used %v of %v)",
-			name, d.demand, srv.spec.ID, srv.used, srv.spec.Capacity)
+			name, d.demand, srv.id, srv.Used, srv.Cap())
 	}
 	rep, err := o.newReplica(d)
 	if err != nil {
 		return err
 	}
-	srv.used = srv.used.Add(d.demand)
+	srv.Used = srv.Used.Add(d.demand)
 	srv.apps++
 	o.deployments[name] = d
 	i, _ := o.replicaRow(name)
@@ -503,7 +490,7 @@ func (o *Orchestrator) admit(d *deployment) error {
 // queue (an eviction) is the caller's.
 func (o *Orchestrator) release(d *deployment) {
 	name := d.Recipe.Name
-	d.srv.used = d.srv.used.Sub(d.demand)
+	d.srv.Used = d.srv.Used.Sub(d.demand)
 	d.srv.apps--
 	delete(o.deployments, name)
 	if i, ok := o.replicaRow(name); ok {
@@ -627,7 +614,7 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 				return fmt.Errorf("orchestrator: telemetry for DC %s: %w", dc.ID, err)
 			}
 		}
-		srv.ci, srv.w = ci, srv.spec.Device.IdleW
+		srv.ci, srv.w = ci, srv.Device.IdleW
 	}
 	// Dynamic power: each deployment's draw adds to its server's, in name
 	// order, and is attributed its own share of the zone's emissions.
@@ -636,7 +623,7 @@ func (o *Orchestrator) tick(dt time.Duration, fire *[]func()) error {
 		o.carbonByApp.Add(d.Recipe.Name, o.appW[i]/1000*hours*d.srv.ci)
 	}
 	for _, srv := range o.servers {
-		if !srv.on {
+		if !srv.On {
 			continue
 		}
 		srv.meter.Record(srv.w, dt)

@@ -195,7 +195,7 @@ func TestServerTableConsistencyErrors(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
 	deployOne(t, o, "a", "CityA")
 	srv := o.deployments["a"].srv
-	used := srv.used
+	used := srv.Used
 	admit := func(name string, demand cluster.Resources) error {
 		o.mu.Lock()
 		defer o.mu.Unlock()
@@ -204,16 +204,16 @@ func TestServerTableConsistencyErrors(t *testing.T) {
 	if err := admit("a", cluster.Resources{}); err == nil {
 		t.Error("a live name admitted twice")
 	}
-	if err := admit("b", srv.spec.Capacity); err == nil || !strings.Contains(err.Error(), "exceeds free capacity") {
+	if err := admit("b", srv.Base); err == nil || !strings.Contains(err.Error(), "exceeds free capacity") {
 		t.Errorf("over-capacity admit: %v", err)
 	}
-	srv.on = false
+	srv.On = false
 	if err := admit("b", cluster.Resources{}); err == nil || !strings.Contains(err.Error(), "powered off") {
 		t.Errorf("admit onto a powered-off server: %v", err)
 	}
-	srv.on = true
-	if srv.used != used || srv.apps != 1 || len(o.replicas) != 1 || len(o.deployments) != 1 {
-		t.Fatalf("refused admits changed the table: used %v (was %v), %d apps, %d replicas", srv.used, used, srv.apps, len(o.replicas))
+	srv.On = true
+	if srv.Used != used || srv.apps != 1 || len(o.replicas) != 1 || len(o.deployments) != 1 {
+		t.Fatalf("refused admits changed the table: used %v (was %v), %d apps, %d replicas", srv.Used, used, srv.apps, len(o.replicas))
 	}
 	if err := admit("b", cluster.NewResources(1, 1, 1, 1)); err != nil {
 		t.Fatalf("admit that fits: %v", err)
@@ -229,7 +229,7 @@ func TestServerTableConsistencyErrors(t *testing.T) {
 	if err := o.Tick(time.Hour); err == nil || !strings.Contains(err.Error(), "cannot power off") {
 		t.Errorf("crash of a hosting server: %v", err)
 	}
-	if !other.on {
+	if !other.On {
 		t.Error("the crash powered off a server that still hosts a deployment")
 	}
 }
@@ -336,7 +336,7 @@ func TestTelemetrySumsDrawsInNameOrder(t *testing.T) {
 		}
 		host := o.deployments["a"].srv
 		if len(placed) != 3 || host.apps != 3 {
-			t.Fatalf("want all three deployments on one server, placed %d, %d on %s", len(placed), host.apps, host.spec.ID)
+			t.Fatalf("want all three deployments on one server, placed %d, %d on %s", len(placed), host.apps, host.id)
 		}
 		copy(o.appW, draws) // the replica table is name-sorted
 

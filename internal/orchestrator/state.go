@@ -122,28 +122,25 @@ func (o *Orchestrator) SaveState() (State, error) {
 		st.Deployments = append(st.Deployments, DeploymentState{Deployment: d.Deployment, Demand: d.demand})
 	}
 	byID := slices.Clone(o.servers)
-	slices.SortFunc(byID, func(a, b *server) int { return strings.Compare(a.spec.ID, b.spec.ID) })
+	slices.SortFunc(byID, func(a, b *server) int { return strings.Compare(a.id, b.id) })
 	for _, srv := range byID {
-		st.Servers = append(st.Servers, ServerPowerState{ID: srv.spec.ID, PoweredOn: srv.on, Meter: srv.meter.State()})
-		if srv.factor != 0 {
+		st.Servers = append(st.Servers, ServerPowerState{ID: srv.id, PoweredOn: srv.On, Meter: srv.meter.State()})
+		if srv.Factor != 0 {
 			if st.Degraded == nil {
 				st.Degraded = map[string]float64{}
 			}
-			st.Degraded[srv.spec.ID] = srv.factor
+			st.Degraded[srv.id] = srv.Factor
 		}
 	}
 	flash := slices.DeleteFunc(byID, func(srv *server) bool { return srv.flash == 0 })
 	slices.SortFunc(flash, func(a, b *server) int { return a.flash - b.flash })
 	for _, srv := range flash {
 		st.FlashServers = append(st.FlashServers, FlashServerState{
-			ID: srv.spec.ID, DCID: srv.dc.ID, Device: srv.spec.Device.Name, Capacity: srv.spec.Capacity,
+			ID: srv.id, DCID: srv.dc.ID, Device: srv.Device.Name, Capacity: srv.Base,
 		})
 	}
-	if len(o.fcSkew) > 0 {
-		st.FcSkew = make(map[string]float64, len(o.fcSkew))
-		for k, v := range o.fcSkew {
-			st.FcSkew[k] = v
-		}
+	if len(o.faults.Skew) > 0 {
+		st.FcSkew = maps.Clone(o.faults.Skew)
 	}
 	if o.traffic != nil {
 		ts := o.traffic.router.Stats().State()
@@ -181,21 +178,21 @@ func (o *Orchestrator) LoadState(st State) error {
 		if err != nil {
 			return fmt.Errorf("orchestrator: flash server %s: %w", fs.ID, err)
 		}
-		if err := o.addServer(cluster.NewServer(fs.ID, dc.ID, dev, fs.Capacity), dc, k+1); err != nil {
+		if err := o.addServer(newServer(fs.ID, dc, dev, fs.Capacity, false), k+1); err != nil {
 			return err
 		}
 	}
 	byID := make(map[string]*server, len(o.servers))
 	for _, srv := range o.servers {
-		byID[srv.spec.ID] = srv
-		srv.factor = st.Degraded[srv.spec.ID]
+		byID[srv.id] = srv
+		srv.Factor = st.Degraded[srv.id]
 	}
 	for _, sp := range st.Servers {
-		byID[sp.ID].on = sp.PoweredOn
+		byID[sp.ID].On = sp.PoweredOn
 		byID[sp.ID].meter.Restore(sp.Meter)
 	}
 	for _, id := range st.DownServers {
-		byID[id].down = true
+		byID[id].Down = true
 	}
 	for _, ds := range st.Deployments {
 		d := &deployment{Deployment: ds.Deployment, srv: byID[ds.ServerID], demand: ds.Demand}
@@ -223,12 +220,9 @@ func (o *Orchestrator) LoadState(st State) error {
 	o.lastSolve, o.batches = st.LastSolve, st.Batches
 	o.boundBatches, o.bnbBatches = st.BoundBatches, st.BnBBatches
 
-	o.fcSkew = nil
+	o.faults.Skew = nil
 	if len(st.FcSkew) > 0 {
-		o.fcSkew = make(map[string]float64, len(st.FcSkew))
-		for k, v := range st.FcSkew {
-			o.fcSkew[k] = v
-		}
+		o.faults.Skew = maps.Clone(st.FcSkew)
 	}
 	if st.Traffic != nil {
 		rt := o.traffic.router
@@ -270,7 +264,7 @@ func (o *Orchestrator) validateState(st *State) error {
 	}
 	servers := map[string]*srvInfo{}
 	for _, srv := range o.servers {
-		servers[srv.spec.ID] = &srvInfo{capacity: srv.spec.Capacity, device: srv.spec.Device.Name}
+		servers[srv.id] = &srvInfo{capacity: srv.Base, device: srv.Device.Name}
 	}
 	for _, fs := range st.FlashServers {
 		if o.dcByID(fs.DCID) == nil {
@@ -291,9 +285,26 @@ func (o *Orchestrator) validateState(st *State) error {
 		}
 		info.on = sp.PoweredOn
 	}
-	for _, id := range append(slices.Sorted(maps.Keys(st.Degraded)), st.DownServers...) {
+	// Factors and skews lie within events.Fault.Validate's bounds, and a
+	// degraded server's deployments fit its degraded capacity.
+	for _, id := range slices.Sorted(maps.Keys(st.Degraded)) {
+		info, f := servers[id], st.Degraded[id]
+		if info == nil {
+			return fmt.Errorf("orchestrator: state's faults reference unknown server %q", id)
+		}
+		if !(f > 0 && f <= 1) {
+			return fmt.Errorf("orchestrator: server %s degraded by %g, outside (0, 1]", id, f)
+		}
+		info.capacity = info.capacity.Scale(f)
+	}
+	for _, id := range st.DownServers {
 		if servers[id] == nil {
 			return fmt.Errorf("orchestrator: state's faults reference unknown server %q", id)
+		}
+	}
+	for _, zone := range slices.Sorted(maps.Keys(st.FcSkew)) {
+		if f := st.FcSkew[zone]; !(f > 0) {
+			return fmt.Errorf("orchestrator: zone %s forecast skewed by %g, not above 0", zone, f)
 		}
 	}
 	used := map[string]cluster.Resources{}
@@ -348,8 +359,8 @@ func (o *Orchestrator) validateState(st *State) error {
 		if err := sf.Fault.Validate(); err != nil {
 			return fmt.Errorf("orchestrator: queued fault: %w", err)
 		}
-		if err := o.checkFaultTarget(sf.Fault); err != nil {
-			return err
+		if err := o.faults.Check((*table)(o), sf.Fault); err != nil {
+			return fmt.Errorf("orchestrator: queued fault: %w", err)
 		}
 	}
 	return nil

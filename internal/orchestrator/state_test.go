@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -181,7 +182,7 @@ func TestStateRestoresFlashServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range st.FlashServers {
-		if !slices.ContainsFunc(restored.servers, func(srv *server) bool { return srv.spec.ID == fs.ID }) {
+		if !slices.ContainsFunc(restored.servers, func(srv *server) bool { return srv.id == fs.ID }) {
 			t.Errorf("flash server %s missing after restore", fs.ID)
 		}
 	}
@@ -383,6 +384,31 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	bad.Degraded = map[string]float64{"srv-nowhere": 0.5}
 	if err := fresh.LoadState(bad); err == nil {
 		t.Fatal("unknown degraded server accepted")
+	}
+	// Degrade factors and forecast skews outside the bounds a fault can
+	// set, and a deployment over its server's degraded capacity, are
+	// refused.
+	for _, f := range []float64{5, -2, 0, math.NaN()} {
+		bad = mustState(t, orig)
+		bad.Degraded = map[string]float64{}
+		for _, sp := range bad.Servers {
+			bad.Degraded[sp.ID] = f
+		}
+		if err := fresh.LoadState(bad); err == nil {
+			t.Fatalf("degrade factor %g accepted", f)
+		}
+	}
+	for _, f := range []float64{0, -1, math.NaN()} {
+		bad = mustState(t, orig)
+		bad.FcSkew = map[string]float64{"Z-GREEN": f}
+		if err := fresh.LoadState(bad); err == nil {
+			t.Fatalf("forecast skew %g accepted", f)
+		}
+	}
+	bad = mustState(t, orig)
+	bad.Degraded = map[string]float64{bad.Deployments[0].ServerID: 1e-6}
+	if err := fresh.LoadState(bad); err == nil || !strings.Contains(err.Error(), "exceed its capacity") {
+		t.Fatalf("deployment over its server's degraded capacity accepted (err=%v)", err)
 	}
 	// A negative held demand, or a rate no server of the type can serve
 	// (which a Tick used to route into an unbounded allocation), is

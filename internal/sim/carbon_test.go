@@ -244,7 +244,7 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 					want[a.srv] = want[a.srv].Add(d)
 				}
 				for j := range e.servers {
-					used := e.servers[j].used
+					used := e.servers[j].Used
 					if used != want[j] {
 						t.Fatalf("epoch %d server %d: used %v, live apps committed %v", e.Epoch()-1, j, used, want[j])
 					}

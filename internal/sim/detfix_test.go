@@ -40,7 +40,7 @@ func TestUnknownSitesErrorDeterministic(t *testing.T) {
 }
 
 // TestRestorePreservesFcErrShape pins the FcErr restore fix: a
-// fault-free engine keeps fcErr nil through a snapshot/restore
+// fault-free engine keeps its forecast skew map nil through a snapshot/restore
 // round-trip (restore must not materialize an empty map the original
 // never had), so a re-snapshot is byte-identical on that field.
 func TestRestorePreservesFcErrShape(t *testing.T) {
@@ -56,7 +56,7 @@ func TestRestorePreservesFcErrShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.fcErr != nil {
+	if e.faults.Skew != nil {
 		t.Fatal("fault-free engine grew a forecast-error map")
 	}
 	snap := e.Snapshot()
@@ -67,8 +67,8 @@ func TestRestorePreservesFcErrShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.fcErr != nil {
-		t.Fatal("restore materialized an empty fcErr map the original never had")
+	if r.faults.Skew != nil {
+		t.Fatal("restore materialized an empty skew map the original never had")
 	}
 	if resnap := r.Snapshot(); resnap.FcErr != nil {
 		t.Fatal("re-snapshot after restore diverged on FcErr")

@@ -12,6 +12,7 @@ import (
 	"repro/internal/deploy"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/latency"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -108,9 +109,9 @@ type Engine struct {
 	// applied, drained by the faults phase at the top of each epoch.
 	// Empty without a fault script.
 	faultq events.FaultQueue
-	// fcErr is the active per-zone forecast error factor (forecast-error
-	// faults); nil reads return no factor.
-	fcErr map[string]float64
+	// faults is the fault applicator over the server table; its Skew is
+	// the active per-zone forecast error factor (forecast-error faults).
+	faults fleet.Applicator
 	// forceRedeploy triggers an out-of-cadence redeploy this epoch (set
 	// by faults that evicted applications).
 	forceRedeploy bool
@@ -386,18 +387,11 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 				return nil, err
 			}
 			capMilli := cfg.CapacityMilliPerSite * scale
-			capVec := cluster.NewResources(capMilli,
-				float64(dev.MemMB)*scale*4, float64(dev.MemMB)*scale, 1e9)
-			e.servers = append(e.servers, siteServer{
-				site:    i,
-				pair:    e.pool.pair(i, dev.Name),
-				device:  dev,
-				baseCap: capVec,
-				cap:     capVec,
-				on:      cfg.ServersAlwaysOn,
-			})
+			e.servers = append(e.servers, e.newServer(i, dev, cluster.NewResources(capMilli,
+				float64(dev.MemMB)*scale*4, float64(dev.MemMB)*scale, 1e9), cfg.ServersAlwaysOn))
 		}
 	}
+	e.faults = fleet.Applicator{DefaultDevice: cfg.Devices[0], PowerOn: cfg.ServersAlwaysOn}
 
 	// Engine-assembled problems are trusted: app IDs are generated unique
 	// per batch and the workspace guarantees the matrix shapes and
@@ -439,18 +433,27 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	return e, nil
 }
 
+// newServer is the one way NewEngine, a scale-out and a restore build a
+// server row: base capacity at full strength, nothing used, not crashed.
+func (e *Engine) newServer(site int, dev energy.Device, base cluster.Resources, on bool) siteServer {
+	return siteServer{
+		Row:  fleet.Row{City: e.sites[site].City, Zone: e.sites[site].ZoneID, Device: dev, Base: base, On: on},
+		site: site,
+		pair: e.pool.pair(site, dev.Name),
+	}
+}
+
 // wsServer is server j's row in the placement workspace, the one way
-// NewEngine, a scale-out and a restore register a server: free capacity
-// is its effective capacity less what its live apps use.
+// NewEngine, a scale-out and a restore register a server.
 func (e *Engine) wsServer(j int) placement.Server {
 	srv := &e.servers[j]
 	return placement.Server{
 		ID:         "srv-" + strconv.Itoa(j),
-		DC:         e.sites[srv.site].City,
-		Device:     srv.device.Name,
-		BasePowerW: srv.device.IdleW,
-		PoweredOn:  srv.on,
-		Free:       srv.cap.Sub(srv.used),
+		DC:         srv.City,
+		Device:     srv.Device.Name,
+		BasePowerW: srv.Device.IdleW,
+		PoweredOn:  srv.On,
+		Free:       srv.Free(),
 	}
 }
 
@@ -635,25 +638,33 @@ func (e *Engine) closeFaultAccounting() {
 	e.pending = nil
 }
 
-// phaseFaults applies the scripted faults due this epoch, in the queue's
-// (due instant, script order). With the flight recorder on, each is
-// recorded under its own kind (crash, recover, ...) — the events a
-// post-mortem is usually after — with its index in FaultScript.Expand as
-// sequence number.
+// phaseFaults applies the scripted faults due this epoch through the
+// shared applicator, in the queue's (due instant, script order). All
+// mutations reach the placement layer through the workspace's entry
+// points (SetServerState/AddServers/UpdateIntensity) on the next solve's
+// sync; evicted applications are queued back through the placement path
+// and an eviction forces a redeploy pass this epoch. With the flight
+// recorder on, each fault is recorded under its own kind (crash,
+// recover, ...) — the events a post-mortem is usually after — with its
+// index in FaultScript.Expand as sequence number.
 func (e *Engine) phaseFaults(now time.Time) error {
+	fs := e.res.Faults
 	for sf, seq, ok := e.faultq.PopDue(now); ok; sf, seq, ok = e.faultq.PopDue(now) {
-		if e.recorder == nil {
-			if err := e.applyFault(sf.Fault, now); err != nil {
-				return err
-			}
-			continue
+		var t0 time.Time
+		if e.recorder != nil {
+			t0 = time.Now() //detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
 		}
-		t0 := time.Now() //detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-		err := e.applyFault(sf.Fault, now)
-		//detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-		e.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq), int64(time.Since(t0)))
+		fs.Events++
+		out, err := e.faults.Apply((*engineRows)(e), sf.Fault)
+		fs.ServerCrashes += out.Crashed
+		fs.ServerRecoveries += out.Recovered
+		e.downCount += out.Crashed - out.Recovered
+		if e.recorder != nil {
+			//detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
+			e.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq), int64(time.Since(t0)))
+		}
 		if err != nil {
-			return err
+			return fmt.Errorf("sim: %w", err)
 		}
 	}
 	return nil
@@ -732,13 +743,20 @@ func (e *Engine) stepDepartures(epoch int) {
 			n++
 			continue
 		}
-		srv := &e.servers[a.srv]
-		srv.used = srv.used.Sub(a.demand)
-		if !e.cfg.ServersAlwaysOn && srv.used.Dominant(srv.cap) <= 0 {
-			srv.on = false
-		}
+		e.release(a)
 	}
 	e.live = e.live[:n]
+}
+
+// release takes a live app's demand off its server and, unless servers
+// are always on, powers the server off once it hosts nothing: the one
+// rule departures, redeploy and evictions share.
+func (e *Engine) release(a *liveApp) {
+	srv := &e.servers[a.srv]
+	srv.Used = srv.Used.Sub(a.demand)
+	if !e.cfg.ServersAlwaysOn && srv.Used.Dominant(srv.Cap()) <= 0 {
+		srv.On = false
+	}
 }
 
 // pendingApp is one backlog entry awaiting placement: a fresh arrival
@@ -837,7 +855,7 @@ func (e *Engine) meanForecast(slot int) (float64, error) {
 	}
 	// An active forecast-error fault skews the forecast placement sees;
 	// accrual still charges the true hourly intensity.
-	if f, ok := e.fcErr[z.ID()]; ok {
+	if f, ok := e.faults.Skew[z.ID()]; ok {
 		v *= f
 	}
 	z.fc, z.fcGen = v, e.zoneGen
@@ -879,12 +897,7 @@ func (e *Engine) buildProblem(apps []placement.App) (*placement.Problem, error) 
 			return nil, err
 		}
 		e.ws.UpdateIntensity(j, mean)
-		if srv.down {
-			// A crashed server offers no capacity and cannot be woken.
-			e.ws.SetServerState(j, cluster.Resources{}, false)
-		} else {
-			e.ws.SetServerState(j, srv.cap.Sub(srv.used), srv.on)
-		}
+		e.ws.SetServerState(j, srv.Free(), srv.On)
 	}
 	return e.ws.Problem(apps)
 }
@@ -941,8 +954,8 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 		}
 		e.res.Placed++
 		srv := &e.servers[j]
-		srv.used = srv.used.Add(prob.Demand[i][j])
-		srv.on = true
+		srv.Used = srv.Used.Add(prob.Demand[i][j])
+		srv.On = true
 		expires := epoch + e.cfg.AppLifetimeHours
 		if batch[i].expires >= 0 {
 			expires = batch[i].expires
@@ -953,7 +966,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 			site:    srv.site,
 			model:   apps[i].Model,
 			mi:      e.pool.model(apps[i].Model),
-			device:  srv.device.Name,
+			device:  srv.Device.Name,
 			demand:  prob.Demand[i][j],
 			powerW:  prob.PowerW[i][j],
 			rttMs:   rtt,
@@ -1099,9 +1112,9 @@ func (e *Engine) stepAccrual(month int) {
 	if !e.cfg.ServersAlwaysOn {
 		for j := range e.servers {
 			srv := &e.servers[j]
-			if srv.on {
+			if srv.On {
 				ci := e.zoneCISite(srv.site)
-				kwh := srv.device.IdleW / 1000
+				kwh := srv.Device.IdleW / 1000
 				e.res.CarbonG += kwh * ci
 				e.res.EnergyKWh += kwh
 				e.res.MonthlyCarbonG[month] += kwh * ci
@@ -1143,11 +1156,7 @@ func (e *Engine) redeploy(now time.Time) error {
 	for i := range e.live {
 		a := &e.live[i]
 		e.prevsBuf = append(e.prevsBuf, a.srv)
-		srv := &e.servers[a.srv]
-		srv.used = srv.used.Sub(a.demand)
-		if !e.cfg.ServersAlwaysOn && srv.used.Dominant(srv.cap) <= 0 {
-			srv.on = false
-		}
+		e.release(a)
 	}
 	prevs := e.prevsBuf
 
@@ -1190,12 +1199,12 @@ func (e *Engine) redeploy(now time.Time) error {
 		a := &e.live[i]
 		moved := j != prevs[i]
 		a.srv = j
-		a.site, a.device = srv.site, srv.device.Name
+		a.site, a.device = srv.site, srv.Device.Name
 		a.demand = prob.Demand[i][j]
 		a.powerW = prob.PowerW[i][j]
 		a.rttMs = prob.LatencyMs[i][j]
-		srv.used = srv.used.Add(a.demand)
-		srv.on = true
+		srv.Used = srv.Used.Add(a.demand)
+		srv.On = true
 		if moved {
 			e.res.Migrations++
 			joules := e.cfg.MigrationDataMB * e.cfg.MigrationJPerMB

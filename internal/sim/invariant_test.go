@@ -43,13 +43,13 @@ func checkClassRows(e *Engine) (int, error) {
 			var d cluster.Resources
 			var w float64
 			ok := false
-			if prof, err := energy.ProfileFor(t.Model, srv.device.Name); err == nil {
+			if prof, err := energy.ProfileFor(t.Model, srv.Device.Name); err == nil {
 				d, w, ok = placement.Coefficients(prof, e.cfg.RatePerSec)
 			}
 			rtt := e.rtt[src][srv.site]
 			if p.Demand[0][j] != d || p.PowerW[0][j] != w || p.Compatible[0][j] != ok || p.LatencyMs[0][j] != rtt {
 				return views, fmt.Errorf("template %s from site %d on server %d (%s): row cells %v, %g W, compatible %v, %g ms; want %v, %g W, %v, %g ms",
-					t.Model, src, j, srv.device.Name, p.Demand[0][j], p.PowerW[0][j], p.Compatible[0][j], p.LatencyMs[0][j], d, w, ok, rtt)
+					t.Model, src, j, srv.Device.Name, p.Demand[0][j], p.PowerW[0][j], p.Compatible[0][j], p.LatencyMs[0][j], d, w, ok, rtt)
 			}
 		}
 	}

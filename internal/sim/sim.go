@@ -7,7 +7,7 @@ import (
 	"repro/internal/carbon"
 	"repro/internal/cluster"
 	"repro/internal/deploy"
-	"repro/internal/energy"
+	"repro/internal/fleet"
 	"repro/internal/latency"
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -112,23 +112,16 @@ type liveApp struct {
 	srcSite int
 }
 
-// siteServer is the aggregate per-device server at one site.
+// siteServer is the aggregate per-device server at one site: its
+// fleet.Row (what the fault applicator reads and writes) plus where it
+// sits in the engine's indices.
 type siteServer struct {
+	fleet.Row
 	site int
 	// pair is the dense index of the server's (site, device) pair in the
 	// engine's replicaPool; servers a scale-out adds share their
 	// siblings' pair.
-	pair   int
-	device energy.Device
-	// baseCap is the undegraded capacity; cap is the effective capacity
-	// after any capacity-degradation fault (equal to baseCap otherwise).
-	baseCap cluster.Resources
-	cap     cluster.Resources
-	used    cluster.Resources
-	on      bool
-	// down marks a crashed server: zero effective capacity, excluded from
-	// placement until a recover fault.
-	down bool
+	pair int
 }
 
 // Run executes the simulation to completion: a thin epoch loop over the

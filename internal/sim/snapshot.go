@@ -2,11 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -259,22 +262,19 @@ func (e *Engine) Snapshot() *Snapshot {
 		ForceRedeploy: e.forceRedeploy,
 		Result:        e.res.State(),
 	}
-	if len(e.fcErr) > 0 {
-		snap.FcErr = make(map[string]float64, len(e.fcErr))
-		for z, f := range e.fcErr {
-			snap.FcErr[z] = f
-		}
+	if len(e.faults.Skew) > 0 {
+		snap.FcErr = maps.Clone(e.faults.Skew)
 	}
 	snap.Servers = make([]ServerSnap, len(e.servers))
 	for j, srv := range e.servers {
 		snap.Servers[j] = ServerSnap{
 			Site:    srv.site,
-			Device:  srv.device.Name,
-			BaseCap: srv.baseCap,
-			Cap:     srv.cap,
-			Used:    srv.used,
-			On:      srv.on,
-			Down:    srv.down,
+			Device:  srv.Device.Name,
+			BaseCap: srv.Base,
+			Cap:     srv.Cap(),
+			Used:    srv.Used,
+			On:      srv.On,
+			Down:    srv.Down,
 		}
 	}
 	snap.Live = make([]LiveAppSnap, len(e.live))
@@ -307,6 +307,25 @@ func (e *Engine) Snapshot() *Snapshot {
 	return snap
 }
 
+// degradeOf returns the Factor a row of base capacity holds when its
+// effective capacity is capacity: 0 when they are equal, else the factor
+// of a degrade in the script that scales base to exactly capacity. ok is
+// false when no fault of the script can have set capacity: a checkpoint
+// holds the capacity, the row its factor.
+func degradeOf(script *events.FaultScript, base, capacity cluster.Resources) (factor float64, ok bool) {
+	if capacity == base {
+		return 0, true
+	}
+	if script != nil {
+		for _, f := range script.Faults {
+			if f.Kind == events.FaultDegrade && base.Scale(f.Factor) == capacity {
+				return f.Factor, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // NewEngineFrom rebuilds an engine from a snapshot taken under the same
 // (Config, World): static state is reconstructed from the config exactly
 // as NewEngine does (the phase list and the fault queue included),
@@ -335,41 +354,37 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	// Servers: the initial fleet is overlaid in place; servers past it
 	// were added by scale-out faults and are re-created (and re-registered
 	// with the placement workspace, keeping index alignment). The crashed
-	// count is the restored servers' down flags, counted here.
+	// count is the restored servers' down flags, counted here. The
+	// workspace reads a row's state at the next solve's sync.
+	built := len(e.servers)
 	for j, ss := range snap.Servers {
 		if ss.Site < 0 || ss.Site >= len(e.sites) {
 			return nil, fmt.Errorf("sim: snapshot server %d references site %d of %d", j, ss.Site, len(e.sites))
 		}
+		factor, ok := degradeOf(cfg.Faults, ss.BaseCap, ss.Cap)
+		if !ok {
+			return nil, fmt.Errorf("sim: snapshot server %d capacity %v is %v scaled by no degrade of the script", j, ss.Cap, ss.BaseCap)
+		}
 		if ss.Down {
 			e.downCount++
 		}
-		if j < len(e.servers) {
-			srv := &e.servers[j]
-			if srv.site != ss.Site || srv.device.Name != ss.Device {
+		if j < built {
+			if srv := &e.servers[j]; srv.site != ss.Site || srv.Device.Name != ss.Device {
 				return nil, fmt.Errorf("sim: snapshot server %d is %s@site%d, config builds %s@site%d",
-					j, ss.Device, ss.Site, srv.device.Name, srv.site)
+					j, ss.Device, ss.Site, srv.Device.Name, srv.site)
 			}
-			srv.baseCap, srv.cap, srv.used = ss.BaseCap, ss.Cap, ss.Used
-			srv.on, srv.down = ss.On, ss.Down
-			continue
+		} else {
+			dev, err := energy.DeviceByName(ss.Device)
+			if err != nil {
+				return nil, fmt.Errorf("sim: snapshot server %d: %w", j, err)
+			}
+			e.servers = append(e.servers, e.newServer(ss.Site, dev, ss.BaseCap, ss.On))
+			if err := e.ws.AddServers(e.wsServer(j)); err != nil {
+				return nil, err
+			}
 		}
-		dev, err := energy.DeviceByName(ss.Device)
-		if err != nil {
-			return nil, fmt.Errorf("sim: snapshot server %d: %w", j, err)
-		}
-		e.servers = append(e.servers, siteServer{
-			site:    ss.Site,
-			pair:    e.pool.pair(ss.Site, dev.Name),
-			device:  dev,
-			baseCap: ss.BaseCap,
-			cap:     ss.Cap,
-			used:    ss.Used,
-			on:      ss.On,
-			down:    ss.Down,
-		})
-		if err := e.ws.AddServers(e.wsServer(j)); err != nil {
-			return nil, err
-		}
+		srv := &e.servers[j]
+		srv.Base, srv.Factor, srv.Used, srv.On, srv.Down = ss.BaseCap, factor, ss.Used, ss.On, ss.Down
 	}
 
 	e.live = make([]liveApp, len(snap.Live))
@@ -377,9 +392,9 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		if ls.Srv < 0 || ls.Srv >= len(e.servers) {
 			return nil, fmt.Errorf("sim: snapshot live app %d references server %d of %d", i, ls.Srv, len(e.servers))
 		}
-		if srv := &e.servers[ls.Srv]; ls.Site != srv.site || ls.Device != srv.device.Name {
+		if srv := &e.servers[ls.Srv]; ls.Site != srv.site || ls.Device != srv.Device.Name {
 			return nil, fmt.Errorf("sim: snapshot live app %d is on %s@site%d, its server %d is %s@site%d",
-				i, ls.Device, ls.Site, ls.Srv, srv.device.Name, srv.site)
+				i, ls.Device, ls.Site, ls.Srv, srv.Device.Name, srv.site)
 		}
 		// The source site is read back when the app is redeployed or
 		// evicted.
@@ -434,13 +449,12 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 
 	e.rngSrc.Restore(snap.RNG)
 	e.forceRedeploy = snap.ForceRedeploy
-	e.fcErr = nil
-	if cfg.Faults != nil || len(snap.FcErr) > 0 {
-		e.fcErr = map[string]float64{}
+	for _, z := range slices.Sorted(maps.Keys(snap.FcErr)) {
+		if f := snap.FcErr[z]; !(f > 0) {
+			return nil, fmt.Errorf("sim: snapshot skews zone %s's forecast by %g, not above 0", z, f)
+		}
 	}
-	for z, f := range snap.FcErr {
-		e.fcErr[z] = f
-	}
+	e.faults.Skew = maps.Clone(snap.FcErr)
 
 	// Result: rebuild the accumulator, then re-attach the live traffic
 	// stats to the engine's router so stepTraffic keeps accruing into the

@@ -433,6 +433,18 @@ func TestRestoreRefusesUnphysicalSnapshot(t *testing.T) {
 		{"live power_w 1e300", "not physical", func(s *Snapshot) { s.Live[0].PowerW = 1e300 }},
 		{"hosting server used 0", "not physical", func(s *Snapshot) { s.Servers[s.Live[0].Srv].Used = cluster.Resources{} }},
 		{"live rtt_ms -5", "not physical", func(s *Snapshot) { s.Live[0].RTTMs = -5 }},
+		{"hosting server off", "not physical", func(s *Snapshot) { s.Servers[s.Live[0].Srv].On = false }},
+		{"down server on", "not physical", func(s *Snapshot) {
+			for j := range s.Servers {
+				if s.Servers[j].Used == (cluster.Resources{}) {
+					s.Servers[j].Down, s.Servers[j].On = true, true
+					return
+				}
+			}
+			t.Fatal("fixture has no empty server")
+		}},
+		{"capacity no degrade sets", "no degrade", func(s *Snapshot) { s.Servers[0].Cap = s.Servers[0].BaseCap.Scale(2) }},
+		{"forecast skew -1", "not above 0", func(s *Snapshot) { s.FcErr = map[string]float64{"DE": -1} }},
 		{"pending at 1000 req/s", "pending app", func(s *Snapshot) {
 			site := w.Dep.InRegion(cfg.Region)[0]
 			s.Pending = append(s.Pending, PendingSnap{

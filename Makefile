@@ -65,15 +65,17 @@ fuzz:
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package, of shard and checkpoint, and of the world core
-# (sim + orchestrator + fleet, the packages one world core replaces), and
-# the number of //detlint: markers outside internal/lint. CI does not gate
-# on it.
+# (sim + orchestrator + fleet, the packages one world core replaces), the
+# number of //detlint: markers outside internal/lint, and the number of
+# settable sim.Config fields (each name of a shared declaration such as
+# `Demand, Capacity Scenario` counts). CI does not gate on it.
 size:
 	@for p in sim placement orchestrator fleet shard checkpoint; do \
 		printf '%-14s %s\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@printf '%-14s %s\n' "world core" "$$(cat $$(ls internal/sim/*.go internal/orchestrator/*.go internal/fleet/*.go | grep -v _test.go) | wc -l)"
 	@printf '%-14s %s\n' "detlint marks" "$$(grep -rn '//detlint:' --include=*.go . | grep -v '^./internal/lint' | wc -l)"
+	@printf '%-14s %s\n' "Config fields" "$$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n+=split($$0,a,",")} END{print n}' internal/sim/config.go)"
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds

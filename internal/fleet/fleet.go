@@ -1,20 +1,30 @@
-// Package fleet is the server table's row and the one fault applicator
-// shared by the simulator and the live orchestrator. A row is a server's
-// dynamic state: what it can host, what it hosts, and whether it is on,
-// crashed or degraded. The applicator decides what each events.Fault
-// does to a table of rows; the layer that owns the table (the driver)
-// supplies only what is really its own: how an app leaves a row, in its
-// live order, and how a scale-out row is built.
+// Package fleet is the server table's row and what the simulator and the
+// live orchestrator decide about it in one place: the fault applicator,
+// the row's projection into the placement workspace, the forecast
+// placement reads for its zone, and the physical row check. A row is a
+// server's dynamic state: what it can host, what it hosts, and whether it
+// is on, crashed or degraded. The applicator decides what each
+// events.Fault does to a table of rows; the layer that owns the table
+// (the driver) supplies only what is really its own: how an app leaves a
+// row, in its live order, and how a scale-out row is built.
 package fleet
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/placement"
 )
+
+// ForecastHours is the window of the mean forecast I_j placement reads
+// for a row's zone.
+const ForecastHours = 24
 
 // Row is one server's dynamic state, the part of a server the fault
 // applicator reads and writes.
@@ -56,11 +66,70 @@ func (r *Row) Free() (free cluster.Resources) {
 	return free
 }
 
+// Server is row j of d's table as the placement workspace registers it:
+// its ID, city, device and idle draw, with its power state and Free
+// capacity as of now (a driver re-syncs both before every solve).
+func Server(d Driver, j int) placement.Server {
+	r := d.Row(j)
+	return placement.Server{
+		ID:         d.ID(j),
+		DC:         r.City,
+		Device:     r.Device.Name,
+		BasePowerW: r.Device.IdleW,
+		PoweredOn:  r.On,
+		Free:       r.Free(),
+	}
+}
+
+// Load is what a driver's live set holds on one row: the summed demand
+// of the apps it hosts and their count.
+type Load struct {
+	Demand cluster.Resources
+	Apps   int
+}
+
+// Physical returns the first way d's rows are not physical, or nil.
+// load[j] is what the driver's live set holds on row j, summed in one
+// pass over it, and skew the forecast skews in force. A row's Used equals
+// its load's demand (within 1e-9 per dimension) and fits its Cap(); its
+// degrade factor is 0 or in (0, 1]; a down row is off; no app sits on a
+// down or powered-off row; and every skew is above 0.
+func Physical(d Driver, load []Load, skew map[string]float64) error {
+	for j := 0; j < d.Rows(); j++ {
+		r, l := d.Row(j), &load[j]
+		for k := range r.Used {
+			if !(math.Abs(r.Used[k]-l.Demand[k]) <= 1e-9) {
+				return fmt.Errorf("server %s used %v, its live apps sum to %v", d.ID(j), r.Used, l.Demand)
+			}
+		}
+		if !(r.Factor == 0 || r.Factor > 0 && r.Factor <= 1) {
+			return fmt.Errorf("server %s degraded by %g, outside (0, 1]", d.ID(j), r.Factor)
+		}
+		if !r.Used.Fits(r.Cap()) {
+			return fmt.Errorf("server %s over-committed: used %v, capacity %v", d.ID(j), r.Used, r.Cap())
+		}
+		if r.Down && r.On {
+			return fmt.Errorf("server %s is down and powered on", d.ID(j))
+		}
+		if l.Apps > 0 && (r.Down || !r.On) {
+			return fmt.Errorf("server %s hosts %d apps (down %v, on %v)", d.ID(j), l.Apps, r.Down, r.On)
+		}
+	}
+	for _, zone := range slices.Sorted(maps.Keys(skew)) {
+		if f := skew[zone]; !(f > 0) {
+			return fmt.Errorf("zone %s forecast skewed by %g, not above 0", zone, f)
+		}
+	}
+	return nil
+}
+
 // Driver is the layer that owns a table of rows.
 type Driver interface {
-	// Rows is the table's length; Row(j) is row j, in table order.
+	// Rows is the table's length; Row(j) is row j, in table order, and
+	// ID(j) the name it is registered with the placement workspace under.
 	Rows() int
 	Row(j int) *Row
+	ID(j int) string
 	// Live is the length of the driver's live table, in its live order;
 	// Hosts reports whether row j hosts the app at live position i.
 	Live() int
@@ -91,6 +160,17 @@ type Applicator struct {
 	// Skew is the active per-zone forecast multiplier (forecast-error
 	// faults): placement sees the zone's forecast times Skew[zone].
 	Skew map[string]float64
+}
+
+// Forecast is the intensity placement sees for zone when its mean
+// forecast over ForecastHours is mean: an active forecast-error fault
+// skews it. Accrual and telemetry still charge the true hourly intensity.
+// Each driver calls it once per zone, from its per-zone memo.
+func (a *Applicator) Forecast(zone string, mean float64) float64 {
+	if f, ok := a.Skew[zone]; ok {
+		mean *= f
+	}
+	return mean
 }
 
 // Outcome counts the rows one fault took down and brought back.

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/placement"
 )
 
 // toy is a minimal driver: apps are named, hold a CPU-only demand, and
@@ -28,6 +31,7 @@ type toyApp struct {
 
 func (t *toy) Rows() int           { return len(t.rows) }
 func (t *toy) Row(j int) *Row      { return &t.rows[j] }
+func (t *toy) ID(j int) string     { return fmt.Sprintf("r%d", j) }
 func (t *toy) Vacated(j int) error { return t.refuse }
 
 func (t *toy) Live() int           { return len(t.live) }
@@ -135,6 +139,9 @@ func TestForecastSkew(t *testing.T) {
 	if _, err := a.Apply(d, events.Fault{Kind: events.FaultForecastError, Zone: "Z", Factor: 3}); err != nil || a.Skew["Z"] != 3 {
 		t.Fatalf("skew %v (err %v)", a.Skew, err)
 	}
+	if got, other := a.Forecast("Z", 100), a.Forecast("W", 100); got != 300 || other != 100 {
+		t.Errorf("forecast 100 reads %g in the skewed zone, %g elsewhere", got, other)
+	}
 	if _, err := a.Apply(d, events.Fault{Kind: events.FaultForecastError, Zone: "Z", Factor: 1}); err != nil || len(a.Skew) != 0 {
 		t.Errorf("factor 1 left skew %v (err %v)", a.Skew, err)
 	}
@@ -173,5 +180,56 @@ func TestCheckRejectsUnknownTargets(t *testing.T) {
 	}
 	if err := a.Check(newToy(), events.Fault{Kind: events.FaultCrash, Site: "X", Zone: "Z"}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestServerProjectsRow(t *testing.T) {
+	d := newToy(toyApp{"a", 1, 4})
+	d.rows[1].Factor = 0.5
+	got := Server(d, 1)
+	want := placement.Server{ID: "r1", DC: "Y", Device: energy.XeonE5.Name, BasePowerW: energy.XeonE5.IdleW,
+		PoweredOn: true, Free: cluster.NewResources(1, 0, 0, 0)}
+	if got != want {
+		t.Errorf("row 1 projects to %+v, want %+v", got, want)
+	}
+	d.rows[1].Down, d.rows[1].On = true, false
+	if got := Server(d, 1); got.PoweredOn || got.Free != (cluster.Resources{}) {
+		t.Errorf("a down row offers %v (on %v)", got.Free, got.PoweredOn)
+	}
+}
+
+func TestPhysical(t *testing.T) {
+	// load is what the toy's live set holds on each row.
+	load := func(d *toy) []Load {
+		l := make([]Load, len(d.rows))
+		for _, a := range d.live {
+			l[a.row].Demand[cluster.ResCPUMilli] += a.cpu
+			l[a.row].Apps++
+		}
+		return l
+	}
+	d := newToy(toyApp{"a", 0, 4}, toyApp{"b", 0, 4})
+	if err := Physical(d, load(d), map[string]float64{"Z": 2}); err != nil {
+		t.Fatalf("physical table refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		bad        func(d *toy) map[string]float64
+	}{
+		{"used off its apps' sum", "sum to", func(d *toy) map[string]float64 { d.rows[0].Used[cluster.ResCPUMilli] = 7; return nil }},
+		{"over capacity", "over-committed", func(d *toy) map[string]float64 { d.rows[0].Factor = 0.5; return nil }},
+		{"factor 2", "outside (0, 1]", func(d *toy) map[string]float64 { d.rows[1].Factor = 2; return nil }},
+		{"factor NaN", "outside (0, 1]", func(d *toy) map[string]float64 { d.rows[1].Factor = math.NaN(); return nil }},
+		{"down and on", "down and powered on", func(d *toy) map[string]float64 { d.rows[1].Down = true; return nil }},
+		{"hosting row off", "hosts 2 apps", func(d *toy) map[string]float64 { d.rows[0].On = false; return nil }},
+		{"hosting row down", "hosts 2 apps", func(d *toy) map[string]float64 { d.rows[0].Down, d.rows[0].On = true, false; return nil }},
+		{"skew 0", "not above 0", func(d *toy) map[string]float64 { return map[string]float64{"Z": 0} }},
+		{"skew NaN", "not above 0", func(d *toy) map[string]float64 { return map[string]float64{"Z": math.NaN()} }},
+	} {
+		d := newToy(toyApp{"a", 0, 4}, toyApp{"b", 0, 4})
+		skew := tc.bad(d)
+		if err := Physical(d, load(d), skew); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

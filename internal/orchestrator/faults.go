@@ -126,9 +126,27 @@ type table Orchestrator
 
 func (t *table) Rows() int            { return len(t.servers) }
 func (t *table) Row(j int) *fleet.Row { return &t.servers[j].Row }
+func (t *table) ID(j int) string      { return t.servers[j].id }
 
 func (t *table) Live() int           { return len(t.live) }
 func (t *table) Hosts(j, i int) bool { return t.live[i].srv == t.servers[j] }
+
+// physical (locked) is the shared row check of the server table
+// (fleet.Physical), fed from one pass over the live set, under the
+// forecast skews skew.
+func (o *Orchestrator) physical(skew map[string]float64) error {
+	row := make(map[*server]int, len(o.servers))
+	for j, srv := range o.servers {
+		row[srv] = j
+	}
+	load := make([]fleet.Load, len(o.servers))
+	for _, d := range o.live {
+		l := &load[row[d.srv]]
+		l.Demand = l.Demand.Add(d.demand)
+		l.Apps++
+	}
+	return fleet.Physical((*table)(o), load, skew)
+}
 
 // Evict releases each deployment and re-submits its recipe to the
 // pending queue, forcing it back through the placement path. The name
@@ -181,10 +199,8 @@ func (o *Orchestrator) addServer(srv *server, flash int) error {
 			break
 		}
 	}
-	for _, s := range o.servers {
-		if s.id == srv.id {
-			return fmt.Errorf("orchestrator: duplicate server %s", srv.id)
-		}
+	if slices.ContainsFunc(o.servers, func(s *server) bool { return s.id == srv.id }) {
+		return fmt.Errorf("orchestrator: duplicate server %s", srv.id)
 	}
 	srv.flash = flash
 	o.servers = slices.Insert(o.servers, end, srv)

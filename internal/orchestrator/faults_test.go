@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/placement"
 )
@@ -35,47 +34,33 @@ func deployOne(t *testing.T, o *Orchestrator, name, source string) *Deployment {
 }
 
 // checkServerTable checks that the server table and the live set agree,
-// as they must after every Tick and PlaceBatch: each row holds exactly
-// the demand and the count of the deployments on it, within the capacity
-// placement offers it (the base, scaled when degraded); no deployment
-// sits on a crashed or powered-off row; and the replica table, live and
-// appW are aligned, sorted by name, and hold exactly the deployments map,
-// each draw finite and non-negative.
+// as they must after every Tick and PlaceBatch: the rows pass the
+// production row check (fleet.Physical, fed from the live set: each row
+// holds exactly the demand of the deployments on it, within its
+// capacity, and none sits on a crashed or powered-off row); each row's
+// count is the deployments on it; and the replica table, live and appW
+// are aligned, sorted by name, and hold exactly the deployments map, each
+// draw finite and non-negative.
 func checkServerTable(t testing.TB, o *Orchestrator) {
 	t.Helper()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	used := map[*server]cluster.Resources{}
+	if err := o.physical(o.faults.Skew); err != nil {
+		t.Error(err)
+	}
 	apps := map[*server]int{}
 	for name, d := range o.deployments {
 		if d.Recipe.Name != name {
 			t.Errorf("deployment %s is keyed %s", d.Recipe.Name, name)
 		}
-		if d.srv.Down || !d.srv.On {
-			t.Errorf("deployment %s sits on server %s (down %v, on %v)", name, d.srv.id, d.srv.Down, d.srv.On)
-		}
-		used[d.srv] = used[d.srv].Add(d.demand)
 		apps[d.srv]++
 	}
 	hosted := 0
 	for _, s := range o.servers {
-		for k := range s.Used {
-			if math.Abs(s.Used[k]-used[s][k]) > 1e-9 {
-				t.Errorf("server %s uses %v, its deployments hold %v", s.id, s.Used, used[s])
-				break
-			}
-		}
 		if s.apps != apps[s] {
 			t.Errorf("server %s counts %d deployments, hosts %d", s.id, s.apps, apps[s])
 		}
 		hosted += apps[s]
-		offered := s.Base
-		if s.Factor != 0 {
-			offered = offered.Scale(s.Factor)
-		}
-		if !s.Used.Fits(offered) {
-			t.Errorf("server %s uses %v beyond the %v placement offers", s.id, s.Used, offered)
-		}
 	}
 	if hosted != len(o.deployments) {
 		t.Errorf("%d deployments, %d of them on table rows", len(o.deployments), hosted)

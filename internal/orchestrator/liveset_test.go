@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/energy"
 	"repro/internal/events"
 	"repro/internal/placement"
@@ -580,12 +581,23 @@ func TestReplicaTableMatchesRebuildOracle(t *testing.T) {
 }
 
 func TestLiveSetConcurrentChurn(t *testing.T) {
-	// Deploys, undeploys, ticks and scrapes race for a few hundred
-	// milliseconds (run under -race by `make race` and CI); whatever the
-	// interleaving, the rows left at the end are the live set's.
+	// Deploys, undeploys, ticks, faults and scrapes race for a few
+	// hundred milliseconds (run under -race by `make race` and CI);
+	// whatever the interleaving, the rows left at the end are the live
+	// set's and pass the production row check.
 	o := trafficFixture(t, placement.CarbonAware{}, 10)
 	srv := httptest.NewServer(o.API())
 	defer srv.Close()
+	// One fault script: a crash that evicts, a degrade that may, a
+	// forecast skew and a scale-out, all due within the first day.
+	if err := o.InjectScript(&events.FaultScript{Faults: []events.Fault{
+		{At: time.Hour, Kind: events.FaultCrash, Site: "CityB", For: 3 * time.Hour},
+		{At: 2 * time.Hour, Kind: events.FaultDegrade, Site: "CityA", Factor: 0.01, For: 6 * time.Hour},
+		{At: 3 * time.Hour, Kind: events.FaultForecastError, Zone: "Z-GREEN", Factor: 3, For: 4 * time.Hour},
+		{At: 5 * time.Hour, Kind: events.FaultScaleOut, Site: "CityB", Device: "A2", CapacityMilli: 500},
+	}}); err != nil {
+		t.Fatal(err)
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -641,6 +653,18 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	})
+	background(func() {
+		resp, err := http.Get(srv.URL + "/api/v1/state")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var st State
+		if err := checkpoint.Decode(resp.Body, stateKind, &st); err != nil {
+			t.Errorf("state scrape: %v", err)
+		}
+		resp.Body.Close()
+	})
 
 	// Two deployers with their own name spaces, each keeping three names
 	// live and undeploying the oldest as it goes.
@@ -693,5 +717,14 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	}
 	if got := oracleReplicas(t, o); !reflect.DeepEqual(o.replicas, got) {
 		t.Errorf("replica table %+v, rebuild oracle %+v", o.replicas, got)
+	}
+	if fs := o.FaultStatus(); fs.Applied == 0 || fs.Pending != 0 {
+		t.Errorf("%d faults applied, %d pending; the churn raced none", fs.Applied, fs.Pending)
+	}
+	o.mu.Lock()
+	err := o.physical(o.faults.Skew)
+	o.mu.Unlock()
+	if err != nil {
+		t.Error(err)
 	}
 }

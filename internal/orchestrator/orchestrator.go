@@ -186,9 +186,6 @@ type Config struct {
 	Start time.Time
 }
 
-// forecastHorizonHours is the I_j averaging window.
-const forecastHorizonHours = 24
-
 // New builds an orchestrator.
 func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Cluster == nil || cfg.Carbon == nil || cfg.Shaper == nil {
@@ -280,7 +277,7 @@ func (o *Orchestrator) isPending(name string) bool {
 // PlaceBatch runs the placement service over all pending recipes (steps
 // 2-3 of Figure 6) and commits the decisions. It returns the deployments
 // made this batch; recipes with no feasible server are returned as
-// rejected with their names.
+// rejected with their names. A batch that fails to solve stays queued.
 func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -291,7 +288,6 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 	defer o.trace.End(tickPlacementIdx, pp)
 	start := time.Now() //detlint:wallclock telemetry: DeployLatency is an operator-facing wall-time metric
 	batch := o.pending
-	o.pending = nil
 
 	if err := o.syncWorkspace(); err != nil {
 		return nil, nil, err
@@ -311,6 +307,7 @@ func (o *Orchestrator) PlaceBatch() (placed []*Deployment, rejected []string, er
 	if err != nil {
 		return nil, nil, err
 	}
+	o.pending = nil
 	o.lastSolve = result.Stats(prob)
 	o.batches++
 	if result.Backend == "exact" {
@@ -369,13 +366,8 @@ func (o *Orchestrator) syncWorkspace() error {
 	o.syncRTT()
 	if o.ws == nil || o.ws.NumServers() != len(o.servers) {
 		servers := make([]placement.Server, len(o.servers))
-		for j, s := range o.servers {
-			servers[j] = placement.Server{
-				ID:         s.id,
-				DC:         s.City,
-				Device:     s.Device.Name,
-				BasePowerW: s.Device.IdleW,
-			}
+		for j := range o.servers {
+			servers[j] = fleet.Server((*table)(o), j)
 		}
 		ws, err := placement.NewWorkspace(servers, o.rttMs, nil)
 		if err != nil {
@@ -389,14 +381,10 @@ func (o *Orchestrator) syncWorkspace() error {
 		if s.dc != dc {
 			dc = s.dc
 			var err error
-			if mean, err = o.carbon.MeanForecast(dc.ZoneID, o.now, forecastHorizonHours); err != nil {
+			if mean, err = o.carbon.MeanForecast(dc.ZoneID, o.now, fleet.ForecastHours); err != nil {
 				return fmt.Errorf("orchestrator: forecasting zone %s: %w", dc.ZoneID, err)
 			}
-			// An active forecast-error fault skews the forecast placement
-			// sees; telemetry still charges the true hourly intensity.
-			if f, skewed := o.faults.Skew[dc.ZoneID]; skewed {
-				mean *= f
-			}
+			mean = o.faults.Forecast(dc.ZoneID, mean)
 		}
 		o.ws.UpdateIntensity(j, mean)
 		o.ws.SetServerState(j, s.Free(), s.On)
@@ -457,18 +445,19 @@ func (o *Orchestrator) replicaRow(name string) (int, bool) {
 // the replica table at its sorted position, drawing its provisioned power
 // until a tick routes traffic. A name already live, a server that is off
 // (Eq. 5) or one the demand does not fit (Eq. 1) is an
-// internal-consistency error, and nothing changes.
+// internal-consistency error (or, in a restore, a refused state), and
+// nothing changes.
 func (o *Orchestrator) admit(d *deployment) error {
 	name, srv := d.Recipe.Name, d.srv
 	if _, dup := o.deployments[name]; dup {
-		return fmt.Errorf("orchestrator: %s already deployed", name)
+		return fmt.Errorf("orchestrator: %s already deployed; no name is live twice", name)
 	}
 	if !srv.On {
-		return fmt.Errorf("orchestrator: server %s is powered off", srv.id)
+		return fmt.Errorf("orchestrator: server %s is powered off; nothing sits on a powered-off server", srv.id)
 	}
 	if !srv.Used.Add(d.demand).Fits(srv.Cap()) {
-		return fmt.Errorf("orchestrator: %s demand %v exceeds free capacity on %s (used %v of %v)",
-			name, d.demand, srv.id, srv.Used, srv.Cap())
+		return fmt.Errorf("orchestrator: deployments on %s exceed its capacity: %s demand %v exceeds free capacity (used %v of %v)",
+			srv.id, name, d.demand, srv.Used, srv.Cap())
 	}
 	rep, err := o.newReplica(d)
 	if err != nil {

@@ -90,6 +90,35 @@ func testRecipe(name string) Recipe {
 	return Recipe{Name: name, Model: energy.ModelResNet50, Source: "CityA", SLOms: 20, RatePerSec: 10}
 }
 
+// TestFailedBatchStaysQueued: a batch whose solve fails (here the clock
+// has run past the end of the forecast traces) stays queued, neither
+// placed nor rejected, and the next batch retries it.
+func TestFailedBatchStaysQueued(t *testing.T) {
+	o := fixture(t, placement.CarbonAware{})
+	if err := o.Tick(8800 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Submit(testRecipe("a")); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		placed, rejected, err := o.PlaceBatch()
+		if err == nil || !strings.Contains(err.Error(), "forecasting zone") {
+			t.Fatalf("batch %d past the traces' end: err = %v", k, err)
+		}
+		if len(placed) != 0 || len(rejected) != 0 {
+			t.Errorf("failed batch %d placed %d, rejected %v", k, len(placed), rejected)
+		}
+		st, err := o.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Pending) != 1 || st.Pending[0].Name != "a" || len(st.Deployments) != 0 {
+			t.Fatalf("after failed batch %d: pending %v, %d deployed", k, st.Pending, len(st.Deployments))
+		}
+	}
+}
+
 func TestSubmitAndPlaceCarbonAware(t *testing.T) {
 	o := fixture(t, placement.CarbonAware{})
 	if err := o.Submit(testRecipe("app1")); err != nil {

@@ -156,6 +156,12 @@ func (o *Orchestrator) SaveState() (State, error) {
 // re-admitted with its exact resource vector. The placement workspace is
 // dropped and rebuilt on the next batch, which reads every forecast
 // afresh under the restored skews.
+//
+// The rows are rebuilt on copies and published only once the whole state
+// has passed, so LoadState is all-or-nothing on the failures a foreign or
+// mismatched checkpoint can cause: a refused state leaves the
+// orchestrator exactly as it was, and a retry with a corrected checkpoint
+// still sees a fresh orchestrator.
 func (o *Orchestrator) LoadState(st State) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -166,39 +172,17 @@ func (o *Orchestrator) LoadState(st State) error {
 	if st.Traffic != nil && o.traffic == nil {
 		return fmt.Errorf("orchestrator: state carries traffic telemetry but no traffic is attached (AttachTraffic first)")
 	}
-	if err := o.validateState(&st); err != nil {
+	fresh := o.servers
+	o.servers = make([]*server, len(fresh))
+	for j, s := range fresh {
+		o.servers[j] = &server{Row: s.Row, id: s.id, dc: s.dc, apps: s.apps, flash: s.flash}
+		o.servers[j].meter.Restore(s.meter.State())
+	}
+	if err := o.restore(&st); err != nil {
+		o.servers = fresh
+		clear(o.deployments)
+		o.replicas, o.live, o.appW = nil, nil, nil
 		return err
-	}
-
-	// Flash servers first, so power states and allocations can land on
-	// them.
-	for k, fs := range st.FlashServers {
-		dc := o.dcByID(fs.DCID)
-		dev, err := energy.DeviceByName(fs.Device)
-		if err != nil {
-			return fmt.Errorf("orchestrator: flash server %s: %w", fs.ID, err)
-		}
-		if err := o.addServer(newServer(fs.ID, dc, dev, fs.Capacity, false), k+1); err != nil {
-			return err
-		}
-	}
-	byID := make(map[string]*server, len(o.servers))
-	for _, srv := range o.servers {
-		byID[srv.id] = srv
-		srv.Factor = st.Degraded[srv.id]
-	}
-	for _, sp := range st.Servers {
-		byID[sp.ID].On = sp.PoweredOn
-		byID[sp.ID].meter.Restore(sp.Meter)
-	}
-	for _, id := range st.DownServers {
-		byID[id].Down = true
-	}
-	for _, ds := range st.Deployments {
-		d := &deployment{Deployment: ds.Deployment, srv: byID[ds.ServerID], demand: ds.Demand}
-		if err := o.admit(d); err != nil {
-			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
-		}
 	}
 
 	o.now = st.Now
@@ -225,13 +209,10 @@ func (o *Orchestrator) LoadState(st State) error {
 		o.faults.Skew = maps.Clone(st.FcSkew)
 	}
 	if st.Traffic != nil {
-		rt := o.traffic.router
-		if err := rt.RestoreStats(*st.Traffic); err != nil {
-			return err
-		}
 		// A state written before per-deployment rows were retired with
 		// their deployment still carries every name ever routed; keep the
 		// rows of names that are deployed or queued.
+		rt := o.traffic.router
 		ids := rt.Stats().ByReplica.Labels()
 		for id := range rt.Stats().Replicas {
 			ids = append(ids, id)
@@ -250,99 +231,77 @@ func (o *Orchestrator) LoadState(st State) error {
 	return nil
 }
 
-// validateState (locked) checks a state against this orchestrator's
-// server table before anything is mutated, so LoadState is
-// all-or-nothing on the failures a foreign or mismatched checkpoint can
-// cause: a state rejected here leaves the orchestrator exactly as it was,
-// and a retry with a corrected checkpoint still sees a fresh
-// orchestrator.
-func (o *Orchestrator) validateState(st *State) error {
-	type srvInfo struct {
-		capacity cluster.Resources
-		device   string
-		on       bool
-	}
-	servers := map[string]*srvInfo{}
-	for _, srv := range o.servers {
-		servers[srv.id] = &srvInfo{capacity: srv.Base, device: srv.Device.Name}
-	}
-	for _, fs := range st.FlashServers {
-		if o.dcByID(fs.DCID) == nil {
+// restore (locked) rebuilds st's rows on o's and admits st's deployments
+// onto them, or refuses st. The rows take their power state, crash and
+// degrade factor from st alone (a row it does not list is off); the
+// checks rows cannot express come first (unknown IDs, recipes and rates,
+// held demands, the backlog, the fault queue). admit then refuses a name
+// listed twice, a powered-off row and a row the demand does not fit, and
+// the shared row check the rest. The traffic stats restore last, all or
+// nothing.
+func (o *Orchestrator) restore(st *State) error {
+	for k, fs := range st.FlashServers {
+		dc := o.dcByID(fs.DCID)
+		if dc == nil {
 			return fmt.Errorf("orchestrator: flash server %s references unknown DC %q", fs.ID, fs.DCID)
 		}
-		if _, err := energy.DeviceByName(fs.Device); err != nil {
+		dev, err := energy.DeviceByName(fs.Device)
+		if err != nil {
 			return fmt.Errorf("orchestrator: flash server %s: %w", fs.ID, err)
 		}
-		if _, dup := servers[fs.ID]; dup {
-			return fmt.Errorf("orchestrator: flash server %s already exists in the cluster (state restored twice?)", fs.ID)
+		if err := o.addServer(newServer(fs.ID, dc, dev, fs.Capacity, false), k+1); err != nil {
+			return err
 		}
-		servers[fs.ID] = &srvInfo{capacity: fs.Capacity, device: fs.Device}
+	}
+	byID := make(map[string]*server, len(o.servers))
+	for _, srv := range o.servers {
+		byID[srv.id] = srv
+		srv.Factor, srv.On, srv.Down = st.Degraded[srv.id], false, false
 	}
 	for _, sp := range st.Servers {
-		info := servers[sp.ID]
-		if info == nil {
+		srv := byID[sp.ID]
+		if srv == nil {
 			return fmt.Errorf("orchestrator: state references unknown server %q", sp.ID)
 		}
-		info.on = sp.PoweredOn
-	}
-	// Factors and skews lie within events.Fault.Validate's bounds, and a
-	// degraded server's deployments fit its degraded capacity.
-	for _, id := range slices.Sorted(maps.Keys(st.Degraded)) {
-		info, f := servers[id], st.Degraded[id]
-		if info == nil {
-			return fmt.Errorf("orchestrator: state's faults reference unknown server %q", id)
-		}
-		if !(f > 0 && f <= 1) {
-			return fmt.Errorf("orchestrator: server %s degraded by %g, outside (0, 1]", id, f)
-		}
-		info.capacity = info.capacity.Scale(f)
+		srv.On = sp.PoweredOn
+		srv.meter.Restore(sp.Meter)
 	}
 	for _, id := range st.DownServers {
-		if servers[id] == nil {
+		if byID[id] == nil {
 			return fmt.Errorf("orchestrator: state's faults reference unknown server %q", id)
 		}
+		byID[id].Down = true
 	}
-	for _, zone := range slices.Sorted(maps.Keys(st.FcSkew)) {
-		if f := st.FcSkew[zone]; !(f > 0) {
-			return fmt.Errorf("orchestrator: zone %s forecast skewed by %g, not above 0", zone, f)
+	// The state lists degraded rows only: a listed 0, a row's full
+	// capacity, is a factor no fault sets.
+	for _, id := range slices.Sorted(maps.Keys(st.Degraded)) {
+		if byID[id] == nil || st.Degraded[id] == 0 {
+			return fmt.Errorf("orchestrator: state degrades server %q by %g: unknown server, or a factor no fault sets", id, st.Degraded[id])
 		}
 	}
-	used := map[string]cluster.Resources{}
 	names := map[string]bool{}
 	for _, ds := range st.Deployments {
 		if err := ds.Recipe.Validate(); err != nil {
 			return err
 		}
-		if names[ds.Recipe.Name] {
-			return fmt.Errorf("orchestrator: deployment %s appears twice", ds.Recipe.Name)
-		}
 		names[ds.Recipe.Name] = true
-		info := servers[ds.ServerID]
-		if info == nil {
+		srv := byID[ds.ServerID]
+		if srv == nil {
 			return fmt.Errorf("orchestrator: deployment %s references unknown server %q", ds.Recipe.Name, ds.ServerID)
-		}
-		if !info.on {
-			return fmt.Errorf("orchestrator: deployment %s sits on powered-off server %s", ds.Recipe.Name, ds.ServerID)
 		}
 		// The replica table needs the pair's profile (newReplica), and its
 		// capacity is the recipe's rate: one no server of the type can
 		// serve was never placed (routing it allocated without bound).
-		prof, err := energy.ProfileFor(ds.Recipe.Model, info.device)
+		prof, err := energy.ProfileFor(ds.Recipe.Model, srv.Device.Name)
 		if err != nil {
 			return fmt.Errorf("orchestrator: deployment %s on %s: %w", ds.Recipe.Name, ds.ServerID, err)
 		}
 		if _, _, ok := placement.Coefficients(prof, ds.Recipe.RatePerSec); !ok {
-			return fmt.Errorf("orchestrator: deployment %s: %s cannot serve %g req/s of %s", ds.Recipe.Name, info.device, ds.Recipe.RatePerSec, ds.Recipe.Model)
+			return fmt.Errorf("orchestrator: deployment %s: %s cannot serve %g req/s of %s", ds.Recipe.Name, srv.Device.Name, ds.Recipe.RatePerSec, ds.Recipe.Model)
 		}
 		if !ds.Demand.NonNegative() {
 			return fmt.Errorf("orchestrator: deployment %s holds a negative demand %v", ds.Recipe.Name, ds.Demand)
 		}
-		total := used[ds.ServerID].Add(ds.Demand)
-		if !total.Fits(info.capacity) {
-			return fmt.Errorf("orchestrator: deployments on %s exceed its capacity (%v over %v at %s)",
-				ds.ServerID, total, info.capacity, ds.Recipe.Name)
-		}
-		used[ds.ServerID] = total
 	}
 	// The backlog holds only what Submit accepted.
 	for _, rec := range st.Pending {
@@ -362,6 +321,19 @@ func (o *Orchestrator) validateState(st *State) error {
 		if err := o.faults.Check((*table)(o), sf.Fault); err != nil {
 			return fmt.Errorf("orchestrator: queued fault: %w", err)
 		}
+	}
+
+	for _, ds := range st.Deployments {
+		d := &deployment{Deployment: ds.Deployment, srv: byID[ds.ServerID], demand: ds.Demand}
+		if err := o.admit(d); err != nil {
+			return fmt.Errorf("orchestrator: restoring deployment %s: %w", ds.Recipe.Name, err)
+		}
+	}
+	if err := o.physical(st.FcSkew); err != nil {
+		return fmt.Errorf("orchestrator: restored state is not physical: %w", err)
+	}
+	if st.Traffic != nil {
+		return o.traffic.router.RestoreStats(*st.Traffic)
 	}
 	return nil
 }

@@ -454,6 +454,48 @@ func TestLoadStateRejectsBeforeMutating(t *testing.T) {
 	}
 }
 
+// TestLoadStateRefusesUnphysicalRows: the shared row check refuses
+// restored rows no run reaches — a crashed server powered on, empty or
+// hosting a deployment — and the refused load changes nothing.
+func TestLoadStateRefusesUnphysicalRows(t *testing.T) {
+	orig := fixture(t, placement.CarbonAware{})
+	host := deployOne(t, orig, "app-a", "CityA").ServerID
+	empty := ""
+	for _, sp := range mustState(t, orig).Servers {
+		if sp.ID != host {
+			empty = sp.ID
+		}
+	}
+	for _, tc := range []struct{ name, id string }{
+		{"empty crashed server powered on", empty},
+		{"deployment on a crashed server", host},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := fixture(t, placement.CarbonAware{})
+			before, err := json.Marshal(mustState(t, fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := mustState(t, orig)
+			bad.DownServers = []string{tc.id}
+			if err := fresh.LoadState(bad); err == nil || !strings.Contains(err.Error(), "down and powered on") {
+				t.Fatalf("err = %v, want the row check's refusal", err)
+			}
+			after, err := json.Marshal(mustState(t, fresh))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("the refused load changed the orchestrator:\nbefore %s\nafter  %s", before, after)
+			}
+			if err := fresh.LoadState(mustState(t, orig)); err != nil {
+				t.Fatalf("restore after the refused one: %v", err)
+			}
+			checkServerTable(t, fresh)
+		})
+	}
+}
+
 // TestLoadStateRejectsInvalidQueuedFaults: a checkpoint's pending fault
 // queue is held to what InjectScript accepts, so a queued fault that
 // would zero a server's capacity, add a negative-capacity server, or fail

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/placement"
 )
 
@@ -129,7 +130,7 @@ func TestZoneSignalMatchesService(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantFC, err := svc.MeanForecast(zone, now, forecastHorizonHours)
+					wantFC, err := svc.MeanForecast(zone, now, fleet.ForecastHours)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -208,7 +209,7 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 		"gpu": func(c *Config) {},
 		"cpu": func(c *Config) {
 			c.Devices = []string{energy.XeonE5.Name}
-			c.Model = energy.ModelSci
+			c.Models = []string{energy.ModelSci}
 		},
 	}
 	for name, set := range cases {
@@ -237,7 +238,7 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, _, ok := placement.Coefficients(prof, cfg.RatePerSec)
+					d, _, ok := placement.Coefficients(prof, appRatePerSec)
 					if !ok {
 						t.Fatalf("live app %d on a device that cannot host it", i)
 					}

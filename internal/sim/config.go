@@ -83,16 +83,10 @@ type Config struct {
 	// AppLifetimeHours is how long each app runs before departing. Set
 	// by ext-redeploy and the ledger.
 	AppLifetimeHours int
-	// Model is the workload model arriving apps run. No run changes
-	// DefaultConfig's ResNet50; mixes go through Models.
-	Model string
-	// Models optionally overrides Model with a mix sampled uniformly
-	// per arrival (Figures 15-16's heterogeneous workloads, set there and in
-	// examples/hetero).
+	// Models optionally replaces the single workload model (appModel)
+	// with a mix sampled uniformly per arrival (Figures 15-16's
+	// heterogeneous workloads, set there and in examples/hetero).
 	Models []string
-	// RatePerSec is each app's request rate. No run changes
-	// DefaultConfig's 10 req/s.
-	RatePerSec float64
 	// Devices lists the device types present at every site (one
 	// aggregate server per device per site). Default: {A2}. Set by
 	// Figures 15-16, examples/hetero and the ledger.
@@ -172,10 +166,14 @@ type Config struct {
 	Obs *obs.Config
 }
 
-// forecastHorizonHours is the mean-forecast window for I_j. ConfigSig
-// still renders it (horizon=24), so signatures recorded while it was a
-// Config field stay valid.
-const forecastHorizonHours = 24
+// appModel and appRatePerSec are what every app runs (but for a
+// Config.Models mix) and at what request rate. No run ever set another;
+// ConfigSig still renders both (model=ResNet50 rate=10), so signatures
+// recorded while they were Config fields stay valid.
+const (
+	appModel              = energy.ModelResNet50
+	appRatePerSec float64 = 10
+)
 
 // DefaultConfig returns the paper's CDN baseline: year-long, 20 ms RTT
 // limit, ResNet50 serving on A2-class pools, always-on servers.
@@ -188,8 +186,6 @@ func DefaultConfig(region carbon.Region, pol placement.Policy) Config {
 		Hours:                8760,
 		ArrivalsPerHour:      6,
 		AppLifetimeHours:     24,
-		Model:                energy.ModelResNet50,
-		RatePerSec:           10,
 		Devices:              []string{energy.A2.Name},
 		CapacityMilliPerSite: 4000,
 		Demand:               BySiteWeight,
@@ -217,9 +213,6 @@ func (c *Config) Validate() error {
 	}
 	if len(c.Devices) == 0 {
 		return fmt.Errorf("sim: no devices configured")
-	}
-	if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 1) {
-		return fmt.Errorf("sim: RatePerSec %g is not a finite positive number", c.RatePerSec)
 	}
 	if !(c.CapacityMilliPerSite > 0) || math.IsInf(c.CapacityMilliPerSite, 1) {
 		return fmt.Errorf("sim: CapacityMilliPerSite %g is not a finite positive number", c.CapacityMilliPerSite)

@@ -298,7 +298,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		sites:  sites,
 		pool:   replicaPool{modelIdx: map[string]int{}},
 	}
-	e.pool.model(cfg.Model)
+	e.pool.model(appModel)
 	for _, m := range cfg.Models {
 		e.pool.model(m)
 	}
@@ -408,7 +408,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	// (profile cells, RTT rows, candidate shortlists) live for the run.
 	pservers := make([]placement.Server, len(e.servers))
 	for j := range e.servers {
-		pservers[j] = e.wsServer(j)
+		pservers[j] = fleet.Server((*engineRows)(e), j)
 	}
 	ws, err := placement.NewWorkspace(pservers, e.rttOracle, nil)
 	if err != nil {
@@ -440,20 +440,6 @@ func (e *Engine) newServer(site int, dev energy.Device, base cluster.Resources, 
 		Row:  fleet.Row{City: e.sites[site].City, Zone: e.sites[site].ZoneID, Device: dev, Base: base, On: on},
 		site: site,
 		pair: e.pool.pair(site, dev.Name),
-	}
-}
-
-// wsServer is server j's row in the placement workspace, the one way
-// NewEngine, a scale-out and a restore register a server.
-func (e *Engine) wsServer(j int) placement.Server {
-	srv := &e.servers[j]
-	return placement.Server{
-		ID:         "srv-" + strconv.Itoa(j),
-		DC:         srv.City,
-		Device:     srv.Device.Name,
-		BasePowerW: srv.Device.IdleW,
-		PoweredOn:  srv.On,
-		Free:       srv.Free(),
 	}
 }
 
@@ -504,7 +490,7 @@ func (e *Engine) initTraffic() error {
 	// placement limit — also on heterogeneous pools.
 	models := e.cfg.Models
 	if len(models) == 0 {
-		models = []string{e.cfg.Model}
+		models = []string{appModel}
 	}
 	var maxSvcMs float64
 	for _, m := range models {
@@ -791,7 +777,7 @@ func (e *Engine) stepArrivals() {
 	n := poisson(e.rng, e.cfg.ArrivalsPerHour)
 	for k := 0; k < n; k++ {
 		src := sampleWeighted(e.rng, e.demandW, e.demandTotal)
-		model, mi := e.cfg.Model, 0 // NewEngine interns cfg.Model first
+		model, mi := appModel, 0 // NewEngine interns appModel first
 		if len(e.cfg.Models) > 0 {
 			model = e.cfg.Models[e.rng.Intn(len(e.cfg.Models))]
 			mi = e.pool.model(model)
@@ -849,17 +835,12 @@ func (e *Engine) meanForecast(slot int) (float64, error) {
 	if z.fcGen == e.zoneGen {
 		return z.fc, nil
 	}
-	v, err := z.MeanForecast(z.off+e.tick, forecastHorizonHours)
+	v, err := z.MeanForecast(z.off+e.tick, fleet.ForecastHours)
 	if err != nil {
 		return 0, err
 	}
-	// An active forecast-error fault skews the forecast placement sees;
-	// accrual still charges the true hourly intensity.
-	if f, ok := e.faults.Skew[z.ID()]; ok {
-		v *= f
-	}
-	z.fc, z.fcGen = v, e.zoneGen
-	return v, nil
+	z.fc, z.fcGen = e.faults.Forecast(z.ID(), v), e.zoneGen
+	return z.fc, nil
 }
 
 // zoneCISite returns the current (actual, hourly) carbon intensity of a
@@ -1085,7 +1066,7 @@ func (e *Engine) trafficReplicas() ([]router.Replica, error) {
 			c.gen, c.slot = p.gen, len(p.buf)
 			p.buf = append(p.buf, c.proto)
 		}
-		p.buf[c.slot].CapacityRPS += e.cfg.RatePerSec
+		p.buf[c.slot].CapacityRPS += appRatePerSec
 	}
 	return p.buf, nil
 }
@@ -1140,7 +1121,7 @@ func (e *Engine) appTemplate(model string, mi, src int) placement.App {
 	}
 	t := &e.pool.apps[k]
 	if t.Source == "" {
-		*t = placement.App{Model: model, Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: e.cfg.RatePerSec}
+		*t = placement.App{Model: model, Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: appRatePerSec}
 		e.ws.Bind(t)
 	}
 	return *t

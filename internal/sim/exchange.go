@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/placement"
-)
+import "fmt"
 
 // Cross-shard exchange: when a World is partitioned across several
 // engines, the shard coordinator moves work between them at round
@@ -47,7 +43,7 @@ func (e *Engine) InjectApp(epoch int, model string) error {
 		return fmt.Errorf("sim: InjectApp at epoch %d (next %d, span %d)", epoch, e.epoch, e.cfg.Hours)
 	}
 	if model == "" {
-		model = e.cfg.Model
+		model = appModel
 	}
 	e.inApps = append(e.inApps, inboxApp{epoch: epoch, model: model})
 	return nil
@@ -104,14 +100,10 @@ func (e *Engine) consumeInboxApps() {
 			keep = append(keep, p)
 			continue
 		}
+		app := e.appTemplate(p.model, e.pool.model(p.model), e.gateway)
+		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
-			app: placement.App{
-				ID:         e.queueID(len(e.pending)),
-				Model:      p.model,
-				Source:     e.sites[e.gateway].City,
-				SLOms:      e.cfg.RTTLimitMs,
-				RatePerSec: e.cfg.RatePerSec,
-			},
+			app:       app,
 			src:       e.gateway,
 			expires:   -1,
 			evictedAt: -1,

@@ -3,11 +3,11 @@ package sim
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/fleet"
-	"repro/internal/placement"
 )
 
 // FaultStats aggregates one run's world-dynamics telemetry. It is only
@@ -59,6 +59,7 @@ type engineRows Engine
 
 func (r *engineRows) Rows() int            { return len(r.servers) }
 func (r *engineRows) Row(j int) *fleet.Row { return &r.servers[j].Row }
+func (r *engineRows) ID(j int) string      { return "srv-" + strconv.Itoa(j) }
 func (r *engineRows) Vacated(j int) error  { return nil }
 func (r *engineRows) Live() int            { return len(r.live) }
 func (r *engineRows) Hosts(j, i int) bool  { return r.live[i].srv == j }
@@ -74,14 +75,10 @@ func (r *engineRows) Evict(j int, apps []int) {
 		e.release(a)
 		e.res.Faults.Evictions++
 		e.forceRedeploy = true
+		app := e.appTemplate(a.model, a.mi, a.srcSite)
+		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
-			app: placement.App{
-				ID:         e.queueID(len(e.pending)),
-				Model:      a.model,
-				Source:     e.sites[a.srcSite].City,
-				SLOms:      e.cfg.RTTLimitMs,
-				RatePerSec: e.cfg.RatePerSec,
-			},
+			app:       app,
 			src:       a.srcSite,
 			expires:   a.expires,
 			evictedAt: e.epoch,
@@ -99,7 +96,7 @@ func (r *engineRows) AddRow(city string, dev energy.Device, capMilli float64, on
 	ratio := capMilli / e.cfg.CapacityMilliPerSite
 	e.servers = append(e.servers, e.newServer(e.siteIdxByCity[city], dev,
 		cluster.NewResources(capMilli, float64(dev.MemMB)*ratio*4, float64(dev.MemMB)*ratio, 1e9), on))
-	if err := e.ws.AddServers(e.wsServer(len(e.servers) - 1)); err != nil {
+	if err := e.ws.AddServers(fleet.Server(r, len(e.servers)-1)); err != nil {
 		return err
 	}
 	e.res.Faults.ScaleOuts++

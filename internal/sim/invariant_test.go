@@ -44,7 +44,7 @@ func checkClassRows(e *Engine) (int, error) {
 			var w float64
 			ok := false
 			if prof, err := energy.ProfileFor(t.Model, srv.Device.Name); err == nil {
-				d, w, ok = placement.Coefficients(prof, e.cfg.RatePerSec)
+				d, w, ok = placement.Coefficients(prof, appRatePerSec)
 			}
 			rtt := e.rtt[src][srv.site]
 			if p.Demand[0][j] != d || p.PowerW[0][j] != w || p.Compatible[0][j] != ok || p.LatencyMs[0][j] != rtt {

@@ -49,7 +49,7 @@ func oraclePool(t *testing.T, e *Engine) ([]router.Replica, []poolKey) {
 				EnergyPerReqJ: prof.EnergyPerRequestJ(),
 			})
 		}
-		pool[at].CapacityRPS += e.cfg.RatePerSec
+		pool[at].CapacityRPS += appRatePerSec
 	}
 	return pool, keys
 }

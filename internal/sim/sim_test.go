@@ -259,19 +259,13 @@ func TestConfigValidation(t *testing.T) {
 			c.Devices = nil
 			return c
 		}(),
-		func() Config {
-			c := DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
-			c.RatePerSec = 0
-			return c
-		}(),
 	}
-	// NaN passed the old "<= 0" tests of the rate and the RTT limit, and
-	// the capacity was not checked at all: a NaN rate placed every app
-	// with CarbonG NaN, a NaN capacity placed every app with no capacity
-	// bound, and a NaN limit or a negative capacity placed nothing.
+	// NaN passed the old "<= 0" test of the RTT limit, and the capacity
+	// was not checked at all: a NaN capacity placed every app with no
+	// capacity bound, and a NaN limit or a negative capacity placed
+	// nothing.
 	for _, v := range []float64{math.NaN(), math.Inf(1), -5, 0} {
 		for _, set := range []func(*Config){
-			func(c *Config) { c.RatePerSec = v },
 			func(c *Config) { c.RTTLimitMs = v },
 			func(c *Config) { c.CapacityMilliPerSite = v },
 		} {

@@ -3,13 +3,13 @@ package sim
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/events"
+	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -236,10 +236,10 @@ func ConfigSig(cfg Config) string {
 		cfg.Seed, cfg.Region, cfg.Sites, cfg.ForwardUnplaced, cfg.Policy, cfg.Policy, cfg.RTTLimitMs,
 		cfg.Hours, cfg.ArrivalsPerHour, cfg.AppLifetimeHours)
 	fmt.Fprintf(&b, " model=%s models=%v rate=%g devices=%v cap=%g demand=%v capacity=%v alwayson=%t",
-		cfg.Model, cfg.Models, cfg.RatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
+		appModel, cfg.Models, appRatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
 		cfg.Demand, cfg.Capacity, cfg.ServersAlwaysOn)
 	fmt.Fprintf(&b, " horizon=%d forecaster=%T%+v batch=%d loadci=%t redeploy=%d migmb=%g migj=%g warm=%t",
-		forecastHorizonHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
+		fleet.ForecastHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
 		cfg.RedeployEveryHours, cfg.MigrationDataMB, cfg.MigrationJPerMB, cfg.WarmRedeploy)
 	if cfg.Traffic != nil {
 		fmt.Fprintf(&b, " traffic=%+v", *cfg.Traffic)
@@ -379,7 +379,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 				return nil, fmt.Errorf("sim: snapshot server %d: %w", j, err)
 			}
 			e.servers = append(e.servers, e.newServer(ss.Site, dev, ss.BaseCap, ss.On))
-			if err := e.ws.AddServers(e.wsServer(j)); err != nil {
+			if err := e.ws.AddServers(fleet.Server((*engineRows)(e), j)); err != nil {
 				return nil, err
 			}
 		}
@@ -408,9 +408,9 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: snapshot live app %d: %w", i, err)
 		}
-		demand, _, ok := placement.Coefficients(prof, cfg.RatePerSec)
+		demand, _, ok := placement.Coefficients(prof, appRatePerSec)
 		if !ok {
-			return nil, fmt.Errorf("sim: snapshot live app %d: %s cannot host %s at %g req/s", i, ls.Device, ls.Model, cfg.RatePerSec)
+			return nil, fmt.Errorf("sim: snapshot live app %d: %s cannot host %s at %g req/s", i, ls.Device, ls.Model, appRatePerSec)
 		}
 		e.live[i] = liveApp{
 			srv: ls.Srv, site: ls.Site, model: ls.Model, mi: e.pool.model(ls.Model), device: ls.Device,
@@ -429,9 +429,9 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 		// Every backlog entry asks the config's SLO at the config's rate:
 		// placed, it holds exactly its class's cells.
-		if ps.App.SLOms != cfg.RTTLimitMs || ps.App.RatePerSec != cfg.RatePerSec {
+		if ps.App.SLOms != cfg.RTTLimitMs || ps.App.RatePerSec != appRatePerSec {
 			return nil, fmt.Errorf("sim: snapshot pending app %d asks %g ms at %g req/s, the config's apps %g ms at %g req/s",
-				i, ps.App.SLOms, ps.App.RatePerSec, cfg.RTTLimitMs, cfg.RatePerSec)
+				i, ps.App.SLOms, ps.App.RatePerSec, cfg.RTTLimitMs, appRatePerSec)
 		}
 		if ps.EvictedAt >= 0 && cfg.Faults == nil {
 			return nil, fmt.Errorf("sim: snapshot pending app %d was evicted at epoch %d, but the config has no fault script", i, ps.EvictedAt)
@@ -449,11 +449,6 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 
 	e.rngSrc.Restore(snap.RNG)
 	e.forceRedeploy = snap.ForceRedeploy
-	for _, z := range slices.Sorted(maps.Keys(snap.FcErr)) {
-		if f := snap.FcErr[z]; !(f > 0) {
-			return nil, fmt.Errorf("sim: snapshot skews zone %s's forecast by %g, not above 0", z, f)
-		}
-	}
 	e.faults.Skew = maps.Clone(snap.FcErr)
 
 	// Result: rebuild the accumulator, then re-attach the live traffic

@@ -448,7 +448,7 @@ func TestRestoreRefusesUnphysicalSnapshot(t *testing.T) {
 		{"pending at 1000 req/s", "pending app", func(s *Snapshot) {
 			site := w.Dep.InRegion(cfg.Region)[0]
 			s.Pending = append(s.Pending, PendingSnap{
-				App:     placement.App{ID: "q-0", Model: cfg.Model, Source: site.City, SLOms: cfg.RTTLimitMs, RatePerSec: 1000},
+				App:     placement.App{ID: "q-0", Model: appModel, Source: site.City, SLOms: cfg.RTTLimitMs, RatePerSec: 1000},
 				Expires: 30, EvictedAt: -1,
 			})
 		}},

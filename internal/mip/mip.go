@@ -5,7 +5,8 @@
 // MILP, so any exact solver reaches the same optimum.
 //
 // Design: best-first search on the LP-relaxation bound, branching on the
-// most fractional integer variable, with a time budget and node limit.
+// most fractional integer variable, within a node budget. No clock is
+// read: the answer is a function of the problem and the options alone.
 // Variables declared integer are branched to integrality within the
 // caller-supplied bounds (binary variables use [0,1]).
 package mip
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -52,9 +52,6 @@ func NewProblem(n int) *Problem {
 		upper:   upper,
 	}
 }
-
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.n }
 
 // SetObjective sets the minimized objective coefficient for variable i.
 func (p *Problem) SetObjective(i int, c float64) error {
@@ -117,17 +114,15 @@ const intTol = 1e-5
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes (0 = 100000).
 	MaxNodes int
-	// TimeLimit caps wall-clock time (0 = no limit).
-	TimeLimit time.Duration
 	// Gap terminates early when (incumbent-bound)/|incumbent| falls
 	// below this relative gap (0 = prove optimality).
 	Gap float64
 	// Incumbent optionally warm-starts the search with a known
-	// integer-feasible point of length NumVars (e.g. a previous epoch's
-	// solution). It is validated against every constraint, bound, and
-	// integrality mark before use; an invalid point is silently ignored
-	// and the solve proceeds cold. A valid incumbent gives branch and
-	// bound an immediate upper bound, so pruning starts at the root.
+	// integer-feasible point, one entry per variable (e.g. a previous
+	// epoch's solution). It is validated against every constraint, bound,
+	// and integrality mark before use; an invalid point is silently
+	// ignored and the solve proceeds cold. A valid incumbent gives branch
+	// and bound an immediate upper bound, so pruning starts at the root.
 	Incumbent []float64
 }
 
@@ -219,11 +214,6 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	if opt.MaxNodes <= 0 {
 		opt.MaxNodes = 100000
 	}
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		//detlint:wallclock TimeLimit is a wall-time budget by contract; a solve that finishes inside it returns the same answer at any clock
-		deadline = time.Now().Add(opt.TimeLimit)
-	}
 
 	root := &node{lower: map[int]float64{}, upper: map[int]float64{}, bound: math.Inf(-1)}
 	queue := &nodeQueue{root}
@@ -244,20 +234,17 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 	// have them: several servers with identical cost).
 	// A caller-supplied warm incumbent replaces the dive: it provides the
 	// same thing (an initial upper bound) without the dive's LP solves.
-	if x, obj, ok := p.validIncumbent(opt.Incumbent, intTol); ok {
-		incumbent = x
-		incumbentObj = obj
-	} else if x, obj, ok := p.dive(rc, intTol); ok {
-		incumbent = x
-		incumbentObj = obj
+	if x, obj, ok := p.validIncumbent(opt.Incumbent); ok {
+		incumbent, incumbentObj = x, obj
+	} else if x, obj, ok := p.dive(rc); ok {
+		incumbent, incumbentObj = x, obj
 	}
 	bestBound := math.Inf(-1)
 	nodes := 0
 	sawLimit := false
 
 	for queue.Len() > 0 {
-		//detlint:wallclock the TimeLimit deadline check; only a solve that overruns its wall-time budget sees the clock
-		if nodes >= opt.MaxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
+		if nodes >= opt.MaxNodes {
 			sawLimit = true
 			break
 		}
@@ -293,19 +280,7 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 		// re-branch on an already-fixed variable forever.
 		x := clampToDomain(sol.X, p, nd)
 
-		// Find the most fractional integer variable.
-		branch := -1
-		worst := intTol
-		for i, isInt := range p.integer {
-			if !isInt {
-				continue
-			}
-			frac := math.Abs(x[i] - math.Round(x[i]))
-			if frac > worst {
-				worst = frac
-				branch = i
-			}
-		}
+		branch := p.mostFractional(x)
 		if branch < 0 {
 			// Integer feasible: new incumbent.
 			if sol.Objective < incumbentObj {
@@ -315,17 +290,11 @@ func (p *Problem) Solve(opt Options) (*Solution, error) {
 			continue
 		}
 
-		v := x[branch]
-		down := &node{
-			lower: copyBounds(nd.lower), upper: copyBounds(nd.upper),
-			bound: sol.Objective, depth: nd.depth + 1,
+		child := func() *node {
+			return &node{lower: copyBounds(nd.lower), upper: copyBounds(nd.upper), bound: sol.Objective, depth: nd.depth + 1}
 		}
-		down.upper[branch] = math.Floor(v)
-		up := &node{
-			lower: copyBounds(nd.lower), upper: copyBounds(nd.upper),
-			bound: sol.Objective, depth: nd.depth + 1,
-		}
-		up.lower[branch] = math.Ceil(v)
+		down, up := child(), child()
+		down.upper[branch], up.lower[branch] = math.Floor(x[branch]), math.Ceil(x[branch])
 		heap.Push(queue, down)
 		heap.Push(queue, up)
 
@@ -460,7 +429,7 @@ func relGap(incumbent, bound float64) float64 {
 // the right arity, respect variable bounds and integrality, and satisfy
 // every constraint row (within tolerance). Returns the rounded point and
 // its true objective, or ok=false when the point cannot seed the search.
-func (p *Problem) validIncumbent(x []float64, intTol float64) ([]float64, float64, bool) {
+func (p *Problem) validIncumbent(x []float64) ([]float64, float64, bool) {
 	if len(x) != p.n {
 		return nil, 0, false
 	}
@@ -503,18 +472,35 @@ func (p *Problem) validIncumbent(x []float64, intTol float64) ([]float64, float6
 			}
 		}
 	}
+	return out, p.value(out), true
+}
+
+// value returns the objective at x.
+func (p *Problem) value(x []float64) float64 {
 	var obj float64
 	for i, c := range p.obj {
-		obj += c * out[i]
+		obj += c * x[i]
 	}
-	return out, obj, true
+	return obj
+}
+
+// mostFractional returns the integer variable farthest from an integer
+// in x (the first on ties), or -1 when every one is within intTol.
+func (p *Problem) mostFractional(x []float64) int {
+	branch, worst := -1, intTol
+	for i, isInt := range p.integer {
+		if frac := math.Abs(x[i] - math.Round(x[i])); isInt && frac > worst {
+			branch, worst = i, frac
+		}
+	}
+	return branch
 }
 
 // dive runs the root diving heuristic: fix the most fractional integer
 // variable to its nearest value (flipping once on infeasibility) until the
 // relaxation is integral. Returns the incumbent, its true objective, and
 // whether the dive succeeded.
-func (p *Problem) dive(rc *relaxation, intTol float64) ([]float64, float64, bool) {
+func (p *Problem) dive(rc *relaxation) ([]float64, float64, bool) {
 	nd := &node{lower: map[int]float64{}, upper: map[int]float64{}}
 	maxSteps := 2*len(p.integer) + 10
 	for step := 0; step < maxSteps; step++ {
@@ -523,24 +509,10 @@ func (p *Problem) dive(rc *relaxation, intTol float64) ([]float64, float64, bool
 			return nil, 0, false
 		}
 		x := clampToDomain(sol.X, p, nd)
-		branch := -1
-		worst := intTol
-		for i, isInt := range p.integer {
-			if !isInt {
-				continue
-			}
-			if frac := math.Abs(x[i] - math.Round(x[i])); frac > worst {
-				worst = frac
-				branch = i
-			}
-		}
+		branch := p.mostFractional(x)
 		if branch < 0 {
 			out := roundIntegers(x, p.integer)
-			var obj float64
-			for i, c := range p.obj {
-				obj += c * out[i]
-			}
-			return out, obj, true
+			return out, p.value(out), true
 		}
 		r := math.Round(x[branch])
 		nd.lower[branch], nd.upper[branch] = r, r

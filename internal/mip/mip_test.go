@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -206,25 +205,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 }
 
-func TestTimeLimitRespected(t *testing.T) {
-	p := NewProblem(24)
-	rng := rand.New(rand.NewSource(7))
-	w := map[int]float64{}
-	for i := 0; i < 24; i++ {
-		_ = p.SetObjective(i, -(1 + rng.Float64()))
-		_ = p.SetBinary(i)
-		w[i] = 1 + 2*rng.Float64()
-	}
-	_ = p.AddConstraint(w, lp.LE, 11.3)
-	start := time.Now()
-	if _, err := p.Solve(Options{TimeLimit: 50 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Errorf("solve ran %v past its 50ms budget", elapsed)
-	}
-}
-
 func TestBoundTracksIncumbent(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, 1)
@@ -361,7 +341,7 @@ func TestDiveSeedsIncumbentOnPlateau(t *testing.T) {
 		_ = p.AddConstraint(capRow, lp.LE, 0)
 		_ = p.SetBinary(yBase + j)
 	}
-	sol, err := p.Solve(Options{MaxNodes: 5000, TimeLimit: 10 * time.Second})
+	sol, err := p.Solve(Options{MaxNodes: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +441,7 @@ func TestIncumbentRowSumOrdered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < 100; k++ {
-		if _, _, ok := p.validIncumbent([]float64{1, 1, 1}, 1e-5); !ok {
+		if _, _, ok := p.validIncumbent([]float64{1, 1, 1}); !ok {
 			t.Fatalf("call %d rejected the point: the row was not summed in ascending order", k)
 		}
 	}

@@ -19,8 +19,9 @@ type FaultStatus struct {
 	Pending int `json:"pending"`
 	// Applied counts fault events consumed by ticks.
 	Applied int `json:"applied"`
-	// Evictions counts deployments forced off crashed servers (they are
-	// re-submitted to the placement queue automatically).
+	// Evictions counts deployments forced off crashed servers or off
+	// servers degraded below their usage (they are re-submitted to the
+	// placement queue automatically).
 	Evictions int `json:"evictions"`
 	// DownServers lists the currently crashed server IDs.
 	DownServers []string `json:"down_servers,omitempty"`

@@ -75,13 +75,13 @@ func FuzzLoadState(f *testing.F) {
 	})
 }
 
-// liveFaultsRecipes caps the recipes one FuzzLiveFaults input submits.
-// The exact placement backend's branch and bound is exponential in the
-// number of interchangeable apps competing for a server's last slots
-// (on the fixture, one batch of 13 such apps takes 60 ms, 16 take 6.6 s
-// and 18 run into its 30 s time limit), so without a cap the fuzzer
-// reports slow solves as hangs instead of searching the fault path.
-const liveFaultsRecipes = 8
+// liveFaultsRecipes caps the recipes one FuzzLiveFaults or
+// FuzzHTTPHandlers input submits (FuzzLiveFaults' 7 rounds of at most 7
+// stay under it). The fixture's two servers hold 24 testRecipes, so
+// inputs reach full servers, rejections and the heuristic fallback. The
+// exact backend solves alike apps as one integer per (class, server), so
+// no batch under the cap is slow (TestAlikeBatchSolvesInClasses).
+const liveFaultsRecipes = 64
 
 // FuzzLiveFaults drives the live path under a random fault script: the
 // script is injected into a carbon-aware orchestrator with traffic
@@ -147,11 +147,11 @@ func FuzzLiveFaults(f *testing.F) {
 // FuzzHTTPHandlers drives the write endpoints with hostile bodies through
 // the API handler. deploys and faults are newline-separated request
 // bodies. Each round POSTs every deploy body to /api/v1/deployments
-// (until liveFaultsRecipes have been accepted, for the reason given
-// there), the round's fault body to /api/v1/faults and place to
-// /api/v1/place, then ticks an hour. No request may panic or hang, every
-// response is a 2xx or a 4xx with a JSON error body, and the server
-// table must check out after every request and tick.
+// (until liveFaultsRecipes have been accepted), the round's fault body
+// to /api/v1/faults and place to /api/v1/place, then ticks an hour. No
+// request may panic or hang, every response is a 2xx or a 4xx with a
+// JSON error body, and the server table must check out after every
+// request and tick.
 func FuzzHTTPHandlers(f *testing.F) {
 	for _, seed := range []struct {
 		deploys, faults, place string

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -615,11 +617,23 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 			}
 		}()
 	}
-	// The fixture's traces span one year of hourly ticks; a fast machine
+	// The ticker waits until at least four deployments are live, so the
+	// crash (+1 h) and the degrade (+2 h) fall on servers that host some:
+	// started at once, it could run them over an empty live set. The
+	// fixture's traces span one year of hourly ticks; a fast machine
 	// gets through that before the deployers finish, so the ticker stops
 	// well short of the traces' end instead of racing off it.
-	ticks := 0
+	ticks, released := 0, false
 	background(func() {
+		if !released {
+			o.mu.Lock()
+			released = len(o.deployments) >= 4
+			o.mu.Unlock()
+			if !released {
+				runtime.Gosched()
+				return
+			}
+		}
 		if ticks == 4000 {
 			time.Sleep(time.Millisecond)
 			return
@@ -667,13 +681,15 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	})
 
 	// Two deployers with their own name spaces, each keeping three names
-	// live and undeploying the oldest as it goes.
+	// live and undeploying the oldest as it goes, for 300 rounds and then
+	// until the whole script has been applied: the faults land mid-churn
+	// however late the ticker is scheduled.
 	var deployers sync.WaitGroup
 	for d := 0; d < 2; d++ {
 		deployers.Add(1)
 		go func(d int) {
 			defer deployers.Done()
-			for i := 0; i < 300; i++ {
+			for i := 0; i < 300 || o.FaultStatus().Pending > 0; i++ {
 				rec := Recipe{Name: fmt.Sprintf("d%d-%03d", d, i), Model: "ResNet50", Source: "CityA", SLOms: 50, RatePerSec: 1}
 				if err := o.Submit(rec); err != nil {
 					t.Error(err)
@@ -686,9 +702,10 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 				if i >= 3 {
 					// The other deployer's batch may have placed this
 					// one's recipe, or a full cluster rejected it; only a
-					// deployed name can be undeployed.
+					// deployed name can be undeployed, and a tick may
+					// evict it back to the queue between the two calls.
 					if old := fmt.Sprintf("d%d-%03d", d, i-3); o.Deployment(old) != nil {
-						if err := o.Undeploy(old); err != nil {
+						if err := o.Undeploy(old); err != nil && !strings.Contains(err.Error(), "no deployment") {
 							t.Error(err)
 							return
 						}
@@ -718,8 +735,8 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	if got := oracleReplicas(t, o); !reflect.DeepEqual(o.replicas, got) {
 		t.Errorf("replica table %+v, rebuild oracle %+v", o.replicas, got)
 	}
-	if fs := o.FaultStatus(); fs.Applied == 0 || fs.Pending != 0 {
-		t.Errorf("%d faults applied, %d pending; the churn raced none", fs.Applied, fs.Pending)
+	if fs := o.FaultStatus(); fs.Applied == 0 || fs.Pending != 0 || fs.Evictions == 0 {
+		t.Errorf("%d faults applied, %d pending, %d evictions; the churn raced none", fs.Applied, fs.Pending, fs.Evictions)
 	}
 	o.mu.Lock()
 	err := o.physical(o.faults.Skew)

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -848,5 +849,41 @@ func TestWriteJSONSurfacesEncodeErrors(t *testing.T) {
 	var body errorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Errorf("encode failure body %q is not a JSON error", rec.Body.String())
+	}
+}
+
+// TestAlikeBatchSolvesInClasses places one batch of n identical
+// testRecipes on a fresh fixture. Its two servers hold 24 such apps, so
+// every batch up to 24 must come back from the exact backend whole, and
+// every larger one from the heuristic fallback with 24 placed. The exact
+// backend solves a class of alike apps as one integer per server, so no
+// batch may take 50 ms: one binary per (app, server) took 0.8 s at n = 15
+// and 14.8 s at n = 17, and n = 20 ran into a 30 s wall-clock limit.
+func TestAlikeBatchSolvesInClasses(t *testing.T) {
+	for _, n := range []int{13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 30, 64} {
+		o := fixture(t, placement.CarbonAware{})
+		for k := 0; k < n; k++ {
+			if err := o.Submit(testRecipe(fmt.Sprintf("app%02d", k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := time.Now()
+		placed, rejected, err := o.PlaceBatch()
+		took := time.Since(start)
+		if err != nil {
+			t.Fatalf("n = %d: %v", n, err)
+		}
+		stats, _, _ := o.PlacementStats()
+		want, backend := n, "exact"
+		if n > 24 {
+			want, backend = 24, "heuristic-fallback"
+		}
+		if len(placed) != want || len(rejected) != n-want || stats.Backend != backend {
+			t.Errorf("n = %d: %s placed %d and rejected %d, want %s to place %d", n, stats.Backend, len(placed), len(rejected), backend, want)
+		}
+		t.Logf("n = %d: %s, %d branch-and-bound nodes, %v", n, stats.Backend, stats.BnBNodes, took)
+		if took > 50*time.Millisecond {
+			t.Errorf("n = %d: the batch took %v, want under 50 ms", n, took)
+		}
 	}
 }

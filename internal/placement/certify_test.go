@@ -27,7 +27,8 @@ var certPolicies = []struct {
 }
 
 // milpOracles are the MILP configurations a certified answer must equal:
-// the placement service's default (0.1 % gap, 30 s) and a zero-gap solve.
+// the placement service's default (0.1 % gap, 256-node budget) and a
+// zero-gap solve.
 var milpOracles = []*ExactSolver{NewExactSolver(), {Options: mip.Options{}}}
 
 // nearTies are the relative offsets certInstance puts between costs that

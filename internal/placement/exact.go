@@ -3,7 +3,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/lp"
@@ -11,18 +10,22 @@ import (
 )
 
 // ExactSolver solves the placement MILP (Eq. 7) to optimality with the
-// branch-and-bound solver, mirroring the paper's OR-Tools backend. It is
-// intended for instances up to a few thousand (app, server) pairs; the
-// placement service routes larger batches to the heuristic backend.
+// branch-and-bound solver, mirroring the paper's OR-Tools backend; the
+// Placer sends it batches of up to ExactPairLimit feasible pairs.
 //
-// Before building the MILP it tries a certificate (see certify): every
-// app on its cheapest feasible server, returned only when that argmin
-// assignment is provably the MILP's unique optimum. The LP relaxation's
-// optimum is then unique and integral, so the root dive lands on it and
-// branch and bound proves it: the MILP would return exactly this
-// assignment — ServerOf, PowerOn and Unplaced — at any Gap. A batch the
-// bound settles never reaches package mip; every other batch is solved
-// as before.
+// The MILP is over the batch's classes (Problem.classes): one integer per
+// (class, server) counts the class's apps there, so alike apps cost
+// branch and bound nothing, where one binary per (app, server) let every
+// branch only move a fractional split from one alike app to another.
+// Under CarbonEnergyBlend and on hand-built dense problems every app is
+// its own class. The search is bounded by a node budget, not a clock: a
+// solve that spends it returns its incumbent, or errors without one,
+// depending on the batch alone and not on the host's speed.
+//
+// Before building the MILP it tries a certificate (see certify): the
+// argmin assignment, returned only when it is provably the MILP's unique
+// optimum, which the MILP would return too — ServerOf, PowerOn and
+// Unplaced — at any Gap. A batch the bound settles never reaches mip.
 //
 // An ExactSolver is safe for concurrent use.
 type ExactSolver struct {
@@ -40,11 +43,20 @@ type ExactSolver struct {
 	nodes *int
 }
 
-// NewExactSolver returns an exact solver with a 30s default time limit and
-// a small optimality gap appropriate for placement (costs are physical
-// quantities; 0.1% is far below trace noise).
+// exactNodeBudget is NewExactSolver's branch-and-bound node budget.
+const exactNodeBudget = 256
+
+// NewExactSolver returns an exact solver with a small optimality gap
+// appropriate for placement (costs are physical quantities; 0.1% is far
+// below trace noise) and a budget of 256 branch-and-bound nodes
+// (exactNodeBudget). The slowest budget-exhausting solve the tests build
+// at ExactPairLimit pairs is TestExactNodeBudget's (44 apps in 8 classes
+// on 5 servers, 40 class pairs): about 0.1 s on a 2-vCPU x86-64 host. A
+// node costs more as the model holds more pairs: the same batches under
+// CarbonEnergyBlend, 220 per-app binaries, spend the budget in 4–8 s on
+// that host, most of it in the root dive and the larger relaxations.
 func NewExactSolver() *ExactSolver {
-	return &ExactSolver{Options: mip.Options{TimeLimit: 30 * time.Second, Gap: 0.001}}
+	return &ExactSolver{Options: mip.Options{Gap: 0.001, MaxNodes: exactNodeBudget}}
 }
 
 // Solve returns the MILP's optimum for the problem under the policy.
@@ -160,94 +172,101 @@ func certify(p *Problem, pol Policy) *Assignment {
 // solveMILP builds and solves the MILP, returning the assignment and the
 // branch-and-bound nodes explored; a non-nil warm seeds the incumbent (see
 // SolveInto). The certificate's tests reach it directly as their oracle.
+//
+// The model is over the batch's classes (Problem.classes): an integer
+// x_cj in [0, n_c] per feasible (class, server) pair counts class c's apps
+// on server j, priced and sized by the class representative's cells. A
+// batch of singleton classes builds the per-app binary model, variable
+// for variable and row for row.
 func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
 	n, m := len(p.Apps), len(p.Servers)
+	var ident []int32
+	cls, rep := p.classes(pol, &ident)
+	size := make([]float64, len(rep))
+	for _, c := range cls {
+		size[c]++
+	}
 
-	// Variable layout: feasible x_ij pairs first, then y_j.
-	type pair struct{ i, j int }
+	// Variable layout: feasible x_cj pairs first, class c's at
+	// [first[c], first[c+1]) with servers ascending, then y_j.
+	type pair struct{ c, j int }
 	var pairs []pair
 	pairIdx := make(map[pair]int)
-	feasibleOf := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for _, j := range p.FeasibleServers(i) {
-			pairIdx[pair{i, j}] = len(pairs)
-			pairs = append(pairs, pair{i, j})
-			feasibleOf[i] = append(feasibleOf[i], j)
+	first := make([]int, len(rep)+1)
+	for c, r := range rep {
+		first[c] = len(pairs)
+		for _, j := range p.FeasibleServers(int(r)) {
+			pairIdx[pair{c, j}] = len(pairs)
+			pairs = append(pairs, pair{c, j})
 		}
 	}
+	first[len(rep)] = len(pairs)
 	yBase := len(pairs)
 	prob := mip.NewProblem(yBase + m)
+	var err error // the first model-building error; indices are in range by construction
+	check := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
 
 	// Objective: pair costs + activation costs for newly-on servers.
 	// The (y_j - y_curr_j) term contributes a constant -y_curr_j *
 	// activation for already-on servers, which we drop (y_j = 1 is
 	// forced for them anyway).
 	for k, pr := range pairs {
-		if err := prob.SetObjective(k, pol.PairCost(p, pr.i, pr.j)); err != nil {
-			return nil, 0, err
-		}
-		if err := prob.SetBinary(k); err != nil {
-			return nil, 0, err
-		}
+		check(prob.SetObjective(k, pol.PairCost(p, int(rep[pr.c]), pr.j)))
+		check(prob.SetInteger(k))
+		check(prob.SetUpper(k, size[pr.c]))
 	}
 	for j := 0; j < m; j++ {
 		cost := 0.0
 		if !p.Servers[j].PoweredOn {
 			cost = pol.ActivationCost(p, j)
 		}
-		if err := prob.SetObjective(yBase+j, cost); err != nil {
-			return nil, 0, err
-		}
-		if err := prob.SetBinary(yBase + j); err != nil {
-			return nil, 0, err
-		}
+		check(prob.SetObjective(yBase+j, cost))
+		check(prob.SetBinary(yBase + j))
 	}
 
-	// Eq. 3: each app placed exactly once (over feasible pairs). Apps
-	// with no feasible server make the whole batch infeasible under
-	// Eq. 3; we instead drop them and report them unplaced, matching
-	// Algorithm 1's filtering behaviour.
+	// Eq. 3: each class's apps placed exactly once (over feasible pairs).
+	// A class with no feasible server would make the whole batch
+	// infeasible under Eq. 3; we instead drop its apps and report them
+	// unplaced, matching Algorithm 1's filtering behaviour.
 	var unplaced []int
-	for i := 0; i < n; i++ {
-		if len(feasibleOf[i]) == 0 {
+	for i, c := range cls {
+		if first[c] == first[c+1] {
 			unplaced = append(unplaced, i)
-			continue
 		}
-		row := map[int]float64{}
-		for _, j := range feasibleOf[i] {
-			row[pairIdx[pair{i, j}]] = 1
-		}
-		if err := prob.AddConstraint(row, lp.EQ, 1); err != nil {
-			return nil, 0, err
+	}
+	for c := range rep {
+		if first[c] < first[c+1] {
+			row := map[int]float64{}
+			for k := first[c]; k < first[c+1]; k++ {
+				row[k] = 1
+			}
+			check(prob.AddConstraint(row, lp.EQ, size[c]))
 		}
 	}
 
-	// Eq. 1 with Eq. 5 folded in: sum_i x_ij * R_kij <= C_kj * y_j.
+	// Eq. 1 with Eq. 5 folded in: sum_c x_cj * R_k(rep_c)j <= C_kj * y_j.
 	for j := 0; j < m; j++ {
 		for _, k := range cluster.ResourceKinds() {
 			row := map[int]float64{}
-			any := false
-			for i := 0; i < n; i++ {
-				if idx, ok := pairIdx[pair{i, j}]; ok && p.Demand[i][j][k] > 0 {
-					row[idx] = p.Demand[i][j][k]
-					any = true
+			for c, r := range rep {
+				if idx, ok := pairIdx[pair{c, j}]; ok && p.Demand[r][j][k] > 0 {
+					row[idx] = p.Demand[r][j][k]
 				}
 			}
-			if !any {
-				continue
-			}
-			row[yBase+j] = -p.Servers[j].Free[k]
-			if err := prob.AddConstraint(row, lp.LE, 0); err != nil {
-				return nil, 0, err
+			if len(row) > 0 {
+				row[yBase+j] = -p.Servers[j].Free[k]
+				check(prob.AddConstraint(row, lp.LE, 0))
 			}
 		}
 		// Tie x to y even when demand rows were all-zero in tracked
-		// dimensions: x_ij <= y_j.
-		for i := 0; i < n; i++ {
-			if idx, ok := pairIdx[pair{i, j}]; ok {
-				if err := prob.AddConstraint(map[int]float64{idx: 1, yBase + j: -1}, lp.LE, 0); err != nil {
-					return nil, 0, err
-				}
+		// dimensions: x_cj <= n_c * y_j.
+		for c := range rep {
+			if idx, ok := pairIdx[pair{c, j}]; ok {
+				check(prob.AddConstraint(map[int]float64{idx: 1, yBase + j: -size[c]}, lp.LE, 0))
 			}
 		}
 	}
@@ -255,22 +274,24 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 	// Eq. 4: already-on servers stay on.
 	for j := 0; j < m; j++ {
 		if p.Servers[j].PoweredOn {
-			if err := prob.AddConstraint(map[int]float64{yBase + j: 1}, lp.GE, 1); err != nil {
-				return nil, 0, err
-			}
+			check(prob.AddConstraint(map[int]float64{yBase + j: 1}, lp.GE, 1))
 		}
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 
 	opts := s.Options
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
-		// Translate the warm assignment into a variable vector: x_ij = 1
-		// for each still-feasible pair, y_j = 1 for hosting or already-on
-		// servers. mip validates the point and discards it if any
-		// constraint (e.g. Eq. 3 for an app whose pair vanished) fails.
+		// Translate the warm assignment into a variable vector: x_cj
+		// counts the class's apps on each still-feasible pair, y_j = 1
+		// for hosting or already-on servers. mip validates the point and
+		// discards it if any constraint (e.g. Eq. 3 for an app whose pair
+		// vanished) fails.
 		x := make([]float64, yBase+m)
 		for i, j := range warm.ServerOf {
-			if idx, ok := pairIdx[pair{i, j}]; j >= 0 && ok {
-				x[idx] = 1
+			if idx, ok := pairIdx[pair{int(cls[i]), j}]; j >= 0 && ok {
+				x[idx]++
 				x[yBase+j] = 1
 			}
 		}
@@ -290,20 +311,22 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 	case mip.Infeasible:
 		return nil, 0, fmt.Errorf("placement: exact solver found instance infeasible")
 	default:
-		return nil, 0, fmt.Errorf("placement: exact solver hit limit without incumbent (%v)", sol.Status)
+		return nil, 0, fmt.Errorf("placement: exact solver stopped without an incumbent (%v)", sol.Status)
 	}
 
-	a := &Assignment{
-		ServerOf: make([]int, n),
-		PowerOn:  make([]bool, m),
-		Unplaced: unplaced,
-	}
-	for i := range a.ServerOf {
+	// Disaggregate: each class's apps, in index order, fill its servers
+	// in ascending order, round(x_cj) apps per server.
+	a := &Assignment{ServerOf: make([]int, n), PowerOn: make([]bool, m), Unplaced: unplaced}
+	next, left := append([]int(nil), first[:len(rep)]...), make([]int, len(rep))
+	for i, c := range cls {
 		a.ServerOf[i] = -1
-	}
-	for k, pr := range pairs {
-		if math.Round(sol.X[k]) == 1 {
-			a.ServerOf[pr.i] = pr.j
+		for left[c] == 0 && next[c] < first[c+1] {
+			left[c] = int(math.Round(sol.X[next[c]]))
+			next[c]++
+		}
+		if left[c] > 0 {
+			a.ServerOf[i] = pairs[next[c]-1].j
+			left[c]--
 		}
 	}
 	for j := 0; j < m; j++ {

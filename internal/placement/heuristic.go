@@ -86,18 +86,13 @@ const maxDistinctDemands = 8
 // adjacency the dirty-app queue marks through and the per-server
 // distinct-demand lists its capacity filter tests against.
 //
-// The class is the unit of structure. On workspace views (Problem.classOf
-// != nil) under a CoefficientPolicy the classes are the view's own stamp
-// (apps of one class have identical candidate lists and coefficients,
-// hence identical cost rows), so a solve evaluates one row per class;
-// anywhere else every app is its own class.
+// The class (Problem.classes) is the unit of structure: its apps share
+// one cost row, so a solve evaluates one row per class.
 type costMemo struct {
 	p *Problem
 	m int // server count the structure is laid out for
 
-	// cls[i] is app i's class and rep[c] the lowest app index in class c:
-	// the view's stamp when rows are shared, else both alias ident (the
-	// identity map).
+	// cls and rep are Problem.classes' stamp, ident its identity buffer.
 	cls   []int32
 	rep   []int32
 	ident []int32
@@ -144,18 +139,8 @@ type costMemo struct {
 
 // build lays the memo out for (p, pol), reusing the buffers' capacity.
 func (mm *costMemo) build(p *Problem, pol Policy) {
-	n, m := len(p.Apps), len(p.Servers)
-
-	// Row sharing: the workspace already grouped the batch by class.
-	// Without sharing every app is its own class.
-	if _, coeff := pol.(CoefficientPolicy); coeff && p.classOf != nil {
-		mm.cls, mm.rep = p.classOf, p.classRep
-	} else {
-		for i := len(mm.ident); i < n; i++ {
-			mm.ident = append(mm.ident, int32(i))
-		}
-		mm.cls, mm.rep = mm.ident[:n], mm.ident[:n]
-	}
+	m := len(p.Servers)
+	mm.cls, mm.rep = p.classes(pol, &mm.ident)
 	nc := len(mm.rep)
 
 	// Static feasibility and cost per slot.

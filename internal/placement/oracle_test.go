@@ -232,10 +232,12 @@ func hosts(serverOf []int, j int) bool {
 // Both legs run every instance: the public Solve, which the certificate
 // closes where it can, and the MILP path alone, so the enumeration keeps
 // checking the Eq. 3–5 translation on the instances the certificate
-// takes. A third leg states the heuristic's gap to the same optimum
+// takes. After the distinctInstances dense ones, alikeInstances more are
+// workspace views with alike apps, which the MILP solves in classes. A
+// third leg states the heuristic's gap to the optimum on the dense ones
 // (heuristicGap).
 func TestExactMatchesBruteForce(t *testing.T) {
-	const instances = 260
+	const alikeInstances = 140
 	solver := &ExactSolver{Options: mip.Options{}}
 	legs := []struct {
 		name  string
@@ -251,15 +253,19 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		t.Run(pol.Name(), func(t *testing.T) {
 			for _, leg := range legs {
 				t.Run(leg.name, func(t *testing.T) {
-					exactMatchesBruteForce(t, rand.New(rand.NewSource(int64(101+k))), pol, leg.solve, instances)
+					exactMatchesBruteForce(t, rand.New(rand.NewSource(int64(101+k))), pol, leg.solve, distinctInstances+alikeInstances)
 				})
 			}
 			t.Run("Heuristic", func(t *testing.T) {
-				heuristicGap(t, rand.New(rand.NewSource(int64(101+k))), pol, instances, heuristicGapBounds[pol.Name()])
+				heuristicGap(t, rand.New(rand.NewSource(int64(101+k))), pol, distinctInstances, heuristicGapBounds[pol.Name()])
 			})
 		})
 	}
 }
+
+// distinctInstances is the number of TestExactMatchesBruteForce's dense
+// instances of all-distinct apps.
+const distinctInstances = 260
 
 // gapBound is the heuristic's stated gap to the optimum under one policy:
 // the instances where it places fewer apps than the optimum, and the max
@@ -290,7 +296,7 @@ func heuristicGap(t *testing.T, rng *rand.Rand, pol Policy, instances int, bound
 	var short, infeasible int
 	var gaps []float64
 	for trial := 0; trial < instances; trial++ {
-		p := bruteForceInstance(t, rng)
+		p := bruteForceInstance(t, rng, false)
 		want, dropped, ok := bruteForce(p, pol)
 		a, err := solver.Solve(p, pol)
 		if err != nil {
@@ -333,8 +339,11 @@ func heuristicGap(t *testing.T, rng *rand.Rand, pol Policy, instances int, bound
 
 // bruteForceInstance draws one of TestExactMatchesBruteForce's seeded
 // instances: at most 6 apps on at most 4 servers, about half of the
-// servers tight enough that apps compete for them.
-func bruteForceInstance(t *testing.T, rng *rand.Rand) *Problem {
+// servers tight enough that apps compete for them. With alike set, about
+// half of the apps copy an earlier app's (source, SLO, model, rate) and
+// the problem is the workspace view, whose classes the MILP solves as
+// counts; otherwise it is the dense Build of all-distinct apps.
+func bruteForceInstance(t *testing.T, rng *rand.Rand, alike bool) *Problem {
 	inst := randomWSInstance(rng, 1+rng.Intn(6), 1+rng.Intn(4))
 	for j := range inst.servers {
 		s := &inst.servers[j]
@@ -343,21 +352,34 @@ func bruteForceInstance(t *testing.T, rng *rand.Rand) *Problem {
 			s.Free = s.Free.Scale(0.02 + 0.2*rng.Float64())
 		}
 	}
-	p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
-	if err != nil {
-		t.Fatal(err)
+	if !alike {
+		p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	return p
+	for i := 1; i < len(inst.apps); i++ {
+		if rng.Intn(2) == 0 {
+			id, src := inst.apps[i].ID, inst.apps[rng.Intn(i)]
+			inst.apps[i], inst.apps[i].ID = src, id
+		}
+	}
+	return inst.view(t)
 }
 
 // exactMatchesBruteForce is one leg of TestExactMatchesBruteForce: the
-// seeded instances, each solved by solve and held to the enumeration.
+// seeded instances, each solved by solve and held to the enumeration;
+// those past the first distinctInstances hold alike apps.
 func exactMatchesBruteForce(t *testing.T, rng *rand.Rand, pol Policy, solve func(*Problem, Policy) (*Assignment, error), instances int) {
-	var solved, infeasible, droppedApps, offUsed, certified int
+	var solved, infeasible, droppedApps, offUsed, certified, classed int
 	for trial := 0; trial < instances; trial++ {
-		p := bruteForceInstance(t, rng)
+		p := bruteForceInstance(t, rng, trial >= distinctInstances)
 		if certify(p, pol) != nil {
 			certified++
+		}
+		if len(p.classRep) > 0 && len(p.classRep) < len(p.Apps) {
+			classed++
 		}
 		want, dropped, ok := bruteForce(p, pol)
 		a, err := solve(p, pol)
@@ -392,8 +414,8 @@ func exactMatchesBruteForce(t *testing.T, rng *rand.Rand, pol Policy, solve func
 			}
 		}
 	}
-	t.Logf("%d solved, %d infeasible, %d apps dropped, %d powered-off servers switched on; the certificate closes %d of the %d instances",
-		solved, infeasible, droppedApps, offUsed, certified, instances)
+	t.Logf("%d solved, %d infeasible, %d apps dropped, %d powered-off servers switched on; the certificate closes %d of the %d instances; %d hold a class of 2 or more apps",
+		solved, infeasible, droppedApps, offUsed, certified, instances, classed)
 	if solved < 200 {
 		t.Errorf("only %d of %d instances were feasible; need at least 200", solved, instances)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -648,5 +649,75 @@ func TestPlacerNoFallbackTimesMatch(t *testing.T) {
 	}
 	if res.TotalSolveTime < res.SolveTime {
 		t.Errorf("TotalSolveTime %v < SolveTime %v without fallback", res.TotalSolveTime, res.SolveTime)
+	}
+}
+
+// pairLimitBatch is a workspace view at exactly ExactPairLimit feasible
+// (app, server) pairs: 44 apps of two models at four rates, so eight
+// (source, SLO, model, rate) classes, on five servers of one site whose
+// capacity the batch fills to about 40 %.
+func pairLimitBatch(t *testing.T, seed int64) *Problem {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	servers := make([]Server, 5)
+	for j := range servers {
+		d := []energy.Device{energy.A2, energy.GTX1080}[j%2]
+		servers[j] = Server{
+			ID: fmt.Sprintf("s%d", j), DC: "site", Device: d.Name,
+			Intensity: 50 + 700*rng.Float64(), BasePowerW: d.IdleW, PoweredOn: j < 3,
+			Free: cluster.NewResources(1000, 8192, float64(d.MemMB), 1e6),
+		}
+	}
+	models := []string{energy.ModelResNet50, energy.ModelEfficientNetB0}
+	rates := []float64{4, 6, 9, 13}
+	apps := make([]App, 44)
+	for i := range apps {
+		apps[i] = App{ID: fmt.Sprintf("a%02d", i), Model: models[rng.Intn(2)], Source: "site", SLOms: 30,
+			RatePerSec: rates[rng.Intn(len(rates))]}
+	}
+	ws, err := NewWorkspace(servers, func(string, string) float64 { return 2 }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ws.Problem(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := 0
+	for i := range p.Apps {
+		pairs += len(p.FeasibleServers(i))
+	}
+	if pairs != ExactPairLimit {
+		t.Fatalf("seed %d: %d feasible pairs, want %d", seed, pairs, ExactPairLimit)
+	}
+	return p
+}
+
+// TestExactNodeBudget: a batch at the pair limit whose branch and bound
+// needs more than the node budget (1 106 nodes at 0.1 % gap with no
+// budget) comes back from the exact backend with the incumbent it holds
+// when the budget runs out, every app placed, and the same assignment on
+// every solve: the answer depends on the batch alone, not on how fast the
+// host is.
+func TestExactNodeBudget(t *testing.T) {
+	p := pairLimitBatch(t, 9)
+	var first *Assignment
+	for k := 0; k < 2; k++ {
+		start := time.Now()
+		res, err := NewPlacer(CarbonAware{}).Place(p)
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Backend != "exact" || res.BnBNodes != exactNodeBudget || res.Metrics.Unplaced != 0 {
+			t.Fatalf("solve %d: %s backend after %d nodes with %d unplaced, want exact after the %d-node budget with none",
+				k, res.Backend, res.BnBNodes, res.Metrics.Unplaced, exactNodeBudget)
+		}
+		t.Logf("solve %d: %d classes, %d nodes, %v", k, len(p.classRep), res.BnBNodes, took)
+		if first == nil {
+			first = res.Assignment
+		} else if !reflect.DeepEqual(res.Assignment, first) {
+			t.Fatalf("the second solve returned %+v, the first %+v", res.Assignment, first)
+		}
 	}
 }

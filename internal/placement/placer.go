@@ -113,10 +113,11 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 	err := solver.SolveInto(a, p, pol, nil)
 	solveTime := time.Since(start) //detlint:wallclock telemetry: Assignment.SolveTime reports solver wall time
 	if err != nil && backend == "exact" {
-		// The exact backend can reject edge cases (e.g. time limit with
-		// no incumbent); fall back rather than fail the batch. Time the
-		// fallback solve on its own so SolveTime reflects the backend
-		// that actually produced the assignment.
+		// The exact backend can reject edge cases (e.g. a node budget
+		// spent with no incumbent, or a batch that fits the relaxation
+		// but not in integers); fall back rather than fail the batch.
+		// Time the fallback solve on its own so SolveTime reflects the
+		// backend that actually produced the assignment.
 		backend = "heuristic-fallback"
 		t1 := time.Now() //detlint:wallclock telemetry: fallback solve timed on its own for Assignment.SolveTime
 		err = (&HeuristicSolver{SkipValidate: true}).SolveInto(a, p, pol, nil)

@@ -109,6 +109,22 @@ type Problem struct {
 	gen uint64
 }
 
+// classes returns the classes both backends work in under pol (cls[i] is
+// app i's class, rep[c] its lowest app): the view's stamp under a
+// CoefficientPolicy, whose classes' apps then share candidates,
+// feasibility and costs; otherwise every app is its own class, both
+// being (*ident)[:n], an identity map grown in place for reuse.
+func (p *Problem) classes(pol Policy, ident *[]int32) (cls, rep []int32) {
+	if _, coeff := pol.(CoefficientPolicy); coeff && p.classOf != nil {
+		return p.classOf, p.classRep
+	}
+	n := len(p.Apps)
+	for i := len(*ident); i < n; i++ {
+		*ident = append(*ident, int32(i))
+	}
+	return (*ident)[:n], (*ident)[:n]
+}
+
 // CandidatesOf returns app i's candidate server indices in ascending
 // order: the precomputed shortlist when present, otherwise every server.
 // No lazy caching here — a dense Problem stays read-only during Solve, so

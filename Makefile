@@ -65,13 +65,13 @@ fuzz:
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package, of shard and checkpoint, of mip and lp (the exact
-# placement backend's substrate), and of the world core
+# placement backend's substrate), of carbon, and of the world core
 # (sim + orchestrator + fleet, the packages one world core replaces), the
 # number of //detlint: markers outside internal/lint, and the number of
 # settable sim.Config fields (each name of a shared declaration such as
 # `Demand, Capacity Scenario` counts). CI does not gate on it.
 size:
-	@for p in sim placement orchestrator fleet shard checkpoint mip lp; do \
+	@for p in sim placement orchestrator fleet shard checkpoint mip lp carbon; do \
 		printf '%-14s %s\n' "$$p" "$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | wc -l)"; \
 	done
 	@printf '%-14s %s\n' "world core" "$$(cat $$(ls internal/sim/*.go internal/orchestrator/*.go internal/fleet/*.go | grep -v _test.go) | wc -l)"

@@ -8,15 +8,18 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Forecaster predicts future carbon intensity for a zone from its history.
+// Forecaster predicts a zone's mean carbon intensity over the coming
+// hours from its trace: the Ī_j input of the placement formulation
+// (Table 2), the one carbon signal placement reads ahead of time.
 // Implementations must be safe for concurrent use.
 type Forecaster interface {
-	// Forecast returns the predicted carbon intensity for each of the
-	// horizon hours following now, given the trace history up to and
-	// including now.
-	Forecast(history *timeseries.Series, now time.Time, horizon int) ([]float64, error)
 	// Name identifies the forecaster in experiment output.
 	Name() string
+	// Mean returns the mean forecast intensity over the horizon hours
+	// after trace index i, given the trace up to and including i (only
+	// Oracle reads past it). It errors when i does not index trace; a
+	// horizon of no hours has no mean, NaN.
+	Mean(trace []float64, i, horizon int) (float64, error)
 }
 
 // Service is the carbon-intensity service of Figure 6: it replays
@@ -31,10 +34,6 @@ type Forecaster interface {
 type Service struct {
 	traces   *TraceSet
 	forecast Forecaster
-	// mean is the forecaster's allocation-free horizon-mean path, or nil
-	// when it has none or needs the zone identity (a ZoneForecaster such
-	// as Oracle): those fall back to Forecast plus timeseries.Mean.
-	mean MeanForecaster
 }
 
 // NewService creates a service replaying the given traces with the given
@@ -43,57 +42,13 @@ func NewService(traces *TraceSet, f Forecaster) *Service {
 	if f == nil {
 		f = SeasonalNaive{Period: 24}
 	}
-	s := &Service{traces: traces, forecast: f}
-	if mf, ok := f.(MeanForecaster); ok {
-		if _, zoned := f.(ZoneForecaster); !zoned {
-			s.mean = mf
-		}
-	}
-	return s
+	return &Service{traces: traces, forecast: f}
 }
 
 // Current returns the carbon intensity of the zone at time now.
 func (s *Service) Current(zoneID string, now time.Time) (float64, error) {
 	z := s.Zone(zoneID)
 	return z.At(z.Index(now))
-}
-
-// ZoneForecaster is implemented by forecasters that need the zone identity
-// and full trace set (e.g. Oracle); Service prefers this path when
-// available.
-type ZoneForecaster interface {
-	ForecastZone(traces *TraceSet, zoneID string, now time.Time, horizon int) ([]float64, error)
-}
-
-// Forecast returns the predicted hourly carbon intensity for the horizon
-// hours following now.
-func (s *Service) Forecast(zoneID string, now time.Time, horizon int) ([]float64, error) {
-	if zf, ok := s.forecast.(ZoneForecaster); ok {
-		return zf.ForecastZone(s.traces, zoneID, now, horizon)
-	}
-	tr := s.traces.Trace(zoneID)
-	if tr == nil {
-		return nil, fmt.Errorf("carbon: no trace for zone %q", zoneID)
-	}
-	i, err := tr.IndexOf(now)
-	if err != nil {
-		return nil, err
-	}
-	hist, err := tr.Slice(0, i+1)
-	if err != nil {
-		return nil, err
-	}
-	return s.forecast.Forecast(hist, now, horizon)
-}
-
-// MeanForecaster is implemented by forecasters that can produce the
-// horizon mean directly from the raw history window without
-// materializing the per-hour forecast slice. Service.MeanForecast uses
-// this allocation-free path when available; implementations must return
-// exactly timeseries.Mean of what Forecast would return for the same
-// inputs (NaN for an empty horizon).
-type MeanForecaster interface {
-	ForecastMean(history []float64, now time.Time, horizon int) (float64, error)
 }
 
 // MeanForecast returns the mean of the forecast over the horizon — the
@@ -109,19 +64,18 @@ func (s *Service) MeanForecast(zoneID string, now time.Time, horizon int) (float
 // call per forecast: no map lookup, time arithmetic or lock per read.
 // Index i is the hour starting i hours after the trace's own Start (zones
 // of one TraceSet may start at different instants). Service.Current and
-// Service.MeanForecast are thin wrappers over it, so which forecaster
-// path a read takes is decided here and nowhere else. A ZoneReader is a
+// Service.MeanForecast are thin wrappers over it. A ZoneReader is a
 // read-only value, safe to share between goroutines.
 type ZoneReader struct {
-	svc   *Service
-	id    string
-	trace *timeseries.Series // nil when the set holds no trace for the zone
+	forecast Forecaster
+	id       string
+	trace    *timeseries.Series // nil when the set holds no trace for the zone
 }
 
 // Zone returns the read handle of a zone. A zone without a trace still
 // yields a handle; every read through it reports the missing trace.
 func (s *Service) Zone(zoneID string) ZoneReader {
-	return ZoneReader{svc: s, id: zoneID, trace: s.traces.Trace(zoneID)}
+	return ZoneReader{forecast: s.forecast, id: zoneID, trace: s.traces.Trace(zoneID)}
 }
 
 // Index returns the trace index of the hour covering t. It is not
@@ -177,22 +131,22 @@ func (z ZoneReader) At(i int) (float64, error) {
 	return z.trace.Values[i], nil
 }
 
-// MeanForecast returns the mean forecast over the horizon hours following
-// trace index i, given the history up to and including it: the
-// forecaster's allocation-free ForecastMean when it has one, else the
-// mean of its Forecast.
+// MeanForecast returns the service forecaster's mean over the horizon
+// hours following trace index i.
 func (z ZoneReader) MeanForecast(i, horizon int) (float64, error) {
 	if err := z.Check(i); err != nil {
 		return 0, err
 	}
-	if z.svc.mean != nil {
-		return z.svc.mean.ForecastMean(z.trace.Values[:i+1], z.instant(i), horizon)
+	return z.forecast.Mean(z.trace.Values, i, horizon)
+}
+
+// history returns trace[:i+1], the hours a forecaster standing at index i
+// has seen, or an error when i does not index trace.
+func history(name string, trace []float64, i int) ([]float64, error) {
+	if uint(i) >= uint(len(trace)) {
+		return nil, fmt.Errorf("carbon: %s: index %d outside a %d-hour trace", name, i, len(trace))
 	}
-	f, err := z.svc.Forecast(z.id, z.instant(i), horizon)
-	if err != nil {
-		return 0, err
-	}
-	return timeseries.Mean(f), nil
+	return trace[:i+1], nil
 }
 
 // SeasonalNaive forecasts each future hour as the value observed Period
@@ -207,52 +161,26 @@ type SeasonalNaive struct {
 // Name implements Forecaster.
 func (SeasonalNaive) Name() string { return "seasonal-naive" }
 
-// Forecast implements Forecaster.
-func (f SeasonalNaive) Forecast(history *timeseries.Series, _ time.Time, horizon int) ([]float64, error) {
+// Mean implements Forecaster. Hour h of the horizon repeats the value at
+// the same phase of the last complete period, so with at least one period
+// of history the sum walks that window in order, period by period; a
+// shorter history repeats the latest hour for the phases it lacks.
+func (f SeasonalNaive) Mean(trace []float64, i, horizon int) (float64, error) {
 	p := f.Period
 	if p <= 0 {
 		p = 24
 	}
-	n := history.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("carbon: seasonal-naive needs history")
+	hist, err := history(f.Name(), trace, i)
+	if err != nil {
+		return 0, err
 	}
-	out := make([]float64, horizon)
-	for h := 0; h < horizon; h++ {
-		// Index of the same phase in the most recent complete period.
-		idx := n - p + h%p
-		for idx >= n {
-			idx -= p
-		}
-		if idx < 0 {
-			idx = n - 1
-		}
-		out[h] = history.Values[idx]
-	}
-	return out, nil
-}
-
-// ForecastMean implements MeanForecaster: the horizon mean with the
-// summation order Forecast plus timeseries.Mean would use, so the fast
-// path is bit-identical to the slice-materializing one. With at least one
-// period of history, Forecast's index walk visits the last period in
-// order, over and over; the sum walks that window directly, period by
-// period, instead of re-deriving each index with a modulo.
-func (f SeasonalNaive) ForecastMean(history []float64, _ time.Time, horizon int) (float64, error) {
-	p := f.Period
-	if p <= 0 {
-		p = 24
-	}
-	n := len(history)
-	if n == 0 {
-		return 0, fmt.Errorf("carbon: seasonal-naive needs history")
-	}
-	if horizon == 0 {
+	if horizon <= 0 {
 		return math.NaN(), nil
 	}
+	n := len(hist)
 	var sum float64
 	if n >= p {
-		last := history[n-p:]
+		last := hist[n-p:]
 		for rem := horizon; rem > 0; rem -= p {
 			for _, v := range last[:min(rem, p)] {
 				sum += v
@@ -265,7 +193,7 @@ func (f SeasonalNaive) ForecastMean(history []float64, _ time.Time, horizon int)
 		if idx < 0 {
 			idx = n - 1
 		}
-		sum += history[idx]
+		sum += hist[idx]
 	}
 	return sum / float64(horizon), nil
 }
@@ -281,60 +209,50 @@ type EWMA struct {
 // Name implements Forecaster.
 func (EWMA) Name() string { return "ewma" }
 
-// Forecast implements Forecaster.
-func (f EWMA) Forecast(history *timeseries.Series, _ time.Time, horizon int) ([]float64, error) {
-	if history.Len() == 0 {
-		return nil, fmt.Errorf("carbon: ewma needs history")
+// Mean implements Forecaster: the level folded over the history, summed
+// once per horizon hour and divided, as the mean of a flat forecast is.
+func (f EWMA) Mean(trace []float64, i, horizon int) (float64, error) {
+	hist, err := history(f.Name(), trace, i)
+	if err != nil {
+		return 0, err
+	}
+	if horizon <= 0 {
+		return math.NaN(), nil
 	}
 	a := f.Alpha
 	if a <= 0 || a > 1 {
 		a = 0.2
 	}
-	level := history.Values[0]
-	for _, v := range history.Values[1:] {
+	level := hist[0]
+	for _, v := range hist[1:] {
 		level = a*v + (1-a)*level
 	}
-	out := make([]float64, horizon)
-	for i := range out {
-		out[i] = level
+	var sum float64
+	for h := 0; h < horizon; h++ {
+		sum += level
 	}
-	return out, nil
+	return sum / float64(horizon), nil
 }
 
-// Oracle returns the true future values from the full trace. It provides
-// the upper bound for the forecast ablation.
-type Oracle struct {
-	Traces *TraceSet
-	ZoneID string
-}
+// Oracle forecasts the true future of the trace. It provides the upper
+// bound for the forecast ablation.
+type Oracle struct{}
 
 // Name implements Forecaster.
 func (Oracle) Name() string { return "oracle" }
 
-// ForecastZone implements ZoneForecaster: when used through a Service the
-// oracle reads the true future of whichever zone is being forecast.
-func (f Oracle) ForecastZone(traces *TraceSet, zoneID string, now time.Time, horizon int) ([]float64, error) {
-	o := Oracle{Traces: traces, ZoneID: zoneID}
-	return o.Forecast(nil, now, horizon)
-}
-
-// Forecast implements Forecaster. It ignores history and reads the truth.
-func (f Oracle) Forecast(_ *timeseries.Series, now time.Time, horizon int) ([]float64, error) {
-	tr := f.Traces.Trace(f.ZoneID)
-	if tr == nil {
-		return nil, fmt.Errorf("carbon: oracle has no trace for %q", f.ZoneID)
+// Mean implements Forecaster: the mean of the hours after index i, the
+// trace's last hour standing in for those past its end.
+func (f Oracle) Mean(trace []float64, i, horizon int) (float64, error) {
+	if _, err := history(f.Name(), trace, i); err != nil {
+		return 0, err
 	}
-	i, err := tr.IndexOf(now)
-	if err != nil {
-		return nil, err
+	if horizon <= 0 {
+		return math.NaN(), nil
 	}
-	out := make([]float64, horizon)
+	var sum float64
 	for h := 0; h < horizon; h++ {
-		j := i + 1 + h
-		if j >= tr.Len() {
-			j = tr.Len() - 1
-		}
-		out[h] = tr.Values[j]
+		sum += trace[min(i+1+h, len(trace)-1)]
 	}
-	return out, nil
+	return sum / float64(horizon), nil
 }

@@ -42,51 +42,46 @@ func TestServiceCurrent(t *testing.T) {
 }
 
 func TestSeasonalNaiveForecast(t *testing.T) {
-	// History with a perfect 24h cycle: forecast must reproduce it.
+	// History with a perfect 24h cycle: two forecast days repeat it, so
+	// their mean is the cycle's.
 	vals := make([]float64, 24*7)
 	for i := range vals {
 		vals[i] = float64(i % 24)
 	}
-	hist := timeseries.FromValues(time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC), vals)
-	f := SeasonalNaive{Period: 24}
-	got, err := f.Forecast(hist, hist.End(), 48)
+	got, err := SeasonalNaive{Period: 24}.Mean(vals, len(vals)-1, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for h, v := range got {
-		want := float64(h % 24)
-		if v != want {
-			t.Fatalf("forecast[%d] = %v, want %v", h, v, want)
-		}
+	if got != 11.5 {
+		t.Fatalf("mean of two cycles of 0..23 = %v, want 11.5", got)
 	}
 }
 
 func TestSeasonalNaiveShortHistory(t *testing.T) {
-	hist := timeseries.FromValues(time.Now().UTC(), []float64{5, 6})
-	got, err := SeasonalNaive{Period: 24}.Forecast(hist, time.Now(), 3)
+	got, err := SeasonalNaive{Period: 24}.Mean([]float64{5, 6}, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range got {
-		if v != 5 && v != 6 {
-			t.Errorf("short-history forecast produced %v, want a historical value", v)
-		}
+	if got < 5 || got > 6 {
+		t.Errorf("short-history forecast mean %v, want one within the history's values", got)
 	}
-	if _, err := (SeasonalNaive{}).Forecast(timeseries.New(time.Now(), 0), time.Now(), 2); err == nil {
-		t.Error("empty history should error")
+	for _, i := range []int{-1, 0} {
+		if _, err := (SeasonalNaive{}).Mean(nil, i, 2); err == nil {
+			t.Errorf("index %d of an empty trace should error", i)
+		}
 	}
 }
 
 func TestEWMAForecastFlat(t *testing.T) {
-	hist := timeseries.FromValues(time.Now().UTC(), []float64{10, 10, 10, 10})
-	got, err := EWMA{Alpha: 0.3}.Forecast(hist, time.Now(), 5)
+	got, err := EWMA{Alpha: 0.3}.Mean([]float64{10, 10, 10, 10}, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range got {
-		if math.Abs(v-10) > 1e-9 {
-			t.Errorf("EWMA of constant series = %v, want 10", v)
-		}
+	if math.Abs(got-10) > 1e-9 {
+		t.Errorf("EWMA of constant series = %v, want 10", got)
+	}
+	if _, err := (EWMA{}).Mean([]float64{10}, 1, 5); err == nil {
+		t.Error("index past the trace should error")
 	}
 }
 
@@ -99,26 +94,111 @@ func TestEWMAConvergesTowardRecent(t *testing.T) {
 			vals[i] = 100
 		}
 	}
-	hist := timeseries.FromValues(time.Now().UTC(), vals)
-	got, _ := EWMA{Alpha: 0.3}.Forecast(hist, time.Now(), 1)
-	if got[0] < 90 {
-		t.Errorf("EWMA after step change = %v, want > 90", got[0])
+	got, _ := EWMA{Alpha: 0.3}.Mean(vals, len(vals)-1, 1)
+	if got < 90 {
+		t.Errorf("EWMA after step change = %v, want > 90", got)
+	}
+	// Only the history up to the index counts.
+	if before, _ := (EWMA{Alpha: 0.3}).Mean(vals, 49, 1); before != 0 {
+		t.Errorf("EWMA before the step = %v, want 0", before)
 	}
 }
 
 func TestOracleForecastIsTruth(t *testing.T) {
 	ts, _ := smallTraceSet(t)
-	zone := "CH-BRN"
-	now := ts.Start.Add(50 * time.Hour)
-	f := Oracle{Traces: ts, ZoneID: zone}
-	got, err := f.Forecast(nil, now, 5)
+	vals := ts.Trace("CH-BRN").Values
+	got, err := Oracle{}.Mean(vals, 50, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := ts.Trace(zone)
-	for h := 0; h < 5; h++ {
-		if got[h] != tr.Values[51+h] {
-			t.Fatalf("oracle[%d] = %v, want %v", h, got[h], tr.Values[51+h])
+	if want := timeseries.Mean(vals[51:56]); got != want {
+		t.Fatalf("oracle mean = %v, want the truth %v", got, want)
+	}
+	// Past the end the last hour stands in for the missing ones.
+	n := len(vals)
+	got, err = Oracle{}.Mean(vals, n-2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := timeseries.Mean([]float64{vals[n-1], vals[n-1], vals[n-1]}); got != want {
+		t.Fatalf("oracle mean at the trace's end = %v, want %v", got, want)
+	}
+}
+
+// perHourForecast is the per-hour forecast EWMA's and Oracle's Mean
+// average: the slices those forecasters once returned, kept here as the
+// oracle Mean is bit-compared to through timeseries.Mean. (SeasonalNaive
+// has its own, forecastMeanWalk.)
+func perHourForecast(f Forecaster, trace []float64, i, horizon int) []float64 {
+	out := make([]float64, horizon)
+	switch f := f.(type) {
+	case EWMA:
+		level := trace[0]
+		for _, v := range trace[1 : i+1] {
+			level = f.Alpha*v + (1-f.Alpha)*level
+		}
+		for h := range out {
+			out[h] = level
+		}
+	case Oracle:
+		for h := range out {
+			out[h] = trace[min(i+1+h, len(trace)-1)]
+		}
+	}
+	return out
+}
+
+// TestForecasterMeansMatchPerHour holds EWMA's and Oracle's Mean to the
+// mean of their per-hour forecasts, bit for bit, across histories shorter
+// and longer than a day, horizons past the trace's end and the empty
+// horizon (NaN).
+func TestForecasterMeansMatchPerHour(t *testing.T) {
+	ts, _ := smallTraceSet(t)
+	vals := ts.Trace("DE-MUC").Values
+	n := len(vals)
+	for _, f := range []Forecaster{EWMA{Alpha: 0.3}, Oracle{}} {
+		for _, i := range []int{0, 5, 23, 24, 500, n - 30, n - 1} {
+			for _, horizon := range []int{0, 1, 24, 49} {
+				got, err := f.Mean(vals, i, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := timeseries.Mean(perHourForecast(f, vals, i, horizon))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s at %d over %d h: Mean %v (%#x), per-hour mean %v (%#x)",
+						f.Name(), i, horizon, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestForecasterMeanScales is the forecaster leg of the scaling relation:
+// scaling a trace by a power of two is exact in binary floating point, so
+// every forecaster's Mean of the scaled trace is exactly k times its Mean
+// of the original.
+func TestForecasterMeanScales(t *testing.T) {
+	ts, _ := smallTraceSet(t)
+	vals := ts.Trace("IT-ROM").Values
+	for _, k := range []float64{2, 0.5} {
+		scaled := make([]float64, len(vals))
+		for i, v := range vals {
+			scaled[i] = k * v
+		}
+		for _, f := range []Forecaster{SeasonalNaive{Period: 24}, EWMA{Alpha: 0.2}, Oracle{}} {
+			for _, i := range []int{0, 11, 24, 1000, len(vals) - 3} {
+				base, err := f.Mean(vals, i, 24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := f.Mean(scaled, i, 24)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(k*base) {
+					t.Errorf("%s at %d, k=%g: Mean %v, k·Mean %v", f.Name(), i, k, got, k*base)
+				}
+			}
 		}
 	}
 }
@@ -199,7 +279,7 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 	}
 }
 
-// forecastMeanWalk is SeasonalNaive.ForecastMean as it was written before
+// forecastMeanWalk is SeasonalNaive.Mean as it was written before
 // the period-by-period sum: one index walk with a modulo per forecast
 // hour. It is kept here as the oracle the fast path is bit-compared to.
 func forecastMeanWalk(p int, history []float64, horizon int) float64 {
@@ -237,21 +317,14 @@ func TestSeasonalNaiveForecastMeanMatchesIndexWalk(t *testing.T) {
 				if horizon < 0 {
 					continue
 				}
-				got, err := f.ForecastMean(hist, time.Time{}, horizon)
+				got, err := f.Mean(hist, n-1, horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := forecastMeanWalk(p, hist, horizon)
 				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("period %d, history %d, horizon %d: ForecastMean %v (%#x), index walk %v (%#x)",
+					t.Errorf("period %d, history %d, horizon %d: Mean %v (%#x), index walk %v (%#x)",
 						p, n, horizon, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-				fc, err := f.Forecast(timeseries.FromValues(time.Time{}, hist), time.Time{}, horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m := timeseries.Mean(fc); math.Float64bits(got) != math.Float64bits(m) {
-					t.Errorf("period %d, history %d, horizon %d: ForecastMean %v, mean of Forecast %v", p, n, horizon, got, m)
 				}
 			}
 		}
@@ -259,9 +332,7 @@ func TestSeasonalNaiveForecastMeanMatchesIndexWalk(t *testing.T) {
 }
 
 // TestZoneReaderByIndex holds the index-keyed reads against the trace and
-// the time-keyed Service calls, for every forecaster path: the
-// MeanForecaster fast path (SeasonalNaive), the Forecast fallback (EWMA)
-// and the zoned fallback (Oracle).
+// the time-keyed Service calls, under each forecaster.
 func TestZoneReaderByIndex(t *testing.T) {
 	ts, _ := smallTraceSet(t)
 	tr := ts.Trace("IT-ROM")

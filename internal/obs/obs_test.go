@@ -191,40 +191,37 @@ func TestRecorderPartialWindow(t *testing.T) {
 	}
 }
 
+// TestRecorderStateRoundTrip: the recorder's state leaves it only as the
+// window Events copies out, which round-trips through JSON as the
+// orchestrator's /api/v1/obs serves it, shares no memory with the ring,
+// and leaves the ring wrapping on.
 func TestRecorderStateRoundTrip(t *testing.T) {
 	r := NewFlightRecorder(3)
 	base := time.Date(2024, 6, 1, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
 		r.Record("crash", base.Add(time.Duration(i)*time.Minute), uint64(i), int64(100+i))
 	}
-	st := r.State()
-
-	// Through JSON, as a checkpoint envelope carries it.
-	raw, err := json.Marshal(st)
+	window := r.Events()
+	raw, err := json.Marshal(window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded RecorderState
+	var decoded []RecordedEvent
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatal(err)
 	}
-
-	restored := RecorderFromState(decoded)
-	if restored.Total() != r.Total() {
-		t.Errorf("restored total = %d, want %d", restored.Total(), r.Total())
-	}
-	if !reflect.DeepEqual(restored.Events(), r.Events()) {
-		t.Errorf("restored events diverged:\n  got  %+v\n  want %+v", restored.Events(), r.Events())
-	}
-	if !reflect.DeepEqual(restored.State(), st) {
-		t.Errorf("state round trip diverged")
+	if !reflect.DeepEqual(decoded, window) {
+		t.Errorf("window round trip diverged:\n  got  %+v\n  want %+v", decoded, window)
 	}
 
-	// The restored ring keeps wrapping correctly.
-	restored.Record("recover", base.Add(time.Hour), 9, 7)
-	evs := restored.Events()
-	if len(evs) != 3 || evs[2].Kind != "recover" || evs[0].Seq != 3 {
-		t.Errorf("post-restore recording broken: %+v", evs)
+	window[0].Kind = "doctored"
+	if r.Events()[0].Kind != "crash" {
+		t.Error("the copied-out window shares memory with the ring")
+	}
+	r.Record("recover", base.Add(time.Hour), 9, 7)
+	evs := r.Events()
+	if len(evs) != 3 || evs[2].Kind != "recover" || evs[0].Seq != 3 || r.Total() != 6 {
+		t.Errorf("recording after a copy-out broken: total %d, %+v", r.Total(), evs)
 	}
 }
 

@@ -78,10 +78,6 @@ func (r *FlightRecorder) Total() uint64 {
 func (r *FlightRecorder) Events() []RecordedEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.eventsLocked()
-}
-
-func (r *FlightRecorder) eventsLocked() []RecordedEvent {
 	out := make([]RecordedEvent, 0, r.count)
 	start := r.next - r.count
 	if start < 0 {
@@ -91,36 +87,4 @@ func (r *FlightRecorder) eventsLocked() []RecordedEvent {
 		out = append(out, r.ring[(start+i)%len(r.ring)])
 	}
 	return out
-}
-
-// RecorderState is the serializable form of a flight recorder, carried
-// inside checkpoint envelopes so a restored run keeps its pre-restore
-// event window.
-type RecorderState struct {
-	// Cap is the ring capacity the recorder was built with.
-	Cap int `json:"cap"`
-	// Total is the all-time recorded-event count.
-	Total uint64 `json:"total"`
-	// Events is the retained window, oldest first.
-	Events []RecordedEvent `json:"events,omitempty"`
-}
-
-// State exports the recorder for checkpointing. The returned state
-// shares no memory with the recorder.
-func (r *FlightRecorder) State() RecorderState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return RecorderState{Cap: len(r.ring), Total: r.total, Events: r.eventsLocked()}
-}
-
-// RecorderFromState rebuilds a recorder from an exported state. Events
-// beyond the state's capacity are impossible in a State-produced value
-// but tolerated: only the newest Cap entries are retained.
-func RecorderFromState(st RecorderState) *FlightRecorder {
-	r := NewFlightRecorder(st.Cap)
-	r.total = st.Total - uint64(len(st.Events))
-	for _, ev := range st.Events {
-		r.Record(ev.Kind, ev.At, ev.Seq, ev.DurationNs)
-	}
-	return r
 }

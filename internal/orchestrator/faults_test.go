@@ -146,6 +146,46 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 	}
 }
 
+// TestUndeployEvictedDeployment: a deployment a crash evicted back to the
+// queue is still the operator's to delete. Undeploy takes it out of the
+// queue and retires its request stats, and the next batch places nothing.
+func TestUndeployEvictedDeployment(t *testing.T) {
+	o := trafficFixture(t, placement.LatencyAware{}, 8)
+	dep := deployOne(t, o, "app1", "CityA")
+	if err := o.Tick(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowIDs(o); !reflect.DeepEqual(got, []string{"app1"}) {
+		t.Fatalf("request stats rows %v, want [app1]", got)
+	}
+	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: o.dcByID(dep.DCID).City}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Tick(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if o.Deployment("app1") != nil || !reflect.DeepEqual(liveNames(o), []string{"app1"}) {
+		t.Fatalf("after the crash app1 is live or not queued: %v", liveNames(o))
+	}
+	if err := o.Undeploy("app1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rowIDs(o); len(got) != 0 {
+		t.Errorf("request stats rows %v after undeploy, want none", got)
+	}
+	placed, rejected, err := o.PlaceBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placed) != 0 || len(rejected) != 0 || len(liveNames(o)) != 0 {
+		t.Fatalf("the batch after undeploy placed %d, rejected %v, left %v", len(placed), rejected, liveNames(o))
+	}
+	checkServerTable(t, o)
+	if err := o.Undeploy("app1"); err == nil {
+		t.Error("a second undeploy of app1 succeeded")
+	}
+}
+
 func TestFaultScaleOutAndDegrade(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
 	before := len(o.servers)

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -683,7 +682,10 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	// Two deployers with their own name spaces, each keeping three names
 	// live and undeploying the oldest as it goes, for 300 rounds and then
 	// until the whole script has been applied: the faults land mid-churn
-	// however late the ticker is scheduled.
+	// however late the ticker is scheduled. An undeploy may find a name
+	// gone only if some batch, of either deployer, rejected it.
+	var namesMu sync.Mutex
+	rejected, missing := map[string]bool{}, []string(nil)
 	var deployers sync.WaitGroup
 	for d := 0; d < 2; d++ {
 		deployers.Add(1)
@@ -695,20 +697,25 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := o.PlaceBatch(); err != nil {
+				_, rej, err := o.PlaceBatch()
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				namesMu.Lock()
+				for _, name := range rej {
+					rejected[name] = true
+				}
+				namesMu.Unlock()
 				if i >= 3 {
-					// The other deployer's batch may have placed this
-					// one's recipe, or a full cluster rejected it; only a
-					// deployed name can be undeployed, and a tick may
-					// evict it back to the queue between the two calls.
-					if old := fmt.Sprintf("d%d-%03d", d, i-3); o.Deployment(old) != nil {
-						if err := o.Undeploy(old); err != nil && !strings.Contains(err.Error(), "no deployment") {
-							t.Error(err)
-							return
-						}
+					// Either deployer's batch may have placed this one's
+					// recipe, and a tick may have evicted it back to the
+					// queue since: Undeploy finds it live or queued, unless
+					// a full cluster rejected its placement or re-placement.
+					if old := fmt.Sprintf("d%d-%03d", d, i-3); o.Undeploy(old) != nil {
+						namesMu.Lock()
+						missing = append(missing, old)
+						namesMu.Unlock()
 					}
 				}
 			}
@@ -717,6 +724,11 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	deployers.Wait()
 	close(done)
 	wg.Wait()
+	for _, name := range missing {
+		if !rejected[name] {
+			t.Errorf("undeploy found no %s, and no batch rejected it", name)
+		}
+	}
 
 	// Drain the queue, then one quiet tick routes to every live deployment.
 	if _, _, err := o.PlaceBatch(); err != nil {

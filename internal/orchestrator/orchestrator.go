@@ -257,21 +257,16 @@ func (o *Orchestrator) Submit(rec Recipe) error {
 	if _, dup := o.deployments[rec.Name]; dup {
 		return fmt.Errorf("orchestrator: %s already deployed", rec.Name)
 	}
-	if o.isPending(rec.Name) {
+	if o.queued(rec.Name) >= 0 {
 		return fmt.Errorf("orchestrator: %s already pending", rec.Name)
 	}
 	o.pending = append(o.pending, rec)
 	return nil
 }
 
-// isPending (locked) reports whether a recipe of that name is queued.
-func (o *Orchestrator) isPending(name string) bool {
-	for _, p := range o.pending {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
+// queued (locked) is the queue position of the recipe of that name, or -1.
+func (o *Orchestrator) queued(name string) int {
+	return slices.IndexFunc(o.pending, func(r Recipe) bool { return r.Name == name })
 }
 
 // PlaceBatch runs the placement service over all pending recipes (steps
@@ -402,18 +397,23 @@ func (o *Orchestrator) PlacementStats() (stats placement.SolveStats, batches int
 	return o.lastSolve, o.batches, o.batches > 0
 }
 
-// Undeploy removes a deployment and frees its resources. Its per-deployment
-// request stats (the /api/v1/traffic row) leave with it — the traffic
-// totals keep what it served — so reusing the name later starts a fresh
-// row rather than inheriting the dead deployment's latency sketch.
+// Undeploy removes a deployment wherever it is: a live one is released
+// from its server, a queued one (submitted, or evicted by a fault and
+// awaiting re-placement) leaves the queue, so no later batch places it.
+// Its per-deployment request stats (the /api/v1/traffic row) leave with
+// it — the traffic totals keep what it served — so reusing the name later
+// starts a fresh row rather than inheriting the dead deployment's latency
+// sketch.
 func (o *Orchestrator) Undeploy(name string) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	d, ok := o.deployments[name]
-	if !ok {
+	if d, ok := o.deployments[name]; ok {
+		o.release(d)
+	} else if k := o.queued(name); k >= 0 {
+		o.pending = slices.Delete(o.pending, k, k+1)
+	} else {
 		return fmt.Errorf("orchestrator: no deployment %q", name)
 	}
-	o.release(d)
 	o.retire(name)
 	return nil
 }

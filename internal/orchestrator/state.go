@@ -219,7 +219,7 @@ func (o *Orchestrator) LoadState(st State) error {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			if _, live := o.deployments[id]; !live && !o.isPending(id) {
+			if _, live := o.deployments[id]; !live && o.queued(id) < 0 {
 				rt.Retire(id)
 			}
 		}

@@ -17,10 +17,11 @@ import (
 // (class, server) counts the class's apps there, so alike apps cost
 // branch and bound nothing, where one binary per (app, server) let every
 // branch only move a fractional split from one alike app to another.
-// Under CarbonEnergyBlend and on hand-built dense problems every app is
-// its own class. The search is bounded by a node budget, not a clock: a
-// solve that spends it returns its incumbent, or errors without one,
-// depending on the batch alone and not on the host's speed.
+// Every policy solves in the view's classes; on a hand-built dense
+// problem every app is its own class. The search is bounded by a node
+// budget, not a clock: a solve that spends it returns its incumbent, or
+// errors without one, depending on the batch alone and not on the host's
+// speed.
 //
 // Before building the MILP it tries a certificate (see certify): the
 // argmin assignment, returned only when it is provably the MILP's unique
@@ -52,9 +53,8 @@ const exactNodeBudget = 256
 // (exactNodeBudget). The slowest budget-exhausting solve the tests build
 // at ExactPairLimit pairs is TestExactNodeBudget's (44 apps in 8 classes
 // on 5 servers, 40 class pairs): about 0.1 s on a 2-vCPU x86-64 host. A
-// node costs more as the model holds more pairs: the same batches under
-// CarbonEnergyBlend, 220 per-app binaries, spend the budget in 4–8 s on
-// that host, most of it in the root dive and the larger relaxations.
+// node costs more as the model holds more (class, server) pairs: the
+// budget bounds the count of nodes, not their time.
 func NewExactSolver() *ExactSolver {
 	return &ExactSolver{Options: mip.Options{Gap: 0.001, MaxNodes: exactNodeBudget}}
 }
@@ -169,27 +169,33 @@ func certify(p *Problem, pol Policy) *Assignment {
 	return a
 }
 
-// solveMILP builds and solves the MILP, returning the assignment and the
-// branch-and-bound nodes explored; a non-nil warm seeds the incumbent (see
-// SolveInto). The certificate's tests reach it directly as their oracle.
-//
-// The model is over the batch's classes (Problem.classes): an integer
-// x_cj in [0, n_c] per feasible (class, server) pair counts class c's apps
-// on server j, priced and sized by the class representative's cells. A
-// batch of singleton classes builds the per-app binary model, variable
-// for variable and row for row.
-func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
-	n, m := len(p.Apps), len(p.Servers)
+// milp is the batch's MILP over its classes (Problem.classes): an
+// integer x_cj in [0, n_c] per feasible (class, server) pair counts class
+// c's apps on server j, priced and sized by the class representative's
+// cells. A batch of singleton classes builds the per-app binary model,
+// variable for variable and row for row. Class c's pairs are at
+// [first[c], first[c+1]), servers ascending; y_j follows them all.
+type milp struct {
+	prob            *mip.Problem
+	cls, rep        []int32
+	pairs           []pair
+	pairIdx         map[pair]int
+	first, unplaced []int
+}
+
+type pair struct{ c, j int }
+
+// buildMILP lays out the batch's MILP under the policy; unplaced lists the
+// apps of classes with no feasible server.
+func buildMILP(p *Problem, pol Policy) (*milp, error) {
+	m := len(p.Servers)
 	var ident []int32
-	cls, rep := p.classes(pol, &ident)
+	cls, rep := p.classes(&ident)
 	size := make([]float64, len(rep))
 	for _, c := range cls {
 		size[c]++
 	}
 
-	// Variable layout: feasible x_cj pairs first, class c's at
-	// [first[c], first[c+1]) with servers ascending, then y_j.
-	type pair struct{ c, j int }
 	var pairs []pair
 	pairIdx := make(map[pair]int)
 	first := make([]int, len(rep)+1)
@@ -278,9 +284,21 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 		}
 	}
 	if err != nil {
+		return nil, err
+	}
+	return &milp{prob, cls, rep, pairs, pairIdx, first, unplaced}, nil
+}
+
+// solveMILP builds and solves the MILP, returning the assignment and the
+// branch-and-bound nodes explored; a non-nil warm seeds the incumbent (see
+// SolveInto). The certificate's tests reach it directly as their oracle.
+func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assignment, int, error) {
+	n, m := len(p.Apps), len(p.Servers)
+	md, err := buildMILP(p, pol)
+	if err != nil {
 		return nil, 0, err
 	}
-
+	cls, pairIdx, first, yBase := md.cls, md.pairIdx, md.first, len(md.pairs)
 	opts := s.Options
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		// Translate the warm assignment into a variable vector: x_cj
@@ -302,7 +320,7 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 		}
 		opts.Incumbent = x
 	}
-	sol, err := prob.Solve(opts)
+	sol, err := md.prob.Solve(opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -316,8 +334,8 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 
 	// Disaggregate: each class's apps, in index order, fill its servers
 	// in ascending order, round(x_cj) apps per server.
-	a := &Assignment{ServerOf: make([]int, n), PowerOn: make([]bool, m), Unplaced: unplaced}
-	next, left := append([]int(nil), first[:len(rep)]...), make([]int, len(rep))
+	a := &Assignment{ServerOf: make([]int, n), PowerOn: make([]bool, m), Unplaced: md.unplaced}
+	next, left := append([]int(nil), first[:len(md.rep)]...), make([]int, len(md.rep))
 	for i, c := range cls {
 		a.ServerOf[i] = -1
 		for left[c] == 0 && next[c] < first[c+1] {
@@ -325,7 +343,7 @@ func (s *ExactSolver) solveMILP(p *Problem, pol Policy, warm *Assignment) (*Assi
 			next[c]++
 		}
 		if left[c] > 0 {
-			a.ServerOf[i] = pairs[next[c]-1].j
+			a.ServerOf[i] = md.pairs[next[c]-1].j
 			left[c]--
 		}
 	}

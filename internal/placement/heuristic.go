@@ -140,7 +140,7 @@ type costMemo struct {
 // build lays the memo out for (p, pol), reusing the buffers' capacity.
 func (mm *costMemo) build(p *Problem, pol Policy) {
 	m := len(p.Servers)
-	mm.cls, mm.rep = p.classes(pol, &mm.ident)
+	mm.cls, mm.rep = p.classes(&mm.ident)
 	nc := len(mm.rep)
 
 	// Static feasibility and cost per slot.

@@ -396,8 +396,8 @@ func memoInstance(rng *rand.Rand, nServers int) wsInstance {
 // build, so every construct scan is a refill) filled or was retired by a
 // power-on, and every floor verdict taken (no move, move to the
 // cheapest, near-tie fallback scan, retry on the first fit, retry with
-// nothing fitting). (Under the batch-normalized blend every app is its own
-// class; it runs for the equivalence alone.)
+// nothing fitting), under every policy, the batch-normalized blend
+// included.
 func TestClassMemoMatchesSweep(t *testing.T) {
 	sources := []string{"c0", "c1", "c3"}
 	slos := []float64{8, 13}
@@ -494,9 +494,6 @@ func TestClassMemoMatchesSweep(t *testing.T) {
 				if verdicts[k] == 0 {
 					t.Errorf("the fixture never takes the %s verdict", name)
 				}
-			}
-			if _, shared := pol.(CoefficientPolicy); !shared {
-				return // every app is its own class: nothing to share
 			}
 			if coldScans >= cold {
 				t.Errorf("construct scanned every app (%d scans for %d apps): the pick memo never hit", coldScans, cold)

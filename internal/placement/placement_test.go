@@ -721,3 +721,23 @@ func TestExactNodeBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestExactModelIsPerClass: under every policy, the Eq. 8 blend
+// included, a workspace view's MILP has one integer per feasible (class,
+// server) pair: 40 for the pair-limit batch's 44 apps in 8 classes, not
+// one per feasible (app, server) pair (220).
+func TestExactModelIsPerClass(t *testing.T) {
+	p := pairLimitBatch(t, 9)
+	if len(p.classRep) != 8 {
+		t.Fatalf("fixture has %d classes, want 8", len(p.classRep))
+	}
+	for _, pol := range allPolicies() {
+		md, err := buildMILP(p, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(md.pairs); got != 40 {
+			t.Errorf("%s: %d integer pair variables, want 40", pol.Name(), got)
+		}
+	}
+}

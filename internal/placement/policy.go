@@ -8,6 +8,10 @@ import "fmt"
 //
 // over feasible assignments. The paper's four policies and the
 // multi-objective extension are all instances.
+//
+// Both backends solve in a view's classes (Problem.classes), so a policy
+// must cost the apps of one class, which share their matrix rows, alike
+// within a solve.
 type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
@@ -15,23 +19,6 @@ type Policy interface {
 	PairCost(p *Problem, i, j int) float64
 	// ActivationCost is the cost of newly powering on server j.
 	ActivationCost(p *Problem, j int) float64
-}
-
-// CoefficientPolicy marks policies whose costs are pure functions of the
-// pair's precomputed coefficients: PairCost(p, i, j) may read only
-// Demand[i][j], PowerW[i][j], LatencyMs[i][j], and Servers[j], and
-// ActivationCost(p, j) only Servers[j]. In particular the cost of a pair
-// must not depend on the app's identity or on the rest of the batch.
-//
-// The flattened solver uses the marker to share memoized cost rows across
-// the apps of one (source, SLO, model, rate) class of a workspace view.
-// CarbonEnergyBlend deliberately does not implement it — its min-max
-// normalization makes every pair cost depend on the whole batch.
-type CoefficientPolicy interface {
-	Policy
-	// CoefficientCosts is a marker; implementations promise the contract
-	// above.
-	CoefficientCosts()
 }
 
 // CarbonAware is the CarbonEdge policy: minimize carbon emissions (Eq. 6).
@@ -52,10 +39,6 @@ func (CarbonAware) ActivationCost(p *Problem, j int) float64 {
 	return p.Servers[j].BasePowerW / 1000 * p.Servers[j].Intensity
 }
 
-// CoefficientCosts implements CoefficientPolicy: costs read only
-// PowerW[i][j] and Servers[j].
-func (CarbonAware) CoefficientCosts() {}
-
 // LatencyAware is the baseline that places each app on the nearest
 // feasible server (§6.1.3 baseline 1), the strategy edge platforms
 // commonly use. Activation is free: proximity dominates.
@@ -70,10 +53,6 @@ func (LatencyAware) PairCost(p *Problem, i, j int) float64 { return p.LatencyMs[
 // ActivationCost implements Policy.
 func (LatencyAware) ActivationCost(p *Problem, j int) float64 { return 0 }
 
-// CoefficientCosts implements CoefficientPolicy: costs read only
-// LatencyMs[i][j].
-func (LatencyAware) CoefficientCosts() {}
-
 // EnergyAware minimizes energy consumption subject to the same constraints
 // (§6.1.3 baseline 2).
 type EnergyAware struct{}
@@ -86,10 +65,6 @@ func (EnergyAware) PairCost(p *Problem, i, j int) float64 { return p.PowerW[i][j
 
 // ActivationCost implements Policy.
 func (EnergyAware) ActivationCost(p *Problem, j int) float64 { return p.Servers[j].BasePowerW }
-
-// CoefficientCosts implements CoefficientPolicy: costs read only
-// PowerW[i][j] and Servers[j].
-func (EnergyAware) CoefficientCosts() {}
 
 // IntensityAware greedily prefers the greenest zones (lowest carbon
 // intensity) regardless of how much energy the app consumes there
@@ -106,14 +81,13 @@ func (IntensityAware) PairCost(p *Problem, i, j int) float64 { return p.Servers[
 // greedy baseline chases green zones.
 func (IntensityAware) ActivationCost(p *Problem, j int) float64 { return 0 }
 
-// CoefficientCosts implements CoefficientPolicy: costs read only
-// Servers[j].
-func (IntensityAware) CoefficientCosts() {}
-
 // CarbonEnergyBlend is the multi-objective extension of Eq. 8:
 // alpha * energy + (1-alpha) * carbon, with both terms min-max normalized
 // over the instance so the weighting is scale-free. Alpha = 0 is vanilla
 // CarbonEdge; alpha = 1 is Energy-aware.
+//
+// The ranges span the whole batch but are fixed for a solve, so the apps
+// of one class still share their costs and the blend solves in classes.
 type CarbonEnergyBlend struct {
 	Alpha float64
 	// normalization ranges, computed lazily per problem contents. A

@@ -109,13 +109,13 @@ type Problem struct {
 	gen uint64
 }
 
-// classes returns the classes both backends work in under pol (cls[i] is
-// app i's class, rep[c] its lowest app): the view's stamp under a
-// CoefficientPolicy, whose classes' apps then share candidates,
-// feasibility and costs; otherwise every app is its own class, both
-// being (*ident)[:n], an identity map grown in place for reuse.
-func (p *Problem) classes(pol Policy, ident *[]int32) (cls, rep []int32) {
-	if _, coeff := pol.(CoefficientPolicy); coeff && p.classOf != nil {
+// classes returns the classes both backends work in (cls[i] is app i's
+// class, rep[c] its lowest app): a workspace view's stamp, whose classes'
+// apps share candidates, feasibility and costs (see Policy); a
+// hand-built dense problem has no stamp, and every app is its own class,
+// both being (*ident)[:n], an identity map grown in place for reuse.
+func (p *Problem) classes(ident *[]int32) (cls, rep []int32) {
+	if p.classOf != nil {
 		return p.classOf, p.classRep
 	}
 	n := len(p.Apps)

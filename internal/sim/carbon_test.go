@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/placement"
+	"repro/internal/timeseries"
 )
 
 // traceWorld returns a copy of w whose trace set holds every zone's trace
@@ -262,5 +265,60 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 					res.Faults.Evictions, res.Migrations, res.Placed, len(e.live))
 			}
 		})
+	}
+}
+
+// scaledWorld returns a copy of w whose every zone trace is multiplied
+// by k.
+func scaledWorld(w *World, k float64) *World {
+	ts := &carbon.TraceSet{Start: w.Traces.Start, Hours: w.Traces.Hours}
+	for _, id := range w.Traces.ZoneIDs() {
+		tr := w.Traces.Trace(id)
+		vals := make([]float64, len(tr.Values))
+		for i, v := range tr.Values {
+			vals[i] = k * v
+		}
+		ts.Put(id, timeseries.FromValues(tr.Start, vals))
+	}
+	cp := *w
+	cp.Traces = ts
+	return &cp
+}
+
+// TestScaledIntensityMetamorphic is the simulator leg of the scaling
+// relation: multiplying every zone's intensity by a power of two is exact
+// in binary floating point and scales every carbon-priced cost alike, so
+// CarbonAware and IntensityAware runs place exactly as before, city by
+// city and month by month, and emit exactly k times the carbon.
+func TestScaledIntensityMetamorphic(t *testing.T) {
+	w := testWorld(t)
+	for _, k := range []float64{2, 0.5} {
+		sw := scaledWorld(w, k)
+		for _, region := range []carbon.Region{carbon.RegionEurope, carbon.RegionUS} {
+			for _, pol := range []placement.Policy{placement.CarbonAware{}, placement.IntensityAware{}} {
+				cfg := shortConfig(region, pol)
+				base, err := Run(cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scaled, err := Run(cfg, sw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%v/%s, k=%g", region, pol.Name(), k)
+				if base.Placed == 0 {
+					t.Fatalf("%s: nothing placed: the relation is vacuous", name)
+				}
+				if !reflect.DeepEqual(scaled.PlacementsByCity.State(), base.PlacementsByCity.State()) {
+					t.Errorf("%s: placements by city moved", name)
+				}
+				if !reflect.DeepEqual(scaled.MonthlyPlacements.State(), base.MonthlyPlacements.State()) {
+					t.Errorf("%s: monthly placements moved", name)
+				}
+				if math.Float64bits(scaled.CarbonG) != math.Float64bits(k*base.CarbonG) {
+					t.Errorf("%s: carbon %v, k times the original %v", name, scaled.CarbonG, k*base.CarbonG)
+				}
+			}
+		}
 	}
 }

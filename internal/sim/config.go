@@ -159,7 +159,8 @@ type Config struct {
 	// traces every epoch phase (per-phase wall time, call counts,
 	// sampled allocation deltas — Engine.Tracer) and keeps a flight
 	// recorder of recent phases and faults (Engine.FlightRecorder),
-	// snapshotted into checkpoints. Tracing never changes the simulated
+	// which checkpoints do not carry: a restored run's recorder starts
+	// empty. Tracing never changes the simulated
 	// trajectory — with Obs nil (the default) outputs are byte-identical
 	// and the hot path carries no tracing code at all. Set by cesim -obs
 	// (through the sweep) and the ledger.

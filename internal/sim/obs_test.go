@@ -1,10 +1,13 @@
 package sim
 
 import (
-	"encoding/json"
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 )
 
@@ -88,85 +91,72 @@ func TestObsTracerReport(t *testing.T) {
 	}
 }
 
-// TestObsRecorderCheckpointRoundTrip proves the flight recorder survives
-// a checkpoint: snapshot a traced faults run mid-flight — between the
-// crash and its recover — push the snapshot through JSON (the checkpoint
-// envelope), restore, and compare the recorded windows; then run both
-// to the end and require the restored run to have recorded exactly the
-// donor's (Kind, At, Seq) sequence, phases and faults alike. The ring
-// holds the whole run, so every event after the restore is compared.
+// TestObsRecorderCheckpointRoundTrip: checkpoints do not carry the
+// flight recorder. testdata/faults_traced_epoch35.ckpt is the faults-mode
+// envelope at epoch 35 of a traced run (a 16-event ring), between the
+// crash (30 h) and its recover (40 h), written while snapshots still
+// carried the ring under "recorder". It must still decode and restore
+// into a traced config, whose recorder starts empty and then records
+// exactly what the uninterrupted traced run records after the cut, and
+// the run must go on to the uninterrupted Result. A traced engine's own
+// snapshot encodes no recorder.
 func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
-	w := allocWorld(t)
-	cfg := obsOn(allocModes(50)["faults"])
-	cfg.Hours = 24 * 4
+	w := testWorld(t)
+	cfg := obsOn(checkpointModes(t, w)[3])
 	cfg.Obs.FlightRecorderEvents = 1024
-	const cut = 30 // between the crash (24 h) and its recover (36 h)
+	const cut = 35
 
-	e, err := NewEngine(cfg, w)
+	env, err := os.ReadFile(filepath.Join("testdata", "faults_traced_epoch35.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e.Epoch() < cut {
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if !bytes.Contains(env, []byte(`"recorder":`)) {
+		t.Fatal("fixture carries no recorder")
 	}
-	snap := e.Snapshot()
-	if snap.Recorder == nil {
-		t.Fatal("snapshot carries no recorder state")
-	}
-	if snap.Recorder.Total == 0 || len(snap.Recorder.Events) == 0 {
-		t.Fatal("recorder state is empty at mid-run")
-	}
-	kinds := map[string]bool{}
-	for _, ev := range snap.Recorder.Events {
-		kinds[ev.Kind] = true
-	}
-	if !kinds["accrual"] {
-		t.Errorf("recorded window %v misses the accrual phase", kinds)
-	}
-
-	raw, err := json.Marshal(snap)
-	if err != nil {
+	var snap Snapshot
+	if err := checkpoint.Decode(bytes.NewReader(env), "engine", &snap); err != nil {
 		t.Fatal(err)
 	}
-	var decoded Snapshot
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
+	if snap.Epoch != cut {
+		t.Fatalf("fixture at epoch %d, want %d", snap.Epoch, cut)
 	}
-	restored, err := NewEngineFrom(cfg, w, &decoded)
+	restored, err := NewEngineFrom(cfg, w, &snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := restored.FlightRecorder()
-	if rec == nil {
-		t.Fatal("restored engine has no recorder")
-	}
-	if !reflect.DeepEqual(rec.Events(), e.FlightRecorder().Events()) {
-		t.Fatal("restored recorder window differs from donor's")
-	}
-	if rec.Total() != e.FlightRecorder().Total() {
-		t.Fatalf("restored recorder total = %d, donor %d", rec.Total(), e.FlightRecorder().Total())
+	if rec == nil || rec.Total() != 0 {
+		t.Fatal("a traced restore's recorder should exist and start empty")
 	}
 
-	// The restored ring keeps recording — and the trajectory is still the
-	// donor's.
-	for !restored.Done() {
-		if err := restored.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rec.Total() <= snap.Recorder.Total {
-		t.Fatal("restored recorder did not advance after restore")
-	}
-	wantState, err := finalState(e)
+	donor, err := NewEngine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotState := restored.Finish().State()
-	gotState.SolveTimeNs = 0
+	for donor.Epoch() < cut {
+		if err := donor.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := donor.Snapshot().AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"recorder"`)) {
+		t.Error("a traced engine's snapshot carries its recorder")
+	}
+	pre := int(donor.FlightRecorder().Total())
+
+	wantState, err := finalState(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotState, err := finalState(restored)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(gotState, wantState) {
-		t.Fatal("restored traced run diverged from donor")
+		t.Fatal("restored traced run diverged from the uninterrupted one")
 	}
 	untimed := func(evs []obs.RecordedEvent) []obs.RecordedEvent {
 		for i := range evs {
@@ -174,24 +164,19 @@ func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 		}
 		return evs
 	}
-	got, want := untimed(rec.Events()), untimed(e.FlightRecorder().Events())
-	if len(want) != cfg.Hours*8+2 {
-		t.Fatalf("donor recorded %d events, want %d phases and 2 faults", len(want), cfg.Hours*8)
+	all := untimed(donor.FlightRecorder().Events())
+	if uint64(len(all)) != donor.FlightRecorder().Total() || len(all) <= pre {
+		t.Fatalf("the donor's ring holds %d of %d events, %d of them before the cut", len(all), donor.FlightRecorder().Total(), pre)
 	}
+	got, want := untimed(rec.Events()), all[pre:]
 	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("restored run's recorder diverges from the donor's at event %d: %+v, want %+v", i, got[min(i, len(got)-1)], want[i])
-			}
-		}
-		t.Fatalf("restored run recorded %d events, donor %d", len(got), len(want))
+		t.Fatalf("restored run recorded %d events, the donor %d after the cut:\n  got  %+v\n  want %+v", len(got), len(want), got, want)
 	}
 }
 
 // TestObsRestoreWithoutObs checks the obs/no-obs checkpoint corners: a
-// traced snapshot restores into an untraced config (recorder state is
-// simply dropped), and an untraced snapshot restores into a traced
-// config (the recorder starts empty).
+// traced snapshot restores into an untraced config, and an untraced
+// snapshot restores into a traced config (the recorder starts empty).
 func TestObsRestoreWithoutObs(t *testing.T) {
 	w := allocWorld(t)
 	cfg := allocModes(50)["faults"]
@@ -223,11 +208,7 @@ func TestObsRestoreWithoutObs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := bare.Snapshot()
-	if snap.Recorder != nil {
-		t.Fatal("untraced snapshot carries recorder state")
-	}
-	rt, err := NewEngineFrom(obsOn(cfg), w, snap)
+	rt, err := NewEngineFrom(obsOn(cfg), w, bare.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

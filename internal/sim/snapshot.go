@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"strings"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/events"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/router"
 )
@@ -52,12 +52,6 @@ type Snapshot struct {
 	InDropped int64          `json:"inbox_dropped,omitempty"`
 
 	Result ResultState `json:"result"`
-
-	// Recorder carries the flight recorder's ring (Config.Obs runs only)
-	// so a post-mortem on a restored checkpoint still sees the events
-	// leading up to it. Pure telemetry: restoring it never changes the
-	// trajectory.
-	Recorder *obs.RecorderState `json:"recorder,omitempty"`
 }
 
 // ServerSnap is one aggregate site server's dynamic state. Site, Device,
@@ -224,7 +218,10 @@ func (st ResultState) Restore() (*Result, error) {
 
 // ConfigSig fingerprints the fields of a Config that determine a run's
 // trajectory. Interface and pointer fields are rendered by value so the
-// signature is stable across processes. Obs is deliberately excluded:
+// signature is stable across processes, and the policy and forecaster
+// without their unexported fields (exported): a policy's caches change as
+// it solves, and must not move the signature of the config that stepped
+// it. Obs is deliberately excluded:
 // tracing never changes the trajectory, so a checkpoint taken with
 // observability on restores cleanly into a run with it off (and vice
 // versa), and sweep journals stay valid across obs toggles. start=0 and
@@ -233,13 +230,13 @@ func (st ResultState) Restore() (*Result, error) {
 func ConfigSig(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d region=%v sites=%v forward=%t policy=%T%+v rtt=%g hours=%d start=0 arrivals=%g life=%d",
-		cfg.Seed, cfg.Region, cfg.Sites, cfg.ForwardUnplaced, cfg.Policy, cfg.Policy, cfg.RTTLimitMs,
+		cfg.Seed, cfg.Region, cfg.Sites, cfg.ForwardUnplaced, cfg.Policy, exported(cfg.Policy), cfg.RTTLimitMs,
 		cfg.Hours, cfg.ArrivalsPerHour, cfg.AppLifetimeHours)
 	fmt.Fprintf(&b, " model=%s models=%v rate=%g devices=%v cap=%g demand=%v capacity=%v alwayson=%t",
 		appModel, cfg.Models, appRatePerSec, cfg.Devices, cfg.CapacityMilliPerSite,
 		cfg.Demand, cfg.Capacity, cfg.ServersAlwaysOn)
 	fmt.Fprintf(&b, " horizon=%d forecaster=%T%+v batch=%d loadci=%t redeploy=%d migmb=%g migj=%g warm=%t",
-		fleet.ForecastHours, cfg.Forecaster, cfg.Forecaster, cfg.BatchHours, cfg.CollectLoadCI,
+		fleet.ForecastHours, cfg.Forecaster, exported(cfg.Forecaster), cfg.BatchHours, cfg.CollectLoadCI,
 		cfg.RedeployEveryHours, cfg.MigrationDataMB, cfg.MigrationJPerMB, cfg.WarmRedeploy)
 	if cfg.Traffic != nil {
 		fmt.Fprintf(&b, " traffic=%+v", *cfg.Traffic)
@@ -248,6 +245,32 @@ func ConfigSig(cfg Config) string {
 		fmt.Fprintf(&b, " faults=%+v", *cfg.Faults)
 	}
 	return b.String()
+}
+
+// exported returns a copy of v, a struct or a pointer to one, with every
+// unexported field at its zero value (CarbonEnergyBlend's normalization
+// cache, say), and any other v as it is. A fresh value renders the same
+// either way, so signatures recorded before ConfigSig zeroed them stay
+// valid.
+func exported(v any) any {
+	rv := reflect.ValueOf(v)
+	ptr := rv.Kind() == reflect.Pointer && !rv.IsNil()
+	if ptr {
+		rv = rv.Elem()
+	}
+	if rv.Kind() != reflect.Struct {
+		return v
+	}
+	out := reflect.New(rv.Type()).Elem()
+	for i := range rv.NumField() {
+		if rv.Type().Field(i).IsExported() {
+			out.Field(i).Set(rv.Field(i))
+		}
+	}
+	if ptr {
+		return out.Addr().Interface()
+	}
+	return out.Interface()
 }
 
 // Snapshot captures the engine's full dynamic state. It must be called
@@ -300,10 +323,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		snap.InReqs = append(snap.InReqs, InboxReqSnap{Epoch: p.epoch, N: p.n})
 	}
 	snap.InDropped = e.inDropped
-	if e.recorder != nil {
-		st := e.recorder.State()
-		snap.Recorder = &st
-	}
 	return snap
 }
 
@@ -487,12 +506,6 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 				break
 			}
 		}
-	}
-	// Flight recorder: reload the snapshotted ring when the restoring
-	// config also enables the recorder (cfg.Obs drives e.recorder's
-	// existence; the snapshot only refills it).
-	if e.recorder != nil && snap.Recorder != nil {
-		e.recorder = obs.RecorderFromState(*snap.Recorder)
 	}
 	if err := checkPhysical(e); err != nil {
 		return nil, fmt.Errorf("sim: snapshot state is not physical: %w", err)

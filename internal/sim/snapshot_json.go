@@ -118,10 +118,6 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	w.raw(`,"result":`)
 	w.result(&s.Result)
-	if s.Recorder != nil {
-		w.raw(`,"recorder":`)
-		w.marshal(s.Recorder)
-	}
 	w.raw("}")
 	if w.err != nil {
 		return dst, w.err

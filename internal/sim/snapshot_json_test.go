@@ -148,7 +148,7 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	s.Live[1].RTTMs, s.Result.CarbonG = math.Inf(-1), math.NaN()
 	checkAppendJSON(t, "first error", s)
 	s = filled(t, filler{str: "a", f: 1})
-	s.Result.Traffic.CarbonG, s.Recorder = math.NaN(), nil
+	s.Result.Traffic.CarbonG = math.NaN()
 	checkAppendJSON(t, "nested error", s)
 
 	// The live table goes through the float memo: large seeded tables

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -287,6 +288,43 @@ func TestRestoresOlderCheckpoint(t *testing.T) {
 	}
 	if got := runFrom(t, cfg, w, &snap); !bytes.Equal(got, encodeResult(t, want)) {
 		t.Fatalf("older checkpoint diverged:\nresumed:       %s\nuninterrupted: %s", got, encodeResult(t, want))
+	}
+}
+
+// TestBlendConfigRestoresOwnSnapshot: the Eq. 8 blend caches its
+// normalization ranges as it solves, and the config that stepped an
+// engine must still restore that engine's snapshot and run on to the
+// uninterrupted Result, while a different alpha is still refused.
+func TestBlendConfigRestoresOwnSnapshot(t *testing.T) {
+	w := testWorld(t)
+	blend := func(alpha float64) Config {
+		cfg := shortConfig(carbon.RegionEurope, placement.NewCarbonEnergyBlend(alpha))
+		cfg.Hours = 48
+		return cfg
+	}
+	want, err := Run(blend(0.5), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := blend(0.5)
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 24 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fmt.Sprintf("%+v", cfg.Policy) == fmt.Sprintf("%+v", blend(0.5).Policy) {
+		t.Fatal("the blend cached nothing in 24 epochs: the test is vacuous")
+	}
+	snap := e.Snapshot()
+	if got := runFrom(t, cfg, w, snap); !bytes.Equal(got, encodeResult(t, want)) {
+		t.Fatalf("restored blend run diverged:\nresumed:       %s\nuninterrupted: %s", got, encodeResult(t, want))
+	}
+	if _, err := NewEngineFrom(blend(0.6), w, snap); err == nil {
+		t.Error("snapshot restored under a different alpha")
 	}
 }
 

@@ -76,7 +76,6 @@ func (s *Series) Slice(from, to int) (*Series, error) {
 	if from < 0 || to > len(s.Values) || from > to {
 		return nil, fmt.Errorf("timeseries: slice [%d,%d) out of range 0..%d", from, to, len(s.Values))
 	}
-	//detlint:hotalloc window header over shared storage; callers on the hot path hold it in a local that does not escape
 	return &Series{
 		Start:  s.Start.Add(time.Duration(from) * Hour),
 		Values: s.Values[from:to],

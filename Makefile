@@ -103,7 +103,9 @@ bench-smoke:
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode, that is Snapshot.AppendJSON and SHA-256, after every
 # Step), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_33.md (CDN year and
+# of those summaries live in profiles/PROFILE_39.md (CDN year after the
+# engine's row write-through, once-per-epoch zone reads and prefix
+# departures), profiles/PROFILE_33.md (CDN year and
 # redeploy churn after construct's seeded picks, its fixpoint
 # certificate and the bound arrival templates; profiles/PROFILE_17.md is
 # the CDN year before them, profiles/PROFILE_29.md the churn after the

@@ -55,7 +55,8 @@ func (r *Row) Cap() cluster.Resources {
 // Free is the capacity placement may still allocate on the row: none on
 // a crashed one, and on a degraded one what remains of the scaled
 // capacity, never below zero. It is kept within the inliner's budget:
-// every solve syncs every row through it.
+// the engine writes a row through it on every change to the row, and
+// the orchestrator syncs every row through it before every solve.
 func (r *Row) Free() (free cluster.Resources) {
 	if !r.Down {
 		free = r.Cap().Sub(r.Used)
@@ -68,7 +69,9 @@ func (r *Row) Free() (free cluster.Resources) {
 
 // Server is row j of d's table as the placement workspace registers it:
 // its ID, city, device and idle draw, with its power state and Free
-// capacity as of now (a driver re-syncs both before every solve).
+// capacity as of now. A driver keeps both current in the workspace: the
+// engine writes a row through wherever it changes, the orchestrator
+// re-syncs every row before every solve.
 func Server(d Driver, j int) placement.Server {
 	r := d.Row(j)
 	return placement.Server{

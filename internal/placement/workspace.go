@@ -48,6 +48,12 @@ import (
 //		ws.CommitAssignment(p, a)
 //	}
 //
+// A layer that keeps its own capacity accounting commits through
+// SetServerState instead, at one of two costs: the simulator writes a
+// server through whenever its row changes (a commit, a departure, a
+// fault), so a solve pays only for the intensities that changed; the
+// orchestrator re-syncs every server before every solve.
+//
 // A Workspace is not safe for concurrent use; give each goroutine its own
 // (they may share the underlying world — all memo inputs are read-only).
 type Workspace struct {
@@ -235,10 +241,11 @@ func (ws *Workspace) UpdateIntensity(j int, intensity float64) {
 }
 
 // SetServerState overwrites server j's free capacity and power state.
-// Layers that keep their own capacity accounting (the simulator's
-// aggregate site servers, the orchestrator's server table) use this to
-// sync the workspace before a solve instead of CommitAssignment/ReleaseApp.
-// It is O(1): the next Problem view snapshots the servers.
+// Layers that keep their own capacity accounting use this instead of
+// CommitAssignment/ReleaseApp: the simulator writes each of its
+// aggregate site servers through as the server changes, the
+// orchestrator syncs its server table before a solve. It is O(1): the
+// next Problem view snapshots the servers.
 func (ws *Workspace) SetServerState(j int, free cluster.Resources, poweredOn bool) {
 	ws.servers[j].Free = free
 	ws.servers[j].PoweredOn = poweredOn

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,9 @@ func allocWorld(tb testing.TB) *World {
 // events themselves may allocate — they are world changes, not steady
 // state — but the epochs after recovery must be as quiet as a fault-free
 // run's. The two redeploy modes re-place every live app every 6 h, cold
-// and warm-seeded.
+// and warm-seeded. The cdn mode is the paper's CDN shape as the ledger's
+// cdn_year runs it (US, 6 arrivals/h, 24 h lifetimes, servers always
+// on): its live table turns over as a prefix every epoch.
 func allocModes(rps float64) map[string]Config {
 	classic := DefaultConfig(carbon.RegionEurope, placement.CarbonAware{})
 	classic.Hours = 24 * 14
@@ -46,8 +49,11 @@ func allocModes(rps float64) map[string]Config {
 	redeployWarm := redeploy
 	redeployWarm.WarmRedeploy = true
 
+	cdn := DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
+	cdn.Hours = 24 * 14
+
 	return map[string]Config{"classic": classic, "traffic": trafficCfg, "faults": faults,
-		"redeploy": redeploy, "redeploy-warm": redeployWarm}
+		"redeploy": redeploy, "redeploy-warm": redeployWarm, "cdn": cdn}
 }
 
 // finalState runs an engine to completion and exports its result with
@@ -64,8 +70,9 @@ func finalState(e *Engine) (ResultState, error) {
 }
 
 // epochAllocs warms the engine, then reports the average heap allocations
-// per Step over the remaining epochs.
-func epochAllocs(tb testing.TB, cfg Config, warm, runs int) float64 {
+// and allocated bytes per Step over runs further epochs, measured as
+// testing.AllocsPerRun measures (one more Step first, GOMAXPROCS 1).
+func epochAllocs(tb testing.TB, cfg Config, warm, runs int) (allocs, bytes float64) {
 	tb.Helper()
 	if warm+runs+1 > cfg.Hours {
 		tb.Fatalf("config spans %d epochs, need %d", cfg.Hours, warm+runs+1)
@@ -82,19 +89,43 @@ func epochAllocs(tb testing.TB, cfg Config, warm, runs int) float64 {
 	for i := 0; i < warm; i++ {
 		step()
 	}
-	return testing.AllocsPerRun(runs, step)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	step()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
+
+// Steady-state budgets per epoch: allocation count and allocated bytes.
+// The count alone misses a large allocation made every few dozen
+// epochs, such as a live table that reallocates as it refills after its
+// departures were resliced off its head (1.0 to 1.2 KB per epoch in
+// these modes); the byte bound catches it.
+const (
+	epochAllocBudget = 2.0
+	epochByteBudget  = 512.0
+)
 
 // TestEpochAllocBudget is the CI allocation gate: after warmup, the epoch
 // hot loop must run allocation-free up to a small amortized remainder
-// (live-pool growth reallocations, bounded-cardinality telemetry keys).
+// (live-pool growth reallocations, bounded-cardinality telemetry keys),
+// in count and in bytes.
 func TestEpochAllocBudget(t *testing.T) {
-	const budget = 2.0
 	for name, cfg := range allocModes(300) {
 		t.Run(name, func(t *testing.T) {
-			if got := epochAllocs(t, cfg, 24*3, 24*9); got > budget {
-				t.Errorf("steady-state allocations per epoch = %.2f, budget %.1f", got, budget)
+			allocs, bytes := epochAllocs(t, cfg, 24*3, 24*9)
+			if allocs > epochAllocBudget {
+				t.Errorf("steady-state allocations per epoch = %.2f, budget %.1f", allocs, epochAllocBudget)
 			}
+			if bytes > epochByteBudget {
+				t.Errorf("steady-state bytes allocated per epoch = %.0f, budget %.0f", bytes, epochByteBudget)
+			}
+			t.Logf("%.2f allocs, %.0f B per epoch", allocs, bytes)
 		})
 	}
 }

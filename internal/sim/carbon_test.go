@@ -72,11 +72,13 @@ func lastZone(t *testing.T, w *World, region carbon.Region) string {
 }
 
 // TestZoneSignalMatchesService is the differential oracle for the
-// engine's carbon read path: after every epoch, every zone slot's memoized
-// mean forecast and intensity are bit-identical to what carbon.Service
-// answers for the epoch's instant by zone ID — the path the engine used to
-// take on every read. The forecast-error fault's factor is derived from
-// the script, not read back from the engine.
+// engine's carbon read path: after every epoch, every zone slot's
+// intensity, and after every epoch that solved, its mean forecast and the
+// forecast intensity of each of its servers in the placement workspace,
+// are bit-identical to what carbon.Service answers for the epoch's instant
+// by zone ID — the path the engine used to take on every read. The
+// forecast-error fault's factor is derived from the script, not read back
+// from the engine.
 func TestZoneSignalMatchesService(t *testing.T) {
 	w := testWorld(t)
 	region := carbon.RegionEurope
@@ -122,11 +124,15 @@ func TestZoneSignalMatchesService(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			solved := 0
 			for !e.Done() {
 				epoch := e.Epoch()
 				now := e.PeekNextTime()
 				if err := e.Step(); err != nil {
 					t.Fatal(err)
+				}
+				if !e.fcStale {
+					solved++
 				}
 				for zone, slot := range e.zoneSlot {
 					wantCI, err := svc.Current(zone, now)
@@ -140,17 +146,27 @@ func TestZoneSignalMatchesService(t *testing.T) {
 					if cfg.Faults != nil && zone == skewed && epoch >= skewAt && epoch < skewAt+skewFor {
 						wantFC *= skew
 					}
-					gotFC, err := e.meanForecast(slot)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := e.zoneCI(slot); math.Float64bits(got) != math.Float64bits(wantCI) {
+					if got := e.zones[slot].ci; math.Float64bits(got) != math.Float64bits(wantCI) {
 						t.Fatalf("epoch %d zone %s: intensity %v, service %v", epoch, zone, got, wantCI)
 					}
-					if math.Float64bits(gotFC) != math.Float64bits(wantFC) {
-						t.Fatalf("epoch %d zone %s: forecast %v, service %v", epoch, zone, gotFC, wantFC)
+					if e.fcStale {
+						continue // no solve this epoch: no forecast computed
+					}
+					if got := e.zones[slot].fc; math.Float64bits(got) != math.Float64bits(wantFC) {
+						t.Fatalf("epoch %d zone %s: forecast %v, service %v", epoch, zone, got, wantFC)
+					}
+					for j := range e.servers {
+						if e.zoneSlotOfSite[e.servers[j].site] != slot {
+							continue
+						}
+						if got := e.ws.Server(j).Intensity; math.Float64bits(got) != math.Float64bits(wantFC) {
+							t.Fatalf("epoch %d zone %s: server %d's workspace intensity %v, service %v", epoch, zone, j, got, wantFC)
+						}
 					}
 				}
+			}
+			if solved < cfg.Hours*3/4 {
+				t.Fatalf("%d of %d epochs solved: too few checked forecasts", solved, cfg.Hours)
 			}
 			if name == "late-trace" {
 				if d := e.zones[e.zoneSlot[late]].off - e.zones[0].off; d != -3 {

@@ -54,9 +54,15 @@ func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, 
 //
 // The carbon signal is read by (zone slot, epoch index): NewEngine
 // resolves one carbon.ZoneReader per distinct zone of the region, the
-// carbon tick moves every slot to the epoch's trace index, and Step
-// refuses an epoch that falls outside any slot's trace before dispatching
-// it, so the phases read intensities and forecasts from arrays.
+// carbon tick reads every slot's intensity at the epoch's trace index,
+// and Step refuses an epoch that falls outside any slot's trace before
+// dispatching it, so the phases read intensities and forecasts from
+// arrays.
+//
+// Server rows reach the placement workspace where they change: every
+// change to a row's capacity or power state is written through (syncRow,
+// or syncRows after a pass over many rows) before anything reads the
+// workspace, so a solve pushes only the epoch's forecasts.
 //
 // An Engine is single-goroutine (not safe for concurrent Step calls), but
 // any number of engines may share one World: all world data is read-only.
@@ -80,26 +86,28 @@ type Engine struct {
 	servers       []siteServer
 
 	// zoneSlot/zoneSlotOfSite index the region's distinct carbon zones,
-	// backing the slot-keyed (not map-keyed) per-epoch memos below.
+	// backing the slot-keyed (not map-keyed) per-epoch arrays below.
 	zoneSlot       map[string]int //detlint:ephemeral derived zone index, rebuilt at construction
 	zoneSlotOfSite []int          //detlint:ephemeral derived zone index, rebuilt at construction
 
 	// zones[slot] is the slot's carbon signal: its trace reader and the
-	// epoch's forecast and intensity memos. Every slot's trace covers the
+	// epoch's intensity and mean forecast. Every slot's trace covers the
 	// epochs in [spanLo, spanHi); Step refuses any other epoch before
 	// dispatching it, so no read inside an epoch can fail. phaseCarbonTick
-	// sets tick, the epoch the memos read, and bumps zoneGen, their
-	// generation, invalidating every slot without clearing.
-	zones          []zoneTrace                //detlint:ephemeral trace readers and per-epoch memos, rebuilt at construction
+	// reads every slot's intensity and sets fcStale; the epoch's first
+	// solve computes every slot's forecast, writes it to the slot's
+	// servers and clears it (pushForecasts).
+	zones          []zoneTrace                //detlint:ephemeral trace readers and per-epoch values, rebuilt at construction
 	spanLo, spanHi int                        //detlint:ephemeral derived from the world's traces at construction
-	tick, zoneGen  int                        //detlint:ephemeral carbon clock of the memos; every epoch's tick resets it before any read
+	fcStale        bool                       //detlint:ephemeral set by every epoch's carbon tick before any solve reads the forecasts
 	solver         *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
 
 	// ws is the persistent placement workspace: built once per run, it
 	// carries the memoized profile/RTT tables and per-app candidate
-	// shortlists across every batch and the redeploy path. Server state
-	// is synced into it from the engine's aggregate site servers before
-	// each solve; intensities update on the carbon clock.
+	// shortlists across every batch and the redeploy path. A row's free
+	// capacity and power state are written through to it where the row
+	// changes (syncRow); forecast intensities once per epoch, at its
+	// first solve.
 	ws *placement.Workspace
 
 	// phases is the epoch's phase list in canonical order, built by
@@ -218,13 +226,12 @@ type poolCell struct {
 // zoneTrace is one distinct carbon zone of the region: its trace reader,
 // the index of the engine's start instant in that trace (epoch t reads
 // index off+t; a zone's trace may start later than the others'), and the
-// epoch's mean-forecast and intensity memos, each valid when its stamp
-// equals Engine.zoneGen.
+// epoch's values: ci, the actual intensity, read by the carbon tick, and
+// fc, the mean forecast, computed by the epoch's first solve.
 type zoneTrace struct {
 	carbon.ZoneReader
-	off          int
-	fc, ci       float64
-	fcGen, ciGen int
+	off    int
+	fc, ci float64
 }
 
 // model returns the dense index of a model name, interning a new one.
@@ -328,8 +335,8 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	}
 
 	// Zone slot table: the carbon signal is read through one trace reader
-	// per distinct zone, and the per-epoch forecast/intensity memos are
-	// keyed by these dense slots instead of zone-ID strings.
+	// per distinct zone, and the per-epoch forecasts and intensities are
+	// kept by these dense slots instead of zone-ID strings.
 	fc := cfg.Forecaster
 	if fc == nil {
 		fc = carbon.SeasonalNaive{Period: 24}
@@ -403,9 +410,10 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		MonthlyPlacements: metrics.NewCounter(),
 	}
 
-	// Persistent placement workspace over the site servers. Intensity and
-	// free-capacity views are synced per batch; the expensive parts
-	// (profile cells, RTT rows, candidate shortlists) live for the run.
+	// Persistent placement workspace over the site servers. Rows are
+	// written through as they change and intensities once per epoch; the
+	// expensive parts (profile cells, RTT rows, candidate shortlists) live
+	// for the run.
 	pservers := make([]placement.Server, len(e.servers))
 	for j := range e.servers {
 		pservers[j] = fleet.Server((*engineRows)(e), j)
@@ -625,14 +633,15 @@ func (e *Engine) closeFaultAccounting() {
 }
 
 // phaseFaults applies the scripted faults due this epoch through the
-// shared applicator, in the queue's (due instant, script order). All
-// mutations reach the placement layer through the workspace's entry
-// points (SetServerState/AddServers/UpdateIntensity) on the next solve's
-// sync; evicted applications are queued back through the placement path
-// and an eviction forces a redeploy pass this epoch. With the flight
-// recorder on, each fault is recorded under its own kind (crash,
-// recover, ...) — the events a post-mortem is usually after — with its
-// index in FaultScript.Expand as sequence number.
+// shared applicator, in the queue's (due instant, script order). After
+// each fault every row is written through to the workspace (syncRows; a
+// scale-out registers its row through AddServers), and a forecast error
+// reaches it with the epoch's forecasts, which the carbon tick that
+// follows marks stale. Evicted applications are queued back through the
+// placement path and an eviction forces a redeploy pass this epoch. With
+// the flight recorder on, each fault is recorded under its own kind
+// (crash, recover, ...) — the events a post-mortem is usually after —
+// with its index in FaultScript.Expand as sequence number.
 func (e *Engine) phaseFaults(now time.Time) error {
 	fs := e.res.Faults
 	for sf, seq, ok := e.faultq.PopDue(now); ok; sf, seq, ok = e.faultq.PopDue(now) {
@@ -642,6 +651,7 @@ func (e *Engine) phaseFaults(now time.Time) error {
 		}
 		fs.Events++
 		out, err := e.faults.Apply((*engineRows)(e), sf.Fault)
+		e.syncRows()
 		fs.ServerCrashes += out.Crashed
 		fs.ServerRecoveries += out.Recovered
 		e.downCount += out.Crashed - out.Recovered
@@ -656,12 +666,15 @@ func (e *Engine) phaseFaults(now time.Time) error {
 	return nil
 }
 
-// phaseCarbonTick starts the epoch's carbon clock: the zone reads move to
-// this epoch's trace index (zoneTrace.off + tick) and the per-zone
-// forecast and intensity memos are invalidated (generation bump).
+// phaseCarbonTick starts the epoch's carbon clock: every zone slot's
+// intensity is read at this epoch's trace index (zoneTrace.off + epoch),
+// and the slots' forecasts are marked stale for the epoch's first solve.
 func (e *Engine) phaseCarbonTick(time.Time) error {
-	e.tick = e.epoch
-	e.zoneGen++
+	for i := range e.zones {
+		z := &e.zones[i]
+		z.ci, _ = z.At(z.off + e.epoch) // in span: checked by Step
+	}
+	e.fcStale = true
 	return nil
 }
 
@@ -716,27 +729,48 @@ func (e *Engine) phaseAccrual(now time.Time) error {
 }
 
 // stepDepartures releases apps whose lifetime ended before this epoch,
-// compacting the survivors in place: each moves at most once, and only
-// once an earlier app has departed.
+// in live order, compacting the survivors in place. Apps are placed in
+// arrival order with one lifetime, so the departures are mostly a prefix
+// of e.live: everything after that prefix moves down with one copy, and
+// each survivor after a later departure then moves alone. The table is
+// copied, not resliced from its head: a resliced table loses its front
+// capacity and reallocates as it refills.
 func (e *Engine) stepDepartures(epoch int) {
+	live := e.live
+	k := 0
+	for k < len(live) && live[k].expires <= epoch {
+		e.depart(&live[k])
+		k++
+	}
+	if k > 0 {
+		live = live[:copy(live, live[k:])]
+	}
 	n := 0
-	for i := range e.live {
-		a := &e.live[i]
+	for i := range live {
+		a := &live[i]
 		if a.expires > epoch {
 			if n != i {
-				e.live[n] = *a
+				live[n] = *a
 			}
 			n++
 			continue
 		}
-		e.release(a)
+		e.depart(a)
 	}
-	e.live = e.live[:n]
+	e.live = live[:n]
+}
+
+// depart releases a departing app and writes its row through.
+func (e *Engine) depart(a *liveApp) {
+	e.release(a)
+	e.syncRow(a.srv)
 }
 
 // release takes a live app's demand off its server and, unless servers
 // are always on, powers the server off once it hosts nothing: the one
-// rule departures, redeploy and evictions share.
+// rule departures, redeploy and evictions share. It leaves the workspace
+// to its caller, which writes the row through (syncRow) once it is done
+// with it.
 func (e *Engine) release(a *liveApp) {
 	srv := &e.servers[a.srv]
 	srv.Used = srv.Used.Sub(a.demand)
@@ -825,60 +859,65 @@ func (e *Engine) drainBatch(epoch int) []pendingApp {
 	return batch
 }
 
-// meanForecast memoizes a zone slot's mean forecast within one epoch:
-// the forecaster is deterministic, and an epoch can need the same zone
-// several times (multi-device sites, redeploy plus placement in one
-// epoch). The memo is invalidated by the carbon tick's generation bump,
-// so steady-state epochs never allocate for it.
-func (e *Engine) meanForecast(slot int) (float64, error) {
-	z := &e.zones[slot]
-	if z.fcGen == e.zoneGen {
-		return z.fc, nil
+// pushForecasts computes every zone slot's mean forecast for this epoch,
+// once (the forecaster is deterministic, and an epoch may solve twice:
+// redeploy, then placement), skewed by any active forecast-error fault,
+// and writes it to each server of the slot.
+func (e *Engine) pushForecasts() error {
+	for i := range e.zones {
+		z := &e.zones[i]
+		v, err := z.MeanForecast(z.off+e.epoch, fleet.ForecastHours)
+		if err != nil {
+			return err
+		}
+		z.fc = e.faults.Forecast(z.ID(), v)
 	}
-	v, err := z.MeanForecast(z.off+e.tick, fleet.ForecastHours)
-	if err != nil {
-		return 0, err
+	for j := range e.servers {
+		e.ws.UpdateIntensity(j, e.zones[e.zoneSlotOfSite[e.servers[j].site]].fc)
 	}
-	z.fc, z.fcGen = e.faults.Forecast(z.ID(), v), e.zoneGen
-	return z.fc, nil
+	e.fcStale = false
+	return nil
 }
 
 // zoneCISite returns the current (actual, hourly) carbon intensity of a
-// site's zone this epoch, memoized per slot like the forecast. Step has
-// checked the epoch against every slot's trace span, so the read cannot
-// fail.
+// site's zone this epoch, as the carbon tick read it.
 func (e *Engine) zoneCISite(site int) float64 {
-	return e.zoneCI(e.zoneSlotOfSite[site])
-}
-
-// zoneCI is zoneCISite by zone slot.
-func (e *Engine) zoneCI(slot int) float64 {
-	z := &e.zones[slot]
-	if z.ciGen != e.zoneGen {
-		z.ci, _ = z.At(z.off + e.tick) // in span: checked by Step
-		z.ciGen = e.zoneGen
-	}
-	return z.ci
+	return e.zones[e.zoneSlotOfSite[site]].ci
 }
 
 // zoneCIOracle resolves a zone's current intensity for the traffic
 // router, which names zones by ID.
 func (e *Engine) zoneCIOracle(zone string) float64 {
-	return e.zoneCI(e.zoneSlot[zone])
+	return e.zones[e.zoneSlot[zone]].ci
+}
+
+// syncRow writes row j's free capacity and power state through to the
+// placement workspace. Every change to a row is followed by it (or by
+// syncRows), so between phases the workspace's server views equal the
+// rows (checkPhysical holds them to it) and a solve syncs nothing.
+func (e *Engine) syncRow(j int) {
+	srv := &e.servers[j]
+	e.ws.SetServerState(j, srv.Free(), srv.On)
+}
+
+// syncRows writes every row through: after a fault, which may touch any
+// number of rows, and after each of redeploy's release and commit passes,
+// which touch every row that hosts an app.
+func (e *Engine) syncRows() {
+	for j := range e.servers {
+		e.syncRow(j)
+	}
 }
 
 // buildProblem assembles the batch's placement problem against the
-// current server state through the persistent workspace: intensity and
-// capacity are synced, and the matrices are shortlist-backed views.
+// current server state through the persistent workspace: the rows are
+// already written through, the epoch's first solve pushes the forecasts,
+// and the matrices are shortlist-backed views.
 func (e *Engine) buildProblem(apps []placement.App) (*placement.Problem, error) {
-	for j := range e.servers {
-		srv := &e.servers[j]
-		mean, err := e.meanForecast(e.zoneSlotOfSite[srv.site])
-		if err != nil {
+	if e.fcStale {
+		if err := e.pushForecasts(); err != nil {
 			return nil, err
 		}
-		e.ws.UpdateIntensity(j, mean)
-		e.ws.SetServerState(j, srv.Free(), srv.On)
 	}
 	return e.ws.Problem(apps)
 }
@@ -937,6 +976,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 		srv := &e.servers[j]
 		srv.Used = srv.Used.Add(prob.Demand[i][j])
 		srv.On = true
+		e.syncRow(j)
 		expires := epoch + e.cfg.AppLifetimeHours
 		if batch[i].expires >= 0 {
 			expires = batch[i].expires
@@ -1139,6 +1179,7 @@ func (e *Engine) redeploy(now time.Time) error {
 		e.prevsBuf = append(e.prevsBuf, a.srv)
 		e.release(a)
 	}
+	e.syncRows()
 	prevs := e.prevsBuf
 
 	e.appsBuf = e.appsBuf[:0]
@@ -1200,5 +1241,8 @@ func (e *Engine) redeploy(now time.Time) error {
 			}
 		}
 	}
+	// A redeploy re-commits every live app, so it writes every row
+	// through once rather than once per app.
+	e.syncRows()
 	return nil
 }

@@ -80,10 +80,11 @@ func goldenCases() map[string]Config {
 // recorded before the redeploy reused bound app templates and carried
 // solver slots, and unchanged by it. The blend and the two forecaster
 // digests were recorded while the blend still solved one class per app
-// and the forecasters still answered through per-hour forecast slices.
-// A changed digest is a changed
-// trajectory.
+// and the forecasters still answered through per-hour forecast slices,
+// the alloc/cdn digest while each solve still re-synced every server row
+// into the workspace. A changed digest is a changed trajectory.
 var goldenDigests = map[string]string{
+	"alloc/cdn":                     "bdc3c82baac58607f71d4a8a4d10239c5881533d26297515155b548e66ceba78",
 	"alloc/classic":                 "bbda6688cbe21f5f2e4e2f77a4d8f1d7c07b5aba809852c3b1ded5f2480629bd",
 	"alloc/faults":                  "8a91c6a25d4a996702dbd8227ca049b42b3bbdc4d783e8f39af1293516e00424",
 	"alloc/redeploy":                "b9e103b9d391530d42083c3ddb486cdfb1163fdb56260495d77341e321ff1302",
@@ -121,7 +122,7 @@ func TestGoldenForecasters(t *testing.T) { runGolden(t, "forecast") }
 // TestGoldenStressShapes pins the four workspace stress shapes.
 func TestGoldenStressShapes(t *testing.T) { runGolden(t, "shape") }
 
-// TestGoldenAllocModes pins the five allocation-gate modes.
+// TestGoldenAllocModes pins the six allocation-gate modes.
 func TestGoldenAllocModes(t *testing.T) { runGolden(t, "alloc") }
 
 // runGolden pins the full Result of every golden case in group to its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,6 +176,141 @@ func TestEpochsPhysicalRedeployChurn(t *testing.T) {
 			cfg.Devices = []string{energy.A2.Name, energy.GTX1080.Name, energy.OrinNano.Name}
 			cfg.WarmRedeploy = warm
 			runChecked(t, cfg, w)
+		})
+	}
+}
+
+// TestPhysicalCatchesStaleWorkspace corrupts one row's server view in
+// the placement workspace, as a missed write-through would leave it, and
+// expects checkPhysical to name the server; writing the row through
+// again (syncRow) clears it.
+func TestPhysicalCatchesStaleWorkspace(t *testing.T) {
+	w := testWorld(t)
+	e, err := NewEngine(shortConfig(carbon.RegionEurope, placement.CarbonAware{}), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 30 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkPhysical(e); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.live) == 0 {
+		t.Fatal("no live app: nothing to corrupt")
+	}
+	a := e.live[0]
+	srv := &e.servers[a.srv]
+	for _, tc := range []struct {
+		name string
+		free cluster.Resources
+		on   bool
+	}{
+		{"departure not written", srv.Free().Add(a.demand), srv.On},
+		{"power state not written", srv.Free(), !srv.On},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e.ws.SetServerState(a.srv, tc.free, tc.on)
+			err := checkPhysical(e)
+			e.syncRow(a.srv)
+			if want := fmt.Sprintf("server srv-%d:", a.srv); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("checkPhysical = %v, want an error naming %q", err, want)
+			}
+			if err := checkPhysical(e); err != nil {
+				t.Fatalf("after syncRow: %v", err)
+			}
+		})
+	}
+}
+
+// legacyDepartures is the compaction rule stepDepartures replaced, kept
+// as its oracle: release the departing apps in live order and move each
+// survivor down alone once an earlier app has departed.
+func legacyDepartures(e *Engine, epoch int) {
+	n := 0
+	for i := range e.live {
+		a := &e.live[i]
+		if a.expires > epoch {
+			if n != i {
+				e.live[n] = *a
+			}
+			n++
+			continue
+		}
+		e.release(a)
+	}
+	e.live = e.live[:n]
+}
+
+// TestDeparturesKeepLiveOrder holds stepDepartures to the legacy rule on
+// live tables whose departures are not a prefix, as an eviction leaves
+// them (a re-placed app keeps its departure epoch behind later
+// arrivals): the survivors' order and every row's Used and On must be
+// the legacy rule's, the table must keep its backing array, and the
+// workspace must hold every row as it is.
+func TestDeparturesKeepLiveOrder(t *testing.T) {
+	w := testWorld(t)
+	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+	cfg.ServersAlwaysOn = false
+	build := func() *Engine {
+		e, err := NewEngine(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e.Epoch() < 30 {
+			if err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	for _, tc := range []struct {
+		name    string
+		departs func(i, n int) bool
+	}{
+		{"prefix", func(i, n int) bool { return i < n/3 }},
+		{"scattered", func(i, n int) bool { return i%3 == 1 }},
+		{"prefix then scattered", func(i, n int) bool { return i < 4 || i%5 == 0 }},
+		{"tail", func(i, n int) bool { return i >= n-3 }},
+		{"middle run", func(i, n int) bool { return i >= n/3 && i < n/2 }},
+		{"all", func(i, n int) bool { return true }},
+		{"none", func(i, n int) bool { return false }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, want := build(), build()
+			epoch := got.Epoch()
+			n := len(got.live)
+			if n < 10 {
+				t.Fatalf("%d live apps: too few to shuffle departures", n)
+			}
+			for _, e := range []*Engine{got, want} {
+				for i := range e.live {
+					e.live[i].expires = epoch + 1 + i%7
+					if tc.departs(i, n) {
+						e.live[i].expires = epoch - i%2
+					}
+				}
+			}
+			backing := &got.live[:1][0]
+			got.stepDepartures(epoch)
+			legacyDepartures(want, epoch)
+			if !reflect.DeepEqual(got.live, want.live) {
+				t.Fatalf("survivors differ from the legacy rule's (%d vs %d apps)", len(got.live), len(want.live))
+			}
+			if len(got.live) > 0 && &got.live[0] != backing {
+				t.Fatal("the live table moved off its backing array")
+			}
+			for j := range got.servers {
+				g, l := &got.servers[j], &want.servers[j]
+				if g.Used != l.Used || g.On != l.On {
+					t.Fatalf("row %d: Used %v on %t, legacy rule %v on %t", j, g.Used, g.On, l.Used, l.On)
+				}
+			}
+			if err := checkPhysical(got); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

@@ -21,11 +21,10 @@ func obsOn(cfg Config) Config {
 // loop must stay inside the same steady-state budget as the untraced
 // loop with the tracer, alloc probes, and flight recorder all on.
 func TestObsZeroAlloc(t *testing.T) {
-	const budget = 2.0
 	for name, cfg := range allocModes(300) {
 		t.Run(name, func(t *testing.T) {
-			if got := epochAllocs(t, obsOn(cfg), 24*3, 24*9); got > budget {
-				t.Errorf("traced steady-state allocations per epoch = %.2f, budget %.1f", got, budget)
+			if got, _ := epochAllocs(t, obsOn(cfg), 24*3, 24*9); got > epochAllocBudget {
+				t.Errorf("traced steady-state allocations per epoch = %.2f, budget %.1f", got, epochAllocBudget)
 			}
 		})
 	}

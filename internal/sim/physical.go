@@ -15,7 +15,9 @@ import (
 // (model, device) at appRatePerSec, and the RTT from its source site to
 // its hosting site. A stale or misapplied class hint would attach another
 // class's rows. The rows, fed what the live apps hold on each, must pass
-// fleet.Physical.
+// fleet.Physical, and the placement workspace must hold each row as it
+// is: its server view's Free and PoweredOn equal fleet.Server's of the
+// row, which a missed write-through (syncRow) breaks.
 //
 // NewEngineFrom refuses every snapshot that restores to a state failing
 // it, and the tests run it after every epoch: a state no run can reach
@@ -46,5 +48,18 @@ func checkPhysical(e *Engine) error {
 		l.Demand = l.Demand.Add(a.demand)
 		l.Apps++
 	}
-	return fleet.Physical((*engineRows)(e), load, e.faults.Skew)
+	if err := fleet.Physical((*engineRows)(e), load, e.faults.Skew); err != nil {
+		return err
+	}
+	if n := e.ws.NumServers(); n != len(e.servers) {
+		return fmt.Errorf("workspace holds %d servers, the engine %d rows", n, len(e.servers))
+	}
+	for j := range e.servers {
+		got, want := e.ws.Server(j), fleet.Server((*engineRows)(e), j)
+		if got.Free != want.Free || got.PoweredOn != want.PoweredOn {
+			return fmt.Errorf("server %s: workspace holds free %v powered on %t, its row free %v powered on %t",
+				want.ID, got.Free, got.PoweredOn, want.Free, want.PoweredOn)
+		}
+	}
+	return nil
 }

@@ -373,8 +373,8 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	// Servers: the initial fleet is overlaid in place; servers past it
 	// were added by scale-out faults and are re-created (and re-registered
 	// with the placement workspace, keeping index alignment). The crashed
-	// count is the restored servers' down flags, counted here. The
-	// workspace reads a row's state at the next solve's sync.
+	// count is the restored servers' down flags, counted here. Each
+	// restored row is written through to the workspace.
 	built := len(e.servers)
 	for j, ss := range snap.Servers {
 		if ss.Site < 0 || ss.Site >= len(e.sites) {
@@ -404,6 +404,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		}
 		srv := &e.servers[j]
 		srv.Base, srv.Factor, srv.Used, srv.On, srv.Down = ss.BaseCap, factor, ss.Used, ss.On, ss.Down
+		e.syncRow(j)
 	}
 
 	e.live = make([]liveApp, len(snap.Live))

@@ -62,6 +62,8 @@ fuzz:
 		-fuzzminimizetime 1s ./internal/orchestrator/
 	$(GO) test -run '^$$' -fuzz '^FuzzRouteSlice$$' -fuzztime $(FUZZTIME) \
 		-fuzzminimizetime 1s ./internal/router/
+	$(GO) test -run '^$$' -fuzz '^FuzzGeneratorWalk$$' -fuzztime $(FUZZTIME) \
+		-fuzzminimizetime 1s ./internal/carbon/
 
 # size prints the size numbers ROADMAP.md quotes: the non-test line count
 # of each core package, of shard and checkpoint, of mip and lp (the exact
@@ -102,8 +104,12 @@ bench-smoke:
 # floor of carbon reads, view assembly and no-move solves) and one of the
 # checkpoint write path (BenchmarkCheckpointResume: Snapshot and
 # checkpoint.Encode, that is Snapshot.AppendJSON and SHA-256, after every
-# Step), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_39.md (CDN year after the
+# Step) and one of the world build's carbon generator
+# (BenchmarkTraceGeneration: a year of one curated zone's intensity per
+# op), and prints the top-10 flat summaries. The checked-in snapshots
+# of those summaries live in profiles/PROFILE_40.md (the generator
+# before and after each term moved to the period it changes in),
+# profiles/PROFILE_39.md (CDN year after the
 # engine's row write-through, once-per-epoch zone reads and prefix
 # departures), profiles/PROFILE_33.md (CDN year and
 # redeploy churn after construct's seeded picks, its fixpoint
@@ -142,9 +148,13 @@ bench-profile:
 	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkCheckpointResume$$' \
 		-benchtime 4x -cpuprofile profiles/ckpt-cpu.pprof \
 		-o profiles/bench.test .
+	GOMAXPROCS=1 $(GO) test -run '^$$' -bench 'BenchmarkTraceGeneration$$' \
+		-benchtime 2000x -cpuprofile profiles/traces-cpu.pprof \
+		-o profiles/bench.test .
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/churn-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profiles/bench.test profiles/churn-mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traffic-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/live-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/cdn-cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/ckpt-cpu.pprof
+	$(GO) tool pprof -top -nodecount=10 profiles/bench.test profiles/traces-cpu.pprof

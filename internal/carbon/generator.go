@@ -52,14 +52,21 @@ func (g *Generator) Start() time.Time {
 	return time.Date(g.Year, 1, 1, 0, 0, 0, 0, time.UTC)
 }
 
+// hoursPerDay is the length of one calendar day of the generated traces,
+// which are in UTC and so carry no daylight-saving days.
+const hoursPerDay = 24
+
 // Intensity generates the zone's hourly carbon-intensity series
-// (g.CO2eq/kWh) for the whole year.
+// (g.CO2eq/kWh) for the whole year. Each hour's mix goes straight into
+// the series; no year of mixes is built.
 func (g *Generator) Intensity(z *Zone) *timeseries.Series {
-	mixes := g.Mixes(z)
-	s := timeseries.New(g.Start(), len(mixes))
-	for i, m := range mixes {
-		s.Values[i] = m.Intensity()
-	}
+	return g.intensity(z, g.calendar())
+}
+
+// intensity is Intensity over the shared terms of g's year.
+func (g *Generator) intensity(z *Zone, days []day) *timeseries.Series {
+	s := timeseries.New(g.Start(), hoursPerDay*len(days))
+	g.walk(z, days, func(h int, m Mix) { s.Values[h] = m.Intensity() })
 	return s
 }
 
@@ -67,64 +74,147 @@ func (g *Generator) Intensity(z *Zone) *timeseries.Series {
 // runs the full-year merit-order simulation on every call, and the
 // caller owns the returned slice.
 func (g *Generator) Mixes(z *Zone) []Mix {
-	n := g.HoursInYear()
-	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
-	out := make([]Mix, n)
-
-	wind := windProcess{rng: rng, level: 0.3}
-	cloud := cloudProcess{rng: rng, level: 0.75}
-
-	start := g.Start()
-	for h := 0; h < n; h++ {
-		ts := start.Add(time.Duration(h) * time.Hour)
-		doy := ts.YearDay()
-		// Solar and demand shapes follow local solar time, approximated
-		// from longitude (15 degrees per hour).
-		local := math.Mod(float64(ts.Hour())+z.Location.Lon/15+48, 24)
-		hod := int(local)
-		dow := ts.Weekday()
-
-		demand := demandAt(hod, doy, dow, z.Region, rng)
-		out[h] = dispatch(z, demand, solarFactor(hod, doy, z.Location.Lat, cloud.step()), wind.step(doy), hydroSeason(doy))
-	}
+	days := g.calendar()
+	out := make([]Mix, hoursPerDay*len(days))
+	g.walk(z, days, func(h int, m Mix) { out[h] = m })
 	return out
 }
 
-// demandAt models normalized demand: mean 1.0, double diurnal peak, weekend
-// dip, seasonal swing, and small noise.
-func demandAt(hod, doy int, dow time.Weekday, region Region, rng *rng.Rand) float64 {
-	// Diurnal: trough ~04:00, peaks ~09:00 and ~19:00.
-	diurnal := 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
-		0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
-	// Seasonal: winter-peaking in Europe (heating), summer-peaking in the
-	// US zones we model (cooling in FL/AZ).
-	seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
-	var seasonal float64
-	if region == RegionUS {
-		seasonal = -0.08 * math.Cos(seasonPhase-math.Pi) // peak mid-summer
-	} else {
-		seasonal = 0.08 * math.Cos(seasonPhase) // peak mid-winter
+// walk runs the zone's full-year merit-order simulation over the days of
+// g's year and hands each hour's mix to emit, in hour order. Every term
+// is computed once per period in which it can change: the calendar holds
+// what depends on the day alone, the daylight window is derived once per
+// day for the zone's latitude, and the local hour comes from a table of
+// the 24 UTC hours for the zone's longitude. Per hour there remain the
+// three normal draws (demand noise, then cloud, then wind), the solar
+// bell and dispatch.
+func (g *Generator) walk(z *Zone, days []day, emit func(h int, m Mix)) {
+	rng := rng.NewStd(zoneSeed(g.Seed, z.ID))
+	wind := windProcess{rng: rng, level: 0.3}
+	cloud := cloudProcess{rng: rng, level: 0.75}
+
+	// Solar and demand shapes follow local solar time, approximated from
+	// longitude (15 degrees per hour).
+	var local [hoursPerDay]int
+	for u := range local {
+		local[u] = int(math.Mod(float64(u)+z.Location.Lon/15+48, 24))
 	}
-	weekend := 0.0
-	if dow == time.Saturday || dow == time.Sunday {
-		weekend = -0.05
+	negTanLat := -math.Tan(z.Location.Lat * math.Pi / 180)
+	season := seasonOf(z.Region)
+
+	h := 0
+	for i := range days {
+		d := &days[i]
+		sun := newDaylight(negTanLat, d.tanDecl)
+		for _, hod := range local {
+			load := demand(hod, d, season, rng.NormFloat64())
+			solar := sun.factor(hod, cloud.step())
+			emit(h, dispatch(z, load, solar, wind.step(d.windMean), d.hydro))
+			h++
+		}
 	}
-	d := 1 + diurnal + seasonal + weekend + 0.02*rng.NormFloat64()
-	if d < 0.5 {
-		d = 0.5
-	}
-	return d
 }
 
-// solarFactor returns the solar fleet capacity factor in [0,1]: a clear-sky
-// bell across the daylight window scaled by cloudiness.
-func solarFactor(hod, doy int, lat, cloudiness float64) float64 {
-	// Day length varies with latitude and season; approximation good to
-	// ~30 minutes below the polar circles.
+// day holds the terms of one calendar day that every zone shares.
+type day struct {
+	tanDecl  float64    // tangent of the solar declination
+	hydro    float64    // seasonal hydro availability (hydroSeason)
+	windMean float64    // seasonal mean of the wind capacity factor
+	seasonal [2]float64 // seasonal demand swing, indexed by seasonOf
+	weekend  float64    // weekend demand dip, 0 on weekdays
+}
+
+// calendar returns the shared terms of each day of g's year.
+func (g *Generator) calendar() []day {
+	days := make([]day, g.HoursInYear()/hoursPerDay)
+	first := g.Start().Weekday()
+	for i := range days {
+		doy := i + 1
+		days[i] = day{
+			tanDecl:  tanDeclination(doy),
+			hydro:    hydroSeason(doy),
+			windMean: windMean(doy),
+			seasonal: [2]float64{seasonalDemand(doy, RegionUS), seasonalDemand(doy, RegionEurope)},
+			weekend:  weekendDip((first + time.Weekday(i%7)) % 7),
+		}
+	}
+	return days
+}
+
+// seasonOf returns the index into day.seasonal of a region's swing: US
+// zones peak in summer, all others in winter.
+func seasonOf(r Region) int {
+	if r == RegionUS {
+		return 0
+	}
+	return 1
+}
+
+// demand models normalized demand at local hour hod of day d: mean 1.0,
+// a double diurnal peak, the day's seasonal swing and weekend dip, and
+// small noise (noise is a standard normal draw), floored at 0.5.
+func demand(hod int, d *day, season int, noise float64) float64 {
+	v := 1 + diurnal[hod] + d.seasonal[season] + d.weekend + 0.02*noise
+	if v < 0.5 {
+		v = 0.5
+	}
+	return v
+}
+
+// diurnal is diurnalDemand by local hour of day.
+var diurnal = func() (t [hoursPerDay]float64) {
+	for hod := range t {
+		t[hod] = diurnalDemand(hod)
+	}
+	return t
+}()
+
+// diurnalDemand returns demand's diurnal swing at local hour hod: trough
+// ~04:00, peaks ~09:00 and ~19:00.
+func diurnalDemand(hod int) float64 {
+	return 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
+		0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
+}
+
+// seasonalDemand returns demand's seasonal swing on day of year doy:
+// winter-peaking in Europe (heating). The US branch was meant to peak in
+// mid-summer (cooling in FL/AZ), but cos(φ−π) = −cos(φ), so it too peaks
+// in mid-winter, within rounding of the other branch; every recorded
+// digest carries that, and TestCalendarTerms states it.
+func seasonalDemand(doy int, region Region) float64 {
+	seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
+	if region == RegionUS {
+		return -0.08 * math.Cos(seasonPhase-math.Pi)
+	}
+	return 0.08 * math.Cos(seasonPhase) // peak mid-winter
+}
+
+// weekendDip returns demand's dip on weekday wd.
+func weekendDip(wd time.Weekday) float64 {
+	if wd == time.Saturday || wd == time.Sunday {
+		return -0.05
+	}
+	return 0
+}
+
+// tanDeclination returns the tangent of the solar declination on day of
+// year doy.
+func tanDeclination(doy int) float64 {
 	decl := 23.44 * math.Sin(2*math.Pi*float64(doy-81)/365.25)
-	latR := lat * math.Pi / 180
-	declR := decl * math.Pi / 180
-	x := -math.Tan(latR) * math.Tan(declR)
+	return math.Tan(decl * math.Pi / 180)
+}
+
+// daylight is one zone-day's daylight window in local solar hours.
+type daylight struct {
+	rise, length float64
+}
+
+// newDaylight returns the daylight window at the latitude whose negated
+// tangent is negTanLat, on the day whose declination has tangent tanDecl.
+// Day length varies with latitude and season; approximation good to ~30
+// minutes below the polar circles.
+func newDaylight(negTanLat, tanDecl float64) daylight {
+	x := negTanLat * tanDecl
 	if x < -1 {
 		x = -1
 	}
@@ -132,15 +222,21 @@ func solarFactor(hod, doy int, lat, cloudiness float64) float64 {
 		x = 1
 	}
 	dayLen := 2 * math.Acos(x) / math.Pi * 12 // hours
-	if dayLen <= 0.5 {
+	return daylight{rise: 12 - dayLen/2, length: dayLen}
+}
+
+// factor returns the solar fleet capacity factor in [0,1] at local hour
+// hod: a clear-sky bell across the daylight window scaled by cloudiness.
+// A day of at most half an hour of light has no sun.
+func (s daylight) factor(hod int, cloudiness float64) float64 {
+	if s.length <= 0.5 {
 		return 0
 	}
-	sunrise := 12 - dayLen/2
 	t := float64(hod) + 0.5
-	if t < sunrise || t > sunrise+dayLen {
+	if t < s.rise || t > s.rise+s.length {
 		return 0
 	}
-	bell := math.Sin(math.Pi * (t - sunrise) / dayLen)
+	bell := math.Sin(math.Pi * (t - s.rise) / s.length)
 	return bell * bell * cloudiness
 }
 
@@ -150,15 +246,20 @@ func hydroSeason(doy int) float64 {
 	return 0.75 + 0.2*math.Sin(2*math.Pi*float64(doy-60)/365.25)
 }
 
+// windMean returns the seasonal mean of the wind capacity factor on day
+// of year doy: winter high (0.42), summer low (0.25).
+func windMean(doy int) float64 {
+	return 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+}
+
 // windProcess is a mean-reverting hourly capacity-factor process.
 type windProcess struct {
 	rng   *rng.Rand
 	level float64
 }
 
-func (w *windProcess) step(doy int) float64 {
-	// Seasonal mean: winter high (0.42), summer low (0.25).
-	mean := 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+// step moves the process one hour toward the day's seasonal mean.
+func (w *windProcess) step(mean float64) float64 {
 	w.level += 0.06*(mean-w.level) + 0.035*w.rng.NormFloat64()
 	if w.level < 0.02 {
 		w.level = 0.02
@@ -207,23 +308,23 @@ func dispatch(z *Zone, demand, solarCF, windCF, hydroAvail float64) Mix {
 
 	// Nuclear baseload runs at ~92% capacity factor but is trimmed when
 	// renewables already cover demand.
-	nuc := math.Min(z.Capacity[Nuclear]*0.92, residual)
+	nuc := min(z.Capacity[Nuclear]*0.92, residual)
 	m[Nuclear] = nuc
 	residual -= nuc
 
 	// Hydro is dispatchable within its seasonal availability.
-	hyd := math.Min(z.Capacity[Hydro]*hydroAvail, residual)
+	hyd := min(z.Capacity[Hydro]*hydroAvail, residual)
 	m[Hydro] = hyd
 	residual -= hyd
 
-	bio := math.Min(z.Capacity[Biomass]*0.7, residual)
+	bio := min(z.Capacity[Biomass]*0.7, residual)
 	m[Biomass] = bio
 	residual -= bio
 
 	if residual > 1e-12 {
 		fossilCap := z.Capacity[Gas] + z.Capacity[Oil] + z.Capacity[Coal]
 		if fossilCap > 0 {
-			serve := math.Min(residual, fossilCap)
+			serve := min(residual, fossilCap)
 			m[Gas] = serve * z.Capacity[Gas] / fossilCap
 			m[Oil] = serve * z.Capacity[Oil] / fossilCap
 			m[Coal] = serve * z.Capacity[Coal] / fossilCap
@@ -248,8 +349,9 @@ func (g *Generator) GenerateTraces(r *Registry) *TraceSet {
 		Hours:  g.HoursInYear(),
 		traces: make(map[string]*timeseries.Series, r.Len()),
 	}
+	days := g.calendar()
 	for _, z := range r.Zones() {
-		ts.traces[z.ID] = g.Intensity(z)
+		ts.traces[z.ID] = g.intensity(z, days)
 	}
 	return ts
 }

@@ -1,13 +1,18 @@
 package carbon
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/rng"
 )
 
 func testZone(t *testing.T, id string) *Zone {
@@ -173,9 +178,16 @@ func TestWindSeasonality(t *testing.T) {
 	}
 }
 
+// clearSky returns the clear-sky solar factor at local hour hod of day of
+// year doy at latitude lat, composed from the per-day, per-zone-day and
+// per-hour parts the walk uses.
+func clearSky(hod, doy int, lat float64) float64 {
+	return newDaylight(-math.Tan(lat*math.Pi/180), tanDeclination(doy)).factor(hod, 1)
+}
+
 func TestSolarFactorNightZero(t *testing.T) {
 	for doy := 1; doy <= 365; doy += 30 {
-		if got := solarFactor(0, doy, 40, 1); got != 0 {
+		if got := clearSky(0, doy, 40); got != 0 {
 			t.Errorf("midnight solar (doy %d) = %v, want 0", doy, got)
 		}
 	}
@@ -184,15 +196,71 @@ func TestSolarFactorNightZero(t *testing.T) {
 func TestSolarFactorSummerLongerThanWinter(t *testing.T) {
 	var summerHours, winterHours int
 	for h := 0; h < 24; h++ {
-		if solarFactor(h, 172, 45, 1) > 0 {
+		if clearSky(h, 172, 45) > 0 {
 			summerHours++
 		}
-		if solarFactor(h, 355, 45, 1) > 0 {
+		if clearSky(h, 355, 45) > 0 {
 			winterHours++
 		}
 	}
 	if summerHours <= winterHours {
 		t.Errorf("summer daylight hours (%d) should exceed winter (%d) at 45N", summerHours, winterHours)
+	}
+}
+
+// TestSolarFactorPolar: past the polar circles the daylight window
+// clamps, to no sun in the polar night and a full bell-less day in the
+// polar day, where every hour has light.
+func TestSolarFactorPolar(t *testing.T) {
+	for h := 0; h < 24; h++ {
+		if got := clearSky(h, 355, 80); got != 0 {
+			t.Errorf("polar night hour %d: solar %v, want 0", h, got)
+		}
+		if got := clearSky(h, 172, 80); got <= 0 {
+			t.Errorf("polar day hour %d: solar %v, want > 0", h, got)
+		}
+	}
+}
+
+// TestCalendarTerms: the day terms peak where their comments say, and
+// the weekend dip falls on the Saturdays and Sundays of the year.
+func TestCalendarTerms(t *testing.T) {
+	g := NewGenerator(1)
+	days := g.calendar()
+	if len(days) != 365 {
+		t.Fatalf("%d days in 2023", len(days))
+	}
+	jan, jul := days[14], days[195] // January 15, July 15
+	if jan.windMean <= jul.windMean {
+		t.Errorf("wind mean January %.3f, July %.3f: want winter high", jan.windMean, jul.windMean)
+	}
+	// Both seasonal branches peak in mid-winter (seasonalDemand's doc):
+	// the US one agrees with Europe's to within rounding every day.
+	us, other := seasonOf(RegionUS), seasonOf(RegionEurope)
+	if jan.seasonal[other] <= jul.seasonal[other] {
+		t.Errorf("Europe seasonal demand January %.3f, July %.3f: want a winter peak", jan.seasonal[other], jul.seasonal[other])
+	}
+	for i, d := range days {
+		if math.Abs(d.seasonal[us]-d.seasonal[other]) > 1e-15 {
+			t.Errorf("day %d: US seasonal %v, Europe %v", i+1, d.seasonal[us], d.seasonal[other])
+		}
+	}
+	if seasonOf(RegionOther) != other {
+		t.Error("regions outside the US should share Europe's winter peak")
+	}
+	if days[105].hydro <= days[240].hydro { // mid-April vs late August
+		t.Errorf("hydro mid-April %.3f, late August %.3f: want spring high", days[105].hydro, days[240].hydro)
+	}
+	for i, d := range days {
+		wd := g.Start().AddDate(0, 0, i).Weekday()
+		if want := wd == time.Saturday || wd == time.Sunday; (d.weekend != 0) != want {
+			t.Errorf("day %d (%v): weekend dip %v", i+1, wd, d.weekend)
+		}
+	}
+	for hod := range diurnal {
+		if diurnal[hod] != diurnalDemand(hod) {
+			t.Errorf("diurnal table hour %d = %v, want %v", hod, diurnal[hod], diurnalDemand(hod))
+		}
 	}
 }
 
@@ -277,4 +345,184 @@ func TestMixesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// oracleMixes is the per-hour walk the generator ran before each term
+// moved to the period in which it changes: every hour it re-derives the
+// calendar from time.Time, the declination and the daylight window, the
+// local hour and every demand term. TestGoldenTraces' digest was recorded
+// on it, and FuzzGeneratorWalk holds Mixes and Intensity to it bit for
+// bit.
+func oracleMixes(g *Generator, z *Zone) []Mix {
+	n := g.HoursInYear()
+	r := rng.NewStd(zoneSeed(g.Seed, z.ID))
+	out := make([]Mix, n)
+	windLevel, cloudLevel := 0.3, 0.75
+	start := g.Start()
+	for h := 0; h < n; h++ {
+		ts := start.Add(time.Duration(h) * time.Hour)
+		doy := ts.YearDay()
+		local := math.Mod(float64(ts.Hour())+z.Location.Lon/15+48, 24)
+		hod := int(local)
+		dow := ts.Weekday()
+
+		demand := oracleDemandAt(hod, doy, dow, z.Region, r)
+		cloudLevel += 0.04*(0.78-cloudLevel) + 0.05*r.NormFloat64()
+		cloudLevel = math.Min(math.Max(cloudLevel, 0.25), 1)
+		solar := oracleSolarFactor(hod, doy, z.Location.Lat, cloudLevel)
+		mean := 0.335 + 0.085*math.Cos(2*math.Pi*float64(doy-15)/365.25)
+		windLevel += 0.06*(mean-windLevel) + 0.035*r.NormFloat64()
+		windLevel = math.Min(math.Max(windLevel, 0.02), 0.95)
+		hydro := 0.75 + 0.2*math.Sin(2*math.Pi*float64(doy-60)/365.25)
+		out[h] = dispatch(z, demand, solar, windLevel, hydro)
+	}
+	return out
+}
+
+func oracleDemandAt(hod, doy int, dow time.Weekday, region Region, r *rng.Rand) float64 {
+	diurnal := 0.10*math.Sin(2*math.Pi*float64(hod-7)/24) +
+		0.06*math.Sin(4*math.Pi*float64(hod-1)/24)
+	seasonPhase := float64(doy-15) / 365.25 * 2 * math.Pi
+	var seasonal float64
+	if region == RegionUS {
+		seasonal = -0.08 * math.Cos(seasonPhase-math.Pi)
+	} else {
+		seasonal = 0.08 * math.Cos(seasonPhase)
+	}
+	weekend := 0.0
+	if dow == time.Saturday || dow == time.Sunday {
+		weekend = -0.05
+	}
+	d := 1 + diurnal + seasonal + weekend + 0.02*r.NormFloat64()
+	if d < 0.5 {
+		d = 0.5
+	}
+	return d
+}
+
+func oracleSolarFactor(hod, doy int, lat, cloudiness float64) float64 {
+	decl := 23.44 * math.Sin(2*math.Pi*float64(doy-81)/365.25)
+	latR := lat * math.Pi / 180
+	declR := decl * math.Pi / 180
+	x := -math.Tan(latR) * math.Tan(declR)
+	if x < -1 {
+		x = -1
+	}
+	if x > 1 {
+		x = 1
+	}
+	dayLen := 2 * math.Acos(x) / math.Pi * 12
+	if dayLen <= 0.5 {
+		return 0
+	}
+	sunrise := 12 - dayLen/2
+	t := float64(hod) + 0.5
+	if t < sunrise || t > sunrise+dayLen {
+		return 0
+	}
+	bell := math.Sin(math.Pi * (t - sunrise) / dayLen)
+	return bell * bell * cloudiness
+}
+
+// goldenTracesDigest is the SHA-256 that TestGoldenTraces folds. It was
+// recorded on linux/amd64 with the per-hour walk that oracleMixes keeps.
+const goldenTracesDigest = "0f276f0517b49502232c93f335d9ac5c960cdd5099b63094c3107d184cd3732b"
+
+// TestGoldenTraces pins the year-long traces of every zone: for seeds 42
+// and 43 it hashes the sorted zone IDs of DefaultRegistry and the bits of
+// every hourly value of GenerateTraces, then the bits of Mixes for the
+// first zone of each region.
+func TestGoldenTraces(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the digest is recorded on amd64; on %s Go may fuse multiply-adds, which rounds differently", runtime.GOARCH)
+	}
+	h := sha256.New()
+	var word [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+		h.Write(word[:])
+	}
+	for _, seed := range []int64{42, 43} {
+		reg, err := DefaultRegistry(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewGenerator(seed)
+		ts := g.GenerateTraces(reg)
+		ids := ts.ZoneIDs()
+		slices.Sort(ids)
+		if len(ids) != 148 {
+			t.Fatalf("seed %d: %d traces, want 148", seed, len(ids))
+		}
+		for _, id := range ids {
+			h.Write([]byte(id))
+			h.Write([]byte{0})
+			for _, v := range ts.Trace(id).Values {
+				put(v)
+			}
+		}
+		for _, region := range []Region{RegionUS, RegionEurope, RegionOther} {
+			for _, m := range g.Mixes(reg.InRegion(region)[0]) {
+				for _, v := range m {
+					put(v)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenTracesDigest {
+		t.Errorf("trace digest %s, want %s: the generated traces changed", got, goldenTracesDigest)
+	}
+}
+
+// FuzzGeneratorWalk holds Mixes and Intensity to oracleMixes bit for bit
+// over a whole year, on fuzzed seeds, years, locations (latitudes into the
+// polar day and night, where the daylight window clamps, and longitudes
+// across the antimeridian, where the local hour wraps), regions and
+// capacities.
+func FuzzGeneratorWalk(f *testing.F) {
+	f.Add(int64(42), uint8(23), 48.1, 11.6, uint8(1), 0.1, 0.2, 0.1, 0.3, 0.05, 0.6, 0.02, 0.4)
+	f.Add(int64(7), uint8(24), 35.2, -114.0, uint8(0), 0.5, 0.1, 0.0, 0.0, 0.0, 1.1, 0.0, 0.2)
+	f.Add(int64(-3), uint8(0), 89.0, 180.0, uint8(2), 2.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(int64(1<<40), uint8(99), -89.0, -180.0, uint8(2), 0.0, 0.0, 5.0, 5.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(int64(0), uint8(44), 66.6, 179.99, uint8(1), 0.3, 1.3, 0.05, 0.0, 0.0, 1.1, 0.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, year uint8, lat, lon float64, region uint8,
+		solar, wind, hydro, nuclear, biomass, gas, oil, coal float64) {
+		in := []float64{lat, lon, solar, wind, hydro, nuclear, biomass, gas, oil, coal}
+		for _, v := range in {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		// Fold every input into its range: lat ∈ [−89, 89], lon ∈
+		// [−180, 180] and each capacity ∈ [0, 5].
+		fold := func(v, lo, hi float64) float64 {
+			return lo + math.Mod(math.Abs(v-lo), hi-lo)
+		}
+		z := &Zone{
+			ID: "FUZZ", Region: Region(region % 3),
+			Location: geo.Point{Lat: fold(lat, -89, 89), Lon: fold(lon, -180, 180)},
+			Capacity: zcap(fold(solar, 0, 5), fold(wind, 0, 5), fold(hydro, 0, 5), fold(nuclear, 0, 5),
+				fold(biomass, 0, 5), fold(gas, 0, 5), fold(oil, 0, 5), fold(coal, 0, 5)),
+		}
+		g := &Generator{Seed: seed, Year: 2000 + int(year)%100}
+		want := oracleMixes(g, z)
+		got := g.Mixes(z)
+		if len(got) != len(want) {
+			t.Fatalf("Mixes has %d hours, oracle %d", len(got), len(want))
+		}
+		s := g.Intensity(z)
+		if s.Len() != len(want) || !s.Start.Equal(g.Start()) {
+			t.Fatalf("Intensity has %d hours from %v, want %d from %v", s.Len(), s.Start, len(want), g.Start())
+		}
+		for h := range want {
+			for k := range want[h] {
+				if math.Float64bits(got[h][k]) != math.Float64bits(want[h][k]) {
+					t.Fatalf("%+v %d: Mixes hour %d %v = %v, oracle %v", z.Location, g.Year, h, Source(k), got[h][k], want[h][k])
+				}
+			}
+			if w := want[h].Intensity(); math.Float64bits(s.Values[h]) != math.Float64bits(w) {
+				t.Fatalf("%+v %d: Intensity hour %d = %v, oracle %v", z.Location, g.Year, h, s.Values[h], w)
+			}
+		}
+	})
 }

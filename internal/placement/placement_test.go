@@ -658,6 +658,13 @@ func TestPlacerNoFallbackTimesMatch(t *testing.T) {
 // capacity the batch fills to about 40 %.
 func pairLimitBatch(t *testing.T, seed int64) *Problem {
 	t.Helper()
+	rates := []float64{4, 6, 9, 13}
+	return limitBatch(t, seed, func(_ int, rng *rand.Rand) float64 { return rates[rng.Intn(len(rates))] })
+}
+
+// limitBatch is pairLimitBatch's view with app i's rate drawn by rate.
+func limitBatch(t *testing.T, seed int64, rate func(i int, rng *rand.Rand) float64) *Problem {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	servers := make([]Server, 5)
 	for j := range servers {
@@ -669,11 +676,10 @@ func pairLimitBatch(t *testing.T, seed int64) *Problem {
 		}
 	}
 	models := []string{energy.ModelResNet50, energy.ModelEfficientNetB0}
-	rates := []float64{4, 6, 9, 13}
 	apps := make([]App, 44)
 	for i := range apps {
 		apps[i] = App{ID: fmt.Sprintf("a%02d", i), Model: models[rng.Intn(2)], Source: "site", SLOms: 30,
-			RatePerSec: rates[rng.Intn(len(rates))]}
+			RatePerSec: rate(i, rng)}
 	}
 	ws, err := NewWorkspace(servers, func(string, string) float64 { return 2 }, nil)
 	if err != nil {
@@ -718,6 +724,76 @@ func TestExactNodeBudget(t *testing.T) {
 			first = res.Assignment
 		} else if !reflect.DeepEqual(res.Assignment, first) {
 			t.Fatalf("the second solve returned %+v, the first %+v", res.Assignment, first)
+		}
+	}
+}
+
+// TestDistinctBatchRoutesHeuristic: a batch at ExactPairLimit whose 44
+// apps run at 44 distinct rates (4, 4.2, … 12.6 req/s) is 44 classes and
+// would build 220 integers, where branch and bound spent 13.6–20.9 s; its
+// certificate declines, so it goes to the heuristic, every app placed,
+// in well under a second.
+func TestDistinctBatchRoutesHeuristic(t *testing.T) {
+	for _, seed := range []int64{9, 10, 11} {
+		p := limitBatch(t, seed, func(i int, _ *rand.Rand) float64 { return 4 + 0.2*float64(i) })
+		if len(p.classRep) != 44 {
+			t.Fatalf("seed %d: %d classes, want 44", seed, len(p.classRep))
+		}
+		start := time.Now()
+		res, err := NewPlacer(CarbonAware{}).Place(p)
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Backend != "heuristic" || res.Metrics.Unplaced != 0 || took >= time.Second {
+			t.Errorf("seed %d: %s backend in %v with %d unplaced, want the heuristic in under 1 s with none",
+				seed, res.Backend, took, res.Metrics.Unplaced)
+		}
+	}
+}
+
+// TestExactIntegerLimitRouting: over pair-limit batches whose rates take
+// 3 to 8 values (up to 16 classes with the two models), Place sends a batch to the exact backend exactly when its
+// MILP has at most ExactIntegerLimit integers or its certificate closes
+// it, and the batches the certificate declines fall at the limit, below
+// it and above it. (TestPlacerBackendRouting's 220-pair dense batch is
+// one the certificate closes above the limit.)
+func TestExactIntegerLimitRouting(t *testing.T) {
+	seen := map[string]bool{}
+	for k := 3; k <= 8; k++ {
+		for seed := int64(1); seed <= 3; seed++ {
+			p := limitBatch(t, seed, func(i int, _ *rand.Rand) float64 { return 4 + 0.2*float64(i%k) })
+			md, err := buildMILP(p, CarbonAware{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ints, certified := len(md.pairs), certify(p, CarbonAware{}) != nil
+			want := "heuristic"
+			if ints <= ExactIntegerLimit || certified {
+				want = "exact"
+			}
+			res, err := NewPlacer(CarbonAware{}).Place(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Backend != want {
+				t.Errorf("k %d seed %d: %d integers (certified %v) routed to %s, want %s", k, seed, ints, certified, res.Backend, want)
+			}
+			if !certified {
+				switch {
+				case ints < ExactIntegerLimit:
+					seen["below"] = true
+				case ints == ExactIntegerLimit:
+					seen["at"] = true
+				default:
+					seen["above"] = true
+				}
+			}
+		}
+	}
+	for _, side := range []string{"below", "at", "above"} {
+		if !seen[side] {
+			t.Errorf("no declined batch %s the limit", side)
 		}
 	}
 }

@@ -107,7 +107,10 @@ bench-smoke:
 # Step) and one of the world build's carbon generator
 # (BenchmarkTraceGeneration: a year of one curated zone's intensity per
 # op), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_40.md (the generator
+# of those summaries live in profiles/PROFILE_41.md (CDN year before and
+# after the solver's gated candidate lists, activation costed only for
+# servers that start off, and placements counted in the engine's dense
+# table), profiles/PROFILE_40.md (the generator
 # before and after each term moved to the period it changes in),
 # profiles/PROFILE_39.md (CDN year after the
 # engine's row write-through, once-per-epoch zone reads and prefix

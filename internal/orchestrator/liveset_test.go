@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -582,10 +583,10 @@ func TestReplicaTableMatchesRebuildOracle(t *testing.T) {
 }
 
 func TestLiveSetConcurrentChurn(t *testing.T) {
-	// Deploys, undeploys, ticks, faults and scrapes race for a few
-	// hundred milliseconds (run under -race by `make race` and CI);
-	// whatever the interleaving, the rows left at the end are the live
-	// set's and pass the production row check.
+	// Deploys, undeploys, ticks, faults, scrapes and checkpoint restores
+	// race for a few hundred milliseconds (run under -race by `make race`
+	// and CI); whatever the interleaving, the rows left at the end are
+	// the live set's and pass the production row check.
 	o := trafficFixture(t, placement.CarbonAware{}, 10)
 	srv := httptest.NewServer(o.API())
 	defer srv.Close()
@@ -684,6 +685,46 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	// until the whole script has been applied: the faults land mid-churn
 	// however late the ticker is scheduled. An undeploy may find a name
 	// gone only if some batch, of either deployer, rejected it.
+	// A checkpoint PUT races the churn: LoadState restores only into a
+	// fresh orchestrator, so it must refuse (409) and change nothing. It
+	// starts once a deployer has submitted after the whole script was
+	// applied: with every server back at full strength no batch rejects,
+	// so that deployer keeps some name deployed or queued from then on
+	// (it undeploys a name only after submitting three newer ones). The
+	// payload is the fixture's own state, saved before the churn.
+	saved, err := o.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sealed bytes.Buffer
+	if err := checkpoint.Encode(&sealed, stateKind, saved); err != nil {
+		t.Fatal(err)
+	}
+	var calm atomic.Bool
+	var puts atomic.Int64
+	background(func() {
+		if !calm.Load() {
+			runtime.Gosched()
+			return
+		}
+		req, err := http.NewRequest(http.MethodPut, srv.URL+"/api/v1/state", bytes.NewReader(sealed.Bytes()))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("PUT /api/v1/state mid-churn answered %d, want %d", resp.StatusCode, http.StatusConflict)
+		}
+		puts.Add(1)
+	})
+
 	var namesMu sync.Mutex
 	rejected, missing := map[string]bool{}, []string(nil)
 	var deployers sync.WaitGroup
@@ -691,11 +732,15 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 		deployers.Add(1)
 		go func(d int) {
 			defer deployers.Done()
-			for i := 0; i < 300 || o.FaultStatus().Pending > 0; i++ {
+			for i := 0; i < 300 || o.FaultStatus().Pending > 0 || puts.Load() == 0; i++ {
+				applied := o.FaultStatus().Pending == 0
 				rec := Recipe{Name: fmt.Sprintf("d%d-%03d", d, i), Model: "ResNet50", Source: "CityA", SLOms: 50, RatePerSec: 1}
 				if err := o.Submit(rec); err != nil {
 					t.Error(err)
 					return
+				}
+				if applied {
+					calm.Store(true)
 				}
 				_, rej, err := o.PlaceBatch()
 				if err != nil {
@@ -724,6 +769,9 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 	deployers.Wait()
 	close(done)
 	wg.Wait()
+	if puts.Load() == 0 {
+		t.Error("no state PUT raced the churn")
+	}
 	for _, name := range missing {
 		if !rejected[name] {
 			t.Errorf("undeploy found no %s, and no batch rejected it", name)
@@ -751,7 +799,7 @@ func TestLiveSetConcurrentChurn(t *testing.T) {
 		t.Errorf("%d faults applied, %d pending, %d evictions; the churn raced none", fs.Applied, fs.Pending, fs.Evictions)
 	}
 	o.mu.Lock()
-	err := o.physical(o.faults.Skew)
+	err = o.physical(o.faults.Skew)
 	o.mu.Unlock()
 	if err != nil {
 		t.Error(err)

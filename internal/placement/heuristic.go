@@ -87,7 +87,7 @@ const maxDistinctDemands = 8
 // distinct-demand lists its capacity filter tests against.
 //
 // The class (Problem.classes) is the unit of structure: its apps share
-// one cost row, so a solve evaluates one row per class.
+// one gated list and one cost row, so a solve evaluates one row per class.
 type costMemo struct {
 	p *Problem
 	m int // server count the structure is laid out for
@@ -97,21 +97,22 @@ type costMemo struct {
 	rep   []int32
 	ident []int32
 
-	// off[c] is class c's base slot in row/ok (one slot per candidate, in
-	// candidate order).
+	// cand[c] is class c's gated list (its slots): the candidates that are
+	// compatible and within the SLO, ascending. A view's shortlist is built
+	// by those two tests and is used as is; off a view, build filters.
+	cand  [][]int
+	gated []int
+	// off[c] is class c's base slot in row.
 	off []int
 	// row[slot] is pol.PairCost for the slot's (class, server) pair.
 	row []float64
-	// ok[slot] is the static feasibility gate (compatibility + latency);
-	// only capacity remains to be checked during a scan.
-	ok []bool
-	// opts[c] counts class c's gated slots that fit their server's free
+	// opts[c] counts class c's slots that fit their server's free
 	// capacity at the start of the solve: construct's option count.
 	opts []int
 	// seed[c] is the slot construct's scan of class c returns at the
 	// start of the solve (see HeuristicSolver.pickCheapest), or -1.
 	seed []int
-	// act[j] is pol.ActivationCost(p, j).
+	// act[j] is pol.ActivationCost(p, j), set for servers that start off.
 	act []float64
 
 	// adj marks the reverse adjacency and demand lists below built for
@@ -122,14 +123,14 @@ type costMemo struct {
 	adj bool
 
 	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
-	// revOff[j+1]] lists the classes whose candidate lists contain server
-	// j. The dirty-app queue marks through it.
+	// revOff[j+1]] lists the classes whose gated lists contain server j.
+	// The dirty-app queue marks through it.
 	revOff []int
 	revCls []int32
 	cursor []int // CSR fill scratch
 
 	// dOff/dLen/dVal list the distinct demand vectors among each server's
-	// adjacent feasible slots; dBig[j] reports overflow past
+	// adjacent slots; dBig[j] reports overflow past
 	// maxDistinctDemands. fitsFlip tests capacity changes against them.
 	dOff []int
 	dLen []int32
@@ -143,31 +144,35 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	mm.cls, mm.rep = p.classes(&mm.ident)
 	nc := len(mm.rep)
 
-	// Static feasibility and cost per slot.
-	mm.off = grow(mm.off, nc)
+	mm.cand, mm.off, mm.gated = grow(mm.cand, nc), grow(mm.off, nc), mm.gated[:0]
 	total := 0
 	for c, r := range mm.rep {
-		mm.off[c] = total
-		total += len(p.CandidatesOf(int(r)))
+		i := int(r)
+		if mm.cand[c] = p.CandidatesOf(i); p.classOf == nil {
+			// An append that moves gated leaves the earlier lists intact.
+			lo, slo := len(mm.gated), p.Apps[i].SLOms
+			for _, j := range mm.cand[c] {
+				if p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9 {
+					mm.gated = append(mm.gated, j)
+				}
+			}
+			mm.cand[c] = mm.gated[lo:]
+		}
+		mm.off[c], total = total, total+len(mm.cand[c])
 	}
 	mm.row = grow(mm.row, total)
-	mm.ok = grow(mm.ok, total)
 	mm.opts = grow(mm.opts, nc)
 	mm.seed = grow(mm.seed, nc)
 	mm.act = grow(mm.act, m)
 	for j := range p.Servers {
-		mm.act[j] = pol.ActivationCost(p, j)
+		if !p.Servers[j].PoweredOn {
+			mm.act[j] = pol.ActivationCost(p, j)
+		}
 	}
 	for c, r := range mm.rep {
 		i, base := int(r), mm.off[c]
-		slo := p.Apps[i].SLOms
 		opts, best, bestCost := 0, -1, math.Inf(1)
-		for k, j := range p.CandidatesOf(i) {
-			ok := p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9
-			mm.ok[base+k], mm.row[base+k] = ok, 0
-			if !ok {
-				continue
-			}
+		for k, j := range mm.cand[c] {
 			cost := pol.PairCost(p, i, j)
 			mm.row[base+k] = cost
 			if !p.Demand[i][j].Fits(p.Servers[j].Free) {
@@ -196,8 +201,8 @@ func (mm *costMemo) ensureAdj() {
 	p, m := mm.p, mm.m
 	mm.revOff = grow(mm.revOff, m+1)
 	clear(mm.revOff)
-	for _, r := range mm.rep {
-		for _, j := range p.CandidatesOf(int(r)) {
+	for _, cand := range mm.cand {
+		for _, j := range cand {
 			mm.revOff[j+1]++
 		}
 	}
@@ -207,8 +212,8 @@ func (mm *costMemo) ensureAdj() {
 	mm.revCls = grow(mm.revCls, mm.revOff[m])
 	mm.cursor = grow(mm.cursor, m)
 	copy(mm.cursor, mm.revOff[:m])
-	for c, r := range mm.rep {
-		for _, j := range p.CandidatesOf(int(r)) {
+	for c, cand := range mm.cand {
+		for _, j := range cand {
 			mm.revCls[mm.cursor[j]] = int32(c)
 			mm.cursor[j]++
 		}
@@ -218,7 +223,7 @@ func (mm *costMemo) ensureAdj() {
 }
 
 // buildDemandLists collects, per server, the distinct demand vectors among
-// its statically-feasible adjacent slots (one per adjacent class, capped at
+// its adjacent slots (one per adjacent class, capped at
 // maxDistinctDemands). fitsFlip uses them to decide whether a capacity
 // change on a server can alter any adjacent app's scan.
 func (mm *costMemo) buildDemandLists(p *Problem) {
@@ -236,9 +241,9 @@ func (mm *costMemo) buildDemandLists(p *Problem) {
 	mm.dOff[m] = total
 	mm.dVal = grow(mm.dVal, total)
 	for c, r := range mm.rep {
-		i, base := int(r), mm.off[c]
-		for k, j := range p.CandidatesOf(i) {
-			if !mm.ok[base+k] || mm.dBig[j] {
+		i := int(r)
+		for _, j := range mm.cand[c] {
+			if mm.dBig[j] {
 				continue
 			}
 			d := p.Demand[i][j]
@@ -280,7 +285,7 @@ func (mm *costMemo) fitsFlip(j int, a, b cluster.Resources) bool {
 	return false
 }
 
-// slotOf returns j's index within the ascending candidate list, or -1.
+// slotOf returns j's index within an ascending (gated) list, or -1.
 func slotOf(cand []int, j int) int {
 	lo, hi := 0, len(cand)
 	for lo < hi {
@@ -298,11 +303,11 @@ func slotOf(cand []int, j int) int {
 }
 
 // classMemo lets a solve skip scans that a same-class app has just made.
-// Apps of one class read the same candidate list, gates, cost row and
-// demand row, so a scan's result depends only on the class, the app's
-// current server, and the capacity and power state of the class's
-// candidates. Two memos key on that, and each skips only a scan that
-// provably returns what the recorded scan returned:
+// Apps of one class read the same gated list, cost row and demand row, so
+// a scan's result depends only on the class, the app's current server,
+// and the capacity and power state of the class's candidates. Two memos
+// key on that, and each skips only a scan that provably returns what the
+// recorded scan returned:
 //
 //   - construct's pick: pick[c] is class c's last scan result (a slot,
 //     or -1 when nothing fit), seeded with the scan of the solve's start
@@ -337,9 +342,9 @@ type classMemo struct {
 	floor []floor   // per class
 }
 
-// floor summarizes one class's candidates at one class stamp: the first
-// slot that passes the static gates and fits, and the three cheapest such
-// slots by (cost, slot), a server that is off costing its activation too.
+// floor summarizes one class's gated list at one class stamp: the first
+// slot that fits, and the three cheapest such slots by (cost, slot), a
+// server that is off costing its activation too.
 // Only a strictly lower cost displaces an entry (equal costs keep slot
 // order), and a NaN cost, which no scan ever prefers, never enters.
 type floor struct {
@@ -352,10 +357,10 @@ type floor struct {
 
 // scan refills f at stamp at from member i's rows (a class shares them).
 func (f *floor) scan(st *state, mm *costMemo, i int, at stamped) {
-	p, base := st.p, mm.off[mm.cls[i]]
+	p, base, cand := st.p, mm.off[mm.cls[i]], mm.cand[mm.cls[i]]
 	f.at, f.first, f.n = at, -1, 0
-	for k, j := range p.CandidatesOf(i) {
-		if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+	for k, j := range cand {
+		if !p.Demand[i][j].Fits(st.free[j]) {
 			continue
 		}
 		if f.first < 0 {
@@ -440,7 +445,7 @@ type state struct {
 	free     []cluster.Resources
 	on       []bool
 	assigned []int // app -> server or -1
-	slot     []int // app -> its server's index in its candidate list, or -1
+	slot     []int // app -> its server's index in its gated list, or -1
 	loads    []int // number of apps per server
 
 	// mark and stamp are the dirty-app work queue. mark[i] is the last
@@ -486,18 +491,10 @@ func (st *state) init(p *Problem, pol Policy, nc int) {
 }
 
 // canPlace reports whether app i fits on server j right now.
-func (st *state) canPlace(i, j int) bool {
-	if !st.p.Compatible[i][j] {
-		return false
-	}
-	if st.p.LatencyMs[i][j] > st.p.Apps[i].SLOms+1e-9 {
-		return false
-	}
-	return st.p.Demand[i][j].Fits(st.free[j])
-}
+func (st *state) canPlace(i, j int) bool { return st.p.fits(i, j, st.free[j]) }
 
-// place commits app i to server j, candidate slot k (-1 for a server
-// outside the app's candidate list).
+// place commits app i to server j, slot k (-1 for a server outside the
+// app's gated list).
 func (st *state) place(i, j, k int) {
 	st.assigned[i], st.slot[i] = j, k
 	st.free[j] = st.free[j].Sub(st.p.Demand[i][j])
@@ -613,7 +610,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 		// still feasible; local search below repairs the rest.
 		for i, j := range warm.ServerOf {
 			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {
-				st.place(i, j, slotOf(p.CandidatesOf(i), j))
+				st.place(i, j, slotOf(mm.cand[mm.cls[i]], j))
 			}
 		}
 	} else {
@@ -689,7 +686,7 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo) bool {
 			fixpoint = false
 			continue
 		}
-		j := p.CandidatesOf(i)[k]
+		j := mm.cand[mm.cls[i]][k]
 		if !st.on[j] || !shrinks(p.Demand[i][j]) {
 			s.cm.gen++ // retire every cached pick (see classMemo)
 			fixpoint = false
@@ -706,7 +703,7 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo) bool {
 func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	p, cm := st.p, &s.cm
 	c := mm.cls[i]
-	cand := p.CandidatesOf(i)
+	cand := mm.cand[c]
 	if e := cm.pick[c]; e.gen == cm.gen {
 		if k := int(e.v); k < 0 || p.Demand[i][cand[k]].Fits(st.free[cand[k]]) {
 			return k
@@ -716,7 +713,7 @@ func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	best, bestCost := -1, math.Inf(1)
 	base := mm.off[c]
 	for k, j := range cand {
-		if !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+		if !p.Demand[i][j].Fits(st.free[j]) {
 			continue
 		}
 		cost := mm.row[base+k]
@@ -752,7 +749,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				continue
 			}
 			c := mm.cls[i]
-			cand := p.CandidatesOf(i)
+			cand := mm.cand[c]
 			base := mm.off[c]
 			cur, slot := st.assigned[i], st.slot[i]
 			// A cur outside the candidate list (hand-built warm seeds
@@ -803,7 +800,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				s.scans.fallback++
 				bestCost := curCost
 				for k, j := range cand {
-					if j == cur || !mm.ok[base+k] || !p.Demand[i][j].Fits(st.free[j]) {
+					if j == cur || !p.Demand[i][j].Fits(st.free[j]) {
 						continue
 					}
 					cost := mm.row[base+k]

@@ -866,13 +866,108 @@ func TestClassPickRetiredByGrowingDemand(t *testing.T) {
 	}
 }
 
+// TestGatedListsMatchSweep pins the solver's gated candidate lists: a
+// scan walks only the candidates that are compatible and within the
+// SLO. The fleet holds, beside the feasible servers, the cheapest servers
+// of every policy made infeasible — an unprofiled device in the apps'
+// own city (in the SLO, compatible with nothing) and a clean zone out of
+// every SLO (compatible, too far) — so a solver that scanned past the
+// gate would pick them. A workspace view (whose shortlist is the gated
+// list itself), the dense Build and a Build whose Candidates list every
+// server must each solve, cold and warm from a seed that puts apps on the
+// infeasible servers, to the sweep oracle's ServerOf and PowerOn.
+func TestGatedListsMatchSweep(t *testing.T) {
+	rtt := func(src, dc string) float64 {
+		switch {
+		case src == dc:
+			return 1
+		case dc == "far":
+			return 50
+		}
+		return 6
+	}
+	a2, _ := energy.DeviceByName(energy.A2.Name)
+	orin, _ := energy.DeviceByName(energy.OrinNano.Name)
+	srv := func(id, dc string, d energy.Device, intensity float64, on bool) Server {
+		return Server{ID: id, DC: dc, Device: d.Name, Intensity: intensity, BasePowerW: d.IdleW, PoweredOn: on,
+			Free: cluster.NewResources(1000, 8192, float64(d.MemMB), 1e6)}
+	}
+	servers := []Server{
+		srv("feasible-on", "mid", a2, 300, true),
+		srv("unprofiled-near", "c0", energy.Device{Name: "unprofiled"}, 1, true),
+		srv("clean-far", "far", a2, 1, true),
+		srv("feasible-off", "c0", orin, 200, false),
+		srv("unprofiled-far", "far", energy.Device{Name: "unprofiled"}, 1, true),
+		srv("feasible-near", "c1", orin, 250, true),
+	}
+	infeasible := map[int]bool{1: true, 2: true, 4: true}
+	var apps []App
+	for i := 0; i < 12; i++ {
+		apps = append(apps, App{ID: fmt.Sprintf("a%02d", i), Source: []string{"c0", "c1"}[i%2], SLOms: 10,
+			Model: []string{energy.ModelEfficientNetB0, energy.ModelResNet50}[i/2%2], RatePerSec: 2 + float64(i%3)})
+	}
+	ws, err := NewWorkspace(servers, rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := ws.Problem(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense, err := Build(apps, servers, rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded, err := Build(apps, servers, rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded.Candidates = make([][]int, len(apps))
+	for i := range apps {
+		padded.Candidates[i] = identityIndices(len(servers))
+		for j := range servers {
+			if infeasible[j] == dense.Feasible(i, j) {
+				t.Fatalf("fixture: app %d on server %s feasible %v", i, servers[j].ID, dense.Feasible(i, j))
+			}
+		}
+	}
+	seed := &Assignment{ServerOf: make([]int, len(apps))}
+	for i := range seed.ServerOf {
+		seed.ServerOf[i] = []int{1, 2, 4, 0, 5, 3}[i%6]
+	}
+	for _, pol := range allPolicies() {
+		for _, tc := range []struct {
+			name string
+			p    *Problem
+		}{{"view", view}, {"dense", dense}, {"padded", padded}} {
+			solver := &HeuristicSolver{SkipValidate: true}
+			for _, warm := range []*Assignment{nil, seed} {
+				want, err := sweepSolve(tc.p, pol, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := solveNew(solver, tc.p, pol, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want.ServerOf, got.ServerOf) || !reflect.DeepEqual(want.PowerOn, got.PowerOn) {
+					t.Fatalf("%s %s (warm %v): diverged from sweep:\nsweep: %+v\nflat:  %+v", pol.Name(), tc.name, warm != nil, want, got)
+				}
+				if err := tc.p.CheckFeasible(got); err != nil {
+					t.Fatalf("%s %s (warm %v): %v", pol.Name(), tc.name, warm != nil, err)
+				}
+			}
+		}
+	}
+}
+
 // fuzzWorld decodes bytes into a workspace of at most 12 servers and a
 // batch of at most 40 apps drawn from a (source, SLO, model) grid, so
 // classes share rows, plus the policy. Intensities come from a palette of
 // exact ties, +5e-13 offsets (inside local search's tie band) and ±0,
 // about a third of the servers start off, and Free is tight. Missing
-// bytes read as zero.
-func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy) {
+// bytes read as zero. The RTT oracle is returned for dense rebuilds.
+func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy, RTTFunc) {
 	cities := []string{"c0", "c1", "c2", "c3"}
 	devices := []string{energy.OrinNano.Name, energy.A2.Name}
 	palette := []float64{100, 100 + 5e-13, 250, 250 + 5e-13, 0, math.Copysign(0, -1), 400}
@@ -890,7 +985,8 @@ func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy) {
 			Free:       cluster.NewResources(150*float64(1+(b>>5)), 8192, float64(d.MemMB), 1e6).Scale(0.25),
 		}
 	}
-	ws, err := NewWorkspace(servers, randomWSInstance(rand.New(rand.NewSource(1)), 0, 0).rtt, nil)
+	rtt := randomWSInstance(rand.New(rand.NewSource(1)), 0, 0).rtt
+	ws, err := NewWorkspace(servers, rtt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -898,7 +994,7 @@ func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy) {
 	for i := range apps {
 		apps[i] = fuzzApp(next(), fmt.Sprintf("a%02d", i))
 	}
-	return ws, apps, allPolicies()[next()%len(allPolicies())]
+	return ws, apps, allPolicies()[next()%len(allPolicies())], rtt
 }
 
 // fuzzApp draws one of the 3 x 2 x 2 grid classes from b.
@@ -912,7 +1008,11 @@ func fuzzApp(b int, id string) App {
 // sweep on decoded instances (fuzzWorld): the cold solve, a warm solve
 // from a decoded seed, and one churned round on the same solver — churned
 // apps plus an intensity tick or a power toggle, solved warm from the
-// previous result — must each give the sweep's ServerOf and PowerOn.
+// previous result — must each give the sweep's ServerOf and PowerOn. The
+// first batch is also rebuilt densely (Build, every server a candidate)
+// and with padded Candidates (each shortlist plus every other server,
+// feasible or not), and both are solved cold and warm from the same seed:
+// off a workspace view the solver filters its own gated lists.
 func FuzzHeuristicMatchesSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0x21, 0, 0x09, 1, 0x41, 2, 0x62, 5, 0x83, 3, 0x04, 6, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
@@ -930,7 +1030,7 @@ func FuzzHeuristicMatchesSweep(f *testing.F) {
 			pos++
 			return int(data[pos-1])
 		}
-		ws, apps, pol := fuzzWorld(t, next)
+		ws, apps, pol, rtt := fuzzWorld(t, next)
 		flat := &HeuristicSolver{SkipValidate: true}
 		check := func(when string, p *Problem, warm *Assignment) *Assignment {
 			want, err := sweepSolve(p, pol, warm)
@@ -956,6 +1056,26 @@ func FuzzHeuristicMatchesSweep(f *testing.F) {
 			seed.ServerOf[i] = next()%(ws.NumServers()+1) - 1
 		}
 		prev := check("warm", p, seed)
+		for _, pad := range []bool{false, true} {
+			d, err := Build(apps, ws.Servers(), rtt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			when := "dense"
+			if pad {
+				when = "padded"
+				d.Candidates = make([][]int, len(apps))
+				for i := range apps {
+					for j := range d.Servers {
+						if slotOf(p.Candidates[i], j) >= 0 || (i+j)%2 == 0 {
+							d.Candidates[i] = append(d.Candidates[i], j)
+						}
+					}
+				}
+			}
+			check(when+" cold", d, nil)
+			check(when+" warm", d, seed)
+		}
 
 		for c := next() % 6; c > 0; c-- {
 			apps[next()%len(apps)] = fuzzApp(next(), fmt.Sprintf("n%02d", c))

@@ -204,14 +204,17 @@ func (p *Problem) validateWith(ids, sids map[string]bool) error {
 // condition for Eq. 1). This is the FilterFeasibleServers step of
 // Algorithm 1. It is exact on every cell of a workspace view: cells
 // outside the candidate lists hold true values.
-func (p *Problem) Feasible(i, j int) bool {
+func (p *Problem) Feasible(i, j int) bool { return p.fits(i, j, p.Servers[j].Free) }
+
+// fits is Feasible against the free capacity free.
+func (p *Problem) fits(i, j int, free cluster.Resources) bool {
 	if !p.Compatible[i][j] {
 		return false
 	}
 	if p.LatencyMs[i][j] > p.Apps[i].SLOms+1e-9 {
 		return false
 	}
-	return p.Demand[i][j].Fits(p.Servers[j].Free)
+	return p.Demand[i][j].Fits(free)
 }
 
 // FeasibleServers returns the indices of servers feasible for app i.

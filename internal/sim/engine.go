@@ -23,8 +23,9 @@ import (
 )
 
 // Observer taps the engine after each committed epoch. The result pointer
-// is the engine's live accumulator: read it, don't mutate it. Observers
-// run on the engine's goroutine, so a slow observer slows the simulation.
+// is the engine's live accumulator, its placement counters folded in just
+// before the call (see Finish): read it, don't mutate it. Observers run on
+// the engine's goroutine, so a slow observer slows the simulation.
 type Observer interface {
 	// OnEpoch fires after epoch's departures, placements, and accruals
 	// have committed. now is the epoch's wall-clock instant in the trace
@@ -155,7 +156,13 @@ type Engine struct {
 	asgBuf   placement.Assignment //detlint:ephemeral per-batch scratch, wiped before every solve
 	warmBuf  placement.Assignment //detlint:ephemeral per-batch scratch, wiped before every solve
 	// cityMonthKey[site][month] pre-renders the MonthlyPlacements keys.
-	cityMonthKey [][12]string //detlint:ephemeral pre-rendered key strings, derived at construction
+	cityMonthKey [][12]string
+	// placed[site][month] tallies placements not yet folded into the
+	// result's counters (foldPlacements): an array increment, not two
+	// locked map writes. Finish, Snapshot and OnEpoch fold first, so no
+	// snapshot holds a tally and a restore starts empty.
+	placed    [][12]int64
+	placedAny bool
 
 	// Traffic-driven mode (cfg.Traffic != nil).
 	tgen    *traffic.Generator //detlint:ephemeral stateless: slices are drawn by (seed, hour), rebuilt from cfg at construction
@@ -360,6 +367,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	}
 
 	e.cityMonthKey = make([][12]string, len(sites))
+	e.placed = make([][12]int64, len(sites))
 	for i, s := range sites {
 		for m := 0; m < 12; m++ {
 			e.cityMonthKey[i][m] = fmt.Sprintf("%s/%d", s.City, m)
@@ -558,7 +566,14 @@ func (e *Engine) ProcessNext() error { return e.Step() }
 
 // Finish returns the accumulated result. It may be called mid-run to
 // inspect partial state; the engine keeps owning the pointer until Done.
-func (e *Engine) Finish() *Result { return e.res }
+// The per-city and per-month placement counters are folded in here (and
+// before a Snapshot and each observer's OnEpoch), not at every placement:
+// a pointer kept from an earlier call sees them only as of the last fold,
+// so call Finish again to read them.
+func (e *Engine) Finish() *Result {
+	e.foldPlacements()
+	return e.res
+}
 
 // Step advances the simulation by one hourly epoch: it runs the phase
 // list in order at the epoch's instant, scripted faults first. With
@@ -602,6 +617,9 @@ func (e *Engine) Step() error {
 	e.epoch++
 	if e.Done() {
 		e.closeFaultAccounting()
+	}
+	if len(e.observers) > 0 {
+		e.foldPlacements()
 	}
 	for _, o := range e.observers {
 		o.OnEpoch(epoch, now, e.res)
@@ -1001,10 +1019,29 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 		}
 		e.res.Latency.Add(rtt)
 		e.res.MonthlyLatency[month].Add(rtt)
-		e.res.PlacementsByCity.Inc(e.sites[srv.site].City, 1)
-		e.res.MonthlyPlacements.Inc(e.cityMonthKey[srv.site][month], 1)
+		e.placed[srv.site][month]++
+		e.placedAny = true
 	}
 	return nil
+}
+
+// foldPlacements moves the placement counts stepPlacement tallied into the
+// result's PlacementsByCity and MonthlyPlacements and empties the table.
+func (e *Engine) foldPlacements() {
+	if !e.placedAny {
+		return
+	}
+	for site := range e.placed {
+		row := &e.placed[site]
+		for m, n := range row {
+			if n > 0 {
+				e.res.PlacementsByCity.Inc(e.sites[site].City, n)
+				e.res.MonthlyPlacements.Inc(e.cityMonthKey[site][m], n)
+				row[m] = 0
+			}
+		}
+	}
+	e.placedAny = false
 }
 
 // stepTraffic runs one epoch of the traffic-driven mode: it draws the

@@ -89,9 +89,37 @@ func checkClocks(prev, cur clocks) error {
 	return nil
 }
 
-// runChecked runs cfg to completion with checkPhysical, checkClassRows
-// and checkClocks as epoch observers and fails at the first epoch that
-// breaks any of them.
+// checkPlacementCounts returns the first way res's placement counters
+// fail to conserve its placements, or nil: the per-city counts sum to
+// Placed, and each city's per-month counts ("city/m") sum to its own
+// count, with no month key outside a counted city.
+func checkPlacementCounts(res *Result) error {
+	cities, months := res.PlacementsByCity.State(), res.MonthlyPlacements.State()
+	var total, monthly int64
+	for city, n := range cities {
+		total += n
+		var sum int64
+		for m := 0; m < 12; m++ {
+			sum += months[fmt.Sprintf("%s/%d", city, m)]
+		}
+		if sum != n {
+			return fmt.Errorf("city %s: %d placements by city, %d summed over its months", city, n, sum)
+		}
+	}
+	for _, n := range months {
+		monthly += n
+	}
+	if total != int64(res.Placed) || monthly != total {
+		return fmt.Errorf("%d placements by city and %d by month, Placed is %d", total, monthly, res.Placed)
+	}
+	return nil
+}
+
+// runChecked runs cfg to completion with checkPhysical, checkClassRows,
+// checkClocks and checkPlacementCounts as epoch observers and fails at
+// the first epoch that breaks any of them. The counts are checked on the
+// observer's own result pointer, then read again through Finish, which
+// must find nothing left to fold.
 func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
@@ -102,10 +130,19 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	peak, views := 0, 0
 	start := readClocks(e)
 	prev := start
-	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, _ *Result) {
+	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, res *Result) {
 		peak = max(peak, len(e.live))
 		if err := checkPhysical(e); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
+		}
+		seen := res.PlacementsByCity.State()
+		if err := checkPlacementCounts(res); err != nil && bad == nil {
+			bad = fmt.Errorf("epoch %d, as the observer sees it: %w", epoch, err)
+		}
+		if fin := e.Finish(); fin != res || !reflect.DeepEqual(fin.PlacementsByCity.State(), seen) {
+			if bad == nil {
+				bad = fmt.Errorf("epoch %d: Finish folded placements the observer did not see", epoch)
+			}
 		}
 		// Before readClocks: the check's own views advance viewGen, and
 		// the vacuity test below discounts them.
@@ -310,6 +347,114 @@ func TestDeparturesKeepLiveOrder(t *testing.T) {
 			}
 			if err := checkPhysical(got); err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// batchObjective is the placement objective (Eq. 7) of a solved batch:
+// the policy's pair costs plus the activation cost of every server the
+// batch switches on.
+func batchObjective(p *placement.Problem, pol placement.Policy, a *placement.Assignment) float64 {
+	var sum float64
+	for i, j := range a.ServerOf {
+		if j >= 0 {
+			sum += pol.PairCost(p, i, j)
+		}
+	}
+	for j, s := range p.Servers {
+		if a.PowerOn[j] && !s.PoweredOn {
+			sum += pol.ActivationCost(p, j)
+		}
+	}
+	return sum
+}
+
+// TestServerThatCannotWin is a metamorphic relation on the golden shapes:
+// a server no app can use changes no solve. Every 24th epoch of each
+// golden config, one app per live app (its shape, fresh) is solved as a
+// batch against a copy of the engine's server views, then again with one
+// more server appended to the copy: once a clean, empty, powered server
+// in a city out of every source's SLO, and once the same with an
+// unprofiled device at a source's own site. Each must place every app on
+// the same server, switch the same servers on, leave the extra server in
+// the power state it started in, and cost the same objective, bit for
+// bit.
+func TestServerThatCannotWin(t *testing.T) {
+	w := testWorld(t)
+	cases := goldenCases()
+	names := make([]string, 0, len(cases))
+	for name := range cases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfg := cases[name]
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const nowhere = "nowhere"
+			rtt := func(src, dc string) float64 {
+				if dc == nowhere {
+					return cfg.RTTLimitMs + 1
+				}
+				return e.rttOracle(src, dc)
+			}
+			solve := func(servers []placement.Server, apps []placement.App) (*placement.Problem, *placement.Assignment) {
+				ws, err := placement.NewWorkspace(servers, rtt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := ws.Problem(apps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := (&placement.HeuristicSolver{SkipValidate: true}).Solve(p, cfg.Policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p, a
+			}
+			checks := 0
+			for !e.Done() {
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				if e.Epoch()%24 != 0 || len(e.live) == 0 {
+					continue
+				}
+				apps := make([]placement.App, len(e.live))
+				for i := range e.live {
+					a := &e.live[i]
+					apps[i] = placement.App{ID: fmt.Sprintf("a%d", i), Model: a.model, Source: e.sites[a.srcSite].City,
+						SLOms: cfg.RTTLimitMs, RatePerSec: appRatePerSec}
+				}
+				servers := e.ws.Servers()
+				p, want := solve(servers, apps)
+				wantObj := batchObjective(p, cfg.Policy, want)
+				proto := servers[0]
+				proto.Intensity, proto.BasePowerW = 0, 0
+				proto.Free = proto.Free.Scale(1000)
+				far, unprofiled := proto, proto
+				far.ID, far.DC = "srv-far", nowhere
+				unprofiled.ID, unprofiled.DC, unprofiled.Device = "srv-unprofiled", apps[0].Source, "unprofiled"
+				for _, extra := range []placement.Server{far, unprofiled} {
+					q, got := solve(append(append([]placement.Server(nil), servers...), extra), apps)
+					m := len(servers)
+					if !reflect.DeepEqual(got.ServerOf, want.ServerOf) || !reflect.DeepEqual(got.PowerOn[:m], want.PowerOn) || got.PowerOn[m] != extra.PoweredOn {
+						t.Fatalf("epoch %d, %s appended: the solve moved:\nwithout: %v %v\nwith:    %v %v",
+							e.Epoch(), extra.ID, want.ServerOf, want.PowerOn, got.ServerOf, got.PowerOn)
+					}
+					if obj := batchObjective(q, cfg.Policy, got); obj != wantObj {
+						t.Fatalf("epoch %d, %s appended: objective %v, %v without it", e.Epoch(), extra.ID, obj, wantObj)
+					}
+				}
+				checks++
+			}
+			if checks == 0 {
+				t.Fatal("no epoch had a live app to re-solve: the relation is vacuous")
 			}
 		})
 	}

@@ -276,8 +276,10 @@ func exported(v any) any {
 // Snapshot captures the engine's full dynamic state. It must be called
 // between Steps (an epoch boundary) — the only instants at which no
 // epoch is partly run. The returned snapshot
-// shares no mutable state with the engine.
+// shares no mutable state with the engine. It folds the engine's pending
+// placement counts into the result first (see Finish).
 func (e *Engine) Snapshot() *Snapshot {
+	e.foldPlacements()
 	snap := &Snapshot{
 		ConfigSig:     e.sig,
 		Epoch:         e.epoch,

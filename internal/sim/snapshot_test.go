@@ -155,7 +155,10 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 // every epoch boundary of the four checkpoint modes: the snapshot goes
 // through checkpoint.Encode and Decode into NewEngineFrom, and the
 // restored engine, run to the end, must reproduce the uninterrupted
-// run's Result byte for byte.
+// run's Result byte for byte. Each restored result, read through Finish,
+// must conserve its placements (checkPlacementCounts), and some snapshot
+// must be cut right after an epoch that placed, when the engine still
+// holds that epoch's counts unfolded.
 func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 	w := testWorld(t)
 	for m, cfg := range checkpointModes(t, w) {
@@ -167,7 +170,11 @@ func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			var envelopes [][]byte
+			afterPlacing := 0
 			for {
+				if e.placedAny {
+					afterPlacing++
+				}
 				var buf bytes.Buffer
 				if err := checkpoint.Encode(&buf, "engine", e.Snapshot()); err != nil {
 					t.Fatal(err)
@@ -190,6 +197,9 @@ func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch %d: %v", at, err)
 				}
+				if err := checkPlacementCounts(r.Finish()); err != nil {
+					t.Fatalf("restored at epoch %d: %v", at, err)
+				}
 				for !r.Done() {
 					if err := r.Step(); err != nil {
 						t.Fatal(err)
@@ -198,6 +208,9 @@ func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 				if got := encodeResult(t, r.Finish()); !bytes.Equal(got, want) {
 					t.Fatalf("restored at epoch %d, diverged from the uninterrupted run:\nresumed:       %s\nuninterrupted: %s", at, got, want)
 				}
+			}
+			if afterPlacing == 0 {
+				t.Fatal("no snapshot was cut after an epoch that placed: the fold is never tested")
 			}
 		})
 	}

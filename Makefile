@@ -107,7 +107,9 @@ bench-smoke:
 # Step) and one of the world build's carbon generator
 # (BenchmarkTraceGeneration: a year of one curated zone's intensity per
 # op), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_41.md (CDN year before and
+# of those summaries live in profiles/PROFILE_42.md (checkpoint before
+# and after the engine's row cache: server rows and live-app entries
+# unchanged by value are copied, not rendered), profiles/PROFILE_41.md (CDN year before and
 # after the solver's gated candidate lists, activation costed only for
 # servers that start off, and placements counted in the engine's dense
 # table), profiles/PROFILE_40.md (the generator
@@ -125,8 +127,8 @@ bench-smoke:
 # before them), profiles/PROFILE_14.md and
 # profiles/PROFILE_21.md (live, the latter under GOMAXPROCS=1 as the
 # ledger runs it) and
-# profiles/PROFILE_31.md (checkpoint after the live-table float memo and
-# the counters' sorted labels; profiles/PROFILE_27.md after the
+# profiles/PROFILE_31.md (checkpoint after the live-table float memo,
+# since removed, and the counters' sorted labels; profiles/PROFILE_27.md after the
 # reflection-free snapshot encoder, profiles/PROFILE_18.md after the
 # single-encode framing);
 # profiles/PROFILE_12.md is the retired workspace benchmark's, kept as

@@ -10,6 +10,10 @@
 // resume-equivalence tests compare. A payload with an AppendJSON method
 // (*sim.Snapshot, the engine checkpoint) writes those bytes itself,
 // without reflection; every other payload goes through a json.Encoder.
+// An engine's snapshots share a row cache: a server row or live-app
+// entry is copied from it only when it equals, bit for bit, the value
+// the cached bytes were rendered from, so a decoded or hand-built
+// snapshot, which carries no cache, encodes to the same bytes.
 // encoding/json is the only decoder, and a reader accepts nothing but
 // whitespace after the envelope.
 //

@@ -961,6 +961,57 @@ func TestGatedListsMatchSweep(t *testing.T) {
 	}
 }
 
+// TestNaNLatencyMeetsNoSLO is a dense one-app problem whose cheapest
+// server answers NaN latency. NaN fails every comparison, so each SLO
+// test must be written as the good range: the gate, the sweep oracle's
+// Feasible and CheckFeasible then agree that the app cannot go there.
+func TestNaNLatencyMeetsNoSLO(t *testing.T) {
+	rtt := func(src, dc string) float64 {
+		if dc == "nan" {
+			return math.NaN()
+		}
+		return 5
+	}
+	a2, _ := energy.DeviceByName(energy.A2.Name)
+	servers := []Server{
+		{ID: "dirty", DC: "c1", Device: a2.Name, Intensity: 300, BasePowerW: a2.IdleW, PoweredOn: true,
+			Free: cluster.NewResources(1000, 8192, float64(a2.MemMB), 1e6)},
+		{ID: "clean-nan", DC: "nan", Device: a2.Name, Intensity: 1, BasePowerW: a2.IdleW, PoweredOn: true,
+			Free: cluster.NewResources(1000, 8192, float64(a2.MemMB), 1e6)},
+	}
+	apps := []App{{ID: "a", Source: "c0", SLOms: 10, Model: energy.ModelResNet50, RatePerSec: 2}}
+	p, err := Build(apps, servers, rtt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(p.LatencyMs[0][1]) || !p.Compatible[0][1] {
+		t.Fatalf("fixture: latency %g, compatible %v on the clean server", p.LatencyMs[0][1], p.Compatible[0][1])
+	}
+	if p.Feasible(0, 1) {
+		t.Error("Feasible admits the NaN-latency server")
+	}
+	nan := &Assignment{ServerOf: []int{1}, PowerOn: []bool{true, true}}
+	if err := p.CheckFeasible(nan); err == nil {
+		t.Error("CheckFeasible accepts a placement on the NaN-latency server")
+	}
+	for _, pol := range allPolicies() {
+		want, err := sweepSolve(p, pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := solveNew(&HeuristicSolver{}, p, pol, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.ServerOf, []int{0}) || !reflect.DeepEqual(got.ServerOf, []int{0}) {
+			t.Errorf("%s: sweep placed %v, heuristic %v, want both on the dirty server [0]", pol.Name(), want.ServerOf, got.ServerOf)
+		}
+		if err := p.CheckFeasible(got); err != nil {
+			t.Errorf("%s: %v", pol.Name(), err)
+		}
+	}
+}
+
 // fuzzWorld decodes bytes into a workspace of at most 12 servers and a
 // batch of at most 40 apps drawn from a (source, SLO, model) grid, so
 // classes share rows, plus the policy. Intensities come from a palette of

@@ -211,7 +211,10 @@ func (p *Problem) fits(i, j int, free cluster.Resources) bool {
 	if !p.Compatible[i][j] {
 		return false
 	}
-	if p.LatencyMs[i][j] > p.Apps[i].SLOms+1e-9 {
+	// Written as the negation of the good range, as the workspace
+	// shortlist and the heuristic's gate test it: a NaN latency meets no
+	// SLO.
+	if !(p.LatencyMs[i][j] <= p.Apps[i].SLOms+1e-9) {
 		return false
 	}
 	return p.Demand[i][j].Fits(free)
@@ -269,7 +272,7 @@ func (p *Problem) CheckFeasible(a *Assignment) error {
 		if !p.Compatible[i][j] {
 			return fmt.Errorf("placement: app %d incompatible with server %d", i, j)
 		}
-		if p.LatencyMs[i][j] > p.Apps[i].SLOms+1e-9 {
+		if !(p.LatencyMs[i][j] <= p.Apps[i].SLOms+1e-9) {
 			return fmt.Errorf("placement: app %d on server %d violates SLO: %.2f > %.2f ms",
 				i, j, p.LatencyMs[i][j], p.Apps[i].SLOms)
 		}

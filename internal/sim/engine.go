@@ -163,6 +163,9 @@ type Engine struct {
 	// snapshot holds a tally and a restore starts empty.
 	placed    [][12]int64
 	placedAny bool
+	// rows caches the JSON of the rows this engine's snapshots encode
+	// (rowCache); Snapshot lends it to each one.
+	rows *rowCache
 
 	// Traffic-driven mode (cfg.Traffic != nil).
 	tgen    *traffic.Generator //detlint:ephemeral stateless: slices are drawn by (seed, hour), rebuilt from cfg at construction
@@ -311,6 +314,7 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 		rng:    rng.New(src),
 		sites:  sites,
 		pool:   replicaPool{modelIdx: map[string]int{}},
+		rows:   new(rowCache),
 	}
 	e.pool.model(appModel)
 	for _, m := range cfg.Models {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,15 +168,16 @@ func FuzzSimFaults(f *testing.F) {
 	})
 }
 
-// FuzzAppendJSON holds AppendJSON to json.Marshal where the float memo
+// FuzzAppendJSON holds AppendJSON to json.Marshal where the row cache
 // and the counters' lent label order act. floats is read as 8-byte
 // words, the power and RTT values of a live table in which every word
-// recurs (so values repeat and share memo slots); labels is a
-// newline-separated list of counter operations, "-x" deleting label x
-// and anything else incrementing it. A snapshot is taken halfway
-// through the operations and one at the end: both must encode to
-// json.Marshal's bytes (or fail with its error), and the first to the
-// bytes it had before the second half ran.
+// recurs; labels is a newline-separated list of counter operations, "-x"
+// deleting label x and anything else incrementing it. A snapshot is
+// taken halfway through the operations and one at the end: both must
+// encode to json.Marshal's bytes (or fail with its error), and the first
+// to the bytes it had before the second half ran. floats' bytes are also
+// a script of row mutations between successive snapshots that share one
+// row cache (fuzzCachedSnapshots).
 func FuzzAppendJSON(f *testing.F) {
 	words := func(fs ...float64) []byte {
 		var b []byte
@@ -186,6 +189,13 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add(words(12.5, 75.25, math.Copysign(0, -1), 1e21, 150, 9.99e-7), "Paris\nRome\nParis\n-Rome\nOslo\n-Paris\nAmsterdam")
 	f.Add(words(0.1, math.NaN(), 3), "a\n-a\na\n<b>\n\xff")
 	f.Add([]byte(nil), "")
+	// A 64-entry cached table from which one byte (0xfc) drops 63
+	// entries, more than the cache's forward scan reaches.
+	long := make([]float64, 40)
+	for i := range long {
+		long[i] = float64(i) * 1.25
+	}
+	f.Add(append(words(long...), words(math.Float64frombits(0xfcfcfcfcfcfcfcfc))...), "a")
 	f.Fuzz(func(t *testing.T, floats []byte, labels string) {
 		var vals []float64
 		for i := 0; i+8 <= len(floats); i += 8 {
@@ -223,5 +233,71 @@ func FuzzAppendJSON(f *testing.F) {
 		if after, _ := a.AppendJSON(nil); err == nil && !bytes.Equal(after, before) {
 			t.Fatalf("halfway snapshot re-encodes to\n%s\nafter the later operations, was\n%s", after, before)
 		}
+		fuzzCachedSnapshots(t, vals, floats)
 	})
+}
+
+// fuzzCachedSnapshots encodes successive snapshots of one table that
+// share a row cache, as an engine's do. Each byte of script mutates the
+// table the way an engine's epochs can, and more: it drops a prefix of
+// the live table (up to 63 entries, past the cache's forward scan) or
+// one entry, rewrites an entry's power from vals or its model name,
+// flips the sign of an entry's RTT (0 and -0 render differently),
+// rewrites a server's usage from vals, or appends an entry. Every fourth
+// byte takes a snapshot, which must encode to json.Marshal's bytes (or
+// fail with its error); the first snapshot must encode to its own bytes
+// at the end.
+func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
+	val := func(i int) float64 {
+		if len(vals) == 0 {
+			return float64(i) / 4
+		}
+		return vals[i%len(vals)]
+	}
+	c := new(rowCache)
+	servers := make([]ServerSnap, 3)
+	var live []LiveAppSnap
+	for i := range min(2*len(vals), 64) {
+		live = append(live, LiveAppSnap{Srv: i % 3, Model: "m", PowerW: val(i), RTTMs: val(i + 1), Expires: i})
+	}
+	take := func() *Snapshot {
+		return &Snapshot{ConfigSig: "fuzz", Servers: slices.Clone(servers), Live: slices.Clone(live), rows: c}
+	}
+	first := take()
+	checkAppendJSON(t, "first cached", first)
+	firstBytes, firstErr := first.AppendJSON(nil)
+	for n, b := range script {
+		at := int(b>>3) + n
+		switch b % 7 {
+		case 0:
+			live = live[min(int(b>>2), len(live)):]
+		case 1:
+			if len(live) > 0 {
+				live = slices.Delete(live, at%len(live), at%len(live)+1)
+			}
+		case 2:
+			if len(live) > 0 {
+				live[at%len(live)].PowerW = val(n)
+			}
+		case 3:
+			if len(live) > 0 {
+				live[at%len(live)].Model = []string{"m", "n", "<m>"}[at%3]
+			}
+		case 4:
+			if len(live) > 0 {
+				a := &live[at%len(live)]
+				a.RTTMs = math.Copysign(a.RTTMs, -a.RTTMs)
+			}
+		case 5:
+			servers[at%3].Used[at%len(servers[0].Used)] = val(n)
+		case 6:
+			live = append(live, LiveAppSnap{Srv: at % 3, Model: "m", PowerW: val(n), RTTMs: val(at), Expires: n})
+		}
+		if n%4 == 3 {
+			checkAppendJSON(t, fmt.Sprintf("cached after %d mutations", n+1), take())
+		}
+	}
+	if again, err := first.AppendJSON(nil); firstErr == nil && (err != nil || !bytes.Equal(again, firstBytes)) {
+		t.Fatalf("first cached snapshot re-encodes to\n%s\nafter the later ones (error %v), was\n%s", again, err, firstBytes)
+	}
 }

@@ -18,8 +18,13 @@ import (
 
 // Snapshot is the full dynamic state of an Engine at an epoch boundary:
 // everything Step mutates, and nothing derivable from (Config, World).
-// It is plain data — JSON-serializable, no closures — so a checkpoint
-// file survives process restarts. Neither the phase list nor the fault
+// Its exported fields are plain data — JSON-serializable, no closures —
+// so a checkpoint file survives process restarts. A snapshot the engine
+// took also carries, unexported, the engine's row cache: AppendJSON
+// copies a server row's or live-app entry's bytes from it only when the
+// row equals, bit for bit, the value those bytes were rendered from, so
+// a decoded or hand-built snapshot, which has none, encodes to the same
+// bytes. Neither the phase list nor the fault
 // queue is serialized: restore rebuilds both from the config, and drops
 // the faults the snapshotted run had already applied.
 //
@@ -52,6 +57,10 @@ type Snapshot struct {
 	InDropped int64          `json:"inbox_dropped,omitempty"`
 
 	Result ResultState `json:"result"`
+
+	// rows is the engine's encoding cache, lent by Engine.Snapshot (nil
+	// in a snapshot built any other way); see rowCache.
+	rows *rowCache
 }
 
 // ServerSnap is one aggregate site server's dynamic state. Site, Device,
@@ -275,9 +284,10 @@ func exported(v any) any {
 
 // Snapshot captures the engine's full dynamic state. It must be called
 // between Steps (an epoch boundary) — the only instants at which no
-// epoch is partly run. The returned snapshot
-// shares no mutable state with the engine. It folds the engine's pending
-// placement counts into the result first (see Finish).
+// epoch is partly run. The returned snapshot shares no mutable state
+// with the engine but the row cache it is lent, which only AppendJSON
+// touches, under its lock. It folds the engine's pending placement
+// counts into the result first (see Finish).
 func (e *Engine) Snapshot() *Snapshot {
 	e.foldPlacements()
 	snap := &Snapshot{
@@ -286,6 +296,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		RNG:           e.rngSrc.State(),
 		ForceRedeploy: e.forceRedeploy,
 		Result:        e.res.State(),
+		rows:          e.rows,
 	}
 	if len(e.faults.Skew) > 0 {
 		snap.FcErr = maps.Clone(e.faults.Skew)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/metrics"
 )
@@ -17,8 +18,11 @@ import (
 // server and live-app tables and the result accumulators — are written
 // here without reflection; the optional ones a snapshot rarely carries
 // (forecast errors, the backlog, the exchange mailboxes, fault and
-// traffic stats, the flight recorder) are handed to json.Marshal, whose
-// encoding of a nested value is the same on its own.
+// traffic stats) are handed to json.Marshal, whose encoding of a nested
+// value is the same on its own. A server row or live-app entry equal bit
+// for bit to one an earlier snapshot of the same engine encoded is
+// copied from the engine's rowCache, not rendered again; every other
+// snapshot encodes to the same bytes without it.
 //
 // It is deliberately not MarshalJSON: json.Marshal would then call it
 // and re-compact its output, and the tests would lose json.Marshal as
@@ -41,61 +45,7 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		w.raw(`,"fc_err":`)
 		w.marshal(s.FcErr)
 	}
-	w.raw(`,"servers":`)
-	if s.Servers == nil {
-		w.raw("null")
-	} else {
-		w.raw("[")
-		for i := range s.Servers {
-			srv := &s.Servers[i]
-			w.comma(i)
-			w.raw(`{"site":`)
-			w.int(int64(srv.Site))
-			w.raw(`,"device":`)
-			w.str(srv.Device)
-			w.raw(`,"base_cap":`)
-			w.floats(srv.BaseCap[:])
-			w.raw(`,"cap":`)
-			w.floats(srv.Cap[:])
-			w.raw(`,"used":`)
-			w.floats(srv.Used[:])
-			w.raw(`,"on":`)
-			w.b = strconv.AppendBool(w.b, srv.On)
-			if srv.Down {
-				w.raw(`,"down":true`)
-			}
-			w.raw("}")
-		}
-		w.raw("]")
-	}
-	w.raw(`,"live":`)
-	if s.Live == nil {
-		w.raw("null")
-	} else {
-		w.raw("[")
-		for i := range s.Live {
-			a := &s.Live[i]
-			w.comma(i)
-			w.raw(`{"srv":`)
-			w.int(int64(a.Srv))
-			w.raw(`,"site":`)
-			w.int(int64(a.Site))
-			w.raw(`,"model":`)
-			w.str(a.Model)
-			w.raw(`,"device":`)
-			w.str(a.Device)
-			w.raw(`,"power_w":`)
-			w.memoFloat(a.PowerW)
-			w.raw(`,"rtt_ms":`)
-			w.memoFloat(a.RTTMs)
-			w.raw(`,"expires":`)
-			w.int(int64(a.Expires))
-			w.raw(`,"src_site":`)
-			w.int(int64(a.SrcSite))
-			w.raw("}")
-		}
-		w.raw("]")
-	}
+	s.rows.tables(&w, s)
 	if len(s.Pending) > 0 {
 		w.raw(`,"pending":`)
 		w.marshal(s.Pending)
@@ -127,44 +77,10 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 
 // jsonWriter appends JSON under encoding/json's rules. Its error is
 // sticky: the first failure is kept, later writes are wasted work, and
-// the caller checks once at the end. Only the last write may take back
-// its own bytes (float's exponent, counts' fallback), so memo's offsets
-// stay valid.
+// the caller checks once at the end.
 type jsonWriter struct {
-	b    []byte
-	err  error
-	memo floatMemo
-}
-
-// floatMemo remembers where in the output a float64's rendering already
-// sits, keyed by its bits: the live table repeats a few power and RTT
-// values across hundreds of apps, and a repeat is copied instead of
-// rendered again. It is direct-mapped (a value evicts the slot's
-// previous one) and lives for one AppendJSON call.
-type floatMemo [1 << floatMemoBits]struct {
-	bits   uint64
-	off, n int // w.b[off:off+n]; n == 0 marks an empty slot
-}
-
-const floatMemoBits = 7
-
-// floatMemoSlot is the memo slot of a float64's bits (Fibonacci hashing).
-func floatMemoSlot(bits uint64) uint64 { return bits * 0x9e3779b97f4a7c15 >> (64 - floatMemoBits) }
-
-// memoFloat writes f as float does, copying its rendering from earlier
-// in the output when the memo holds it.
-func (w *jsonWriter) memoFloat(f float64) {
-	bits := math.Float64bits(f)
-	e := &w.memo[floatMemoSlot(bits)]
-	if e.n > 0 && e.bits == bits {
-		w.b = append(w.b, w.b[e.off:e.off+e.n]...)
-		return
-	}
-	off := len(w.b)
-	w.float(f)
-	if n := len(w.b) - off; n > 0 {
-		e.bits, e.off, e.n = bits, off, n
-	}
+	b   []byte
+	err error
 }
 
 func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
@@ -336,5 +252,201 @@ func (w *jsonWriter) result(r *ResultState) {
 		w.raw(`,"traffic":`)
 		w.marshal(r.Traffic)
 	}
+	w.raw("}")
+}
+
+// rowCache holds the JSON of the server rows and live-app entries an
+// engine's snapshots last encoded, each beside the value it was rendered
+// from. Engine.Snapshot lends it to every snapshot it takes (as Result
+// lends its counters' sorted labels), and AppendJSON copies a row's
+// bytes instead of rendering it again only while the row equals that
+// value bit for bit. So the cache never has to be told that a row
+// changed: a stale entry fails the comparison and is rendered afresh,
+// and a snapshot without a cache (decoded or built by hand) runs the
+// same loop and finds nothing to reuse. A row whose encoding fails is
+// never stored. mu serializes encodes of snapshots that share the cache.
+type rowCache struct {
+	mu      sync.Mutex
+	servers []cachedRow[ServerSnap]
+	// live is the live table as last encoded, in its order; next is its
+	// double buffer, spare the entries dropped from it, kept for their
+	// buffers.
+	live, next, spare []*cachedRow[LiveAppSnap]
+}
+
+// cachedRow is one row and its JSON.
+type cachedRow[T any] struct {
+	val T
+	b   []byte
+}
+
+// liveScan bounds the live table's forward scan for a cached entry. The
+// engine's table keeps its order: departures drop entries, arrivals
+// grow the tail and a redeploy rewrites entries in place, so an
+// unchanged entry sits at most as many places past the last hit as
+// entries left the table between the two encodes. An epoch that drops
+// more than liveScan entries from the head misses the cache once and is
+// rendered in full.
+const liveScan = 32
+
+// tables writes the snapshot's "servers" and "live" members. Server rows
+// are looked up by index (a table only grows), live entries by a
+// forward scan from the last hit.
+func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
+	if c != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	w.raw(`,"servers":`)
+	if s.Servers == nil {
+		w.raw("null")
+	} else {
+		w.raw("[")
+		for j := range s.Servers {
+			w.comma(j)
+			c.server(w, j, &s.Servers[j])
+		}
+		w.raw("]")
+	}
+	w.raw(`,"live":`)
+	if s.Live == nil {
+		w.raw("null")
+		return
+	}
+	var cur, next []*cachedRow[LiveAppSnap]
+	if c != nil {
+		cur, next = c.live, c.next[:0]
+	}
+	w.raw("[")
+	k := 0 // cur[k:] have not been passed yet
+	for i := range s.Live {
+		a := &s.Live[i]
+		w.comma(i)
+		if h := findLive(cur[k:min(k+liveScan, len(cur))], a); h >= 0 {
+			h += k
+			w.b = append(w.b, cur[h].b...)
+			c.spare = append(c.spare, cur[k:h]...)
+			next = append(next, cur[h])
+			k = h + 1
+			continue
+		}
+		off := len(w.b)
+		w.liveApp(a)
+		if c != nil && w.err == nil {
+			r := c.spareRow()
+			r.val, r.b = *a, append(r.b[:0], w.b[off:]...)
+			next = append(next, r)
+		}
+	}
+	w.raw("]")
+	if c != nil {
+		c.spare = append(c.spare, cur[k:]...)
+		clear(cur)
+		c.live, c.next = next, cur[:0]
+	}
+}
+
+// server writes server row j, from the cache when it holds row j's value.
+func (c *rowCache) server(w *jsonWriter, j int, srv *ServerSnap) {
+	if c != nil && j < len(c.servers) && sameServer(&c.servers[j].val, srv) {
+		w.b = append(w.b, c.servers[j].b...)
+		return
+	}
+	off := len(w.b)
+	w.server(srv)
+	if c == nil || w.err != nil {
+		return
+	}
+	switch {
+	case j < len(c.servers):
+		c.servers[j] = cachedRow[ServerSnap]{*srv, append(c.servers[j].b[:0], w.b[off:]...)}
+	case j == len(c.servers):
+		c.servers = append(c.servers, cachedRow[ServerSnap]{*srv, append([]byte(nil), w.b[off:]...)})
+	}
+}
+
+// findLive returns the index in rows of the first entry equal to a, or
+// -1.
+func findLive(rows []*cachedRow[LiveAppSnap], a *LiveAppSnap) int {
+	for h, r := range rows {
+		if sameLive(&r.val, a) {
+			return h
+		}
+	}
+	return -1
+}
+
+// spareRow returns an entry dropped earlier, or a new one.
+func (c *rowCache) spareRow() *cachedRow[LiveAppSnap] {
+	n := len(c.spare)
+	if n == 0 {
+		return new(cachedRow[LiveAppSnap])
+	}
+	r := c.spare[n-1]
+	c.spare = c.spare[:n-1]
+	return r
+}
+
+// sameServer reports whether two server rows are equal bit for bit, and
+// so render the same bytes: floats compare by their bits, since 0 and
+// -0 render differently and NaN equals nothing.
+func sameServer(a, b *ServerSnap) bool {
+	return a.Site == b.Site && a.On == b.On && a.Down == b.Down && a.Device == b.Device &&
+		sameFloats(a.Used[:], b.Used[:]) && sameFloats(a.Cap[:], b.Cap[:]) && sameFloats(a.BaseCap[:], b.BaseCap[:])
+}
+
+// sameLive is sameServer for live-app entries.
+func sameLive(a, b *LiveAppSnap) bool {
+	return a.Expires == b.Expires && a.Srv == b.Srv && a.Site == b.Site && a.SrcSite == b.SrcSite &&
+		sameFloat(a.PowerW, b.PowerW) && sameFloat(a.RTTMs, b.RTTMs) && a.Model == b.Model && a.Device == b.Device
+}
+
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameFloats(a, b []float64) bool {
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func (w *jsonWriter) server(srv *ServerSnap) {
+	w.raw(`{"site":`)
+	w.int(int64(srv.Site))
+	w.raw(`,"device":`)
+	w.str(srv.Device)
+	w.raw(`,"base_cap":`)
+	w.floats(srv.BaseCap[:])
+	w.raw(`,"cap":`)
+	w.floats(srv.Cap[:])
+	w.raw(`,"used":`)
+	w.floats(srv.Used[:])
+	w.raw(`,"on":`)
+	w.b = strconv.AppendBool(w.b, srv.On)
+	if srv.Down {
+		w.raw(`,"down":true`)
+	}
+	w.raw("}")
+}
+
+func (w *jsonWriter) liveApp(a *LiveAppSnap) {
+	w.raw(`{"srv":`)
+	w.int(int64(a.Srv))
+	w.raw(`,"site":`)
+	w.int(int64(a.Site))
+	w.raw(`,"model":`)
+	w.str(a.Model)
+	w.raw(`,"device":`)
+	w.str(a.Device)
+	w.raw(`,"power_w":`)
+	w.float(a.PowerW)
+	w.raw(`,"rtt_ms":`)
+	w.float(a.RTTMs)
+	w.raw(`,"expires":`)
+	w.int(int64(a.Expires))
+	w.raw(`,"src_site":`)
+	w.int(int64(a.SrcSite))
 	w.raw("}")
 }

@@ -3,15 +3,19 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/carbon"
 	"repro/internal/metrics"
+	"repro/internal/placement"
 	"repro/internal/rng"
 )
 
@@ -151,10 +155,9 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	s.Result.Traffic.CarbonG = math.NaN()
 	checkAppendJSON(t, "nested error", s)
 
-	// The live table goes through the float memo: large seeded tables
-	// whose power and RTT values repeat, collide in memo slots, and sit
+	// Large seeded live tables whose power and RTT values repeat and sit
 	// at the edges of the float rules.
-	pool := memoFloatPool(t)
+	pool := floatPool()
 	for seed := int64(1); seed <= 3; seed++ {
 		checkAppendJSON(t, "live table", liveTable(t, pool, 2000, seed))
 	}
@@ -183,24 +186,11 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	}
 }
 
-// memoFloatPool is the float pool of liveTable: several values sharing
-// each of two memo slots, zeros of both signs, integers, values at the
-// edges of encoding/json's 'e' rule, and 300 distinct fractions, more
-// than the memo has slots.
-func memoFloatPool(t *testing.T) []float64 {
-	t.Helper()
+// floatPool is the float pool of liveTable: zeros of both signs,
+// integers, values at the edges of encoding/json's 'e' rule, and 300
+// distinct fractions.
+func floatPool() []float64 {
 	pool := []float64{0, math.Copysign(0, -1), 1, -7, 150, 1 << 53, 1e-7, -1e-7, 1e-6, 9.99e-7, 1e21, 1e20, 5e-324, 0.1 + 0.2}
-	for _, base := range []float64{12.345, 75} {
-		slot := floatMemoSlot(math.Float64bits(base))
-		colliding := []float64{base}
-		for x := base; len(colliding) < 4; {
-			x = math.Nextafter(x, math.Inf(1))
-			if floatMemoSlot(math.Float64bits(x)) == slot {
-				colliding = append(colliding, x)
-			}
-		}
-		pool = append(pool, colliding...)
-	}
 	src := rng.NewSource(99)
 	for range 300 {
 		pool = append(pool, float64(src.Uint64()%100000)/997)
@@ -313,4 +303,192 @@ func TestSnapshotKeepsLentLabels(t *testing.T) {
 	}
 	checkRestore("B", b.snap.Result, b.snap.Result.PlacementsByCity, b.snap.Result.MonthlyPlacements)
 	checkRestore("C", c.snap.Result, r.PlacementsByCity.State(), r.MonthlyPlacements.State())
+}
+
+// TestRowCacheEveryEpoch encodes every epoch's snapshot of each golden
+// config and each checkpoint mode (redeploys, traffic, and a script that
+// degrades, crashes and scales out) through its engine's row cache, and
+// holds each to json.Marshal. The previous snapshot must still encode to
+// its own bytes after the next one went through the cache.
+func TestRowCacheEveryEpoch(t *testing.T) {
+	w := testWorld(t)
+	cases := goldenCases()
+	for m, cfg := range checkpointModes(t, w) {
+		cases["checkpoint/"+[]string{"classic", "redeploy", "traffic", "faults"}[m]] = cfg
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			e, err := NewEngine(cfg, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev *Snapshot
+			var prevBytes []byte
+			unchanged := 0
+			for !e.Done() {
+				if err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+				s := e.Snapshot()
+				checkAppendJSON(t, fmt.Sprintf("epoch %d", e.Epoch()), s)
+				if t.Failed() {
+					return
+				}
+				if got := len(e.rows.live); got != len(s.Live) {
+					t.Fatalf("epoch %d: cache holds %d live entries, the snapshot %d", e.Epoch(), got, len(s.Live))
+				}
+				if prev != nil {
+					if again, _ := prev.AppendJSON(nil); !bytes.Equal(again, prevBytes) {
+						t.Fatalf("epoch %d: the previous snapshot re-encodes to other bytes", e.Epoch())
+					}
+					for i := range s.Live {
+						if slices.ContainsFunc(prev.Live, func(a LiveAppSnap) bool { return sameLive(&a, &s.Live[i]) }) {
+							unchanged++
+						}
+					}
+				}
+				prev = s
+				if prevBytes, err = s.AppendJSON(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if unchanged == 0 {
+				t.Fatal("no live entry survived an epoch: the cache had nothing to reuse")
+			}
+		})
+	}
+}
+
+// liveSnapshot steps a classic engine until it holds live apps and
+// returns its snapshot, encoded once so the cache holds every row.
+func liveSnapshot(t *testing.T) (*Engine, *Snapshot) {
+	t.Helper()
+	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
+	cfg.Hours = 48
+	e, err := NewEngine(cfg, testWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 30 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.Snapshot()
+	if len(s.Live) < 3 || len(s.Servers) < 2 {
+		t.Fatalf("fixture: %d live apps on %d servers", len(s.Live), len(s.Servers))
+	}
+	checkAppendJSON(t, "taken", s)
+	return e, s
+}
+
+// TestRowCacheValidatesByValue changes a snapshot after Snapshot returned
+// it and after its rows were cached: a server's usage, a live app's RTT
+// flipped between 0 and -0 (equal under ==, rendered differently) and a
+// model name. Each encode must still be json.Marshal's.
+func TestRowCacheValidatesByValue(t *testing.T) {
+	_, s := liveSnapshot(t)
+	s.Servers[1].Used[0] += 0.5
+	checkAppendJSON(t, "used", s)
+	a := &s.Live[2]
+	for _, rtt := range []float64{0, math.Copysign(0, -1), 0} {
+		a.RTTMs = rtt
+		checkAppendJSON(t, "rtt "+strconv.FormatFloat(rtt, 'g', -1, 64), s)
+	}
+	a.Model = "renamed<>"
+	checkAppendJSON(t, "model", s)
+}
+
+// TestRowCacheStoresNoFailedRow encodes a snapshot whose live entry and
+// server row cannot be encoded twice in a row: both encodes must fail
+// with json.Marshal's error, and a valid value afterwards encodes
+// correctly.
+func TestRowCacheStoresNoFailedRow(t *testing.T) {
+	_, s := liveSnapshot(t)
+	a, srv := &s.Live[1], &s.Servers[0]
+	power, used := a.PowerW, srv.Used[1]
+	a.PowerW = math.NaN()
+	checkAppendJSON(t, "NaN live entry", s)
+	checkAppendJSON(t, "NaN live entry again", s)
+	a.PowerW = power
+	srv.Used[1] = math.Inf(1)
+	checkAppendJSON(t, "Inf server row", s)
+	checkAppendJSON(t, "Inf server row again", s)
+	srv.Used[1] = used
+	checkAppendJSON(t, "valid again", s)
+}
+
+// TestRowCacheConcurrentEncodes encodes two snapshots of one engine, taken
+// epochs apart, from concurrent goroutines: each encode must be its own
+// snapshot's json.Marshal bytes. Run under -race (make race).
+func TestRowCacheConcurrentEncodes(t *testing.T) {
+	e, a := liveSnapshot(t)
+	for range 6 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := e.Snapshot()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		s := []*Snapshot{a, b}[g%2]
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got, err := s.AppendJSON(nil); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d: concurrent encode differs from json.Marshal (error %v)", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRowEqualityCoversEveryField perturbs each field of a server row and
+// a live entry in turn: the cache's equality must see every change, or
+// a row added a field to would be copied with the field's old bytes.
+func TestRowEqualityCoversEveryField(t *testing.T) {
+	check := func(v any, same func(a, b reflect.Value) bool) {
+		base := reflect.ValueOf(v).Elem()
+		filler{str: "a", f: 2.5}.fill(t, base, base.Type().Name())
+		for i := range base.NumField() {
+			other := reflect.New(base.Type()).Elem()
+			other.Set(base)
+			f := other.Field(i)
+			if f.Kind() == reflect.Array {
+				f = f.Index(f.Len() - 1)
+			}
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(math.Copysign(0, -1))
+			default:
+				t.Fatalf("%s.%s: teach this test and the cache's equality its kind", base.Type().Name(), base.Type().Field(i).Name)
+			}
+			if same(base, other) {
+				t.Errorf("%s.%s: a changed value compares equal", base.Type().Name(), base.Type().Field(i).Name)
+			}
+		}
+		if !same(base, base) {
+			t.Errorf("%s: a value differs from itself", base.Type().Name())
+		}
+	}
+	check(new(ServerSnap), func(a, b reflect.Value) bool {
+		return sameServer(a.Addr().Interface().(*ServerSnap), b.Addr().Interface().(*ServerSnap))
+	})
+	check(new(LiveAppSnap), func(a, b reflect.Value) bool {
+		return sameLive(a.Addr().Interface().(*LiveAppSnap), b.Addr().Interface().(*LiveAppSnap))
+	})
 }

@@ -107,7 +107,10 @@ bench-smoke:
 # Step) and one of the world build's carbon generator
 # (BenchmarkTraceGeneration: a year of one curated zone's intensity per
 # op), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_42.md (checkpoint before
+# of those summaries live in profiles/PROFILE_43.md (the request path
+# and the ledger's traffic_year before and after the router's one-pass
+# route: feasible list only, spill list on spill, no per-replica
+# copies), profiles/PROFILE_42.md (checkpoint before
 # and after the engine's row cache: server rows and live-app entries
 # unchanged by value are copied, not rendered), profiles/PROFILE_41.md (CDN year before and
 # after the solver's gated candidate lists, activation costed only for

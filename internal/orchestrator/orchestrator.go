@@ -153,6 +153,10 @@ type trafficState struct {
 	gen    *traffic.Generator
 	router *router.Router
 	srcLoc []int
+	// ci is each replica zone's carbon intensity at the routed tick,
+	// refilled by every routeTraffic, and intensity the router's read of it.
+	ci        map[string]float64
+	intensity func(zoneID string) float64
 }
 
 // cityIndex numbers city names for the router's index-keyed latency
@@ -645,7 +649,9 @@ func (o *Orchestrator) AttachTraffic(gen *traffic.Generator, sloMs float64) erro
 	for i, src := range gen.Sources() {
 		srcLoc[i] = o.cities.add(src.City)
 	}
-	o.traffic = &trafficState{gen: gen, router: r, srcLoc: srcLoc}
+	ts := &trafficState{gen: gen, router: r, srcLoc: srcLoc, ci: map[string]float64{}}
+	ts.intensity = func(zone string) float64 { return ts.ci[zone] }
+	o.traffic = ts
 	return nil
 }
 
@@ -668,18 +674,19 @@ func (o *Orchestrator) routeTraffic(dt time.Duration) (int64, error) {
 	if elapsed < 0 {
 		return 0, nil
 	}
-	ciCache := map[string]float64{}
+	cache := o.traffic.ci
+	clear(cache)
 	for i := range o.replicas {
 		zone := o.replicas[i].ZoneID
-		if _, ok := ciCache[zone]; !ok {
+		if _, ok := cache[zone]; !ok {
 			ci, err := o.carbon.Current(zone, o.now)
 			if err != nil {
 				return 0, err
 			}
-			ciCache[zone] = ci
+			cache[zone] = ci
 		}
 	}
-	intensity := func(zone string) float64 { return ciCache[zone] }
+	intensity := o.traffic.intensity
 	o.syncRTT()
 	sl := rt.ReuseSlice(o.replicas, dt.Seconds())
 	// Route every hourly slice the tick window overlaps. Each slice's

@@ -57,7 +57,11 @@ func (o *fuzzOracle) at(src, dst int) float64 { o.calls++; return o.rtt(src, dst
 //     deltas), so after an invalidation nothing stale is used;
 //   - the oracle is asked exactly what the memo contract implies: once per
 //     (source, class) pair between invalidations, and again on every
-//     route through a pair whose answer was NaN.
+//     route through a pair whose answer was NaN;
+//   - a second router, routing the same slices through legacyRoute (the
+//     eager path RouteAt replaced), asks its oracle as often and ends the
+//     slice with the same served and dropped counts and, bit for bit, the
+//     same exported stats.
 func FuzzRouteSlice(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{7, 1, 4, 40, 1, 9, 2, 3, 0, 200, 1, 100, 0, 5, 3, 2, 7, 0, 60, 1, 90, 1, 3, 3, 2, 2, 150, 3})
@@ -67,11 +71,8 @@ func FuzzRouteSlice(f *testing.F) {
 		in := fuzzBytes(data)
 		const nLoc, slo = 6, 20.0
 		svcs := [...]float64{2, 5, 5, 11}
-		oracle := &fuzzOracle{seed: in.next()}
-		r, err := New(Config{SLOms: slo, RTTAt: oracle.at, PerReplica: in.next()%2 == 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := newLegacyPair(t, in.next(), in.next()%2 == 1, slo)
+		r, oracle := p.got, p.gotOracle
 		ref := metrics.NewQuantileSketch()
 		type pair struct {
 			src, loc int
@@ -93,7 +94,7 @@ func FuzzRouteSlice(f *testing.F) {
 				})
 			}
 			seconds := float64(1 + in.next()%10)
-			sl := r.ReuseSlice(reps, seconds)
+			sl := p.open(reps, seconds)
 			for n := in.next() % 5; n > 0; n-- {
 				src, count := in.next()%nLoc, int64(in.next()*in.next())
 				before := append([]int64(nil), sl.Served()...)
@@ -108,7 +109,7 @@ func FuzzRouteSlice(f *testing.F) {
 						}
 					}
 				}
-				sl.RouteAt(src, count, zoneCI)
+				p.route(src, count)
 				if oracle.calls != wantCalls {
 					t.Fatalf("slice %d: RouteAt(%d, %d) left the oracle call count at %d, want %d",
 						slice, src, count, oracle.calls, wantCalls)
@@ -123,7 +124,7 @@ func FuzzRouteSlice(f *testing.F) {
 					}
 				}
 			}
-			sl.Close()
+			p.close(t, fmt.Sprintf("slice %d", slice))
 
 			var sliceServed int64
 			for i, n := range sl.Served() {
@@ -151,18 +152,10 @@ func FuzzRouteSlice(f *testing.F) {
 				t.Fatalf("slice %d: latency sketch\n got  %+v\n want %+v", slice, got, want)
 			}
 
-			switch op := in.next(); op % 4 {
-			case 0:
-				oracle.version++
-				r.InvalidateRTT()
-				clear(asked)
-			case 1:
-				r.Retire(fmt.Sprintf("r%d", op/4%8))
-			case 2:
-				if err := r.RestoreStats(r.Stats().State()); err != nil {
-					t.Fatal(err)
-				}
-				clear(asked)
+			op := in.next()
+			p.between(t, op%4, fmt.Sprintf("r%d", op/4%8))
+			if op%4 == 0 || op%4 == 2 {
+				clear(asked) // the memo was dropped
 			}
 		}
 	})

@@ -22,9 +22,13 @@
 // class, so the router memoizes it — and the latency-sketch bucket it
 // lands in — until the caller invalidates the memo (InvalidateRTT). Each
 // class seen gets a dense id, and each source location a row of cells
-// indexed by class id; a slice resolves its replicas' class ids once, and
-// RouteAt then reads one source row, gathers the cells by id and runs the
-// waterfill.
+// indexed by class id; a slice resolves its replicas' class ids once.
+// RouteAt then makes one pass over them that evaluates the source row's
+// missing cells and lists the SLO-feasible replicas, waterfills over that
+// list, and lists the rest only when demand is left over for spill-over.
+// An assignment reads the replica's latency and bucket from the source row
+// and its zone intensity and per-replica aggregate from a per-slice cache:
+// no per-route copy, no map lookup per assignment.
 // Latency observations are not added to the sketches
 // one assignment at a time: a slice logs them and Close folds the log in,
 // in assignment order under one lock, so the sketches hold exactly what
@@ -240,8 +244,9 @@ func (r *Router) srcRow(src int) []pairCell {
 // capacity depletes as sources are routed, then the slice is closed.
 //
 // Per-replica zone carbon intensity is memoized on first use within a
-// slice, so the intensity oracle must be stable for a slice's lifetime
-// (both the simulator and the orchestrator freeze intensity per window).
+// slice (attr), so the intensity oracle must be stable for a slice's
+// lifetime (both the simulator and the orchestrator freeze intensity per
+// window).
 type Slice struct {
 	r        *Router
 	replicas []Replica
@@ -251,27 +256,33 @@ type Slice struct {
 	served  []int64
 	dropped int64
 	closed  bool
-	// lat, bucket, feasible, and infeasible are per-RouteAt partition
-	// scratch, reused across calls: each replica's end-to-end latency from
-	// the current source, the sketch bucket it lands in, and the split by
-	// SLO feasibility.
-	lat        []float64
-	bucket     []int32
-	feasible   []int
-	infeasible []int
 	// ids is each replica's class id, resolved on the slice's first
 	// RouteAt (idsOK) and valid until the next reset.
 	ids   []int32
 	idsOK bool
+	// row is the memo row of the source RouteAt is routing, where
+	// waterfill reads each replica's latency and bucket; idx is RouteAt's
+	// replica list, the SLO-feasible replicas and then, on spill, the rest.
+	row []pairCell
+	idx []int
 	// log is the slice's latency observations in assignment order, folded
 	// into Stats.Latency by Close; logRep holds each entry's per-replica
 	// aggregate, kept only when per-replica sketches are on.
 	log    []metrics.Obs
 	logRep []*ReplicaStats
-	// zi memoizes each replica's zone carbon intensity for the slice;
-	// ziOK marks which entries are populated.
-	zi   []float64
-	ziOK []bool
+	// attr is what each replica's assignments attribute to, resolved on
+	// its first assignment in the slice.
+	attr []replicaAttr
+}
+
+// replicaAttr is one replica's attribution for the slice: its zone carbon
+// intensity and its per-replica aggregate (nil when PerReplica is off).
+// It holds only for the slice: the intensity oracle is frozen per slice,
+// and Retire and RestoreStats, legal between slices, drop or replace rows.
+type replicaAttr struct {
+	zi float64
+	rs *ReplicaStats
+	ok bool // resolved
 }
 
 // reslice grows b to exactly n elements, reusing capacity when possible.
@@ -289,22 +300,19 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.replicas = replicas
 	s.free = reslice(s.free, n)
 	s.served = reslice(s.served, n)
-	s.lat = reslice(s.lat, n)
-	s.bucket = reslice(s.bucket, n)
 	s.ids = reslice(s.ids, n)
 	s.idsOK = false
+	s.idx = reslice(s.idx, n)
+	s.row = nil
 	s.log = s.log[:0]
 	s.logRep = s.logRep[:0]
-	s.zi = reslice(s.zi, n)
-	s.ziOK = reslice(s.ziOK, n)
-	s.feasible = s.feasible[:0]
-	s.infeasible = s.infeasible[:0]
+	s.attr = reslice(s.attr, n)
 	s.dropped = 0
 	s.closed = false
 	for i := range replicas {
 		s.free[i] = replicas[i].CapacityRPS * seconds
 		s.served[i] = 0
-		s.ziOK[i] = false
+		s.attr[i].ok = false
 	}
 }
 
@@ -337,26 +345,43 @@ func (s *Slice) RouteAt(srcLoc int, count int64, intensity func(zoneID string) f
 		s.resolveIDs()
 	}
 
-	s.feasible = s.feasible[:0]
-	s.infeasible = s.infeasible[:0]
+	// One pass evaluates every missing cell and lists the feasible
+	// replicas: each index is written, and kept by advancing the count
+	// only when feasible, so the list grows without a data-dependent branch.
 	row := s.r.srcRow(srcLoc)
+	s.row = row
+	slo := s.r.cfg.SLOms
+	idx := s.idx
+	nf := 0
 	for i, id := range s.ids {
-		c := row[id]
+		c := &row[id]
 		if c.lat != c.lat {
 			// Not evaluated yet, or the oracle answered NaN: ask (again).
 			rep := &s.replicas[i]
 			c.lat = s.r.cfg.RTTAt(srcLoc, rep.Loc) + rep.ServiceMs
 			c.bucket = s.r.stats.Latency.Bucket(c.lat)
-			row[id] = c
 		}
-		s.lat[i], s.bucket[i] = c.lat, c.bucket
-		if c.lat <= s.r.cfg.SLOms {
-			s.feasible = append(s.feasible, i)
-		} else {
-			s.infeasible = append(s.infeasible, i)
+		idx[nf] = i
+		if c.lat <= slo {
+			nf++
 		}
 	}
-	s.fill(count, intensity)
+	left := s.waterfill(count, idx[:nf], false, intensity)
+	if left > 0 {
+		// Spill-over: the complement, NaN latencies included.
+		ni := 0
+		for i, id := range s.ids {
+			idx[ni] = i
+			if !(row[id].lat <= slo) {
+				ni++
+			}
+		}
+		left = s.waterfill(left, idx[:ni], true, intensity)
+	}
+	if left > 0 {
+		s.r.stats.Dropped += left
+		s.dropped += left
+	}
 }
 
 // resolveIDs looks up each replica's class id, numbering classes this
@@ -375,118 +400,105 @@ func (s *Slice) resolveIDs() {
 	s.idsOK = true
 }
 
-// fill runs the two-phase waterfill over the partition built by RouteAt
-// and records any unplaceable remainder as dropped.
-func (s *Slice) fill(count int64, intensity func(string) float64) {
-	left := s.waterfill(count, s.feasible, false, intensity)
-	if left > 0 {
-		left = s.waterfill(left, s.infeasible, true, intensity)
-	}
-	if left > 0 {
-		s.r.stats.Dropped += left
-		s.dropped += left
-	}
-}
-
 // waterfill spreads count requests over the indexed replicas in
 // proportion to their remaining capacity, iterating as replicas saturate;
 // it returns the demand that found no capacity. spill marks the requests
-// as spill-over (served past the SLO).
+// as spill-over (served past the SLO). A round that finds a replica with
+// a whole request of budget assigns at least one request, so every round
+// makes progress.
+//
+// Each assignment commits n requests to a replica and records their
+// telemetry: the replica's count in served and its latency observation in
+// log, both flowing into Stats when the slice closes, and the energy and
+// carbon sums, added in assignment order. The request counters take the
+// routed total once: RouteAt lists a replica as spill-over exactly when
+// its latency is not within the SLO, so every request of a spill
+// waterfill misses the SLO and every other request meets it.
 func (s *Slice) waterfill(count int64, idxs []int, spill bool, intensity func(string) float64) int64 {
+	free, row, ids := s.free, s.row, s.ids
+	st := &s.r.stats
+	energy, carbon := st.EnergyKWh, st.CarbonG
+	log := s.log
 	left := count
 	for left > 0 {
 		var totalFree float64
 		for _, i := range idxs {
-			if s.free[i] >= 1 {
-				totalFree += s.free[i]
+			if f := free[i]; f >= 1 {
+				totalFree += f
 			}
 		}
 		if totalFree < 1 {
 			break
 		}
-		progressed := false
 		rem := left
 		for _, i := range idxs {
-			if rem == 0 {
-				break
-			}
-			if s.free[i] < 1 {
+			f := free[i]
+			if f < 1 {
 				continue
 			}
-			n := int64(float64(left) * s.free[i] / totalFree)
+			n := int64(float64(left) * f / totalFree)
 			if n == 0 {
 				n = 1 // guarantee progress on tiny proportional shares
 			}
-			if n > rem {
-				n = rem
+			n = min(n, rem, int64(f))
+			free[i] = f - float64(n)
+			s.served[i] += n
+			at := &s.attr[i]
+			if !at.ok {
+				s.resolveAttr(i, intensity)
 			}
-			if budget := int64(s.free[i]); n > budget {
-				n = budget
+			c := row[ids[i]]
+			log = append(log, metrics.Obs{V: c.lat, N: n, Bucket: c.bucket})
+			kwh := float64(n) * s.replicas[i].EnergyPerReqJ / 3.6e6
+			grams := kwh * at.zi
+			energy += kwh
+			carbon += grams
+			if rs := at.rs; rs != nil {
+				rs.add(n, spill, kwh, grams)
+				s.logRep = append(s.logRep, rs)
 			}
-			if n == 0 {
-				continue
+			if rem -= n; rem == 0 {
+				break
 			}
-			s.assign(i, n, s.lat[i], spill, intensity)
-			s.free[i] -= float64(n)
-			rem -= n
-			progressed = true
 		}
 		left = rem
-		if !progressed {
-			break
-		}
+	}
+	s.log = log
+	st.EnergyKWh, st.CarbonG = energy, carbon
+	if spill {
+		st.Spilled += count - left
+	} else {
+		st.SLOMet += count - left
 	}
 	return left
 }
 
-// zoneIntensity returns replica i's memoized zone carbon intensity.
-func (s *Slice) zoneIntensity(i int, intensity func(string) float64) float64 {
-	if !s.ziOK[i] {
-		s.zi[i] = intensity(s.replicas[i].ZoneID)
-		s.ziOK[i] = true
+// add records n requests and their energy and carbon in a replica's row.
+func (rs *ReplicaStats) add(n int64, spill bool, kwh, grams float64) {
+	rs.Requests += n
+	if spill {
+		rs.Spilled += n
+	} else {
+		rs.SLOMet += n
 	}
-	return s.zi[i]
+	rs.EnergyKWh += kwh
+	rs.CarbonG += grams
 }
 
-// assign commits n requests to replica i and records their telemetry.
-// Per-replica request counts accumulate in served, and the latency
-// observation in log; both flow into Stats when the slice closes.
-func (s *Slice) assign(i int, n int64, latMs float64, spill bool, intensity func(string) float64) {
+// resolveAttr memoizes replica i's zone carbon intensity and, when
+// per-replica stats are on, its aggregate row, created on the ID's first
+// request. Replicas that share an ID share the row.
+func (s *Slice) resolveAttr(i int, intensity func(string) float64) {
 	rep := &s.replicas[i]
-	st := &s.r.stats
-	s.served[i] += n
-
-	met := latMs <= s.r.cfg.SLOms
-	if met {
-		st.SLOMet += n
-	}
-	if spill {
-		st.Spilled += n
-	}
-	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: s.bucket[i]})
-
-	kwh := float64(n) * rep.EnergyPerReqJ / 3.6e6
-	grams := kwh * s.zoneIntensity(i, intensity)
-	st.EnergyKWh += kwh
-	st.CarbonG += grams
-
-	if st.Replicas != nil {
-		rs := st.Replicas[rep.ID]
-		if rs == nil {
-			rs = &ReplicaStats{Latency: metrics.NewQuantileSketch()} //detlint:hotalloc amortized: allocates once per newly seen replica ID
-			st.Replicas[rep.ID] = rs
+	at := replicaAttr{zi: intensity(rep.ZoneID), ok: true}
+	if reps := s.r.stats.Replicas; reps != nil {
+		at.rs = reps[rep.ID]
+		if at.rs == nil {
+			at.rs = &ReplicaStats{Latency: metrics.NewQuantileSketch()} //detlint:hotalloc amortized: allocates once per newly seen replica ID
+			reps[rep.ID] = at.rs
 		}
-		rs.Requests += n
-		if met {
-			rs.SLOMet += n
-		}
-		if spill {
-			rs.Spilled += n
-		}
-		s.logRep = append(s.logRep, rs)
-		rs.EnergyKWh += kwh
-		rs.CarbonG += grams
 	}
+	s.attr[i] = at
 }
 
 // Served returns the per-replica request counts assigned so far this

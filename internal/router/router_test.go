@@ -644,3 +644,291 @@ func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
 		}
 	}
 }
+
+// legacyRoute is the eager routing path RouteAt replaced, kept as its
+// bit-exact oracle: every route partitions all replicas into copied
+// latency, bucket, feasible and infeasible scratch, the spill list
+// included, and every assignment looks its per-replica row up by ID. It
+// routes on an open slice of its own router, through the slice's budgets,
+// counts and observation log, so Close folds its routes as it folds
+// RouteAt's.
+type legacyRoute struct {
+	lat                  []float64
+	bucket               []int32
+	feasible, infeasible []int
+	zi                   []float64
+	ziOK                 []bool
+}
+
+// open readies the scratch for slice s, freshly reset by ReuseSlice.
+func (l *legacyRoute) open(s *Slice) {
+	n := len(s.replicas)
+	l.lat, l.bucket = reslice(l.lat, n), reslice(l.bucket, n)
+	l.zi, l.ziOK = reslice(l.zi, n), reslice(l.ziOK, n)
+	clear(l.ziOK)
+}
+
+func (l *legacyRoute) routeAt(s *Slice, srcLoc int, count int64, intensity func(string) float64) {
+	if count <= 0 || s.closed {
+		return
+	}
+	s.r.stats.Requests += count
+	if !s.idsOK {
+		s.resolveIDs()
+	}
+	l.feasible, l.infeasible = l.feasible[:0], l.infeasible[:0]
+	row := s.r.srcRow(srcLoc)
+	for i, id := range s.ids {
+		c := row[id]
+		if c.lat != c.lat {
+			rep := &s.replicas[i]
+			c.lat = s.r.cfg.RTTAt(srcLoc, rep.Loc) + rep.ServiceMs
+			c.bucket = s.r.stats.Latency.Bucket(c.lat)
+			row[id] = c
+		}
+		l.lat[i], l.bucket[i] = c.lat, c.bucket
+		if c.lat <= s.r.cfg.SLOms {
+			l.feasible = append(l.feasible, i)
+		} else {
+			l.infeasible = append(l.infeasible, i)
+		}
+	}
+	left := l.waterfill(s, count, l.feasible, false, intensity)
+	if left > 0 {
+		left = l.waterfill(s, left, l.infeasible, true, intensity)
+	}
+	if left > 0 {
+		s.r.stats.Dropped += left
+		s.dropped += left
+	}
+}
+
+func (l *legacyRoute) waterfill(s *Slice, count int64, idxs []int, spill bool, intensity func(string) float64) int64 {
+	left := count
+	for left > 0 {
+		var totalFree float64
+		for _, i := range idxs {
+			if s.free[i] >= 1 {
+				totalFree += s.free[i]
+			}
+		}
+		if totalFree < 1 {
+			break
+		}
+		progressed := false
+		rem := left
+		for _, i := range idxs {
+			if rem == 0 {
+				break
+			}
+			if s.free[i] < 1 {
+				continue
+			}
+			n := int64(float64(left) * s.free[i] / totalFree)
+			if n == 0 {
+				n = 1
+			}
+			if n > rem {
+				n = rem
+			}
+			if budget := int64(s.free[i]); n > budget {
+				n = budget
+			}
+			if n == 0 {
+				continue
+			}
+			l.assign(s, i, n, l.lat[i], spill, intensity)
+			s.free[i] -= float64(n)
+			rem -= n
+			progressed = true
+		}
+		left = rem
+		if !progressed {
+			break
+		}
+	}
+	return left
+}
+
+func (l *legacyRoute) assign(s *Slice, i int, n int64, latMs float64, spill bool, intensity func(string) float64) {
+	rep := &s.replicas[i]
+	st := &s.r.stats
+	s.served[i] += n
+	met := latMs <= s.r.cfg.SLOms
+	if met {
+		st.SLOMet += n
+	}
+	if spill {
+		st.Spilled += n
+	}
+	s.log = append(s.log, metrics.Obs{V: latMs, N: n, Bucket: l.bucket[i]})
+	if !l.ziOK[i] {
+		l.zi[i], l.ziOK[i] = intensity(rep.ZoneID), true
+	}
+	kwh := float64(n) * rep.EnergyPerReqJ / 3.6e6
+	grams := kwh * l.zi[i]
+	st.EnergyKWh += kwh
+	st.CarbonG += grams
+	if st.Replicas != nil {
+		rs := st.Replicas[rep.ID]
+		if rs == nil {
+			rs = &ReplicaStats{Latency: metrics.NewQuantileSketch()}
+			st.Replicas[rep.ID] = rs
+		}
+		rs.Requests += n
+		if met {
+			rs.SLOMet += n
+		}
+		if spill {
+			rs.Spilled += n
+		}
+		s.logRep = append(s.logRep, rs)
+		rs.EnergyKWh += kwh
+		rs.CarbonG += grams
+	}
+}
+
+// legacyPair routes the same slices through RouteAt on one router and
+// through legacyRoute on another, each router asking its own copy of one
+// RTT oracle, and compares them after every slice.
+type legacyPair struct {
+	got, want             *Router
+	gotOracle, wantOracle *fuzzOracle
+	gs, ws                *Slice
+	legacy                legacyRoute
+	// nanRouted records a route offered a NaN pair with capacity, for
+	// vacuity checks.
+	nanRouted bool
+}
+
+func newLegacyPair(t *testing.T, seed int, perReplica bool, slo float64) *legacyPair {
+	p := &legacyPair{gotOracle: &fuzzOracle{seed: seed}, wantOracle: &fuzzOracle{seed: seed}}
+	var err error
+	if p.got, err = New(Config{SLOms: slo, RTTAt: p.gotOracle.at, PerReplica: perReplica}); err != nil {
+		t.Fatal(err)
+	}
+	if p.want, err = New(Config{SLOms: slo, RTTAt: p.wantOracle.at, PerReplica: perReplica}); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// open opens a slice on both routers and returns RouteAt's.
+func (p *legacyPair) open(reps []Replica, seconds float64) *Slice {
+	p.gs, p.ws = p.got.ReuseSlice(reps, seconds), p.want.ReuseSlice(reps, seconds)
+	p.legacy.open(p.ws)
+	return p.gs
+}
+
+// route routes one source on both open slices.
+func (p *legacyPair) route(src int, count int64) {
+	p.gs.RouteAt(src, count, zoneCI)
+	p.legacy.routeAt(p.ws, src, count, zoneCI)
+	if count > 0 {
+		for _, rep := range p.ws.replicas {
+			if rep.CapacityRPS >= 1 && math.IsNaN(p.wantOracle.rtt(src, rep.Loc)) {
+				p.nanRouted = true
+			}
+		}
+	}
+}
+
+// close closes both slices and fails, naming where, at the first
+// difference: in the slices' served and dropped counts, in the number of
+// oracle calls, or in the JSON of the exported stats, which renders every
+// float (sums included) exactly.
+func (p *legacyPair) close(t *testing.T, where string) {
+	t.Helper()
+	p.gs.Close()
+	p.ws.Close()
+	if !reflect.DeepEqual(p.gs.Served(), p.ws.Served()) || p.gs.Dropped() != p.ws.Dropped() {
+		t.Fatalf("%s: served %v dropped %d, legacy served %v dropped %d", where, p.gs.Served(), p.gs.Dropped(), p.ws.Served(), p.ws.Dropped())
+	}
+	if p.gotOracle.calls != p.wantOracle.calls {
+		t.Fatalf("%s: RTTAt called %d times, legacy %d", where, p.gotOracle.calls, p.wantOracle.calls)
+	}
+	if got, want := stateJSON(t, p.got), stateJSON(t, p.want); got != want {
+		t.Fatalf("%s: stats diverged from the legacy route\n got: %s\nwant: %s", where, got, want)
+	}
+}
+
+// between applies one between-slices operation to both routers: 0
+// invalidates the memo under a new oracle version, 1 retires id, 2
+// restores each router's stats from its own export, anything else none.
+func (p *legacyPair) between(t *testing.T, op int, id string) {
+	switch op {
+	case 0:
+		p.gotOracle.version++
+		p.wantOracle.version++
+		p.got.InvalidateRTT()
+		p.want.InvalidateRTT()
+	case 1:
+		p.got.Retire(id)
+		p.want.Retire(id)
+	case 2:
+		for _, r := range []*Router{p.got, p.want} {
+			if err := r.RestoreStats(r.Stats().State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestRouteMatchesLegacy holds RouteAt bit for bit to legacyRoute over
+// seeded scenarios, with per-replica stats on and off: replicas drawn from
+// a catalog where some IDs span classes (at one location or across
+// locations) and some classes back two IDs, an oracle that answers NaN for
+// about one pair in eight, capacities tight enough to spill and drop, and
+// invalidations, retirements and stats restores between slices.
+func TestRouteMatchesLegacy(t *testing.T) {
+	const nLoc, slo = 6, 20.0
+	var catalog []Replica
+	for loc := 0; loc < nLoc; loc++ {
+		// k = 1 and 2 share a class under two IDs; k = 2 and 3 share an ID
+		// over two classes.
+		for k, svc := range []float64{2, 7, 7, 12} {
+			catalog = append(catalog, Replica{
+				ID: fmt.Sprintf("r%d/%d", loc, min(k, 2)), Loc: loc, ZoneID: fmt.Sprintf("Z%d", (loc+k)%3),
+				ServiceMs: svc, EnergyPerReqJ: 0.3 + 0.2*float64(k),
+			})
+		}
+	}
+	catalog[1].ID = catalog[0].ID // location 0's first two classes under one ID
+	catalog[9].ID = catalog[4].ID // one ID at locations 1 and 2
+	for _, perReplica := range []bool{false, true} {
+		var spilled, dropped, nanRouted, sharedID bool
+		for seed := 1; seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(int64(seed)))
+			p := newLegacyPair(t, seed, perReplica, slo)
+			for k := 0; k < 60; k++ {
+				var reps []Replica
+				ids := map[string]int{}
+				for _, rep := range catalog {
+					if rng.Intn(3) == 0 {
+						rep.CapacityRPS = float64(rng.Intn(30)) // 0: present but drained
+						reps = append(reps, rep)
+						ids[rep.ID]++
+					}
+				}
+				rng.Shuffle(len(reps), func(i, j int) { reps[i], reps[j] = reps[j], reps[i] })
+				p.open(reps, float64(1+rng.Intn(8)))
+				for n := 1 + rng.Intn(6); n > 0; n-- {
+					p.route(rng.Intn(nLoc), int64(rng.Intn(600)))
+				}
+				p.close(t, fmt.Sprintf("seed %d per-replica=%t slice %d", seed, perReplica, k))
+				for _, n := range ids {
+					sharedID = sharedID || n > 1
+				}
+				p.between(t, rng.Intn(5), catalog[rng.Intn(len(catalog))].ID)
+			}
+			st := p.want.Stats()
+			spilled = spilled || st.Spilled > 0
+			dropped = dropped || st.Dropped > 0
+			nanRouted = nanRouted || p.nanRouted
+		}
+		if !spilled || !dropped || !nanRouted || !sharedID {
+			t.Errorf("per-replica=%t: scenario too easy (spilled %t, dropped %t, NaN pair routed %t, shared ID %t)",
+				perReplica, spilled, dropped, nanRouted, sharedID)
+		}
+	}
+}

@@ -12,6 +12,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/placement"
+	"repro/internal/router"
+	"repro/internal/traffic"
 )
 
 // checkClassRows returns the first way a bound app template's class rows
@@ -115,14 +117,87 @@ func checkPlacementCounts(res *Result) error {
 	return nil
 }
 
+// requestCheck holds a traffic engine's router counters to the requests
+// its epochs offered. A second generator, built as initTraffic builds the
+// engine's, redraws each epoch's slice; before each Step, before records
+// the injected requests due at the epoch about to run. After it, check
+// wants the epoch's Requests delta to be the redrawn slice plus those
+// injected requests, its served (Latency.Count()) and Dropped deltas to
+// add up to the Requests delta, and its Spilled delta within the served.
+type requestCheck struct {
+	gen *traffic.Generator
+	buf []int64
+	due int64
+	// The router's counters after the last checked epoch.
+	requests, served, dropped, spilled int64
+}
+
+// newRequestCheck returns the check for e, or nil when e routes no traffic.
+func newRequestCheck(e *Engine) (*requestCheck, error) {
+	if e.cfg.Traffic == nil {
+		return nil, nil
+	}
+	tcfg := *e.cfg.Traffic
+	if tcfg.Seed == 0 {
+		tcfg.Seed = e.cfg.Seed
+	}
+	sources := make([]traffic.Source, len(e.sites))
+	for i, s := range e.sites {
+		sources[i] = traffic.Source{City: s.City, Weight: e.demandW[i], Lon: s.Location.Lon}
+	}
+	gen, err := traffic.NewGenerator(tcfg, e.start, sources)
+	if err != nil {
+		return nil, err
+	}
+	return &requestCheck{gen: gen}, nil
+}
+
+func (c *requestCheck) before(e *Engine) {
+	c.due = 0
+	for _, p := range e.inReqs {
+		if p.epoch <= e.epoch {
+			c.due += p.n
+		}
+	}
+}
+
+func (c *requestCheck) check(epoch int, st *router.Stats) error {
+	var generated int64
+	c.buf = c.gen.AppendSlice(c.buf[:0], epoch)
+	for _, n := range c.buf {
+		generated += n
+	}
+	requests, served, dropped, spilled := st.Requests-c.requests, st.Latency.Count()-c.served, st.Dropped-c.dropped, st.Spilled-c.spilled
+	c.requests, c.served, c.dropped, c.spilled = st.Requests, st.Latency.Count(), st.Dropped, st.Spilled
+	switch {
+	case requests != generated+c.due:
+		return fmt.Errorf("router took %d requests, the epoch generated %d and %d injected ones were due", requests, generated, c.due)
+	case served+dropped != requests:
+		return fmt.Errorf("router took %d requests, served %d and dropped %d", requests, served, dropped)
+	case spilled > served:
+		return fmt.Errorf("router spilled %d requests but served %d", spilled, served)
+	}
+	return nil
+}
+
 // runChecked runs cfg to completion with checkPhysical, checkClassRows,
-// checkClocks and checkPlacementCounts as epoch observers and fails at
-// the first epoch that breaks any of them. The counts are checked on the
-// observer's own result pointer, then read again through Finish, which
-// must find nothing left to fold.
-func runChecked(t *testing.T, cfg Config, w *World) *Result {
+// checkClocks and checkPlacementCounts as epoch observers, and a traffic
+// config with requestCheck too, and fails at the first epoch that breaks
+// any of them. The counts are checked on the observer's own result
+// pointer, then read again through Finish, which must find nothing left
+// to fold. setup runs on the new engine before its first Step.
+func runChecked(t *testing.T, cfg Config, w *World, setup ...func(*Engine) error) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range setup {
+		if err := f(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reqs, err := newRequestCheck(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +231,16 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
 		prev = cur
+		if reqs != nil {
+			if err := reqs.check(epoch, res.Traffic); err != nil && bad == nil {
+				bad = fmt.Errorf("epoch %d: %w", epoch, err)
+			}
+		}
 	}))
 	for !e.Done() && bad == nil {
+		if reqs != nil {
+			reqs.before(e)
+		}
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +256,9 @@ func runChecked(t *testing.T, cfg Config, w *World) *Result {
 	}
 	if prev.epoch <= start.epoch || prev.viewGen-uint64(views) <= start.viewGen {
 		t.Fatalf("clocks never advanced (%+v to %+v, %d views of the row check): the clock check is vacuous", start, prev, views)
+	}
+	if reqs != nil && reqs.requests == 0 {
+		t.Fatal("no request was routed: the request check is vacuous")
 	}
 	return e.Finish()
 }
@@ -214,6 +300,51 @@ func TestEpochsPhysicalRedeployChurn(t *testing.T) {
 			cfg.WarmRedeploy = warm
 			runChecked(t, cfg, w)
 		})
+	}
+}
+
+// TestEpochsPhysicalTrafficInjected runs the golden traffic config with
+// cross-shard requests injected at the gateway, some due at epochs that
+// have their own demand to route and some large enough to spill and drop,
+// so requestCheck counts injected requests on the receiving side. Over the
+// run, the router must have taken every generated and every injected
+// request.
+func TestEpochsPhysicalTrafficInjected(t *testing.T) {
+	cfg := goldenCases()["timeline/traffic"]
+	var injected int64
+	var redraw *requestCheck
+	res := runChecked(t, cfg, testWorld(t), func(e *Engine) error {
+		for epoch := 5; epoch < cfg.Hours; epoch += 11 {
+			n := int64(400 + 1000*(epoch%7))
+			if epoch%3 == 0 {
+				n *= 200
+			}
+			if err := e.InjectRequests(epoch, n); err != nil {
+				return err
+			}
+			injected += n
+			if epoch%2 == 1 { // two due at one epoch
+				if err := e.InjectRequests(epoch, 77); err != nil {
+					return err
+				}
+				injected += 77
+			}
+		}
+		var err error
+		redraw, err = newRequestCheck(e)
+		return err
+	})
+	var generated int64
+	for epoch := 0; epoch < cfg.Hours; epoch++ {
+		for _, n := range redraw.gen.AppendSlice(nil, epoch) {
+			generated += n
+		}
+	}
+	if st := res.Traffic; st.Requests != generated+injected {
+		t.Errorf("router took %d requests over the run, want %d generated + %d injected", st.Requests, generated, injected)
+	}
+	if st := res.Traffic; st.Dropped == 0 || st.Spilled == 0 {
+		t.Errorf("injection neither dropped nor spilled (dropped %d, spilled %d): too easy", st.Dropped, st.Spilled)
 	}
 }
 

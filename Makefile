@@ -107,7 +107,10 @@ bench-smoke:
 # Step) and one of the world build's carbon generator
 # (BenchmarkTraceGeneration: a year of one curated zone's intensity per
 # op), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_43.md (the request path
+# of those summaries live in profiles/PROFILE_44.md (redeploy churn
+# before and after the solver's in-place floors, per-class touches and
+# table-read warm slots, and the engine's one view per stranded
+# redeploy, with the solver's work counts), profiles/PROFILE_43.md (the request path
 # and the ledger's traffic_year before and after the router's one-pass
 # route: feasible list only, spill list on spill, no per-replica
 # copies), profiles/PROFILE_42.md (checkpoint before

@@ -15,17 +15,22 @@ import (
 //
 // The search is flattened: each solve memoizes policy costs into flat rows
 // shared across identical app classes, after pass 0 only apps whose
-// candidate servers changed in a scan-visible way are re-scanned (server ->
-// class reverse adjacency filtered by capacity threshold flips), and
-// construct and local search scan each class state once, not once per app
-// of the class (classMemo). The cost-row build also records each class's
-// pick at the start state (costMemo.seed), so construct scans a class only
-// when its pick stops fitting or is retired. A cold solve whose construct
-// retired no pick and placed every app is a local-search fixpoint (see
-// construct) and skips local search. Every skip is provably a no-op scan:
-// assignments are byte-identical to a plain per-app sweep that re-derives
-// every cost through the Policy (the test oracle in oracle_test.go). Each
-// solve stands alone; nothing but buffer capacity carries over to the next.
+// candidate servers changed in a scan-visible way are re-scanned (a move
+// touches, through the server -> class reverse adjacency, only the classes
+// whose own capacity fit flipped on the server, or every adjacent class of
+// a server that starts off or carries too many distinct demands to test
+// one by one), and construct and local search scan each
+// class state once, not once per app of the class (classMemo); a touch
+// updates the class's floor in place where it can, so most touches cost
+// no rescan. The cost-row build also records each class's pick at the
+// start state (costMemo.seed) when construct will run, so construct scans
+// a class only when its pick stops fitting or is retired. A cold solve
+// whose construct retired no pick and placed every app is a local-search
+// fixpoint (see construct) and skips local search. Every skip is provably
+// a no-op scan: assignments are byte-identical to a plain per-app sweep
+// that re-derives every cost through the Policy (the test oracle in
+// oracle_test.go). Each solve stands alone; nothing but buffer capacity
+// carries over to the next.
 //
 // The solver owns reusable search scratch (capacity vectors, assignment
 // arrays, validation sets, memoized cost rows, the per-class scan memos),
@@ -53,8 +58,14 @@ type HeuristicSolver struct {
 	// cm lets a solve scan each class state once rather than once per
 	// app.
 	cm classMemo
-	// scans counts candidate-list scans and local-search verdicts, for tests.
-	scans struct{ construct, search, fallback, stay, move, retry, stuck int }
+	// scans counts the solver's work, for tests: construct's scans, floor
+	// rescans (search) and floors updated in place or dropped by a touch,
+	// local search's verdicts, and the warm seed's slot lookups.
+	scans struct {
+		construct, search, inplace, dropped int
+		fallback, stay, move, retry, stuck  int
+		lookup                              int
+	}
 }
 
 // NewHeuristicSolver returns a solver with full input validation.
@@ -111,7 +122,12 @@ type costMemo struct {
 	opts []int
 	// seed[c] is the slot construct's scan of class c returns at the
 	// start of the solve (see HeuristicSolver.pickCheapest), or -1.
+	// build fills opts and seed only for a solve that constructs.
 	seed []int
+	// slotAt[c*m+j] is server j's slot in class c's gated list, or -1:
+	// where the warm seed reads its slots, filled only by warm solves
+	// (slotTable).
+	slotAt []int32
 	// act[j] is pol.ActivationCost(p, j), set for servers that start off.
 	act []float64
 
@@ -123,15 +139,20 @@ type costMemo struct {
 	adj bool
 
 	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
-	// revOff[j+1]] lists the classes whose gated lists contain server j.
-	// The dirty-app queue marks through it.
-	revOff []int
-	revCls []int32
-	cursor []int // CSR fill scratch
+	// revOff[j+1]] lists the classes whose gated lists contain server j,
+	// revSlot the same range's slots (server j's index in each list) and
+	// revDem the index of each class's demand on j in j's distinct-demand
+	// list. The dirty-app queue marks through it.
+	revOff  []int
+	revCls  []int32
+	revSlot []int32
+	revDem  []uint8
+	cursor  []int // CSR fill scratch
 
 	// dOff/dLen/dVal list the distinct demand vectors among each server's
-	// adjacent slots; dBig[j] reports overflow past
-	// maxDistinctDemands. fitsFlip tests capacity changes against them.
+	// adjacent slots; dBig[j] reports overflow past maxDistinctDemands,
+	// which leaves revDem unset on j. flips tests capacity changes against
+	// them.
 	dOff []int
 	dLen []int32
 	dVal []cluster.Resources
@@ -139,7 +160,9 @@ type costMemo struct {
 }
 
 // build lays the memo out for (p, pol), reusing the buffers' capacity.
-func (mm *costMemo) build(p *Problem, pol Policy) {
+// cold reports that construct will run: only then are its option counts
+// and seeds (opts, seed) filled.
+func (mm *costMemo) build(p *Problem, pol Policy, cold bool) {
 	m := len(p.Servers)
 	mm.cls, mm.rep = p.classes(&mm.ident)
 	nc := len(mm.rep)
@@ -161,25 +184,38 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 		mm.off[c], total = total, total+len(mm.cand[c])
 	}
 	mm.row = grow(mm.row, total)
-	mm.opts = grow(mm.opts, nc)
-	mm.seed = grow(mm.seed, nc)
 	mm.act = grow(mm.act, m)
 	for j := range p.Servers {
 		if !p.Servers[j].PoweredOn {
 			mm.act[j] = pol.ActivationCost(p, j)
 		}
 	}
+	if cold {
+		mm.opts = grow(mm.opts, nc)
+		mm.seed = grow(mm.seed, nc)
+	}
 	for c, r := range mm.rep {
-		i, base := int(r), mm.off[c]
+		i, cand := int(r), mm.cand[c]
+		row := mm.row[mm.off[c] : mm.off[c]+len(cand)]
+		for k, j := range cand {
+			row[k] = pol.PairCost(p, i, j)
+		}
+		if !cold {
+			continue
+		}
+		// Construct's option count and its pick at the start state, in
+		// a second pass: with no policy call to spill registers around,
+		// it costs less than folding it into the pass above.
+		demand := p.Demand[i]
 		opts, best, bestCost := 0, -1, math.Inf(1)
-		for k, j := range mm.cand[c] {
-			cost := pol.PairCost(p, i, j)
-			mm.row[base+k] = cost
-			if !p.Demand[i][j].Fits(p.Servers[j].Free) {
+		for k, j := range cand {
+			srv := &p.Servers[j]
+			if !demand[j].Fits(srv.Free) {
 				continue
 			}
 			opts++
-			if !p.Servers[j].PoweredOn {
+			cost := row[k]
+			if !srv.PoweredOn {
 				cost += mm.act[j]
 			}
 			if cost < bestCost {
@@ -191,9 +227,27 @@ func (mm *costMemo) build(p *Problem, pol Policy) {
 	mm.p, mm.m, mm.adj = p, m, false
 }
 
+// slotTable fills slotAt for the current structure and returns it: the
+// warm seed's server -> slot map, one row of m per class, so seeding an
+// app costs one read instead of a search of its gated list.
+func (mm *costMemo) slotTable() []int32 {
+	m := mm.m
+	mm.slotAt = grow(mm.slotAt, len(mm.cand)*m)
+	for c, cand := range mm.cand {
+		row := mm.slotAt[c*m : (c+1)*m]
+		for j := range row {
+			row[j] = -1
+		}
+		for k, j := range cand {
+			row[j] = int32(k)
+		}
+	}
+	return mm.slotAt
+}
+
 // ensureAdj builds the server -> classes reverse adjacency and the
-// per-server demand lists for the current structure, once: touch and
-// fitsFlip read them, so every path into those calls ensureAdj first.
+// per-server demand lists for the current structure, once: touchMoved
+// reads them, so it calls ensureAdj first.
 func (mm *costMemo) ensureAdj() {
 	if mm.adj {
 		return
@@ -209,25 +263,11 @@ func (mm *costMemo) ensureAdj() {
 	for j := 0; j < m; j++ {
 		mm.revOff[j+1] += mm.revOff[j]
 	}
-	mm.revCls = grow(mm.revCls, mm.revOff[m])
+	n := mm.revOff[m]
+	mm.revCls, mm.revSlot, mm.revDem = grow(mm.revCls, n), grow(mm.revSlot, n), grow(mm.revDem, n)
 	mm.cursor = grow(mm.cursor, m)
 	copy(mm.cursor, mm.revOff[:m])
-	for c, cand := range mm.cand {
-		for _, j := range cand {
-			mm.revCls[mm.cursor[j]] = int32(c)
-			mm.cursor[j]++
-		}
-	}
-	mm.buildDemandLists(p)
-	mm.adj = true
-}
 
-// buildDemandLists collects, per server, the distinct demand vectors among
-// its adjacent slots (one per adjacent class, capped at
-// maxDistinctDemands). fitsFlip uses them to decide whether a capacity
-// change on a server can alter any adjacent app's scan.
-func (mm *costMemo) buildDemandLists(p *Problem) {
-	m := len(p.Servers)
 	mm.dOff = grow(mm.dOff, m+1)
 	mm.dLen = grow(mm.dLen, m)
 	mm.dBig = grow(mm.dBig, m)
@@ -240,66 +280,57 @@ func (mm *costMemo) buildDemandLists(p *Problem) {
 	}
 	mm.dOff[m] = total
 	mm.dVal = grow(mm.dVal, total)
+
 	for c, r := range mm.rep {
-		i := int(r)
-		for _, j := range mm.cand[c] {
-			if mm.dBig[j] {
-				continue
-			}
-			d := p.Demand[i][j]
-			lo, l := mm.dOff[j], int(mm.dLen[j])
-			dup := false
-			for _, e := range mm.dVal[lo : lo+l] {
-				if e == d {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if l >= maxDistinctDemands {
-				mm.dBig[j] = true
-				continue
-			}
-			mm.dVal[lo+l] = d
-			mm.dLen[j]++
+		demand := p.Demand[r]
+		for k, j := range mm.cand[c] {
+			e := mm.cursor[j]
+			mm.cursor[j]++
+			mm.revCls[e], mm.revSlot[e] = int32(c), int32(k)
+			mm.revDem[e] = mm.demandIndex(j, demand[j])
 		}
 	}
+	mm.adj = true
 }
 
-// fitsFlip reports whether changing server j's free capacity from a to b
-// can change any adjacent app's scan: it does exactly when some adjacent
-// demand class fits one of the two but not the other. When the per-server
-// class list overflowed, every change is conservatively a flip.
-func (mm *costMemo) fitsFlip(j int, a, b cluster.Resources) bool {
+// demandIndex returns d's index in server j's distinct-demand list,
+// appending it when it is new. Past maxDistinctDemands distinct vectors it
+// marks the server overflowed, and the index means nothing.
+func (mm *costMemo) demandIndex(j int, d cluster.Resources) uint8 {
 	if mm.dBig[j] {
-		return true
+		return 0
 	}
-	lo := mm.dOff[j]
-	for _, d := range mm.dVal[lo : lo+int(mm.dLen[j])] {
-		if d.Fits(a) != d.Fits(b) {
-			return true
+	lo, l := mm.dOff[j], int(mm.dLen[j])
+	for q, e := range mm.dVal[lo : lo+l] {
+		if e == d {
+			return uint8(q)
 		}
 	}
-	return false
+	if l >= maxDistinctDemands {
+		mm.dBig[j] = true
+		return 0
+	}
+	mm.dVal[lo+l] = d
+	mm.dLen[j]++
+	return uint8(l)
 }
 
-// slotOf returns j's index within an ascending (gated) list, or -1.
-func slotOf(cand []int, j int) int {
-	lo, hi := 0, len(cand)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cand[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
+// flips tests changing server j's free capacity from a to b against j's
+// distinct demands: bit q of flip is set when demand q fits one of the two
+// but not the other, bit q of fit when it fits b. A change with no flip
+// bit can change no adjacent app's scan. j must not have overflowed.
+func (mm *costMemo) flips(j int, a, b cluster.Resources) (flip, fit uint8) {
+	lo := mm.dOff[j]
+	for q, d := range mm.dVal[lo : lo+int(mm.dLen[j])] {
+		fb := d.Fits(b)
+		if d.Fits(a) != fb {
+			flip |= 1 << q
+		}
+		if fb {
+			fit |= 1 << q
 		}
 	}
-	if lo < len(cand) && cand[lo] == j {
-		return lo
-	}
-	return -1
+	return flip, fit
 }
 
 // classMemo lets a solve skip scans that a same-class app has just made.
@@ -320,16 +351,25 @@ func slotOf(cand []int, j int) int {
 //     on the pick replaces the scan, and "nothing fit" stays true. A
 //     power-on (only servers that start off have one) or a demand that is
 //     not non-negative (see shrinks) retires every pick, seeds included.
-//   - local search's floor: floor[c] is one index-order pass over class
-//     c's candidates (see floor), stamped with the class's touch stamp at
-//     the time. Every scan-visible change on the class's candidates — a
-//     fit threshold flipping, any change on a server that starts off —
-//     touches the class and so advances its stamp past any recorded one
-//     (stamps are scan positions and only grow within a solve); this is
-//     the argument the dirty queue already rests on. So while the stamp
-//     holds, the fit set and its costs are the ones the floor recorded,
-//     and every member's verdict — whatever server it sits on — is read
-//     off it (floor.move) instead of a scan of its own.
+//   - local search's floor: floor[c] summarizes class c's fit set and
+//     costs (see floor), stamped with the class's touch stamp at the time
+//     it was made. A touch (see touchMoved) stamps every class a scan
+//     could see change — a class whose own fit flipped on the touched
+//     server; every adjacent class of a server that starts off or whose
+//     demand list overflowed — with its scan position, and stamps only
+//     grow within a solve, so this is the argument the dirty queue
+//     already rests on. A touch
+//     also keeps the class's floor equal to the scan it summarizes: a
+//     server that was on at the start costs the same all solve, so a slot
+//     that starts to fit there is inserted in place and one that stops
+//     fitting removes nothing the floor holds unless it is the floor's
+//     first slot or an entry; those, and every class a whole-server touch
+//     stamps, drop the floor. A kept floor is restamped with the
+//     touch, a dropped one cleared: two touches of one move share a scan
+//     position, so stamp inequality alone would not retire it. So while
+//     the floor's stamp is the class's, every member's verdict — whatever
+//     server it sits on — is read off it (floor.move) instead of a scan
+//     of its own.
 //
 // Entries carry the generation they were made in: SolveInto advances gen
 // every solve and construct on every retiring placement, so no solve
@@ -344,11 +384,13 @@ type classMemo struct {
 
 // floor summarizes one class's gated list at one class stamp: the first
 // slot that fits, and the three cheapest such slots by (cost, slot), a
-// server that is off costing its activation too.
-// Only a strictly lower cost displaces an entry (equal costs keep slot
-// order), and a NaN cost, which no scan ever prefers, never enters.
+// server that is off costing its activation too. Only a strictly lower
+// cost displaces an entry (equal costs keep slot order), and a NaN cost,
+// which no scan ever prefers, never enters. scan derives it in one
+// index-order pass; insert and holds keep it equal to that pass as single
+// slots start or stop fitting (see classMemo).
 type floor struct {
-	at    stamped // (generation, class stamp) of the pass
+	at    stamped // (generation, class stamp) of the pass; zero when dropped
 	first int     // first fitting slot, or -1
 	n     int     // entries in slot and cost
 	slot  [3]int
@@ -382,6 +424,44 @@ func (f *floor) scan(st *state, mm *costMemo, i int, at stamped) {
 		copy(f.cost[e+1:f.n], f.cost[e:])
 		f.slot[e], f.cost[e] = k, cost
 	}
+}
+
+// insert adds slot k, which has started to fit at cost, as scan would
+// have ranked it: it becomes first when it precedes the first slot, and
+// enters the entries after every entry of lower cost, or of equal cost
+// and lower slot, unless it is NaN or ranks past the third.
+func (f *floor) insert(k int, cost float64) {
+	if f.first < 0 || k < f.first {
+		f.first = k
+	}
+	if math.IsNaN(cost) {
+		return
+	}
+	e := f.n
+	for e > 0 && (cost < f.cost[e-1] || cost == f.cost[e-1] && k < f.slot[e-1]) {
+		e--
+	}
+	if e == len(f.slot) {
+		return
+	}
+	f.n = min(f.n+1, len(f.slot))
+	copy(f.slot[e+1:f.n], f.slot[e:])
+	copy(f.cost[e+1:f.n], f.cost[e:])
+	f.slot[e], f.cost[e] = k, cost
+}
+
+// holds reports whether f names slot k: as its first slot or an entry.
+// A slot that stops fitting changes f exactly when f holds it.
+func (f *floor) holds(k int) bool {
+	if k == f.first {
+		return true
+	}
+	for _, s := range f.slot[:f.n] {
+		if s == k {
+			return true
+		}
+	}
+	return false
 }
 
 // stay and nearTie are floor.move's verdicts besides a slot to move to.
@@ -518,17 +598,13 @@ func (st *state) unplace(i int) {
 	}
 }
 
-// touch marks every app adjacent to server j dirty: later apps still in
-// this pass, earlier ones (and i itself) in the next. Pass i = -1 to mark
-// everything for the given pass. It only stamps the adjacent classes with
-// the scan position; of two touches the later position makes every member
-// due no earlier than the other does, so keeping the maximum loses nothing.
-func (st *state) touch(mm *costMemo, j, i int, pass int32) {
-	at := int64(pass)<<32 | int64(i+1)
-	for _, c := range mm.revCls[mm.revOff[j]:mm.revOff[j+1]] {
-		if st.stamp[c] < at {
-			st.stamp[c] = at
-		}
+// touch stamps class c with scan position at: every member later in this
+// pass is due in it, every earlier one (and the mover) in the next. Of two
+// touches the later position makes every member due no earlier than the
+// other does, so keeping the maximum loses nothing.
+func (st *state) touch(c int32, at int64) {
+	if st.stamp[c] < at {
+		st.stamp[c] = at
 	}
 }
 
@@ -549,16 +625,59 @@ func (st *state) dirty(mm *costMemo, i int, pass int32) bool {
 }
 
 // touchMoved is touch filtered by observability: after app i changed
-// server j's occupancy (before -> st.free[j]), adjacent apps need
-// re-scanning only if the change is visible to a scan — some demand
-// class's capacity-fit flipped, or the server's activation state can
-// enter cost and credit terms (servers that start powered off). Servers
-// that were powered on before the batch stay on for the whole solve, so
-// pure capacity shifts that flip no fit threshold are invisible.
-func (st *state) touchMoved(mm *costMemo, j, i int, pass int32, before cluster.Resources) {
+// server j's occupancy (before -> st.free[j]) at its scan position in the
+// given pass, it stamps the adjacent classes a scan could see change and
+// keeps their floors equal to a rescan (see classMemo). A server that
+// starts off has an activation state that enters cost and credit terms,
+// so every change there stamps every adjacent class and drops its floor.
+// A server that was on at the start stays on for the whole solve, so a
+// capacity shift there is visible to class c only when c's own demand
+// flips between fitting and not: flips tests j's distinct demands once,
+// and each adjacent class reads its bit. A server with more distinct
+// demands than the list keeps is touched whole, like one that starts off:
+// testing each class's own demand row there costs more than the scans it
+// saves.
+func (s *HeuristicSolver) touchMoved(st *state, mm *costMemo, j, i int, pass int32, before cluster.Resources) {
 	mm.ensureAdj()
-	if !st.p.Servers[j].PoweredOn || mm.fitsFlip(j, before, st.free[j]) {
-		st.touch(mm, j, i, pass)
+	cm, at := &s.cm, int64(pass)<<32|int64(i+1)
+	lo, hi := mm.revOff[j], mm.revOff[j+1]
+	if !st.p.Servers[j].PoweredOn || mm.dBig[j] {
+		for _, c := range mm.revCls[lo:hi] {
+			if f := &cm.floor[c]; f.at == (stamped{cm.gen, st.stamp[c]}) {
+				f.at = stamped{}
+				s.scans.dropped++
+			}
+			st.touch(c, at)
+		}
+		return
+	}
+	flip, fit := mm.flips(j, before, st.free[j])
+	if flip == 0 {
+		return
+	}
+	for e := lo; e < hi; e++ {
+		q := mm.revDem[e]
+		if flip>>q&1 == 0 {
+			continue
+		}
+		c := mm.revCls[e]
+		f := &cm.floor[c]
+		current := f.at == stamped{cm.gen, st.stamp[c]}
+		st.touch(c, at)
+		if !current {
+			continue
+		}
+		k := int(mm.revSlot[e])
+		switch {
+		case fit>>q&1 != 0:
+			f.insert(k, mm.row[mm.off[c]+k])
+		case f.holds(k):
+			f.at = stamped{}
+			s.scans.dropped++
+			continue
+		}
+		f.at.v = st.stamp[c]
+		s.scans.inplace++
 	}
 }
 
@@ -598,19 +717,31 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 			return err
 		}
 	}
+	seeded := warm != nil && len(warm.ServerOf) == len(p.Apps)
 	mm := &s.memo
-	mm.build(p, pol)
+	mm.build(p, pol, !seeded)
 	s.cm.reset(mm)
 	st := &s.st
 	st.init(p, pol, len(mm.rep))
 
 	fixpoint := false
-	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
+	if seeded {
 		// Warm start: re-commit the previous epoch's placements that are
-		// still feasible; local search below repairs the rest.
+		// still feasible; local search below repairs the rest. A seed on
+		// its class's gated list has passed the gate's compatibility and
+		// SLO tests, so only its capacity is left to test.
+		m, slotAt := len(p.Servers), mm.slotTable()
 		for i, j := range warm.ServerOf {
-			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {
-				st.place(i, j, slotOf(mm.cand[mm.cls[i]], j))
+			if j < 0 || j >= m {
+				continue
+			}
+			s.scans.lookup++
+			if k := int(slotAt[int(mm.cls[i])*m+j]); k >= 0 {
+				if p.Demand[i][j].Fits(st.free[j]) {
+					st.place(i, j, k)
+				}
+			} else if st.canPlace(i, j) {
+				st.place(i, j, -1)
 			}
 		}
 	} else {
@@ -773,7 +904,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				if st.mark[i] <= p32 {
 					st.mark[i] = p32 + 1
 				}
-				st.touchMoved(mm, j, i, p32, before)
+				s.touchMoved(st, mm, j, i, p32, before)
 				improved = true
 				continue
 			}
@@ -820,8 +951,8 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				beforeCur, beforeBest := st.free[cur], st.free[j]
 				st.unplace(i)
 				st.place(i, j, best)
-				st.touchMoved(mm, cur, i, p32, beforeCur)
-				st.touchMoved(mm, j, i, p32, beforeBest)
+				s.touchMoved(st, mm, cur, i, p32, beforeCur)
+				s.touchMoved(st, mm, j, i, p32, beforeBest)
 				improved = true
 			}
 		}

@@ -570,6 +570,9 @@ func TestClassMemoScanCount(t *testing.T) {
 		if got := flat.scans.search - before.search; got > 8 {
 			t.Errorf("%s: %d warm floor scans, want at most one per class (8)", pol.Name(), got)
 		}
+		if got := flat.scans.lookup - before.lookup; got != len(apps) {
+			t.Errorf("%s: %d warm-seed slot lookups, want one per seeded app (%d)", pol.Name(), got, len(apps))
+		}
 		moved := 0
 		for i, j := range a.ServerOf {
 			if j != seed.ServerOf[i] {
@@ -579,9 +582,10 @@ func TestClassMemoScanCount(t *testing.T) {
 		if moved < len(apps)/2 {
 			t.Fatalf("%s: the warm solve moved %d of %d apps, want most", pol.Name(), moved, len(apps))
 		}
-		t.Logf("%s: %d construct, %d floor and %d fallback scans; warm: %d floor and %d fallback scans, %d of %d apps moved",
+		t.Logf("%s: %d construct, %d floor and %d fallback scans; warm: %d floor and %d fallback scans, %d floors updated in place and %d dropped, %d of %d apps moved",
 			pol.Name(), before.construct, before.search, before.fallback,
-			flat.scans.search-before.search, flat.scans.fallback-before.fallback, moved, len(apps))
+			flat.scans.search-before.search, flat.scans.fallback-before.fallback,
+			flat.scans.inplace-before.inplace, flat.scans.dropped-before.dropped, moved, len(apps))
 	}
 }
 
@@ -605,7 +609,7 @@ func TestFloorScanAndMove(t *testing.T) {
 	}
 	st, mm := &state{}, &costMemo{}
 	st.init(p, CarbonAware{}, 0)
-	mm.build(p, CarbonAware{})
+	mm.build(p, CarbonAware{}, true)
 	var f floor
 	f.scan(st, mm, 0, stamped{})
 	if f.first != 0 || f.n != 3 || f.slot != [3]int{2, 4, 3} || f.cost != [3]float64{1, 1, 2} {
@@ -636,6 +640,75 @@ func TestFloorScanAndMove(t *testing.T) {
 		if got := tc.f.move(tc.cur, tc.curCost); got != tc.want {
 			t.Errorf("%s: move(%d, %v) = %d, want %d", tc.name, tc.cur, tc.curCost, got, tc.want)
 		}
+	}
+}
+
+// TestFloorInsertMatchesScan holds a touch's in-place floor updates to
+// the scan they stand for, over tie-heavy rows (exact ties, ±0, NaN, and
+// servers that are off costing their activation too): on a server that is
+// on, a floor scanned with slot k not fitting and then given insert(k)
+// equals the scan with k fitting, and a floor scanned with k fitting that
+// does not hold k equals the scan with k no longer fitting.
+func TestFloorInsertMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	palette := []float64{1, 1, 2, 2, 3, 0, math.Copysign(0, -1), math.NaN()}
+	unit := cluster.NewResources(1, 1, 1, 1)
+	same := func(a, b *floor) bool {
+		if a.first != b.first || a.n != b.n {
+			return false
+		}
+		for e := 0; e < a.n; e++ {
+			if a.slot[e] != b.slot[e] || math.Float64bits(a.cost[e]) != math.Float64bits(b.cost[e]) {
+				return false
+			}
+		}
+		return true
+	}
+	var inserted, entered, kept, held int
+	for trial := 0; trial < 4000; trial++ {
+		m := 1 + rng.Intn(8)
+		p := &Problem{Demand: [][]cluster.Resources{make([]cluster.Resources, m)}}
+		st := &state{p: p, free: make([]cluster.Resources, m), on: make([]bool, m)}
+		mm := &costMemo{cls: []int32{0}, off: []int{0}, cand: [][]int{identityIndices(m)},
+			row: make([]float64, m), act: make([]float64, m)}
+		for j := 0; j < m; j++ {
+			p.Demand[0][j] = unit
+			mm.row[j] = palette[rng.Intn(len(palette))]
+			mm.act[j] = palette[rng.Intn(len(palette))]
+			st.on[j] = rng.Intn(4) != 0
+			if rng.Intn(3) != 0 {
+				st.free[j] = unit
+			}
+		}
+		k := rng.Intn(m)
+		st.on[k] = true
+		var without, with floor
+		st.free[k] = cluster.Resources{}
+		without.scan(st, mm, 0, stamped{})
+		st.free[k] = unit
+		with.scan(st, mm, 0, stamped{})
+
+		got := without
+		got.insert(k, mm.row[k])
+		if !same(&got, &with) {
+			t.Fatalf("trial %d: inserting slot %d (cost %v) into %+v gave %+v, the scan gives %+v",
+				trial, k, mm.row[k], without, got, with)
+		}
+		inserted++
+		if without.n == len(without.slot) && with.holds(k) && k != with.first {
+			entered++
+		}
+		if with.holds(k) {
+			held++
+		} else {
+			if !same(&with, &without) {
+				t.Fatalf("trial %d: slot %d left %+v, which does not hold it, but the scan gives %+v", trial, k, with, without)
+			}
+			kept++
+		}
+	}
+	if entered == 0 || kept == 0 || held == 0 {
+		t.Fatalf("fixture too thin: %d inserts, %d displacing an entry, %d removals kept, %d held", inserted, entered, kept, held)
 	}
 }
 
@@ -1010,6 +1083,23 @@ func TestNaNLatencyMeetsNoSLO(t *testing.T) {
 			t.Errorf("%s: %v", pol.Name(), err)
 		}
 	}
+}
+
+// slotOf returns j's index within an ascending (gated) list, or -1.
+func slotOf(cand []int, j int) int {
+	lo, hi := 0, len(cand)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cand[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(cand) && cand[lo] == j {
+		return lo
+	}
+	return -1
 }
 
 // fuzzWorld decodes bytes into a workspace of at most 12 servers and a

@@ -294,6 +294,26 @@ func reslice[T any](b []T, n int) []T {
 	return b[:n]
 }
 
+// maxBudget caps one replica's request budget in a slice: waterfill
+// converts a budget to int64, which a value past 2^63 overflows into a
+// negative count.
+const maxBudget = 1 << 62
+
+// budget is a replica's request budget for a slice, capacity·seconds: a
+// NaN or negative product is no budget, and one at or past maxBudget
+// (+Inf included) is maxBudget, so no product can turn into a negative
+// request count.
+func budget(capacityRPS, seconds float64) float64 {
+	switch f := capacityRPS * seconds; {
+	case !(f >= 0):
+		return 0
+	case f >= maxBudget:
+		return maxBudget
+	default:
+		return f
+	}
+}
+
 // reset points the slice at a replica set and refills its budgets.
 func (s *Slice) reset(replicas []Replica, seconds float64) {
 	n := len(replicas)
@@ -310,7 +330,7 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.dropped = 0
 	s.closed = false
 	for i := range replicas {
-		s.free[i] = replicas[i].CapacityRPS * seconds
+		s.free[i] = budget(replicas[i].CapacityRPS, seconds)
 		s.served[i] = 0
 		s.attr[i].ok = false
 	}

@@ -211,6 +211,42 @@ func TestZeroAndClosedSliceRouting(t *testing.T) {
 // request must surface as an explicit drop with zero energy/carbon
 // attribution — no divide-by-zero in the waterfill shares and no silent
 // loss in the counters.
+// TestOverflowingCapacityClamped routes over replicas whose budget
+// CapacityRPS·seconds is +Inf, NaN, negative or 2^63: the slice clamps
+// each to a budget waterfill cannot overflow, so every served count is
+// non-negative and served plus dropped is every request routed, within
+// and past the SLO.
+func TestOverflowingCapacityClamped(t *testing.T) {
+	for _, capRPS := range []float64{math.Inf(1), math.NaN(), -5, math.Inf(-1), 1 << 63, 1 << 62, math.MaxFloat64} {
+		r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
+		replicas := testReplicas()
+		replicas[1].CapacityRPS = capRPS
+		sl := r.ReuseSlice(replicas, 1)
+		var routed int64
+		for _, rt := range []struct {
+			src   int
+			count int64
+		}{{miami, 500}, {orlando, 1 << 40}, {tampa, 7}, {far, 300}} {
+			sl.RouteAt(rt.src, rt.count, flatCI)
+			routed += rt.count
+		}
+		var served int64
+		for i, n := range sl.Served() {
+			if n < 0 {
+				t.Fatalf("capacity %v: replica %d served %d requests", capRPS, i, n)
+			}
+			served += n
+		}
+		if served+sl.Dropped() != routed {
+			t.Errorf("capacity %v: served %d + dropped %d != routed %d", capRPS, served, sl.Dropped(), routed)
+		}
+		sl.Close()
+		if st := r.Stats(); st.Requests != routed || st.SLOMet+st.Spilled+st.Dropped != routed || st.EnergyKWh < 0 {
+			t.Errorf("capacity %v: request accounting broken: %+v", capRPS, st)
+		}
+	}
+}
+
 func TestFullyDrainedPool(t *testing.T) {
 	r := mustRouter(t, Config{SLOms: 20, RTTAt: testRTT, PerReplica: true})
 	replicas := testReplicas()

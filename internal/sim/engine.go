@@ -102,6 +102,7 @@ type Engine struct {
 	spanLo, spanHi int                        //detlint:ephemeral derived from the world's traces at construction
 	fcStale        bool                       //detlint:ephemeral set by every epoch's carbon tick before any solve reads the forecasts
 	solver         *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
+	views          int                        //detlint:ephemeral telemetry: workspace views built (buildProblem), counted for tests
 
 	// ws is the persistent placement workspace: built once per run, it
 	// carries the memoized profile/RTT tables and per-app candidate
@@ -838,7 +839,7 @@ func (e *Engine) stepArrivals() {
 			model = e.cfg.Models[e.rng.Intn(len(e.cfg.Models))]
 			mi = e.pool.model(model)
 		}
-		app := e.appTemplate(model, mi, src)
+		app := *e.appTemplate(model, mi, src)
 		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
 			app:       app,
@@ -934,31 +935,30 @@ func (e *Engine) syncRows() {
 // buildProblem assembles the batch's placement problem against the
 // current server state through the persistent workspace: the rows are
 // already written through, the epoch's first solve pushes the forecasts,
-// and the matrices are shortlist-backed views.
+// and the matrices are shortlist-backed views. A batch is viewed once;
+// solve may run more than once on the view (redeploy's identity fallback).
 func (e *Engine) buildProblem(apps []placement.App) (*placement.Problem, error) {
 	if e.fcStale {
 		if err := e.pushForecasts(); err != nil {
 			return nil, err
 		}
 	}
+	e.views++
 	return e.ws.Problem(apps)
 }
 
-// solveBatch runs one Algorithm 1 invocation — problem assembly, solve,
-// telemetry — for both the arrival and redeploy paths. A non-nil warm
-// assignment seeds the solver from a previous solution.
-func (e *Engine) solveBatch(apps []placement.App, warm *placement.Assignment) (*placement.Problem, *placement.Assignment, error) {
-	prob, err := e.buildProblem(apps)
-	if err != nil {
-		return nil, nil, err
-	}
+// solve runs one Algorithm 1 invocation on a built view and records its
+// telemetry, for both the arrival and redeploy paths: every solve counts
+// one batch and its solver wall time. A non-nil warm assignment seeds the
+// solver from a previous solution.
+func (e *Engine) solve(prob *placement.Problem, warm *placement.Assignment) (*placement.Assignment, error) {
 	t0 := time.Now() //detlint:wallclock telemetry: Result.SolveTime reports solver wall time, not simulated time
 	if err := e.solver.SolveInto(&e.asgBuf, prob, e.cfg.Policy, warm); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	e.res.SolveTime += time.Since(t0) //detlint:wallclock telemetry: Result.SolveTime reports solver wall time, not simulated time
 	e.res.Batches++
-	return prob, &e.asgBuf, nil
+	return &e.asgBuf, nil
 }
 
 // stepPlacement solves Algorithm 1 on one batch and commits the
@@ -970,7 +970,11 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 		e.appsBuf = append(e.appsBuf, batch[i].app)
 	}
 	apps := e.appsBuf
-	prob, asg, err := e.solveBatch(apps, nil)
+	prob, err := e.buildProblem(apps)
+	if err != nil {
+		return err
+	}
+	asg, err := e.solve(prob, nil)
 	if err != nil {
 		return err
 	}
@@ -1194,8 +1198,9 @@ func (e *Engine) rttOracle(source, dc string) float64 {
 // mi) from source site src, but for the ID. There is one template per
 // (model, source site), at pool.apps[mi x site count + src], built and
 // bound to the workspace the first time an arrival or a redeploy needs
-// that shape, so no later view looks its class up.
-func (e *Engine) appTemplate(model string, mi, src int) placement.App {
+// that shape, so no later view looks its class up. The pointer is valid
+// until the next appTemplate call: callers copy the template out.
+func (e *Engine) appTemplate(model string, mi, src int) *placement.App {
 	k := mi*len(e.sites) + src
 	for len(e.pool.apps) <= k {
 		e.pool.apps = append(e.pool.apps, placement.App{})
@@ -1205,7 +1210,7 @@ func (e *Engine) appTemplate(model string, mi, src int) placement.App {
 		*t = placement.App{Model: model, Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: appRatePerSec}
 		e.ws.Bind(t)
 	}
-	return *t
+	return t
 }
 
 // redeploy re-places all live applications (the §7 extension). Apps keep
@@ -1226,9 +1231,8 @@ func (e *Engine) redeploy(now time.Time) error {
 	e.appsBuf = e.appsBuf[:0]
 	for i := range e.live {
 		a := &e.live[i]
-		app := e.appTemplate(a.model, a.mi, a.srcSite)
-		app.ID = e.queueID(i)
-		e.appsBuf = append(e.appsBuf, app)
+		e.appsBuf = append(e.appsBuf, *e.appTemplate(a.model, a.mi, a.srcSite))
+		e.appsBuf[i].ID = e.queueID(i)
 	}
 	apps := e.appsBuf
 	// The identity placement — each live app on its current server — is
@@ -1243,12 +1247,17 @@ func (e *Engine) redeploy(now time.Time) error {
 	if e.cfg.WarmRedeploy {
 		warm = &e.warmBuf
 	}
-	prob, asg, err := e.solveBatch(apps, warm)
+	prob, err := e.buildProblem(apps)
+	if err != nil {
+		return err
+	}
+	asg, err := e.solve(prob, warm)
 	if err == nil && warm == nil && len(asg.Unplaced) > 0 {
 		// The cold greedy left a running app unplaced: redeploy from the
 		// identity seed instead, which local search only improves by
 		// fitting moves, so no app is lost and no server over-committed.
-		prob, asg, err = e.solveBatch(apps, &e.warmBuf)
+		// Nothing changed since the view was built, so it is solved again.
+		asg, err = e.solve(prob, &e.warmBuf)
 	}
 	if err != nil {
 		return err

@@ -75,7 +75,7 @@ func (r *engineRows) Evict(j int, apps []int) {
 		e.release(a)
 		e.res.Faults.Evictions++
 		e.forceRedeploy = true
-		app := e.appTemplate(a.model, a.mi, a.srcSite)
+		app := *e.appTemplate(a.model, a.mi, a.srcSite)
 		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
 			app:       app,

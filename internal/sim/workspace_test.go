@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/carbon"
+	"repro/internal/energy"
 	"repro/internal/placement"
 )
 
@@ -44,4 +45,40 @@ func TestEngineWarmRedeploy(t *testing.T) {
 	if warm.CarbonG <= 0 {
 		t.Error("warm redeploy accrued no carbon")
 	}
+}
+
+// TestStrandedRedeployViewsOnce holds a cold redeploy whose construct
+// strands a running app to one workspace view: the identity fallback
+// solves the view the cold solve used, and each solve still counts one
+// batch. On the churn shape (a fleet the cold greedy cannot always
+// repack) an epoch builds at most a placement view and a redeploy view,
+// and solves each once, except for one second solve when the redeploy
+// falls back.
+func TestStrandedRedeployViewsOnce(t *testing.T) {
+	cfg := DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
+	cfg.Hours = 120
+	cfg.ArrivalsPerHour = 120
+	cfg.AppLifetimeHours = 72
+	cfg.RedeployEveryHours = 6
+	cfg.Devices = []string{energy.A2.Name, energy.GTX1080.Name, energy.OrinNano.Name}
+	e, err := NewEngine(cfg, testWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := 0
+	for !e.Done() {
+		views, batches := e.views, e.res.Batches
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		dv, db := e.views-views, e.res.Batches-batches
+		if dv > 2 || db < dv || db > dv+1 {
+			t.Fatalf("epoch %d built %d views for %d solves", e.epoch-1, dv, db)
+		}
+		fallbacks += db - dv
+	}
+	if fallbacks == 0 {
+		t.Fatal("no cold redeploy stranded an app: the check is vacuous")
+	}
+	t.Logf("%d of %d solves fell back to the identity seed on the cold solve's view", fallbacks, e.res.Batches)
 }

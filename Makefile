@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fuzz size bench bench-quick bench-smoke bench-profile
+.PHONY: all build test race lint fuzz size reach bench bench-quick bench-smoke bench-profile
 
 all: build test
 
@@ -79,6 +79,19 @@ size:
 	@printf '%-14s %s\n' "world core" "$$(cat $$(ls internal/sim/*.go internal/orchestrator/*.go internal/fleet/*.go | grep -v _test.go) | wc -l)"
 	@printf '%-14s %s\n' "detlint marks" "$$(grep -rn '//detlint:' --include=*.go . | grep -v '^./internal/lint' | wc -l)"
 	@printf '%-14s %s\n' "Config fields" "$$(awk '/^type Config struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Z]/{n+=split($$0,a,",")} END{print n}' internal/sim/config.go)"
+
+# reach measures program reach (cmd/reach): it builds cesim, carbonedge,
+# the examples and the ledger with coverage instrumentation of the whole
+# module, runs them under GOCOVERDIR (the suite at 240 h, a journaled
+# fig1* run and its resume, longhaul's checkpoints, the ledger at one
+# rep, every example and a scripted carbonedge session over loopback),
+# prints per-package reach, and fails when a function of internal/ (but
+# internal/lint), cmd/cesim or cmd/carbonedge is never executed and not
+# in cmd/reach/allowlist.txt, or when an allowlist entry is stale.
+# Binaries and coverage data go to a temporary directory; the CI
+# "program reach" step calls it. ~1 min.
+reach:
+	$(GO) run ./cmd/reach
 
 # bench runs the performance ledger (bench/README.md): seven workloads,
 # end-to-end and per-layer metrics, correctness checks, ~3 min. It builds

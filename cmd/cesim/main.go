@@ -87,6 +87,9 @@ func run() int {
 	suite, err := experiments.NewSuite(*seed, *hours)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cesim: %v\n", err)
+		if *hours < 1 {
+			return 2 // a usage error, like a bad glob
+		}
 		return 1
 	}
 	suite.Parallel = *parallel

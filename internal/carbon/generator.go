@@ -56,13 +56,6 @@ func (g *Generator) Start() time.Time {
 // which are in UTC and so carry no daylight-saving days.
 const hoursPerDay = 24
 
-// Intensity generates the zone's hourly carbon-intensity series
-// (g.CO2eq/kWh) for the whole year. Each hour's mix goes straight into
-// the series; no year of mixes is built.
-func (g *Generator) Intensity(z *Zone) *timeseries.Series {
-	return g.intensity(z, g.calendar())
-}
-
 // intensity is Intensity over the shared terms of g's year.
 func (g *Generator) intensity(z *Zone, days []day) *timeseries.Series {
 	s := timeseries.New(g.Start(), hoursPerDay*len(days))
@@ -358,18 +351,6 @@ func (g *Generator) GenerateTraces(r *Registry) *TraceSet {
 
 // Trace returns the intensity series for a zone ID, or nil.
 func (t *TraceSet) Trace(zoneID string) *timeseries.Series { return t.traces[zoneID] }
-
-// Put inserts or replaces a zone's trace. Used by tests and the CSV codec.
-func (t *TraceSet) Put(zoneID string, s *timeseries.Series) {
-	if t.traces == nil {
-		t.traces = make(map[string]*timeseries.Series)
-	}
-	t.traces[zoneID] = s
-	if t.Hours == 0 {
-		t.Hours = s.Len()
-		t.Start = s.Start
-	}
-}
 
 // ZoneIDs returns the IDs present in the set (unordered).
 func (t *TraceSet) ZoneIDs() []string {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/rng"
+	"repro/internal/timeseries"
 )
 
 func testZone(t *testing.T, id string) *Zone {
@@ -28,8 +29,8 @@ func testZone(t *testing.T, id string) *Zone {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	z := testZone(t, "DE-MUC")
-	a := NewGenerator(7).Intensity(z)
-	b := NewGenerator(7).Intensity(z)
+	a := yearOf(NewGenerator(7), z)
+	b := yearOf(NewGenerator(7), z)
 	if a.Len() != b.Len() {
 		t.Fatal("length mismatch across identical runs")
 	}
@@ -42,8 +43,8 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestGeneratorSeedSensitivity(t *testing.T) {
 	z := testZone(t, "DE-MUC")
-	a := NewGenerator(7).Intensity(z)
-	b := NewGenerator(8).Intensity(z)
+	a := yearOf(NewGenerator(7), z)
+	b := yearOf(NewGenerator(8), z)
 	same := 0
 	for i := range a.Values {
 		if a.Values[i] == b.Values[i] {
@@ -66,7 +67,7 @@ func TestGeneratorYearLength(t *testing.T) {
 	}
 	z := testZone(t, "CH-BRN")
 	g.Year = 2023
-	if got := g.Intensity(z).Len(); got != 8760 {
+	if got := yearOf(g, z).Len(); got != 8760 {
 		t.Errorf("trace length = %d, want 8760", got)
 	}
 }
@@ -74,7 +75,7 @@ func TestGeneratorYearLength(t *testing.T) {
 func TestIntensityWithinPhysicalBounds(t *testing.T) {
 	g := NewGenerator(3)
 	for _, z := range CuratedZones() {
-		s := g.Intensity(z)
+		s := yearOf(g, z)
 		lo, hi := s.Min(), s.Max()
 		if lo < 0 {
 			t.Errorf("%s: negative intensity %v", z.ID, lo)
@@ -110,7 +111,7 @@ func TestPaperSpreadRatios(t *testing.T) {
 	ratio := func(ids []string) float64 {
 		lo, hi := math.Inf(1), 0.0
 		for _, id := range ids {
-			m := g.Intensity(testZone(t, id)).Mean()
+			m := yearOf(g, testZone(t, id)).Mean()
 			lo = math.Min(lo, m)
 			hi = math.Max(hi, m)
 		}
@@ -130,8 +131,8 @@ func TestPolandDirtierThanOntario(t *testing.T) {
 	// Figure 1b: Poland's coal grid is far above Ontario's
 	// nuclear+hydro grid.
 	g := NewGenerator(42)
-	pl := g.Intensity(testZone(t, "PL")).Mean()
-	on := g.Intensity(testZone(t, "CA-ON")).Mean()
+	pl := yearOf(g, testZone(t, "PL")).Mean()
+	on := yearOf(g, testZone(t, "CA-ON")).Mean()
 	if pl < 5*on {
 		t.Errorf("Poland (%.0f) should be >5x Ontario (%.0f)", pl, on)
 	}
@@ -141,7 +142,7 @@ func TestSolarZoneDiurnalPattern(t *testing.T) {
 	// A solar-heavy zone must be cleaner at midday than at midnight on
 	// average (the Figure 4a pattern for Kingman).
 	g := NewGenerator(42)
-	s := g.Intensity(testZone(t, "US-SW-KNG"))
+	s := yearOf(g, testZone(t, "US-SW-KNG"))
 	// Mean intensity per UTC hour of day.
 	var prof, n [24]float64
 	for i, v := range s.Values {
@@ -166,7 +167,7 @@ func TestWindSeasonality(t *testing.T) {
 		Capacity: zcap(0.05, 1.3, 0.05, 0, 0, 1.1, 0, 0),
 	}
 	g := NewGenerator(42)
-	s := g.Intensity(z)
+	s := yearOf(g, z)
 	months := s.MonthlyMeans()
 	if len(months) != 12 {
 		t.Fatalf("got %d months", len(months))
@@ -462,7 +463,8 @@ func TestGoldenTraces(t *testing.T) {
 			}
 		}
 		for _, region := range []Region{RegionUS, RegionEurope, RegionOther} {
-			for _, m := range g.Mixes(reg.InRegion(region)[0]) {
+			first := reg.Zones()[slices.IndexFunc(reg.Zones(), func(z *Zone) bool { return z.Region == region })]
+			for _, m := range g.Mixes(first) {
 				for _, v := range m {
 					put(v)
 				}
@@ -510,7 +512,7 @@ func FuzzGeneratorWalk(f *testing.F) {
 		if len(got) != len(want) {
 			t.Fatalf("Mixes has %d hours, oracle %d", len(got), len(want))
 		}
-		s := g.Intensity(z)
+		s := yearOf(g, z)
 		if s.Len() != len(want) || !s.Start.Equal(g.Start()) {
 			t.Fatalf("Intensity has %d hours from %v, want %d from %v", s.Len(), s.Start, len(want), g.Start())
 		}
@@ -526,3 +528,7 @@ func FuzzGeneratorWalk(f *testing.F) {
 		}
 	})
 }
+
+// yearOf is the zone's intensity series for g's year, as GenerateTraces
+// builds each zone's trace.
+func yearOf(g *Generator, z *Zone) *timeseries.Series { return g.intensity(z, g.calendar()) }

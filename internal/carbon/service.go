@@ -29,8 +29,7 @@ type Forecaster interface {
 //
 // A Service holds no mutable state: NewService fixes every field, so it
 // and the ZoneReaders it hands out are safe for concurrent use as long as
-// nobody edits the trace set underneath them (TraceSet.Put builds a set;
-// it is not for editing one a Service already replays).
+// nobody edits the trace set underneath them.
 type Service struct {
 	traces   *TraceSet
 	forecast Forecaster

@@ -1,9 +1,7 @@
 package carbon
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,66 +214,6 @@ func TestServiceMeanForecast(t *testing.T) {
 	hist, _ := tr.Slice(24*9+1, 24*10+1)
 	if math.Abs(mean-hist.Mean()) > 1e-9 {
 		t.Errorf("MeanForecast = %v, want %v", mean, hist.Mean())
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	reg, err := NewRegistry(CuratedZones()[:3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGenerator(4)
-	g.Year = 2023
-	src := &TraceSet{}
-	for _, z := range reg.Zones() {
-		full := g.Intensity(z)
-		short, _ := full.Slice(0, 72)
-		src.Put(z.ID, short)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, src); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, z := range reg.Zones() {
-		a, b := src.Trace(z.ID), got.Trace(z.ID)
-		if b == nil {
-			t.Fatalf("round trip lost zone %s", z.ID)
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("round trip length %d != %d", a.Len(), b.Len())
-		}
-		for i := range a.Values {
-			if math.Abs(a.Values[i]-b.Values[i]) > 0.001 {
-				t.Fatalf("zone %s hour %d: %v != %v", z.ID, i, a.Values[i], b.Values[i])
-			}
-		}
-	}
-}
-
-func TestReadCSVRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-	}{
-		{"bad-header", "a,b,c\n"},
-		{"empty", "timestamp,zone,carbon_intensity\n"},
-		{"bad-time", "timestamp,zone,carbon_intensity\nnot-a-time,Z,1\n"},
-		{"bad-value", "timestamp,zone,carbon_intensity\n2023-01-01T00:00:00Z,Z,xyz\n"},
-		{"gap", "timestamp,zone,carbon_intensity\n" +
-			"2023-01-01T00:00:00Z,Z,1\n" +
-			"2023-01-01T02:00:00Z,Z,2\n"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			if _, err := ReadCSV(strings.NewReader(c.data)); err == nil {
-				t.Error("expected parse error")
-			}
-		})
 	}
 }
 

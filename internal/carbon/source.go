@@ -15,8 +15,6 @@
 // 10.8x yearly Central Europe) reproduce.
 package carbon
 
-import "fmt"
-
 // Source identifies an electricity generation source.
 type Source int
 
@@ -33,27 +31,6 @@ const (
 	Coal
 	numSources
 )
-
-var sourceNames = [numSources]string{
-	"solar", "wind", "hydro", "nuclear", "biomass", "gas", "oil", "coal",
-}
-
-// String implements fmt.Stringer.
-func (s Source) String() string {
-	if s < 0 || s >= numSources {
-		return fmt.Sprintf("Source(%d)", int(s))
-	}
-	return sourceNames[s]
-}
-
-// Sources lists every generation source.
-func Sources() []Source {
-	out := make([]Source, numSources)
-	for i := range out {
-		out[i] = Source(i)
-	}
-	return out
-}
 
 // EmissionFactor returns the lifecycle carbon intensity of the source in
 // g.CO2eq/kWh. Values are the IPCC AR5 median lifecycle factors, the same

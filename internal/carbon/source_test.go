@@ -6,35 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestSourceString(t *testing.T) {
-	cases := map[Source]string{
-		Solar: "solar", Wind: "wind", Hydro: "hydro", Nuclear: "nuclear",
-		Biomass: "biomass", Gas: "gas", Oil: "oil", Coal: "coal",
-	}
-	for s, want := range cases {
-		if got := s.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), got, want)
-		}
-	}
-	if got := Source(99).String(); got != "Source(99)" {
-		t.Errorf("out-of-range String = %q", got)
-	}
-}
-
-func TestSourcesComplete(t *testing.T) {
-	ss := Sources()
-	if len(ss) != int(numSources) {
-		t.Fatalf("Sources() returned %d, want %d", len(ss), numSources)
-	}
-	seen := map[Source]bool{}
-	for _, s := range ss {
-		seen[s] = true
-	}
-	if len(seen) != int(numSources) {
-		t.Error("Sources() contains duplicates")
-	}
-}
-
 func TestEmissionFactorOrdering(t *testing.T) {
 	// Fossil sources must dominate low-carbon sources; coal is the worst.
 	lows := []Source{Solar, Wind, Hydro, Nuclear}
@@ -60,7 +31,7 @@ func TestRenewableClassification(t *testing.T) {
 }
 
 func TestMixIntensityPureSources(t *testing.T) {
-	for _, s := range Sources() {
+	for s := Source(0); s < numSources; s++ {
 		var m Mix
 		m[s] = 2.5
 		got := m.Intensity()

@@ -34,7 +34,7 @@ type envelope struct {
 }
 
 func newEnvelope(g *Generator, z *Zone) envelope {
-	s := g.Intensity(z)
+	s := yearOf(g, z)
 	var e envelope
 	var nl [24]float64
 	var nm [12]float64

@@ -74,18 +74,16 @@ func (z *Zone) Validate() error {
 
 // Registry is an immutable set of carbon zones with geographic lookup.
 type Registry struct {
-	zones  []*Zone
-	byID   map[string]*Zone
-	index  *geo.Index
-	region map[Region][]*Zone
+	zones []*Zone
+	byID  map[string]*Zone
+	index *geo.Index
 }
 
 // NewRegistry builds a registry from the given zones. Zone IDs must be
 // unique and every zone must validate.
 func NewRegistry(zones []*Zone) (*Registry, error) {
 	r := &Registry{
-		byID:   make(map[string]*Zone, len(zones)),
-		region: make(map[Region][]*Zone),
+		byID: make(map[string]*Zone, len(zones)),
 	}
 	names := make([]string, 0, len(zones))
 	points := make([]geo.Point, 0, len(zones))
@@ -98,7 +96,6 @@ func NewRegistry(zones []*Zone) (*Registry, error) {
 		}
 		r.byID[z.ID] = z
 		r.zones = append(r.zones, z)
-		r.region[z.Region] = append(r.region[z.Region], z)
 		names = append(names, z.ID)
 		points = append(points, z.Location)
 	}
@@ -115,9 +112,6 @@ func (r *Registry) Zones() []*Zone { return r.zones }
 
 // ByID returns the zone with the given ID, or nil.
 func (r *Registry) ByID(id string) *Zone { return r.byID[id] }
-
-// InRegion returns the zones belonging to the region.
-func (r *Registry) InRegion(reg Region) []*Zone { return r.region[reg] }
 
 // ZoneFor returns the zone geographically closest to p — the integration
 // rule used to map edge data centers to carbon zones (§6.1.1 step 1).

@@ -20,8 +20,8 @@
 // The write path encodes the payload once and frames the envelope
 // around those bytes: a fixed prefix (format, version, kind, optional
 // key, a digest slot), the payload verbatim, then "}" and a newline —
-// one buffer, one Write. This is byte-identical to json-encoding the
-// Envelope that Seal returns: encoding/json emits the struct's fields in
+// one buffer, one Write. This is byte-identical to json-encoding an
+// Envelope of the same kind, key and payload: encoding/json emits the struct's fields in
 // declaration order, encodes Kind and Key with the same encoder (HTML
 // escaping on, invalid UTF-8 replaced), and re-compacts a RawMessage
 // payload, which is the identity on bytes encoding/json produces — they
@@ -73,28 +73,6 @@ type Envelope struct {
 	// SHA256 is the hex digest of Payload, verified before decoding.
 	SHA256  string          `json:"sha256"`
 	Payload json.RawMessage `json:"payload"`
-}
-
-// Seal wraps a payload in an envelope: the payload is JSON-encoded,
-// digested, and framed under the given kind (and optional key). Encoding
-// the returned Envelope yields the bytes Encode writes (see the package
-// comment).
-func Seal(kind, key string, payload any) (*Envelope, error) {
-	f := getFrame()
-	defer frames.Put(f)
-	if err := f.encode(payload); err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
-	}
-	raw := bytes.Clone(f.buf.Bytes())
-	sum := sha256.Sum256(raw)
-	return &Envelope{
-		Format:  Format,
-		Version: Version,
-		Kind:    kind,
-		Key:     key,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: raw,
-	}, nil
 }
 
 // Open validates the envelope (format, version, payload digest) and
@@ -177,8 +155,8 @@ func (f *frame) encode(v any) error {
 // seal fills the buffer with one envelope line: the prefix with a
 // reserved digest slot, the payload encoded once, the payload's digest
 // written into the slot, then the closing brace and a newline. The bytes
-// equal json.NewEncoder(w).Encode of the Envelope Seal(kind, key,
-// payload) returns (see the package comment).
+// equal json.NewEncoder(w).Encode of the Envelope of kind, key and
+// payload (see the package comment).
 func (f *frame) seal(kind, key string, payload any) error {
 	b := &f.buf
 	b.WriteString(envelopeHead)

@@ -2,7 +2,10 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -302,7 +305,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	// A sealed envelope opens under its own kind only, and only while its
 	// payload matches its digest.
 	type member struct{ V int }
-	env, err := Seal("engine", "point-1", member{V: 7})
+	env, err := seal("engine", "point-1", member{V: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,4 +331,26 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if _, err := env.Open("engine"); err == nil {
 		t.Error("opened a tampered payload")
 	}
+}
+
+// seal wraps a payload in an envelope as Encode and Journal.Append frame
+// it: the payload JSON-encoded, digested, and framed under the given kind
+// (and optional key). Encoding the returned Envelope yields the bytes
+// Encode writes (see the package comment).
+func seal(kind, key string, payload any) (*Envelope, error) {
+	f := getFrame()
+	defer frames.Put(f)
+	if err := f.encode(payload); err != nil {
+		return nil, fmt.Errorf("checkpoint: encoding %s payload: %w", kind, err)
+	}
+	raw := bytes.Clone(f.buf.Bytes())
+	sum := sha256.Sum256(raw)
+	return &Envelope{
+		Format:  Format,
+		Version: Version,
+		Kind:    kind,
+		Key:     key,
+		SHA256:  hex.EncodeToString(sum[:]),
+		Payload: raw,
+	}, nil
 }

@@ -71,7 +71,7 @@ func oraclePayloads() map[string]any {
 		Blob  []byte             `json:"blob,omitempty"`
 		Inner *Envelope          `json:"inner,omitempty"`
 	}
-	member, err := Seal("engine", "shard-<1>", point{Name: "member ", Value: 1e21})
+	member, err := seal("engine", "shard-<1>", point{Name: "member ", Value: 1e21})
 	if err != nil {
 		panic(err)
 	}
@@ -180,7 +180,7 @@ func TestEncodeMarshalErrorMatchesOracle(t *testing.T) {
 			t.Errorf("%s: Append error %v, want %v", name, err, want)
 		}
 	}
-	if raw, err := os.ReadFile(j.Path()); err != nil || len(raw) != 0 {
+	if raw, err := os.ReadFile(j.path); err != nil || len(raw) != 0 {
 		t.Errorf("journal holds %d bytes after failed appends (err %v)", len(raw), err)
 	}
 }
@@ -211,7 +211,7 @@ func TestSealMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env, err := Seal("k", "", v)
+		env, err := seal("k", "", v)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -227,7 +227,7 @@ func TestSealMatchesMarshal(t *testing.T) {
 	defer j.Close()
 	calls := 0
 	p := &appending{V: 0.1, calls: &calls}
-	_, serr := Seal("k", "", p)
+	_, serr := seal("k", "", p)
 	eerr := Encode(io.Discard, "k", p)
 	aerr := j.Append("k", "", p)
 	if serr != nil || eerr != nil || aerr != nil || calls != 3 {

@@ -93,9 +93,6 @@ func OpenJournal(path string) (*Journal, []Envelope, error) {
 	return &Journal{f: f, off: int64(valid), path: path}, entries, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append seals payload into an envelope and appends it as one line,
 // fsyncing before returning so a completed unit survives a crash. A
 // failed write or fsync truncates the file back to where the entry

@@ -97,8 +97,8 @@ func TestDataCenterAggregation(t *testing.T) {
 	if err := dc.AddServer(wrong); err == nil {
 		t.Error("server with mismatched DC accepted")
 	}
-	if dc.Server("s2") != s2 || dc.Server("zz") != nil {
-		t.Error("Server lookup broken")
+	if got := dc.Servers(); len(got) != 2 || got[0] != s1 || got[1] != s2 {
+		t.Errorf("Servers = %v, want s1 then s2", got)
 	}
 }
 
@@ -114,8 +114,8 @@ func TestClusterLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Servers()) != 2 {
-		t.Errorf("Servers = %d", len(c.Servers()))
+	if n := len(c.DataCenters()); n != 2 {
+		t.Errorf("DataCenters = %d", n)
 	}
 	srv, dc, err := c.FindServer("s2")
 	if err != nil || srv != s2 || dc != dc2 {

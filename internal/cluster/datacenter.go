@@ -48,9 +48,6 @@ func (dc *DataCenter) AddServer(s *Server) error {
 // Servers returns the DC's servers in registration order (do not modify).
 func (dc *DataCenter) Servers() []*Server { return dc.servers }
 
-// Server returns a server by ID, or nil.
-func (dc *DataCenter) Server(id string) *Server { return dc.byID[id] }
-
 // Cluster is the set of edge data centers managed by one CarbonEdge
 // instance — the "mesoscale edge data centers" of Figure 6.
 type Cluster struct {
@@ -73,19 +70,6 @@ func NewCluster(dcs []*DataCenter) (*Cluster, error) {
 
 // DataCenters returns the cluster's DCs in registration order.
 func (c *Cluster) DataCenters() []*DataCenter { return c.dcs }
-
-// DataCenter returns a DC by ID, or nil.
-func (c *Cluster) DataCenter(id string) *DataCenter { return c.byID[id] }
-
-// Servers returns every server in the cluster, ordered by DC then server
-// registration order.
-func (c *Cluster) Servers() []*Server {
-	var out []*Server
-	for _, dc := range c.dcs {
-		out = append(out, dc.servers...)
-	}
-	return out
-}
 
 // FindServer locates a server by ID anywhere in the cluster.
 func (c *Cluster) FindServer(id string) (*Server, *DataCenter, error) {

@@ -125,7 +125,7 @@ func TestServerPowerOffWithAppsRejected(t *testing.T) {
 	}
 	var evicted []string
 	o.SetEvictionHandler(func(_ time.Time, names []string) { evicted = append(evicted, names...) })
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: "Miami"}); err != nil {
+	if err := o.InjectScript(&events.FaultScript{Faults: []events.Fault{{Kind: events.FaultCrash, Site: "Miami"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err != nil {

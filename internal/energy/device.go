@@ -16,14 +16,6 @@ const (
 	KindGPU
 )
 
-// String implements fmt.Stringer.
-func (k DeviceKind) String() string {
-	if k == KindCPU {
-		return "cpu"
-	}
-	return "gpu"
-}
-
 // Device describes a compute device the placement policies can target.
 type Device struct {
 	Name      string
@@ -48,11 +40,8 @@ var (
 	XeonE5   = Device{Name: "Xeon E5-2660v3", Kind: KindCPU, CUDACores: 0, MemMB: 262144, IdleW: 95, MaxW: 210}
 )
 
-// catalogue is the device list in Devices' order.
+// catalogue is every device DeviceByName knows.
 var catalogue = [...]Device{OrinNano, A2, GTX1080, XeonE5}
-
-// Devices returns the full catalogue.
-func Devices() []Device { return append([]Device(nil), catalogue[:]...) }
 
 // DeviceByName looks up a catalogue device. It allocates nothing on a
 // hit, so the simulator's fault phase may call it.

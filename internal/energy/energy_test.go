@@ -8,7 +8,7 @@ import (
 )
 
 func TestCataloguePhysicallySane(t *testing.T) {
-	for _, d := range Devices() {
+	for _, d := range catalogue {
 		if d.IdleW <= 0 || d.MaxW <= d.IdleW {
 			t.Errorf("%s: idle %.0fW max %.0fW not physical", d.Name, d.IdleW, d.MaxW)
 		}
@@ -116,7 +116,7 @@ func TestModelsAndDevicesProfiled(t *testing.T) {
 		t.Errorf("ModelsProfiled = %v, want 4 entries", models)
 	}
 	// Every catalogue device is profiled for some model.
-	for _, d := range Devices() {
+	for _, d := range catalogue {
 		profiled := false
 		for _, m := range models {
 			if _, err := ProfileFor(m, d.Name); err == nil {
@@ -138,19 +138,15 @@ func TestMeterIntegration(t *testing.T) {
 	if got := m.TotalKWh(); math.Abs(got-0.05) > 1e-9 {
 		t.Errorf("TotalKWh = %v, want 0.05", got)
 	}
-	if got := m.LastWatts(); got != 100 {
-		t.Errorf("LastWatts = %v", got)
+	if got := m.State().LastW; got != 100 {
+		t.Errorf("last watts = %v", got)
 	}
 	m.Record(20, 1000*time.Second)
 	if got := m.TotalJoules(); math.Abs(got-200000) > 1e-6 {
 		t.Errorf("after a second Record = %v, want 200000", got)
 	}
-	if m.Samples() != 2 {
-		t.Errorf("Samples = %d, want 2", m.Samples())
-	}
-	m.Reset()
-	if m.TotalJoules() != 0 || m.Samples() != 0 {
-		t.Error("Reset did not clear meter")
+	if n := m.State().Samples; n != 2 {
+		t.Errorf("samples = %d, want 2", n)
 	}
 }
 

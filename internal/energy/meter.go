@@ -1,7 +1,6 @@
 package energy
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -42,32 +41,6 @@ func (m *Meter) TotalJoules() float64 {
 // TotalKWh returns the cumulative energy in kilowatt-hours, the unit carbon
 // intensity is quoted against.
 func (m *Meter) TotalKWh() float64 { return m.TotalJoules() / 3.6e6 }
-
-// LastWatts returns the most recently recorded power level.
-func (m *Meter) LastWatts() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastW
-}
-
-// Samples returns the number of recordings.
-func (m *Meter) Samples() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.samples
-}
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joules, m.lastW, m.samples = 0, 0, 0
-}
-
-// String implements fmt.Stringer.
-func (m *Meter) String() string {
-	return fmt.Sprintf("Meter(%.1f J, last %.1f W)", m.TotalJoules(), m.LastWatts())
-}
 
 // MeterState is the serializable form of a Meter, used by
 // checkpoint/restore.

@@ -64,18 +64,6 @@ func (t *Timeline) Schedule(at time.Time, kind string, fn Apply) uint64 {
 	return seq
 }
 
-// Len reports the number of pending events.
-func (t *Timeline) Len() int { return len(t.h) }
-
-// NextAt returns the due instant of the earliest pending event; ok is
-// false when the timeline is empty.
-func (t *Timeline) NextAt() (at time.Time, ok bool) {
-	if len(t.h) == 0 {
-		return time.Time{}, false
-	}
-	return t.h[0].At, true
-}
-
 // ProcessNext pops and applies the earliest event due at or before now.
 // ok reports whether an event was processed; the event is returned either
 // way so callers can attribute an Apply error to its kind. Step loops are

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -43,8 +44,8 @@ func TestTimelineOrdering(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dispatch order %v, want %v", got, want)
 	}
-	if tl.Len() != 0 {
-		t.Errorf("timeline not drained: %d left", tl.Len())
+	if len(tl.h) != 0 {
+		t.Errorf("timeline not drained: %d left", len(tl.h))
 	}
 }
 
@@ -56,14 +57,14 @@ func TestTimelinePopDueBoundary(t *testing.T) {
 	if _, ok := tl.PopDue(t0); ok {
 		t.Error("popped an event before its due time")
 	}
-	if at, ok := tl.NextAt(); !ok || !at.Equal(t0.Add(time.Hour)) {
+	if at, ok := nextAt(tl); !ok || !at.Equal(t0.Add(time.Hour)) {
 		t.Errorf("NextAt = %v/%v, want %v/true", at, ok, t0.Add(time.Hour))
 	}
 	// Due exactly at its instant.
 	if ev, ok := tl.PopDue(t0.Add(time.Hour)); !ok || ev.Kind != "later" {
 		t.Errorf("event not due at its own instant: %v/%v", ev, ok)
 	}
-	if _, ok := tl.NextAt(); ok {
+	if _, ok := nextAt(tl); ok {
 		t.Error("NextAt on empty timeline reported an event")
 	}
 }
@@ -111,7 +112,7 @@ func TestTimelineDeterministicReplay(t *testing.T) {
 }
 
 func TestTimelineStepPrimitives(t *testing.T) {
-	// Len/NextAt/ProcessNext are the step primitives: ProcessNext
+	// The pending heap and ProcessNext are the step primitives: ProcessNext
 	// pops-and-applies in the same stable (At, Seq) order PopDue
 	// dispatches.
 	tl := NewTimeline()
@@ -127,10 +128,10 @@ func TestTimelineStepPrimitives(t *testing.T) {
 	tl.Schedule(t0, "a2", mark("a2"))
 	tl.Schedule(t0.Add(time.Hour), "b2", mark("b2"))
 
-	if tl.Len() != 4 {
-		t.Fatalf("Len = %d with 4 scheduled events", tl.Len())
+	if len(tl.h) != 4 {
+		t.Fatalf("Len = %d with 4 scheduled events", len(tl.h))
 	}
-	if at, ok := tl.NextAt(); !ok || !at.Equal(t0) {
+	if at, ok := nextAt(tl); !ok || !at.Equal(t0) {
 		t.Fatalf("NextAt = %v/%v, want %v/true", at, ok, t0)
 	}
 
@@ -139,8 +140,8 @@ func TestTimelineStepPrimitives(t *testing.T) {
 	if ev, ok, err := tl.ProcessNext(t0.Add(-time.Minute)); ok || err != nil {
 		t.Fatalf("ProcessNext before due time = %v/%v/%v", ev, ok, err)
 	}
-	if tl.Len() != 4 {
-		t.Fatalf("ProcessNext consumed an undue event: %d left", tl.Len())
+	if len(tl.h) != 4 {
+		t.Fatalf("ProcessNext consumed an undue event: %d left", len(tl.h))
 	}
 
 	var kinds []string
@@ -163,10 +164,10 @@ func TestTimelineStepPrimitives(t *testing.T) {
 	}
 
 	// Empty-timeline behavior.
-	if tl.Len() != 0 {
-		t.Errorf("Len = %d on a drained timeline", tl.Len())
+	if len(tl.h) != 0 {
+		t.Errorf("Len = %d on a drained timeline", len(tl.h))
 	}
-	if _, ok := tl.NextAt(); ok {
+	if _, ok := nextAt(tl); ok {
 		t.Error("NextAt on empty timeline reported an event")
 	}
 	if ev, ok, err := tl.ProcessNext(t0.Add(100 * time.Hour)); ok || err != nil {
@@ -184,7 +185,7 @@ func TestTimelineProcessNextError(t *testing.T) {
 	if !ok || ev.Kind != "explode" || err != boom {
 		t.Fatalf("ProcessNext = %v/%v/%v, want explode/true/boom", ev, ok, err)
 	}
-	if tl.Len() != 0 {
+	if len(tl.h) != 0 {
 		t.Error("failed event left on the timeline")
 	}
 }
@@ -252,7 +253,7 @@ at 320h crash site="Pier #39" # a quoted hash is data, this one a comment
 		t.Errorf("quoted '#' treated as a comment: %+v", f)
 	}
 	// Rendering re-parses to the identical script.
-	again, err := ParseFaultScript(s.String())
+	again, err := ParseFaultScript(render(s))
 	if err != nil {
 		t.Fatalf("re-parsing rendered script: %v", err)
 	}
@@ -379,7 +380,7 @@ func TestFaultRejectsNonFiniteAndMalformedNumbers(t *testing.T) {
 }
 
 // TestFaultStringRoundTripsEdgeValues pins the renderings the fuzzer
-// found breaking Parse(s.String()) == s: a '#' inside a value rendered
+// found breaking Parse(render(s)) == s: a '#' inside a value rendered
 // unquoted (re-parsed as a comment), whitespace other than space and tab
 // at a line's end (trimmed away), and count=1 (omitted, re-parsed as 0).
 func TestFaultStringRoundTripsEdgeValues(t *testing.T) {
@@ -394,12 +395,31 @@ func TestFaultStringRoundTripsEdgeValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", text, err)
 		}
-		again, err := ParseFaultScript(s.String())
+		again, err := ParseFaultScript(render(s))
 		if err != nil {
-			t.Fatalf("%q rendered as %q: %v", text, s.String(), err)
+			t.Fatalf("%q rendered as %q: %v", text, render(s), err)
 		}
 		if !reflect.DeepEqual(s, again) {
-			t.Errorf("%q rendered as %q re-parsed to %+v, want %+v", text, s.String(), again.Faults, s.Faults)
+			t.Errorf("%q rendered as %q re-parsed to %+v, want %+v", text, render(s), again.Faults, s.Faults)
 		}
 	}
+}
+
+// render writes a script in the parseable line syntax, one fault per
+// line.
+func render(s *FaultScript) string {
+	lines := make([]string, len(s.Faults))
+	for i, f := range s.Faults {
+		lines[i] = f.String()
+	}
+	return strings.Join(lines, "\n")
+}
+
+// nextAt returns the due instant of the timeline's earliest pending
+// event; ok is false when it is empty.
+func nextAt(t *Timeline) (at time.Time, ok bool) {
+	if len(t.h) == 0 {
+		return time.Time{}, false
+	}
+	return t.h[0].At, true
 }

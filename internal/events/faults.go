@@ -279,15 +279,6 @@ func (q *FaultQueue) Pending() []ScheduledFault {
 	return append([]ScheduledFault(nil), q.due...)
 }
 
-// String renders the script in the parseable line syntax.
-func (s *FaultScript) String() string {
-	lines := make([]string, len(s.Faults))
-	for i, f := range s.Faults {
-		lines[i] = f.String()
-	}
-	return strings.Join(lines, "\n")
-}
-
 // ParseFaultScript parses the declarative fault scenario syntax: one
 // fault per line,
 //

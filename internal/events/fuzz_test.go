@@ -33,7 +33,7 @@ func FuzzParseFaultScript(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out := s.String()
+		out := render(s)
 		again, err := ParseFaultScript(out)
 		if err != nil {
 			t.Fatalf("accepted %q but not its rendering %q: %v", text, out, err)

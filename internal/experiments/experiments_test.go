@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/latency"
 	"repro/internal/sim"
 )
 
@@ -125,17 +127,30 @@ func TestTable1Matrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Florida.Len() != 5 || r.CentralEU.Len() != 5 {
-		t.Fatalf("matrix sizes %d/%d", r.Florida.Len(), r.CentralEU.Len())
+	if len(r.Florida.Names()) != 5 || len(r.CentralEU.Names()) != 5 {
+		t.Fatalf("matrix sizes %d/%d", len(r.Florida.Names()), len(r.CentralEU.Names()))
 	}
-	lo, _, hi := r.Florida.Stats()
+	lo, hi := oneWaySpan(r.Florida)
 	if lo < 0.5 || hi > 12 {
 		t.Errorf("Florida latencies [%.1f, %.1f] ms outside paper band", lo, hi)
 	}
-	lo, _, hi = r.CentralEU.Stats()
+	lo, hi = oneWaySpan(r.CentralEU)
 	if lo < 1 || hi > 25 {
 		t.Errorf("Central EU latencies [%.1f, %.1f] ms outside paper band", lo, hi)
 	}
+}
+
+// oneWaySpan is the least and greatest one-way latency between two
+// distinct locations of m.
+func oneWaySpan(m *latency.Matrix) (lo, hi float64) {
+	lo = math.Inf(1)
+	n := len(m.Names())
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			lo, hi = min(lo, m.OneWayMs(i, j)), max(hi, m.OneWayMs(i, j))
+		}
+	}
+	return lo, hi
 }
 
 func TestFig5Monotone(t *testing.T) {
@@ -542,8 +557,18 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("registry missing %s", id)
 		}
 	}
-	if _, err := Run(testSuite(t), "no-such-exp"); err == nil {
+	if _, err := RunReport(testSuite(t), "no-such-exp"); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+}
+
+// TestNewSuiteRejectsShortSpan: a CDN span under one hour is an error,
+// not a silent full year.
+func TestNewSuiteRejectsShortSpan(t *testing.T) {
+	for _, hours := range []int{0, -1} {
+		if s, err := NewSuite(42, hours); err == nil {
+			t.Errorf("NewSuite(42, %d) built a suite of %d hours", hours, s.CDNHours)
+		}
 	}
 }
 

@@ -76,16 +76,6 @@ func MatchIDs(pattern string) ([]string, error) {
 	return out, nil
 }
 
-// Run executes the experiment with the given ID and returns its printable
-// result.
-func Run(s *Suite, id string) (fmt.Stringer, error) {
-	rep, err := RunReport(s, id)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Value, nil
-}
-
 // Report is the structured outcome of one experiment: the typed result
 // value (e.g. *Fig12Result) plus execution telemetry. Commands and
 // benchmark harnesses consume this instead of the bare fmt.Stringer.

@@ -103,14 +103,15 @@ func (s *Suite) checkpointPath(name string) string {
 	return filepath.Join(s.CheckpointDir, name)
 }
 
-// NewSuite builds the shared world. hours <= 0 defaults to the full year.
+// NewSuite builds the shared world for CDN simulations of the given span
+// in hours (8760 is the paper's year); a span under one hour is refused.
 func NewSuite(seed int64, hours int) (*Suite, error) {
+	if hours < 1 {
+		return nil, fmt.Errorf("experiments: a CDN span of %d hours: need at least 1", hours)
+	}
 	w, err := sim.NewWorld(seed)
 	if err != nil {
 		return nil, err
-	}
-	if hours <= 0 {
-		hours = 8760
 	}
 	return &Suite{Seed: seed, CDNHours: hours, World: w}, nil
 }

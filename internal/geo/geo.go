@@ -73,12 +73,6 @@ func NewBBox(pts []Point) BBox {
 	return b
 }
 
-// Contains reports whether p lies within the box (inclusive).
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lon >= b.MinLon && p.Lon <= b.MaxLon
-}
-
 // SpanKm returns the approximate width and height of the box in kilometres,
 // measured along the box's mid-latitude. This matches the "807km x 712km"
 // style annotations on the paper's Figure 2 maps.

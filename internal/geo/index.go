@@ -37,12 +37,6 @@ func NewIndex(names []string, points []Point) *Index {
 	return idx
 }
 
-// Len returns the number of indexed points.
-func (idx *Index) Len() int { return len(idx.points) }
-
-// At returns the i'th point and its name in insertion order.
-func (idx *Index) At(i int) (string, Point) { return idx.names[i], idx.points[i] }
-
 // Nearest returns the name, point, and distance of the indexed point
 // closest to q. ok is false when the index is empty.
 func (idx *Index) Nearest(q Point) (name string, p Point, distKm float64, ok bool) {

@@ -39,12 +39,6 @@ func NewCityRegistry(cities []City) (*CityRegistry, error) {
 	return r, nil
 }
 
-// Len returns the number of cities.
-func (r *CityRegistry) Len() int { return len(r.cities) }
-
-// Cities returns all cities in registration order (do not modify).
-func (r *CityRegistry) Cities() []City { return r.cities }
-
 // ByName returns the city and whether it exists.
 func (r *CityRegistry) ByName(name string) (City, bool) {
 	i, ok := r.byName[name]

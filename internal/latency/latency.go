@@ -14,7 +14,6 @@ package latency
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geo"
 )
@@ -104,48 +103,8 @@ func NewMatrix(m Model, names []string, pts []geo.Point) (*Matrix, error) {
 	return mat, nil
 }
 
-// Len returns the number of locations in the matrix.
-func (mx *Matrix) Len() int { return len(mx.names) }
-
 // Names returns the location names in matrix order.
 func (mx *Matrix) Names() []string { return mx.names }
 
 // OneWayMs returns the one-way latency between locations i and j.
 func (mx *Matrix) OneWayMs(i, j int) float64 { return mx.ms[i][j] }
-
-// ByName returns the one-way latency between two named locations.
-func (mx *Matrix) ByName(a, b string) (float64, error) {
-	ia, ib := -1, -1
-	for i, n := range mx.names {
-		if n == a {
-			ia = i
-		}
-		if n == b {
-			ib = i
-		}
-	}
-	if ia < 0 || ib < 0 {
-		return 0, fmt.Errorf("latency: unknown location in pair (%q, %q)", a, b)
-	}
-	return mx.ms[ia][ib], nil
-}
-
-// Stats summarizes the strictly-upper-triangle latencies of the matrix.
-func (mx *Matrix) Stats() (minMs, meanMs, maxMs float64) {
-	minMs = math.Inf(1)
-	var sum float64
-	var n int
-	for i := 0; i < len(mx.ms); i++ {
-		for j := i + 1; j < len(mx.ms); j++ {
-			v := mx.ms[i][j]
-			minMs = math.Min(minMs, v)
-			maxMs = math.Max(maxMs, v)
-			sum += v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	return minMs, sum / float64(n), maxMs
-}

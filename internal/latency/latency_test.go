@@ -108,8 +108,8 @@ func TestCityRegistryCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Len() != 128 {
-		t.Errorf("registry = %d cities, want 128", reg.Len())
+	if n := len(reg.cities); n != 128 {
+		t.Errorf("registry = %d cities, want 128", n)
 	}
 }
 
@@ -152,8 +152,8 @@ func TestMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mx.Len() != 3 {
-		t.Fatalf("matrix len = %d", mx.Len())
+	if n := len(mx.Names()); n != 3 {
+		t.Fatalf("matrix len = %d", n)
 	}
 	for i := 0; i < 3; i++ {
 		if mx.OneWayMs(i, i) != 0 {
@@ -165,19 +165,12 @@ func TestMatrix(t *testing.T) {
 			}
 		}
 	}
-	v, err := mx.ByName("Miami", "Tampa")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != mx.OneWayMs(0, 2) {
-		t.Errorf("ByName = %v, want %v", v, mx.OneWayMs(0, 2))
-	}
-	if _, err := mx.ByName("Miami", "Nowhere"); err == nil {
-		t.Error("unknown city should error")
-	}
-	lo, mean, hi := mx.Stats()
-	if lo <= 0 || mean < lo || hi < mean {
-		t.Errorf("stats ordering violated: %v %v %v", lo, mean, hi)
+	for i := 0; i < 3; i++ {
+		for j := i + 1; j < 3; j++ {
+			if mx.OneWayMs(i, j) <= 0 {
+				t.Errorf("%s-%s one-way %v ms, want > 0", names[i], names[j], mx.OneWayMs(i, j))
+			}
+		}
 	}
 }
 

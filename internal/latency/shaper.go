@@ -1,7 +1,6 @@
 package latency
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -52,13 +51,6 @@ func (s *Shaper) OneWay(a, b string) time.Duration {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.delay[key(a, b)]
-}
-
-// String summarizes the shaper configuration.
-func (s *Shaper) String() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return fmt.Sprintf("Shaper(%d pairs)", len(s.delay))
 }
 
 func key(a, b string) [2]string {

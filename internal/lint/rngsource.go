@@ -12,8 +12,8 @@ import (
 // math/rand, math/rand/v2, and crypto/rand imports in every package but
 // the rng home, and — inside deterministic packages — raw seed
 // arithmetic (XOR/add/multiply on seed-named values) that bypasses
-// rng.Mix/MixSeed. Ad-hoc seed derivations correlate streams (the
-// traffic.hourSeed bug PR 5 fixed); Mix diffuses every input word.
+// rng.MixSeed2. Ad-hoc seed derivations correlate streams (the
+// traffic.hourSeed bug PR 5 fixed); MixSeed2 diffuses every input word.
 type rngsource struct{}
 
 func (rngsource) Name() string { return "rngsource" }
@@ -66,7 +66,7 @@ func (rngsource) Run(rc *RunContext) {
 					return true
 				}
 				rc.Reportf(pkg, TagRNG, bin.Pos(),
-					"raw seed arithmetic (%s) bypasses rng.Mix/MixSeed; ad-hoc derivations correlate streams", types.ExprString(bin))
+					"raw seed arithmetic (%s) bypasses rng.MixSeed2; ad-hoc derivations correlate streams", types.ExprString(bin))
 				return false // one finding per arithmetic chain
 			})
 		}

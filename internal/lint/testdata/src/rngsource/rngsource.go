@@ -1,7 +1,7 @@
 // Package fixture exercises the rngsource analyzer: math/rand and
 // crypto/rand imports are confined to the rng home package, and raw
 // seed arithmetic in deterministic packages must go through
-// rng.Mix/MixSeed.
+// rng.MixSeed2.
 package fixture
 
 import "math/rand" // want `rngsource: import of math/rand outside repro/internal/rng`

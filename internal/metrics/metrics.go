@@ -4,10 +4,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -46,35 +44,6 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.n)
 }
 
-// Min returns the minimum, or NaN when empty.
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the maximum, or NaN when empty.
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
-// Stddev returns the population standard deviation, or NaN when empty.
-func (s *Summary) Stddev() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	m := s.Mean()
-	v := s.sumSquares/float64(s.n) - m*m
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Merge folds another summary's observations into s, as if every Add on
 // o had been an Add on s. Merging is order-independent up to float
 // addition: shard-result merges always fold in a fixed (shard-index)
@@ -92,14 +61,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.n += o.n
 	s.sum += o.sum
 	s.sumSquares += o.sumSquares
-}
-
-// String implements fmt.Stringer.
-func (s *Summary) String() string {
-	if s.n == 0 {
-		return "Summary(empty)"
-	}
-	return fmt.Sprintf("Summary(n=%d mean=%.3f min=%.3f max=%.3f)", s.n, s.Mean(), s.min, s.max)
 }
 
 // Grouped maintains one Summary per string key. It is safe for concurrent
@@ -129,18 +90,6 @@ func (g *Grouped) Get(key string) *Summary {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.groups[key]
-}
-
-// Keys returns the keys in sorted order.
-func (g *Grouped) Keys() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Counter is a labelled monotonically increasing counter set, safe for
@@ -190,21 +139,6 @@ func (c *Counter) Get(label string) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counts[label]
-}
-
-// Merge folds another counter's counts into c (order-independent: the
-// result depends only on the multiset of Inc calls behind both).
-func (c *Counter) Merge(o *Counter) {
-	st := o.State()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.counts)
-	for k, v := range st {
-		c.counts[k] += v
-	}
-	if len(c.counts) != n {
-		c.labels = nil
-	}
 }
 
 // Labels returns all labels sorted.

@@ -3,7 +3,6 @@ package metrics
 import (
 	"maps"
 	"math"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -17,22 +16,15 @@ func TestSummaryBasic(t *testing.T) {
 	if s.N() != 4 || s.Sum() != 10 {
 		t.Errorf("n=%d sum=%v", s.N(), s.Sum())
 	}
-	if s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
-		t.Errorf("mean/min/max = %v/%v/%v", s.Mean(), s.Min(), s.Max())
-	}
-	want := math.Sqrt(1.25)
-	if math.Abs(s.Stddev()-want) > 1e-12 {
-		t.Errorf("stddev = %v, want %v", s.Stddev(), want)
+	if s.Mean() != 2.5 || s.min != 1 || s.max != 4 {
+		t.Errorf("mean/min/max = %v/%v/%v", s.Mean(), s.min, s.max)
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
 	var s Summary
-	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) || !math.IsNaN(s.Stddev()) {
-		t.Error("empty summary should be NaN")
-	}
-	if s.String() != "Summary(empty)" {
-		t.Errorf("String = %q", s.String())
+	if !math.IsNaN(s.Mean()) {
+		t.Error("empty summary's mean should be NaN")
 	}
 }
 
@@ -40,8 +32,8 @@ func TestSummaryNegativeValues(t *testing.T) {
 	var s Summary
 	s.Add(-5)
 	s.Add(5)
-	if s.Min() != -5 || s.Max() != 5 || s.Mean() != 0 {
-		t.Errorf("stats = %v/%v/%v", s.Min(), s.Max(), s.Mean())
+	if s.min != -5 || s.max != 5 || s.Mean() != 0 {
+		t.Errorf("stats = %v/%v/%v", s.min, s.max, s.Mean())
 	}
 }
 
@@ -58,10 +50,6 @@ func TestGrouped(t *testing.T) {
 	}
 	if g.Get("asia") != nil {
 		t.Error("missing key should be nil")
-	}
-	keys := g.Keys()
-	if len(keys) != 2 || keys[0] != "eu" || keys[1] != "us" {
-		t.Errorf("keys = %v", keys)
 	}
 }
 
@@ -136,12 +124,8 @@ func TestCounterSortedState(t *testing.T) {
 	}
 	c.Delete("a")
 	check("delete")
-	o := NewCounter()
-	o.Inc("0", 1)
-	c.Merge(o)
-	check("merge")
-	c.Inc("c", 1)
-	check("inc after merge")
+	c.Inc("0", 1)
+	check("inc new label")
 	if !slices.Equal(lent, kept) {
 		t.Errorf("lent labels rewritten to %v, were %v", lent, kept)
 	}
@@ -191,22 +175,5 @@ func TestSummaryMerge(t *testing.T) {
 	dst.Merge(&all)
 	if dst != all {
 		t.Errorf("merge into empty = %+v, want %+v", dst, all)
-	}
-}
-
-func TestCounterMerge(t *testing.T) {
-	a, b := NewCounter(), NewCounter()
-	a.Inc("x", 2)
-	a.Inc("y", 1)
-	b.Inc("x", 3)
-	b.Inc("z", 5)
-	a.Merge(b)
-	want := map[string]int64{"x": 5, "y": 1, "z": 5}
-	if got := a.State(); !reflect.DeepEqual(got, want) {
-		t.Errorf("merged counts = %v, want %v", got, want)
-	}
-	// The source is untouched.
-	if got := b.State(); !reflect.DeepEqual(got, map[string]int64{"x": 3, "z": 5}) {
-		t.Errorf("merge mutated source: %v", got)
 	}
 }

@@ -57,10 +57,6 @@ func NewQuantileSketch() *QuantileSketch {
 	}
 }
 
-// Add records one observation. Negative or NaN values are clamped into the
-// lowest bucket (the sketch tracks non-negative quantities).
-func (s *QuantileSketch) Add(v float64) { s.AddN(v, 1) }
-
 // AddN records n identical observations in O(1); n <= 0 is a no-op.
 func (s *QuantileSketch) AddN(v float64, n int64) {
 	if n <= 0 {
@@ -212,36 +208,6 @@ func (s *QuantileSketch) Sum() float64 {
 	return s.sum
 }
 
-// Mean returns the weighted mean, or NaN when empty.
-func (s *QuantileSketch) Mean() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(s.count)
-}
-
-// Min returns the exact minimum observation, or NaN when empty.
-func (s *QuantileSketch) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the exact maximum observation, or NaN when empty.
-func (s *QuantileSketch) Max() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
 // Merge folds other into s. Both sketches must have the same resolution
 // (always true for sketches from NewQuantileSketch). Merging an empty
 // sketch is a no-op (min/max and buckets are untouched); merging a sketch
@@ -291,15 +257,6 @@ func (s *QuantileSketch) Merge(other *QuantileSketch) error {
 	s.count += oCount
 	s.sum += oSum
 	return nil
-}
-
-// String implements fmt.Stringer.
-func (s *QuantileSketch) String() string {
-	if s.Count() == 0 {
-		return "QuantileSketch(empty)"
-	}
-	return fmt.Sprintf("QuantileSketch(n=%d p50=%.3f p99=%.3f max=%.3f)",
-		s.Count(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
 }
 
 // SketchState is the serializable form of a QuantileSketch, used by

@@ -28,7 +28,7 @@ func checkQuantiles(t *testing.T, name string, values []float64) {
 	t.Helper()
 	s := NewQuantileSketch()
 	for _, v := range values {
-		s.Add(v)
+		s.AddN(v, 1)
 	}
 	sorted := append([]float64(nil), values...)
 	sort.Float64s(sorted)
@@ -46,10 +46,10 @@ func checkQuantiles(t *testing.T, name string, values []float64) {
 	if s.Count() != int64(len(values)) {
 		t.Errorf("%s: count %d, want %d", name, s.Count(), len(values))
 	}
-	if got := s.Min(); got != sorted[0] {
+	if got := s.min; got != sorted[0] {
 		t.Errorf("%s: min %.4f, want exact %.4f", name, got, sorted[0])
 	}
-	if got := s.Max(); got != sorted[len(sorted)-1] {
+	if got := s.max; got != sorted[len(sorted)-1] {
 		t.Errorf("%s: max %.4f, want exact %.4f", name, got, sorted[len(sorted)-1])
 	}
 }
@@ -74,7 +74,7 @@ func TestSketchWeightedAddMatchesRepeatedAdd(t *testing.T) {
 	a, b := NewQuantileSketch(), NewQuantileSketch()
 	values := []float64{0.5, 3, 3, 3, 17, 17, 250}
 	for _, v := range values {
-		a.Add(v)
+		a.AddN(v, 1)
 	}
 	b.AddN(0.5, 1)
 	b.AddN(3, 3)
@@ -99,10 +99,10 @@ func TestSketchOrderIndependence(t *testing.T) {
 	}
 	forward, backward := NewQuantileSketch(), NewQuantileSketch()
 	for _, v := range values {
-		forward.Add(v)
+		forward.AddN(v, 1)
 	}
 	for i := len(values) - 1; i >= 0; i-- {
-		backward.Add(values[i])
+		backward.AddN(values[i], 1)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 		if forward.Quantile(q) != backward.Quantile(q) {
@@ -116,11 +116,11 @@ func TestSketchMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20000; i++ {
 		v := rng.ExpFloat64() * 8
-		whole.Add(v)
+		whole.AddN(v, 1)
 		if i%2 == 0 {
-			left.Add(v)
+			left.AddN(v, 1)
 		} else {
-			right.Add(v)
+			right.AddN(v, 1)
 		}
 	}
 	if err := left.Merge(right); err != nil {
@@ -134,9 +134,9 @@ func TestSketchMerge(t *testing.T) {
 			t.Errorf("q=%.2f: merged %.6f != whole %.6f", q, left.Quantile(q), whole.Quantile(q))
 		}
 	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
+	if left.min != whole.min || left.max != whole.max {
 		t.Errorf("merged extremes [%.4f, %.4f] != whole [%.4f, %.4f]",
-			left.Min(), left.Max(), whole.Min(), whole.Max())
+			left.min, left.max, whole.min, whole.max)
 	}
 	if err := left.Merge(nil); err != nil {
 		t.Errorf("nil merge: %v", err)
@@ -145,21 +145,21 @@ func TestSketchMerge(t *testing.T) {
 
 func TestSketchEmptyAndEdgeValues(t *testing.T) {
 	s := NewQuantileSketch()
-	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(s.Mean()) {
+	if !math.IsNaN(s.Quantile(0.5)) || !math.IsNaN(sketchMean(s)) {
 		t.Error("empty sketch should report NaN")
 	}
-	s.Add(-5)         // clamped to 0
-	s.Add(0)          // below lowest bucket boundary
-	s.Add(math.NaN()) // clamped to 0
-	s.Add(1e12)       // beyond the top bucket: clamped, max stays exact
+	s.AddN(-5, 1)         // clamped to 0
+	s.AddN(0, 1)          // below lowest bucket boundary
+	s.AddN(math.NaN(), 1) // clamped to 0
+	s.AddN(1e12, 1)       // beyond the top bucket: clamped, max stays exact
 	if s.Count() != 4 {
 		t.Fatalf("count = %d", s.Count())
 	}
-	if s.Min() != 0 {
-		t.Errorf("min = %v, want 0", s.Min())
+	if s.min != 0 {
+		t.Errorf("min = %v, want 0", s.min)
 	}
-	if s.Max() != 1e12 {
-		t.Errorf("max = %v, want 1e12", s.Max())
+	if s.max != 1e12 {
+		t.Errorf("max = %v, want 1e12", s.max)
 	}
 	if q := s.Quantile(1); q != 1e12 {
 		t.Errorf("q=1 -> %v, want clamped to exact max", q)
@@ -183,7 +183,7 @@ func TestSketchConcurrentAdds(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
-				s.Add(rng.ExpFloat64() * 10)
+				s.AddN(rng.ExpFloat64()*10, 1)
 			}
 		}(w)
 	}
@@ -193,7 +193,7 @@ func TestSketchConcurrentAdds(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		rng := rand.New(rand.NewSource(int64(w)))
 		for i := 0; i < perWorker; i++ {
-			serial.Add(rng.ExpFloat64() * 10)
+			serial.AddN(rng.ExpFloat64()*10, 1)
 		}
 	}
 	if s.Count() != int64(workers*perWorker) {
@@ -213,7 +213,7 @@ func TestSketchEmptyEdgeCases(t *testing.T) {
 	filled := func() *QuantileSketch {
 		s := NewQuantileSketch()
 		for _, v := range []float64{1, 2, 3, 4, 5} {
-			s.Add(v)
+			s.AddN(v, 1)
 		}
 		return s
 	}
@@ -259,7 +259,7 @@ func TestSketchEmptyEdgeCases(t *testing.T) {
 				if !math.IsNaN(got) {
 					t.Errorf("p50 = %v, want NaN", got)
 				}
-				for _, m := range []float64{s.Mean(), s.Min(), s.Max()} {
+				for _, m := range []float64{sketchMean(s)} {
 					if !math.IsNaN(m) {
 						t.Errorf("empty sketch stat = %v, want NaN", m)
 					}
@@ -270,8 +270,8 @@ func TestSketchEmptyEdgeCases(t *testing.T) {
 				t.Errorf("p50 = %v, want ~%v", got, tc.p50)
 			}
 			// Min/max must be exact — an empty merge must not disturb them.
-			if s.Min() != 1 || s.Max() != 5 {
-				t.Errorf("min/max = %v/%v, want 1/5", s.Min(), s.Max())
+			if s.min != 1 || s.max != 5 {
+				t.Errorf("min/max = %v/%v, want 1/5", s.min, s.max)
 			}
 		})
 	}
@@ -281,13 +281,13 @@ func TestSketchMergeEmptyKeepsMinMax(t *testing.T) {
 	// Regression shape: an empty sketch carries zero min/max fields;
 	// merging it must not pull the target's min to 0 or touch buckets.
 	s := NewQuantileSketch()
-	s.Add(10)
-	s.Add(20)
+	s.AddN(10, 1)
+	s.AddN(20, 1)
 	if err := s.Merge(NewQuantileSketch()); err != nil {
 		t.Fatal(err)
 	}
-	if s.Min() != 10 || s.Max() != 20 || s.Count() != 2 {
-		t.Errorf("merge of empty skewed the sketch: min=%v max=%v n=%d", s.Min(), s.Max(), s.Count())
+	if s.min != 10 || s.max != 20 || s.Count() != 2 {
+		t.Errorf("merge of empty skewed the sketch: min=%v max=%v n=%d", s.min, s.max, s.Count())
 	}
 	if got := s.Sum(); got != 30 {
 		t.Errorf("sum = %v, want 30", got)
@@ -299,7 +299,7 @@ func TestSketchSelfMergeDoubles(t *testing.T) {
 	// it doubles the multiset (min/max/quantiles unchanged).
 	s := NewQuantileSketch()
 	for _, v := range []float64{2, 4, 8} {
-		s.Add(v)
+		s.AddN(v, 1)
 	}
 	p50 := s.Quantile(0.5)
 	done := make(chan error, 1)
@@ -315,15 +315,15 @@ func TestSketchSelfMergeDoubles(t *testing.T) {
 	if s.Count() != 6 || s.Sum() != 28 {
 		t.Errorf("self-merge: n=%d sum=%v, want 6/28", s.Count(), s.Sum())
 	}
-	if s.Min() != 2 || s.Max() != 8 || s.Quantile(0.5) != p50 {
-		t.Errorf("self-merge moved the distribution: min=%v max=%v p50=%v", s.Min(), s.Max(), s.Quantile(0.5))
+	if s.min != 2 || s.max != 8 || s.Quantile(0.5) != p50 {
+		t.Errorf("self-merge moved the distribution: min=%v max=%v p50=%v", s.min, s.max, s.Quantile(0.5))
 	}
 }
 
 func TestSketchQuantileArgumentClamping(t *testing.T) {
 	s := NewQuantileSketch()
-	s.Add(1)
-	s.Add(100)
+	s.AddN(1, 1)
+	s.AddN(100, 1)
 	if got := s.Quantile(-0.5); got != 1 {
 		t.Errorf("q<0 = %v, want exact min", got)
 	}
@@ -345,7 +345,7 @@ func TestSketchStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if restored.Count() != s.Count() || restored.Sum() != s.Sum() ||
-		restored.Min() != s.Min() || restored.Max() != s.Max() {
+		restored.min != s.min || restored.max != s.max {
 		t.Fatalf("restored aggregates diverge: %v vs %v", restored, s)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
@@ -517,7 +517,7 @@ func TestSketchFromStateRejectsHostileStates(t *testing.T) {
 // when all three geometry parameters agree, and Merge refuses the rest.
 func TestSketchSameResolution(t *testing.T) {
 	a, b := NewQuantileSketch(), NewQuantileSketch()
-	b.Add(3)
+	b.AddN(3, 1)
 	if !a.SameResolution(b) || !b.SameResolution(a) {
 		t.Error("two default sketches disagree on resolution")
 	}
@@ -665,3 +665,11 @@ func TestSketchFoldEdgeValues(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// sketchMean is the sketch's weighted mean, or NaN when it is empty.
+func sketchMean(s *QuantileSketch) float64 {
+	if s.count == 0 {
+		return math.NaN()
+	}
+	return s.sum / float64(s.count)
+}

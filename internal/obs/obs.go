@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer: a phase-level tracer
 // for the simulator's epoch phases and the orchestrator's tick sections,
 // a metrics registry with Prometheus-style text exposition, and a flight
-// recorder — a fixed-size ring of recent phases and faults for
+// recorder — a fixed-size ring of the orchestrator's recent faults for
 // post-mortem of fault storms.
 //
 // The package follows the same discipline the epoch hot loop does:
@@ -19,8 +19,8 @@
 //	orch.Tick  ──┤ (atomic)   │                └─────────────┘    cesim tables
 //	             └────────────┘
 //	             ┌────────────┐   Record       ┌─────────────┐
-//	dispatch  ───┤ FlightRec. ├───────────────▶│ ring buffer │──▶ checkpoints
-//	faults    ───┤ (ring)     │                └─────────────┘    /api/v1/obs
+//	orch      ───┤ FlightRec. ├───────────────▶│ ring buffer │──▶ /api/v1/obs
+//	faults    ───┤ (ring)     │                └─────────────┘
 //	             └────────────┘
 //	             ┌────────────┐   WriteText    ┌─────────────┐
 //	counters  ───┤ Registry   ├───────────────▶│ Prometheus  │──▶ /metrics
@@ -37,8 +37,8 @@ import (
 
 // Defaults for Config's zero values.
 const (
-	// DefaultFlightRecorderEvents is the ring capacity when
-	// Config.FlightRecorderEvents is zero.
+	// DefaultFlightRecorderEvents is the orchestrator's ring capacity
+	// (NewFlightRecorder's for n <= 0).
 	DefaultFlightRecorderEvents = 256
 	// DefaultAllocProbeEvery is an engine tracer's alloc-probe sampling
 	// period: one heap-allocation delta is measured per phase per this
@@ -47,13 +47,12 @@ const (
 	DefaultAllocProbeEvery = 64
 )
 
-// Config opts a simulation engine into observability. The zero value
-// enables everything at the defaults; negative values disable the
-// corresponding piece.
+// Config opts a simulation engine into observability: a non-nil
+// sim.Config.Obs traces every epoch phase.
 type Config struct {
-	// FlightRecorderEvents sizes the ring buffer of recent phases and
-	// faults (0 = DefaultFlightRecorderEvents, < 0 disables the
-	// recorder).
+	// Deprecated: FlightRecorderEvents is read by nothing. It sized the
+	// engine's flight recorder, which had no reader and is gone; the
+	// field stays only because the bench ledger still sets it.
 	FlightRecorderEvents int
 }
 
@@ -144,10 +143,6 @@ func NewTracer(names []string, allocProbeEvery int) *Tracer {
 	return t
 }
 
-// Phases returns the tracer's phase names in index order. The returned
-// slice is shared; do not mutate it.
-func (t *Tracer) Phases() []string { return t.names }
-
 // Probe carries one Begin's starting state to its matching End. It is
 // plain stack data — passing it by value allocates nothing.
 type Probe struct {
@@ -231,15 +226,4 @@ func (t *Tracer) Merge(src *Tracer) error {
 		}
 	}
 	return nil
-}
-
-// Reset zeroes every accumulator, keeping the phase list.
-func (t *Tracer) Reset() {
-	for i := range t.names {
-		atomic.StoreInt64(&t.calls[i], 0)
-		atomic.StoreInt64(&t.ns[i], 0)
-		atomic.StoreInt64(&t.maxNs[i], 0)
-		atomic.StoreInt64(&t.allocB[i], 0)
-		atomic.StoreInt64(&t.probes[i], 0)
-	}
 }

@@ -111,13 +111,6 @@ func TestTracerMerge(t *testing.T) {
 	if err := agg.Merge(NewTracer([]string{"a", "c"}, -1)); err == nil {
 		t.Error("merging mismatched phase names succeeded")
 	}
-
-	agg.Reset()
-	for _, ps := range agg.Report() {
-		if ps.Calls != 0 || ps.TotalNs != 0 || ps.MaxNs != 0 {
-			t.Errorf("post-Reset phase %s not zeroed: %+v", ps.Name, ps)
-		}
-	}
 }
 
 func TestTracerMergeOrderIndependent(t *testing.T) {
@@ -166,9 +159,6 @@ func TestRecorderWraparound(t *testing.T) {
 	base := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
 		r.Record("ev", base.Add(time.Duration(i)*time.Hour), uint64(i), int64(i))
-	}
-	if r.Total() != 10 {
-		t.Errorf("total = %d, want 10", r.Total())
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -220,8 +210,8 @@ func TestRecorderStateRoundTrip(t *testing.T) {
 	}
 	r.Record("recover", base.Add(time.Hour), 9, 7)
 	evs := r.Events()
-	if len(evs) != 3 || evs[2].Kind != "recover" || evs[0].Seq != 3 || r.Total() != 6 {
-		t.Errorf("recording after a copy-out broken: total %d, %+v", r.Total(), evs)
+	if len(evs) != 3 || evs[2].Kind != "recover" || evs[0].Seq != 3 {
+		t.Errorf("recording after a copy-out broken: %+v", evs)
 	}
 }
 

@@ -5,26 +5,24 @@ import (
 	"time"
 )
 
-// RecordedEvent is one event — an epoch phase or an applied fault — as
-// the flight recorder keeps it: what ran, when (simulated time), in what
-// order, and how long it took.
+// RecordedEvent is one applied fault as the orchestrator's flight
+// recorder keeps it: what ran, when (simulated time), in what order, and
+// how long it took.
 type RecordedEvent struct {
-	// Kind is the phase or fault kind ("faults", "crash", ...).
+	// Kind is the fault kind ("crash", "degrade", ...).
 	Kind string `json:"kind"`
 	// At is the simulated instant the event was due.
 	At time.Time `json:"at"`
-	// Seq is the owner's sequence number for the event: the simulator
-	// numbers phase k of epoch N as N*phases+k and a fault by its index
-	// in FaultScript.Expand; the orchestrator numbers faults from 1 in the
-	// order it applies them.
+	// Seq numbers the orchestrator's faults from 1 in the order it
+	// applies them.
 	Seq uint64 `json:"seq"`
 	// DurationNs is the event's wall time.
 	DurationNs int64 `json:"duration_ns"`
 }
 
 // FlightRecorder keeps the most recent events in a fixed-size
-// ring buffer for post-mortem inspection: when a fault storm or an
-// anomalous epoch shows up in the aggregates, the recorder answers
+// ring buffer for post-mortem inspection: when a fault storm shows up
+// in the aggregates, the recorder answers
 // "what exactly just happened". Record writes a plain struct into the
 // preallocated ring — no allocation — and is mutex-guarded so a live
 // scrape can snapshot it while the owner keeps recording.
@@ -33,9 +31,6 @@ type FlightRecorder struct {
 	ring  []RecordedEvent
 	next  int
 	count int
-	// total counts every event ever recorded (not just the retained
-	// window), so wraparound is visible to consumers.
-	total uint64
 }
 
 // NewFlightRecorder builds a recorder retaining the last n events
@@ -46,9 +41,6 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	}
 	return &FlightRecorder{ring: make([]RecordedEvent, n)}
 }
-
-// Cap is the ring capacity.
-func (r *FlightRecorder) Cap() int { return len(r.ring) }
 
 // Record appends one event, overwriting the oldest once the ring is
 // full.
@@ -62,16 +54,7 @@ func (r *FlightRecorder) Record(kind string, at time.Time, seq uint64, durationN
 	if r.count < len(r.ring) {
 		r.count++
 	}
-	r.total++
 	r.mu.Unlock()
-}
-
-// Total is how many events have ever been recorded (retained or
-// overwritten).
-func (r *FlightRecorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Events copies out the retained window, oldest first.

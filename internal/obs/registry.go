@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -80,38 +79,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.Register(name, help, "gauge", func(emit EmitFunc) { emit("", "", fn()) })
-}
-
-// Counter is a standalone monotonically-increasing metric for owners
-// that have no existing accumulator to read from. Add is lock-free.
-type Counter struct {
-	bits uint64
-}
-
-// Add increases the counter by v (v must be non-negative).
-func (c *Counter) Add(v float64) {
-	for {
-		old := atomic.LoadUint64(&c.bits)
-		cur := math.Float64frombits(old)
-		if atomic.CompareAndSwapUint64(&c.bits, old, math.Float64bits(cur+v)) {
-			return
-		}
-	}
-}
-
-// Inc increases the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reads the counter.
-func (c *Counter) Value() float64 {
-	return math.Float64frombits(atomic.LoadUint64(&c.bits))
-}
-
-// NewCounter registers and returns a standalone counter.
-func (r *Registry) NewCounter(name, help string) *Counter {
-	c := &Counter{}
-	r.Register(name, help, "counter", func(emit EmitFunc) { emit("", "", c.Value()) })
-	return c
 }
 
 // EmitSketchSummary renders a QuantileSketch as a Prometheus summary:

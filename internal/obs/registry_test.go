@@ -13,12 +13,10 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("test_carbon_grams_total", "accumulated emissions", func() float64 { return 1234.5 })
 	r.GaugeFunc("test_deployments", "live deployments", func() float64 { return 7 })
-	c := r.NewCounter("test_requests_total", "routed requests")
-	c.Add(41)
-	c.Inc()
+	r.CounterFunc("test_requests_total", "routed requests", func() float64 { return 42 })
 	sk := metrics.NewQuantileSketch()
-	sk.Add(10)
-	sk.Add(20)
+	sk.AddN(10, 1)
+	sk.AddN(20, 1)
 	r.Register("test_latency_ms", "request latency", "summary", func(emit EmitFunc) {
 		EmitSketchSummary(emit, sk, 0.5, 0.99)
 	})

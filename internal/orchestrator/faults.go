@@ -54,12 +54,6 @@ func (o *Orchestrator) InjectScript(s *events.FaultScript) error {
 	return nil
 }
 
-// InjectFault schedules one fault (plus its timed revert, if any)
-// relative to the current clock.
-func (o *Orchestrator) InjectFault(f events.Fault) error {
-	return o.InjectScript(&events.FaultScript{Faults: []events.Fault{f}})
-}
-
 // SetEvictionHandler registers fn, called after any Tick whose fault
 // events evicted deployments. The evicted deployments are already back in
 // the placement queue; fn runs outside the orchestrator lock, so it may

@@ -98,7 +98,7 @@ func TestFaultCrashEvictsAndResubmits(t *testing.T) {
 		checkServerTable(t, o)
 	})
 	// Crash the hosting DC now; recover in 2 emulated hours.
-	if err := o.InjectFault(events.Fault{
+	if err := injectFault(o, events.Fault{
 		Kind: events.FaultCrash, Site: city, For: 2 * time.Hour,
 	}); err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestUndeployEvictedDeployment(t *testing.T) {
 	if got := rowIDs(o); !reflect.DeepEqual(got, []string{"app1"}) {
 		t.Fatalf("request stats rows %v, want [app1]", got)
 	}
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: o.dcByID(dep.DCID).City}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: o.dcByID(dep.DCID).City}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err != nil {
@@ -220,7 +220,7 @@ func TestFaultDegradeEvictsOvercommitted(t *testing.T) {
 	city := o.dcByID(dep.DCID).City
 	var evicted []string
 	o.SetEvictionHandler(func(_ time.Time, names []string) { evicted = append(evicted, names...) })
-	if err := o.InjectFault(events.Fault{Kind: events.FaultDegrade, Site: city, Factor: 0.001}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultDegrade, Site: city, Factor: 0.001}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err != nil {
@@ -350,13 +350,13 @@ func TestFaultQueueOrderAndState(t *testing.T) {
 
 func TestFaultTargetValidation(t *testing.T) {
 	o := fixture(t, placement.LatencyAware{})
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: "Nowhere"}); err == nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: "Nowhere"}); err == nil {
 		t.Error("crash on unknown site accepted")
 	}
-	if err := o.InjectFault(events.Fault{Kind: events.FaultForecastError, Zone: "Z-NOPE", Factor: 2}); err == nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultForecastError, Zone: "Z-NOPE", Factor: 2}); err == nil {
 		t.Error("forecast error on unknown zone accepted")
 	}
-	if err := o.InjectFault(events.Fault{Kind: events.FaultScaleOut, Site: "CityA", CapacityMilli: 100}); err == nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultScaleOut, Site: "CityA", CapacityMilli: 100}); err == nil {
 		t.Error("scale-out without device accepted")
 	}
 }
@@ -482,7 +482,7 @@ func TestTickRejectsNonPositive(t *testing.T) {
 	if a.DCID == b.DCID {
 		t.Fatalf("both deployments on %s", a.DCID)
 	}
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: o.dcByID(a.DCID).City}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: o.dcByID(a.DCID).City}); err != nil {
 		t.Fatal(err)
 	}
 	fired := 0
@@ -511,4 +511,10 @@ func TestTickRejectsNonPositive(t *testing.T) {
 			t.Errorf("GET %s: status %d", path, resp.StatusCode)
 		}
 	}
+}
+
+// injectFault schedules one fault (plus its timed revert, if any)
+// relative to the orchestrator's clock.
+func injectFault(o *Orchestrator, f events.Fault) error {
+	return o.InjectScript(&events.FaultScript{Faults: []events.Fault{f}})
 }

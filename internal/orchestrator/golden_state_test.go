@@ -37,7 +37,7 @@ func goldenHistory(t *testing.T) *Orchestrator {
 	}
 	inject := func(f events.Fault) {
 		t.Helper()
-		if err := o.InjectFault(f); err != nil {
+		if err := injectFault(o, f); err != nil {
 			t.Fatal(err)
 		}
 	}

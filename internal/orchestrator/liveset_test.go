@@ -333,7 +333,7 @@ func TestEvictedRowFollowsReplacement(t *testing.T) {
 	// Crash the host: app1 is evicted into the queue. It is still a known
 	// name, so its row waits for the re-placement.
 	host := o.dcByID(dep.DCID).City
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: host}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: host}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err != nil {
@@ -361,7 +361,7 @@ func TestEvictedRowFollowsReplacement(t *testing.T) {
 	if host == "CityA" {
 		other = "CityB"
 	}
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: other}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: other}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err != nil {
@@ -418,7 +418,7 @@ func TestLoadStatePrunesDeadRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := orig.InjectFault(events.Fault{Kind: events.FaultCrash, Site: orig.dcByID(dep.DCID).City}); err != nil {
+	if err := injectFault(orig, events.Fault{Kind: events.FaultCrash, Site: orig.dcByID(dep.DCID).City}); err != nil {
 		t.Fatal(err)
 	}
 	if err := orig.Tick(time.Hour); err != nil {
@@ -517,7 +517,7 @@ func TestReplicaTableMatchesRebuildOracle(t *testing.T) {
 	}
 	inject := func(f events.Fault) {
 		t.Helper()
-		if err := o.InjectFault(f); err != nil {
+		if err := injectFault(o, f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -183,10 +183,6 @@ func (o *Orchestrator) PhaseReport() []obs.PhaseStat { return o.trace.Report() }
 // events, oldest first.
 func (o *Orchestrator) RecentEvents() []obs.RecordedEvent { return o.recorder.Events() }
 
-// Metrics returns the orchestrator's Prometheus-style registry (served
-// at /metrics by API).
-func (o *Orchestrator) Metrics() *obs.Registry { return o.registry }
-
 // obsBody is the /api/v1/obs payload: the tick-phase breakdown plus the
 // flight recorder's recent fault events.
 type obsBody struct {

@@ -90,7 +90,7 @@ type Orchestrator struct {
 	lastOverload  time.Time
 	onOverload    func(now time.Time, dropped int64) //detlint:ephemeral callback hook, re-registered by the embedding process
 
-	// Live fault injection (InjectFault / POST /api/v1/faults): scheduled
+	// Live fault injection (InjectScript / POST /api/v1/faults): scheduled
 	// world-dynamics events consumed by Tick. The queue holds the fault
 	// data itself (not closures), so SaveState serializes the not-yet-due
 	// events as they are. The applicator writes the server table on
@@ -534,7 +534,7 @@ func (o *Orchestrator) Deployments() []*Deployment {
 // its static provisioned draw. A tick whose demand could not be fully
 // absorbed emits an overload signal (see SetOverloadHandler).
 //
-// Injected fault events (InjectFault / InjectScript) due at the tick's
+// Injected fault events (InjectScript) due at the tick's
 // start are consumed first: servers crash or recover, capacity degrades,
 // forecasts skew, flash fleets appear. Deployments evicted by a crash are
 // re-submitted to the placement queue and the eviction handler fires

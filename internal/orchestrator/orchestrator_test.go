@@ -253,7 +253,7 @@ func TestServerTableConsistencyErrors(t *testing.T) {
 	// hold cannot be evicted empty, so the crash refuses to power it off.
 	other := o.servers[1]
 	other.apps = 1
-	if err := o.InjectFault(events.Fault{Kind: events.FaultCrash, Site: other.dc.City}); err != nil {
+	if err := injectFault(o, events.Fault{Kind: events.FaultCrash, Site: other.dc.City}); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Tick(time.Hour); err == nil || !strings.Contains(err.Error(), "cannot power off") {

@@ -151,11 +151,11 @@ func (o *Orchestrator) SaveState() (State, error) {
 
 // LoadState restores a saved state into this orchestrator. The receiver
 // must be freshly constructed over an equivalently-built cluster (same
-// region and datasets): flash servers are re-created, the server rows'
-// power states, meters and fault fields assigned, and every deployment
-// re-admitted with its exact resource vector. The placement workspace is
-// dropped and rebuilt on the next batch, which reads every forecast
-// afresh under the restored skews.
+// region and datasets): its own flash servers are dropped and the state's
+// re-created, the server rows' power states, meters and fault fields
+// assigned, and every deployment re-admitted with its exact resource
+// vector. The placement workspace is dropped and rebuilt on the next
+// batch, which reads every forecast afresh under the restored skews.
 //
 // The rows are rebuilt on copies and published only once the whole state
 // has passed, so LoadState is all-or-nothing on the failures a foreign or
@@ -172,11 +172,18 @@ func (o *Orchestrator) LoadState(st State) error {
 	if st.Traffic != nil && o.traffic == nil {
 		return fmt.Errorf("orchestrator: state carries traffic telemetry but no traffic is attached (AttachTraffic first)")
 	}
+	// Only the cluster's own rows are rebuilt: restore re-adds the
+	// state's flash servers, and a fresh orchestrator may have scaled out
+	// already.
 	fresh := o.servers
-	o.servers = make([]*server, len(fresh))
-	for j, s := range fresh {
-		o.servers[j] = &server{Row: s.Row, id: s.id, dc: s.dc, apps: s.apps, flash: s.flash}
-		o.servers[j].meter.Restore(s.meter.State())
+	o.servers = make([]*server, 0, len(fresh))
+	for _, s := range fresh {
+		if s.flash != 0 {
+			continue
+		}
+		cp := &server{Row: s.Row, id: s.id, dc: s.dc, apps: s.apps}
+		cp.meter.Restore(s.meter.State())
+		o.servers = append(o.servers, cp)
 	}
 	if err := o.restore(&st); err != nil {
 		o.servers = fresh

@@ -2,11 +2,14 @@ package orchestrator
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -42,7 +45,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		}
 	}
 	// A fault still pending at snapshot time must survive the restore.
-	if err := orig.InjectFault(events.Fault{
+	if err := injectFault(orig, events.Fault{
 		At: 2 * time.Hour, Kind: events.FaultCrash, Site: "CityA", For: 3 * time.Hour,
 	}); err != nil {
 		t.Fatal(err)
@@ -107,7 +110,7 @@ func TestLoadStateInvalidatesForecastMemo(t *testing.T) {
 	// Reference: with a big forecast spike on the green zone, carbon-aware
 	// placement flips to the dirty-but-believed-cleaner DC.
 	skewed := fixture(t, placement.CarbonAware{})
-	if err := skewed.InjectFault(events.Fault{
+	if err := injectFault(skewed, events.Fault{
 		Kind: events.FaultForecastError, Zone: "Z-GREEN", Factor: 100,
 	}); err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestLoadStateInvalidatesForecastMemo(t *testing.T) {
 	// and restored into a fresh one that has already placed a batch with
 	// the unskewed view at the same clock.
 	donor := fixture(t, placement.CarbonAware{})
-	if err := donor.InjectFault(events.Fault{
+	if err := injectFault(donor, events.Fault{
 		Kind: events.FaultForecastError, Zone: "Z-GREEN", Factor: 100,
 	}); err != nil {
 		t.Fatal(err)
@@ -164,7 +167,7 @@ func TestLoadStateRequiresFreshOrchestrator(t *testing.T) {
 // servers must exist again after restore, with deployments they host.
 func TestStateRestoresFlashServers(t *testing.T) {
 	orig := fixture(t, placement.CarbonAware{})
-	if err := orig.InjectFault(events.Fault{
+	if err := injectFault(orig, events.Fault{
 		Kind: events.FaultScaleOut, Site: "CityA", Device: "A2", CapacityMilli: 1000, Count: 2,
 	}); err != nil {
 		t.Fatal(err)
@@ -186,6 +189,57 @@ func TestStateRestoresFlashServers(t *testing.T) {
 			t.Errorf("flash server %s missing after restore", fs.ID)
 		}
 	}
+}
+
+// TestLoadStateOntoScaledOut: LoadState's freshness test counts
+// deployments and the queue only, so an orchestrator that has scaled out
+// but placed nothing is fresh. Its own flash rows must not survive the
+// load: the state's flash servers are the only ones after it, whether the
+// state is the orchestrator's own or one saved before it scaled out, and
+// the next SaveState writes exactly those.
+func TestLoadStateOntoScaledOut(t *testing.T) {
+	scaled := func() *Orchestrator {
+		o := fixture(t, placement.CarbonAware{})
+		if err := injectFault(o, events.Fault{
+			Kind: events.FaultScaleOut, Site: "CityA", Device: "A2", CapacityMilli: 1000, Count: 2,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Tick(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	flashIDs := func(st State) []string {
+		var ids []string
+		for _, fs := range st.FlashServers {
+			ids = append(ids, fs.ID)
+		}
+		return ids
+	}
+
+	own := scaled()
+	st := mustState(t, own)
+	if err := own.LoadState(st); err != nil {
+		t.Fatalf("loading the orchestrator's own state: %v", err)
+	}
+	if got := mustState(t, own); !reflect.DeepEqual(got, st) {
+		t.Errorf("own state reloaded saves back as\n%+v\nwant\n%+v", got, st)
+	}
+
+	unscaled := fixture(t, placement.CarbonAware{})
+	before := mustState(t, unscaled)
+	o := scaled()
+	if err := o.LoadState(before); err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(o.servers), len(unscaled.servers); n != want {
+		t.Errorf("%d server rows after loading a state without flash servers, want %d", n, want)
+	}
+	if got := flashIDs(mustState(t, o)); len(got) != 0 {
+		t.Errorf("SaveState writes flash servers %v the loaded state never had", got)
+	}
+	checkServerTable(t, o)
 }
 
 // TestStateHTTPRoundTrip drives the checkpoint through the HTTP API:
@@ -266,9 +320,10 @@ func TestStateHTTPRoundTrip(t *testing.T) {
 
 // TestStateEnvelopeMatchesSealOracle: the orchestrator checkpoint —
 // deployments whose names need escaping, routed traffic, a fault still
-// pending — encodes to the old write path's bytes (Seal, then the
-// Envelope through json.Encoder), through checkpoint.Encode and through
-// GET /api/v1/state alike.
+// pending — encodes to the old write path's bytes (json.Marshal of the
+// state digested into an Envelope, then the Envelope through
+// json.Encoder), through checkpoint.Encode and through GET /api/v1/state
+// alike.
 func TestStateEnvelopeMatchesSealOracle(t *testing.T) {
 	o := trafficFixture(t, placement.CarbonAware{}, 30)
 	deployOne(t, o, "app<a>&b", "CityA")
@@ -278,15 +333,20 @@ func TestStateEnvelopeMatchesSealOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := o.InjectFault(events.Fault{
+	if err := injectFault(o, events.Fault{
 		At: 2 * time.Hour, Kind: events.FaultCrash, Site: "CityA", For: 3 * time.Hour,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	st := mustState(t, o)
-	env, err := checkpoint.Seal(stateKind, "", st)
+	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	env := &checkpoint.Envelope{
+		Format: checkpoint.Format, Version: checkpoint.Version, Kind: stateKind,
+		SHA256: hex.EncodeToString(sum[:]), Payload: raw,
 	}
 	var want, got bytes.Buffer
 	if err := json.NewEncoder(&want).Encode(env); err != nil {

@@ -80,3 +80,14 @@ func NewProblem(apps []App, servers []Server) *Problem {
 func SolveMILP(s *ExactSolver, p *Problem, pol Policy) (*Assignment, int, error) {
 	return s.solveMILP(p, pol, nil)
 }
+
+// placedCount reports how many apps received a server.
+func placedCount(a *Assignment) int {
+	n := 0
+	for _, s := range a.ServerOf {
+		if s >= 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -521,11 +521,10 @@ func shrinks(d cluster.Resources) bool {
 // state tracks remaining capacity and power decisions during the search.
 type state struct {
 	p        *Problem
-	pol      Policy
 	free     []cluster.Resources
 	on       []bool
 	assigned []int // app -> server or -1
-	slot     []int // app -> its server's index in its gated list, or -1
+	slot     []int // app -> its server's index in its gated list, or -1 when unplaced
 	loads    []int // number of apps per server
 
 	// mark and stamp are the dirty-app work queue. mark[i] is the last
@@ -545,9 +544,8 @@ const noStamp = -1 << 32
 
 // init points the state at a problem with nc app classes, reusing the
 // slices' capacity: nothing placed and every app due in pass 0.
-func (st *state) init(p *Problem, pol Policy, nc int) {
+func (st *state) init(p *Problem, nc int) {
 	st.p = p
-	st.pol = pol
 	n, m := len(p.Apps), len(p.Servers)
 	st.free = grow(st.free, m)
 	st.on = grow(st.on, m)
@@ -570,11 +568,8 @@ func (st *state) init(p *Problem, pol Policy, nc int) {
 	}
 }
 
-// canPlace reports whether app i fits on server j right now.
-func (st *state) canPlace(i, j int) bool { return st.p.fits(i, j, st.free[j]) }
-
-// place commits app i to server j, slot k (-1 for a server outside the
-// app's gated list).
+// place commits app i to server j, slot k of its gated list (-1 for a
+// caller that keeps no slots).
 func (st *state) place(i, j, k int) {
 	st.assigned[i], st.slot[i] = j, k
 	st.free[j] = st.free[j].Sub(st.p.Demand[i][j])
@@ -722,14 +717,15 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	mm.build(p, pol, !seeded)
 	s.cm.reset(mm)
 	st := &s.st
-	st.init(p, pol, len(mm.rep))
+	st.init(p, len(mm.rep))
 
 	fixpoint := false
 	if seeded {
 		// Warm start: re-commit the previous epoch's placements that are
 		// still feasible; local search below repairs the rest. A seed on
 		// its class's gated list has passed the gate's compatibility and
-		// SLO tests, so only its capacity is left to test.
+		// SLO tests, so only its capacity is left to test. A seed off the
+		// list is infeasible (Problem.Candidates' contract) and dropped.
 		m, slotAt := len(p.Servers), mm.slotTable()
 		for i, j := range warm.ServerOf {
 			if j < 0 || j >= m {
@@ -740,8 +736,6 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 				if p.Demand[i][j].Fits(st.free[j]) {
 					st.place(i, j, k)
 				}
-			} else if st.canPlace(i, j) {
-				st.place(i, j, -1)
 			}
 		}
 	} else {
@@ -883,10 +877,8 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 			cand := mm.cand[c]
 			base := mm.off[c]
 			cur, slot := st.assigned[i], st.slot[i]
-			// A cur outside the candidate list (hand-built warm seeds
-			// only) has no floor verdict: it is scanned below.
 			f := &cm.floor[c]
-			if at := (stamped{cm.gen, st.stamp[c]}); (cur < 0 || slot >= 0) && f.at != at {
+			if at := (stamped{cm.gen, st.stamp[c]}); f.at != at {
 				s.scans.search++
 				f.scan(st, mm, i, at)
 			}
@@ -908,22 +900,12 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				improved = true
 				continue
 			}
-			var curCost float64
-			if slot >= 0 {
-				curCost = mm.row[base+slot]
-			} else {
-				// cur outside the candidate list (possible only for
-				// hand-built problems seeding warm placements there).
-				curCost = st.pol.PairCost(p, i, cur)
-			}
+			curCost := mm.row[base+slot]
 			if !p.Servers[cur].PoweredOn && st.loads[cur] == 1 {
 				curCost += mm.act[cur]
 			}
 			// best is a slot, like slot; the move is to cand[best].
-			best, k := slot, nearTie
-			if slot >= 0 {
-				k = f.move(slot, curCost)
-			}
+			best, k := slot, f.move(slot, curCost)
 			switch k {
 			case stay:
 				s.scans.stay++

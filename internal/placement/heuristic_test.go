@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -608,7 +609,7 @@ func TestFloorScanAndMove(t *testing.T) {
 		p.Compatible[0][j], p.PowerW[0][j] = true, 10
 	}
 	st, mm := &state{}, &costMemo{}
-	st.init(p, CarbonAware{}, 0)
+	st.init(p, 0)
 	mm.build(p, CarbonAware{}, true)
 	var f floor
 	f.scan(st, mm, 0, stamped{})
@@ -874,8 +875,8 @@ func TestConstructCertificate(t *testing.T) {
 				}
 				// Construct's own result, to count what local search moved.
 				st := &state{}
-				st.init(p, pol, 0)
-				sweepConstruct(st)
+				st.init(p, 0)
+				sweepConstruct(st, pol)
 				moved := 0
 				for i, j := range got.ServerOf {
 					if j >= 0 && st.assigned[i] >= 0 && j != st.assigned[i] {
@@ -1198,7 +1199,7 @@ func FuzzHeuristicMatchesSweep(f *testing.F) {
 		}
 		prev := check("warm", p, seed)
 		for _, pad := range []bool{false, true} {
-			d, err := Build(apps, ws.Servers(), rtt, nil)
+			d, err := Build(apps, slices.Clone(ws.servers), rtt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

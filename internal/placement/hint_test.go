@@ -207,56 +207,3 @@ func TestBoundViewMakesNoMemoLookup(t *testing.T) {
 		t.Fatal("the view read off the hints differs from the looked-up one")
 	}
 }
-
-// TestWarmSeedOffShortlist: a hand-built problem may leave a feasible
-// server off an app's shortlist. A warm seed there is kept (with no
-// candidate slot) and scanned each pass, and the solve must still match
-// the sweep oracle.
-func TestWarmSeedOffShortlist(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	offList := 0
-	for trial := 0; trial < 40; trial++ {
-		inst := classedWSInstance(rng, 2+rng.Intn(10), 3+rng.Intn(6))
-		for j := range inst.servers {
-			inst.servers[j].PoweredOn = true
-		}
-		p, err := Build(inst.apps, inst.servers, inst.rtt, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each app's shortlist is its feasible set less one server, which
-		// the warm seed puts it on when it fits.
-		cands := make([][]int, len(p.Apps))
-		warm := &Assignment{ServerOf: make([]int, len(p.Apps))}
-		for i := range p.Apps {
-			feas := p.FeasibleServers(i)
-			warm.ServerOf[i] = -1
-			if len(feas) > 0 {
-				k := rng.Intn(len(feas))
-				warm.ServerOf[i] = feas[k]
-				feas = append(feas[:k:k], feas[k+1:]...)
-			}
-			cands[i] = feas
-		}
-		p.Candidates = cands
-		want, err := sweepSolve(p, CarbonAware{}, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := solveNew(NewHeuristicSolver(), p, CarbonAware{}, warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.ServerOf, got.ServerOf) || !reflect.DeepEqual(want.PowerOn, got.PowerOn) {
-			t.Fatalf("trial %d: off-shortlist warm solve diverged:\nsweep: %+v\nflat:  %+v", trial, want, got)
-		}
-		// App 0 is seeded first, onto an untouched fleet: its warm server
-		// fits whenever it is feasible, and it starts the search off-list.
-		if warm.ServerOf[0] >= 0 {
-			offList++
-		}
-	}
-	if offList == 0 {
-		t.Fatal("no app was seeded off its shortlist: the slot -1 path never ran")
-	}
-}

@@ -102,13 +102,13 @@ func TestSolverInvariantsRandom(t *testing.T) {
 		}
 
 		// Both backends must agree on which apps are placeable.
-		if exact.Placed() != heur.Placed() {
+		if placedCount(exact) != placedCount(heur) {
 			// The heuristic may occasionally place fewer apps than the
 			// optimum when packing is tight; it must never place more
 			// than the exact solver proves possible... but with equal
 			// counts compare costs.
-			if heur.Placed() > exact.Placed() {
-				t.Fatalf("trial %d: heuristic placed %d > exact %d", trial, heur.Placed(), exact.Placed())
+			if placedCount(heur) > placedCount(exact) {
+				t.Fatalf("trial %d: heuristic placed %d > exact %d", trial, placedCount(heur), placedCount(exact))
 			}
 			continue
 		}
@@ -141,7 +141,7 @@ func TestPolicyDominanceRandom(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results[pol.Name()] = outcome{p.Evaluate(a), a.Placed()}
+			results[pol.Name()] = outcome{p.Evaluate(a), placedCount(a)}
 		}
 		ce, ea, la := results["CarbonEdge"], results["Energy-aware"], results["Latency-aware"]
 		if ce.placed == ea.placed && ea.m.CarbonGPerHour < ce.m.CarbonGPerHour-1e-6 {

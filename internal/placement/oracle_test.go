@@ -24,17 +24,17 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 		return nil, err
 	}
 	st := &state{}
-	st.init(p, pol, 0)
+	st.init(p, 0)
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		for i, j := range warm.ServerOf {
-			if j >= 0 && j < len(p.Servers) && st.canPlace(i, j) {
+			if j >= 0 && j < len(p.Servers) && st.p.fits(i, j, st.free[j]) {
 				st.place(i, j, -1)
 			}
 		}
 	} else {
-		sweepConstruct(st)
+		sweepConstruct(st, pol)
 	}
-	sweepLocalSearch(st, 8)
+	sweepLocalSearch(st, pol, 8)
 
 	a := &Assignment{
 		ServerOf: append([]int(nil), st.assigned...),
@@ -51,7 +51,7 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 // sweepConstruct places the most constrained apps first (fewest feasible
 // servers, ties in index order), each on its first cheapest server that
 // fits.
-func sweepConstruct(st *state) {
+func sweepConstruct(st *state, pol Policy) {
 	p := st.p
 	order := make([]int, len(p.Apps))
 	options := make([]int, len(p.Apps))
@@ -63,10 +63,10 @@ func sweepConstruct(st *state) {
 	for _, i := range order {
 		best, bestCost := -1, math.Inf(1)
 		for _, j := range p.CandidatesOf(i) {
-			if !st.canPlace(i, j) {
+			if !st.p.fits(i, j, st.free[j]) {
 				continue
 			}
-			if c := st.placeCost(i, j); c < bestCost {
+			if c := st.placeCost(pol, i, j); c < bestCost {
 				best, bestCost = j, c
 			}
 		}
@@ -78,7 +78,7 @@ func sweepConstruct(st *state) {
 
 // sweepLocalSearch re-scans every app every pass until a pass moves
 // nothing or maxPasses run out.
-func sweepLocalSearch(st *state, maxPasses int) {
+func sweepLocalSearch(st *state, pol Policy, maxPasses int) {
 	p := st.p
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
@@ -87,7 +87,7 @@ func sweepLocalSearch(st *state, maxPasses int) {
 			if cur < 0 {
 				// Retry unplaced apps: capacity may have shifted.
 				for _, j := range p.CandidatesOf(i) {
-					if st.canPlace(i, j) {
+					if st.p.fits(i, j, st.free[j]) {
 						st.place(i, j, -1)
 						improved = true
 						break
@@ -100,12 +100,12 @@ func sweepLocalSearch(st *state, maxPasses int) {
 			// and a no-move scan leaves the capacity vectors bit-exact
 			// (an unplace/place round trip would not: (a+d)-d need not
 			// equal a in floating point).
-			best, bestCost := cur, st.moveAwareCost(i, cur)
+			best, bestCost := cur, st.moveAwareCost(pol, i, cur)
 			for _, j := range p.CandidatesOf(i) {
-				if j == cur || !st.canPlace(i, j) {
+				if j == cur || !st.p.fits(i, j, st.free[j]) {
 					continue
 				}
-				if c := st.placeCost(i, j); c < bestCost-1e-12 {
+				if c := st.placeCost(pol, i, j); c < bestCost-1e-12 {
 					best, bestCost = j, c
 				}
 			}
@@ -123,10 +123,10 @@ func sweepLocalSearch(st *state, maxPasses int) {
 
 // placeCost is the marginal policy cost of placing app i on server j in
 // the current state, including activation if j is currently off.
-func (st *state) placeCost(i, j int) float64 {
-	c := st.pol.PairCost(st.p, i, j)
+func (st *state) placeCost(pol Policy, i, j int) float64 {
+	c := pol.PairCost(st.p, i, j)
 	if !st.on[j] {
-		c += st.pol.ActivationCost(st.p, j)
+		c += pol.ActivationCost(st.p, j)
 	}
 	return c
 }
@@ -134,10 +134,10 @@ func (st *state) placeCost(i, j int) float64 {
 // moveAwareCost is app i's current cost on server j, crediting the
 // activation cost when i is the only tenant of a server that was off
 // before the batch (moving it away would let the server power down).
-func (st *state) moveAwareCost(i, j int) float64 {
-	c := st.pol.PairCost(st.p, i, j)
+func (st *state) moveAwareCost(pol Policy, i, j int) float64 {
+	c := pol.PairCost(st.p, i, j)
 	if !st.p.Servers[j].PoweredOn && st.loads[j] == 1 {
-		c += st.pol.ActivationCost(st.p, j)
+		c += pol.ActivationCost(st.p, j)
 	}
 	return c
 }
@@ -309,7 +309,7 @@ func heuristicGap(t *testing.T, rng *rand.Rand, pol Policy, instances int, bound
 			infeasible++
 			continue
 		}
-		if a.Placed() < len(p.Apps)-len(dropped) {
+		if placedCount(a) < len(p.Apps)-len(dropped) {
 			short++
 			continue
 		}
@@ -399,8 +399,8 @@ func exactMatchesBruteForce(t *testing.T, rng *rand.Rand, pol Policy, solve func
 		if !reflect.DeepEqual(a.Unplaced, dropped) {
 			t.Fatalf("trial %d: exact solver left %v unplaced, want the apps with no feasible server %v", trial, a.Unplaced, dropped)
 		}
-		if a.Placed() != len(p.Apps)-len(dropped) {
-			t.Fatalf("trial %d: exact solver placed %d of %d kept apps", trial, a.Placed(), len(p.Apps)-len(dropped))
+		if placedCount(a) != len(p.Apps)-len(dropped) {
+			t.Fatalf("trial %d: exact solver placed %d of %d kept apps", trial, placedCount(a), len(p.Apps)-len(dropped))
 		}
 		got := objective(p, pol, a.ServerOf, a.PowerOn)
 		if math.Abs(got-want) > 1e-9*math.Abs(want) {

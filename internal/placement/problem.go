@@ -244,17 +244,6 @@ type Assignment struct {
 	Unplaced []int
 }
 
-// Placed reports how many apps received a server.
-func (a *Assignment) Placed() int {
-	n := 0
-	for _, s := range a.ServerOf {
-		if s >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // CheckFeasible verifies the assignment against the problem's constraints
 // (Eq. 1-5), returning the first violation found.
 func (p *Problem) CheckFeasible(a *Assignment) error {

@@ -1,8 +1,8 @@
 package placement_test
 
 import (
-	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,10 +135,9 @@ func TestOrchestratorStreamCertified(t *testing.T) {
 			}
 		}
 	}
-	var text bytes.Buffer
-	if err := o.Metrics().WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
+	scrape := httptest.NewRecorder()
+	o.API().ServeHTTP(scrape, httptest.NewRequest("GET", "/metrics", nil))
+	text := scrape.Body
 	for _, line := range []string{
 		fmt.Sprintf(`carbonedge_placement_exact_batches_total{closed_by="bound"} %d`, rounds),
 		`carbonedge_placement_exact_batches_total{closed_by="branch_and_bound"} 0`,

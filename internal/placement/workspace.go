@@ -213,11 +213,6 @@ func (ws *Workspace) NumServers() int { return len(ws.servers) }
 // Server returns a copy of server j's current placement view.
 func (ws *Workspace) Server(j int) Server { return ws.servers[j] }
 
-// Servers returns a copy of the current server views in index order.
-func (ws *Workspace) Servers() []Server {
-	return append([]Server(nil), ws.servers...)
-}
-
 // AddServers appends servers to the workspace (scaling the world up
 // mid-run). Existing shortlists extend incrementally on next use; indices
 // of existing servers are stable.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -322,7 +323,7 @@ func TestWorkspaceCommitReleaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ws.Servers()
+	before := slices.Clone(ws.servers)
 	p, err := ws.Problem(inst.apps)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +392,7 @@ func TestWorkspaceAddServersExtendsShortlists(t *testing.T) {
 	if err := ws.AddServers(Server{ID: inst.servers[0].ID}); err == nil {
 		t.Fatal("duplicate server ID accepted")
 	}
-	all := ws.Servers()
+	all := slices.Clone(ws.servers)
 	if len(all) != 10 {
 		t.Fatalf("server count %d, want 10", len(all))
 	}
@@ -593,7 +594,7 @@ func TestWorkspaceMemoBounded(t *testing.T) {
 		// The third batch crosses the cap mid-stream: the tables reset
 		// under a view that is still being assembled, and rows handed out
 		// before the reset must stay intact.
-		dense, err := Build(apps, ws.Servers(), fixtureRTT, nil)
+		dense, err := Build(apps, slices.Clone(ws.servers), fixtureRTT, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +646,7 @@ func TestWorkspaceChurnRoundsEquivalence(t *testing.T) {
 					}
 				case round%7 == 3: // operator toggles a server
 					j := rng.Intn(nServers)
-					srv := ws.Servers()[j]
+					srv := slices.Clone(ws.servers)[j]
 					ws.SetServerState(j, srv.Free, !srv.PoweredOn)
 				}
 				sparse, err := ws.Problem(apps)

@@ -10,14 +10,14 @@
 // 2^64 period, and — the property everything here depends on — its
 // state after k draws is a pure function of (seed, k).
 //
-// The package also provides Mix, the keyed seed-derivation hash used to
-// split one base seed into decorrelated per-dimension streams (per-hour
-// traffic slices, per-zone traces). Mix runs every input word through
+// The package also provides MixSeed2, the keyed seed-derivation hash used
+// to split one base seed into decorrelated per-dimension streams
+// (per-hour traffic slices, per-zone traces). It runs every input word through
 // the mixer chain, so derived seeds differ in all bits even when two
 // base seeds or two dimension indices are close — deriving streams by
 // XORing a base seed with a hash of the dimension alone (the bug fixed
 // in traffic.hourSeed) keeps the XOR-distance between two bases' streams
-// constant; Mix does not.
+// constant; MixSeed2 does not.
 package rng
 
 import "math/rand"
@@ -76,32 +76,11 @@ func (s *Source) State() uint64 { return s.state }
 // Restore repositions the stream to a captured State.
 func (s *Source) Restore(state uint64) { s.state = state }
 
-// Mix derives a seed from any number of input words by absorbing each
-// one through the splitmix64 mixer chain. Unlike base^hash(dim)
-// derivations, every input word diffuses into all output bits, so
-// streams derived from nearby bases or nearby dimensions are pairwise
-// decorrelated.
-func Mix(words ...uint64) uint64 {
-	acc := uint64(gamma)
-	for _, w := range words {
-		acc = mix64(acc + gamma + w)
-	}
-	return acc
-}
-
-// MixSeed is Mix over int64 words, returning an int64 seed — the form
-// seed-derivation call sites (rand.NewSource, Config.Seed fields) want.
-func MixSeed(words ...int64) int64 {
-	u := make([]uint64, len(words))
-	for i, w := range words {
-		u[i] = uint64(w)
-	}
-	return int64(Mix(u...))
-}
-
-// MixSeed2 is MixSeed for exactly two words. It is the allocation-free
-// form hot paths use (the variadic MixSeed heap-allocates its argument
-// slice on every call): MixSeed2(a, b) == MixSeed(a, b) for all inputs.
+// MixSeed2 derives a seed from two input words by absorbing each one
+// through the splitmix64 mixer chain. Unlike base^hash(dim) derivations,
+// every input word diffuses into all output bits, so streams derived from
+// nearby bases or nearby dimensions are pairwise decorrelated. It
+// allocates nothing, so hot paths call it.
 func MixSeed2(a, b int64) int64 {
 	acc := uint64(gamma)
 	acc = mix64(acc + gamma + uint64(a))

@@ -90,30 +90,42 @@ func TestMixDecorrelatesNearbyInputs(t *testing.T) {
 	// XOR-distance across the derived dimension (the traffic.hourSeed
 	// bug this package exists to prevent).
 	const hours = 256
-	xors := map[uint64]bool{}
-	for h := uint64(0); h < hours; h++ {
-		xors[Mix(1, h)^Mix(2, h)] = true
+	xors := map[int64]bool{}
+	for h := int64(0); h < hours; h++ {
+		xors[MixSeed2(1, h)^MixSeed2(2, h)] = true
 	}
 	if len(xors) < hours/2 {
-		t.Fatalf("Mix(1,h)^Mix(2,h) took only %d distinct values over %d hours", len(xors), hours)
+		t.Fatalf("MixSeed2(1,h)^MixSeed2(2,h) took only %d distinct values over %d hours", len(xors), hours)
 	}
 
 	// Distinct inputs map to distinct outputs in practice.
-	seen := map[uint64]bool{}
-	for base := uint64(0); base < 64; base++ {
-		for h := uint64(0); h < 64; h++ {
-			v := Mix(base, h)
+	seen := map[int64]bool{}
+	for base := int64(0); base < 64; base++ {
+		for h := int64(0); h < 64; h++ {
+			v := MixSeed2(base, h)
 			if seen[v] {
-				t.Fatalf("Mix collision at base=%d hour=%d", base, h)
+				t.Fatalf("MixSeed2 collision at base=%d hour=%d", base, h)
 			}
 			seen[v] = true
 		}
 	}
 }
 
+// TestMixSeedMatchesMix holds MixSeed2 to the mixer chain over any
+// number of words (mixChain, the variadic form it unrolls) on negative
+// input, whose words wrap to large uint64s.
 func TestMixSeedMatchesMix(t *testing.T) {
 	neg := int64(-5)
-	if MixSeed(neg, 12) != int64(Mix(uint64(neg), 12)) {
-		t.Fatal("MixSeed disagrees with Mix on negative input")
+	if MixSeed2(neg, 12) != int64(mixChain(uint64(neg), 12)) {
+		t.Fatal("MixSeed2 disagrees with the mixer chain on negative input")
 	}
+}
+
+// mixChain absorbs each word through the splitmix64 mixer chain.
+func mixChain(words ...uint64) uint64 {
+	acc := uint64(gamma)
+	for _, w := range words {
+		acc = mix64(acc + gamma + w)
+	}
+	return acc
 }

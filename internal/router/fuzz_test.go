@@ -183,7 +183,7 @@ func TestClassAfterSourceRows(t *testing.T) {
 	if st := r.Stats(); st.SLOMet != 3*600 || st.Spilled != 2*600 {
 		t.Fatalf("slo_met=%d spilled=%d, want 1800/1200", st.SLOMet, st.Spilled)
 	}
-	if got, want := r.Stats().Latency.Max(), testRTTms[far][tampa]+reps[2].ServiceMs; got != want {
+	if got, want := r.Stats().Latency.State().Max, testRTTms[far][tampa]+reps[2].ServiceMs; got != want {
 		t.Errorf("latency max %v, want the new class's %v", got, want)
 	}
 	// All three classes from a source whose row predates the last two;

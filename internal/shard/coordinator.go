@@ -143,16 +143,6 @@ func (c *Coordinator) Run() error {
 	return nil
 }
 
-// Results returns every shard's accumulated result, in shard-index
-// order. The engines keep owning the pointers.
-func (c *Coordinator) Results() []*sim.Result {
-	out := make([]*sim.Result, len(c.engines))
-	for i, e := range c.engines {
-		out[i] = e.Finish()
-	}
-	return out
-}
-
 // MergedState folds the per-shard results into one region-level result
 // state, merging in shard-index order (see MergeResults).
 func (c *Coordinator) MergedState() (sim.ResultState, error) {

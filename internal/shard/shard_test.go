@@ -232,7 +232,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 			if err := c.Run(); err != nil {
 				t.Fatalf("%s/%d: %v", mode, shards, err)
 			}
-			results := c.Results()
+			results := shardResults(c)
 			specs, err := Plan(cfg, w)
 			if err != nil {
 				t.Fatal(err)
@@ -264,7 +264,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := stateJSON(t, c.Results()[0].State()), stateJSON(t, serial.State()); got != want {
+		if got, want := stateJSON(t, shardResults(c)[0].State()), stateJSON(t, serial.State()); got != want {
 			t.Errorf("%s: 1-shard run diverged from serial\n got: %s\nwant: %s", mode, got, want)
 		}
 	}
@@ -304,7 +304,7 @@ func TestShardedExchangeDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var perShard []string
-		for _, r := range c.Results() {
+		for _, r := range shardResults(c) {
 			perShard = append(perShard, stateJSON(t, r.State()))
 		}
 		merged, err := c.MergedState()
@@ -417,7 +417,7 @@ func TestMergedTotalsEqualShardSums(t *testing.T) {
 			var want sim.ResultState
 			var traffic [4]int64 // Requests, SLOMet, Spilled, Dropped
 			cities := map[string]int64{}
-			for _, r := range c.Results() {
+			for _, r := range shardResults(c) {
 				st := r.State()
 				want.Placed += st.Placed
 				want.Unplaced += st.Unplaced
@@ -468,4 +468,14 @@ func TestMergedTotalsEqualShardSums(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shardResults returns every shard's accumulated result, in shard-index
+// order.
+func shardResults(c *Coordinator) []*sim.Result {
+	out := make([]*sim.Result, len(c.engines))
+	for i, e := range c.engines {
+		out[i] = e.Finish()
+	}
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,17 +18,30 @@ import (
 	"repro/internal/timeseries"
 )
 
+// freshTraces regenerates the trace set of testWorld's seed over zones:
+// the generator is a pure function of the seed and each zone's ID, so
+// every zone's trace equals the shared world's, and a test may edit the
+// copies in place.
+func freshTraces(t *testing.T, zones []*carbon.Zone) *carbon.TraceSet {
+	t.Helper()
+	reg, err := carbon.NewRegistry(zones)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return carbon.NewGenerator(42).GenerateTraces(reg)
+}
+
 // traceWorld returns a copy of w whose trace set holds every zone's trace
 // except the one named, which edit replaces (a nil result drops the zone).
-func traceWorld(w *World, zone string, edit func(full *carbon.TraceSet) *carbon.TraceSet) *World {
-	ts := &carbon.TraceSet{Start: w.Traces.Start, Hours: w.Traces.Hours}
-	for _, id := range w.Traces.ZoneIDs() {
-		if id != zone {
-			ts.Put(id, w.Traces.Trace(id))
-		}
+func traceWorld(t *testing.T, w *World, zone string, edit func(full *timeseries.Series) *timeseries.Series) *World {
+	zones := w.Zones.Zones()
+	edited := edit(w.Traces.Trace(zone))
+	if edited == nil {
+		zones = slices.DeleteFunc(slices.Clone(zones), func(z *carbon.Zone) bool { return z.ID == zone })
 	}
-	if edited := edit(w.Traces); edited != nil {
-		ts.Put(zone, edited.Trace(zone))
+	ts := freshTraces(t, zones)
+	if edited != nil {
+		*ts.Trace(zone) = *edited
 	}
 	cp := *w
 	cp.Traces = ts
@@ -47,15 +61,13 @@ func startedAt(w *World, h int) *World {
 
 // shifted keeps a zone's trace from hour from onward: the zone's trace
 // then starts later than every other zone's.
-func shifted(zone string, from, to int) func(*carbon.TraceSet) *carbon.TraceSet {
-	return func(full *carbon.TraceSet) *carbon.TraceSet {
-		tr, err := full.Trace(zone).Slice(from, to)
+func shifted(from, to int) func(*timeseries.Series) *timeseries.Series {
+	return func(full *timeseries.Series) *timeseries.Series {
+		tr, err := full.Slice(from, to)
 		if err != nil {
 			panic(err)
 		}
-		out := &carbon.TraceSet{}
-		out.Put(zone, tr)
-		return out
+		return tr
 	}
 }
 
@@ -103,7 +115,7 @@ func TestZoneSignalMatchesService(t *testing.T) {
 		// index runs 3 behind every other slot's.
 		"late-trace": {
 			cfg: func(c *Config) {},
-			w:   startedAt(traceWorld(w, late, shifted(late, 3, w.Traces.Hours)), 5),
+			w:   startedAt(traceWorld(t, w, late, shifted(3, w.Traces.Hours)), 5),
 		},
 	}
 	for name, tc := range cases {
@@ -127,7 +139,7 @@ func TestZoneSignalMatchesService(t *testing.T) {
 			solved := 0
 			for !e.Done() {
 				epoch := e.Epoch()
-				now := e.PeekNextTime()
+				now := e.start.Add(time.Duration(epoch) * time.Hour)
 				if err := e.Step(); err != nil {
 					t.Fatal(err)
 				}
@@ -189,10 +201,10 @@ func TestStepRefusesEpochOutsideAnyTrace(t *testing.T) {
 		w      *World
 		failAt int
 	}{
-		"ends-early":   {w: traceWorld(w, zone, shifted(zone, 0, 50)), failAt: 50},
-		"starts-late":  {w: startedAt(traceWorld(w, zone, shifted(zone, 10, w.Traces.Hours)), 4), failAt: 0},
-		"late-in-span": {w: startedAt(traceWorld(w, zone, shifted(zone, 10, 40)), 12), failAt: 28},
-		"no-trace":     {w: traceWorld(w, zone, func(*carbon.TraceSet) *carbon.TraceSet { return nil }), failAt: 0},
+		"ends-early":   {w: traceWorld(t, w, zone, shifted(0, 50)), failAt: 50},
+		"starts-late":  {w: startedAt(traceWorld(t, w, zone, shifted(10, w.Traces.Hours)), 4), failAt: 0},
+		"late-in-span": {w: startedAt(traceWorld(t, w, zone, shifted(10, 40)), 12), failAt: 28},
+		"no-trace":     {w: traceWorld(t, w, zone, func(*timeseries.Series) *timeseries.Series { return nil }), failAt: 0},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -286,15 +298,13 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 
 // scaledWorld returns a copy of w whose every zone trace is multiplied
 // by k.
-func scaledWorld(w *World, k float64) *World {
-	ts := &carbon.TraceSet{Start: w.Traces.Start, Hours: w.Traces.Hours}
-	for _, id := range w.Traces.ZoneIDs() {
-		tr := w.Traces.Trace(id)
-		vals := make([]float64, len(tr.Values))
-		for i, v := range tr.Values {
+func scaledWorld(t *testing.T, w *World, k float64) *World {
+	ts := freshTraces(t, w.Zones.Zones())
+	for _, id := range ts.ZoneIDs() {
+		vals := ts.Trace(id).Values
+		for i, v := range vals {
 			vals[i] = k * v
 		}
-		ts.Put(id, timeseries.FromValues(tr.Start, vals))
 	}
 	cp := *w
 	cp.Traces = ts
@@ -309,7 +319,7 @@ func scaledWorld(w *World, k float64) *World {
 func TestScaledIntensityMetamorphic(t *testing.T) {
 	w := testWorld(t)
 	for _, k := range []float64{2, 0.5} {
-		sw := scaledWorld(w, k)
+		sw := scaledWorld(t, w, k)
 		for _, region := range []carbon.Region{carbon.RegionEurope, carbon.RegionUS} {
 			for _, pol := range []placement.Policy{placement.CarbonAware{}, placement.IntensityAware{}} {
 				cfg := shortConfig(region, pol)

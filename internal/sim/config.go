@@ -157,10 +157,8 @@ type Config struct {
 	Faults *events.FaultScript
 	// Obs, when non-nil, enables observability for the run: the engine
 	// traces every epoch phase (per-phase wall time, call counts,
-	// sampled allocation deltas — Engine.Tracer) and keeps a flight
-	// recorder of recent phases and faults (Engine.FlightRecorder),
-	// which checkpoints do not carry: a restored run's recorder starts
-	// empty. Tracing never changes the simulated
+	// sampled allocation deltas — Engine.Tracer), which checkpoints do
+	// not carry. Tracing never changes the simulated
 	// trajectory — with Obs nil (the default) outputs are byte-identical
 	// and the hot path carries no tracing code at all. Set by cesim -obs
 	// (through the sweep) and the ledger.

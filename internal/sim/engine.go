@@ -22,23 +22,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// Observer taps the engine after each committed epoch. The result pointer
-// is the engine's live accumulator, its placement counters folded in just
-// before the call (see Finish): read it, don't mutate it. Observers run on
-// the engine's goroutine, so a slow observer slows the simulation.
-type Observer interface {
-	// OnEpoch fires after epoch's departures, placements, and accruals
-	// have committed. now is the epoch's wall-clock instant in the trace
-	// year.
-	OnEpoch(epoch int, now time.Time, res *Result)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(epoch int, now time.Time, res *Result)
-
-// OnEpoch implements Observer.
-func (f ObserverFunc) OnEpoch(epoch int, now time.Time, res *Result) { f(epoch, now, res) }
-
 // Engine is the stepwise form of the simulator: NewEngine builds the
 // deployment state, each Step advances one hourly epoch, and Finish
 // returns the accumulated Result. Run is a thin loop over it;
@@ -185,12 +168,8 @@ type Engine struct {
 	intensityFn func(string) float64 //detlint:ephemeral pre-bound closure over the slot memo, rebuilt at construction
 
 	// Observability (cfg.Obs != nil): tracer accumulates per-phase
-	// timings, one probe per phase run by Step; recorder keeps the most
-	// recent phases and faults run. Both nil by default.
-	tracer   *obs.Tracer //detlint:ephemeral telemetry: phase tracer, not simulation state
-	recorder *obs.FlightRecorder
-
-	observers []Observer //detlint:ephemeral callback hooks, re-registered by the embedding process
+	// timings, one probe per phase run by Step. Nil by default.
+	tracer *obs.Tracer //detlint:ephemeral telemetry: phase tracer, not simulation state
 }
 
 // phase is one step of the epoch: its tracer index (phaseNames[idx] is
@@ -543,27 +522,11 @@ func (e *Engine) initTraffic() error {
 // indices (traffic sources and replica locations are both site-indexed).
 func (e *Engine) rttAt(src, dst int) float64 { return e.rtt[src][dst] }
 
-// AddObserver registers a per-epoch metrics tap.
-func (e *Engine) AddObserver(o Observer) { e.observers = append(e.observers, o) }
-
 // Epoch is the index of the next epoch Step will execute.
 func (e *Engine) Epoch() int { return e.epoch }
 
 // Done reports whether the configured span has been simulated.
 func (e *Engine) Done() bool { return e.epoch >= e.cfg.Hours }
-
-// HasPending reports whether the engine still has epochs to dispatch —
-// the shared-clock coordinator form of !Done(). Together with
-// PeekNextTime and ProcessNext it lets a multi-engine coordinator
-// interleave several engines on one simulated clock.
-func (e *Engine) HasPending() bool { return !e.Done() }
-
-// PeekNextTime returns the simulated instant of the next pending epoch
-// (meaningless once HasPending is false). A coordinator steps every
-// engine whose next instant falls inside the current time window.
-func (e *Engine) PeekNextTime() time.Time {
-	return e.start.Add(time.Duration(e.epoch) * time.Hour)
-}
 
 // ProcessNext advances the next pending epoch: Step under its
 // shared-clock coordinator name.
@@ -572,9 +535,9 @@ func (e *Engine) ProcessNext() error { return e.Step() }
 // Finish returns the accumulated result. It may be called mid-run to
 // inspect partial state; the engine keeps owning the pointer until Done.
 // The per-city and per-month placement counters are folded in here (and
-// before a Snapshot and each observer's OnEpoch), not at every placement:
-// a pointer kept from an earlier call sees them only as of the last fold,
-// so call Finish again to read them.
+// before a Snapshot), not at every placement: a pointer kept from an
+// earlier call sees them only as of the last fold, so call Finish again
+// to read them.
 func (e *Engine) Finish() *Result {
 	e.foldPlacements()
 	return e.res
@@ -582,10 +545,8 @@ func (e *Engine) Finish() *Result {
 
 // Step advances the simulation by one hourly epoch: it runs the phase
 // list in order at the epoch's instant, scripted faults first. With
-// Config.Obs set, one tracer probe times each phase, and the flight
-// recorder files phase k of epoch N with that time under sequence number
-// N*len(phases)+k, so a restored run records what an uninterrupted one
-// does. Calling Step after Done reports true is an error.
+// Config.Obs set, one tracer probe times each phase. Calling Step after
+// Done reports true is an error.
 func (e *Engine) Step() error {
 	if e.Done() {
 		return fmt.Errorf("sim: Step past end of %d-hour span", e.cfg.Hours)
@@ -609,10 +570,7 @@ func (e *Engine) Step() error {
 		}
 		err := ph.run(now)
 		if e.tracer != nil {
-			d := e.tracer.End(ph.idx, p)
-			if e.recorder != nil {
-				e.recorder.Record(phaseNames[ph.idx], now, uint64(epoch*len(e.phases)+k), d)
-			}
+			e.tracer.End(ph.idx, p)
 		}
 		if err != nil {
 			return fmt.Errorf("sim: epoch %d %s phase: %w", epoch, phaseNames[ph.idx], err)
@@ -622,12 +580,6 @@ func (e *Engine) Step() error {
 	e.epoch++
 	if e.Done() {
 		e.closeFaultAccounting()
-	}
-	if len(e.observers) > 0 {
-		e.foldPlacements()
-	}
-	for _, o := range e.observers {
-		o.OnEpoch(epoch, now, e.res)
 	}
 	return nil
 }
@@ -661,27 +613,16 @@ func (e *Engine) closeFaultAccounting() {
 // scale-out registers its row through AddServers), and a forecast error
 // reaches it with the epoch's forecasts, which the carbon tick that
 // follows marks stale. Evicted applications are queued back through the
-// placement path and an eviction forces a redeploy pass this epoch. With
-// the flight recorder on, each fault is recorded under its own kind
-// (crash, recover, ...) — the events a post-mortem is usually after —
-// with its index in FaultScript.Expand as sequence number.
+// placement path and an eviction forces a redeploy pass this epoch.
 func (e *Engine) phaseFaults(now time.Time) error {
 	fs := e.res.Faults
-	for sf, seq, ok := e.faultq.PopDue(now); ok; sf, seq, ok = e.faultq.PopDue(now) {
-		var t0 time.Time
-		if e.recorder != nil {
-			t0 = time.Now() //detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-		}
+	for sf, _, ok := e.faultq.PopDue(now); ok; sf, _, ok = e.faultq.PopDue(now) {
 		fs.Events++
 		out, err := e.faults.Apply((*engineRows)(e), sf.Fault)
 		e.syncRows()
 		fs.ServerCrashes += out.Crashed
 		fs.ServerRecoveries += out.Recovered
 		e.downCount += out.Crashed - out.Recovered
-		if e.recorder != nil {
-			//detlint:wallclock telemetry: fault latency feeds the flight recorder, never simulation state
-			e.recorder.Record(string(sf.Fault.Kind), sf.At, uint64(seq), int64(time.Since(t0)))
-		}
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/carbon"
 	"repro/internal/placement"
@@ -47,6 +46,9 @@ func TestEngineMatchesRun(t *testing.T) {
 	}
 }
 
+// TestEngineObserverOrdering observes the engine from outside after
+// every Step: epochs advance one at a time and cumulative carbon, read
+// through Finish, never falls.
 func TestEngineObserverOrdering(t *testing.T) {
 	w := testWorld(t)
 	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
@@ -55,31 +57,22 @@ func TestEngineObserverOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var epochs []int
-	var lastNow time.Time
 	var lastCarbon float64
-	e.AddObserver(ObserverFunc(func(epoch int, now time.Time, res *Result) {
-		epochs = append(epochs, epoch)
-		if len(epochs) > 1 && !now.After(lastNow) {
-			t.Errorf("epoch %d: now %v not after previous %v", epoch, now, lastNow)
+	for epoch := 0; !e.Done(); epoch++ {
+		if got := e.Epoch(); got != epoch {
+			t.Fatalf("before step %d the engine is at epoch %d", epoch, got)
 		}
-		if res.CarbonG < lastCarbon {
-			t.Errorf("epoch %d: cumulative carbon decreased %v -> %v", epoch, lastCarbon, res.CarbonG)
-		}
-		lastNow, lastCarbon = now, res.CarbonG
-	}))
-	for !e.Done() {
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(epochs) != cfg.Hours {
-		t.Fatalf("observer fired %d times, want %d", len(epochs), cfg.Hours)
-	}
-	for i, ep := range epochs {
-		if ep != i {
-			t.Fatalf("observer epoch sequence broken at %d: got %d", i, ep)
+		res := e.Finish()
+		if res.CarbonG < lastCarbon {
+			t.Errorf("epoch %d: cumulative carbon decreased %v -> %v", epoch, lastCarbon, res.CarbonG)
 		}
+		lastCarbon = res.CarbonG
+	}
+	if e.Epoch() != cfg.Hours {
+		t.Fatalf("stepped %d epochs, want %d", e.Epoch(), cfg.Hours)
 	}
 }
 

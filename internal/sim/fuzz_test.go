@@ -134,7 +134,11 @@ func FuzzSimFaults(f *testing.F) {
 	cfg := modes[len(modes)-1]
 	city := strconv.Quote(cfg.Faults.Faults[0].Site)
 	zone := strconv.Quote(cfg.Faults.Faults[1].Zone)
-	f.Add(cfg.Faults.String())
+	lines := make([]string, len(cfg.Faults.Faults))
+	for i, flt := range cfg.Faults.Faults {
+		lines[i] = flt.String()
+	}
+	f.Add(strings.Join(lines, "\n"))
 	for _, seed := range []string{
 		"at 2h crash zone=" + zone + " for=10h",
 		"at 5h degrade site=" + city + " factor=0.01 for=30h\nat 6h recover site=" + city,

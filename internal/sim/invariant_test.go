@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/carbon"
 	"repro/internal/cluster"
@@ -180,12 +179,11 @@ func (c *requestCheck) check(epoch int, st *router.Stats) error {
 	return nil
 }
 
-// runChecked runs cfg to completion with checkPhysical, checkClassRows,
-// checkClocks and checkPlacementCounts as epoch observers, and a traffic
-// config with requestCheck too, and fails at the first epoch that breaks
-// any of them. The counts are checked on the observer's own result
-// pointer, then read again through Finish, which must find nothing left
-// to fold. setup runs on the new engine before its first Step.
+// runChecked steps cfg to completion and, after every epoch, runs
+// checkPhysical, checkClassRows, checkClocks and checkPlacementCounts
+// (the counts on the result as Finish folds it), and on a traffic config
+// requestCheck too; it fails at the first epoch that breaks any of them.
+// setup runs on the new engine before its first Step.
 func runChecked(t *testing.T, cfg Config, w *World, setup ...func(*Engine) error) *Result {
 	t.Helper()
 	e, err := NewEngine(cfg, w)
@@ -205,19 +203,21 @@ func runChecked(t *testing.T, cfg Config, w *World, setup ...func(*Engine) error
 	peak, views := 0, 0
 	start := readClocks(e)
 	prev := start
-	e.AddObserver(ObserverFunc(func(epoch int, _ time.Time, res *Result) {
+	for !e.Done() && bad == nil {
+		if reqs != nil {
+			reqs.before(e)
+		}
+		epoch := e.Epoch()
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
 		peak = max(peak, len(e.live))
 		if err := checkPhysical(e); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
-		seen := res.PlacementsByCity.State()
+		res := e.Finish()
 		if err := checkPlacementCounts(res); err != nil && bad == nil {
-			bad = fmt.Errorf("epoch %d, as the observer sees it: %w", epoch, err)
-		}
-		if fin := e.Finish(); fin != res || !reflect.DeepEqual(fin.PlacementsByCity.State(), seen) {
-			if bad == nil {
-				bad = fmt.Errorf("epoch %d: Finish folded placements the observer did not see", epoch)
-			}
+			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
 		// Before readClocks: the check's own views advance viewGen, and
 		// the vacuity test below discounts them.
@@ -235,14 +235,6 @@ func runChecked(t *testing.T, cfg Config, w *World, setup ...func(*Engine) error
 			if err := reqs.check(epoch, res.Traffic); err != nil && bad == nil {
 				bad = fmt.Errorf("epoch %d: %w", epoch, err)
 			}
-		}
-	}))
-	for !e.Done() && bad == nil {
-		if reqs != nil {
-			reqs.before(e)
-		}
-		if err := e.Step(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	if bad != nil {
@@ -562,7 +554,10 @@ func TestServerThatCannotWin(t *testing.T) {
 					apps[i] = placement.App{ID: fmt.Sprintf("a%d", i), Model: a.model, Source: e.sites[a.srcSite].City,
 						SLOms: cfg.RTTLimitMs, RatePerSec: appRatePerSec}
 				}
-				servers := e.ws.Servers()
+				servers := make([]placement.Server, e.ws.NumServers())
+				for j := range servers {
+					servers[j] = e.ws.Server(j)
+				}
 				p, want := solve(servers, apps)
 				wantObj := batchObjective(p, cfg.Policy, want)
 				proto := servers[0]

@@ -19,7 +19,7 @@ func obsOn(cfg Config) Config {
 
 // TestObsZeroAlloc is the observability allocation gate: the epoch hot
 // loop must stay inside the same steady-state budget as the untraced
-// loop with the tracer, alloc probes, and flight recorder all on.
+// loop with the tracer and its alloc probes on.
 func TestObsZeroAlloc(t *testing.T) {
 	for name, cfg := range allocModes(300) {
 		t.Run(name, func(t *testing.T) {
@@ -74,7 +74,7 @@ func TestObsTracerReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := e.Tracer().Report()
-	if got, want := len(rep), len(PhaseNames()); got != want {
+	if got, want := len(rep), len(phaseNames); got != want {
 		t.Fatalf("tracer has %d phases, want %d", got, want)
 	}
 	for _, ps := range rep {
@@ -90,19 +90,15 @@ func TestObsTracerReport(t *testing.T) {
 	}
 }
 
-// TestObsRecorderCheckpointRoundTrip: checkpoints do not carry the
-// flight recorder. testdata/faults_traced_epoch35.ckpt is the faults-mode
-// envelope at epoch 35 of a traced run (a 16-event ring), between the
+// TestObsRecorderCheckpointRoundTrip: testdata/faults_traced_epoch35.ckpt
+// is the faults-mode envelope at epoch 35 of a traced run, between the
 // crash (30 h) and its recover (40 h), written while snapshots still
-// carried the ring under "recorder". It must still decode and restore
-// into a traced config, whose recorder starts empty and then records
-// exactly what the uninterrupted traced run records after the cut, and
-// the run must go on to the uninterrupted Result. A traced engine's own
-// snapshot encodes no recorder.
+// carried the engine's flight recorder under "recorder". It must still
+// decode and restore into a traced config, and the run must go on to the
+// uninterrupted Result.
 func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 	w := testWorld(t)
 	cfg := obsOn(checkpointModes(t, w)[3])
-	cfg.Obs.FlightRecorderEvents = 1024
 	const cut = 35
 
 	env, err := os.ReadFile(filepath.Join("testdata", "faults_traced_epoch35.ckpt"))
@@ -123,29 +119,10 @@ func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := restored.FlightRecorder()
-	if rec == nil || rec.Total() != 0 {
-		t.Fatal("a traced restore's recorder should exist and start empty")
-	}
-
 	donor, err := NewEngine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for donor.Epoch() < cut {
-		if err := donor.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := donor.Snapshot().AppendJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(raw, []byte(`"recorder"`)) {
-		t.Error("a traced engine's snapshot carries its recorder")
-	}
-	pre := int(donor.FlightRecorder().Total())
-
 	wantState, err := finalState(donor)
 	if err != nil {
 		t.Fatal(err)
@@ -157,25 +134,11 @@ func TestObsRecorderCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotState, wantState) {
 		t.Fatal("restored traced run diverged from the uninterrupted one")
 	}
-	untimed := func(evs []obs.RecordedEvent) []obs.RecordedEvent {
-		for i := range evs {
-			evs[i].DurationNs = 0
-		}
-		return evs
-	}
-	all := untimed(donor.FlightRecorder().Events())
-	if uint64(len(all)) != donor.FlightRecorder().Total() || len(all) <= pre {
-		t.Fatalf("the donor's ring holds %d of %d events, %d of them before the cut", len(all), donor.FlightRecorder().Total(), pre)
-	}
-	got, want := untimed(rec.Events()), all[pre:]
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored run recorded %d events, the donor %d after the cut:\n  got  %+v\n  want %+v", len(got), len(want), got, want)
-	}
 }
 
 // TestObsRestoreWithoutObs checks the obs/no-obs checkpoint corners: a
 // traced snapshot restores into an untraced config, and an untraced
-// snapshot restores into a traced config (the recorder starts empty).
+// snapshot restores into a traced config.
 func TestObsRestoreWithoutObs(t *testing.T) {
 	w := allocWorld(t)
 	cfg := allocModes(50)["faults"]
@@ -194,8 +157,8 @@ func TestObsRestoreWithoutObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.FlightRecorder() != nil {
-		t.Fatal("untraced restore grew a recorder")
+	if plain.Tracer() != nil {
+		t.Fatal("untraced restore grew a tracer")
 	}
 
 	bare, err := NewEngine(cfg, w)
@@ -211,8 +174,8 @@ func TestObsRestoreWithoutObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.FlightRecorder() == nil || rt.FlightRecorder().Total() != 0 {
-		t.Fatal("traced restore from untraced snapshot should start an empty recorder")
+	if rt.Tracer() == nil {
+		t.Fatal("traced restore from untraced snapshot has no tracer")
 	}
 }
 

@@ -66,8 +66,8 @@ type Result struct {
 	PlacementsByCity *metrics.Counter
 	// MonthlyPlacements counts placements per city per month
 	// (Figure 13d), keyed "city/month". The engine tallies both in its
-	// own table and folds them in when Finish, Snapshot or an observer
-	// reads the result; until then they lag Placed.
+	// own table and folds them in when Finish or Snapshot reads the
+	// result; until then they lag Placed.
 	MonthlyPlacements *metrics.Counter
 	// LoadCI samples the hosting zone's carbon intensity once per
 	// app-hour (Figure 11c), when enabled.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -63,50 +62,65 @@ func TestJournalResumeBitIdentical(t *testing.T) {
 	}
 	j.Close()
 
-	// Resume: only the incomplete points re-run (observers fire only for
-	// live runs), and the stitched grid is bit-identical.
-	var mu sync.Mutex
-	ran := map[int]bool{}
+	// Resume: only the incomplete points re-run, each journaling its
+	// result once after the three already there, and the stitched grid
+	// is bit-identical.
 	g.Journal = partialPath
-	g.Observe = func(i int, p Point) sim.Observer {
-		mu.Lock()
-		ran[i] = true
-		mu.Unlock()
-		return nil
-	}
 	resumed, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
+	}
+	keys := journalKeys(t, partialPath)
+	ran := map[string]int{}
+	for _, k := range keys[len(completed):] {
+		ran[k]++
 	}
 	for i := range want {
 		if !bytes.Equal(encode(t, resumed[i]), encode(t, want[i])) {
 			t.Errorf("resumed point %d (%s) diverged from uninterrupted run", i, g.Points[i].Key)
 		}
-		if completed[i] && ran[i] {
+		if n := ran[g.Points[i].Key]; completed[i] && n != 0 {
 			t.Errorf("completed point %d (%s) re-ran on resume", i, g.Points[i].Key)
-		}
-		if !completed[i] && !ran[i] {
-			t.Errorf("incomplete point %d (%s) did not run on resume", i, g.Points[i].Key)
+		} else if !completed[i] && n != 1 {
+			t.Errorf("incomplete point %d (%s) ran %d times on resume, want 1", i, g.Points[i].Key, n)
 		}
 	}
 
 	// A second resume replays everything: no point re-runs.
 	g2 := testGrid(w, 4)
 	g2.Journal = partialPath
-	reran := false
-	g2.Observe = func(i int, p Point) sim.Observer { reran = true; return nil }
 	again, err := g2.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reran {
-		t.Error("fully-journaled grid re-ran points")
+	if n := len(journalKeys(t, partialPath)); n != len(keys) {
+		t.Errorf("fully-journaled grid re-ran %d points", n-len(keys))
 	}
 	for i := range want {
 		if !bytes.Equal(encode(t, again[i]), encode(t, want[i])) {
 			t.Errorf("replayed point %d diverged", i)
 		}
 	}
+}
+
+// journalKeys lists the point keys a grid journal holds, in the order
+// they were appended.
+func journalKeys(t *testing.T, path string) []string {
+	t.Helper()
+	j, entries, err := checkpoint.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, e := range entries {
+		if e.Kind == kindPoint {
+			keys = append(keys, e.Key)
+		}
+	}
+	return keys
 }
 
 func TestJournalRejectsForeignGrid(t *testing.T) {

@@ -109,11 +109,6 @@ type Grid struct {
 	Points []Point
 	// Parallel is the worker-pool size (<= 0 = DefaultParallel).
 	Parallel int
-	// Observe, when set, is called once per point to build that run's
-	// per-epoch observer (nil return = no tap). It runs on the worker
-	// goroutine, so the observer only needs to be safe with respect to
-	// its own point.
-	Observe func(i int, p Point) sim.Observer
 	// Journal, when set, is the path of the grid's resume journal:
 	// completed points are appended as they finish, and a re-run against
 	// an existing journal skips them, re-running only the incomplete
@@ -121,13 +116,12 @@ type Grid struct {
 	// an uninterrupted run. The journal header pins the declared grid
 	// (keys and config signatures); a journal written for a different
 	// grid is rejected. Journaled grids require unique point keys.
-	// Observers do not fire for points replayed from the journal.
 	Journal string
 	// Trace, when set, aggregates every executed point's per-phase
 	// timings into one tracer (build it with sim.NewPhaseTracer). Points
-	// that do not already opt into observability are traced with the
-	// flight recorder off; points replayed from a journal contribute
-	// nothing (they did not run). Merging is atomic, so one tracer may be
+	// that do not already opt into observability are traced for it;
+	// points replayed from a journal contribute nothing (they did not
+	// run). Merging is atomic, so one tracer may be
 	// shared across grids and workers.
 	Trace *obs.Tracer
 }
@@ -141,18 +135,12 @@ func (g *Grid) Add(key string, cfg sim.Config) {
 func (g *Grid) runPoint(i int) (*sim.Result, error) {
 	p := g.Points[i]
 	if g.Trace != nil && p.Config.Obs == nil {
-		// Trace this point for the grid aggregate: timings only, no
-		// per-point flight recorder.
-		p.Config.Obs = &obs.Config{FlightRecorderEvents: -1}
+		// Trace this point for the grid aggregate.
+		p.Config.Obs = &obs.Config{}
 	}
 	e, err := sim.NewEngine(p.Config, g.World)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: point %q: %w", p.Key, err)
-	}
-	if g.Observe != nil {
-		if o := g.Observe(i, p); o != nil {
-			e.AddObserver(o)
-		}
 	}
 	for !e.Done() {
 		if err := e.Step(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/carbon"
 	"repro/internal/placement"
@@ -172,32 +171,6 @@ func TestGridRunMapDuplicateKey(t *testing.T) {
 	g.Add("dup", cfg)
 	if _, err := g.RunMap(); err == nil {
 		t.Error("duplicate key accepted")
-	}
-}
-
-func TestGridObserverPerPoint(t *testing.T) {
-	// Each point gets its own observer, built on the worker goroutine,
-	// firing once per epoch.
-	w := testWorld(t)
-	g := &Grid{World: w, Parallel: 2}
-	cfg := sim.DefaultConfig(carbon.RegionEurope, placement.CarbonAware{})
-	cfg.Hours = 24 * 2
-	g.Add("a", cfg)
-	g.Add("b", cfg)
-	epochs := make([]atomic.Int64, 2)
-	g.Observe = func(i int, p Point) sim.Observer {
-		n := &epochs[i]
-		return sim.ObserverFunc(func(epoch int, _ time.Time, _ *sim.Result) {
-			n.Add(1)
-		})
-	}
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range epochs {
-		if got := epochs[i].Load(); got != int64(cfg.Hours) {
-			t.Errorf("point %d observer fired %d times, want %d", i, got, cfg.Hours)
-		}
 	}
 }
 

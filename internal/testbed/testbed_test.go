@@ -69,8 +69,10 @@ func TestTestbedTopology(t *testing.T) {
 		t.Errorf("DCs = %d, want 5", got)
 	}
 	// Each DC has a GPU server and a CPU host (the R630 + A2 pairing).
-	if got := len(tb.Cluster.Servers()); got != 10 {
-		t.Errorf("servers = %d, want 10", got)
+	for _, dc := range tb.Cluster.DataCenters() {
+		if got := len(dc.Servers()); got != 2 {
+			t.Errorf("%s has %d servers, want 2", dc.ID, got)
+		}
 	}
 	// Latency between Miami and Tallahassee loaded into the shaper.
 	if tb.Shaper.OneWay("Miami", "Tallahassee") <= 0 {

@@ -31,11 +31,6 @@ func New(start time.Time, n int) *Series {
 	return &Series{Start: start.UTC(), Values: make([]float64, n)}
 }
 
-// FromValues wraps the given samples (not copied) as a series.
-func FromValues(start time.Time, values []float64) *Series {
-	return &Series{Start: start.UTC(), Values: values}
-}
-
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
@@ -63,11 +58,6 @@ func (s *Series) At(t time.Time) (float64, error) {
 		return 0, err
 	}
 	return s.Values[i], nil
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	return &Series{Start: s.Start, Values: append([]float64(nil), s.Values...)}
 }
 
 // Slice returns the sub-series covering [from, to) hours by index.
@@ -109,15 +99,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Sum returns the sum of all samples.
-func (s *Series) Sum() float64 {
-	var t float64
-	for _, v := range s.Values {
-		t += v
-	}
-	return t
-}
-
 // MonthlyMeans returns the mean value per calendar month present in the
 // series, in chronological order. Months are determined in UTC. This backs
 // the paper's seasonal plots (Figures 4b and 13).
@@ -148,15 +129,6 @@ type MonthStat struct {
 
 	sum float64
 	n   int
-}
-
-// Scale returns a new series with every sample multiplied by k.
-func (s *Series) Scale(k float64) *Series {
-	out := New(s.Start, len(s.Values))
-	for i, v := range s.Values {
-		out.Values[i] = v * k
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean of values, or NaN when empty.
@@ -195,20 +167,6 @@ func Quantile(values []float64, q float64) float64 {
 // Median returns the 50th-percentile of values.
 func Median(values []float64) float64 { return Quantile(values, 0.5) }
 
-// Stddev returns the population standard deviation of values.
-func Stddev(values []float64) float64 {
-	if len(values) == 0 {
-		return math.NaN()
-	}
-	m := Mean(values)
-	var ss float64
-	for _, v := range values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(values)))
-}
-
 // CDF is an empirical cumulative distribution over a sample set.
 type CDF struct {
 	sorted []float64
@@ -220,21 +178,6 @@ func NewCDF(samples []float64) *CDF {
 	sort.Float64s(s)
 	return &CDF{sorted: s}
 }
-
-// Len returns the number of samples behind the CDF.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// P returns the empirical probability P(X <= x).
-func (c *CDF) P(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	n := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(n) / float64(len(c.sorted))
-}
-
-// Quantile returns the q'th quantile of the sample.
-func (c *CDF) Quantile(q float64) float64 { return Quantile(c.sorted, q) }
 
 // Points returns up to n evenly spaced (value, cumulative-probability)
 // pairs suitable for plotting the CDF curve.

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -72,7 +73,7 @@ func TestSlice(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := FromValues(t0, []float64{1, 2, 3, 4})
+	s := &Series{Start: t0, Values: []float64{1, 2, 3, 4}}
 	if got := s.Mean(); got != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", got)
 	}
@@ -82,27 +83,12 @@ func TestStats(t *testing.T) {
 	if got := s.Max(); got != 4 {
 		t.Errorf("Max = %v, want 4", got)
 	}
-	if got := s.Sum(); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
-	}
 }
 
 func TestStatsEmpty(t *testing.T) {
 	s := New(t0, 0)
 	if !math.IsNaN(s.Mean()) || !math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
 		t.Error("empty series stats should be NaN")
-	}
-	if s.Sum() != 0 {
-		t.Error("empty sum should be 0")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := FromValues(t0, []float64{1, 2, 3})
-	c := s.Clone()
-	c.Values[0] = 99
-	if s.Values[0] != 1 {
-		t.Error("Clone shares storage with original")
 	}
 }
 
@@ -126,17 +112,6 @@ func TestMonthlyMeans(t *testing.T) {
 	}
 	if ms[1].Month != time.February || ms[1].Mean != 20 {
 		t.Errorf("feb = %+v", ms[1])
-	}
-}
-
-func TestScale(t *testing.T) {
-	a := FromValues(t0, []float64{1, 2})
-	sc := a.Scale(3)
-	if sc.Values[0] != 3 || sc.Values[1] != 6 {
-		t.Errorf("scale = %v", sc.Values)
-	}
-	if a.Values[0] != 1 {
-		t.Error("Scale mutated receiver")
 	}
 }
 
@@ -175,29 +150,16 @@ func TestMedianAndStddev(t *testing.T) {
 	if got := Median([]float64{5, 1, 3}); got != 3 {
 		t.Errorf("Median = %v, want 3", got)
 	}
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Stddev constant = %v, want 0", got)
-	}
-	got := Stddev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-12 {
-		t.Errorf("Stddev{1,3} = %v, want 1", got)
-	}
 }
 
 func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
+	c := NewCDF([]float64{3, 1, 4, 2})
+	want := []CDFPoint{{1, 0.25}, {2, 0.5}, {3, 0.75}, {4, 1}}
+	if got := c.Points(10); !reflect.DeepEqual(got, want) {
+		t.Errorf("Points = %v, want %v", got, want)
 	}
-	for _, cse := range cases {
-		if got := c.P(cse.x); math.Abs(got-cse.want) > 1e-12 {
-			t.Errorf("P(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-	if got := c.Quantile(0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("CDF Quantile(0.5) = %v, want 2.5", got)
+	if got := c.Points(2); !reflect.DeepEqual(got, []CDFPoint{{1, 0.25}, {4, 1}}) {
+		t.Errorf("Points(2) = %v, want the least and greatest samples", got)
 	}
 }
 
@@ -207,12 +169,10 @@ func TestCDFMonotone(t *testing.T) {
 	for i := range samples {
 		samples[i] = rng.NormFloat64() * 100
 	}
-	c := NewCDF(samples)
-	prev := -1.0
-	for x := -300.0; x <= 300; x += 7 {
-		p := c.P(x)
-		if p < prev {
-			t.Fatalf("CDF not monotone at %v: %v < %v", x, p, prev)
+	prev := CDFPoint{Value: math.Inf(-1)}
+	for _, p := range NewCDF(samples).Points(50) {
+		if p.Value < prev.Value || p.Prob <= prev.Prob {
+			t.Fatalf("CDF not monotone at %+v after %+v", p, prev)
 		}
 		prev = p
 	}

@@ -223,13 +223,6 @@ func (g *Generator) Start() time.Time { return g.start }
 // Sources returns the generator's demand origins (do not modify).
 func (g *Generator) Sources() []Source { return g.sources }
 
-// Rate returns source i's expected request rate (requests/second) during
-// hour h: the aggregate RPS split by weight and scaled by the scenario's
-// temporal shape at the source's local time.
-func (g *Generator) Rate(i, hour int) float64 {
-	return g.rate(g.clockRow(hour), i, hour)
-}
-
 // rate is Rate with hour's clock row already looked up.
 func (g *Generator) rate(row []float64, i, hour int) float64 {
 	base := g.cfg.RPS * g.sources[i].Weight / g.totalW

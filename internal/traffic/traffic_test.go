@@ -151,7 +151,7 @@ func TestDiurnalTableMatchesFormula(t *testing.T) {
 			var buf []int64
 			for h := 0; h < hours; h++ {
 				for i := range sources {
-					if got, want := g.Rate(i, h), refRate(g, i, h); math.Float64bits(got) != math.Float64bits(want) {
+					if got, want := g.rate(g.clockRow(h), i, h), refRate(g, i, h); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %s hour %d source %s: Rate %v, formula %v", start.Location(), scn, h, sources[i].City, got, want)
 					}
 				}
@@ -330,7 +330,7 @@ func TestWeekendFactor(t *testing.T) {
 			t.Errorf("seed %d: weekend/weekday %.6f, want 0.82 ± %.6f", seed, ratio, 4*se)
 		}
 		// The expected rates carry the factor exactly.
-		if got := g.Rate(0, 5*24+1) / g.Rate(0, 1); math.Abs(got-0.82) > 1e-12 {
+		if got := g.rate(g.clockRow(5*24+1), 0, 5*24+1) / g.rate(g.clockRow(1), 0, 1); math.Abs(got-0.82) > 1e-12 {
 			t.Errorf("Saturday/Monday rate ratio %v, want 0.82", got)
 		}
 	}
@@ -353,7 +353,7 @@ func TestFlashCrowdBurst(t *testing.T) {
 		base := mustGen(t, Config{Seed: seed, Scenario: Diurnal, RPS: 1000})
 		var inCount, inBase, outCount, outBase float64
 		for h := 0; h < 60*every; h++ {
-			n, m := float64(g.Slice(h)[0]), base.Rate(0, h)*3600
+			n, m := float64(g.Slice(h)[0]), base.rate(base.clockRow(h), 0, h)*3600
 			if h%every < dur {
 				inCount, inBase = inCount+n, inBase+m
 			} else {
@@ -368,7 +368,7 @@ func TestFlashCrowdBurst(t *testing.T) {
 		}
 		// Non-flash sources are unaffected by the window.
 		for _, h := range []int{0, 2, 72, 74} {
-			if g.Rate(1, h) != base.Rate(1, h) || g.Rate(2, h) != base.Rate(2, h) {
+			if g.rate(g.clockRow(h), 1, h) != base.rate(base.clockRow(h), 1, h) || g.rate(g.clockRow(h), 2, h) != base.rate(base.clockRow(h), 2, h) {
 				t.Errorf("flash burst leaked into a non-flash source at hour %d", h)
 			}
 		}

@@ -89,7 +89,7 @@ func certInstance(rng *rand.Rand) (*Problem, float64) {
 			}
 		}
 	}
-	return p, rel
+	return Stamp(p), rel
 }
 
 // argminOf is the assignment the certificate proposes, recomputed from
@@ -369,7 +369,7 @@ func fuzzInstance(data []byte) (*Problem, Policy) {
 			}
 		}
 	}
-	return p, pol
+	return Stamp(p), pol
 }
 
 // FuzzCertifiedMatchesMILP decodes arbitrary bytes into a small instance
@@ -411,11 +411,11 @@ func TestCertifyDeclinesDegenerateInputs(t *testing.T) {
 		p := NewProblem([]App{{ID: "a0", SLOms: 20}}, servers)
 		p.Compatible[0][0], p.Compatible[0][1] = true, true
 		p.PowerW[0][0], p.PowerW[0][1] = w, 10
-		if a := certify(p, CarbonAware{}); a != nil {
+		if a := certify(Stamp(p), CarbonAware{}); a != nil {
 			t.Errorf("power %v: certified %+v", w, a)
 		}
 	}
-	if a := certify(NewProblem([]App{{ID: "a0"}}, nil), CarbonAware{}); a != nil {
+	if a := certify(Stamp(NewProblem([]App{{ID: "a0"}}, nil)), CarbonAware{}); a != nil {
 		t.Errorf("no servers: certified %+v", a)
 	}
 }

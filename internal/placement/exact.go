@@ -13,15 +13,14 @@ import (
 // branch-and-bound solver, mirroring the paper's OR-Tools backend; the
 // Placer sends it batches of up to ExactPairLimit feasible pairs.
 //
-// The MILP is over the batch's classes (Problem.classes): one integer per
-// (class, server) counts the class's apps there, so alike apps cost
-// branch and bound nothing, where one binary per (app, server) let every
-// branch only move a fractional split from one alike app to another.
-// Every policy solves in the view's classes; on a hand-built dense
-// problem every app is its own class. The search is bounded by a node
-// budget, not a clock: a solve that spends it returns its incumbent, or
-// errors without one, depending on the batch alone and not on the host's
-// speed.
+// The MILP is over the batch's classes (the view's class stamp, see
+// Problem): one integer per (class, server) counts the class's apps there,
+// so alike apps cost branch and bound nothing, where one binary per (app,
+// server) let every branch only move a fractional split from one alike
+// app to another. Every policy solves in the view's classes. The search
+// is bounded by a node budget, not a clock: a solve that spends it
+// returns its incumbent, or errors without one, depending on the batch
+// alone and not on the host's speed.
 //
 // Before building the MILP it tries a certificate (see certify): the
 // argmin assignment, returned only when it is provably the MILP's unique
@@ -127,7 +126,7 @@ func certify(p *Problem, pol Policy) *Assignment {
 	used := make([]cluster.Resources, m)
 	for i := 0; i < n; i++ {
 		best, bestCost, runnerUp := -1, math.Inf(1), math.Inf(1)
-		for _, j := range p.CandidatesOf(i) {
+		for _, j := range p.Candidates[i] {
 			if !p.Feasible(i, j) {
 				continue
 			}
@@ -169,7 +168,7 @@ func certify(p *Problem, pol Policy) *Assignment {
 	return a
 }
 
-// milp is the batch's MILP over its classes (Problem.classes): an
+// milp is the batch's MILP over its classes (Problem.classOf): an
 // integer x_cj in [0, n_c] per feasible (class, server) pair counts class
 // c's apps on server j, priced and sized by the class representative's
 // cells. A batch of singleton classes builds the per-app binary model,
@@ -189,8 +188,7 @@ type pair struct{ c, j int }
 // apps of classes with no feasible server.
 func buildMILP(p *Problem, pol Policy) (*milp, error) {
 	m := len(p.Servers)
-	var ident []int32
-	cls, rep := p.classes(&ident)
+	cls, rep := p.classOf, p.classRep
 	size := make([]float64, len(rep))
 	for _, c := range cls {
 		size[c]++

@@ -8,10 +8,10 @@ import (
 )
 
 // The dense builder is test-only: Workspace.Problem is the one production
-// builder of a Problem, and Build and NewProblem stay here as its oracle
-// (TestWorkspaceProblemMatchesBuild, the sweep oracle, brute force) and
-// for hand-built fixtures. They are exported so this package's external
-// tests reach them too.
+// builder of a Problem, and Build, NewProblem and Stamp stay here as its
+// oracle (TestWorkspaceProblemMatchesBuild, the sweep oracle, brute force)
+// and for hand-built fixtures. They are exported so this package's
+// external tests reach them too.
 
 // Build assembles a dense Problem from apps, the placement view of
 // servers, a latency oracle, and the profiling service's (model, device)
@@ -45,12 +45,12 @@ func Build(apps []App, servers []Server, rtt RTTFunc, profile func(model, device
 			p.Demand[i][j], p.PowerW[i][j] = d, w
 		}
 	}
-	return p, nil
+	return Stamp(p), nil
 }
 
 // NewProblem allocates a dense problem shell with all pairwise matrices
 // sized |apps| x |servers|, each one contiguous allocation sliced into
-// rows. Callers fill the matrices.
+// rows. Callers fill the matrices, then Stamp the problem.
 func NewProblem(apps []App, servers []Server) *Problem {
 	p := &Problem{Apps: apps, Servers: servers}
 	n, m := len(apps), len(servers)
@@ -69,7 +69,26 @@ func NewProblem(apps []App, servers []Server) *Problem {
 		p.LatencyMs[i] = lat[lo:hi:hi]
 		p.Compatible[i] = compat[lo:hi:hi]
 	}
-	p.allServers = identityIndices(m)
+	return p
+}
+
+// Stamp gives a filled dense problem what the solvers require of a
+// Workspace view, read from its own cells: every app its own class, and
+// as its Candidates the servers compatible with it and within its SLO,
+// ascending. It shares no code with the Workspace, so a view can be held
+// to Build's problem. Call it after the last cell edit.
+func Stamp(p *Problem) *Problem {
+	n := len(p.Apps)
+	p.Candidates = make([][]int, n)
+	p.classOf, p.classRep = make([]int32, n), make([]int32, n)
+	for i, a := range p.Apps {
+		p.classOf[i], p.classRep[i] = int32(i), int32(i)
+		for j := range p.Servers {
+			if p.Compatible[i][j] && p.LatencyMs[i][j] <= a.SLOms+1e-9 {
+				p.Candidates[i] = append(p.Candidates[i], j)
+			}
+		}
+	}
 	return p
 }
 

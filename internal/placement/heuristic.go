@@ -38,7 +38,8 @@ import (
 // solves; concurrent callers should prefer one solver per goroutine.
 type HeuristicSolver struct {
 	// SkipValidate skips the per-solve structural validation of the
-	// problem (unique IDs, matrix shapes, ascending candidate lists).
+	// problem (unique IDs, matrix shapes, the class stamp and ascending
+	// candidate lists).
 	// Owners of trusted problem sources — the sim engine solving
 	// workspace-assembled views with generated IDs — set it so the
 	// per-epoch hot loop pays no map-building; external entry points
@@ -97,22 +98,21 @@ const maxDistinctDemands = 8
 // adjacency the dirty-app queue marks through and the per-server
 // distinct-demand lists its capacity filter tests against.
 //
-// The class (Problem.classes) is the unit of structure: its apps share
-// one gated list and one cost row, so a solve evaluates one row per class.
+// The class (the view's stamp, Problem.classOf) is the unit of structure:
+// its apps share one candidate list and one cost row, so a solve
+// evaluates one row per class.
 type costMemo struct {
 	p *Problem
 	m int // server count the structure is laid out for
 
-	// cls and rep are Problem.classes' stamp, ident its identity buffer.
-	cls   []int32
-	rep   []int32
-	ident []int32
+	// cls and rep are the view's class stamp (Problem.classOf/classRep).
+	cls []int32
+	rep []int32
 
-	// cand[c] is class c's gated list (its slots): the candidates that are
-	// compatible and within the SLO, ascending. A view's shortlist is built
-	// by those two tests and is used as is; off a view, build filters.
-	cand  [][]int
-	gated []int
+	// cand[c] is class c's gated list (its slots): its representative's
+	// Candidates row, every server of which is compatible and within the
+	// SLO (Problem.Candidates' contract), so only capacity is left to test.
+	cand [][]int
 	// off[c] is class c's base slot in row.
 	off []int
 	// row[slot] is pol.PairCost for the slot's (class, server) pair.
@@ -164,23 +164,13 @@ type costMemo struct {
 // and seeds (opts, seed) filled.
 func (mm *costMemo) build(p *Problem, pol Policy, cold bool) {
 	m := len(p.Servers)
-	mm.cls, mm.rep = p.classes(&mm.ident)
+	mm.cls, mm.rep = p.classOf, p.classRep
 	nc := len(mm.rep)
 
-	mm.cand, mm.off, mm.gated = grow(mm.cand, nc), grow(mm.off, nc), mm.gated[:0]
+	mm.cand, mm.off = grow(mm.cand, nc), grow(mm.off, nc)
 	total := 0
 	for c, r := range mm.rep {
-		i := int(r)
-		if mm.cand[c] = p.CandidatesOf(i); p.classOf == nil {
-			// An append that moves gated leaves the earlier lists intact.
-			lo, slo := len(mm.gated), p.Apps[i].SLOms
-			for _, j := range mm.cand[c] {
-				if p.Compatible[i][j] && p.LatencyMs[i][j] <= slo+1e-9 {
-					mm.gated = append(mm.gated, j)
-				}
-			}
-			mm.cand[c] = mm.gated[lo:]
-		}
+		mm.cand[c] = p.Candidates[r]
 		mm.off[c], total = total, total+len(mm.cand[c])
 	}
 	mm.row = grow(mm.row, total)
@@ -676,11 +666,10 @@ func (s *HeuristicSolver) touchMoved(st *state, mm *costMemo, j, i int, pass int
 	}
 }
 
-// Solve runs greedy construction + local search. Problems carrying
-// candidate shortlists (the Workspace path) are scanned over the
-// shortlists only; the assignment is identical to the dense scan because
-// every skipped server is infeasible. The returned assignment owns its
-// slices (it never aliases solver scratch).
+// Solve runs greedy construction + local search over the view's
+// candidate shortlists only; the assignment is identical to a scan of
+// every server because every skipped server is infeasible. The returned
+// assignment owns its slices (it never aliases solver scratch).
 func (s *HeuristicSolver) Solve(p *Problem, pol Policy) (*Assignment, error) {
 	return solveNew(s, p, pol, nil)
 }
@@ -723,9 +712,9 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	if seeded {
 		// Warm start: re-commit the previous epoch's placements that are
 		// still feasible; local search below repairs the rest. A seed on
-		// its class's gated list has passed the gate's compatibility and
-		// SLO tests, so only its capacity is left to test. A seed off the
-		// list is infeasible (Problem.Candidates' contract) and dropped.
+		// its class's list is compatible and within the SLO, so only its
+		// capacity is left to test. A seed off the list is infeasible
+		// (Problem.Candidates' contract) and dropped.
 		m, slotAt := len(p.Servers), mm.slotTable()
 		for i, j := range warm.ServerOf {
 			if j < 0 || j >= m {

@@ -608,6 +608,7 @@ func TestFloorScanAndMove(t *testing.T) {
 	for j := range servers {
 		p.Compatible[0][j], p.PowerW[0][j] = true, 10
 	}
+	Stamp(p)
 	st, mm := &state{}, &costMemo{}
 	st.init(p, 0)
 	mm.build(p, CarbonAware{}, true)
@@ -670,9 +671,10 @@ func TestFloorInsertMatchesScan(t *testing.T) {
 		m := 1 + rng.Intn(8)
 		p := &Problem{Demand: [][]cluster.Resources{make([]cluster.Resources, m)}}
 		st := &state{p: p, free: make([]cluster.Resources, m), on: make([]bool, m)}
-		mm := &costMemo{cls: []int32{0}, off: []int{0}, cand: [][]int{identityIndices(m)},
+		mm := &costMemo{cls: []int32{0}, off: []int{0}, cand: [][]int{make([]int, m)},
 			row: make([]float64, m), act: make([]float64, m)}
 		for j := 0; j < m; j++ {
+			mm.cand[0][j] = j
 			p.Demand[0][j] = unit
 			mm.row[j] = palette[rng.Intn(len(palette))]
 			mm.act[j] = palette[rng.Intn(len(palette))]
@@ -715,7 +717,8 @@ func TestFloorInsertMatchesScan(t *testing.T) {
 
 // certProblem is a dense problem over servers in which every app may run
 // on every server, needs 100 of each resource, draws power[j] W on server
-// j and sits lat[j] ms from it, under a 20 ms SLO. Cases edit the cells.
+// j and sits lat[j] ms from it, under a 20 ms SLO. Cases edit the cells,
+// then Stamp the problem.
 func certProblem(nApps int, servers []Server, power, lat []float64) *Problem {
 	apps := make([]App, nApps)
 	for i := range apps {
@@ -798,7 +801,7 @@ func TestConstructCertificate(t *testing.T) {
 		// is added: the apps stay on s0 and nothing powers on.
 		name: "off server dear with its activation",
 		problem: func(*rand.Rand) *Problem {
-			return certProblem(3, certServers([]float64{200, 50}, []bool{true, false}), []float64{10, 5}, []float64{5, 5})
+			return Stamp(certProblem(3, certServers([]float64{200, 50}, []bool{true, false}), []float64{10, 5}, []float64{5, 5}))
 		},
 		pols: []Policy{carbon, energyP},
 		want: want{fires: true},
@@ -811,7 +814,7 @@ func TestConstructCertificate(t *testing.T) {
 			p := certProblem(2, certServers([]float64{200, 50, 1000}, []bool{true, false, true}),
 				[]float64{10, 5, 200}, []float64{5, 5, 5})
 			p.Compatible[0][2], p.Compatible[1][0] = false, false
-			return p
+			return Stamp(p)
 		},
 		pols: []Policy{carbon, energyP},
 		want: want{moves: 1},
@@ -824,7 +827,7 @@ func TestConstructCertificate(t *testing.T) {
 			for j := range p.Servers {
 				p.Demand[0][j] = cluster.NewResources(100, -50, 100, 100)
 			}
-			return p
+			return Stamp(p)
 		},
 		pols: allPolicies(),
 	}, {
@@ -835,7 +838,7 @@ func TestConstructCertificate(t *testing.T) {
 		problem: func(*rand.Rand) *Problem {
 			p := certProblem(2, certServers([]float64{math.NaN(), 100}, []bool{true, true}), []float64{10, 10}, []float64{5, 5})
 			p.Compatible[0][1] = false
-			return p
+			return Stamp(p)
 		},
 		pols: []Policy{carbon, intensity, blend},
 		want: want{retry: 1},
@@ -846,7 +849,7 @@ func TestConstructCertificate(t *testing.T) {
 			p := certProblem(2, certServers([]float64{100, 200}, []bool{true, true}), []float64{10, 10}, []float64{5, 5})
 			p.Compatible[0][1] = false
 			p.Servers[0].Free = cluster.NewResources(50, 1000, 1000, 1000)
-			return p
+			return Stamp(p)
 		},
 		pols: allPolicies(),
 		want: want{stuck: 1},
@@ -941,15 +944,15 @@ func TestClassPickRetiredByGrowingDemand(t *testing.T) {
 }
 
 // TestGatedListsMatchSweep pins the solver's gated candidate lists: a
-// scan walks only the candidates that are compatible and within the
-// SLO. The fleet holds, beside the feasible servers, the cheapest servers
-// of every policy made infeasible — an unprofiled device in the apps'
-// own city (in the SLO, compatible with nothing) and a clean zone out of
-// every SLO (compatible, too far) — so a solver that scanned past the
-// gate would pick them. A workspace view (whose shortlist is the gated
-// list itself), the dense Build and a Build whose Candidates list every
-// server must each solve, cold and warm from a seed that puts apps on the
-// infeasible servers, to the sweep oracle's ServerOf and PowerOn.
+// scan walks only the candidates, which are exactly the servers
+// compatible and within the SLO. The fleet holds, beside the feasible
+// servers, the cheapest servers of every policy made infeasible — an
+// unprofiled device in the apps' own city (in the SLO, compatible with
+// nothing) and a clean zone out of every SLO (compatible, too far) — so
+// a list that admitted them would pick them. A workspace view and the
+// dense Build (Stamp's lists) must each solve, cold and warm from a seed
+// that puts apps on the infeasible servers, to the sweep oracle's
+// ServerOf and PowerOn.
 func TestGatedListsMatchSweep(t *testing.T) {
 	rtt := func(src, dc string) float64 {
 		switch {
@@ -992,13 +995,7 @@ func TestGatedListsMatchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	padded, err := Build(apps, servers, rtt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	padded.Candidates = make([][]int, len(apps))
 	for i := range apps {
-		padded.Candidates[i] = identityIndices(len(servers))
 		for j := range servers {
 			if infeasible[j] == dense.Feasible(i, j) {
 				t.Fatalf("fixture: app %d on server %s feasible %v", i, servers[j].ID, dense.Feasible(i, j))
@@ -1013,7 +1010,7 @@ func TestGatedListsMatchSweep(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			p    *Problem
-		}{{"view", view}, {"dense", dense}, {"padded", padded}} {
+		}{{"view", view}, {"dense", dense}} {
 			solver := &HeuristicSolver{SkipValidate: true}
 			for _, warm := range []*Assignment{nil, seed} {
 				want, err := sweepSolve(tc.p, pol, warm)
@@ -1151,10 +1148,9 @@ func fuzzApp(b int, id string) App {
 // from a decoded seed, and one churned round on the same solver — churned
 // apps plus an intensity tick or a power toggle, solved warm from the
 // previous result — must each give the sweep's ServerOf and PowerOn. The
-// first batch is also rebuilt densely (Build, every server a candidate)
-// and with padded Candidates (each shortlist plus every other server,
-// feasible or not), and both are solved cold and warm from the same seed:
-// off a workspace view the solver filters its own gated lists.
+// first batch is also rebuilt densely (Build, every app its own class
+// with Stamp's candidate lists) and solved cold and warm from the same
+// seed, holding singleton classes to the sweep too.
 func FuzzHeuristicMatchesSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0x21, 0, 0x09, 1, 0x41, 2, 0x62, 5, 0x83, 3, 0x04, 6, 30, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
@@ -1198,26 +1194,12 @@ func FuzzHeuristicMatchesSweep(f *testing.F) {
 			seed.ServerOf[i] = next()%(ws.NumServers()+1) - 1
 		}
 		prev := check("warm", p, seed)
-		for _, pad := range []bool{false, true} {
-			d, err := Build(apps, slices.Clone(ws.servers), rtt, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			when := "dense"
-			if pad {
-				when = "padded"
-				d.Candidates = make([][]int, len(apps))
-				for i := range apps {
-					for j := range d.Servers {
-						if slotOf(p.Candidates[i], j) >= 0 || (i+j)%2 == 0 {
-							d.Candidates[i] = append(d.Candidates[i], j)
-						}
-					}
-				}
-			}
-			check(when+" cold", d, nil)
-			check(when+" warm", d, seed)
+		d, err := Build(apps, slices.Clone(ws.servers), rtt, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check("dense cold", d, nil)
+		check("dense warm", d, seed)
 
 		for c := next() % 6; c > 0; c-- {
 			apps[next()%len(apps)] = fuzzApp(next(), fmt.Sprintf("n%02d", c))

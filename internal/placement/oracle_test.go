@@ -62,7 +62,7 @@ func sweepConstruct(st *state, pol Policy) {
 	sort.SliceStable(order, func(a, b int) bool { return options[order[a]] < options[order[b]] })
 	for _, i := range order {
 		best, bestCost := -1, math.Inf(1)
-		for _, j := range p.CandidatesOf(i) {
+		for _, j := range p.Candidates[i] {
 			if !st.p.fits(i, j, st.free[j]) {
 				continue
 			}
@@ -86,7 +86,7 @@ func sweepLocalSearch(st *state, pol Policy, maxPasses int) {
 			cur := st.assigned[i]
 			if cur < 0 {
 				// Retry unplaced apps: capacity may have shifted.
-				for _, j := range p.CandidatesOf(i) {
+				for _, j := range p.Candidates[i] {
 					if st.p.fits(i, j, st.free[j]) {
 						st.place(i, j, -1)
 						improved = true
@@ -101,7 +101,7 @@ func sweepLocalSearch(st *state, pol Policy, maxPasses int) {
 			// (an unplace/place round trip would not: (a+d)-d need not
 			// equal a in floating point).
 			best, bestCost := cur, st.moveAwareCost(pol, i, cur)
-			for _, j := range p.CandidatesOf(i) {
+			for _, j := range p.Candidates[i] {
 				if j == cur || !st.p.fits(i, j, st.free[j]) {
 					continue
 				}

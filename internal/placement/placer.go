@@ -31,10 +31,10 @@ const ExactPairLimit = 220
 
 // ExactIntegerLimit routes a batch to the exact backend only when its
 // MILP has at most this many integers, one per feasible (class, server)
-// pair over Problem.classes; a batch the certificate closes builds no
-// MILP and is not bound by it. The node budget bounds the count of
-// branch-and-bound nodes, but a node's dense simplex costs more the more
-// integers the model holds. Measured on a 2-vCPU x86-64 host with 44
+// pair over the view's classes (Problem.classOf); a batch the certificate
+// closes builds no MILP and is not bound by it. The node budget bounds
+// the count of branch-and-bound nodes, but a node's dense simplex costs
+// more the more integers the model holds. Measured on a 2-vCPU x86-64 host with 44
 // apps of one model in k classes on five servers (5k integers, seeds 1–6
 // and 9–11, CarbonAware and the α = 0.5 blend), the slowest solve that
 // spent the whole budget took 0.17 s at 40 integers, 0.23 s at 50 and
@@ -105,8 +105,7 @@ func (pl *Placer) Place(p *Problem) (*Result, error) {
 	// Count feasible pairs (line 7's filtered set) and the MILP's
 	// integers, one per feasible pair of each class's lowest app, to pick
 	// a backend.
-	var ident []int32
-	cls, rep := p.classes(&ident)
+	cls, rep := p.classOf, p.classRep
 	pairs, integers := 0, 0
 	for i := range p.Apps {
 		n := len(p.FeasibleServers(i))

@@ -9,7 +9,7 @@ import "fmt"
 // over feasible assignments. The paper's four policies and the
 // multi-objective extension are all instances.
 //
-// Both backends solve in a view's classes (Problem.classes), so a policy
+// Both backends solve in a view's classes (Problem.classOf), so a policy
 // must cost the apps of one class, which share their matrix rows, alike
 // within a solve.
 type Policy interface {

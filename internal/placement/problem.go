@@ -80,25 +80,20 @@ type Problem struct {
 	// all (e.g. GPU models cannot run on CPU-only servers).
 	Compatible [][]bool
 
-	// Candidates, when non-nil, lists for each app the server indices
-	// (ascending) that can ever host it: the latency- and
-	// compatibility-feasible shortlist a Workspace precomputes. Solvers
-	// restrict their scans to these indices; every server outside an
-	// app's shortlist must be infeasible for it. Nil means every server
-	// is a candidate for every app (a hand-built dense problem).
+	// Candidates lists for each app exactly the servers that are
+	// compatible with it and within its SLO, in ascending index order: the
+	// shortlist a Workspace precomputes. Solvers trust this contract and
+	// scan only these indices, taking every listed server to pass both
+	// tests and every other one to fail them; only capacity is left to
+	// test.
 	Candidates [][]int
 
-	// allServers, when sized to Servers, is the identity shortlist
-	// CandidatesOf returns when Candidates is nil; the dense test builder
-	// (NewProblem) sets it so scans of its problems allocate nothing.
-	allServers []int
-
-	// classOf/classRep, when non-nil, are the owning Workspace's class
-	// stamp: classOf[i] is app i's dense (source, SLO, model, rate) class
-	// index within this view, numbered by first appearance, and
-	// classRep[c] is the lowest app index in class c. Apps of one class
-	// share their Candidates row and all four matrix rows, so anything
-	// derived from those alone can be computed once per class.
+	// classOf/classRep are the owning Workspace's class stamp: classOf[i]
+	// is app i's dense (source, SLO, model, rate) class index within this
+	// view, numbered by first appearance, and classRep[c] is the lowest
+	// app index in class c. Apps of one class share their Candidates row
+	// and all four matrix rows, so anything derived from those alone can
+	// be computed once per class. Both backends solve in these classes.
 	classOf  []int32
 	classRep []int32
 
@@ -109,45 +104,10 @@ type Problem struct {
 	gen uint64
 }
 
-// classes returns the classes both backends work in (cls[i] is app i's
-// class, rep[c] its lowest app): a workspace view's stamp, whose classes'
-// apps share candidates, feasibility and costs (see Policy); a
-// hand-built dense problem has no stamp, and every app is its own class,
-// both being (*ident)[:n], an identity map grown in place for reuse.
-func (p *Problem) classes(ident *[]int32) (cls, rep []int32) {
-	if p.classOf != nil {
-		return p.classOf, p.classRep
-	}
-	n := len(p.Apps)
-	for i := len(*ident); i < n; i++ {
-		*ident = append(*ident, int32(i))
-	}
-	return (*ident)[:n], (*ident)[:n]
-}
-
-// CandidatesOf returns app i's candidate server indices in ascending
-// order: the precomputed shortlist when present, otherwise every server.
-// No lazy caching here — a dense Problem stays read-only during Solve, so
-// concurrent solves over one Problem remain safe.
-func (p *Problem) CandidatesOf(i int) []int {
-	if p.Candidates != nil {
-		return p.Candidates[i]
-	}
-	if len(p.allServers) == len(p.Servers) {
-		return p.allServers
-	}
-	return identityIndices(len(p.Servers))
-}
-
-func identityIndices(m int) []int {
-	idx := make([]int, m)
-	for j := range idx {
-		idx[j] = j
-	}
-	return idx
-}
-
-// Validate checks structural consistency.
+// Validate checks structural consistency. A problem must come from
+// Workspace.Problem: one without its candidate lists and class stamp, as
+// a caller outside this package builds from the exported fields, is an
+// error.
 func (p *Problem) Validate() error {
 	return p.validateWith(map[string]bool{}, map[string]bool{})
 }
@@ -182,18 +142,16 @@ func (p *Problem) validateWith(ids, sids map[string]bool) error {
 			return fmt.Errorf("placement: matrix column count mismatch at app %d", i)
 		}
 	}
-	if p.Candidates != nil {
-		if len(p.Candidates) != n {
-			return fmt.Errorf("placement: candidate row count mismatch")
-		}
-		for i, cand := range p.Candidates {
-			prev := -1
-			for _, j := range cand {
-				if j <= prev || j >= m {
-					return fmt.Errorf("placement: candidate list for app %d not ascending in [0,%d)", i, m)
-				}
-				prev = j
+	if len(p.Candidates) != n || len(p.classOf) != n {
+		return fmt.Errorf("placement: problem lacks a Workspace view's class stamp and candidate lists")
+	}
+	for i, cand := range p.Candidates {
+		prev := -1
+		for _, j := range cand {
+			if j <= prev || j >= m {
+				return fmt.Errorf("placement: candidate list for app %d not ascending in [0,%d)", i, m)
 			}
+			prev = j
 		}
 	}
 	return nil
@@ -212,8 +170,7 @@ func (p *Problem) fits(i, j int, free cluster.Resources) bool {
 		return false
 	}
 	// Written as the negation of the good range, as the workspace
-	// shortlist and the heuristic's gate test it: a NaN latency meets no
-	// SLO.
+	// shortlist tests it: a NaN latency meets no SLO.
 	if !(p.LatencyMs[i][j] <= p.Apps[i].SLOms+1e-9) {
 		return false
 	}
@@ -221,11 +178,11 @@ func (p *Problem) fits(i, j int, free cluster.Resources) bool {
 }
 
 // FeasibleServers returns the indices of servers feasible for app i.
-// With candidate shortlists present only the shortlist is scanned;
-// servers outside it are infeasible by construction.
+// Only its candidate list is scanned; servers outside it are infeasible
+// by construction.
 func (p *Problem) FeasibleServers(i int) []int {
 	var out []int
-	for _, j := range p.CandidatesOf(i) {
+	for _, j := range p.Candidates[i] {
 		if p.Feasible(i, j) {
 			out = append(out, j)
 		}

@@ -31,7 +31,8 @@ func (r *batchRecorder) PairCost(p *placement.Problem, i, j int) float64 {
 	return r.CarbonAware.PairCost(p, i, j)
 }
 
-// cloneProblem deep-copies a problem's exported fields.
+// cloneProblem deep-copies a problem's exported fields and stamps the
+// copy, every app its own class.
 func cloneProblem(p *placement.Problem) *placement.Problem {
 	c := placement.NewProblem(append([]placement.App(nil), p.Apps...), append([]placement.Server(nil), p.Servers...))
 	for i := range p.Apps {
@@ -40,13 +41,7 @@ func cloneProblem(p *placement.Problem) *placement.Problem {
 		copy(c.LatencyMs[i], p.LatencyMs[i])
 		copy(c.Compatible[i], p.Compatible[i])
 	}
-	if p.Candidates != nil {
-		c.Candidates = make([][]int, len(p.Candidates))
-		for i, cand := range p.Candidates {
-			c.Candidates[i] = append([]int(nil), cand...)
-		}
-	}
-	return c
+	return placement.Stamp(c)
 }
 
 // TestOrchestratorStreamCertified drives a Florida testbed orchestrator

@@ -374,8 +374,8 @@ func (ws *Workspace) latFeasible(source string, sloMs float64) *idxSpan {
 
 // candClassOf returns the app's class with its shortlist — servers that
 // are both within the latency bound and model-compatible, in ascending
-// server order (so solver tie-breaks match the dense path) — and its rows
-// extended to the current server count. An app whose class hint is still
+// server order (so solver tie-breaks match a full server scan) — and its
+// rows extended to the current server count. An app whose class hint is still
 // trusted (see candClass) skips the memo lookup; for any other app it is
 // the only lookup a view pays.
 func (ws *Workspace) candClassOf(a *App) *candClass {
@@ -494,9 +494,8 @@ type SolveStats struct {
 	// Placed and Unplaced count the last batch's outcomes.
 	Placed   int `json:"placed"`
 	Unplaced int `json:"unplaced"`
-	// Candidate shortlist sizes across the batch's apps. On a dense
-	// problem (no workspace) every app's candidate set is the full
-	// server axis.
+	// Candidate shortlist sizes across the batch's apps: the compatible,
+	// within-SLO servers of each (Problem.Candidates).
 	CandidatesMin  int     `json:"candidates_min"`
 	CandidatesMean float64 `json:"candidates_mean"`
 	CandidatesMax  int     `json:"candidates_max"`
@@ -530,10 +529,7 @@ func (p *Problem) CandidateStats() (min int, mean float64, max int) {
 	min = math.MaxInt
 	var sum int
 	for i := range p.Apps {
-		n := len(p.Servers)
-		if p.Candidates != nil {
-			n = len(p.Candidates[i])
-		}
+		n := len(p.Candidates[i])
 		sum += n
 		if n < min {
 			min = n

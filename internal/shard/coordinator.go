@@ -76,7 +76,7 @@ func (c *Coordinator) RunRound() error {
 		return fmt.Errorf("shard: RunRound past round %d of %d", c.round, c.cfg.Base.Hours)
 	}
 	step := func(i int) (struct{}, error) {
-		if err := c.engines[i].ProcessNext(); err != nil {
+		if err := c.engines[i].Step(); err != nil {
 			return struct{}{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 		return struct{}{}, nil

@@ -14,10 +14,17 @@ import (
 // and LoadCI concatenates per-shard series in shard order. Folding
 // always runs in slice (shard-index) order, so the merged state — and
 // its JSON encoding — is byte-for-byte reproducible no matter which
-// order the shards finished in.
+// order the shards finished in. A shard engine's router keeps no
+// per-replica rows, so a traffic state that carries them is refused
+// rather than folded without them.
 func MergeResults(states []sim.ResultState) (sim.ResultState, error) {
 	if len(states) == 0 {
 		return sim.ResultState{}, fmt.Errorf("shard: merging zero results")
+	}
+	for s, st := range states {
+		if st.Traffic != nil && st.Traffic.Replicas != nil {
+			return sim.ResultState{}, fmt.Errorf("shard %d: per-replica traffic stats are not merged", s)
+		}
 	}
 	out := states[0]
 	// Deep-copy the parts the fold mutates so callers' states stay intact.
@@ -118,13 +125,6 @@ func copyTraffic(src *router.StatsState) *router.StatsState {
 	st := *src
 	st.Latency.Buckets = append([]uint64(nil), src.Latency.Buckets...)
 	st.ByReplica = copyCounts(src.ByReplica)
-	if src.Replicas != nil {
-		st.Replicas = make(map[string]router.ReplicaStatsState, len(src.Replicas))
-		for id, rs := range src.Replicas {
-			rs.Latency.Buckets = append([]uint64(nil), rs.Latency.Buckets...)
-			st.Replicas[id] = rs
-		}
-	}
 	return &st
 }
 
@@ -152,36 +152,5 @@ func mergeTraffic(dst, src *router.StatsState) error {
 		dst.ByReplica = map[string]int64{}
 	}
 	addCounts(dst.ByReplica, src.ByReplica)
-	if len(src.Replicas) > 0 {
-		if dst.Replicas == nil {
-			dst.Replicas = make(map[string]router.ReplicaStatsState, len(src.Replicas))
-		}
-		//detlint:ordered per-key merge into distinct map cells; order only picks which merge error surfaces, and any error aborts the fold
-		for id, rs := range src.Replicas {
-			cur, ok := dst.Replicas[id]
-			if !ok {
-				dst.Replicas[id] = rs
-				continue
-			}
-			cur.Requests += rs.Requests
-			cur.SLOMet += rs.SLOMet
-			cur.Spilled += rs.Spilled
-			cur.EnergyKWh += rs.EnergyKWh
-			cur.CarbonG += rs.CarbonG
-			ca, err := metrics.SketchFromState(cur.Latency)
-			if err != nil {
-				return fmt.Errorf("merging replica %s latency: %w", id, err)
-			}
-			cb, err := metrics.SketchFromState(rs.Latency)
-			if err != nil {
-				return fmt.Errorf("merging replica %s latency: %w", id, err)
-			}
-			if err := ca.Merge(cb); err != nil {
-				return fmt.Errorf("merging replica %s latency: %w", id, err)
-			}
-			cur.Latency = ca.State()
-			dst.Replicas[id] = cur
-		}
-	}
 	return nil
 }

@@ -5,7 +5,7 @@
 // engines in lock-step rounds of one epoch — every engine steps its
 // epoch concurrently, and the coordinator barriers after each round.
 //
-//	             ┌─────────┐ ProcessNext ┌──────────────┐
+//	             ┌─────────┐    Step     ┌──────────────┐
 //	Plan ───────▶│ shard 0 │────────────▶│  barrier,    │  shard s's
 //	(lon bands,  ├─────────┤             │  shard by    │  forwarded apps
 //	 split rates,│ shard 1 │────────────▶│  shard:      │  and spill go to

@@ -15,6 +15,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -478,4 +479,19 @@ func shardResults(c *Coordinator) []*sim.Result {
 		out[i] = e.Finish()
 	}
 	return out
+}
+
+// TestMergeRefusesPerReplicaStats: a shard engine's router keeps no
+// per-replica rows, so MergeResults has no fold for them and must refuse
+// a traffic state that carries them instead of dropping them.
+func TestMergeRefusesPerReplicaStats(t *testing.T) {
+	perReplica := &router.StatsState{Replicas: map[string]router.ReplicaStatsState{"r0": {Requests: 1}}}
+	for _, states := range [][]sim.ResultState{
+		{{Traffic: perReplica}},
+		{{Traffic: &router.StatsState{}}, {Traffic: perReplica}},
+	} {
+		if _, err := MergeResults(states); err == nil {
+			t.Errorf("merged %d states with per-replica traffic stats, want an error", len(states))
+		}
+	}
 }

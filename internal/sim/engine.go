@@ -528,10 +528,6 @@ func (e *Engine) Epoch() int { return e.epoch }
 // Done reports whether the configured span has been simulated.
 func (e *Engine) Done() bool { return e.epoch >= e.cfg.Hours }
 
-// ProcessNext advances the next pending epoch: Step under its
-// shared-clock coordinator name.
-func (e *Engine) ProcessNext() error { return e.Step() }
-
 // Finish returns the accumulated result. It may be called mid-run to
 // inspect partial state; the engine keeps owning the pointer until Done.
 // The per-city and per-month placement counters are folded in here (and

@@ -120,7 +120,10 @@ bench-smoke:
 # Step) and one of the world build's carbon generator
 # (BenchmarkTraceGeneration: a year of one curated zone's intensity per
 # op), and prints the top-10 flat summaries. The checked-in snapshots
-# of those summaries live in profiles/PROFILE_44.md (redeploy churn
+# of those summaries live in profiles/PROFILE_47.md (checkpoint before
+# and after the sorted placement count lists and the result's monthly
+# figures and count entries cached by value, with the row cache's
+# counted renders), profiles/PROFILE_44.md (redeploy churn
 # before and after the solver's in-place floors, per-class touches and
 # table-read warm slots, and the engine's one view per stranded
 # redeploy, with the solver's work counts), profiles/PROFILE_43.md (the request path

@@ -49,8 +49,8 @@ func main() {
 		n    int64
 	}
 	var counts []cityCount
-	for _, city := range ce.PlacementsByCity.Labels() {
-		counts = append(counts, cityCount{city, ce.PlacementsByCity.Get(city)})
+	for city, n := range ce.PlacementsByCity.All() {
+		counts = append(counts, cityCount{city, n})
 	}
 	for i := 0; i < len(counts); i++ {
 		for j := i + 1; j < len(counts); j++ {

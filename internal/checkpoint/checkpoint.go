@@ -5,15 +5,18 @@
 // can reject foreign files, versions it does not understand, mis-routed
 // kinds, and corrupted payloads before decoding a byte of state. A
 // payload is encoded as encoding/json encodes it: Go's float and integer
-// renderings round-trip exactly and maps encode with sorted keys, so two
-// equal states produce identical bytes — the property the
-// resume-equivalence tests compare. A payload with an AppendJSON method
-// (*sim.Snapshot, the engine checkpoint) writes those bytes itself,
-// without reflection; every other payload goes through a json.Encoder.
-// An engine's snapshots share a row cache: a server row or live-app
-// entry is copied from it only when it equals, bit for bit, the value
-// the cached bytes were rendered from, so a decoded or hand-built
-// snapshot, which carries no cache, encodes to the same bytes.
+// renderings round-trip exactly and maps encode with sorted keys (an
+// engine result's placement counts are metrics.Counts, lists kept sorted
+// by label that encode as those maps would), so two equal states produce
+// identical bytes — the property the resume-equivalence tests compare.
+// A payload with an AppendJSON method (*sim.Snapshot, the engine
+// checkpoint) writes those bytes itself, without reflection; every other
+// payload goes through a json.Encoder.
+// An engine's snapshots share a row cache: a server row, live-app entry,
+// monthly result figure or placement count entry is copied from it only
+// when it equals, bit for bit, the value the cached bytes were rendered
+// from, so a decoded or hand-built snapshot, which carries no cache,
+// encodes to the same bytes.
 // encoding/json is the only decoder, and a reader accepts nothing but
 // whitespace after the envelope.
 //

@@ -73,8 +73,8 @@ func (s *Suite) hotSites(policies []placement.Policy) (map[string][2]string, err
 	for key, r := range runs {
 		var city string
 		var max int64
-		for _, c := range r.PlacementsByCity.Labels() {
-			if n := r.PlacementsByCity.Get(c); n > max {
+		for c, n := range r.PlacementsByCity.All() {
+			if n > max {
 				city, max = c, n
 			}
 		}

@@ -4,6 +4,7 @@
 package metrics
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -97,10 +98,6 @@ func (g *Grouped) Get(key string) *Summary {
 type Counter struct {
 	mu     sync.Mutex
 	counts map[string]int64
-	// labels caches the labels in sorted order; nil once a label is added
-	// or deleted. SortedState lends it out, so a built slice is never
-	// written again: a rebuild allocates a new one.
-	labels []string
 }
 
 // NewCounter creates an empty counter set.
@@ -113,11 +110,7 @@ func (c *Counter) Inc(label string, delta int64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.counts)
 	c.counts[label] += delta
-	if len(c.counts) != n {
-		c.labels = nil
-	}
 }
 
 // Delete drops a label and its count: the owner's way to retire a label
@@ -127,39 +120,16 @@ func (c *Counter) Inc(label string, delta int64) {
 func (c *Counter) Delete(label string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.counts)
 	delete(c.counts, label)
-	if len(c.counts) != n {
-		c.labels = nil
-	}
-}
-
-// Get returns a label's count.
-func (c *Counter) Get(label string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counts[label]
 }
 
 // Labels returns all labels sorted.
 func (c *Counter) Labels() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append(make([]string, 0, len(c.counts)), c.sortedLabels()...)
-}
-
-// sortedLabels returns the cached sorted labels, rebuilding them into a
-// new slice when a label was added or deleted since. c.mu must be held.
-func (c *Counter) sortedLabels() []string {
-	if c.labels == nil && len(c.counts) > 0 {
-		labels := make([]string, 0, len(c.counts))
-		for k := range c.counts {
-			labels = append(labels, k)
-		}
-		slices.Sort(labels)
-		c.labels = labels
-	}
-	return c.labels
+	labels := slices.AppendSeq(make([]string, 0, len(c.counts)), maps.Keys(c.counts))
+	slices.Sort(labels)
+	return labels
 }
 
 // SummaryState is the serializable form of a Summary, used by
@@ -187,25 +157,7 @@ func SummaryFromState(st SummaryState) Summary {
 func (c *Counter) State() map[string]int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.copyCounts()
-}
-
-// SortedState is State plus its labels in sorted order (nil when there
-// are none). The label slice is shared with the counter, which never
-// writes it again; the caller must not write it either.
-func (c *Counter) SortedState() (map[string]int64, []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.copyCounts(), c.sortedLabels()
-}
-
-// copyCounts returns a copy of the counts. c.mu must be held.
-func (c *Counter) copyCounts() map[string]int64 {
-	out := make(map[string]int64, len(c.counts))
-	for k, v := range c.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.counts)
 }
 
 // CounterFromState rebuilds a counter from an exported state.

@@ -77,8 +77,8 @@ func TestCounter(t *testing.T) {
 	c.Inc("a", 3)
 	c.Inc("b", 1)
 	c.Inc("a", -5) // ignored
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("zzz") != 0 {
-		t.Errorf("counts = %d %d %d", c.Get("a"), c.Get("b"), c.Get("zzz"))
+	if st := c.State(); st["a"] != 5 || st["b"] != 1 || len(st) != 2 {
+		t.Errorf("counts = %v", st)
 	}
 	labels := c.Labels()
 	if len(labels) != 2 || labels[0] != "a" {
@@ -88,46 +88,58 @@ func TestCounter(t *testing.T) {
 	// comes back.
 	c.Delete("a")
 	c.Delete("never-seen")
-	if _, ok := c.State()["a"]; ok || c.Get("a") != 0 || len(c.Labels()) != 1 || c.Get("b") != 1 {
+	if _, ok := c.State()["a"]; ok || len(c.Labels()) != 1 || c.State()["b"] != 1 {
 		t.Errorf("after Delete(a): state %v, labels %v", c.State(), c.Labels())
 	}
 	c.Inc("a", 4)
-	if c.Get("a") != 4 {
-		t.Errorf("re-added label counts %d, want 4", c.Get("a"))
+	if n := c.State()["a"]; n != 4 {
+		t.Errorf("re-added label counts %d, want 4", n)
 	}
 }
 
-// TestCounterSortedState checks the cached label order after every kind
-// of label change, and that a lent label slice is never written again.
-func TestCounterSortedState(t *testing.T) {
-	c := NewCounter()
-	check := func(step string) []string {
+// TestCountsKeepLentLabels checks a count list's order after each kind
+// of change, that a label slice lent by Clone is never written again,
+// and that Plus sums without writing either list.
+func TestCountsKeepLentLabels(t *testing.T) {
+	c := NewCounts()
+	want := map[string]int64{}
+	check := func(step string, c Counts, want map[string]int64) {
 		t.Helper()
-		st, labels := c.SortedState()
-		want := slices.Sorted(maps.Keys(st))
-		if len(want) == 0 {
-			want = nil
+		if !slices.Equal(c.Labels(), slices.Sorted(maps.Keys(want))) || !maps.Equal(maps.Collect(c.All()), want) || c.Len() != len(want) {
+			t.Fatalf("%s: %v, want %v", step, c, want)
 		}
-		if !slices.Equal(labels, want) || !slices.Equal(c.Labels(), want) {
-			t.Fatalf("%s: SortedState labels %v, Labels %v, want %v", step, labels, c.Labels(), want)
+		for l, n := range want {
+			if c.Get(l) != n {
+				t.Fatalf("%s: Get(%q) = %d, want %d", step, l, c.Get(l), n)
+			}
 		}
-		return labels
 	}
-	check("empty")
-	c.Inc("b", 1)
-	c.Inc("a", 1)
-	lent := check("inc")
-	kept := slices.Clone(lent)
-	c.Inc("a", 1) // an existing label keeps the cache
-	if again := check("inc existing"); &again[0] != &lent[0] {
-		t.Error("incrementing an existing label rebuilt the labels")
+	if (Counts{}).Labels() != nil || c.Labels() == nil || c.Get("a") != 0 {
+		t.Fatal("the zero Counts must be nil and NewCounts empty")
 	}
-	c.Delete("a")
-	check("delete")
-	c.Inc("0", 1)
-	check("inc new label")
-	if !slices.Equal(lent, kept) {
-		t.Errorf("lent labels rewritten to %v, were %v", lent, kept)
+	add := func(l string, n int64) { c.Add(l, n); want[l] += n }
+	add("b", 1)
+	add("d", 2)
+	add("f", 3) // three labels in a slice of capacity four
+	check("add", c, want)
+	lent, keptWant := c.Clone(), maps.Clone(want)
+	add("d", 5) // an existing label keeps the labels
+	if &c.Labels()[0] != &lent.Labels()[0] {
+		t.Error("counting an existing label rebuilt the labels")
+	}
+	add("a", 1) // sorts first: inserted in place, it would shift the lent labels
+	add("g", 1)
+	check("insert", c, want)
+	check("lent", lent, keptWant) // its labels and counts unwritten
+
+	sum := c.Plus(lent)
+	for l, n := range keptWant {
+		want[l] += n
+	}
+	check("plus", sum, want)
+	check("lent after plus", lent, keptWant)
+	if (Counts{}).Plus(Counts{}).Labels() == nil {
+		t.Error("a sum of nil lists is nil")
 	}
 }
 
@@ -144,7 +156,7 @@ func TestCounterConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Get("x"); got != 8000 {
+	if got := c.State()["x"]; got != 8000 {
 		t.Errorf("concurrent counter = %d", got)
 	}
 }

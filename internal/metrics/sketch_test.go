@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -375,11 +376,8 @@ func TestSummaryAndCounterStateRoundTrip(t *testing.T) {
 	c := NewCounter()
 	c.Inc("a", 3)
 	c.Inc("b", 9)
-	rc := CounterFromState(c.State())
-	for _, l := range c.Labels() {
-		if rc.Get(l) != c.Get(l) {
-			t.Errorf("counter %s: %d vs %d", l, rc.Get(l), c.Get(l))
-		}
+	if rc := CounterFromState(c.State()); !maps.Equal(rc.State(), c.State()) {
+		t.Errorf("counter round-trip diverged: %v vs %v", rc.State(), c.State())
 	}
 }
 

@@ -376,7 +376,7 @@ func TestEvictedRowFollowsReplacement(t *testing.T) {
 	if ids := rowIDs(o); len(ids) != 0 {
 		t.Errorf("rejected app1 left rows %v", ids)
 	}
-	if n := o.traffic.router.Stats().ByReplica.Get("app1"); n != 0 {
+	if n := o.traffic.router.Stats().ByReplica.State()["app1"]; n != 0 {
 		t.Errorf("rejected app1 left a ByReplica count of %d", n)
 	}
 }

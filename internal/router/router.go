@@ -706,14 +706,27 @@ func (s *Stats) State() StatsState {
 }
 
 // RestoreStats replaces the router's accumulator with an exported state
-// (a fresh router about to resume a checkpointed run). The per-replica
-// map is rebuilt only when the state carries one, mirroring PerReplica.
-// The pair memo is emptied: its buckets were resolved against the
-// replaced latency sketch, and a restored one may differ in resolution.
+// (a fresh router about to resume a checkpointed run; see
+// StatsFromState). The pair memo is emptied: its buckets were resolved
+// against the replaced latency sketch, and a restored one may differ in
+// resolution.
 func (r *Router) RestoreStats(st StatsState) error {
+	stats, err := StatsFromState(st, r.cfg.PerReplica)
+	if err != nil {
+		return err
+	}
+	r.stats = *stats
+	r.InvalidateRTT()
+	return nil
+}
+
+// StatsFromState rebuilds an accumulator from an exported state. The
+// per-replica map is rebuilt when perReplica is set or the state carries
+// one.
+func StatsFromState(st StatsState, perReplica bool) (*Stats, error) {
 	lat, err := metrics.SketchFromState(st.Latency)
 	if err != nil {
-		return fmt.Errorf("router: restoring latency sketch: %w", err)
+		return nil, fmt.Errorf("router: restoring latency sketch: %w", err)
 	}
 	stats := Stats{
 		Requests:       st.Requests,
@@ -726,13 +739,13 @@ func (r *Router) RestoreStats(st StatsState) error {
 		CarbonG:        st.CarbonG,
 		ByReplica:      metrics.CounterFromState(st.ByReplica),
 	}
-	if r.cfg.PerReplica || st.Replicas != nil {
+	if perReplica || st.Replicas != nil {
 		stats.Replicas = make(map[string]*ReplicaStats, len(st.Replicas))
 		//detlint:ordered keyed stores into a fresh map; order only picks which restore error surfaces, and any error aborts the restore
 		for id, rs := range st.Replicas {
 			sk, err := metrics.SketchFromState(rs.Latency)
 			if err != nil {
-				return fmt.Errorf("router: restoring replica %s sketch: %w", id, err)
+				return nil, fmt.Errorf("router: restoring replica %s sketch: %w", id, err)
 			}
 			stats.Replicas[id] = &ReplicaStats{
 				Requests:  rs.Requests,
@@ -744,7 +757,5 @@ func (r *Router) RestoreStats(st StatsState) error {
 			}
 		}
 	}
-	r.stats = stats
-	r.InvalidateRTT()
-	return nil
+	return &stats, nil
 }

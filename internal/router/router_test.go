@@ -612,7 +612,7 @@ func TestRetireDropsRowKeepsTotals(t *testing.T) {
 	if got := r.Stats().Replicas["orl"].Requests; got != orlServed {
 		t.Errorf("re-routed orl holds %d requests, want the %d one slice gives it", got, orlServed)
 	}
-	if got, want := r.Stats().ByReplica.Get("orl"), r.Stats().Replicas["orl"].Requests; got != want {
+	if got, want := r.Stats().ByReplica.State()["orl"], r.Stats().Replicas["orl"].Requests; got != want {
 		t.Errorf("re-routed orl: label counts %d, row %d", got, want)
 	}
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/metrics"
 	"repro/internal/router"
@@ -28,8 +29,7 @@ func MergeResults(states []sim.ResultState) (sim.ResultState, error) {
 	}
 	out := states[0]
 	// Deep-copy the parts the fold mutates so callers' states stay intact.
-	out.PlacementsByCity = copyCounts(states[0].PlacementsByCity)
-	out.MonthlyPlacements = copyCounts(states[0].MonthlyPlacements)
+	// The count lists need no copy: Plus builds new ones.
 	out.LoadCI = append([]float64(nil), states[0].LoadCI...)
 	if states[0].Faults != nil {
 		fs := *states[0].Faults
@@ -58,8 +58,8 @@ func MergeResults(states []sim.ResultState) (sim.ResultState, error) {
 			ms := metrics.SummaryFromState(st.MonthlyLatency[m])
 			monthly[m].Merge(&ms)
 		}
-		addCounts(out.PlacementsByCity, st.PlacementsByCity)
-		addCounts(out.MonthlyPlacements, st.MonthlyPlacements)
+		out.PlacementsByCity = out.PlacementsByCity.Plus(st.PlacementsByCity)
+		out.MonthlyPlacements = out.MonthlyPlacements.Plus(st.MonthlyPlacements)
 		out.LoadCI = append(out.LoadCI, st.LoadCI...)
 		out.Placed += st.Placed
 		out.Unplaced += st.Unplaced
@@ -91,20 +91,6 @@ func MergeResults(states []sim.ResultState) (sim.ResultState, error) {
 	return out, nil
 }
 
-func copyCounts(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func addCounts(dst, src map[string]int64) {
-	for k, v := range src {
-		dst[k] += v
-	}
-}
-
 func mergeFaults(dst, src *sim.FaultStats) {
 	dst.Events += src.Events
 	dst.ServerCrashes += src.ServerCrashes
@@ -124,7 +110,7 @@ func mergeFaults(dst, src *sim.FaultStats) {
 func copyTraffic(src *router.StatsState) *router.StatsState {
 	st := *src
 	st.Latency.Buckets = append([]uint64(nil), src.Latency.Buckets...)
-	st.ByReplica = copyCounts(src.ByReplica)
+	st.ByReplica = maps.Clone(src.ByReplica)
 	return &st
 }
 
@@ -151,6 +137,8 @@ func mergeTraffic(dst, src *router.StatsState) error {
 	if dst.ByReplica == nil {
 		dst.ByReplica = map[string]int64{}
 	}
-	addCounts(dst.ByReplica, src.ByReplica)
+	for id, n := range src.ByReplica {
+		dst.ByReplica[id] += n
+	}
 	return nil
 }

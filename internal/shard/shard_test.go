@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -426,7 +427,7 @@ func TestMergedTotalsEqualShardSums(t *testing.T) {
 				want.Batches += st.Batches
 				want.CarbonG += st.CarbonG
 				want.EnergyKWh += st.EnergyKWh
-				for city, n := range st.PlacementsByCity {
+				for city, n := range st.PlacementsByCity.All() {
 					cities[city] += n
 				}
 				if tr := st.Traffic; tr != nil {
@@ -451,7 +452,7 @@ func TestMergedTotalsEqualShardSums(t *testing.T) {
 			if math.Float64bits(merged.EnergyKWh) != math.Float64bits(want.EnergyKWh) {
 				t.Errorf("merged energy %v kWh, shard sum %v kWh", merged.EnergyKWh, want.EnergyKWh)
 			}
-			if !reflect.DeepEqual(merged.PlacementsByCity, cities) {
+			if got := maps.Collect(merged.PlacementsByCity.All()); !maps.Equal(got, cities) {
 				t.Errorf("merged placements by city %v, shard sums %v", merged.PlacementsByCity, cities)
 			}
 			if cfg.Base.Traffic == nil {

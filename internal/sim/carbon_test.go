@@ -335,10 +335,10 @@ func TestScaledIntensityMetamorphic(t *testing.T) {
 				if base.Placed == 0 {
 					t.Fatalf("%s: nothing placed: the relation is vacuous", name)
 				}
-				if !reflect.DeepEqual(scaled.PlacementsByCity.State(), base.PlacementsByCity.State()) {
+				if !reflect.DeepEqual(scaled.PlacementsByCity, base.PlacementsByCity) {
 					t.Errorf("%s: placements by city moved", name)
 				}
-				if !reflect.DeepEqual(scaled.MonthlyPlacements.State(), base.MonthlyPlacements.State()) {
+				if !reflect.DeepEqual(scaled.MonthlyPlacements, base.MonthlyPlacements) {
 					t.Errorf("%s: monthly placements moved", name)
 				}
 				if math.Float64bits(scaled.CarbonG) != math.Float64bits(k*base.CarbonG) {

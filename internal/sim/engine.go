@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"time"
@@ -64,7 +65,7 @@ type Engine struct {
 	sites []*deploy.Site
 	//detlint:ephemeral derived from site geometry at construction
 	rtt           [][]float64    // pairwise RTT between site cities
-	siteIdxByCity map[string]int //detlint:ephemeral derived from the site list at construction
+	siteIdxByCity map[string]int // a site of each city; restore checks count labels against it
 	demandW       []float64      //detlint:ephemeral derived from the scenario at construction
 	demandTotal   float64        // Σ demandW, summed once in index order
 	servers       []siteServer
@@ -142,11 +143,12 @@ type Engine struct {
 	// cityMonthKey[site][month] pre-renders the MonthlyPlacements keys.
 	cityMonthKey [][12]string
 	// placed[site][month] tallies placements not yet folded into the
-	// result's counters (foldPlacements): an array increment, not two
-	// locked map writes. Finish, Snapshot and OnEpoch fold first, so no
-	// snapshot holds a tally and a restore starts empty.
-	placed    [][12]int64
-	placedAny bool
+	// result's counts (foldPlacements): an array increment, not two
+	// sorted-list searches. Finish and Snapshot fold first, so no
+	// snapshot holds a tally and a restore starts empty. placedMonths
+	// has bit m set while month m holds a tally.
+	placed       [][12]int64
+	placedMonths uint16
 	// rows caches the JSON of the rows this engine's snapshots encode
 	// (rowCache); Snapshot lends it to each one.
 	rows *rowCache
@@ -398,8 +400,8 @@ func NewEngine(cfg Config, w *World) (*Engine, error) {
 	// solver's structural re-validation.
 	e.solver = &placement.HeuristicSolver{SkipValidate: true}
 	e.res = &Result{
-		PlacementsByCity:  metrics.NewCounter(),
-		MonthlyPlacements: metrics.NewCounter(),
+		PlacementsByCity:  metrics.NewCounts(),
+		MonthlyPlacements: metrics.NewCounts(),
 	}
 
 	// Persistent placement workspace over the site servers. Rows are
@@ -965,7 +967,7 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 		e.res.Latency.Add(rtt)
 		e.res.MonthlyLatency[month].Add(rtt)
 		e.placed[srv.site][month]++
-		e.placedAny = true
+		e.placedMonths |= 1 << month
 	}
 	return nil
 }
@@ -973,20 +975,16 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 // foldPlacements moves the placement counts stepPlacement tallied into the
 // result's PlacementsByCity and MonthlyPlacements and empties the table.
 func (e *Engine) foldPlacements() {
-	if !e.placedAny {
-		return
-	}
-	for site := range e.placed {
-		row := &e.placed[site]
-		for m, n := range row {
-			if n > 0 {
-				e.res.PlacementsByCity.Inc(e.sites[site].City, n)
-				e.res.MonthlyPlacements.Inc(e.cityMonthKey[site][m], n)
-				row[m] = 0
+	for ; e.placedMonths != 0; e.placedMonths &= e.placedMonths - 1 {
+		m := bits.TrailingZeros16(e.placedMonths)
+		for site := range e.placed {
+			if n := e.placed[site][m]; n > 0 {
+				e.res.PlacementsByCity.Add(e.sites[site].City, n)
+				e.res.MonthlyPlacements.Add(e.cityMonthKey[site][m], n)
+				e.placed[site][m] = 0
 			}
 		}
 	}
-	e.placedAny = false
 }
 
 // stepTraffic runs one epoch of the traffic-driven mode: it draws the

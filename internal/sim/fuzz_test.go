@@ -62,9 +62,10 @@ func checkpointModes(t testing.TB, w *World) []Config {
 // bytes, or fail with its error: the fuzzer reaches hostile strings, -0,
 // tiny and huge floats, and null against empty lists and maps. Every
 // input must then either be rejected with an error or give an engine
-// that steps to the end without panicking, physical (checkPhysical)
-// after every epoch. Seeds are snapshots of every mode at epochs 0, 20
-// and 40.
+// that steps to the end without panicking, physical (checkPhysical) and
+// with placement counts that conserve Placed (checkPlacementCounts,
+// which a restore's count validation must have made hold) after every
+// epoch. Seeds are snapshots of every mode at epochs 0, 20 and 40.
 func FuzzNewEngineFrom(f *testing.F) {
 	w := testWorld(f)
 	modes := checkpointModes(f, w)
@@ -116,8 +117,10 @@ func FuzzNewEngineFrom(f *testing.F) {
 			if err := checkPhysical(e); err != nil {
 				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
 			}
+			if err := checkPlacementCounts(e.Finish()); err != nil {
+				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
+			}
 		}
-		e.Finish()
 	})
 }
 
@@ -173,15 +176,18 @@ func FuzzSimFaults(f *testing.F) {
 }
 
 // FuzzAppendJSON holds AppendJSON to json.Marshal where the row cache
-// and the counters' lent label order act. floats is read as 8-byte
-// words, the power and RTT values of a live table in which every word
-// recurs; labels is a newline-separated list of counter operations, "-x"
-// deleting label x and anything else incrementing it. A snapshot is
-// taken halfway through the operations and one at the end: both must
-// encode to json.Marshal's bytes (or fail with its error), and the first
-// to the bytes it had before the second half ran. floats' bytes are also
-// a script of row mutations between successive snapshots that share one
-// row cache (fuzzCachedSnapshots).
+// and the result's lent count lists act. floats is read as 8-byte words,
+// the power and RTT values of a live table in which every word recurs;
+// labels is a newline-separated list of placements, each line a city
+// placed in month 0, or in month 1 when it starts with "-". A snapshot
+// is taken halfway through the placements and one at the end, both
+// through one row cache: both must encode to json.Marshal's bytes (or
+// fail with its error), and the first to the bytes it had before the
+// second half ran. Each snapshot's count lists are also held to
+// json.Marshal of maps of the same placements counted apart
+// (checkCountsJSON). floats' bytes are also a script of row mutations
+// between successive snapshots that share one row cache
+// (fuzzCachedSnapshots).
 func FuzzAppendJSON(f *testing.F) {
 	words := func(fs ...float64) []byte {
 		var b []byte
@@ -206,25 +212,30 @@ func FuzzAppendJSON(f *testing.F) {
 			vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(floats[i:])))
 		}
 		r := counterResult()
+		cities, months := map[string]int64{}, map[string]int64{}
 		apply := func(ops []string) {
 			for _, op := range ops {
+				month := "/0"
 				if l, ok := strings.CutPrefix(op, "-"); ok {
-					r.PlacementsByCity.Delete(l)
-					r.MonthlyPlacements.Delete(l + "/0")
-				} else {
-					r.PlacementsByCity.Inc(op, 1)
-					r.MonthlyPlacements.Inc(op+"/0", int64(len(op)))
+					op, month = l, "/1"
 				}
+				r.PlacementsByCity.Add(op, 1)
+				r.MonthlyPlacements.Add(op+month, int64(len(op)))
+				cities[op]++
+				months[op+month] += int64(len(op))
 			}
 		}
+		rows := new(rowCache)
 		snap := func() *Snapshot {
-			s := &Snapshot{ConfigSig: "fuzz", Result: r.State()}
+			s := &Snapshot{ConfigSig: "fuzz", Result: r.State(), rows: rows}
 			if len(vals) > 0 {
 				s.Live = make([]LiveAppSnap, min(4*len(vals), 4096))
 				for i := range s.Live {
 					s.Live[i] = LiveAppSnap{Srv: i, PowerW: vals[i%len(vals)], RTTMs: vals[(3*i+1)%len(vals)]}
 				}
 			}
+			checkCountsJSON(t, "cities", &rows.cities, s.Result.PlacementsByCity, cities)
+			checkCountsJSON(t, "months", &rows.months, s.Result.MonthlyPlacements, months)
 			return s
 		}
 		ops := strings.Split(labels, "\n")

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"strings"
@@ -95,9 +96,9 @@ func checkClocks(prev, cur clocks) error {
 // Placed, and each city's per-month counts ("city/m") sum to its own
 // count, with no month key outside a counted city.
 func checkPlacementCounts(res *Result) error {
-	cities, months := res.PlacementsByCity.State(), res.MonthlyPlacements.State()
+	months := maps.Collect(res.MonthlyPlacements.All())
 	var total, monthly int64
-	for city, n := range cities {
+	for city, n := range res.PlacementsByCity.All() {
 		total += n
 		var sum int64
 		for m := 0; m < 12; m++ {

@@ -63,12 +63,12 @@ type Result struct {
 	// MonthlyLatency summarizes latency by month.
 	MonthlyLatency [12]metrics.Summary
 	// PlacementsByCity counts app placements per hosting city.
-	PlacementsByCity *metrics.Counter
+	PlacementsByCity metrics.Counts
 	// MonthlyPlacements counts placements per city per month
-	// (Figure 13d), keyed "city/month". The engine tallies both in its
+	// (Figure 13d), labelled "city/month". The engine tallies both in its
 	// own table and folds them in when Finish or Snapshot reads the
 	// result; until then they lag Placed.
-	MonthlyPlacements *metrics.Counter
+	MonthlyPlacements metrics.Counts
 	// LoadCI samples the hosting zone's carbon intensity once per
 	// app-hour (Figure 11c), when enabled.
 	LoadCI []float64

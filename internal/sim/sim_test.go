@@ -195,7 +195,7 @@ func TestSeasonalityTracking(t *testing.T) {
 	if math.Abs(total-res.CarbonG) > 1e-6 {
 		t.Errorf("monthly sum %v != total %v", total, res.CarbonG)
 	}
-	if len(res.MonthlyPlacements.Labels()) == 0 {
+	if res.MonthlyPlacements.Len() == 0 {
 		t.Error("no monthly placement counts recorded")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"strconv"
 	"strings"
 	"time"
 
@@ -111,17 +112,18 @@ type InboxReqSnap struct {
 }
 
 // ResultState is the serializable form of a Result. Maps are encoded
-// with sorted keys by encoding/json, so two equal states encode to
-// identical bytes — the property the resume-equivalence tests and the
-// sweep journal compare on.
+// with sorted keys by encoding/json, and the placement counts are lists
+// kept sorted by label that encode as those maps would, so two equal
+// states encode to identical bytes — the property the resume-equivalence
+// tests and the sweep journal compare on.
 type ResultState struct {
 	CarbonG           float64                  `json:"carbon_g"`
 	EnergyKWh         float64                  `json:"energy_kwh"`
 	Latency           metrics.SummaryState     `json:"latency"`
 	MonthlyCarbonG    [12]float64              `json:"monthly_carbon_g"`
 	MonthlyLatency    [12]metrics.SummaryState `json:"monthly_latency"`
-	PlacementsByCity  map[string]int64         `json:"placements_by_city"`
-	MonthlyPlacements map[string]int64         `json:"monthly_placements"`
+	PlacementsByCity  metrics.Counts           `json:"placements_by_city"`
+	MonthlyPlacements metrics.Counts           `json:"monthly_placements"`
 	LoadCI            []float64                `json:"load_ci,omitempty"`
 	Placed            int                      `json:"placed"`
 	Unplaced          int                      `json:"unplaced"`
@@ -132,28 +134,18 @@ type ResultState struct {
 	Batches           int                      `json:"batches"`
 	Faults            *FaultStats              `json:"faults,omitempty"`
 	Traffic           *router.StatsState       `json:"traffic,omitempty"`
-
-	// cityKeys and monthKeys are PlacementsByCity's and
-	// MonthlyPlacements' keys in sorted order, lent by the counters
-	// (Counter.SortedState) so AppendJSON need not sort them. They are
-	// nil in a state built any other way, and AppendJSON checks them
-	// against the maps before trusting them.
-	cityKeys, monthKeys []string
 }
 
-// State exports the result's accumulator.
+// State exports the result's accumulator. The placement counts are
+// copied, their labels shared (metrics.Counts.Clone).
 func (r *Result) State() ResultState {
-	cities, cityKeys := r.PlacementsByCity.SortedState()
-	months, monthKeys := r.MonthlyPlacements.SortedState()
 	st := ResultState{
 		CarbonG:           r.CarbonG,
 		EnergyKWh:         r.EnergyKWh,
 		Latency:           r.Latency.State(),
 		MonthlyCarbonG:    r.MonthlyCarbonG,
-		PlacementsByCity:  cities,
-		MonthlyPlacements: months,
-		cityKeys:          cityKeys,
-		monthKeys:         monthKeys,
+		PlacementsByCity:  r.PlacementsByCity.Clone(),
+		MonthlyPlacements: r.MonthlyPlacements.Clone(),
 		LoadCI:            append([]float64(nil), r.LoadCI...),
 		Placed:            r.Placed,
 		Unplaced:          r.Unplaced,
@@ -177,18 +169,24 @@ func (r *Result) State() ResultState {
 	return st
 }
 
-// Restore rebuilds a Result from an exported state. The Traffic stats
+// Restore rebuilds a Result from an exported state. It refuses placement
+// counts that do not conserve Placed (checkPlacements). The Traffic stats
 // are not restored here: they live in the engine's router (see
 // NewEngineFrom), and a standalone restored Result carries them as a
 // detached accumulator.
 func (st ResultState) Restore() (*Result, error) {
+	if err := st.checkPlacements(); err != nil {
+		return nil, err
+	}
+	// The count lists are added to empty ones: owned and non-nil, as an
+	// engine's are.
 	r := &Result{
 		CarbonG:           st.CarbonG,
 		EnergyKWh:         st.EnergyKWh,
 		Latency:           metrics.SummaryFromState(st.Latency),
 		MonthlyCarbonG:    st.MonthlyCarbonG,
-		PlacementsByCity:  metrics.CounterFromState(st.PlacementsByCity),
-		MonthlyPlacements: metrics.CounterFromState(st.MonthlyPlacements),
+		PlacementsByCity:  metrics.NewCounts().Plus(st.PlacementsByCity),
+		MonthlyPlacements: metrics.NewCounts().Plus(st.MonthlyPlacements),
 		LoadCI:            append([]float64(nil), st.LoadCI...),
 		Placed:            st.Placed,
 		Unplaced:          st.Unplaced,
@@ -206,23 +204,35 @@ func (st ResultState) Restore() (*Result, error) {
 		r.Faults = &fs
 	}
 	if st.Traffic != nil {
-		lat, err := metrics.SketchFromState(st.Traffic.Latency)
+		ts, err := router.StatsFromState(*st.Traffic, false)
 		if err != nil {
-			return nil, fmt.Errorf("sim: restoring traffic latency: %w", err)
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		r.Traffic = &router.Stats{
-			Requests:       st.Traffic.Requests,
-			SLOMet:         st.Traffic.SLOMet,
-			Spilled:        st.Traffic.Spilled,
-			Dropped:        st.Traffic.Dropped,
-			OverloadSlices: st.Traffic.OverloadSlices,
-			Latency:        lat,
-			EnergyKWh:      st.Traffic.EnergyKWh,
-			CarbonG:        st.Traffic.CarbonG,
-			ByReplica:      metrics.CounterFromState(st.Traffic.ByReplica),
-		}
+		r.Traffic = ts
 	}
 	return r, nil
+}
+
+// checkPlacements returns an error unless st's placement counts conserve
+// its placements: every month label is "city/m" with m in 0–11 and a
+// count of at least 0, each city counts the sum of its months, and the
+// months sum to Placed.
+func (st *ResultState) checkPlacements() error {
+	var fromMonths metrics.Counts
+	var total int64
+	for label, n := range st.MonthlyPlacements.All() {
+		i := strings.LastIndexByte(label, '/')
+		if m, err := strconv.Atoi(label[i+1:]); n < 0 || i < 0 || err != nil || m < 0 || m > 11 || strconv.Itoa(m) != label[i+1:] {
+			return fmt.Errorf("sim: result counts %d placements under month label %q", n, label)
+		}
+		fromMonths.Add(label[:i], n)
+		total += n
+	}
+	cities, months := maps.Collect(st.PlacementsByCity.All()), maps.Collect(fromMonths.All())
+	if !maps.Equal(cities, months) || total != int64(st.Placed) {
+		return fmt.Errorf("sim: result counts placements by city %v and %v over their months, %d in all; Placed is %d", cities, months, total, st.Placed)
+	}
+	return nil
 }
 
 // ConfigSig fingerprints the fields of a Config that determine a run's
@@ -286,8 +296,9 @@ func exported(v any) any {
 // between Steps (an epoch boundary) — the only instants at which no
 // epoch is partly run. The returned snapshot shares no mutable state
 // with the engine but the row cache it is lent, which only AppendJSON
-// touches, under its lock. It folds the engine's pending placement
-// counts into the result first (see Finish).
+// touches, under its lock (the placement count labels it shares are
+// never written). It folds the engine's pending placement counts into
+// the result first (see Finish).
 func (e *Engine) Snapshot() *Snapshot {
 	e.foldPlacements()
 	snap := &Snapshot{
@@ -490,6 +501,11 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 	res, err := snap.Result.Restore()
 	if err != nil {
 		return nil, err
+	}
+	for _, city := range res.PlacementsByCity.Labels() {
+		if _, ok := e.siteIdxByCity[city]; !ok {
+			return nil, fmt.Errorf("sim: snapshot counts placements in %q, which no site of the run is in", city)
+		}
 	}
 	e.res = res
 	if e.trouter != nil {

@@ -2,12 +2,11 @@ package sim
 
 import (
 	"encoding/json"
-	"maps"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 )
 
@@ -19,10 +18,9 @@ import (
 // here without reflection; the optional ones a snapshot rarely carries
 // (forecast errors, the backlog, the exchange mailboxes, fault and
 // traffic stats) are handed to json.Marshal, whose encoding of a nested
-// value is the same on its own. A server row or live-app entry equal bit
-// for bit to one an earlier snapshot of the same engine encoded is
-// copied from the engine's rowCache, not rendered again; every other
-// snapshot encodes to the same bytes without it.
+// value is the same on its own. Items an earlier snapshot of the same
+// engine encoded are copied from the engine's rowCache while they are
+// unchanged; every other snapshot encodes to the same bytes without it.
 //
 // It is deliberately not MarshalJSON: json.Marshal would then call it
 // and re-compact its output, and the tests would lose json.Marshal as
@@ -30,6 +28,13 @@ import (
 func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 	if s == nil {
 		return append(dst, "null"...), nil
+	}
+	c := s.rows
+	if c == nil {
+		c = new(rowCache) // nothing to reuse
+	} else {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 	}
 	w := jsonWriter{b: dst}
 	w.raw(`{"config_sig":`)
@@ -45,7 +50,7 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		w.raw(`,"fc_err":`)
 		w.marshal(s.FcErr)
 	}
-	s.rows.tables(&w, s)
+	c.tables(&w, s)
 	if len(s.Pending) > 0 {
 		w.raw(`,"pending":`)
 		w.marshal(s.Pending)
@@ -67,7 +72,7 @@ func (s *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 		w.int(s.InDropped)
 	}
 	w.raw(`,"result":`)
-	w.result(&s.Result)
+	c.result(&w, &s.Result)
 	w.raw("}")
 	if w.err != nil {
 		return dst, w.err
@@ -172,60 +177,32 @@ func (w *jsonWriter) summary(s *metrics.SummaryState) {
 	w.raw("}")
 }
 
-// counts writes a label map with its keys in bytewise order, as
-// encoding/json sorts them. sorted, distinct keys (a counter's cached
-// labels) are used as the order when they are exactly m's keys: as many,
-// and each one in m. Otherwise the keys are sorted here.
-func (w *jsonWriter) counts(m map[string]int64, keys []string) {
-	if m == nil {
-		w.raw("null")
-		return
-	}
-	mark := len(w.b)
-	if len(keys) == len(m) && w.countsIn(m, keys) {
-		return
-	}
-	w.b = w.b[:mark]
-	w.countsIn(m, slices.Sorted(maps.Keys(m)))
-}
-
-// countsIn writes m in the order of keys, or reports false on the first
-// key m lacks.
-func (w *jsonWriter) countsIn(m map[string]int64, keys []string) bool {
-	w.raw("{")
-	for i, k := range keys {
-		v, ok := m[k]
-		if !ok {
-			return false
-		}
-		w.comma(i)
-		w.str(k)
-		w.raw(":")
-		w.int(v)
-	}
-	w.raw("}")
-	return true
-}
-
-func (w *jsonWriter) result(r *ResultState) {
+// result writes the result state, its monthly figures and count entries
+// through the cache: a past month's, and a label's whose count did not
+// move, are rendered once.
+func (c *rowCache) result(w *jsonWriter, r *ResultState) {
 	w.raw(`{"carbon_g":`)
 	w.float(r.CarbonG)
 	w.raw(`,"energy_kwh":`)
 	w.float(r.EnergyKWh)
 	w.raw(`,"latency":`)
 	w.summary(&r.Latency)
-	w.raw(`,"monthly_carbon_g":`)
-	w.floats(r.MonthlyCarbonG[:])
-	w.raw(`,"monthly_latency":[`)
+	w.raw(`,"monthly_carbon_g":[`)
+	for m, g := range r.MonthlyCarbonG {
+		w.comma(m)
+		c.carbon.put(w, m, math.Float64bits(g), func() { w.float(g) })
+	}
+	w.raw(`],"monthly_latency":[`)
 	for m := range r.MonthlyLatency {
 		w.comma(m)
-		w.summary(&r.MonthlyLatency[m])
+		s := &r.MonthlyLatency[m]
+		c.summaries.put(w, m, summaryKey(s), func() { w.summary(s) })
 	}
 	w.raw("]")
 	w.raw(`,"placements_by_city":`)
-	w.counts(r.PlacementsByCity, r.cityKeys)
+	w.counts(&c.cities, r.PlacementsByCity)
 	w.raw(`,"monthly_placements":`)
-	w.counts(r.MonthlyPlacements, r.monthKeys)
+	w.counts(&c.months, r.MonthlyPlacements)
 	if len(r.LoadCI) > 0 {
 		w.raw(`,"load_ci":`)
 		w.floats(r.LoadCI)
@@ -255,29 +232,118 @@ func (w *jsonWriter) result(r *ResultState) {
 	w.raw("}")
 }
 
-// rowCache holds the JSON of the server rows and live-app entries an
-// engine's snapshots last encoded, each beside the value it was rendered
-// from. Engine.Snapshot lends it to every snapshot it takes (as Result
-// lends its counters' sorted labels), and AppendJSON copies a row's
-// bytes instead of rendering it again only while the row equals that
-// value bit for bit. So the cache never has to be told that a row
-// changed: a stale entry fails the comparison and is rendered afresh,
-// and a snapshot without a cache (decoded or built by hand) runs the
-// same loop and finds nothing to reuse. A row whose encoding fails is
-// never stored. mu serializes encodes of snapshots that share the cache.
+// counts writes a count list as encoding/json writes the map of its
+// pairs: in its own order, which is the sorted one, each entry through l.
+func (w *jsonWriter) counts(l *cachedList[countEntry], c metrics.Counts) {
+	if c.Labels() == nil {
+		w.raw("null")
+		return
+	}
+	w.raw("{")
+	for i := range c.Len() {
+		w.comma(i)
+		label, n := c.At(i)
+		l.put(w, i, countEntry{label, n}, func() {
+			w.str(label)
+			w.raw(":")
+			w.int(n)
+		})
+	}
+	w.raw("}")
+}
+
+// rowCache holds the JSON of the items an engine's snapshots last
+// encoded (server rows, live-app entries, the result's per-month
+// summaries and monthly_carbon_g entries, its count entries), each beside
+// the value it was rendered from. Engine.Snapshot lends it to every
+// snapshot it takes, and AppendJSON copies an item's bytes only while the
+// item equals that value bit for bit. So the cache never has to be told
+// that an item changed: a stale entry fails the comparison and is
+// rendered afresh. A snapshot without a cache (decoded or built by hand)
+// is encoded through a new one. An item whose encoding fails is never
+// stored. mu serializes encodes of snapshots that share the cache.
 type rowCache struct {
-	mu      sync.Mutex
-	servers []cachedRow[ServerSnap]
+	mu sync.Mutex
 	// live is the live table as last encoded, in its order; next is its
 	// double buffer, spare the entries dropped from it, kept for their
 	// buffers.
 	live, next, spare []*cachedRow[LiveAppSnap]
+	liveWork          tally
+	// The other items, by position (monthly_carbon_g entries by bits).
+	servers        cachedList[serverBits]
+	summaries      cachedList[[5]uint64]
+	carbon         cachedList[uint64]
+	cities, months cachedList[countEntry]
 }
+
+// tally counts, for tests, the items encodes rendered and the ones they
+// copied from the cache.
+type tally struct{ rendered, copied int }
 
 // cachedRow is one row and its JSON.
 type cachedRow[T any] struct {
 	val T
 	b   []byte
+}
+
+// cachedList caches items by position, each beside a key that equals
+// another only when the two items render the same bytes.
+type cachedList[K comparable] struct {
+	items []cachedRow[K]
+	tally
+}
+
+// put writes item i: copied when the list holds key at i, else rendered
+// by render and stored there under key.
+func (l *cachedList[K]) put(w *jsonWriter, i int, key K, render func()) {
+	if i < len(l.items) && l.items[i].val == key {
+		w.b = append(w.b, l.items[i].b...)
+		l.copied++
+		return
+	}
+	off := len(w.b)
+	render()
+	if w.err != nil {
+		return
+	}
+	l.rendered++
+	switch {
+	case i < len(l.items):
+		l.items[i] = cachedRow[K]{key, append(l.items[i].b[:0], w.b[off:]...)}
+	case i == len(l.items):
+		l.items = append(l.items, cachedRow[K]{key, append([]byte(nil), w.b[off:]...)})
+	}
+}
+
+// countEntry is a count entry as a cache key.
+type countEntry struct {
+	label string
+	n     int64
+}
+
+// summaryKey is a summary as a cache key: its fields, floats as their
+// bits (0 and -0 render differently, and NaN equals nothing).
+func summaryKey(s *metrics.SummaryState) [5]uint64 {
+	return [5]uint64{uint64(s.N), math.Float64bits(s.Sum), math.Float64bits(s.Min), math.Float64bits(s.Max), math.Float64bits(s.SumSquares)}
+}
+
+// serverBits is a server row as a cache key (serverKey), floats as
+// their bits.
+type serverBits struct {
+	site     int
+	device   string
+	on, down bool
+	bits     [3][len(cluster.Resources{})]uint64
+}
+
+func serverKey(s *ServerSnap) serverBits {
+	k := serverBits{site: s.Site, device: s.Device, on: s.On, down: s.Down}
+	for i, r := range [3]*cluster.Resources{&s.BaseCap, &s.Cap, &s.Used} {
+		for j, f := range r {
+			k.bits[i][j] = math.Float64bits(f)
+		}
+	}
+	return k
 }
 
 // liveScan bounds the live table's forward scan for a cached entry. The
@@ -291,12 +357,8 @@ const liveScan = 32
 
 // tables writes the snapshot's "servers" and "live" members. Server rows
 // are looked up by index (a table only grows), live entries by a
-// forward scan from the last hit.
+// forward scan from the last hit (tallied in liveWork).
 func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
-	if c != nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
 	w.raw(`,"servers":`)
 	if s.Servers == nil {
 		w.raw("null")
@@ -304,7 +366,8 @@ func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 		w.raw("[")
 		for j := range s.Servers {
 			w.comma(j)
-			c.server(w, j, &s.Servers[j])
+			srv := &s.Servers[j]
+			c.servers.put(w, j, serverKey(srv), func() { w.server(srv) })
 		}
 		w.raw("]")
 	}
@@ -313,10 +376,7 @@ func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 		w.raw("null")
 		return
 	}
-	var cur, next []*cachedRow[LiveAppSnap]
-	if c != nil {
-		cur, next = c.live, c.next[:0]
-	}
+	cur, next := c.live, c.next[:0]
 	w.raw("[")
 	k := 0 // cur[k:] have not been passed yet
 	for i := range s.Live {
@@ -325,6 +385,7 @@ func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 		if h := findLive(cur[k:min(k+liveScan, len(cur))], a); h >= 0 {
 			h += k
 			w.b = append(w.b, cur[h].b...)
+			c.liveWork.copied++
 			c.spare = append(c.spare, cur[k:h]...)
 			next = append(next, cur[h])
 			k = h + 1
@@ -332,37 +393,17 @@ func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 		}
 		off := len(w.b)
 		w.liveApp(a)
-		if c != nil && w.err == nil {
+		if w.err == nil {
+			c.liveWork.rendered++
 			r := c.spareRow()
 			r.val, r.b = *a, append(r.b[:0], w.b[off:]...)
 			next = append(next, r)
 		}
 	}
 	w.raw("]")
-	if c != nil {
-		c.spare = append(c.spare, cur[k:]...)
-		clear(cur)
-		c.live, c.next = next, cur[:0]
-	}
-}
-
-// server writes server row j, from the cache when it holds row j's value.
-func (c *rowCache) server(w *jsonWriter, j int, srv *ServerSnap) {
-	if c != nil && j < len(c.servers) && sameServer(&c.servers[j].val, srv) {
-		w.b = append(w.b, c.servers[j].b...)
-		return
-	}
-	off := len(w.b)
-	w.server(srv)
-	if c == nil || w.err != nil {
-		return
-	}
-	switch {
-	case j < len(c.servers):
-		c.servers[j] = cachedRow[ServerSnap]{*srv, append(c.servers[j].b[:0], w.b[off:]...)}
-	case j == len(c.servers):
-		c.servers = append(c.servers, cachedRow[ServerSnap]{*srv, append([]byte(nil), w.b[off:]...)})
-	}
+	c.spare = append(c.spare, cur[k:]...)
+	clear(cur)
+	c.live, c.next = next, cur[:0]
 }
 
 // findLive returns the index in rows of the first entry equal to a, or
@@ -387,30 +428,15 @@ func (c *rowCache) spareRow() *cachedRow[LiveAppSnap] {
 	return r
 }
 
-// sameServer reports whether two server rows are equal bit for bit, and
-// so render the same bytes: floats compare by their bits, since 0 and
-// -0 render differently and NaN equals nothing.
-func sameServer(a, b *ServerSnap) bool {
-	return a.Site == b.Site && a.On == b.On && a.Down == b.Down && a.Device == b.Device &&
-		sameFloats(a.Used[:], b.Used[:]) && sameFloats(a.Cap[:], b.Cap[:]) && sameFloats(a.BaseCap[:], b.BaseCap[:])
-}
-
-// sameLive is sameServer for live-app entries.
+// sameLive reports whether two live-app entries are equal bit for bit,
+// and so render the same bytes: floats compare by their bits, since 0
+// and -0 render differently and NaN equals nothing.
 func sameLive(a, b *LiveAppSnap) bool {
 	return a.Expires == b.Expires && a.Srv == b.Srv && a.Site == b.Site && a.SrcSite == b.SrcSite &&
 		sameFloat(a.PowerW, b.PowerW) && sameFloat(a.RTTMs, b.RTTMs) && a.Model == b.Model && a.Device == b.Device
 }
 
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func sameFloats(a, b []float64) bool {
-	for i := range a {
-		if !sameFloat(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 func (w *jsonWriter) server(srv *ServerSnap) {
 	w.raw(`{"site":`)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/carbon"
+	"repro/internal/checkpoint"
 	"repro/internal/metrics"
 	"repro/internal/placement"
 	"repro/internal/rng"
@@ -22,17 +23,20 @@ import (
 // filler sets a value and everything under it by reflection over its
 // type: every string to str, every float to f, every other scalar to a
 // non-zero value (or to zero with zero set, which reaches every nested
-// omitempty), every slice to two elements and every map to two keys (or
-// both to non-nil and empty), every pointer to a new filled value. A
-// field added to Snapshot later is filled too, so AppendJSON has to
-// encode it.
+// omitempty), every slice to two elements and every map and count list
+// to two keys (or each to non-nil and empty), every pointer to a new
+// filled value. A field added to Snapshot later is filled too, so
+// AppendJSON has to encode it.
 type filler struct {
 	str         string
 	f           float64
 	empty, zero bool
 }
 
-var timeType = reflect.TypeOf(time.Time{})
+var (
+	timeType   = reflect.TypeOf(time.Time{})
+	countsType = reflect.TypeOf(metrics.Counts{})
+)
 
 func (fl filler) fill(t *testing.T, v reflect.Value, path string) {
 	t.Helper()
@@ -81,8 +85,21 @@ func (fl filler) fill(t *testing.T, v reflect.Value, path string) {
 		v.Set(reflect.New(v.Type().Elem()))
 		fl.fill(t, v.Elem(), path)
 	case reflect.Struct:
-		if v.Type() == timeType {
+		switch v.Type() {
+		case timeType:
 			v.Set(reflect.ValueOf(time.Date(2021, 3, 4, 5, 6, 7, 8, time.UTC)))
+			return
+		case countsType:
+			c := metrics.NewCounts()
+			if !fl.empty {
+				n := int64(-7)
+				if fl.zero {
+					n = 0
+				}
+				c.Add(fl.str+"b", n)
+				c.Add(fl.str+"a", n)
+			}
+			v.Set(reflect.ValueOf(c))
 			return
 		}
 		for i := 0; i < v.NumField(); i++ {
@@ -164,26 +181,6 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	s = liveTable(t, pool, 2000, 4)
 	s.Live[1000].RTTMs = math.NaN()
 	checkAppendJSON(t, "live table NaN", s)
-
-	// Keys lent beside the result maps are used only when they are the
-	// maps' keys: a state whose maps changed after Result.State (as
-	// shard.MergeResults changes its copy) is still sorted here.
-	r := counterResult()
-	for _, l := range []string{"b", "a", "c/1", "c/0"} {
-		r.PlacementsByCity.Inc(l, 1)
-		r.MonthlyPlacements.Inc(l, 2)
-	}
-	for name, mutate := range map[string]func(m map[string]int64){
-		"added":    func(m map[string]int64) { m["0"] = 1 },
-		"replaced": func(m map[string]int64) { delete(m, "a"); m["d"] = 1 },
-		"deleted":  func(m map[string]int64) { delete(m, "c/1") },
-		"renamed":  func(m map[string]int64) { delete(m, "c/0"); m["a0"] = 1 },
-	} {
-		st := r.State()
-		mutate(st.PlacementsByCity)
-		mutate(st.MonthlyPlacements)
-		checkAppendJSON(t, "stale keys "+name, &Snapshot{Result: st})
-	}
 }
 
 // floatPool is the float pool of liveTable: zeros of both signs,
@@ -211,26 +208,103 @@ func liveTable(t *testing.T, pool []float64, n int, seed int64) *Snapshot {
 	return s
 }
 
-// counterResult is a Result with empty placement counters.
+// counterResult is a Result with empty placement counts.
 func counterResult() *Result {
-	return &Result{PlacementsByCity: metrics.NewCounter(), MonthlyPlacements: metrics.NewCounter()}
+	return &Result{PlacementsByCity: metrics.NewCounts(), MonthlyPlacements: metrics.NewCounts()}
 }
 
-// TestSnapshotKeepsLentLabels holds the counters' cached label order to
-// the snapshots it is lent to: a snapshot taken before new labels (a
-// month rollover among them) and a deletion still encodes to its own
-// json.Marshal bytes, the ones it had when taken, with its lent keys
-// unwritten; and a later snapshot restores to counters with the same
-// labels and counts.
+// checkCountsJSON holds a count list's JSON to encoding/json's map path,
+// on a map built apart from the list. The snapshot encoder's rendering
+// (through an empty cache, then twice through c, the second time copied
+// from it) and MarshalJSON must be json.Marshal(want)'s bytes, and those
+// must decode as the map decoder decodes them (checkCountsDecode).
+func checkCountsJSON(t *testing.T, name string, c *cachedList[countEntry], got metrics.Counts, want map[string]int64) {
+	t.Helper()
+	wantB, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []*cachedList[countEntry]{new(cachedList[countEntry]), c, c} {
+		var w jsonWriter
+		w.counts(l, got)
+		if w.err != nil || !bytes.Equal(w.b, wantB) {
+			t.Errorf("%s: encoder writes %q (error %v), json.Marshal of the map %q", name, w.b, w.err, wantB)
+		}
+	}
+	if b, err := got.MarshalJSON(); err != nil || !bytes.Equal(b, wantB) {
+		t.Errorf("%s: MarshalJSON %q (error %v), json.Marshal of the map %q", name, b, err, wantB)
+	}
+	checkCountsDecode(t, wantB)
+}
+
+// checkCountsDecode requires a count list to decode in as encoding/json
+// decodes it into a map[string]int64: the same error or none, the same
+// pairs (nil for null), sorted.
+func checkCountsDecode(t *testing.T, in []byte) {
+	t.Helper()
+	var want map[string]int64
+	werr := json.Unmarshal(in, &want)
+	var got metrics.Counts
+	gerr := json.Unmarshal(in, &got)
+	if (werr != nil) != (gerr != nil) {
+		t.Errorf("%q: decodes with error %v, the map decoder with %v", in, gerr, werr)
+		return
+	}
+	if werr == nil && ((want == nil) != (got.Labels() == nil) || !maps.Equal(maps.Collect(got.All()), want) ||
+		!slices.IsSorted(got.Labels())) {
+		t.Errorf("%q: decodes to %v, the map decoder to %v", in, got, want)
+	}
+}
+
+// TestCountsMatchMapJSON is the count lists' oracle test: lists built in
+// every label order, with labels encoding/json escapes, nil and empty,
+// encode as the map of the same pairs; and a list decodes what the map
+// decoder decodes, in any order and with repeated labels (the last
+// wins), and refuses what it refuses.
+func TestCountsMatchMapJSON(t *testing.T) {
+	c := new(cachedList[countEntry])
+	checkCountsJSON(t, "nil", c, metrics.Counts{}, nil)
+	checkCountsJSON(t, "empty", c, metrics.NewCounts(), map[string]int64{})
+	labels := []string{"Paris", "<b>", "a&b", `"q"`, `back\slash`, "\x00\x1f\t\n", "bad\xff", "", "日本", "\x7f", "\u2028", "Paris/10", "Paris/9"}
+	for _, order := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, {12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, {7, 0, 12, 3, 9, 1, 5, 11, 2, 8, 4, 10, 6}} {
+		list, m := metrics.NewCounts(), map[string]int64{}
+		for k, i := range order {
+			n := int64(k*k) - 40
+			list.Add(labels[i], n)
+			m[labels[i]] += n
+			checkCountsJSON(t, fmt.Sprintf("order %v, %d added", order, k+1), c, list, m)
+		}
+		list.Add("Paris", 3) // an existing label: a count moves, the labels stay
+		m["Paris"] += 3
+		checkCountsJSON(t, fmt.Sprintf("order %v, moved", order), c, list, m)
+	}
+	for _, in := range []string{
+		`null`, `{}`, `{"b":1,"a":2}`, `{"a":1,"a":2}`, `{"a":2,"b":0,"a":-1}`, ` { "\u003c" : 5 } `,
+		`{"bad\xff":1}`, "{\"bad\xff\":1,\"\":2}", `{"a":-9223372036854775808}`, `{"a":9223372036854775807}`,
+		`{"a":1.5}`, `{"a":1e3}`, `{"a":9223372036854775808}`, `{"a":"1"}`, `{"a":null}`, `[1]`, `"a"`, `1`, `{"a":1`, `{"a":1}x`,
+	} {
+		checkCountsDecode(t, []byte(in))
+	}
+}
+
+// TestSnapshotKeepsLentLabels holds the result's count lists to the
+// snapshots they are lent to: a snapshot taken before new labels (a month
+// rollover among them, and labels that sort before existing ones) still
+// encodes to its own json.Marshal bytes, the ones it had when taken, with
+// its lent labels unwritten, though every snapshot went through one row
+// cache; and a later snapshot restores to lists with the same labels and
+// counts.
 func TestSnapshotKeepsLentLabels(t *testing.T) {
 	r := counterResult()
 	inc := func(city string, month int) {
-		r.PlacementsByCity.Inc(city, 1)
-		r.MonthlyPlacements.Inc(city+"/"+strconv.Itoa(month), 1)
+		r.PlacementsByCity.Add(city, 1)
+		r.MonthlyPlacements.Add(city+"/"+strconv.Itoa(month), 1)
+		r.Placed++
 	}
 	for _, c := range []string{"Paris", "Berlin", "Amsterdam", "Paris", "Rome"} {
 		inc(c, 0)
 	}
+	rows := new(rowCache)
 	encode := func(s *Snapshot) []byte {
 		t.Helper()
 		checkAppendJSON(t, "snapshot", s)
@@ -241,68 +315,50 @@ func TestSnapshotKeepsLentLabels(t *testing.T) {
 		return b
 	}
 	type taken struct {
-		snap               *Snapshot
-		bytes              []byte
-		cityKeys, monthKey []string
+		snap                *Snapshot
+		bytes               []byte
+		cityKeys, monthKeys []string
 	}
 	take := func() taken {
 		t.Helper()
-		s := &Snapshot{Result: r.State()}
-		if want := slices.Sorted(maps.Keys(s.Result.PlacementsByCity)); !slices.Equal(s.Result.cityKeys, want) {
-			t.Fatalf("State lent city keys %v, want %v", s.Result.cityKeys, want)
+		s := &Snapshot{Result: r.State(), rows: rows}
+		cities, months := s.Result.PlacementsByCity.Labels(), s.Result.MonthlyPlacements.Labels()
+		if !slices.IsSorted(cities) || !slices.IsSorted(months) {
+			t.Fatalf("State lent unsorted labels %v %v", cities, months)
 		}
-		if want := slices.Sorted(maps.Keys(s.Result.MonthlyPlacements)); !slices.Equal(s.Result.monthKeys, want) {
-			t.Fatalf("State lent month keys %v, want %v", s.Result.monthKeys, want)
-		}
-		return taken{s, encode(s), slices.Clone(s.Result.cityKeys), slices.Clone(s.Result.monthKeys)}
+		return taken{s, encode(s), slices.Clone(cities), slices.Clone(months)}
 	}
 	a := take()
 	inc("Paris", 1) // month rollover: a new label for a known city
 	inc("Oslo", 1)
 	inc("Rome", 0)
 	rollover := take()
-	r.PlacementsByCity.Delete("Berlin")
-	r.MonthlyPlacements.Delete("Amsterdam/0")
+	inc("Aachen", 11) // sorts first: every cached entry moves one place
+	inc("Berlin", 0)
 	b := take()
-	// Deleting the first label rebuilds a shorter cache: written over the
-	// old one it would leave a lent slice holding a duplicate.
-	r.PlacementsByCity.Delete("Amsterdam")
-	r.MonthlyPlacements.Delete("Berlin/0")
-	c := take()
-	for name, s := range map[string]taken{"A": a, "rollover": rollover, "B": b, "C": c} {
+	for name, s := range map[string]taken{"A": a, "rollover": rollover, "B": b} {
 		if got := encode(s.snap); !bytes.Equal(got, s.bytes) {
 			t.Errorf("snapshot %s re-encodes to\n%s\nwant\n%s", name, got, s.bytes)
 		}
-		if !slices.Equal(s.snap.Result.cityKeys, s.cityKeys) || !slices.Equal(s.snap.Result.monthKeys, s.monthKey) {
-			t.Errorf("snapshot %s: lent keys were written: %v %v, taken as %v %v", name,
-				s.snap.Result.cityKeys, s.snap.Result.monthKeys, s.cityKeys, s.monthKey)
+		if !slices.Equal(s.snap.Result.PlacementsByCity.Labels(), s.cityKeys) || !slices.Equal(s.snap.Result.MonthlyPlacements.Labels(), s.monthKeys) {
+			t.Errorf("snapshot %s: lent labels were written: %v %v, taken as %v %v", name,
+				s.snap.Result.PlacementsByCity.Labels(), s.snap.Result.MonthlyPlacements.Labels(), s.cityKeys, s.monthKeys)
 		}
 	}
-	// B restores to counters equal to the ones it was taken from, C to
-	// the live ones.
-	checkRestore := func(name string, st ResultState, cities, months map[string]int64) {
-		t.Helper()
+	// A and B restore to the lists they were taken with.
+	for name, st := range map[string]ResultState{"A": a.snap.Result, "B": b.snap.Result} {
 		restored, err := st.Restore()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pair := range []struct {
-			got  *metrics.Counter
-			want map[string]int64
-		}{{restored.PlacementsByCity, cities}, {restored.MonthlyPlacements, months}} {
-			labels := pair.got.Labels()
-			if want := slices.Sorted(maps.Keys(pair.want)); !slices.Equal(labels, want) {
-				t.Errorf("%s restores to labels %v, want %v", name, labels, want)
-			}
-			for _, l := range labels {
-				if pair.got.Get(l) != pair.want[l] {
-					t.Errorf("%s restores %s to %d, want %d", name, l, pair.got.Get(l), pair.want[l])
-				}
-			}
+		if !reflect.DeepEqual(restored.PlacementsByCity, st.PlacementsByCity) || !reflect.DeepEqual(restored.MonthlyPlacements, st.MonthlyPlacements) {
+			t.Errorf("%s restores to %v %v, want %v %v", name, restored.PlacementsByCity, restored.MonthlyPlacements,
+				st.PlacementsByCity, st.MonthlyPlacements)
 		}
 	}
-	checkRestore("B", b.snap.Result, b.snap.Result.PlacementsByCity, b.snap.Result.MonthlyPlacements)
-	checkRestore("C", c.snap.Result, r.PlacementsByCity.State(), r.MonthlyPlacements.State())
+	if !reflect.DeepEqual(b.snap.Result.PlacementsByCity, r.PlacementsByCity) {
+		t.Errorf("B holds %v, the result %v", b.snap.Result.PlacementsByCity, r.PlacementsByCity)
+	}
 }
 
 // TestRowCacheEveryEpoch encodes every epoch's snapshot of each golden
@@ -358,6 +414,119 @@ func TestRowCacheEveryEpoch(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckpointWorkCounted counts, per encode of checkpoint_resume's
+// shape (Europe, 4 392 h, a redeploy every 24 h, checkpointed after every
+// Step), the rows, result sections (per-month summaries and
+// monthly_carbon_g entries) and count entries the row cache rendered and
+// copied, and the bytes hashed per envelope. It pins the steady state: a
+// result section is rendered exactly in the epochs its value changed,
+// which is at most the current month's summary and carbon entry; a count
+// entry exactly when its label or count at its place moved; and every
+// server row that changed is rendered. The placement counts must
+// conserve Placed every day of the six months. The totals are logged
+// (go test -v) for the profile notes.
+func TestCheckpointWorkCounted(t *testing.T) {
+	cfg := DefaultConfig(carbon.RegionEurope, placement.CarbonAware{})
+	cfg.Hours = 4392
+	cfg.RedeployEveryHours = 24
+	cfg.MigrationDataMB, cfg.MigrationJPerMB = 500, 0.2
+	e, err := NewEngine(cfg, testWorld(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.rows
+	work := func() [3]tally {
+		return [3]tally{{c.servers.rendered + c.liveWork.rendered, c.servers.copied + c.liveWork.copied},
+			{c.summaries.rendered + c.carbon.rendered, c.summaries.copied + c.carbon.copied},
+			{c.cities.rendered + c.months.rendered, c.cities.copied + c.months.copied}}
+	}
+	// moved counts the places at which cur's list differs from prev's.
+	moved := func(prev, cur metrics.Counts) int {
+		n := 0
+		for i := range cur.Len() {
+			l, v := cur.At(i)
+			if i >= prev.Len() {
+				n++
+			} else if pl, pv := prev.At(i); pl != l || pv != v {
+				n++
+			}
+		}
+		return n
+	}
+	var (
+		prev   *Snapshot
+		total  [3]tally
+		hashed int
+		buf    bytes.Buffer
+	)
+	for !e.Done() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		s := e.Snapshot()
+		if e.Epoch()%24 == 0 {
+			// The fold keeps every month's tally, across month boundaries.
+			if err := checkPlacementCounts(e.Finish()); err != nil {
+				t.Fatalf("epoch %d: %v", e.Epoch(), err)
+			}
+		}
+		before := work()
+		buf.Reset()
+		if err := checkpoint.Encode(&buf, "engine", s); err != nil {
+			t.Fatal(err)
+		}
+		// The envelope is its prefix up to "payload":, the payload (which
+		// seal hashes, once), then "}\n".
+		hashed += buf.Len() - bytes.Index(buf.Bytes(), []byte(`,"payload":`)) - len(`,"payload":`) - len("}\n")
+		after := work()
+		var d [3]tally
+		for k := range d {
+			d[k] = tally{after[k].rendered - before[k].rendered, after[k].copied - before[k].copied}
+			total[k].rendered += d[k].rendered
+			total[k].copied += d[k].copied
+		}
+		r := &s.Result
+		wantSections, wantEntries, wantServers := 24, r.PlacementsByCity.Len()+r.MonthlyPlacements.Len(), len(s.Servers)
+		if prev != nil {
+			p := &prev.Result
+			wantSections, wantServers = 0, 0
+			for m := range 12 {
+				if summaryKey(&p.MonthlyLatency[m]) != summaryKey(&r.MonthlyLatency[m]) {
+					wantSections++
+				}
+				if !sameFloat(p.MonthlyCarbonG[m], r.MonthlyCarbonG[m]) {
+					wantSections++
+				}
+			}
+			if wantSections > 2 {
+				t.Fatalf("epoch %d: %d result sections changed, want at most the current month's two", e.Epoch(), wantSections)
+			}
+			wantEntries = moved(p.PlacementsByCity, r.PlacementsByCity) + moved(p.MonthlyPlacements, r.MonthlyPlacements)
+			for j := range s.Servers {
+				if j >= len(prev.Servers) || serverKey(&prev.Servers[j]) != serverKey(&s.Servers[j]) {
+					wantServers++
+				}
+			}
+		}
+		if d[1].rendered != wantSections || d[1].rendered+d[1].copied != 24 {
+			t.Fatalf("epoch %d: %d result sections rendered, %d copied; %d changed", e.Epoch(), d[1].rendered, d[1].copied, wantSections)
+		}
+		if entries := r.PlacementsByCity.Len() + r.MonthlyPlacements.Len(); d[2].rendered != wantEntries || d[2].rendered+d[2].copied != entries {
+			t.Fatalf("epoch %d: %d count entries rendered, %d copied; %d moved of %d", e.Epoch(), d[2].rendered, d[2].copied, wantEntries, entries)
+		}
+		if rows := len(s.Servers) + len(s.Live); d[0].rendered < wantServers || d[0].rendered+d[0].copied != rows {
+			t.Fatalf("epoch %d: %d rows rendered, %d copied; %d server rows changed, %d rows", e.Epoch(), d[0].rendered, d[0].copied, wantServers, rows)
+		}
+		prev = s
+	}
+	n := e.Epoch()
+	for k, name := range []string{"rows", "result sections", "count entries"} {
+		t.Logf("%-15s rendered %8d (%6.1f/encode)  copied %9d (%7.1f/encode)", name,
+			total[k].rendered, float64(total[k].rendered)/float64(n), total[k].copied, float64(total[k].copied)/float64(n))
+	}
+	t.Logf("bytes hashed    %d per envelope (mean over %d)", hashed/n, n)
 }
 
 // liveSnapshot steps a classic engine until it holds live apps and
@@ -451,9 +620,10 @@ func TestRowCacheConcurrentEncodes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRowEqualityCoversEveryField perturbs each field of a server row and
-// a live entry in turn: the cache's equality must see every change, or
-// a row added a field to would be copied with the field's old bytes.
+// TestRowEqualityCoversEveryField perturbs each field of a server row, a
+// live entry and a summary in turn: the cache's equality (a summary's
+// key) must see every change, or an item added a field to would be
+// copied with the field's old bytes.
 func TestRowEqualityCoversEveryField(t *testing.T) {
 	check := func(v any, same func(a, b reflect.Value) bool) {
 		base := reflect.ValueOf(v).Elem()
@@ -486,9 +656,12 @@ func TestRowEqualityCoversEveryField(t *testing.T) {
 		}
 	}
 	check(new(ServerSnap), func(a, b reflect.Value) bool {
-		return sameServer(a.Addr().Interface().(*ServerSnap), b.Addr().Interface().(*ServerSnap))
+		return serverKey(a.Addr().Interface().(*ServerSnap)) == serverKey(b.Addr().Interface().(*ServerSnap))
 	})
 	check(new(LiveAppSnap), func(a, b reflect.Value) bool {
 		return sameLive(a.Addr().Interface().(*LiveAppSnap), b.Addr().Interface().(*LiveAppSnap))
+	})
+	check(new(metrics.SummaryState), func(a, b reflect.Value) bool {
+		return summaryKey(a.Addr().Interface().(*metrics.SummaryState)) == summaryKey(b.Addr().Interface().(*metrics.SummaryState))
 	})
 }

@@ -172,7 +172,7 @@ func TestCheckpointRestoreEveryEpoch(t *testing.T) {
 			var envelopes [][]byte
 			afterPlacing := 0
 			for {
-				if e.placedAny {
+				if e.placedMonths != 0 {
 					afterPlacing++
 				}
 				var buf bytes.Buffer
@@ -564,6 +564,105 @@ func TestCheckpointEncodeMatchesSealOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestRestoreRefusesUnconservedCounts doctors the placement counts of a
+// 48 h Europe checkpoint, re-seals it and decodes it as a restore reads a
+// file: every count list that does not conserve Placed, or names a city
+// no site of the run is in, is refused by NewEngineFrom, and all but the
+// last by ResultState.Restore too.
+func TestRestoreRefusesUnconservedCounts(t *testing.T) {
+	w := testWorld(t)
+	cfg := checkpointModes(t, w)[0]
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e.Epoch() < 20 {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := e.Snapshot()
+	if _, err := NewEngineFrom(cfg, w, snap); err != nil {
+		t.Fatalf("untouched snapshot rejected: %v", err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type counts = map[string]any
+	for _, tc := range []struct {
+		name, want string
+		bad        func(res, cities, months counts, city string)
+	}{
+		{"city -1000", "over their months", func(_, cities, _ counts, city string) { cities[city] = -1000 }},
+		{"month -1, totals kept", "month label", func(_, _, months counts, city string) {
+			months[city+"/1"] = months[city+"/0"].(float64) + 1
+			months[city+"/0"] = -1
+		}},
+		{"month 12", "month label", func(_, _, months counts, city string) {
+			months[city+"/12"], months[city+"/0"] = months[city+"/0"], nil
+		}},
+		{"month 01", "month label", func(_, _, months counts, city string) {
+			months[city+"/01"], months[city+"/0"] = months[city+"/0"], nil
+		}},
+		{"no month", "month label", func(_, _, months counts, city string) {
+			months[city], months[city+"/0"] = months[city+"/0"], nil
+		}},
+		{"month of an uncounted city", "over their months", func(_, _, months counts, city string) {
+			months["Nowhere/0"], months[city+"/0"] = months[city+"/0"], nil
+		}},
+		{"city without its months", "over their months", func(res, cities, _ counts, city string) {
+			cities[city] = cities[city].(float64) + 1
+			res["placed"] = res["placed"].(float64) + 1
+		}},
+		{"placed off by one", "Placed is", func(res, _, _ counts, _ string) { res["placed"] = res["placed"].(float64) + 1 }},
+		{"city of no site", "no site", func(res, cities, months counts, _ string) {
+			cities["Atlantis"], months["Atlantis/0"] = 1, 1
+			res["placed"] = res["placed"].(float64) + 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			res := doc["result"].(map[string]any)
+			cities, months := res["placements_by_city"].(map[string]any), res["monthly_placements"].(map[string]any)
+			var city string
+			for c := range cities {
+				city = max(city, c)
+			}
+			if city == "" || months[city+"/0"] == nil {
+				t.Fatalf("fixture counts no placement in month 0: %v %v", cities, months)
+			}
+			tc.bad(res, cities, months, city)
+			for l, n := range months {
+				if n == nil {
+					delete(months, l)
+				}
+			}
+			payload, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sealed bytes.Buffer
+			if err := checkpoint.Encode(&sealed, "engine", json.RawMessage(payload)); err != nil {
+				t.Fatal(err)
+			}
+			var snap Snapshot
+			if err := checkpoint.Decode(&sealed, "engine", &snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewEngineFrom(cfg, w, &snap); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("NewEngineFrom: err = %v, want one naming %q", err, tc.want)
+			}
+			if _, err := snap.Result.Restore(); (err == nil) != (tc.want == "no site") {
+				t.Errorf("Restore: err = %v", err)
+			}
+		})
 	}
 }
 

@@ -21,8 +21,8 @@ func hotCity(t testing.TB, cfg Config, w *World) string {
 	}
 	var city string
 	var max int64
-	for _, c := range ref.PlacementsByCity.Labels() {
-		if n := ref.PlacementsByCity.Get(c); n > max {
+	for c, n := range ref.PlacementsByCity.All() {
+		if n > max {
 			city, max = c, n
 		}
 	}

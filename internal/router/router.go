@@ -38,6 +38,7 @@ package router
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/metrics"
@@ -266,10 +267,15 @@ type Slice struct {
 	row []pairCell
 	idx []int
 	// log is the slice's latency observations in assignment order, folded
-	// into Stats.Latency by Close; logRep holds each entry's per-replica
-	// aggregate, kept only when per-replica sketches are on.
+	// into Stats.Latency by Close; logRow holds each entry's per-replica
+	// aggregate as an index into rows, the distinct aggregates the slice
+	// assigned to, kept only when per-replica sketches are on. Close sorts
+	// the log by row into byRow, ending each row's run at rowEnd.
 	log    []metrics.Obs
-	logRep []*ReplicaStats
+	logRow []int32
+	rows   []*ReplicaStats
+	rowEnd []int
+	byRow  []metrics.Obs
 	// attr is what each replica's assignments attribute to, resolved on
 	// its first assignment in the slice.
 	attr []replicaAttr
@@ -280,9 +286,10 @@ type Slice struct {
 // It holds only for the slice: the intensity oracle is frozen per slice,
 // and Retire and RestoreStats, legal between slices, drop or replace rows.
 type replicaAttr struct {
-	zi float64
-	rs *ReplicaStats
-	ok bool // resolved
+	zi  float64
+	rs  *ReplicaStats
+	row int32 // rs's index in the slice's rows
+	ok  bool  // resolved
 }
 
 // reslice grows b to exactly n elements, reusing capacity when possible.
@@ -325,7 +332,9 @@ func (s *Slice) reset(replicas []Replica, seconds float64) {
 	s.idx = reslice(s.idx, n)
 	s.row = nil
 	s.log = s.log[:0]
-	s.logRep = s.logRep[:0]
+	s.logRow = s.logRow[:0]
+	clear(s.rows)
+	s.rows = s.rows[:0]
 	s.attr = reslice(s.attr, n)
 	s.dropped = 0
 	s.closed = false
@@ -475,7 +484,7 @@ func (s *Slice) waterfill(count int64, idxs []int, spill bool, intensity func(st
 			carbon += grams
 			if rs := at.rs; rs != nil {
 				rs.add(n, spill, kwh, grams)
-				s.logRep = append(s.logRep, rs)
+				s.logRow = append(s.logRow, at.row)
 			}
 			if rem -= n; rem == 0 {
 				break
@@ -517,6 +526,11 @@ func (s *Slice) resolveAttr(i int, intensity func(string) float64) {
 			at.rs = &ReplicaStats{Latency: metrics.NewQuantileSketch()} //detlint:hotalloc amortized: allocates once per newly seen replica ID
 			reps[rep.ID] = at.rs
 		}
+		at.row = int32(slices.Index(s.rows, at.rs))
+		if at.row < 0 {
+			at.row = int32(len(s.rows))
+			s.rows = append(s.rows, at.rs)
+		}
 	}
 	s.attr[i] = at
 }
@@ -541,14 +555,8 @@ func (s *Slice) Close() {
 	s.closed = true
 	st := &s.r.stats
 	st.Latency.AddObs(s.log)
-	// A per-replica sketch takes the logged bucket only at stats.Latency's
-	// resolution; a restored one need not share it and takes the value.
-	for k, rs := range s.logRep {
-		if rs.Latency.SameResolution(st.Latency) {
-			rs.Latency.AddObs(s.log[k : k+1])
-		} else {
-			rs.Latency.AddN(s.log[k].V, s.log[k].N)
-		}
+	if len(s.rows) > 0 {
+		s.foldRows(st.Latency)
 	}
 	for i, n := range s.served {
 		if n > 0 {
@@ -558,6 +566,40 @@ func (s *Slice) Close() {
 	if s.dropped > 0 {
 		s.r.stats.OverloadSlices++
 	}
+}
+
+// foldRows feeds every per-replica row its logged observations in
+// assignment order, one lock per row instead of one per assignment: a
+// counting sort of the log by row, stable within each row. A row's sketch
+// takes the logged bucket only at the resolution of all (stats.Latency);
+// a restored one need not share it and takes the values.
+func (s *Slice) foldRows(all *metrics.QuantileSketch) {
+	end := reslice(s.rowEnd, len(s.rows)+1)
+	clear(end)
+	for _, g := range s.logRow {
+		end[g+1]++
+	}
+	for g := 1; g < len(end); g++ {
+		end[g] += end[g-1]
+	}
+	by := reslice(s.byRow, len(s.logRow))
+	for k, g := range s.logRow {
+		by[end[g]] = s.log[k]
+		end[g]++
+	}
+	start := 0
+	for g, rs := range s.rows {
+		obs := by[start:end[g]]
+		start = end[g]
+		if rs.Latency.SameResolution(all) {
+			rs.Latency.AddObs(obs)
+			continue
+		}
+		for _, o := range obs {
+			rs.Latency.AddN(o.V, o.N)
+		}
+	}
+	s.rowEnd, s.byRow = end, by
 }
 
 // ReplicaSnapshot is the JSON-friendly view of one replica's aggregates.

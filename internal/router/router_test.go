@@ -681,13 +681,50 @@ func TestCloseFoldsPerReplicaByBucketOrValue(t *testing.T) {
 	}
 }
 
+// TestCloseFoldsRowsInAssignmentOrder routes two sources' requests over
+// two replicas sharing a row, one at 1.25 ms and one at 2^53 ms, so the
+// row takes their observations interleaved: 1.25, 2^53, 1.25, 2^53. Its
+// sum keeps the small terms only in some orders (grouped by replica it
+// ends 4 higher), and the row's sketch must equal, bit for bit, one fed
+// the observations in assignment order.
+func TestCloseFoldsRowsInAssignmentOrder(t *testing.T) {
+	r := mustRouter(t, Config{SLOms: 1 << 60, RTTAt: testRTT, PerReplica: true})
+	reps := []Replica{
+		{ID: "row", Loc: tampa, ZoneID: "Z", CapacityRPS: 1, ServiceMs: 1.25, EnergyPerReqJ: 0.5},
+		{ID: "row", Loc: miami, ZoneID: "Z", CapacityRPS: 1, ServiceMs: 1<<53 - 8, EnergyPerReqJ: 0.5},
+	}
+	sl := r.ReuseSlice(reps, 10)
+	sl.RouteAt(tampa, 2, flatCI)
+	sl.RouteAt(tampa, 2, flatCI)
+	sl.Close()
+	if got := sl.Served(); got[0] != 2 || got[1] != 2 {
+		t.Fatalf("served %v, want two requests on each replica", got)
+	}
+	small, big := testRTT(tampa, tampa)+1.25, testRTT(tampa, miami)+(1<<53-8)
+	sketch := func(vs ...float64) metrics.SketchState {
+		sk := metrics.NewQuantileSketch()
+		for _, v := range vs {
+			sk.AddN(v, 1)
+		}
+		return sk.State()
+	}
+	want := sketch(small, big, small, big)
+	if sketch(small, small, big, big).Sum == want.Sum {
+		t.Fatal("fixture: the sum does not depend on the order")
+	}
+	if got := r.Stats().Replicas["row"].Latency.State(); !reflect.DeepEqual(got, want) {
+		t.Errorf("row sketch\n %+v\nwant\n %+v", got, want)
+	}
+}
+
 // legacyRoute is the eager routing path RouteAt replaced, kept as its
 // bit-exact oracle: every route partitions all replicas into copied
 // latency, bucket, feasible and infeasible scratch, the spill list
-// included, and every assignment looks its per-replica row up by ID. It
-// routes on an open slice of its own router, through the slice's budgets,
-// counts and observation log, so Close folds its routes as it folds
-// RouteAt's.
+// included, and every assignment looks its per-replica row up by ID and
+// records its latency in the row's sketch itself. It routes on an open
+// slice of its own router, through the slice's budgets, counts and
+// observation log, so Close folds its routes into the router's own
+// sketch as it folds RouteAt's.
 type legacyRoute struct {
 	lat                  []float64
 	bucket               []int32
@@ -818,7 +855,7 @@ func (l *legacyRoute) assign(s *Slice, i int, n int64, latMs float64, spill bool
 		if spill {
 			rs.Spilled += n
 		}
-		s.logRep = append(s.logRep, rs)
+		rs.Latency.AddN(latMs, n)
 		rs.EnergyKWh += kwh
 		rs.CarbonG += grams
 	}

@@ -263,9 +263,9 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := make([]cluster.Resources, len(e.servers))
-				for i := range e.live {
-					a := &e.live[i]
-					prof, err := energy.ProfileFor(a.model, a.device)
+				for i := range e.live.items() {
+					a := &e.live.items()[i]
+					prof, err := energy.ProfileFor(e.pool.models[a.mi], e.servers[a.srv].Device.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -288,9 +288,9 @@ func TestServerUsageIsCommittedDemand(t *testing.T) {
 				}
 			}
 			res := e.Finish()
-			if res.Faults.Evictions == 0 || res.Migrations == 0 || res.Placed <= len(e.live) {
+			if res.Faults.Evictions == 0 || res.Migrations == 0 || res.Placed <= e.live.len() {
 				t.Fatalf("run witnessed %d evictions, %d migrations, %d placed of which %d still live: want all three paths exercised",
-					res.Faults.Evictions, res.Migrations, res.Placed, len(e.live))
+					res.Faults.Evictions, res.Migrations, res.Placed, e.live.len())
 			}
 		})
 	}

@@ -87,6 +87,7 @@ type Engine struct {
 	fcStale        bool                       //detlint:ephemeral set by every epoch's carbon tick before any solve reads the forecasts
 	solver         *placement.HeuristicSolver //detlint:ephemeral stateless across epochs; warm-start state lives in warmBuf inputs rebuilt per batch
 	views          int                        //detlint:ephemeral telemetry: workspace views built (buildProblem), counted for tests
+	visits         liveVisits                 //detlint:ephemeral telemetry: live rows and pool cells visited, counted for tests
 
 	// ws is the persistent placement workspace: built once per run, it
 	// carries the memoized profile/RTT tables and per-app candidate
@@ -123,8 +124,10 @@ type Engine struct {
 	inReqs    []inboxReq
 	inDropped int64
 
-	res  *Result
-	live []liveApp
+	res *Result
+	// live is the live table: the committed applications in placement
+	// order, a head offset into a backing array (liveTable).
+	live liveTable
 	// pending accrues arrivals between batch drains; pendingSpare is the
 	// previous drained batch's backing array, swapped back in as the next
 	// accumulation buffer so the backlog double-buffers instead of
@@ -159,11 +162,12 @@ type Engine struct {
 	//detlint:ephemeral configuration, derived from cfg at construction
 	sloMs    float64 // end-to-end routing SLO
 	sliceBuf []int64 //detlint:ephemeral per-slice scratch, wiped before every use
-	// pool aggregates e.live into the router's replica set. Derived
-	// state, not snapshotted: its class tables are rebuilt from cfg and
-	// the server list (constructor, scale-out, and NewEngineFrom — which
-	// is why detlint counts it restored and wants no ephemeral tag), its
-	// replicas rewritten every epoch.
+	// pool aggregates the live table into the router's replica set.
+	// Derived state, not snapshotted: its class tables are rebuilt from
+	// cfg and the server list (constructor, scale-out, and NewEngineFrom
+	// — which is why detlint counts it restored and wants no ephemeral
+	// tag), its cells kept at every edit of the live table and refilled
+	// by indexLive.
 	pool replicaPool
 	// intensityFn is the pre-bound zone-intensity oracle handed to the
 	// router (reads the slot memo prefilled by stepTraffic).
@@ -181,40 +185,6 @@ type phase struct {
 	run func(now time.Time) error
 }
 
-// replicaPool turns the live applications into the router's replica set
-// by array lookup. Applications sharing a (site, model, device) triple are
-// one replica; the triple is addressed as cells[model][pair], with models
-// and (site, device) pairs interned to dense indices when they enter the
-// engine, so the per-epoch walk over e.live hashes nothing.
-type replicaPool struct {
-	modelIdx map[string]int
-	// pairs lists the distinct (site, device) pairs; siteServer.pair
-	// indexes it. A pair is not a server: a scale-out adds servers to an
-	// existing pair, and their applications must keep pooling with it.
-	pairs []poolPair
-	cells [][]poolCell // [model][pair]
-	// apps holds the arrival and redeploy app templates (see
-	// Engine.appTemplate).
-	apps []placement.App
-	// gen stamps the cells that have a replica in this epoch's buf.
-	gen int
-	buf []router.Replica
-}
-
-// poolPair is one (site, device) hosting class.
-type poolPair struct {
-	site   int
-	device string
-}
-
-// poolCell is one (model, pair) replica class: its capacity-free
-// prototype, built on first use, and its position in the current pool.
-type poolCell struct {
-	proto router.Replica
-	gen   int // 0: never used, proto not built; slot is valid when gen == replicaPool.gen
-	slot  int
-}
-
 // zoneTrace is one distinct carbon zone of the region: its trace reader,
 // the index of the engine's start instant in that trace (epoch t reads
 // index off+t; a zone's trace may start later than the others'), and the
@@ -224,35 +194,6 @@ type zoneTrace struct {
 	carbon.ZoneReader
 	off    int
 	fc, ci float64
-}
-
-// model returns the dense index of a model name, interning a new one.
-// Every model of the config is interned at construction, so the append
-// runs again only for a model a coordinator injects from outside it.
-func (p *replicaPool) model(name string) int {
-	mi, ok := p.modelIdx[name]
-	if !ok {
-		mi = len(p.cells)
-		p.modelIdx[name] = mi
-		p.cells = append(p.cells, make([]poolCell, len(p.pairs)))
-	}
-	return mi
-}
-
-// pair returns the dense index of a (site, device) pair, interning a new
-// one. It runs once per server created (constructor, scale-out, restore).
-func (p *replicaPool) pair(site int, device string) int {
-	k := poolPair{site: site, device: device}
-	for i, have := range p.pairs {
-		if have == k {
-			return i
-		}
-	}
-	p.pairs = append(p.pairs, k)
-	for mi := range p.cells {
-		p.cells[mi] = append(p.cells[mi], poolCell{})
-	}
-	return len(p.pairs) - 1
 }
 
 // NewEngine validates the config and builds the simulation state against
@@ -654,7 +595,7 @@ func (e *Engine) phaseRedeploy(now time.Time) error {
 	due := e.cfg.RedeployEveryHours > 0 && epoch > 0 && epoch%e.cfg.RedeployEveryHours == 0
 	force := e.forceRedeploy
 	e.forceRedeploy = false
-	if (due || force) && len(e.live) > 0 {
+	if (due || force) && e.live.len() > 0 {
 		return e.redeploy(now)
 	}
 	return nil
@@ -688,44 +629,6 @@ func (e *Engine) phaseAccrual(now time.Time) error {
 	}
 	e.stepAccrual(int(now.Month()) - 1)
 	return nil
-}
-
-// stepDepartures releases apps whose lifetime ended before this epoch,
-// in live order, compacting the survivors in place. Apps are placed in
-// arrival order with one lifetime, so the departures are mostly a prefix
-// of e.live: everything after that prefix moves down with one copy, and
-// each survivor after a later departure then moves alone. The table is
-// copied, not resliced from its head: a resliced table loses its front
-// capacity and reallocates as it refills.
-func (e *Engine) stepDepartures(epoch int) {
-	live := e.live
-	k := 0
-	for k < len(live) && live[k].expires <= epoch {
-		e.depart(&live[k])
-		k++
-	}
-	if k > 0 {
-		live = live[:copy(live, live[k:])]
-	}
-	n := 0
-	for i := range live {
-		a := &live[i]
-		if a.expires > epoch {
-			if n != i {
-				live[n] = *a
-			}
-			n++
-			continue
-		}
-		e.depart(a)
-	}
-	e.live = live[:n]
-}
-
-// depart releases a departing app and writes its row through.
-func (e *Engine) depart(a *liveApp) {
-	e.release(a)
-	e.syncRow(a.srv)
 }
 
 // release takes a live app's demand off its server and, unless servers
@@ -773,12 +676,11 @@ func (e *Engine) stepArrivals() {
 	n := poisson(e.rng, e.cfg.ArrivalsPerHour)
 	for k := 0; k < n; k++ {
 		src := sampleWeighted(e.rng, e.demandW, e.demandTotal)
-		model, mi := appModel, 0 // NewEngine interns appModel first
+		mi := 0 // NewEngine interns appModel first
 		if len(e.cfg.Models) > 0 {
-			model = e.cfg.Models[e.rng.Intn(len(e.cfg.Models))]
-			mi = e.pool.model(model)
+			mi = e.pool.model(e.cfg.Models[e.rng.Intn(len(e.cfg.Models))])
 		}
-		app := *e.appTemplate(model, mi, src)
+		app := *e.appTemplate(mi, src)
 		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
 			app:       app,
@@ -947,12 +849,10 @@ func (e *Engine) stepPlacement(batch []pendingApp, epoch, month int) error {
 			expires = batch[i].expires
 		}
 		rtt := prob.LatencyMs[i][j]
-		e.live = append(e.live, liveApp{
+		e.admit(liveApp{
 			srv:     j,
 			site:    srv.site,
-			model:   apps[i].Model,
 			mi:      e.pool.model(apps[i].Model),
-			device:  srv.Device.Name,
 			demand:  prob.Demand[i][j],
 			powerW:  prob.PowerW[i][j],
 			rttMs:   rtt,
@@ -1004,8 +904,9 @@ func (e *Engine) stepTraffic(epoch, month int) error {
 	// semantics in traffic mode: one sample per live application per
 	// epoch.
 	if e.cfg.CollectLoadCI {
-		for i := range e.live {
-			e.res.LoadCI = append(e.res.LoadCI, e.zoneCISite(e.live[i].site))
+		live := e.live.items()
+		for i := range live {
+			e.res.LoadCI = append(e.res.LoadCI, e.zoneCISite(live[i].site))
 		}
 	}
 	st := e.res.Traffic
@@ -1049,48 +950,6 @@ func (e *Engine) stepTraffic(epoch, month int) error {
 	return nil
 }
 
-// trafficReplicas views the live applications as the routing replica
-// pool. Apps sharing a (site, model, device) triple are interchangeable
-// to the router — same location, latency, service time, and per-request
-// energy — so they aggregate into one replica with their capacities
-// summed, in first-occurrence order over e.live (the router's tie-break
-// order, which snapshots preserve). Telemetry stays keyed by hosting
-// city, so per-replica aggregates stay bounded over year runs.
-//
-// The triple is looked up, not hashed: the app carries its model's dense
-// index and its server the dense index of its (site, device) pair. The
-// pair, not the server index, is the key — a scale-out puts several
-// servers on one pair, and keying by server would split their replica.
-func (e *Engine) trafficReplicas() ([]router.Replica, error) {
-	p := &e.pool
-	p.buf = p.buf[:0]
-	p.gen++
-	for i := range e.live {
-		a := &e.live[i]
-		c := &p.cells[a.mi][e.servers[a.srv].pair]
-		if c.gen != p.gen {
-			if c.gen == 0 {
-				prof, err := energy.ProfileFor(a.model, a.device)
-				if err != nil {
-					return nil, err
-				}
-				site := e.sites[a.site]
-				c.proto = router.Replica{
-					ID:            site.City,
-					Loc:           a.site,
-					ZoneID:        site.ZoneID,
-					ServiceMs:     prof.InferenceMs,
-					EnergyPerReqJ: prof.EnergyPerRequestJ(),
-				}
-			}
-			c.gen, c.slot = p.gen, len(p.buf)
-			p.buf = append(p.buf, c.proto)
-		}
-		p.buf[c.slot].CapacityRPS += appRatePerSec
-	}
-	return p.buf, nil
-}
-
 // stepAccrual charges every live app's dynamic energy — plus woken
 // servers' base power when power management is on — at the hosting zone's
 // actual hourly carbon intensity. In the traffic-driven mode the dynamic
@@ -1098,8 +957,9 @@ func (e *Engine) trafficReplicas() ([]router.Replica, error) {
 // base-power term applies here.
 func (e *Engine) stepAccrual(month int) {
 	if e.tgen == nil {
-		for i := range e.live {
-			a := &e.live[i]
+		live := e.live.items()
+		for i := range live {
+			a := &live[i]
 			ci := e.zoneCISite(a.site)
 			kwh := a.powerW / 1000
 			e.res.CarbonG += kwh * ci
@@ -1129,20 +989,20 @@ func (e *Engine) rttOracle(source, dc string) float64 {
 	return e.rtt[e.siteIdxByCity[source]][e.siteIdxByCity[dc]]
 }
 
-// appTemplate returns the placement.App of an app of model (interned as
-// mi) from source site src, but for the ID. There is one template per
+// appTemplate returns the placement.App of an app of the model interned
+// as mi from source site src, but for the ID. There is one template per
 // (model, source site), at pool.apps[mi x site count + src], built and
 // bound to the workspace the first time an arrival or a redeploy needs
 // that shape, so no later view looks its class up. The pointer is valid
 // until the next appTemplate call: callers copy the template out.
-func (e *Engine) appTemplate(model string, mi, src int) *placement.App {
+func (e *Engine) appTemplate(mi, src int) *placement.App {
 	k := mi*len(e.sites) + src
 	for len(e.pool.apps) <= k {
 		e.pool.apps = append(e.pool.apps, placement.App{})
 	}
 	t := &e.pool.apps[k]
 	if t.Source == "" {
-		*t = placement.App{Model: model, Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: appRatePerSec}
+		*t = placement.App{Model: e.pool.models[mi], Source: e.sites[src].City, SLOms: e.cfg.RTTLimitMs, RatePerSec: appRatePerSec}
 		e.ws.Bind(t)
 	}
 	return t
@@ -1154,9 +1014,10 @@ func (e *Engine) appTemplate(model string, mi, src int) *placement.App {
 // destination zone's current carbon intensity.
 func (e *Engine) redeploy(now time.Time) error {
 	// Free every live app's resources so the solver sees the full space.
+	live := e.live.items()
 	e.prevsBuf = e.prevsBuf[:0]
-	for i := range e.live {
-		a := &e.live[i]
+	for i := range live {
+		a := &live[i]
 		e.prevsBuf = append(e.prevsBuf, a.srv)
 		e.release(a)
 	}
@@ -1164,9 +1025,9 @@ func (e *Engine) redeploy(now time.Time) error {
 	prevs := e.prevsBuf
 
 	e.appsBuf = e.appsBuf[:0]
-	for i := range e.live {
-		a := &e.live[i]
-		e.appsBuf = append(e.appsBuf, *e.appTemplate(a.model, a.mi, a.srcSite))
+	for i := range live {
+		a := &live[i]
+		e.appsBuf = append(e.appsBuf, *e.appTemplate(a.mi, a.srcSite))
 		e.appsBuf[i].ID = e.queueID(i)
 	}
 	apps := e.appsBuf
@@ -1203,10 +1064,10 @@ func (e *Engine) redeploy(now time.Time) error {
 			return fmt.Errorf("sim: redeploy left live app %s (%s, on server %d) unplaced", apps[i].ID, apps[i].Model, prevs[i])
 		}
 		srv := &e.servers[j]
-		a := &e.live[i]
+		a := &live[i]
 		moved := j != prevs[i]
 		a.srv = j
-		a.site, a.device = srv.site, srv.Device.Name
+		a.site = srv.site
 		a.demand = prob.Demand[i][j]
 		a.powerW = prob.PowerW[i][j]
 		a.rttMs = prob.LatencyMs[i][j]
@@ -1227,7 +1088,9 @@ func (e *Engine) redeploy(now time.Time) error {
 		}
 	}
 	// A redeploy re-commits every live app, so it writes every row
-	// through once rather than once per app.
+	// through once rather than once per app, and refills the pool cells
+	// the moves changed.
 	e.syncRows()
+	e.indexLive()
 	return nil
 }

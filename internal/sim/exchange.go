@@ -100,7 +100,7 @@ func (e *Engine) consumeInboxApps() {
 			keep = append(keep, p)
 			continue
 		}
-		app := *e.appTemplate(p.model, e.pool.model(p.model), e.gateway)
+		app := *e.appTemplate(e.pool.model(p.model), e.gateway)
 		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
 			app:       app,

@@ -61,8 +61,8 @@ func (r *engineRows) Rows() int            { return len(r.servers) }
 func (r *engineRows) Row(j int) *fleet.Row { return &r.servers[j].Row }
 func (r *engineRows) ID(j int) string      { return "srv-" + strconv.Itoa(j) }
 func (r *engineRows) Vacated(j int) error  { return nil }
-func (r *engineRows) Live() int            { return len(r.live) }
-func (r *engineRows) Hosts(j, i int) bool  { return r.live[i].srv == j }
+func (r *engineRows) Live() int            { return r.live.len() }
+func (r *engineRows) Hosts(j, i int) bool  { return r.live.items()[i].srv == j }
 
 // Evict releases each app (the release rule powers its server off once
 // empty) and returns it to the placement backlog, keeping its departure
@@ -70,12 +70,14 @@ func (r *engineRows) Hosts(j, i int) bool  { return r.live[i].srv == j }
 // rebalances around the loss.
 func (r *engineRows) Evict(j int, apps []int) {
 	e := (*Engine)(r)
+	live := e.live.items()
 	for _, i := range apps {
-		a := &e.live[i]
+		a := &live[i]
 		e.release(a)
+		e.unpool(a, false)
 		e.res.Faults.Evictions++
 		e.forceRedeploy = true
-		app := *e.appTemplate(a.model, a.mi, a.srcSite)
+		app := *e.appTemplate(a.mi, a.srcSite)
 		app.ID = e.queueID(len(e.pending))
 		e.pending = append(e.pending, pendingApp{
 			app:       app,
@@ -85,7 +87,7 @@ func (r *engineRows) Evict(j int, apps []int) {
 		})
 		a.srv = -1
 	}
-	e.live = slices.DeleteFunc(e.live, func(a liveApp) bool { return a.srv < 0 })
+	e.live.truncate(len(slices.DeleteFunc(live, func(a liveApp) bool { return a.srv < 0 })))
 }
 
 // AddRow adds a flash-fleet server at city: capMilli compute, memory in

@@ -62,7 +62,8 @@ func checkpointModes(t testing.TB, w *World) []Config {
 // bytes, or fail with its error: the fuzzer reaches hostile strings, -0,
 // tiny and huge floats, and null against empty lists and maps. Every
 // input must then either be rejected with an error or give an engine
-// that steps to the end without panicking, physical (checkPhysical) and
+// that steps to the end without panicking, physical (checkPhysical),
+// with its live table's derived state matching a recount (checkLive) and
 // with placement counts that conserve Placed (checkPlacementCounts,
 // which a restore's count validation must have made hold) after every
 // epoch. Seeds are snapshots of every mode at epochs 0, 20 and 40.
@@ -117,6 +118,9 @@ func FuzzNewEngineFrom(f *testing.F) {
 			if err := checkPhysical(e); err != nil {
 				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
 			}
+			if err := checkLive(e); err != nil {
+				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
+			}
 			if err := checkPlacementCounts(e.Finish()); err != nil {
 				t.Fatalf("restored at epoch %d, epoch %d: %v", snap.Epoch, e.Epoch()-1, err)
 			}
@@ -128,7 +132,8 @@ func FuzzNewEngineFrom(f *testing.F) {
 // the fuzzed text is parsed with events.ParseFaultScript and run as the
 // fault script of checkpointModes' fault run (48 h Europe). A script
 // that the parser, NewEngine or a Step refuses must be refused with an
-// error; an accepted one steps to the end, physical (checkPhysical)
+// error; an accepted one steps to the end, physical (checkPhysical) and
+// with its live table's derived state matching a recount (checkLive)
 // after every epoch. Nothing may panic. Seeds are the fault run's own
 // script and one line of each kind at its city and zone.
 func FuzzSimFaults(f *testing.F) {
@@ -168,6 +173,9 @@ func FuzzSimFaults(f *testing.F) {
 				return
 			}
 			if err := checkPhysical(e); err != nil {
+				t.Fatalf("script %q, epoch %d: %v", text, e.Epoch()-1, err)
+			}
+			if err := checkLive(e); err != nil {
 				t.Fatalf("script %q, epoch %d: %v", text, e.Epoch()-1, err)
 			}
 		}
@@ -258,7 +266,9 @@ func FuzzAppendJSON(f *testing.F) {
 // the live table (up to 63 entries, past the cache's forward scan) or
 // one entry, rewrites an entry's power from vals or its model name,
 // flips the sign of an entry's RTT (0 and -0 render differently),
-// rewrites a server's usage from vals, or appends an entry. Every fourth
+// rewrites a server's usage from vals, or appends an entry. The result's
+// load_ci samples move with it: a drop cuts them short, a power rewrite
+// rewrites one, a sign flip flips one and an append appends one. Every fourth
 // byte takes a snapshot, which must encode to json.Marshal's bytes (or
 // fail with its error); the first snapshot must encode to its own bytes
 // at the end.
@@ -272,11 +282,14 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 	c := new(rowCache)
 	servers := make([]ServerSnap, 3)
 	var live []LiveAppSnap
+	var load []float64
 	for i := range min(2*len(vals), 64) {
 		live = append(live, LiveAppSnap{Srv: i % 3, Model: "m", PowerW: val(i), RTTMs: val(i + 1), Expires: i})
+		load = append(load, val(i+2))
 	}
 	take := func() *Snapshot {
-		return &Snapshot{ConfigSig: "fuzz", Servers: slices.Clone(servers), Live: slices.Clone(live), rows: c}
+		return &Snapshot{ConfigSig: "fuzz", Servers: slices.Clone(servers), Live: slices.Clone(live),
+			Result: ResultState{LoadCI: slices.Clone(load)}, rows: c}
 	}
 	first := take()
 	checkAppendJSON(t, "first cached", first)
@@ -286,6 +299,7 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 		switch b % 7 {
 		case 0:
 			live = live[min(int(b>>2), len(live)):]
+			load = load[:len(load)-min(int(b>>2), len(load))]
 		case 1:
 			if len(live) > 0 {
 				live = slices.Delete(live, at%len(live), at%len(live)+1)
@@ -293,6 +307,9 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 		case 2:
 			if len(live) > 0 {
 				live[at%len(live)].PowerW = val(n)
+			}
+			if len(load) > 0 {
+				load[at%len(load)] = val(n)
 			}
 		case 3:
 			if len(live) > 0 {
@@ -303,10 +320,15 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 				a := &live[at%len(live)]
 				a.RTTMs = math.Copysign(a.RTTMs, -a.RTTMs)
 			}
+			if len(load) > 0 {
+				x := &load[at%len(load)]
+				*x = math.Copysign(*x, -*x)
+			}
 		case 5:
 			servers[at%3].Used[at%len(servers[0].Used)] = val(n)
 		case 6:
 			live = append(live, LiveAppSnap{Srv: at % 3, Model: "m", PowerW: val(n), RTTMs: val(at), Expires: n})
+			load = append(load, val(at+1))
 		}
 		if n%4 == 3 {
 			checkAppendJSON(t, fmt.Sprintf("cached after %d mutations", n+1), take())

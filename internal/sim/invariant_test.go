@@ -181,7 +181,7 @@ func (c *requestCheck) check(epoch int, st *router.Stats) error {
 }
 
 // runChecked steps cfg to completion and, after every epoch, runs
-// checkPhysical, checkClassRows, checkClocks and checkPlacementCounts
+// checkPhysical, checkLive, checkClassRows, checkClocks and checkPlacementCounts
 // (the counts on the result as Finish folds it), and on a traffic config
 // requestCheck too; it fails at the first epoch that breaks any of them.
 // setup runs on the new engine before its first Step.
@@ -212,8 +212,11 @@ func runChecked(t *testing.T, cfg Config, w *World, setup ...func(*Engine) error
 		if err := e.Step(); err != nil {
 			t.Fatal(err)
 		}
-		peak = max(peak, len(e.live))
+		peak = max(peak, e.live.len())
 		if err := checkPhysical(e); err != nil && bad == nil {
+			bad = fmt.Errorf("epoch %d: %w", epoch, err)
+		}
+		if err := checkLive(e); err != nil && bad == nil {
 			bad = fmt.Errorf("epoch %d: %w", epoch, err)
 		}
 		res := e.Finish()
@@ -359,10 +362,10 @@ func TestPhysicalCatchesStaleWorkspace(t *testing.T) {
 	if err := checkPhysical(e); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.live) == 0 {
+	if e.live.len() == 0 {
 		t.Fatal("no live app: nothing to corrupt")
 	}
-	a := e.live[0]
+	a := e.live.items()[0]
 	srv := &e.servers[a.srv]
 	for _, tc := range []struct {
 		name string
@@ -387,30 +390,35 @@ func TestPhysicalCatchesStaleWorkspace(t *testing.T) {
 }
 
 // legacyDepartures is the compaction rule stepDepartures replaced, kept
-// as its oracle: release the departing apps in live order and move each
-// survivor down alone once an earlier app has departed.
+// as its oracle: walk the whole live table, release the departing apps in
+// live order and move each survivor down alone once an earlier app has
+// departed.
 func legacyDepartures(e *Engine, epoch int) {
+	live := e.live.items()
 	n := 0
-	for i := range e.live {
-		a := &e.live[i]
+	for i := range live {
+		a := &live[i]
 		if a.expires > epoch {
 			if n != i {
-				e.live[n] = *a
+				live[n] = *a
 			}
 			n++
 			continue
 		}
 		e.release(a)
 	}
-	e.live = e.live[:n]
+	e.live.truncate(n)
 }
 
 // TestDeparturesKeepLiveOrder holds stepDepartures to the legacy rule on
-// live tables whose departures are not a prefix, as an eviction leaves
-// them (a re-placed app keeps its departure epoch behind later
-// arrivals): the survivors' order and every row's Used and On must be
-// the legacy rule's, the table must keep its backing array, and the
-// workspace must hold every row as it is.
+// live tables whose departures are not a prefix, as an eviction or a
+// restore leaves them (a re-placed app keeps its departure epoch behind
+// later arrivals): the expiries are rewritten and the table re-indexed
+// (indexLive), as a restore indexes it. The survivors' order and every
+// row's Used and On must be the legacy rule's, the table must keep its
+// backing array with its head in the first half, a departed prefix must
+// leave the survivors where they were, and the workspace, the late count
+// and the pool must match a recount (checkPhysical, checkLive).
 func TestDeparturesKeepLiveOrder(t *testing.T) {
 	w := testWorld(t)
 	cfg := shortConfig(carbon.RegionEurope, placement.CarbonAware{})
@@ -430,38 +438,55 @@ func TestDeparturesKeepLiveOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		departs func(i, n int) bool
+		prefix  bool
 	}{
-		{"prefix", func(i, n int) bool { return i < n/3 }},
-		{"scattered", func(i, n int) bool { return i%3 == 1 }},
-		{"prefix then scattered", func(i, n int) bool { return i < 4 || i%5 == 0 }},
-		{"tail", func(i, n int) bool { return i >= n-3 }},
-		{"middle run", func(i, n int) bool { return i >= n/3 && i < n/2 }},
-		{"all", func(i, n int) bool { return true }},
-		{"none", func(i, n int) bool { return false }},
+		{"prefix", func(i, n int) bool { return i < n/3 }, true},
+		{"scattered", func(i, n int) bool { return i%3 == 1 }, false},
+		{"prefix then scattered", func(i, n int) bool { return i < 4 || i%5 == 0 }, false},
+		{"tail", func(i, n int) bool { return i >= n-3 }, false},
+		{"middle run", func(i, n int) bool { return i >= n/3 && i < n/2 }, false},
+		{"all", func(i, n int) bool { return true }, true},
+		{"none", func(i, n int) bool { return false }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, want := build(), build()
 			epoch := got.Epoch()
-			n := len(got.live)
+			n := got.live.len()
 			if n < 10 {
 				t.Fatalf("%d live apps: too few to shuffle departures", n)
 			}
+			k := 0 // departing prefix
 			for _, e := range []*Engine{got, want} {
-				for i := range e.live {
-					e.live[i].expires = epoch + 1 + i%7
+				live := e.live.items()
+				for i := range live {
+					live[i].expires = epoch + 1 + i%7
 					if tc.departs(i, n) {
-						e.live[i].expires = epoch - i%2
+						live[i].expires = epoch - i%2
 					}
 				}
+				e.indexLive()
 			}
-			backing := &got.live[:1][0]
+			for k < n && tc.departs(k, n) {
+				k++
+			}
+			backing := &got.live.buf[:1][0]
+			var firstSurvivor *liveApp
+			if k < n {
+				firstSurvivor = &got.live.items()[k]
+			}
 			got.stepDepartures(epoch)
 			legacyDepartures(want, epoch)
-			if !reflect.DeepEqual(got.live, want.live) {
-				t.Fatalf("survivors differ from the legacy rule's (%d vs %d apps)", len(got.live), len(want.live))
+			if !reflect.DeepEqual(got.live.items(), want.live.items()) {
+				t.Fatalf("survivors differ from the legacy rule's (%d vs %d apps)", got.live.len(), want.live.len())
 			}
-			if len(got.live) > 0 && &got.live[0] != backing {
+			if &got.live.buf[:1][0] != backing {
 				t.Fatal("the live table moved off its backing array")
+			}
+			if 2*got.live.head > len(got.live.buf) {
+				t.Fatalf("head %d past half the %d-row table", got.live.head, len(got.live.buf))
+			}
+			if tc.prefix && 2*k <= n && firstSurvivor != nil && &got.live.items()[0] != firstSurvivor {
+				t.Fatal("a departed prefix moved the survivors")
 			}
 			for j := range got.servers {
 				g, l := &got.servers[j], &want.servers[j]
@@ -470,6 +495,9 @@ func TestDeparturesKeepLiveOrder(t *testing.T) {
 				}
 			}
 			if err := checkPhysical(got); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkLive(got); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -546,13 +574,13 @@ func TestServerThatCannotWin(t *testing.T) {
 				if err := e.Step(); err != nil {
 					t.Fatal(err)
 				}
-				if e.Epoch()%24 != 0 || len(e.live) == 0 {
+				if e.Epoch()%24 != 0 || e.live.len() == 0 {
 					continue
 				}
-				apps := make([]placement.App, len(e.live))
-				for i := range e.live {
-					a := &e.live[i]
-					apps[i] = placement.App{ID: fmt.Sprintf("a%d", i), Model: a.model, Source: e.sites[a.srcSite].City,
+				apps := make([]placement.App, e.live.len())
+				for i := range e.live.items() {
+					a := &e.live.items()[i]
+					apps[i] = placement.App{ID: fmt.Sprintf("a%d", i), Model: e.pool.models[a.mi], Source: e.sites[a.srcSite].City,
 						SLOms: cfg.RTTLimitMs, RatePerSec: appRatePerSec}
 				}
 				servers := make([]placement.Server, e.ws.NumServers())

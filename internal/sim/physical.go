@@ -24,22 +24,24 @@ import (
 // is not resumed.
 func checkPhysical(e *Engine) error {
 	load := make([]fleet.Load, len(e.servers))
-	for i := range e.live {
-		a := &e.live[i]
+	live := e.live.items()
+	for i := range live {
+		a := &live[i]
 		srv := &e.servers[a.srv]
-		prof, err := energy.ProfileFor(a.model, a.device)
+		model, device := e.pool.models[a.mi], srv.Device.Name
+		prof, err := energy.ProfileFor(model, device)
 		if err != nil {
 			return fmt.Errorf("live app %d: %v", i, err)
 		}
 		if d, w, _ := placement.Coefficients(prof, appRatePerSec); a.demand != d || a.powerW != w {
 			return fmt.Errorf("live app %d (%s on %s) holds demand %v at %g W, its cell is %v at %g W",
-				i, a.model, a.device, a.demand, a.powerW, d, w)
+				i, model, device, a.demand, a.powerW, d, w)
 		}
 		if want := e.rtt[a.srcSite][a.site]; a.rttMs != want {
 			return fmt.Errorf("live app %d from site %d on site %d at %g ms RTT, want %g ms", i, a.srcSite, a.site, a.rttMs, want)
 		}
-		if a.device != srv.Device.Name {
-			return fmt.Errorf("live app %d runs on device %s, its server %d is %s", i, a.device, a.srv, srv.Device.Name)
+		if a.site != srv.site {
+			return fmt.Errorf("live app %d runs at site %d, its server %d at site %d", i, a.site, a.srv, srv.site)
 		}
 		if !(a.rttMs <= e.cfg.RTTLimitMs+1e-9) {
 			return fmt.Errorf("live app %d at %.6f ms RTT, limit %g ms", i, a.rttMs, e.cfg.RTTLimitMs)

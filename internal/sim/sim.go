@@ -100,11 +100,9 @@ func (r *Result) MeanRTTMs() float64 { return r.Latency.Mean() }
 
 // liveApp is a committed application.
 type liveApp struct {
-	srv    int // index into servers (the hosting aggregate server)
-	site   int // index into sites
-	model  string
-	mi     int // model's dense index in the engine's replicaPool
-	device string
+	srv  int // index into servers (the hosting aggregate server), which names the device
+	site int // index into sites
+	mi   int // model's dense index in the engine's replicaPool, which names the model
 	// demand is what the app's placement committed on its server (the
 	// placement cell), released as is when it departs or is evicted.
 	demand  cluster.Resources
@@ -112,6 +110,10 @@ type liveApp struct {
 	rttMs   float64
 	expires int // epoch index at which it departs
 	srcSite int
+	// seq numbers the app in the live table (increasing along it) and
+	// late marks it out of expiry order (liveTable).
+	seq  int
+	late bool
 }
 
 // siteServer is the aggregate per-device server at one site: its

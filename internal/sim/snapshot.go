@@ -324,10 +324,11 @@ func (e *Engine) Snapshot() *Snapshot {
 			Down:    srv.Down,
 		}
 	}
-	snap.Live = make([]LiveAppSnap, len(e.live))
-	for i, a := range e.live {
+	live := e.live.items()
+	snap.Live = make([]LiveAppSnap, len(live))
+	for i, a := range live {
 		snap.Live[i] = LiveAppSnap{
-			Srv: a.srv, Site: a.site, Model: a.model, Device: a.device,
+			Srv: a.srv, Site: a.site, Model: e.pool.models[a.mi], Device: e.servers[a.srv].Device.Name,
 			PowerW: a.powerW, RTTMs: a.rttMs, Expires: a.expires, SrcSite: a.srcSite,
 		}
 	}
@@ -431,7 +432,7 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		e.syncRow(j)
 	}
 
-	e.live = make([]liveApp, len(snap.Live))
+	live := make([]liveApp, len(snap.Live))
 	for i, ls := range snap.Live {
 		if ls.Srv < 0 || ls.Srv >= len(e.servers) {
 			return nil, fmt.Errorf("sim: snapshot live app %d references server %d of %d", i, ls.Srv, len(e.servers))
@@ -456,11 +457,13 @@ func NewEngineFrom(cfg Config, w *World, snap *Snapshot) (*Engine, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: snapshot live app %d: %s cannot host %s at %g req/s", i, ls.Device, ls.Model, appRatePerSec)
 		}
-		e.live[i] = liveApp{
-			srv: ls.Srv, site: ls.Site, model: ls.Model, mi: e.pool.model(ls.Model), device: ls.Device,
+		live[i] = liveApp{
+			srv: ls.Srv, site: ls.Site, mi: e.pool.model(ls.Model),
 			demand: demand, powerW: ls.PowerW, rttMs: ls.RTTMs, expires: ls.Expires, srcSite: ls.SrcSite,
 		}
 	}
+	e.live.buf = live
+	e.indexLive()
 	e.pending = nil
 	for i, ps := range snap.Pending {
 		// A pending app becomes a live app with this source site when

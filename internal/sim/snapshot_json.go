@@ -177,9 +177,9 @@ func (w *jsonWriter) summary(s *metrics.SummaryState) {
 	w.raw("}")
 }
 
-// result writes the result state, its monthly figures and count entries
-// through the cache: a past month's, and a label's whose count did not
-// move, are rendered once.
+// result writes the result state, its monthly figures, count entries
+// and load_ci samples through the cache: a past month's, a label's whose
+// count did not move, and a sample already written, are rendered once.
 func (c *rowCache) result(w *jsonWriter, r *ResultState) {
 	w.raw(`{"carbon_g":`)
 	w.float(r.CarbonG)
@@ -204,8 +204,12 @@ func (c *rowCache) result(w *jsonWriter, r *ResultState) {
 	w.raw(`,"monthly_placements":`)
 	w.counts(&c.months, r.MonthlyPlacements)
 	if len(r.LoadCI) > 0 {
-		w.raw(`,"load_ci":`)
-		w.floats(r.LoadCI)
+		w.raw(`,"load_ci":[`)
+		for i, ci := range r.LoadCI {
+			w.comma(i)
+			c.loadCI.put(w, i, math.Float64bits(ci), func() { w.float(ci) })
+		}
+		w.raw("]")
 	}
 	w.raw(`,"placed":`)
 	w.int(int64(r.Placed))
@@ -254,14 +258,15 @@ func (w *jsonWriter) counts(l *cachedList[countEntry], c metrics.Counts) {
 
 // rowCache holds the JSON of the items an engine's snapshots last
 // encoded (server rows, live-app entries, the result's per-month
-// summaries and monthly_carbon_g entries, its count entries), each beside
-// the value it was rendered from. Engine.Snapshot lends it to every
-// snapshot it takes, and AppendJSON copies an item's bytes only while the
-// item equals that value bit for bit. So the cache never has to be told
-// that an item changed: a stale entry fails the comparison and is
-// rendered afresh. A snapshot without a cache (decoded or built by hand)
-// is encoded through a new one. An item whose encoding fails is never
-// stored. mu serializes encodes of snapshots that share the cache.
+// summaries and monthly_carbon_g entries, its count entries and load_ci
+// samples), each beside the value it was rendered from. Engine.Snapshot
+// lends it to every snapshot it takes, and AppendJSON copies an item's
+// bytes only while the item equals that value bit for bit. So the cache
+// never has to be told that an item changed: a stale entry fails the
+// comparison and is rendered afresh. A snapshot without a cache (decoded
+// or built by hand) is encoded through a new one. An item whose encoding
+// fails is never stored. mu serializes encodes of snapshots that share
+// the cache.
 type rowCache struct {
 	mu sync.Mutex
 	// live is the live table as last encoded, in its order; next is its
@@ -269,11 +274,13 @@ type rowCache struct {
 	// buffers.
 	live, next, spare []*cachedRow[LiveAppSnap]
 	liveWork          tally
-	// The other items, by position (monthly_carbon_g entries by bits).
+	// The other items, by position (monthly_carbon_g entries and load_ci
+	// samples by bits).
 	servers        cachedList[serverBits]
 	summaries      cachedList[[5]uint64]
 	carbon         cachedList[uint64]
 	cities, months cachedList[countEntry]
+	loadCI         cachedList[uint64]
 }
 
 // tally counts, for tests, the items encodes rendered and the ones they

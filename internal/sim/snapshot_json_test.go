@@ -176,9 +176,9 @@ func TestAppendJSONMatchesMarshal(t *testing.T) {
 	// at the edges of the float rules.
 	pool := floatPool()
 	for seed := int64(1); seed <= 3; seed++ {
-		checkAppendJSON(t, "live table", liveTable(t, pool, 2000, seed))
+		checkAppendJSON(t, "live table", filledLive(t, pool, 2000, seed))
 	}
-	s = liveTable(t, pool, 2000, 4)
+	s = filledLive(t, pool, 2000, 4)
 	s.Live[1000].RTTMs = math.NaN()
 	checkAppendJSON(t, "live table NaN", s)
 }
@@ -195,9 +195,9 @@ func floatPool() []float64 {
 	return pool
 }
 
-// liveTable is a filled snapshot whose live table holds n apps with
+// filledLive is a filled snapshot whose live table holds n apps with
 // power and RTT drawn from pool by a seeded source.
-func liveTable(t *testing.T, pool []float64, n int, seed int64) *Snapshot {
+func filledLive(t *testing.T, pool []float64, n int, seed int64) *Snapshot {
 	s := filled(t, filler{str: "a", f: 2.5})
 	src := rng.NewSource(seed)
 	pick := func() float64 { return pool[src.Uint64()%uint64(len(pool))] }
@@ -527,6 +527,47 @@ func TestCheckpointWorkCounted(t *testing.T) {
 			total[k].rendered, float64(total[k].rendered)/float64(n), total[k].copied, float64(total[k].copied)/float64(n))
 	}
 	t.Logf("bytes hashed    %d per envelope (mean over %d)", hashed/n, n)
+}
+
+// TestLoadCIRenderedOnce checkpoints checkpointModes' traffic run, which
+// collects load_ci, lengthened to 720 h, after every Step. Each encode
+// must render exactly the samples new since the last one and copy the
+// rest, and the envelope must stay json.Marshal's bytes (checked every
+// 120 epochs, the last one included).
+func TestLoadCIRenderedOnce(t *testing.T) {
+	w := testWorld(t)
+	cfg := checkpointModes(t, w)[2]
+	if !cfg.CollectLoadCI {
+		t.Fatal("fixture: the traffic mode does not collect load_ci")
+	}
+	cfg.Hours = 720
+	e, err := NewEngine(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &e.rows.loadCI
+	prev := 0
+	var buf bytes.Buffer
+	for !e.Done() {
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		s := e.Snapshot()
+		before := c.tally
+		buf.Reset()
+		if err := checkpoint.Encode(&buf, "engine", s); err != nil {
+			t.Fatal(err)
+		}
+		n := len(s.Result.LoadCI)
+		if r, k := c.rendered-before.rendered, c.copied-before.copied; r != n-prev || k != prev {
+			t.Fatalf("epoch %d: %d samples rendered, %d copied; %d new of %d", e.Epoch(), r, k, n-prev, n)
+		}
+		prev = n
+		if e.Epoch()%120 == 0 {
+			checkAppendJSON(t, fmt.Sprintf("epoch %d", e.Epoch()), s)
+		}
+	}
+	t.Logf("load_ci: %d samples over %d encodes, %d rendered", prev, e.Epoch(), c.rendered)
 }
 
 // liveSnapshot steps a classic engine until it holds live apps and

@@ -14,12 +14,14 @@ import (
 // policy by TestExactMatchesBruteForce's heuristic leg.
 //
 // The search is flattened: each solve memoizes policy costs into flat rows
-// shared across identical app classes, after pass 0 only apps whose
+// shared across identical app classes, and answers every capacity test
+// from one fit table (see fitTable) that tests each distinct demand row
+// against each server once per change of the server's free capacity, not
+// once per (class, candidate) scan. After pass 0 only apps whose
 // candidate servers changed in a scan-visible way are re-scanned (a move
 // touches, through the server -> class reverse adjacency, only the classes
-// whose own capacity fit flipped on the server, or every adjacent class of
-// a server that starts off or carries too many distinct demands to test
-// one by one), and construct and local search scan each
+// whose demand row's fit flipped on the server, or every adjacent class of
+// a server that starts off), and construct and local search scan each
 // class state once, not once per app of the class (classMemo); a touch
 // updates the class's floor in place where it can, so most touches cost
 // no rescan. The cost-row build also records each class's pick at the
@@ -27,10 +29,11 @@ import (
 // a class only when its pick stops fitting or is retired. A cold solve
 // whose construct retired no pick and placed every app is a local-search
 // fixpoint (see construct) and skips local search. Every skip is provably
-// a no-op scan: assignments are byte-identical to a plain per-app sweep
-// that re-derives every cost through the Policy (the test oracle in
-// oracle_test.go). Each solve stands alone; nothing but buffer capacity
-// carries over to the next.
+// a no-op scan and every table read answers what the Fits call it stands
+// for would: assignments are byte-identical to a plain per-app sweep that
+// re-derives every cost through the Policy and tests every pair's
+// capacity itself (the test oracle in oracle_test.go). Each solve stands
+// alone; nothing but buffer capacity carries over to the next.
 //
 // The solver owns reusable search scratch (capacity vectors, assignment
 // arrays, validation sets, memoized cost rows, the per-class scan memos),
@@ -61,11 +64,12 @@ type HeuristicSolver struct {
 	cm classMemo
 	// scans counts the solver's work, for tests: construct's scans, floor
 	// rescans (search) and floors updated in place or dropped by a touch,
-	// local search's verdicts, and the warm seed's slot lookups.
+	// local search's verdicts, the warm seed's slot lookups, and the
+	// capacity tests (Resources.Fits evaluations) the fit table made.
 	scans struct {
 		construct, search, inplace, dropped int
 		fallback, stay, move, retry, stuck  int
-		lookup                              int
+		lookup, fits                        int
 	}
 }
 
@@ -86,25 +90,15 @@ func grow[T any](b []T, n int) []T {
 	return b[:n]
 }
 
-// maxDistinctDemands bounds the per-server list of distinct demand vectors
-// kept for capacity-threshold flip tests. A server whose adjacent apps
-// span more classes than this is treated as always-flipping (every
-// capacity change re-scans its apps — the pre-flattening behavior).
-const maxDistinctDemands = 8
-
 // costMemo is the flattened view of one (problem, policy) pair: every
 // policy cost the local search can ask for, resolved once per solve into
-// flat arrays laid out per app class, plus the server -> classes reverse
-// adjacency the dirty-app queue marks through and the per-server
-// distinct-demand lists its capacity filter tests against.
+// flat arrays laid out per app class, the solve's fit table, and the
+// server -> classes reverse adjacency the dirty-app queue marks through.
 //
 // The class (the view's stamp, Problem.classOf) is the unit of structure:
-// its apps share one candidate list and one cost row, so a solve
-// evaluates one row per class.
+// its apps share one candidate list, one cost row and one demand row, so
+// a solve evaluates one row per class.
 type costMemo struct {
-	p *Problem
-	m int // server count the structure is laid out for
-
 	// cls and rep are the view's class stamp (Problem.classOf/classRep).
 	cls []int32
 	rep []int32
@@ -117,6 +111,11 @@ type costMemo struct {
 	off []int
 	// row[slot] is pol.PairCost for the slot's (class, server) pair.
 	row []float64
+	// dem[c] is class c's demand row in fit: its representative's Demand
+	// row, which every member shares.
+	dem []int32
+	// fit is the solve's fit table, filled from Servers[j].Free.
+	fit fitTable
 	// opts[c] counts class c's slots that fit their server's free
 	// capacity at the start of the solve: construct's option count.
 	opts []int
@@ -131,32 +130,52 @@ type costMemo struct {
 	// act[j] is pol.ActivationCost(p, j), set for servers that start off.
 	act []float64
 
-	// adj marks the reverse adjacency and demand lists below built for
-	// the current structure. They are only read when a solve moves an
-	// app, so ensureAdj builds them on first such use rather than with
-	// the structure: most solves of a no-move workload never pay for
-	// them.
+	// adj marks the reverse adjacency below built for the current
+	// structure. It is only read when a solve moves an app, so ensureAdj
+	// builds it on first such use rather than with the structure: most
+	// solves of a no-move workload never pay for it.
 	adj bool
 
 	// revOff/revCls is the CSR reverse adjacency: revCls[revOff[j]:
 	// revOff[j+1]] lists the classes whose gated lists contain server j,
-	// revSlot the same range's slots (server j's index in each list) and
-	// revDem the index of each class's demand on j in j's distinct-demand
-	// list. The dirty-app queue marks through it.
+	// and revSlot the same range's slots (server j's index in each list).
+	// The dirty-app queue marks through it.
 	revOff  []int
 	revCls  []int32
 	revSlot []int32
-	revDem  []uint8
 	cursor  []int // CSR fill scratch
+}
 
-	// dOff/dLen/dVal list the distinct demand vectors among each server's
-	// adjacent slots; dBig[j] reports overflow past maxDistinctDemands,
-	// which leaves revDem unset on j. flips tests capacity changes against
-	// them.
-	dOff []int
-	dLen []int32
-	dVal []cluster.Resources
-	dBig []bool
+// fitTable is one solve's fit table: bit[d*m+j] reports whether demand
+// row d fits server j's current free capacity. The rows are the classes'
+// Demand rows deduplicated by identity (costMemo.dem maps a class to its
+// row): every class of one (model, rate) shares one workspace row. build
+// fills the table, state.place and state.unplace refit the server they
+// change, and every capacity test of the search reads it. On
+// faults_storm's shape that is 158 Fits evaluations per solve, where
+// testing each (class, candidate) made 2 509 (TestFitWorkCounted).
+type fitTable struct {
+	m         int
+	rows      [][]cluster.Resources
+	bit, flip []bool // flip: touchMoved's per-row scratch
+	evals     int    // Resources.Fits evaluations, for tests
+}
+
+// of returns row d's bits, one per server.
+func (t *fitTable) of(d int32) []bool { return t.bit[int(d)*t.m : (int(d)+1)*t.m] }
+
+// refit recomputes server j's bits against its free capacity free.
+func (t *fitTable) refit(j int, free cluster.Resources) {
+	for d, row := range t.rows {
+		t.bit[d*t.m+j] = row[j].Fits(free)
+	}
+	t.evals += len(t.rows)
+}
+
+// sameRow reports whether a and b are one row. Rows with no cell (a view
+// with no servers) are never indexed: they are all one row.
+func sameRow(a, b []cluster.Resources) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // build lays the memo out for (p, pol), reusing the buffers' capacity.
@@ -167,13 +186,34 @@ func (mm *costMemo) build(p *Problem, pol Policy, cold bool) {
 	mm.cls, mm.rep = p.classOf, p.classRep
 	nc := len(mm.rep)
 
-	mm.cand, mm.off = grow(mm.cand, nc), grow(mm.off, nc)
+	mm.cand, mm.off, mm.dem = grow(mm.cand, nc), grow(mm.off, nc), grow(mm.dem, nc)
+	t := &mm.fit
+	t.m, t.rows = m, t.rows[:0]
 	total := 0
 	for c, r := range mm.rep {
 		mm.cand[c] = p.Candidates[r]
 		mm.off[c], total = total, total+len(mm.cand[c])
+		row, d := p.Demand[r], 0
+		for d < len(t.rows) && !sameRow(t.rows[d], row) {
+			d++
+		}
+		if d == len(t.rows) {
+			t.rows = append(t.rows, row)
+		}
+		mm.dem[c] = int32(d)
 	}
 	mm.row = grow(mm.row, total)
+	// Filled a row at a time, not a server at a time as refit goes: on a
+	// view where every app has its own rate, a server's column strides
+	// across ~100 rows and the fill cost more than the scans it saves.
+	t.bit, t.flip = grow(t.bit, len(t.rows)*m), grow(t.flip, len(t.rows))
+	for d, row := range t.rows {
+		bits := t.bit[d*m : (d+1)*m]
+		for j := range bits {
+			bits[j] = row[j].Fits(p.Servers[j].Free)
+		}
+	}
+	t.evals = len(t.rows) * m
 	mm.act = grow(mm.act, m)
 	for j := range p.Servers {
 		if !p.Servers[j].PoweredOn {
@@ -196,16 +236,15 @@ func (mm *costMemo) build(p *Problem, pol Policy, cold bool) {
 		// Construct's option count and its pick at the start state, in
 		// a second pass: with no policy call to spill registers around,
 		// it costs less than folding it into the pass above.
-		demand := p.Demand[i]
+		fit := mm.fit.of(mm.dem[c])
 		opts, best, bestCost := 0, -1, math.Inf(1)
 		for k, j := range cand {
-			srv := &p.Servers[j]
-			if !demand[j].Fits(srv.Free) {
+			if !fit[j] {
 				continue
 			}
 			opts++
 			cost := row[k]
-			if !srv.PoweredOn {
+			if !p.Servers[j].PoweredOn {
 				cost += mm.act[j]
 			}
 			if cost < bestCost {
@@ -214,14 +253,14 @@ func (mm *costMemo) build(p *Problem, pol Policy, cold bool) {
 		}
 		mm.opts[c], mm.seed[c] = opts, best
 	}
-	mm.p, mm.m, mm.adj = p, m, false
+	mm.adj = false
 }
 
 // slotTable fills slotAt for the current structure and returns it: the
 // warm seed's server -> slot map, one row of m per class, so seeding an
 // app costs one read instead of a search of its gated list.
 func (mm *costMemo) slotTable() []int32 {
-	m := mm.m
+	m := mm.fit.m
 	mm.slotAt = grow(mm.slotAt, len(mm.cand)*m)
 	for c, cand := range mm.cand {
 		row := mm.slotAt[c*m : (c+1)*m]
@@ -235,14 +274,14 @@ func (mm *costMemo) slotTable() []int32 {
 	return mm.slotAt
 }
 
-// ensureAdj builds the server -> classes reverse adjacency and the
-// per-server demand lists for the current structure, once: touchMoved
-// reads them, so it calls ensureAdj first.
+// ensureAdj builds the server -> classes reverse adjacency for the
+// current structure, once: touchMoved reads it, so it calls ensureAdj
+// first.
 func (mm *costMemo) ensureAdj() {
 	if mm.adj {
 		return
 	}
-	p, m := mm.p, mm.m
+	m := mm.fit.m
 	mm.revOff = grow(mm.revOff, m+1)
 	clear(mm.revOff)
 	for _, cand := range mm.cand {
@@ -254,73 +293,17 @@ func (mm *costMemo) ensureAdj() {
 		mm.revOff[j+1] += mm.revOff[j]
 	}
 	n := mm.revOff[m]
-	mm.revCls, mm.revSlot, mm.revDem = grow(mm.revCls, n), grow(mm.revSlot, n), grow(mm.revDem, n)
+	mm.revCls, mm.revSlot = grow(mm.revCls, n), grow(mm.revSlot, n)
 	mm.cursor = grow(mm.cursor, m)
 	copy(mm.cursor, mm.revOff[:m])
-
-	mm.dOff = grow(mm.dOff, m+1)
-	mm.dLen = grow(mm.dLen, m)
-	mm.dBig = grow(mm.dBig, m)
-	total := 0
-	for j := 0; j < m; j++ {
-		mm.dOff[j] = total
-		total += min(mm.revOff[j+1]-mm.revOff[j], maxDistinctDemands)
-		mm.dLen[j] = 0
-		mm.dBig[j] = false
-	}
-	mm.dOff[m] = total
-	mm.dVal = grow(mm.dVal, total)
-
-	for c, r := range mm.rep {
-		demand := p.Demand[r]
-		for k, j := range mm.cand[c] {
+	for c, cand := range mm.cand {
+		for k, j := range cand {
 			e := mm.cursor[j]
 			mm.cursor[j]++
 			mm.revCls[e], mm.revSlot[e] = int32(c), int32(k)
-			mm.revDem[e] = mm.demandIndex(j, demand[j])
 		}
 	}
 	mm.adj = true
-}
-
-// demandIndex returns d's index in server j's distinct-demand list,
-// appending it when it is new. Past maxDistinctDemands distinct vectors it
-// marks the server overflowed, and the index means nothing.
-func (mm *costMemo) demandIndex(j int, d cluster.Resources) uint8 {
-	if mm.dBig[j] {
-		return 0
-	}
-	lo, l := mm.dOff[j], int(mm.dLen[j])
-	for q, e := range mm.dVal[lo : lo+l] {
-		if e == d {
-			return uint8(q)
-		}
-	}
-	if l >= maxDistinctDemands {
-		mm.dBig[j] = true
-		return 0
-	}
-	mm.dVal[lo+l] = d
-	mm.dLen[j]++
-	return uint8(l)
-}
-
-// flips tests changing server j's free capacity from a to b against j's
-// distinct demands: bit q of flip is set when demand q fits one of the two
-// but not the other, bit q of fit when it fits b. A change with no flip
-// bit can change no adjacent app's scan. j must not have overflowed.
-func (mm *costMemo) flips(j int, a, b cluster.Resources) (flip, fit uint8) {
-	lo := mm.dOff[j]
-	for q, d := range mm.dVal[lo : lo+int(mm.dLen[j])] {
-		fb := d.Fits(b)
-		if d.Fits(a) != fb {
-			flip |= 1 << q
-		}
-		if fb {
-			fit |= 1 << q
-		}
-	}
-	return flip, fit
 }
 
 // classMemo lets a solve skip scans that a same-class app has just made.
@@ -337,18 +320,17 @@ func (mm *costMemo) flips(j int, a, b cluster.Resources) (flip, fit uint8) {
 //     non-negative; workspace demands always are) and costs are constant
 //     but for the activation term of a server that powers on. So until a
 //     power-on the fit set only shrinks, and the first cheapest server of
-//     a shrunk set that still contains the pick is the pick: one Fits call
-//     on the pick replaces the scan, and "nothing fit" stays true. A
+//     a shrunk set that still contains the pick is the pick: one fit bit
+//     of the pick replaces the scan, and "nothing fit" stays true. A
 //     power-on (only servers that start off have one) or a demand that is
 //     not non-negative (see shrinks) retires every pick, seeds included.
 //   - local search's floor: floor[c] summarizes class c's fit set and
 //     costs (see floor), stamped with the class's touch stamp at the time
 //     it was made. A touch (see touchMoved) stamps every class a scan
-//     could see change — a class whose own fit flipped on the touched
-//     server; every adjacent class of a server that starts off or whose
-//     demand list overflowed — with its scan position, and stamps only
-//     grow within a solve, so this is the argument the dirty queue
-//     already rests on. A touch
+//     could see change — a class whose demand row's fit flipped on the
+//     touched server; every adjacent class of a server that starts off —
+//     with its scan position, and stamps only grow within a solve, so
+//     this is the argument the dirty queue already rests on. A touch
 //     also keeps the class's floor equal to the scan it summarizes: a
 //     server that was on at the start costs the same all solve, so a slot
 //     that starts to fit there is inserted in place and one that stops
@@ -389,10 +371,11 @@ type floor struct {
 
 // scan refills f at stamp at from member i's rows (a class shares them).
 func (f *floor) scan(st *state, mm *costMemo, i int, at stamped) {
-	p, base, cand := st.p, mm.off[mm.cls[i]], mm.cand[mm.cls[i]]
+	c := mm.cls[i]
+	base, cand, fit := mm.off[c], mm.cand[c], mm.fit.of(mm.dem[c])
 	f.at, f.first, f.n = at, -1, 0
 	for k, j := range cand {
-		if !p.Demand[i][j].Fits(st.free[j]) {
+		if !fit[j] {
 			continue
 		}
 		if f.first < 0 {
@@ -516,6 +499,8 @@ type state struct {
 	assigned []int // app -> server or -1
 	slot     []int // app -> its server's index in its gated list, or -1 when unplaced
 	loads    []int // number of apps per server
+	// fit is the solve's fit table (costMemo.fit), kept current with free.
+	fit *fitTable
 
 	// mark and stamp are the dirty-app work queue. mark[i] is the last
 	// pass app i must still be scanned in on its own account (0 at init,
@@ -532,11 +517,12 @@ type state struct {
 // noStamp is a class stamp that makes no member due in any pass.
 const noStamp = -1 << 32
 
-// init points the state at a problem with nc app classes, reusing the
-// slices' capacity: nothing placed and every app due in pass 0.
-func (st *state) init(p *Problem, nc int) {
-	st.p = p
-	n, m := len(p.Apps), len(p.Servers)
+// init points the state at a problem and at mm, its memo built for it
+// (one class and fit table per solve), reusing the slices' capacity:
+// nothing placed and every app due in pass 0.
+func (st *state) init(p *Problem, mm *costMemo) {
+	st.p, st.fit = p, &mm.fit
+	n, m, nc := len(p.Apps), len(p.Servers), len(mm.rep)
 	st.free = grow(st.free, m)
 	st.on = grow(st.on, m)
 	st.loads = grow(st.loads, m)
@@ -563,6 +549,7 @@ func (st *state) init(p *Problem, nc int) {
 func (st *state) place(i, j, k int) {
 	st.assigned[i], st.slot[i] = j, k
 	st.free[j] = st.free[j].Sub(st.p.Demand[i][j])
+	st.fit.refit(j, st.free[j])
 	st.loads[j]++
 	st.on[j] = true
 }
@@ -574,6 +561,7 @@ func (st *state) unplace(i int) {
 		return
 	}
 	st.free[j] = st.free[j].Add(st.p.Demand[i][j])
+	st.fit.refit(j, st.free[j])
 	st.loads[j]--
 	st.assigned[i], st.slot[i] = -1, -1
 	// A server that was off before the batch and is now empty returns
@@ -616,17 +604,15 @@ func (st *state) dirty(mm *costMemo, i int, pass int32) bool {
 // starts off has an activation state that enters cost and credit terms,
 // so every change there stamps every adjacent class and drops its floor.
 // A server that was on at the start stays on for the whole solve, so a
-// capacity shift there is visible to class c only when c's own demand
-// flips between fitting and not: flips tests j's distinct demands once,
-// and each adjacent class reads its bit. A server with more distinct
-// demands than the list keeps is touched whole, like one that starts off:
-// testing each class's own demand row there costs more than the scans it
-// saves.
+// capacity shift there is visible to class c only when c's demand row
+// flips between fitting and not: each distinct row's fit before the
+// change is tested once against its bit, and each adjacent class reads
+// its row's flip.
 func (s *HeuristicSolver) touchMoved(st *state, mm *costMemo, j, i int, pass int32, before cluster.Resources) {
 	mm.ensureAdj()
 	cm, at := &s.cm, int64(pass)<<32|int64(i+1)
 	lo, hi := mm.revOff[j], mm.revOff[j+1]
-	if !st.p.Servers[j].PoweredOn || mm.dBig[j] {
+	if !st.p.Servers[j].PoweredOn {
 		for _, c := range mm.revCls[lo:hi] {
 			if f := &cm.floor[c]; f.at == (stamped{cm.gen, st.stamp[c]}) {
 				f.at = stamped{}
@@ -636,16 +622,21 @@ func (s *HeuristicSolver) touchMoved(st *state, mm *costMemo, j, i int, pass int
 		}
 		return
 	}
-	flip, fit := mm.flips(j, before, st.free[j])
-	if flip == 0 {
+	t, flipped := &mm.fit, false
+	for d, row := range t.rows {
+		t.flip[d] = row[j].Fits(before) != t.bit[d*t.m+j]
+		flipped = flipped || t.flip[d]
+	}
+	t.evals += len(t.rows)
+	if !flipped {
 		return
 	}
 	for e := lo; e < hi; e++ {
-		q := mm.revDem[e]
-		if flip>>q&1 == 0 {
+		c := mm.revCls[e]
+		d := int(mm.dem[c])
+		if !t.flip[d] {
 			continue
 		}
-		c := mm.revCls[e]
 		f := &cm.floor[c]
 		current := f.at == stamped{cm.gen, st.stamp[c]}
 		st.touch(c, at)
@@ -654,7 +645,7 @@ func (s *HeuristicSolver) touchMoved(st *state, mm *costMemo, j, i int, pass int
 		}
 		k := int(mm.revSlot[e])
 		switch {
-		case fit>>q&1 != 0:
+		case t.bit[d*t.m+j]:
 			f.insert(k, mm.row[mm.off[c]+k])
 		case f.holds(k):
 			f.at = stamped{}
@@ -706,7 +697,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	mm.build(p, pol, !seeded)
 	s.cm.reset(mm)
 	st := &s.st
-	st.init(p, len(mm.rep))
+	st.init(p, mm)
 
 	fixpoint := false
 	if seeded {
@@ -721,10 +712,9 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 				continue
 			}
 			s.scans.lookup++
-			if k := int(slotAt[int(mm.cls[i])*m+j]); k >= 0 {
-				if p.Demand[i][j].Fits(st.free[j]) {
-					st.place(i, j, k)
-				}
+			c := mm.cls[i]
+			if k := int(slotAt[int(c)*m+j]); k >= 0 && mm.fit.of(mm.dem[c])[j] {
+				st.place(i, j, k)
 			}
 		}
 	} else {
@@ -733,6 +723,7 @@ func (s *HeuristicSolver) SolveInto(dst *Assignment, p *Problem, pol Policy, war
 	if !fixpoint {
 		s.localSearch(st, mm)
 	}
+	s.scans.fits += mm.fit.evals
 
 	dst.ServerOf = append(dst.ServerOf[:0], st.assigned...)
 	dst.PowerOn = append(dst.PowerOn[:0], st.on...)
@@ -815,11 +806,11 @@ func (s *HeuristicSolver) construct(st *state, mm *costMemo) bool {
 // or -1. The class's cached pick — its seed until the first scan — answers
 // while it still fits (see classMemo).
 func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
-	p, cm := st.p, &s.cm
+	cm := &s.cm
 	c := mm.cls[i]
-	cand := mm.cand[c]
+	cand, fit := mm.cand[c], mm.fit.of(mm.dem[c])
 	if e := cm.pick[c]; e.gen == cm.gen {
-		if k := int(e.v); k < 0 || p.Demand[i][cand[k]].Fits(st.free[cand[k]]) {
+		if k := int(e.v); k < 0 || fit[cand[k]] {
 			return k
 		}
 	}
@@ -827,7 +818,7 @@ func (s *HeuristicSolver) pickCheapest(st *state, mm *costMemo, i int) int {
 	best, bestCost := -1, math.Inf(1)
 	base := mm.off[c]
 	for k, j := range cand {
-		if !p.Demand[i][j].Fits(st.free[j]) {
+		if !fit[j] {
 			continue
 		}
 		cost := mm.row[base+k]
@@ -863,7 +854,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				continue
 			}
 			c := mm.cls[i]
-			cand := mm.cand[c]
+			cand, fit := mm.cand[c], mm.fit.of(mm.dem[c])
 			base := mm.off[c]
 			cur, slot := st.assigned[i], st.slot[i]
 			f := &cm.floor[c]
@@ -902,7 +893,7 @@ func (s *HeuristicSolver) localSearch(st *state, mm *costMemo) {
 				s.scans.fallback++
 				bestCost := curCost
 				for k, j := range cand {
-					if j == cur || !p.Demand[i][j].Fits(st.free[j]) {
+					if j == cur || !fit[j] {
 						continue
 					}
 					cost := mm.row[base+k]

@@ -610,8 +610,8 @@ func TestFloorScanAndMove(t *testing.T) {
 	}
 	Stamp(p)
 	st, mm := &state{}, &costMemo{}
-	st.init(p, 0)
 	mm.build(p, CarbonAware{}, true)
+	st.init(p, mm)
 	var f floor
 	f.scan(st, mm, 0, stamped{})
 	if f.first != 0 || f.n != 3 || f.slot != [3]int{2, 4, 3} || f.cost != [3]float64{1, 1, 2} {
@@ -668,27 +668,40 @@ func TestFloorInsertMatchesScan(t *testing.T) {
 	}
 	var inserted, entered, kept, held int
 	for trial := 0; trial < 4000; trial++ {
+		// One app that may run on all m servers, laid out by the solver's
+		// own build and init; then the rows, power states and capacities
+		// are drawn over it, the fit table refitted with each capacity.
 		m := 1 + rng.Intn(8)
-		p := &Problem{Demand: [][]cluster.Resources{make([]cluster.Resources, m)}}
-		st := &state{p: p, free: make([]cluster.Resources, m), on: make([]bool, m)}
-		mm := &costMemo{cls: []int32{0}, off: []int{0}, cand: [][]int{make([]int, m)},
-			row: make([]float64, m), act: make([]float64, m)}
+		servers := make([]Server, m)
+		for j := range servers {
+			servers[j] = Server{ID: fmt.Sprintf("s%d", j)}
+		}
+		p := NewProblem([]App{{ID: "a"}}, servers)
 		for j := 0; j < m; j++ {
-			mm.cand[0][j] = j
-			p.Demand[0][j] = unit
+			p.Compatible[0][j], p.Demand[0][j] = true, unit
+		}
+		Stamp(p)
+		st, mm := &state{}, &costMemo{}
+		mm.build(p, CarbonAware{}, false)
+		st.init(p, mm)
+		setFree := func(j int, free cluster.Resources) {
+			st.free[j] = free
+			st.fit.refit(j, free)
+		}
+		for j := 0; j < m; j++ {
 			mm.row[j] = palette[rng.Intn(len(palette))]
 			mm.act[j] = palette[rng.Intn(len(palette))]
 			st.on[j] = rng.Intn(4) != 0
 			if rng.Intn(3) != 0 {
-				st.free[j] = unit
+				setFree(j, unit)
 			}
 		}
 		k := rng.Intn(m)
 		st.on[k] = true
 		var without, with floor
-		st.free[k] = cluster.Resources{}
+		setFree(k, cluster.Resources{})
 		without.scan(st, mm, 0, stamped{})
-		st.free[k] = unit
+		setFree(k, unit)
 		with.scan(st, mm, 0, stamped{})
 
 		got := without
@@ -877,9 +890,11 @@ func TestConstructCertificate(t *testing.T) {
 					t.Errorf("%d construct scans in a certified solve, want 0: every pick is a seed", sc.construct)
 				}
 				// Construct's own result, to count what local search moved.
-				st := &state{}
-				st.init(p, 0)
+				st := newSweepState(p, pol)
 				sweepConstruct(st, pol)
+				if st.err != nil {
+					t.Fatal(st.err)
+				}
 				moved := 0
 				for i, j := range got.ServerOf {
 					if j >= 0 && st.assigned[i] >= 0 && j != st.assigned[i] {
@@ -1136,6 +1151,122 @@ func fuzzWorld(t *testing.T, next func() int) (*Workspace, []App, Policy, RTTFun
 	return ws, apps, allPolicies()[next()%len(allPolicies())], rtt
 }
 
+// byteReader returns fuzzWorld's byte source over data: each call reads
+// the next byte, and missing bytes read as zero.
+func byteReader(data []byte) func() int {
+	pos := 0
+	return func() int {
+		if pos >= len(data) {
+			return 0
+		}
+		pos++
+		return int(data[pos-1])
+	}
+}
+
+// twoRowSeed decodes (fuzzWorld, then the warm seed) to a view with two
+// demand rows on shared servers. Servers s00 and s01 are Orin Nanos in
+// c0, on, at intensities 100 and 250, each with 37.5 ms/s of compute: room
+// for one ResNet50 app (28) beside an EfficientNetB0 app (8), or for
+// either alone. s02 is the same device in c2 at intensity 0. App a00 is
+// EfficientNetB0 from c0 under a 13 ms SLO (all three servers), seeded on
+// s02; a01 is ResNet50 from c0 under 8 ms (s00 and s01 only), seeded on
+// s01. Under CarbonAware the warm solve makes one move, a01 to s00: on
+// both servers ResNet50's fit flips and EfficientNetB0's does not.
+var twoRowSeed = []byte{2, 8, 0, 8, 2, 12, 4, 1, 3, 6, 0, 3, 2}
+
+// TestFitTableTwoRows holds a move on servers that start on to what it
+// can change: only the classes whose demand row's fit flipped there. On
+// twoRowSeed's view the warm solve must equal the sweep and make its one
+// move; the move must stamp only the ResNet50 class, update its floor in
+// place where a slot starts to fit (s01) and drop it where the floor's
+// slot stops fitting (s00), and leave the EfficientNetB0 class's floor,
+// current since that app's pass-0 scan, alone.
+func TestFitTableTwoRows(t *testing.T) {
+	next := byteReader(twoRowSeed)
+	ws, apps, pol, _ := fuzzWorld(t, next)
+	p, err := ws.Problem(apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := &Assignment{ServerOf: make([]int, len(apps))}
+	for i := range seed.ServerOf {
+		seed.ServerOf[i] = next()%(ws.NumServers()+1) - 1
+	}
+	want, err := sweepSolve(p, pol, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := &HeuristicSolver{SkipValidate: true}
+	got, err := solveNew(flat, p, pol, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("flat diverged from sweep:\nsweep: %+v\nflat:  %+v", want, got)
+	}
+	mm := &flat.memo
+	if len(mm.fit.rows) != 2 || !slices.Equal(seed.ServerOf, []int{2, 1}) || !slices.Equal(got.ServerOf, []int{2, 0}) {
+		t.Fatalf("fixture drifted: %d rows, seed %v solved to %v, want 2 rows and [2 1] solved to [2 0]",
+			len(mm.fit.rows), seed.ServerOf, got.ServerOf)
+	}
+	moved := mm.dem[mm.cls[1]]
+	for c := range mm.rep {
+		if touched := flat.st.stamp[c] != noStamp; touched != (mm.dem[c] == moved) {
+			t.Errorf("class %d (row %d) touched = %v, want it touched exactly when its row is the mover's (%d)", c, mm.dem[c], touched, moved)
+		}
+	}
+	if flat.scans.inplace != 1 || flat.scans.dropped != 1 {
+		t.Errorf("the move updated %d floors in place and dropped %d, want 1 and 1", flat.scans.inplace, flat.scans.dropped)
+	}
+}
+
+// TestEmptyViewsSolveUnplaced solves views the fit table has no cell to
+// key on or to read: a workspace with no servers (every demand row empty,
+// which only a solver that skips validation accepts) and one whose
+// servers are all out of every app's SLO (no candidates). Each solves,
+// cold and warm, to every app unplaced and no server powered on.
+func TestEmptyViewsSolveUnplaced(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	inst := randomWSInstance(rng, 0, 4)
+	apps := gridApps(rng, 6, []string{"c0", "c3"}, []float64{8, 13}, []string{energy.ModelEfficientNetB0, energy.ModelResNet50})
+	tight := slices.Clone(apps)
+	for i := range tight {
+		tight[i].SLOms = 1 // every RTT is at least 2 ms
+	}
+	for _, tc := range []struct {
+		name    string
+		servers []Server
+		apps    []App
+	}{
+		{"no servers", nil, apps},
+		{"no candidates", inst.servers, tight},
+	} {
+		ws, err := NewWorkspace(tc.servers, inst.rtt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ws.Problem(tc.apps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := &Assignment{ServerOf: make([]int, len(tc.apps))}
+		for _, warm := range []*Assignment{nil, seed} {
+			got, err := solveNew(&HeuristicSolver{SkipValidate: true}, p, CarbonAware{}, warm)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			powered := false
+			for j, on := range got.PowerOn {
+				powered = powered || on && !p.Servers[j].PoweredOn
+			}
+			if len(got.Unplaced) != len(tc.apps) || len(got.PowerOn) != len(tc.servers) || powered {
+				t.Errorf("%s (warm %v): %+v, want all %d apps unplaced and no server powered on", tc.name, warm != nil, got, len(tc.apps))
+			}
+		}
+	}
+}
+
 // fuzzApp draws one of the 3 x 2 x 2 grid classes from b.
 func fuzzApp(b int, id string) App {
 	models := []string{energy.ModelEfficientNetB0, energy.ModelResNet50}
@@ -1159,15 +1290,10 @@ func FuzzHeuristicMatchesSweep(f *testing.F) {
 	// a workspace view an off-list server is never feasible, so the seed
 	// drops those two and keeps only the slot it can name.
 	f.Add([]byte{1, 233, 2, 237, 0, 2, 0, 0, 0, 0, 2, 1, 2})
+	// Two demand rows on shared servers (TestFitTableTwoRows).
+	f.Add(twoRowSeed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pos := 0
-		next := func() int {
-			if pos >= len(data) {
-				return 0
-			}
-			pos++
-			return int(data[pos-1])
-		}
+		next := byteReader(data)
 		ws, apps, pol, rtt := fuzzWorld(t, next)
 		flat := &HeuristicSolver{SkipValidate: true}
 		check := func(when string, p *Problem, warm *Assignment) *Assignment {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -18,13 +19,13 @@ import (
 // that provably move nothing, so its assignments must equal these byte
 // for byte, cold and warm. warm seeds the search exactly as SolveInto's
 // does. (Warm solvers under test run through solveNew, placer.go.) It
-// never reads the state's candidate slots, so it places with slot -1.
+// never reads the state's candidate slots, so it places with slot -1, nor
+// its fit table, which it checks instead (sweepState).
 func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	st := &state{}
-	st.init(p, 0)
+	st := newSweepState(p, pol)
 	if warm != nil && len(warm.ServerOf) == len(p.Apps) {
 		for i, j := range warm.ServerOf {
 			if j >= 0 && j < len(p.Servers) && st.p.fits(i, j, st.free[j]) {
@@ -35,6 +36,9 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 		sweepConstruct(st, pol)
 	}
 	sweepLocalSearch(st, pol, 8)
+	if st.err != nil {
+		return nil, st.err
+	}
 
 	a := &Assignment{
 		ServerOf: append([]int(nil), st.assigned...),
@@ -48,10 +52,63 @@ func sweepSolve(p *Problem, pol Policy, warm *Assignment) (*Assignment, error) {
 	return a, nil
 }
 
+// sweepState is the oracle's search state. It gets the solver's fit table
+// through the solver's own init path (costMemo.build, state.init) and
+// never reads it: each place and unplace is followed by checkFit, so every
+// sweep also holds the table's upkeep to a recount along its move
+// sequence, which is the solver's own. err keeps the first mismatch.
+type sweepState struct {
+	*state
+	mm  *costMemo
+	err error
+}
+
+// newSweepState returns the oracle's state for p, nothing placed, its
+// fit table checked once before any move.
+func newSweepState(p *Problem, pol Policy) *sweepState {
+	mm := &costMemo{}
+	mm.build(p, pol, true)
+	st := &sweepState{state: &state{}, mm: mm}
+	st.init(p, mm)
+	for i := range p.Apps {
+		if !sameRow(st.fit.rows[mm.dem[mm.cls[i]]], p.Demand[i]) && st.err == nil {
+			st.err = fmt.Errorf("app %d: its class's table row is not its own demand row", i)
+		}
+	}
+	st.check()
+	return st
+}
+
+func (st *sweepState) place(i, j, k int) { st.state.place(i, j, k); st.check() }
+func (st *sweepState) unplace(i int)     { st.state.unplace(i); st.check() }
+
+func (st *sweepState) check() {
+	if st.err == nil {
+		st.err = checkFit(st.state, st.mm)
+	}
+}
+
+// checkFit recounts st's fit table: for every class and every server on
+// its gated list, the bit of the class's demand row must equal the row's
+// cell tested against the server's current free capacity.
+func checkFit(st *state, mm *costMemo) error {
+	t := st.fit
+	for c, cand := range mm.cand {
+		d := mm.dem[c]
+		for _, j := range cand {
+			if want := t.rows[d][j].Fits(st.free[j]); t.of(d)[j] != want {
+				return fmt.Errorf("fit table: row %d (class %d) on server %d reads %v, its demand %v against free %v fits: %v",
+					d, c, j, !want, t.rows[d][j], st.free[j], want)
+			}
+		}
+	}
+	return nil
+}
+
 // sweepConstruct places the most constrained apps first (fewest feasible
 // servers, ties in index order), each on its first cheapest server that
 // fits.
-func sweepConstruct(st *state, pol Policy) {
+func sweepConstruct(st *sweepState, pol Policy) {
 	p := st.p
 	order := make([]int, len(p.Apps))
 	options := make([]int, len(p.Apps))
@@ -78,7 +135,7 @@ func sweepConstruct(st *state, pol Policy) {
 
 // sweepLocalSearch re-scans every app every pass until a pass moves
 // nothing or maxPasses run out.
-func sweepLocalSearch(st *state, pol Policy, maxPasses int) {
+func sweepLocalSearch(st *sweepState, pol Policy, maxPasses int) {
 	p := st.p
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false

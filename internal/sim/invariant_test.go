@@ -286,16 +286,7 @@ func TestEpochsPhysicalGolden(t *testing.T) {
 func TestEpochsPhysicalRedeployChurn(t *testing.T) {
 	w := testWorld(t)
 	for _, warm := range []bool{false, true} {
-		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) {
-			cfg := DefaultConfig(carbon.RegionUS, placement.CarbonAware{})
-			cfg.Hours = 240
-			cfg.ArrivalsPerHour = 120
-			cfg.AppLifetimeHours = 72
-			cfg.RedeployEveryHours = 6
-			cfg.Devices = []string{energy.A2.Name, energy.GTX1080.Name, energy.OrinNano.Name}
-			cfg.WarmRedeploy = warm
-			runChecked(t, cfg, w)
-		})
+		t.Run(fmt.Sprintf("warm=%v", warm), func(t *testing.T) { runChecked(t, churnShape(warm), w) })
 	}
 }
 

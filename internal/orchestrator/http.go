@@ -159,6 +159,7 @@ func (o *Orchestrator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	o.mu.Lock()
 	body := metricsBody{
 		CarbonTotalG:    o.carbonTotal,
+		EnergyKWh:       o.energyMeter.TotalKWh(),
 		Deployments:     len(o.deployments),
 		DeployBatches:   o.DeployLatency.N(),
 		OrchestratorNow: o.now.String(),
@@ -167,7 +168,6 @@ func (o *Orchestrator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		body.MeanDeployMs = o.DeployLatency.Mean()
 	}
 	o.mu.Unlock()
-	body.EnergyKWh = o.EnergyKWh()
 	writeJSON(w, http.StatusOK, body)
 }
 

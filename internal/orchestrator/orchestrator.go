@@ -755,4 +755,8 @@ func (o *Orchestrator) AppCarbonG(name string) float64 {
 }
 
 // EnergyKWh returns total cluster energy consumed.
-func (o *Orchestrator) EnergyKWh() float64 { return o.energyMeter.TotalKWh() }
+func (o *Orchestrator) EnergyKWh() float64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.energyMeter.TotalKWh()
+}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -519,6 +520,70 @@ func TestHTTPLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("get-deleted status = %d", resp.StatusCode)
+	}
+}
+
+// TestMetricsScrapeIsOneInstant ticks one orchestrator by the minute
+// while another goroutine scrapes /api/v1/metrics, until 2000 scrapes are
+// in: every scraped (carbon, energy) pair must be the pair some tick
+// left, or the one before the first tick. A scrape that read the energy
+// meter after letting a tick in would pair one tick's carbon with the
+// next tick's energy.
+func TestMetricsScrapeIsOneInstant(t *testing.T) {
+	o := fixture(t, placement.CarbonAware{})
+	if err := o.Submit(testRecipe("a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := o.PlaceBatch(); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(o.API())
+	defer srv.Close()
+
+	type pair struct{ carbonG, energyKWh float64 }
+	seen := map[pair]bool{{o.CarbonTotalG(), o.EnergyKWh()}: true}
+	ticks := 0
+	var scrapes atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ; ticks < 100_000 && scrapes.Load() < 2000; ticks++ {
+			if err := o.Tick(time.Minute); err != nil {
+				t.Error(err)
+				return
+			}
+			seen[pair{o.CarbonTotalG(), o.EnergyKWh()}] = true
+		}
+	}()
+	var scraped []pair
+	for running := true; running; scrapes.Add(1) {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		resp, err := http.Get(srv.URL + "/api/v1/metrics")
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		var mb metricsBody
+		err = json.NewDecoder(resp.Body).Decode(&mb)
+		resp.Body.Close()
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		scraped = append(scraped, pair{mb.CarbonTotalG, mb.EnergyKWh})
+	}
+	<-done
+	if len(seen) != ticks+1 {
+		t.Fatalf("%d distinct pairs over %d ticks and the start", len(seen), ticks)
+	}
+	for i, p := range scraped {
+		if !seen[p] {
+			t.Fatalf("scrape %d of %d read carbon %v g with energy %v kWh, a pair no tick left", i, len(scraped), p.carbonG, p.energyKWh)
+		}
 	}
 }
 

@@ -35,6 +35,19 @@ import (
 // capacity itself (the test oracle in oracle_test.go). Each solve stands
 // alone; nothing but buffer capacity carries over to the next.
 //
+// Two of these mechanisms were each measured against their removal on
+// redeploy_churn's shape (sim's TestFitWorkCounted counts them) and kept:
+//   - floors updated in place (floor.insert/holds): 8 470 touches (cold)
+//     and 22 697 (warm) update a floor in place, and 8 680 and 19 905
+//     drop one, leaving 15 490 and 26 694 floor rescans where there would
+//     be 19 313 and 36 065; without them the redeploy_churn workload
+//     fell from 3 893 to 3 719 epochs/s (medians of 5 alternating pairs,
+//     1 won by the removal);
+//   - the warm seed's slotTable and the stored slots (revSlot): 135 374
+//     (cold) and 234 995 (warm) slot lookups are table reads; replacing
+//     both with binary search took it from 3 768 to 3 353 epochs/s
+//     (8 alternating pairs, none won by the removal).
+//
 // The solver owns reusable search scratch (capacity vectors, assignment
 // arrays, validation sets, memoized cost rows, the per-class scan memos),
 // so repeated solves allocate nothing in steady state. A mutex serializes

@@ -22,12 +22,14 @@ func churnShape(warm bool) Config {
 	return cfg
 }
 
-// solverFits reads the count of capacity tests (Resources.Fits
-// evaluations) the engine's solver has made: placement's test-only
-// scans.fits, read through reflection because placement exports no
-// counter that only a test reads.
-func solverFits(e *Engine) int {
-	return int(reflect.ValueOf(e.solver).Elem().FieldByName("scans").FieldByName("fits").Int())
+// solverScan reads one of the engine's solver's work counters:
+// placement's test-only scans.<name>, read through reflection because
+// placement exports no counter that only a test reads. fits counts the
+// capacity tests (Resources.Fits evaluations), search the floor
+// rescans, inplace and dropped the floors a touch updated in place or
+// dropped, and lookup the warm seed's slot lookups.
+func solverScan(e *Engine, name string) int {
+	return int(reflect.ValueOf(e.solver).Elem().FieldByName("scans").FieldByName(name).Int())
 }
 
 // TestFitWorkCounted counts the capacity tests per solve on faults_storm's
@@ -41,8 +43,11 @@ func solverFits(e *Engine) int {
 //	redeploy_churn/cold    299 solves  14 563.7 Fits   (table: 1 593.1)
 //	redeploy_churn/warm    279 solves  15 933.5 Fits   (table: 1 466.5)
 //
-// Each run must stay under a fifth of the count before the table. The
-// counts are logged (go test -v) for the profile notes.
+// Each run must stay under a fifth of the count before the table. It
+// also counts the floor rescans, the floors a touch updated in place or
+// dropped, and the warm seed's slot lookups; redeploy_churn must update
+// some floors in place (faults_storm runs no local search). The counts
+// are logged (go test -v) for the profile notes.
 func TestFitWorkCounted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steps 4 860 epochs")
@@ -67,11 +72,18 @@ func TestFitWorkCounted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			solves, fits := e.Finish().Batches, solverFits(e)
+			solves, fits := e.Finish().Batches, solverScan(e, "fits")
 			per := float64(fits) / float64(solves)
 			t.Logf("%d solves, %d Fits evaluations: %.1f per solve, %.1f before the fit table", solves, fits, per, tc.before)
 			if per > tc.before/5 {
 				t.Errorf("%.1f Fits per solve, want at most a fifth of the %.1f before the fit table", per, tc.before)
+			}
+			for _, name := range []string{"search", "inplace", "dropped", "lookup"} {
+				n := solverScan(e, name)
+				t.Logf("%-8s %7d: %.1f per solve", name, n, float64(n)/float64(solves))
+			}
+			if inplace := solverScan(e, "inplace"); tc.name != "faults_storm" && inplace == 0 {
+				t.Error("no floor was updated in place")
 			}
 		})
 	}

@@ -208,7 +208,7 @@ func FuzzAppendJSON(f *testing.F) {
 	f.Add(words(0.1, math.NaN(), 3), "a\n-a\na\n<b>\n\xff")
 	f.Add([]byte(nil), "")
 	// A 64-entry cached table from which one byte (0xfc) drops 63
-	// entries, more than the cache's forward scan reaches.
+	// entries: the table position advances past all but one cached entry.
 	long := make([]float64, 40)
 	for i := range long {
 		long[i] = float64(i) * 1.25
@@ -263,15 +263,18 @@ func FuzzAppendJSON(f *testing.F) {
 // fuzzCachedSnapshots encodes successive snapshots of one table that
 // share a row cache, as an engine's do. Each byte of script mutates the
 // table the way an engine's epochs can, and more: it drops a prefix of
-// the live table (up to 63 entries, past the cache's forward scan) or
-// one entry, rewrites an entry's power from vals or its model name,
+// the live table (up to 63 entries, advancing the table position of its
+// head by as many) or one entry from anywhere in it (which moves the
+// entries after it), rewrites an entry's power from vals or its model name,
 // flips the sign of an entry's RTT (0 and -0 render differently),
 // rewrites a server's usage from vals, or appends an entry. The result's
 // load_ci samples move with it: a drop cuts them short, a power rewrite
 // rewrites one, a sign flip flips one and an append appends one. Every fourth
 // byte takes a snapshot, which must encode to json.Marshal's bytes (or
-// fail with its error); the first snapshot must encode to its own bytes
-// at the end.
+// fail with its error); half of them, by the byte's top bits, carry a
+// table position off by one or two either way, as a snapshot of another
+// engine or an older one would. The first snapshot must encode to its
+// own bytes at the end.
 func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 	val := func(i int) float64 {
 		if len(vals) == 0 {
@@ -283,22 +286,24 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 	servers := make([]ServerSnap, 3)
 	var live []LiveAppSnap
 	var load []float64
+	base := 0 // the table position of live[0]
 	for i := range min(2*len(vals), 64) {
 		live = append(live, LiveAppSnap{Srv: i % 3, Model: "m", PowerW: val(i), RTTMs: val(i + 1), Expires: i})
 		load = append(load, val(i+2))
 	}
-	take := func() *Snapshot {
+	take := func(skew int) *Snapshot {
 		return &Snapshot{ConfigSig: "fuzz", Servers: slices.Clone(servers), Live: slices.Clone(live),
-			Result: ResultState{LoadCI: slices.Clone(load)}, rows: c}
+			Result: ResultState{LoadCI: slices.Clone(load)}, rows: c, liveBase: base + skew}
 	}
-	first := take()
+	first := take(0)
 	checkAppendJSON(t, "first cached", first)
 	firstBytes, firstErr := first.AppendJSON(nil)
 	for n, b := range script {
 		at := int(b>>3) + n
 		switch b % 7 {
 		case 0:
-			live = live[min(int(b>>2), len(live)):]
+			k := min(int(b>>2), len(live))
+			live, base = live[k:], base+k
 			load = load[:len(load)-min(int(b>>2), len(load))]
 		case 1:
 			if len(live) > 0 {
@@ -331,7 +336,7 @@ func fuzzCachedSnapshots(t *testing.T, vals []float64, script []byte) {
 			load = append(load, val(at+1))
 		}
 		if n%4 == 3 {
-			checkAppendJSON(t, fmt.Sprintf("cached after %d mutations", n+1), take())
+			checkAppendJSON(t, fmt.Sprintf("cached after %d mutations", n+1), take([4]int{0, 0, 1, -2}[b>>6]))
 		}
 	}
 	if again, err := first.AppendJSON(nil); firstErr == nil && (err != nil || !bytes.Equal(again, firstBytes)) {

@@ -64,6 +64,9 @@ type liveTable struct {
 	seq        int // the next app's sequence number
 	maxExpires int // the latest expiry indexed
 	late       int // late apps in the table
+	// popped counts the apps ever popped from the head: the table
+	// position of items()[0], by which the row cache keys live entries.
+	popped int
 }
 
 // liveVisits counts, for tests, the live rows departures visited and the
@@ -81,6 +84,7 @@ func (e *Engine) stepDepartures(epoch int) {
 		k++
 	}
 	e.live.drop(k)
+	e.live.popped += k
 	e.visits.rows += k
 	if e.live.late == 0 {
 		return

@@ -21,13 +21,14 @@ import (
 // everything Step mutates, and nothing derivable from (Config, World).
 // Its exported fields are plain data — JSON-serializable, no closures —
 // so a checkpoint file survives process restarts. A snapshot the engine
-// took also carries, unexported, the engine's row cache: AppendJSON
-// copies a server row's or live-app entry's bytes from it only when the
-// row equals, bit for bit, the value those bytes were rendered from, so
-// a decoded or hand-built snapshot, which has none, encodes to the same
-// bytes. Neither the phase list nor the fault
-// queue is serialized: restore rebuilds both from the config, and drops
-// the faults the snapshotted run had already applied.
+// took also carries, unexported, the engine's row cache and the table
+// position of its first live app: AppendJSON looks a server row up in
+// the cache by its index and a live-app entry by its table position, and
+// copies its bytes only when the row equals, bit for bit, the value
+// those bytes were rendered from, so a decoded or hand-built snapshot,
+// which has neither, encodes to the same bytes. Neither the phase list
+// nor the fault queue is serialized: restore rebuilds both from the
+// config, and drops the faults the snapshotted run had already applied.
 //
 // The proof obligation (TestSnapshotRestoreEquivalence): for any epoch
 // N, run-to-N + Snapshot + NewEngineFrom + run-to-end produces a Result
@@ -60,8 +61,11 @@ type Snapshot struct {
 	Result ResultState `json:"result"`
 
 	// rows is the engine's encoding cache, lent by Engine.Snapshot (nil
-	// in a snapshot built any other way); see rowCache.
-	rows *rowCache
+	// in a snapshot built any other way), and liveBase the table position
+	// of Live[0], the number of apps the engine ever popped from its
+	// table's head (0 in a snapshot built any other way); see rowCache.
+	rows     *rowCache
+	liveBase int
 }
 
 // ServerSnap is one aggregate site server's dynamic state. Site, Device,
@@ -308,6 +312,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		ForceRedeploy: e.forceRedeploy,
 		Result:        e.res.State(),
 		rows:          e.rows,
+		liveBase:      e.live.popped,
 	}
 	if len(e.faults.Skew) > 0 {
 		snap.FcErr = maps.Clone(e.faults.Skew)

@@ -259,22 +259,21 @@ func (w *jsonWriter) counts(l *cachedList[countEntry], c metrics.Counts) {
 // rowCache holds the JSON of the items an engine's snapshots last
 // encoded (server rows, live-app entries, the result's per-month
 // summaries and monthly_carbon_g entries, its count entries and load_ci
-// samples), each beside the value it was rendered from. Engine.Snapshot
-// lends it to every snapshot it takes, and AppendJSON copies an item's
-// bytes only while the item equals that value bit for bit. So the cache
-// never has to be told that an item changed: a stale entry fails the
-// comparison and is rendered afresh. A snapshot without a cache (decoded
-// or built by hand) is encoded through a new one. An item whose encoding
-// fails is never stored. mu serializes encodes of snapshots that share
-// the cache.
+// samples), each by its position beside the value it was rendered from.
+// Engine.Snapshot lends it to every snapshot it takes, and AppendJSON
+// copies an item's bytes only while the item equals that value bit for
+// bit. So the cache never has to be told that an item changed: a stale
+// entry fails the comparison and is rendered afresh. A snapshot without a
+// cache (decoded or built by hand) is encoded through a new one. An item
+// whose encoding fails is never stored. mu serializes encodes of
+// snapshots that share the cache.
 type rowCache struct {
 	mu sync.Mutex
-	// live is the live table as last encoded, in its order; next is its
-	// double buffer, spare the entries dropped from it, kept for their
-	// buffers.
-	live, next, spare []*cachedRow[LiveAppSnap]
-	liveWork          tally
-	// The other items, by position (monthly_carbon_g entries and load_ci
+	// live is keyed by table position: its first entry is the app at
+	// position liveBase, the liveBase of the snapshot last encoded.
+	live     cachedList[liveBits]
+	liveBase int
+	// The other items by index (monthly_carbon_g entries and load_ci
 	// samples by bits).
 	servers        cachedList[serverBits]
 	summaries      cachedList[[5]uint64]
@@ -353,18 +352,25 @@ func serverKey(s *ServerSnap) serverBits {
 	return k
 }
 
-// liveScan bounds the live table's forward scan for a cached entry. The
-// engine's table keeps its order: departures drop entries, arrivals
-// grow the tail and a redeploy rewrites entries in place, so an
-// unchanged entry sits at most as many places past the last hit as
-// entries left the table between the two encodes. An epoch that drops
-// more than liveScan entries from the head misses the cache once and is
-// rendered in full.
-const liveScan = 32
+// liveBits is a live-app entry as a cache key (liveKey), floats as
+// their bits.
+type liveBits struct {
+	srv, site, expires, srcSite int
+	model, device               string
+	powerW, rttMs               uint64
+}
+
+func liveKey(a *LiveAppSnap) liveBits {
+	return liveBits{a.Srv, a.Site, a.Expires, a.SrcSite, a.Model, a.Device, math.Float64bits(a.PowerW), math.Float64bits(a.RTTMs)}
+}
 
 // tables writes the snapshot's "servers" and "live" members. Server rows
-// are looked up by index (a table only grows), live entries by a
-// forward scan from the last hit (tallied in liveWork).
+// are looked up by index, live entries by table position: the engine's
+// table only pops its head, grows its tail and rewrites entries in place
+// (a redeploy), so an unchanged entry keeps its position from one
+// snapshot to the next. The list drops the entries popped since the last
+// encode; one that moved (behind a straggler's or an evicted app's
+// deletion) misses and is rendered afresh.
 func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 	w.raw(`,"servers":`)
 	if s.Servers == nil {
@@ -383,67 +389,25 @@ func (c *rowCache) tables(w *jsonWriter, s *Snapshot) {
 		w.raw("null")
 		return
 	}
-	cur, next := c.live, c.next[:0]
+	// Drop the entries popped since the last encode, or all of them when
+	// the two positions do not line up.
+	l := &c.live.items
+	d := s.liveBase - c.liveBase
+	if d < 0 || d > len(*l) {
+		d = len(*l)
+	}
+	clear((*l)[:d])
+	*l, c.liveBase = (*l)[d:], s.liveBase
 	w.raw("[")
-	k := 0 // cur[k:] have not been passed yet
 	for i := range s.Live {
-		a := &s.Live[i]
 		w.comma(i)
-		if h := findLive(cur[k:min(k+liveScan, len(cur))], a); h >= 0 {
-			h += k
-			w.b = append(w.b, cur[h].b...)
-			c.liveWork.copied++
-			c.spare = append(c.spare, cur[k:h]...)
-			next = append(next, cur[h])
-			k = h + 1
-			continue
-		}
-		off := len(w.b)
-		w.liveApp(a)
-		if w.err == nil {
-			c.liveWork.rendered++
-			r := c.spareRow()
-			r.val, r.b = *a, append(r.b[:0], w.b[off:]...)
-			next = append(next, r)
-		}
+		a := &s.Live[i]
+		c.live.put(w, i, liveKey(a), func() { w.liveApp(a) })
 	}
 	w.raw("]")
-	c.spare = append(c.spare, cur[k:]...)
-	clear(cur)
-	c.live, c.next = next, cur[:0]
+	// Entries past the table's end (a deletion shortened it) go.
+	*l = (*l)[:min(len(*l), len(s.Live))]
 }
-
-// findLive returns the index in rows of the first entry equal to a, or
-// -1.
-func findLive(rows []*cachedRow[LiveAppSnap], a *LiveAppSnap) int {
-	for h, r := range rows {
-		if sameLive(&r.val, a) {
-			return h
-		}
-	}
-	return -1
-}
-
-// spareRow returns an entry dropped earlier, or a new one.
-func (c *rowCache) spareRow() *cachedRow[LiveAppSnap] {
-	n := len(c.spare)
-	if n == 0 {
-		return new(cachedRow[LiveAppSnap])
-	}
-	r := c.spare[n-1]
-	c.spare = c.spare[:n-1]
-	return r
-}
-
-// sameLive reports whether two live-app entries are equal bit for bit,
-// and so render the same bytes: floats compare by their bits, since 0
-// and -0 render differently and NaN equals nothing.
-func sameLive(a, b *LiveAppSnap) bool {
-	return a.Expires == b.Expires && a.Srv == b.Srv && a.Site == b.Site && a.SrcSite == b.SrcSite &&
-		sameFloat(a.PowerW, b.PowerW) && sameFloat(a.RTTMs, b.RTTMs) && a.Model == b.Model && a.Device == b.Device
-}
-
-func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func (w *jsonWriter) server(srv *ServerSnap) {
 	w.raw(`{"site":`)

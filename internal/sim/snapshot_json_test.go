@@ -391,7 +391,7 @@ func TestRowCacheEveryEpoch(t *testing.T) {
 				if t.Failed() {
 					return
 				}
-				if got := len(e.rows.live); got != len(s.Live) {
+				if got := len(e.rows.live.items); got != len(s.Live) {
 					t.Fatalf("epoch %d: cache holds %d live entries, the snapshot %d", e.Epoch(), got, len(s.Live))
 				}
 				if prev != nil {
@@ -399,7 +399,7 @@ func TestRowCacheEveryEpoch(t *testing.T) {
 						t.Fatalf("epoch %d: the previous snapshot re-encodes to other bytes", e.Epoch())
 					}
 					for i := range s.Live {
-						if slices.ContainsFunc(prev.Live, func(a LiveAppSnap) bool { return sameLive(&a, &s.Live[i]) }) {
+						if slices.ContainsFunc(prev.Live, func(a LiveAppSnap) bool { return liveKey(&a) == liveKey(&s.Live[i]) }) {
 							unchanged++
 						}
 					}
@@ -423,8 +423,9 @@ func TestRowCacheEveryEpoch(t *testing.T) {
 // copied, and the bytes hashed per envelope. It pins the steady state: a
 // result section is rendered exactly in the epochs its value changed,
 // which is at most the current month's summary and carbon entry; a count
-// entry exactly when its label or count at its place moved; and every
-// server row that changed is rendered. The placement counts must
+// entry exactly when its label or count at its place moved; a server
+// row exactly when it changed, and a live entry exactly when it differs
+// from the previous snapshot's entry at its table position. The placement counts must
 // conserve Placed every day of the six months. The totals are logged
 // (go test -v) for the profile notes.
 func TestCheckpointWorkCounted(t *testing.T) {
@@ -438,7 +439,7 @@ func TestCheckpointWorkCounted(t *testing.T) {
 	}
 	c := e.rows
 	work := func() [3]tally {
-		return [3]tally{{c.servers.rendered + c.liveWork.rendered, c.servers.copied + c.liveWork.copied},
+		return [3]tally{{c.servers.rendered + c.live.rendered, c.servers.copied + c.live.copied},
 			{c.summaries.rendered + c.carbon.rendered, c.summaries.copied + c.carbon.copied},
 			{c.cities.rendered + c.months.rendered, c.cities.copied + c.months.copied}}
 	}
@@ -488,15 +489,15 @@ func TestCheckpointWorkCounted(t *testing.T) {
 			total[k].copied += d[k].copied
 		}
 		r := &s.Result
-		wantSections, wantEntries, wantServers := 24, r.PlacementsByCity.Len()+r.MonthlyPlacements.Len(), len(s.Servers)
+		wantSections, wantEntries, wantRows := 24, r.PlacementsByCity.Len()+r.MonthlyPlacements.Len(), len(s.Servers)+len(s.Live)
 		if prev != nil {
 			p := &prev.Result
-			wantSections, wantServers = 0, 0
+			wantSections, wantRows = 0, 0
 			for m := range 12 {
 				if summaryKey(&p.MonthlyLatency[m]) != summaryKey(&r.MonthlyLatency[m]) {
 					wantSections++
 				}
-				if !sameFloat(p.MonthlyCarbonG[m], r.MonthlyCarbonG[m]) {
+				if math.Float64bits(p.MonthlyCarbonG[m]) != math.Float64bits(r.MonthlyCarbonG[m]) {
 					wantSections++
 				}
 			}
@@ -506,7 +507,13 @@ func TestCheckpointWorkCounted(t *testing.T) {
 			wantEntries = moved(p.PlacementsByCity, r.PlacementsByCity) + moved(p.MonthlyPlacements, r.MonthlyPlacements)
 			for j := range s.Servers {
 				if j >= len(prev.Servers) || serverKey(&prev.Servers[j]) != serverKey(&s.Servers[j]) {
-					wantServers++
+					wantRows++
+				}
+			}
+			// A live entry is looked up at its table position.
+			for i := range s.Live {
+				if k := s.liveBase - prev.liveBase + i; k < 0 || k >= len(prev.Live) || liveKey(&prev.Live[k]) != liveKey(&s.Live[i]) {
+					wantRows++
 				}
 			}
 		}
@@ -516,8 +523,8 @@ func TestCheckpointWorkCounted(t *testing.T) {
 		if entries := r.PlacementsByCity.Len() + r.MonthlyPlacements.Len(); d[2].rendered != wantEntries || d[2].rendered+d[2].copied != entries {
 			t.Fatalf("epoch %d: %d count entries rendered, %d copied; %d moved of %d", e.Epoch(), d[2].rendered, d[2].copied, wantEntries, entries)
 		}
-		if rows := len(s.Servers) + len(s.Live); d[0].rendered < wantServers || d[0].rendered+d[0].copied != rows {
-			t.Fatalf("epoch %d: %d rows rendered, %d copied; %d server rows changed, %d rows", e.Epoch(), d[0].rendered, d[0].copied, wantServers, rows)
+		if rows := len(s.Servers) + len(s.Live); d[0].rendered != wantRows || d[0].rendered+d[0].copied != rows {
+			t.Fatalf("epoch %d: %d rows rendered, %d copied; %d changed at their place, %d rows", e.Epoch(), d[0].rendered, d[0].copied, wantRows, rows)
 		}
 		prev = s
 	}
@@ -700,7 +707,7 @@ func TestRowEqualityCoversEveryField(t *testing.T) {
 		return serverKey(a.Addr().Interface().(*ServerSnap)) == serverKey(b.Addr().Interface().(*ServerSnap))
 	})
 	check(new(LiveAppSnap), func(a, b reflect.Value) bool {
-		return sameLive(a.Addr().Interface().(*LiveAppSnap), b.Addr().Interface().(*LiveAppSnap))
+		return liveKey(a.Addr().Interface().(*LiveAppSnap)) == liveKey(b.Addr().Interface().(*LiveAppSnap))
 	})
 	check(new(metrics.SummaryState), func(a, b reflect.Value) bool {
 		return summaryKey(a.Addr().Interface().(*metrics.SummaryState)) == summaryKey(b.Addr().Interface().(*metrics.SummaryState))
